@@ -72,7 +72,9 @@ pub fn scenario(consumers: usize, seed: u64) -> Scenario {
 /// images per second (total records fetched by all consumers over the span
 /// between the first and last delivery).
 pub fn measure_throughput(consumers: usize, seed: u64) -> f64 {
-    let result = scenario(consumers, seed).run().expect("valid scenario");
+    let mut sc = scenario(consumers, seed);
+    sc.capture_records(); // the span below needs each delivery's time
+    let result = sc.run().expect("valid scenario");
     let monitor = result.monitor.borrow();
     if monitor.deliveries.is_empty() {
         return 0.0;
@@ -100,9 +102,8 @@ mod tests {
     #[test]
     fn consumers_drain_the_backlog() {
         let result = scenario(2, 3).run().expect("runs");
-        let monitor = result.monitor.borrow();
         // Both consumers eventually fetch the full pre-produced topic.
-        assert_eq!(monitor.deliveries.len() as u64, 2 * FRAMES);
+        assert_eq!(result.total_deliveries() as u64, 2 * FRAMES);
     }
 
     #[test]

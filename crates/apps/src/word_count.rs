@@ -311,13 +311,14 @@ mod tests {
 
     #[test]
     fn pipeline_runs_end_to_end() {
-        let sc = scenario(
+        let mut sc = scenario(
             30,
             SimDuration::from_millis(100),
             ComponentDelays::default(),
             SimTime::from_secs(40),
             11,
         );
+        sc.capture_records(); // each delivery's latency is checked below
         let result = sc.run().expect("runs");
         let monitor = result.monitor.borrow();
         let finals: Vec<_> = monitor.for_topic("avg-words-per-topic").collect();

@@ -161,15 +161,17 @@ pub fn fig6_run(mode: CoordinationMode, sites: u32, scale: Scale, seed: u64) -> 
         SimDuration::from_secs(cut_for),
     ));
     sc.watch_throughput(&["h1", "h2", "h3"]);
+    // Fig. 6b/6c are made of record identities: who got which message when.
+    sc.capture_records();
     let result = sc.run().expect("valid scenario");
 
     let matrix = result.delivery_matrix(0);
     let lost_messages = {
-        let acked: Vec<(String, u64)> = result.report.producers[0]
+        let acked: Vec<(&str, u64)> = result.report.producers[0]
             .outcomes
             .iter()
             .filter(|o| o.delivered)
-            .map(|o| (o.topic.clone(), o.seq))
+            .map(|o| (&*o.topic, o.seq))
             .collect();
         let core = result.monitor.borrow();
         acked
@@ -805,6 +807,8 @@ pub fn broker_replication_sweep(
         );
         sc.consumer("h5", Default::default(), &["data"]);
         sc.faults(FaultPlan::new().crash_restart_broker(0, crash_at, SimDuration::from_secs(4)));
+        // Availability and the outage window are read off per-record acks.
+        sc.capture_records();
         let result = sc.run().expect("valid scenario");
         let outcomes = &result.report.producers[0].outcomes;
         let total = outcomes.len().max(1) as f64;
@@ -1268,6 +1272,8 @@ fn hotpath_run(
     } else {
         sc.with_batching(false);
     }
+    // The last delivery time and the exact ack p99 need every record.
+    sc.capture_records();
     let result = sc.run().expect("valid scenario");
     let (delivered, last) = {
         let core = result.monitor.borrow();

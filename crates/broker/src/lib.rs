@@ -83,7 +83,7 @@ pub use log::{
 };
 pub use metadata::{plan_assignments, plan_assignments_racked, MetadataCache};
 pub use producer::{
-    DataSource, ProduceOutcome, ProducerClient, ProducerProcess, ProducerStats, SourceAction,
-    PRODUCER_TAGS, PRODUCER_TAGS_END,
+    DataSource, ProduceOutcome, ProducerClient, ProducerProcess, ProducerStats, SentRecord,
+    SourceAction, PRODUCER_TAGS, PRODUCER_TAGS_END,
 };
 pub use sources::{FileLinesSource, PoissonSource, RandomTopicSource, RateSource};

@@ -48,9 +48,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
-use s2g_proto::{
-    put_frame_record, read_frame_record, LeaderEpoch, Offset, ProducerId, Record, TopicPartition,
-};
+use s2g_proto::{put_frame_record, read_frame_record, LeaderEpoch, Offset, Record, TopicPartition};
 use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
 use s2g_store::BlobClient;
 
@@ -74,10 +72,6 @@ pub const DEFAULT_SEGMENT_MAX_RECORDS: usize = 128;
 /// layout ([`put_frame_record`]) prefixed per entry with its leader epoch.
 const SEGMENT_CODEC_VERSION: u8 = 3;
 
-/// Previous segment format (absolute fixed-width fields per entry); still
-/// decoded so logs persisted before the batch-frame refactor replay.
-const SEGMENT_CODEC_V2: u8 = 2;
-
 /// A run of log entries covering the offset range `[base, end)` — the unit
 /// of persistence and replay. Compaction may leave holes inside the range;
 /// the range itself never shrinks.
@@ -87,15 +81,15 @@ pub struct LogSegment {
     /// One past the highest offset ever assigned in this segment.
     end: u64,
     /// Timestamp base the per-entry deltas are encoded against; pinned to
-    /// the first record pushed so the incrementally built encoding stays
-    /// valid across later pushes and compaction.
+    /// the first record pushed, so a flush encodes the same bytes whatever
+    /// truncation or compaction removed in between.
     base_ts: SimTime,
+    /// The one resident copy of each record. Flushing serializes from here
+    /// on demand; only dirty segments (at most `segment_max_records`
+    /// entries each) are ever encoded.
     entries: Vec<LogEntry>,
     bytes: usize,
     dirty: bool,
-    /// Entry encodings maintained incrementally on append, so flushing a
-    /// hot segment is a memcpy instead of re-serializing every entry.
-    enc: Vec<u8>,
 }
 
 impl LogSegment {
@@ -107,7 +101,6 @@ impl LogSegment {
             entries: Vec::new(),
             bytes: 0,
             dirty: false,
-            enc: Vec::new(),
         }
     }
 
@@ -115,27 +108,15 @@ impl LogSegment {
         debug_assert!(offset >= self.end, "appends must advance the offset");
         if self.entries.is_empty() {
             self.base_ts = record.timestamp;
-        } else if self.enc.is_empty() {
-            // The encoding was shed after a flush; rebuild before extending.
-            self.rebuild_enc();
         }
         self.bytes += record.encoded_len();
         self.dirty = true;
         self.end = offset + 1;
-        let entry = LogEntry {
+        self.entries.push(LogEntry {
             offset: Offset(offset),
             epoch,
             record,
-        };
-        encode_entry(&mut self.enc, Offset(self.base), self.base_ts, &entry);
-        self.entries.push(entry);
-    }
-
-    fn rebuild_enc(&mut self) {
-        self.enc.clear();
-        for e in &self.entries {
-            encode_entry(&mut self.enc, Offset(self.base), self.base_ts, e);
-        }
+        });
     }
 
     /// First offset of the segment's range (set at roll time, fixed).
@@ -175,10 +156,9 @@ impl LogSegment {
     }
 
     /// Serializes the segment for a [`LogBackend`]: a versioned header plus
-    /// the incrementally maintained entry encodings (re-serialized from the
-    /// entries when the buffer was shed after a flush).
+    /// one frame per entry, encoded from the entries when a flush asks.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29 + self.enc.len());
+        let mut out = Vec::with_capacity(29 + self.bytes);
         put_u8(&mut out, SEGMENT_CODEC_VERSION);
         put_u64(&mut out, self.base);
         put_u64(&mut out, self.end);
@@ -189,40 +169,35 @@ impl LogSegment {
             &mut out,
             u32::try_from(self.entries.len()).expect("segment entry count fits u32"),
         );
-        if self.enc.is_empty() && !self.entries.is_empty() {
-            for e in &self.entries {
-                encode_entry(&mut out, Offset(self.base), self.base_ts, e);
-            }
-        } else {
-            out.extend_from_slice(&self.enc);
+        for e in &self.entries {
+            put_uvarint(&mut out, e.epoch.0);
+            put_frame_record(
+                &mut out,
+                Offset(self.base),
+                self.base_ts,
+                e.offset,
+                &e.record,
+            );
         }
         out
     }
 
-    /// Deserializes a segment written by [`encode`](LogSegment::encode),
-    /// accepting both the current frame-delta format and the previous
-    /// absolute-field format. Returns `None` on truncated, malformed, or
-    /// unknown-version input.
+    /// Deserializes a segment written by [`encode`](LogSegment::encode).
+    /// Returns `None` on truncated, malformed, or unknown-version input.
     pub fn decode(buf: &[u8]) -> Option<LogSegment> {
         let mut cur = Cursor::new(buf);
-        match cur.u8()? {
-            SEGMENT_CODEC_VERSION => Self::decode_v3(&mut cur, buf),
-            SEGMENT_CODEC_V2 => Self::decode_v2(&mut cur),
-            _ => None,
+        if cur.u8()? != SEGMENT_CODEC_VERSION {
+            return None;
         }
-    }
-
-    fn decode_v3(cur: &mut Cursor<'_>, buf: &[u8]) -> Option<LogSegment> {
         let base = cur.u64()?;
         let end = cur.u64()?;
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.u32()? as usize;
-        let body_start = cur.position();
         let mut entries = Vec::with_capacity(count.min(1 << 16));
         let mut bytes = 0;
         for _ in 0..count {
             let epoch = LeaderEpoch(cur.uvarint()?);
-            let (offset, record) = read_frame_record(cur, Offset(base), base_ts)?;
+            let (offset, record) = read_frame_record(&mut cur, Offset(base), base_ts)?;
             bytes += record.encoded_len();
             entries.push(LogEntry {
                 offset,
@@ -230,7 +205,6 @@ impl LogSegment {
                 record,
             });
         }
-        let enc = buf[body_start..cur.position()].to_vec();
         Some(LogSegment {
             base,
             end,
@@ -238,65 +212,8 @@ impl LogSegment {
             entries,
             bytes,
             dirty: false,
-            enc,
         })
     }
-
-    fn decode_v2(cur: &mut Cursor<'_>) -> Option<LogSegment> {
-        let base = cur.u64()?;
-        let end = cur.u64()?;
-        let count = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 16));
-        let mut bytes = 0;
-        for _ in 0..count {
-            let offset = Offset(cur.u64()?);
-            let epoch = LeaderEpoch(cur.u64()?);
-            let key = match cur.u8()? {
-                0 => None,
-                _ => Some(Bytes::copy_from_slice(cur.bytes()?)),
-            };
-            let value = Bytes::copy_from_slice(cur.bytes()?);
-            let timestamp = SimTime::from_nanos(cur.u64()?);
-            let producer = ProducerId(cur.u32()?);
-            let producer_epoch = cur.u32()?;
-            let producer_seq = cur.u64()?;
-            let record = Record {
-                key,
-                value,
-                timestamp,
-                producer,
-                producer_epoch,
-                producer_seq,
-            };
-            bytes += record.encoded_len();
-            entries.push(LogEntry {
-                offset,
-                epoch,
-                record,
-            });
-        }
-        let base_ts = entries
-            .first()
-            .map(|e| e.record.timestamp)
-            .unwrap_or(SimTime::ZERO);
-        let mut seg = LogSegment {
-            base,
-            end,
-            base_ts,
-            entries,
-            bytes,
-            dirty: false,
-            enc: Vec::new(),
-        };
-        // Re-encode in the current format so a later flush persists v3.
-        seg.rebuild_enc();
-        Some(seg)
-    }
-}
-
-fn encode_entry(out: &mut Vec<u8>, base: Offset, base_ts: SimTime, e: &LogEntry) {
-    put_uvarint(out, e.epoch.0);
-    put_frame_record(out, base, base_ts, e.offset, &e.record);
 }
 
 /// What one cleaner pass (compaction or retention) did to a partition log.
@@ -423,15 +340,6 @@ impl PartitionLog {
         let mut segments = recovered;
         if segments.is_empty() {
             segments.push(LogSegment::new(log_start.value()));
-        }
-        // Sealed segments shed their flush encodings; only the active tail
-        // keeps one (encode() falls back to re-serialization when absent).
-        // `split_last_mut` keeps this total even for a single (or, should
-        // an invariant ever break, zero) recovered segment.
-        if let Some((_, sealed)) = segments.split_last_mut() {
-            for seg in sealed {
-                seg.enc = Vec::new();
-            }
         }
         let retained_bytes = segments.iter().map(LogSegment::bytes).sum();
         let end = segments.last().map(|s| s.end_offset()).unwrap_or_default();
@@ -656,7 +564,6 @@ impl PartitionLog {
             seg.end = to;
             seg.bytes = seg.entries.iter().map(|e| e.record.encoded_len()).sum();
             seg.dirty = true;
-            seg.rebuild_enc();
             keep_until = keep_until.min(i + 1);
             break;
         }
@@ -762,7 +669,6 @@ impl PartitionLog {
                 outcome.removed_records += (before - seg.entries.len()) as u64;
                 seg.bytes = kept;
                 seg.dirty = true;
-                seg.rebuild_enc();
             }
         }
         // Drop sealed segments the pass emptied entirely.
@@ -827,18 +733,12 @@ impl PartitionLog {
 
     /// Encodes every dirty segment and clears the dirty marks, returning
     /// `(base_offset, encoded_bytes)` pairs — the broker's flush feed.
-    /// Sealed (non-active) segments shed their encoding buffer afterwards
-    /// so cold segments are not held in memory twice.
     pub fn take_dirty_segments(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
-        let n = self.segments.len();
-        for (i, seg) in self.segments.iter_mut().enumerate() {
+        for seg in &mut self.segments {
             if seg.dirty && !seg.is_empty() {
                 out.push((seg.base, seg.encode()));
                 seg.dirty = false;
-            }
-            if i + 1 < n && !seg.enc.is_empty() {
-                seg.enc = Vec::new();
             }
         }
         out
@@ -1329,6 +1229,12 @@ mod tests {
         assert_eq!(decoded.bytes(), seg.bytes());
         // Garbage is rejected, not mis-decoded.
         assert!(LogSegment::decode(&[1, 2, 3]).is_none());
+        // So is any version but the current one, the retired v2 included.
+        let mut other_version = seg.encode();
+        for v in [0, 2, SEGMENT_CODEC_VERSION + 1] {
+            other_version[0] = v;
+            assert!(LogSegment::decode(&other_version).is_none(), "version {v}");
+        }
     }
 
     #[test]
@@ -1421,28 +1327,102 @@ mod tests {
         assert!(rebuilt.read(Offset(5), 100, false).is_empty());
     }
 
+    /// A fresh segment fed `seg`'s entries one by one (same range and
+    /// timestamp base): what the log would hold had it never been cut.
+    fn rebuilt(seg: &LogSegment) -> LogSegment {
+        let mut fresh = LogSegment::new(seg.base);
+        for e in seg.entries() {
+            fresh.push(e.offset.value(), e.epoch, e.record.clone());
+        }
+        fresh.end = seg.end;
+        fresh.base_ts = seg.base_ts;
+        fresh
+    }
+
+    /// Every segment's flush bytes depend on its entries alone, survive a
+    /// decode/encode round trip, and agree with its byte accounting.
+    fn assert_encodings_consistent(log: &PartitionLog, when: &str) {
+        for seg in log.segments() {
+            let bytes = seg.encode();
+            assert_eq!(bytes, rebuilt(seg).encode(), "{when}: base {}", seg.base);
+            let back = LogSegment::decode(&bytes).expect("decodes");
+            assert_eq!(back.encode(), bytes, "{when}: base {}", seg.base);
+            assert_eq!(back.base_offset(), seg.base_offset());
+            assert_eq!(back.end_offset(), seg.end_offset());
+            assert_eq!(back.bytes(), seg.bytes());
+            let triples = |s: &LogSegment| -> Vec<(Offset, LeaderEpoch, Record)> {
+                s.entries()
+                    .iter()
+                    .map(|e| (e.offset, e.epoch, e.record.clone()))
+                    .collect()
+            };
+            assert_eq!(triples(&back), triples(seg), "{when}: base {}", seg.base);
+        }
+        let held: usize = log.segments().iter().map(LogSegment::bytes).sum();
+        assert_eq!(held, log.retained_bytes(), "{when}: byte accounting");
+    }
+
     #[test]
-    fn flush_shed_encodings_stay_consistent() {
-        // Sealed segments drop their encoding buffer after a flush; later
-        // flushes (e.g. after truncation re-dirties one) must still encode
-        // correctly, and appends to a recovered tail must extend properly.
-        let mut log = PartitionLog::with_segment_max(2);
-        log.append_batch(LeaderEpoch(0), [rec("a"), rec("b"), rec("c")]);
-        let first = log.take_dirty_segments();
-        assert_eq!(first.len(), 2);
-        // Truncate into the (shed) first segment and re-flush it.
-        log.truncate_to(Offset(1));
-        let again = log.take_dirty_segments();
-        assert_eq!(again.len(), 1);
-        let seg = LogSegment::decode(&again[0].1).expect("decodes");
-        assert_eq!(seg.len(), 1);
-        assert_eq!(seg.entries()[0].record.value_utf8(), "a");
-        // Appending after the shed/rebuild keeps encode() in sync.
-        log.append(LeaderEpoch(1), rec("z"));
-        let tail = log.take_dirty_segments();
-        let seg = LogSegment::decode(&tail[0].1).expect("decodes");
-        assert_eq!(seg.len(), 2);
-        assert_eq!(seg.entries()[1].record.value_utf8(), "z");
+    fn encodings_follow_the_entries_through_every_mutation() {
+        let mut log = PartitionLog::with_segment_max(3);
+        for i in 0..11u64 {
+            log.append(
+                LeaderEpoch(i / 4),
+                keyed(&format!("k{}", i % 4), &i.to_string(), i * 1_000),
+            );
+        }
+        assert_encodings_consistent(&log, "push");
+        // Flushing changes nothing a later flush would write.
+        let first_flush = log.take_dirty_segments();
+        assert_eq!(first_flush.len(), 4);
+        for (seg, (base, bytes)) in log.segments().iter().zip(&first_flush) {
+            assert_eq!((seg.base, &seg.encode()), (*base, bytes));
+        }
+        // Cut into a flushed segment, then append past the cut.
+        log.truncate_to(Offset(10));
+        log.append(LeaderEpoch(3), keyed("k1", "z", 20_000));
+        assert_encodings_consistent(&log, "truncate_to + push");
+        // Retention drops whole sealed segments.
+        log.advance_high_watermark(Offset(9));
+        let retired = log.apply_retention(
+            SimTime::from_secs(100),
+            Some(SimDuration::from_secs(97)),
+            None,
+        );
+        assert_eq!(retired.dropped_segment_bases, vec![0]);
+        assert_encodings_consistent(&log, "apply_retention");
+        // Compaction leaves offset holes and removes a segment's first
+        // entry; the timestamp base stays pinned.
+        let cleaned = log.compact();
+        assert_eq!(cleaned.removed_records, 2, "offsets 3 and 4 are shadowed");
+        assert_eq!(log.segments()[0].entries()[0].offset, Offset(5));
+        assert_encodings_consistent(&log, "compact");
+        let dirty: Vec<u64> = log.take_dirty_segments().iter().map(|d| d.0).collect();
+        assert_eq!(dirty, vec![3, 9], "the compacted and the re-cut segment");
+        // Recovery from the flushed blobs, then more appends on the
+        // recovered tail.
+        let bases: Vec<u64> = log.segments().iter().map(|s| s.base).collect();
+        let blobs: Vec<LogSegment> = log
+            .segments()
+            .iter()
+            .map(|s| LogSegment::decode(&s.encode()).expect("decodes"))
+            .collect();
+        let mut recovered = PartitionLog::from_recovered_segments(
+            blobs,
+            log.high_watermark(),
+            log.log_start(),
+            &bases,
+            3,
+        );
+        assert!(!recovered.has_dirty_segments(), "recovered blobs are clean");
+        for (a, b) in recovered.segments().iter().zip(log.segments()) {
+            assert_eq!(a.encode(), b.encode(), "recovery: base {}", a.base);
+        }
+        recovered.append(LeaderEpoch(4), keyed("k0", "after", 30_000));
+        log.append(LeaderEpoch(4), keyed("k0", "after", 30_000));
+        assert_encodings_consistent(&recovered, "recovery + push");
+        let tail = |l: &mut PartitionLog| l.take_dirty_segments().pop().expect("dirty tail");
+        assert_eq!(tail(&mut recovered), tail(&mut log));
     }
 
     #[test]

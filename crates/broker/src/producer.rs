@@ -17,6 +17,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
@@ -25,7 +26,7 @@ use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
     TimerToken,
 };
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
 use crate::metadata::MetadataCache;
@@ -72,13 +73,15 @@ pub trait DataSource: Any {
     fn next(&mut self, now: SimTime, rng: &mut StdRng) -> SourceAction;
 }
 
-/// Final outcome of one produced record.
+/// Final outcome of one produced record. Kept only by a client that
+/// [captures records](ProducerClient::capture_records).
 #[derive(Debug, Clone)]
 pub struct ProduceOutcome {
     /// Producer-assigned sequence number.
     pub seq: u64,
-    /// Destination topic.
-    pub topic: String,
+    /// Destination topic, interned per client: one allocation per topic,
+    /// not per record.
+    pub topic: Rc<str>,
     /// When the record entered the producer.
     pub created: SimTime,
     /// When the outcome was decided (ack received or delivery timeout).
@@ -86,6 +89,11 @@ pub struct ProduceOutcome {
     /// True if the broker acknowledged the record.
     pub delivered: bool,
 }
+
+/// The identity of one record accepted into a producer's buffer:
+/// `(topic, seq, created)`, the topic interned like
+/// [`ProduceOutcome::topic`].
+pub type SentRecord = (Rc<str>, u64, SimTime);
 
 /// Producer counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,16 +110,26 @@ pub struct ProducerStats {
     pub retries: u64,
 }
 
+/// One topic's accumulating batch, created on the topic's first record and
+/// kept for the client's lifetime.
 #[derive(Debug)]
 struct AccumBatch {
+    /// Dense id in first-send order; names the topic's linger timer tag.
+    id: u64,
+    /// The interned topic name captured record identities share.
+    topic: Rc<str>,
     records: Vec<Record>,
     bytes: usize,
     linger_timer: Option<TimerToken>,
+    /// Round-robin cursor for keyless sub-batches.
+    rr: u32,
 }
 
 #[derive(Debug)]
 struct ReadyBatch {
     tp: TopicPartition,
+    /// `tp.topic`, interned (see [`AccumBatch::topic`]).
+    topic: Rc<str>,
     /// The sealed, shareable batch. Sealed once at flush time; every send
     /// and retry reuses it with a reference-count bump instead of cloning
     /// the records.
@@ -168,15 +186,18 @@ pub struct ProducerClient {
     next_corr: u64,
     corr_step: u64,
     accum: BTreeMap<String, AccumBatch>,
-    topic_ids: BTreeMap<String, u64>,
-    rr: BTreeMap<String, u32>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
     inflight: BTreeMap<TopicPartition, Inflight>,
     corr_to_tp: HashMap<u64, TopicPartition>,
     buffer_used: usize,
     stats: ProducerStats,
+    /// Produce-to-ack latency of every acknowledged record, in seconds.
+    ack_latency: Histogram,
+    /// Whether per-record identity is kept; off, the two vectors below
+    /// stay empty and a run retains nothing per record here.
+    capture: bool,
     outcomes: Vec<ProduceOutcome>,
-    sent_index: Vec<(String, u64, SimTime)>,
+    sent_index: Vec<SentRecord>,
     mem: Option<(LedgerHandle, MemSlot)>,
     /// The open transaction stamped on produced batches, when transactional.
     txn: Option<u64>,
@@ -221,13 +242,13 @@ impl ProducerClient {
             next_corr: corr_parity,
             corr_step: 2,
             accum: BTreeMap::new(),
-            topic_ids: BTreeMap::new(),
-            rr: BTreeMap::new(),
             ready: BTreeMap::new(),
             inflight: BTreeMap::new(),
             corr_to_tp: HashMap::new(),
             buffer_used: 0,
             stats: ProducerStats::default(),
+            ack_latency: Histogram::latency_seconds(),
+            capture: false,
             outcomes: Vec::new(),
             sent_index: Vec::new(),
             mem: None,
@@ -430,15 +451,42 @@ impl ProducerClient {
         self.stats
     }
 
+    /// Produce-to-ack latency (seconds) over every acknowledged record —
+    /// folded as acks arrive, so it is available whether or not the client
+    /// captures records.
+    pub fn ack_latency(&self) -> &Histogram {
+        &self.ack_latency
+    }
+
+    /// Keeps per-record identity from now on: [`outcomes`](Self::outcomes)
+    /// and [`sent_index`](Self::sent_index). Off by default — a client
+    /// then folds every record into [`stats`](Self::stats) and
+    /// [`ack_latency`](Self::ack_latency) and retains nothing per record.
+    /// Purely an observer: the client sends and retries identically.
+    pub fn capture_records(&mut self) {
+        self.capture = true;
+    }
+
     /// Per-record outcomes (ack / delivery-timeout), in completion order.
+    /// Empty unless the client [captures records](Self::capture_records).
     pub fn outcomes(&self) -> &[ProduceOutcome] {
         &self.outcomes
     }
 
     /// Every record accepted into the buffer, as `(topic, seq, created)` in
     /// production order — the message axis of delivery matrices (Fig. 6b).
-    pub fn sent_index(&self) -> &[(String, u64, SimTime)] {
+    /// Empty unless the client [captures records](Self::capture_records).
+    pub fn sent_index(&self) -> &[SentRecord] {
         &self.sent_index
+    }
+
+    /// Moves the captured `(outcomes, sent_index)` out of the client, so a
+    /// report can own them without a second copy.
+    pub fn take_captured(&mut self) -> (Vec<ProduceOutcome>, Vec<SentRecord>) {
+        (
+            std::mem::take(&mut self.outcomes),
+            std::mem::take(&mut self.sent_index),
+        )
     }
 
     /// Bytes currently queued in the buffer pool.
@@ -509,8 +557,6 @@ impl ProducerClient {
             self.stats.buffer_rejected += 1;
             return false;
         }
-        self.sent_index
-            .push((topic.to_string(), record.producer_seq, ctx.now()));
         self.next_seq += 1;
         self.stats.sent += 1;
         if let Some(t) = self.txn {
@@ -521,26 +567,33 @@ impl ProducerClient {
         if !self.cfg.cpu_per_record.is_zero() {
             ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
         }
-        let n_topics = self.topic_ids.len() as u64;
-        let topic_id = *self.topic_ids.entry(topic.to_string()).or_insert(n_topics);
-        let entry = self
-            .accum
-            .entry(topic.to_string())
-            .or_insert_with(|| AccumBatch {
+        // Look up by `&str`; only a topic's first record allocates its name.
+        if !self.accum.contains_key(topic) {
+            let batch = AccumBatch {
+                id: self.accum.len() as u64,
+                topic: Rc::from(topic),
                 records: Vec::new(),
                 bytes: 0,
                 linger_timer: None,
-            });
+                rr: 0,
+            };
+            self.accum.insert(topic.to_string(), batch);
+        }
+        let entry = self.accum.get_mut(topic).expect("inserted above");
+        if self.capture {
+            self.sent_index
+                .push((entry.topic.clone(), record.producer_seq, ctx.now()));
+        }
         entry.records.push(record);
         entry.bytes += bytes;
         if entry.linger_timer.is_none() {
-            let t = ctx.set_timer(self.cfg.linger, PRODUCER_TAGS + off::LINGER_BASE + topic_id);
+            let t = ctx.set_timer(self.cfg.linger, PRODUCER_TAGS + off::LINGER_BASE + entry.id);
             entry.linger_timer = Some(t);
         }
         if entry.records.len() >= self.cfg.batch_max_records
             || entry.bytes >= self.cfg.batch_max_bytes
         {
-            self.flush_topic(ctx, &topic.to_string());
+            self.flush_topic(ctx, topic);
         }
         true
     }
@@ -553,7 +606,7 @@ impl ProducerClient {
         }
     }
 
-    fn flush_topic(&mut self, ctx: &mut Ctx<'_>, topic: &String) {
+    fn flush_topic(&mut self, ctx: &mut Ctx<'_>, topic: &str) {
         let Some(batch) = self.accum.get_mut(topic) else {
             return;
         };
@@ -574,29 +627,28 @@ impl ProducerClient {
         // metadata has not arrived yet.
         let parts = self.metadata.partitions_of(topic);
         let n_parts = parts.len() as u32;
-        let mut split: BTreeMap<TopicPartition, (Vec<Record>, usize)> = BTreeMap::new();
-        let mut rr_tp: Option<TopicPartition> = None;
+        // Split by partition number; the topic name is allocated once per
+        // sealed sub-batch below, not once per record.
+        let mut split: BTreeMap<u32, (Vec<Record>, usize)> = BTreeMap::new();
+        let mut rr_partition: Option<u32> = None;
         for r in records {
             let rbytes = r.encoded_len();
-            let tp = match (&r.key, n_parts) {
-                (_, 0) => TopicPartition::new(topic.clone(), 0),
-                (Some(k), _) => {
-                    TopicPartition::new(topic.clone(), s2g_proto::partition_for_key(k, n_parts))
-                }
-                (None, _) => rr_tp
-                    .get_or_insert_with(|| {
-                        let rr = self.rr.entry(topic.clone()).or_insert(0);
-                        let tp = parts[*rr as usize % parts.len()].clone();
-                        *rr += 1;
-                        tp
-                    })
-                    .clone(),
+            let partition = match (&r.key, n_parts) {
+                (_, 0) => 0,
+                (Some(k), _) => s2g_proto::partition_for_key(k, n_parts),
+                (None, _) => *rr_partition.get_or_insert_with(|| {
+                    let partition = parts[batch.rr as usize % parts.len()].partition;
+                    batch.rr += 1;
+                    partition
+                }),
             };
-            let slot = split.entry(tp).or_default();
+            let slot = split.entry(partition).or_default();
             slot.0.push(r);
             slot.1 += rbytes;
         }
-        for (tp, (records, bytes)) in split {
+        let interned = batch.topic.clone();
+        for (partition, (records, bytes)) in split {
+            let tp = TopicPartition::new(topic, partition);
             let created = records
                 .first()
                 .map(|r| r.timestamp)
@@ -616,6 +668,7 @@ impl ProducerClient {
                 .or_default()
                 .push_back(ReadyBatch {
                     tp,
+                    topic: interned.clone(),
                     batch: sealed,
                     bytes,
                     created,
@@ -714,14 +767,21 @@ impl ProducerClient {
                 batch.batch.len() as u64,
             );
         }
-        for r in batch.batch.iter() {
-            self.outcomes.push(ProduceOutcome {
-                seq: r.producer_seq,
-                topic: batch.tp.topic.clone(),
-                created: r.timestamp,
-                completed: now,
-                delivered,
-            });
+        if delivered {
+            for r in batch.batch.iter() {
+                self.ack_latency
+                    .observe(now.saturating_since(r.timestamp).as_secs_f64());
+            }
+        }
+        if self.capture {
+            self.outcomes
+                .extend(batch.batch.iter().map(|r| ProduceOutcome {
+                    seq: r.producer_seq,
+                    topic: batch.topic.clone(),
+                    created: r.timestamp,
+                    completed: now,
+                    delivered,
+                }));
         }
     }
 
@@ -823,16 +883,11 @@ impl ProducerClient {
             self.request_metadata(ctx);
         } else if (off::LINGER_BASE..off::REQ_TIMEOUT_BASE).contains(&o) {
             let topic_id = o - off::LINGER_BASE;
-            let topic = self
-                .topic_ids
-                .iter()
-                .find(|(_, id)| **id == topic_id)
-                .map(|(t, _)| t.clone());
-            if let Some(t) = topic {
-                if let Some(b) = self.accum.get_mut(&t) {
-                    b.linger_timer = None;
-                }
-                self.flush_topic(ctx, &t);
+            let due = self.accum.values_mut().find(|b| b.id == topic_id);
+            if let Some(batch) = due {
+                batch.linger_timer = None;
+                let topic = batch.topic.clone();
+                self.flush_topic(ctx, &topic);
             }
         } else if o >= off::REQ_TIMEOUT_BASE {
             let corr = o - off::REQ_TIMEOUT_BASE;
@@ -891,6 +946,11 @@ impl ProducerProcess {
     /// The embedded client (stats, outcomes).
     pub fn client(&self) -> &ProducerClient {
         &self.client
+    }
+
+    /// Mutable access to the embedded client (post-run harvesting).
+    pub fn client_mut(&mut self) -> &mut ProducerClient {
+        &mut self.client
     }
 
     /// The data source, downcast to its concrete type.

@@ -119,7 +119,10 @@ fn build(seed: u64) -> Cluster {
         request_timeout: SimDuration::from_millis(500),
         ..ProducerConfig::default()
     };
-    let client = ProducerClient::new(ProducerId(0), pcfg, broker_pids[0], brokers_hash.clone(), 0);
+    let mut client =
+        ProducerClient::new(ProducerId(0), pcfg, broker_pids[0], brokers_hash.clone(), 0);
+    // These tests match acked records against deliveries by identity.
+    client.capture_records();
     // Produce for the whole schedule: one record every 50 ms for ~50 s.
     let source = RateSource::new("events", 1_000, SimDuration::from_millis(50)).payload_bytes(64);
     let producer_pid = sim.spawn(Box::new(ProducerProcess::new(client, Box::new(source))));

@@ -113,7 +113,10 @@ fn build(mode: CoordinationMode, acks: AckMode, seed: u64) -> Cluster {
         acks,
         ..ProducerConfig::default()
     };
-    let client = ProducerClient::new(ProducerId(0), pcfg, broker_pids[0], brokers_hash.clone(), 0);
+    let mut client =
+        ProducerClient::new(ProducerId(0), pcfg, broker_pids[0], brokers_hash.clone(), 0);
+    // These tests match acked records against deliveries by identity.
+    client.capture_records();
     let source = RandomTopicSource::new(
         vec!["topic-a".into(), "topic-b".into()],
         30,
@@ -195,7 +198,7 @@ fn acked_seqs(sim: &Sim, pid: ProcessId, topic: &str) -> Vec<u64> {
     p.client()
         .outcomes()
         .iter()
-        .filter(|o| o.delivered && o.topic == topic)
+        .filter(|o| o.delivered && &*o.topic == topic)
         .map(|o| o.seq)
         .collect()
 }
@@ -257,7 +260,7 @@ fn zk_mode_silently_loses_acked_records() {
         .client()
         .outcomes()
         .iter()
-        .filter(|o| o.delivered && o.topic == "topic-a")
+        .filter(|o| o.delivered && &*o.topic == "topic-a")
     {
         if lost.contains(&o.seq) {
             let t = o.created.as_secs();

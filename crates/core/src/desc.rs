@@ -599,14 +599,9 @@ mod tests {
         let sc = scenario_from_graphml("fig4", PIPELINE, &bundle()).expect("resolves");
         let result = sc.run().expect("runs");
         // 2 documents → 5 words delivered to the consumer via the SPE job.
-        let words: Vec<DeliveryCount> = vec![];
-        let _ = words;
-        let monitor = result.monitor.borrow();
-        let delivered: Vec<&crate::monitor::DeliveryRecord> = monitor.for_topic("words").collect();
-        assert_eq!(delivered.len(), 5, "five words through the pipeline");
+        let delivered = result.monitor.borrow().delivery_count("words");
+        assert_eq!(delivered, 5, "five words through the pipeline");
     }
-
-    type DeliveryCount = usize;
 
     #[test]
     fn topics_file_parses_fields() {

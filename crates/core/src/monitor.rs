@@ -1,16 +1,21 @@
-//! Monitoring: delivery records, latency series, delivery matrices.
+//! Monitoring: delivery counts, latency folds, and (opt-in) per-record
+//! delivery identity.
 //!
 //! stream2gym "triggers a series of monitoring tasks that are responsible
 //! for logging relevant information from both the network and the
 //! application perspective". This module is the application side: every
-//! consumer sink is wrapped by a [`MonitoredSink`] that records who received
-//! which record when, from which the latency plots (Fig. 5, Fig. 6c) and
-//! the message delivery matrix (Fig. 6b) are derived.
+//! consumer sink is wrapped by a [`MonitoredSink`] that folds each delivery
+//! into per-topic counts and latency statistics (always on, constant
+//! memory), from which the latency plots (Fig. 5) are derived. A run that
+//! opted in with `Scenario::capture_records()` additionally keeps who
+//! received which record when — what the per-message latency series
+//! (Fig. 6c) and the message delivery matrix (Fig. 6b) need.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use s2g_broker::DataSink;
+use s2g_broker::{DataSink, SentRecord};
 use s2g_proto::{ProducerId, Record, TopicPartition};
 use s2g_sim::{SimDuration, SimTime};
 use s2g_spe::Event;
@@ -53,32 +58,106 @@ impl DeliveryRecord {
     }
 }
 
-/// Shared collection of all deliveries in a run.
+/// Everything the aggregate accessors need about one topic's deliveries,
+/// folded as they arrive.
+#[derive(Debug)]
+struct TopicFold {
+    topic: Rc<str>,
+    /// Deliveries per receiving consumer index.
+    per_consumer: BTreeMap<u32, u64>,
+    /// Exact sum of the (clamped) delivery latencies, in nanoseconds.
+    latency_sum_ns: u128,
+    /// The same latencies in seconds, observed in arrival order.
+    latency: Histogram,
+}
+
+impl TopicFold {
+    fn count(&self) -> u64 {
+        self.latency.count()
+    }
+}
+
+/// Shared view of all deliveries in a run: always-on per-topic folds, plus
+/// every [`DeliveryRecord`] when the run captures records.
 #[derive(Debug, Default)]
 pub struct MonitorCore {
-    /// Every delivery, in arrival order.
+    /// Every delivery, in arrival order — empty unless the run opted in
+    /// with `Scenario::capture_records()`.
     pub deliveries: Vec<DeliveryRecord>,
     /// Deliveries whose produced-after-delivered latency was clamped to
     /// zero by [`DeliveryRecord::latency`].
     pub clamped_latencies: u64,
+    capture: bool,
+    folds: Vec<TopicFold>,
 }
 
 /// Shared handle to the monitor.
 pub type MonitorHandle = Rc<RefCell<MonitorCore>>;
 
 impl MonitorCore {
-    /// Creates a shared monitor.
-    pub fn new_handle() -> MonitorHandle {
-        Rc::new(RefCell::new(MonitorCore::default()))
+    /// Creates a shared monitor. With `capture` it keeps one
+    /// [`DeliveryRecord`] per delivery; without, only the folds.
+    pub fn new_handle(capture: bool) -> MonitorHandle {
+        Rc::new(RefCell::new(MonitorCore {
+            capture,
+            ..MonitorCore::default()
+        }))
     }
 
-    /// Deliveries for one topic (any consumer).
+    /// Fails loudly when `accessor` needs record identity the run did not
+    /// keep — an empty answer would read as "nothing was delivered".
+    pub(crate) fn require_capture(&self, accessor: &str) {
+        assert!(
+            self.capture,
+            "{accessor} needs per-record identity, which this run did not keep: \
+             call `Scenario::capture_records()` before `run()`"
+        );
+    }
+
+    fn fold(&self, topic: &str) -> Option<&TopicFold> {
+        self.folds.iter().find(|f| &*f.topic == topic)
+    }
+
+    /// Index of `topic`'s fold, created on the topic's first delivery.
+    fn fold_index(&mut self, topic: &str) -> usize {
+        if let Some(i) = self.folds.iter().position(|f| &*f.topic == topic) {
+            return i;
+        }
+        self.folds.push(TopicFold {
+            topic: Rc::from(topic),
+            per_consumer: BTreeMap::new(),
+            latency_sum_ns: 0,
+            latency: Histogram::latency_seconds(),
+        });
+        self.folds.len() - 1
+    }
+
+    /// Total records delivered across all consumers and topics.
+    pub fn total_deliveries(&self) -> u64 {
+        self.folds.iter().map(TopicFold::count).sum()
+    }
+
+    /// Records of `topic` delivered, summed over consumers.
+    pub fn delivery_count(&self, topic: &str) -> u64 {
+        self.fold(topic).map_or(0, TopicFold::count)
+    }
+
+    /// Records of `topic` delivered to one consumer.
+    pub fn delivery_count_to(&self, consumer: u32, topic: &str) -> u64 {
+        self.fold(topic)
+            .and_then(|f| f.per_consumer.get(&consumer).copied())
+            .unwrap_or(0)
+    }
+
+    /// Deliveries for one topic (any consumer). Needs record capture.
     pub fn for_topic<'a>(&'a self, topic: &'a str) -> impl Iterator<Item = &'a DeliveryRecord> {
+        self.require_capture("MonitorCore::for_topic");
         self.deliveries.iter().filter(move |d| &*d.topic == topic)
     }
 
-    /// Deliveries seen by one consumer.
+    /// Deliveries seen by one consumer. Needs record capture.
     pub fn for_consumer(&self, consumer: u32) -> impl Iterator<Item = &DeliveryRecord> {
+        self.require_capture("MonitorCore::for_consumer");
         self.deliveries
             .iter()
             .filter(move |d| d.consumer == consumer)
@@ -86,32 +165,25 @@ impl MonitorCore {
 
     /// Mean end-to-end latency over a topic, if any deliveries exist.
     pub fn mean_latency(&self, topic: &str) -> Option<SimDuration> {
-        let lats: Vec<u64> = self
-            .for_topic(topic)
-            .map(|d| d.latency().as_nanos())
-            .collect();
-        if lats.is_empty() {
-            return None;
-        }
+        let fold = self.fold(topic)?;
+        let mean = fold.latency_sum_ns.checked_div(u128::from(fold.count()))?;
         Some(SimDuration::from_nanos(
-            lats.iter().sum::<u64>() / lats.len() as u64,
+            u64::try_from(mean).expect("a mean of u64 latencies fits u64"),
         ))
     }
 
     /// Mean and tail latency (p50/p95/p99, in seconds) over a topic's
-    /// deliveries, computed through the telemetry latency histogram —
+    /// deliveries, from the latency histogram folded as they arrived —
     /// `None` when the topic saw no deliveries.
     pub fn latency_stats(&self, topic: &str) -> Option<SummaryStats> {
-        let mut hist = Histogram::latency_seconds();
-        for d in self.for_topic(topic) {
-            hist.observe(d.latency().as_secs_f64());
-        }
-        hist.stats()
+        self.fold(topic)?.latency.stats()
     }
 
     /// Latency series for one consumer and topic, ordered by delivery time
-    /// (the paper's Fig. 6c axes: message order vs latency).
+    /// (the paper's Fig. 6c axes: message order vs latency). Needs record
+    /// capture.
     pub fn latency_series(&self, consumer: u32, topic: &str) -> Vec<(SimTime, SimDuration)> {
+        self.require_capture("MonitorCore::latency_series");
         let mut v: Vec<(SimTime, SimDuration)> = self
             .deliveries
             .iter()
@@ -122,7 +194,8 @@ impl MonitorCore {
         v
     }
 
-    /// Whether `(producer, seq)` on `topic` reached `consumer`.
+    /// Whether `(producer, seq)` on `topic` reached `consumer`. Needs
+    /// record capture.
     pub fn was_delivered(
         &self,
         consumer: u32,
@@ -130,6 +203,7 @@ impl MonitorCore {
         producer: ProducerId,
         seq: u64,
     ) -> bool {
+        self.require_capture("MonitorCore::was_delivered");
         self.deliveries.iter().any(|d| {
             d.consumer == consumer && &*d.topic == topic && d.producer == producer && d.seq == seq
         })
@@ -142,10 +216,6 @@ pub struct MonitoredSink {
     handle: MonitorHandle,
     consumer: u32,
     inner: Box<dyn DataSink>,
-    /// Interned topic of the last delivery — consumers poll per partition,
-    /// so the same topic repeats and one `Rc` bump replaces a `String`
-    /// clone per record.
-    topic_cache: Option<Rc<str>>,
 }
 
 impl MonitoredSink {
@@ -155,7 +225,6 @@ impl MonitoredSink {
             handle,
             consumer,
             inner,
-            topic_cache: None,
         }
     }
 
@@ -167,16 +236,14 @@ impl MonitoredSink {
 
 impl DataSink for MonitoredSink {
     fn on_records(&mut self, now: SimTime, tp: &TopicPartition, records: &[Record]) {
-        let topic: Rc<str> = match &self.topic_cache {
-            Some(t) if **t == *tp.topic => t.clone(),
-            _ => {
-                let t: Rc<str> = Rc::from(tp.topic.as_str());
-                self.topic_cache = Some(t.clone());
-                t
-            }
-        };
         {
-            let mut core = self.handle.borrow_mut();
+            let mut guard = self.handle.borrow_mut();
+            let core = &mut *guard;
+            // One fold lookup per poll batch; a fold's topic is the
+            // interned name every captured record of the batch shares.
+            let idx = core.fold_index(&tp.topic);
+            let fold = &mut core.folds[idx];
+            *fold.per_consumer.entry(self.consumer).or_insert(0) += records.len() as u64;
             for r in records {
                 // SPE outputs carry their provenance in the encoded event;
                 // raw records use their own produce time. `peek_origin`
@@ -186,14 +253,19 @@ impl DataSink for MonitoredSink {
                 if produced > now {
                     core.clamped_latencies += 1;
                 }
-                core.deliveries.push(DeliveryRecord {
-                    consumer: self.consumer,
-                    topic: topic.clone(),
-                    producer: r.producer,
-                    seq: r.producer_seq,
-                    produced,
-                    delivered: now,
-                });
+                let latency = now.saturating_since(produced);
+                fold.latency_sum_ns += u128::from(latency.as_nanos());
+                fold.latency.observe(latency.as_secs_f64());
+                if core.capture {
+                    core.deliveries.push(DeliveryRecord {
+                        consumer: self.consumer,
+                        topic: fold.topic.clone(),
+                        producer: r.producer,
+                        seq: r.producer_seq,
+                        produced,
+                        delivered: now,
+                    });
+                }
             }
         }
         self.inner.on_records(now, tp, records);
@@ -209,7 +281,7 @@ pub struct DeliveryMatrix {
     /// Consumer indices (rows).
     pub consumers: Vec<u32>,
     /// Tracked messages as `(topic, seq, produced)` (columns, by seq order).
-    pub messages: Vec<(String, u64, SimTime)>,
+    pub messages: Vec<SentRecord>,
     /// `received[row][col]` — whether consumer `row` got message `col`.
     pub received: Vec<Vec<bool>>,
 }
@@ -217,12 +289,18 @@ pub struct DeliveryMatrix {
 impl DeliveryMatrix {
     /// Builds the matrix for `producer` from the monitor and the producer's
     /// send log (`(topic, seq, produced)` per message).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the monitor did not capture records: a matrix built from
+    /// no identities would claim every message was lost.
     pub fn build(
         core: &MonitorCore,
         producer: ProducerId,
-        messages: Vec<(String, u64, SimTime)>,
+        messages: Vec<SentRecord>,
         consumers: &[u32],
     ) -> Self {
+        core.require_capture("a delivery matrix");
         let mut received = vec![vec![false; messages.len()]; consumers.len()];
         for d in &core.deliveries {
             if d.producer != producer {
@@ -233,7 +311,7 @@ impl DeliveryMatrix {
             };
             if let Some(col) = messages
                 .iter()
-                .position(|(t, s, _)| *s == d.seq && *t == *d.topic)
+                .position(|(t, s, _)| *s == d.seq && **t == *d.topic)
             {
                 received[row][col] = true;
             }
@@ -247,7 +325,7 @@ impl DeliveryMatrix {
     }
 
     /// Messages not received by a given consumer row.
-    pub fn losses_for_row(&self, row: usize) -> Vec<&(String, u64, SimTime)> {
+    pub fn losses_for_row(&self, row: usize) -> Vec<&SentRecord> {
         self.messages
             .iter()
             .enumerate()
@@ -257,7 +335,7 @@ impl DeliveryMatrix {
     }
 
     /// Messages missed by every consumer.
-    pub fn total_losses(&self) -> Vec<&(String, u64, SimTime)> {
+    pub fn total_losses(&self) -> Vec<&SentRecord> {
         self.messages
             .iter()
             .enumerate()
@@ -294,7 +372,7 @@ mod tests {
 
     #[test]
     fn monitored_sink_records_and_forwards() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let mut sink = MonitoredSink::new(handle.clone(), 3, Box::new(CollectingSink::default()));
         let tp = TopicPartition::new("t", 0);
         sink.on_records(
@@ -318,7 +396,7 @@ mod tests {
 
     #[test]
     fn mean_latency_and_series() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let mut sink = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
         let tp = TopicPartition::new("t", 0);
         sink.on_records(SimTime::from_millis(300), &tp, &[record(1, 0, 100)]);
@@ -333,7 +411,7 @@ mod tests {
 
     #[test]
     fn spe_events_use_origin_for_latency() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let mut sink = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
         let ev = Event::new(s2g_spe::Value::Int(1), SimTime::from_millis(900))
             .with_origin(SimTime::from_millis(100));
@@ -351,7 +429,7 @@ mod tests {
 
     #[test]
     fn latency_stats_cover_tail_quantiles() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let mut sink = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
         let tp = TopicPartition::new("t", 0);
         // 90 deliveries at ~10 ms and 10 stragglers at ~1 s: the median
@@ -381,7 +459,7 @@ mod tests {
 
     #[test]
     fn clamped_negative_latencies_are_counted() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let mut sink = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
         let tp = TopicPartition::new("t", 0);
         // Produced at 500 ms but "delivered" at 100 ms: the latency clamps
@@ -397,7 +475,7 @@ mod tests {
 
     #[test]
     fn delivery_matrix_marks_losses() {
-        let handle = MonitorCore::new_handle();
+        let handle = MonitorCore::new_handle(true);
         let tp = TopicPartition::new("ta", 0);
         let mut sink0 = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
         let mut sink1 = MonitoredSink::new(handle.clone(), 1, Box::new(CollectingSink::default()));
@@ -409,9 +487,9 @@ mod tests {
         );
         sink1.on_records(SimTime::from_millis(10), &tp, &[record(7, 0, 1)]);
         let messages = vec![
-            ("ta".to_string(), 0, SimTime::from_millis(1)),
-            ("ta".to_string(), 1, SimTime::from_millis(2)),
-            ("ta".to_string(), 2, SimTime::from_millis(3)), // never delivered
+            ("ta".into(), 0, SimTime::from_millis(1)),
+            ("ta".into(), 1, SimTime::from_millis(2)),
+            ("ta".into(), 2, SimTime::from_millis(3)), // never delivered
         ];
         let core = handle.borrow();
         let m = DeliveryMatrix::build(&core, ProducerId(7), messages, &[0, 1]);
@@ -420,5 +498,67 @@ mod tests {
         assert_eq!(m.losses_for_row(1).len(), 2);
         assert_eq!(m.total_losses().len(), 1);
         assert!((m.delivery_rate() - 0.5).abs() < 1e-9);
+    }
+
+    /// Feeds both a capturing and a default monitor the same deliveries.
+    fn feed(handle: &MonitorHandle) {
+        let ta = TopicPartition::new("ta", 0);
+        let tb = TopicPartition::new("tb", 1);
+        let mut sink0 = MonitoredSink::new(handle.clone(), 0, Box::new(CollectingSink::default()));
+        let mut sink1 = MonitoredSink::new(handle.clone(), 1, Box::new(CollectingSink::default()));
+        for i in 0..40u64 {
+            let batch = [record(1, 2 * i, i * 7), record(1, 2 * i + 1, i * 7 + 3)];
+            sink0.on_records(SimTime::from_millis(i * 7 + 5 + i % 4), &ta, &batch);
+            sink1.on_records(SimTime::from_millis(i * 9 + 40), &ta, &batch[..1]);
+            sink1.on_records(SimTime::from_millis(i * 7 + 2), &tb, &batch[1..]);
+        }
+    }
+
+    #[test]
+    fn folds_equal_what_captured_deliveries_recompute() {
+        let captured = MonitorCore::new_handle(true);
+        let folded = MonitorCore::new_handle(false);
+        feed(&captured);
+        feed(&folded);
+        let (captured, folded) = (captured.borrow(), folded.borrow());
+        assert!(folded.deliveries.is_empty(), "the default keeps no records");
+        assert_eq!(captured.deliveries.len(), 160);
+        assert_eq!(folded.total_deliveries(), 160);
+        assert_eq!(
+            folded.clamped_latencies, 40,
+            "tb arrives 1 ms before its stamp"
+        );
+        for core in [&*captured, &*folded] {
+            for topic in ["ta", "tb"] {
+                let of_topic = || captured.deliveries.iter().filter(|d| &*d.topic == topic);
+                assert_eq!(core.delivery_count(topic), of_topic().count() as u64);
+                for consumer in 0..3 {
+                    assert_eq!(
+                        core.delivery_count_to(consumer, topic),
+                        of_topic().filter(|d| d.consumer == consumer).count() as u64
+                    );
+                }
+                let sum: u64 = of_topic().map(|d| d.latency().as_nanos()).sum();
+                assert_eq!(
+                    core.mean_latency(topic),
+                    Some(SimDuration::from_nanos(sum / of_topic().count() as u64))
+                );
+                let mut hist = Histogram::latency_seconds();
+                for d in of_topic() {
+                    hist.observe(d.latency().as_secs_f64());
+                }
+                assert_eq!(core.latency_stats(topic), hist.stats());
+            }
+            assert_eq!(core.delivery_count("zz"), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario::capture_records()")]
+    fn identity_accessors_refuse_an_uncaptured_run() {
+        let handle = MonitorCore::new_handle(false);
+        feed(&handle);
+        let core = handle.borrow();
+        let _ = core.latency_series(0, "ta");
     }
 }

@@ -20,8 +20,8 @@ use s2g_broker::{
     ConsumerClient, ConsumerConfig, ConsumerProcess, ConsumerStats, ControllerConfig,
     CoordinationMode, DataSink, DataSource, DurableLogBackend, FileLinesSource, InMemoryLogBackend,
     KraftController, LogBackend, LogStoreHandle, PoissonSource, ProduceOutcome, ProducerClient,
-    ProducerConfig, ProducerProcess, ProducerStats, RandomTopicSource, RateSource, TopicSpec,
-    ZkController,
+    ProducerConfig, ProducerProcess, ProducerStats, RandomTopicSource, RateSource, SentRecord,
+    TopicSpec, ZkController,
 };
 use s2g_net::{
     FaultAction, FaultInjector, FaultPlan, LinkSpec, NetHandle, NetTransport, Network,
@@ -38,7 +38,7 @@ use s2g_spe::{
     StateBackend,
 };
 use s2g_store::{StoreConfig, StoreServer};
-use s2g_telemetry::{MetricSeries, Telemetry};
+use s2g_telemetry::{MetricSeries, SummaryStats, Telemetry};
 
 use crate::monitor::{DeliveryMatrix, MonitorCore, MonitorHandle, MonitoredSink};
 use crate::resources::{cpu_utilization_series, MemModel, MemSampler, ServerSpec};
@@ -513,6 +513,7 @@ pub struct Scenario {
     telemetry_interval: SimDuration,
     telemetry_trace: bool,
     allow_deny: bool,
+    capture_records: bool,
 }
 
 impl Scenario {
@@ -555,6 +556,7 @@ impl Scenario {
             telemetry_interval: SimDuration::from_millis(500),
             telemetry_trace: false,
             allow_deny: false,
+            capture_records: false,
         }
     }
 
@@ -1030,6 +1032,25 @@ impl Scenario {
         self
     }
 
+    /// Keeps per-record identity for the run: every producer stub's
+    /// [`ProducerReport::outcomes`] and [`ProducerReport::sent_index`], and
+    /// one [`DeliveryRecord`](crate::DeliveryRecord) per delivery in
+    /// [`MonitorCore::deliveries`]. Needed by
+    /// [`RunResult::delivery_matrix`] and by `MonitorCore::{for_topic,
+    /// for_consumer, latency_series, was_delivered}`, which panic naming
+    /// this method on a run that did not opt in.
+    ///
+    /// Off by default: a run then holds one resident copy of each record
+    /// (its log entry) and folds everything else — producer counters and
+    /// ack latency, per-topic delivery counts and latency statistics — so
+    /// `mean_latency`, `latency_stats`, `total_deliveries` and every
+    /// `*.stats` work either way. Capture is a pure observer: same-seed
+    /// runs are identical with it on or off.
+    pub fn capture_records(&mut self) -> &mut Self {
+        self.capture_records = true;
+        self
+    }
+
     /// Caps the total number of simulation events (livelock guard).
     pub fn event_limit(&mut self, limit: u64) -> &mut Self {
         self.event_limit = limit;
@@ -1430,6 +1451,7 @@ impl Scenario {
             }
         }
         let duration = self.duration;
+        let capture = self.capture_records;
         let topo = self.build_topology();
         let n_switches = topo
             .nodes()
@@ -1784,7 +1806,7 @@ impl Scenario {
                 slot,
                 pid: ProcessId(0),
             };
-            let p = build_producer_stub(i, &build, &brokers_hash, &ledger, &tele);
+            let p = build_producer_stub(i, &build, &brokers_hash, &ledger, &tele, capture);
             let pid = sim.spawn(Box::new(p));
             if let Some(cpu) = cpus.get(&host) {
                 sim.attach_cpu(pid, cpu.clone());
@@ -1798,7 +1820,7 @@ impl Scenario {
         // `consumer-<idx>` crash/restart faults. A respawned member of a
         // consumer group resumes from its broker-committed offsets; a
         // group-less consumer restarts at the log start and re-reads.
-        let monitor: MonitorHandle = MonitorCore::new_handle();
+        let monitor: MonitorHandle = MonitorCore::new_handle(capture);
         let mut consumer_pids: Vec<ProcessId> = Vec::new();
         let mut consumer_builds: Vec<ConsumerStubBuild> = Vec::new();
         for (i, (host, mut cfg, topics, sink)) in self.consumers.into_iter().enumerate() {
@@ -1951,7 +1973,8 @@ impl Scenario {
                         if sim.is_alive(build.pid) {
                             continue; // restart without a preceding crash
                         }
-                        let p = build_producer_stub(i, build, &brokers_hash, &ledger, &tele);
+                        let p =
+                            build_producer_stub(i, build, &brokers_hash, &ledger, &tele, capture);
                         sim.respawn(build.pid, Box::new(p));
                         if let Some(cpu) = cpus.get(&build.host) {
                             sim.attach_cpu(build.pid, cpu.clone());
@@ -2179,17 +2202,21 @@ impl Scenario {
         let mut producers_report = Vec::new();
         for (i, pid) in producer_pids.iter().enumerate() {
             let name = format!("producer-{i}");
-            let p = sim.process_ref::<ProducerProcess>(*pid).or_else(|| {
-                client_corpses.get(&name).and_then(|c| {
-                    (c.as_ref() as &dyn std::any::Any).downcast_ref::<ProducerProcess>()
-                })
-            });
-            let p = p.expect("producer process (live or corpse)");
+            let p = match sim.process_mut::<ProducerProcess>(*pid) {
+                Some(live) => Some(live),
+                None => client_corpses.get_mut(&name).and_then(|c| {
+                    (c.as_mut() as &mut dyn std::any::Any).downcast_mut::<ProducerProcess>()
+                }),
+            };
+            let client = p.expect("producer process (live or corpse)").client_mut();
+            // The report takes the captured vectors: one copy, not two.
+            let (outcomes, sent_index) = client.take_captured();
             producers_report.push(ProducerReport {
                 id: ProducerId(i as u32),
-                stats: p.client().stats(),
-                outcomes: p.client().outcomes().to_vec(),
-                sent_index: p.client().sent_index().to_vec(),
+                stats: client.stats(),
+                ack_latency: client.ack_latency().stats(),
+                outcomes,
+                sent_index,
                 recovery: client_crashes.get(&name).copied(),
             });
         }
@@ -2472,6 +2499,7 @@ fn build_producer_stub(
     brokers: &BTreeMap<BrokerId, ProcessId>,
     ledger: &LedgerHandle,
     tele: &Telemetry,
+    capture: bool,
 ) -> ProducerProcess {
     let mut client = ProducerClient::new(
         ProducerId(idx as u32),
@@ -2481,6 +2509,9 @@ fn build_producer_stub(
         0,
     );
     client.set_mem_slot(ledger.clone(), build.slot);
+    if capture {
+        client.capture_records();
+    }
     let mut p = ProducerProcess::new(client, build.source.build());
     p.set_telemetry(tele.clone());
     p
@@ -2853,10 +2884,15 @@ pub struct ProducerReport {
     /// Counters. For a crashed-and-restarted stub these reflect the
     /// respawned incarnation (the pre-crash one died with its process).
     pub stats: ProducerStats,
-    /// Completed record outcomes.
+    /// Produce-to-ack latency (seconds) over the acknowledged records,
+    /// folded as acks arrived; `None` when nothing was acknowledged.
+    pub ack_latency: Option<SummaryStats>,
+    /// Completed record outcomes. Empty unless the scenario called
+    /// [`Scenario::capture_records`].
     pub outcomes: Vec<ProduceOutcome>,
-    /// All sends as `(topic, seq, created)`.
-    pub sent_index: Vec<(String, u64, SimTime)>,
+    /// All sends as `(topic, seq, created)`. Empty unless the scenario
+    /// called [`Scenario::capture_records`].
+    pub sent_index: Vec<SentRecord>,
     /// Crash/restart metrics; present when this stub was crashed by the
     /// fault plan.
     pub recovery: Option<ClientRecoveryReport>,
@@ -3150,6 +3186,11 @@ pub struct RunResult {
 impl RunResult {
     /// Builds the Fig. 6b delivery matrix for one producer across all
     /// consumers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the scenario called [`Scenario::capture_records`]: the
+    /// matrix is made of record identities.
     pub fn delivery_matrix(&self, producer_idx: usize) -> DeliveryMatrix {
         let p = &self.report.producers[producer_idx];
         let consumers: Vec<u32> = self.report.consumers.iter().map(|c| c.id).collect();
@@ -3164,7 +3205,7 @@ impl RunResult {
 
     /// Total records delivered across all consumers.
     pub fn total_deliveries(&self) -> usize {
-        self.monitor.borrow().deliveries.len()
+        self.monitor.borrow().total_deliveries() as usize
     }
 }
 

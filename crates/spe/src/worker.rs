@@ -698,9 +698,12 @@ impl SpeWorker {
                 _ => 0,
             }
         } else {
-            self.producer
-                .as_ref()
-                .map_or(u64::MAX, |p| p.outcomes().len() as u64)
+            // Completed = acked + failed, from the always-on counters (the
+            // per-record outcome list exists only under record capture).
+            self.producer.as_ref().map_or(u64::MAX, |p| {
+                let stats = p.stats();
+                stats.acked + stats.failed
+            })
         };
         let txn = coord.pending_commit_txn().unwrap_or(0);
         let coord = self.coordinator.as_mut().expect("checked above");

@@ -73,6 +73,8 @@ fn run(rf: u32) -> (f64, f64, u64, u64, u64) {
         SimDuration::from_secs(DOWN_FOR_S),
     ));
 
+    // Availability and the outage window are read off per-record acks.
+    sc.capture_records();
     let result = sc.run().expect("scenario is valid");
     let p = &result.report.producers[0];
     // Availability: the share of records acked within a 1 s SLO (queued

@@ -11,12 +11,12 @@ fn main() {
     let result = scenario.run().expect("scenario is valid");
 
     let monitor = result.monitor.borrow();
-    let alerts: Vec<_> = monitor.for_topic("fraud-alerts").collect();
+    let alerts = monitor.delivery_count("fraud-alerts");
     println!(
         "{} transactions streamed, {} alerts raised ({:.1}%)",
         result.report.producers[0].stats.acked,
-        alerts.len(),
-        alerts.len() as f64 / result.report.producers[0].stats.acked.max(1) as f64 * 100.0
+        alerts,
+        alerts as f64 / result.report.producers[0].stats.acked.max(1) as f64 * 100.0
     );
     if let Some(mean) = monitor.mean_latency("fraud-alerts") {
         println!("mean detection latency (produce → alert delivery): {mean}");

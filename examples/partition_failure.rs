@@ -67,6 +67,7 @@ fn network_partition() {
     println!(
         "running {SITES} sites for {RUN}s; disconnecting h1 (topic-a leader) at {CUT_AT}s for {CUT_FOR}s..."
     );
+    sc.capture_records(); // the delivery matrix is made of record identities
     let result = sc.run().expect("scenario is valid");
 
     // The delivery matrix for the producer co-located with the failed broker.
@@ -88,8 +89,7 @@ fn network_partition() {
         lost.len(),
         matrix.messages.len()
     );
-    let lost_topics: std::collections::BTreeSet<&str> =
-        lost.iter().map(|(t, _, _)| t.as_str()).collect();
+    let lost_topics: std::collections::BTreeSet<&str> = lost.iter().map(|(t, _, _)| &**t).collect();
     println!("lost messages came from: {lost_topics:?} (the disconnected leader's topic)");
 
     let b0 = &result.report.brokers[0];
@@ -142,6 +142,7 @@ fn broker_crash() {
         SimTime::from_secs(CUT_AT),
         SimDuration::from_secs(CUT_FOR),
     ));
+    sc.capture_records(); // the delivery matrix is made of record identities
     let result = sc.run().expect("scenario is valid");
     let b0 = &result.report.brokers[0];
     let rec = b0.recovery.expect("broker 0 was crashed by the plan");

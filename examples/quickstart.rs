@@ -12,22 +12,24 @@ use stream2gym::core::ascii_chart;
 use stream2gym::sim::{SimDuration, SimTime};
 
 fn main() {
-    let scenario = word_count::scenario(
+    let mut scenario = word_count::scenario(
         100,
         SimDuration::from_millis(150),
         ComponentDelays::default(),
         SimTime::from_secs(60),
         42,
     );
+    // The per-document latency chart below needs each delivery, not just
+    // the always-on folds (counts, mean and quantiles).
+    scenario.capture_records();
     println!("running the word-count pipeline on the emulated network...");
     let result = scenario.run().expect("scenario is valid");
 
     let monitor = result.monitor.borrow();
-    let outputs: Vec<_> = monitor.for_topic("avg-words-per-topic").collect();
     println!(
         "pipeline finished: {} documents in, {} running-average outputs delivered",
         result.report.producers[0].stats.acked,
-        outputs.len()
+        monitor.delivery_count("avg-words-per-topic")
     );
     if let Some(mean) = monitor.mean_latency("avg-words-per-topic") {
         println!("mean end-to-end latency per document: {mean}");

@@ -46,13 +46,11 @@ fn acks_all_costs_replication_latency() {
         .expect("runs");
     assert_eq!(acks1.total_deliveries(), 200);
     assert_eq!(acks_all.total_deliveries(), 200);
-    // Compare producer-observed ack latency.
+    // Compare producer-observed ack latency (folded as acks arrive).
     let mean_ack = |r: &stream2gym::core::RunResult| -> f64 {
-        let o = &r.report.producers[0].outcomes;
-        o.iter()
-            .map(|x| x.completed.saturating_since(x.created).as_secs_f64())
-            .sum::<f64>()
-            / o.len() as f64
+        let acks = r.report.producers[0].ack_latency.expect("records acked");
+        assert_eq!(acks.count, 200);
+        acks.mean
     };
     let l1 = mean_ack(&acks1);
     let lall = mean_ack(&acks_all);

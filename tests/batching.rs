@@ -259,5 +259,5 @@ fn data_plane_performs_no_shared_batch_copies() {
         "the counter must be exported even when zero"
     );
     // The monitor saw every record without cloning payloads per subscriber.
-    assert_eq!(result.monitor.borrow().for_topic("t").count(), 500);
+    assert_eq!(result.monitor.borrow().delivery_count("t"), 500);
 }

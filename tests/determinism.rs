@@ -11,13 +11,14 @@ use stream2gym::spe::{CheckpointCfg, CheckpointMode};
 #[test]
 fn word_count_runs_reproduce_exactly() {
     let run = |seed: u64| {
-        let sc = word_count::scenario(
+        let mut sc = word_count::scenario(
             20,
             SimDuration::from_millis(100),
             ComponentDelays::default(),
             SimTime::from_secs(20),
             seed,
         );
+        sc.capture_records();
         let result = sc.run().expect("runs");
         let monitor = result.monitor.borrow();
         let lat: Vec<(u64, u64)> = monitor
@@ -48,6 +49,7 @@ fn crash_recovery_runs_reproduce_exactly() {
             SimTime::from_millis(3_700),
             SimDuration::from_millis(800),
         ));
+        sc.capture_records();
         let result = sc.run().expect("runs");
         let matrix = result.delivery_matrix(0);
         let spe = result.report.spe["wordcount"].clone();
@@ -80,7 +82,7 @@ fn crash_recovery_runs_reproduce_exactly() {
 fn partition_experiment_reproduces_exactly() {
     let run = |seed: u64| {
         let d = fig6_run(CoordinationMode::Zk, 3, Scale::Quick, seed);
-        let topic_mix: Vec<String> = d
+        let topic_mix: Vec<std::rc::Rc<str>> = d
             .matrix
             .messages
             .iter()
@@ -124,6 +126,7 @@ fn broker_bounce_runs_reproduce_exactly() {
             SimTime::from_millis(3_700),
             SimDuration::from_millis(1_200),
         ));
+        sc.capture_records();
         let result = sc.run().expect("runs");
         let broker = result.report.brokers[0].clone();
         (
@@ -182,6 +185,7 @@ fn fault_heavy_runs_reproduce_exactly() {
                 )
                 .transient_disconnect("h5", SimTime::from_secs(13), SimDuration::from_secs(2)),
         );
+        sc.capture_records();
         let result = sc.run().expect("runs");
         // Diff the whole observable surface: producer/consumer/broker/SPE
         // reports, the delivery matrix, and the kernel counters.
@@ -283,6 +287,7 @@ fn parallel_fault_runs_reproduce_exactly() {
                     SimDuration::from_millis(1_200),
                 ),
         );
+        sc.capture_records();
         let result = sc.run().expect("runs");
         format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
@@ -375,6 +380,7 @@ fn replicated_partition_fault_runs_reproduce_exactly() {
                 // moved partitions: epoch-based truncation on rejoin.
                 .crash_restart_broker(2, SimTime::from_secs(13), SimDuration::from_secs(3)),
         );
+        sc.capture_records();
         let result = sc.run().expect("runs");
         let moves: u64 = result
             .report
@@ -454,6 +460,7 @@ fn telemetry_runs_reproduce_exactly() {
             SimTime::from_millis(3_700),
             SimDuration::from_millis(800),
         ));
+        sc.capture_records();
         let result = sc.run().expect("runs");
         let behavior = format!(
             "{:?}|{:?}|{:?}",

@@ -90,6 +90,7 @@ fn crashed_consumer_catches_up_on_restart() {
             .at(SimTime::from_secs(5), FaultAction::NodeDown("hc".into()))
             .at(SimTime::from_secs(25), FaultAction::NodeUp("hc".into())),
     );
+    sc.capture_records(); // each delivery's arrival time is checked below
     let result = sc.run().expect("runs");
     assert_eq!(
         result.total_deliveries(),

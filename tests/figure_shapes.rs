@@ -63,7 +63,7 @@ fn fig6_zk_loses_kraft_does_not() {
     // missed by every consumer must be topic-a.
     for (topic, _, _) in zk.matrix.total_losses() {
         assert_eq!(
-            topic, "topic-a",
+            &**topic, "topic-a",
             "only the disconnected leader's topic loses data"
         );
     }

@@ -1,0 +1,149 @@
+//! The memory gate: what a default run still holds when `run()` returns.
+//!
+//! A run retains one resident copy of each record (its log entry, per
+//! replica) and folds everything else, so live heap per record is flat in
+//! the run length. This test measures it with its own counting allocator on
+//! ROADMAP's baseline pipeline (1 broker, identity SPE job, folding sink,
+//! 64 B payloads) at two sizes. One `#[test]` only: the allocator counts the
+//! whole process, so nothing else may run beside it.
+
+// `GlobalAlloc` is an unsafe trait; the workspace denies `unsafe` by default
+// and this test crate is the one place that needs it.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use stream2gym::broker::{ConsumerConfig, DataSink, ProducerConfig, TopicSpec};
+use stream2gym::core::{ConsumerSinkSpec, Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
+use stream2gym::proto::{Record, TopicPartition};
+use stream2gym::sim::{SimDuration, SimTime};
+use stream2gym::spe::{Plan, SpeConfig};
+
+/// Live heap bytes of the process.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is only a statistic (`Relaxed`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: same layout, forwarded to the system allocator.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with this layout; the caller
+        // guarantees `new_size` is valid for it.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            LIVE.fetch_add(new_size, Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Counts deliveries and keeps nothing.
+struct CountingSink(Rc<Cell<u64>>);
+
+impl DataSink for CountingSink {
+    fn on_records(&mut self, _now: SimTime, _tp: &TopicPartition, records: &[Record]) {
+        self.0.set(self.0.get() + records.len() as u64);
+    }
+}
+
+/// Heap bytes per record still live when `run()` has returned, for the
+/// identity pipeline at `records` records.
+fn retained_bytes_per_record(records: u64) -> f64 {
+    let interval = SimDuration::from_micros(20);
+    let fast = ConsumerConfig {
+        poll_interval: SimDuration::from_millis(5),
+        max_poll_records: 5_000,
+        ..ConsumerConfig::default()
+    };
+    let delivered = Rc::new(Cell::new(0u64));
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut sc = Scenario::new("memory-gate");
+    sc.seed(1)
+        .duration(SimTime::ZERO + interval * records + SimDuration::from_secs(3))
+        .topic(TopicSpec::new("events"))
+        .topic(TopicSpec::new("out"));
+    sc.broker("h0");
+    sc.producer(
+        "hp",
+        SourceSpec::Rate {
+            topic: "events".into(),
+            count: records,
+            interval,
+            payload: 64,
+        },
+        ProducerConfig::default(),
+    );
+    sc.spe_job(
+        "hs",
+        SpeJobSpec::new(
+            "ident",
+            vec!["events".into()],
+            || Plan::new().map("ident", |e| e),
+            SpeSinkSpec::Topic("out".into()),
+            SpeConfig {
+                batch_interval: SimDuration::from_millis(10),
+                scheduling_overhead: SimDuration::from_millis(1),
+                cpu_per_record: SimDuration::from_micros(2),
+                startup_cpu: SimDuration::from_millis(100),
+                consumer: fast.clone(),
+                ..SpeConfig::default()
+            },
+        ),
+    );
+    let counter = delivered.clone();
+    sc.consumer_with_sink(
+        "hc",
+        fast,
+        &["out"],
+        ConsumerSinkSpec::Custom(Box::new(move || Box::new(CountingSink(counter.clone())))),
+    );
+    let result = sc.run().expect("runs");
+    let retained = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    assert_eq!(delivered.get(), records, "every record went end to end");
+    assert_eq!(result.total_deliveries() as u64, records);
+    assert_eq!(result.report.producers[0].stats.acked, records);
+    drop(result);
+    retained as f64 / records as f64
+}
+
+#[test]
+fn a_default_run_retains_one_copy_per_record() {
+    let small = retained_bytes_per_record(50_000);
+    let large = retained_bytes_per_record(100_000);
+    println!("retained: {small:.0} B/record at 50 k, {large:.0} B/record at 100 k");
+    for (records, per_record) in [(50_000, small), (100_000, large)] {
+        assert!(
+            per_record <= 450.0,
+            "{per_record:.0} B retained per 64 B record at {records} records: \
+             something beside the two log entries holds every record"
+        );
+    }
+    let ratio = large / small;
+    assert!(
+        (0.75..=1.25).contains(&ratio),
+        "retention must be linear in the run length: {small:.0} vs {large:.0} B/record"
+    );
+}

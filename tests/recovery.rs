@@ -552,7 +552,7 @@ fn crash_without_checkpointing_replays_everything() {
     // unbounded replay — far more duplicate emissions than the bounded
     // at-least-once window allows.
     let result = build(None, true).run().expect("runs");
-    let emissions = result.monitor.borrow().for_topic("counts").count();
+    let emissions = result.monitor.borrow().delivery_count("counts") as usize;
     let alo_bound = (2 * CHECKPOINT_INTERVAL.as_millis() / WORD_INTERVAL_MS + 10) as usize;
     assert!(
         emissions > WORDS + alo_bound,

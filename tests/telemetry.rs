@@ -60,6 +60,7 @@ fn telemetry_toggle_does_not_change_the_run() {
         let mut sc = fault_heavy(11);
         sc.with_telemetry(telemetry);
         sc.with_telemetry_trace(trace);
+        sc.capture_records();
         let result = sc.run().expect("runs");
         format!(
             "{:?}|{:?}|{:?}|{:?}",
