@@ -1,10 +1,15 @@
-//! A plain-data view of a scenario, extracted by `s2g-core` before a run.
+//! The resolved plan of a scenario: plain data, derived once by
+//! `s2g-core`'s `Scenario::resolve` and read by both the analyzer and the
+//! runtime builder.
 //!
 //! The analyzer never sees the `Scenario` type itself (that would make
 //! `s2g-core` and `s2g-analyze` mutually dependent); core flattens the
-//! builder state — with every scenario-level override already applied, so
-//! rules reason about *effective* configs — into these structs and hands
-//! them to [`crate::analyze`].
+//! builder state — every scenario-level override applied, shuffle topics
+//! declared, stages and hosts laid out, fault targets resolved — into
+//! these structs. [`crate::analyze`] judges them and `Scenario::run`
+//! builds the processes from the very same values, so the two cannot
+//! disagree. What is not data (plan factories, source and sink specs)
+//! stays on the `Scenario`, reached by the indices used here.
 
 use s2g_broker::{BrokerConfig, ConsumerConfig, ControllerConfig, ProducerConfig};
 use s2g_sim::{SimDuration, SimTime};
@@ -25,6 +30,8 @@ pub struct TopicFacts {
     pub declared_replication: u32,
     /// True for a generated `__shuffle.<job>.<stage>` topic.
     pub shuffle: bool,
+    /// Preferred leader broker of partition 0, as declared.
+    pub primary: Option<u32>,
 }
 
 /// One broker, with its post-override config.
@@ -33,8 +40,21 @@ pub struct BrokerFacts {
     /// Placement host.
     pub host: String,
     /// Effective config (scenario-level retention/compaction knobs folded
-    /// in, as `run` would).
+    /// in).
     pub cfg: BrokerConfig,
+}
+
+/// One store-server replica; [`ComponentRef::Store`] indexes the flattened
+/// list (declaration order x replication factor).
+#[derive(Debug, Clone)]
+pub struct StoreReplicaFacts {
+    /// Index of the store declaration (the group) this replica belongs to.
+    pub group: usize,
+    /// Member index within the group (0 = the declared host, the initial
+    /// primary).
+    pub replica: u32,
+    /// Host the replica runs on (`<host>` or the auto-added `<host>-r<i>`).
+    pub host: String,
 }
 
 /// One producer stub, with rate/size hints recovered from its source spec.
@@ -42,6 +62,8 @@ pub struct BrokerFacts {
 pub struct ProducerFacts {
     /// Fault-target name (`producer-<idx>`).
     pub name: String,
+    /// Placement host.
+    pub host: String,
     /// Topics the source emits to.
     pub topics: Vec<String>,
     /// Effective config (acks override and batching overrides applied).
@@ -59,10 +81,12 @@ pub struct ProducerFacts {
 pub struct ConsumerFacts {
     /// Fault-target name (`consumer-<idx>`).
     pub name: String,
+    /// Placement host.
+    pub host: String,
     /// Subscribed topics.
     pub topics: Vec<String>,
     /// Effective config (`with_transactional_sinks` read-committed fold
-    /// applied).
+    /// and the `consumer-<idx>` group-member-id default applied).
     pub cfg: ConsumerConfig,
 }
 
@@ -72,6 +96,9 @@ pub struct ConsumerFacts {
 pub struct JobFacts {
     /// Job name (also its fault-target name).
     pub name: String,
+    /// Declared host: the worker's own for a classic job, the prefix of
+    /// the per-instance hosts for a parallel one.
+    pub host: String,
     /// Source topics.
     pub sources: Vec<String>,
     /// Sink topic, when the sink is a topic.
@@ -80,12 +107,14 @@ pub struct JobFacts {
     pub sink_store_host: Option<String>,
     /// Effective engine config: scenario-level checkpointing fallback,
     /// transactional-sink fold, acks override, and batching overrides all
-    /// applied, exactly as `run` would.
+    /// applied.
     pub cfg: SpeConfig,
     /// True when the job uses the parallel stage machinery.
     pub parallel: bool,
     /// Stage count of the job's plan.
     pub n_stages: usize,
+    /// Per-stage instance count the job starts with.
+    pub stage_par: Vec<usize>,
     /// Per-stage maximum instance count (covers initial parallelism and
     /// any rescale target).
     pub max_per: Vec<usize>,
@@ -93,6 +122,23 @@ pub struct JobFacts {
     pub key_groups: u32,
     /// Rescale-on-restart target parallelism, when set.
     pub rescale: Option<usize>,
+}
+
+/// A crashable component, as a typed index into the resolved plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ComponentRef {
+    /// `brokers[i]`.
+    Broker(usize),
+    /// `store_replicas[i]`.
+    Store(usize),
+    /// Every stage instance of `jobs[j]`.
+    Job(usize),
+    /// One worker: `(job, stage, instance)`.
+    Instance(usize, usize, usize),
+    /// `producers[i]`.
+    Producer(usize),
+    /// `consumers[i]`.
+    Consumer(usize),
 }
 
 /// What a fault event acts on.
@@ -130,12 +176,15 @@ pub struct FaultFacts {
     pub target: FaultTarget,
     /// Polarity.
     pub kind: FaultKind,
+    /// The component a process-level event acts on; `None` for network
+    /// events and for targets that name nothing (S2G006-S2G008).
+    pub component: Option<ComponentRef>,
 }
 
-/// The flattened scenario handed to the analyzer.
+/// The resolved plan: what the analyzer judges and the run is built from.
 #[derive(Debug, Clone)]
 pub struct ScenarioFacts {
-    /// Scenario name (for messages only).
+    /// Scenario name.
     pub name: String,
     /// Simulated run length.
     pub duration: SimTime,
@@ -143,7 +192,7 @@ pub struct ScenarioFacts {
     pub link_latency: SimDuration,
     /// Controller config (election timing).
     pub controller: ControllerConfig,
-    /// Declared topics plus the shuffle topics `run` would auto-declare.
+    /// Declared topics plus the auto-declared shuffle topics.
     pub topics: Vec<TopicFacts>,
     /// `with_replicated_partitions` override, when set.
     pub partition_replication: Option<u32>,
@@ -153,6 +202,8 @@ pub struct ScenarioFacts {
     pub store_hosts: Vec<String>,
     /// Replicas per store declaration.
     pub store_replication: usize,
+    /// Every store replica, flattened (`CrashStore(i)` indexes this).
+    pub store_replicas: Vec<StoreReplicaFacts>,
     /// Producer stubs.
     pub producers: Vec<ProducerFacts>,
     /// Consumer stubs.
@@ -162,22 +213,23 @@ pub struct ScenarioFacts {
     /// The fault plan, normalized and time-ordered.
     pub faults: Vec<FaultFacts>,
     /// Every process name a fault may legally target (job names, stage
-    /// instances, stubs) — the typo-suggestion corpus.
-    pub valid_process_targets: Vec<String>,
+    /// instances, stubs) with the component it resolves to; the names are
+    /// also the typo-suggestion corpus.
+    pub process_targets: Vec<(String, ComponentRef)>,
     /// Hosts of the explicit topology, when one was set (`None` means the
-    /// star topology is generated and always fits).
+    /// star topology is generated from `required_hosts`).
     pub topology_hosts: Option<Vec<String>>,
-    /// Hosts every component and controller needs to exist.
+    /// Hosts every component and controller needs to exist, components
+    /// first (in spawn order), then `controller_hosts`.
     pub required_hosts: Vec<String>,
-    /// Scenario-level checkpoint interval, when checkpointing is on.
-    pub checkpoint_interval: Option<SimDuration>,
+    /// Controller hosts (`ctl1`, or `ctl1..ctl3` under KRaft).
+    pub controller_hosts: Vec<String>,
+    /// Per-host overrides as `(builder method, host)`, in host order.
+    pub host_overrides: Vec<(&'static str, String)>,
     /// Store host backing scenario checkpoints, when store-backed.
     pub checkpoint_store_host: Option<String>,
     /// Store host backing broker durability, when store-backed.
     pub durability_store_host: Option<String>,
-    /// Scenario-level retention age (per-broker configs are in
-    /// [`BrokerFacts::cfg`], already folded).
-    pub log_retention_age: Option<SimDuration>,
     /// `with_transactional_sinks` was called.
     pub transactional_sinks: bool,
 }

@@ -3,14 +3,15 @@
 //! Two layers share this crate:
 //!
 //! * **Scenario analyzer** — [`analyze`] runs a cross-subsystem feasibility
-//!   ruleset over a [`ScenarioFacts`] view of a scenario *before* any sim
-//!   time elapses, emitting coded [`Diagnostic`]s (`S2G0xx`). `Deny`
+//!   ruleset over a scenario's resolved plan ([`ScenarioFacts`]) *before*
+//!   any sim time elapses, emitting coded [`Diagnostic`]s (`S2G0xx`). `Deny`
 //!   diagnostics describe scenarios that cannot mean what their author
 //!   intended (the run would fail or silently misconfigure); `Warn`
 //!   diagnostics encode tuning traps learned the hard way (an election
 //!   timer that waits out the outage it was meant to detect, an `acks=all`
 //!   producer whose unbatched interval collapses into queueing, ...).
-//!   `s2g_core::Scenario::analyze` builds the facts and calls this.
+//!   `s2g_core::Scenario::analyze` resolves the plan and calls this; the
+//!   run is then built from the same plan.
 //! * **Determinism source linter** — [`mod@lint`] token-scans workspace
 //!   sources for hazards the type system cannot catch: wall-clock reads,
 //!   OS entropy, `HashMap` iteration in sim-visible crates, unchecked
@@ -26,8 +27,8 @@ pub mod lint;
 pub mod rules;
 
 pub use facts::{
-    BrokerFacts, ConsumerFacts, FaultFacts, FaultKind, FaultTarget, JobFacts, ProducerFacts,
-    ScenarioFacts, TopicFacts,
+    BrokerFacts, ComponentRef, ConsumerFacts, FaultFacts, FaultKind, FaultTarget, JobFacts,
+    ProducerFacts, ScenarioFacts, StoreReplicaFacts, TopicFacts,
 };
 pub use lint::{lint, LintConfig, LintFinding, LintLevel, LintReport};
 pub use rules::analyze;

@@ -41,6 +41,7 @@ pub fn analyze(facts: &ScenarioFacts) -> AnalysisReport {
     rule_replica_lag(facts, &mut out);
     rule_store_crash_durability(facts, &mut out);
     rule_restart_without_crash(facts, &mut out);
+    rule_host_overrides(facts, &mut out);
     AnalysisReport::new(out)
 }
 
@@ -174,8 +175,8 @@ fn rule_fault_targets(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
         }
         match &ev.target {
             FaultTarget::Process(n) => {
-                if !f.valid_process_targets.iter().any(|t| t == n) {
-                    let hint = nearest(n, f.valid_process_targets.iter().map(String::as_str))
+                if ev.component.is_none() {
+                    let hint = nearest(n, f.process_targets.iter().map(|(t, _)| t.as_str()))
                         .map(|t| format!("did you mean `{t}`? "))
                         .unwrap_or_default();
                     out.push(Diagnostic::new(
@@ -767,6 +768,30 @@ fn rule_restart_without_crash(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
             }
             FaultKind::Other => {}
         }
+    }
+}
+
+/// S2G026 (warn): a per-host override names a host the run will not have
+/// — the override is never read and the intended host keeps the defaults.
+fn rule_host_overrides(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
+    let hosts = f.topology_hosts.as_ref().unwrap_or(&f.required_hosts);
+    for (knob, host) in &f.host_overrides {
+        if hosts.contains(host) {
+            continue;
+        }
+        let hint = nearest(host, hosts.iter().map(String::as_str))
+            .map(|n| format!("did you mean `{n}`? otherwise "))
+            .unwrap_or_default();
+        out.push(Diagnostic::new(
+            "S2G026",
+            Level::Warn,
+            format!(
+                "`{knob}(\"{host}\", ..)` names a host no component, controller or \
+                 topology node uses; the override is ignored"
+            ),
+            &[knob],
+            format!("{hint}place a component on `{host}` or drop the override"),
+        ));
     }
 }
 

@@ -6,8 +6,12 @@
 //! cargo run --release -p s2g-bench --bin figures -- \
 //!     [--fig 5|6|7a|7b|8|9|recovery|compaction|replication|broker-replication|scaling|timeline|throughput|table2|all] \
 //!     [--bench hotpath|simcore] \
-//!     [--quick|--smoke]
+//!     [--quick|--smoke] [--help]
 //! ```
+//!
+//! Anything else on the command line (an unknown flag, a flag missing its
+//! value, an unknown figure or bench) is rejected with the usage text and
+//! exit status 2 — a typo must not fall through to the full-scale suite.
 //!
 //! `--quick` runs reduced parameters; `--smoke` runs the minimal CI preset
 //! whose only job is to prove every figure still generates. `--bench
@@ -866,40 +870,57 @@ fn table2() {
     println!("  (run each with `cargo run --example <name>`)");
 }
 
+const USAGE: &str = "usage: figures [--fig 5|6|7a|7b|8|9|recovery|compaction|replication|\
+broker-replication|scaling|timeline|throughput|table2|all]
+               [--bench hotpath|simcore] [--quick|--smoke] [--help]";
+
+/// Prints the usage text and exits: status 0 when asked for (`--help`), 2
+/// with `error` on stderr when the command line is rejected.
+fn usage(error: Option<String>) -> ! {
+    match error {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Some(error) => {
+            eprintln!("figures: {error}\n{USAGE}");
+            std::process::exit(2)
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    if let Some(bench) = args
-        .iter()
-        .position(|a| a == "--bench")
-        .and_then(|i| args.get(i + 1))
-    {
+    let (mut scale, mut fig, mut bench) = (Scale::Full, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => scale = Scale::Smoke,
+            "--quick" => scale = Scale::Quick,
+            "--fig" | "--bench" => {
+                let Some(value) = args.next() else {
+                    usage(Some(format!("`{arg}` needs a value")))
+                };
+                if arg == "--fig" {
+                    fig = Some(value);
+                } else {
+                    bench = Some(value);
+                }
+            }
+            "--help" | "-h" => usage(None),
+            other => usage(Some(format!("unknown argument `{other}`"))),
+        }
+    }
+    if let Some(bench) = bench {
         println!("stream2gym-rs micro-bench (scale: {scale:?})");
         match bench.as_str() {
             "hotpath" => bench_hotpath(scale),
             "simcore" => bench_simcore(scale),
-            other => {
-                eprintln!("unknown bench `{other}`; use hotpath|simcore");
-                std::process::exit(2);
-            }
+            other => usage(Some(format!("unknown bench `{other}`"))),
         }
         return;
     }
-    let which = args
-        .iter()
-        .position(|a| a == "--fig")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("all");
-
     println!("stream2gym-rs figure regeneration (scale: {scale:?})");
-    match which {
+    match fig.as_deref().unwrap_or("all") {
         "5" => fig5(scale),
         "6" => fig6(scale),
         "7a" => fig7a(scale),
@@ -930,13 +951,6 @@ fn main() {
             timeline(scale);
             throughput(scale);
         }
-        other => {
-            eprintln!(
-                "unknown figure `{other}`; use \
-                 5|6|7a|7b|8|9|recovery|compaction|replication|broker-replication|scaling|\
-                 timeline|throughput|table2|all"
-            );
-            std::process::exit(2);
-        }
+        other => usage(Some(format!("unknown figure `{other}`"))),
     }
 }

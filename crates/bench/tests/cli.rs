@@ -1,0 +1,40 @@
+//! The `figures` command line rejects what it does not recognise: a typo
+//! must not fall through to the full-scale suite.
+
+use std::process::{Command, Output};
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .output()
+        .expect("figures binary runs")
+}
+
+#[test]
+fn help_prints_usage_and_runs_nothing() {
+    let out = figures(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: figures"), "{stdout}");
+    assert!(!stdout.contains("figure regeneration"), "{stdout}");
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    for args in [&["--figs", "5"][..], &["--fig"], &["--smoke", "--bench"]] {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: figures"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_single_figure_is_selected() {
+    let out = figures(&["--fig", "table2"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Table II"), "{stdout}");
+    assert!(!stdout.contains("Figure"), "only the table ran: {stdout}");
+}

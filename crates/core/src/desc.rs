@@ -259,6 +259,10 @@ fn producer_config(cfg: &ComponentConfig) -> Result<ProducerConfig, DescError> {
 ///
 /// Returns a [`DescError`] when the document, a referenced file, or a
 /// component type cannot be resolved.
+// The one exception to the crate's 150-line gate: splitting this 258-line
+// attribute-by-attribute translation was out of scope when the gate came
+// in with the `Scenario` split (ROADMAP lists it as what is left).
+#[allow(clippy::too_many_lines)]
 pub fn scenario_from_graphml(
     name: &str,
     xml: &str,

@@ -45,11 +45,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::too_many_lines)]
 
 mod config;
 mod desc;
 mod graphml;
 mod monitor;
+mod report;
 mod resources;
 mod scenario;
 mod viz;
@@ -58,12 +60,15 @@ pub use config::{ComponentConfig, ConfigError};
 pub use desc::{scenario_from_graphml, DescError, ResourceBundle};
 pub use graphml::{parse_graphml, GraphmlDoc, GraphmlEdge, GraphmlError, GraphmlNode};
 pub use monitor::{DeliveryMatrix, DeliveryRecord, MonitorCore, MonitorHandle, MonitoredSink};
+pub use report::{
+    BrokerRecoveryReport, BrokerReport, ClientRecoveryReport, ConsumerReport, ProducerReport,
+    RecoveryReport, RunReport, RunResult, SpeReport, StoreRecoveryReport, StoreReport,
+};
 pub use resources::{cdf, cpu_utilization_series, median, MemModel, MemSampler, ServerSpec};
 pub use s2g_analyze::{AnalysisReport, Diagnostic, Level};
 pub use scenario::{
-    instance_name, shuffle_topic, BrokerDurabilitySpec, BrokerRecoveryReport, BrokerReport,
-    CheckpointBackendSpec, CheckpointSpec, ClientRecoveryReport, ConsumerReport, ConsumerSinkSpec,
-    ProducerReport, RecoveryReport, RunReport, RunResult, Scenario, ScenarioError, SourceSpec,
-    SpeJobSpec, SpeReport, SpeSinkSpec, StoreRecoveryReport, StoreReport, DEFAULT_KEY_GROUPS,
+    instance_name, shuffle_topic, BrokerDurabilitySpec, CheckpointBackendSpec, CheckpointSpec,
+    ConsumerSinkSpec, Scenario, ScenarioError, SourceSpec, SpeJobSpec, SpeSinkSpec,
+    DEFAULT_KEY_GROUPS,
 };
 pub use viz::{ascii_chart, ascii_matrix, ascii_table, csv_series};

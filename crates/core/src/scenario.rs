@@ -12,36 +12,31 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use s2g_analyze::{
-    analyze as analyze_facts, AnalysisReport, BrokerFacts, ConsumerFacts, Diagnostic, FaultFacts,
-    FaultKind, FaultTarget, JobFacts, ProducerFacts, ScenarioFacts, TopicFacts,
+    analyze as analyze_facts, AnalysisReport, BrokerFacts, ComponentRef, ConsumerFacts, Diagnostic,
+    FaultFacts, FaultKind, FaultTarget, JobFacts, ProducerFacts, ScenarioFacts, StoreReplicaFacts,
+    TopicFacts,
 };
 use s2g_broker::{
-    log_store, Broker, BrokerConfig, BrokerRecoveryInfo, BrokerStats, CollectingSink,
-    ConsumerClient, ConsumerConfig, ConsumerProcess, ConsumerStats, ControllerConfig,
-    CoordinationMode, DataSink, DataSource, DurableLogBackend, FileLinesSource, InMemoryLogBackend,
-    KraftController, LogBackend, LogStoreHandle, PoissonSource, ProduceOutcome, ProducerClient,
-    ProducerConfig, ProducerProcess, ProducerStats, RandomTopicSource, RateSource, SentRecord,
-    TopicSpec, ZkController,
+    BrokerConfig, CollectingSink, ConsumerConfig, ControllerConfig, CoordinationMode, DataSink,
+    DataSource, FileLinesSource, PoissonSource, ProducerConfig, RandomTopicSource, RateSource,
+    TopicSpec,
 };
-use s2g_net::{
-    FaultAction, FaultInjector, FaultPlan, LinkSpec, NetHandle, NetTransport, Network,
-    NetworkConfig, Topology, TxSampler, TxSeries,
-};
-use s2g_proto::{AckMode, BrokerId, Compression, ProducerId, TopicPartition};
-use s2g_sim::{
-    CpuHandle, HostCpu, LedgerHandle, MemLedger, MemSlot, ProcessId, Sim, SimDuration, SimStats,
-    SimTime,
-};
-use s2g_spe::{
-    snapshot_store, BatchMetric, CheckpointCfg, CheckpointStats, DurableBackend, Event,
-    InMemoryBackend, Plan, SnapshotStoreHandle, SpeConfig, SpeSink, SpeWorker, StageInstanceCfg,
-    StateBackend,
-};
-use s2g_store::{StoreConfig, StoreServer};
-use s2g_telemetry::{MetricSeries, SummaryStats, Telemetry};
+use s2g_net::{FaultAction, FaultPlan, LinkSpec, NetworkConfig, Topology};
+use s2g_proto::{AckMode, Compression};
+use s2g_sim::{SimDuration, SimTime};
+use s2g_spe::{CheckpointCfg, Plan, SpeConfig};
+use s2g_store::StoreConfig;
 
-use crate::monitor::{DeliveryMatrix, MonitorCore, MonitorHandle, MonitoredSink};
-use crate::resources::{cpu_utilization_series, MemModel, MemSampler, ServerSpec};
+use crate::report::RunResult;
+use crate::resources::{MemModel, ServerSpec};
+#[cfg(doc)]
+use crate::{BrokerRecoveryReport, MonitorCore, ProducerReport, RunReport};
+
+// The runtime is a child module so the builder state stays private to the
+// scenario; the file sits beside this one.
+#[path = "runtime.rs"]
+mod runtime;
+use runtime::Runtime;
 
 /// A data-source description for a producer stub (`prodType`).
 pub enum SourceSpec {
@@ -1057,91 +1052,45 @@ impl Scenario {
         self
     }
 
-    fn controller_hosts(&self) -> Vec<String> {
-        let n = match self.mode {
-            CoordinationMode::Zk => 1,
-            CoordinationMode::Kraft => 3,
+    /// Resolves the description into the effective scenario: every
+    /// scenario-level override folded into the component configs (the
+    /// precedence is stated in `docs/scenarios.md`), shuffle topics
+    /// declared, stages, hosts and store replicas laid out, and every fault
+    /// resolved to the component it acts on. This is the only derivation:
+    /// [`analyze`](Scenario::analyze) judges the returned plan and
+    /// [`run`](Scenario::run) builds the processes from it.
+    fn resolve(&self) -> ScenarioFacts {
+        let fold_producer = |cfg: &mut ProducerConfig| {
+            if let Some(acks) = self.acks_override {
+                cfg.acks = acks;
+            }
+            self.batching.apply(cfg);
         };
-        (1..=n).map(|i| format!("ctl{i}")).collect()
-    }
-
-    /// Hosts carrying one store declaration's replicas: the declared host
-    /// first, then the auto-added `-r<i>` hosts.
-    fn store_replica_hosts(&self, host: &str) -> Vec<String> {
-        (0..self.store_replication)
-            .map(|i| {
-                if i == 0 {
-                    host.to_string()
-                } else {
-                    format!("{host}-r{i}")
+        let jobs: Vec<JobFacts> = self
+            .spe_jobs
+            .iter()
+            .map(|(host, job)| {
+                let mut cfg = job.cfg.clone();
+                if cfg.checkpoint.is_none() {
+                    cfg.checkpoint = self.checkpointing.as_ref().map(|spec| spec.cfg);
                 }
+                if self.transactional_sinks {
+                    // Stage topic-sink (and shuffle) output under per-epoch
+                    // transaction markers, and read upstream (possibly also
+                    // transactional) topics with read-committed isolation.
+                    cfg.transactional_sink = true;
+                    cfg.consumer.read_committed = true;
+                }
+                fold_producer(&mut cfg.producer);
+                job_facts(host, job, cfg)
             })
-            .collect()
-    }
-
-    /// The host one parallel stage instance runs on (auto-added, so each
-    /// instance gets its own access link and CPU — the point of scaling
-    /// out).
-    fn instance_host(host: &str, stage: usize, index: usize) -> String {
-        format!("{host}-{stage}-{index}")
-    }
-
-    /// `(stage count, per-stage maximum instance count)` of one job —
-    /// maximum covers both the initial parallelism and any rescale target,
-    /// so hosts are provisioned for every instance that may ever exist.
-    fn job_stage_layout(job: &SpeJobSpec) -> (usize, Vec<usize>) {
-        let n_stages = *job.stage_count.get_or_init(|| (job.plan)().stage_count());
-        let max_per: Vec<usize> = (0..n_stages)
-            .map(|s| job.par_of(s).max(job.rescale_on_restart.unwrap_or(0)))
             .collect();
-        (n_stages, max_per)
-    }
-
-    fn component_hosts(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        let mut push = |h: &String| {
-            if !seen.contains(h) {
-                seen.push(h.clone());
-            }
-        };
-        for (h, _) in &self.brokers {
-            push(h);
-        }
-        for (h, _) in &self.stores {
-            for rh in self.store_replica_hosts(h) {
-                push(&rh);
-            }
-        }
-        for (h, job) in &self.spe_jobs {
-            if job.is_parallel() {
-                let (n_stages, max_per) = Self::job_stage_layout(job);
-                for (s, max) in max_per.iter().enumerate().take(n_stages) {
-                    for i in 0..*max {
-                        push(&Self::instance_host(h, s, i));
-                    }
-                }
-            } else {
-                push(h);
-            }
-        }
-        for (h, _, _) in &self.producers {
-            push(h);
-        }
-        for (h, _, _, _) in &self.consumers {
-            push(h);
-        }
-        seen
-    }
-
-    /// Flattens the scenario into the plain-data facts the analyzer
-    /// reads: effective configs (scenario-level overrides applied, exactly
-    /// as `run` would), the would-be shuffle topics, the legal fault
-    /// targets, and the fault plan normalized per target.
-    fn build_facts(&self) -> ScenarioFacts {
+        // The override covers auto-declared topics too, capped at the
+        // broker count so a small cluster still runs.
         let cap = (self.brokers.len() as u32).max(1);
-        let eff_rf = |declared: u32| match self.partition_replication {
-            Some(rf) => rf.min(cap),
-            None => declared,
+        let eff_rf = |declared: u32| {
+            self.partition_replication
+                .map_or(declared, |rf| rf.min(cap))
         };
         let mut topics: Vec<TopicFacts> = self
             .topics
@@ -1152,26 +1101,28 @@ impl Scenario {
                 replication: eff_rf(t.replication),
                 declared_replication: t.replication,
                 shuffle: false,
+                primary: t.primary,
             })
             .collect();
-        for (_, job) in &self.spe_jobs {
-            if job.is_parallel() {
-                let (n_stages, _) = Self::job_stage_layout(job);
-                for s in 1..n_stages {
-                    topics.push(TopicFacts {
-                        name: shuffle_topic(&job.name, s),
-                        partitions: job.key_groups,
-                        replication: eff_rf(1),
-                        declared_replication: 1,
-                        shuffle: true,
-                    });
-                }
-            }
+        // One shuffle topic per stage boundary of a parallel job, with
+        // exactly `key_groups` partitions so the keyed partitioner *is* the
+        // shuffle router.
+        for job in jobs.iter().filter(|j| j.parallel) {
+            topics.extend((1..job.n_stages).map(|s| TopicFacts {
+                name: shuffle_topic(&job.name, s),
+                partitions: job.key_groups,
+                replication: eff_rf(1),
+                declared_replication: 1,
+                shuffle: true,
+                primary: None,
+            }));
         }
-        let brokers = self
+        let brokers: Vec<BrokerFacts> = self
             .brokers
             .iter()
             .map(|(host, cfg)| {
+                // A per-broker config that already enables a cleaning
+                // policy keeps it.
                 let mut cfg = cfg.clone();
                 cfg.log_compaction |= self.log_compaction;
                 cfg.log_retention_age = cfg.log_retention_age.or(self.log_retention_age);
@@ -1182,21 +1133,17 @@ impl Scenario {
                 }
             })
             .collect();
-        let mut controller = self.controller_cfg.clone();
-        controller.mode = self.mode;
-        let producers = self
+        let producers: Vec<ProducerFacts> = self
             .producers
             .iter()
             .enumerate()
-            .map(|(i, (_, src, cfg))| {
+            .map(|(i, (host, src, cfg))| {
                 let mut cfg = cfg.clone();
-                if let Some(acks) = self.acks_override {
-                    cfg.acks = acks;
-                }
-                self.batching.apply(&mut cfg);
+                fold_producer(&mut cfg);
                 let (min_interval, max_payload) = source_hints(src);
                 ProducerFacts {
                     name: format!("producer-{i}"),
+                    host: host.clone(),
                     topics: src.topics(),
                     cfg,
                     min_interval,
@@ -1204,158 +1151,55 @@ impl Scenario {
                 }
             })
             .collect();
-        let consumers = self
+        let consumers: Vec<ConsumerFacts> = self
             .consumers
             .iter()
             .enumerate()
-            .map(|(i, (_, cfg, topics, _))| {
+            .map(|(i, (host, cfg, topics, _))| {
+                let name = format!("consumer-{i}");
                 let mut cfg = cfg.clone();
-                if self.transactional_sinks {
-                    cfg.read_committed = true;
+                // Observing a transactional sink's exactly-once output
+                // requires read-committed isolation on the reader.
+                cfg.read_committed |= self.transactional_sinks;
+                if cfg.group_membership && cfg.group_member_id.is_empty() {
+                    // A stable member id makes sticky assignment stick
+                    // across this stub's crash/restart.
+                    cfg.group_member_id = name.clone();
                 }
                 ConsumerFacts {
-                    name: format!("consumer-{i}"),
+                    name,
+                    host: host.clone(),
                     topics: topics.clone(),
                     cfg,
                 }
             })
             .collect();
-        let jobs = self
-            .spe_jobs
-            .iter()
-            .map(|(_, job)| {
-                let mut cfg = job.cfg.clone();
-                if cfg.checkpoint.is_none() {
-                    if let Some(spec) = &self.checkpointing {
-                        cfg.checkpoint = Some(spec.cfg);
-                    }
-                }
-                if self.transactional_sinks {
-                    cfg.transactional_sink = true;
-                    cfg.consumer.read_committed = true;
-                }
-                if let Some(acks) = self.acks_override {
-                    cfg.producer.acks = acks;
-                }
-                self.batching.apply(&mut cfg.producer);
-                let parallel = job.is_parallel();
-                let (n_stages, max_per) = if parallel {
-                    Self::job_stage_layout(job)
-                } else {
-                    (1, vec![1])
-                };
-                let (sink_topic, sink_store_host) = match &job.sink {
-                    SpeSinkSpec::Topic(t) => (Some(t.clone()), None),
-                    SpeSinkSpec::StoreOn { host, .. } => (None, Some(host.clone())),
-                    SpeSinkSpec::Collect => (None, None),
-                };
-                JobFacts {
-                    name: job.name.clone(),
-                    sources: job.sources.clone(),
-                    sink_topic,
-                    sink_store_host,
-                    cfg,
-                    parallel,
-                    n_stages,
-                    max_per,
-                    key_groups: job.key_groups,
-                    rescale: job.rescale_on_restart,
-                }
-            })
-            .collect();
-        let faults = self
-            .faults
-            .events()
-            .iter()
-            .map(|(at, action)| {
-                let (target, kind) = match action {
-                    FaultAction::CrashProcess(n) => {
-                        (FaultTarget::Process(n.clone()), FaultKind::Crash)
-                    }
-                    FaultAction::RestartProcess(n) => {
-                        (FaultTarget::Process(n.clone()), FaultKind::Restart)
-                    }
-                    FaultAction::CrashBroker(b) => (FaultTarget::Broker(*b), FaultKind::Crash),
-                    FaultAction::RestartBroker(b) => (FaultTarget::Broker(*b), FaultKind::Restart),
-                    FaultAction::CrashStore(r) => (FaultTarget::Store(*r), FaultKind::Crash),
-                    FaultAction::RestartStore(r) => (FaultTarget::Store(*r), FaultKind::Restart),
-                    FaultAction::Disconnect(h) | FaultAction::NodeDown(h) => {
-                        (FaultTarget::Net(h.clone()), FaultKind::Crash)
-                    }
-                    FaultAction::Reconnect(h) | FaultAction::NodeUp(h) => {
-                        (FaultTarget::Net(h.clone()), FaultKind::Restart)
-                    }
-                    FaultAction::LinkDown(a, b) => {
-                        (FaultTarget::Net(format!("{a}-{b}")), FaultKind::Crash)
-                    }
-                    FaultAction::LinkUp(a, b) => {
-                        (FaultTarget::Net(format!("{a}-{b}")), FaultKind::Restart)
-                    }
-                    FaultAction::SetLoss(a, b, _) | FaultAction::SetLatency(a, b, _) => {
-                        (FaultTarget::Net(format!("{a}-{b}")), FaultKind::Other)
-                    }
-                    FaultAction::RecomputeRoutes => {
-                        (FaultTarget::Net("routes".into()), FaultKind::Other)
-                    }
-                };
-                FaultFacts {
-                    at: *at,
-                    target,
-                    kind,
-                }
-            })
-            .collect();
-        let mut valid_process_targets: Vec<String> = Vec::new();
-        for (_, job) in &self.spe_jobs {
-            valid_process_targets.push(job.name.clone());
-            if job.is_parallel() {
-                let (n_stages, max_per) = Self::job_stage_layout(job);
-                for (s, max) in max_per.iter().enumerate().take(n_stages) {
-                    for i in 0..*max {
-                        valid_process_targets.push(instance_name(&job.name, s, i));
-                    }
-                }
-                // The `job/instance` shorthand targets the last stage.
-                if let Some(last) = max_per.last() {
-                    for i in 0..*last {
-                        valid_process_targets.push(format!("{}/{i}", job.name));
-                    }
-                }
-            }
-        }
-        for i in 0..self.producers.len() {
-            valid_process_targets.push(format!("producer-{i}"));
-        }
-        for i in 0..self.consumers.len() {
-            valid_process_targets.push(format!("consumer-{i}"));
-        }
-        let topology_hosts = self
-            .explicit_topology
-            .as_ref()
-            .map(|t| t.nodes().map(|(_, n)| n.name.clone()).collect());
-        let required_hosts: Vec<String> = self
-            .component_hosts()
-            .into_iter()
-            .chain(self.controller_hosts())
-            .collect();
-        ScenarioFacts {
+        let mut plan = ScenarioFacts {
             name: self.name.clone(),
             duration: self.duration,
             link_latency: self.default_link.latency,
-            controller,
+            controller: self.controller_cfg.clone(),
             topics,
             partition_replication: self.partition_replication,
             brokers,
             store_hosts: self.stores.iter().map(|(h, _)| h.clone()).collect(),
             store_replication: self.store_replication,
+            store_replicas: self.store_replicas(),
             producers,
             consumers,
             jobs,
-            faults,
-            valid_process_targets,
-            topology_hosts,
-            required_hosts,
-            checkpoint_interval: self.checkpointing.as_ref().map(|s| s.cfg.interval),
+            faults: Vec::new(),
+            process_targets: Vec::new(),
+            topology_hosts: self
+                .explicit_topology
+                .as_ref()
+                .map(|t| t.nodes().map(|(_, n)| n.name.clone()).collect()),
+            required_hosts: Vec::new(),
+            controller_hosts: self.controller_hosts(),
+            host_overrides: (self.host_links.keys().map(|h| ("host_link", h)))
+                .chain(self.host_cpu_pct.keys().map(|h| ("host_cpu_percentage", h)))
+                .map(|(knob, host)| (knob, host.clone()))
+                .collect(),
             checkpoint_store_host: match &self.checkpointing {
                 Some(CheckpointSpec {
                     backend: CheckpointBackendSpec::StoreOn { host },
@@ -1367,9 +1211,38 @@ impl Scenario {
                 Some(BrokerDurabilitySpec::StoreOn { host }) => Some(host.clone()),
                 _ => None,
             },
-            log_retention_age: self.log_retention_age,
             transactional_sinks: self.transactional_sinks,
-        }
+        };
+        // The layout: derived from the components resolved above.
+        plan.required_hosts = required_hosts(&plan);
+        plan.process_targets = process_targets(&plan);
+        plan.faults = resolve_faults(&self.faults, &plan);
+        plan
+    }
+
+    fn controller_hosts(&self) -> Vec<String> {
+        let n = match self.mode {
+            CoordinationMode::Zk => 1,
+            CoordinationMode::Kraft => 3,
+        };
+        (1..=n).map(|i| format!("ctl{i}")).collect()
+    }
+
+    /// Every store replica, flattened: a declaration's host carries replica
+    /// 0 and replicas `1..n` land on auto-added `<host>-r<i>` hosts.
+    fn store_replicas(&self) -> Vec<StoreReplicaFacts> {
+        let replicas = |(group, (host, _)): (usize, &(String, StoreConfig))| {
+            let host = host.clone();
+            (0..self.store_replication).map(move |i| StoreReplicaFacts {
+                group,
+                replica: i as u32,
+                host: match i {
+                    0 => host.clone(),
+                    _ => format!("{host}-r{i}"),
+                },
+            })
+        };
+        self.stores.iter().enumerate().flat_map(replicas).collect()
     }
 
     /// Runs the full static feasibility ruleset over this scenario without
@@ -1379,40 +1252,7 @@ impl Scenario {
     /// diagnostics are present, unless [`Scenario::allow_deny_diagnostics`]
     /// was called.
     pub fn analyze(&self) -> AnalysisReport {
-        analyze_facts(&self.build_facts())
-    }
-
-    fn validate(&self) -> Result<(), ScenarioError> {
-        let report = self.analyze();
-        if report.has_deny() && !self.allow_deny {
-            return Err(ScenarioError::from_report(&report));
-        }
-        Ok(())
-    }
-
-    fn build_topology(&self) -> Topology {
-        if let Some(t) = &self.explicit_topology {
-            return t.clone();
-        }
-        let mut topo = Topology::new();
-        topo.add_switch("s1").expect("fresh topology");
-        for host in self
-            .component_hosts()
-            .iter()
-            .chain(&self.controller_hosts())
-        {
-            if topo.lookup(host).is_some() {
-                continue;
-            }
-            topo.add_host(host.as_str()).expect("unique hosts");
-            let spec = self
-                .host_links
-                .get(host)
-                .copied()
-                .unwrap_or(self.default_link);
-            topo.add_link(host, "s1", spec).expect("valid link");
-        }
-        topo
+        analyze_facts(&self.resolve())
     }
 
     /// Validates, builds, runs, and reports.
@@ -1420,1023 +1260,177 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the description is inconsistent.
-    pub fn run(mut self) -> Result<RunResult, ScenarioError> {
-        self.validate()?;
-        // Baseline for the zero-copy regression gate: any delta over the
-        // run means some path deep-copied a shared RecordBatch.
-        let batch_copies_before = s2g_proto::shared_batch_copies();
-        // Auto-declare the intermediate shuffle topics of parallel jobs
-        // (before controllers are built — they own topic creation). One
-        // topic per stage boundary, with exactly `key_groups` partitions so
-        // the keyed partitioner *is* the shuffle router.
-        let mut shuffle_specs: Vec<TopicSpec> = Vec::new();
-        for (_, job) in &self.spe_jobs {
-            if job.is_parallel() {
-                let (n_stages, _) = Self::job_stage_layout(job);
-                for s in 1..n_stages {
-                    shuffle_specs.push(
-                        TopicSpec::new(shuffle_topic(&job.name, s)).partitions(job.key_groups),
-                    );
-                }
-            }
+    pub fn run(self) -> Result<RunResult, ScenarioError> {
+        let plan = self.resolve();
+        let report = analyze_facts(&plan);
+        if report.has_deny() && !self.allow_deny {
+            return Err(ScenarioError::from_report(&report));
         }
-        self.topics.extend(shuffle_specs);
-        if let Some(rf) = self.partition_replication {
-            // Applied after shuffle-topic finalization so auto-declared
-            // topics replicate too; capped at the broker count so a small
-            // cluster still runs.
-            let cap = (self.brokers.len() as u32).max(1);
-            for t in &mut self.topics {
-                t.replication = rf.min(cap);
-            }
-        }
-        let duration = self.duration;
-        let capture = self.capture_records;
-        let topo = self.build_topology();
-        let n_switches = topo
-            .nodes()
-            .filter(|(_, n)| n.kind == s2g_net::NodeKind::Switch)
-            .count();
-        let net = Network::with_config(topo, self.net_cfg).into_handle();
-        let mut sim = Sim::new(self.seed);
-        sim.set_transport(Box::new(NetTransport(net.clone())));
-        sim.set_tracing(self.tracing);
-        sim.set_event_limit(self.event_limit);
-
-        // Run-wide telemetry: one shared registry/series/tracer handle every
-        // component records into. Created before the components so build and
-        // respawn recipes alike attach the same handle.
-        let tele = Telemetry::new();
-        tele.set_trace_enabled(self.telemetry_trace);
-
-        // CPU per host; ledger for memory.
-        let mut cpus: BTreeMap<String, CpuHandle> = BTreeMap::new();
-        {
-            let n = net.borrow();
-            for (_, node) in n.topology().nodes() {
-                if node.kind == s2g_net::NodeKind::Host {
-                    let speed = self.host_cpu_pct.get(&node.name).copied().unwrap_or(100.0) / 100.0;
-                    cpus.insert(
-                        node.name.clone(),
-                        HostCpu::shared(node.name.clone(), self.server.cores, speed),
-                    );
-                }
-            }
-        }
-        let baseline = self.mem_model.os_base + self.mem_model.per_switch * n_switches as u64;
-        let ledger: LedgerHandle = MemLedger::new(baseline).into_handle();
-
-        // Deterministic pid layout.
-        let ctrl_hosts = self.controller_hosts();
-        let n_ctrl = ctrl_hosts.len() as u32;
-        let nb = self.brokers.len() as u32;
-        let controller_pids: Vec<ProcessId> = (0..n_ctrl).map(ProcessId).collect();
-        let broker_pids: Vec<ProcessId> = (n_ctrl..n_ctrl + nb).map(ProcessId).collect();
-        let brokers_btree: BTreeMap<BrokerId, ProcessId> = (0..nb)
-            .map(|i| (BrokerId(i), broker_pids[i as usize]))
-            .collect();
-        let brokers_hash: BTreeMap<BrokerId, ProcessId> =
-            brokers_btree.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut placements: Vec<(ProcessId, String)> = Vec::new();
-
-        // Controllers. Each broker's rack is the host it is placed on, so
-        // topic creation spreads a partition's replicas across hosts before
-        // reusing one (Kafka's `broker.rack`).
-        let racks: BTreeMap<BrokerId, String> = self
-            .brokers
-            .iter()
-            .enumerate()
-            .map(|(i, (host, _))| (BrokerId(i as u32), host.clone()))
-            .collect();
-        match self.mode {
-            CoordinationMode::Zk => {
-                let mut c = self.controller_cfg.clone();
-                c.mode = CoordinationMode::Zk;
-                let pid = sim.spawn(Box::new(ZkController::with_racks(
-                    c,
-                    brokers_btree.clone(),
-                    &self.topics,
-                    &racks,
-                )));
-                debug_assert_eq!(pid, controller_pids[0]);
-                placements.push((pid, ctrl_hosts[0].clone()));
-                let slot = ledger
-                    .borrow_mut()
-                    .register("zk-controller", self.mem_model.controller);
-                let _ = slot;
-            }
-            CoordinationMode::Kraft => {
-                let quorum: BTreeMap<BrokerId, ProcessId> = (0..n_ctrl)
-                    .map(|i| (BrokerId(100_000 + i), controller_pids[i as usize]))
-                    .collect();
-                for i in 0..n_ctrl {
-                    let mut c = self.controller_cfg.clone();
-                    c.mode = CoordinationMode::Kraft;
-                    let pid = sim.spawn(Box::new(KraftController::with_racks(
-                        BrokerId(100_000 + i),
-                        quorum.clone(),
-                        brokers_btree.clone(),
-                        c,
-                        self.topics.clone(),
-                        racks.clone(),
-                    )));
-                    debug_assert_eq!(pid, controller_pids[i as usize]);
-                    placements.push((pid, ctrl_hosts[i as usize].clone()));
-                    ledger
-                        .borrow_mut()
-                        .register(format!("kraft-{i}"), self.mem_model.controller);
-                }
-            }
-        }
-
-        // Brokers. Each build recipe is retained so a `RestartBroker` fault
-        // can rebuild the broker (fresh process, bumped incarnation, same
-        // pid/slot/durability backend) mid-run.
-        let broker_durability = self.broker_durability.clone();
-        let broker_log_store: LogStoreHandle = log_store();
-        let mut broker_builds: Vec<BrokerBuild> = Vec::new();
-        for (i, (host, cfg)) in self.brokers.iter().enumerate() {
-            // Scenario-level cleaning knobs apply to every broker (a
-            // per-broker config that already enables a policy keeps it).
-            let mut cfg = cfg.clone();
-            cfg.log_compaction |= self.log_compaction;
-            cfg.log_retention_age = cfg.log_retention_age.or(self.log_retention_age);
-            cfg.log_retention_bytes = cfg.log_retention_bytes.or(self.log_retention_bytes);
-            let mut b = Broker::new(
-                BrokerId(i as u32),
-                cfg.clone(),
-                self.mode,
-                controller_pids.clone(),
-                brokers_hash.clone(),
-            );
-            let slot = ledger
-                .borrow_mut()
-                .register(format!("broker-{i}"), self.mem_model.broker);
-            b.set_mem_slot(ledger.clone(), slot);
-            b.set_telemetry(tele.clone());
-            let pid = sim.spawn(Box::new(b));
-            debug_assert_eq!(pid, broker_pids[i]);
-            if let Some(cpu) = cpus.get(host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host.clone()));
-            broker_builds.push(BrokerBuild {
-                host: host.clone(),
-                cfg,
-                slot,
-                pid,
-                incarnation: 0,
-            });
-        }
-
-        let bootstrap_for = |host: &str| -> ProcessId {
-            self.brokers
-                .iter()
-                .position(|(h, _)| h == host)
-                .map(|i| broker_pids[i])
-                .unwrap_or(broker_pids[0])
-        };
-
-        // Stores. With `with_replicated_store(n)` each declaration becomes
-        // an n-member group: replica 0 on the declared host, the rest on
-        // auto-added `<host>-r<i>` hosts. `store_pids` keeps the declared
-        // host's replica-0 pid for components that address "the store on
-        // host X" directly (SPE store sinks); durability clients get the
-        // whole group and rotate through it on timeout.
-        let store_replication = self.store_replication;
-        let mut store_pids: BTreeMap<String, ProcessId> = BTreeMap::new();
-        let mut store_groups: BTreeMap<String, Vec<ProcessId>> = BTreeMap::new();
-        let mut store_builds: Vec<StoreBuild> = Vec::new();
-        for (host, cfg) in &self.stores {
-            let replica_hosts = self.store_replica_hosts(host);
-            let mut group: Vec<ProcessId> = Vec::new();
-            for (i, rh) in replica_hosts.iter().enumerate() {
-                let mut st = StoreServer::new(cfg.clone());
-                st.set_name(format!("store-{rh}"));
-                let slot = ledger
-                    .borrow_mut()
-                    .register(format!("store-{rh}"), self.mem_model.store);
-                st.set_mem_slot(ledger.clone(), slot);
-                st.set_telemetry(tele.clone());
-                let pid = sim.spawn(Box::new(st));
-                if let Some(cpu) = cpus.get(rh) {
-                    sim.attach_cpu(pid, cpu.clone());
-                }
-                placements.push((pid, rh.clone()));
-                group.push(pid);
-                store_builds.push(StoreBuild {
-                    group_host: host.clone(),
-                    replica_host: rh.clone(),
-                    replica: i as u32,
-                    cfg: cfg.clone(),
-                    group: Vec::new(),
-                    index: i,
-                    slot,
-                    pid,
-                });
-            }
-            if store_replication > 1 {
-                for (i, pid) in group.iter().enumerate() {
-                    sim.process_mut::<StoreServer>(*pid)
-                        .expect("store just spawned")
-                        .set_group(group.clone(), i, false);
-                }
-            }
-            store_pids.insert(host.clone(), group[0]);
-            store_groups.insert(host.clone(), group.clone());
-            let filled = store_builds.len();
-            for b in &mut store_builds[filled - group.len()..] {
-                b.group = group.clone();
-            }
-        }
-
-        // Attach broker-log durability now that store pids are known. The
-        // backend factory is shared with the restart path below.
-        let make_log_backend = {
-            let store_groups = store_groups.clone();
-            let broker_log_store = broker_log_store.clone();
-            move |spec: &BrokerDurabilitySpec, incarnation: u64| -> Box<dyn LogBackend> {
-                match spec {
-                    BrokerDurabilitySpec::InMemory => {
-                        Box::new(InMemoryLogBackend::new(broker_log_store.clone()))
-                    }
-                    BrokerDurabilitySpec::StoreOn { host } => {
-                        Box::new(DurableLogBackend::replicated(
-                            store_groups
-                                .get(host)
-                                .expect("validated broker-log store")
-                                .clone(),
-                            incarnation,
-                        ))
-                    }
-                }
-            }
-        };
-        if let Some(spec) = &broker_durability {
-            for build in &broker_builds {
-                let b = sim
-                    .process_mut::<Broker>(build.pid)
-                    .expect("broker just spawned");
-                b.set_durability(make_log_backend(spec, 0), false);
-            }
-        }
-
-        // SPE jobs. Each job expands into one worker per (stage, instance):
-        // the classic layout is the degenerate 1×1 case keeping the job
-        // name, hosts, and producer ids it always had. Build recipes are
-        // retained so crash/restart faults can rebuild any instance — and a
-        // rescale restart can change how many there are — mid-run.
-        let checkpoint_spec = self.checkpointing.clone();
-        let checkpoint_snapshots: SnapshotStoreHandle = snapshot_store();
-        let mut spe_pids: BTreeMap<String, ProcessId> = BTreeMap::new();
-        let mut job_metas: Vec<SpeJobMeta> = Vec::new();
-        let mut instance_builds: BTreeMap<(usize, usize, usize), SpeInstanceBuild> =
-            BTreeMap::new();
-        for (j, (host, job)) in self.spe_jobs.into_iter().enumerate() {
-            let parallel = job.is_parallel();
-            let (n_stages, _) = if parallel {
-                Self::job_stage_layout(&job)
-            } else {
-                (1, vec![1])
-            };
-            let stage_par: Vec<usize> = (0..n_stages)
-                .map(|s| if parallel { job.par_of(s) } else { 1 })
-                .collect();
-            let sink = match job.sink {
-                SpeSinkSpec::Topic(t) => SpeSink::Topic(t),
-                SpeSinkSpec::Collect => SpeSink::Collect,
-                SpeSinkSpec::StoreOn { host: sh, table } => SpeSink::Store {
-                    store: *store_pids.get(&sh).expect("validated store host"),
-                    table,
-                },
-            };
-            let mut cfg = job.cfg;
-            if cfg.checkpoint.is_none() {
-                if let Some(spec) = &checkpoint_spec {
-                    cfg.checkpoint = Some(spec.cfg);
-                }
-            }
-            if self.transactional_sinks {
-                // Stage topic-sink (and shuffle) output under per-epoch
-                // transaction markers, and read upstream (possibly also
-                // transactional) topics with read-committed isolation.
-                cfg.transactional_sink = true;
-                cfg.consumer.read_committed = true;
-            }
-            if let Some(acks) = self.acks_override {
-                cfg.producer.acks = acks;
-            }
-            self.batching.apply(&mut cfg.producer);
-            let meta = SpeJobMeta {
-                name: job.name.clone(),
-                host: host.clone(),
-                plan: job.plan,
-                cfg,
-                sources: job.sources,
-                sink,
-                parallel,
-                n_stages,
-                key_groups: job.key_groups,
-                stage_par: stage_par.clone(),
-                prev_stage_par: stage_par.clone(),
-                rescale: job.rescale_on_restart,
-                job_idx: j,
-                bootstrap: bootstrap_for(&host),
-            };
-            for (s, par) in stage_par.iter().enumerate() {
-                for i in 0..*par {
-                    let name = meta.instance_name(s, i);
-                    let ihost = meta.instance_host(s, i);
-                    let slot = ledger
-                        .borrow_mut()
-                        .register(format!("spe-{name}"), self.mem_model.spe);
-                    let inst = SpeInstanceBuild {
-                        stage: s,
-                        index: i,
-                        name: name.clone(),
-                        host: ihost.clone(),
-                        slot,
-                        pid: ProcessId(0),
-                        incarnation: 0,
-                    };
-                    let w = build_instance_worker(
-                        &meta,
-                        &inst,
-                        &brokers_hash,
-                        &ledger,
-                        &checkpoint_spec,
-                        &checkpoint_snapshots,
-                        &store_groups,
-                        &tele,
-                        false,
-                    );
-                    let pid = sim.spawn(Box::new(w));
-                    if let Some(cpu) = cpus.get(&ihost) {
-                        sim.attach_cpu(pid, cpu.clone());
-                    }
-                    placements.push((pid, ihost));
-                    spe_pids.insert(name, pid);
-                    instance_builds.insert((j, s, i), SpeInstanceBuild { pid, ..inst });
-                }
-            }
-            job_metas.push(meta);
-        }
-
-        // Producers. Each build recipe is retained so a `RestartProcess`
-        // fault on a `producer-<idx>` stub can rebuild it: the respawn
-        // reuses the same producer id and epoch and restarts the source
-        // from the beginning — the broker's idempotent dedup acknowledges
-        // the already-appended prefix without a second copy, so the log
-        // converges to exactly the no-fault contents.
-        let mut producer_pids: Vec<ProcessId> = Vec::new();
-        let mut producer_builds: Vec<ProducerStubBuild> = Vec::new();
-        for (i, (host, source, mut cfg)) in self.producers.into_iter().enumerate() {
-            if let Some(acks) = self.acks_override {
-                cfg.acks = acks;
-            }
-            self.batching.apply(&mut cfg);
-            let base = self.mem_model.producer_base
-                + (cfg.buffer_memory as f64 * self.mem_model.producer_heap_factor) as u64;
-            let slot = ledger.borrow_mut().register(format!("producer-{i}"), base);
-            let build = ProducerStubBuild {
-                host: host.clone(),
-                source,
-                cfg,
-                bootstrap: bootstrap_for(&host),
-                slot,
-                pid: ProcessId(0),
-            };
-            let p = build_producer_stub(i, &build, &brokers_hash, &ledger, &tele, capture);
-            let pid = sim.spawn(Box::new(p));
-            if let Some(cpu) = cpus.get(&host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host));
-            producer_pids.push(pid);
-            producer_builds.push(ProducerStubBuild { pid, ..build });
-        }
-
-        // Consumers, each wrapped by the monitor; recipes retained for
-        // `consumer-<idx>` crash/restart faults. A respawned member of a
-        // consumer group resumes from its broker-committed offsets; a
-        // group-less consumer restarts at the log start and re-reads.
-        let monitor: MonitorHandle = MonitorCore::new_handle(capture);
-        let mut consumer_pids: Vec<ProcessId> = Vec::new();
-        let mut consumer_builds: Vec<ConsumerStubBuild> = Vec::new();
-        for (i, (host, mut cfg, topics, sink)) in self.consumers.into_iter().enumerate() {
-            if self.transactional_sinks {
-                // Observing a transactional sink's exactly-once output
-                // requires read-committed isolation on the reader.
-                cfg.read_committed = true;
-            }
-            if cfg.group_membership && cfg.group_member_id.is_empty() {
-                // A stable member id makes sticky assignment stick across
-                // this stub's crash/restart.
-                cfg.group_member_id = format!("consumer-{i}");
-            }
-            ledger
-                .borrow_mut()
-                .register(format!("consumer-{i}"), self.mem_model.consumer);
-            let build = ConsumerStubBuild {
-                host: host.clone(),
-                cfg,
-                topics,
-                sink,
-                bootstrap: bootstrap_for(&host),
-                pid: ProcessId(0),
-            };
-            let p = build_consumer_stub(i, &build, &brokers_hash, &monitor, &tele);
-            let pid = sim.spawn(Box::new(p));
-            if let Some(cpu) = cpus.get(&host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host));
-            consumer_pids.push(pid);
-            consumer_builds.push(ConsumerStubBuild { pid, ..build });
-        }
-
-        // Fault injector, memory sampler, throughput sampler. Process-level
-        // crash/restart events are applied by this orchestrator (it owns the
-        // process table); the injector handles the network-level rest.
-        let process_events: Vec<(SimTime, FaultAction)> =
-            self.faults.process_events().cloned().collect();
-        if self.faults.has_network_events() {
-            sim.spawn(Box::new(FaultInjector::new(net.clone(), self.faults)));
-        }
-        let sampler_pid = sim.spawn(Box::new(MemSampler::new(
-            ledger.clone(),
-            self.server.sample_interval,
-            duration,
-        )));
-        let tx_pid = if self.watch_tx.is_empty() {
-            None
-        } else {
-            let names: Vec<&str> = self.watch_tx.iter().map(String::as_str).collect();
-            Some(sim.spawn(Box::new(TxSampler::new(
-                net.clone(),
-                &names,
-                SimDuration::from_secs(1),
-                duration,
-            ))))
-        };
-        // The telemetry sampler is spawned after every other process so
-        // toggling it never shifts an existing pid (and with it the
-        // deterministic event order of a seeded run).
-        if self.telemetry {
-            let sampler_cpus: Vec<(String, CpuHandle)> =
-                cpus.iter().map(|(h, c)| (h.clone(), c.clone())).collect();
-            sim.spawn(Box::new(
-                tele.sampler(self.telemetry_interval, sampler_cpus),
-            ));
-        }
-
-        // Placement.
-        {
-            let mut n = net.borrow_mut();
-            for (pid, host) in &placements {
-                let node = n
-                    .topology()
-                    .lookup(host)
-                    .unwrap_or_else(|| panic!("host `{host}` missing from topology"));
-                n.place(*pid, node);
-            }
-        }
-
-        // Execute, pausing at each process-fault instant to kill or respawn
-        // the targeted worker or broker. Crashed processes' remains are kept
-        // so the report can still surface their pre-crash metrics.
-        let mode = self.mode;
-        let mut crashed_at: BTreeMap<String, SimTime> = BTreeMap::new();
-        let mut corpses: BTreeMap<String, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut broker_crashed_at: BTreeMap<u32, SimTime> = BTreeMap::new();
-        let mut broker_corpses: BTreeMap<u32, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut store_crashed_at: BTreeMap<u32, SimTime> = BTreeMap::new();
-        let mut store_corpses: BTreeMap<u32, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut client_crashes: BTreeMap<String, ClientRecoveryReport> = BTreeMap::new();
-        let mut client_corpses: BTreeMap<String, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        for (at, action) in process_events {
-            if at >= duration {
-                break;
-            }
-            sim.run_until(at);
-            match action {
-                FaultAction::CrashProcess(name)
-                    if resolve_spe_target(&job_metas, &name).is_some() =>
-                {
-                    tele.trace_instant(at, &name, "fault:crash", "fault");
-                    // A job name kills every stage instance; an instance
-                    // name kills exactly that one.
-                    let targets: Vec<(usize, usize, usize)> =
-                        match resolve_spe_target(&job_metas, &name).expect("guard") {
-                            SpeFaultTarget::Job(j) => instance_builds
-                                .range((j, 0, 0)..(j + 1, 0, 0))
-                                .map(|(k, _)| *k)
-                                .collect(),
-                            SpeFaultTarget::Instance(j, s, i) => vec![(j, s, i)],
-                        };
-                    for key in targets {
-                        let Some(inst) = instance_builds.get(&key) else {
-                            continue;
-                        };
-                        if let Some(corpse) = sim.kill(inst.pid) {
-                            crashed_at.insert(inst.name.clone(), at);
-                            corpses.insert(inst.name.clone(), corpse);
-                        }
-                    }
-                }
-                FaultAction::CrashProcess(name) => {
-                    tele.trace_instant(at, &name, "fault:crash", "fault");
-                    // A client stub: `producer-<idx>` or `consumer-<idx>`
-                    // (validated above).
-                    let pid = if let Some(i) = stub_index(&name, "producer-") {
-                        producer_builds[i].pid
-                    } else {
-                        consumer_builds[stub_index(&name, "consumer-").expect("validated")].pid
-                    };
-                    if let Some(corpse) = sim.kill(pid) {
-                        client_crashes.insert(
-                            name.clone(),
-                            ClientRecoveryReport {
-                                crashed_at: at,
-                                restarted_at: None,
-                            },
-                        );
-                        client_corpses.insert(name, corpse);
-                    }
-                }
-                FaultAction::RestartProcess(name)
-                    if resolve_spe_target(&job_metas, &name).is_none() =>
-                {
-                    tele.trace_instant(at, &name, "fault:restart", "fault");
-                    if let Some(i) = stub_index(&name, "producer-") {
-                        let build = &producer_builds[i];
-                        if sim.is_alive(build.pid) {
-                            continue; // restart without a preceding crash
-                        }
-                        let p =
-                            build_producer_stub(i, build, &brokers_hash, &ledger, &tele, capture);
-                        sim.respawn(build.pid, Box::new(p));
-                        if let Some(cpu) = cpus.get(&build.host) {
-                            sim.attach_cpu(build.pid, cpu.clone());
-                        }
-                    } else {
-                        let i = stub_index(&name, "consumer-").expect("validated");
-                        let build = &consumer_builds[i];
-                        if sim.is_alive(build.pid) {
-                            continue;
-                        }
-                        let p = build_consumer_stub(i, build, &brokers_hash, &monitor, &tele);
-                        sim.respawn(build.pid, Box::new(p));
-                        if let Some(cpu) = cpus.get(&build.host) {
-                            sim.attach_cpu(build.pid, cpu.clone());
-                        }
-                    }
-                    if let Some(rec) = client_crashes.get_mut(&name) {
-                        rec.restarted_at = Some(at);
-                    }
-                    client_corpses.remove(&name);
-                }
-                FaultAction::RestartProcess(name) => {
-                    tele.trace_instant(at, &name, "fault:restart", "fault");
-                    let target = resolve_spe_target(&job_metas, &name).expect("validated");
-                    let (j, keys) = match target {
-                        SpeFaultTarget::Instance(j, s, i) => (j, vec![(s, i)]),
-                        SpeFaultTarget::Job(j) => {
-                            // A job-level restart is where a rescale takes
-                            // effect: every stage adopts the target
-                            // parallelism, and each respawned instance
-                            // restores from the *previous* layout's chains.
-                            let meta = &mut job_metas[j];
-                            meta.prev_stage_par = meta.stage_par.clone();
-                            if let (Some(m), true) = (meta.rescale, meta.parallel) {
-                                for p in meta.stage_par.iter_mut() {
-                                    *p = m;
-                                }
-                            }
-                            // A rescale redraws every instance's key-group
-                            // ownership, so still-running instances of the
-                            // old layout are bounced too: left alive they
-                            // would keep fetching their old partitions,
-                            // overlapping the new layout's owners. Those
-                            // within the new layout respawn below with the
-                            // new wiring; those beyond it are retired.
-                            if meta.stage_par != meta.prev_stage_par {
-                                for ((jj, _, _), inst) in instance_builds.iter() {
-                                    if *jj != j || !sim.is_alive(inst.pid) {
-                                        continue;
-                                    }
-                                    if let Some(corpse) = sim.kill(inst.pid) {
-                                        crashed_at.insert(inst.name.clone(), at);
-                                        corpses.insert(inst.name.clone(), corpse);
-                                    }
-                                }
-                            }
-                            let keys: Vec<(usize, usize)> = (0..meta.n_stages)
-                                .flat_map(|s| (0..meta.stage_par[s]).map(move |i| (s, i)))
-                                .collect();
-                            (j, keys)
-                        }
-                    };
-                    for (s, i) in keys {
-                        let meta = &job_metas[j];
-                        match instance_builds.get_mut(&(j, s, i)) {
-                            Some(inst) => {
-                                if sim.is_alive(inst.pid) {
-                                    continue; // restart without a crash: no-op
-                                }
-                                inst.incarnation += 1;
-                                let inst = &*inst;
-                                let mut w = build_instance_worker(
-                                    meta,
-                                    inst,
-                                    &brokers_hash,
-                                    &ledger,
-                                    &checkpoint_spec,
-                                    &checkpoint_snapshots,
-                                    &store_groups,
-                                    &tele,
-                                    true,
-                                );
-                                w.mark_restarted();
-                                w.set_producer_epoch(inst.incarnation as u32);
-                                sim.respawn(inst.pid, Box::new(w));
-                                if let Some(cpu) = cpus.get(&inst.host) {
-                                    sim.attach_cpu(inst.pid, cpu.clone());
-                                }
-                                corpses.remove(&inst.name);
-                            }
-                            None => {
-                                // A rescale grew the stage: spawn a brand-new
-                                // instance on its pre-provisioned host. It
-                                // still restores (filtered) state from the
-                                // old instances' chains.
-                                let iname = meta.instance_name(s, i);
-                                let ihost = meta.instance_host(s, i);
-                                let slot = ledger
-                                    .borrow_mut()
-                                    .register(format!("spe-{iname}"), self.mem_model.spe);
-                                let mut inst = SpeInstanceBuild {
-                                    stage: s,
-                                    index: i,
-                                    name: iname.clone(),
-                                    host: ihost.clone(),
-                                    slot,
-                                    pid: ProcessId(0),
-                                    incarnation: 1,
-                                };
-                                let mut w = build_instance_worker(
-                                    meta,
-                                    &inst,
-                                    &brokers_hash,
-                                    &ledger,
-                                    &checkpoint_spec,
-                                    &checkpoint_snapshots,
-                                    &store_groups,
-                                    &tele,
-                                    true,
-                                );
-                                w.mark_restarted();
-                                w.set_producer_epoch(1);
-                                let pid = sim.spawn_at(at, Box::new(w));
-                                if let Some(cpu) = cpus.get(&ihost) {
-                                    sim.attach_cpu(pid, cpu.clone());
-                                }
-                                {
-                                    let mut n = net.borrow_mut();
-                                    let node = n
-                                        .topology()
-                                        .lookup(&ihost)
-                                        .expect("pre-provisioned instance host");
-                                    n.place(pid, node);
-                                }
-                                inst.pid = pid;
-                                spe_pids.insert(iname, pid);
-                                instance_builds.insert((j, s, i), inst);
-                            }
-                        }
-                    }
-                    if let SpeFaultTarget::Job(j) = target {
-                        // Future single-instance respawns restore from the
-                        // post-rescale layout.
-                        let meta = &mut job_metas[j];
-                        meta.prev_stage_par = meta.stage_par.clone();
-                    }
-                }
-                FaultAction::CrashBroker(idx) => {
-                    tele.trace_instant(at, &format!("broker-{idx}"), "fault:crash", "fault");
-                    let build = &broker_builds[idx as usize];
-                    if let Some(corpse) = sim.kill(build.pid) {
-                        broker_crashed_at.insert(idx, at);
-                        broker_corpses.insert(idx, corpse);
-                    }
-                }
-                FaultAction::CrashStore(idx) => {
-                    let build = &store_builds[idx as usize];
-                    let scope = format!("store-{}", build.replica_host);
-                    tele.trace_instant(at, &scope, "fault:crash", "fault");
-                    if let Some(corpse) = sim.kill(build.pid) {
-                        store_crashed_at.insert(idx, at);
-                        store_corpses.insert(idx, corpse);
-                    }
-                }
-                FaultAction::RestartStore(idx) => {
-                    let build = &store_builds[idx as usize];
-                    let scope = format!("store-{}", build.replica_host);
-                    tele.trace_instant(at, &scope, "fault:restart", "fault");
-                    if sim.is_alive(build.pid) {
-                        continue; // restart without a preceding crash: no-op
-                    }
-                    let mut st = StoreServer::new(build.cfg.clone());
-                    st.set_name(format!("store-{}", build.replica_host));
-                    st.set_mem_slot(ledger.clone(), build.slot);
-                    st.set_telemetry(tele.clone());
-                    if build.group.len() > 1 {
-                        // Rejoin recovering: pull the op log from a ready
-                        // member before serving again.
-                        st.set_group(build.group.clone(), build.index, true);
-                    }
-                    sim.respawn(build.pid, Box::new(st));
-                    if let Some(cpu) = cpus.get(&build.replica_host) {
-                        sim.attach_cpu(build.pid, cpu.clone());
-                    }
-                    store_corpses.remove(&idx);
-                }
-                FaultAction::RestartBroker(idx) => {
-                    tele.trace_instant(at, &format!("broker-{idx}"), "fault:restart", "fault");
-                    let build = &mut broker_builds[idx as usize];
-                    if sim.is_alive(build.pid) {
-                        continue; // restart without a preceding crash: no-op
-                    }
-                    build.incarnation += 1;
-                    let mut b = Broker::new(
-                        BrokerId(idx),
-                        build.cfg.clone(),
-                        mode,
-                        controller_pids.clone(),
-                        brokers_hash.clone(),
-                    );
-                    b.set_mem_slot(ledger.clone(), build.slot);
-                    b.set_incarnation(build.incarnation);
-                    b.set_telemetry(tele.clone());
-                    match &broker_durability {
-                        Some(spec) => {
-                            b.set_durability(make_log_backend(spec, build.incarnation), true)
-                        }
-                        // Without a log backend the broker restarts empty
-                        // (the data-loss contrast); still record metrics.
-                        None => b.mark_restarted(),
-                    }
-                    sim.respawn(build.pid, Box::new(b));
-                    if let Some(cpu) = cpus.get(&build.host) {
-                        sim.attach_cpu(build.pid, cpu.clone());
-                    }
-                    broker_corpses.remove(&idx);
-                }
-                _ => unreachable!("process_events yields only process actions"),
-            }
-        }
-        sim.run_until(duration);
-
-        // Harvest the report. Crashed-and-not-restarted stubs are absent
-        // from the process table; report from their corpses instead.
-        let mut producers_report = Vec::new();
-        for (i, pid) in producer_pids.iter().enumerate() {
-            let name = format!("producer-{i}");
-            let p = match sim.process_mut::<ProducerProcess>(*pid) {
-                Some(live) => Some(live),
-                None => client_corpses.get_mut(&name).and_then(|c| {
-                    (c.as_mut() as &mut dyn std::any::Any).downcast_mut::<ProducerProcess>()
-                }),
-            };
-            let client = p.expect("producer process (live or corpse)").client_mut();
-            // The report takes the captured vectors: one copy, not two.
-            let (outcomes, sent_index) = client.take_captured();
-            producers_report.push(ProducerReport {
-                id: ProducerId(i as u32),
-                stats: client.stats(),
-                ack_latency: client.ack_latency().stats(),
-                outcomes,
-                sent_index,
-                recovery: client_crashes.get(&name).copied(),
-            });
-        }
-        let mut consumers_report = Vec::new();
-        for (i, pid) in consumer_pids.iter().enumerate() {
-            let name = format!("consumer-{i}");
-            let c = sim.process_ref::<ConsumerProcess>(*pid).or_else(|| {
-                client_corpses.get(&name).and_then(|c| {
-                    (c.as_ref() as &dyn std::any::Any).downcast_ref::<ConsumerProcess>()
-                })
-            });
-            let c = c.expect("consumer process (live or corpse)");
-            consumers_report.push(ConsumerReport {
-                id: i as u32,
-                stats: c.client().stats(),
-                recovery: client_crashes.get(&name).copied(),
-            });
-        }
-        // Two passes over the brokers: attributing leadership moves to one
-        // crashed broker needs every *other* broker's election history.
-        type BrokerView = (
-            BrokerStats,
-            Vec<(SimTime, TopicPartition, bool)>,
-            Option<BrokerRecoveryInfo>,
-        );
-        let mut broker_views: Vec<BrokerView> = Vec::new();
-        for (i, pid) in broker_pids.iter().enumerate() {
-            // A crashed-and-not-restarted broker is absent from the process
-            // table; report from its corpse instead.
-            let b = sim.process_ref::<Broker>(*pid).or_else(|| {
-                broker_corpses
-                    .get(&(i as u32))
-                    .and_then(|c| (c.as_ref() as &dyn std::any::Any).downcast_ref::<Broker>())
-            });
-            let b = b.expect("broker process (live or corpse)");
-            broker_views.push((b.stats(), b.leadership_events().to_vec(), b.recovery_info()));
-        }
-        let isr_shrinks: u64 = broker_views.iter().map(|(s, _, _)| s.isr_shrinks).sum();
-        let isr_expands: u64 = broker_views.iter().map(|(s, _, _)| s.isr_expands).sum();
-        let mut brokers_report = Vec::new();
-        for (i, (stats, events, info)) in broker_views.iter().enumerate() {
-            let info = *info;
-            let recovery = broker_crashed_at.get(&(i as u32)).map(|t| {
-                // Partitions some *other* broker won at/after the crash:
-                // leadership that moved off (or shuffled around) this
-                // broker while it was down.
-                let moved: std::collections::BTreeSet<&TopicPartition> = broker_views
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .flat_map(|(_, (_, ev, _))| ev.iter())
-                    .filter(|(at, _, became)| *became && *at >= *t)
-                    .map(|(_, tp, _)| tp)
-                    .collect();
-                BrokerRecoveryReport {
-                    crashed_at: *t,
-                    restarted_at: info.map(|r| r.restarted_at),
-                    recovered_at: info.and_then(|r| r.recovered_at),
-                    replayed_records: info.map_or(0, |r| r.replayed_records),
-                    replayed_bytes: info.map_or(0, |r| r.replayed_bytes),
-                    replayed_segments: info.map_or(0, |r| r.replayed_segments),
-                    replay_saved_bytes: info.map_or(0, |r| r.replay_saved_bytes),
-                    leadership_moves: moved.len() as u64,
-                    isr_shrinks,
-                    isr_expands,
-                }
-            });
-            brokers_report.push(BrokerReport {
-                id: BrokerId(i as u32),
-                stats: *stats,
-                leadership_events: events.clone(),
-                recovery,
-            });
-        }
-        let mut stores_report = Vec::new();
-        for (idx, build) in store_builds.iter().enumerate() {
-            // A crashed-and-not-restarted replica is absent from the
-            // process table; report from its corpse instead.
-            let st = sim.process_ref::<StoreServer>(build.pid).or_else(|| {
-                store_corpses
-                    .get(&(idx as u32))
-                    .and_then(|c| (c.as_ref() as &dyn std::any::Any).downcast_ref::<StoreServer>())
-            });
-            let recovery = store_crashed_at.get(&(idx as u32)).map(|t| {
-                let info = st.and_then(StoreServer::recovery_info);
-                StoreRecoveryReport {
-                    crashed_at: *t,
-                    restarted_at: info.map(|i| i.restarted_at),
-                    resynced_at: info.and_then(|i| i.resynced_at),
-                    sync_ops: info.map_or(0, |i| i.sync_ops),
-                    sync_bytes: info.map_or(0, |i| i.sync_bytes),
-                }
-            });
-            stores_report.push(StoreReport {
-                host: build.group_host.clone(),
-                replica: build.replica,
-                kv_keys: st.map_or(0, |sv| sv.kv().len() as u64),
-                is_primary: st.is_some_and(StoreServer::is_primary),
-                oplog_len: st.map_or(0, |sv| sv.oplog_len() as u64),
-                oplog_truncated: st.map_or(0, StoreServer::oplog_truncated),
-                recovery,
-            });
-        }
-        let mut spe_report = BTreeMap::new();
-        let mut spe_instances = BTreeMap::new();
-        for meta in &job_metas {
-            let j = meta.job_idx;
-            let mut per: Vec<(usize, SpeReport)> = Vec::new();
-            for (key, inst) in instance_builds.range((j, 0, 0)..(j + 1, 0, 0)) {
-                // A crashed-and-not-restarted instance is absent from the
-                // process table; report from its corpse instead.
-                let w = sim.process_ref::<SpeWorker>(inst.pid).or_else(|| {
-                    corpses.get(&inst.name).and_then(|c| {
-                        (c.as_ref() as &dyn std::any::Any).downcast_ref::<SpeWorker>()
-                    })
-                });
-                let recovery = crashed_at.get(&inst.name).map(|t| {
-                    let info = w.and_then(SpeWorker::recovery_info);
-                    RecoveryReport {
-                        crashed_at: *t,
-                        restarted_at: info.map(|i| i.restarted_at),
-                        restored_at: info.and_then(|i| i.restored_at),
-                        snapshot_taken_at: info.and_then(|i| i.snapshot_taken_at),
-                        snapshot_bytes: info.map_or(0, |i| i.snapshot_bytes),
-                        delta_chain_len: info.map_or(0, |i| i.delta_chain),
-                        first_batch_at: info.and_then(|i| i.first_batch_at),
-                    }
-                });
-                let w = w.expect("spe instance (live or corpse)");
-                let report = SpeReport {
-                    metrics: w.metrics().to_vec(),
-                    record_counts: w.plan().record_counts(),
-                    collected: w.collected().to_vec(),
-                    mean_busy_runtime: w.mean_busy_runtime(),
-                    checkpoints: w.checkpoint_stats(),
-                    checkpoint_log: w.checkpoint_persist_log(),
-                    consumer_stats: w.consumer().stats(),
-                    recovery,
-                };
-                if meta.parallel {
-                    spe_instances.insert(inst.name.clone(), report.clone());
-                }
-                per.push((key.1, report));
-            }
-            let agg = if meta.parallel {
-                aggregate_spe_reports(meta, &per)
-            } else {
-                per.into_iter()
-                    .next()
-                    .map(|(_, r)| r)
-                    .expect("one worker per classic job")
-            };
-            spe_report.insert(meta.name.clone(), agg);
-        }
-        let sampler = sim
-            .process_ref::<MemSampler>(sampler_pid)
-            .expect("mem sampler");
-        let mem_samples = sampler.samples().to_vec();
-        let peak_mem_bytes = sampler.peak_bytes();
-        let tx_series = tx_pid
-            .map(|pid| {
-                sim.process_ref::<TxSampler>(pid)
-                    .expect("tx sampler")
-                    .series()
-                    .to_vec()
-            })
-            .unwrap_or_default();
-        let cpu_handles: Vec<CpuHandle> = cpus.values().cloned().collect();
-        let cpu_series = cpu_utilization_series(
-            &cpu_handles,
-            self.server.sample_interval,
-            duration,
-            self.server.cores,
-        );
-
-        // The data plane is designed so no hop ever deep-copies a shared
-        // batch (producers retry Arc clones, brokers borrow, followers are
-        // sole owners); surface the run's delta so tests and the CI perf
-        // gate can assert it stayed zero.
-        let shared_batch_copies = s2g_proto::shared_batch_copies() - batch_copies_before;
-        tele.counter_add("runtime", "shared_batch_copies", shared_batch_copies);
-
-        let metric_series: Vec<MetricSeries> = tele.series().all().to_vec();
-
-        let report = RunReport {
-            name: self.name,
-            duration,
-            server: self.server,
-            sim_stats: sim.stats(),
-            producers: producers_report,
-            consumers: consumers_report,
-            brokers: brokers_report,
-            stores: stores_report,
-            spe: spe_report,
-            spe_instances,
-            mem_samples,
-            peak_mem_bytes,
-            cpu_series,
-            tx_series,
-            metric_series,
-            shared_batch_copies,
-        };
-
-        Ok(RunResult {
-            sim,
-            net,
-            monitor,
-            ledger,
-            cpus,
-            broker_pids,
-            producer_pids,
-            consumer_pids,
-            spe_pids,
-            store_pids,
-            store_group_pids: store_groups,
-            checkpoint_snapshots,
-            telemetry: tele,
-            report,
-        })
+        let mut runtime = Runtime::build(self, plan);
+        runtime.drive();
+        Ok(runtime.harvest())
     }
+}
+
+/// One job's resolved facts: its effective `cfg` plus the stage layout —
+/// the classic one-worker layout is the degenerate 1x1 case.
+fn job_facts(host: &str, job: &SpeJobSpec, cfg: SpeConfig) -> JobFacts {
+    let parallel = job.is_parallel();
+    // Probing the stage count builds a throwaway plan, so classic jobs
+    // (one stage by definition) skip it.
+    let n_stages = if parallel {
+        *job.stage_count.get_or_init(|| (job.plan)().stage_count())
+    } else {
+        1
+    };
+    let stage_par: Vec<usize> = (0..n_stages)
+        .map(|s| if parallel { job.par_of(s) } else { 1 })
+        .collect();
+    let (sink_topic, sink_store_host) = match &job.sink {
+        SpeSinkSpec::Topic(t) => (Some(t.clone()), None),
+        SpeSinkSpec::StoreOn { host, .. } => (None, Some(host.clone())),
+        SpeSinkSpec::Collect => (None, None),
+    };
+    JobFacts {
+        name: job.name.clone(),
+        host: host.to_string(),
+        sources: job.sources.clone(),
+        sink_topic,
+        sink_store_host,
+        cfg,
+        parallel,
+        n_stages,
+        // The maximum covers both the initial parallelism and any rescale
+        // target, so hosts are provisioned for every instance that may
+        // ever exist.
+        max_per: stage_par
+            .iter()
+            .map(|p| (*p).max(job.rescale_on_restart.unwrap_or(0)))
+            .collect(),
+        stage_par,
+        key_groups: job.key_groups,
+        rescale: job.rescale_on_restart,
+    }
+}
+
+/// The process name of instance `index` of `stage`; a classic job's only
+/// worker keeps the job name.
+fn worker_name(job: &JobFacts, stage: usize, index: usize) -> String {
+    if job.parallel {
+        instance_name(&job.name, stage, index)
+    } else {
+        job.name.clone()
+    }
+}
+
+/// The host a worker runs on: a classic job's declared host, or an
+/// auto-added per-instance host, so each instance gets its own access link
+/// and CPU — the point of scaling out.
+fn worker_host(job: &JobFacts, stage: usize, index: usize) -> String {
+    if job.parallel {
+        format!("{}-{stage}-{index}", job.host)
+    } else {
+        job.host.clone()
+    }
+}
+
+/// Every `(stage, instance)` a job may ever run, in spawn order.
+fn max_instances(job: &JobFacts) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (job.max_per.iter().enumerate()).flat_map(|(s, max)| (0..*max).map(move |i| (s, i)))
+}
+
+/// The hosts every component needs, in spawn order, then the controllers'.
+fn required_hosts(plan: &ScenarioFacts) -> Vec<String> {
+    let workers = |job| max_instances(job).map(move |(s, i)| worker_host(job, s, i));
+    let component_hosts = (plan.brokers.iter().map(|b| b.host.clone()))
+        .chain(plan.store_replicas.iter().map(|r| r.host.clone()))
+        .chain(plan.jobs.iter().flat_map(workers))
+        .chain(plan.producers.iter().map(|p| p.host.clone()))
+        .chain(plan.consumers.iter().map(|c| c.host.clone()));
+    let mut hosts: Vec<String> = Vec::new();
+    for host in component_hosts {
+        if !hosts.contains(&host) {
+            hosts.push(host);
+        }
+    }
+    hosts.extend(plan.controller_hosts.iter().cloned());
+    hosts
+}
+
+/// Every process name a fault may target, with what it resolves to: job
+/// names, `job/stage/instance`, the `job/instance` last-stage shorthand,
+/// and the `producer-<idx>`/`consumer-<idx>` stubs. On a name clash the
+/// first entry wins.
+fn process_targets(plan: &ScenarioFacts) -> Vec<(String, ComponentRef)> {
+    let mut targets = Vec::new();
+    for (j, job) in plan.jobs.iter().enumerate() {
+        targets.push((job.name.clone(), ComponentRef::Job(j)));
+        if job.parallel {
+            targets.extend(max_instances(job).map(|(s, i)| {
+                (
+                    instance_name(&job.name, s, i),
+                    ComponentRef::Instance(j, s, i),
+                )
+            }));
+            // The `job/instance` shorthand targets the last (keyed) stage.
+            let last = job.n_stages - 1;
+            targets.extend((0..job.max_per[last]).map(|i| {
+                let shorthand = format!("{}/{i}", job.name);
+                (shorthand, ComponentRef::Instance(j, last, i))
+            }));
+        }
+    }
+    let producers = plan.producers.iter().enumerate();
+    targets.extend(producers.map(|(i, p)| (p.name.clone(), ComponentRef::Producer(i))));
+    let consumers = plan.consumers.iter().enumerate();
+    targets.extend(consumers.map(|(i, c)| (c.name.clone(), ComponentRef::Consumer(i))));
+    targets
+}
+
+/// Normalizes the fault plan per target and resolves each process-level
+/// event to the component it acts on (`None` when it names nothing).
+fn resolve_faults(faults: &FaultPlan, plan: &ScenarioFacts) -> Vec<FaultFacts> {
+    use FaultKind::{Crash, Other, Restart};
+    let net = |label: String, kind| (FaultTarget::Net(label), kind);
+    let events = faults.events().iter().map(|(at, action)| {
+        let (target, kind) = match action {
+            FaultAction::CrashProcess(n) => (FaultTarget::Process(n.clone()), Crash),
+            FaultAction::RestartProcess(n) => (FaultTarget::Process(n.clone()), Restart),
+            FaultAction::CrashBroker(b) => (FaultTarget::Broker(*b), Crash),
+            FaultAction::RestartBroker(b) => (FaultTarget::Broker(*b), Restart),
+            FaultAction::CrashStore(r) => (FaultTarget::Store(*r), Crash),
+            FaultAction::RestartStore(r) => (FaultTarget::Store(*r), Restart),
+            FaultAction::Disconnect(h) | FaultAction::NodeDown(h) => net(h.clone(), Crash),
+            FaultAction::Reconnect(h) | FaultAction::NodeUp(h) => net(h.clone(), Restart),
+            FaultAction::LinkDown(a, b) => net(format!("{a}-{b}"), Crash),
+            FaultAction::LinkUp(a, b) => net(format!("{a}-{b}"), Restart),
+            FaultAction::SetLoss(a, b, _) | FaultAction::SetLatency(a, b, _) => {
+                net(format!("{a}-{b}"), Other)
+            }
+            FaultAction::RecomputeRoutes => net("routes".into(), Other),
+        };
+        let component = match &target {
+            FaultTarget::Process(name) => (plan.process_targets.iter())
+                .find(|(n, _)| n == name)
+                .map(|(_, c)| *c),
+            FaultTarget::Broker(b) => {
+                let b = *b as usize;
+                (b < plan.brokers.len()).then_some(ComponentRef::Broker(b))
+            }
+            FaultTarget::Store(r) => {
+                let r = *r as usize;
+                (r < plan.store_replicas.len()).then_some(ComponentRef::Store(r))
+            }
+            FaultTarget::Net(_) => None,
+        };
+        FaultFacts {
+            at: *at,
+            target,
+            kind,
+            component,
+        }
+    });
+    events.collect()
 }
 
 /// Scenario-wide batching overrides applied to every producer config
@@ -2472,387 +1466,6 @@ impl BatchingOverrides {
     }
 }
 
-/// Parses a client-stub fault target of the form `<prefix><idx>` (e.g.
-/// `producer-0`).
-fn stub_index(name: &str, prefix: &str) -> Option<usize> {
-    name.strip_prefix(prefix)?.parse().ok()
-}
-
-/// Everything needed to (re)build one producer stub for a
-/// `RestartProcess` fault: same host, pid, memory slot, producer id, and —
-/// deliberately — the same producer epoch. The respawned source restarts
-/// from record zero; the broker's idempotent dedup recognizes the
-/// already-appended `(epoch, seq)` prefix and acknowledges it without
-/// appending second copies, so the log converges to the no-fault contents.
-struct ProducerStubBuild {
-    host: String,
-    source: SourceSpec,
-    cfg: ProducerConfig,
-    bootstrap: ProcessId,
-    slot: MemSlot,
-    pid: ProcessId,
-}
-
-fn build_producer_stub(
-    idx: usize,
-    build: &ProducerStubBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    ledger: &LedgerHandle,
-    tele: &Telemetry,
-    capture: bool,
-) -> ProducerProcess {
-    let mut client = ProducerClient::new(
-        ProducerId(idx as u32),
-        build.cfg.clone(),
-        build.bootstrap,
-        brokers.clone(),
-        0,
-    );
-    client.set_mem_slot(ledger.clone(), build.slot);
-    if capture {
-        client.capture_records();
-    }
-    let mut p = ProducerProcess::new(client, build.source.build());
-    p.set_telemetry(tele.clone());
-    p
-}
-
-/// Everything needed to (re)build one consumer stub for a
-/// `RestartProcess` fault. A respawned group member resumes from its
-/// broker-committed offsets; without a group it restarts at the log start
-/// and re-reads (duplicate deliveries the monitor makes observable).
-struct ConsumerStubBuild {
-    host: String,
-    cfg: ConsumerConfig,
-    topics: Vec<String>,
-    sink: ConsumerSinkSpec,
-    bootstrap: ProcessId,
-    pid: ProcessId,
-}
-
-fn build_consumer_stub(
-    idx: usize,
-    build: &ConsumerStubBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    monitor: &MonitorHandle,
-    tele: &Telemetry,
-) -> ConsumerProcess {
-    let inner = build.sink.build();
-    let wrapped = MonitoredSink::new(monitor.clone(), idx as u32, inner);
-    let client = ConsumerClient::new(
-        build.cfg.clone(),
-        build.bootstrap,
-        brokers.clone(),
-        build.topics.clone(),
-    );
-    let mut p = ConsumerProcess::new(idx as u32, client, Box::new(wrapped));
-    p.set_telemetry(tele.clone());
-    p
-}
-
-/// Everything needed to (re)build one broker: a `RestartBroker` respawn
-/// reuses the original wiring (pid, memory slot, config) around a fresh
-/// process with a bumped incarnation.
-struct BrokerBuild {
-    host: String,
-    cfg: BrokerConfig,
-    slot: MemSlot,
-    pid: ProcessId,
-    incarnation: u64,
-}
-
-/// Everything needed to (re)build one store-group replica: a `RestartStore`
-/// respawn reuses the original wiring (pid, memory slot, config, group
-/// membership) around a fresh recovering process.
-struct StoreBuild {
-    /// The declared host (names the group).
-    group_host: String,
-    /// The host this replica runs on (`<host>` or `<host>-r<i>`).
-    replica_host: String,
-    /// Member index within the group.
-    replica: u32,
-    cfg: StoreConfig,
-    /// Every member's pid, in index order.
-    group: Vec<ProcessId>,
-    index: usize,
-    slot: MemSlot,
-    pid: ProcessId,
-}
-
-/// The per-job half of the SPE build state: everything shared by (and
-/// needed to rebuild) the job's stage instances, plus the current and
-/// previous per-stage parallelism — the rescale bookkeeping.
-struct SpeJobMeta {
-    name: String,
-    host: String,
-    plan: Box<dyn Fn() -> Plan>,
-    cfg: SpeConfig,
-    sources: Vec<String>,
-    sink: SpeSink,
-    parallel: bool,
-    n_stages: usize,
-    key_groups: u32,
-    /// Current parallelism per stage (changes on a rescale restart).
-    stage_par: Vec<usize>,
-    /// Parallelism each stage ran at before the in-flight restart — the
-    /// instance set whose chains a respawn restores from.
-    prev_stage_par: Vec<usize>,
-    rescale: Option<usize>,
-    job_idx: usize,
-    bootstrap: ProcessId,
-}
-
-impl SpeJobMeta {
-    fn instance_name(&self, stage: usize, index: usize) -> String {
-        if self.parallel {
-            instance_name(&self.name, stage, index)
-        } else {
-            self.name.clone()
-        }
-    }
-
-    fn instance_host(&self, stage: usize, index: usize) -> String {
-        if self.parallel {
-            Scenario::instance_host(&self.host, stage, index)
-        } else {
-            self.host.clone()
-        }
-    }
-
-    /// Stable producer id per (job, stage, instance); the classic layout
-    /// keeps its original `1000 + job` id.
-    fn producer_id(&self, stage: usize, index: usize) -> ProducerId {
-        if self.parallel {
-            ProducerId(100_000 + self.job_idx as u32 * 10_000 + stage as u32 * 100 + index as u32)
-        } else {
-            ProducerId(1_000 + self.job_idx as u32)
-        }
-    }
-
-    /// Stage 0 reads the job's declared sources; later stages read their
-    /// keyed shuffle topic.
-    fn stage_sources(&self, stage: usize) -> Vec<String> {
-        if stage == 0 {
-            self.sources.clone()
-        } else {
-            vec![shuffle_topic(&self.name, stage)]
-        }
-    }
-
-    /// The last stage feeds the job's declared sink; earlier stages feed
-    /// the next stage's shuffle topic.
-    fn stage_sink(&self, stage: usize) -> SpeSink {
-        if stage + 1 == self.n_stages {
-            self.sink.clone()
-        } else {
-            SpeSink::Topic(shuffle_topic(&self.name, stage + 1))
-        }
-    }
-}
-
-/// Everything needed to (re)build one worker instance: the initial spawn
-/// and any `RestartProcess` respawn share this recipe, so a restarted
-/// instance gets the same wiring (pid, memory slot, clients) around a fresh
-/// plan.
-struct SpeInstanceBuild {
-    stage: usize,
-    index: usize,
-    name: String,
-    host: String,
-    slot: MemSlot,
-    pid: ProcessId,
-    incarnation: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_instance_worker(
-    meta: &SpeJobMeta,
-    inst: &SpeInstanceBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    ledger: &LedgerHandle,
-    spec: &Option<CheckpointSpec>,
-    snapshots: &SnapshotStoreHandle,
-    store_groups: &BTreeMap<String, Vec<ProcessId>>,
-    tele: &Telemetry,
-    recover: bool,
-) -> SpeWorker {
-    let full = (meta.plan)();
-    let plan = if meta.parallel {
-        full.into_stages()
-            .into_iter()
-            .nth(inst.stage)
-            .expect("stage index within the probed stage count")
-    } else {
-        full
-    };
-    let mut w = SpeWorker::new(
-        inst.name.clone(),
-        meta.cfg.clone(),
-        meta.stage_sources(inst.stage),
-        plan,
-        meta.stage_sink(inst.stage),
-        meta.bootstrap,
-        brokers.clone(),
-        meta.producer_id(inst.stage, inst.index),
-    );
-    w.set_mem_slot(ledger.clone(), inst.slot);
-    if meta.parallel {
-        // A recovering instance restores from every old instance of its
-        // stage (under the pre-restart parallelism) and keeps only the key
-        // groups it owns now — the rescale-correct redistribution.
-        let old_par = meta.prev_stage_par[inst.stage];
-        let restore_from: Vec<String> = if recover {
-            (0..old_par)
-                .map(|k| instance_name(&meta.name, inst.stage, k))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let old_producers: Vec<ProducerId> = (0..old_par)
-            .map(|k| meta.producer_id(inst.stage, k))
-            .collect();
-        w.set_instance(StageInstanceCfg {
-            stage: inst.stage,
-            instance: inst.index as u32,
-            parallelism: meta.stage_par[inst.stage] as u32,
-            key_groups: meta.key_groups,
-            restore_from,
-            old_producers,
-        });
-    }
-    if meta.cfg.checkpoint.is_some() {
-        let backend: Box<dyn StateBackend> = match spec.as_ref().map(|s| &s.backend) {
-            Some(CheckpointBackendSpec::StoreOn { host }) => Box::new(DurableBackend::replicated(
-                store_groups
-                    .get(host)
-                    .expect("validated checkpoint store host")
-                    .clone(),
-            )),
-            _ => Box::new(InMemoryBackend::new(snapshots.clone())),
-        };
-        w.attach_checkpointing(backend, recover);
-    }
-    // After the checkpointing attach so the coordinator is covered too.
-    w.set_telemetry(tele.clone());
-    w
-}
-
-/// Folds a parallel job's per-instance reports into one job-level report:
-/// input records are counted at stage 0, output records at the last stage,
-/// batch metrics interleave in time order, checkpoint/consumer counters
-/// add, and the recovery entry follows the earliest-crashed instance.
-fn aggregate_spe_reports(meta: &SpeJobMeta, per: &[(usize, SpeReport)]) -> SpeReport {
-    let mut metrics: Vec<BatchMetric> = per
-        .iter()
-        .flat_map(|(_, r)| r.metrics.iter().copied())
-        .collect();
-    metrics.sort_by_key(|m| (m.start, m.end));
-    let records_in: u64 = per
-        .iter()
-        .filter(|(s, _)| *s == 0)
-        .map(|(_, r)| r.record_counts.0)
-        .sum();
-    let records_out: u64 = per
-        .iter()
-        .filter(|(s, _)| *s + 1 == meta.n_stages)
-        .map(|(_, r)| r.record_counts.1)
-        .sum();
-    let collected: Vec<Event> = per
-        .iter()
-        .flat_map(|(_, r)| r.collected.iter().cloned())
-        .collect();
-    let busy: Vec<&BatchMetric> = metrics.iter().filter(|m| m.records_in > 0).collect();
-    let mean_busy_runtime = if busy.is_empty() {
-        SimDuration::ZERO
-    } else {
-        SimDuration::from_nanos(
-            busy.iter().map(|m| m.runtime().as_nanos()).sum::<u64>() / busy.len() as u64,
-        )
-    };
-    let mut checkpoints = CheckpointStats::default();
-    for (_, r) in per {
-        checkpoints.absorb(&r.checkpoints);
-    }
-    let mut checkpoint_log: Vec<(SimTime, SimTime)> = per
-        .iter()
-        .flat_map(|(_, r)| r.checkpoint_log.iter().copied())
-        .collect();
-    checkpoint_log.sort();
-    let mut consumer_stats = ConsumerStats::default();
-    for (_, r) in per {
-        let c = &r.consumer_stats;
-        consumer_stats.fetches += c.fetches;
-        consumer_stats.records += c.records;
-        consumer_stats.timeouts += c.timeouts;
-        consumer_stats.offset_resets += c.offset_resets;
-        consumer_stats.offset_commits += c.offset_commits;
-        consumer_stats.resumed_partitions += c.resumed_partitions;
-        consumer_stats.group_joins += c.group_joins;
-        consumer_stats.rebalances += c.rebalances;
-    }
-    let recovery = per
-        .iter()
-        .filter_map(|(_, r)| r.recovery)
-        .min_by_key(|r| r.crashed_at);
-    SpeReport {
-        metrics,
-        record_counts: (records_in, records_out),
-        collected,
-        mean_busy_runtime,
-        checkpoints,
-        checkpoint_log,
-        consumer_stats,
-        recovery,
-    }
-}
-
-/// What an SPE crash/restart fault resolves to.
-enum SpeFaultTarget {
-    /// The whole job (every instance of every stage).
-    Job(usize),
-    /// One stage instance: `(job index, stage, instance)`.
-    Instance(usize, usize, usize),
-}
-
-/// Resolves a fault-plan target name against the built jobs: the exact job
-/// name, `job/stage/instance`, or the `job/instance` last-stage shorthand.
-fn resolve_spe_target(job_metas: &[SpeJobMeta], name: &str) -> Option<SpeFaultTarget> {
-    if let Some(j) = job_metas.iter().position(|m| m.name == name) {
-        return Some(SpeFaultTarget::Job(j));
-    }
-    for (j, m) in job_metas.iter().enumerate() {
-        if !m.parallel {
-            continue;
-        }
-        let Some(rest) = name
-            .strip_prefix(m.name.as_str())
-            .and_then(|r| r.strip_prefix('/'))
-        else {
-            continue;
-        };
-        if let Some((s, i)) = parse_instance_suffix(rest, m.n_stages - 1) {
-            return Some(SpeFaultTarget::Instance(j, s, i));
-        }
-    }
-    None
-}
-
-/// Parses the `stage/instance` (or bare `instance`, meaning the last —
-/// keyed — stage) suffix of a `job/...` fault target. Bounds are the
-/// caller's concern: `validate` checks them against the stage layout, the
-/// fault executor relies on its build-map lookups.
-fn parse_instance_suffix(rest: &str, last_stage: usize) -> Option<(usize, usize)> {
-    let parts: Vec<&str> = rest.split('/').collect();
-    match parts.as_slice() {
-        [i] => i.parse().ok().map(|i| (last_stage, i)),
-        [s, i] => match (s.parse(), i.parse()) {
-            (Ok(s), Ok(i)) => Some((s, i)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 impl fmt::Debug for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scenario")
@@ -2862,358 +1475,6 @@ impl fmt::Debug for Scenario {
             .field("consumers", &self.consumers.len())
             .field("spe_jobs", &self.spe_jobs.len())
             .field("topics", &self.topics.len())
-            .finish()
-    }
-}
-
-/// Crash/restart bookkeeping for one client stub targeted by the fault
-/// plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientRecoveryReport {
-    /// When the fault plan killed the stub.
-    pub crashed_at: SimTime,
-    /// When the respawned stub started (`None`: never restarted).
-    pub restarted_at: Option<SimTime>,
-}
-
-/// Per-producer results.
-#[derive(Debug, Clone)]
-pub struct ProducerReport {
-    /// Producer id (declaration order).
-    pub id: ProducerId,
-    /// Counters. For a crashed-and-restarted stub these reflect the
-    /// respawned incarnation (the pre-crash one died with its process).
-    pub stats: ProducerStats,
-    /// Produce-to-ack latency (seconds) over the acknowledged records,
-    /// folded as acks arrived; `None` when nothing was acknowledged.
-    pub ack_latency: Option<SummaryStats>,
-    /// Completed record outcomes. Empty unless the scenario called
-    /// [`Scenario::capture_records`].
-    pub outcomes: Vec<ProduceOutcome>,
-    /// All sends as `(topic, seq, created)`. Empty unless the scenario
-    /// called [`Scenario::capture_records`].
-    pub sent_index: Vec<SentRecord>,
-    /// Crash/restart metrics; present when this stub was crashed by the
-    /// fault plan.
-    pub recovery: Option<ClientRecoveryReport>,
-}
-
-/// Per-consumer results.
-#[derive(Debug, Clone, Copy)]
-pub struct ConsumerReport {
-    /// Consumer index.
-    pub id: u32,
-    /// Counters. For a crashed-and-restarted stub these reflect the
-    /// respawned incarnation.
-    pub stats: ConsumerStats,
-    /// Crash/restart metrics; present when this stub was crashed by the
-    /// fault plan.
-    pub recovery: Option<ClientRecoveryReport>,
-}
-
-/// Per-broker results.
-#[derive(Debug, Clone)]
-pub struct BrokerReport {
-    /// Broker id.
-    pub id: BrokerId,
-    /// Counters.
-    pub stats: BrokerStats,
-    /// Leadership transitions (time, partition, became-leader).
-    pub leadership_events: Vec<(SimTime, TopicPartition, bool)>,
-    /// Crash/recovery metrics; present when this broker was crashed by the
-    /// fault plan.
-    pub recovery: Option<BrokerRecoveryReport>,
-}
-
-/// Recovery metrics for one crashed (and possibly restarted) broker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrokerRecoveryReport {
-    /// When the fault plan killed the broker.
-    pub crashed_at: SimTime,
-    /// When the respawned broker started (`None`: never restarted).
-    pub restarted_at: Option<SimTime>,
-    /// When log replay completed and the broker resumed serving.
-    pub recovered_at: Option<SimTime>,
-    /// Records rebuilt from persisted segments.
-    pub replayed_records: u64,
-    /// Encoded segment bytes read back during replay.
-    pub replayed_bytes: u64,
-    /// Segments read back during replay.
-    pub replayed_segments: u64,
-    /// Bytes compaction/retention reclaimed before the crash — replay work
-    /// the restarted broker never had to do. The replay-savings half of the
-    /// bounded-recovery story.
-    pub replay_saved_bytes: u64,
-    /// Distinct partitions some *other* broker was elected leader of at or
-    /// after the crash — leadership that moved off (or shuffled around)
-    /// this broker while it was down. Zero at RF=1: nobody else can take
-    /// over, the partitions just go dark.
-    pub leadership_moves: u64,
-    /// ISR shrink events recorded cluster-wide over the run (leaders
-    /// dropping a lagging or dead replica from the in-sync set).
-    pub isr_shrinks: u64,
-    /// ISR expand events recorded cluster-wide over the run (caught-up
-    /// followers re-admitted to the in-sync set).
-    pub isr_expands: u64,
-}
-
-impl BrokerRecoveryReport {
-    /// Restart-to-serving latency: what durable-log replay costs.
-    pub fn replay_latency(&self) -> Option<SimDuration> {
-        match (self.restarted_at, self.recovered_at) {
-            (Some(a), Some(b)) => Some(b.saturating_since(a)),
-            _ => None,
-        }
-    }
-
-    /// Crash-to-serving latency: the broker's unavailability window.
-    pub fn unavailability(&self) -> Option<SimDuration> {
-        self.recovered_at
-            .map(|t| t.saturating_since(self.crashed_at))
-    }
-}
-
-/// Per-store-replica results.
-#[derive(Debug, Clone)]
-pub struct StoreReport {
-    /// The declared store host (the group's name).
-    pub host: String,
-    /// Replica index within the group (0 = initial primary).
-    pub replica: u32,
-    /// KV keys resident at the end of the run.
-    pub kv_keys: u64,
-    /// Whether this replica was the acting primary at the end of the run.
-    pub is_primary: bool,
-    /// Group op-log entries still retained at the end of the run (bounded
-    /// by peer-acked truncation).
-    pub oplog_len: u64,
-    /// Ops this replica discarded as primary via peer-acked truncation.
-    pub oplog_truncated: u64,
-    /// Crash/recovery metrics; present when this replica was crashed by the
-    /// fault plan.
-    pub recovery: Option<StoreRecoveryReport>,
-}
-
-/// Recovery metrics for one crashed (and possibly restarted) store replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreRecoveryReport {
-    /// When the fault plan killed the replica.
-    pub crashed_at: SimTime,
-    /// When the respawned replica started (`None`: never restarted).
-    pub restarted_at: Option<SimTime>,
-    /// When op-log catch-up completed and the replica rejoined its group.
-    pub resynced_at: Option<SimTime>,
-    /// Ops pulled from a peer during catch-up.
-    pub sync_ops: u64,
-    /// Approximate bytes transferred during catch-up.
-    pub sync_bytes: u64,
-}
-
-impl StoreRecoveryReport {
-    /// Restart-to-rejoined latency: what op-log catch-up costs.
-    pub fn resync_latency(&self) -> Option<SimDuration> {
-        match (self.restarted_at, self.resynced_at) {
-            (Some(a), Some(b)) => Some(b.saturating_since(a)),
-            _ => None,
-        }
-    }
-
-    /// Crash-to-rejoined latency: how long the group ran a member short.
-    pub fn unavailability(&self) -> Option<SimDuration> {
-        self.resynced_at
-            .map(|t| t.saturating_since(self.crashed_at))
-    }
-}
-
-/// Per-SPE-job results.
-#[derive(Debug, Clone)]
-pub struct SpeReport {
-    /// Per-batch metrics.
-    pub metrics: Vec<BatchMetric>,
-    /// `(records_in, records_out)` through the plan.
-    pub record_counts: (u64, u64),
-    /// Locally collected results (Collect sink only).
-    pub collected: Vec<Event>,
-    /// Mean runtime over non-empty batches.
-    pub mean_busy_runtime: SimDuration,
-    /// Checkpoint counters (zeros when checkpointing is disabled).
-    pub checkpoints: CheckpointStats,
-    /// `(accepted, durable)` instants of every persisted capture — the
-    /// per-checkpoint latency series (what store replication inflates).
-    pub checkpoint_log: Vec<(SimTime, SimTime)>,
-    /// The worker's embedded consumer counters; `offset_resets == 0` on a
-    /// recovery run means the worker resumed from committed offsets.
-    pub consumer_stats: ConsumerStats,
-    /// Crash/recovery metrics; present when this job was crashed by the
-    /// fault plan.
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// Recovery metrics for one crashed (and possibly restarted) SPE job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// When the fault plan killed the worker.
-    pub crashed_at: SimTime,
-    /// When the respawned worker started (None: never restarted).
-    pub restarted_at: Option<SimTime>,
-    /// When state restoration completed.
-    pub restored_at: Option<SimTime>,
-    /// Capture time of the newest restored chain element.
-    pub snapshot_taken_at: Option<SimTime>,
-    /// Encoded bytes read back during restore (base + deltas).
-    pub snapshot_bytes: u64,
-    /// Deltas applied on top of the base during restore (0 for a full
-    /// snapshot restore).
-    pub delta_chain_len: u64,
-    /// Completion time of the first post-restart batch with input.
-    pub first_batch_at: Option<SimTime>,
-}
-
-impl RecoveryReport {
-    /// Crash-to-first-processed-batch latency: the user-visible outage.
-    pub fn recovery_latency(&self) -> Option<SimDuration> {
-        self.first_batch_at
-            .map(|t| t.saturating_since(self.crashed_at))
-    }
-
-    /// Restart-to-restore latency: what the state backend costs.
-    pub fn restore_latency(&self) -> Option<SimDuration> {
-        match (self.restarted_at, self.restored_at) {
-            (Some(a), Some(b)) => Some(b.saturating_since(a)),
-            _ => None,
-        }
-    }
-}
-
-/// Everything measured during a run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Scenario name.
-    pub name: String,
-    /// Configured duration.
-    pub duration: SimTime,
-    /// The modeled server.
-    pub server: ServerSpec,
-    /// Kernel counters.
-    pub sim_stats: SimStats,
-    /// Producer results, by declaration order.
-    pub producers: Vec<ProducerReport>,
-    /// Consumer results, by declaration order.
-    pub consumers: Vec<ConsumerReport>,
-    /// Broker results, by id.
-    pub brokers: Vec<BrokerReport>,
-    /// Store-replica results, in flattened replica order (declaration
-    /// order x replication factor). Empty when no store is declared.
-    pub stores: Vec<StoreReport>,
-    /// SPE results, by job name. For parallel jobs this is the aggregated
-    /// view (stage-0 input, last-stage output, summed counters); the
-    /// per-instance breakdown is in
-    /// [`spe_instances`](RunReport::spe_instances).
-    pub spe: BTreeMap<String, SpeReport>,
-    /// Per-instance SPE results of parallel jobs, keyed by
-    /// `job/stage/instance` (empty when no job is parallel).
-    pub spe_instances: BTreeMap<String, SpeReport>,
-    /// Memory samples (500 ms cadence).
-    pub mem_samples: Vec<(SimTime, u64)>,
-    /// Peak memory observed.
-    pub peak_mem_bytes: u64,
-    /// Server CPU utilization per sampling window.
-    pub cpu_series: Vec<(SimTime, f64)>,
-    /// Per-node transmit throughput series (when watched).
-    pub tx_series: Vec<TxSeries>,
-    /// Every metric time series the telemetry sampler collected (empty when
-    /// sampling is disabled via [`Scenario::with_telemetry`]): consumer lag
-    /// per partition, per-instance record counts, broker log/LSO gauges,
-    /// checkpoint counters, store op-log lengths, host CPU occupancy.
-    pub metric_series: Vec<MetricSeries>,
-    /// Times a shared [`RecordBatch`](s2g_proto::RecordBatch) had to be
-    /// deep-copied during the run. The batch-first data plane keeps this at
-    /// zero; a regression that reintroduces per-consumer record cloning
-    /// shows up here (also exported as the `runtime/shared_batch_copies`
-    /// telemetry counter).
-    pub shared_batch_copies: u64,
-}
-
-impl RunReport {
-    /// Peak memory as a fraction of the server's memory.
-    pub fn peak_mem_fraction(&self) -> f64 {
-        self.peak_mem_bytes as f64 / self.server.mem_bytes as f64
-    }
-
-    /// CPU utilization samples as plain numbers (for CDFs).
-    pub fn cpu_samples(&self) -> Vec<f64> {
-        self.cpu_series.iter().map(|(_, u)| *u).collect()
-    }
-}
-
-/// A finished run: the report plus live handles for deeper inspection.
-pub struct RunResult {
-    /// The simulator (query processes via `process_ref`).
-    pub sim: Sim,
-    /// The emulated network.
-    pub net: NetHandle,
-    /// The delivery monitor.
-    pub monitor: MonitorHandle,
-    /// The memory ledger.
-    pub ledger: LedgerHandle,
-    /// Per-host CPU models.
-    pub cpus: BTreeMap<String, CpuHandle>,
-    /// Broker process ids, by broker id.
-    pub broker_pids: Vec<ProcessId>,
-    /// Producer process ids, by declaration order.
-    pub producer_pids: Vec<ProcessId>,
-    /// Consumer process ids, by declaration order.
-    pub consumer_pids: Vec<ProcessId>,
-    /// SPE worker process ids: by job name for classic jobs, by
-    /// `job/stage/instance` for parallel jobs' instances.
-    pub spe_pids: BTreeMap<String, ProcessId>,
-    /// Store process ids, by host (a replicated store's replica 0).
-    pub store_pids: BTreeMap<String, ProcessId>,
-    /// Every store replica's process id, by declared host, in member-index
-    /// order (equals `store_pids` singletons without replication).
-    pub store_group_pids: BTreeMap<String, Vec<ProcessId>>,
-    /// The in-memory checkpoint snapshots taken during the run, by job name
-    /// (empty for durable backends, whose snapshots live in the store).
-    pub checkpoint_snapshots: SnapshotStoreHandle,
-    /// The run-wide telemetry handle: the live metrics registry, the
-    /// sampled time series (`tidy_csv()`), and the causal event trace
-    /// (`chrome_json()` when tracing was enabled).
-    pub telemetry: Telemetry,
-    /// The measurements.
-    pub report: RunReport,
-}
-
-impl RunResult {
-    /// Builds the Fig. 6b delivery matrix for one producer across all
-    /// consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the scenario called [`Scenario::capture_records`]: the
-    /// matrix is made of record identities.
-    pub fn delivery_matrix(&self, producer_idx: usize) -> DeliveryMatrix {
-        let p = &self.report.producers[producer_idx];
-        let consumers: Vec<u32> = self.report.consumers.iter().map(|c| c.id).collect();
-        let core = self.monitor.borrow();
-        DeliveryMatrix::build(&core, p.id, p.sent_index.clone(), &consumers)
-    }
-
-    /// Mean end-to-end latency over a topic's deliveries.
-    pub fn mean_latency(&self, topic: &str) -> Option<SimDuration> {
-        self.monitor.borrow().mean_latency(topic)
-    }
-
-    /// Total records delivered across all consumers.
-    pub fn total_deliveries(&self) -> usize {
-        self.monitor.borrow().total_deliveries() as usize
-    }
-}
-
-impl fmt::Debug for RunResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunResult")
-            .field("report", &self.report.name)
-            .field("deliveries", &self.total_deliveries())
             .finish()
     }
 }

@@ -645,6 +645,40 @@ fn s2g025_restart_without_crash() {
 }
 
 #[test]
+fn s2g026_host_override_names_no_host() {
+    let link = LinkSpec::new().latency(SimDuration::from_micros(50));
+    let mut sc = base("t");
+    add_producer(&mut sc); // hosts: bh1, ph, ctl1
+    sc.host_link("pf", link).host_cpu_percentage("bh2", 50.0);
+    let report = sc.analyze();
+    assert_eq!(level_of(&sc, "S2G026"), Some(Level::Warn));
+    let flagged: Vec<&str> = (report.diagnostics.iter())
+        .filter(|d| d.code == "S2G026")
+        .map(|d| d.suggestion.as_str())
+        .collect();
+    assert_eq!(flagged.len(), 2, "one per misspelt override: {report}");
+    assert!(flagged[0].contains("did you mean `ph`"), "{report}");
+    assert!(flagged[1].contains("did you mean `bh1`"), "{report}");
+
+    // With an explicit topology the topology's nodes are the host layout.
+    let mut topo = Topology::new();
+    for host in ["bh1", "ctl1", "ph"] {
+        topo.add_host(host).unwrap();
+    }
+    topo.add_link("bh1", "ctl1", link).unwrap();
+    topo.add_link("ph", "bh1", link).unwrap();
+    let mut explicit = base("t");
+    add_producer(&mut explicit);
+    explicit.topology(topo).host_cpu_percentage("ctl2", 50.0);
+    assert_eq!(level_of(&explicit, "S2G026"), Some(Level::Warn));
+
+    let mut clean = base("t");
+    add_producer(&mut clean);
+    clean.host_link("ph", link).host_cpu_percentage("bh1", 50.0);
+    assert_eq!(level_of(&clean, "S2G026"), None);
+}
+
+#[test]
 fn report_collects_every_violation_not_just_the_first() {
     let mut sc = Scenario::new("t");
     sc.duration(SimTime::from_secs(10))

@@ -155,3 +155,116 @@ fn cpu_percentage_cap_slows_processing() {
         "a 25% CPU share must slow batches: {full} vs {capped}"
     );
 }
+
+/// One scenario carrying all five crashable component kinds: a broker, a
+/// store replica, an SPE job, a producer stub and a consumer stub.
+fn five_kinds(plan: FaultPlan) -> Scenario {
+    use stream2gym::core::{SpeJobSpec, SpeSinkSpec};
+    use stream2gym::spe::{Plan, SpeConfig};
+
+    let mut sc = base_scenario("five-kinds", 11);
+    sc.duration(SimTime::from_secs(30))
+        .topic(TopicSpec::new("out"))
+        .store("hst", Default::default())
+        .spe_job(
+            "hj",
+            SpeJobSpec::new(
+                "identity",
+                vec!["events".into()],
+                Plan::new,
+                SpeSinkSpec::Topic("out".into()),
+                SpeConfig::default(),
+            ),
+        )
+        .consumer("hc2", Default::default(), &["out"]);
+    sc.faults(plan);
+    sc
+}
+
+/// The fault executor's edge cases hold for every component kind alike: an
+/// unpaired restart and a second crash of a dead target are no-ops, and a
+/// crash with no restart still reports from the dead process's remains.
+#[test]
+fn fault_edge_cases_hold_for_every_component_kind() {
+    use stream2gym::core::RunReport;
+    type Recovery = fn(&RunReport) -> Option<(SimTime, Option<SimTime>)>;
+    let kinds: [(&str, FaultAction, FaultAction, Recovery); 5] = [
+        (
+            "SPE job",
+            FaultAction::CrashProcess("identity".into()),
+            FaultAction::RestartProcess("identity".into()),
+            |r| {
+                let rec = r.spe["identity"].recovery?;
+                Some((rec.crashed_at, rec.restarted_at))
+            },
+        ),
+        (
+            "producer-0",
+            FaultAction::CrashProcess("producer-0".into()),
+            FaultAction::RestartProcess("producer-0".into()),
+            |r| {
+                let rec = r.producers[0].recovery?;
+                Some((rec.crashed_at, rec.restarted_at))
+            },
+        ),
+        (
+            "consumer-0",
+            FaultAction::CrashProcess("consumer-0".into()),
+            FaultAction::RestartProcess("consumer-0".into()),
+            |r| {
+                let rec = r.consumers[0].recovery?;
+                Some((rec.crashed_at, rec.restarted_at))
+            },
+        ),
+        (
+            "broker 0",
+            FaultAction::CrashBroker(0),
+            FaultAction::RestartBroker(0),
+            |r| {
+                let rec = r.brokers[0].recovery?;
+                Some((rec.crashed_at, rec.restarted_at))
+            },
+        ),
+        (
+            "store replica 0",
+            FaultAction::CrashStore(0),
+            FaultAction::RestartStore(0),
+            |r| {
+                let rec = r.stores[0].recovery?;
+                Some((rec.crashed_at, rec.restarted_at))
+            },
+        ),
+    ];
+    let at = SimTime::from_secs(5);
+    let later = SimTime::from_secs(9);
+    let report = |plan: FaultPlan| format!("{:?}", five_kinds(plan).run().expect("runs").report);
+    let clean = report(FaultPlan::new());
+    for (kind, crash, restart, recovery) in kinds {
+        assert_eq!(
+            report(FaultPlan::new().at(at, restart)),
+            clean,
+            "{kind}: an unpaired restart must leave the run untouched"
+        );
+        let once = five_kinds(FaultPlan::new().at(at, crash.clone()))
+            .run()
+            .expect("runs")
+            .report;
+        assert_eq!(
+            report(FaultPlan::new().at(at, crash.clone()).at(later, crash)),
+            format!("{once:?}"),
+            "{kind}: crashing a dead target again must change nothing"
+        );
+        assert_ne!(format!("{once:?}"), clean, "{kind}: the crash took effect");
+        assert_eq!(
+            recovery(&once),
+            Some((at, None)),
+            "{kind}: a never-restarted target still reports, from its corpse"
+        );
+    }
+    // The corpse carries the pre-crash counters, not zeros.
+    let dead_producer = five_kinds(FaultPlan::new().crash_process("producer-0", at))
+        .run()
+        .expect("runs")
+        .report;
+    assert!(dead_producer.producers[0].stats.sent > 0);
+}
