@@ -192,6 +192,9 @@ struct LeaderState {
     follower_end: HashMap<BrokerId, Offset>,
     caught_up_at: HashMap<BrokerId, SimTime>,
     pending: Vec<PendingProduce>,
+    /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauge names, built
+    /// once per reign: every watermark move sets both gauges.
+    gap_gauges: [String; 2],
 }
 
 #[derive(Debug)]
@@ -205,6 +208,18 @@ struct FollowerState {
 enum Role {
     Leader(LeaderState),
     Follower(FollowerState),
+}
+
+/// One partition's highest `(producer_epoch, seq)` per producer id. Nested
+/// under the partition so the per-record dedup check is an integer lookup:
+/// no `(TopicPartition, producer)` key, hence no topic `String`, is built
+/// per record.
+type ProducerSeqs = BTreeMap<u32, (u32, u64)>;
+
+/// Raises `producer`'s stamp to `stamp` if that is higher.
+fn raise_seq(seqs: &mut ProducerSeqs, producer: u32, stamp: (u32, u64)) {
+    let entry = seqs.entry(producer).or_insert(stamp);
+    *entry = (*entry).max(stamp);
 }
 
 /// Transaction bookkeeping for one partition: open transactions (their
@@ -334,13 +349,13 @@ pub struct Broker {
     /// broker coordinates (clients route group RPCs by `fnv1a(group) %
     /// brokers`, so exactly one broker coordinates each group).
     groups: GroupCoordinator,
-    /// Highest `(producer_epoch, seq)` appended per `(partition, producer)`
+    /// Highest `(producer_epoch, seq)` appended per partition and producer
     /// — the idempotent-producer dedup state. Rebuilt from the log on
     /// restart replay and after divergence truncation, so a batch retried
     /// across a broker bounce is acknowledged without duplicating records,
     /// while a respawned client (bumped epoch, sequence restarting at zero)
     /// is accepted as fresh.
-    last_producer_seq: BTreeMap<(TopicPartition, u32), (u32, u64)>,
+    last_producer_seq: BTreeMap<TopicPartition, ProducerSeqs>,
     /// Per-partition transaction markers (transactional sinks).
     txns: BTreeMap<TopicPartition, PartitionTxns>,
     /// Producer dedup state mirrored from the leader while following,
@@ -350,7 +365,7 @@ pub struct Broker {
     /// so a failover never re-admits a duplicate the old leader had
     /// filtered. Only populated from fetches made while fully caught up,
     /// so every mirrored stamp is covered by the local log.
-    mirrored_seqs: BTreeMap<(TopicPartition, u32), (u32, u64)>,
+    mirrored_seqs: BTreeMap<TopicPartition, ProducerSeqs>,
     /// Sticky per-partition compression: the codec of the last produced (or
     /// replicated) batch, stamped onto fetch responses so consumers pay the
     /// decompress cost — the broker itself never re-codes batches, exactly
@@ -461,8 +476,8 @@ impl Broker {
     /// unreplicated suffix (log end minus high watermark) and `lso_gap` is
     /// the open-transaction window (high watermark minus last stable
     /// offset) that read-committed consumers cannot see yet.
-    fn telemetry_partition_gauges(&mut self, tp: &TopicPartition) {
-        let Some(log) = self.logs.get(tp) else {
+    fn telemetry_partition_gauges(&self, tp: &TopicPartition) {
+        let (Some(log), Some(Role::Leader(ls))) = (self.logs.get(tp), self.roles.get(tp)) else {
             return;
         };
         let hw = log.high_watermark().value();
@@ -472,10 +487,10 @@ impl Broker {
             .get(tp)
             .and_then(PartitionTxns::lso)
             .map_or(hw, |l| l.min(hw));
+        let [hw_gap_name, lso_gap_name] = &ls.gap_gauges;
+        self.tele.gauge_set(&self.name, hw_gap_name, hw_gap as f64);
         self.tele
-            .gauge_set(&self.name, &format!("hw_gap/{tp}"), hw_gap as f64);
-        self.tele
-            .gauge_set(&self.name, &format!("lso_gap/{tp}"), (hw - lso) as f64);
+            .gauge_set(&self.name, lso_gap_name, (hw - lso) as f64);
     }
 
     /// Attaches a durable-log backend. Dirty segments and the meta blob are
@@ -650,18 +665,18 @@ impl Broker {
     /// Rebuilds the idempotent-producer dedup state of one partition from
     /// its log (after truncation or restart replay).
     fn rebuild_producer_seq(&mut self, tp: &TopicPartition) {
-        self.last_producer_seq.retain(|(t, _), _| t != tp);
+        self.last_producer_seq.remove(tp);
         let Some(log) = self.logs.get(tp) else {
             return;
         };
+        let mut seqs = ProducerSeqs::new();
         for seg in log.segments() {
             for e in seg.entries() {
-                let key = (tp.clone(), e.record.producer.0);
                 let stamp = (e.record.producer_epoch, e.record.producer_seq);
-                let entry = self.last_producer_seq.entry(key).or_insert(stamp);
-                *entry = (*entry).max(stamp);
+                raise_seq(&mut seqs, e.record.producer.0, stamp);
             }
         }
+        self.last_producer_seq.insert(tp.clone(), seqs);
     }
 
     /// The partition's log, created with the configured segment size on
@@ -890,20 +905,28 @@ impl Broker {
                 // taking ownership here would force a deep copy. Cloning a
                 // `Record` only bumps the payload refcounts.
                 let mut fresh: Vec<Record> = Vec::with_capacity(batch.len());
-                for r in batch.iter() {
-                    let key = (tp.clone(), r.producer.0);
-                    // Same-or-older (epoch, seq) is a stale retry; a bumped
-                    // epoch is a respawned client restarting at seq zero.
-                    let dup = self
-                        .last_producer_seq
-                        .get(&key)
-                        .is_some_and(|last| (r.producer_epoch, r.producer_seq) <= *last);
-                    if dup {
-                        self.stats.duplicates_filtered += 1;
-                    } else {
-                        self.last_producer_seq
-                            .insert(key, (r.producer_epoch, r.producer_seq));
-                        fresh.push(r.clone());
+                let seqs = self.last_producer_seq.entry(tp.clone()).or_default();
+                // One lookup and one write-back per run of records from the
+                // same producer (a batch is normally a single run), with
+                // the run's latest stamp carried in between so a later
+                // record still sees an earlier one of its own batch.
+                for run in batch.records().chunk_by(|a, b| a.producer == b.producer) {
+                    let producer = run[0].producer.0;
+                    let mut last = seqs.get(&producer).copied();
+                    for r in run {
+                        // Same-or-older (epoch, seq) is a stale retry; a
+                        // bumped epoch is a respawned client restarting at
+                        // seq zero.
+                        let stamp = (r.producer_epoch, r.producer_seq);
+                        if last.is_some_and(|last| stamp <= last) {
+                            self.stats.duplicates_filtered += 1;
+                        } else {
+                            last = Some(stamp);
+                            fresh.push(r.clone());
+                        }
+                    }
+                    if let Some(last) = last {
+                        seqs.insert(producer, last);
                     }
                 }
                 let n = fresh.len();
@@ -1244,7 +1267,7 @@ impl Broker {
                     (0, Vec::new(), ErrorCode::Fenced)
                 } else {
                     let metadata = &self.metadata;
-                    let partitions_of = |t: &str| metadata.partitions_of(t);
+                    let partitions_of = |t: &str| metadata.partitions_of(t).cloned().collect();
                     let (generation, assigned) =
                         self.groups
                             .join(now, &group, &member, topics, &partitions_of);
@@ -1483,9 +1506,10 @@ impl Broker {
                     .unwrap_or_default();
                 let producer_seqs: Vec<(u32, u32, u64)> = if start >= leader_end {
                     self.last_producer_seq
-                        .iter()
-                        .filter(|((t, _), _)| *t == tp)
-                        .map(|((_, p), (e, s))| (*p, *e, *s))
+                        .get(&tp)
+                        .into_iter()
+                        .flatten()
+                        .map(|(p, (e, s))| (*p, *e, *s))
                         .collect()
                 } else {
                     Vec::new()
@@ -1555,7 +1579,7 @@ impl Broker {
                     // records — drop them; the next caught-up fetch
                     // repopulates from the new reign's leader.
                     self.rebuild_producer_seq(&tp);
-                    self.mirrored_seqs.retain(|(t, _), _| *t != tp);
+                    self.mirrored_seqs.remove(&tp);
                     // The durable floor must shrink with the log: offsets
                     // beyond the truncation point are no longer covered by
                     // a valid flush, and future appends there must wait for
@@ -1579,6 +1603,7 @@ impl Broker {
                         .insert(tp.clone(), batch.compression());
                 }
                 let log = Self::log_mut(&mut self.logs, &self.cfg, &tp);
+                let seqs = self.last_producer_seq.entry(tp.clone()).or_default();
                 let mut appended = 0u64;
                 // The follower is the batch's sole owner (the leader built
                 // it for this reply), so this unwraps the Arc in place.
@@ -1588,10 +1613,8 @@ impl Broker {
                     // leader log serves holes, and replicas must preserve
                     // offsets to stay byte-identical.
                     let off = offsets.get(i).copied().unwrap_or_else(|| log.log_end());
-                    let key = (tp.clone(), rec.producer.0);
                     let stamp = (rec.producer_epoch, rec.producer_seq);
-                    let entry = self.last_producer_seq.entry(key).or_insert(stamp);
-                    *entry = (*entry).max(stamp);
+                    raise_seq(seqs, rec.producer.0, stamp);
                     let bytes = rec.encoded_len() as u64;
                     if log.append_at(off, e, rec) {
                         appended += 1;
@@ -1626,9 +1649,11 @@ impl Broker {
                 }
                 // Caught-up fetches carry the leader's dedup stamps (all
                 // covered by our log); stash them for promotion time.
-                for (p, e, s) in producer_seqs {
-                    let entry = self.mirrored_seqs.entry((tp.clone(), p)).or_insert((e, s));
-                    *entry = (*entry).max((e, s));
+                if !producer_seqs.is_empty() {
+                    let mirrored = self.mirrored_seqs.entry(tp.clone()).or_default();
+                    for (p, e, s) in producer_seqs {
+                        raise_seq(mirrored, p, (e, s));
+                    }
                 }
                 self.update_mem();
                 if (n > 0 || truncate_to.is_some() || txns_changed) && self.durability.is_some() {
@@ -2263,6 +2288,7 @@ impl Broker {
                                     follower_end: HashMap::new(),
                                     caught_up_at,
                                     pending: Vec::new(),
+                                    gap_gauges: [format!("hw_gap/{tp}"), format!("lso_gap/{tp}")],
                                 }),
                             );
                             Self::log_mut(&mut self.logs, &self.cfg, &tp);
@@ -2272,20 +2298,12 @@ impl Broker {
                             // one would have. (The mirrored transaction
                             // ranges are already installed in `txns` and
                             // carry over as-is.)
-                            let mirrored: Vec<(u32, (u32, u64))> = self
-                                .mirrored_seqs
-                                .iter()
-                                .filter(|((t, _), _)| *t == tp)
-                                .map(|((_, p), stamp)| (*p, *stamp))
-                                .collect();
-                            for (p, stamp) in mirrored {
-                                let entry = self
-                                    .last_producer_seq
-                                    .entry((tp.clone(), p))
-                                    .or_insert(stamp);
-                                *entry = (*entry).max(stamp);
+                            if let Some(mirrored) = self.mirrored_seqs.remove(&tp) {
+                                let seqs = self.last_producer_seq.entry(tp.clone()).or_default();
+                                for (p, stamp) in mirrored {
+                                    raise_seq(seqs, p, stamp);
+                                }
                             }
-                            self.mirrored_seqs.retain(|(t, _), _| *t != tp);
                             self.leadership_events.push((now, tp.clone(), true));
                             ctx.trace_with("broker", || {
                                 format!("{} became leader of {tp}", self.name)
@@ -2413,7 +2431,7 @@ impl Process for Broker {
                 // and their partitions reassigned to the survivors.
                 let now = ctx.now();
                 let metadata = &self.metadata;
-                let partitions_of = |t: &str| metadata.partitions_of(t);
+                let partitions_of = |t: &str| metadata.partitions_of(t).cloned().collect();
                 self.groups
                     .sweep_sessions(now, self.cfg.group_session_timeout, &partitions_of);
                 ctx.set_timer(self.cfg.heartbeat_interval, tags::HEARTBEAT_TICK);

@@ -449,9 +449,9 @@ impl ConsumerClient {
         }
         let mut tps: Vec<TopicPartition> = Vec::new();
         for topic in &self.subscriptions {
+            let n = self.metadata.partition_count(topic);
             let parts = self.metadata.partitions_of(topic);
-            let n = parts.len();
-            tps.extend(parts.into_iter().filter(|tp| self.owns(tp, n)));
+            tps.extend(parts.filter(|tp| self.owns(tp, n)).cloned());
         }
         if tps.is_empty() {
             self.request_metadata(ctx);
@@ -495,7 +495,7 @@ impl ConsumerClient {
         if self.cfg.group.is_some() && !self.offsets_restored {
             return;
         }
-        let n_parts = self.metadata.partitions_of(&tp.topic).len();
+        let n_parts = self.metadata.partition_count(&tp.topic);
         if !self.owns(&tp, n_parts) {
             return;
         }

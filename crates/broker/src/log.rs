@@ -185,7 +185,10 @@ impl LogSegment {
     /// Deserializes a segment written by [`encode`](LogSegment::encode).
     /// Returns `None` on truncated, malformed, or unknown-version input.
     pub fn decode(buf: &[u8]) -> Option<LogSegment> {
-        let mut cur = Cursor::new(buf);
+        // One copy into a shared buffer; every replayed record is a view of
+        // it (and keeps it alive) instead of two allocations of its own.
+        let frame = Bytes::copy_from_slice(buf);
+        let mut cur = Cursor::new(&frame);
         if cur.u8()? != SEGMENT_CODEC_VERSION {
             return None;
         }
@@ -197,7 +200,7 @@ impl LogSegment {
         let mut bytes = 0;
         for _ in 0..count {
             let epoch = LeaderEpoch(cur.uvarint()?);
-            let (offset, record) = read_frame_record(&mut cur, Offset(base), base_ts)?;
+            let (offset, record) = read_frame_record(&frame, &mut cur, Offset(base), base_ts)?;
             bytes += record.encoded_len();
             entries.push(LogEntry {
                 offset,
@@ -1055,6 +1058,14 @@ mod tests {
     }
 
     #[test]
+    fn log_entry_stays_nine_words() {
+        // Offset, epoch and a 56 B record whose key and value are views of
+        // their batch's buffer: this is what a run retains per record and
+        // replica, so growth here is peak RSS everywhere.
+        assert_eq!(std::mem::size_of::<LogEntry>(), 72);
+    }
+
+    #[test]
     fn append_assigns_sequential_offsets() {
         let mut log = PartitionLog::new();
         assert_eq!(log.append(LeaderEpoch(0), rec("a")), Offset(0));
@@ -1227,6 +1238,18 @@ mod tests {
         assert_eq!(decoded.entries[1].offset, Offset(1));
         assert_eq!(decoded.entries[1].record.value_utf8(), "plain");
         assert_eq!(decoded.bytes(), seg.bytes());
+        // The replayed records are views of one copy of the blob, in blob
+        // order; every strict prefix is rejected, never sliced past.
+        let blob = seg.encode();
+        let views = [
+            &decoded.entries[0].record.value,
+            &decoded.entries[1].record.value,
+        ];
+        let gap = views[1].as_ptr() as usize - views[0].as_ptr() as usize;
+        assert!((views[0].len()..blob.len()).contains(&gap));
+        for cut in 0..blob.len() {
+            assert!(LogSegment::decode(&blob[..cut]).is_none(), "cut {cut}");
+        }
         // Garbage is rejected, not mis-decoded.
         assert!(LogSegment::decode(&[1, 2, 3]).is_none());
         // So is any version but the current one, the retired v2 included.

@@ -104,7 +104,11 @@ pub fn plan_assignments_racked(
 #[derive(Debug, Clone, Default)]
 pub struct MetadataCache {
     version: u64,
-    partitions: BTreeMap<TopicPartition, PartitionMetadata>,
+    /// Topic → partition index → metadata. Nested (rather than keyed by
+    /// `TopicPartition`) so the per-fetch and per-flush questions — how many
+    /// partitions has this topic, which are they — are one `&str` lookup
+    /// that allocates nothing and visits no other topic.
+    topics: BTreeMap<String, BTreeMap<u32, PartitionMetadata>>,
 }
 
 impl MetadataCache {
@@ -123,7 +127,11 @@ impl MetadataCache {
         if version < self.version {
             return; // stale snapshot
         }
-        self.partitions = snapshot.into_iter().map(|p| (p.tp.clone(), p)).collect();
+        self.topics.clear();
+        for p in snapshot {
+            let parts = self.topics.entry(p.tp.topic.clone()).or_default();
+            parts.insert(p.tp.partition, p);
+        }
         self.version = version;
     }
 
@@ -140,16 +148,16 @@ impl MetadataCache {
                 epoch,
             } = r
             {
-                let entry =
-                    self.partitions
-                        .entry(tp.clone())
-                        .or_insert_with(|| PartitionMetadata {
-                            tp: tp.clone(),
-                            leader: None,
-                            epoch: LeaderEpoch(0),
-                            isr: Vec::new(),
-                            replicas: Vec::new(),
-                        });
+                let parts = self.topics.entry(tp.topic.clone()).or_default();
+                let entry = parts
+                    .entry(tp.partition)
+                    .or_insert_with(|| PartitionMetadata {
+                        tp: tp.clone(),
+                        leader: None,
+                        epoch: LeaderEpoch(0),
+                        isr: Vec::new(),
+                        replicas: Vec::new(),
+                    });
                 if *epoch >= entry.epoch {
                     entry.leader = *leader;
                     entry.isr = isr.clone();
@@ -162,46 +170,54 @@ impl MetadataCache {
 
     /// The current leader of a partition, if known.
     pub fn leader(&self, tp: &TopicPartition) -> Option<BrokerId> {
-        self.partitions.get(tp).and_then(|p| p.leader)
+        self.get(tp).and_then(|p| p.leader)
     }
 
     /// The cached epoch of a partition.
     pub fn epoch(&self, tp: &TopicPartition) -> LeaderEpoch {
-        self.partitions.get(tp).map(|p| p.epoch).unwrap_or_default()
+        self.get(tp).map(|p| p.epoch).unwrap_or_default()
     }
 
-    /// All partitions of a topic, sorted by partition index.
-    pub fn partitions_of(&self, topic: &str) -> Vec<TopicPartition> {
-        let mut v: Vec<TopicPartition> = self
-            .partitions
-            .keys()
-            .filter(|tp| tp.topic == topic)
-            .cloned()
-            .collect();
-        v.sort();
-        v
+    fn get(&self, tp: &TopicPartition) -> Option<&PartitionMetadata> {
+        self.topics.get(tp.topic.as_str())?.get(&tp.partition)
+    }
+
+    /// All partitions of a topic, in partition order.
+    pub fn partitions_of(&self, topic: &str) -> impl Iterator<Item = &TopicPartition> + '_ {
+        self.topics
+            .get(topic)
+            .into_iter()
+            .flat_map(|parts| parts.values().map(|p| &p.tp))
+    }
+
+    /// How many partitions of a topic the cache knows.
+    pub fn partition_count(&self, topic: &str) -> usize {
+        self.topics.get(topic).map_or(0, BTreeMap::len)
     }
 
     /// Whether the cache knows the given topic.
     pub fn has_topic(&self, topic: &str) -> bool {
-        self.partitions.keys().any(|tp| tp.topic == topic)
+        self.topics.contains_key(topic)
     }
 
-    /// A full snapshot for serving metadata responses.
+    /// A full snapshot for serving metadata responses, in `(topic,
+    /// partition)` order.
     pub fn snapshot(&self) -> Vec<PartitionMetadata> {
-        let mut v: Vec<PartitionMetadata> = self.partitions.values().cloned().collect();
-        v.sort_by(|a, b| a.tp.cmp(&b.tp));
-        v
+        self.topics
+            .values()
+            .flat_map(BTreeMap::values)
+            .cloned()
+            .collect()
     }
 
     /// Number of cached partitions.
     pub fn len(&self) -> usize {
-        self.partitions.len()
+        self.topics.values().map(BTreeMap::len).sum()
     }
 
     /// True when the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.partitions.is_empty()
+        self.topics.is_empty()
     }
 }
 
@@ -211,6 +227,32 @@ mod tests {
 
     fn brokers(n: u32) -> Vec<BrokerId> {
         (0..n).map(BrokerId).collect()
+    }
+
+    #[test]
+    fn partitions_of_is_the_topics_own_partitions_in_order() {
+        // Topics that sort before, between and after, one a prefix of
+        // another, and more than ten partitions (so "t-10" vs "t-2" string
+        // order would show).
+        let topics = vec![
+            TopicSpec::new("t").partitions(12),
+            TopicSpec::new("a").partitions(2),
+            TopicSpec::new("t2").partitions(3),
+            TopicSpec::new("z"),
+        ];
+        let mut cache = MetadataCache::new();
+        cache.install_snapshot(plan_assignments(&topics, &brokers(3)), 1);
+        let ids = |t: &str| -> Vec<u32> { cache.partitions_of(t).map(|tp| tp.partition).collect() };
+        assert_eq!(ids("t"), (0..12).collect::<Vec<_>>());
+        assert!(cache.partitions_of("t").all(|tp| tp.topic == "t"));
+        assert_eq!(ids("t2"), vec![0, 1, 2]);
+        assert_eq!(ids("a"), vec![0, 1]);
+        assert_eq!(ids("z"), vec![0]);
+        assert_eq!(ids("s"), Vec::<u32>::new());
+        assert_eq!(ids("zz"), Vec::<u32>::new());
+        assert_eq!(cache.partition_count("t"), 12);
+        assert_eq!(cache.partition_count("t1"), 0);
+        assert!(cache.has_topic("t2") && !cache.has_topic(""));
     }
 
     #[test]
@@ -349,7 +391,7 @@ mod tests {
         assert_eq!(cache.snapshot(), plan);
         assert!(cache.has_topic("t"));
         assert!(!cache.has_topic("zz"));
-        assert_eq!(cache.partitions_of("t").len(), 2);
+        assert_eq!(cache.partition_count("t"), 2);
         // Older snapshot refused.
         cache.install_snapshot(vec![], 3);
         assert_eq!(cache.len(), 2);

@@ -19,9 +19,12 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
+use bytes::Bytes;
 use rand::rngs::StdRng;
 
-use s2g_proto::{ClientRpc, CorrelationId, ProducerId, Record, RecordBatch, TopicPartition};
+use s2g_proto::{
+    ClientRpc, CorrelationId, ProducerId, Record, RecordBatch, TopicPartition, RECORD_OVERHEAD,
+};
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
     TimerToken,
@@ -110,6 +113,17 @@ pub struct ProducerStats {
     pub retries: u64,
 }
 
+/// One accepted record's place in its topic's accumulation buffer. The key
+/// bytes (when keyed) and then the value bytes follow the previous record's
+/// back to back, so the lengths alone locate them.
+#[derive(Debug)]
+struct Pending {
+    key_len: Option<usize>,
+    value_len: usize,
+    timestamp: SimTime,
+    seq: u64,
+}
+
 /// One topic's accumulating batch, created on the topic's first record and
 /// kept for the client's lifetime.
 #[derive(Debug)]
@@ -118,7 +132,15 @@ struct AccumBatch {
     id: u64,
     /// The interned topic name captured record identities share.
     topic: Rc<str>,
-    records: Vec<Record>,
+    /// Key and value bytes of every pending record. A flush freezes it into
+    /// the one shared buffer the sealed records are views of: a record
+    /// costs no allocation of its own between `send` and the log.
+    buf: Vec<u8>,
+    pending: Vec<Pending>,
+    /// Length of the last frozen buffer: the next one is allocated at that
+    /// size, once, instead of doubling its way up from empty.
+    buf_hint: usize,
+    /// Encoded (framing included) size of the pending records.
     bytes: usize,
     linger_timer: Option<TimerToken>,
     /// Round-robin cursor for keyless sub-batches.
@@ -546,33 +568,32 @@ impl ProducerClient {
         key: Option<Vec<u8>>,
         value: Vec<u8>,
     ) -> bool {
-        let record = match key {
-            Some(k) => Record::new(k, value, ctx.now()),
-            None => Record::keyless(value, ctx.now()),
-        }
-        .from_producer(self.id, self.next_seq)
-        .with_producer_epoch(self.epoch);
-        let bytes = record.encoded_len();
-        if self.buffer_used + bytes > self.cfg.buffer_memory {
-            self.stats.buffer_rejected += 1;
-            return false;
-        }
-        self.next_seq += 1;
-        self.stats.sent += 1;
-        if let Some(t) = self.txn {
-            *self.txn_sent.entry(t).or_insert(0) += 1;
-        }
-        self.buffer_used += bytes;
-        self.update_mem();
-        if !self.cfg.cpu_per_record.is_zero() {
-            ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
-        }
+        self.send_with(ctx, topic, key.as_deref(), |buf| {
+            buf.extend_from_slice(&value);
+        })
+    }
+
+    /// Queues one record for `topic` whose value `encode_value` appends to
+    /// the topic's batch buffer — the form for callers that would otherwise
+    /// serialize into a `Vec` of their own first. The encoder must only
+    /// append. Returns `false` (and counts a buffer rejection) when the
+    /// buffer pool is exhausted; the record's bytes are then rolled back
+    /// out of the buffer.
+    pub fn send_with(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        topic: &str,
+        key: Option<&[u8]>,
+        encode_value: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
         // Look up by `&str`; only a topic's first record allocates its name.
         if !self.accum.contains_key(topic) {
             let batch = AccumBatch {
                 id: self.accum.len() as u64,
                 topic: Rc::from(topic),
-                records: Vec::new(),
+                buf: Vec::new(),
+                pending: Vec::new(),
+                buf_hint: 0,
                 bytes: 0,
                 linger_timer: None,
                 rr: 0,
@@ -580,19 +601,54 @@ impl ProducerClient {
             self.accum.insert(topic.to_string(), batch);
         }
         let entry = self.accum.get_mut(topic).expect("inserted above");
-        if self.capture {
-            self.sent_index
-                .push((entry.topic.clone(), record.producer_seq, ctx.now()));
+        if entry.buf.capacity() == 0 {
+            entry.buf.reserve_exact(entry.buf_hint);
         }
-        entry.records.push(record);
+        let start = entry.buf.len();
+        if let Some(k) = key {
+            entry.buf.extend_from_slice(k);
+        }
+        let value_start = entry.buf.len();
+        encode_value(&mut entry.buf);
+        let value_len = entry
+            .buf
+            .len()
+            .checked_sub(value_start)
+            .expect("value encoders only append");
+        let bytes = RECORD_OVERHEAD + (value_start - start) + value_len;
+        if self.buffer_used + bytes > self.cfg.buffer_memory {
+            entry.buf.truncate(start);
+            self.stats.buffer_rejected += 1;
+            return false;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.stats.sent += 1;
+        if let Some(t) = self.txn {
+            *self.txn_sent.entry(t).or_insert(0) += 1;
+        }
+        self.buffer_used += bytes;
+        if !self.cfg.cpu_per_record.is_zero() {
+            ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
+        }
+        if self.capture {
+            self.sent_index.push((entry.topic.clone(), seq, ctx.now()));
+        }
+        entry.pending.push(Pending {
+            key_len: key.map(<[u8]>::len),
+            value_len,
+            timestamp: ctx.now(),
+            seq,
+        });
         entry.bytes += bytes;
         if entry.linger_timer.is_none() {
             let t = ctx.set_timer(self.cfg.linger, PRODUCER_TAGS + off::LINGER_BASE + entry.id);
             entry.linger_timer = Some(t);
         }
-        if entry.records.len() >= self.cfg.batch_max_records
-            || entry.bytes >= self.cfg.batch_max_bytes
-        {
+        let sealed = entry.pending.len() >= self.cfg.batch_max_records
+            || entry.bytes >= self.cfg.batch_max_bytes;
+        self.update_mem();
+        if sealed {
             self.flush_topic(ctx, topic);
         }
         true
@@ -610,14 +666,20 @@ impl ProducerClient {
         let Some(batch) = self.accum.get_mut(topic) else {
             return;
         };
-        if batch.records.is_empty() {
+        if batch.pending.is_empty() {
             return;
         }
         if let Some(t) = batch.linger_timer.take() {
             ctx.cancel_timer(t);
         }
-        let records = std::mem::take(&mut batch.records);
         batch.bytes = 0;
+        // Freeze the accumulated bytes into the shared buffer: the `Vec`'s
+        // own allocation, trimmed of growth slack (it stays resident for as
+        // long as any of its records does), not a copy.
+        batch.buf_hint = batch.buf.len();
+        let mut buf = std::mem::take(&mut batch.buf);
+        buf.shrink_to_fit();
+        let frame = Bytes::from(buf);
         // Partition selection. Keyed records route by the stable FNV-1a
         // key hash (`hash(key) % partitions`) — the same helper that
         // assigns key groups, so a keyed record always lands on the
@@ -625,27 +687,64 @@ impl ProducerClient {
         // records keep the original behavior: the whole sub-batch goes to
         // the next round-robin partition. Partition 0 optimistically when
         // metadata has not arrived yet.
-        let parts = self.metadata.partitions_of(topic);
-        let n_parts = parts.len() as u32;
-        // Split by partition number; the topic name is allocated once per
-        // sealed sub-batch below, not once per record.
-        let mut split: BTreeMap<u32, (Vec<Record>, usize)> = BTreeMap::new();
+        let n_parts = self.metadata.partition_count(topic);
+        let n_parts_u32 = u32::try_from(n_parts).expect("partition count fits u32");
+        // First pass: route every record.
+        let mut routes: Vec<u32> = Vec::with_capacity(batch.pending.len());
         let mut rr_partition: Option<u32> = None;
-        for r in records {
-            let rbytes = r.encoded_len();
-            let partition = match (&r.key, n_parts) {
+        let mut at = 0;
+        for p in &batch.pending {
+            let partition = match (p.key_len, n_parts) {
                 (_, 0) => 0,
-                (Some(k), _) => s2g_proto::partition_for_key(k, n_parts),
+                (Some(n), _) => s2g_proto::partition_for_key(&frame[at..at + n], n_parts_u32),
                 (None, _) => *rr_partition.get_or_insert_with(|| {
-                    let partition = parts[batch.rr as usize % parts.len()].partition;
+                    let nth = batch.rr as usize % n_parts;
                     batch.rr += 1;
-                    partition
+                    let mut parts = self.metadata.partitions_of(topic);
+                    parts.nth(nth).expect("nth < partition count").partition
                 }),
             };
-            let slot = split.entry(partition).or_default();
-            slot.0.push(r);
-            slot.1 += rbytes;
+            at += p.key_len.unwrap_or(0) + p.value_len;
+            routes.push(partition);
         }
+        // Each partition's share, so its sub-batch is a vector sized once.
+        // One map operation per run of equally routed records: a keyless or
+        // single-partition batch is one run.
+        let same_route = |a: &u32, b: &u32| a == b;
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        for run in routes.chunk_by(same_route) {
+            *counts.entry(run[0]).or_default() += run.len();
+        }
+        // Second pass: the records, as views of the frame, split by
+        // partition number with each sub-batch's encoded bytes; the topic
+        // name is allocated once per sealed sub-batch below, not per record.
+        let mut split: BTreeMap<u32, (Vec<Record>, usize)> = counts
+            .into_iter()
+            .map(|(partition, n)| (partition, (Vec::with_capacity(n), 0)))
+            .collect();
+        let mut pending = batch.pending.iter();
+        let mut at = 0;
+        for run in routes.chunk_by(same_route) {
+            let (records, bytes) = split.get_mut(&run[0]).expect("counted above");
+            for p in pending.by_ref().take(run.len()) {
+                let key = p.key_len.map(|n| {
+                    at += n;
+                    frame.slice(at - n..at)
+                });
+                at += p.value_len;
+                let record = Record {
+                    key,
+                    value: frame.slice(at - p.value_len..at),
+                    timestamp: p.timestamp,
+                    producer: self.id,
+                    producer_epoch: self.epoch,
+                    producer_seq: p.seq,
+                };
+                *bytes += record.encoded_len();
+                records.push(record);
+            }
+        }
+        batch.pending.clear();
         let interned = batch.topic.clone();
         for (partition, (records, bytes)) in split {
             let tp = TopicPartition::new(topic, partition);

@@ -51,8 +51,11 @@ pub fn put_frame_record(
 }
 
 /// Reads one record written by [`put_frame_record`], returning it with its
-/// absolute offset. `None` on truncated or malformed input.
+/// absolute offset. `None` on truncated or malformed input. `cur` must read
+/// `frame`: the record's key and value are views of it, not copies, so a
+/// decoded run costs one buffer however many records it holds.
 pub fn read_frame_record(
+    frame: &Bytes,
     cur: &mut Cursor<'_>,
     base_offset: Offset,
     base_ts: SimTime,
@@ -62,9 +65,9 @@ pub fn read_frame_record(
     let timestamp = SimTime::from_nanos(u64::try_from(ts).ok()?);
     let key = match cur.u8()? {
         0 => None,
-        _ => Some(Bytes::copy_from_slice(cur.bytes()?)),
+        _ => Some(cur.bytes_view(frame)?),
     };
-    let value = Bytes::copy_from_slice(cur.bytes()?);
+    let value = cur.bytes_view(frame)?;
     let producer = ProducerId(u32::try_from(cur.uvarint()?).ok()?);
     let producer_epoch = u32::try_from(cur.uvarint()?).ok()?;
     let producer_seq = cur.uvarint()?;
@@ -117,9 +120,11 @@ impl RecordBatch {
 
     /// Decodes a frame written by [`encode_frame`](Self::encode_frame),
     /// returning the batch and its base offset. `None` on truncated,
-    /// malformed, or wrong-version input.
+    /// malformed, or wrong-version input. The frame is copied once into a
+    /// shared buffer and every record's key and value is a view of it.
     pub fn decode_frame(buf: &[u8]) -> Option<(RecordBatch, Offset)> {
-        let mut cur = Cursor::new(buf);
+        let frame = Bytes::copy_from_slice(buf);
+        let mut cur = Cursor::new(&frame);
         if cur.u8()? != BATCH_FRAME_VERSION {
             return None;
         }
@@ -133,7 +138,7 @@ impl RecordBatch {
         let count = cur.uvarint()? as usize;
         let mut records = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let (_, r) = read_frame_record(&mut cur, base_offset, base_ts)?;
+            let (_, r) = read_frame_record(&frame, &mut cur, base_offset, base_ts)?;
             records.push(r);
         }
         Some((
@@ -216,9 +221,10 @@ mod tests {
         let base_ts = SimTime::from_millis(5);
         put_frame_record(&mut out, base, base_ts, Offset(10), &rec(0));
         put_frame_record(&mut out, base, base_ts, Offset(17), &rec(1)); // hole
-        let mut cur = Cursor::new(&out);
-        let (o1, r1) = read_frame_record(&mut cur, base, base_ts).unwrap();
-        let (o2, r2) = read_frame_record(&mut cur, base, base_ts).unwrap();
+        let frame = Bytes::from(out);
+        let mut cur = Cursor::new(&frame);
+        let (o1, r1) = read_frame_record(&frame, &mut cur, base, base_ts).unwrap();
+        let (o2, r2) = read_frame_record(&frame, &mut cur, base, base_ts).unwrap();
         assert_eq!((o1, o2), (Offset(10), Offset(17)));
         assert_eq!((r1, r2), (rec(0), rec(1)));
     }

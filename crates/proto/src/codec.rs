@@ -6,6 +6,8 @@
 //! length-prefixed byte strings. This module is the single home for that
 //! dialect so every codec truncates, rejects, and frames identically.
 
+use bytes::Bytes;
+
 /// Appends a `u8`.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
@@ -130,6 +132,22 @@ impl<'a> Cursor<'a> {
         self.take(n)
     }
 
+    /// Reads a length-prefixed byte string as a view of `frame` — the
+    /// shared buffer this cursor was built over — instead of a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cursor reads some other buffer: the view would
+    /// silently alias unrelated bytes.
+    pub fn bytes_view(&mut self, frame: &Bytes) -> Option<Bytes> {
+        assert!(
+            std::ptr::eq(self.buf, &**frame),
+            "cursor does not read this frame"
+        );
+        let n = self.bytes()?.len();
+        Some(frame.slice(self.pos - n..self.pos))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Option<String> {
         let b = self.bytes()?;
@@ -157,6 +175,30 @@ mod tests {
         assert_eq!(cur.str().as_deref(), Some("topic-a"));
         assert_eq!(cur.position(), out.len());
         assert_eq!(cur.u8(), None, "exhausted cursor yields None");
+    }
+
+    #[test]
+    fn bytes_view_slices_the_frame_instead_of_copying() {
+        let mut out = Vec::new();
+        put_u8(&mut out, 7);
+        put_bytes(&mut out, b"abc");
+        put_bytes(&mut out, b"");
+        let frame = Bytes::from(out);
+        let mut cur = Cursor::new(&frame);
+        assert_eq!(cur.u8(), Some(7));
+        let abc = cur.bytes_view(&frame).expect("in range");
+        assert_eq!(abc, b"abc"[..]);
+        assert!(std::ptr::eq(abc.as_ptr(), frame[5..].as_ptr()));
+        assert!(cur.bytes_view(&frame).expect("empty string").is_empty());
+        assert!(cur.bytes_view(&frame).is_none(), "exhausted");
+    }
+
+    #[test]
+    #[should_panic(expected = "cursor does not read this frame")]
+    fn bytes_view_rejects_a_foreign_frame() {
+        let frame = Bytes::from(vec![1, 0, 0, 0, 9]);
+        let other = Bytes::from(vec![1, 0, 0, 0, 9]);
+        let _ = Cursor::new(&frame).bytes_view(&other);
     }
 
     #[test]

@@ -219,8 +219,9 @@ pub fn shared_batch_copies() -> u64 {
 /// The record set is reference counted: cloning a batch (a producer keeping
 /// its retry copy next to the in-flight request, a broker handing the same
 /// fetched run to many consumers) bumps an `Arc` instead of duplicating
-/// records, and the payloads inside are [`Bytes`] — themselves shared — so
-/// a record travels producer→broker→consumer→operator as one allocation.
+/// records, and the payloads inside are [`Bytes`] views of the one buffer
+/// the producer sealed the batch into — so a whole batch travels
+/// producer→broker→consumer→operator as that one allocation.
 ///
 /// # Examples
 ///
@@ -361,6 +362,15 @@ mod tests {
         assert_eq!(Offset::ZERO.next(), Offset(1));
         assert_eq!(Offset(41).next().value(), 42);
         assert_eq!(Offset(7).to_string(), "@7");
+    }
+
+    #[test]
+    fn record_stays_seven_words() {
+        // Two 16-byte `Bytes` views (the key's `Option` is free), the
+        // timestamp, producer id + epoch, and the sequence. Every log entry,
+        // batch slot and consumer buffer holds one of these per record, so
+        // growth here is resident memory per record everywhere.
+        assert_eq!(std::mem::size_of::<Record>(), 56);
     }
 
     #[test]

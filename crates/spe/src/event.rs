@@ -370,6 +370,13 @@ impl Event {
     /// payloads are distinguishable from encoded events).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the [`to_bytes`](Event::to_bytes) encoding to `out` — a
+    /// sink encodes straight into its producer's batch buffer with it.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(0xE7);
         // Flag byte: bit 0 = key present, bits 1..7 = source index. The
         // source must survive the wire so a windowed join downstream of a
@@ -385,8 +392,7 @@ impl Event {
         }
         out.extend_from_slice(&self.ts.as_nanos().to_le_bytes());
         out.extend_from_slice(&self.origin.as_nanos().to_le_bytes());
-        self.value.encode_into(&mut out);
-        out
+        self.value.encode_into(out);
     }
 
     /// Decodes from the compact wire format.
@@ -452,6 +458,12 @@ mod tests {
             .with_key("k1")
             .with_origin(SimTime::from_millis(100));
         let bytes = e.to_bytes();
+        // Appending to a buffer that already holds bytes writes the same
+        // encoding after them and touches nothing before.
+        let mut shared = b"earlier record".to_vec();
+        e.encode_into(&mut shared);
+        assert_eq!(&shared[..14], b"earlier record");
+        assert_eq!(&shared[14..], &bytes[..]);
         let back = Event::from_bytes(&bytes).expect("decodes");
         assert_eq!(back.key.as_deref(), Some("k1"));
         assert_eq!(back.ts, SimTime::from_millis(123));

@@ -997,8 +997,8 @@ impl SpeWorker {
             SpeSink::Topic(topic) => {
                 let producer = self.producer.as_mut().expect("topic sink has a producer");
                 for e in events {
-                    let key = e.key.clone().map(String::into_bytes);
-                    producer.send(ctx, &topic, key, e.to_bytes());
+                    let key = e.key.as_deref().map(str::as_bytes);
+                    producer.send_with(ctx, &topic, key, |buf| e.encode_into(buf));
                 }
             }
             SpeSink::Store { store, table } => {

@@ -42,7 +42,8 @@ fn arb_record(rng: &mut StdRng) -> Record {
 
 /// The batch frame codec round-trips arbitrary record sets exactly —
 /// empty, single-record, and max-size batches, compression on and off —
-/// and rejects every strict truncation instead of mis-decoding it.
+/// into records that are views of one buffer, and rejects every strict
+/// truncation instead of mis-decoding it.
 #[test]
 fn batch_frame_codec_roundtrip_sweep() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
@@ -67,16 +68,39 @@ fn batch_frame_codec_roundtrip_sweep() {
         assert_eq!(back.compression(), compression, "case {case}");
         assert_eq!(back.records(), &records[..], "case {case}");
 
+        // The decoded keys and values are views of one frame-sized buffer,
+        // laid out in frame order — not an allocation each.
+        let parts: Vec<&[u8]> = back
+            .iter()
+            .flat_map(|r| r.key.as_deref().into_iter().chain([&*r.value]))
+            .collect();
+        let span_start = parts.first().map_or(0, |p| p.as_ptr() as usize);
+        let mut at = span_start;
+        for part in &parts {
+            let p = part.as_ptr() as usize;
+            assert!(p >= at, "case {case}: views overlap or go backwards");
+            at = p + part.len();
+        }
+        assert!(at - span_start <= buf.len(), "case {case}: one buffer");
+
         // Every strict prefix must fail cleanly: each frame byte is load-
         // bearing (length prefixes, varints, payload bytes), so a cut
         // anywhere leaves an undecodable buffer — never a silent partial
-        // batch.
-        let cut = rng.gen_range(0..buf.len());
-        assert!(
-            RecordBatch::decode_frame(&buf[..cut]).is_none(),
-            "case {case}: truncation at {cut}/{} must not decode",
-            buf.len()
-        );
+        // batch, and never a view past the end of the shared buffer. Small
+        // frames are cut at every byte, large ones at a random one.
+        let cuts = if n <= 4 {
+            0..buf.len()
+        } else {
+            let cut = rng.gen_range(0..buf.len());
+            cut..cut + 1
+        };
+        for cut in cuts {
+            assert!(
+                RecordBatch::decode_frame(&buf[..cut]).is_none(),
+                "case {case}: truncation at {cut}/{} must not decode",
+                buf.len()
+            );
+        }
     }
 }
 
