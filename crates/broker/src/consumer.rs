@@ -18,7 +18,7 @@ use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, 
 use s2g_telemetry::Telemetry;
 
 use crate::config::ConsumerConfig;
-use crate::metadata::MetadataCache;
+use crate::metadata::{draw_corr, MetadataSession};
 
 /// Tag namespace base for consumer-owned timers and CPU work.
 pub const CONSUMER_TAGS: u64 = 1 << 41;
@@ -90,15 +90,9 @@ struct InflightFetch {
 /// The embeddable consumer state machine.
 pub struct ConsumerClient {
     cfg: ConsumerConfig,
-    bootstrap: ProcessId,
-    /// Every broker endpoint, in broker-id order — the rotation list used
-    /// when the current bootstrap stops answering (broker crash/restart).
-    bootstrap_candidates: Vec<ProcessId>,
     brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
     subscriptions: Vec<String>,
-    metadata: MetadataCache,
-    meta_versions: u64,
-    meta_inflight: Option<(CorrelationId, TimerToken)>,
+    meta: MetadataSession,
     offsets: BTreeMap<TopicPartition, Offset>,
     inflight: HashMap<u64, InflightFetch>,
     fetching: BTreeMap<TopicPartition, bool>,
@@ -149,15 +143,13 @@ impl ConsumerClient {
         brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
         topics: Vec<String>,
     ) -> Self {
+        let request_timeout = SimDuration::from_secs(2);
+        let meta_timeout_tag = CONSUMER_TAGS + off::META_TIMEOUT;
         ConsumerClient {
             cfg,
-            bootstrap,
-            bootstrap_candidates: brokers.values().copied().collect(),
+            meta: MetadataSession::new(bootstrap, &brokers, request_timeout, meta_timeout_tag),
             brokers,
             subscriptions: topics,
-            metadata: MetadataCache::new(),
-            meta_versions: 0,
-            meta_inflight: None,
             offsets: BTreeMap::new(),
             inflight: HashMap::new(),
             fetching: BTreeMap::new(),
@@ -165,7 +157,7 @@ impl ConsumerClient {
             next_corr: 1,
             next_deliver_tag: 0,
             stats: ConsumerStats::default(),
-            request_timeout: SimDuration::from_secs(2),
+            request_timeout,
             offsets_restored: false,
             offset_fetch_inflight: None,
             static_assignment: None,
@@ -217,12 +209,11 @@ impl ConsumerClient {
     /// one without any lookup round trip.
     fn coordinator(&self) -> ProcessId {
         let group = self.cfg.group.as_deref().unwrap_or("");
-        if self.bootstrap_candidates.is_empty() {
-            return self.bootstrap;
+        let candidates = self.meta.candidates();
+        if candidates.is_empty() {
+            return self.meta.bootstrap();
         }
-        let idx =
-            (s2g_proto::fnv1a(group.as_bytes()) % self.bootstrap_candidates.len() as u64) as usize;
-        self.bootstrap_candidates[idx]
+        candidates[(s2g_proto::fnv1a(group.as_bytes()) % candidates.len() as u64) as usize]
     }
 
     fn send_join(&mut self, ctx: &mut Ctx<'_>) {
@@ -390,7 +381,7 @@ impl ConsumerClient {
         // original bootstrap path.
         let (to, member) = match &self.membership {
             Some(m) => (self.coordinator(), Some((m.member.clone(), m.generation))),
-            None => (self.bootstrap, None),
+            None => (self.meta.bootstrap(), None),
         };
         ctx.send(
             to,
@@ -410,34 +401,11 @@ impl ConsumerClient {
     }
 
     fn next_corr(&mut self) -> CorrelationId {
-        let c = self.next_corr;
-        self.next_corr += 2;
-        CorrelationId(c)
+        draw_corr(&mut self.next_corr)
     }
 
     fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
-        if self.meta_inflight.is_some() {
-            return;
-        }
-        let corr = self.next_corr();
-        let timer = ctx.set_timer(self.request_timeout, CONSUMER_TAGS + off::META_TIMEOUT);
-        self.meta_inflight = Some((corr, timer));
-        ctx.send(self.bootstrap, ClientRpc::MetadataRequest { corr });
-    }
-
-    /// Advances to the next broker endpoint for bootstrap traffic (called
-    /// after a metadata or offset-fetch timeout, i.e. the current endpoint
-    /// is unreachable).
-    fn rotate_bootstrap(&mut self) {
-        if self.bootstrap_candidates.len() < 2 {
-            return;
-        }
-        let cur = self
-            .bootstrap_candidates
-            .iter()
-            .position(|p| *p == self.bootstrap)
-            .unwrap_or(0);
-        self.bootstrap = self.bootstrap_candidates[(cur + 1) % self.bootstrap_candidates.len()];
+        self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
@@ -449,8 +417,8 @@ impl ConsumerClient {
         }
         let mut tps: Vec<TopicPartition> = Vec::new();
         for topic in &self.subscriptions {
-            let n = self.metadata.partition_count(topic);
-            let parts = self.metadata.partitions_of(topic);
+            let n = self.meta.cache().partition_count(topic);
+            let parts = self.meta.cache().partitions_of(topic);
             tps.extend(parts.filter(|tp| self.owns(tp, n)).cloned());
         }
         if tps.is_empty() {
@@ -483,7 +451,7 @@ impl ConsumerClient {
         let to = if self.membership.is_some() {
             self.coordinator()
         } else {
-            self.bootstrap
+            self.meta.bootstrap()
         };
         ctx.send(to, ClientRpc::OffsetFetch { corr, group, tps });
     }
@@ -495,11 +463,11 @@ impl ConsumerClient {
         if self.cfg.group.is_some() && !self.offsets_restored {
             return;
         }
-        let n_parts = self.metadata.partition_count(&tp.topic);
+        let n_parts = self.meta.cache().partition_count(&tp.topic);
         if !self.owns(&tp, n_parts) {
             return;
         }
-        let Some(leader) = self.metadata.leader(&tp) else {
+        let Some(leader) = self.meta.cache().leader(&tp) else {
             self.request_metadata(ctx);
             return;
         };
@@ -527,6 +495,82 @@ impl ConsumerClient {
         self.inflight.insert(corr.0, InflightFetch { tp, timer });
     }
 
+    /// Takes delivery of the answer to an in-flight fetch of `tp`.
+    fn on_fetched(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        tp: TopicPartition,
+        batch: RecordBatch,
+        high_watermark: Offset,
+        next_offset: Offset,
+        error: ErrorCode,
+    ) {
+        // Only clear the in-flight mark when nothing is pending for
+        // this partition; for non-empty batches it stays set until
+        // the delivery CPU completes, or the poll timer would issue
+        // a duplicate fetch at the not-yet-advanced offset.
+        self.fetching.insert(tp.clone(), false);
+        if !self.tele_scope.is_empty() && error == ErrorCode::None {
+            // Consumer lag per partition: broker high watermark
+            // minus the position after this response.
+            let lag = high_watermark.value().saturating_sub(next_offset.value());
+            self.tele
+                .gauge_set(&self.tele_scope, &format!("lag/{tp}"), lag as f64);
+            self.tele
+                .counter_add(&self.tele_scope, "records_consumed", batch.len() as u64);
+            if self.tele.trace_enabled() && !batch.is_empty() {
+                self.tele.trace_instant(
+                    ctx.now(),
+                    &self.tele_scope,
+                    &format!("fetch:{tp}"),
+                    "consumer",
+                );
+            }
+        }
+        match error {
+            ErrorCode::None if !batch.is_empty() => {
+                self.fetching.insert(tp.clone(), true);
+                // Pay the per-record CPU cost, then deliver and
+                // immediately fetch again (pipelining). The position
+                // advances to the broker-computed next offset, which
+                // skips compaction holes instead of re-reading
+                // across them.
+                let tag = CONSUMER_TAGS + off::CPU_DELIVER_BASE + self.next_deliver_tag;
+                self.next_deliver_tag += 1;
+                let n = batch.len() as u64;
+                // Consumer-side half of the compression trade:
+                // decompressing the fetched batch costs CPU
+                // proportional to its raw record bytes.
+                let mut cpu = self.cfg.cpu_per_record * n;
+                if !batch.compression().is_none() {
+                    cpu += self.cfg.decompress_cpu_per_byte * batch.record_bytes() as u64;
+                }
+                self.pending_delivery.insert(tag, (tp, batch, next_offset));
+                ctx.exec(cpu, tag);
+            }
+            ErrorCode::None => {
+                // Empty read: adopt the broker's next offset so a
+                // fully compacted tail hole is skipped rather than
+                // re-polled forever.
+                let pos = self.position(&tp);
+                if next_offset > pos {
+                    self.offsets.insert(tp, next_offset);
+                }
+            }
+            ErrorCode::OffsetOutOfRange => {
+                // Truncation or retention happened under us: reset
+                // to the broker-provided position (the log start
+                // below retention, the high watermark above it).
+                self.stats.offset_resets += 1;
+                self.offsets.insert(tp, next_offset);
+            }
+            e if e.is_retriable() => {
+                self.request_metadata(ctx);
+            }
+            _ => {}
+        }
+    }
+
     /// Handles an incoming message, delivering through `sink`. Returns the
     /// message back when it is not addressed to this client.
     pub fn handle_message(
@@ -547,87 +591,17 @@ impl ConsumerClient {
                 next_offset,
                 error,
             } => {
+                // A missing entry means a stale response for a timed-out
+                // request: consume the message without acting on it.
                 let inflight = self.inflight.remove(&corr.0)?;
                 ctx.cancel_timer(inflight.timer);
-                // Only clear the in-flight mark when nothing is pending for
-                // this partition; for non-empty batches it stays set until
-                // the delivery CPU completes, or the poll timer would issue
-                // a duplicate fetch at the not-yet-advanced offset.
-                self.fetching.insert(tp.clone(), false);
-                if !self.tele_scope.is_empty() && error == ErrorCode::None {
-                    // Consumer lag per partition: broker high watermark
-                    // minus the position after this response.
-                    let lag = high_watermark.value().saturating_sub(next_offset.value());
-                    self.tele
-                        .gauge_set(&self.tele_scope, &format!("lag/{tp}"), lag as f64);
-                    self.tele
-                        .counter_add(&self.tele_scope, "records_consumed", batch.len() as u64);
-                    if self.tele.trace_enabled() && !batch.is_empty() {
-                        self.tele.trace_instant(
-                            ctx.now(),
-                            &self.tele_scope,
-                            &format!("fetch:{tp}"),
-                            "consumer",
-                        );
-                    }
-                }
-                match error {
-                    ErrorCode::None if !batch.is_empty() => {
-                        self.fetching.insert(tp.clone(), true);
-                        // Pay the per-record CPU cost, then deliver and
-                        // immediately fetch again (pipelining). The position
-                        // advances to the broker-computed next offset, which
-                        // skips compaction holes instead of re-reading
-                        // across them.
-                        let tag = CONSUMER_TAGS + off::CPU_DELIVER_BASE + self.next_deliver_tag;
-                        self.next_deliver_tag += 1;
-                        let n = batch.len() as u64;
-                        // Consumer-side half of the compression trade:
-                        // decompressing the fetched batch costs CPU
-                        // proportional to its raw record bytes.
-                        let mut cpu = self.cfg.cpu_per_record * n;
-                        if !batch.compression().is_none() {
-                            cpu += self.cfg.decompress_cpu_per_byte * batch.record_bytes() as u64;
-                        }
-                        self.pending_delivery.insert(tag, (tp, batch, next_offset));
-                        ctx.exec(cpu, tag);
-                    }
-                    ErrorCode::None => {
-                        // Empty read: adopt the broker's next offset so a
-                        // fully compacted tail hole is skipped rather than
-                        // re-polled forever.
-                        let pos = self.position(&tp);
-                        if next_offset > pos {
-                            self.offsets.insert(tp, next_offset);
-                        }
-                    }
-                    ErrorCode::OffsetOutOfRange => {
-                        // Truncation or retention happened under us: reset
-                        // to the broker-provided position (the log start
-                        // below retention, the high watermark above it).
-                        self.stats.offset_resets += 1;
-                        self.offsets.insert(tp, next_offset);
-                    }
-                    e if e.is_retriable() => {
-                        self.request_metadata(ctx);
-                    }
-                    _ => {}
-                }
+                self.on_fetched(ctx, tp, batch, high_watermark, next_offset, error);
                 None
             }
             ClientRpc::MetadataResponse { corr, partitions } => {
-                match self.meta_inflight {
-                    Some((c, timer)) if c == corr => {
-                        ctx.cancel_timer(timer);
-                        self.meta_inflight = None;
-                        self.meta_versions += 1;
-                        self.metadata
-                            .install_snapshot(partitions, self.meta_versions);
-                        None
-                    }
-                    // Not ours — may belong to a co-embedded producer client.
-                    _ => Some(Box::new(ClientRpc::MetadataResponse { corr, partitions })),
-                }
+                // Not ours — may belong to a co-embedded producer client.
+                let partitions = self.meta.on_response(ctx, corr, partitions).err()?;
+                Some(Box::new(ClientRpc::MetadataResponse { corr, partitions }))
             }
             ClientRpc::OffsetFetchResponse { corr, offsets } => {
                 match self.offset_fetch_inflight {
@@ -735,9 +709,7 @@ impl ConsumerClient {
             self.poll(ctx);
             ctx.set_timer(self.cfg.poll_interval, CONSUMER_TAGS + off::POLL);
         } else if o == off::META_TIMEOUT {
-            // The bootstrap may be down (broker crash): rotate and retry.
-            self.meta_inflight = None;
-            self.rotate_bootstrap();
+            self.meta.on_timeout();
             self.request_metadata(ctx);
         } else if o == off::AUTO_COMMIT {
             self.commit_positions(ctx);
@@ -749,7 +721,7 @@ impl ConsumerClient {
             // Offset fetch lost; the next poll retries it (against the next
             // endpoint, in case the group coordinator crashed).
             self.offset_fetch_inflight = None;
-            self.rotate_bootstrap();
+            self.meta.rotate();
         } else if o == off::GROUP_HEARTBEAT {
             self.send_group_heartbeat(ctx);
             ctx.set_timer(

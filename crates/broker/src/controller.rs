@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use s2g_proto::{
     BrokerId, ControllerRpc, LeaderEpoch, MetadataRecord, PartitionMetadata, TopicPartition,
 };
-use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimTime};
+use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
 use crate::config::{ControllerConfig, TopicSpec};
 #[cfg(test)]
@@ -315,6 +315,142 @@ mod tags {
     pub const PREFERRED_CHECK: u64 = 2;
 }
 
+/// The initial replica placement, with rack/host labels steering it:
+/// followers land on racks not already holding a replica whenever possible,
+/// so one host failure costs at most one replica. Brokers missing from
+/// `racks` count as a rack of their own.
+pub(crate) fn plan_with_racks(
+    topics: &[TopicSpec],
+    brokers: &BTreeMap<BrokerId, ProcessId>,
+    racks: &BTreeMap<BrokerId, String>,
+) -> Vec<PartitionMetadata> {
+    let rack_of = |b: &BrokerId| racks.get(b).cloned().unwrap_or_else(|| format!("b{}", b.0));
+    let racked: Vec<(BrokerId, String)> = brokers.keys().map(|b| (*b, rack_of(b))).collect();
+    plan_assignments_racked(topics, &racked)
+}
+
+/// The broker-facing half of a controller, written once for both
+/// coordination modes: the replicated state machine with its decision log,
+/// broker sessions and incarnations, and the `LeaderAndIsr`-then-
+/// `MetadataUpdate` publish. *When* a decision takes effect — at once
+/// ([`ZkController`]) or after a quorum commits it
+/// ([`KraftController`](crate::KraftController)) — stays with each
+/// controller.
+pub(crate) struct BrokerFrontEnd {
+    pub(crate) state: ClusterState,
+    pub(crate) brokers: BTreeMap<BrokerId, ProcessId>,
+    sessions: BTreeMap<BrokerId, SimTime>,
+    /// Last seen process incarnation per broker; a jump means the broker
+    /// bounced (possibly within its session timeout) and must be re-taught
+    /// its roles.
+    incarnations: BTreeMap<BrokerId, u64>,
+    pub(crate) metadata_version: u64,
+    /// Applied decisions for assertions: (time, record).
+    pub(crate) decisions: Vec<(SimTime, MetadataRecord)>,
+}
+
+impl BrokerFrontEnd {
+    pub(crate) fn new(state: ClusterState, brokers: BTreeMap<BrokerId, ProcessId>) -> Self {
+        BrokerFrontEnd {
+            state,
+            brokers,
+            sessions: BTreeMap::new(),
+            incarnations: BTreeMap::new(),
+            metadata_version: 0,
+            decisions: Vec::new(),
+        }
+    }
+
+    /// Until a broker's first heartbeat, treat its session as fresh.
+    pub(crate) fn start_sessions(&mut self, now: SimTime) {
+        self.sessions = self.brokers.keys().map(|b| (*b, now)).collect();
+    }
+
+    /// The alive brokers whose last heartbeat is older than `timeout`.
+    pub(crate) fn expired_sessions(&self, now: SimTime, timeout: SimDuration) -> Vec<BrokerId> {
+        self.sessions
+            .iter()
+            .filter(|(b, last)| self.state.is_alive(**b) && now.saturating_since(**last) > timeout)
+            .map(|(b, _)| *b)
+            .collect()
+    }
+
+    /// Applies decided records to the state machine and logs them.
+    pub(crate) fn apply(&mut self, now: SimTime, records: &[MetadataRecord]) {
+        for r in records {
+            self.state.apply(r);
+            self.decisions.push((now, r.clone()));
+        }
+    }
+
+    /// Pushes `LeaderAndIsr` to the affected replica holders, then
+    /// broadcasts the metadata delta to every broker.
+    pub(crate) fn publish(&mut self, ctx: &mut Ctx<'_>, records: &[MetadataRecord]) {
+        for (b, rpc) in self.state.leader_and_isr_for(records) {
+            if let Some(&pid) = self.brokers.get(&b) {
+                ctx.send(pid, rpc);
+            }
+        }
+        self.metadata_version += 1;
+        for &pid in self.brokers.values() {
+            ctx.send(
+                pid,
+                ControllerRpc::MetadataUpdate {
+                    records: records.to_vec(),
+                    metadata_version: self.metadata_version,
+                },
+            );
+        }
+    }
+
+    /// Records a heartbeat and returns `(was_dead, bounced)`. A fenced
+    /// session *or* a bumped incarnation means the broker restarted: a
+    /// bounce faster than the session timeout never expires the session, so
+    /// the incarnation jump is the only signal that its roles must be
+    /// re-taught.
+    pub(crate) fn heartbeat(
+        &mut self,
+        now: SimTime,
+        broker: BrokerId,
+        incarnation: u64,
+    ) -> (bool, bool) {
+        self.sessions.insert(broker, now);
+        let prev_inc = self.incarnations.insert(broker, incarnation).unwrap_or(0);
+        (!self.state.is_alive(broker), incarnation > prev_inc)
+    }
+
+    /// Re-teaches a returned broker its roles and refreshes its metadata
+    /// cache, from applied state.
+    pub(crate) fn reteach(&mut self, ctx: &mut Ctx<'_>, broker: BrokerId) {
+        let Some(&pid) = self.brokers.get(&broker) else {
+            return;
+        };
+        for rpc in self.state.leader_and_isr_for_broker(broker) {
+            ctx.send(pid, rpc);
+        }
+        self.metadata_version += 1;
+        ctx.send(
+            pid,
+            ControllerRpc::MetadataUpdate {
+                records: self.state.snapshot_records(),
+                metadata_version: self.metadata_version,
+            },
+        );
+    }
+
+    pub(crate) fn ack_heartbeat(&self, ctx: &mut Ctx<'_>, broker: BrokerId) {
+        if let Some(&pid) = self.brokers.get(&broker) {
+            ctx.send(
+                pid,
+                ControllerRpc::HeartbeatAck {
+                    metadata_version: self.metadata_version,
+                    fenced: !self.state.is_alive(broker),
+                },
+            );
+        }
+    }
+}
+
 /// The ZooKeeper-style singleton controller process.
 ///
 /// Tracks broker sessions via heartbeats, expires them after the session
@@ -325,16 +461,7 @@ mod tags {
 /// behavior of Fig. 6b.
 pub struct ZkController {
     cfg: ControllerConfig,
-    state: ClusterState,
-    brokers: BTreeMap<BrokerId, ProcessId>,
-    sessions: BTreeMap<BrokerId, SimTime>,
-    /// Last seen process incarnation per broker; a jump means the broker
-    /// bounced (possibly within its session timeout) and must be re-taught
-    /// its roles.
-    incarnations: BTreeMap<BrokerId, u64>,
-    metadata_version: u64,
-    /// Controller decision log for assertions: (time, record).
-    decisions: Vec<(SimTime, MetadataRecord)>,
+    front: BrokerFrontEnd,
     initial_plan: Vec<PartitionMetadata>,
 }
 
@@ -359,80 +486,34 @@ impl ZkController {
         racks: &BTreeMap<BrokerId, String>,
     ) -> Self {
         let ids: Vec<BrokerId> = brokers.keys().copied().collect();
-        let racked: Vec<(BrokerId, String)> = ids
-            .iter()
-            .map(|b| {
-                let rack = racks.get(b).cloned().unwrap_or_else(|| format!("b{}", b.0));
-                (*b, rack)
-            })
-            .collect();
-        let plan = plan_assignments_racked(topics, &racked);
-        let state = ClusterState::from_plan(&plan, &ids);
+        let plan = plan_with_racks(topics, &brokers, racks);
         ZkController {
             cfg,
-            state,
-            brokers,
-            sessions: BTreeMap::new(),
-            incarnations: BTreeMap::new(),
-            metadata_version: 0,
-            decisions: Vec::new(),
+            front: BrokerFrontEnd::new(ClusterState::from_plan(&plan, &ids), brokers),
             initial_plan: plan,
         }
     }
 
     /// The controller's current view of the cluster.
     pub fn state(&self) -> &ClusterState {
-        &self.state
+        &self.front.state
     }
 
     /// Committed decisions, in order.
     pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.decisions
+        &self.front.decisions
     }
 
+    /// Decides `records`: no quorum, so they apply and publish at once.
     fn commit(&mut self, ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>) {
         if records.is_empty() {
             return;
         }
-        let now = ctx.now();
+        self.front.apply(ctx.now(), &records);
         for r in &records {
-            self.state.apply(r);
-            self.decisions.push((now, r.clone()));
             ctx.trace_with("controller", || format!("{r:?}"));
         }
-        // Push LeaderAndIsr to affected replica holders.
-        for (b, rpc) in self.state.leader_and_isr_for(&records) {
-            if let Some(&pid) = self.brokers.get(&b) {
-                ctx.send(pid, rpc);
-            }
-        }
-        // Broadcast the metadata delta to every broker.
-        self.metadata_version += 1;
-        let version = self.metadata_version;
-        for &pid in self.brokers.values() {
-            ctx.send(
-                pid,
-                ControllerRpc::MetadataUpdate {
-                    records: records.clone(),
-                    metadata_version: version,
-                },
-            );
-        }
-    }
-
-    fn check_sessions(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let timeout = self.cfg.session_timeout;
-        let expired: Vec<BrokerId> = self
-            .sessions
-            .iter()
-            .filter(|(b, last)| self.state.is_alive(**b) && now.saturating_since(**last) > timeout)
-            .map(|(b, _)| *b)
-            .collect();
-        for b in expired {
-            let records = self.state.changes_for_broker_failure(b);
-            self.commit(ctx, records);
-        }
+        self.front.publish(ctx, &records);
     }
 }
 
@@ -442,17 +523,11 @@ impl Process for ZkController {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        // Until a broker's first heartbeat, treat its session as fresh.
-        let ids: Vec<BrokerId> = self.brokers.keys().copied().collect();
-        for b in &ids {
-            self.sessions.insert(*b, now);
-        }
+        self.front.start_sessions(ctx.now());
         // Install the initial assignment and tell everyone.
-        let records: Vec<MetadataRecord> = self.state.snapshot_records();
-        let plan = self.initial_plan.clone();
-        for p in &plan {
-            self.state.install_assignment(p);
+        let records: Vec<MetadataRecord> = self.front.state.snapshot_records();
+        for p in &self.initial_plan {
+            self.front.state.install_assignment(p);
         }
         self.commit(ctx, records);
         ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
@@ -468,52 +543,19 @@ impl Process for ZkController {
                 broker,
                 incarnation,
             } => {
-                let now = ctx.now();
-                self.sessions.insert(broker, now);
-                let prev_inc = self.incarnations.insert(broker, incarnation).unwrap_or(0);
-                // A fenced session *or* a bumped incarnation means the
-                // broker restarted: a bounce faster than the session timeout
-                // never expires the session, so the incarnation jump is the
-                // only signal that its roles must be re-taught.
-                let was_dead = !self.state.is_alive(broker);
-                let bounced = incarnation > prev_inc;
+                let (was_dead, bounced) = self.front.heartbeat(ctx.now(), broker, incarnation);
                 if was_dead {
                     // Re-registration: revive it in the replicated state.
-                    let recs = self.state.changes_for_broker_registration(broker);
+                    let recs = self.front.state.changes_for_broker_registration(broker);
                     self.commit(ctx, recs);
                 }
                 if was_dead || bounced {
-                    // Re-teach the broker its roles and metadata, and
-                    // recover any offline partitions it can serve again.
-                    let rpcs = self.state.leader_and_isr_for_broker(broker);
-                    if let Some(&pid) = self.brokers.get(&broker) {
-                        for r in rpcs {
-                            ctx.send(pid, r);
-                        }
-                        // Refresh its metadata cache too.
-                        self.metadata_version += 1;
-                        let version = self.metadata_version;
-                        let snapshot = self.state.snapshot_records();
-                        ctx.send(
-                            pid,
-                            ControllerRpc::MetadataUpdate {
-                                records: snapshot,
-                                metadata_version: version,
-                            },
-                        );
-                    }
-                    let recover = self.state.changes_for_offline_recovery();
+                    self.front.reteach(ctx, broker);
+                    // Recover any offline partitions it can serve again.
+                    let recover = self.front.state.changes_for_offline_recovery();
                     self.commit(ctx, recover);
                 }
-                if let Some(&pid) = self.brokers.get(&broker) {
-                    ctx.send(
-                        pid,
-                        ControllerRpc::HeartbeatAck {
-                            metadata_version: self.metadata_version,
-                            fenced: !self.state.is_alive(broker),
-                        },
-                    );
-                }
+                self.front.ack_heartbeat(ctx, broker);
             }
             ControllerRpc::AlterIsr {
                 tp,
@@ -521,7 +563,8 @@ impl Process for ZkController {
                 epoch,
                 new_isr,
             } => {
-                let records = self.state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
+                let state = &self.front.state;
+                let records = state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
                 self.commit(ctx, records);
             }
             _ => {}
@@ -531,13 +574,17 @@ impl Process for ZkController {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         match tag {
             tags::SESSION_CHECK => {
-                self.check_sessions(ctx);
+                let timeout = self.cfg.session_timeout;
+                for b in self.front.expired_sessions(ctx.now(), timeout) {
+                    let records = self.front.state.changes_for_broker_failure(b);
+                    self.commit(ctx, records);
+                }
                 ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
             }
             tags::PREFERRED_CHECK => {
-                let records = self.state.changes_for_preferred_election();
+                let records = self.front.state.changes_for_preferred_election();
                 self.commit(ctx, records);
-                let recover = self.state.changes_for_offline_recovery();
+                let recover = self.front.state.changes_for_offline_recovery();
                 self.commit(ctx, recover);
                 ctx.set_timer(self.cfg.preferred_election_delay, tags::PREFERRED_CHECK);
             }
@@ -549,9 +596,9 @@ impl Process for ZkController {
 impl std::fmt::Debug for ZkController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ZkController")
-            .field("brokers", &self.brokers.len())
-            .field("metadata_version", &self.metadata_version)
-            .field("decisions", &self.decisions.len())
+            .field("brokers", &self.front.brokers.len())
+            .field("metadata_version", &self.front.metadata_version)
+            .field("decisions", &self.front.decisions.len())
             .finish()
     }
 }

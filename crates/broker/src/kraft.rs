@@ -16,8 +16,7 @@ use s2g_proto::{BrokerId, ControllerRpc, MetadataRecord, RaftRpc};
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
 use crate::config::{ControllerConfig, TopicSpec};
-use crate::controller::ClusterState;
-use crate::metadata::plan_assignments_racked;
+use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState};
 
 mod tags {
     pub const ELECTION_CHECK: u64 = 1;
@@ -55,7 +54,6 @@ enum RaftRole {
 pub struct KraftController {
     me: BrokerId,
     quorum: BTreeMap<BrokerId, ProcessId>,
-    brokers: BTreeMap<BrokerId, ProcessId>,
     cfg: ControllerConfig,
     topics: Vec<TopicSpec>,
     /// Rack/host labels steering the bootstrap replica placement; brokers
@@ -71,15 +69,9 @@ pub struct KraftController {
     role: RaftRole,
     election_deadline: SimTime,
 
-    // Replicated state machine + leader-local soft state.
-    state: ClusterState,
-    sessions: BTreeMap<BrokerId, SimTime>,
-    /// Last seen process incarnation per broker; a jump means the broker
-    /// bounced and must be re-taught its roles even if its session never
-    /// expired.
-    incarnations: BTreeMap<BrokerId, u64>,
-    metadata_version: u64,
-    decisions: Vec<(SimTime, MetadataRecord)>,
+    /// The replicated state machine plus the leader-local soft state
+    /// (sessions, incarnations) the active controller serves brokers from.
+    front: BrokerFrontEnd,
     bootstrapped: bool,
     name: String,
 }
@@ -120,7 +112,6 @@ impl KraftController {
         KraftController {
             me,
             quorum,
-            brokers,
             cfg,
             topics,
             racks,
@@ -131,11 +122,7 @@ impl KraftController {
             applied: 0,
             role: RaftRole::Follower { leader: None },
             election_deadline: SimTime::ZERO,
-            state: ClusterState::new(),
-            sessions: BTreeMap::new(),
-            incarnations: BTreeMap::new(),
-            metadata_version: 0,
-            decisions: Vec::new(),
+            front: BrokerFrontEnd::new(ClusterState::new(), brokers),
             bootstrapped: false,
             name,
         }
@@ -159,12 +146,12 @@ impl KraftController {
 
     /// The applied cluster state.
     pub fn state(&self) -> &ClusterState {
-        &self.state
+        &self.front.state
     }
 
     /// Applied decisions with timestamps.
     pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.decisions
+        &self.front.decisions
     }
 
     /// The replicated log (term, record) — for consistency assertions.
@@ -240,31 +227,21 @@ impl KraftController {
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };
         self.propose(vec![noop]);
         if !self.bootstrapped
-            && !self.brokers.is_empty()
+            && !self.front.brokers.is_empty()
             && !self.topics.is_empty()
             && self.log.iter().all(|(_, r)| !is_partition_change(r))
         {
             // First leadership over an empty metadata log: install the
             // initial topic assignment.
-            let ids: Vec<BrokerId> = self.brokers.keys().copied().collect();
-            let racked: Vec<(BrokerId, String)> = ids
-                .iter()
-                .map(|b| {
-                    let rack = self
-                        .racks
-                        .get(b)
-                        .cloned()
-                        .unwrap_or_else(|| format!("b{}", b.0));
-                    (*b, rack)
-                })
-                .collect();
-            let plan = plan_assignments_racked(&self.topics, &racked);
-            let mut records: Vec<MetadataRecord> = ids
-                .iter()
+            let plan = plan_with_racks(&self.topics, &self.front.brokers, &self.racks);
+            let mut records: Vec<MetadataRecord> = self
+                .front
+                .brokers
+                .keys()
                 .map(|b| MetadataRecord::BrokerRegistered { broker: *b })
                 .collect();
             for p in &plan {
-                self.state.install_assignment(p);
+                self.front.state.install_assignment(p);
                 records.push(MetadataRecord::PartitionChange {
                     tp: p.tp.clone(),
                     leader: p.leader,
@@ -354,35 +331,55 @@ impl KraftController {
         if self.applied >= self.commit {
             return;
         }
-        let now = ctx.now();
         let batch: Vec<MetadataRecord> = self.log[self.applied..self.commit]
             .iter()
             .map(|(_, r)| r.clone())
             .collect();
         self.applied = self.commit;
-        for r in &batch {
-            self.state.apply(r);
-            self.decisions.push((now, r.clone()));
-        }
+        self.front.apply(ctx.now(), &batch);
         // Only the active controller pushes instructions to brokers.
         if self.is_active() {
-            for (b, rpc) in self.state.leader_and_isr_for(&batch) {
-                if let Some(&pid) = self.brokers.get(&b) {
-                    ctx.send(pid, rpc);
+            self.front.publish(ctx, &batch);
+        }
+    }
+
+    /// Reconciles the local log with a leader's `entries`, which follow its
+    /// entry `prev` (of term `prev_log_term`): drops a conflicting suffix,
+    /// then appends what is new. Returns whether the logs were consistent
+    /// at `prev`, and the index up to which they now match.
+    fn append_entries(
+        &mut self,
+        prev: usize,
+        prev_log_term: u64,
+        entries: Vec<(u64, MetadataRecord)>,
+    ) -> (bool, usize) {
+        let consistent =
+            prev <= self.log.len() && (prev == 0 || self.log[prev - 1].0 == prev_log_term);
+        if !consistent {
+            return (false, self.log.len().min(prev));
+        }
+        let mut insert_at = prev;
+        for (i, e) in entries.iter().enumerate() {
+            let idx = prev + i;
+            if idx < self.log.len() {
+                if self.log[idx].0 != e.0 {
+                    self.log.truncate(idx);
+                    insert_at = idx;
+                    break;
                 }
-            }
-            self.metadata_version += 1;
-            let version = self.metadata_version;
-            for &pid in self.brokers.values() {
-                ctx.send(
-                    pid,
-                    ControllerRpc::MetadataUpdate {
-                        records: batch.clone(),
-                        metadata_version: version,
-                    },
-                );
+                insert_at = idx + 1;
+            } else {
+                insert_at = idx;
+                break;
             }
         }
+        for (i, e) in entries.into_iter().enumerate() {
+            let idx = prev + i;
+            if idx >= insert_at.min(self.log.len()) && idx >= self.log.len() {
+                self.log.push(e);
+            }
+        }
+        (true, self.log.len())
     }
 
     fn handle_raft(&mut self, ctx: &mut Ctx<'_>, rpc: RaftRpc) {
@@ -463,36 +460,8 @@ impl KraftController {
                     return;
                 }
                 self.become_follower(ctx, term, Some(leader));
-                let prev = prev_log_index as usize;
-                let consistent =
-                    prev <= self.log.len() && (prev == 0 || self.log[prev - 1].0 == prev_log_term);
-                let (success, match_index) = if consistent {
-                    // Drop conflicting suffix, then append what is new.
-                    let mut insert_at = prev;
-                    for (i, e) in entries.iter().enumerate() {
-                        let idx = prev + i;
-                        if idx < self.log.len() {
-                            if self.log[idx].0 != e.0 {
-                                self.log.truncate(idx);
-                                insert_at = idx;
-                                break;
-                            }
-                            insert_at = idx + 1;
-                        } else {
-                            insert_at = idx;
-                            break;
-                        }
-                    }
-                    for (i, e) in entries.into_iter().enumerate() {
-                        let idx = prev + i;
-                        if idx >= insert_at.min(self.log.len()) && idx >= self.log.len() {
-                            self.log.push(e);
-                        }
-                    }
-                    (true, self.log.len())
-                } else {
-                    (false, self.log.len().min(prev))
-                };
+                let (success, match_index) =
+                    self.append_entries(prev_log_index as usize, prev_log_term, entries);
                 if success {
                     let new_commit = (leader_commit as usize).min(self.log.len());
                     if new_commit > self.commit {
@@ -551,45 +520,16 @@ impl KraftController {
                 broker,
                 incarnation,
             } => {
-                let now = ctx.now();
-                self.sessions.insert(broker, now);
-                let prev_inc = self.incarnations.insert(broker, incarnation).unwrap_or(0);
-                let bounced = incarnation > prev_inc;
-                let was_dead = !self.state.is_alive(broker);
+                let (was_dead, bounced) = self.front.heartbeat(ctx.now(), broker, incarnation);
                 if was_dead {
                     // Re-registration goes through the quorum.
                     self.propose(vec![MetadataRecord::BrokerRegistered { broker }]);
                     self.leader_tick(ctx);
                 }
                 if was_dead || bounced {
-                    // Re-teach the returned broker its roles from applied
-                    // state — a bounce within the session timeout never
-                    // expires the session, so the incarnation jump is the
-                    // only restart signal.
-                    if let Some(&pid) = self.brokers.get(&broker) {
-                        for r in self.state.leader_and_isr_for_broker(broker) {
-                            ctx.send(pid, r);
-                        }
-                        self.metadata_version += 1;
-                        let version = self.metadata_version;
-                        ctx.send(
-                            pid,
-                            ControllerRpc::MetadataUpdate {
-                                records: self.state.snapshot_records(),
-                                metadata_version: version,
-                            },
-                        );
-                    }
+                    self.front.reteach(ctx, broker);
                 }
-                if let Some(&pid) = self.brokers.get(&broker) {
-                    ctx.send(
-                        pid,
-                        ControllerRpc::HeartbeatAck {
-                            metadata_version: self.metadata_version,
-                            fenced: !self.state.is_alive(broker),
-                        },
-                    );
-                }
+                self.front.ack_heartbeat(ctx, broker);
             }
             ControllerRpc::AlterIsr {
                 tp,
@@ -597,7 +537,8 @@ impl KraftController {
                 epoch,
                 new_isr,
             } => {
-                let records = self.state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
+                let state = &self.front.state;
+                let records = state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
                 self.propose(records);
                 self.leader_tick(ctx);
             }
@@ -616,11 +557,7 @@ impl Process for KraftController {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let ids: Vec<BrokerId> = self.brokers.keys().copied().collect();
-        for b in ids {
-            self.sessions.insert(b, now);
-        }
+        self.front.start_sessions(ctx.now());
         self.reset_election_deadline(ctx);
         ctx.set_timer(ELECTION_CHECK_EVERY, tags::ELECTION_CHECK);
         ctx.set_timer(LEADER_TICK_EVERY, tags::LEADER_TICK);
@@ -655,18 +592,9 @@ impl Process for KraftController {
             }
             tags::SESSION_CHECK => {
                 if self.is_active() {
-                    let now = ctx.now();
                     let timeout = self.cfg.session_timeout;
-                    let expired: Vec<BrokerId> = self
-                        .sessions
-                        .iter()
-                        .filter(|(b, last)| {
-                            self.state.is_alive(**b) && now.saturating_since(**last) > timeout
-                        })
-                        .map(|(b, _)| *b)
-                        .collect();
-                    for b in expired {
-                        let records = self.state.changes_for_broker_failure(b);
+                    for b in self.front.expired_sessions(ctx.now(), timeout) {
+                        let records = self.front.state.changes_for_broker_failure(b);
                         self.propose(records);
                     }
                     self.leader_tick(ctx);
@@ -675,9 +603,9 @@ impl Process for KraftController {
             }
             tags::PREFERRED_CHECK => {
                 if self.is_active() {
-                    let records = self.state.changes_for_preferred_election();
+                    let records = self.front.state.changes_for_preferred_election();
                     self.propose(records);
-                    let recover = self.state.changes_for_offline_recovery();
+                    let recover = self.front.state.changes_for_offline_recovery();
                     self.propose(recover);
                     self.leader_tick(ctx);
                 }

@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::too_many_lines)]
 
 mod broker;
 mod config;
@@ -62,6 +63,7 @@ mod groups;
 mod kraft;
 mod log;
 mod metadata;
+mod partition;
 mod producer;
 mod sources;
 

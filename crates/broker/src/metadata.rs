@@ -2,7 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use s2g_proto::{BrokerId, LeaderEpoch, MetadataRecord, PartitionMetadata, TopicPartition};
+use s2g_proto::{
+    BrokerId, ClientRpc, CorrelationId, LeaderEpoch, MetadataRecord, PartitionMetadata,
+    TopicPartition,
+};
+use s2g_sim::{Ctx, ProcessId, SimDuration, TimerToken};
 
 use crate::config::TopicSpec;
 
@@ -218,6 +222,120 @@ impl MetadataCache {
     /// True when the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.topics.is_empty()
+    }
+}
+
+/// Draws the next correlation id from a client's counter. Ids advance by
+/// two: a producer and a consumer client sharing one process start on
+/// opposite parities, so their ids never collide.
+pub(crate) fn draw_corr(next: &mut u64) -> CorrelationId {
+    let corr = CorrelationId(*next);
+    *next += 2;
+    corr
+}
+
+/// A client's metadata-bootstrap session: its cache, the broker endpoint it
+/// refreshes from (rotating through the others when that one stops
+/// answering), and the one refresh in flight. Producer and consumer clients
+/// each embed one.
+#[derive(Debug)]
+pub(crate) struct MetadataSession {
+    bootstrap: ProcessId,
+    /// Every broker endpoint, in broker-id order — the rotation list used
+    /// when the current bootstrap stops answering (broker crash/restart).
+    candidates: Vec<ProcessId>,
+    cache: MetadataCache,
+    versions: u64,
+    inflight: Option<(CorrelationId, TimerToken)>,
+    /// How long a refresh may stay unanswered, and the owner's timer tag
+    /// that says it did.
+    timeout: SimDuration,
+    timeout_tag: u64,
+}
+
+impl MetadataSession {
+    pub(crate) fn new(
+        bootstrap: ProcessId,
+        brokers: &BTreeMap<BrokerId, ProcessId>,
+        timeout: SimDuration,
+        timeout_tag: u64,
+    ) -> Self {
+        MetadataSession {
+            bootstrap,
+            candidates: brokers.values().copied().collect(),
+            cache: MetadataCache::new(),
+            versions: 0,
+            inflight: None,
+            timeout,
+            timeout_tag,
+        }
+    }
+
+    pub(crate) fn cache(&self) -> &MetadataCache {
+        &self.cache
+    }
+
+    /// The endpoint bootstrap traffic currently goes to.
+    pub(crate) fn bootstrap(&self) -> ProcessId {
+        self.bootstrap
+    }
+
+    pub(crate) fn candidates(&self) -> &[ProcessId] {
+        &self.candidates
+    }
+
+    /// Requests a refresh unless one is in flight; `next_corr` is only
+    /// drawn from when a request goes out.
+    pub(crate) fn request(&mut self, ctx: &mut Ctx<'_>, next_corr: impl FnOnce() -> CorrelationId) {
+        if self.inflight.is_some() {
+            return;
+        }
+        let corr = next_corr();
+        let timer = ctx.set_timer(self.timeout, self.timeout_tag);
+        self.inflight = Some((corr, timer));
+        ctx.send(self.bootstrap, ClientRpc::MetadataRequest { corr });
+    }
+
+    /// Installs the snapshot if `corr` answers this session's request;
+    /// otherwise hands it back (it may belong to a co-embedded client).
+    pub(crate) fn on_response(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        corr: CorrelationId,
+        partitions: Vec<PartitionMetadata>,
+    ) -> Result<(), Vec<PartitionMetadata>> {
+        match self.inflight {
+            Some((c, timer)) if c == corr => {
+                ctx.cancel_timer(timer);
+                self.inflight = None;
+                self.versions += 1;
+                self.cache.install_snapshot(partitions, self.versions);
+                Ok(())
+            }
+            _ => Err(partitions),
+        }
+    }
+
+    /// The refresh went unanswered — the bootstrap may be down (broker
+    /// crash). The owner requests again, against the next endpoint; a
+    /// single-broker cluster retries the same endpoint until its restart
+    /// answers.
+    pub(crate) fn on_timeout(&mut self) {
+        self.inflight = None;
+        self.rotate();
+    }
+
+    /// Advances to the next broker endpoint for bootstrap traffic.
+    pub(crate) fn rotate(&mut self) {
+        if self.candidates.len() < 2 {
+            return;
+        }
+        let cur = self
+            .candidates
+            .iter()
+            .position(|p| *p == self.bootstrap)
+            .unwrap_or(0);
+        self.bootstrap = self.candidates[(cur + 1) % self.candidates.len()];
     }
 }
 

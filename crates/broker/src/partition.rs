@@ -1,0 +1,960 @@
+//! One hosted partition: everything the broker keeps for it, in one record.
+//!
+//! A [`Partition`] owns the log, the role, the highest controller epoch
+//! seen, the idempotent-dedup stamps and their mirrored copy, the
+//! transaction ranges, the sticky codec and the durable end. Every RPC
+//! resolves its partition once and calls the methods here.
+//!
+//! Work only a leader may do lives on [`Led`], the view [`Partition::admit`]
+//! hands out after the single admission decision (fenced → not leader →
+//! stale/newer epoch → `min.insync.replicas`), so no handler re-proves
+//! leadership.
+
+use std::collections::{BTreeMap, HashMap};
+
+use s2g_proto::{
+    BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
+    PartitionMetadata, Record, RecordBatch, ReplicaRpc, TopicPartition,
+};
+use s2g_sim::{Ctx, ProcessId, SimTime};
+
+use crate::broker::{Host, OutMsg};
+use crate::config::{BrokerConfig, CoordinationMode};
+use crate::log::{CleanOutcome, MetaPartitionTxns, MetaTxnEntry, PartitionLog};
+
+/// A produce whose acknowledgement waits for replication and/or the
+/// covering flush.
+#[derive(Debug)]
+pub(crate) struct PendingProduce {
+    pub(crate) client: ProcessId,
+    pub(crate) corr: CorrelationId,
+    /// High watermark needed before acknowledging (`Offset::ZERO` when the
+    /// ack mode does not wait for replication).
+    pub(crate) need: Offset,
+    /// Durable log end needed before acknowledging (`Offset::ZERO` when no
+    /// log backend is attached).
+    pub(crate) need_durable: Offset,
+    pub(crate) base: Offset,
+    pub(crate) records: usize,
+}
+
+/// The one constructor of a produce response.
+pub(crate) fn produce_response(
+    corr: CorrelationId,
+    tp: TopicPartition,
+    base_offset: Offset,
+    error: ErrorCode,
+) -> OutMsg {
+    OutMsg::Client(ClientRpc::ProduceResponse {
+        corr,
+        tp,
+        base_offset,
+        error,
+    })
+}
+
+#[derive(Debug)]
+struct LeaderState {
+    epoch: LeaderEpoch,
+    isr: Vec<BrokerId>,
+    replicas: Vec<BrokerId>,
+    follower_end: HashMap<BrokerId, Offset>,
+    caught_up_at: HashMap<BrokerId, SimTime>,
+    pending: Vec<PendingProduce>,
+    /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauge names, built
+    /// once per reign: every watermark move sets both gauges.
+    gap_gauges: [String; 2],
+}
+
+#[derive(Debug)]
+struct FollowerState {
+    leader: Option<BrokerId>,
+    epoch: LeaderEpoch,
+    inflight: bool,
+}
+
+#[derive(Debug)]
+enum Role {
+    Leader(LeaderState),
+    Follower(FollowerState),
+}
+
+/// The highest `(producer_epoch, seq)` per producer id. Kept inside the
+/// partition so the per-record dedup check is an integer lookup: no
+/// `(TopicPartition, producer)` key, hence no topic `String`, is built per
+/// record.
+type ProducerSeqs = BTreeMap<u32, (u32, u64)>;
+
+/// Raises `producer`'s stamp to `stamp` if that is higher.
+fn raise_seq(seqs: &mut ProducerSeqs, producer: u32, stamp: (u32, u64)) {
+    let entry = seqs.entry(producer).or_insert(stamp);
+    *entry = (*entry).max(stamp);
+}
+
+/// Transaction bookkeeping for one partition: open transactions (their
+/// records are withheld from read-committed consumers) and aborted offset
+/// ranges (skipped forever). Persisted in the meta blob so isolation
+/// survives a broker bounce.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct PartitionTxns {
+    /// `(producer, txn)` → `(first, end, producer_epoch)` offset range
+    /// staged so far, tagged with the staging incarnation's epoch so a
+    /// recover from a newer incarnation can fence older leftovers without
+    /// ever touching its own transactions.
+    ongoing: BTreeMap<(u32, u64), (u64, u64, u32)>,
+    /// Aborted `[start, end)` offset ranges.
+    aborted: Vec<(u64, u64)>,
+}
+
+impl PartitionTxns {
+    /// Rebuilds the state a meta blob persisted.
+    pub(crate) fn from_meta(ongoing: Vec<MetaTxnEntry>, aborted: Vec<(u64, u64)>) -> Self {
+        let ongoing = ongoing
+            .into_iter()
+            .map(|(p, x, first, end, e)| ((p, x), (first, end, e)))
+            .collect();
+        PartitionTxns { ongoing, aborted }
+    }
+
+    /// The open transactions and aborted ranges as the meta blob stores
+    /// them; `None` when there is nothing to persist.
+    pub(crate) fn to_meta(&self, tp: &TopicPartition) -> Option<MetaPartitionTxns> {
+        if self.ongoing.is_empty() && self.aborted.is_empty() {
+            return None;
+        }
+        let ongoing = self
+            .ongoing
+            .iter()
+            .map(|((p, x), (first, end, e))| (*p, *x, *first, *end, *e))
+            .collect();
+        Some((tp.clone(), ongoing, self.aborted.clone()))
+    }
+
+    /// The last stable offset: no record at or above it belongs to an open
+    /// transaction. `None` when no transaction is open.
+    fn lso(&self) -> Option<u64> {
+        self.ongoing.values().map(|(first, _, _)| *first).min()
+    }
+
+    fn is_aborted(&self, offset: u64) -> bool {
+        // `aborted` is kept sorted and merged, so a binary search suffices.
+        let i = self.aborted.partition_point(|(s, _)| *s <= offset);
+        i > 0 && offset < self.aborted[i - 1].1
+    }
+
+    /// Inserts an aborted `[start, end)` range, keeping the list sorted and
+    /// coalescing overlapping/adjacent ranges so fetch-path lookups stay
+    /// logarithmic and the meta blob stays small.
+    fn add_aborted(&mut self, start: u64, end: u64) {
+        let i = self.aborted.partition_point(|(s, _)| *s < start);
+        self.aborted.insert(i, (start, end));
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.aborted.len());
+        for &(s, e) in &self.aborted {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        self.aborted = merged;
+    }
+
+    /// Records (or extends) the open transaction `key`'s staged range
+    /// `[base, end)`. A leftover entry from an older producer epoch (the
+    /// crashed incarnation reused the txn sequence) is fenced: its range
+    /// aborts and the fresh epoch starts a new one. Returns whether that
+    /// happened.
+    fn stage(&mut self, key: (u32, u64), base: u64, end: u64, rec_epoch: u32) -> bool {
+        match self.ongoing.get(&key).copied() {
+            Some((f, l, e)) if e == rec_epoch => {
+                self.ongoing.insert(key, (f, l.max(end), e));
+                false
+            }
+            Some((f, l, _)) => {
+                self.ongoing.insert(key, (base, end, rec_epoch));
+                if l > f {
+                    self.add_aborted(f, l);
+                }
+                true
+            }
+            None => {
+                self.ongoing.insert(key, (base, end, rec_epoch));
+                false
+            }
+        }
+    }
+
+    /// Resolves every open transaction of `producer` whose sequence matches
+    /// `which` — and, when `below_epoch` is set, whose staging producer
+    /// epoch is older than it (the fencing rule) — committing or aborting.
+    /// Returns how many it resolved.
+    pub(crate) fn resolve(
+        &mut self,
+        producer: u32,
+        which: impl Fn(u64) -> bool,
+        below_epoch: Option<u32>,
+        commit: bool,
+    ) -> u64 {
+        let keys: Vec<(u32, u64)> = self
+            .ongoing
+            .iter()
+            .filter(|((p, t), (_, _, e))| {
+                *p == producer && which(*t) && below_epoch.is_none_or(|fence| *e < fence)
+            })
+            .map(|(k, _)| *k)
+            .collect();
+        for k in &keys {
+            if let Some((first, end, _)) = self.ongoing.remove(k) {
+                if !commit && end > first {
+                    self.add_aborted(first, end);
+                }
+            }
+        }
+        keys.len() as u64
+    }
+}
+
+/// Everything the broker keeps for one hosted partition.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    log: PartitionLog,
+    role: Option<Role>,
+    /// The highest controller epoch seen: an older `LeaderAndIsr` is stale.
+    known_epoch: LeaderEpoch,
+    /// Highest `(producer_epoch, seq)` appended per producer — the
+    /// idempotent-producer dedup state. Rebuilt from the log on restart
+    /// replay and after divergence truncation, so a batch retried across a
+    /// broker bounce is acknowledged without duplicating records, while a
+    /// respawned client (bumped epoch, sequence restarting at zero) is
+    /// accepted as fresh.
+    seqs: ProducerSeqs,
+    /// Dedup stamps mirrored from the leader while following, merged into
+    /// `seqs` on promotion. This carries the in-memory-only knowledge a
+    /// bare log replay cannot rebuild (e.g. a producer's highest sequence
+    /// whose record compaction since removed), so a failover never
+    /// re-admits a duplicate the old leader had filtered. Only populated
+    /// from fetches made while fully caught up, so every mirrored stamp is
+    /// covered by the local log.
+    mirrored_seqs: ProducerSeqs,
+    pub(crate) txns: PartitionTxns,
+    /// Sticky compression: the codec of the last produced (or replicated)
+    /// batch, stamped onto fetch responses so consumers pay the decompress
+    /// cost — the broker itself never re-codes batches, exactly like
+    /// Kafka's zero-copy fetch path.
+    codec: Compression,
+    /// The durable log end: produce acks wait for it when a log backend is
+    /// attached.
+    durable_end: Offset,
+    /// The log end captured when the in-flight flush was issued; it becomes
+    /// `durable_end` when that flush completes.
+    flush_end: Offset,
+}
+
+/// A partition this broker leads, as [`Partition::admit`] or
+/// [`Partition::led`] proved: the leader state beside the rest of the
+/// record. Leader-only work is a method here.
+pub(crate) struct Led<'p> {
+    tp: &'p TopicPartition,
+    ls: &'p mut LeaderState,
+    log: &'p mut PartitionLog,
+    seqs: &'p mut ProducerSeqs,
+    txns: &'p mut PartitionTxns,
+    codec: &'p mut Compression,
+    durable_end: Offset,
+}
+
+impl Partition {
+    pub(crate) fn new(cfg: &BrokerConfig) -> Self {
+        Partition {
+            log: PartitionLog::with_segment_max(cfg.log_segment_max_records),
+            role: None,
+            known_epoch: LeaderEpoch::default(),
+            seqs: ProducerSeqs::new(),
+            mirrored_seqs: ProducerSeqs::new(),
+            txns: PartitionTxns::default(),
+            codec: Compression::default(),
+            durable_end: Offset::ZERO,
+            flush_end: Offset::ZERO,
+        }
+    }
+
+    pub(crate) fn log(&self) -> &PartitionLog {
+        &self.log
+    }
+
+    pub(crate) fn has_role(&self) -> bool {
+        self.role.is_some()
+    }
+
+    /// The epoch and ISR of this broker's reign, when it leads.
+    pub(crate) fn reign(&self) -> Option<(LeaderEpoch, &[BrokerId])> {
+        match &self.role {
+            Some(Role::Leader(ls)) => Some((ls.epoch, &ls.isr)),
+            _ => None,
+        }
+    }
+
+    /// The leader view, when this broker leads the partition.
+    pub(crate) fn led<'p>(&'p mut self, tp: &'p TopicPartition) -> Option<Led<'p>> {
+        let Partition {
+            role: Some(Role::Leader(ls)),
+            log,
+            seqs,
+            txns,
+            codec,
+            durable_end,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(Led {
+            tp,
+            ls,
+            log,
+            seqs,
+            txns,
+            codec,
+            durable_end: *durable_end,
+        })
+    }
+
+    /// The one admission decision for a partition RPC, in this order:
+    ///
+    /// 1. a fenced broker (KRaft, session lapsed) serves nothing;
+    /// 2. only the leader serves;
+    /// 3. leader-epoch fencing, when the request is stamped (`epoch`). An
+    ///    *older* epoch is aimed at a deposed leader's reign — a delayed
+    ///    produce released after an election, or a zombie client that never
+    ///    refreshed — and must bounce (`StaleEpoch` is retriable, so a live
+    ///    client refreshes metadata and retries against the new reign). A
+    ///    *newer* epoch means this broker is the deposed one still serving
+    ///    on stale state: `NotLeader` sends the client to the real leader.
+    ///    (An isolated ZK-mode leader and its co-located clients share the
+    ///    same stale epoch, so the Fig. 6b silent-loss pathology is
+    ///    untouched by this fence.)
+    /// 4. `acks=all` needs a healthy quorum (`min_isr`, zero otherwise):
+    ///    with the ISR shrunk below `min.insync.replicas`, reject rather
+    ///    than accept records only a rump of the replica set would hold.
+    pub(crate) fn admit<'p>(
+        this: Option<&'p mut Self>,
+        tp: &'p TopicPartition,
+        fenced: bool,
+        epoch: Option<LeaderEpoch>,
+        min_isr: usize,
+    ) -> Result<Led<'p>, ErrorCode> {
+        if fenced {
+            return Err(ErrorCode::Fenced);
+        }
+        let led = this.and_then(|p| p.led(tp)).ok_or(ErrorCode::NotLeader)?;
+        match epoch {
+            Some(req) if req < led.ls.epoch => Err(ErrorCode::StaleEpoch),
+            Some(req) if req > led.ls.epoch => Err(ErrorCode::NotLeader),
+            _ if led.ls.isr.len() < min_isr => Err(ErrorCode::NotEnoughReplicas),
+            _ => Ok(led),
+        }
+    }
+
+    /// Applies a controller instruction: promotion, an ISR update to a
+    /// sitting leader, step-down to follower, or loss of the role. An
+    /// instruction older than the highest epoch seen is ignored.
+    pub(crate) fn apply_leader_and_isr(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        host: &mut Host,
+        m: PartitionMetadata,
+    ) {
+        if m.epoch < self.known_epoch {
+            return; // stale instruction
+        }
+        let same_epoch_update = m.epoch == self.known_epoch;
+        self.known_epoch = m.epoch;
+        let now = ctx.now();
+        let tp = &m.tp;
+        if m.leader == Some(host.id) {
+            match &mut self.role {
+                Some(Role::Leader(ls)) if same_epoch_update => {
+                    // ISR confirmation/adjustment from the controller.
+                    ls.isr = m.isr;
+                }
+                _ => {
+                    self.role = Some(Role::Leader(LeaderState {
+                        epoch: m.epoch,
+                        caught_up_at: m.isr.iter().map(|b| (*b, now)).collect(),
+                        isr: m.isr,
+                        replicas: m.replicas,
+                        follower_end: HashMap::new(),
+                        pending: Vec::new(),
+                        gap_gauges: [format!("hw_gap/{tp}"), format!("lso_gap/{tp}")],
+                    }));
+                    // Promotion: fold the dedup stamps mirrored from the
+                    // old leader into the live filter, so the new reign
+                    // rejects exactly the duplicates the old one would
+                    // have. (The mirrored transaction ranges are already
+                    // installed in `txns` and carry over as-is.)
+                    for (p, stamp) in std::mem::take(&mut self.mirrored_seqs) {
+                        raise_seq(&mut self.seqs, p, stamp);
+                    }
+                    host.leadership_events.push((now, tp.clone(), true));
+                    ctx.trace_with("broker", || format!("{} became leader of {tp}", host.name));
+                }
+            }
+            // A fresh leader re-evaluates at once (a recovered log may
+            // carry a watermark below its end); a sitting one, under its
+            // new ISR.
+            if let Some(mut led) = self.led(tp) {
+                led.advance_hw(ctx, host);
+            }
+        } else if m.replicas.contains(&host.id) {
+            if let Some(mut led) = self.led(tp) {
+                led.fail_pending(ctx, host, ErrorCode::NotLeader);
+                host.leadership_events.push((now, tp.clone(), false));
+                ctx.trace_with("broker", || format!("{} stepped down from {tp}", host.name));
+            }
+            self.role = Some(Role::Follower(FollowerState {
+                leader: m.leader,
+                epoch: m.epoch,
+                inflight: false,
+            }));
+        } else {
+            self.role = None;
+        }
+    }
+
+    /// As a follower, asks the leader for records past the local log end.
+    /// `tick` marks the periodic fetch: a follower that cannot reach its
+    /// leader keeps an RPC inflight forever (the response was dropped), so
+    /// each tick allows a new fetch; duplicate responses are idempotent
+    /// because appends start from our log end.
+    pub(crate) fn fetch_from_leader(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        host: &mut Host,
+        tp: &TopicPartition,
+        tick: bool,
+    ) {
+        let Some(Role::Follower(fs)) = &mut self.role else {
+            return;
+        };
+        let corr = host.next_corr();
+        fs.inflight &= !tick;
+        let Some(leader) = fs.leader else { return };
+        if fs.inflight || leader == host.id {
+            return;
+        }
+        let Some(&leader_pid) = host.peers.get(&leader) else {
+            return;
+        };
+        fs.inflight = true;
+        ctx.send(
+            leader_pid,
+            ReplicaRpc::Fetch {
+                corr,
+                tp: tp.clone(),
+                from: host.id,
+                log_end: self.log.log_end(),
+                // The epoch of our log tail, not the announced leader
+                // epoch: that is what lets the leader detect a divergent
+                // suffix appended while we were isolated and tell us to
+                // truncate it.
+                epoch: self.log.last_epoch().unwrap_or(fs.epoch),
+            },
+        );
+    }
+
+    /// As a follower, takes delivery of a fetch response: the request is no
+    /// longer in flight, and a successful one announces the leader's epoch.
+    /// Returns whether there is anything to apply (`false` for a
+    /// non-follower, or an error: wait for a fresh `LeaderAndIsr`).
+    pub(crate) fn fetch_answered(&mut self, epoch: LeaderEpoch, error: ErrorCode) -> bool {
+        let Some(Role::Follower(fs)) = &mut self.role else {
+            return false;
+        };
+        fs.inflight = false;
+        if error.is_ok() {
+            fs.epoch = epoch;
+        }
+        error.is_ok()
+    }
+
+    /// Discards the divergent suffix at and past `to`, as the leader
+    /// instructed.
+    pub(crate) fn truncate(&mut self, host: &mut Host, to: Offset) {
+        let before = self.log.retained_bytes() as u64;
+        host.stats.records_truncated += self.log.truncate_to(to) as u64;
+        host.retained_bytes = host.retained_bytes + self.log.retained_bytes() as u64 - before;
+        // Discarded entries may hold the highest seqs; rebuild the dedup
+        // state from what remains. Mirrored stamps predate the truncation
+        // and may cover discarded records — drop them; the next caught-up
+        // fetch repopulates from the new reign's leader.
+        self.rebuild_seqs();
+        self.mirrored_seqs.clear();
+        // The durable floor must shrink with the log: offsets beyond the
+        // truncation point are no longer covered by a valid flush, and
+        // future appends there must wait for their own flush before being
+        // acknowledged. An in-flight flush's claim is clamped too — its
+        // blobs hold the discarded divergent suffix, not the live log.
+        let new_end = self.log.log_end();
+        self.durable_end = self.durable_end.min(new_end);
+        self.flush_end = self.flush_end.min(new_end);
+    }
+
+    /// Appends replicated records at the leader's explicit offsets (a
+    /// compacted leader log serves holes, and replicas must preserve
+    /// offsets to stay byte-identical) and adopts its high watermark.
+    /// Returns how many records were new.
+    pub(crate) fn replicate(
+        &mut self,
+        host: &mut Host,
+        batch: RecordBatch,
+        epochs: &[LeaderEpoch],
+        offsets: &[Offset],
+        epoch: LeaderEpoch,
+        high_watermark: Offset,
+    ) -> u64 {
+        // Remember the leader's codec so a promotion keeps serving fetches
+        // with the right compression flag.
+        if !batch.is_empty() {
+            self.codec = batch.compression();
+        }
+        let mut appended = 0u64;
+        // The follower is the batch's sole owner (the leader built it for
+        // this reply), so this unwraps the Arc in place.
+        for (i, rec) in batch.into_records().into_iter().enumerate() {
+            let e = epochs.get(i).copied().unwrap_or(epoch);
+            let off = offsets
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| self.log.log_end());
+            let stamp = (rec.producer_epoch, rec.producer_seq);
+            raise_seq(&mut self.seqs, rec.producer.0, stamp);
+            let bytes = rec.encoded_len() as u64;
+            if self.log.append_at(off, e, rec) {
+                appended += 1;
+                host.retained_bytes += bytes;
+            }
+        }
+        host.stats.records_appended += appended;
+        let end = self.log.log_end();
+        self.log.advance_high_watermark(high_watermark.min(end));
+        appended
+    }
+
+    /// Mirrors the leader's transactional state and, from a caught-up
+    /// fetch, its dedup stamps (all covered by our log), stashed for
+    /// promotion time. The transaction ranges are clamped to the records
+    /// this follower actually holds: ranges wholly past our log end
+    /// describe records that never replicated here and must not be
+    /// resurrected after a promotion. Returns whether the transaction
+    /// state changed.
+    pub(crate) fn mirror(
+        &mut self,
+        txn_ongoing: Vec<(u32, u64, Offset, Offset, u32)>,
+        txn_aborted: Vec<(Offset, Offset)>,
+        producer_seqs: Vec<(u32, u32, u64)>,
+    ) -> bool {
+        let log_end = self.log.log_end().value();
+        let mut mirrored = PartitionTxns::default();
+        for (p, x, first, range_end, pe) in txn_ongoing {
+            if first.value() < log_end {
+                let range = (first.value(), range_end.value().min(log_end), pe);
+                mirrored.ongoing.insert((p, x), range);
+            }
+        }
+        for (s, e) in txn_aborted {
+            if s.value() < log_end {
+                mirrored.add_aborted(s.value(), e.value().min(log_end));
+            }
+        }
+        for (p, e, s) in producer_seqs {
+            raise_seq(&mut self.mirrored_seqs, p, (e, s));
+        }
+        let changed = self.txns != mirrored;
+        if changed {
+            self.txns = mirrored;
+        }
+        changed
+    }
+
+    /// Rebuilds the idempotent-producer dedup state from the log (after
+    /// truncation or restart replay).
+    fn rebuild_seqs(&mut self) {
+        self.seqs.clear();
+        for e in self.log.segments().iter().flat_map(|s| s.entries()) {
+            let stamp = (e.record.producer_epoch, e.record.producer_seq);
+            raise_seq(&mut self.seqs, e.record.producer.0, stamp);
+        }
+    }
+
+    /// Installs the log a restart replay rebuilt — all of it durable — and
+    /// the dedup state it implies, so batches retried across the bounce are
+    /// not appended twice.
+    pub(crate) fn restore(&mut self, log: PartitionLog) {
+        self.durable_end = log.log_end();
+        self.log = log;
+        self.rebuild_seqs();
+    }
+
+    /// One cleaner pass: retention first (whole segments are cheapest),
+    /// then keyed compaction. Aborted ranges wholly below the advanced log
+    /// start reference vanished records; they are dropped so the list (and
+    /// the meta blob) stays bounded by live history.
+    pub(crate) fn clean(
+        &mut self,
+        now: SimTime,
+        cfg: &BrokerConfig,
+    ) -> (CleanOutcome, CleanOutcome) {
+        let retained =
+            self.log
+                .apply_retention(now, cfg.log_retention_age, cfg.log_retention_bytes);
+        let compacted = if cfg.log_compaction {
+            self.log.compact()
+        } else {
+            CleanOutcome::default()
+        };
+        let log_start = self.log.log_start().value();
+        self.txns.aborted.retain(|(_, e)| *e > log_start);
+        (retained, compacted)
+    }
+
+    /// Hands the dirty segments to a flush and remembers the log end that
+    /// flush will make durable.
+    pub(crate) fn begin_flush(&mut self) -> Vec<(u64, Vec<u8>)> {
+        self.flush_end = self.log.log_end();
+        self.log.take_dirty_segments()
+    }
+
+    /// The flush [`begin_flush`](Self::begin_flush) fed became durable.
+    pub(crate) fn flush_done(&mut self) {
+        self.durable_end = self.durable_end.max(self.flush_end);
+    }
+}
+
+impl Led<'_> {
+    /// Appends the batch's fresh records and returns their base offset and
+    /// count.
+    ///
+    /// Idempotent-producer dedup: a record whose `(producer, seq)` this
+    /// partition already appended is a retry whose ack was lost (timeout,
+    /// broker bounce) — it is acknowledged without a second copy. The batch
+    /// is borrowed, not consumed: the producer still holds it for retries,
+    /// so taking ownership here would force a deep copy. Cloning a `Record`
+    /// only bumps the payload refcounts.
+    ///
+    /// A transactional batch (`txn`) stays invisible to read-committed
+    /// consumers until its EndTxn marker: its offset range is staged.
+    pub(crate) fn append(
+        &mut self,
+        now: SimTime,
+        host: &mut Host,
+        batch: &RecordBatch,
+        txn: Option<u64>,
+    ) -> (Offset, usize) {
+        // The sticky codec: fetches of this partition are served with
+        // whatever the last producer sealed.
+        *self.codec = batch.compression();
+        host.tele
+            .observe_count(&host.name, "batch_records", batch.len() as u64);
+        host.tele
+            .observe_bytes(&host.name, "batch_bytes", batch.record_bytes() as u64);
+        let mut fresh: Vec<Record> = Vec::with_capacity(batch.len());
+        // One lookup and one write-back per run of records from the same
+        // producer (a batch is normally a single run), with the run's
+        // latest stamp carried in between so a later record still sees an
+        // earlier one of its own batch.
+        for run in batch.records().chunk_by(|a, b| a.producer == b.producer) {
+            let producer = run[0].producer.0;
+            let mut last = self.seqs.get(&producer).copied();
+            for r in run {
+                // Same-or-older (epoch, seq) is a stale retry; a bumped
+                // epoch is a respawned client restarting at seq zero.
+                let stamp = (r.producer_epoch, r.producer_seq);
+                if last.is_some_and(|last| stamp <= last) {
+                    host.stats.duplicates_filtered += 1;
+                } else {
+                    last = Some(stamp);
+                    fresh.push(r.clone());
+                }
+            }
+            if let Some(last) = last {
+                self.seqs.insert(producer, last);
+            }
+        }
+        let n = fresh.len();
+        let bytes: u64 = fresh.iter().map(|r| r.encoded_len() as u64).sum();
+        let staging = fresh.first().map(|r| (r.producer.0, r.producer_epoch));
+        let base = self.log.append_batch(self.ls.epoch, fresh);
+        host.retained_bytes += bytes;
+        host.update_mem();
+        host.stats.records_appended += n as u64;
+        host.tele.counter_add(&host.name, "produces", 1);
+        host.tele
+            .counter_add(&host.name, "records_appended", n as u64);
+        host.tele
+            .gauge_set(&host.name, "log_bytes", host.retained_bytes as f64);
+        if host.tele.trace_enabled() && n > 0 {
+            let name = format!("append:{}", self.tp);
+            host.tele.trace_instant(now, &host.name, &name, "broker");
+        }
+        if let (Some(t), Some((pid, rec_epoch))) = (txn, staging) {
+            let end = base.value() + n as u64;
+            if self.txns.stage((pid, t), base.value(), end, rec_epoch) {
+                host.stats.txns_aborted += 1;
+            }
+            host.dirty = true;
+        }
+        (base, n)
+    }
+
+    /// Parks a produce until the watermark and the durable end cover it.
+    pub(crate) fn pend(&mut self, p: PendingProduce) {
+        self.ls.pending.push(p);
+    }
+
+    /// Serves a consumer read from `offset`: the batch, the high watermark,
+    /// the reader's next offset and the error code.
+    pub(crate) fn read(
+        &self,
+        cfg: &BrokerConfig,
+        offset: Offset,
+        max_records: usize,
+        read_committed: bool,
+    ) -> (RecordBatch, Offset, Offset, ErrorCode) {
+        let hw = self.log.high_watermark();
+        let start = self.log.log_start();
+        if offset < start {
+            // Retention dropped the requested range: reset the reader to
+            // the earliest record.
+            return (RecordBatch::new(), hw, start, ErrorCode::OffsetOutOfRange);
+        }
+        if offset > hw {
+            return (RecordBatch::new(), hw, hw, ErrorCode::OffsetOutOfRange);
+        }
+        // Read-committed isolation caps the read at the last stable offset:
+        // nothing of an open transaction leaks out before its marker flips.
+        let visible_end = match self.txns.lso() {
+            Some(lso) if read_committed => Offset(lso).min(hw),
+            _ => hw,
+        };
+        let max = max_records.min(cfg.fetch_max_records);
+        let mut scanned = self.log.read_entries(offset, max, true);
+        scanned.retain(|e| e.offset < visible_end);
+        // Aborted transactions' records are holes to a read-committed
+        // reader, exactly like compacted entries.
+        let served: Vec<_> = scanned
+            .iter()
+            .copied()
+            .filter(|e| !read_committed || !self.txns.is_aborted(e.offset.value()))
+            .collect();
+        // Advance past the last served record — else past the last scanned
+        // one, so an aborted run is skipped — or, on an empty read below
+        // the visible end, over a fully compacted tail hole. A reader
+        // parked at the LSO simply re-polls.
+        let next = served
+            .last()
+            .or(scanned.last())
+            .map_or(offset.max(visible_end), |e| Offset(e.offset.value() + 1));
+        let served = served.iter().map(|e| e.record.clone()).collect();
+        let batch = RecordBatch::from_records(served).with_compression(*self.codec);
+        (batch, hw, next, ErrorCode::None)
+    }
+
+    /// Serves a replica fetch from follower `from`, whose log ends at
+    /// `log_end` under tail epoch `epoch`: records its progress (proposing
+    /// an ISR expansion when it caught up), advances the watermark, and
+    /// builds the response.
+    pub(crate) fn serve_fetch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        host: &mut Host,
+        corr: CorrelationId,
+        from: BrokerId,
+        log_end: Offset,
+        epoch: LeaderEpoch,
+    ) -> (usize, ReplicaRpc) {
+        let now = ctx.now();
+        // Divergence reconciliation: a follower on an older epoch may hold
+        // a conflicting suffix and must truncate first.
+        let mut truncate_to = None;
+        let mut start = log_end;
+        if epoch < self.ls.epoch {
+            let boundary = self.log.end_offset_for_epoch(epoch);
+            if boundary < log_end {
+                truncate_to = Some(boundary);
+                start = boundary;
+            }
+        }
+        let entries = self
+            .log
+            .read_entries(start, host.cfg.replica_fetch_max_records, false);
+        let epochs: Vec<LeaderEpoch> = entries.iter().map(|e| e.epoch).collect();
+        let offsets: Vec<Offset> = entries.iter().map(|e| e.offset).collect();
+        let records: Vec<Record> = entries.iter().map(|e| e.record.clone()).collect();
+        let high_watermark = self.log.high_watermark();
+        let caught_up = start >= self.log.log_end();
+        // Update follower progress from its claimed log end.
+        self.ls.follower_end.insert(from, start);
+        if caught_up {
+            self.ls.caught_up_at.insert(from, now);
+            // Propose ISR expansion for recovered followers. In ZooKeeper
+            // mode the leader applies it locally first; in KRaft mode it
+            // waits for quorum confirmation.
+            if !self.ls.isr.contains(&from) && self.ls.replicas.contains(&from) {
+                let mut new_isr = self.ls.isr.clone();
+                new_isr.push(from);
+                if host.mode == CoordinationMode::Zk {
+                    self.ls.isr = new_isr.clone();
+                }
+                host.stats.isr_expands += 1;
+                self.alter_isr(ctx, host, new_isr);
+            }
+        }
+        self.advance_hw(ctx, host);
+        // Transactional-state handover: every reply mirrors the leader's
+        // open/aborted transaction ranges so a promoted follower can keep
+        // read-committed isolation and resolve in-flight transactions
+        // itself. Producer dedup stamps ride along only when the follower
+        // is fully caught up (then every stamp is covered by its log and
+        // can never phantom-ack a record the follower does not hold).
+        let txn_ongoing = self
+            .txns
+            .ongoing
+            .iter()
+            .map(|((p, x), (f, e, pe))| (*p, *x, Offset(*f), Offset(*e), *pe))
+            .collect();
+        let txn_aborted = self
+            .txns
+            .aborted
+            .iter()
+            .map(|(s, e)| (Offset(*s), Offset(*e)))
+            .collect();
+        let producer_seqs = if caught_up {
+            self.seqs.iter().map(|(p, (e, s))| (*p, *e, *s)).collect()
+        } else {
+            Vec::new()
+        };
+        let n = records.len();
+        let response = ReplicaRpc::FetchResponse {
+            corr,
+            tp: self.tp.clone(),
+            batch: RecordBatch::from_records(records).with_compression(*self.codec),
+            epochs,
+            offsets,
+            high_watermark,
+            epoch: self.ls.epoch,
+            truncate_to,
+            txn_ongoing,
+            txn_aborted,
+            producer_seqs,
+            error: ErrorCode::None,
+        };
+        (n, response)
+    }
+
+    fn alter_isr(&self, ctx: &mut Ctx<'_>, host: &Host, new_isr: Vec<BrokerId>) {
+        host.send_controllers(
+            ctx,
+            ControllerRpc::AlterIsr {
+                tp: self.tp.clone(),
+                from: host.id,
+                epoch: self.ls.epoch,
+                new_isr,
+            },
+        );
+    }
+
+    /// Drops ISR members silent past `replica.lag.time.max` and proposes
+    /// the shrunk ISR to the controller.
+    pub(crate) fn shrink_isr(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
+        let now = ctx.now();
+        let ls = &mut *self.ls;
+        let lags = |b: &BrokerId| {
+            let caught_up = ls.caught_up_at.get(b).copied().unwrap_or(SimTime::ZERO);
+            *b != host.id && now.saturating_since(caught_up) > host.cfg.replica_lag_max
+        };
+        let new_isr: Vec<BrokerId> = ls.isr.iter().copied().filter(|b| !lags(b)).collect();
+        if new_isr.len() == ls.isr.len() {
+            return;
+        }
+        let zk = host.mode == CoordinationMode::Zk;
+        if zk {
+            // ZooKeeper-era behavior: apply locally first — this is what
+            // lets an isolated leader advance its HW over unreplicated
+            // records (the silent-loss precondition).
+            ls.isr = new_isr.clone();
+        }
+        host.stats.isr_shrinks += 1;
+        self.alter_isr(ctx, host, new_isr);
+        if zk {
+            self.advance_hw(ctx, host);
+        }
+    }
+
+    /// Advances the high watermark from follower state and acknowledges
+    /// pending produces whose replication and durability requirements are
+    /// both met.
+    pub(crate) fn advance_hw(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
+        let prev_hw = self.log.high_watermark();
+        let log_end = self.log.log_end();
+        // The watermark is the highest offset held by "enough" of the ISR:
+        // all of it with the strict default, all-but-`acks_all_slack`
+        // members when slack tolerates stragglers. Equivalently, the k-th
+        // highest log end where k = |ISR| - slack (at least one — the
+        // leader itself). Never past the leader's own end.
+        let follower_end = &self.ls.follower_end;
+        let end_of = |b: &BrokerId| {
+            if *b == host.id {
+                log_end
+            } else {
+                follower_end.get(b).copied().unwrap_or(Offset::ZERO)
+            }
+        };
+        let mut ends: Vec<Offset> = self.ls.isr.iter().map(end_of).collect();
+        if ends.is_empty() {
+            ends.push(log_end);
+        }
+        ends.sort_unstable_by(|a, b| b.cmp(a));
+        let needed = ends
+            .len()
+            .saturating_sub(host.cfg.acks_all_slack as usize)
+            .max(1);
+        self.log
+            .advance_high_watermark(ends[needed - 1].min(log_end));
+        let hw = self.log.high_watermark();
+        // Watermark moves are metadata; the interval flush persists them.
+        host.dirty |= hw != prev_hw;
+        let durable = if host.durable {
+            self.durable_end
+        } else {
+            Offset(u64::MAX)
+        };
+        // Acknowledge pending produces now covered by the HW and the
+        // durable end.
+        let (ready, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.ls.pending)
+            .into_iter()
+            .partition(|p| p.need <= hw && p.need_durable <= durable);
+        self.ls.pending = waiting;
+        for p in ready {
+            let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::None);
+            host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
+        }
+        // Refresh the watermark-gap gauges: `hw_gap` is the unreplicated
+        // suffix (log end minus high watermark) and `lso_gap` is the
+        // open-transaction window (high watermark minus last stable
+        // offset) that read-committed consumers cannot see yet.
+        let hw = hw.value();
+        let lso = self.txns.lso().map_or(hw, |l| l.min(hw));
+        let [hw_gap_name, lso_gap_name] = &self.ls.gap_gauges;
+        let hw_gap = log_end.value().saturating_sub(hw);
+        host.tele.gauge_set(&host.name, hw_gap_name, hw_gap as f64);
+        host.tele
+            .gauge_set(&host.name, lso_gap_name, (hw - lso) as f64);
+    }
+
+    /// Answers every pending produce with `error` (the reign is over).
+    fn fail_pending(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, error: ErrorCode) {
+        for p in std::mem::take(&mut self.ls.pending) {
+            let msg = produce_response(p.corr, self.tp.clone(), p.base, error);
+            host.respond_after_cpu(ctx, host.cfg.cpu_per_request, p.client, msg);
+        }
+    }
+}

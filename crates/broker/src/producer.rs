@@ -32,7 +32,7 @@ use s2g_sim::{
 use s2g_telemetry::{Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
-use crate::metadata::MetadataCache;
+use crate::metadata::{draw_corr, MetadataSession};
 
 /// Tag namespace base for producer-owned timers and CPU work. The embedding
 /// process must forward tags in `PRODUCER_TAGS..PRODUCER_TAGS_END`.
@@ -196,17 +196,10 @@ pub struct ProducerClient {
     /// distinguishes a fresh sequence-zero stream from a stale retry.
     epoch: u32,
     cfg: ProducerConfig,
-    bootstrap: ProcessId,
-    /// Every broker endpoint, in broker-id order — the rotation list used
-    /// when the current bootstrap stops answering (broker crash/restart).
-    bootstrap_candidates: Vec<ProcessId>,
     brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
-    metadata: MetadataCache,
-    meta_versions: u64,
-    meta_inflight: Option<(CorrelationId, TimerToken)>,
+    meta: MetadataSession,
     next_seq: u64,
     next_corr: u64,
-    corr_step: u64,
     accum: BTreeMap<String, AccumBatch>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
     inflight: BTreeMap<TopicPartition, Inflight>,
@@ -250,19 +243,15 @@ impl ProducerClient {
         brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
         corr_parity: u64,
     ) -> Self {
+        let meta_timeout_tag = PRODUCER_TAGS + off::META_TIMEOUT;
         ProducerClient {
             id,
             epoch: 0,
+            meta: MetadataSession::new(bootstrap, &brokers, cfg.request_timeout, meta_timeout_tag),
             cfg,
-            bootstrap,
-            bootstrap_candidates: brokers.values().copied().collect(),
             brokers,
-            metadata: MetadataCache::new(),
-            meta_versions: 0,
-            meta_inflight: None,
             next_seq: 0,
             next_corr: corr_parity,
-            corr_step: 2,
             accum: BTreeMap::new(),
             ready: BTreeMap::new(),
             inflight: BTreeMap::new(),
@@ -522,9 +511,7 @@ impl ProducerClient {
     }
 
     fn next_corr(&mut self) -> CorrelationId {
-        let c = self.next_corr;
-        self.next_corr += self.corr_step;
-        CorrelationId(c)
+        draw_corr(&mut self.next_corr)
     }
 
     fn update_mem(&mut self) {
@@ -536,27 +523,7 @@ impl ProducerClient {
     }
 
     fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
-        if self.meta_inflight.is_some() {
-            return;
-        }
-        let corr = self.next_corr();
-        let timer = ctx.set_timer(self.cfg.request_timeout, PRODUCER_TAGS + off::META_TIMEOUT);
-        self.meta_inflight = Some((corr, timer));
-        ctx.send(self.bootstrap, ClientRpc::MetadataRequest { corr });
-    }
-
-    /// Advances to the next broker endpoint for bootstrap traffic (called
-    /// after a metadata timeout, i.e. the current endpoint is unreachable).
-    fn rotate_bootstrap(&mut self) {
-        if self.bootstrap_candidates.len() < 2 {
-            return;
-        }
-        let cur = self
-            .bootstrap_candidates
-            .iter()
-            .position(|p| *p == self.bootstrap)
-            .unwrap_or(0);
-        self.bootstrap = self.bootstrap_candidates[(cur + 1) % self.bootstrap_candidates.len()];
+        self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
     /// Queues one record for `topic`. Returns `false` (and counts a buffer
@@ -687,7 +654,7 @@ impl ProducerClient {
         // records keep the original behavior: the whole sub-batch goes to
         // the next round-robin partition. Partition 0 optimistically when
         // metadata has not arrived yet.
-        let n_parts = self.metadata.partition_count(topic);
+        let n_parts = self.meta.cache().partition_count(topic);
         let n_parts_u32 = u32::try_from(n_parts).expect("partition count fits u32");
         // First pass: route every record.
         let mut routes: Vec<u32> = Vec::with_capacity(batch.pending.len());
@@ -700,7 +667,7 @@ impl ProducerClient {
                 (None, _) => *rr_partition.get_or_insert_with(|| {
                     let nth = batch.rr as usize % n_parts;
                     batch.rr += 1;
-                    let mut parts = self.metadata.partitions_of(topic);
+                    let mut parts = self.meta.cache().partitions_of(topic);
                     parts.nth(nth).expect("nth < partition count").partition
                 }),
             };
@@ -787,7 +754,7 @@ impl ProducerClient {
             .collect();
         let mut need_meta = false;
         for tp in tps {
-            let leader = match self.metadata.leader(&tp) {
+            let leader = match self.meta.cache().leader(&tp) {
                 Some(l) => l,
                 None => {
                     need_meta = true;
@@ -820,7 +787,7 @@ impl ProducerClient {
                     // Stamp the reign this produce is aimed at; a broker on
                     // a newer epoch bounces it (StaleEpoch, retriable) and
                     // the metadata refresh re-aims the retry.
-                    epoch: self.metadata.epoch(&tp),
+                    epoch: self.meta.cache().epoch(&tp),
                     txn: batch.txn,
                 },
             );
@@ -930,18 +897,15 @@ impl ProducerClient {
                 None
             }
             ClientRpc::MetadataResponse { corr, partitions } => {
-                match self.meta_inflight {
-                    Some((c, timer)) if c == corr => {
-                        ctx.cancel_timer(timer);
-                        self.meta_inflight = None;
-                        self.meta_versions += 1;
-                        self.metadata
-                            .install_snapshot(partitions, self.meta_versions);
+                match self.meta.on_response(ctx, corr, partitions) {
+                    Ok(()) => {
                         self.pump(ctx);
                         None
                     }
                     // Not ours — may belong to a co-embedded consumer client.
-                    _ => Some(Box::new(ClientRpc::MetadataResponse { corr, partitions })),
+                    Err(partitions) => {
+                        Some(Box::new(ClientRpc::MetadataResponse { corr, partitions }))
+                    }
                 }
             }
             ClientRpc::EndTxnResponse { corr, error } => {
@@ -973,12 +937,7 @@ impl ProducerClient {
         } else if o == off::TXN_RETRY {
             self.retry_txn_ctl(ctx);
         } else if o == off::META_TIMEOUT {
-            // Metadata request lost — the bootstrap may be down (broker
-            // crash). Rotate to the next broker endpoint and retry; a
-            // single-broker cluster retries the same endpoint until its
-            // restart answers.
-            self.meta_inflight = None;
-            self.rotate_bootstrap();
+            self.meta.on_timeout();
             self.request_metadata(ctx);
         } else if (off::LINGER_BASE..off::REQ_TIMEOUT_BASE).contains(&o) {
             let topic_id = o - off::LINGER_BASE;

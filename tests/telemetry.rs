@@ -2,11 +2,12 @@
 //! enabled (including a fault-heavy run), toggling telemetry never changes
 //! what a run does, and the registry/series/histogram edge cases hold.
 
-use stream2gym::apps::word_count::recovery_scenario;
-use stream2gym::core::Scenario;
-use stream2gym::net::FaultPlan;
+use stream2gym::apps::word_count::{recovery_scenario, running_count_plan, word_stream};
+use stream2gym::broker::TopicSpec;
+use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
+use stream2gym::net::{FaultPlan, LinkSpec};
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::CheckpointCfg;
+use stream2gym::spe::{CheckpointCfg, SpeConfig};
 use stream2gym::telemetry::{validate_chrome_trace, Histogram, Registry, SeriesStore, Telemetry};
 
 /// A checkpointed word-count run with a worker crash and restart mid-run —
@@ -107,6 +108,60 @@ fn run_report_surfaces_sampled_series() {
             s.name
         );
     }
+}
+
+/// `tests/parallelism.rs`'s exactly-once scenario: a parallelism-4 keyed
+/// word count over 8 partitions with checkpoint-aligned transactional
+/// sinks, so one EndTxn marker resolves transactions on several partitions
+/// of the one broker at once.
+#[test]
+fn transaction_counters_match_broker_stats() {
+    let mut sc = Scenario::new("wc-par-txn");
+    sc.seed(77)
+        .duration(SimTime::from_secs(30))
+        .default_link(LinkSpec::new().latency(SimDuration::from_millis(2)))
+        .topic(TopicSpec::new("words").partitions(8))
+        .topic(TopicSpec::new("counts"));
+    sc.broker("h2");
+    sc.producer(
+        "h1",
+        SourceSpec::Items {
+            topic: "words".into(),
+            items: word_stream(160, 77),
+            interval: SimDuration::from_millis(40),
+        },
+        Default::default(),
+    );
+    let cfg = SpeConfig {
+        batch_interval: SimDuration::from_millis(250),
+        scheduling_overhead: SimDuration::from_millis(20),
+        startup_cpu: SimDuration::from_millis(200),
+        ..SpeConfig::default()
+    };
+    let sink = SpeSinkSpec::Topic("counts".into());
+    let job = SpeJobSpec::new("wc", vec!["words".into()], running_count_plan, sink, cfg);
+    sc.spe_job("h3", job.parallelism(4));
+    sc.consumer("h5", Default::default(), &["counts"]);
+    sc.with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_secs(1)));
+    sc.with_transactional_sinks();
+    let result = sc.run().expect("runs");
+
+    let stats = result.report.brokers[0].stats;
+    let registry = result.telemetry.registry();
+    assert!(
+        stats.txns_committed > 100,
+        "the scenario must commit transactions, got {}",
+        stats.txns_committed
+    );
+    assert_eq!(
+        registry.counter("broker-0", "txns_committed"),
+        Some(stats.txns_committed),
+        "the telemetry counter counts every resolved (partition, txn), like the stats"
+    );
+    assert_eq!(
+        registry.counter("broker-0", "txns_aborted").unwrap_or(0),
+        stats.txns_aborted
+    );
 }
 
 #[test]
