@@ -23,7 +23,7 @@
 //! * `event-queue` — `BinaryHeap` in sim-visible paths: ad-hoc heap event
 //!   queues bypass the calendar-queue scheduler (`crates/sim/src/queue.rs`)
 //!   and its `(at, seq)` tie-break contract; the only sanctioned heap is
-//!   the `reference-sched` differential oracle.
+//!   the `ReferenceQueue` differential oracle.
 //!
 //! A finding is suppressed by an escape comment on the same or preceding
 //! line, which must carry a justification:
@@ -829,7 +829,7 @@ mod tests {
         let f = lint_source("x.rs", src, &cfg_all());
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|f| f.rule == "event-queue"), "{f:?}");
-        let escaped = "// s2g-lint: allow(event-queue) — reference-sched differential oracle\nuse std::collections::BinaryHeap;\n";
+        let escaped = "// s2g-lint: allow(event-queue) — ReferenceQueue differential oracle\nuse std::collections::BinaryHeap;\n";
         assert!(lint_source("x.rs", escaped, &cfg_all()).is_empty());
     }
 

@@ -53,7 +53,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(clippy::too_many_lines)]
 
 mod broker;
 mod config;

@@ -45,7 +45,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(clippy::too_many_lines)]
 
 mod config;
 mod desc;

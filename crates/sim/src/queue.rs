@@ -11,9 +11,8 @@
 //!   generation-tagged token → slot index instead of a grow-forever
 //!   tombstone set.
 //! * [`ReferenceQueue`] — the original `BinaryHeap` scheduler, kept as the
-//!   differential-testing baseline. The `reference-sched` cargo feature
-//!   flips [`Sim`](crate::Sim)'s default to this implementation; tests can
-//!   always pick per-instance via `Sim::with_scheduler`.
+//!   differential-testing baseline; tests pick it per instance via
+//!   `Sim::with_scheduler`.
 //!
 //! The differential property tests (in-module and `tests/differential.rs`)
 //! assert that both implementations yield identical pop order and identical
@@ -71,10 +70,10 @@ impl EventKind {
 
 /// Which event-queue implementation a [`Sim`](crate::Sim) runs on.
 ///
-/// The default is [`Calendar`](SchedulerKind::Calendar); building the crate
-/// with the `reference-sched` feature flips the default to
-/// [`Reference`](SchedulerKind::Reference). Both orders are identical — the
-/// reference exists for differential testing and benchmarking.
+/// [`Sim::new`](crate::Sim::new) runs on [`Calendar`](SchedulerKind::Calendar);
+/// [`Sim::with_scheduler`](crate::Sim::with_scheduler) picks either. Both
+/// orders are identical — the reference exists for differential testing
+/// and benchmarking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Bucketed calendar queue (timing-wheel ring + far-future overflow

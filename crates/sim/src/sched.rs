@@ -379,15 +379,9 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Creates a scheduler seeded with `seed`, on the default event queue
-    /// (the calendar queue, unless the crate was built with the
-    /// `reference-sched` feature).
+    /// Creates a scheduler seeded with `seed`, on the calendar queue.
     pub fn new(seed: u64) -> Self {
-        #[cfg(feature = "reference-sched")]
-        let kind = SchedulerKind::Reference;
-        #[cfg(not(feature = "reference-sched"))]
-        let kind = SchedulerKind::Calendar;
-        Sim::with_scheduler(seed, kind)
+        Sim::with_scheduler(seed, SchedulerKind::Calendar)
     }
 
     /// Creates a scheduler seeded with `seed` on an explicit queue
@@ -1012,11 +1006,8 @@ mod tests {
     }
 
     #[test]
-    fn default_scheduler_is_calendar_unless_feature_flipped() {
+    fn default_scheduler_is_calendar() {
         let sim = Sim::new(0);
-        #[cfg(feature = "reference-sched")]
-        assert_eq!(sim.scheduler_kind(), SchedulerKind::Reference);
-        #[cfg(not(feature = "reference-sched"))]
         assert_eq!(sim.scheduler_kind(), SchedulerKind::Calendar);
         let r = Sim::with_scheduler(0, SchedulerKind::Reference);
         assert_eq!(r.scheduler_kind(), SchedulerKind::Reference);

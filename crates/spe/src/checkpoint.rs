@@ -146,7 +146,8 @@ impl CheckpointCfg {
     }
 }
 
-fn event_to_value(e: &Event) -> Value {
+/// Encodes an event for inclusion in a snapshot value.
+pub(crate) fn event_to_value(e: &Event) -> Value {
     Value::List(vec![
         e.key.clone().map_or(Value::Null, Value::Str),
         e.value.clone(),
@@ -156,7 +157,8 @@ fn event_to_value(e: &Event) -> Value {
     ])
 }
 
-fn event_from_value(v: &Value) -> Option<Event> {
+/// Decodes an event from a snapshot value.
+pub(crate) fn event_from_value(v: &Value) -> Option<Event> {
     let Value::List(parts) = v else { return None };
     if parts.len() != 5 {
         return None;
@@ -173,16 +175,6 @@ fn event_from_value(v: &Value) -> Option<Event> {
         origin: SimTime::from_nanos(parts[3].as_int()? as u64),
         source: u8::try_from(parts[4].as_int()?).ok()?,
     })
-}
-
-/// Encodes an event for inclusion in a snapshot value.
-pub(crate) fn encode_event(e: &Event) -> Value {
-    event_to_value(e)
-}
-
-/// Decodes an event from a snapshot value.
-pub(crate) fn decode_event(v: &Value) -> Option<Event> {
-    event_from_value(v)
 }
 
 fn offsets_to_value(offsets: &[(TopicPartition, Offset)]) -> Value {
@@ -232,6 +224,33 @@ fn buffer_from_value(v: &Value) -> Option<Vec<Event>> {
     Some(buffer)
 }
 
+/// Encodes the fields every capture carries — a [`StateDelta`] is these
+/// plus its `seq`.
+fn capture_to_map(
+    taken_at: SimTime,
+    plan: &[Option<Value>],
+    records_in: u64,
+    records_out: u64,
+    buffer: &[Event],
+    offsets: &[(TopicPartition, Offset)],
+    txn_seq: u64,
+) -> BTreeMap<String, Value> {
+    let plan = plan.iter().map(|s| s.clone().unwrap_or(Value::Null));
+    let fields = [
+        ("taken_at", Value::Int(taken_at.as_nanos() as i64)),
+        ("records_in", Value::Int(records_in as i64)),
+        ("records_out", Value::Int(records_out as i64)),
+        ("txn", Value::Int(txn_seq as i64)),
+        ("plan", Value::List(plan.collect())),
+        ("buffer", buffer_to_value(buffer)),
+        ("offsets", offsets_to_value(offsets)),
+    ];
+    fields
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+}
+
 /// A consistent capture of one worker, taken at a micro-batch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateSnapshot {
@@ -259,54 +278,34 @@ pub struct StateSnapshot {
 impl StateSnapshot {
     /// Encodes the snapshot as a single [`Value`] tree.
     pub fn to_value(&self) -> Value {
-        Value::map([
-            ("taken_at", Value::Int(self.taken_at.as_nanos() as i64)),
-            ("records_in", Value::Int(self.records_in as i64)),
-            ("records_out", Value::Int(self.records_out as i64)),
-            ("txn", Value::Int(self.txn_seq as i64)),
-            (
-                "plan",
-                Value::List(
-                    self.plan_state
-                        .iter()
-                        .map(|s| s.clone().unwrap_or(Value::Null))
-                        .collect(),
-                ),
-            ),
-            ("buffer", buffer_to_value(&self.buffer)),
-            ("offsets", offsets_to_value(&self.offsets)),
-        ])
+        Value::Map(capture_to_map(
+            self.taken_at,
+            &self.plan_state,
+            self.records_in,
+            self.records_out,
+            &self.buffer,
+            &self.offsets,
+            self.txn_seq,
+        ))
     }
 
-    /// Decodes a snapshot from its [`Value`] tree.
+    /// Decodes a snapshot from its [`Value`] tree; every field is required.
     pub fn from_value(v: &Value) -> Option<StateSnapshot> {
-        let taken_at = SimTime::from_nanos(v.field("taken_at")?.as_int()? as u64);
-        let records_in = v.field("records_in")?.as_int()? as u64;
-        let records_out = v.field("records_out")?.as_int()? as u64;
         let Value::List(plan) = v.field("plan")? else {
             return None;
         };
         let plan_state = plan
             .iter()
-            .map(|s| {
-                if *s == Value::Null {
-                    None
-                } else {
-                    Some(s.clone())
-                }
-            })
+            .map(|s| Some(s.clone()).filter(|s| *s != Value::Null))
             .collect();
-        let buffer = buffer_from_value(v.field("buffer")?)?;
-        let offsets = offsets_from_value(v.field("offsets")?)?;
-        let txn_seq = v.field("txn").and_then(Value::as_int).unwrap_or(0) as u64;
         Some(StateSnapshot {
-            taken_at,
+            taken_at: SimTime::from_nanos(v.field("taken_at")?.as_int()? as u64),
             plan_state,
-            records_in,
-            records_out,
-            buffer,
-            offsets,
-            txn_seq,
+            records_in: v.field("records_in")?.as_int()? as u64,
+            records_out: v.field("records_out")?.as_int()? as u64,
+            buffer: buffer_from_value(v.field("buffer")?)?,
+            offsets: offsets_from_value(v.field("offsets")?)?,
+            txn_seq: v.field("txn")?.as_int()? as u64,
         })
     }
 
@@ -360,57 +359,33 @@ pub struct StateDelta {
 impl StateDelta {
     /// Encodes the delta as a single [`Value`] tree.
     pub fn to_value(&self) -> Value {
-        Value::map([
-            ("taken_at", Value::Int(self.taken_at.as_nanos() as i64)),
-            ("seq", Value::Int(self.seq as i64)),
-            ("records_in", Value::Int(self.records_in as i64)),
-            ("records_out", Value::Int(self.records_out as i64)),
-            ("txn", Value::Int(self.txn_seq as i64)),
-            (
-                "plan",
-                Value::List(
-                    self.plan_delta
-                        .iter()
-                        .map(|s| s.clone().unwrap_or(Value::Null))
-                        .collect(),
-                ),
-            ),
-            ("buffer", buffer_to_value(&self.buffer)),
-            ("offsets", offsets_to_value(&self.offsets)),
-        ])
+        let mut map = capture_to_map(
+            self.taken_at,
+            &self.plan_delta,
+            self.records_in,
+            self.records_out,
+            &self.buffer,
+            &self.offsets,
+            self.txn_seq,
+        );
+        map.insert("seq".to_string(), Value::Int(self.seq as i64));
+        Value::Map(map)
     }
 
-    /// Decodes a delta from its [`Value`] tree.
+    /// Decodes a delta from its [`Value`] tree: a snapshot's fields plus
+    /// `seq`, every one required.
     pub fn from_value(v: &Value) -> Option<StateDelta> {
-        let taken_at = SimTime::from_nanos(v.field("taken_at")?.as_int()? as u64);
         let seq = v.field("seq")?.as_int()? as u64;
-        let records_in = v.field("records_in")?.as_int()? as u64;
-        let records_out = v.field("records_out")?.as_int()? as u64;
-        let Value::List(plan) = v.field("plan")? else {
-            return None;
-        };
-        let plan_delta = plan
-            .iter()
-            .map(|s| {
-                if *s == Value::Null {
-                    None
-                } else {
-                    Some(s.clone())
-                }
-            })
-            .collect();
-        let buffer = buffer_from_value(v.field("buffer")?)?;
-        let offsets = offsets_from_value(v.field("offsets")?)?;
-        let txn_seq = v.field("txn").and_then(Value::as_int).unwrap_or(0) as u64;
+        let s = StateSnapshot::from_value(v)?;
         Some(StateDelta {
-            taken_at,
+            taken_at: s.taken_at,
             seq,
-            plan_delta,
-            records_in,
-            records_out,
-            buffer,
-            offsets,
-            txn_seq,
+            plan_delta: s.plan_state,
+            records_in: s.records_in,
+            records_out: s.records_out,
+            buffer: s.buffer,
+            offsets: s.offsets,
+            txn_seq: s.txn_seq,
         })
     }
 
@@ -481,27 +456,12 @@ impl CheckpointPayload {
 
 /// A base snapshot plus the deltas persisted after it — what a backend
 /// stores per job and what recovery replays.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotChain {
-    /// The base snapshot (a default/empty one only in the unused
-    /// `Default` value).
+    /// The base snapshot.
     pub base: StateSnapshot,
     /// Deltas in persistence order (`seq` 1, 2, ...).
     pub deltas: Vec<StateDelta>,
-}
-
-impl Default for StateSnapshot {
-    fn default() -> Self {
-        StateSnapshot {
-            taken_at: SimTime::ZERO,
-            plan_state: Vec::new(),
-            records_in: 0,
-            records_out: 0,
-            buffer: Vec::new(),
-            offsets: Vec::new(),
-            txn_seq: 0,
-        }
-    }
 }
 
 impl SnapshotChain {
@@ -556,6 +516,15 @@ impl SnapshotChain {
             .last()
             .map(|d| (d.records_in, d.records_out))
             .unwrap_or((self.base.records_in, self.base.records_out))
+    }
+
+    /// Per-operator captures in restore order: the base's states, then each
+    /// delta's — what [`Plan::restore`](crate::Plan::restore) takes.
+    pub(crate) fn plan_captures(&self) -> Vec<&[Option<Value>]> {
+        let deltas = self.deltas.iter().map(|d| d.plan_delta.as_slice());
+        std::iter::once(self.base.plan_state.as_slice())
+            .chain(deltas)
+            .collect()
     }
 
     /// Total encoded bytes across base and deltas — what a restore reads.
@@ -1141,24 +1110,26 @@ struct PendingPersist {
     accepted_at: SimTime,
 }
 
-/// A multi-name recovery in flight: the rescale path reads the chain of
-/// *every* old instance of the stage, one backend recovery at a time.
-struct MultiRecover {
+/// A recovery in flight: the chains of `names`, read one backend recovery
+/// at a time (`chains.len()` is the index of the name being read).
+struct Recovering {
     names: Vec<String>,
-    next: usize,
     chains: Vec<Option<SnapshotChain>>,
     bytes: u64,
+    /// The restore reproduces exactly one stored chain, the worker's own,
+    /// so the schedule may carry on from it.
+    continues: bool,
 }
 
-/// The outcome of [`CheckpointCoordinator::start_recovery_multi`].
-pub enum MultiRecoverOutcome {
-    /// All chains gathered synchronously (in-memory backend), aligned with
-    /// the requested names.
-    Done(Vec<Option<SnapshotChain>>),
-    /// Backend reads are in flight; the chains arrive through
-    /// [`CheckpointCoordinator::on_store_rpc`] as
-    /// [`StoreRpcOutcome::RecoveredMulti`].
-    Pending,
+/// A completed recovery, as [`CheckpointCoordinator::start_recovery`] or
+/// [`StoreRpcOutcome::Recovered`] hands it to the worker.
+#[derive(Debug)]
+pub struct Recovered {
+    /// One chain per requested name, in order (`None` where nothing was
+    /// persisted — all `None` on a cold start).
+    pub chains: Vec<Option<SnapshotChain>>,
+    /// Total encoded bytes read across every chain.
+    pub bytes: u64,
 }
 
 /// Drives a worker's checkpoint schedule: interval timing, batch-boundary
@@ -1179,7 +1150,7 @@ pub struct CheckpointCoordinator {
     prev_offsets: Vec<(TopicPartition, Offset)>,
     pending_persist: Option<PendingPersist>,
     pending_commit: Option<PendingCommit>,
-    multi_recover: Option<MultiRecover>,
+    recovering: Option<Recovering>,
     stats: CheckpointStats,
     /// `(accepted, durable)` instants of every persisted capture, in order
     /// — the checkpoint-latency series the replication figure plots.
@@ -1204,7 +1175,7 @@ impl CheckpointCoordinator {
             prev_offsets: Vec::new(),
             pending_persist: None,
             pending_commit: None,
-            multi_recover: None,
+            recovering: None,
             stats: CheckpointStats::default(),
             persist_log: Vec::new(),
             tele: Telemetry::new(),
@@ -1421,70 +1392,70 @@ impl CheckpointCoordinator {
         }
     }
 
-    /// Begins recovery through the backend.
-    pub fn start_recovery(&mut self, ctx: &mut Ctx<'_>, job: &str) -> RecoverOutcome {
-        let outcome = self.backend.recover(ctx, job);
-        if let RecoverOutcome::Done(chain) = &outcome {
-            self.note_recovered_chain(chain.as_ref());
-        }
-        outcome
-    }
-
-    /// Begins a rescale-aware recovery reading the chains of every name in
-    /// `names` (the old instances of this worker's stage), one backend
-    /// recovery at a time. The merged restore produces state that matches
-    /// no single stored chain, so the schedule is reset: the first capture
-    /// after a multi-recovery is always a full re-base.
-    pub fn start_recovery_multi(
+    /// Begins the recovery of a worker named `job`, one of `parallelism`
+    /// instances of its stage: reads the chain of every name in `names` —
+    /// the old instances whose keys the worker may now own; its own name
+    /// alone for a non-parallel job — one backend recovery at a time.
+    /// Returns the chains when the backend answered synchronously; otherwise
+    /// they arrive through [`on_store_rpc`](Self::on_store_rpc) as
+    /// [`StoreRpcOutcome::Recovered`].
+    ///
+    /// The schedule continues a restored chain (the next capture may be a
+    /// delta extending it) only when the restore reproduces that stored
+    /// chain exactly: the stage's single instance reading one chain, its
+    /// own. Any other restore assembles state that matches no stored chain,
+    /// so the first capture after it is a full re-base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `names` is empty.
+    pub fn start_recovery(
         &mut self,
         ctx: &mut Ctx<'_>,
+        job: &str,
         names: Vec<String>,
-    ) -> MultiRecoverOutcome {
-        assert!(!names.is_empty(), "multi-recovery needs at least one name");
-        self.multi_recover = Some(MultiRecover {
+        parallelism: u32,
+    ) -> Option<Recovered> {
+        assert!(!names.is_empty(), "a recovery reads at least one chain");
+        self.recovering = Some(Recovering {
+            continues: parallelism == 1 && names == [job],
             names,
-            next: 0,
             chains: Vec::new(),
             bytes: 0,
         });
-        self.drive_multi_recover(ctx)
+        self.drive_recovery(ctx)
     }
 
-    /// Advances a multi-recovery until it blocks on the backend or
+    /// Advances the recovery until it blocks on the backend (`None`) or
     /// finishes. Synchronous backends complete in one call.
-    fn drive_multi_recover(&mut self, ctx: &mut Ctx<'_>) -> MultiRecoverOutcome {
+    fn drive_recovery(&mut self, ctx: &mut Ctx<'_>) -> Option<Recovered> {
         loop {
-            let Some(m) = self.multi_recover.as_ref() else {
-                return MultiRecoverOutcome::Pending;
+            let r = self.recovering.as_mut()?;
+            let Some(name) = r.names.get(r.chains.len()) else {
+                break;
             };
-            if m.next >= m.names.len() {
-                let m = self.multi_recover.take().expect("checked");
-                return MultiRecoverOutcome::Done(m.chains);
-            }
-            let name = m.names[m.next].clone();
-            match self.backend.recover(ctx, &name) {
+            match self.backend.recover(ctx, name) {
                 RecoverOutcome::Done(chain) => {
-                    let m = self.multi_recover.as_mut().expect("checked");
-                    m.chains.push(chain);
-                    m.next += 1;
+                    r.bytes += chain.as_ref().map_or(0, |c| c.encoded_len() as u64);
+                    r.chains.push(chain);
                 }
-                RecoverOutcome::Pending => return MultiRecoverOutcome::Pending,
+                RecoverOutcome::Pending => return None,
             }
         }
-    }
-
-    fn note_recovered_chain(&mut self, chain: Option<&SnapshotChain>) {
-        if let Some(c) = chain {
-            // Continue the chain the restore produced: the next capture may
-            // extend it (until the cap) instead of forcing a re-base.
+        let r = self.recovering.take()?;
+        if let ([Some(chain)], true) = (r.chains.as_slice(), r.continues) {
             self.has_base = true;
-            self.chain_len = c.chain_len();
+            self.chain_len = chain.chain_len();
             self.stats.delta_chain_len = self.chain_len;
         }
+        Some(Recovered {
+            chains: r.chains,
+            bytes: r.bytes,
+        })
     }
 
     /// Routes a store RPC to the backend's pending persist/recover
-    /// bookkeeping. Returns the restored chain when a pending recovery
+    /// bookkeeping. Returns the restored chains when a pending recovery
     /// completed.
     pub fn on_store_rpc(
         &mut self,
@@ -1492,15 +1463,15 @@ impl CheckpointCoordinator {
         job: &str,
         rpc: &StoreRpc,
     ) -> StoreRpcOutcome {
-        // During a multi-recovery the backend is reading the chain of one
-        // *old-run* instance; blob keys derive from that name, not from the
-        // restoring worker's own.
-        let backend_job = self
-            .multi_recover
+        // During a recovery the backend is reading the chain of one of the
+        // requested names; blob keys derive from that name, which need not
+        // be the restoring worker's own.
+        let reading = self
+            .recovering
             .as_ref()
-            .and_then(|m| m.names.get(m.next).cloned())
-            .unwrap_or_else(|| job.to_string());
-        match self.backend.on_store_rpc(ctx, &backend_job, rpc) {
+            .and_then(|r| r.names.get(r.chains.len()));
+        let backend_job = reading.map_or(job, String::as_str);
+        match self.backend.on_store_rpc(ctx, backend_job, rpc) {
             BackendEvent::NotMine => StoreRpcOutcome::NotMine,
             BackendEvent::PersistCompleted => {
                 if let Some(p) = self.pending_persist.take() {
@@ -1515,28 +1486,13 @@ impl CheckpointCoordinator {
                 StoreRpcOutcome::PersistCompleted
             }
             BackendEvent::Recovered { chain, bytes } => {
-                if self.multi_recover.is_some() {
-                    {
-                        let m = self.multi_recover.as_mut().expect("checked");
-                        m.chains.push(chain);
-                        m.bytes += bytes;
-                        m.next += 1;
-                    }
-                    let total = self
-                        .multi_recover
-                        .as_ref()
-                        .map(|m| m.bytes)
-                        .unwrap_or_default();
-                    match self.drive_multi_recover(ctx) {
-                        MultiRecoverOutcome::Done(chains) => StoreRpcOutcome::RecoveredMulti {
-                            chains,
-                            bytes: total,
-                        },
-                        MultiRecoverOutcome::Pending => StoreRpcOutcome::NotMine,
-                    }
-                } else {
-                    self.note_recovered_chain(chain.as_ref());
-                    StoreRpcOutcome::Recovered { chain, bytes }
+                if let Some(r) = self.recovering.as_mut() {
+                    r.chains.push(chain);
+                    r.bytes += bytes;
+                }
+                match self.drive_recovery(ctx) {
+                    Some(recovered) => StoreRpcOutcome::Recovered(recovered),
+                    None => StoreRpcOutcome::NotMine,
                 }
             }
         }
@@ -1557,24 +1513,8 @@ pub enum StoreRpcOutcome {
     NotMine,
     /// A pending capture persist completed.
     PersistCompleted,
-    /// A pending recovery completed with this chain (or none on a cold
-    /// start); `bytes` is the encoded size read back.
-    Recovered {
-        /// The restored chain, if one was persisted.
-        chain: Option<SnapshotChain>,
-        /// Encoded bytes read (0 on a cold start).
-        bytes: u64,
-    },
-    /// A pending multi-name (rescale) recovery completed; `chains` aligns
-    /// with the names passed to
-    /// [`CheckpointCoordinator::start_recovery_multi`].
-    RecoveredMulti {
-        /// One chain per requested old-instance name (`None` where nothing
-        /// was persisted).
-        chains: Vec<Option<SnapshotChain>>,
-        /// Total encoded bytes read across every chain.
-        bytes: u64,
-    },
+    /// A pending recovery completed.
+    Recovered(Recovered),
 }
 
 impl std::fmt::Debug for CheckpointCoordinator {
@@ -1679,6 +1619,18 @@ mod tests {
     fn snapshot_rejects_garbage() {
         assert!(StateSnapshot::from_bytes(&[1, 2, 3]).is_err());
         assert!(StateSnapshot::from_value(&Value::Int(4)).is_none());
+        // A capture with any field missing is malformed: an error, no panic.
+        for missing in ["txn", "offsets"] {
+            for mut capture in [sample_snapshot().to_value(), sample_delta(1).to_value()] {
+                let Value::Map(fields) = &mut capture else {
+                    panic!("captures encode as maps");
+                };
+                assert!(fields.remove(missing).is_some());
+                let bytes = capture.encode();
+                assert!(StateSnapshot::from_bytes(&bytes).is_err(), "{missing}");
+                assert!(StateDelta::from_bytes(&bytes).is_err(), "{missing}");
+            }
+        }
     }
 
     #[test]
@@ -1813,16 +1765,35 @@ mod tests {
                 Box::new(InMemoryBackend::new(coord_store.clone())),
                 true,
             );
-            match rec.start_recovery(ctx, "job") {
-                RecoverOutcome::Done(Some(chain)) => {
+            let recovered = rec.start_recovery(ctx, "job", vec!["job".into()], 1);
+            match recovered.as_ref().map(|r| r.chains.as_slice()) {
+                Some([Some(chain)]) => {
                     assert_eq!(chain.chain_len(), 1);
                     assert_eq!(chain.record_counts(), (21, 11));
+                    assert_eq!(
+                        recovered.as_ref().unwrap().bytes,
+                        chain.encoded_len() as u64
+                    );
                 }
-                other => panic!("expected a restored chain, got {other:?}"),
+                other => panic!("expected one restored chain, got {other:?}"),
             }
-            // The restored chain seeds the schedule: next capture extends it.
+            // The worker's own chain, read alone, seeds the schedule: the
+            // next capture extends it.
             assert_eq!(rec.capture_kind(), CaptureKind::Delta);
             assert_eq!(rec.next_delta_seq(), 2);
+            // The same chain read as one of two instances' (a 1→2 rescale
+            // keeps only part of its keys) or beside another re-bases.
+            for (names, parallelism) in [(vec!["job"], 2), (vec!["job", "other"], 1)] {
+                let mut rec = CheckpointCoordinator::new(
+                    cfg,
+                    Box::new(InMemoryBackend::new(coord_store.clone())),
+                    true,
+                );
+                let names = names.into_iter().map(String::from).collect();
+                let recovered = rec.start_recovery(ctx, "job", names, parallelism);
+                assert!(recovered.is_some_and(|r| r.chains[0].is_some()));
+                assert_eq!(rec.capture_kind(), CaptureKind::Full);
+            }
         });
     }
 }

@@ -39,8 +39,8 @@ mod worker;
 pub use checkpoint::{
     snapshot_store, BackendEvent, CaptureKind, CheckpointCfg, CheckpointCoordinator,
     CheckpointMode, CheckpointPayload, CheckpointStats, DurableBackend, InMemoryBackend,
-    MultiRecoverOutcome, PersistOutcome, RecoverOutcome, RecoveryInfo, SnapshotChain,
-    SnapshotStoreHandle, StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE,
+    PersistOutcome, RecoverOutcome, Recovered, RecoveryInfo, SnapshotChain, SnapshotStoreHandle,
+    StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE,
     DEFAULT_MAX_DELTA_CHAIN,
 };
 pub use event::{CodecError, Event, Value};

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use s2g_sim::{SimDuration, SimTime};
 
-use crate::checkpoint::{decode_event, encode_event};
+use crate::checkpoint::{event_from_value, event_to_value};
 use crate::event::{Event, Value};
 
 /// A micro-batch stream operator.
@@ -31,11 +31,6 @@ pub trait Operator {
         None
     }
 
-    /// Restores state previously captured by
-    /// [`snapshot_state`](Operator::snapshot_state). Stateless operators
-    /// ignore the call (the default).
-    fn restore_state(&mut self, _state: Value) {}
-
     /// Captures only the state that changed since the last capture (the
     /// incremental-checkpoint path) and resets the operator's dirty
     /// tracking. Operators without dirty tracking fall back to shipping
@@ -45,14 +40,6 @@ pub trait Operator {
         let full = self.snapshot_state();
         self.mark_clean();
         full
-    }
-
-    /// Applies a delta captured by [`snapshot_delta`](Operator::snapshot_delta)
-    /// on top of previously restored state. The default matches the default
-    /// `snapshot_delta`: the delta is a full state, so applying it is a
-    /// restore.
-    fn apply_delta(&mut self, delta: Value) {
-        self.restore_state(delta);
     }
 
     /// Resets dirty tracking without capturing — called after a full (base)
@@ -67,19 +54,17 @@ pub trait Operator {
         false
     }
 
-    /// Merges state captured by [`snapshot_state`](Operator::snapshot_state)
-    /// into this operator, keeping only entries whose key `keep` accepts —
-    /// the rescale-restore path, where a new instance reassembles its key
-    /// groups from *every* old instance's capture. Unlike
-    /// [`restore_state`](Operator::restore_state) this never clears what was
-    /// already merged from another capture. Operators without keyed state
-    /// ignore the call.
-    fn merge_restore(&mut self, _state: Value, _keep: &dyn Fn(&str) -> bool) {}
-
-    /// Applies a delta captured by [`snapshot_delta`](Operator::snapshot_delta)
-    /// on top of merged state, keeping only entries whose key `keep`
-    /// accepts (the rescale-restore path for incremental chains).
-    fn merge_delta(&mut self, _delta: Value, _keep: &dyn Fn(&str) -> bool) {}
+    /// Restores what one old instance captured: `chain` holds its base
+    /// state ([`snapshot_state`](Operator::snapshot_state)) followed by its
+    /// deltas ([`snapshot_delta`](Operator::snapshot_delta)) in persistence
+    /// order, and only entries whose key `keep` accepts are taken. A worker
+    /// restoring its own chain passes a filter that keeps everything; a
+    /// rescaled instance calls this once per old instance and reassembles
+    /// its key groups, so a call never clears what an earlier call
+    /// restored. An operator on the default `snapshot_delta` receives full
+    /// states throughout and takes the newest. Operators without state
+    /// ignore the call (the default).
+    fn restore(&mut self, _chain: &[&Value], _keep: &dyn Fn(&str) -> bool) {}
 }
 
 /// Stateless 1→1 transform.
@@ -251,13 +236,6 @@ impl Operator for StatefulMap {
         Some(Value::Map(self.state.clone()))
     }
 
-    fn restore_state(&mut self, state: Value) {
-        if let Value::Map(m) = state {
-            self.state = m;
-        }
-        self.dirty.clear();
-    }
-
     fn snapshot_delta(&mut self) -> Option<Value> {
         let set: BTreeMap<String, Value> = self
             .dirty
@@ -268,34 +246,22 @@ impl Operator for StatefulMap {
         Some(Value::map([("set", Value::Map(set))]))
     }
 
-    fn apply_delta(&mut self, delta: Value) {
-        if let Some(Value::Map(set)) = delta.field("set") {
-            for (k, v) in set {
-                self.state.insert(k.clone(), v.clone());
-            }
-        }
-    }
-
     fn mark_clean(&mut self) {
         self.dirty.clear();
     }
 
-    fn merge_restore(&mut self, state: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Value::Map(m) = state {
-            for (k, v) in m {
-                if keep(&k) {
-                    self.state.insert(k, v);
-                }
-            }
-        }
-    }
-
-    fn merge_delta(&mut self, delta: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Some(Value::Map(set)) = delta.field("set") {
-            for (k, v) in set {
-                if keep(k) {
-                    self.state.insert(k.clone(), v.clone());
-                }
+    fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
+        for (i, capture) in chain.iter().enumerate() {
+            // The base is the state map itself; a delta wraps the keys it
+            // changed in `set`, and never deletes.
+            let set = if i == 0 {
+                Some(*capture)
+            } else {
+                capture.field("set")
+            };
+            let Some(Value::Map(set)) = set else { continue };
+            for (k, v) in set.iter().filter(|(k, _)| keep(k)) {
+                self.state.insert(k.clone(), v.clone());
             }
         }
     }
@@ -356,10 +322,211 @@ impl WindowAssigner {
     }
 }
 
+/// A window instance: `(window start, group key)`.
+type WindowKey = (SimTime, String);
+
+/// What one `(window, key)` pair holds, as a checkpoint sees it.
+trait WindowEntry: Sized {
+    /// Name of the entry list in a full capture.
+    const FIELD: &'static str;
+
+    /// Encodes the entry as a list opening with the encoded window key.
+    fn encode(&self, start: Value, key: Value) -> Vec<Value>;
+
+    /// Decodes what follows the window key in an encoded entry.
+    fn decode(rest: &[Value]) -> Option<Self>;
+}
+
+/// The event-time window state [`WindowAggregate`] and [`WindowJoin`] share:
+/// open windows by `(start, key)`, the watermark that closes them, and the
+/// change tracking an incremental capture ships.
+struct Windows<T> {
+    open: BTreeMap<WindowKey, T>,
+    watermark: SimTime,
+    /// Min watermark over the chains restored so far. The restored operator
+    /// is only as advanced as its *least*-advanced chain: the max would
+    /// fire windows restored from a slower chain before that chain's
+    /// remaining events replay, splitting their aggregates in two.
+    restored_watermark: Option<SimTime>,
+    /// Windows touched since the last checkpoint capture.
+    dirty: BTreeSet<WindowKey>,
+    /// Windows emitted (and dropped) since the last checkpoint capture.
+    removed: BTreeSet<WindowKey>,
+}
+
+fn encode_window_key((start, key): &WindowKey) -> (Value, Value) {
+    (Value::Int(start.as_nanos() as i64), Value::Str(key.clone()))
+}
+
+/// Splits an encoded entry into its window key and what follows it, when
+/// `keep` accepts the group key.
+fn decode_kept<'a>(
+    entry: &'a Value,
+    keep: &dyn Fn(&str) -> bool,
+) -> Option<(WindowKey, &'a [Value])> {
+    let Value::List(parts) = entry else {
+        return None;
+    };
+    let (Some(start), Some(Value::Str(key))) =
+        (parts.first().and_then(Value::as_int), parts.get(1))
+    else {
+        return None;
+    };
+    if !keep(key) {
+        return None;
+    }
+    let wkey = (SimTime::from_nanos(start as u64), key.clone());
+    Some((wkey, &parts[2..]))
+}
+
+impl<T: WindowEntry> Windows<T> {
+    fn new() -> Self {
+        Windows {
+            open: BTreeMap::new(),
+            watermark: SimTime::ZERO,
+            restored_watermark: None,
+            dirty: BTreeSet::new(),
+            removed: BTreeSet::new(),
+        }
+    }
+
+    /// The state of window `wkey`, opened by `init` on first touch.
+    fn touch(&mut self, wkey: WindowKey, init: impl FnOnce() -> T) -> &mut T {
+        self.dirty.insert(wkey.clone());
+        self.open.entry(wkey).or_insert_with(init)
+    }
+
+    /// Closes every window whose end the watermark has passed.
+    fn take_ready(&mut self, width: SimDuration) -> Vec<(WindowKey, T)> {
+        let ready: Vec<WindowKey> = self
+            .open
+            .keys()
+            .filter(|(start, _)| *start + width <= self.watermark)
+            .cloned()
+            .collect();
+        ready
+            .into_iter()
+            .map(|wkey| {
+                let st = self.open.remove(&wkey).expect("key just listed");
+                self.dirty.remove(&wkey);
+                self.removed.insert(wkey.clone());
+                (wkey, st)
+            })
+            .collect()
+    }
+
+    fn encode_entry(wkey: &WindowKey, st: &T) -> Value {
+        let (start, key) = encode_window_key(wkey);
+        Value::List(st.encode(start, key))
+    }
+
+    fn watermark_value(&self) -> Value {
+        Value::Int(self.watermark.as_nanos() as i64)
+    }
+
+    fn snapshot_state(&self) -> Value {
+        let open = self
+            .open
+            .iter()
+            .map(|(wkey, st)| Self::encode_entry(wkey, st))
+            .collect();
+        Value::map([
+            ("watermark", self.watermark_value()),
+            (T::FIELD, Value::List(open)),
+        ])
+    }
+
+    /// Per-window granularity: a dirty window ships its whole state, which
+    /// is still tiny next to the full operator state.
+    fn snapshot_delta(&mut self) -> Value {
+        let set = self
+            .dirty
+            .iter()
+            .filter_map(|wkey| Some(Self::encode_entry(wkey, self.open.get(wkey)?)))
+            .collect();
+        let del = self
+            .removed
+            .iter()
+            .map(|wkey| {
+                let (start, key) = encode_window_key(wkey);
+                Value::List(vec![start, key])
+            })
+            .collect();
+        self.mark_clean();
+        Value::map([
+            ("watermark", self.watermark_value()),
+            ("set", Value::List(set)),
+            ("del", Value::List(del)),
+        ])
+    }
+
+    fn mark_clean(&mut self) {
+        self.dirty.clear();
+        self.removed.clear();
+    }
+
+    /// Applies one chain's captures in order. A full state is a change that
+    /// sets every window and deletes none, so base and deltas take the same
+    /// path; undecodable entries are skipped.
+    fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
+        for capture in chain {
+            if let Some(Value::List(del)) = capture.field("del") {
+                for (wkey, _) in del.iter().filter_map(|d| decode_kept(d, keep)) {
+                    self.open.remove(&wkey);
+                }
+            }
+            for field in [T::FIELD, "set"] {
+                let Some(Value::List(set)) = capture.field(field) else {
+                    continue;
+                };
+                for (wkey, rest) in set.iter().filter_map(|w| decode_kept(w, keep)) {
+                    if let Some(st) = T::decode(rest) {
+                        self.open.insert(wkey, st);
+                    }
+                }
+            }
+        }
+        // The chain stands at its newest capture's watermark; the operator
+        // at the minimum over the chains it restored.
+        let newest = chain
+            .iter()
+            .rev()
+            .find_map(|c| c.field("watermark").and_then(Value::as_int));
+        if let Some(wm) = newest {
+            let wm = SimTime::from_nanos(wm as u64);
+            let min = self.restored_watermark.map_or(wm, |prev| prev.min(wm));
+            self.restored_watermark = Some(min);
+            self.watermark = min;
+        }
+    }
+}
+
 struct WindowState {
     acc: Value,
     count: u64,
     min_origin: SimTime,
+}
+
+impl WindowEntry for WindowState {
+    const FIELD: &'static str = "windows";
+
+    fn encode(&self, start: Value, key: Value) -> Vec<Value> {
+        vec![
+            start,
+            key,
+            self.acc.clone(),
+            Value::Int(self.count as i64),
+            Value::Int(self.min_origin.as_nanos() as i64),
+        ]
+    }
+
+    fn decode(rest: &[Value]) -> Option<Self> {
+        Some(WindowState {
+            acc: rest.first()?.clone(),
+            count: rest.get(1)?.as_int()? as u64,
+            min_origin: SimTime::from_nanos(rest.get(2)?.as_int()? as u64),
+        })
+    }
 }
 
 /// Keyed event-time window aggregation.
@@ -377,17 +544,7 @@ pub struct WindowAggregate {
     fold: Box<dyn FnMut(Value, &Event) -> Value>,
     #[allow(clippy::type_complexity)]
     finish: Box<dyn Fn(Value, u64) -> Value>,
-    windows: BTreeMap<(SimTime, String), WindowState>,
-    watermark: SimTime,
-    /// Min watermark over the chains merged during a rescale restore. The
-    /// merged stream is only as advanced as its least-advanced input: a
-    /// higher chain's watermark must not fire windows restored from a
-    /// slower chain before their remaining events replay.
-    merged_watermark: Option<SimTime>,
-    /// Windows touched since the last checkpoint capture.
-    dirty: BTreeSet<(SimTime, String)>,
-    /// Windows emitted (and dropped) since the last checkpoint capture.
-    removed: BTreeSet<(SimTime, String)>,
+    windows: Windows<WindowState>,
 }
 
 impl WindowAggregate {
@@ -405,11 +562,7 @@ impl WindowAggregate {
             init,
             fold: Box::new(fold),
             finish: Box::new(finish),
-            windows: BTreeMap::new(),
-            watermark: SimTime::ZERO,
-            merged_watermark: None,
-            dirty: BTreeSet::new(),
-            removed: BTreeSet::new(),
+            windows: Windows::new(),
         }
     }
 
@@ -468,29 +621,19 @@ impl WindowAggregate {
         )
     }
 
-    fn emit_ready(&mut self, out: &mut Vec<Event>) {
+    fn emit_ready(&mut self) -> Vec<Event> {
         let width = self.assigner.width();
-        let ready: Vec<(SimTime, String)> = self
-            .windows
-            .keys()
-            .filter(|(start, _)| *start + width <= self.watermark)
-            .cloned()
-            .collect();
-        for key in ready {
-            let st = self.windows.remove(&key).expect("key just listed");
-            self.dirty.remove(&key);
-            self.removed.insert(key.clone());
-            let (start, group) = key;
-            let end = start + width;
-            let value = (self.finish)(st.acc, st.count);
-            out.push(Event {
+        let ready = self.windows.take_ready(width);
+        ready
+            .into_iter()
+            .map(|((start, group), st)| Event {
                 key: Some(group),
-                value,
-                ts: end,
+                value: (self.finish)(st.acc, st.count),
+                ts: start + width,
                 origin: st.min_origin,
                 source: 0,
-            });
-        }
+            })
+            .collect()
     }
 }
 
@@ -501,12 +644,10 @@ impl Operator for WindowAggregate {
 
     fn process(&mut self, _now: SimTime, batch: Vec<Event>) -> Vec<Event> {
         for e in batch {
-            self.watermark = self.watermark.max(e.ts);
+            self.windows.watermark = self.windows.watermark.max(e.ts);
             let key = e.key.clone().unwrap_or_default();
             for start in self.assigner.assign(e.ts) {
-                let wkey = (start, key.clone());
-                self.dirty.insert(wkey.clone());
-                let st = self.windows.entry(wkey).or_insert_with(|| WindowState {
+                let st = self.windows.touch((start, key.clone()), || WindowState {
                     acc: self.init.clone(),
                     count: 0,
                     min_origin: e.origin,
@@ -516,215 +657,50 @@ impl Operator for WindowAggregate {
                 st.min_origin = st.min_origin.min(e.origin);
             }
         }
-        let mut out = Vec::new();
-        self.emit_ready(&mut out);
-        out
+        self.emit_ready()
     }
 
     fn flush(&mut self, _now: SimTime) -> Vec<Event> {
-        self.watermark = SimTime::MAX;
-        let mut out = Vec::new();
-        let width = self.assigner.width();
-        let all: Vec<(SimTime, String)> = self.windows.keys().cloned().collect();
-        for key in all {
-            let st = self.windows.remove(&key).expect("listed");
-            self.dirty.remove(&key);
-            self.removed.insert(key.clone());
-            let (start, group) = key;
-            out.push(Event {
-                key: Some(group),
-                value: (self.finish)(st.acc, st.count),
-                ts: start + width,
-                origin: st.min_origin,
-                source: 0,
-            });
-        }
-        out
+        self.windows.watermark = SimTime::MAX;
+        self.emit_ready()
     }
 
     fn snapshot_state(&self) -> Option<Value> {
-        let windows: Vec<Value> = self
-            .windows
-            .iter()
-            .map(|((start, key), st)| encode_window_entry(start, key, st))
-            .collect();
-        Some(Value::map([
-            ("watermark", Value::Int(self.watermark.as_nanos() as i64)),
-            ("windows", Value::List(windows)),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: Value) {
-        let Some(wm) = state.field("watermark").and_then(Value::as_int) else {
-            return;
-        };
-        let Some(Value::List(windows)) = state.field("windows") else {
-            return;
-        };
-        self.watermark = SimTime::from_nanos(wm as u64);
-        self.windows.clear();
-        self.dirty.clear();
-        self.removed.clear();
-        for w in windows {
-            let Some((key, st)) = decode_window_entry(w) else {
-                continue;
-            };
-            self.windows.insert(key, st);
-        }
+        Some(self.windows.snapshot_state())
     }
 
     fn snapshot_delta(&mut self) -> Option<Value> {
-        let set: Vec<Value> = self
-            .dirty
-            .iter()
-            .filter_map(|k| {
-                self.windows
-                    .get(k)
-                    .map(|st| encode_window_entry(&k.0, &k.1, st))
-            })
-            .collect();
-        let del: Vec<Value> = self
-            .removed
-            .iter()
-            .map(|(start, key)| {
-                Value::List(vec![
-                    Value::Int(start.as_nanos() as i64),
-                    Value::Str(key.clone()),
-                ])
-            })
-            .collect();
-        self.dirty.clear();
-        self.removed.clear();
-        Some(Value::map([
-            ("watermark", Value::Int(self.watermark.as_nanos() as i64)),
-            ("set", Value::List(set)),
-            ("del", Value::List(del)),
-        ]))
-    }
-
-    fn apply_delta(&mut self, delta: Value) {
-        if let Some(wm) = delta.field("watermark").and_then(Value::as_int) {
-            self.watermark = SimTime::from_nanos(wm as u64);
-        }
-        if let Some(Value::List(del)) = delta.field("del") {
-            for d in del {
-                let Value::List(parts) = d else { continue };
-                let (Some(start), Some(Value::Str(key))) =
-                    (parts.first().and_then(Value::as_int), parts.get(1))
-                else {
-                    continue;
-                };
-                self.windows
-                    .remove(&(SimTime::from_nanos(start as u64), key.clone()));
-            }
-        }
-        if let Some(Value::List(set)) = delta.field("set") {
-            for w in set {
-                let Some((key, st)) = decode_window_entry(w) else {
-                    continue;
-                };
-                self.windows.insert(key, st);
-            }
-        }
+        Some(self.windows.snapshot_delta())
     }
 
     fn mark_clean(&mut self) {
-        self.dirty.clear();
-        self.removed.clear();
+        self.windows.mark_clean();
     }
 
-    fn merge_restore(&mut self, state: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Some(wm) = state.field("watermark").and_then(Value::as_int) {
-            merge_chain_watermark(
-                &mut self.merged_watermark,
-                &mut self.watermark,
-                SimTime::from_nanos(wm as u64),
-            );
-        }
-        if let Some(Value::List(windows)) = state.field("windows") {
-            for w in windows {
-                if let Some((key, st)) = decode_window_entry(w) {
-                    if keep(&key.1) {
-                        self.windows.insert(key, st);
-                    }
-                }
-            }
-        }
-    }
-
-    fn merge_delta(&mut self, delta: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Some(wm) = delta.field("watermark").and_then(Value::as_int) {
-            merge_chain_watermark(
-                &mut self.merged_watermark,
-                &mut self.watermark,
-                SimTime::from_nanos(wm as u64),
-            );
-        }
-        if let Some(Value::List(del)) = delta.field("del") {
-            for d in del {
-                let Value::List(parts) = d else { continue };
-                let (Some(start), Some(Value::Str(key))) =
-                    (parts.first().and_then(Value::as_int), parts.get(1))
-                else {
-                    continue;
-                };
-                if keep(key) {
-                    self.windows
-                        .remove(&(SimTime::from_nanos(start as u64), key.clone()));
-                }
-            }
-        }
-        if let Some(Value::List(set)) = delta.field("set") {
-            for w in set {
-                if let Some((key, st)) = decode_window_entry(w) {
-                    if keep(&key.1) {
-                        self.windows.insert(key, st);
-                    }
-                }
-            }
-        }
+    fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
+        self.windows.restore(chain, keep);
     }
 }
 
-/// Folds one restored chain's watermark into a rescale merge. The merged
-/// operator is only as advanced as its *least*-advanced chain: the max
-/// would fire windows restored from a slower chain before that chain's
-/// remaining events replay, splitting their aggregates in two.
-fn merge_chain_watermark(merged: &mut Option<SimTime>, watermark: &mut SimTime, wm: SimTime) {
-    let m = merged.map_or(wm, |prev| prev.min(wm));
-    *merged = Some(m);
-    *watermark = m;
-}
+/// The left (source 0) and right (source 1) events buffered for one window.
+#[derive(Default)]
+struct JoinBuffers(Vec<Event>, Vec<Event>);
 
-fn encode_window_entry(start: &SimTime, key: &str, st: &WindowState) -> Value {
-    Value::List(vec![
-        Value::Int(start.as_nanos() as i64),
-        Value::Str(key.to_string()),
-        st.acc.clone(),
-        Value::Int(st.count as i64),
-        Value::Int(st.min_origin.as_nanos() as i64),
-    ])
-}
+impl WindowEntry for JoinBuffers {
+    const FIELD: &'static str = "buffers";
 
-fn decode_window_entry(v: &Value) -> Option<((SimTime, String), WindowState)> {
-    let Value::List(parts) = v else { return None };
-    let (Some(start), Some(Value::Str(key)), Some(acc), Some(count), Some(origin)) = (
-        parts.first().and_then(Value::as_int),
-        parts.get(1),
-        parts.get(2),
-        parts.get(3).and_then(Value::as_int),
-        parts.get(4).and_then(Value::as_int),
-    ) else {
-        return None;
-    };
-    Some((
-        (SimTime::from_nanos(start as u64), key.clone()),
-        WindowState {
-            acc: acc.clone(),
-            count: count as u64,
-            min_origin: SimTime::from_nanos(origin as u64),
-        },
-    ))
+    fn encode(&self, start: Value, key: Value) -> Vec<Value> {
+        let side = |events: &[Event]| Value::List(events.iter().map(event_to_value).collect());
+        vec![start, key, side(&self.0), side(&self.1)]
+    }
+
+    fn decode(rest: &[Value]) -> Option<Self> {
+        let (Some(Value::List(ls)), Some(Value::List(rs))) = (rest.first(), rest.get(1)) else {
+            return None;
+        };
+        let side = |events: &[Value]| events.iter().filter_map(event_from_value).collect();
+        Some(JoinBuffers(side(ls), side(rs)))
+    }
 }
 
 /// Windowed two-input equi-join: pairs events with equal keys from sources
@@ -735,15 +711,7 @@ pub struct WindowJoin {
     assigner: WindowAssigner,
     #[allow(clippy::type_complexity)]
     joiner: Box<dyn Fn(&Event, &Event) -> Value>,
-    buffers: BTreeMap<(SimTime, String), (Vec<Event>, Vec<Event>)>,
-    watermark: SimTime,
-    /// Min watermark over the chains merged during a rescale restore —
-    /// see [`WindowAggregate::merged_watermark`].
-    merged_watermark: Option<SimTime>,
-    /// Windows whose buffers grew since the last checkpoint capture.
-    dirty: BTreeSet<(SimTime, String)>,
-    /// Windows emitted (and dropped) since the last checkpoint capture.
-    removed: BTreeSet<(SimTime, String)>,
+    buffers: Windows<JoinBuffers>,
 }
 
 impl WindowJoin {
@@ -757,28 +725,14 @@ impl WindowJoin {
             name: name.into(),
             assigner,
             joiner: Box::new(joiner),
-            buffers: BTreeMap::new(),
-            watermark: SimTime::ZERO,
-            merged_watermark: None,
-            dirty: BTreeSet::new(),
-            removed: BTreeSet::new(),
+            buffers: Windows::new(),
         }
     }
 
     fn emit_ready(&mut self) -> Vec<Event> {
         let width = self.assigner.width();
-        let ready: Vec<(SimTime, String)> = self
-            .buffers
-            .keys()
-            .filter(|(start, _)| *start + width <= self.watermark)
-            .cloned()
-            .collect();
         let mut out = Vec::new();
-        for key in ready {
-            let (lefts, rights) = self.buffers.remove(&key).expect("listed");
-            self.dirty.remove(&key);
-            self.removed.insert(key.clone());
-            let (start, group) = key;
+        for ((start, group), JoinBuffers(lefts, rights)) in self.buffers.take_ready(width) {
             let end = start + width;
             for l in &lefts {
                 for r in &rights {
@@ -803,12 +757,12 @@ impl Operator for WindowJoin {
 
     fn process(&mut self, _now: SimTime, batch: Vec<Event>) -> Vec<Event> {
         for e in batch {
-            self.watermark = self.watermark.max(e.ts);
+            self.buffers.watermark = self.buffers.watermark.max(e.ts);
             let key = e.key.clone().unwrap_or_default();
             for start in self.assigner.assign(e.ts) {
-                let wkey = (start, key.clone());
-                self.dirty.insert(wkey.clone());
-                let slot = self.buffers.entry(wkey).or_default();
+                let slot = self
+                    .buffers
+                    .touch((start, key.clone()), JoinBuffers::default);
                 if e.source == 0 {
                     slot.0.push(e.clone());
                 } else {
@@ -820,183 +774,25 @@ impl Operator for WindowJoin {
     }
 
     fn flush(&mut self, _now: SimTime) -> Vec<Event> {
-        self.watermark = SimTime::MAX;
+        self.buffers.watermark = SimTime::MAX;
         self.emit_ready()
     }
 
     fn snapshot_state(&self) -> Option<Value> {
-        let buffers: Vec<Value> = self
-            .buffers
-            .iter()
-            .map(|((start, key), bufs)| encode_join_entry(start, key, bufs))
-            .collect();
-        Some(Value::map([
-            ("watermark", Value::Int(self.watermark.as_nanos() as i64)),
-            ("buffers", Value::List(buffers)),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: Value) {
-        let Some(wm) = state.field("watermark").and_then(Value::as_int) else {
-            return;
-        };
-        let Some(Value::List(buffers)) = state.field("buffers") else {
-            return;
-        };
-        self.watermark = SimTime::from_nanos(wm as u64);
-        self.buffers.clear();
-        self.dirty.clear();
-        self.removed.clear();
-        for b in buffers {
-            let Some((key, bufs)) = decode_join_entry(b) else {
-                continue;
-            };
-            self.buffers.insert(key, bufs);
-        }
+        Some(self.buffers.snapshot_state())
     }
 
     fn snapshot_delta(&mut self) -> Option<Value> {
-        // Per-window granularity: a dirty window ships its whole buffer
-        // pair, which is still tiny next to the full operator state.
-        let set: Vec<Value> = self
-            .dirty
-            .iter()
-            .filter_map(|k| {
-                self.buffers
-                    .get(k)
-                    .map(|bufs| encode_join_entry(&k.0, &k.1, bufs))
-            })
-            .collect();
-        let del: Vec<Value> = self
-            .removed
-            .iter()
-            .map(|(start, key)| {
-                Value::List(vec![
-                    Value::Int(start.as_nanos() as i64),
-                    Value::Str(key.clone()),
-                ])
-            })
-            .collect();
-        self.dirty.clear();
-        self.removed.clear();
-        Some(Value::map([
-            ("watermark", Value::Int(self.watermark.as_nanos() as i64)),
-            ("set", Value::List(set)),
-            ("del", Value::List(del)),
-        ]))
-    }
-
-    fn apply_delta(&mut self, delta: Value) {
-        if let Some(wm) = delta.field("watermark").and_then(Value::as_int) {
-            self.watermark = SimTime::from_nanos(wm as u64);
-        }
-        if let Some(Value::List(del)) = delta.field("del") {
-            for d in del {
-                let Value::List(parts) = d else { continue };
-                let (Some(start), Some(Value::Str(key))) =
-                    (parts.first().and_then(Value::as_int), parts.get(1))
-                else {
-                    continue;
-                };
-                self.buffers
-                    .remove(&(SimTime::from_nanos(start as u64), key.clone()));
-            }
-        }
-        if let Some(Value::List(set)) = delta.field("set") {
-            for b in set {
-                let Some((key, bufs)) = decode_join_entry(b) else {
-                    continue;
-                };
-                self.buffers.insert(key, bufs);
-            }
-        }
+        Some(self.buffers.snapshot_delta())
     }
 
     fn mark_clean(&mut self) {
-        self.dirty.clear();
-        self.removed.clear();
+        self.buffers.mark_clean();
     }
 
-    fn merge_restore(&mut self, state: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Some(wm) = state.field("watermark").and_then(Value::as_int) {
-            merge_chain_watermark(
-                &mut self.merged_watermark,
-                &mut self.watermark,
-                SimTime::from_nanos(wm as u64),
-            );
-        }
-        if let Some(Value::List(buffers)) = state.field("buffers") {
-            for b in buffers {
-                if let Some((key, bufs)) = decode_join_entry(b) {
-                    if keep(&key.1) {
-                        self.buffers.insert(key, bufs);
-                    }
-                }
-            }
-        }
+    fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
+        self.buffers.restore(chain, keep);
     }
-
-    fn merge_delta(&mut self, delta: Value, keep: &dyn Fn(&str) -> bool) {
-        if let Some(wm) = delta.field("watermark").and_then(Value::as_int) {
-            merge_chain_watermark(
-                &mut self.merged_watermark,
-                &mut self.watermark,
-                SimTime::from_nanos(wm as u64),
-            );
-        }
-        if let Some(Value::List(del)) = delta.field("del") {
-            for d in del {
-                let Value::List(parts) = d else { continue };
-                let (Some(start), Some(Value::Str(key))) =
-                    (parts.first().and_then(Value::as_int), parts.get(1))
-                else {
-                    continue;
-                };
-                if keep(key) {
-                    self.buffers
-                        .remove(&(SimTime::from_nanos(start as u64), key.clone()));
-                }
-            }
-        }
-        if let Some(Value::List(set)) = delta.field("set") {
-            for b in set {
-                if let Some((key, bufs)) = decode_join_entry(b) {
-                    if keep(&key.1) {
-                        self.buffers.insert(key, bufs);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn encode_join_entry(start: &SimTime, key: &str, bufs: &(Vec<Event>, Vec<Event>)) -> Value {
-    Value::List(vec![
-        Value::Int(start.as_nanos() as i64),
-        Value::Str(key.to_string()),
-        Value::List(bufs.0.iter().map(encode_event).collect()),
-        Value::List(bufs.1.iter().map(encode_event).collect()),
-    ])
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_join_entry(v: &Value) -> Option<((SimTime, String), (Vec<Event>, Vec<Event>))> {
-    let Value::List(parts) = v else { return None };
-    let (Some(start), Some(Value::Str(key)), Some(Value::List(ls)), Some(Value::List(rs))) = (
-        parts.first().and_then(Value::as_int),
-        parts.get(1),
-        parts.get(2),
-        parts.get(3),
-    ) else {
-        return None;
-    };
-    let lefts: Vec<Event> = ls.iter().filter_map(decode_event).collect();
-    let rights: Vec<Event> = rs.iter().filter_map(decode_event).collect();
-    Some((
-        (SimTime::from_nanos(start as u64), key.clone()),
-        (lefts, rights),
-    ))
 }
 
 #[cfg(test)]

@@ -182,32 +182,29 @@ impl Plan {
         stages
     }
 
-    /// Overwrites the record counters (the rescale-restore path, where the
-    /// counters come from the restored chain rather than live processing).
+    /// Overwrites the record counters: after a restore they come from the
+    /// restored chains rather than from live processing.
     pub fn set_record_counts(&mut self, records_in: u64, records_out: u64) {
         self.records_in = records_in;
         self.records_out = records_out;
     }
 
-    /// Merges operator state captured by
-    /// [`snapshot_state`](Plan::snapshot_state), keeping only entries whose
-    /// key `keep` accepts — the rescale-restore path reassembling this
-    /// instance's key groups from every old instance's capture.
-    pub fn merge_restore_state(&mut self, states: Vec<Option<Value>>, keep: &dyn Fn(&str) -> bool) {
-        for (op, state) in self.ops.iter_mut().zip(states) {
-            if let Some(s) = state {
-                op.merge_restore(s, keep);
-            }
-        }
-    }
-
-    /// Applies a delta captured by [`snapshot_delta`](Plan::snapshot_delta)
-    /// on top of merged state, keeping only entries whose key `keep`
-    /// accepts.
-    pub fn merge_apply_delta(&mut self, deltas: Vec<Option<Value>>, keep: &dyn Fn(&str) -> bool) {
-        for (op, delta) in self.ops.iter_mut().zip(deltas) {
-            if let Some(d) = delta {
-                op.merge_delta(d, keep);
+    /// Restores what one old instance captured. `captures` holds its base
+    /// ([`snapshot_state`](Plan::snapshot_state)) followed by its deltas
+    /// ([`snapshot_delta`](Plan::snapshot_delta)) in persistence order, each
+    /// aligned with the operator chain; only entries whose key `keep`
+    /// accepts are taken. Called once per old instance whose chain this
+    /// plan reassembles its keys from — once, with a filter that keeps
+    /// everything, for a worker restoring its own chain. Operators the
+    /// base holds no state for are left untouched.
+    pub fn restore(&mut self, captures: &[&[Option<Value>]], keep: &dyn Fn(&str) -> bool) {
+        for (i, op) in self.ops.iter_mut().enumerate() {
+            let chain: Vec<&Value> = captures
+                .iter()
+                .map_while(|capture| capture.get(i)?.as_ref())
+                .collect();
+            if !chain.is_empty() {
+                op.restore(&chain, keep);
             }
         }
     }
@@ -219,37 +216,11 @@ impl Plan {
         (states, self.records_in, self.records_out)
     }
 
-    /// Restores operator state captured by
-    /// [`snapshot_state`](Plan::snapshot_state). States beyond the chain
-    /// length are ignored; `None` entries leave the operator untouched.
-    pub fn restore_state(&mut self, states: Vec<Option<Value>>, records_in: u64, records_out: u64) {
-        for (op, state) in self.ops.iter_mut().zip(states) {
-            if let Some(s) = state {
-                op.restore_state(s);
-            }
-        }
-        self.records_in = records_in;
-        self.records_out = records_out;
-    }
-
     /// Captures only the per-operator state that changed since the last
     /// capture and resets every operator's dirty tracking — the plan half
     /// of an incremental checkpoint delta.
     pub fn snapshot_delta(&mut self) -> Vec<Option<Value>> {
         self.ops.iter_mut().map(|o| o.snapshot_delta()).collect()
-    }
-
-    /// Applies a delta captured by [`snapshot_delta`](Plan::snapshot_delta)
-    /// on top of previously restored state, advancing the record counters
-    /// to the delta's capture point.
-    pub fn apply_delta(&mut self, deltas: Vec<Option<Value>>, records_in: u64, records_out: u64) {
-        for (op, delta) in self.ops.iter_mut().zip(deltas) {
-            if let Some(d) = delta {
-                op.apply_delta(d);
-            }
-        }
-        self.records_in = records_in;
-        self.records_out = records_out;
     }
 
     /// Resets every operator's dirty tracking without capturing — called

@@ -22,8 +22,8 @@ use s2g_telemetry::Telemetry;
 
 use crate::checkpoint::{
     snapshot_store, CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode,
-    CheckpointPayload, CheckpointStats, InMemoryBackend, MultiRecoverOutcome, RecoverOutcome,
-    RecoveryInfo, SnapshotChain, StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome,
+    CheckpointPayload, CheckpointStats, InMemoryBackend, Recovered, RecoveryInfo, SnapshotChain,
+    StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome,
 };
 use crate::event::{Event, Value};
 use crate::plan::Plan;
@@ -34,7 +34,9 @@ use crate::plan::Plan;
 /// stage runs `parallelism` instances. Instance `i` statically owns the
 /// contiguous range of its input partitions (and, equivalently, key
 /// groups) given by [`s2g_proto::owner_of_group`], and its keyed operator
-/// state covers exactly the keys hashing into its owned groups.
+/// state covers exactly the keys hashing into its owned groups. A
+/// non-parallel worker is the point "instance 0 of 1, one key group" on
+/// the same axis: it owns every key.
 #[derive(Debug, Clone)]
 pub struct StageInstanceCfg {
     /// Stage index within the job (0 = reads the job's source topics).
@@ -47,9 +49,10 @@ pub struct StageInstanceCfg {
     /// many partitions, so `partition == key group`).
     pub key_groups: u32,
     /// On a respawn: the *previous* run's instance names of this stage, in
-    /// old-instance order. The restore reads every chain and keeps only the
-    /// key groups this instance owns under the new parallelism — which is
-    /// what makes an N→M rescale redistribute state correctly.
+    /// old-instance order (a non-parallel worker's own name). The restore
+    /// reads every chain and keeps only the key groups this instance owns
+    /// under the new parallelism — which is what makes an N→M rescale
+    /// redistribute state correctly.
     pub restore_from: Vec<String>,
     /// Producer ids of the old instances, aligned with `restore_from` —
     /// instance 0 resolves the open transactions of old instances that
@@ -242,9 +245,9 @@ pub struct SpeWorker {
     /// Set by the orchestrator on a respawned worker so restart metrics are
     /// recorded even when checkpointing is disabled.
     restarted: bool,
-    /// Parallel-stage identity; `None` for the classic one-worker-per-job
-    /// layout.
-    instance: Option<StageInstanceCfg>,
+    /// Stage identity; instance 0 of 1, restoring from its own chain, until
+    /// [`set_instance`](SpeWorker::set_instance) says otherwise.
+    instance: StageInstanceCfg,
     /// Telemetry sink (an unshared default until the orchestrator attaches
     /// the run-wide one).
     tele: Telemetry,
@@ -294,6 +297,14 @@ impl SpeWorker {
         for (i, topic) in sources.iter().enumerate() {
             buffer.topic_source.insert(topic.clone(), i as u8);
         }
+        let instance = StageInstanceCfg {
+            stage: 0,
+            instance: 0,
+            parallelism: 1,
+            key_groups: 1,
+            restore_from: vec![name.clone()],
+            old_producers: Vec::new(),
+        };
         SpeWorker {
             name,
             cfg,
@@ -316,7 +327,7 @@ impl SpeWorker {
             staged_capture: None,
             awaiting_restore: false,
             restarted: false,
-            instance: None,
+            instance,
             tele: Telemetry::new(),
         }
     }
@@ -342,16 +353,15 @@ impl SpeWorker {
     /// Declares this worker a parallel stage instance: its embedded
     /// consumer fetches only the contiguous partition range the instance
     /// owns, and (for stages past the first) the shuffle input's encoded
-    /// source index is preserved for joins. Respawns with a non-empty
-    /// `restore_from` reassemble the instance's key groups from every old
-    /// instance's chain — the rescale path.
+    /// source index is preserved for joins. A respawn reassembles the
+    /// instance's key groups from the chains of `restore_from`.
     pub fn set_instance(&mut self, cfg: StageInstanceCfg) {
         self.consumer
             .set_static_assignment(cfg.instance, cfg.parallelism);
         if cfg.stage > 0 {
             self.buffer.preserve_source = true;
         }
-        self.instance = Some(cfg);
+        self.instance = cfg;
     }
 
     /// Attaches a memory-ledger slot.
@@ -740,83 +750,6 @@ impl SpeWorker {
         }
     }
 
-    fn apply_restore(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        chain: Option<SnapshotChain>,
-        bytes: Option<u64>,
-    ) {
-        let now = ctx.now();
-        if let Some(r) = self.recovery.as_mut() {
-            r.restored_at = Some(now);
-            self.tele
-                .trace_end(now, &self.name, "recovery:restore", "recovery");
-        }
-        if self.txn_mode() {
-            // Resolve the crashed incarnation's transactions: everything at
-            // or below the restored capture's transaction rolls forward
-            // (its prepare — snapshot + staged batch — is durable); newer
-            // ones abort, and replay from the restored offsets re-stages
-            // exactly their records under fresh transactions.
-            let committed = chain.as_ref().map_or(0, SnapshotChain::txn_seq);
-            self.txn_seq = committed + 1;
-            if let Some(p) = self.producer.as_mut() {
-                p.recover_txns(ctx, committed);
-                p.set_transactional(Some(self.txn_seq));
-            }
-        }
-        let Some(chain) = chain else { return };
-        if let Some(r) = self.recovery.as_mut() {
-            r.snapshot_taken_at = Some(chain.taken_at());
-            r.snapshot_bytes = bytes.unwrap_or_else(|| chain.encoded_len() as u64);
-            r.delta_chain = chain.chain_len();
-        }
-        let mode = self
-            .coordinator
-            .as_ref()
-            .expect("restore implies coordinator")
-            .mode();
-        // Base first, then every delta in persistence order — the chained
-        // restore an incremental checkpoint pays for its smaller captures.
-        let base = chain.base;
-        self.plan
-            .restore_state(base.plan_state, base.records_in, base.records_out);
-        let mut tail_buffer = base.buffer;
-        let mut tail_offsets = base.offsets;
-        let taken_at = chain
-            .deltas
-            .last()
-            .map(|d| d.taken_at)
-            .unwrap_or(base.taken_at);
-        for delta in chain.deltas {
-            self.plan
-                .apply_delta(delta.plan_delta, delta.records_in, delta.records_out);
-            tail_buffer = delta.buffer;
-            tail_offsets = delta.offsets;
-        }
-        match mode {
-            CheckpointMode::ExactlyOnce => {
-                // The chain is the source of truth: restore the unbatched
-                // input and seek to the offsets captured with the newest
-                // element, so the replay boundary matches the state exactly
-                // even if the final broker commit raced the crash.
-                self.buffer.events = tail_buffer;
-                self.consumer.seed_positions(tail_offsets.clone());
-            }
-            CheckpointMode::AtLeastOnce => {
-                // Resume from the broker's committed offsets (which trail
-                // the chain): records in between replay into restored
-                // state — duplicates, never loss.
-            }
-        }
-        if let Some(c) = self.coordinator.as_mut() {
-            c.seed_prev_offsets(tail_offsets);
-        }
-        ctx.trace_with("spe", || {
-            format!("{} restored checkpoint from {}", self.name, taken_at)
-        });
-    }
-
     fn handle_store_rpc(&mut self, ctx: &mut Ctx<'_>, rpc: StoreRpc) {
         if self.coordinator.is_none() {
             return;
@@ -825,14 +758,9 @@ impl SpeWorker {
         let coord = self.coordinator.as_mut().expect("just checked");
         match coord.on_store_rpc(ctx, &name, &rpc) {
             StoreRpcOutcome::PersistCompleted => self.pump_commit(ctx),
-            StoreRpcOutcome::Recovered { chain, bytes } => {
+            StoreRpcOutcome::Recovered(recovered) => {
                 self.awaiting_restore = false;
-                self.apply_restore(ctx, chain, Some(bytes));
-                self.normal_start(ctx);
-            }
-            StoreRpcOutcome::RecoveredMulti { chains, bytes } => {
-                self.awaiting_restore = false;
-                self.apply_restore_multi(ctx, chains, bytes);
+                self.apply_restore(ctx, recovered);
                 self.normal_start(ctx);
             }
             StoreRpcOutcome::NotMine => {
@@ -842,148 +770,127 @@ impl SpeWorker {
         }
     }
 
-    /// The rescale-aware restore: merges the chains of *every* old instance
-    /// of this stage, keeping only the key groups this instance owns under
-    /// the new parallelism. Per-key-group consistency holds because a key
-    /// group, its shuffle partition, and its captured offsets all lived on
-    /// exactly one old instance.
-    fn apply_restore_multi(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        chains: Vec<Option<SnapshotChain>>,
-        bytes: u64,
-    ) {
+    /// The restore: merges the chains of every old instance this worker was
+    /// told to read, keeping only the key groups it owns under the current
+    /// parallelism. A non-parallel worker reads its own chain and owns
+    /// every key. Per-key-group consistency holds because a key group, its
+    /// shuffle partition, and its captured offsets all lived on exactly one
+    /// old instance.
+    fn apply_restore(&mut self, ctx: &mut Ctx<'_>, Recovered { chains, bytes }: Recovered) {
         let now = ctx.now();
+        let inst = &self.instance;
+        let (own, par) = (inst.instance as usize, inst.parallelism as usize);
+        // What was persisted, with each chain's old-instance index.
+        let restored: Vec<(usize, &SnapshotChain)> = chains
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, chain)| Some((idx, chain.as_ref()?)))
+            .collect();
         if let Some(r) = self.recovery.as_mut() {
             r.restored_at = Some(now);
+            r.snapshot_taken_at = restored.iter().map(|(_, c)| c.taken_at()).max();
+            r.snapshot_bytes = bytes;
+            r.delta_chain = restored
+                .iter()
+                .map(|(_, c)| c.chain_len())
+                .max()
+                .unwrap_or(0);
             self.tele
                 .trace_end(now, &self.name, "recovery:restore", "recovery");
         }
-        let inst = self
-            .instance
-            .clone()
-            .expect("multi restore implies a stage instance");
-        let own_idx = inst.instance as usize;
+        let txn_upto = |idx: usize| {
+            let chain = chains.get(idx).and_then(Option::as_ref);
+            chain.map_or(0, SnapshotChain::txn_seq)
+        };
         if self.txn_mode() {
-            // Resolve this producer id's crashed transactions exactly like
-            // the single-instance path...
-            let committed = chains
-                .get(own_idx)
-                .and_then(Option::as_ref)
-                .map_or(0, SnapshotChain::txn_seq);
+            // Resolve the crashed incarnation's transactions: everything at
+            // or below its restored capture's transaction rolls forward
+            // (its prepare — snapshot + staged batch — is durable); newer
+            // ones abort, and replay from the restored offsets re-stages
+            // exactly their records under fresh transactions.
+            let committed = txn_upto(own);
             self.txn_seq = committed + 1;
             if let Some(p) = self.producer.as_mut() {
                 p.recover_txns(ctx, committed);
-                // ...and, from instance 0, the transactions of old
-                // instances with no successor under a shrunk parallelism —
-                // their staged output would otherwise pin the LSO forever.
-                if inst.instance == 0 {
-                    for (idx, old_pid) in inst.old_producers.iter().enumerate() {
-                        if idx >= inst.parallelism as usize {
-                            let upto = chains
-                                .get(idx)
-                                .and_then(Option::as_ref)
-                                .map_or(0, SnapshotChain::txn_seq);
-                            p.recover_txns_for(ctx, *old_pid, upto);
-                        }
+                // Instance 0 also resolves the old instances that have no
+                // successor under a shrunk parallelism — their staged
+                // output would otherwise pin the LSO forever.
+                if own == 0 {
+                    for (idx, old_pid) in inst.old_producers.iter().enumerate().skip(par) {
+                        p.recover_txns_for(ctx, *old_pid, txn_upto(idx));
                     }
                 }
                 p.set_transactional(Some(self.txn_seq));
             }
         }
-        let restored_any = chains.iter().any(Option::is_some);
-        if let Some(r) = self.recovery.as_mut() {
-            r.snapshot_taken_at = chains.iter().flatten().map(SnapshotChain::taken_at).max();
-            r.snapshot_bytes = if bytes > 0 {
-                bytes
-            } else {
-                chains
-                    .iter()
-                    .flatten()
-                    .map(|c| c.encoded_len() as u64)
-                    .sum()
-            };
-            r.delta_chain = chains
-                .iter()
-                .flatten()
-                .map(SnapshotChain::chain_len)
-                .max()
-                .unwrap_or(0);
-        }
-        if !restored_any {
+        if restored.is_empty() {
             return; // cold start: nothing was ever persisted
         }
-        let mode = self
-            .coordinator
-            .as_ref()
-            .expect("restore implies coordinator")
-            .mode();
         let keep = |k: &str| inst.owns_key(k);
         let mut tail_offsets: BTreeMap<TopicPartition, Offset> = BTreeMap::new();
         let mut buffer: Vec<Event> = Vec::new();
-        for (idx, chain) in chains.iter().enumerate() {
-            let Some(chain) = chain else { continue };
-            // Base first, then its deltas. Chains from different instances
-            // interleave safely: each key lived on exactly one of them.
-            self.plan
-                .merge_restore_state(chain.base.plan_state.clone(), &keep);
-            for delta in &chain.deltas {
-                self.plan.merge_apply_delta(delta.plan_delta.clone(), &keep);
-            }
+        let (mut records_in, mut records_out) = (0, 0);
+        for (idx, chain) in &restored {
+            // Base first, then its deltas — the chained restore an
+            // incremental checkpoint pays for its smaller captures. Chains
+            // from different instances interleave safely: each key lived on
+            // exactly one of them.
+            self.plan.restore(&chain.plan_captures(), &keep);
             for (tp, off) in chain.offsets() {
                 let e = tail_offsets.entry(tp.clone()).or_insert(*off);
                 *e = (*e).max(*off);
             }
-            for ev in chain.buffer() {
-                // Keyed buffered input follows its key's owner. Keyless
-                // input is pre-KeyBy and therefore stateless here: any one
-                // new instance may replay it (the shuffle re-routes by key
-                // afterwards), so old chain `k`'s buffer goes to new
-                // instance `k mod M` — every chain covered exactly once.
-                let keep_ev = match &ev.key {
-                    Some(k) => keep(k),
-                    None => idx % inst.parallelism as usize == own_idx,
-                };
-                if keep_ev {
-                    buffer.push(ev.clone());
-                }
+            // Keyed buffered input follows its key's owner. Keyless input
+            // is pre-KeyBy and therefore stateless here: any one new
+            // instance may replay it (the shuffle re-routes by key
+            // afterwards), so old chain `k` goes to new instance `k mod M`
+            // — every chain covered exactly once.
+            let adopted = idx % par == own;
+            let kept = chain.buffer().iter().filter(|ev| match &ev.key {
+                Some(k) => keep(k),
+                None => adopted,
+            });
+            buffer.extend(kept.cloned());
+            // Record counters aren't keyed, so exact per-group attribution
+            // is impossible after a rescale; adopting them by the same
+            // `k mod M` rule keeps the job-level totals equal to what the
+            // old layout actually processed.
+            if adopted {
+                let (chain_in, chain_out) = chain.record_counts();
+                records_in += chain_in;
+                records_out += chain_out;
             }
         }
-        // Record counters aren't keyed, so exact per-group attribution is
-        // impossible after a rescale; adopting old chain `k`'s counters on
-        // new instance `k mod M` (the keyless-buffer rule above) keeps the
-        // job-level totals equal to what the old layout actually processed.
-        let (records_in, records_out) = chains
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx % inst.parallelism as usize == own_idx)
-            .filter_map(|(_, c)| c.as_ref())
-            .map(SnapshotChain::record_counts)
-            .fold((0, 0), |(ai, ao), (i, o)| (ai + i, ao + o));
         self.plan.set_record_counts(records_in, records_out);
         let offsets: Vec<(TopicPartition, Offset)> = tail_offsets.into_iter().collect();
-        match mode {
+        let coord = self
+            .coordinator
+            .as_mut()
+            .expect("restore implies coordinator");
+        match coord.mode() {
             CheckpointMode::ExactlyOnce => {
-                // The union of every chain's tail offsets is the replay
-                // boundary; the consumer's static assignment restricts
-                // actual fetching to the partitions this instance owns.
+                // The chains are the source of truth: restore the unbatched
+                // input and seek to the offsets captured with each chain's
+                // newest element, so the replay boundary matches the state
+                // exactly even if the final broker commit raced the crash.
+                // The consumer's static assignment restricts fetching to
+                // the partitions this instance owns.
                 self.buffer.events = buffer;
                 self.consumer.seed_positions(offsets.clone());
             }
             CheckpointMode::AtLeastOnce => {
-                // Resume from the broker's committed offsets (duplicates,
-                // never loss — partitions that changed owner replay from
-                // their new group's start).
+                // Resume from the broker's committed offsets (which trail
+                // the chains). Records in between replay into restored
+                // state — duplicates, never loss; partitions that changed
+                // owner replay from their new group's start.
             }
         }
-        if let Some(c) = self.coordinator.as_mut() {
-            c.seed_prev_offsets(offsets);
-        }
+        coord.seed_prev_offsets(offsets);
         ctx.trace_with("spe", || {
             format!(
-                "{} restored {} old-instance chain(s) for its key groups",
+                "{} restored {} chain(s) for its key groups",
                 self.name,
-                chains.iter().flatten().count()
+                restored.len()
             )
         });
     }
@@ -1067,38 +974,23 @@ impl Process for SpeWorker {
         if wants_recovery {
             self.tele
                 .trace_begin(ctx.now(), &self.name, "recovery:restore", "recovery");
-            let name = self.name.clone();
-            let multi = self
-                .instance
-                .as_ref()
-                .map(|i| i.restore_from.clone())
-                .filter(|names| !names.is_empty());
+            let (names, parallelism) = (
+                self.instance.restore_from.clone(),
+                self.instance.parallelism,
+            );
             let coord = self.coordinator.as_mut().expect("checked above");
-            match multi {
-                Some(names) => match coord.start_recovery_multi(ctx, names) {
-                    MultiRecoverOutcome::Done(chains) => {
-                        self.apply_restore_multi(ctx, chains, 0);
-                        self.normal_start(ctx);
-                    }
-                    MultiRecoverOutcome::Pending => {
-                        self.awaiting_restore = true;
-                        ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
-                    }
-                },
-                None => match coord.start_recovery(ctx, &name) {
-                    RecoverOutcome::Done(chain) => {
-                        self.apply_restore(ctx, chain, None);
-                        self.normal_start(ctx);
-                    }
-                    RecoverOutcome::Pending => {
-                        // Hold consuming and batching until the backend read
-                        // round trip completes — the recovery-latency cost of
-                        // a durable backend. The retry timer covers a lost
-                        // RPC.
-                        self.awaiting_restore = true;
-                        ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
-                    }
-                },
+            match coord.start_recovery(ctx, &self.name, names, parallelism) {
+                Some(recovered) => {
+                    self.apply_restore(ctx, recovered);
+                    self.normal_start(ctx);
+                }
+                None => {
+                    // Hold consuming and batching until the backend read
+                    // round trips complete — the recovery-latency cost of a
+                    // durable backend. The retry timer covers a lost RPC.
+                    self.awaiting_restore = true;
+                    ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
+                }
             }
         } else {
             self.normal_start(ctx);

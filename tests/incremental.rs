@@ -64,40 +64,36 @@ fn random_batch(rng: &mut StdRng, step: usize) -> Vec<Event> {
 }
 
 /// Drives `make()` plans through random churn, captures one base plus a
-/// delta per step on a second identical plan, and asserts the chained
-/// restore equals the live plan's full state.
+/// delta per step, and asserts that a second identical plan restoring that
+/// chain — through the one restore method, as a worker reading its own
+/// chain does: every key kept — equals the live plan's full state,
+/// watermark included (a chain stands at its newest capture's watermark,
+/// not its base's).
 fn chain_restore_equals_full(make: fn() -> Plan, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut live = make();
     let steps = rng.gen_range(4..12);
     let base_at = rng.gen_range(0..steps / 2);
-    let mut base: Option<(Vec<Option<Value>>, u64, u64)> = None;
-    let mut deltas: Vec<(Vec<Option<Value>>, u64, u64)> = Vec::new();
+    // Captures in persistence order: the base, then every delta.
+    let mut chain: Vec<Vec<Option<Value>>> = Vec::new();
     for step in 0..steps {
         let batch = random_batch(&mut rng, step);
         live.run_batch(SimTime::from_millis(step as u64 * 700), batch);
         if step == base_at {
-            let snap = live.snapshot_state();
+            chain.push(live.snapshot_state().0);
             live.mark_clean();
-            base = Some(snap);
         } else if step > base_at {
-            let (ri, ro) = live.record_counts();
-            deltas.push((live.snapshot_delta(), ri, ro));
+            chain.push(live.snapshot_delta());
         }
     }
-    let (base_state, base_in, base_out) = base.expect("base captured");
     let mut restored = make();
-    restored.restore_state(base_state, base_in, base_out);
-    for (delta, ri, ro) in deltas {
-        restored.apply_delta(delta, ri, ro);
-    }
-    let (live_state, live_in, live_out) = live.snapshot_state();
-    let (rest_state, rest_in, rest_out) = restored.snapshot_state();
+    let captures: Vec<&[Option<Value>]> = chain.iter().map(Vec::as_slice).collect();
+    restored.restore(&captures, &|_| true);
     assert_eq!(
-        rest_state, live_state,
+        restored.snapshot_state().0,
+        live.snapshot_state().0,
         "seed {seed}: base+deltas restore must equal the live state"
     );
-    assert_eq!((rest_in, rest_out), (live_in, live_out), "seed {seed}");
 }
 
 #[test]

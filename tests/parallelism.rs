@@ -27,6 +27,15 @@ const WORDS: usize = 160;
 const SEED: u64 = 77;
 
 fn base_scenario(name: &str, parallelism: usize) -> Scenario {
+    scenario_with(name, |job| match parallelism {
+        1 => job,
+        n => job.parallelism(n),
+    })
+}
+
+/// The word-count scenario every test here runs, with its one job shaped
+/// by `shape` (parallelism, rescale).
+fn scenario_with(name: &str, shape: impl FnOnce(SpeJobSpec) -> SpeJobSpec) -> Scenario {
     let mut sc = Scenario::new(name);
     sc.seed(SEED)
         .duration(SimTime::from_secs(30))
@@ -49,17 +58,14 @@ fn base_scenario(name: &str, parallelism: usize) -> Scenario {
         startup_cpu: SimDuration::from_millis(200),
         ..SpeConfig::default()
     };
-    let mut job = SpeJobSpec::new(
+    let job = SpeJobSpec::new(
         "wc",
         vec!["words".into()],
         running_count_plan,
         SpeSinkSpec::Topic("counts".into()),
         cfg,
     );
-    if parallelism > 1 {
-        job = job.parallelism(parallelism);
-    }
-    sc.spe_job("h3", job);
+    sc.spe_job("h3", shape(job));
     sc.consumer("h5", Default::default(), &["counts"]);
     sc
 }
@@ -294,40 +300,7 @@ fn rescale_4_to_2_restores_all_key_groups() {
         sc.with_transactional_sinks();
         sc.run().expect("baseline runs")
     };
-    let mut sc2 = Scenario::new("wc-rescale");
-    sc2.seed(SEED)
-        .duration(SimTime::from_secs(30))
-        .default_link(LinkSpec::new().latency(SimDuration::from_millis(2)))
-        .topic(TopicSpec::new("words").partitions(8))
-        .topic(TopicSpec::new("counts"));
-    sc2.broker("h2");
-    sc2.producer(
-        "h1",
-        stream2gym::core::SourceSpec::Items {
-            topic: "words".into(),
-            items: word_stream(WORDS, SEED),
-            interval: SimDuration::from_millis(40),
-        },
-        Default::default(),
-    );
-    sc2.spe_job(
-        "h3",
-        SpeJobSpec::new(
-            "wc",
-            vec!["words".into()],
-            running_count_plan,
-            SpeSinkSpec::Topic("counts".into()),
-            SpeConfig {
-                batch_interval: SimDuration::from_millis(250),
-                scheduling_overhead: SimDuration::from_millis(20),
-                startup_cpu: SimDuration::from_millis(200),
-                ..SpeConfig::default()
-            },
-        )
-        .parallelism(4)
-        .rescale_on_restart(2),
-    );
-    sc2.consumer("h5", Default::default(), &["counts"]);
+    let mut sc2 = scenario_with("wc-rescale", |job| job.parallelism(4).rescale_on_restart(2));
     sc2.with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_millis(500)));
     sc2.with_transactional_sinks();
     sc2.faults(FaultPlan::new().crash_restart(
@@ -359,6 +332,144 @@ fn rescale_4_to_2_restores_all_key_groups() {
             .recovery
             .is_some_and(|rec| rec.restored_at.is_some()),
         "instance 0 restored merged key groups"
+    );
+}
+
+/// What no other test combines: `parallelism(4)`, *incremental*
+/// exactly-once checkpoints, transactional sinks, and a worker fault after
+/// deltas are chained — every restore reads four chains of several
+/// captures each through the one restore path. Three variants: one
+/// instance bounced (in-memory and durable backends) and a whole-job 4→2
+/// rescale. The sink must equal the fault-free run's, and the restore
+/// must have replayed deltas (`delta_chain_len`), so none can pass on a
+/// base-only chain.
+#[test]
+fn parallel_incremental_crash_and_rescale_are_exactly_once() {
+    use stream2gym::store::StoreConfig;
+
+    let cfg = CheckpointCfg::exactly_once(SimDuration::from_millis(500));
+    let build = |name: &str, durable: bool, rescale: Option<usize>| {
+        let mut sc = scenario_with(name, |job| match rescale {
+            Some(m) => job.parallelism(4).rescale_on_restart(m),
+            None => job.parallelism(4),
+        });
+        if durable {
+            sc.store("h6", StoreConfig::default());
+            sc.with_durable_checkpointing(cfg.incremental(4), "h6");
+        } else {
+            sc.with_incremental_checkpointing(cfg, 4);
+        }
+        sc.with_transactional_sinks();
+        sc
+    };
+    let baseline = build("wc-inc-base", false, None)
+        .run()
+        .expect("baseline runs");
+    let bounce = |target: &str| {
+        FaultPlan::new().crash_restart(
+            target,
+            SimTime::from_millis(2_400),
+            SimDuration::from_millis(800),
+        )
+    };
+    for (name, durable, rescale, target) in [
+        ("wc-inc-crash", false, None, "wc/1/1"),
+        ("wc-inc-durable", true, None, "wc/1/1"),
+        ("wc-inc-rescale", false, Some(2), "wc"),
+    ] {
+        let mut sc = build(name, durable, rescale);
+        sc.faults(bounce(target));
+        let faulted = sc.run().expect("faulted runs");
+        assert_eq!(final_counts(&faulted), ground_truth(), "{name}");
+        assert_eq!(
+            counted_inputs(&sink_bytes(&faulted)),
+            counted_inputs(&sink_bytes(&baseline)),
+            "{name}: every input must be counted exactly once"
+        );
+        assert_eq!(
+            per_key_count_sequences(&sink_bytes(&faulted)),
+            per_key_count_sequences(&sink_bytes(&baseline)),
+            "{name}: per-key update order must survive the fault"
+        );
+        let instance = if rescale.is_some() { "wc/1/0" } else { target };
+        let rec = faulted.report.spe_instances[instance]
+            .recovery
+            .expect("fault recorded");
+        assert!(rec.restored_at.is_some(), "{name}: state restored");
+        assert!(
+            rec.delta_chain_len >= 2,
+            "{name}: the restore must replay chained deltas, got {}",
+            rec.delta_chain_len
+        );
+    }
+}
+
+/// Parallelism 1 is a point on the axis, not a second program: the classic
+/// one-worker layout and the stage machinery at one instance (a
+/// single-stage plan, `rescale_on_restart(1)` being what opts a
+/// parallelism-1 job into it) restore through the same path, so under the
+/// same crash plan they produce the same sink bytes, the same checkpoint
+/// counters — the restored chain is continued, not re-based, in both — and
+/// read the same chain back. Only the worker's name differs (`p1` vs
+/// `p1/0/0`), so each report is looked up under its own.
+#[test]
+fn parallelism_one_equals_the_non_parallel_job() {
+    let run = |staged: bool| {
+        let mut sc = scenario_with(if staged { "p1-staged" } else { "p1-classic" }, |job| {
+            // Keyed state without a `KeyBy`, so the plan is one stage and
+            // both layouts run it in one worker.
+            let plan = || {
+                let key = |mut e: Event| {
+                    e.key = e.value.as_str().map(str::to_string);
+                    e
+                };
+                let count = |state: &mut Value, e: &Event| {
+                    let n = state.as_int().unwrap_or(0) + 1;
+                    *state = Value::Int(n);
+                    vec![Event {
+                        value: Value::Int(n),
+                        ..e.clone()
+                    }]
+                };
+                Plan::new()
+                    .map("key", key)
+                    .stateful("count", Value::Int(0), count)
+                    .window_count("w", SimDuration::from_secs(2))
+            };
+            let job = SpeJobSpec::new("p1", job.sources, plan, job.sink, job.cfg);
+            if staged {
+                job.parallelism(1).rescale_on_restart(1)
+            } else {
+                job
+            }
+        });
+        let cfg = CheckpointCfg::exactly_once(SimDuration::from_millis(500));
+        sc.with_incremental_checkpointing(cfg, 4);
+        sc.with_transactional_sinks();
+        sc.faults(FaultPlan::new().crash_restart(
+            "p1",
+            SimTime::from_millis(2_400),
+            SimDuration::from_millis(800),
+        ));
+        sc.run().expect("runs")
+    };
+    let (classic, staged) = (run(false), run(true));
+    assert!(!sink_bytes(&classic).is_empty(), "windows fired");
+    assert_eq!(sink_bytes(&staged), sink_bytes(&classic));
+    let (c, s) = (
+        &classic.report.spe["p1"],
+        &staged.report.spe_instances["p1/0/0"],
+    );
+    assert_eq!(s.checkpoints, c.checkpoints);
+    assert!(
+        c.checkpoints.delta_checkpoints >= 4,
+        "deltas before and after"
+    );
+    let (c, s) = (c.recovery.expect("crashed"), s.recovery.expect("crashed"));
+    assert!(c.delta_chain_len >= 2, "the restore replayed deltas");
+    assert_eq!(
+        (s.snapshot_bytes, s.delta_chain_len),
+        (c.snapshot_bytes, c.delta_chain_len)
     );
 }
 
@@ -582,7 +693,7 @@ fn operator_state_rescales_exactly() {
             for (j, op) in news.iter_mut().enumerate() {
                 let keep = |k: &str| owner(k, m as u32) == j as u32;
                 for snap in snapshots.iter().flatten() {
-                    op.merge_restore(snap.clone(), &keep);
+                    op.restore(&[snap], &keep);
                 }
             }
             for (j, op) in news.iter_mut().enumerate() {
@@ -625,8 +736,8 @@ fn merged_restore_watermark_is_min_across_chains() {
     // Rescale 2→1: one new instance adopts both chains.
     let mut merged = WindowAggregate::count("wc", WindowAssigner::Tumbling(width));
     let keep = |_: &str| true;
-    merged.merge_restore(fast.snapshot_state().expect("state"), &keep);
-    merged.merge_restore(slow.snapshot_state().expect("state"), &keep);
+    merged.restore(&[&fast.snapshot_state().expect("state")], &keep);
+    merged.restore(&[&slow.snapshot_state().expect("state")], &keep);
 
     // An input-less batch tick before `b`'s events replay: a max-merged
     // watermark (20s) would fire `b`'s restored window here, partial.
