@@ -16,8 +16,10 @@
 //! `--quick` runs reduced parameters; `--smoke` runs the minimal CI preset
 //! whose only job is to prove every figure still generates. `--bench
 //! hotpath` runs the record-hot-path micro-benchmark and `--bench simcore`
-//! races the calendar-queue scheduler against the reference heap; each
-//! writes a `target/figures/BENCH_*.json` for the CI perf gate.
+//! races the calendar-queue scheduler against the reference heap. Each
+//! writes a `target/figures/BENCH_*.json`, then prints one OK/FAIL line per
+//! floor it is held to (`hotpath_gate`, `simcore_gate`) and exits with
+//! status 1 on a violation, so the same command gates CI and a laptop.
 //!
 //! Sweeps fan their points across a thread pool (see `s2g_bench::executor`)
 //! and merge by input index, so the CSVs are byte-identical at any thread
@@ -31,9 +33,9 @@ use std::path::PathBuf;
 use s2g_bench::experiments::table2_inventory;
 use s2g_bench::{
     broker_recovery_sweep, broker_replication_sweep, compaction_sweep, fig5_sweep, fig6_run,
-    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, hotpath_sweep,
-    scaling_sweep, simcore_sweep, store_replication_sweep, throughput_sweep, timeline_sweep,
-    Component, Scale,
+    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, hotpath_gate,
+    hotpath_ratio, hotpath_sweep, scaling_sweep, simcore_gate, simcore_sweep,
+    store_replication_sweep, throughput_sweep, timeline_sweep, Component, Scale,
 };
 use s2g_broker::CoordinationMode;
 use s2g_core::{ascii_chart, ascii_matrix, ascii_table, cdf, csv_series};
@@ -738,17 +740,7 @@ fn throughput(scale: Scale) {
 fn bench_hotpath(scale: Scale) {
     println!("\n#### Bench: record hot path (produce→fetch→operator→fetch) ####");
     let points = hotpath_sweep(scale, 11);
-    let unbatched = points
-        .iter()
-        .find(|p| p.setting == "unbatched")
-        .map(|p| p.records_per_sec)
-        .unwrap_or(f64::NAN);
-    let best = points
-        .iter()
-        .filter(|p| p.setting != "unbatched")
-        .map(|p| p.records_per_sec)
-        .fold(f64::NAN, f64::max);
-    let ratio = best / unbatched;
+    let ratio = hotpath_ratio(&points);
     let copies: u64 = points.iter().map(|p| p.shared_batch_copies).sum();
     let mut csv = String::from(
         "setting,batch_max_bytes,linger_ms,compression,records_per_sec,produce_p99_ms,delivered\n",
@@ -795,6 +787,7 @@ fn bench_hotpath(scale: Scale) {
     let path = out_dir().join("BENCH_hotpath.json");
     fs::write(&path, &json).expect("write bench json");
     println!("  wrote {}", path.display());
+    enforce(&hotpath_gate(&points, scale));
 }
 
 fn bench_simcore(scale: Scale) {
@@ -851,6 +844,18 @@ fn bench_simcore(scale: Scale) {
     let path = out_dir().join("BENCH_simcore.json");
     fs::write(&path, &json).expect("write bench json");
     println!("  wrote {}", path.display());
+    enforce(&simcore_gate(&points, scale));
+}
+
+/// Prints one OK/FAIL line per gate row and exits with status 1 if any
+/// failed: a bench run is its own gate, in CI and locally alike.
+fn enforce(rows: &[(bool, String)]) {
+    for (held, what) in rows {
+        println!("  {}: {what}", if *held { "OK" } else { "FAIL" });
+    }
+    if rows.iter().any(|(held, _)| !held) {
+        std::process::exit(1);
+    }
 }
 
 fn table2() {

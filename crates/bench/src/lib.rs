@@ -13,12 +13,13 @@ pub mod experiments;
 pub mod simcore;
 
 pub use executor::{parallel_map, parallel_map_with, sweep_threads};
-pub use simcore::{simcore_sweep, SimcorePoint};
+pub use simcore::{simcore_gate, simcore_sweep, SimcorePoint};
 
 pub use experiments::{
     broker_recovery_sweep, broker_replication_sweep, compaction_sweep, fig5_sweep, fig6_run,
-    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, hotpath_sweep,
-    scaling_sweep, store_replication_sweep, table2_inventory, throughput_sweep, timeline_sweep,
-    BrokerRecoveryPoint, BrokerReplicationPoint, CompactionPoint, Component, Fig6Data, Fig9Point,
-    HotpathPoint, ReplicationPoint, Scale, ScalingPoint, ThroughputPoint, TimelineData,
+    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, hotpath_gate,
+    hotpath_ratio, hotpath_sweep, scaling_sweep, store_replication_sweep, table2_inventory,
+    throughput_sweep, timeline_sweep, BrokerRecoveryPoint, BrokerReplicationPoint, CompactionPoint,
+    Component, Fig6Data, Fig9Point, HotpathPoint, ReplicationPoint, Scale, ScalingPoint,
+    ThroughputPoint, TimelineData,
 };

@@ -20,8 +20,8 @@
 //!
 //! Every workload asserts the two schedulers agree on [`SimStats`] and the
 //! final clock before any rate is reported, so the benchmark doubles as a
-//! coarse differential check; `perf-gate` in CI compares the reported
-//! ratios against `crates/bench/baselines/simcore_floor.json`.
+//! coarse differential check; [`simcore_gate`] holds the reported ratios
+//! to their floors.
 
 use std::time::Instant;
 
@@ -367,6 +367,47 @@ pub fn simcore_sweep(scale: Scale) -> Vec<SimcorePoint> {
         bench_one("fan-out", &|kind| run_fan_out(kind, scale)),
         bench_one("kill-respawn", &|kind| run_kill_respawn(kind, scale)),
     ]
+}
+
+/// Per workload at `--smoke`: the least calendar/reference ratio, and the
+/// least event count. Ratios are wall-clock but same-machine and
+/// best-of-two, so they gate robustly; event counts are simulated and
+/// exact. Update on purposeful scheduler or workload changes only.
+const SIMCORE_SMOKE_FLOOR: [(&str, f64, u64); 3] = [
+    ("timer-churn", 3.0, 400_000),
+    ("fan-out", 0.8, 40_000),
+    ("kill-respawn", 1.3, 5_000),
+];
+
+/// The `--bench simcore` gate: one `(held, what was checked)` row per
+/// check. The floors were recorded at `--smoke`, the scale CI runs, and
+/// apply there; the schedulers must agree on `SimStats` at every scale.
+pub fn simcore_gate(points: &[SimcorePoint], scale: Scale) -> Vec<(bool, String)> {
+    let mut rows = Vec::new();
+    let floors: &[_] = match scale {
+        Scale::Smoke => &SIMCORE_SMOKE_FLOOR,
+        _ => &[],
+    };
+    for (workload, min_ratio, min_events) in floors {
+        let Some(p) = points.iter().find(|p| p.workload == *workload) else {
+            rows.push((false, format!("{workload}: missing from the sweep")));
+            continue;
+        };
+        // A workload that shrank makes its ratio meaningless.
+        rows.push((
+            p.events >= *min_events,
+            format!("{workload}: {} events (floor {min_events})", p.events),
+        ));
+        let ratio = format!(
+            "{workload}: calendar/reference ratio {:.2} (required {min_ratio})",
+            p.ratio
+        );
+        rows.push((p.ratio >= *min_ratio, ratio));
+    }
+    // A disagreement is an ordering bug, not a perf issue.
+    let agree = points.iter().all(|p| p.stats_match);
+    rows.push((agree, "both schedulers report the same SimStats".into()));
+    rows
 }
 
 #[cfg(test)]

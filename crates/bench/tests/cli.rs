@@ -38,3 +38,19 @@ fn a_single_figure_is_selected() {
     assert!(stdout.contains("Table II"), "{stdout}");
     assert!(!stdout.contains("Figure"), "only the table ran: {stdout}");
 }
+
+#[test]
+fn the_hotpath_bench_holds_its_own_floors() {
+    // The bench is its own gate: one OK/FAIL line per floor, and the exit
+    // status says whether all held. Run where it may write its
+    // `target/figures/BENCH_hotpath.json`.
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--bench", "hotpath", "--smoke"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("figures binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let verdicts = |tag: &str| stdout.lines().filter(|l| l.trim().starts_with(tag)).count();
+    assert_eq!((verdicts("OK:"), verdicts("FAIL:")), (7, 0), "{stdout}");
+}

@@ -20,10 +20,10 @@
 //!
 //! # Durability and restart
 //!
-//! With a [`LogBackend`] attached ([`Broker::set_durability`]) the broker
+//! With a blob client attached ([`Broker::set_durability`]) the broker
 //! flushes dirty log segments and a [`BrokerLogMeta`] blob (high
-//! watermarks, consumer-group offsets, segment manifest) through the
-//! backend; produce acknowledgements are withheld until the covering flush
+//! watermarks, consumer-group offsets, segment manifest) through it;
+//! produce acknowledgements are withheld until the covering flush
 //! is durable, so an acknowledged record can never be lost to a broker
 //! crash. A broker respawned with `recover = true` replays the manifest —
 //! meta first, then every live segment — before serving again; client and
@@ -40,14 +40,12 @@ use s2g_proto::{
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
 };
-use s2g_store::StoreRpc;
+use s2g_store::{BlobClient, BlobDone, StoreRpc};
 use s2g_telemetry::Telemetry;
 
 use crate::config::{BrokerConfig, CoordinationMode};
 use crate::groups::GroupCoordinator;
-use crate::log::{
-    BrokerLogMeta, CleanOutcome, LogBackend, LogPersist, LogRecover, LogSegment, PartitionLog,
-};
+use crate::log::{BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog};
 use crate::metadata::MetadataCache;
 use crate::partition::{produce_response, Partition, PartitionTxns, PendingProduce};
 
@@ -93,13 +91,13 @@ fn replica_fetch_error(corr: CorrelationId, tp: TopicPartition, error: ErrorCode
     }
 }
 
-/// What a pending durability RPC was carrying, kept so a lost request or
-/// response can be re-issued verbatim under a fresh correlation id.
-enum DurabilityIo {
-    SegmentPut { key: String, bytes: Vec<u8> },
-    MetaPut { key: String, bytes: Vec<u8> },
-    MetaGet { key: String },
-    SegmentGet { key: String, tp: TopicPartition },
+/// The broker's label for a blob request: what the blob is.
+#[derive(Debug)]
+pub enum LogBlob {
+    /// The [`BrokerLogMeta`] blob.
+    Meta,
+    /// One segment of this partition's log.
+    Segment(TopicPartition),
 }
 
 /// Recovery metrics for one restarted broker incarnation.
@@ -140,20 +138,18 @@ impl BrokerRecoveryInfo {
     }
 }
 
-/// The broker's durability driver: the pluggable backend plus flush and
-/// recovery bookkeeping. (Whether un-flushed mutations exist is
-/// [`Host::dirty`]; each partition keeps its own durable end.)
+/// The broker's durability driver: the blob client (which tracks, matches
+/// and re-issues the store I/O) plus flush and recovery policy. (Whether
+/// un-flushed mutations exist is [`Host::dirty`]; each partition keeps its
+/// own durable end.)
 struct Durability {
-    backend: Box<dyn LogBackend>,
+    blobs: BlobClient<LogBlob>,
     /// Key prefix for this broker's blobs.
     prefix: String,
     /// A flush is awaiting store acks.
     flush_inflight: bool,
     /// A mutation arrived while a flush was in flight; flush again after.
     flush_again: bool,
-    /// Outstanding store RPCs by correlation id (ordered so retry
-    /// re-issues them deterministically).
-    pending: BTreeMap<u64, DurabilityIo>,
     /// The retry timer is armed.
     retry_armed: bool,
     /// Dead segment blobs awaiting deletion. The cleaner stages keys here
@@ -214,9 +210,9 @@ pub struct BrokerStats {
     pub offset_commits: u64,
     /// Consumer-group offset fetches served.
     pub offset_fetches: u64,
-    /// Log flushes completed through the attached [`LogBackend`].
+    /// Log flushes completed through the attached blob client.
     pub log_flushes: u64,
-    /// Encoded segment bytes handed to the log backend.
+    /// Encoded segment bytes handed to the blob client.
     pub log_flushed_bytes: u64,
     /// Client/replica requests dropped because the broker was still
     /// replaying its log after a restart.
@@ -464,21 +460,21 @@ impl Broker {
         self.host.tele = tele;
     }
 
-    /// Attaches a durable-log backend. Dirty segments and the meta blob are
-    /// flushed through it, and produce acknowledgements wait for the
-    /// covering flush (instant for [`InMemoryLogBackend`], a store round
-    /// trip for [`DurableLogBackend`]). With `recover` set the broker
-    /// replays the persisted manifest before serving — the respawn path.
+    /// Attaches the client the log is made durable through. Dirty segments
+    /// and the meta blob are flushed through it, and produce
+    /// acknowledgements wait for the covering flush (instant on
+    /// [`BlobClient::shared`], a store round trip on a store group, whose
+    /// correlation base is [`BROKER_LOG_CORR_BASE`]). With `recover` set
+    /// the broker replays the persisted manifest before serving — the
+    /// respawn path.
     ///
-    /// [`InMemoryLogBackend`]: crate::InMemoryLogBackend
-    /// [`DurableLogBackend`]: crate::DurableLogBackend
-    pub fn set_durability(&mut self, backend: Box<dyn LogBackend>, recover: bool) {
+    /// [`BROKER_LOG_CORR_BASE`]: crate::BROKER_LOG_CORR_BASE
+    pub fn set_durability(&mut self, blobs: BlobClient<LogBlob>, recover: bool) {
         self.durability = Some(Durability {
-            backend,
+            blobs,
             prefix: format!("brokerlog/b{}", self.host.id.0),
             flush_inflight: false,
             flush_again: false,
-            pending: BTreeMap::new(),
             retry_armed: false,
             pending_deletes: Vec::new(),
             staged: BTreeMap::new(),
@@ -988,7 +984,7 @@ impl Broker {
 
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(d) = self.durability.as_mut() {
-            if !d.retry_armed && !d.pending.is_empty() {
+            if !d.retry_armed && d.blobs.awaits_reply() {
                 d.retry_armed = true;
                 ctx.set_timer(DURABILITY_RETRY_INTERVAL, tags::DURABILITY_RETRY);
             }
@@ -1016,28 +1012,18 @@ impl Broker {
         self.host.dirty = false;
         let reclaimed = self.reclaimed_baseline + reclaimed_bytes(&self.partitions);
         let meta_bytes = build_meta(&self.partitions, &self.group_offsets, reclaimed).encode();
-        let mut pending: Vec<(u64, DurabilityIo)> = Vec::new();
+        d.flush_inflight = true;
         for (tp, p) in self.partitions.iter_mut() {
             for (base, bytes) in p.begin_flush() {
-                let key = d.segment_key(tp, base);
                 self.host.stats.log_flushed_bytes += bytes.len() as u64;
-                if let LogPersist::Pending(corr) = d.backend.persist(ctx, &key, bytes.clone()) {
-                    pending.push((corr, DurabilityIo::SegmentPut { key, bytes }));
-                }
+                let (label, key) = (LogBlob::Segment(tp.clone()), d.segment_key(tp, base));
+                d.blobs.put(ctx, label, key, bytes);
             }
         }
         let key = d.meta_key();
-        if let LogPersist::Pending(corr) = d.backend.persist(ctx, &key, meta_bytes.clone()) {
-            let bytes = meta_bytes;
-            pending.push((corr, DurabilityIo::MetaPut { key, bytes }));
-        }
-        if pending.is_empty() {
-            self.complete_flush(ctx);
-        } else {
-            d.flush_inflight = true;
-            d.pending.extend(pending);
-            self.arm_retry(ctx);
-        }
+        d.blobs.put(ctx, LogBlob::Meta, key, meta_bytes);
+        self.arm_retry(ctx);
+        self.blobs_done(ctx);
     }
 
     /// A flush (all its store writes) became durable: advance the durable
@@ -1058,7 +1044,7 @@ impl Broker {
             // in flight when the cleaner ran — so the deletes wait for the
             // follow-up flush's completion.)
             for key in std::mem::take(&mut d.pending_deletes) {
-                d.backend.remove(ctx, &key);
+                d.blobs.delete(ctx, &key);
             }
         }
         for (tp, p) in self.partitions.iter_mut() {
@@ -1087,13 +1073,9 @@ impl Broker {
             .as_mut()
             .expect("recovery requires a log backend");
         let key = d.meta_key();
-        match d.backend.recover(ctx, &key) {
-            LogRecover::Done(value) => self.on_meta_recovered(ctx, value),
-            LogRecover::Pending(corr) => {
-                d.pending.insert(corr, DurabilityIo::MetaGet { key });
-                self.arm_retry(ctx);
-            }
-        }
+        d.blobs.get(ctx, LogBlob::Meta, key);
+        self.arm_retry(ctx);
+        self.blobs_done(ctx);
     }
 
     fn on_meta_recovered(&mut self, ctx: &mut Ctx<'_>, value: Option<Vec<u8>>) {
@@ -1104,25 +1086,13 @@ impl Broker {
             return;
         };
         let d = self.durability.as_mut().expect("recovering");
-        let mut gets: Vec<(String, TopicPartition)> = Vec::new();
         for (tp, _hw, _start, bases) in &meta.partitions {
             for base in bases {
-                gets.push((d.segment_key(tp, *base), tp.clone()));
+                let (label, key) = (LogBlob::Segment(tp.clone()), d.segment_key(tp, *base));
+                d.blobs.get(ctx, label, key);
             }
         }
         d.staged_meta = Some(meta);
-        let mut done_now: Vec<(TopicPartition, Option<Vec<u8>>)> = Vec::new();
-        for (key, tp) in gets {
-            match d.backend.recover(ctx, &key) {
-                LogRecover::Done(v) => done_now.push((tp, v)),
-                LogRecover::Pending(corr) => {
-                    d.pending.insert(corr, DurabilityIo::SegmentGet { key, tp });
-                }
-            }
-        }
-        for (tp, v) in done_now {
-            self.stage_segment(tp, v);
-        }
         self.arm_retry(ctx);
         self.maybe_finish_recovery(ctx);
     }
@@ -1142,17 +1112,10 @@ impl Broker {
     }
 
     fn maybe_finish_recovery(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(d) = &self.durability else {
-            return;
-        };
-        let reads_left = d.pending.values().any(|io| {
-            matches!(
-                io,
-                DurabilityIo::MetaGet { .. } | DurabilityIo::SegmentGet { .. }
-            )
-        });
-        if !reads_left {
-            self.finish_recovery(ctx);
+        if let Some(d) = &self.durability {
+            if !d.blobs.gets_left() {
+                self.finish_recovery(ctx);
+            }
         }
     }
 
@@ -1203,93 +1166,40 @@ impl Broker {
     }
 
     fn handle_store(&mut self, ctx: &mut Ctx<'_>, rpc: StoreRpc) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        match rpc {
-            StoreRpc::PutAck { corr } => {
-                // Only complete an entry of the matching kind: a delayed
-                // PutAck from a previous broker incarnation must not cancel
-                // a recovery read that reused the correlation id.
-                let is_put = matches!(
-                    d.pending.get(&corr),
-                    Some(DurabilityIo::SegmentPut { .. } | DurabilityIo::MetaPut { .. })
-                );
-                if !is_put {
-                    return; // stale or superseded (retried) write
-                }
-                d.pending.remove(&corr);
-                let writes_left = d.pending.values().any(|io| {
-                    matches!(
-                        io,
-                        DurabilityIo::SegmentPut { .. } | DurabilityIo::MetaPut { .. }
-                    )
-                });
-                if d.flush_inflight && !writes_left {
-                    self.complete_flush(ctx);
-                }
-            }
-            StoreRpc::GetResult { corr, value } => {
-                let is_get = matches!(
-                    d.pending.get(&corr),
-                    Some(DurabilityIo::MetaGet { .. } | DurabilityIo::SegmentGet { .. })
-                );
-                if !is_get {
-                    return; // stale or superseded (retried) read
-                }
-                match d.pending.remove(&corr) {
-                    Some(DurabilityIo::MetaGet { .. }) => self.on_meta_recovered(ctx, value),
-                    Some(DurabilityIo::SegmentGet { tp, .. }) => {
-                        self.stage_segment(tp, value);
-                        self.maybe_finish_recovery(ctx);
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
+        if let Some(d) = self.durability.as_mut() {
+            d.blobs.on_reply(rpc);
+            self.blobs_done(ctx);
         }
     }
 
-    /// Re-issues every outstanding durability RPC (the request or its
-    /// response was lost in the network) under fresh correlation ids.
-    fn retry_durability(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        d.retry_armed = false;
-        if d.pending.is_empty() {
-            return;
-        }
-        // The store endpoint may be the reason nothing answered: a backend
-        // over a replicated store group rotates to the next member first.
-        d.backend.rotate_endpoint();
-        let items: Vec<DurabilityIo> = std::mem::take(&mut d.pending).into_values().collect();
-        for io in items {
-            match io {
-                DurabilityIo::SegmentPut { key, bytes } => {
-                    if let LogPersist::Pending(corr) = d.backend.persist(ctx, &key, bytes.clone()) {
-                        d.pending
-                            .insert(corr, DurabilityIo::SegmentPut { key, bytes });
+    /// The one handler of finished blob requests, whether a store reply
+    /// just completed them or the shared map answered at once.
+    fn blobs_done(&mut self, ctx: &mut Ctx<'_>) {
+        while let Some(d) = self.durability.as_mut() {
+            match d.blobs.next_done() {
+                Some(BlobDone::Put(_)) => {
+                    if d.flush_inflight && !d.blobs.puts_left() {
+                        self.complete_flush(ctx);
                     }
                 }
-                DurabilityIo::MetaPut { key, bytes } => {
-                    if let LogPersist::Pending(corr) = d.backend.persist(ctx, &key, bytes.clone()) {
-                        d.pending.insert(corr, DurabilityIo::MetaPut { key, bytes });
-                    }
+                Some(BlobDone::Got(LogBlob::Meta, value)) => self.on_meta_recovered(ctx, value),
+                Some(BlobDone::Got(LogBlob::Segment(tp), value)) => {
+                    self.stage_segment(tp, value);
+                    self.maybe_finish_recovery(ctx);
                 }
-                DurabilityIo::MetaGet { key } => {
-                    if let LogRecover::Pending(corr) = d.backend.recover(ctx, &key) {
-                        d.pending.insert(corr, DurabilityIo::MetaGet { key });
-                    }
-                }
-                DurabilityIo::SegmentGet { key, tp } => {
-                    if let LogRecover::Pending(corr) = d.backend.recover(ctx, &key) {
-                        d.pending.insert(corr, DurabilityIo::SegmentGet { key, tp });
-                    }
-                }
+                None => return,
             }
         }
-        self.arm_retry(ctx);
+    }
+
+    /// Re-issues every unanswered blob request (the request or its
+    /// response was lost in the network, or the store endpoint is down).
+    fn retry_durability(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(d) = self.durability.as_mut() {
+            d.retry_armed = false;
+            d.blobs.retry(ctx);
+            self.arm_retry(ctx);
+        }
     }
 
     fn handle_controller(&mut self, ctx: &mut Ctx<'_>, rpc: ControllerRpc) {

@@ -66,7 +66,7 @@ mod partition;
 mod producer;
 mod sources;
 
-pub use broker::{Broker, BrokerRecoveryInfo, BrokerStats};
+pub use broker::{Broker, BrokerRecoveryInfo, BrokerStats, LogBlob};
 pub use config::{
     BrokerConfig, ConsumerConfig, ControllerConfig, CoordinationMode, ProducerConfig, TopicSpec,
 };
@@ -78,8 +78,7 @@ pub use controller::{ClusterState, PartitionState, ZkController};
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
 pub use kraft::KraftController;
 pub use log::{
-    log_store, BrokerLogMeta, CleanOutcome, DurableLogBackend, InMemoryLogBackend, LogBackend,
-    LogEntry, LogPersist, LogRecover, LogSegment, LogStoreHandle, MetaPartitionTxns, MetaTxnEntry,
+    BrokerLogMeta, CleanOutcome, LogEntry, LogSegment, MetaPartitionTxns, MetaTxnEntry,
     PartitionLog, BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,
 };
 pub use metadata::{plan_assignments, plan_assignments_racked, MetadataCache};

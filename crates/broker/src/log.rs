@@ -13,18 +13,15 @@
 //! The log is stored as a list of [`LogSegment`]s (Kafka's on-disk layout):
 //! an append rolls to a fresh segment once the active one reaches
 //! `segment_max_records`. Segments are the unit of persistence — a broker
-//! with an attached [`LogBackend`] flushes dirty segments plus a
-//! [`BrokerLogMeta`] blob (high watermarks, consumer-group offsets, and the
-//! segment manifest), and a restarted broker replays them to rebuild its
-//! pre-crash state. Two backends exist:
-//!
-//! * [`InMemoryLogBackend`] — a shared map outside the broker process, the
-//!   moral equivalent of a local disk that survives a process crash.
-//!   Writes apply instantly and cost nothing.
-//! * [`DurableLogBackend`] — persists through an
-//!   [`s2g_store::StoreServer`], paying simulated CPU and network cost per
-//!   flush and a read round trip per recovered blob, exactly like the SPE
-//!   checkpoint subsystem's `DurableBackend` does for snapshots.
+//! with a blob client attached (`Broker::set_durability`) flushes dirty
+//! segments plus a [`BrokerLogMeta`] blob (high watermarks, consumer-group
+//! offsets, and the segment manifest), and a restarted broker replays them
+//! to rebuild its pre-crash state. The client's medium decides the cost
+//! ([`s2g_store::BlobClient`]): a shared map outside the broker process —
+//! a local disk that survives a process crash, instant and free — or an
+//! [`s2g_store::StoreServer`] group, paying simulated CPU and network cost
+//! per flush and a read round trip per recovered blob, exactly like the SPE
+//! checkpoint subsystem's `DurableBackend` does for snapshots.
 //!
 //! # Compaction and retention
 //!
@@ -39,18 +36,15 @@
 //!   segments past a time or size bound, advancing the log start offset.
 //!
 //! Both report the segments they emptied so the broker can delete the dead
-//! blobs through its [`LogBackend`] — replay cost after a restart is then
+//! blobs through its blob client — replay cost after a restart is then
 //! bounded by *live* data, not by history.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 
 use bytes::Bytes;
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
 use s2g_proto::{put_frame_record, read_frame_record, LeaderEpoch, Offset, Record, TopicPartition};
-use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
-use s2g_store::BlobClient;
+use s2g_sim::{SimDuration, SimTime};
 
 /// One appended entry: the record, its explicit log offset, and the epoch
 /// it was written under.
@@ -145,7 +139,7 @@ impl LogSegment {
         self.bytes
     }
 
-    /// True when the segment has changes not yet handed to a [`LogBackend`].
+    /// True when the segment has changes not yet handed to the broker's blob client.
     pub fn is_dirty(&self) -> bool {
         self.dirty
     }
@@ -155,7 +149,7 @@ impl LogSegment {
         &self.entries
     }
 
-    /// Serializes the segment for a [`LogBackend`]: a versioned header plus
+    /// Serializes the segment for persistence: a versioned header plus
     /// one frame per entry, encoded from the entries when a flush asks.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(29 + self.bytes);
@@ -894,155 +888,9 @@ impl BrokerLogMeta {
     }
 }
 
-/// Correlation-id base for broker log-backend store RPCs, disjoint from the
-/// checkpoint (`1 << 42`) and client tag namespaces.
+/// Correlation-id base for a broker's blob client over a store group,
+/// disjoint from the checkpoint (`1 << 42`) and client tag namespaces.
 pub const BROKER_LOG_CORR_BASE: u64 = 1 << 43;
-
-/// Shared storage for [`InMemoryLogBackend`]s. Lives outside the broker
-/// process, so it survives broker crashes — the moral equivalent of the
-/// broker host's local disk.
-pub type LogStoreHandle = Rc<RefCell<BTreeMap<String, Vec<u8>>>>;
-
-/// Creates an empty shared log store.
-pub fn log_store() -> LogStoreHandle {
-    Rc::new(RefCell::new(BTreeMap::new()))
-}
-
-/// The outcome of a [`LogBackend::persist`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogPersist {
-    /// The blob is durable now.
-    Done,
-    /// The write is in flight; completion arrives as a
-    /// [`s2g_store::StoreRpc::PutAck`] with this correlation id.
-    Pending(u64),
-}
-
-/// The outcome of a [`LogBackend::recover`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecover {
-    /// The read finished (with the blob, or `None` when the key was never
-    /// written).
-    Done(Option<Vec<u8>>),
-    /// The read is in flight; the blob arrives as a
-    /// [`s2g_store::StoreRpc::GetResult`] with this correlation id.
-    Pending(u64),
-}
-
-/// Pluggable persistence for broker logs: segments and the meta blob are
-/// written under string keys, read back on restart, and deleted when
-/// cleaning drops them.
-pub trait LogBackend {
-    /// True when writes and reads complete synchronously and for free (the
-    /// in-memory local-disk model); false when they travel the network.
-    fn is_instant(&self) -> bool;
-
-    /// Begins persisting `bytes` under `key` (overwriting any prior value).
-    fn persist(&mut self, ctx: &mut Ctx<'_>, key: &str, bytes: Vec<u8>) -> LogPersist;
-
-    /// Begins reading the blob stored under `key`.
-    fn recover(&mut self, ctx: &mut Ctx<'_>, key: &str) -> LogRecover;
-
-    /// Deletes the blob stored under `key` (a segment dropped by compaction
-    /// or retention). Fire-and-forget: a delete lost in the network merely
-    /// orphans a blob the manifest no longer references, so nothing waits
-    /// on the ack.
-    fn remove(&mut self, ctx: &mut Ctx<'_>, key: &str);
-
-    /// Called right before the broker re-issues unanswered RPCs: a backend
-    /// over a replicated store group rotates to its next endpoint (the
-    /// current one may have crashed). Default: no-op.
-    fn rotate_endpoint(&mut self) {}
-}
-
-/// Log persistence on a shared map outside the broker's failure domain:
-/// instant and free, like an always-synced local disk.
-pub struct InMemoryLogBackend {
-    store: LogStoreHandle,
-}
-
-impl InMemoryLogBackend {
-    /// Creates a backend over a shared store handle.
-    pub fn new(store: LogStoreHandle) -> Self {
-        InMemoryLogBackend { store }
-    }
-}
-
-impl LogBackend for InMemoryLogBackend {
-    fn is_instant(&self) -> bool {
-        true
-    }
-
-    fn persist(&mut self, _ctx: &mut Ctx<'_>, key: &str, bytes: Vec<u8>) -> LogPersist {
-        self.store.borrow_mut().insert(key.to_string(), bytes);
-        LogPersist::Done
-    }
-
-    fn recover(&mut self, _ctx: &mut Ctx<'_>, key: &str) -> LogRecover {
-        LogRecover::Done(self.store.borrow().get(key).cloned())
-    }
-
-    fn remove(&mut self, _ctx: &mut Ctx<'_>, key: &str) {
-        self.store.borrow_mut().remove(key);
-    }
-}
-
-/// Log persistence through an [`s2g_store::StoreServer`]: every flush ships
-/// the encoded segments over the emulated network and pays the store's CPU
-/// cost; recovery pays one read round trip per blob before the broker may
-/// serve again.
-pub struct DurableLogBackend {
-    blobs: BlobClient,
-}
-
-impl DurableLogBackend {
-    /// Creates a backend writing to the store server process.
-    pub fn new(server: ProcessId) -> Self {
-        Self::for_incarnation(server, 0)
-    }
-
-    /// Creates a backend whose correlation ids are salted with the broker
-    /// process's incarnation, so a store reply delayed across a broker
-    /// bounce can never collide with the respawned incarnation's requests.
-    pub fn for_incarnation(server: ProcessId, incarnation: u64) -> Self {
-        Self::replicated(vec![server], incarnation)
-    }
-
-    /// Creates a backend over every member of a replicated store group;
-    /// unanswered flushes rotate to the next member on retry, so the broker
-    /// log survives a store crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is empty.
-    pub fn replicated(servers: Vec<ProcessId>, incarnation: u64) -> Self {
-        DurableLogBackend {
-            blobs: BlobClient::replicated(servers, BROKER_LOG_CORR_BASE, incarnation),
-        }
-    }
-}
-
-impl LogBackend for DurableLogBackend {
-    fn is_instant(&self) -> bool {
-        false
-    }
-
-    fn persist(&mut self, ctx: &mut Ctx<'_>, key: &str, bytes: Vec<u8>) -> LogPersist {
-        LogPersist::Pending(self.blobs.put(ctx, key, bytes))
-    }
-
-    fn recover(&mut self, ctx: &mut Ctx<'_>, key: &str) -> LogRecover {
-        LogRecover::Pending(self.blobs.get(ctx, key))
-    }
-
-    fn remove(&mut self, ctx: &mut Ctx<'_>, key: &str) {
-        let _ = self.blobs.delete(ctx, key);
-    }
-
-    fn rotate_endpoint(&mut self) {
-        self.blobs.rotate();
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -5,12 +5,13 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use s2g_broker::{
-    log_store, Broker, BrokerConfig, CollectingSink, ConsumerClient, ConsumerConfig,
-    ConsumerProcess, ControllerConfig, CoordinationMode, InMemoryLogBackend, LogStoreHandle,
-    ProducerClient, ProducerConfig, ProducerProcess, RateSource, TopicSpec, ZkController,
+    Broker, BrokerConfig, CollectingSink, ConsumerClient, ConsumerConfig, ConsumerProcess,
+    ControllerConfig, CoordinationMode, ProducerClient, ProducerConfig, ProducerProcess,
+    RateSource, TopicSpec, ZkController,
 };
 use s2g_proto::{BrokerId, Offset, ProducerId, TopicPartition};
 use s2g_sim::{ProcessId, Sim, SimDuration, SimTime};
+use s2g_store::{blob_map, BlobClient, BlobMap};
 
 const CONTROLLER_PID: ProcessId = ProcessId(0);
 const BROKER_PID: ProcessId = ProcessId(1);
@@ -26,7 +27,7 @@ fn broker_cfg() -> BrokerConfig {
     }
 }
 
-fn make_broker(store: &LogStoreHandle, recover: bool, incarnation: u64) -> Broker {
+fn make_broker(store: &BlobMap, recover: bool, incarnation: u64) -> Broker {
     let mut b = Broker::new(
         BrokerId(0),
         broker_cfg(),
@@ -34,14 +35,14 @@ fn make_broker(store: &LogStoreHandle, recover: bool, incarnation: u64) -> Broke
         vec![CONTROLLER_PID],
         peer_map(),
     );
-    b.set_durability(Box::new(InMemoryLogBackend::new(store.clone())), recover);
+    b.set_durability(BlobClient::shared(store.clone()), recover);
     b.set_incarnation(incarnation);
     b
 }
 
 /// Spawns controller + durable broker; returns the shared log store.
-fn spawn_cluster(sim: &mut Sim, topics: &[TopicSpec]) -> LogStoreHandle {
-    let store = log_store();
+fn spawn_cluster(sim: &mut Sim, topics: &[TopicSpec]) -> BlobMap {
+    let store = blob_map();
     let brokers: BTreeMap<BrokerId, ProcessId> = [(BrokerId(0), BROKER_PID)].into();
     let ctl = sim.spawn(Box::new(ZkController::new(
         ControllerConfig::default(),

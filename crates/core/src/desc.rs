@@ -11,8 +11,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::str::FromStr;
 
-use s2g_broker::{ConsumerConfig, ProducerConfig, TopicSpec};
+use s2g_broker::{BrokerConfig, ConsumerConfig, CoordinationMode, ProducerConfig, TopicSpec};
 use s2g_net::{FaultAction, FaultPlan, LinkSpec, Topology};
 use s2g_proto::AckMode;
 use s2g_sim::{SimDuration, SimTime};
@@ -20,7 +21,7 @@ use s2g_spe::{Plan, SpeConfig};
 use s2g_store::StoreConfig;
 
 use crate::config::{ComponentConfig, ConfigError};
-use crate::graphml::{parse_graphml, GraphmlError, GraphmlNode};
+use crate::graphml::{parse_graphml, GraphmlDoc, GraphmlEdge, GraphmlError, GraphmlNode};
 use crate::scenario::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
 
 /// Everything a GraphML description references by name: configuration files
@@ -97,6 +98,16 @@ pub enum DescError {
         /// The missing key.
         key: &'static str,
     },
+    /// An attribute is present but its value does not parse (or, for
+    /// `mode`, names no coordination mode).
+    BadAttribute {
+        /// Where it is: `graph`, `node <id>` or `edge <source>-><target>`.
+        at: String,
+        /// The attribute.
+        key: &'static str,
+        /// Its value as written.
+        value: String,
+    },
     /// A fault line could not be parsed.
     BadFault(String),
     /// A topic line could not be parsed.
@@ -115,6 +126,9 @@ impl fmt::Display for DescError {
             DescError::UnknownPlan(p) => write!(f, "no plan registered for app `{p}`"),
             DescError::MissingKey { node, key } => {
                 write!(f, "node `{node}` config is missing key `{key}`")
+            }
+            DescError::BadAttribute { at, key, value } => {
+                write!(f, "{at}: attribute `{key}` has invalid value `{value}`")
             }
             DescError::BadFault(l) => write!(f, "bad fault line: {l:?}"),
             DescError::BadTopic(l) => write!(f, "bad topic line: {l:?}"),
@@ -250,56 +264,109 @@ fn producer_config(cfg: &ComponentConfig) -> Result<ProducerConfig, DescError> {
     Ok(pc)
 }
 
-/// Resolves a GraphML task description into a runnable [`Scenario`].
-///
-/// Controller hosts (`ctl1`, and `ctl2`/`ctl3` under KRaft) are added to the
-/// described topology automatically, attached to the first switch.
-///
-/// # Errors
-///
-/// Returns a [`DescError`] when the document, a referenced file, or a
-/// component type cannot be resolved.
-// The one exception to the crate's 150-line gate: splitting this 258-line
-// attribute-by-attribute translation was out of scope when the gate came
-// in with the `Scenario` split (ROADMAP lists it as what is left).
-#[allow(clippy::too_many_lines)]
-pub fn scenario_from_graphml(
-    name: &str,
-    xml: &str,
-    bundle: &ResourceBundle,
-) -> Result<Scenario, DescError> {
-    let doc = parse_graphml(xml)?;
-    let mut sc = Scenario::new(name);
+/// Attribute `key` of `at` (the graph, a node or an edge), parsed. An
+/// absent attribute is `None`; one that is present but does not parse is an
+/// error, never a silent default: a typo must not run another experiment.
+fn attr<T: FromStr>(
+    data: &BTreeMap<String, String>,
+    at: impl Fn() -> String,
+    key: &'static str,
+) -> Result<Option<T>, DescError> {
+    let parsed = data.get(key).map(|v| {
+        v.parse().map_err(|_| DescError::BadAttribute {
+            at: at(),
+            key,
+            value: v.clone(),
+        })
+    });
+    parsed.transpose()
+}
 
-    // Optional graph-level settings.
-    if let Some(seed) = doc.graph_data.get("seed") {
-        if let Ok(s) = seed.parse() {
-            sc.seed(s);
-        }
+/// The component configuration node `n` names under `key`.
+fn node_config(
+    n: &GraphmlNode,
+    key: &str,
+    bundle: &ResourceBundle,
+) -> Result<ComponentConfig, DescError> {
+    bundle.config(n.data.get(key).map(String::as_str).unwrap_or(""))
+}
+
+/// A key the configuration of node `n` must carry.
+fn need<'a>(
+    cfg: &'a ComponentConfig,
+    n: &GraphmlNode,
+    key: &'static str,
+) -> Result<&'a str, DescError> {
+    cfg.get(key).ok_or(DescError::MissingKey {
+        node: n.id.clone(),
+        key,
+    })
+}
+
+fn comma_list(text: &str) -> Vec<String> {
+    text.split(',').map(|t| t.trim().to_string()).collect()
+}
+
+/// Graph-level settings: seed, duration, coordination mode, topics, faults.
+fn graph_settings(
+    sc: &mut Scenario,
+    doc: &GraphmlDoc,
+    bundle: &ResourceBundle,
+) -> Result<CoordinationMode, DescError> {
+    let graph = || "graph".to_string();
+    if let Some(seed) = attr(&doc.graph_data, graph, "seed")? {
+        sc.seed(seed);
     }
-    if let Some(d) = doc.graph_data.get("durationS") {
-        if let Ok(s) = d.parse::<u64>() {
-            sc.duration(SimTime::from_secs(s));
-        }
+    if let Some(secs) = attr(&doc.graph_data, graph, "durationS")? {
+        sc.duration(SimTime::from_secs(secs));
     }
     let mode = match doc.graph_data.get("mode").map(String::as_str) {
-        Some("kraft") => s2g_broker::CoordinationMode::Kraft,
-        _ => s2g_broker::CoordinationMode::Zk,
+        None | Some("zk") => CoordinationMode::Zk,
+        Some("kraft") => CoordinationMode::Kraft,
+        Some(other) => {
+            return Err(DescError::BadAttribute {
+                at: graph(),
+                key: "mode",
+                value: other.to_string(),
+            })
+        }
     };
     sc.coordination(mode);
-
-    // Topics.
     if let Some(path) = doc.graph_data.get("topicCfg") {
         for t in parse_topics(bundle.get_file(path)?)? {
             sc.topic(t);
         }
     }
-    // Faults.
     if let Some(path) = doc.graph_data.get("faultCfg") {
         sc.faults(parse_faults(bundle.get_file(path)?)?);
     }
+    Ok(mode)
+}
 
-    // Topology from the document's nodes and edges.
+fn link_spec(e: &GraphmlEdge) -> Result<LinkSpec, DescError> {
+    let edge = || format!("edge {}->{}", e.source, e.target);
+    let mut spec = LinkSpec::new();
+    if let Some(lat) = attr(&e.data, edge, "lat")? {
+        spec = spec.latency_ms(lat);
+    }
+    if let Some(bw) = attr(&e.data, edge, "bw")? {
+        spec = spec.bandwidth_mbps(bw);
+    }
+    if let Some(loss) = attr(&e.data, edge, "loss")? {
+        spec = spec.loss_pct(loss);
+    }
+    if let Some(st) = attr(&e.data, edge, "st")? {
+        spec = spec.src_port(st);
+    }
+    if let Some(dt) = attr(&e.data, edge, "dt")? {
+        spec = spec.dst_port(dt);
+    }
+    Ok(spec)
+}
+
+/// The topology the document's nodes and edges describe, plus the
+/// controller hosts, attached to the first switch (or a dedicated one).
+fn topology(doc: &GraphmlDoc, mode: CoordinationMode) -> Result<Topology, DescError> {
     let mut topo = Topology::new();
     let mut first_switch: Option<String> = None;
     for n in &doc.nodes {
@@ -315,26 +382,9 @@ pub fn scenario_from_graphml(
         }
     }
     for e in &doc.edges {
-        let mut spec = LinkSpec::new();
-        if let Some(lat) = e.data.get("lat").and_then(|v| v.parse::<u64>().ok()) {
-            spec = spec.latency_ms(lat);
-        }
-        if let Some(bw) = e.data.get("bw").and_then(|v| v.parse::<f64>().ok()) {
-            spec = spec.bandwidth_mbps(bw);
-        }
-        if let Some(loss) = e.data.get("loss").and_then(|v| v.parse::<f64>().ok()) {
-            spec = spec.loss_pct(loss);
-        }
-        if let Some(st) = e.data.get("st").and_then(|v| v.parse::<u16>().ok()) {
-            spec = spec.src_port(st);
-        }
-        if let Some(dt) = e.data.get("dt").and_then(|v| v.parse::<u16>().ok()) {
-            spec = spec.dst_port(dt);
-        }
-        topo.add_link(&e.source, &e.target, spec)
+        topo.add_link(&e.source, &e.target, link_spec(e)?)
             .map_err(|_| DescError::BadTopic(format!("{}->{}", e.source, e.target)))?;
     }
-    // Controller hosts, attached to the first switch (or a dedicated one).
     let hub = match first_switch {
         Some(s) => s,
         None => {
@@ -344,8 +394,8 @@ pub fn scenario_from_graphml(
         }
     };
     let n_ctl = match mode {
-        s2g_broker::CoordinationMode::Zk => 1,
-        s2g_broker::CoordinationMode::Kraft => 3,
+        CoordinationMode::Zk => 1,
+        CoordinationMode::Kraft => 3,
     };
     for i in 1..=n_ctl {
         let h = format!("ctl{i}");
@@ -354,182 +404,196 @@ pub fn scenario_from_graphml(
         topo.add_link(&h, &hub, LinkSpec::new())
             .map_err(|_| DescError::BadTopic(h.clone()))?;
     }
-    sc.topology(topo);
+    Ok(topo)
+}
 
-    // Components per node.
+fn add_broker(
+    sc: &mut Scenario,
+    n: &GraphmlNode,
+    bundle: &ResourceBundle,
+) -> Result<(), DescError> {
+    let cfg = node_config(n, "brokerCfg", bundle)?;
+    let mut bc = BrokerConfig::default();
+    if let Some(d) = cfg
+        .get_duration("replicaLagMax")
+        .map_err(DescError::Config)?
+    {
+        bc.replica_lag_max = d;
+    }
+    if let Some(d) = cfg
+        .get_duration("sessionTimeout")
+        .map_err(DescError::Config)?
+    {
+        bc.session_timeout = d;
+    }
+    sc.broker_with(&n.id, bc);
+    Ok(())
+}
+
+fn add_producer(
+    sc: &mut Scenario,
+    n: &GraphmlNode,
+    ptype: &str,
+    bundle: &ResourceBundle,
+) -> Result<(), DescError> {
+    let cfg = node_config(n, "prodCfg", bundle)?;
+    let pc = producer_config(&cfg)?;
+    let interval = cfg
+        .get_duration("messageInterval")
+        .map_err(DescError::Config)?
+        .unwrap_or(SimDuration::from_millis(100));
+    let payload = cfg
+        .get_u64("payloadBytes")
+        .map_err(DescError::Config)?
+        .unwrap_or(200) as usize;
+    let until_s = cfg
+        .get_u64("untilS")
+        .map_err(DescError::Config)?
+        .unwrap_or(3_600);
+    let source = match ptype {
+        "SFST" => {
+            let file = bundle.get_file(need(&cfg, n, "filePath")?)?;
+            SourceSpec::Items {
+                topic: need(&cfg, n, "topicName")?.to_string(),
+                items: file.lines().map(str::to_string).collect(),
+                interval,
+            }
+        }
+        "RATE" => SourceSpec::Rate {
+            topic: need(&cfg, n, "topicName")?.to_string(),
+            count: cfg
+                .get_u64("totalMessages")
+                .map_err(DescError::Config)?
+                .ok_or(DescError::MissingKey {
+                    node: n.id.clone(),
+                    key: "totalMessages",
+                })?,
+            interval,
+            payload,
+        },
+        "RANDOM" => SourceSpec::RandomTopics {
+            topics: comma_list(need(&cfg, n, "topics")?),
+            kbps: cfg
+                .get_u64("kbps")
+                .map_err(DescError::Config)?
+                .unwrap_or(30),
+            payload,
+            until: SimTime::from_secs(until_s),
+        },
+        "POISSON" => SourceSpec::Poisson {
+            topic: need(&cfg, n, "topicName")?.to_string(),
+            rate_per_sec: cfg
+                .get_f64("ratePerSec")
+                .map_err(DescError::Config)?
+                .unwrap_or(10.0),
+            payload,
+            until: SimTime::from_secs(until_s),
+        },
+        other => return Err(DescError::UnknownProdType(other.to_string())),
+    };
+    sc.producer(&n.id, source, pc);
+    Ok(())
+}
+
+fn add_consumer(
+    sc: &mut Scenario,
+    n: &GraphmlNode,
+    ctype: &str,
+    bundle: &ResourceBundle,
+) -> Result<(), DescError> {
+    if ctype != "STANDARD" && ctype != "LOGGING" {
+        return Err(DescError::UnknownConsType(ctype.to_string()));
+    }
+    let cfg = node_config(n, "consCfg", bundle)?;
+    let topics: Vec<&str> = (need(&cfg, n, "topics")?.split(','))
+        .map(str::trim)
+        .collect();
+    let mut cc = ConsumerConfig::default();
+    if let Some(d) = cfg
+        .get_duration("pollInterval")
+        .map_err(DescError::Config)?
+    {
+        cc.poll_interval = d;
+    }
+    sc.consumer(&n.id, cc, &topics);
+    Ok(())
+}
+
+fn add_stream_job(
+    sc: &mut Scenario,
+    n: &GraphmlNode,
+    stype: &str,
+    bundle: &ResourceBundle,
+) -> Result<(), DescError> {
+    if stype != "SPARK" && stype != "FLINK" && stype != "KSTREAM" {
+        return Err(DescError::UnknownStreamProcType(stype.to_string()));
+    }
+    let cfg = node_config(n, "streamProcCfg", bundle)?;
+    let app = need(&cfg, n, "app")?;
+    let factory =
+        (bundle.plans.get(app).cloned()).ok_or_else(|| DescError::UnknownPlan(app.to_string()))?;
+    let sources = comma_list(need(&cfg, n, "sourceTopics")?);
+    let sink = if let Some(t) = cfg.get("sinkTopic") {
+        SpeSinkSpec::Topic(t.to_string())
+    } else if let Some(h) = cfg.get("sinkStoreHost") {
+        SpeSinkSpec::StoreOn {
+            host: h.to_string(),
+            table: cfg.get("sinkTable").unwrap_or("results").to_string(),
+        }
+    } else {
+        SpeSinkSpec::Collect
+    };
+    let mut scfg = SpeConfig::default();
+    if let Some(d) = cfg
+        .get_duration("batchInterval")
+        .map_err(DescError::Config)?
+    {
+        scfg.batch_interval = d;
+    }
+    let name = format!("{}-{}", n.id, app);
+    sc.spe_job(
+        &n.id,
+        SpeJobSpec::new(name, sources, move || factory(), sink, scfg),
+    );
+    Ok(())
+}
+
+/// Resolves a GraphML task description into a runnable [`Scenario`].
+///
+/// Controller hosts (`ctl1`, and `ctl2`/`ctl3` under KRaft) are added to the
+/// described topology automatically, attached to the first switch.
+///
+/// # Errors
+///
+/// Returns a [`DescError`] when the document, a referenced file, or a
+/// component type cannot be resolved, or when an attribute is present with
+/// a value that does not parse (including a `mode` other than `zk` or
+/// `kraft`).
+pub fn scenario_from_graphml(
+    name: &str,
+    xml: &str,
+    bundle: &ResourceBundle,
+) -> Result<Scenario, DescError> {
+    let doc = parse_graphml(xml)?;
+    let mut sc = Scenario::new(name);
+    let mode = graph_settings(&mut sc, &doc, bundle)?;
+    sc.topology(topology(&doc, mode)?);
     for n in &doc.nodes {
-        if let Some(pct) = n
-            .data
-            .get("cpuPercentage")
-            .and_then(|v| v.parse::<f64>().ok())
-        {
+        let node = || format!("node {}", n.id);
+        if let Some(pct) = attr(&n.data, node, "cpuPercentage")? {
             sc.host_cpu_percentage(&n.id, pct);
         }
         if n.data.contains_key("brokerCfg") {
-            let cfg = bundle.config(n.data.get("brokerCfg").map(String::as_str).unwrap_or(""))?;
-            let mut bc = s2g_broker::BrokerConfig::default();
-            if let Some(d) = cfg
-                .get_duration("replicaLagMax")
-                .map_err(DescError::Config)?
-            {
-                bc.replica_lag_max = d;
-            }
-            if let Some(d) = cfg
-                .get_duration("sessionTimeout")
-                .map_err(DescError::Config)?
-            {
-                bc.session_timeout = d;
-            }
-            sc.broker_with(&n.id, bc);
+            add_broker(&mut sc, n, bundle)?;
         }
         if let Some(ptype) = n.data.get("prodType") {
-            let cfg = bundle.config(n.data.get("prodCfg").map(String::as_str).unwrap_or(""))?;
-            let pc = producer_config(&cfg)?;
-            let need = |key: &'static str| -> Result<String, DescError> {
-                cfg.get(key)
-                    .map(str::to_string)
-                    .ok_or(DescError::MissingKey {
-                        node: n.id.clone(),
-                        key,
-                    })
-            };
-            let interval = cfg
-                .get_duration("messageInterval")
-                .map_err(DescError::Config)?
-                .unwrap_or(SimDuration::from_millis(100));
-            let payload = cfg
-                .get_u64("payloadBytes")
-                .map_err(DescError::Config)?
-                .unwrap_or(200) as usize;
-            let until_s = cfg
-                .get_u64("untilS")
-                .map_err(DescError::Config)?
-                .unwrap_or(3_600);
-            let source = match ptype.as_str() {
-                "SFST" => {
-                    let file = need("filePath")?;
-                    let items: Vec<String> = bundle
-                        .get_file(&file)?
-                        .lines()
-                        .map(str::to_string)
-                        .collect();
-                    SourceSpec::Items {
-                        topic: need("topicName")?,
-                        items,
-                        interval,
-                    }
-                }
-                "RATE" => SourceSpec::Rate {
-                    topic: need("topicName")?,
-                    count: cfg
-                        .get_u64("totalMessages")
-                        .map_err(DescError::Config)?
-                        .ok_or(DescError::MissingKey {
-                            node: n.id.clone(),
-                            key: "totalMessages",
-                        })?,
-                    interval,
-                    payload,
-                },
-                "RANDOM" => SourceSpec::RandomTopics {
-                    topics: need("topics")?
-                        .split(',')
-                        .map(|t| t.trim().to_string())
-                        .collect(),
-                    kbps: cfg
-                        .get_u64("kbps")
-                        .map_err(DescError::Config)?
-                        .unwrap_or(30),
-                    payload,
-                    until: SimTime::from_secs(until_s),
-                },
-                "POISSON" => SourceSpec::Poisson {
-                    topic: need("topicName")?,
-                    rate_per_sec: cfg
-                        .get_f64("ratePerSec")
-                        .map_err(DescError::Config)?
-                        .unwrap_or(10.0),
-                    payload,
-                    until: SimTime::from_secs(until_s),
-                },
-                other => return Err(DescError::UnknownProdType(other.to_string())),
-            };
-            sc.producer(&n.id, source, pc);
+            add_producer(&mut sc, n, ptype, bundle)?;
         }
         if let Some(ctype) = n.data.get("consType") {
-            if ctype != "STANDARD" && ctype != "LOGGING" {
-                return Err(DescError::UnknownConsType(ctype.clone()));
-            }
-            let cfg = bundle.config(n.data.get("consCfg").map(String::as_str).unwrap_or(""))?;
-            let topics_str = cfg.get("topics").ok_or(DescError::MissingKey {
-                node: n.id.clone(),
-                key: "topics",
-            })?;
-            let topics: Vec<&str> = topics_str.split(',').map(str::trim).collect();
-            let mut cc = ConsumerConfig::default();
-            if let Some(d) = cfg
-                .get_duration("pollInterval")
-                .map_err(DescError::Config)?
-            {
-                cc.poll_interval = d;
-            }
-            sc.consumer(&n.id, cc, &topics);
+            add_consumer(&mut sc, n, ctype, bundle)?;
         }
         if let Some(stype) = n.data.get("streamProcType") {
-            if stype != "SPARK" && stype != "FLINK" && stype != "KSTREAM" {
-                return Err(DescError::UnknownStreamProcType(stype.clone()));
-            }
-            let cfg = bundle.config(
-                n.data
-                    .get("streamProcCfg")
-                    .map(String::as_str)
-                    .unwrap_or(""),
-            )?;
-            let app = cfg.get("app").ok_or(DescError::MissingKey {
-                node: n.id.clone(),
-                key: "app",
-            })?;
-            let factory = bundle
-                .plans
-                .get(app)
-                .cloned()
-                .ok_or_else(|| DescError::UnknownPlan(app.to_string()))?;
-            let sources: Vec<String> = cfg
-                .get("sourceTopics")
-                .ok_or(DescError::MissingKey {
-                    node: n.id.clone(),
-                    key: "sourceTopics",
-                })?
-                .split(',')
-                .map(|t| t.trim().to_string())
-                .collect();
-            let sink = if let Some(t) = cfg.get("sinkTopic") {
-                SpeSinkSpec::Topic(t.to_string())
-            } else if let Some(h) = cfg.get("sinkStoreHost") {
-                SpeSinkSpec::StoreOn {
-                    host: h.to_string(),
-                    table: cfg.get("sinkTable").unwrap_or("results").to_string(),
-                }
-            } else {
-                SpeSinkSpec::Collect
-            };
-            let mut scfg = SpeConfig::default();
-            if let Some(d) = cfg
-                .get_duration("batchInterval")
-                .map_err(DescError::Config)?
-            {
-                scfg.batch_interval = d;
-            }
-            sc.spe_job(
-                &n.id,
-                SpeJobSpec::new(
-                    format!("{}-{}", n.id, app),
-                    sources,
-                    move || factory(),
-                    sink,
-                    scfg,
-                ),
-            );
+            add_stream_job(&mut sc, n, stype, bundle)?;
         }
         if n.data.contains_key("storeType") {
             sc.store(&n.id, StoreConfig::default());

@@ -66,8 +66,7 @@ pub use report::{
 pub use resources::{cdf, cpu_utilization_series, median, MemModel, MemSampler, ServerSpec};
 pub use s2g_analyze::{AnalysisReport, Diagnostic, Level};
 pub use scenario::{
-    instance_name, shuffle_topic, BrokerDurabilitySpec, CheckpointBackendSpec, CheckpointSpec,
-    ConsumerSinkSpec, Scenario, ScenarioError, SourceSpec, SpeJobSpec, SpeSinkSpec,
-    DEFAULT_KEY_GROUPS,
+    instance_name, shuffle_topic, CheckpointSpec, ConsumerSinkSpec, DurableStoreSpec, Scenario,
+    ScenarioError, SourceSpec, SpeJobSpec, SpeSinkSpec, DEFAULT_KEY_GROUPS,
 };
 pub use viz::{ascii_chart, ascii_matrix, ascii_table, csv_series};

@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use s2g_analyze::{ComponentRef, FaultFacts, FaultKind, FaultTarget, ScenarioFacts};
 use s2g_broker::{
-    log_store, Broker, BrokerRecoveryInfo, BrokerStats, ConsumerClient, ConsumerProcess,
-    ConsumerStats, CoordinationMode, DurableLogBackend, InMemoryLogBackend, KraftController,
-    LogBackend, LogStoreHandle, ProducerClient, ProducerProcess, TopicSpec, ZkController,
+    Broker, BrokerRecoveryInfo, BrokerStats, ConsumerClient, ConsumerProcess, ConsumerStats,
+    CoordinationMode, KraftController, ProducerClient, ProducerProcess, TopicSpec, ZkController,
+    BROKER_LOG_CORR_BASE,
 };
 use s2g_net::{FaultInjector, NetHandle, NetTransport, Network, NodeKind, Topology, TxSampler};
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
@@ -27,12 +27,11 @@ use s2g_spe::{
     snapshot_store, BatchMetric, CheckpointStats, DurableBackend, Event, InMemoryBackend,
     SnapshotStoreHandle, SpeSink, SpeWorker, StageInstanceCfg, StateBackend,
 };
-use s2g_store::StoreServer;
+use s2g_store::{blob_map, BlobClient, BlobMap, StoreServer};
 use s2g_telemetry::Telemetry;
 
 use super::{
-    instance_name, shuffle_topic, worker_host, worker_name, BrokerDurabilitySpec, Scenario,
-    SpeSinkSpec,
+    instance_name, shuffle_topic, worker_host, worker_name, DurableStoreSpec, Scenario, SpeSinkSpec,
 };
 use crate::monitor::{MonitorCore, MonitorHandle, MonitoredSink};
 use crate::report::{
@@ -53,7 +52,7 @@ struct Wiring {
     tele: Telemetry,
     monitor: MonitorHandle,
     /// The brokers' always-synced "local disk" (`with_recoverable_broker`).
-    log_store: LogStoreHandle,
+    log_store: BlobMap,
     /// In-memory checkpoint snapshots, outside every worker's failure
     /// domain.
     snapshots: SnapshotStoreHandle,
@@ -168,7 +167,7 @@ impl Runtime {
             ledger: MemLedger::new(baseline).into_handle(),
             tele,
             monitor: MonitorCore::new_handle(spec.capture_records),
-            log_store: log_store(),
+            log_store: blob_map(),
             snapshots: snapshot_store(),
         };
         let mut rt = Runtime {
@@ -392,17 +391,15 @@ impl Runtime {
                 b.set_incarnation(slot.incarnation);
                 b.set_telemetry(w.tele.clone());
                 match &self.spec.broker_durability {
-                    Some(BrokerDurabilitySpec::InMemory) => {
-                        let disk: Box<dyn LogBackend> =
-                            Box::new(InMemoryLogBackend::new(w.log_store.clone()));
-                        b.set_durability(disk, recover);
+                    Some(DurableStoreSpec::InMemory) => {
+                        b.set_durability(BlobClient::shared(w.log_store.clone()), recover);
                     }
-                    Some(BrokerDurabilitySpec::StoreOn { host }) => {
+                    Some(DurableStoreSpec::StoreOn { host }) => {
                         let group = self.store_group_on(host).to_vec();
-                        let store = DurableLogBackend::replicated(group, slot.incarnation);
-                        b.set_durability(Box::new(store), recover);
+                        let store = BlobClient::new(group, BROKER_LOG_CORR_BASE, slot.incarnation);
+                        b.set_durability(store, recover);
                     }
-                    // Without a log backend the broker restarts empty (the
+                    // Without a durable log the broker restarts empty (the
                     // data-loss contrast); still record restart metrics.
                     None if recover => b.mark_restarted(),
                     None => {}
@@ -543,9 +540,10 @@ impl Runtime {
         }
         if job.cfg.checkpoint.is_some() {
             let backend: Box<dyn StateBackend> = match &self.plan.checkpoint_store_host {
-                Some(host) => Box::new(DurableBackend::replicated(
-                    self.store_group_on(host).to_vec(),
-                )),
+                Some(host) => {
+                    let group = self.store_group_on(host).to_vec();
+                    Box::new(DurableBackend::new(group, slot.incarnation))
+                }
                 None => Box::new(InMemoryBackend::new(self.wiring.snapshots.clone())),
             };
             w.attach_checkpointing(backend, recover);

@@ -379,14 +379,18 @@ pub fn instance_name(job: &str, stage: usize, instance: usize) -> String {
     format!("{job}/{stage}/{instance}")
 }
 
-/// Where scenario-level checkpoints are stored.
+/// Where a durability tier keeps its blobs: scenario-level checkpoints
+/// ([`CheckpointSpec`]) and every broker's log segments and meta blob.
 #[derive(Debug, Clone)]
-pub enum CheckpointBackendSpec {
-    /// Snapshots on the orchestrator's heap, outside every worker's failure
-    /// domain: instant and free, like a job-manager heap.
+pub enum DurableStoreSpec {
+    /// In the orchestrator's memory, outside every process's failure
+    /// domain — a job-manager heap, an always-synced local disk: instant,
+    /// free, survives the writer's crashes.
     InMemory,
-    /// Snapshots persisted through the store server on the named host,
-    /// paying simulated CPU and network cost per snapshot and per restore.
+    /// Through the store server on the named host, paying simulated CPU
+    /// and network cost per write and a read round trip per blob restored;
+    /// a broker's produce acks wait for the covering flush
+    /// (fsync-before-ack).
     StoreOn {
         /// Host carrying the store server.
         host: String,
@@ -400,23 +404,7 @@ pub struct CheckpointSpec {
     /// Interval and offset-commit mode.
     pub cfg: CheckpointCfg,
     /// Snapshot storage.
-    pub backend: CheckpointBackendSpec,
-}
-
-/// Where every broker's log segments and meta blob are persisted, making
-/// broker crash/restart survivable.
-#[derive(Debug, Clone)]
-pub enum BrokerDurabilitySpec {
-    /// Segments on a shared map outside the broker processes — an
-    /// always-synced local disk: instant, free, survives broker crashes.
-    InMemory,
-    /// Segments persisted through the store server on the named host,
-    /// paying simulated CPU/network cost per flush; produce acks wait for
-    /// the covering flush (fsync-before-ack).
-    StoreOn {
-        /// Host carrying the store server.
-        host: String,
-    },
+    pub backend: DurableStoreSpec,
 }
 
 impl fmt::Debug for SpeJobSpec {
@@ -497,7 +485,7 @@ pub struct Scenario {
     consumers: Vec<(String, ConsumerConfig, Vec<String>, ConsumerSinkSpec)>,
     faults: FaultPlan,
     checkpointing: Option<CheckpointSpec>,
-    broker_durability: Option<BrokerDurabilitySpec>,
+    broker_durability: Option<DurableStoreSpec>,
     log_compaction: bool,
     log_retention_age: Option<SimDuration>,
     log_retention_bytes: Option<usize>,
@@ -712,7 +700,7 @@ impl Scenario {
     pub fn with_checkpointing(&mut self, cfg: CheckpointCfg) -> &mut Self {
         self.checkpointing = Some(CheckpointSpec {
             cfg,
-            backend: CheckpointBackendSpec::InMemory,
+            backend: DurableStoreSpec::InMemory,
         });
         self
     }
@@ -727,7 +715,7 @@ impl Scenario {
     ) -> &mut Self {
         self.checkpointing = Some(CheckpointSpec {
             cfg,
-            backend: CheckpointBackendSpec::StoreOn {
+            backend: DurableStoreSpec::StoreOn {
                 host: store_host.to_string(),
             },
         });
@@ -890,7 +878,7 @@ impl Scenario {
     ) -> &mut Self {
         self.checkpointing = Some(CheckpointSpec {
             cfg: cfg.incremental(max_delta_chain),
-            backend: CheckpointBackendSpec::InMemory,
+            backend: DurableStoreSpec::InMemory,
         });
         self
     }
@@ -951,7 +939,7 @@ impl Scenario {
     /// # Ok::<(), s2g_core::ScenarioError>(())
     /// ```
     pub fn with_recoverable_broker(&mut self) -> &mut Self {
-        self.broker_durability = Some(BrokerDurabilitySpec::InMemory);
+        self.broker_durability = Some(DurableStoreSpec::InMemory);
         self
     }
 
@@ -978,7 +966,7 @@ impl Scenario {
     /// assert!(sc.run().is_ok());
     /// ```
     pub fn with_durable_broker(&mut self, store_host: &str) -> &mut Self {
-        self.broker_durability = Some(BrokerDurabilitySpec::StoreOn {
+        self.broker_durability = Some(DurableStoreSpec::StoreOn {
             host: store_host.to_string(),
         });
         self
@@ -1174,6 +1162,10 @@ impl Scenario {
                 }
             })
             .collect();
+        let store_host = |spec: Option<&DurableStoreSpec>| match spec {
+            Some(DurableStoreSpec::StoreOn { host }) => Some(host.clone()),
+            _ => None,
+        };
         let mut plan = ScenarioFacts {
             name: self.name.clone(),
             duration: self.duration,
@@ -1200,17 +1192,8 @@ impl Scenario {
                 .chain(self.host_cpu_pct.keys().map(|h| ("host_cpu_percentage", h)))
                 .map(|(knob, host)| (knob, host.clone()))
                 .collect(),
-            checkpoint_store_host: match &self.checkpointing {
-                Some(CheckpointSpec {
-                    backend: CheckpointBackendSpec::StoreOn { host },
-                    ..
-                }) => Some(host.clone()),
-                _ => None,
-            },
-            durability_store_host: match &self.broker_durability {
-                Some(BrokerDurabilitySpec::StoreOn { host }) => Some(host.clone()),
-                _ => None,
-            },
+            checkpoint_store_host: store_host(self.checkpointing.as_ref().map(|c| &c.backend)),
+            durability_store_host: store_host(self.broker_durability.as_ref()),
             transactional_sinks: self.transactional_sinks,
         };
         // The layout: derived from the components resolved above.

@@ -61,7 +61,7 @@ use std::rc::Rc;
 use s2g_proto::codec::{put_u64, Cursor};
 use s2g_proto::{Offset, TopicPartition};
 use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
-use s2g_store::{BlobClient, StoreRpc};
+use s2g_store::{BlobClient, BlobDone, StoreRpc};
 use s2g_telemetry::Telemetry;
 
 use crate::event::{CodecError, Event, Value};
@@ -598,14 +598,14 @@ pub trait StateBackend {
 
     /// Routes a store RPC to this backend's pending IO. Synchronous
     /// backends never have any.
-    fn on_store_rpc(&mut self, _ctx: &mut Ctx<'_>, _job: &str, _rpc: &StoreRpc) -> BackendEvent {
+    fn on_store_rpc(&mut self, _ctx: &mut Ctx<'_>, _job: &str, _rpc: StoreRpc) -> BackendEvent {
         BackendEvent::NotMine
     }
 
     /// Re-issues whatever store RPCs are still pending (the request — or
     /// its response — was lost in the network). Returns `true` when
     /// something was retried.
-    fn retry_pending_io(&mut self, _ctx: &mut Ctx<'_>, _job: &str) -> bool {
+    fn retry_pending_io(&mut self, _ctx: &mut Ctx<'_>) -> bool {
         false
     }
 
@@ -668,14 +668,14 @@ impl StateBackend for InMemoryBackend {
     }
 }
 
-/// What a pending durable-backend RPC was carrying, kept so a lost request
-/// or response can be re-issued verbatim under a fresh correlation id.
-enum CkptIo {
-    BlobPut { key: String, bytes: Vec<u8> },
-    ManifestPut { key: String, bytes: Vec<u8> },
-    ManifestGet { key: String },
-    BaseGet { key: String },
-    DeltaGet { key: String, seq: u64 },
+/// The durable backend's label for a blob request: what the blob is.
+#[derive(Debug)]
+enum CkptBlob {
+    /// The chain manifest.
+    Manifest,
+    /// Capture number N of a chain: 0 is the base, N ≥ 1 the delta of
+    /// that `seq`.
+    Capture(u64),
 }
 
 /// Blobs gathered while a durable recovery is in flight.
@@ -695,17 +695,12 @@ struct RecoverAssembly {
 /// its first post-restart batch — which is exactly why the delta-chain cap
 /// bounds recovery latency.
 pub struct DurableBackend {
-    blobs: BlobClient,
+    blobs: BlobClient<CkptBlob>,
     /// Chain counter: bumped per base snapshot so blob keys from superseded
     /// chains are never read again.
     chain: u64,
     /// Deltas persisted on the current chain.
     delta_count: u64,
-    /// Outstanding store RPCs by correlation id (ordered so retry re-issues
-    /// them deterministically).
-    pending: BTreeMap<u64, CkptIo>,
-    /// A persist is awaiting its put acks.
-    persist_inflight: bool,
     /// The manifest write of the in-flight persist, staged until the blob
     /// put is acknowledged: the manifest is the only pointer to the chain,
     /// so it must never point at a blob that is not durable yet (a lost
@@ -717,25 +712,21 @@ pub struct DurableBackend {
 }
 
 impl DurableBackend {
-    /// Creates a backend writing to the store server process.
-    pub fn new(server: ProcessId) -> Self {
-        Self::replicated(vec![server])
-    }
-
-    /// Creates a backend over every member of a replicated store group:
-    /// unanswered RPCs rotate to the next member on retry, so checkpoints
-    /// survive a store crash with no change above this backend.
+    /// Creates a backend over the members of a store group (one member for
+    /// an unreplicated store): unanswered RPCs rotate to the next member on
+    /// retry, so checkpoints survive a store crash with no change above
+    /// this backend. `incarnation` is the owning worker's, so a store reply
+    /// delayed across a worker bounce can never complete a request of the
+    /// respawn.
     ///
     /// # Panics
     ///
     /// Panics if `servers` is empty.
-    pub fn replicated(servers: Vec<ProcessId>) -> Self {
+    pub fn new(servers: Vec<ProcessId>, incarnation: u64) -> Self {
         DurableBackend {
-            blobs: BlobClient::replicated(servers, CKPT_CORR_BASE, 0),
+            blobs: BlobClient::new(servers, CKPT_CORR_BASE, incarnation),
             chain: 0,
             delta_count: 0,
-            pending: BTreeMap::new(),
-            persist_inflight: false,
             staged_manifest: None,
             recovering: None,
         }
@@ -765,43 +756,6 @@ impl DurableBackend {
         let chain = cur.u64()?;
         let count = cur.u64()?;
         Some((chain, count))
-    }
-
-    fn put_tracked(&mut self, ctx: &mut Ctx<'_>, io: CkptIo) {
-        let (key, bytes) = match &io {
-            CkptIo::BlobPut { key, bytes } | CkptIo::ManifestPut { key, bytes } => {
-                (key.clone(), bytes.clone())
-            }
-            _ => unreachable!("put_tracked only takes puts"),
-        };
-        let corr = self.blobs.put(ctx, &key, bytes);
-        self.pending.insert(corr, io);
-    }
-
-    fn get_tracked(&mut self, ctx: &mut Ctx<'_>, io: CkptIo) {
-        let key = match &io {
-            CkptIo::ManifestGet { key }
-            | CkptIo::BaseGet { key }
-            | CkptIo::DeltaGet { key, .. } => key.clone(),
-            _ => unreachable!("get_tracked only takes gets"),
-        };
-        let corr = self.blobs.get(ctx, &key);
-        self.pending.insert(corr, io);
-    }
-
-    fn puts_left(&self) -> bool {
-        self.pending
-            .values()
-            .any(|io| matches!(io, CkptIo::BlobPut { .. } | CkptIo::ManifestPut { .. }))
-    }
-
-    fn gets_left(&self) -> bool {
-        self.pending.values().any(|io| {
-            matches!(
-                io,
-                CkptIo::ManifestGet { .. } | CkptIo::BaseGet { .. } | CkptIo::DeltaGet { .. }
-            )
-        })
     }
 
     fn finish_recovery(&mut self) -> BackendEvent {
@@ -858,14 +812,8 @@ impl StateBackend for DurableBackend {
             }
         };
         let bytes = blob_bytes.len() as u64;
-        self.persist_inflight = true;
-        self.put_tracked(
-            ctx,
-            CkptIo::BlobPut {
-                key: blob_key,
-                bytes: blob_bytes,
-            },
-        );
+        let label = CkptBlob::Capture(self.delta_count);
+        self.blobs.put(ctx, label, blob_key, blob_bytes);
         // The manifest only goes out once the blob it points at is durable
         // (see `staged_manifest`); until then a crash recovers the previous
         // manifest-consistent chain.
@@ -878,130 +826,73 @@ impl StateBackend for DurableBackend {
 
     fn recover(&mut self, ctx: &mut Ctx<'_>, job: &str) -> RecoverOutcome {
         self.recovering = Some(RecoverAssembly::default());
-        self.get_tracked(
-            ctx,
-            CkptIo::ManifestGet {
-                key: Self::manifest_key(job),
-            },
-        );
+        let key = Self::manifest_key(job);
+        self.blobs.get(ctx, CkptBlob::Manifest, key);
         RecoverOutcome::Pending
     }
 
-    fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: &StoreRpc) -> BackendEvent {
-        match rpc {
-            StoreRpc::PutAck { corr } => {
-                let is_put = matches!(
-                    self.pending.get(corr),
-                    Some(CkptIo::BlobPut { .. } | CkptIo::ManifestPut { .. })
-                );
-                if !is_put {
-                    return BackendEvent::NotMine;
-                }
-                self.pending.remove(corr);
-                if self.puts_left() {
-                    return BackendEvent::NotMine;
-                }
+    fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> BackendEvent {
+        self.blobs.on_reply(rpc);
+        let (label, value) = match self.blobs.next_done() {
+            None => return BackendEvent::NotMine,
+            Some(BlobDone::Put(CkptBlob::Capture(_))) => {
                 // Blob durable: now (and only now) publish the manifest
                 // that points at it.
                 if let Some((key, bytes)) = self.staged_manifest.take() {
-                    self.put_tracked(ctx, CkptIo::ManifestPut { key, bytes });
-                    return BackendEvent::NotMine;
+                    self.blobs.put(ctx, CkptBlob::Manifest, key, bytes);
                 }
-                if self.persist_inflight {
-                    self.persist_inflight = false;
-                    return BackendEvent::PersistCompleted;
-                }
-                BackendEvent::NotMine
+                return BackendEvent::NotMine;
             }
-            StoreRpc::GetResult { corr, value } => {
-                let Some(io) = self.pending.get(corr) else {
-                    return BackendEvent::NotMine;
+            Some(BlobDone::Put(CkptBlob::Manifest)) => return BackendEvent::PersistCompleted,
+            Some(BlobDone::Got(label, value)) => (label, value),
+        };
+        let Some(asm) = self.recovering.as_mut() else {
+            return BackendEvent::NotMine;
+        };
+        asm.bytes += value.as_ref().map_or(0, |b| b.len() as u64);
+        match label {
+            CkptBlob::Manifest => {
+                let manifest = value.as_deref().and_then(Self::parse_manifest);
+                let Some((chain, count)) = manifest else {
+                    // Cold start: nothing persisted yet.
+                    return self.finish_recovery();
                 };
-                let io = match io {
-                    CkptIo::ManifestGet { .. }
-                    | CkptIo::BaseGet { .. }
-                    | CkptIo::DeltaGet { .. } => self.pending.remove(corr).expect("just matched"),
-                    _ => return BackendEvent::NotMine,
-                };
-                let Some(asm) = self.recovering.as_mut() else {
-                    return BackendEvent::NotMine;
-                };
-                asm.bytes += value.as_ref().map_or(0, |b| b.len() as u64);
-                match io {
-                    CkptIo::ManifestGet { .. } => {
-                        let manifest = value.as_deref().and_then(Self::parse_manifest);
-                        let Some((chain, count)) = manifest else {
-                            // Cold start: nothing persisted yet.
-                            return self.finish_recovery();
-                        };
-                        asm.chain = chain;
-                        asm.count = count;
-                        self.get_tracked(
-                            ctx,
-                            CkptIo::BaseGet {
-                                key: Self::base_key(job, chain),
-                            },
-                        );
-                        for seq in 1..=count {
-                            self.get_tracked(
-                                ctx,
-                                CkptIo::DeltaGet {
-                                    key: Self::delta_key(job, chain, seq),
-                                    seq,
-                                },
-                            );
-                        }
-                        BackendEvent::NotMine
-                    }
-                    CkptIo::BaseGet { .. } => {
-                        asm.base = value
-                            .as_deref()
-                            .and_then(|b| StateSnapshot::from_bytes(b).ok());
-                        if !self.gets_left() {
-                            return self.finish_recovery();
-                        }
-                        BackendEvent::NotMine
-                    }
-                    CkptIo::DeltaGet { seq, .. } => {
-                        if let Some(d) = value
-                            .as_deref()
-                            .and_then(|b| StateDelta::from_bytes(b).ok())
-                        {
-                            asm.deltas.insert(seq, d);
-                        }
-                        if !self.gets_left() {
-                            return self.finish_recovery();
-                        }
-                        BackendEvent::NotMine
-                    }
-                    _ => BackendEvent::NotMine,
+                asm.chain = chain;
+                asm.count = count;
+                let base = Self::base_key(job, chain);
+                self.blobs.get(ctx, CkptBlob::Capture(0), base);
+                for seq in 1..=count {
+                    let delta = Self::delta_key(job, chain, seq);
+                    self.blobs.get(ctx, CkptBlob::Capture(seq), delta);
+                }
+                return BackendEvent::NotMine;
+            }
+            CkptBlob::Capture(0) => {
+                asm.base = value
+                    .as_deref()
+                    .and_then(|b| StateSnapshot::from_bytes(b).ok());
+            }
+            CkptBlob::Capture(seq) => {
+                if let Some(d) = value
+                    .as_deref()
+                    .and_then(|b| StateDelta::from_bytes(b).ok())
+                {
+                    asm.deltas.insert(seq, d);
                 }
             }
-            _ => BackendEvent::NotMine,
         }
+        if self.blobs.gets_left() {
+            return BackendEvent::NotMine;
+        }
+        self.finish_recovery()
     }
 
-    fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>, _job: &str) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        // The silent endpoint may be a crashed store-group member: rotate
-        // to the next one before re-issuing.
-        self.blobs.rotate();
-        let items: Vec<CkptIo> = std::mem::take(&mut self.pending).into_values().collect();
-        for io in items {
-            match io {
-                put @ (CkptIo::BlobPut { .. } | CkptIo::ManifestPut { .. }) => {
-                    self.put_tracked(ctx, put)
-                }
-                get => self.get_tracked(ctx, get),
-            }
-        }
-        true
+    fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        self.blobs.retry(ctx)
     }
 
     fn has_pending_io(&self) -> bool {
-        !self.pending.is_empty()
+        self.blobs.awaits_reply()
     }
 }
 
@@ -1278,8 +1169,8 @@ impl CheckpointCoordinator {
     /// Re-issues whatever store RPCs are still pending (the response — or
     /// the request itself — was lost in the network). Returns `true` when
     /// something was retried.
-    pub fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>, job: &str) -> bool {
-        self.backend.retry_pending_io(ctx, job)
+    pub fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        self.backend.retry_pending_io(ctx)
     }
 
     fn finish_persist(
@@ -1457,12 +1348,7 @@ impl CheckpointCoordinator {
     /// Routes a store RPC to the backend's pending persist/recover
     /// bookkeeping. Returns the restored chains when a pending recovery
     /// completed.
-    pub fn on_store_rpc(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        job: &str,
-        rpc: &StoreRpc,
-    ) -> StoreRpcOutcome {
+    pub fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> StoreRpcOutcome {
         // During a recovery the backend is reading the chain of one of the
         // requested names; blob keys derive from that name, which need not
         // be the restoring worker's own.

@@ -756,7 +756,7 @@ impl SpeWorker {
         }
         let name = self.name.clone();
         let coord = self.coordinator.as_mut().expect("just checked");
-        match coord.on_store_rpc(ctx, &name, &rpc) {
+        match coord.on_store_rpc(ctx, &name, rpc) {
             StoreRpcOutcome::PersistCompleted => self.pump_commit(ctx),
             StoreRpcOutcome::Recovered(recovered) => {
                 self.awaiting_restore = false;
@@ -1043,12 +1043,11 @@ impl Process for SpeWorker {
                 }
             }
             tags::CKPT_IO_RETRY => {
-                let name = self.name.clone();
                 if let Some(c) = self.coordinator.as_mut() {
                     // A store RPC (persist or restore) is still unanswered:
                     // the request or its response was lost. Re-issue it and
                     // keep the timer armed until an answer lands.
-                    if c.retry_pending_io(ctx, &name) {
+                    if c.retry_pending_io(ctx) {
                         ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
                     }
                 }

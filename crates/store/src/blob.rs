@@ -1,144 +1,243 @@
-//! A small client for durable blob traffic against a [`StoreServer`].
+//! The one client a process uses to keep blobs in the emulated data store.
 //!
-//! Both remote durability tiers in the workspace — the SPE checkpoint
-//! backend (`s2g_spe::DurableBackend`) and the broker log backend
-//! (`s2g_broker::DurableLogBackend`) — speak the same pattern to a
-//! [`StoreServer`]: allocate a correlation id from a private namespace
-//! (salted with the owning process's incarnation so replies delayed across
-//! a crash/restart can never collide with the respawn's requests), send a
-//! [`StoreRpc`], and pay the store's simulated CPU plus the network path
-//! for every flush and every replayed blob. [`BlobClient`] is that shared
-//! machinery, deduplicated here so the two tiers cannot drift apart.
+//! Two durability tiers write blobs: the broker's log segments
+//! (`s2g_broker::Broker::set_durability`) and the SPE's checkpoints
+//! (`s2g_spe::DurableBackend`). Everything that makes that I/O *reliable*
+//! is the same for both and lives here, once:
 //!
-//! # Replicated store groups
+//! * **Correlation ids** come from a private namespace (`corr_base`) salted
+//!   with the owning process's incarnation, so a reply delayed across a
+//!   crash/restart can never carry an id the respawn also draws.
+//! * **Tracking.** A request is kept, with the label its owner gave it,
+//!   until it is answered. A [`StoreRpc::PutAck`] completes only a put and
+//!   a [`StoreRpc::GetResult`] only a get; a reply that matches nothing
+//!   pending (stale, superseded by a retry, or someone else's) completes
+//!   nothing and consumes nothing.
+//! * **Retry.** [`BlobClient::retry`] moves to the next member of the store
+//!   group (the silent endpoint may have crashed; non-primary members proxy
+//!   to the primary, so any live one serves) and re-issues everything
+//!   unanswered, in the original order, under fresh ids.
+//! * **Two media.** A store group reached over the emulated network, paying
+//!   its CPU and the path for every blob; or a [`BlobMap`] outside the
+//!   owner's failure domain that answers at once and for free. Either way a
+//!   finished request reaches the owner as the same [`BlobDone`] from
+//!   [`BlobClient::next_done`], so the owner has one completion handler.
 //!
-//! A client built with [`BlobClient::replicated`] knows every member of a
-//! store group. Requests go to one current endpoint; when the owner's retry
-//! machinery fires (a request went unanswered — the endpoint crashed, or
-//! the network ate the RPC), calling [`rotate`](BlobClient::rotate) before
-//! re-issuing moves the client to the next member. Non-primary members
-//! proxy to the primary, so any live endpoint eventually serves the
-//! request — which is how `DurableBackend` and `DurableLogBackend` survive
-//! a store crash with zero code changes above this client.
-//!
-//! [`StoreServer`]: crate::StoreServer
+//! What stays with each owner is policy: when to write, what must be
+//! durable before what, and when to arm the timer that calls `retry`.
+
+use std::cell::RefCell;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use s2g_sim::{Ctx, ProcessId};
 
 use crate::server::StoreRpc;
 
-/// Issues `Put`/`Get`/`Delete` RPCs to one store server (or, for a
-/// replicated group, to its current endpoint) under a private
-/// correlation-id namespace.
-#[derive(Debug)]
-pub struct BlobClient {
-    servers: Vec<ProcessId>,
-    current: usize,
-    corr_base: u64,
-    next: u64,
+/// Blob storage on a shared map. It lives outside the process that writes
+/// it, so it survives that process's crashes: the moral equivalent of the
+/// host's always-synced local disk.
+pub type BlobMap = Rc<RefCell<BTreeMap<String, Vec<u8>>>>;
+
+/// Creates an empty shared blob map.
+pub fn blob_map() -> BlobMap {
+    Rc::new(RefCell::new(BTreeMap::new()))
 }
 
-impl BlobClient {
-    /// Creates a client whose correlation ids start at `corr_base`
-    /// (a namespace disjoint from other store users in the same process).
-    pub fn new(server: ProcessId, corr_base: u64) -> Self {
-        Self::for_incarnation(server, corr_base, 0)
+/// A finished request, handed back under the label its owner gave it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum BlobDone<L> {
+    /// The put is durable.
+    Put(L),
+    /// The get returned the blob, or `None` when the key was never written.
+    Got(L, Option<Vec<u8>>),
+}
+
+#[derive(Debug)]
+enum Medium {
+    Shared(BlobMap),
+    /// Store-group members in member-index order; requests go to
+    /// `servers[current]`, starting at member 0 (the initial primary).
+    Group {
+        servers: Vec<ProcessId>,
+        current: usize,
+    },
+}
+
+/// A request as it was issued, kept so it can be re-issued verbatim.
+#[derive(Debug)]
+struct Sent<L> {
+    label: L,
+    key: String,
+    /// The bytes of a put; `None` for a get.
+    value: Option<Vec<u8>>,
+}
+
+/// Puts, gets and deletes blobs for one owner, which labels each request
+/// with an `L` and takes completions from [`next_done`](Self::next_done).
+#[derive(Debug)]
+pub struct BlobClient<L> {
+    medium: Medium,
+    corr_base: u64,
+    next: u64,
+    /// Requests sent and not yet answered, by correlation id (ordered so
+    /// retry re-issues them deterministically).
+    pending: BTreeMap<u64, Sent<L>>,
+    /// Completions the owner has not taken yet.
+    done: VecDeque<BlobDone<L>>,
+}
+
+impl<L> BlobClient<L> {
+    /// Creates a client over a shared map: instant and free.
+    pub fn shared(map: BlobMap) -> Self {
+        Self::over(Medium::Shared(map), 0, 0)
     }
 
-    /// Creates a client whose correlation ids are additionally salted with
-    /// the owning process's `incarnation` (shifted into the high half of
-    /// the per-namespace counter), so a store reply delayed across a
-    /// process bounce can never be mistaken for an answer to the respawned
-    /// incarnation's requests.
-    pub fn for_incarnation(server: ProcessId, corr_base: u64, incarnation: u64) -> Self {
-        Self::replicated(vec![server], corr_base, incarnation)
-    }
-
-    /// Creates a client over every member of a replicated store group, in
-    /// member-index order. Requests start at member 0 (the initial
-    /// primary); [`rotate`](BlobClient::rotate) advances on timeout.
+    /// Creates a client over the members of a store group (one member for
+    /// an unreplicated store), in member-index order. Correlation ids start
+    /// at `corr_base` (a namespace disjoint from other store users in the
+    /// same process) with the owning process's `incarnation` in the high
+    /// half of the counter.
     ///
     /// # Panics
     ///
     /// Panics if `servers` is empty.
-    pub fn replicated(servers: Vec<ProcessId>, corr_base: u64, incarnation: u64) -> Self {
+    pub fn new(servers: Vec<ProcessId>, corr_base: u64, incarnation: u64) -> Self {
         assert!(!servers.is_empty(), "a blob client needs an endpoint");
+        let current = 0;
+        Self::over(Medium::Group { servers, current }, corr_base, incarnation)
+    }
+
+    fn over(medium: Medium, corr_base: u64, incarnation: u64) -> Self {
         BlobClient {
-            servers,
-            current: 0,
+            medium,
             corr_base,
             next: incarnation << 32,
+            pending: BTreeMap::new(),
+            done: VecDeque::new(),
         }
     }
 
-    /// The store endpoint this client currently writes to.
-    pub fn server(&self) -> ProcessId {
-        self.servers[self.current]
-    }
-
-    /// Every endpoint this client can rotate through.
-    pub fn servers(&self) -> &[ProcessId] {
-        &self.servers
-    }
-
-    /// Advances to the next store-group member. Call right before
-    /// re-issuing a request that went unanswered: the current endpoint may
-    /// be down, and the group's surviving members proxy to whichever member
-    /// is primary now. A single-endpoint client is unaffected.
-    pub fn rotate(&mut self) {
-        if self.servers.len() > 1 {
-            self.current = (self.current + 1) % self.servers.len();
-        }
-    }
-
-    fn corr(&mut self) -> u64 {
-        let c = self.corr_base + self.next;
+    fn fresh_corr(&mut self) -> u64 {
+        let corr = self.corr_base + self.next;
         self.next += 1;
-        c
-    }
-
-    /// Sends a `Put` for `key`, returning the correlation id its
-    /// [`StoreRpc::PutAck`] will carry.
-    pub fn put(&mut self, ctx: &mut Ctx<'_>, key: &str, value: Vec<u8>) -> u64 {
-        let corr = self.corr();
-        ctx.send(
-            self.server(),
-            StoreRpc::Put {
-                corr,
-                key: key.to_string(),
-                value,
-            },
-        );
         corr
     }
 
-    /// Sends a `Get` for `key`, returning the correlation id its
-    /// [`StoreRpc::GetResult`] will carry.
-    pub fn get(&mut self, ctx: &mut Ctx<'_>, key: &str) -> u64 {
-        let corr = self.corr();
-        ctx.send(
-            self.server(),
-            StoreRpc::Get {
-                corr,
-                key: key.to_string(),
-            },
-        );
-        corr
+    fn issue(&mut self, ctx: &mut Ctx<'_>, sent: Sent<L>) {
+        match &self.medium {
+            Medium::Shared(map) => self.done.push_back(match sent.value {
+                Some(value) => {
+                    map.borrow_mut().insert(sent.key, value);
+                    BlobDone::Put(sent.label)
+                }
+                None => BlobDone::Got(sent.label, map.borrow().get(&sent.key).cloned()),
+            }),
+            Medium::Group { servers, current } => {
+                let server = servers[*current];
+                let (corr, key) = (self.fresh_corr(), sent.key.clone());
+                let rpc = match sent.value.clone() {
+                    Some(value) => StoreRpc::Put { corr, key, value },
+                    None => StoreRpc::Get { corr, key },
+                };
+                ctx.send(server, rpc);
+                self.pending.insert(corr, sent);
+            }
+        }
     }
 
-    /// Sends a `Delete` for `key`, returning the correlation id its
-    /// [`StoreRpc::DeleteAck`] will carry. Callers that treat deletes as
-    /// fire-and-forget (dead log segments, superseded checkpoints) may
-    /// ignore the returned id.
-    pub fn delete(&mut self, ctx: &mut Ctx<'_>, key: &str) -> u64 {
-        let corr = self.corr();
-        ctx.send(
-            self.server(),
-            StoreRpc::Delete {
-                corr,
-                key: key.to_string(),
-            },
-        );
-        corr
+    /// Begins writing `value` under `key`, overwriting any prior blob.
+    pub fn put(&mut self, ctx: &mut Ctx<'_>, label: L, key: String, value: Vec<u8>) {
+        let value = Some(value);
+        self.issue(ctx, Sent { label, key, value });
+    }
+
+    /// Begins reading the blob under `key`.
+    pub fn get(&mut self, ctx: &mut Ctx<'_>, label: L, key: String) {
+        let value = None;
+        self.issue(ctx, Sent { label, key, value });
+    }
+
+    /// Deletes the blob under `key`. Fire-and-forget: a delete lost in the
+    /// network merely orphans a blob nothing references any more, so it is
+    /// not tracked and its ack completes nothing.
+    pub fn delete(&mut self, ctx: &mut Ctx<'_>, key: &str) {
+        match &self.medium {
+            Medium::Shared(map) => {
+                map.borrow_mut().remove(key);
+            }
+            Medium::Group { servers, current } => {
+                let (server, key) = (servers[*current], key.to_string());
+                let corr = self.fresh_corr();
+                ctx.send(server, StoreRpc::Delete { corr, key });
+            }
+        }
+    }
+
+    /// Takes a store reply. It completes the pending request carrying its
+    /// correlation id if that request is of the reply's kind; anything else
+    /// is dropped.
+    pub fn on_reply(&mut self, rpc: StoreRpc) {
+        let (corr, got) = match rpc {
+            StoreRpc::PutAck { corr } => (corr, None),
+            StoreRpc::GetResult { corr, value } => (corr, Some(value)),
+            _ => return,
+        };
+        // Complete only a request of the reply's kind: a put's ack delayed
+        // across a bounce must not cancel a get that drew the same id.
+        let Entry::Occupied(sent) = self.pending.entry(corr) else {
+            return;
+        };
+        let (is_put, acks_put) = (sent.get().value.is_some(), got.is_none());
+        if is_put != acks_put {
+            return;
+        }
+        let label = sent.remove().label;
+        self.done.push_back(match got {
+            None => BlobDone::Put(label),
+            Some(value) => BlobDone::Got(label, value),
+        });
+    }
+
+    /// The next finished request, in completion order.
+    pub fn next_done(&mut self) -> Option<BlobDone<L>> {
+        self.done.pop_front()
+    }
+
+    /// True while a put is unanswered or its completion not yet taken.
+    pub fn puts_left(&self) -> bool {
+        self.pending.values().any(|s| s.value.is_some())
+            || self.done.iter().any(|d| matches!(d, BlobDone::Put(_)))
+    }
+
+    /// True while a get is unanswered or its completion not yet taken.
+    pub fn gets_left(&self) -> bool {
+        self.pending.values().any(|s| s.value.is_none())
+            || self.done.iter().any(|d| matches!(d, BlobDone::Got(..)))
+    }
+
+    /// True while a request is unanswered: what a [`retry`](Self::retry)
+    /// would re-issue, and so whether a retry timer is worth arming.
+    pub fn awaits_reply(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Re-issues every unanswered request (the request or its reply was
+    /// lost, or the endpoint is down): moves to the next group member, then
+    /// re-sends in the original order under fresh correlation ids, so a
+    /// late reply to a superseded id is ignored. Returns whether anything
+    /// was unanswered.
+    pub fn retry(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        if self.pending.is_empty() {
+            return false;
+        }
+        if let Medium::Group { servers, current } = &mut self.medium {
+            *current = (*current + 1) % servers.len();
+        }
+        for sent in std::mem::take(&mut self.pending).into_values() {
+            self.issue(ctx, sent);
+        }
+        true
     }
 }

@@ -6,7 +6,10 @@
 //!   crash recovery (the RocksDB stand-in),
 //! * [`TableStore`] — minimal relational tables (the MySQL stand-in),
 //! * [`StoreServer`] — a simulated process serving both over [`StoreRpc`],
-//!   the `storeType`/`storeCfg` node from Table I.
+//!   the `storeType`/`storeCfg` node from Table I,
+//! * [`BlobClient`] — the client the durability tiers (broker log
+//!   segments, SPE checkpoints) keep their blobs through: a store group
+//!   over the network, or a shared [`BlobMap`] that answers at once.
 
 #![warn(missing_docs)]
 
@@ -15,7 +18,7 @@ mod kv;
 mod server;
 mod table;
 
-pub use blob::BlobClient;
+pub use blob::{blob_map, BlobClient, BlobDone, BlobMap};
 pub use kv::KvStore;
 pub use server::{StateTransfer, StoreConfig, StoreOp, StoreRecoveryInfo, StoreRpc, StoreServer};
 pub use table::{TableError, TableStore};

@@ -8,8 +8,9 @@
 //! the fault-tolerance subsystems: SPE checkpoints persist snapshots under
 //! `ckpt/<job>` keys (`s2g_spe`'s `DurableBackend`), and durable broker
 //! logs persist segments and meta blobs under `brokerlog/<broker>/...`
-//! keys (`s2g_broker`'s `DurableLogBackend`) — both paying this server's
-//! CPU cost and the network path to reach it.
+//! keys (`s2g_broker::Broker::set_durability`) — both through a
+//! [`BlobClient`](crate::BlobClient), paying this server's CPU cost and
+//! the network path to reach it.
 //!
 //! # Replication
 //!

@@ -112,3 +112,79 @@ fn full_surface_description_runs() {
     // The fault plan applied (loss/latency changes do not break delivery).
     assert_eq!(result.report.producers[0].stats.acked, 2);
 }
+
+#[test]
+fn a_malformed_attribute_is_an_error_naming_place_key_and_value() {
+    // One typo per attribute the front end parses itself. Each used to be
+    // dropped silently, running a different experiment than the one
+    // described; `mode` fell back to ZooKeeper on anything but `kraft`.
+    let typo = |from: &str, to: &str| {
+        assert!(FULL_SURFACE.contains(from), "{from} is in the document");
+        FULL_SURFACE.replacen(from, to, 1)
+    };
+    let seed = r#"<data key="seed">9</data>"#;
+    let cases = [
+        (
+            "graph",
+            "seed",
+            "nine",
+            typo(seed, r#"<data key="seed">nine</data>"#),
+        ),
+        (
+            "graph",
+            "durationS",
+            "30s",
+            typo(">30</data>", ">30s</data>"),
+        ),
+        (
+            "graph",
+            "mode",
+            "kraf",
+            typo(seed, r#"<data key="mode">kraf</data>"#),
+        ),
+        (
+            "node h1",
+            "cpuPercentage",
+            "half",
+            typo(">50</data>", ">half</data>"),
+        ),
+        ("edge s1->h1", "st", "-1", typo(r#""st">1<"#, r#""st">-1<"#)),
+        (
+            "edge s1->h1",
+            "dt",
+            "65536",
+            typo(r#""dt">1<"#, r#""dt">65536<"#),
+        ),
+        (
+            "edge s1->h1",
+            "lat",
+            "5ms",
+            typo(r#""lat">5<"#, r#""lat">5ms<"#),
+        ),
+        (
+            "edge s1->h1",
+            "bw",
+            "fast",
+            typo(">100</data>", ">fast</data>"),
+        ),
+        (
+            "edge s1->h1",
+            "loss",
+            "0,0",
+            typo(">0.0</data>", ">0,0</data>"),
+        ),
+    ];
+    for (at, key, value, xml) in cases {
+        let err = scenario_from_graphml("typo", &xml, &bundle()).expect_err(key);
+        let shown = err.to_string();
+        assert!(
+            [at, key, value].iter().all(|part| shown.contains(part)),
+            "`{key}` = `{value}` at {at} must be named, got: {shown}"
+        );
+    }
+    // Both spellings of a mode that exists still load.
+    for mode in ["zk", "kraft"] {
+        let xml = typo(seed, &format!(r#"<data key="mode">{mode}</data>"#));
+        scenario_from_graphml("mode", &xml, &bundle()).expect(mode);
+    }
+}

@@ -398,8 +398,8 @@ fn scaling_throughput_is_monotone_in_parallelism() {
 /// Hotpath bench (`--bench hotpath`): batching buys at least the 3x the
 /// acceptance gate demands over the one-record-per-request baseline, at a
 /// far lower produce p99, with the zero-copy data plane intact. These are
-/// the same numbers CI's `perf-gate` job checks against the committed
-/// floor file, so a regression fails here first.
+/// the same numbers `figures --bench hotpath` holds itself to
+/// (`hotpath_gate`), so a regression fails here first.
 #[test]
 fn hotpath_batching_beats_unbatched_by_3x() {
     let points = hotpath_sweep(Scale::Smoke, 11);

@@ -261,6 +261,130 @@ fn unreplicated_store_group_still_works() {
 }
 
 // ---------------------------------------------------------------------------
+// The broker's durable log through the same store faults.
+// ---------------------------------------------------------------------------
+
+const BROKER_CRASH: SimTime = SimTime::from_millis(4_500);
+
+/// The word-count pipeline with the broker's log persisted through a
+/// three-member store group. No checkpointing: the group carries broker
+/// segments and meta blobs only, so every store RPC lost or left
+/// unanswered is the broker's to retry.
+fn build_durable_broker() -> Scenario {
+    // A produce is acked only once its flush is durable, so every lost
+    // store RPC stalls the producer for a retry interval: leave time.
+    let mut sc = recovery_scenario(
+        WORDS,
+        SimDuration::from_millis(WORD_INTERVAL_MS),
+        SimTime::from_secs(60),
+        SEED,
+    );
+    sc.store("h6", StoreConfig::default());
+    sc.with_replicated_store(3);
+    sc.with_durable_broker("h6");
+    sc
+}
+
+/// Runs `faulted` twice and the fault-free pipeline once, and checks what a
+/// store fault followed by a broker bounce may not change: every record
+/// acked before the crash is replayed (the log ends complete and the sink
+/// output equals the fault-free run byte for byte), flushes keep landing
+/// after the fault, and the run reproduces exactly from its seed.
+fn assert_durable_log_survives(faulted: impl Fn() -> Scenario) -> RunResult {
+    let baseline = build_durable_broker().run().expect("baseline runs");
+    let result = faulted().run().expect("faulted runs");
+    assert_eq!(
+        sink_bytes(&result),
+        sink_bytes(&baseline),
+        "the bounce must not change the sink output"
+    );
+    let report = &result.report;
+    assert_eq!(report.producers[0].stats.acked, WORDS as u64);
+    let broker = result
+        .sim
+        .process_ref::<Broker>(result.broker_pids[0])
+        .expect("broker");
+    let words = stream2gym::proto::TopicPartition::new("words", 0);
+    let log = broker.log(&words).expect("words log");
+    assert_eq!(
+        log.log_end().value(),
+        WORDS as u64,
+        "an acked record that was not replayed is never re-sent: the log would end short"
+    );
+    let b = &report.brokers[0];
+    let rec = b.recovery.expect("broker crash recorded");
+    assert_eq!(rec.crashed_at, BROKER_CRASH);
+    assert!(rec.recovered_at.is_some(), "replay completed");
+    assert!(rec.replayed_records > 0 && rec.replayed_segments > 0);
+    // The respawn's counters start at zero, after the store fault began.
+    assert!(b.stats.log_flushes > 0, "flushes keep landing");
+    let again = faulted().run().expect("faulted runs again");
+    assert_eq!(sink_bytes(&again), sink_bytes(&result));
+    let key = |r: &RunResult| {
+        let b = &r.report.brokers[0];
+        let stats = (b.stats.log_flushes, b.stats.log_flushed_bytes);
+        let stores: Vec<(u64, bool)> = (r.report.stores.iter())
+            .map(|s| (s.kv_keys, s.is_primary))
+            .collect();
+        (b.recovery, stats, stores, r.report.sim_stats)
+    };
+    assert_eq!(key(&again), key(&result), "same seed, same run");
+    result
+}
+
+#[test]
+fn durable_broker_log_survives_a_store_primary_crash_then_a_bounce() {
+    // The store primary dies while the producer is mid-stream, so flushes
+    // in flight go unanswered: the broker's retry rotates to a surviving
+    // member. The broker then bounces while member 0 is still down, so its
+    // respawn's first recovery reads hit the dead endpoint too.
+    let result = assert_durable_log_survives(|| {
+        let mut sc = build_durable_broker();
+        let plan = FaultPlan::new().crash_restart_store(
+            0,
+            SimTime::from_millis(2_000),
+            SimDuration::from_secs(6),
+        );
+        sc.faults(plan.crash_restart_broker(0, BROKER_CRASH, SimDuration::from_secs(1)));
+        sc
+    });
+    let s0 = &result.report.stores[0];
+    assert!(!s0.is_primary, "the bounced replica rejoins as a follower");
+    let rec = result.report.brokers[0].recovery.expect("crash recorded");
+    let replay = rec.replay_latency().expect("replayed");
+    assert!(
+        replay >= SimDuration::from_secs(2),
+        "the replay waited out a retry interval on the dead endpoint: {replay:?}"
+    );
+}
+
+#[test]
+fn durable_broker_log_survives_a_lossy_store_link_then_a_bounce() {
+    // 5 % loss on the store primary's access link drops segment puts, their
+    // acks and quorum traffic; only the broker's retry gets a flush whose
+    // put or ack was lost acknowledged at all.
+    let result = assert_durable_log_survives(|| {
+        let mut sc = build_durable_broker();
+        sc.host_link(
+            "h6",
+            stream2gym::net::LinkSpec::new()
+                .latency(SimDuration::from_millis(2))
+                .loss_pct(5.0),
+        );
+        sc.faults(FaultPlan::new().crash_restart_broker(
+            0,
+            BROKER_CRASH,
+            SimDuration::from_secs(1),
+        ));
+        sc
+    });
+    assert!(
+        result.report.sim_stats.messages_dropped > 0,
+        "the lossy link must actually drop store traffic"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Durability-ordering tests: manifest-after-blob.
 // ---------------------------------------------------------------------------
 
@@ -308,18 +432,18 @@ impl Process for OrphanBlobHarness {
             // Orphan blob durable; now recover through a fresh backend,
             // exactly like a respawned worker would.
             self.stage = 2;
-            let mut rb = DurableBackend::new(self.store);
+            let mut rb = DurableBackend::new(vec![self.store], 1);
             rb.recover(ctx, "job");
             self.recover_backend = Some(rb);
             return;
         }
         if let Some(rb) = self.recover_backend.as_mut() {
-            if let BackendEvent::Recovered { chain, .. } = rb.on_store_rpc(ctx, "job", &rpc) {
+            if let BackendEvent::Recovered { chain, .. } = rb.on_store_rpc(ctx, "job", *rpc) {
                 self.restored = Some(chain.map(|c| c.base));
             }
             return;
         }
-        match self.backend.on_store_rpc(ctx, "job", &rpc) {
+        match self.backend.on_store_rpc(ctx, "job", *rpc) {
             BackendEvent::PersistCompleted if self.stage == 0 => {
                 // Snapshot A is fully durable (blob + manifest). Plant the
                 // chain-2 base blob WITHOUT its manifest: the post-failure
@@ -345,7 +469,7 @@ fn store_failure_between_blob_and_manifest_falls_back_to_previous_chain() {
     let store = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
     let harness = sim.spawn(Box::new(OrphanBlobHarness {
         store,
-        backend: DurableBackend::new(store),
+        backend: DurableBackend::new(vec![store], 0),
         recover_backend: None,
         stage: 0,
         restored: None,
@@ -412,7 +536,7 @@ impl Process for PersistDriver {
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
         if let Ok(rpc) = downcast::<StoreRpc>(msg) {
-            let _ = self.backend.on_store_rpc(ctx, "job", &rpc);
+            let _ = self.backend.on_store_rpc(ctx, "job", *rpc);
         }
     }
 }
@@ -428,7 +552,7 @@ fn manifest_put_waits_for_the_blob_ack() {
         ack_blobs: false,
     }));
     sim.spawn(Box::new(PersistDriver {
-        backend: DurableBackend::new(store),
+        backend: DurableBackend::new(vec![store], 0),
     }));
     sim.run_until(SimTime::from_secs(5));
     let st = sim.process_ref::<BlackholeBlobStore>(store).expect("store");
@@ -445,7 +569,7 @@ fn manifest_put_waits_for_the_blob_ack() {
         ack_blobs: true,
     }));
     sim.spawn(Box::new(PersistDriver {
-        backend: DurableBackend::new(store),
+        backend: DurableBackend::new(vec![store], 0),
     }));
     sim.run_until(SimTime::from_secs(5));
     let st = sim.process_ref::<BlackholeBlobStore>(store).expect("store");
@@ -453,6 +577,85 @@ fn manifest_put_waits_for_the_blob_ack() {
         st.received,
         vec!["ckpt/job/1/base".to_string(), "ckpt/job".to_string()],
         "the manifest publish strictly follows the blob's durability"
+    );
+}
+
+/// A store stand-in that records every Put and acks none in time: the
+/// first put's ack is "in the network" until the second put arrives, then
+/// it lands — at whoever owns the requester's pid by then.
+struct DelayedAckStore {
+    puts: Vec<(u64, String)>,
+}
+
+impl Process for DelayedAckStore {
+    fn name(&self) -> &str {
+        "delayed-ack-store"
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
+        if let Ok(rpc) = downcast::<StoreRpc>(msg) {
+            if let StoreRpc::Put { corr, key, .. } = *rpc {
+                self.puts.push((corr, key));
+                if self.puts.len() == 2 {
+                    let corr = self.puts[0].0;
+                    ctx.send(from, StoreRpc::PutAck { corr });
+                }
+            }
+        }
+    }
+}
+
+/// A worker that persists, bounces one second later, and persists again
+/// as its respawn — each incarnation's backend built the way the
+/// orchestrator builds it, from the slot's incarnation number.
+struct BouncingWorker {
+    store: ProcessId,
+    backend: DurableBackend,
+}
+
+impl Process for BouncingWorker {
+    fn name(&self) -> &str {
+        "bouncing-worker"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let payload = CheckpointPayload::Full(sample_snapshot(1));
+        self.backend.persist(ctx, "job", &payload);
+        ctx.set_timer(SimDuration::from_secs(1), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+        self.backend = DurableBackend::new(vec![self.store], 1);
+        let payload = CheckpointPayload::Full(sample_snapshot(2));
+        self.backend.persist(ctx, "job", &payload);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+        if let Ok(rpc) = downcast::<StoreRpc>(msg) {
+            let _ = self.backend.on_store_rpc(ctx, "job", *rpc);
+        }
+    }
+}
+
+#[test]
+fn stale_put_ack_across_a_worker_bounce_completes_nothing() {
+    // The pre-bounce incarnation's blob ack arrives at the respawn while
+    // its own blob put is unanswered. Were the two to share a correlation
+    // id, the respawn would take the ack for its own and publish a
+    // manifest pointing at a blob the store never acknowledged.
+    let mut sim = Sim::new(3);
+    let store = sim.spawn(Box::new(DelayedAckStore { puts: Vec::new() }));
+    sim.spawn(Box::new(BouncingWorker {
+        store,
+        backend: DurableBackend::new(vec![store], 0),
+    }));
+    sim.run_until(SimTime::from_secs(5));
+    let st = sim.process_ref::<DelayedAckStore>(store).expect("store");
+    let keys: Vec<&str> = st.puts.iter().map(|(_, key)| key.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["ckpt/job/1/base", "ckpt/job/1/base"],
+        "no manifest may follow a blob that was never acked"
+    );
+    assert_ne!(
+        st.puts[0].0, st.puts[1].0,
+        "the two incarnations draw disjoint correlation ids"
     );
 }
 
