@@ -232,6 +232,10 @@ pub struct ScenarioFacts {
     pub durability_store_host: Option<String>,
     /// `with_transactional_sinks` was called.
     pub transactional_sinks: bool,
+    /// Self-re-arming periods that no config above carries, as
+    /// `(owner, knob, period)`: the telemetry sampler's while telemetry is
+    /// on, the resource sampler's, and each store's ticks (S2G027).
+    pub other_periods: Vec<(String, &'static str, SimDuration)>,
 }
 
 impl ScenarioFacts {

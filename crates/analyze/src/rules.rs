@@ -42,6 +42,7 @@ pub fn analyze(facts: &ScenarioFacts) -> AnalysisReport {
     rule_store_crash_durability(facts, &mut out);
     rule_restart_without_crash(facts, &mut out);
     rule_host_overrides(facts, &mut out);
+    rule_zero_periods(facts, &mut out);
     AnalysisReport::new(out)
 }
 
@@ -792,6 +793,88 @@ fn rule_host_overrides(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
             &[knob],
             format!("{hint}place a component on `{host}` or drop the override"),
         ));
+    }
+}
+
+/// S2G027 (deny): a self-re-arming period of zero — the timer fires and
+/// re-arms at the same instant forever, so simulated time never advances
+/// and the run spins until the event limit (by default, never). Covers the
+/// periods shown to livelock this way, not one-shot delays or costs.
+fn rule_zero_periods(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
+    // `owner` is only formatted for a period that is zero.
+    let mut check = |owner: std::fmt::Arguments<'_>, knobs: &[(&str, SimDuration)]| {
+        for (knob, _) in knobs.iter().filter(|k| k.1 == SimDuration::ZERO) {
+            out.push(Diagnostic::new(
+                "S2G027",
+                Level::Deny,
+                format!(
+                    "{owner} has a zero `{knob}`: its timer re-arms at the same instant \
+                     forever and simulated time never advances"
+                ),
+                &[knob],
+                format!("give `{knob}` a positive duration"),
+            ));
+        }
+    };
+    for (owner, knob, period) in &f.other_periods {
+        check(format_args!("{owner}"), &[(knob, *period)]);
+    }
+    let ctl = &f.controller;
+    check(
+        format_args!("the controller"),
+        &[
+            ("session_check_interval", ctl.session_check_interval),
+            ("preferred_election_delay", ctl.preferred_election_delay),
+        ],
+    );
+    for b in &f.brokers {
+        check(
+            format_args!("broker on `{}`", b.host),
+            &[
+                ("replica_fetch_interval", b.cfg.replica_fetch_interval),
+                ("isr_check_interval", b.cfg.isr_check_interval),
+                ("heartbeat_interval", b.cfg.heartbeat_interval),
+                ("background_interval", b.cfg.background_interval),
+            ],
+        );
+    }
+    for p in &f.producers {
+        check(
+            format_args!("producer `{}`", p.name),
+            &[
+                ("background_interval", p.cfg.background_interval),
+                ("request_timeout", p.cfg.request_timeout),
+            ],
+        );
+    }
+    for c in &f.consumers {
+        let owner = format_args!("consumer `{}`", c.name);
+        if c.cfg.group_membership {
+            let heartbeat = c.cfg.group_heartbeat_interval;
+            check(owner, &[("group_heartbeat_interval", heartbeat)]);
+        }
+        check(
+            owner,
+            &[
+                ("poll_interval", c.cfg.poll_interval),
+                ("background_interval", c.cfg.background_interval),
+            ],
+        );
+    }
+    for j in &f.jobs {
+        let owner = format_args!("SPE job `{}`", j.name);
+        if let Some(c) = j.cfg.checkpoint {
+            check(owner, &[("checkpoint.interval", c.interval)]);
+        }
+        check(
+            owner,
+            &[
+                ("batch_interval", j.cfg.batch_interval),
+                ("background_interval", j.cfg.background_interval),
+                ("consumer.poll_interval", j.cfg.consumer.poll_interval),
+                ("producer.request_timeout", j.cfg.producer.request_timeout),
+            ],
+        );
     }
 }
 

@@ -521,11 +521,7 @@ pub fn compaction_sweep(history_counts: &[u64], scale: Scale, seed: u64) -> Vec<
             ),
         );
         let cfg = CheckpointCfg::exactly_once(SimDuration::from_millis(500));
-        if incremental {
-            sc.with_incremental_checkpointing(cfg, 8);
-        } else {
-            sc.with_checkpointing(cfg);
-        }
+        sc.with_checkpointing(if incremental { cfg.incremental(8) } else { cfg });
         let result = sc.run().expect("valid scenario");
         let stats = result.report.spe["keycount"].checkpoints;
         if incremental {

@@ -8,7 +8,7 @@ use s2g_broker::{BrokerStats, ConsumerStats, ProduceOutcome, ProducerStats, Sent
 use s2g_net::{NetHandle, TxSeries};
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
 use s2g_sim::{CpuHandle, LedgerHandle, ProcessId, Sim, SimDuration, SimStats, SimTime};
-use s2g_spe::{BatchMetric, CheckpointStats, Event, SnapshotStoreHandle};
+use s2g_spe::{BatchMetric, CheckpointStats, Event};
 use s2g_telemetry::{MetricSeries, SummaryStats, Telemetry};
 
 use crate::monitor::{DeliveryMatrix, MonitorHandle};
@@ -322,9 +322,6 @@ pub struct RunResult {
     /// Every store replica's process id, by declared host, in member-index
     /// order (equals `store_pids` singletons without replication).
     pub store_group_pids: BTreeMap<String, Vec<ProcessId>>,
-    /// The in-memory checkpoint snapshots taken during the run, by job name
-    /// (empty for durable backends, whose snapshots live in the store).
-    pub checkpoint_snapshots: SnapshotStoreHandle,
     /// The run-wide telemetry handle: the live metrics registry, the
     /// sampled time series (`tidy_csv()`), and the causal event trace
     /// (`chrome_json()` when tracing was enabled).

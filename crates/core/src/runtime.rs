@@ -24,8 +24,7 @@ use s2g_sim::{
     SimTime,
 };
 use s2g_spe::{
-    snapshot_store, BatchMetric, CheckpointStats, DurableBackend, Event, InMemoryBackend,
-    SnapshotStoreHandle, SpeSink, SpeWorker, StageInstanceCfg, StateBackend,
+    BatchMetric, CheckpointStats, DurableBackend, Event, SpeSink, SpeWorker, StageInstanceCfg,
 };
 use s2g_store::{blob_map, BlobClient, BlobMap, StoreServer};
 use s2g_telemetry::Telemetry;
@@ -51,11 +50,11 @@ struct Wiring {
     ledger: LedgerHandle,
     tele: Telemetry,
     monitor: MonitorHandle,
-    /// The brokers' always-synced "local disk" (`with_recoverable_broker`).
-    log_store: BlobMap,
-    /// In-memory checkpoint snapshots, outside every worker's failure
-    /// domain.
-    snapshots: SnapshotStoreHandle,
+    /// The run's in-memory blobs, outside every process's failure domain:
+    /// the brokers' always-synced "local disk" (`with_recoverable_broker`,
+    /// keys under `brokerlog/`) and the job manager's heap of checkpoints
+    /// (`with_checkpointing`, keys under `ckpt/`).
+    blobs: BlobMap,
 }
 
 /// One crashable component — broker, store replica, SPE worker, producer
@@ -167,8 +166,7 @@ impl Runtime {
             ledger: MemLedger::new(baseline).into_handle(),
             tele,
             monitor: MonitorCore::new_handle(spec.capture_records),
-            log_store: blob_map(),
-            snapshots: snapshot_store(),
+            blobs: blob_map(),
         };
         let mut rt = Runtime {
             prev_stage_par: plan.jobs.iter().map(|j| j.stage_par.clone()).collect(),
@@ -374,6 +372,25 @@ impl Runtime {
         &self.wiring.store_groups[group]
     }
 
+    /// What the component in `slot` keeps a durability tier's blobs
+    /// through, built by the tier's constructor for the medium `tier`
+    /// names: `shared` over the run's blob map, or `group` over the store
+    /// group's members under the slot's incarnation.
+    fn blob_store<T>(
+        &self,
+        tier: &DurableStoreSpec,
+        slot: &Slot,
+        shared: impl FnOnce(BlobMap) -> T,
+        group: impl FnOnce(Vec<ProcessId>, u64) -> T,
+    ) -> T {
+        match tier {
+            DurableStoreSpec::InMemory => shared(self.wiring.blobs.clone()),
+            DurableStoreSpec::StoreOn { host } => {
+                group(self.store_group_on(host).to_vec(), slot.incarnation)
+            }
+        }
+    }
+
     /// Builds the process of one component, for its first spawn or — with
     /// `recover` — for a respawn into the same slot.
     fn build_process(&self, key: ComponentRef, slot: &Slot, recover: bool) -> Box<dyn Process> {
@@ -391,12 +408,9 @@ impl Runtime {
                 b.set_incarnation(slot.incarnation);
                 b.set_telemetry(w.tele.clone());
                 match &self.spec.broker_durability {
-                    Some(DurableStoreSpec::InMemory) => {
-                        b.set_durability(BlobClient::shared(w.log_store.clone()), recover);
-                    }
-                    Some(DurableStoreSpec::StoreOn { host }) => {
-                        let group = self.store_group_on(host).to_vec();
-                        let store = BlobClient::new(group, BROKER_LOG_CORR_BASE, slot.incarnation);
+                    Some(tier) => {
+                        let group = |g, inc| BlobClient::new(g, BROKER_LOG_CORR_BASE, inc);
+                        let store = self.blob_store(tier, slot, BlobClient::shared, group);
                         b.set_durability(store, recover);
                     }
                     // Without a durable log the broker restarts empty (the
@@ -539,13 +553,11 @@ impl Runtime {
             });
         }
         if job.cfg.checkpoint.is_some() {
-            let backend: Box<dyn StateBackend> = match &self.plan.checkpoint_store_host {
-                Some(host) => {
-                    let group = self.store_group_on(host).to_vec();
-                    Box::new(DurableBackend::new(group, slot.incarnation))
-                }
-                None => Box::new(InMemoryBackend::new(self.wiring.snapshots.clone())),
-            };
+            // A job that brings its own schedule to a scenario without
+            // checkpointing keeps its captures in memory.
+            let tier = self.spec.checkpointing.as_ref().map(|c| &c.backend);
+            let tier = tier.unwrap_or(&DurableStoreSpec::InMemory);
+            let backend = self.blob_store(tier, slot, DurableBackend::shared, DurableBackend::new);
             w.attach_checkpointing(backend, recover);
         }
         // After the checkpointing attach so the coordinator is covered too.
@@ -769,7 +781,6 @@ impl Runtime {
             monitor: self.wiring.monitor,
             ledger: self.wiring.ledger,
             cpus: self.cpus,
-            checkpoint_snapshots: self.wiring.snapshots,
             telemetry: tele,
             report,
         }

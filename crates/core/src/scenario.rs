@@ -697,6 +697,25 @@ impl Scenario {
     /// Enables checkpointing for every SPE job (jobs that set their own
     /// `cfg.checkpoint` keep it), storing snapshots in memory outside the
     /// workers' failure domain.
+    ///
+    /// An [`incremental`](CheckpointCfg::incremental) config ships, after
+    /// each full base snapshot, only the keys/windows touched since the
+    /// previous capture, so snapshot bytes scale with churn instead of with
+    /// total state; after `max_delta_chain` deltas the next capture is
+    /// forced to re-base, bounding restore work. It composes with either
+    /// storage: pass it here or to
+    /// [`with_durable_checkpointing`](Scenario::with_durable_checkpointing).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use s2g_core::Scenario;
+    /// use s2g_spe::CheckpointCfg;
+    /// use s2g_sim::SimDuration;
+    ///
+    /// let mut sc = Scenario::new("incremental");
+    /// sc.with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_secs(1)).incremental(8));
+    /// ```
     pub fn with_checkpointing(&mut self, cfg: CheckpointCfg) -> &mut Self {
         self.checkpointing = Some(CheckpointSpec {
             cfg,
@@ -845,41 +864,6 @@ impl Scenario {
     /// Requires exactly-once checkpointing on the jobs.
     pub fn with_transactional_sinks(&mut self) -> &mut Self {
         self.transactional_sinks = true;
-        self
-    }
-
-    /// Enables *incremental* checkpointing for every SPE job: after each
-    /// full base snapshot, captures ship only the keys/windows touched
-    /// since the previous capture, so snapshot bytes scale with churn
-    /// instead of with total state. After `max_delta_chain` deltas the next
-    /// capture is forced to re-base, bounding restore work. Composes with
-    /// either backend — call this instead of
-    /// [`with_checkpointing`](Scenario::with_checkpointing), or pass an
-    /// [`incremental`](CheckpointCfg::incremental) config to
-    /// [`with_durable_checkpointing`](Scenario::with_durable_checkpointing).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use s2g_core::Scenario;
-    /// use s2g_spe::CheckpointCfg;
-    /// use s2g_sim::SimDuration;
-    ///
-    /// let mut sc = Scenario::new("incremental");
-    /// sc.with_incremental_checkpointing(
-    ///     CheckpointCfg::exactly_once(SimDuration::from_secs(1)),
-    ///     8,
-    /// );
-    /// ```
-    pub fn with_incremental_checkpointing(
-        &mut self,
-        cfg: CheckpointCfg,
-        max_delta_chain: u32,
-    ) -> &mut Self {
-        self.checkpointing = Some(CheckpointSpec {
-            cfg: cfg.incremental(max_delta_chain),
-            backend: DurableStoreSpec::InMemory,
-        });
         self
     }
 
@@ -1195,6 +1179,7 @@ impl Scenario {
             checkpoint_store_host: store_host(self.checkpointing.as_ref().map(|c| &c.backend)),
             durability_store_host: store_host(self.broker_durability.as_ref()),
             transactional_sinks: self.transactional_sinks,
+            other_periods: self.other_periods(),
         };
         // The layout: derived from the components resolved above.
         plan.required_hosts = required_hosts(&plan);
@@ -1226,6 +1211,28 @@ impl Scenario {
             })
         };
         self.stores.iter().enumerate().flat_map(replicas).collect()
+    }
+
+    /// The self-re-arming periods that live on the scenario itself rather
+    /// than in a component config the facts carry.
+    fn other_periods(&self) -> Vec<(String, &'static str, SimDuration)> {
+        let sampler = "the resource sampler".to_string();
+        let sample_interval = self.server.sample_interval;
+        let mut periods = vec![(sampler, "server.sample_interval", sample_interval)];
+        if self.telemetry {
+            let sampler = "the telemetry sampler".to_string();
+            periods.push((sampler, "telemetry_interval", self.telemetry_interval));
+        }
+        for (host, cfg) in &self.stores {
+            let owner = format!("store on `{host}`");
+            // An unreplicated store has no group to heartbeat to.
+            if self.store_replication > 1 {
+                let heartbeat = cfg.group_heartbeat_interval;
+                periods.push((owner.clone(), "group_heartbeat_interval", heartbeat));
+            }
+            periods.push((owner, "background_interval", cfg.background_interval));
+        }
+        periods
     }
 
     /// Runs the full static feasibility ruleset over this scenario without

@@ -12,11 +12,13 @@
 //!   full base snapshot. Snapshot bytes scale with churn instead of with
 //!   total state, and a configurable chain cap bounds restore work by
 //!   forcing a re-base;
-//! * [`StateBackend`] — pluggable snapshot storage: [`InMemoryBackend`]
-//!   models a job-manager heap outside the worker's failure domain (free,
-//!   instant), [`DurableBackend`] persists through an
-//!   [`s2g_store::StoreServer`], paying simulated CPU and network cost on
-//!   every blob written and read;
+//! * [`DurableBackend`] — the one checkpoint store: every capture is an
+//!   encoded blob plus a chain manifest behind an [`s2g_store::BlobClient`].
+//!   Where the blobs live is the client's medium, not a second
+//!   implementation: a store group ([`DurableBackend::new`]), paying
+//!   simulated CPU and network cost on every blob written and read, or the
+//!   run's shared [`BlobMap`] ([`DurableBackend::shared`]), which models a
+//!   job-manager heap outside the worker's failure domain (free, instant);
 //! * [`CheckpointCoordinator`] — drives the interval, full-vs-delta
 //!   scheduling, the output barrier, and the offset-commit schedule that
 //!   distinguishes [`CheckpointMode::ExactlyOnce`] from
@@ -52,16 +54,14 @@
 //! plus the windows dropped by emission, and absolute copies of the cheap
 //! worker-level state (offsets, input buffer, record counters). Restore
 //! applies the base then replays the deltas in sequence; the chain cap
-//! bounds both restore work and the blob count a durable backend must read.
+//! bounds both restore work and the blob count a restore must read back.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use s2g_proto::codec::{put_u64, Cursor};
 use s2g_proto::{Offset, TopicPartition};
 use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
-use s2g_store::{BlobClient, BlobDone, StoreRpc};
+use s2g_store::{BlobClient, BlobDone, BlobMap, StoreRpc};
 use s2g_telemetry::Telemetry;
 
 use crate::event::{CodecError, Event, Value};
@@ -114,22 +114,12 @@ impl CheckpointCfg {
 
     /// Exactly-once checkpointing on the given interval (full snapshots).
     pub fn exactly_once(interval: SimDuration) -> Self {
-        CheckpointCfg {
-            interval,
-            mode: CheckpointMode::ExactlyOnce,
-            incremental: false,
-            max_delta_chain: DEFAULT_MAX_DELTA_CHAIN,
-        }
+        Self::new(interval, CheckpointMode::ExactlyOnce)
     }
 
     /// At-least-once checkpointing on the given interval (full snapshots).
     pub fn at_least_once(interval: SimDuration) -> Self {
-        CheckpointCfg {
-            interval,
-            mode: CheckpointMode::AtLeastOnce,
-            incremental: false,
-            max_delta_chain: DEFAULT_MAX_DELTA_CHAIN,
-        }
+        Self::new(interval, CheckpointMode::AtLeastOnce)
     }
 
     /// Switches to incremental captures with the given delta-chain cap.
@@ -309,7 +299,7 @@ impl StateSnapshot {
         })
     }
 
-    /// Serializes to the compact binary format (the durable-backend payload).
+    /// Serializes to the compact binary format (the blob a backend stores).
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_value().encode()
     }
@@ -322,11 +312,6 @@ impl StateSnapshot {
     pub fn from_bytes(buf: &[u8]) -> Result<StateSnapshot, CodecError> {
         let v = Value::decode(buf)?;
         StateSnapshot::from_value(&v).ok_or(CodecError::Truncated)
-    }
-
-    /// Encoded size in bytes — the cost a durable backend pays.
-    pub fn encoded_len(&self) -> usize {
-        self.to_bytes().len()
     }
 }
 
@@ -403,15 +388,10 @@ impl StateDelta {
         let v = Value::decode(buf)?;
         StateDelta::from_value(&v).ok_or(CodecError::Truncated)
     }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.to_bytes().len()
-    }
 }
 
-/// One capture handed to a [`StateBackend`]: a full base snapshot or a
-/// delta chained onto the current base.
+/// One capture handed to [`DurableBackend::persist`]: a full base snapshot
+/// or a delta chained onto the current base.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointPayload {
     /// A full snapshot — starts a fresh chain.
@@ -434,14 +414,6 @@ impl CheckpointPayload {
         match self {
             CheckpointPayload::Full(s) => &s.offsets,
             CheckpointPayload::Delta(d) => &d.offsets,
-        }
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            CheckpointPayload::Full(s) => s.encoded_len(),
-            CheckpointPayload::Delta(d) => d.encoded_len(),
         }
     }
 
@@ -526,149 +498,35 @@ impl SnapshotChain {
             .chain(deltas)
             .collect()
     }
-
-    /// Total encoded bytes across base and deltas — what a restore reads.
-    pub fn encoded_len(&self) -> usize {
-        self.base.encoded_len()
-            + self
-                .deltas
-                .iter()
-                .map(StateDelta::encoded_len)
-                .sum::<usize>()
-    }
 }
 
-/// The outcome of a [`StateBackend::persist`] call. Both variants carry the
-/// encoded payload size so stats never need a second serialization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PersistOutcome {
-    /// The payload is durable now; `bytes` is its encoded size.
-    Done(u64),
-    /// Persistence is in flight; completion arrives through
-    /// [`StateBackend::on_store_rpc`] as
-    /// [`BackendEvent::PersistCompleted`].
-    Pending {
-        /// Encoded payload size already on the wire.
-        bytes: u64,
-    },
+/// A completed recovery, as [`CheckpointCoordinator::start_recovery`] or
+/// [`StoreRpcOutcome::Recovered`] hands it to the worker.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    /// One chain per requested name, in order (`None` where nothing was
+    /// persisted — all `None` on a cold start).
+    pub chains: Vec<Option<SnapshotChain>>,
+    /// Total encoded bytes of the captures read (base + deltas) across
+    /// every chain.
+    pub bytes: u64,
 }
 
-/// The outcome of a [`StateBackend::recover`] call.
+/// What a store message meant to checkpointing: the answer of
+/// [`CheckpointCoordinator::on_store_rpc`] and, one level down, of
+/// [`DurableBackend::on_store_rpc`] (whose recoveries read one chain each).
 #[derive(Debug)]
-pub enum RecoverOutcome {
-    /// Recovery finished; the latest chain (or `None` if none exists).
-    Done(Option<SnapshotChain>),
-    /// Reads are in flight; the chain arrives through
-    /// [`StateBackend::on_store_rpc`] as [`BackendEvent::Recovered`].
-    Pending,
-}
-
-/// What a [`StateBackend`] made of a store RPC routed to it.
-#[derive(Debug)]
-pub enum BackendEvent {
-    /// The message did not belong to this backend's pending IO.
+pub enum StoreRpcOutcome {
+    /// The message did not belong to checkpoint bookkeeping, or left its
+    /// persist or recovery still waiting for other replies.
     NotMine,
-    /// A pending persist completed.
+    /// A pending capture persist completed.
     PersistCompleted,
-    /// A pending recovery completed with this chain (or none on a cold
-    /// start); `bytes` is the total encoded size read back.
-    Recovered {
-        /// The restored chain, if one was persisted.
-        chain: Option<SnapshotChain>,
-        /// Encoded bytes read (0 on a cold start).
-        bytes: u64,
-    },
+    /// A pending recovery completed.
+    Recovered(Recovered),
 }
 
-/// Pluggable snapshot storage for checkpoints. Backends own their pending
-/// IO: an asynchronous backend routes store replies through
-/// [`on_store_rpc`](StateBackend::on_store_rpc) and re-issues lost RPCs in
-/// [`retry_pending_io`](StateBackend::retry_pending_io).
-pub trait StateBackend {
-    /// Begins persisting `payload` as the next capture of `job`.
-    fn persist(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        job: &str,
-        payload: &CheckpointPayload,
-    ) -> PersistOutcome;
-
-    /// Begins recovering the latest persisted chain of `job`.
-    fn recover(&mut self, ctx: &mut Ctx<'_>, job: &str) -> RecoverOutcome;
-
-    /// Routes a store RPC to this backend's pending IO. Synchronous
-    /// backends never have any.
-    fn on_store_rpc(&mut self, _ctx: &mut Ctx<'_>, _job: &str, _rpc: StoreRpc) -> BackendEvent {
-        BackendEvent::NotMine
-    }
-
-    /// Re-issues whatever store RPCs are still pending (the request — or
-    /// its response — was lost in the network). Returns `true` when
-    /// something was retried.
-    fn retry_pending_io(&mut self, _ctx: &mut Ctx<'_>) -> bool {
-        false
-    }
-
-    /// True while a persist or recovery is awaiting store responses.
-    fn has_pending_io(&self) -> bool {
-        false
-    }
-}
-
-/// Shared snapshot storage for [`InMemoryBackend`]s. Lives outside the
-/// worker process, so it survives worker crashes — the moral equivalent of
-/// a job manager's heap. Maps job name → its current [`SnapshotChain`].
-pub type SnapshotStoreHandle = Rc<RefCell<BTreeMap<String, SnapshotChain>>>;
-
-/// Creates an empty shared snapshot store.
-pub fn snapshot_store() -> SnapshotStoreHandle {
-    Rc::new(RefCell::new(BTreeMap::new()))
-}
-
-/// Snapshot storage on the coordinator's heap: instant and free, but gone if
-/// the whole scenario host were to fail (which the simulation never models).
-pub struct InMemoryBackend {
-    store: SnapshotStoreHandle,
-}
-
-impl InMemoryBackend {
-    /// Creates a backend over a shared store handle.
-    pub fn new(store: SnapshotStoreHandle) -> Self {
-        InMemoryBackend { store }
-    }
-}
-
-impl StateBackend for InMemoryBackend {
-    fn persist(
-        &mut self,
-        _ctx: &mut Ctx<'_>,
-        job: &str,
-        payload: &CheckpointPayload,
-    ) -> PersistOutcome {
-        let bytes = payload.encoded_len() as u64;
-        let mut store = self.store.borrow_mut();
-        match payload {
-            CheckpointPayload::Full(snapshot) => {
-                store.insert(job.to_string(), SnapshotChain::new(snapshot.clone()));
-            }
-            CheckpointPayload::Delta(delta) => {
-                // The coordinator always persists a base before any delta.
-                if let Some(chain) = store.get_mut(job) {
-                    chain.deltas.push(delta.clone());
-                } else {
-                    debug_assert!(false, "delta persisted before any base");
-                }
-            }
-        }
-        PersistOutcome::Done(bytes)
-    }
-
-    fn recover(&mut self, _ctx: &mut Ctx<'_>, job: &str) -> RecoverOutcome {
-        RecoverOutcome::Done(self.store.borrow().get(job).cloned())
-    }
-}
-
-/// The durable backend's label for a blob request: what the blob is.
+/// The backend's label for a blob request: what the blob is.
 #[derive(Debug)]
 enum CkptBlob {
     /// The chain manifest.
@@ -678,22 +536,27 @@ enum CkptBlob {
     Capture(u64),
 }
 
-/// Blobs gathered while a durable recovery is in flight.
+/// Blobs gathered while a recovery is in flight.
 #[derive(Default)]
 struct RecoverAssembly {
     chain: u64,
     count: u64,
     base: Option<StateSnapshot>,
     deltas: BTreeMap<u64, StateDelta>,
+    /// Encoded bytes of the capture blobs read (the manifest is a pointer,
+    /// not restored state).
     bytes: u64,
 }
 
-/// Snapshot storage through an [`s2g_store::StoreServer`]: every persist
-/// ships the encoded blob plus a tiny chain manifest over the emulated
-/// network and pays the store's CPU cost; every recovery pays a manifest
-/// read plus one round trip per chained blob before the worker may process
+/// Checkpoint storage: every persist writes the encoded blob and then a
+/// tiny chain manifest; every recovery reads the manifest and then each
+/// chained blob. Over a store group ([`new`](Self::new)) that is traffic on
+/// the emulated network paying the store's CPU cost, and a recovering
+/// worker waits a manifest read plus one round trip per chained blob before
 /// its first post-restart batch — which is exactly why the delta-chain cap
-/// bounds recovery latency.
+/// bounds recovery latency. Over the run's shared map
+/// ([`shared`](Self::shared)) the same requests finish at once and for
+/// free.
 pub struct DurableBackend {
     blobs: BlobClient<CkptBlob>,
     /// Chain counter: bumped per base snapshot so blob keys from superseded
@@ -709,6 +572,16 @@ pub struct DurableBackend {
     staged_manifest: Option<(String, Vec<u8>)>,
     /// A recovery is assembling its blobs.
     recovering: Option<RecoverAssembly>,
+    /// The chain `(id, deltas)` that the base being persisted supersedes.
+    superseded: Option<(u64, u64)>,
+    /// Whether a superseded chain's blobs are dropped once the manifest
+    /// points past it — the one thing the constructors choose. The shared
+    /// map is a job manager's heap and is collected (keeping every capture
+    /// ever taken raised a checkpoint-heavy run's peak RSS by 14 %); on a
+    /// store each drop is a `Delete` on the wire, which no store-backed run
+    /// sends today, so there superseded chains stay until a change that may
+    /// move figures (`docs/fault-tolerance.md`, "Known difference").
+    prunes: bool,
 }
 
 impl DurableBackend {
@@ -723,12 +596,28 @@ impl DurableBackend {
     ///
     /// Panics if `servers` is empty.
     pub fn new(servers: Vec<ProcessId>, incarnation: u64) -> Self {
+        Self::over(BlobClient::new(servers, CKPT_CORR_BASE, incarnation), false)
+    }
+
+    /// Creates a backend over a shared blob map: a job manager's heap,
+    /// outside the worker's failure domain when the map outlives the worker
+    /// (the orchestrator's does). Instant and free, but gone if the whole
+    /// scenario host were to fail (which the simulation never models). The
+    /// map holds each job's current chain: a chain superseded by a re-base
+    /// is dropped once the manifest points past it (a store keeps it).
+    pub fn shared(map: BlobMap) -> Self {
+        Self::over(BlobClient::shared(map), true)
+    }
+
+    fn over(blobs: BlobClient<CkptBlob>, prunes: bool) -> Self {
         DurableBackend {
-            blobs: BlobClient::new(servers, CKPT_CORR_BASE, incarnation),
+            blobs,
             chain: 0,
             delta_count: 0,
             staged_manifest: None,
             recovering: None,
+            superseded: None,
+            prunes,
         }
     }
 
@@ -758,47 +647,15 @@ impl DurableBackend {
         Some((chain, count))
     }
 
-    fn finish_recovery(&mut self) -> BackendEvent {
-        let asm = self.recovering.take().expect("recovery in flight");
-        // Resume chain numbering after the recovered chain so the next base
-        // lands on fresh keys. Monotone max: a multi-name rescale recovery
-        // reads several manifests through this one backend, and the next
-        // base must not collide with *any* chain it saw (a reused chain id
-        // could overwrite a blob an old manifest still points at).
-        self.chain = self.chain.max(asm.chain);
-        self.delta_count = asm.count;
-        let Some(base) = asm.base else {
-            return BackendEvent::Recovered {
-                chain: None,
-                bytes: asm.bytes,
-            };
-        };
-        // Apply deltas in seq order; a missing blob (lost before the crash)
-        // truncates the usable chain at the gap — later deltas were never
-        // covered by a manifest-consistent prefix.
-        let mut deltas = Vec::new();
-        for seq in 1..=asm.count {
-            match asm.deltas.get(&seq) {
-                Some(d) => deltas.push(d.clone()),
-                None => break,
-            }
-        }
-        BackendEvent::Recovered {
-            chain: Some(SnapshotChain { base, deltas }),
-            bytes: asm.bytes,
-        }
-    }
-}
-
-impl StateBackend for DurableBackend {
-    fn persist(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        job: &str,
-        payload: &CheckpointPayload,
-    ) -> PersistOutcome {
+    /// Begins persisting `payload` as the next capture of `job` and returns
+    /// its encoded size. The capture is durable once the completion handler
+    /// reports [`StoreRpcOutcome::PersistCompleted`]: to the coordinator as
+    /// soon as it asks on the shared map, from a later
+    /// [`on_store_rpc`](Self::on_store_rpc) on a store.
+    pub fn persist(&mut self, ctx: &mut Ctx<'_>, job: &str, payload: &CheckpointPayload) -> u64 {
         let (blob_key, blob_bytes) = match payload {
             CheckpointPayload::Full(snapshot) => {
+                self.superseded = Some((self.chain, self.delta_count));
                 self.chain += 1;
                 self.delta_count = 0;
                 (Self::base_key(job, self.chain), snapshot.to_bytes())
@@ -821,77 +678,127 @@ impl StateBackend for DurableBackend {
             Self::manifest_key(job),
             Self::manifest_bytes(self.chain, self.delta_count),
         ));
-        PersistOutcome::Pending { bytes }
+        bytes
     }
 
-    fn recover(&mut self, ctx: &mut Ctx<'_>, job: &str) -> RecoverOutcome {
+    /// Begins recovering the latest persisted chain of `job`; it arrives,
+    /// the same way, as [`StoreRpcOutcome::Recovered`] holding that one
+    /// chain.
+    pub fn recover(&mut self, ctx: &mut Ctx<'_>, job: &str) {
         self.recovering = Some(RecoverAssembly::default());
         let key = Self::manifest_key(job);
         self.blobs.get(ctx, CkptBlob::Manifest, key);
-        RecoverOutcome::Pending
     }
 
-    fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> BackendEvent {
+    /// Routes a store RPC to this backend's pending requests and reports
+    /// what, if anything, it finished. `job` is the name the in-flight
+    /// persist or recovery was begun under.
+    pub fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> StoreRpcOutcome {
         self.blobs.on_reply(rpc);
-        let (label, value) = match self.blobs.next_done() {
-            None => return BackendEvent::NotMine,
-            Some(BlobDone::Put(CkptBlob::Capture(_))) => {
-                // Blob durable: now (and only now) publish the manifest
-                // that points at it.
-                if let Some((key, bytes)) = self.staged_manifest.take() {
-                    self.blobs.put(ctx, CkptBlob::Manifest, key, bytes);
-                }
-                return BackendEvent::NotMine;
-            }
-            Some(BlobDone::Put(CkptBlob::Manifest)) => return BackendEvent::PersistCompleted,
-            Some(BlobDone::Got(label, value)) => (label, value),
-        };
-        let Some(asm) = self.recovering.as_mut() else {
-            return BackendEvent::NotMine;
-        };
-        asm.bytes += value.as_ref().map_or(0, |b| b.len() as u64);
-        match label {
-            CkptBlob::Manifest => {
-                let manifest = value.as_deref().and_then(Self::parse_manifest);
-                let Some((chain, count)) = manifest else {
-                    // Cold start: nothing persisted yet.
-                    return self.finish_recovery();
-                };
-                asm.chain = chain;
-                asm.count = count;
-                let base = Self::base_key(job, chain);
-                self.blobs.get(ctx, CkptBlob::Capture(0), base);
-                for seq in 1..=count {
-                    let delta = Self::delta_key(job, chain, seq);
-                    self.blobs.get(ctx, CkptBlob::Capture(seq), delta);
-                }
-                return BackendEvent::NotMine;
-            }
-            CkptBlob::Capture(0) => {
-                asm.base = value
-                    .as_deref()
-                    .and_then(|b| StateSnapshot::from_bytes(b).ok());
-            }
-            CkptBlob::Capture(seq) => {
-                if let Some(d) = value
-                    .as_deref()
-                    .and_then(|b| StateDelta::from_bytes(b).ok())
-                {
-                    asm.deltas.insert(seq, d);
-                }
-            }
-        }
-        if self.blobs.gets_left() {
-            return BackendEvent::NotMine;
-        }
-        self.finish_recovery()
+        self.settle(ctx, job)
     }
 
-    fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
+    /// The one completion handler: takes finished requests off the client
+    /// until one completes a persist or a recovery, or none is left. Run
+    /// wherever a request may have finished — after a store reply, and
+    /// after `persist` and `recover` themselves, because on the shared map
+    /// a request finishes as it is issued (and so do the requests this
+    /// handler issues in turn, which is why it loops).
+    fn settle(&mut self, ctx: &mut Ctx<'_>, job: &str) -> StoreRpcOutcome {
+        while let Some(done) = self.blobs.next_done() {
+            let (label, value) = match done {
+                BlobDone::Put(CkptBlob::Capture(_)) => {
+                    // Blob durable: now (and only now) publish the manifest
+                    // that points at it.
+                    if let Some((key, bytes)) = self.staged_manifest.take() {
+                        self.blobs.put(ctx, CkptBlob::Manifest, key, bytes);
+                    }
+                    continue;
+                }
+                BlobDone::Put(CkptBlob::Manifest) => {
+                    // The manifest points at the new chain: nothing reads
+                    // the one it superseded any more.
+                    if let Some((chain, deltas)) = self.superseded.take().filter(|_| self.prunes) {
+                        self.blobs.delete(ctx, &Self::base_key(job, chain));
+                        for seq in 1..=deltas {
+                            self.blobs.delete(ctx, &Self::delta_key(job, chain, seq));
+                        }
+                    }
+                    return StoreRpcOutcome::PersistCompleted;
+                }
+                BlobDone::Got(label, value) => (label, value),
+            };
+            let Some(asm) = self.recovering.as_mut() else {
+                continue;
+            };
+            let blob = value.as_deref();
+            match label {
+                CkptBlob::Manifest => {
+                    let Some((chain, count)) = blob.and_then(Self::parse_manifest) else {
+                        // Cold start: nothing persisted yet.
+                        return self.finish_recovery();
+                    };
+                    asm.chain = chain;
+                    asm.count = count;
+                    let base = Self::base_key(job, chain);
+                    self.blobs.get(ctx, CkptBlob::Capture(0), base);
+                    for seq in 1..=count {
+                        let delta = Self::delta_key(job, chain, seq);
+                        self.blobs.get(ctx, CkptBlob::Capture(seq), delta);
+                    }
+                    continue;
+                }
+                CkptBlob::Capture(0) => {
+                    asm.base = blob.and_then(|b| StateSnapshot::from_bytes(b).ok());
+                }
+                CkptBlob::Capture(seq) => {
+                    if let Some(d) = blob.and_then(|b| StateDelta::from_bytes(b).ok()) {
+                        asm.deltas.insert(seq, d);
+                    }
+                }
+            }
+            asm.bytes += blob.map_or(0, |b| b.len() as u64);
+            if !self.blobs.gets_left() {
+                return self.finish_recovery();
+            }
+        }
+        StoreRpcOutcome::NotMine
+    }
+
+    fn finish_recovery(&mut self) -> StoreRpcOutcome {
+        let asm = self.recovering.take().expect("recovery in flight");
+        // Resume chain numbering after the recovered chain so the next base
+        // lands on fresh keys. Monotone max: a multi-name rescale recovery
+        // reads several manifests through this one backend, and the next
+        // base must not collide with *any* chain it saw (a reused chain id
+        // could overwrite a blob an old manifest still points at).
+        self.chain = self.chain.max(asm.chain);
+        self.delta_count = asm.count;
+        // Apply deltas in seq order; a missing blob (lost before the crash)
+        // truncates the usable chain at the gap — later deltas were never
+        // covered by a manifest-consistent prefix.
+        let mut by_seq = asm.deltas;
+        let deltas = (1..=asm.count).map_while(|seq| by_seq.remove(&seq));
+        let chain = asm.base.map(|base| SnapshotChain {
+            base,
+            deltas: deltas.collect(),
+        });
+        StoreRpcOutcome::Recovered(Recovered {
+            chains: vec![chain],
+            bytes: asm.bytes,
+        })
+    }
+
+    /// Re-issues whatever store RPCs are still pending (the request — or
+    /// its response — was lost in the network). Returns `true` when
+    /// something was retried.
+    pub fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
         self.blobs.retry(ctx)
     }
 
-    fn has_pending_io(&self) -> bool {
+    /// True while a persist or recovery is awaiting store responses (never
+    /// on the shared map, which answers as it is asked).
+    pub fn has_pending_io(&self) -> bool {
         self.blobs.awaits_reply()
     }
 }
@@ -1002,25 +909,13 @@ struct PendingPersist {
 }
 
 /// A recovery in flight: the chains of `names`, read one backend recovery
-/// at a time (`chains.len()` is the index of the name being read).
+/// at a time (`read.chains.len()` is the index of the name being read).
 struct Recovering {
     names: Vec<String>,
-    chains: Vec<Option<SnapshotChain>>,
-    bytes: u64,
+    read: Recovered,
     /// The restore reproduces exactly one stored chain, the worker's own,
     /// so the schedule may carry on from it.
     continues: bool,
-}
-
-/// A completed recovery, as [`CheckpointCoordinator::start_recovery`] or
-/// [`StoreRpcOutcome::Recovered`] hands it to the worker.
-#[derive(Debug)]
-pub struct Recovered {
-    /// One chain per requested name, in order (`None` where nothing was
-    /// persisted — all `None` on a cold start).
-    pub chains: Vec<Option<SnapshotChain>>,
-    /// Total encoded bytes read across every chain.
-    pub bytes: u64,
 }
 
 /// Drives a worker's checkpoint schedule: interval timing, batch-boundary
@@ -1029,7 +924,7 @@ pub struct Recovered {
 /// [`CheckpointMode`].
 pub struct CheckpointCoordinator {
     cfg: CheckpointCfg,
-    backend: Box<dyn StateBackend>,
+    backend: DurableBackend,
     recover: bool,
     capture_requested: bool,
     /// A base snapshot has been persisted (deltas may chain onto it).
@@ -1055,7 +950,7 @@ pub struct CheckpointCoordinator {
 impl CheckpointCoordinator {
     /// Creates a coordinator. `recover` makes the worker restore the
     /// latest chain before consuming (the respawn path).
-    pub fn new(cfg: CheckpointCfg, backend: Box<dyn StateBackend>, recover: bool) -> Self {
+    pub fn new(cfg: CheckpointCfg, backend: DurableBackend, recover: bool) -> Self {
         CheckpointCoordinator {
             cfg,
             backend,
@@ -1145,20 +1040,16 @@ impl CheckpointCoordinator {
         producer_sent: u64,
     ) {
         self.capture_requested = false;
-        let accepted_at = ctx.now();
-        match self.backend.persist(ctx, job, &payload) {
-            PersistOutcome::Done(bytes) => {
-                self.finish_persist(payload, producer_sent, bytes, accepted_at, accepted_at)
-            }
-            PersistOutcome::Pending { bytes } => {
-                self.pending_persist = Some(PendingPersist {
-                    payload,
-                    producer_sent,
-                    bytes,
-                    accepted_at,
-                });
-            }
-        }
+        let bytes = self.backend.persist(ctx, job, &payload);
+        self.pending_persist = Some(PendingPersist {
+            payload,
+            producer_sent,
+            bytes,
+            accepted_at: ctx.now(),
+        });
+        // On the shared map the capture is durable already; on a store its
+        // acks arrive through `on_store_rpc`.
+        self.settle(ctx, job);
     }
 
     /// True while a persist or recovery RPC is awaiting its store response.
@@ -1173,14 +1064,13 @@ impl CheckpointCoordinator {
         self.backend.retry_pending_io(ctx)
     }
 
-    fn finish_persist(
-        &mut self,
-        payload: CheckpointPayload,
-        producer_sent: u64,
-        bytes: u64,
-        accepted_at: SimTime,
-        durable_at: SimTime,
-    ) {
+    fn finish_persist(&mut self, persisted: PendingPersist, durable_at: SimTime) {
+        let PendingPersist {
+            payload,
+            producer_sent,
+            bytes,
+            accepted_at,
+        } = persisted;
         self.stats.checkpoints += 1;
         self.stats.snapshot_bytes += bytes;
         self.stats.last_snapshot_bytes = bytes;
@@ -1287,9 +1177,9 @@ impl CheckpointCoordinator {
     /// instances of its stage: reads the chain of every name in `names` —
     /// the old instances whose keys the worker may now own; its own name
     /// alone for a non-parallel job — one backend recovery at a time.
-    /// Returns the chains when the backend answered synchronously; otherwise
-    /// they arrive through [`on_store_rpc`](Self::on_store_rpc) as
-    /// [`StoreRpcOutcome::Recovered`].
+    /// Returns the chains when they are all read already (the shared map);
+    /// otherwise they arrive through [`on_store_rpc`](Self::on_store_rpc)
+    /// as [`StoreRpcOutcome::Recovered`].
     ///
     /// The schedule continues a restored chain (the next capture may be a
     /// delta extending it) only when the restore reproduces that stored
@@ -1308,80 +1198,68 @@ impl CheckpointCoordinator {
         parallelism: u32,
     ) -> Option<Recovered> {
         assert!(!names.is_empty(), "a recovery reads at least one chain");
+        self.backend.recover(ctx, &names[0]);
         self.recovering = Some(Recovering {
             continues: parallelism == 1 && names == [job],
             names,
-            chains: Vec::new(),
-            bytes: 0,
+            read: Recovered::default(),
         });
-        self.drive_recovery(ctx)
+        match self.settle(ctx, job) {
+            StoreRpcOutcome::Recovered(recovered) => Some(recovered),
+            _ => None,
+        }
     }
 
-    /// Advances the recovery until it blocks on the backend (`None`) or
-    /// finishes. Synchronous backends complete in one call.
-    fn drive_recovery(&mut self, ctx: &mut Ctx<'_>) -> Option<Recovered> {
+    /// Folds what the backend has finished into the schedule: a durable
+    /// capture completes the pending persist, a chain read moves the
+    /// recovery on to its next name. Run wherever the backend may have
+    /// finished something — after a store reply, and after a persist or a
+    /// recovery began, which on the shared map is already its end.
+    fn settle(&mut self, ctx: &mut Ctx<'_>, job: &str) -> StoreRpcOutcome {
         loop {
-            let r = self.recovering.as_mut()?;
-            let Some(name) = r.names.get(r.chains.len()) else {
-                break;
-            };
-            match self.backend.recover(ctx, name) {
-                RecoverOutcome::Done(chain) => {
-                    r.bytes += chain.as_ref().map_or(0, |c| c.encoded_len() as u64);
-                    r.chains.push(chain);
+            // During a recovery the backend is reading the chain of one of
+            // the requested names; blob keys derive from that name, which
+            // need not be the restoring worker's own.
+            let reading = (self.recovering.as_ref())
+                .and_then(|r| r.names.get(r.read.chains.len()))
+                .map_or(job, String::as_str);
+            let one = match self.backend.settle(ctx, reading) {
+                StoreRpcOutcome::Recovered(one) => one,
+                StoreRpcOutcome::PersistCompleted => {
+                    if let Some(p) = self.pending_persist.take() {
+                        self.finish_persist(p, ctx.now());
+                    }
+                    return StoreRpcOutcome::PersistCompleted;
                 }
-                RecoverOutcome::Pending => return None,
+                StoreRpcOutcome::NotMine => return StoreRpcOutcome::NotMine,
+            };
+            let Some(r) = self.recovering.as_mut() else {
+                return StoreRpcOutcome::NotMine;
+            };
+            r.read.chains.extend(one.chains);
+            r.read.bytes += one.bytes;
+            match r.names.get(r.read.chains.len()) {
+                Some(next) => self.backend.recover(ctx, next),
+                None => break,
             }
         }
-        let r = self.recovering.take()?;
-        if let ([Some(chain)], true) = (r.chains.as_slice(), r.continues) {
+        let Some(r) = self.recovering.take() else {
+            return StoreRpcOutcome::NotMine;
+        };
+        if let ([Some(chain)], true) = (r.read.chains.as_slice(), r.continues) {
             self.has_base = true;
             self.chain_len = chain.chain_len();
             self.stats.delta_chain_len = self.chain_len;
         }
-        Some(Recovered {
-            chains: r.chains,
-            bytes: r.bytes,
-        })
+        StoreRpcOutcome::Recovered(r.read)
     }
 
     /// Routes a store RPC to the backend's pending persist/recover
     /// bookkeeping. Returns the restored chains when a pending recovery
     /// completed.
     pub fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> StoreRpcOutcome {
-        // During a recovery the backend is reading the chain of one of the
-        // requested names; blob keys derive from that name, which need not
-        // be the restoring worker's own.
-        let reading = self
-            .recovering
-            .as_ref()
-            .and_then(|r| r.names.get(r.chains.len()));
-        let backend_job = reading.map_or(job, String::as_str);
-        match self.backend.on_store_rpc(ctx, backend_job, rpc) {
-            BackendEvent::NotMine => StoreRpcOutcome::NotMine,
-            BackendEvent::PersistCompleted => {
-                if let Some(p) = self.pending_persist.take() {
-                    self.finish_persist(
-                        p.payload,
-                        p.producer_sent,
-                        p.bytes,
-                        p.accepted_at,
-                        ctx.now(),
-                    );
-                }
-                StoreRpcOutcome::PersistCompleted
-            }
-            BackendEvent::Recovered { chain, bytes } => {
-                if let Some(r) = self.recovering.as_mut() {
-                    r.chains.push(chain);
-                    r.bytes += bytes;
-                }
-                match self.drive_recovery(ctx) {
-                    Some(recovered) => StoreRpcOutcome::Recovered(recovered),
-                    None => StoreRpcOutcome::NotMine,
-                }
-            }
-        }
+        self.backend.blobs.on_reply(rpc);
+        self.settle(ctx, job)
     }
 
     /// Seeds the lagging-commit baseline after a restore, so the first
@@ -1390,17 +1268,6 @@ impl CheckpointCoordinator {
     pub fn seed_prev_offsets(&mut self, offsets: Vec<(TopicPartition, Offset)>) {
         self.prev_offsets = offsets;
     }
-}
-
-/// What [`CheckpointCoordinator::on_store_rpc`] did with a store message.
-#[derive(Debug)]
-pub enum StoreRpcOutcome {
-    /// The message did not belong to checkpoint bookkeeping.
-    NotMine,
-    /// A pending capture persist completed.
-    PersistCompleted,
-    /// A pending recovery completed.
-    Recovered(Recovered),
 }
 
 impl std::fmt::Debug for CheckpointCoordinator {
@@ -1418,6 +1285,7 @@ impl std::fmt::Debug for CheckpointCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s2g_store::blob_map;
 
     fn sample_snapshot() -> StateSnapshot {
         StateSnapshot {
@@ -1490,7 +1358,6 @@ mod tests {
         let snap = sample_snapshot();
         let back = StateSnapshot::from_bytes(&snap.to_bytes()).expect("round trip");
         assert_eq!(back, snap);
-        assert_eq!(snap.encoded_len(), snap.to_bytes().len());
     }
 
     #[test]
@@ -1538,17 +1405,27 @@ mod tests {
         assert_eq!(chain.record_counts(), (22, 11));
         assert_eq!(chain.taken_at(), SimTime::from_millis(2002));
         assert_eq!(chain.offsets()[0].1, Offset(46));
-        assert!(chain.encoded_len() > chain.base.encoded_len());
+    }
+
+    /// What a fresh backend over `map` recovers as the chain of "job": how
+    /// the tests read what a coordinator persisted.
+    fn recover_job(ctx: &mut Ctx<'_>, map: &BlobMap) -> (Option<SnapshotChain>, u64) {
+        let mut backend = DurableBackend::shared(map.clone());
+        backend.recover(ctx, "job");
+        match backend.settle(ctx, "job") {
+            StoreRpcOutcome::Recovered(mut read) => (read.chains.pop().unwrap(), read.bytes),
+            other => panic!("the shared map answers at once, got {other:?}"),
+        }
     }
 
     #[test]
     fn exactly_once_commit_waits_for_barrier() {
-        let store = snapshot_store();
-        let coord_store = store.clone();
+        let map = blob_map();
+        let coord_map = map.clone();
         with_ctx(move |ctx| {
             let mut coord = CheckpointCoordinator::new(
                 CheckpointCfg::exactly_once(SimDuration::from_secs(1)),
-                Box::new(InMemoryBackend::new(coord_store.clone())),
+                DurableBackend::shared(coord_map.clone()),
                 false,
             );
             coord.request_capture();
@@ -1556,10 +1433,11 @@ mod tests {
             assert_eq!(coord.capture_kind(), CaptureKind::Full);
             let snap = sample_snapshot();
             coord.accept(ctx, "job", CheckpointPayload::Full(snap.clone()), 5);
-            assert_eq!(
-                coord_store.borrow().get("job").map(|c| c.base.clone()),
-                Some(snap.clone())
-            );
+            // On the shared map the capture is durable when `accept` returns.
+            assert!(!coord.has_pending_io());
+            let (chain, bytes) = recover_job(ctx, &coord_map);
+            assert_eq!(chain.map(|c| c.base), Some(snap.clone()));
+            assert_eq!(bytes, snap.to_bytes().len() as u64);
             // Barrier of 5 sent records: 4 completions are not enough.
             assert!(coord.take_ready_commit(4).is_none());
             let commit = coord.take_ready_commit(5).expect("barrier satisfied");
@@ -1567,8 +1445,9 @@ mod tests {
             assert!(coord.take_ready_commit(100).is_none(), "commit is one-shot");
             assert_eq!(coord.stats().checkpoints, 1);
             assert_eq!(coord.stats().full_checkpoints, 1);
+            assert_eq!(coord.stats().snapshot_bytes, bytes);
         });
-        assert!(!store.borrow().is_empty());
+        assert!(!map.borrow().is_empty());
     }
 
     #[test]
@@ -1576,7 +1455,7 @@ mod tests {
         with_ctx(|ctx| {
             let mut coord = CheckpointCoordinator::new(
                 CheckpointCfg::at_least_once(SimDuration::from_secs(1)),
-                Box::new(InMemoryBackend::new(snapshot_store())),
+                DurableBackend::shared(blob_map()),
                 false,
             );
             let mut snap1 = sample_snapshot();
@@ -1595,15 +1474,11 @@ mod tests {
 
     #[test]
     fn incremental_schedule_rebases_at_the_chain_cap() {
-        let store = snapshot_store();
-        let coord_store = store.clone();
         with_ctx(move |ctx| {
+            let map = blob_map();
             let cfg = CheckpointCfg::exactly_once(SimDuration::from_secs(1)).incremental(2);
-            let mut coord = CheckpointCoordinator::new(
-                cfg,
-                Box::new(InMemoryBackend::new(coord_store.clone())),
-                false,
-            );
+            let mut coord =
+                CheckpointCoordinator::new(cfg, DurableBackend::shared(map.clone()), false);
             // No base yet: the first capture is full.
             assert_eq!(coord.capture_kind(), CaptureKind::Full);
             coord.accept(ctx, "job", CheckpointPayload::Full(sample_snapshot()), 0);
@@ -1615,6 +1490,7 @@ mod tests {
                 coord.accept(ctx, "job", CheckpointPayload::Delta(sample_delta(seq)), 0);
                 let _ = coord.take_ready_commit(u64::MAX);
             }
+            assert_eq!(recover_job(ctx, &map).0.map(|c| c.chain_len()), Some(2));
             // The cap forces a re-base.
             assert_eq!(coord.capture_kind(), CaptureKind::Full);
             coord.accept(ctx, "job", CheckpointPayload::Full(sample_snapshot()), 0);
@@ -1623,43 +1499,33 @@ mod tests {
             assert_eq!(stats.delta_checkpoints, 2);
             assert_eq!(stats.delta_chain_len, 0, "re-base reset the chain");
             assert!(stats.delta_bytes > 0);
+            // The store's current chain is the fresh one (base only).
+            assert_eq!(recover_job(ctx, &map).0.map(|c| c.chain_len()), Some(0));
         });
-        // The store holds the fresh chain (base only).
-        assert_eq!(
-            store.borrow().get("job").map(SnapshotChain::chain_len),
-            Some(0)
-        );
     }
 
     #[test]
     fn in_memory_recovery_returns_the_chain() {
-        let store = snapshot_store();
-        let coord_store = store.clone();
         with_ctx(move |ctx| {
+            let map = blob_map();
+            let backend = || DurableBackend::shared(map.clone());
             let cfg = CheckpointCfg::exactly_once(SimDuration::from_secs(1)).incremental(8);
-            let mut coord = CheckpointCoordinator::new(
-                cfg,
-                Box::new(InMemoryBackend::new(coord_store.clone())),
-                false,
-            );
+            let mut coord = CheckpointCoordinator::new(cfg, backend(), false);
             coord.accept(ctx, "job", CheckpointPayload::Full(sample_snapshot()), 0);
             let _ = coord.take_ready_commit(u64::MAX);
             coord.accept(ctx, "job", CheckpointPayload::Delta(sample_delta(1)), 0);
             let _ = coord.take_ready_commit(u64::MAX);
-            let mut rec = CheckpointCoordinator::new(
-                cfg,
-                Box::new(InMemoryBackend::new(coord_store.clone())),
-                true,
-            );
+            let mut rec = CheckpointCoordinator::new(cfg, backend(), true);
             let recovered = rec.start_recovery(ctx, "job", vec!["job".into()], 1);
             match recovered.as_ref().map(|r| r.chains.as_slice()) {
                 Some([Some(chain)]) => {
                     assert_eq!(chain.chain_len(), 1);
                     assert_eq!(chain.record_counts(), (21, 11));
-                    assert_eq!(
-                        recovered.as_ref().unwrap().bytes,
-                        chain.encoded_len() as u64
-                    );
+                    // What a restore read: the capture blobs, no manifest.
+                    let blobs =
+                        sample_snapshot().to_bytes().len() + sample_delta(1).to_bytes().len();
+                    assert_eq!(recovered.as_ref().unwrap().bytes, blobs as u64);
+                    assert_eq!(coord.stats().snapshot_bytes, blobs as u64);
                 }
                 other => panic!("expected one restored chain, got {other:?}"),
             }
@@ -1670,16 +1536,133 @@ mod tests {
             // The same chain read as one of two instances' (a 1→2 rescale
             // keeps only part of its keys) or beside another re-bases.
             for (names, parallelism) in [(vec!["job"], 2), (vec!["job", "other"], 1)] {
-                let mut rec = CheckpointCoordinator::new(
-                    cfg,
-                    Box::new(InMemoryBackend::new(coord_store.clone())),
-                    true,
-                );
+                let mut rec = CheckpointCoordinator::new(cfg, backend(), true);
                 let names = names.into_iter().map(String::from).collect();
                 let recovered = rec.start_recovery(ctx, "job", names, parallelism);
                 assert!(recovered.is_some_and(|r| r.chains[0].is_some()));
                 assert_eq!(rec.capture_kind(), CaptureKind::Full);
             }
         });
+    }
+
+    /// Persists `todo` one capture at a time through `backend`, then
+    /// recovers "job" through `fresh`: what a worker and its respawn do,
+    /// without the worker.
+    struct MediumDriver {
+        backend: DurableBackend,
+        fresh: Option<DurableBackend>,
+        todo: std::collections::VecDeque<CheckpointPayload>,
+        read: Option<Recovered>,
+    }
+
+    impl MediumDriver {
+        /// Moves on for as long as steps finish (on the shared map, all of
+        /// them at once).
+        fn advance(&mut self, ctx: &mut Ctx<'_>, mut outcome: StoreRpcOutcome) {
+            loop {
+                match outcome {
+                    StoreRpcOutcome::NotMine => return,
+                    StoreRpcOutcome::Recovered(read) => return self.read = Some(read),
+                    StoreRpcOutcome::PersistCompleted => {}
+                }
+                if let Some(payload) = self.todo.pop_front() {
+                    self.backend.persist(ctx, "job", &payload);
+                } else {
+                    self.backend = self.fresh.take().expect("one recovery");
+                    self.backend.recover(ctx, "job");
+                }
+                outcome = self.backend.settle(ctx, "job");
+            }
+        }
+    }
+
+    impl s2g_sim::Process for MediumDriver {
+        fn name(&self) -> &str {
+            "medium-driver"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.advance(ctx, StoreRpcOutcome::PersistCompleted);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn s2g_sim::Message>) {
+            if let Ok(rpc) = s2g_sim::downcast::<StoreRpc>(msg) {
+                let outcome = self.backend.on_store_rpc(ctx, "job", *rpc);
+                self.advance(ctx, outcome);
+            }
+        }
+    }
+
+    #[test]
+    fn both_media_keep_and_recover_the_same_blobs() {
+        use s2g_store::{StoreConfig, StoreServer};
+        let base2 = StateSnapshot {
+            records_in: 99,
+            ..sample_snapshot()
+        };
+        let captures = [
+            CheckpointPayload::Full(sample_snapshot()),
+            CheckpointPayload::Delta(sample_delta(1)),
+            CheckpointPayload::Delta(sample_delta(2)),
+            CheckpointPayload::Full(base2.clone()),
+            CheckpointPayload::Delta(sample_delta(1)),
+        ];
+        let mut sim = s2g_sim::Sim::new(0);
+        let store = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
+        let map = blob_map();
+        let media = [
+            (
+                DurableBackend::shared(map.clone()),
+                DurableBackend::shared(map.clone()),
+            ),
+            (
+                DurableBackend::new(vec![store], 0),
+                DurableBackend::new(vec![store], 1),
+            ),
+        ];
+        let drivers = media.map(|(backend, fresh)| {
+            sim.spawn(Box::new(MediumDriver {
+                backend,
+                fresh: Some(fresh),
+                todo: captures.iter().cloned().collect(),
+                read: None,
+            }))
+        });
+        // Not to completion: the store's background tick re-arms forever.
+        sim.run_until(SimTime::from_secs(5));
+        let [on_map, on_store] = drivers.map(|pid| {
+            let driver = sim.process_mut::<MediumDriver>(pid).expect("driver");
+            driver.read.take().expect("recovery finished")
+        });
+        // Equal chains: the current one, base′ + Δ1.
+        let current = SnapshotChain {
+            base: base2.clone(),
+            deltas: vec![sample_delta(1)],
+        };
+        assert_eq!(on_map.chains, vec![Some(current)]);
+        assert_eq!(on_store.chains, on_map.chains);
+        // Equal restored bytes: the two capture blobs read, no manifest.
+        let blobs = base2.to_bytes().len() + sample_delta(1).to_bytes().len();
+        assert_eq!((on_map.bytes, on_store.bytes), (blobs as u64, blobs as u64));
+        // Equal contents, but for the superseded chain 1: the store still
+        // holds its blobs (nothing sends it a `Delete`), the map dropped
+        // them once the manifest pointed at chain 2.
+        let server = sim.process_ref::<StoreServer>(store).expect("store");
+        let stored: Vec<(String, Vec<u8>)> = (server.kv().entries())
+            .map(|(key, value)| (key.clone(), value.to_vec()))
+            .collect();
+        let mapped: Vec<(String, Vec<u8>)> = (map.borrow().iter())
+            .map(|(key, value)| (key.clone(), value.clone()))
+            .collect();
+        let (superseded, current): (Vec<_>, Vec<_>) =
+            (stored.into_iter()).partition(|(key, _)| key.starts_with("ckpt/job/1/"));
+        assert_eq!(mapped, current);
+        let keys = |blobs: &[(String, Vec<u8>)]| -> Vec<String> {
+            blobs.iter().map(|(key, _)| key.clone()).collect()
+        };
+        assert_eq!(
+            keys(&superseded),
+            ["ckpt/job/1/1", "ckpt/job/1/2", "ckpt/job/1/base"]
+        );
+        let expected = ["ckpt/job", "ckpt/job/2/1", "ckpt/job/2/base"];
+        assert_eq!(keys(&mapped), expected);
     }
 }

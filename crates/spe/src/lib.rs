@@ -37,11 +37,9 @@ mod plan;
 mod worker;
 
 pub use checkpoint::{
-    snapshot_store, BackendEvent, CaptureKind, CheckpointCfg, CheckpointCoordinator,
-    CheckpointMode, CheckpointPayload, CheckpointStats, DurableBackend, InMemoryBackend,
-    PersistOutcome, RecoverOutcome, Recovered, RecoveryInfo, SnapshotChain, SnapshotStoreHandle,
-    StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE,
-    DEFAULT_MAX_DELTA_CHAIN,
+    CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode, CheckpointPayload,
+    CheckpointStats, DurableBackend, Recovered, RecoveryInfo, SnapshotChain, StateDelta,
+    StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE, DEFAULT_MAX_DELTA_CHAIN,
 };
 pub use event::{CodecError, Event, Value};
 pub use ops::{

@@ -17,13 +17,13 @@ use s2g_proto::{Offset, ProducerId, Record, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
 use s2g_broker::{ConsumerClient, ConsumerConfig, DataSink, ProducerClient, ProducerConfig};
-use s2g_store::StoreRpc;
+use s2g_store::{blob_map, StoreRpc};
 use s2g_telemetry::Telemetry;
 
 use crate::checkpoint::{
-    snapshot_store, CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode,
-    CheckpointPayload, CheckpointStats, InMemoryBackend, Recovered, RecoveryInfo, SnapshotChain,
-    StateBackend, StateDelta, StateSnapshot, StoreRpcOutcome,
+    CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode, CheckpointPayload,
+    CheckpointStats, DurableBackend, Recovered, RecoveryInfo, SnapshotChain, StateDelta,
+    StateSnapshot, StoreRpcOutcome,
 };
 use crate::event::{Event, Value};
 use crate::plan::Plan;
@@ -372,13 +372,13 @@ impl SpeWorker {
     /// Attaches a checkpoint backend. `recover` makes the worker restore
     /// the latest snapshot before consuming (the respawn path). Requires
     /// `cfg.checkpoint` to be set; without an explicit attachment a
-    /// checkpointed worker falls back to a private in-memory backend at
+    /// checkpointed worker falls back to a backend over a private map at
     /// start (self-contained, but lost with the worker on a crash).
     ///
     /// # Panics
     ///
     /// Panics if the worker's config has no checkpoint schedule.
-    pub fn attach_checkpointing(&mut self, backend: Box<dyn StateBackend>, recover: bool) {
+    pub fn attach_checkpointing(&mut self, backend: DurableBackend, recover: bool) {
         let cfg = self
             .cfg
             .checkpoint
@@ -945,17 +945,11 @@ impl Process for SpeWorker {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.exec(self.cfg.startup_cpu, tags::STARTUP_DONE);
-        if let (Some(cfg), None) = (self.cfg.checkpoint, self.coordinator.as_ref()) {
-            // Self-contained default: a private in-memory backend. It dies
-            // with the worker, so orchestrated scenarios attach a shared or
-            // durable backend instead.
-            let mut coord = CheckpointCoordinator::new(
-                cfg,
-                Box::new(InMemoryBackend::new(snapshot_store())),
-                false,
-            );
-            coord.set_telemetry(self.tele.clone(), self.name.clone());
-            self.coordinator = Some(coord);
+        if self.cfg.checkpoint.is_some() && self.coordinator.is_none() {
+            // Self-contained default: a backend over a private map. It dies
+            // with the worker, so orchestrated scenarios attach one over
+            // the run's shared map or a store instead.
+            self.attach_checkpointing(DurableBackend::shared(blob_map()), false);
         }
         let wants_recovery = self
             .coordinator
@@ -986,8 +980,9 @@ impl Process for SpeWorker {
                 }
                 None => {
                     // Hold consuming and batching until the backend read
-                    // round trips complete — the recovery-latency cost of a
-                    // durable backend. The retry timer covers a lost RPC.
+                    // round trips complete — the recovery-latency cost of
+                    // keeping checkpoints on a store. The retry timer
+                    // covers a lost RPC.
                     self.awaiting_restore = true;
                     ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
                 }

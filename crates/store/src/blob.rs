@@ -2,8 +2,10 @@
 //!
 //! Two durability tiers write blobs: the broker's log segments
 //! (`s2g_broker::Broker::set_durability`) and the SPE's checkpoints
-//! (`s2g_spe::DurableBackend`). Everything that makes that I/O *reliable*
-//! is the same for both and lives here, once:
+//! (`s2g_spe::DurableBackend`). Each is written once, against this client,
+//! and runs on either of its media; neither has an in-memory
+//! implementation of its own. Everything that makes that I/O *reliable* is
+//! the same for both and lives here, once:
 //!
 //! * **Correlation ids** come from a private namespace (`corr_base`) salted
 //!   with the owning process's incarnation, so a reply delayed across a
@@ -37,7 +39,9 @@ use crate::server::StoreRpc;
 
 /// Blob storage on a shared map. It lives outside the process that writes
 /// it, so it survives that process's crashes: the moral equivalent of the
-/// host's always-synced local disk.
+/// host's always-synced local disk (broker logs) or a job manager's heap
+/// (checkpoints). A run has one, with each owner's keys under its own
+/// prefix.
 pub type BlobMap = Rc<RefCell<BTreeMap<String, Vec<u8>>>>;
 
 /// Creates an empty shared blob map.

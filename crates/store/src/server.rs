@@ -105,7 +105,10 @@ pub enum StoreRpc {
         /// The value, if present.
         value: Option<Vec<u8>>,
     },
-    /// Remove a key (dead log segments, superseded checkpoint blobs).
+    /// Remove a key. Sent today only by the broker's log cleaner, for dead
+    /// segment blobs; the checkpoint tier sends none, so on a store a
+    /// superseded chain's blobs stay (`docs/fault-tolerance.md`, "Known
+    /// difference").
     Delete {
         /// Request id.
         corr: u64,

@@ -106,7 +106,7 @@ fn main() {
     // Bounded: delta chains (cap 4) + keyed compaction.
     let mut bounded = base_scenario();
     bounded
-        .with_incremental_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_secs(1)), 4);
+        .with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_secs(1)).incremental(4));
     bounded.with_log_compaction();
     let bounded = bounded.run().expect("bounded runs");
 

@@ -7,8 +7,10 @@ use stream2gym::apps::word_count::{self, running_count_plan, ComponentDelays};
 use stream2gym::apps::{
     fraud, maritime, ride_selection, sentiment, traffic_monitor, video_analytics,
 };
-use stream2gym::broker::{BrokerConfig, ConsumerConfig, TopicSpec};
-use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
+use stream2gym::broker::{
+    BrokerConfig, ConsumerConfig, ControllerConfig, ProducerConfig, TopicSpec,
+};
+use stream2gym::core::{Scenario, ServerSpec, SourceSpec, SpeJobSpec, SpeSinkSpec};
 use stream2gym::net::{FaultAction, FaultPlan, LinkSpec, Topology};
 use stream2gym::proto::AckMode;
 use stream2gym::sim::{SimDuration, SimTime};
@@ -676,6 +678,180 @@ fn s2g026_host_override_names_no_host() {
     add_producer(&mut clean);
     clean.host_link("ph", link).host_cpu_percentage("bh1", 50.0);
     assert_eq!(level_of(&clean, "S2G026"), None);
+}
+
+/// Where a self-re-arming period lives: on the scenario itself, or in the
+/// config of a component, which the case zeroes one field of.
+enum Period {
+    Scenario(fn(&mut Scenario)),
+    Controller(fn(&mut ControllerConfig)),
+    Broker(fn(&mut BrokerConfig)),
+    Producer(fn(&mut ProducerConfig)),
+    Consumer(fn(&mut ConsumerConfig)),
+    Job(fn(&mut SpeConfig)),
+    Store(fn(&mut StoreConfig)),
+}
+
+impl Period {
+    /// Adds the owning component to `sc`, default but for the one field.
+    fn zero_in(self, sc: &mut Scenario) {
+        fn edited<C: Default>(edit: fn(&mut C)) -> C {
+            let mut cfg = C::default();
+            edit(&mut cfg);
+            cfg
+        }
+        match self {
+            Period::Scenario(edit) => edit(sc),
+            Period::Controller(edit) => {
+                sc.controller_config(edited(edit));
+            }
+            Period::Broker(edit) => {
+                sc.broker_with("bh2", edited(edit));
+            }
+            Period::Producer(edit) => {
+                let source = rate_source("in", SimDuration::from_millis(100), 64);
+                sc.producer("ph", source, edited(edit));
+            }
+            Period::Consumer(edit) => {
+                sc.consumer("ch", edited(edit), &["in"]);
+            }
+            Period::Job(edit) => {
+                let (source, sink) = (vec!["in".into()], SpeSinkSpec::Topic("out".into()));
+                let job = SpeJobSpec::new("j", source, running_count_plan, sink, edited(edit));
+                sc.spe_job("jh", job);
+            }
+            Period::Store(edit) => {
+                sc.store("sh", edited(edit));
+            }
+        }
+    }
+}
+
+#[test]
+fn s2g027_zero_self_rearming_periods() {
+    const Z: SimDuration = SimDuration::ZERO;
+    // One case per period: the knob the diagnostic names and where to zero
+    // it. Each of these analyzed clean before the rule existed and then
+    // span at t=0 (the telemetry one panicked in the builder).
+    let cases = [
+        (
+            "checkpoint.interval",
+            Period::Scenario(|sc| {
+                add_job(sc, "j");
+                sc.with_checkpointing(CheckpointCfg::exactly_once(Z));
+            }),
+        ),
+        (
+            "checkpoint.interval",
+            Period::Job(|c| c.checkpoint = Some(CheckpointCfg::at_least_once(Z))),
+        ),
+        (
+            "telemetry_interval",
+            Period::Scenario(|sc| {
+                sc.telemetry_interval(Z);
+            }),
+        ),
+        (
+            "server.sample_interval",
+            Period::Scenario(|sc| {
+                sc.server(ServerSpec {
+                    sample_interval: Z,
+                    ..Default::default()
+                });
+            }),
+        ),
+        (
+            "session_check_interval",
+            Period::Controller(|c| c.session_check_interval = Z),
+        ),
+        (
+            "preferred_election_delay",
+            Period::Controller(|c| c.preferred_election_delay = Z),
+        ),
+        (
+            "replica_fetch_interval",
+            Period::Broker(|c| c.replica_fetch_interval = Z),
+        ),
+        (
+            "isr_check_interval",
+            Period::Broker(|c| c.isr_check_interval = Z),
+        ),
+        (
+            "heartbeat_interval",
+            Period::Broker(|c| c.heartbeat_interval = Z),
+        ),
+        (
+            "background_interval",
+            Period::Broker(|c| c.background_interval = Z),
+        ),
+        (
+            "background_interval",
+            Period::Producer(|c| c.background_interval = Z),
+        ),
+        (
+            "request_timeout",
+            Period::Producer(|c| c.request_timeout = Z),
+        ),
+        ("poll_interval", Period::Consumer(|c| c.poll_interval = Z)),
+        (
+            "background_interval",
+            Period::Consumer(|c| c.background_interval = Z),
+        ),
+        (
+            "group_heartbeat_interval",
+            Period::Consumer(|c| {
+                (c.group, c.group_membership) = (Some("g".into()), true);
+                c.group_heartbeat_interval = Z;
+            }),
+        ),
+        ("batch_interval", Period::Job(|c| c.batch_interval = Z)),
+        (
+            "background_interval",
+            Period::Job(|c| c.background_interval = Z),
+        ),
+        (
+            "consumer.poll_interval",
+            Period::Job(|c| c.consumer.poll_interval = Z),
+        ),
+        (
+            "producer.request_timeout",
+            Period::Job(|c| c.producer.request_timeout = Z),
+        ),
+        (
+            "background_interval",
+            Period::Store(|c| c.background_interval = Z),
+        ),
+        (
+            "group_heartbeat_interval",
+            Period::Store(|c| c.group_heartbeat_interval = Z),
+        ),
+    ];
+    for (i, (knob, period)) in cases.into_iter().enumerate() {
+        let mut sc = base("t");
+        // A store group only heartbeats with someone to heartbeat to.
+        sc.with_replicated_store(2);
+        period.zero_in(&mut sc);
+        let report = sc.analyze();
+        let hits: Vec<_> = (report.diagnostics.iter())
+            .filter(|d| d.code == "S2G027")
+            .collect();
+        assert_eq!(hits.len(), 1, "case {i} ({knob}): {report}");
+        assert_eq!(hits[0].level, Level::Deny, "case {i}");
+        assert_eq!(hits[0].knobs, [knob], "case {i}");
+        let refused = sc.run().expect_err("run() must refuse, not spin");
+        assert!(refused.has("S2G027"), "case {i} ({knob}): {refused}");
+    }
+
+    // Zero where zero means "off", or where nothing re-arms on it, is fine.
+    let mut clean = base("t");
+    add_producer(&mut clean);
+    add_job(&mut clean, "j");
+    clean.with_telemetry(false).telemetry_interval(Z);
+    Period::Consumer(|c| c.auto_commit_interval = Z).zero_in(&mut clean);
+    // An unreplicated store has no group to heartbeat to.
+    Period::Store(|c| c.group_heartbeat_interval = Z).zero_in(&mut clean);
+    assert_eq!(level_of(&clean, "S2G027"), None);
+    clean.run().expect("runs to its end");
 }
 
 #[test]

@@ -160,9 +160,8 @@ fn fault_heavy_runs_reproduce_exactly() {
             SimTime::from_secs(25),
             seed,
         );
-        sc.with_incremental_checkpointing(
-            CheckpointCfg::exactly_once(SimDuration::from_secs(1)),
-            4,
+        sc.with_checkpointing(
+            CheckpointCfg::exactly_once(SimDuration::from_secs(1)).incremental(4),
         );
         sc.with_recoverable_broker();
         sc.with_log_compaction();

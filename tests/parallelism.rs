@@ -357,7 +357,7 @@ fn parallel_incremental_crash_and_rescale_are_exactly_once() {
             sc.store("h6", StoreConfig::default());
             sc.with_durable_checkpointing(cfg.incremental(4), "h6");
         } else {
-            sc.with_incremental_checkpointing(cfg, 4);
+            sc.with_checkpointing(cfg.incremental(4));
         }
         sc.with_transactional_sinks();
         sc
@@ -444,7 +444,7 @@ fn parallelism_one_equals_the_non_parallel_job() {
             }
         });
         let cfg = CheckpointCfg::exactly_once(SimDuration::from_millis(500));
-        sc.with_incremental_checkpointing(cfg, 4);
+        sc.with_checkpointing(cfg.incremental(4));
         sc.with_transactional_sinks();
         sc.faults(FaultPlan::new().crash_restart(
             "p1",

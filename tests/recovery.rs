@@ -182,7 +182,7 @@ fn at_least_once_recovery_duplicates_are_bounded() {
 
 #[test]
 fn durable_backend_recovery_pays_restore_round_trip() {
-    use stream2gym::store::StoreConfig;
+    use stream2gym::store::{StoreConfig, StoreServer};
     let mut sc = build(None, true);
     sc.store("h6", StoreConfig::default());
     sc.with_durable_checkpointing(CheckpointCfg::exactly_once(CHECKPOINT_INTERVAL), "h6");
@@ -203,8 +203,9 @@ fn durable_backend_recovery_pays_restore_round_trip() {
     );
     assert!(rec.snapshot_bytes > 0);
     assert_eq!(spe.consumer_stats.offset_resets, 0);
-    // Snapshots live in the store, not the in-memory handle.
-    assert!(result.checkpoint_snapshots.borrow().is_empty());
+    // The snapshots live in the store: its manifest key points at them.
+    let store = (result.sim).process_ref::<StoreServer>(result.store_pids["h6"]);
+    assert!(store.expect("store").kv().get("ckpt/wordcount").is_some());
 }
 
 #[test]
@@ -383,7 +384,7 @@ fn exactly_once_recovery_with_incremental_checkpoints_matches_baseline() {
     // chained restore (base + deltas) must still reproduce the no-fault
     // output exactly.
     let mut sc = build(None, true);
-    sc.with_incremental_checkpointing(CheckpointCfg::exactly_once(CHECKPOINT_INTERVAL), 4);
+    sc.with_checkpointing(CheckpointCfg::exactly_once(CHECKPOINT_INTERVAL).incremental(4));
     let result = sc.run().expect("runs");
     assert_eq!(
         final_counts(&result),
@@ -412,7 +413,7 @@ fn exactly_once_survives_crashes_with_compaction_and_incremental_enabled() {
     // The acceptance gate: both bounded-recovery features on, worker crash
     // AND broker bounce in one run, output still equals the baseline.
     let mut sc = build(None, false);
-    sc.with_incremental_checkpointing(CheckpointCfg::exactly_once(CHECKPOINT_INTERVAL), 4);
+    sc.with_checkpointing(CheckpointCfg::exactly_once(CHECKPOINT_INTERVAL).incremental(4));
     sc.with_recoverable_broker();
     sc.with_log_compaction();
     sc.faults(

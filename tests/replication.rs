@@ -22,8 +22,7 @@ use stream2gym::core::{MonitoredSink, RunResult, Scenario};
 use stream2gym::net::FaultPlan;
 use stream2gym::sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
 use stream2gym::spe::{
-    BackendEvent, CheckpointCfg, CheckpointPayload, DurableBackend, Event, StateBackend,
-    StateSnapshot,
+    CheckpointCfg, CheckpointPayload, DurableBackend, Event, StateSnapshot, StoreRpcOutcome,
 };
 use stream2gym::store::{StoreConfig, StoreRpc, StoreServer};
 
@@ -438,13 +437,14 @@ impl Process for OrphanBlobHarness {
             return;
         }
         if let Some(rb) = self.recover_backend.as_mut() {
-            if let BackendEvent::Recovered { chain, .. } = rb.on_store_rpc(ctx, "job", *rpc) {
+            if let StoreRpcOutcome::Recovered(mut read) = rb.on_store_rpc(ctx, "job", *rpc) {
+                let chain = read.chains.pop().expect("one name, one chain");
                 self.restored = Some(chain.map(|c| c.base));
             }
             return;
         }
         match self.backend.on_store_rpc(ctx, "job", *rpc) {
-            BackendEvent::PersistCompleted if self.stage == 0 => {
+            StoreRpcOutcome::PersistCompleted if self.stage == 0 => {
                 // Snapshot A is fully durable (blob + manifest). Plant the
                 // chain-2 base blob WITHOUT its manifest: the post-failure
                 // state of a persist interrupted between the two writes.
