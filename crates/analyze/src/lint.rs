@@ -24,6 +24,10 @@
 //!   queues bypass the calendar-queue scheduler (`crates/sim/src/queue.rs`)
 //!   and its `(at, seq)` tie-break contract; the only sanctioned heap is
 //!   the `ReferenceQueue` differential oracle.
+//! * `metric-by-name` — a string-keyed `counter_add`/`gauge_set`/
+//!   `observe_*` in the files every simulated RPC runs through
+//!   ([`METRIC_HOT_PATHS`]): each such call looks `(scope, name)` up again,
+//!   per message; those sites hold `s2g_telemetry` handles instead.
 //!
 //! A finding is suppressed by an escape comment on the same or preceding
 //! line, which must carry a justification:
@@ -75,24 +79,41 @@ pub struct LintConfig {
     pub rules: BTreeMap<String, RuleConfig>,
 }
 
-/// The five rule names, in catalog order.
-pub const RULE_NAMES: [&str; 5] = [
+/// The six rule names, in catalog order.
+pub const RULE_NAMES: [&str; 6] = [
     "wall-clock",
     "os-entropy",
     "hash-iteration",
     "unchecked-narrowing",
     "event-queue",
+    "metric-by-name",
+];
+
+/// Where `metric-by-name` applies unless `lint.toml` says otherwise: the
+/// broker, its partitions and clients, and the SPE worker. Everywhere else
+/// (checkpoints, stores, the runtime) updates are per checkpoint or per
+/// tick, and the string API is the right one.
+pub const METRIC_HOT_PATHS: [&str; 5] = [
+    "crates/broker/src/broker.rs",
+    "crates/broker/src/partition.rs",
+    "crates/broker/src/consumer.rs",
+    "crates/broker/src/producer.rs",
+    "crates/spe/src/worker.rs",
 ];
 
 impl Default for LintConfig {
     fn default() -> Self {
         let mut rules = BTreeMap::new();
         for name in RULE_NAMES {
+            let paths: &[&str] = match name {
+                "metric-by-name" => &METRIC_HOT_PATHS,
+                _ => &[],
+            };
             rules.insert(
                 name.to_string(),
                 RuleConfig {
                     level: Some(LintLevel::Deny),
-                    paths: Vec::new(),
+                    paths: paths.iter().map(|p| p.to_string()).collect(),
                 },
             );
         }
@@ -371,116 +392,105 @@ pub fn lint_source(path: &str, text: &str, cfg: &LintConfig) -> Vec<LintFinding>
         });
     };
 
-    if let Some(level) = active("wall-clock") {
+    // Every rule is one question asked of each non-test code line: what
+    // is wrong with it, if anything.
+    let mut scan = |rule: &str, find: &dyn Fn(&str) -> Option<String>| {
+        let Some(level) = active(rule) else {
+            return;
+        };
         for (i, line) in code.iter().enumerate() {
-            if skip[i] {
-                continue;
-            }
-            for needle in ["SystemTime", "Instant::now", "UNIX_EPOCH"] {
-                if line.contains(needle) {
-                    push(
-                        "wall-clock",
-                        level,
-                        i,
-                        format!("`{needle}` reads the wall clock; sim code must use `SimTime`"),
-                    );
-                    break;
+            if !skip[i] {
+                if let Some(message) = find(line) {
+                    push(rule, level, i, message);
                 }
             }
         }
-    }
+    };
+    let first_of =
+        |line: &str, needles: &[&'static str]| needles.iter().copied().find(|n| line.contains(n));
 
-    if let Some(level) = active("os-entropy") {
-        for (i, line) in code.iter().enumerate() {
-            if skip[i] {
-                continue;
-            }
-            for needle in ["thread_rng", "OsRng", "from_entropy", "getrandom"] {
-                if line.contains(needle) {
-                    push(
-                        "os-entropy",
-                        level,
-                        i,
-                        format!(
-                            "`{needle}` draws OS entropy; sim code must derive from the run seed"
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
-    if let Some(level) = active("hash-iteration") {
-        let tracked = hash_decls(&code, &skip);
-        for (i, line) in code.iter().enumerate() {
-            if skip[i] {
-                continue;
-            }
-            if let Some((name, op)) = hash_iteration_on(line, &tracked) {
-                push(
-                    "hash-iteration",
-                    level,
-                    i,
-                    format!(
-                        "`{name}` is a HashMap/HashSet and `{op}` observes its nondeterministic \
-                         order; use BTreeMap/BTreeSet or sort first"
-                    ),
-                );
-            }
-        }
-    }
-
-    if let Some(level) = active("unchecked-narrowing") {
-        for (i, line) in code.iter().enumerate() {
-            if skip[i] {
-                continue;
-            }
-            for needle in [" as u8", " as u16", " as u32"] {
-                // Require a word boundary after the type so ` as u32` does
-                // not also match ` as u32x4`-style names.
-                if let Some(pos) = line.find(needle) {
-                    let after = line[pos + needle.len()..].chars().next();
-                    if after.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
-                        push(
-                            "unchecked-narrowing",
-                            level,
-                            i,
-                            format!(
-                                "unchecked `{}` narrowing in a codec path; use \
-                                 `{}::try_from(..)` so truncation is loud",
-                                needle.trim_start(),
-                                needle.trim_start().trim_start_matches("as ")
-                            ),
-                        );
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    if let Some(level) = active("event-queue") {
-        for (i, line) in code.iter().enumerate() {
-            if skip[i] {
-                continue;
-            }
-            if line.contains("BinaryHeap") {
-                push(
-                    "event-queue",
-                    level,
-                    i,
-                    "`BinaryHeap` event queues bypass the calendar-queue scheduler's \
-                     `(at, seq)` ordering contract; schedule through `s2g-sim` \
-                     (`crates/sim/src/queue.rs`) instead"
-                        .to_string(),
-                );
-            }
-        }
-    }
+    scan("wall-clock", &|line| {
+        let needle = first_of(line, &["SystemTime", "Instant::now", "UNIX_EPOCH"])?;
+        Some(format!(
+            "`{needle}` reads the wall clock; sim code must use `SimTime`"
+        ))
+    });
+    scan("os-entropy", &|line| {
+        let needle = first_of(line, &["thread_rng", "OsRng", "from_entropy", "getrandom"])?;
+        Some(format!(
+            "`{needle}` draws OS entropy; sim code must derive from the run seed"
+        ))
+    });
+    let tracked = hash_decls(&code, &skip);
+    scan("hash-iteration", &|line| {
+        let (name, op) = hash_iteration_on(line, &tracked)?;
+        Some(format!(
+            "`{name}` is a HashMap/HashSet and `{op}` observes its nondeterministic \
+             order; use BTreeMap/BTreeSet or sort first"
+        ))
+    });
+    scan("unchecked-narrowing", &|line| {
+        let cast = narrowing_cast(line)?;
+        let ty = cast.trim_start_matches("as ");
+        Some(format!(
+            "unchecked `{cast}` narrowing in a codec path; use `{ty}::try_from(..)` so \
+             truncation is loud"
+        ))
+    });
+    scan("event-queue", &|line| {
+        line.contains("BinaryHeap").then(|| {
+            "`BinaryHeap` event queues bypass the calendar-queue scheduler's \
+             `(at, seq)` ordering contract; schedule through `s2g-sim` \
+             (`crates/sim/src/queue.rs`) instead"
+                .to_string()
+        })
+    });
+    scan("metric-by-name", &|line| {
+        let call = metric_update_by_name(line)?;
+        Some(format!(
+            "`{call}` looks the metric up by `(scope, name)` on every call, and this file \
+             is on the path of every simulated RPC; keep a `CounterHandle`/`GaugeHandle`/\
+             `HistogramHandle` from `Telemetry` instead"
+        ))
+    });
 
     findings.sort_by_key(|f| (f.line, f.rule.clone()));
     findings
+}
+
+/// The first `as u8`/`as u16`/`as u32` cast on a line, if any.
+fn narrowing_cast(line: &str) -> Option<&'static str> {
+    [" as u8", " as u16", " as u32"]
+        .into_iter()
+        .find_map(|needle| {
+            // Require a word boundary after the type so ` as u32` does not
+            // also match ` as u32x4`-style names.
+            let pos = line.find(needle)?;
+            let after = line[pos + needle.len()..].chars().next();
+            after
+                .is_none_or(|c| !c.is_alphanumeric() && c != '_')
+                .then(|| needle.trim_start())
+        })
+}
+
+/// The string-keyed telemetry update a line calls, if any: `counter_add`,
+/// `gauge_set`, or any `observe_*` (`observe_latency`, `observe_bytes`,
+/// `observe_count`, `observe_in`). A bare `.observe(` is a handle's or a
+/// `Histogram`'s own method and is fine.
+fn metric_update_by_name(line: &str) -> Option<&str> {
+    for needle in [".counter_add(", ".gauge_set(", ".observe_"] {
+        let Some(pos) = line.find(needle) else {
+            continue;
+        };
+        let name = &line[pos + 1..];
+        let len = name
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(name.len());
+        if name[len..].starts_with('(') {
+            return Some(&name[..len]);
+        }
+    }
+    None
 }
 
 /// A parsed `s2g-lint: allow(...)` escape comment.
@@ -841,5 +851,47 @@ mod tests {
         assert_eq!(cfg.rules["wall-clock"].level, Some(LintLevel::Warn));
         assert_eq!(cfg.rules["unchecked-narrowing"].paths.len(), 2);
         assert!(LintConfig::parse("[rules.nope]\nlevel = \"deny\"\n").is_err());
+    }
+
+    #[test]
+    fn flags_metric_updates_by_name_on_the_rpc_path_only() {
+        let src = "fn f(h: &Host) {\n    h.tele.counter_add(&h.name, \"produces\", 1);\n    h.tele\n        .gauge_set(&h.name, \"log_bytes\", 2.0);\n    h.tele.observe_count(&h.name, \"batch_records\", 3);\n    h.metrics.produces.add(1);\n    h.metrics.batch_records.observe(3.0);\n    self.ack_latency.observe(0.1);\n    let observe_window = 3;\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &Telemetry) { t.counter_add(\"s\", \"c\", 1); }\n}\n";
+        let cfg = cfg_all();
+        let f = lint_source("crates/broker/src/partition.rs", src, &cfg);
+        let found: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule.as_str())).collect();
+        assert_eq!(
+            found,
+            vec![
+                (2, "metric-by-name"),
+                (4, "metric-by-name"),
+                (5, "metric-by-name")
+            ],
+            "{f:?}"
+        );
+        assert!(f[2].message.contains("`observe_count`"), "{f:?}");
+        // A cold site keeps the string API.
+        assert!(lint_source("crates/spe/src/checkpoint.rs", src, &cfg).is_empty());
+        let escaped = "// s2g-lint: allow(metric-by-name) — once per reign, not per request\nh.tele.gauge_set(&h.name, &name, 0.0);\n";
+        assert!(lint_source("crates/spe/src/worker.rs", escaped, &cfg).is_empty());
+    }
+
+    /// The rule against the files it exists for, as they are in this
+    /// checkout: a string-keyed update put back into any of them fails here
+    /// (and in CI's `s2g-lint --deny`).
+    #[test]
+    fn the_rpc_path_updates_metrics_by_handle() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let toml = std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml");
+        let cfg = LintConfig::parse(&toml).expect("lint.toml parses");
+        assert_eq!(cfg.rules["metric-by-name"].level, Some(LintLevel::Deny));
+        assert_eq!(cfg.rules["metric-by-name"].paths, METRIC_HOT_PATHS);
+        for path in METRIC_HOT_PATHS {
+            let text = std::fs::read_to_string(root.join(path)).expect(path);
+            let found: Vec<LintFinding> = lint_source(path, &text, &cfg)
+                .into_iter()
+                .filter(|f| f.rule == "metric-by-name")
+                .collect();
+            assert!(found.is_empty(), "{path}: {found:#?}");
+        }
     }
 }

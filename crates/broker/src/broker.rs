@@ -31,7 +31,8 @@
 //! "booting"), and the controller re-teaches roles when the restarted
 //! broker's heartbeat arrives with a bumped incarnation number.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use s2g_proto::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
@@ -41,13 +42,15 @@ use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
 };
 use s2g_store::{BlobClient, BlobDone, StoreRpc};
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{CounterHandle, GaugeHandle, Histogram, HistogramHandle, Telemetry};
 
 use crate::config::{BrokerConfig, CoordinationMode};
 use crate::groups::GroupCoordinator;
+use crate::handover::PartitionTxns;
 use crate::log::{BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog};
 use crate::metadata::MetadataCache;
-use crate::partition::{produce_response, Partition, PartitionTxns, PendingProduce};
+use crate::partition::{produce_response, Partition, PendingProduce};
+use crate::table::IntTable;
 
 /// Timer tags used by the broker.
 mod tags {
@@ -84,9 +87,8 @@ fn replica_fetch_error(corr: CorrelationId, tp: TopicPartition, error: ErrorCode
         high_watermark: Offset::ZERO,
         epoch: LeaderEpoch(0),
         truncate_to: None,
-        txn_ongoing: Vec::new(),
-        txn_aborted: Vec::new(),
-        producer_seqs: Vec::new(),
+        mirror: Rc::default(),
+        seqs_ride: false,
         error,
     }
 }
@@ -234,6 +236,36 @@ pub struct BrokerStats {
     pub txns_aborted: u64,
 }
 
+/// The metrics a broker updates per request, each looked up in the registry
+/// by its first update and never again.
+pub(crate) struct HostMetrics {
+    pub(crate) batch_records: HistogramHandle,
+    pub(crate) batch_bytes: HistogramHandle,
+    pub(crate) produces: CounterHandle,
+    pub(crate) records_appended: CounterHandle,
+    pub(crate) log_bytes: GaugeHandle,
+    fetches: CounterHandle,
+    records_fetched: CounterHandle,
+    txns_committed: CounterHandle,
+    txns_aborted: CounterHandle,
+}
+
+impl HostMetrics {
+    fn new(tele: &Telemetry, scope: &str) -> Self {
+        HostMetrics {
+            batch_records: tele.histogram(scope, "batch_records", Histogram::counts),
+            batch_bytes: tele.histogram(scope, "batch_bytes", Histogram::bytes),
+            produces: tele.counter(scope, "produces"),
+            records_appended: tele.counter(scope, "records_appended"),
+            log_bytes: tele.gauge(scope, "log_bytes"),
+            fetches: tele.counter(scope, "fetches"),
+            records_fetched: tele.counter(scope, "records_fetched"),
+            txns_committed: tele.counter(scope, "txns_committed"),
+            txns_aborted: tele.counter(scope, "txns_aborted"),
+        }
+    }
+}
+
 /// What a partition needs from the broker hosting it while it works: the
 /// broker's identity and configuration, its counters and telemetry, its
 /// endpoints, and the CPU-delayed response queue. Kept apart from
@@ -249,6 +281,7 @@ pub(crate) struct Host {
     /// Telemetry sink (an unshared default until the orchestrator attaches
     /// the run-wide one).
     pub(crate) tele: Telemetry,
+    pub(crate) metrics: HostMetrics,
     pub(crate) stats: BrokerStats,
     /// Total record bytes retained across partition logs.
     pub(crate) retained_bytes: u64,
@@ -262,7 +295,8 @@ pub(crate) struct Host {
     pub(crate) leadership_events: Vec<(SimTime, TopicPartition, bool)>,
     next_corr: u64,
     next_cpu_tag: u64,
-    pending_out: HashMap<u64, (ProcessId, OutMsg)>,
+    /// Responses waiting out their CPU cost, by the tag of that work.
+    pending_out: IntTable<(ProcessId, OutMsg)>,
 }
 
 impl Host {
@@ -359,7 +393,7 @@ fn build_meta(
         reclaimed_bytes,
         txns: partitions
             .iter()
-            .filter_map(|(tp, p)| p.txns.to_meta(tp))
+            .filter_map(|(tp, p)| p.txns_meta(tp))
             .collect(),
     }
 }
@@ -415,16 +449,19 @@ impl Broker {
             !controllers.is_empty(),
             "a broker needs at least one controller endpoint"
         );
+        let name = format!("broker-{}", id.0);
+        let tele = Telemetry::new();
         Broker {
             partitions: BTreeMap::new(),
             host: Host {
                 id,
-                name: format!("broker-{}", id.0),
+                metrics: HostMetrics::new(&tele, &name),
+                name,
                 cfg,
                 mode,
                 controllers,
                 peers,
-                tele: Telemetry::new(),
+                tele,
                 stats: BrokerStats::default(),
                 retained_bytes: 0,
                 mem: None,
@@ -433,7 +470,7 @@ impl Broker {
                 leadership_events: Vec::new(),
                 next_corr: 0,
                 next_cpu_tag: 0,
-                pending_out: HashMap::new(),
+                pending_out: IntTable::default(),
             },
             group_offsets: BTreeMap::new(),
             groups: GroupCoordinator::new(),
@@ -455,8 +492,11 @@ impl Broker {
 
     /// Attaches the run-wide telemetry sink. The broker records produce /
     /// fetch / append counters, log-size and watermark-gap gauges, and
-    /// append trace events under its own name (`broker-<id>`).
+    /// append trace events under its own name (`broker-<id>`). Attach it
+    /// before the broker starts: a reign's gap gauges keep the sink they
+    /// were made against.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
+        self.host.metrics = HostMetrics::new(&tele, &self.host.name);
         self.host.tele = tele;
     }
 
@@ -681,9 +721,8 @@ impl Broker {
                         }
                     };
                 let n = batch.len();
-                host.tele.counter_add(&host.name, "fetches", 1);
-                host.tele
-                    .counter_add(&host.name, "records_fetched", n as u64);
+                host.metrics.fetches.add(1);
+                host.metrics.records_fetched.add(n as u64);
                 if host.tele.trace_enabled() && n > 0 {
                     host.tele
                         .trace_instant(now, &host.name, &format!("fetch:{tp}"), "broker");
@@ -836,23 +875,22 @@ impl Broker {
         below_epoch: Option<u32>,
         commit: bool,
     ) {
-        let resolve = |p: &mut Partition| p.txns.resolve(producer, &which, below_epoch, commit);
+        let resolve = |p: &mut Partition| p.resolve_txns(producer, &which, below_epoch, commit);
         let resolved: u64 = self.partitions.values_mut().map(resolve).sum();
         if resolved == 0 {
             return;
         }
         let host = &mut self.host;
+        let metrics = &host.metrics;
         let (count, counter, marker) = if commit {
-            (
-                &mut host.stats.txns_committed,
-                "txns_committed",
-                "txn:commit",
-            )
+            let count = &mut host.stats.txns_committed;
+            (count, &metrics.txns_committed, "txn:commit")
         } else {
-            (&mut host.stats.txns_aborted, "txns_aborted", "txn:abort")
+            let count = &mut host.stats.txns_aborted;
+            (count, &metrics.txns_aborted, "txn:abort")
         };
         *count += resolved;
-        host.tele.counter_add(&host.name, counter, resolved);
+        counter.add(resolved);
         if host.tele.trace_enabled() {
             host.tele
                 .trace_instant(ctx.now(), &host.name, marker, "txn");
@@ -889,9 +927,8 @@ impl Broker {
                 high_watermark,
                 epoch,
                 truncate_to,
-                txn_ongoing,
-                txn_aborted,
-                producer_seqs,
+                mirror,
+                seqs_ride,
                 error,
                 ..
             } => {
@@ -906,7 +943,7 @@ impl Broker {
                     p.truncate(host, to);
                 }
                 let n = p.replicate(host, batch, &epochs, &offsets, epoch, high_watermark);
-                let txns_changed = p.mirror(txn_ongoing, txn_aborted, producer_seqs);
+                let txns_changed = p.mirror(&mirror, seqs_ride);
                 host.update_mem();
                 // Follower-side log changes ride the interval flush; no
                 // client ack is waiting on them.
@@ -1149,7 +1186,7 @@ impl Broker {
             }
             for (tp, ongoing, aborted) in meta.txns {
                 let txns = PartitionTxns::from_meta(ongoing, aborted);
-                hosted(&mut self.partitions, cfg, tp).txns = txns;
+                hosted(&mut self.partitions, cfg, tp).restore_txns(txns);
             }
         }
         self.host.update_mem();
@@ -1364,7 +1401,7 @@ impl Process for Broker {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match self.host.pending_out.remove(&tag) {
+        match self.host.pending_out.remove(tag) {
             Some((to, OutMsg::Client(rpc))) => ctx.send(to, rpc),
             Some((to, OutMsg::Replica(rpc))) => ctx.send(to, rpc),
             None => {}

@@ -11,14 +11,15 @@
 //! reproduction in Fig. 7a.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use s2g_proto::{ClientRpc, CorrelationId, ErrorCode, Offset, Record, RecordBatch, TopicPartition};
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, TimerToken};
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
 use crate::metadata::{draw_corr, MetadataSession};
+use crate::table::IntTable;
 
 /// Tag namespace base for consumer-owned timers and CPU work.
 pub const CONSUMER_TAGS: u64 = 1 << 41;
@@ -87,6 +88,15 @@ struct InflightFetch {
     timer: TimerToken,
 }
 
+/// The metrics of a client with telemetry attached, each looked up in the
+/// registry by its first update and never again.
+struct ConsumerMetrics {
+    records_consumed: CounterHandle,
+    /// The `lag/<topic>-<part>` gauges, made (and their names formatted) on
+    /// a partition's first fetch response.
+    lag: BTreeMap<TopicPartition, GaugeHandle>,
+}
+
 /// The embeddable consumer state machine.
 pub struct ConsumerClient {
     cfg: ConsumerConfig,
@@ -94,12 +104,13 @@ pub struct ConsumerClient {
     subscriptions: Vec<String>,
     meta: MetadataSession,
     offsets: BTreeMap<TopicPartition, Offset>,
-    inflight: HashMap<u64, InflightFetch>,
+    /// Fetches awaiting their response, by correlation id.
+    inflight: IntTable<InflightFetch>,
     fetching: BTreeMap<TopicPartition, bool>,
     /// Batches whose delivery CPU is in flight, by tag. Holding the
     /// refcounted [`RecordBatch`] (not a rebuilt `Vec`) means the payloads
     /// fetched from the broker are never copied on the way to the sink.
-    pending_delivery: HashMap<u64, (TopicPartition, RecordBatch, Offset)>,
+    pending_delivery: IntTable<(TopicPartition, RecordBatch, Offset)>,
     next_corr: u64,
     next_deliver_tag: u64,
     stats: ConsumerStats,
@@ -122,6 +133,8 @@ pub struct ConsumerClient {
     /// Scope metrics are recorded under (`consumer-0`, `job/stage/i`, ...);
     /// empty means telemetry is detached.
     tele_scope: String,
+    /// `None` while telemetry is detached.
+    metrics: Option<ConsumerMetrics>,
 }
 
 /// Client-side state of the group-membership protocol.
@@ -151,9 +164,9 @@ impl ConsumerClient {
             brokers,
             subscriptions: topics,
             offsets: BTreeMap::new(),
-            inflight: HashMap::new(),
+            inflight: IntTable::default(),
             fetching: BTreeMap::new(),
-            pending_delivery: HashMap::new(),
+            pending_delivery: IntTable::default(),
             next_corr: 1,
             next_deliver_tag: 0,
             stats: ConsumerStats::default(),
@@ -164,6 +177,7 @@ impl ConsumerClient {
             membership: None,
             tele: Telemetry::new(),
             tele_scope: String::new(),
+            metrics: None,
         }
     }
 
@@ -172,8 +186,12 @@ impl ConsumerClient {
     /// broker high watermark minus the local position, from every fetch
     /// response) under `scope`.
     pub fn set_telemetry(&mut self, tele: Telemetry, scope: impl Into<String>) {
-        self.tele = tele;
         self.tele_scope = scope.into();
+        self.metrics = (!self.tele_scope.is_empty()).then(|| ConsumerMetrics {
+            records_consumed: tele.counter(&self.tele_scope, "records_consumed"),
+            lag: BTreeMap::new(),
+        });
+        self.tele = tele;
     }
 
     /// Restricts fetching to the partitions instance `instance` of
@@ -509,15 +527,18 @@ impl ConsumerClient {
         // this partition; for non-empty batches it stays set until
         // the delivery CPU completes, or the poll timer would issue
         // a duplicate fetch at the not-yet-advanced offset.
-        self.fetching.insert(tp.clone(), false);
-        if !self.tele_scope.is_empty() && error == ErrorCode::None {
+        let delivering = error == ErrorCode::None && !batch.is_empty();
+        self.fetching.insert(tp.clone(), delivering);
+        if let (Some(metrics), ErrorCode::None) = (&mut self.metrics, error) {
             // Consumer lag per partition: broker high watermark
             // minus the position after this response.
             let lag = high_watermark.value().saturating_sub(next_offset.value());
-            self.tele
-                .gauge_set(&self.tele_scope, &format!("lag/{tp}"), lag as f64);
-            self.tele
-                .counter_add(&self.tele_scope, "records_consumed", batch.len() as u64);
+            let gauge = metrics
+                .lag
+                .entry(tp.clone())
+                .or_insert_with(|| self.tele.gauge(&self.tele_scope, &format!("lag/{tp}")));
+            gauge.set(lag as f64);
+            metrics.records_consumed.add(batch.len() as u64);
             if self.tele.trace_enabled() && !batch.is_empty() {
                 self.tele.trace_instant(
                     ctx.now(),
@@ -528,8 +549,7 @@ impl ConsumerClient {
             }
         }
         match error {
-            ErrorCode::None if !batch.is_empty() => {
-                self.fetching.insert(tp.clone(), true);
+            ErrorCode::None if delivering => {
                 // Pay the per-record CPU cost, then deliver and
                 // immediately fetch again (pipelining). The position
                 // advances to the broker-computed next offset, which
@@ -593,7 +613,7 @@ impl ConsumerClient {
             } => {
                 // A missing entry means a stale response for a timed-out
                 // request: consume the message without acting on it.
-                let inflight = self.inflight.remove(&corr.0)?;
+                let inflight = self.inflight.remove(corr.0)?;
                 ctx.cancel_timer(inflight.timer);
                 self.on_fetched(ctx, tp, batch, high_watermark, next_offset, error);
                 None
@@ -740,7 +760,7 @@ impl ConsumerClient {
             }
         } else if (off::REQ_TIMEOUT_BASE..off::CPU_DELIVER_BASE).contains(&o) {
             let corr = o - off::REQ_TIMEOUT_BASE;
-            if let Some(inflight) = self.inflight.remove(&corr) {
+            if let Some(inflight) = self.inflight.remove(corr) {
                 self.stats.timeouts += 1;
                 self.fetching.insert(inflight.tp, false);
                 self.request_metadata(ctx);
@@ -760,7 +780,7 @@ impl ConsumerClient {
         if !(CONSUMER_TAGS..CONSUMER_TAGS_END).contains(&tag) {
             return false;
         }
-        let Some((tp, batch, next_offset)) = self.pending_delivery.remove(&tag) else {
+        let Some((tp, batch, next_offset)) = self.pending_delivery.remove(tag) else {
             return true;
         };
         let now = ctx.now();

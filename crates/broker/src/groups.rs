@@ -30,6 +30,12 @@ struct Member {
     assigned: Vec<TopicPartition>,
 }
 
+impl Member {
+    fn subscribes(&self, tp: &TopicPartition) -> bool {
+        self.topics.iter().any(|t| tp.topic == *t)
+    }
+}
+
 /// One consumer group's coordinator state.
 #[derive(Debug, Default)]
 struct Group {
@@ -233,8 +239,7 @@ impl GroupCoordinator {
         let mut owner: BTreeMap<TopicPartition, String> = BTreeMap::new();
         for (id, m) in &g.members {
             for tp in &m.assigned {
-                if universe.contains(tp) && m.topics.contains(&tp.topic) && !owner.contains_key(tp)
-                {
+                if universe.contains(tp) && m.subscribes(tp) && !owner.contains_key(tp) {
                     owner.insert(tp.clone(), id.clone());
                 }
             }
@@ -251,7 +256,7 @@ impl GroupCoordinator {
             let target = g
                 .members
                 .iter()
-                .filter(|(_, m)| m.topics.contains(&tp.topic))
+                .filter(|(_, m)| m.subscribes(tp))
                 .map(|(id, _)| id.clone())
                 .min_by_key(|id| (load(&owner, id), id.clone()));
             if let Some(id) = target {
@@ -275,8 +280,7 @@ impl GroupCoordinator {
             // Move the first movable partition the light member subscribes
             // to from the heavy member.
             let movable = universe.iter().find(|tp| {
-                owner.get(*tp).is_some_and(|o| *o == heavy)
-                    && g.members[&light].topics.contains(&tp.topic)
+                owner.get(*tp).is_some_and(|o| *o == heavy) && g.members[&light].subscribes(tp)
             });
             match movable {
                 Some(tp) => {

@@ -59,12 +59,14 @@ mod config;
 mod consumer;
 mod controller;
 mod groups;
+mod handover;
 mod kraft;
 mod log;
 mod metadata;
 mod partition;
 mod producer;
 mod sources;
+mod table;
 
 pub use broker::{Broker, BrokerRecoveryInfo, BrokerStats, LogBlob};
 pub use config::{

@@ -86,6 +86,10 @@ pub struct LogSegment {
     dirty: bool,
 }
 
+/// The most entries a segment reserves room for on its first append; a
+/// log configured with larger segments grows them past this by doubling.
+const SEGMENT_RESERVE_MAX: usize = 1024;
+
 impl LogSegment {
     fn new(base: u64) -> Self {
         LogSegment {
@@ -98,10 +102,17 @@ impl LogSegment {
         }
     }
 
-    fn push(&mut self, offset: u64, epoch: LeaderEpoch, record: Record) {
+    /// Appends an entry; `capacity` is the log's segment size, which the
+    /// first append reserves at once (a segment that will hold 128 entries
+    /// would otherwise grow there through six reallocations).
+    fn push(&mut self, offset: u64, epoch: LeaderEpoch, record: Record, capacity: usize) {
         debug_assert!(offset >= self.end, "appends must advance the offset");
         if self.entries.is_empty() {
             self.base_ts = record.timestamp;
+            if self.entries.capacity() == 0 {
+                self.entries
+                    .reserve_exact(capacity.min(SEGMENT_RESERVE_MAX));
+            }
         }
         self.bytes += record.encoded_len();
         self.dirty = true;
@@ -147,6 +158,17 @@ impl LogSegment {
     /// The entries held, in offset order.
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
+    }
+
+    /// Index of the first entry at an offset `>= offset`. A segment
+    /// without holes (no compaction, no `append_at` gap: as many entries as
+    /// offsets) holds offset `o` at index `o - base`, no search needed.
+    fn first_at_or_after(&self, offset: u64) -> usize {
+        if self.entries.len() as u64 == self.end - self.base {
+            (offset.saturating_sub(self.base) as usize).min(self.entries.len())
+        } else {
+            self.entries.partition_point(|e| e.offset.value() < offset)
+        }
     }
 
     /// Serializes the segment for persistence: a versioned header plus
@@ -413,11 +435,8 @@ impl PartitionLog {
     fn entry_at(&self, offset: Offset) -> Option<&LogEntry> {
         let o = offset.value();
         let seg = &self.segments[self.seg_index_for(o)?];
-        let i = seg
-            .entries
-            .binary_search_by_key(&o, |e| e.offset.value())
-            .ok()?;
-        Some(&seg.entries[i])
+        let at = seg.entries.get(seg.first_at_or_after(o))?;
+        (at.offset == offset).then_some(at)
     }
 
     /// Appends one record under `epoch` at the log end, returning its
@@ -447,7 +466,7 @@ impl PartitionLog {
         }
         let seg = self.segments.last_mut().expect("just ensured");
         self.retained_bytes += record.encoded_len();
-        seg.push(o, epoch, record);
+        seg.push(o, epoch, record, self.segment_max_records);
         true
     }
 
@@ -486,26 +505,33 @@ impl PartitionLog {
         if from >= end || max == 0 {
             return Vec::new();
         }
-        let lo = from.value();
+        let (lo, end) = (from.value(), end.value());
+        // Most reads are of the tail (a consumer or follower keeping up):
+        // try the last segment before bisecting for the first one whose
+        // range reaches `lo`.
+        let last = self.segments.len() - 1;
+        let start_idx = if self.segments[last].base <= lo {
+            last
+        } else {
+            self.segments.partition_point(|s| s.end <= lo).min(last)
+        };
         let mut out = Vec::new();
-        let start_idx = self
-            .segments
-            .partition_point(|s| s.end <= lo)
-            .min(self.segments.len().saturating_sub(1));
         for seg in &self.segments[start_idx..] {
-            if seg.base >= end.value() {
+            if seg.base >= end || out.len() >= max {
                 break;
             }
-            let within = seg.entries.partition_point(|e| e.offset.value() < lo);
-            for e in &seg.entries[within..] {
-                if e.offset >= end {
-                    return out;
-                }
-                out.push(e);
-                if out.len() >= max {
-                    return out;
-                }
+            let first = seg.first_at_or_after(lo);
+            let below_end = if seg.end <= end {
+                seg.entries.len()
+            } else {
+                seg.first_at_or_after(end)
+            };
+            let take = (below_end - first).min(max - out.len());
+            if out.capacity() == 0 {
+                // Sized once: all that is wanted, or all there can be.
+                out.reserve_exact(max.min((end - lo) as usize));
             }
+            out.extend(&seg.entries[first..first + take]);
         }
         out
     }
@@ -1203,7 +1229,7 @@ mod tests {
     fn rebuilt(seg: &LogSegment) -> LogSegment {
         let mut fresh = LogSegment::new(seg.base);
         for e in seg.entries() {
-            fresh.push(e.offset.value(), e.epoch, e.record.clone());
+            fresh.push(e.offset.value(), e.epoch, e.record.clone(), seg.len());
         }
         fresh.end = seg.end;
         fresh.base_ts = seg.base_ts;
@@ -1531,5 +1557,122 @@ mod tests {
         // Duplicate responses are no-ops, not double-appends.
         assert!(!follower.append_at(Offset(5), LeaderEpoch(1), rec("dup")));
         assert_eq!(follower.len(), 3);
+    }
+
+    /// `read_entries` as it was before its fast paths: bisect for the
+    /// segment, bisect inside it, walk until the end or `max`.
+    fn read_entries_by_bisection(
+        log: &PartitionLog,
+        from: Offset,
+        max: usize,
+        committed_only: bool,
+    ) -> Vec<u64> {
+        let end = if committed_only {
+            log.high_watermark()
+        } else {
+            log.log_end()
+        };
+        let mut out = Vec::new();
+        if from >= end || max == 0 {
+            return out;
+        }
+        let lo = from.value();
+        let segments = log.segments();
+        let start = segments
+            .partition_point(|s| s.end <= lo)
+            .min(segments.len().saturating_sub(1));
+        for seg in &segments[start..] {
+            if seg.base >= end.value() {
+                break;
+            }
+            let within = seg.entries.partition_point(|e| e.offset.value() < lo);
+            for e in &seg.entries[within..] {
+                if e.offset >= end || out.len() >= max {
+                    return out;
+                }
+                out.push(e.offset.value());
+            }
+        }
+        out
+    }
+
+    /// Seeded sweep: logs grown by appends and `append_at` gaps, then cut by
+    /// compaction, retention and truncation, read at random
+    /// `(from, max, committed_only)` after every step. The tail-segment and
+    /// hole-free shortcuts must return exactly what two bisections return.
+    #[test]
+    fn read_entries_matches_the_two_bisection_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut reads, mut non_empty, mut holey) = (0u32, 0u32, 0u32);
+        for case in 0..60 {
+            let mut log = PartitionLog::with_segment_max(rng.gen_range(2..9));
+            let mut ts = 0u64;
+            for step in 0..40 {
+                match rng.gen_range(0..10) {
+                    // Leader-style appends: contiguous offsets.
+                    0..=4 => {
+                        for _ in 0..rng.gen_range(1..6) {
+                            ts += 1_000;
+                            let key = format!("k{}", rng.gen_range(0..5));
+                            log.append(LeaderEpoch(step / 10), keyed(&key, "v", ts));
+                        }
+                    }
+                    // Follower-style append past a gap (a compacted leader).
+                    5 => {
+                        let at = Offset(log.log_end().value() + rng.gen_range(0..4u64));
+                        ts += 1_000;
+                        log.append_at(at, LeaderEpoch(step / 10), keyed("gap", "v", ts));
+                    }
+                    6 => {
+                        let hw =
+                            rng.gen_range(log.high_watermark().value()..=log.log_end().value());
+                        log.advance_high_watermark(Offset(hw));
+                    }
+                    7 => {
+                        log.compact();
+                    }
+                    8 => {
+                        let age = SimDuration::from_millis(rng.gen_range(1..20));
+                        log.apply_retention(SimTime::from_millis(ts), Some(age), None);
+                    }
+                    _ => {
+                        let span = log.log_end().value() - log.log_start().value();
+                        let to = log.log_start().value() + rng.gen_range(0..=span);
+                        log.truncate_to(Offset(to));
+                    }
+                }
+                let has_hole = |s: &LogSegment| (s.len() as u64) < s.end - s.base;
+                holey += u32::from(log.segments().iter().any(has_hole));
+                for _ in 0..12 {
+                    let from = Offset(rng.gen_range(0..log.log_end().value() + 3));
+                    let max = [0usize, 1, 2, 3, 7, 1_000][rng.gen_range(0..6usize)];
+                    let committed_only = rng.gen_bool(0.5);
+                    let got: Vec<u64> = log
+                        .read_entries(from, max, committed_only)
+                        .iter()
+                        .map(|e| e.offset.value())
+                        .collect();
+                    let want = read_entries_by_bisection(&log, from, max, committed_only);
+                    assert_eq!(
+                        got, want,
+                        "case {case} step {step}: read({from}, {max}, {committed_only})"
+                    );
+                    reads += 1;
+                    non_empty += u32::from(!got.is_empty());
+                }
+            }
+        }
+        // The sweep is not vacuous: most reads return entries, and a good
+        // share ran against segments with holes.
+        assert!(
+            non_empty * 3 > reads,
+            "{non_empty} of {reads} reads non-empty"
+        );
+        assert!(
+            holey > 400,
+            "{holey} of 2 400 steps saw a segment with holes"
+        );
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use s2g_proto::{
-    BrokerId, ClientRpc, CorrelationId, LeaderEpoch, MetadataRecord, PartitionMetadata,
+    BrokerId, ClientRpc, CorrelationId, LeaderEpoch, MetadataRecord, PartitionMetadata, TopicName,
     TopicPartition,
 };
 use s2g_sim::{Ctx, ProcessId, SimDuration, TimerToken};
@@ -58,6 +58,7 @@ pub fn plan_assignments_racked(
             topic.replication,
             brokers.len()
         );
+        let name = TopicName::from(&topic.name);
         for p in 0..topic.partitions {
             let lead_idx = match (p, topic.primary) {
                 (0, Some(primary)) => brokers
@@ -92,7 +93,7 @@ pub fn plan_assignments_racked(
             }
             let replicas: Vec<BrokerId> = chosen.iter().map(|i| brokers[*i].0).collect();
             out.push(PartitionMetadata {
-                tp: TopicPartition::new(topic.name.clone(), p),
+                tp: TopicPartition::new(&name, p),
                 leader: Some(replicas[0]),
                 epoch: LeaderEpoch(0),
                 isr: replicas.clone(),
@@ -112,7 +113,7 @@ pub struct MetadataCache {
     /// `TopicPartition`) so the per-fetch and per-flush questions — how many
     /// partitions has this topic, which are they — are one `&str` lookup
     /// that allocates nothing and visits no other topic.
-    topics: BTreeMap<String, BTreeMap<u32, PartitionMetadata>>,
+    topics: BTreeMap<TopicName, BTreeMap<u32, PartitionMetadata>>,
 }
 
 impl MetadataCache {
@@ -183,7 +184,7 @@ impl MetadataCache {
     }
 
     fn get(&self, tp: &TopicPartition) -> Option<&PartitionMetadata> {
-        self.topics.get(tp.topic.as_str())?.get(&tp.partition)
+        self.topics.get(&tp.topic)?.get(&tp.partition)
     }
 
     /// All partitions of a topic, in partition order.

@@ -1,26 +1,29 @@
 //! One hosted partition: everything the broker keeps for it, in one record.
 //!
 //! A [`Partition`] owns the log, the role, the highest controller epoch
-//! seen, the idempotent-dedup stamps and their mirrored copy, the
-//! transaction ranges, the sticky codec and the durable end. Every RPC
-//! resolves its partition once and calls the methods here.
+//! seen, the idempotent-dedup stamps and transaction ranges (with their
+//! hand-over to followers, [`Handover`]), the sticky codec and the durable
+//! end. Every RPC resolves its partition once and calls the methods here.
 //!
 //! Work only a leader may do lives on [`Led`], the view [`Partition::admit`]
 //! hands out after the single admission decision (fenced → not leader →
 //! stale/newer epoch → `min.insync.replicas`), so no handler re-proves
 //! leadership.
 
-use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use s2g_proto::{
-    BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
-    PartitionMetadata, Record, RecordBatch, ReplicaRpc, TopicPartition,
+    BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
+    MirrorView, Offset, PartitionMetadata, Record, RecordBatch, ReplicaRpc, TopicPartition,
 };
 use s2g_sim::{Ctx, ProcessId, SimTime};
+use s2g_telemetry::GaugeHandle;
 
 use crate::broker::{Host, OutMsg};
 use crate::config::{BrokerConfig, CoordinationMode};
-use crate::log::{CleanOutcome, MetaPartitionTxns, MetaTxnEntry, PartitionLog};
+use crate::handover::{Handover, PartitionTxns};
+use crate::log::{CleanOutcome, MetaPartitionTxns, PartitionLog};
+use crate::table::IntTable;
 
 /// A produce whose acknowledgement waits for replication and/or the
 /// covering flush.
@@ -53,17 +56,30 @@ pub(crate) fn produce_response(
     })
 }
 
+/// What a follower's fetches have told its leader: the log end it claimed
+/// last and when it was last fully caught up. A follower never heard from
+/// reads as the default (offset zero, time zero).
+#[derive(Debug, Default, Clone, Copy)]
+struct FollowerProgress {
+    end: Offset,
+    caught_up_at: SimTime,
+}
+
 #[derive(Debug)]
 struct LeaderState {
     epoch: LeaderEpoch,
     isr: Vec<BrokerId>,
     replicas: Vec<BrokerId>,
-    follower_end: HashMap<BrokerId, Offset>,
-    caught_up_at: HashMap<BrokerId, SimTime>,
+    /// By broker id.
+    followers: IntTable<FollowerProgress>,
     pending: Vec<PendingProduce>,
-    /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauge names, built
-    /// once per reign: every watermark move sets both gauges.
-    gap_gauges: [String; 2],
+    /// The ISR's log ends, as [`Led::advance_hw`] last ranked them; kept
+    /// for its capacity.
+    ends: Vec<Offset>,
+    /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauges, made once
+    /// per reign: every watermark move sets both.
+    hw_gap: GaugeHandle,
+    lso_gap: GaugeHandle,
 }
 
 #[derive(Debug)]
@@ -75,142 +91,10 @@ struct FollowerState {
 
 #[derive(Debug)]
 enum Role {
-    Leader(LeaderState),
+    /// Boxed: a reign's state is an order of magnitude larger than a
+    /// follower's, and most hosted partitions are followed.
+    Leader(Box<LeaderState>),
     Follower(FollowerState),
-}
-
-/// The highest `(producer_epoch, seq)` per producer id. Kept inside the
-/// partition so the per-record dedup check is an integer lookup: no
-/// `(TopicPartition, producer)` key, hence no topic `String`, is built per
-/// record.
-type ProducerSeqs = BTreeMap<u32, (u32, u64)>;
-
-/// Raises `producer`'s stamp to `stamp` if that is higher.
-fn raise_seq(seqs: &mut ProducerSeqs, producer: u32, stamp: (u32, u64)) {
-    let entry = seqs.entry(producer).or_insert(stamp);
-    *entry = (*entry).max(stamp);
-}
-
-/// Transaction bookkeeping for one partition: open transactions (their
-/// records are withheld from read-committed consumers) and aborted offset
-/// ranges (skipped forever). Persisted in the meta blob so isolation
-/// survives a broker bounce.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub(crate) struct PartitionTxns {
-    /// `(producer, txn)` → `(first, end, producer_epoch)` offset range
-    /// staged so far, tagged with the staging incarnation's epoch so a
-    /// recover from a newer incarnation can fence older leftovers without
-    /// ever touching its own transactions.
-    ongoing: BTreeMap<(u32, u64), (u64, u64, u32)>,
-    /// Aborted `[start, end)` offset ranges.
-    aborted: Vec<(u64, u64)>,
-}
-
-impl PartitionTxns {
-    /// Rebuilds the state a meta blob persisted.
-    pub(crate) fn from_meta(ongoing: Vec<MetaTxnEntry>, aborted: Vec<(u64, u64)>) -> Self {
-        let ongoing = ongoing
-            .into_iter()
-            .map(|(p, x, first, end, e)| ((p, x), (first, end, e)))
-            .collect();
-        PartitionTxns { ongoing, aborted }
-    }
-
-    /// The open transactions and aborted ranges as the meta blob stores
-    /// them; `None` when there is nothing to persist.
-    pub(crate) fn to_meta(&self, tp: &TopicPartition) -> Option<MetaPartitionTxns> {
-        if self.ongoing.is_empty() && self.aborted.is_empty() {
-            return None;
-        }
-        let ongoing = self
-            .ongoing
-            .iter()
-            .map(|((p, x), (first, end, e))| (*p, *x, *first, *end, *e))
-            .collect();
-        Some((tp.clone(), ongoing, self.aborted.clone()))
-    }
-
-    /// The last stable offset: no record at or above it belongs to an open
-    /// transaction. `None` when no transaction is open.
-    fn lso(&self) -> Option<u64> {
-        self.ongoing.values().map(|(first, _, _)| *first).min()
-    }
-
-    fn is_aborted(&self, offset: u64) -> bool {
-        // `aborted` is kept sorted and merged, so a binary search suffices.
-        let i = self.aborted.partition_point(|(s, _)| *s <= offset);
-        i > 0 && offset < self.aborted[i - 1].1
-    }
-
-    /// Inserts an aborted `[start, end)` range, keeping the list sorted and
-    /// coalescing overlapping/adjacent ranges so fetch-path lookups stay
-    /// logarithmic and the meta blob stays small.
-    fn add_aborted(&mut self, start: u64, end: u64) {
-        let i = self.aborted.partition_point(|(s, _)| *s < start);
-        self.aborted.insert(i, (start, end));
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.aborted.len());
-        for &(s, e) in &self.aborted {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.aborted = merged;
-    }
-
-    /// Records (or extends) the open transaction `key`'s staged range
-    /// `[base, end)`. A leftover entry from an older producer epoch (the
-    /// crashed incarnation reused the txn sequence) is fenced: its range
-    /// aborts and the fresh epoch starts a new one. Returns whether that
-    /// happened.
-    fn stage(&mut self, key: (u32, u64), base: u64, end: u64, rec_epoch: u32) -> bool {
-        match self.ongoing.get(&key).copied() {
-            Some((f, l, e)) if e == rec_epoch => {
-                self.ongoing.insert(key, (f, l.max(end), e));
-                false
-            }
-            Some((f, l, _)) => {
-                self.ongoing.insert(key, (base, end, rec_epoch));
-                if l > f {
-                    self.add_aborted(f, l);
-                }
-                true
-            }
-            None => {
-                self.ongoing.insert(key, (base, end, rec_epoch));
-                false
-            }
-        }
-    }
-
-    /// Resolves every open transaction of `producer` whose sequence matches
-    /// `which` — and, when `below_epoch` is set, whose staging producer
-    /// epoch is older than it (the fencing rule) — committing or aborting.
-    /// Returns how many it resolved.
-    pub(crate) fn resolve(
-        &mut self,
-        producer: u32,
-        which: impl Fn(u64) -> bool,
-        below_epoch: Option<u32>,
-        commit: bool,
-    ) -> u64 {
-        let keys: Vec<(u32, u64)> = self
-            .ongoing
-            .iter()
-            .filter(|((p, t), (_, _, e))| {
-                *p == producer && which(*t) && below_epoch.is_none_or(|fence| *e < fence)
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &keys {
-            if let Some((first, end, _)) = self.ongoing.remove(k) {
-                if !commit && end > first {
-                    self.add_aborted(first, end);
-                }
-            }
-        }
-        keys.len() as u64
-    }
 }
 
 /// Everything the broker keeps for one hosted partition.
@@ -220,22 +104,8 @@ pub(crate) struct Partition {
     role: Option<Role>,
     /// The highest controller epoch seen: an older `LeaderAndIsr` is stale.
     known_epoch: LeaderEpoch,
-    /// Highest `(producer_epoch, seq)` appended per producer — the
-    /// idempotent-producer dedup state. Rebuilt from the log on restart
-    /// replay and after divergence truncation, so a batch retried across a
-    /// broker bounce is acknowledged without duplicating records, while a
-    /// respawned client (bumped epoch, sequence restarting at zero) is
-    /// accepted as fresh.
-    seqs: ProducerSeqs,
-    /// Dedup stamps mirrored from the leader while following, merged into
-    /// `seqs` on promotion. This carries the in-memory-only knowledge a
-    /// bare log replay cannot rebuild (e.g. a producer's highest sequence
-    /// whose record compaction since removed), so a failover never
-    /// re-admits a duplicate the old leader had filtered. Only populated
-    /// from fetches made while fully caught up, so every mirrored stamp is
-    /// covered by the local log.
-    mirrored_seqs: ProducerSeqs,
-    pub(crate) txns: PartitionTxns,
+    /// Dedup stamps and transaction ranges: what leadership hands over.
+    state: Handover,
     /// Sticky compression: the codec of the last produced (or replicated)
     /// batch, stamped onto fetch responses so consumers pay the decompress
     /// cost — the broker itself never re-codes batches, exactly like
@@ -256,8 +126,7 @@ pub(crate) struct Led<'p> {
     tp: &'p TopicPartition,
     ls: &'p mut LeaderState,
     log: &'p mut PartitionLog,
-    seqs: &'p mut ProducerSeqs,
-    txns: &'p mut PartitionTxns,
+    state: &'p mut Handover,
     codec: &'p mut Compression,
     durable_end: Offset,
 }
@@ -268,9 +137,7 @@ impl Partition {
             log: PartitionLog::with_segment_max(cfg.log_segment_max_records),
             role: None,
             known_epoch: LeaderEpoch::default(),
-            seqs: ProducerSeqs::new(),
-            mirrored_seqs: ProducerSeqs::new(),
-            txns: PartitionTxns::default(),
+            state: Handover::default(),
             codec: Compression::default(),
             durable_end: Offset::ZERO,
             flush_end: Offset::ZERO,
@@ -298,8 +165,7 @@ impl Partition {
         let Partition {
             role: Some(Role::Leader(ls)),
             log,
-            seqs,
-            txns,
+            state,
             codec,
             durable_end,
             ..
@@ -311,8 +177,7 @@ impl Partition {
             tp,
             ls,
             log,
-            seqs,
-            txns,
+            state,
             codec,
             durable_end: *durable_end,
         })
@@ -377,23 +242,21 @@ impl Partition {
                     ls.isr = m.isr;
                 }
                 _ => {
-                    self.role = Some(Role::Leader(LeaderState {
+                    let mut followers: IntTable<FollowerProgress> = IntTable::default();
+                    for b in &m.isr {
+                        followers.get_or_default(u64::from(b.0)).caught_up_at = now;
+                    }
+                    self.role = Some(Role::Leader(Box::new(LeaderState {
                         epoch: m.epoch,
-                        caught_up_at: m.isr.iter().map(|b| (*b, now)).collect(),
+                        followers,
                         isr: m.isr,
                         replicas: m.replicas,
-                        follower_end: HashMap::new(),
                         pending: Vec::new(),
-                        gap_gauges: [format!("hw_gap/{tp}"), format!("lso_gap/{tp}")],
-                    }));
-                    // Promotion: fold the dedup stamps mirrored from the
-                    // old leader into the live filter, so the new reign
-                    // rejects exactly the duplicates the old one would
-                    // have. (The mirrored transaction ranges are already
-                    // installed in `txns` and carry over as-is.)
-                    for (p, stamp) in std::mem::take(&mut self.mirrored_seqs) {
-                        raise_seq(&mut self.seqs, p, stamp);
-                    }
+                        ends: Vec::new(),
+                        hw_gap: host.tele.gauge(&host.name, &format!("hw_gap/{tp}")),
+                        lso_gap: host.tele.gauge(&host.name, &format!("lso_gap/{tp}")),
+                    })));
+                    self.state.promote();
                     host.leadership_events.push((now, tp.clone(), true));
                     ctx.trace_with("broker", || format!("{} became leader of {tp}", host.name));
                 }
@@ -487,7 +350,7 @@ impl Partition {
         // and may cover discarded records — drop them; the next caught-up
         // fetch repopulates from the new reign's leader.
         self.rebuild_seqs();
-        self.mirrored_seqs.clear();
+        self.state.forget_mirrored_seqs();
         // The durable floor must shrink with the log: offsets beyond the
         // truncation point are no longer covered by a valid flush, and
         // future appends there must wait for their own flush before being
@@ -526,7 +389,7 @@ impl Partition {
                 .copied()
                 .unwrap_or_else(|| self.log.log_end());
             let stamp = (rec.producer_epoch, rec.producer_seq);
-            raise_seq(&mut self.seqs, rec.producer.0, stamp);
+            self.state.raise_seq(rec.producer.0, stamp);
             let bytes = rec.encoded_len() as u64;
             if self.log.append_at(off, e, rec) {
                 appended += 1;
@@ -539,50 +402,19 @@ impl Partition {
         appended
     }
 
-    /// Mirrors the leader's transactional state and, from a caught-up
-    /// fetch, its dedup stamps (all covered by our log), stashed for
-    /// promotion time. The transaction ranges are clamped to the records
-    /// this follower actually holds: ranges wholly past our log end
-    /// describe records that never replicated here and must not be
-    /// resurrected after a promotion. Returns whether the transaction
-    /// state changed.
-    pub(crate) fn mirror(
-        &mut self,
-        txn_ongoing: Vec<(u32, u64, Offset, Offset, u32)>,
-        txn_aborted: Vec<(Offset, Offset)>,
-        producer_seqs: Vec<(u32, u32, u64)>,
-    ) -> bool {
-        let log_end = self.log.log_end().value();
-        let mut mirrored = PartitionTxns::default();
-        for (p, x, first, range_end, pe) in txn_ongoing {
-            if first.value() < log_end {
-                let range = (first.value(), range_end.value().min(log_end), pe);
-                mirrored.ongoing.insert((p, x), range);
-            }
-        }
-        for (s, e) in txn_aborted {
-            if s.value() < log_end {
-                mirrored.add_aborted(s.value(), e.value().min(log_end));
-            }
-        }
-        for (p, e, s) in producer_seqs {
-            raise_seq(&mut self.mirrored_seqs, p, (e, s));
-        }
-        let changed = self.txns != mirrored;
-        if changed {
-            self.txns = mirrored;
-        }
-        changed
+    /// Mirrors the leader's transactional state and, when they ride along,
+    /// its dedup stamps ([`Handover::mirror`]), against the log as it now
+    /// stands. Returns whether the transaction state changed.
+    pub(crate) fn mirror(&mut self, view: &Rc<MirrorView>, seqs_ride: bool) -> bool {
+        self.state.mirror(view, seqs_ride, self.log.log_end())
     }
 
     /// Rebuilds the idempotent-producer dedup state from the log (after
     /// truncation or restart replay).
     fn rebuild_seqs(&mut self) {
-        self.seqs.clear();
-        for e in self.log.segments().iter().flat_map(|s| s.entries()) {
-            let stamp = (e.record.producer_epoch, e.record.producer_seq);
-            raise_seq(&mut self.seqs, e.record.producer.0, stamp);
-        }
+        let entries = self.log.segments().iter().flat_map(|s| s.entries());
+        let stamp = |r: &Record| (r.producer.0, (r.producer_epoch, r.producer_seq));
+        self.state.rebuild_seqs(entries.map(|e| stamp(&e.record)));
     }
 
     /// Installs the log a restart replay rebuilt — all of it durable — and
@@ -592,6 +424,28 @@ impl Partition {
         self.durable_end = log.log_end();
         self.log = log;
         self.rebuild_seqs();
+    }
+
+    /// Installs the transaction state a restart replay recovered.
+    pub(crate) fn restore_txns(&mut self, txns: PartitionTxns) {
+        *self.state.txns_mut() = txns;
+    }
+
+    /// The transaction state as the meta blob stores it, if there is any.
+    pub(crate) fn txns_meta(&self, tp: &TopicPartition) -> Option<MetaPartitionTxns> {
+        self.state.txns().to_meta(tp)
+    }
+
+    /// Resolves the matching open transactions ([`Handover::resolve_txns`]).
+    pub(crate) fn resolve_txns(
+        &mut self,
+        producer: u32,
+        which: impl Fn(u64) -> bool,
+        below_epoch: Option<u32>,
+        commit: bool,
+    ) -> u64 {
+        self.state
+            .resolve_txns(producer, which, below_epoch, commit)
     }
 
     /// One cleaner pass: retention first (whole segments are cheapest),
@@ -611,8 +465,10 @@ impl Partition {
         } else {
             CleanOutcome::default()
         };
-        let log_start = self.log.log_start().value();
-        self.txns.aborted.retain(|(_, e)| *e > log_start);
+        if self.state.txns().has_aborted() {
+            let log_start = self.log.log_start().value();
+            self.state.txns_mut().forget_aborted_below(log_start);
+        }
         (retained, compacted)
     }
 
@@ -652,52 +508,52 @@ impl Led<'_> {
         // The sticky codec: fetches of this partition are served with
         // whatever the last producer sealed.
         *self.codec = batch.compression();
-        host.tele
-            .observe_count(&host.name, "batch_records", batch.len() as u64);
-        host.tele
-            .observe_bytes(&host.name, "batch_bytes", batch.record_bytes() as u64);
-        let mut fresh: Vec<Record> = Vec::with_capacity(batch.len());
+        host.metrics.batch_records.observe(batch.len() as f64);
+        host.metrics
+            .batch_bytes
+            .observe(batch.record_bytes() as f64);
+        let base = self.log.log_end();
+        let (mut n, mut bytes) = (0usize, 0u64);
+        let mut staging = None;
         // One lookup and one write-back per run of records from the same
         // producer (a batch is normally a single run), with the run's
         // latest stamp carried in between so a later record still sees an
         // earlier one of its own batch.
         for run in batch.records().chunk_by(|a, b| a.producer == b.producer) {
             let producer = run[0].producer.0;
-            let mut last = self.seqs.get(&producer).copied();
+            let mut last = self.state.seq(producer);
             for r in run {
                 // Same-or-older (epoch, seq) is a stale retry; a bumped
                 // epoch is a respawned client restarting at seq zero.
                 let stamp = (r.producer_epoch, r.producer_seq);
                 if last.is_some_and(|last| stamp <= last) {
                     host.stats.duplicates_filtered += 1;
-                } else {
-                    last = Some(stamp);
-                    fresh.push(r.clone());
+                    continue;
                 }
+                last = Some(stamp);
+                staging.get_or_insert((r.producer.0, r.producer_epoch));
+                bytes += r.encoded_len() as u64;
+                n += 1;
+                self.log.append(self.ls.epoch, r.clone());
             }
             if let Some(last) = last {
-                self.seqs.insert(producer, last);
+                self.state.raise_seq(producer, last);
             }
         }
-        let n = fresh.len();
-        let bytes: u64 = fresh.iter().map(|r| r.encoded_len() as u64).sum();
-        let staging = fresh.first().map(|r| (r.producer.0, r.producer_epoch));
-        let base = self.log.append_batch(self.ls.epoch, fresh);
         host.retained_bytes += bytes;
         host.update_mem();
         host.stats.records_appended += n as u64;
-        host.tele.counter_add(&host.name, "produces", 1);
-        host.tele
-            .counter_add(&host.name, "records_appended", n as u64);
-        host.tele
-            .gauge_set(&host.name, "log_bytes", host.retained_bytes as f64);
+        host.metrics.produces.add(1);
+        host.metrics.records_appended.add(n as u64);
+        host.metrics.log_bytes.set(host.retained_bytes as f64);
         if host.tele.trace_enabled() && n > 0 {
             let name = format!("append:{}", self.tp);
             host.tele.trace_instant(now, &host.name, &name, "broker");
         }
         if let (Some(t), Some((pid, rec_epoch))) = (txn, staging) {
             let end = base.value() + n as u64;
-            if self.txns.stage((pid, t), base.value(), end, rec_epoch) {
+            let txns = self.state.txns_mut();
+            if txns.stage((pid, t), base.value(), end, rec_epoch) {
                 host.stats.txns_aborted += 1;
             }
             host.dirty = true;
@@ -731,29 +587,30 @@ impl Led<'_> {
         }
         // Read-committed isolation caps the read at the last stable offset:
         // nothing of an open transaction leaks out before its marker flips.
-        let visible_end = match self.txns.lso() {
+        let txns = self.state.txns();
+        let visible_end = match txns.lso() {
             Some(lso) if read_committed => Offset(lso).min(hw),
             _ => hw,
         };
         let max = max_records.min(cfg.fetch_max_records);
-        let mut scanned = self.log.read_entries(offset, max, true);
-        scanned.retain(|e| e.offset < visible_end);
+        let mut entries = self.log.read_entries(offset, max, true);
+        entries.truncate(entries.partition_point(|e| e.offset < visible_end));
+        let last_scanned = entries.last().map(|e| e.offset);
         // Aborted transactions' records are holes to a read-committed
         // reader, exactly like compacted entries.
-        let served: Vec<_> = scanned
-            .iter()
-            .copied()
-            .filter(|e| !read_committed || !self.txns.is_aborted(e.offset.value()))
-            .collect();
+        if read_committed && txns.has_aborted() {
+            entries.retain(|e| !txns.is_aborted(e.offset.value()));
+        }
         // Advance past the last served record — else past the last scanned
         // one, so an aborted run is skipped — or, on an empty read below
         // the visible end, over a fully compacted tail hole. A reader
         // parked at the LSO simply re-polls.
-        let next = served
+        let next = entries
             .last()
-            .or(scanned.last())
-            .map_or(offset.max(visible_end), |e| Offset(e.offset.value() + 1));
-        let served = served.iter().map(|e| e.record.clone()).collect();
+            .map(|e| e.offset)
+            .or(last_scanned)
+            .map_or(offset.max(visible_end), |last| Offset(last.value() + 1));
+        let served = entries.iter().map(|e| e.record.clone()).collect();
         let batch = RecordBatch::from_records(served).with_compression(*self.codec);
         (batch, hw, next, ErrorCode::None)
     }
@@ -792,9 +649,10 @@ impl Led<'_> {
         let high_watermark = self.log.high_watermark();
         let caught_up = start >= self.log.log_end();
         // Update follower progress from its claimed log end.
-        self.ls.follower_end.insert(from, start);
+        let progress = self.ls.followers.get_or_default(u64::from(from.0));
+        progress.end = start;
         if caught_up {
-            self.ls.caught_up_at.insert(from, now);
+            progress.caught_up_at = now;
             // Propose ISR expansion for recovered followers. In ZooKeeper
             // mode the leader applies it locally first; in KRaft mode it
             // waits for quorum confirmation.
@@ -815,23 +673,6 @@ impl Led<'_> {
         // itself. Producer dedup stamps ride along only when the follower
         // is fully caught up (then every stamp is covered by its log and
         // can never phantom-ack a record the follower does not hold).
-        let txn_ongoing = self
-            .txns
-            .ongoing
-            .iter()
-            .map(|((p, x), (f, e, pe))| (*p, *x, Offset(*f), Offset(*e), *pe))
-            .collect();
-        let txn_aborted = self
-            .txns
-            .aborted
-            .iter()
-            .map(|(s, e)| (Offset(*s), Offset(*e)))
-            .collect();
-        let producer_seqs = if caught_up {
-            self.seqs.iter().map(|(p, (e, s))| (*p, *e, *s)).collect()
-        } else {
-            Vec::new()
-        };
         let n = records.len();
         let response = ReplicaRpc::FetchResponse {
             corr,
@@ -842,9 +683,8 @@ impl Led<'_> {
             high_watermark,
             epoch: self.ls.epoch,
             truncate_to,
-            txn_ongoing,
-            txn_aborted,
-            producer_seqs,
+            mirror: self.state.view(),
+            seqs_ride: caught_up,
             error: ErrorCode::None,
         };
         (n, response)
@@ -868,7 +708,8 @@ impl Led<'_> {
         let now = ctx.now();
         let ls = &mut *self.ls;
         let lags = |b: &BrokerId| {
-            let caught_up = ls.caught_up_at.get(b).copied().unwrap_or(SimTime::ZERO);
+            let progress = ls.followers.get(u64::from(b.0));
+            let caught_up = progress.map_or(SimTime::ZERO, |p| p.caught_up_at);
             *b != host.id && now.saturating_since(caught_up) > host.cfg.replica_lag_max
         };
         let new_isr: Vec<BrokerId> = ls.isr.iter().copied().filter(|b| !lags(b)).collect();
@@ -900,15 +741,18 @@ impl Led<'_> {
         // members when slack tolerates stragglers. Equivalently, the k-th
         // highest log end where k = |ISR| - slack (at least one — the
         // leader itself). Never past the leader's own end.
-        let follower_end = &self.ls.follower_end;
-        let end_of = |b: &BrokerId| {
-            if *b == host.id {
-                log_end
-            } else {
-                follower_end.get(b).copied().unwrap_or(Offset::ZERO)
-            }
-        };
-        let mut ends: Vec<Offset> = self.ls.isr.iter().map(end_of).collect();
+        let LeaderState {
+            ends,
+            isr,
+            followers,
+            ..
+        } = &mut *self.ls;
+        ends.clear();
+        ends.extend(isr.iter().map(|b| match followers.get(u64::from(b.0)) {
+            _ if *b == host.id => log_end,
+            Some(progress) => progress.end,
+            None => Offset::ZERO,
+        }));
         if ends.is_empty() {
             ends.push(log_end);
         }
@@ -928,26 +772,25 @@ impl Led<'_> {
             Offset(u64::MAX)
         };
         // Acknowledge pending produces now covered by the HW and the
-        // durable end.
-        let (ready, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.ls.pending)
-            .into_iter()
-            .partition(|p| p.need <= hw && p.need_durable <= durable);
-        self.ls.pending = waiting;
-        for p in ready {
-            let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::None);
-            host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
-        }
+        // durable end, in the order they were parked.
+        let tp = self.tp;
+        self.ls.pending.retain(|p| {
+            let ready = p.need <= hw && p.need_durable <= durable;
+            if ready {
+                let msg = produce_response(p.corr, tp.clone(), p.base, ErrorCode::None);
+                host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
+            }
+            !ready
+        });
         // Refresh the watermark-gap gauges: `hw_gap` is the unreplicated
         // suffix (log end minus high watermark) and `lso_gap` is the
         // open-transaction window (high watermark minus last stable
         // offset) that read-committed consumers cannot see yet.
         let hw = hw.value();
-        let lso = self.txns.lso().map_or(hw, |l| l.min(hw));
-        let [hw_gap_name, lso_gap_name] = &self.ls.gap_gauges;
+        let lso = self.state.txns().lso().map_or(hw, |l| l.min(hw));
         let hw_gap = log_end.value().saturating_sub(hw);
-        host.tele.gauge_set(&host.name, hw_gap_name, hw_gap as f64);
-        host.tele
-            .gauge_set(&host.name, lso_gap_name, (hw - lso) as f64);
+        self.ls.hw_gap.set(hw_gap as f64);
+        self.ls.lso_gap.set((hw - lso) as f64);
     }
 
     /// Answers every pending produce with `error` (the reign is over).

@@ -16,23 +16,25 @@
 //!   head-of-line-block the other topic.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 
 use s2g_proto::{
-    ClientRpc, CorrelationId, ProducerId, Record, RecordBatch, TopicPartition, RECORD_OVERHEAD,
+    ClientRpc, CorrelationId, ProducerId, Record, RecordBatch, TopicName, TopicPartition,
+    RECORD_OVERHEAD,
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
     TimerToken,
 };
-use s2g_telemetry::{Histogram, Telemetry};
+use s2g_telemetry::{CounterHandle, Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
 use crate::metadata::{draw_corr, MetadataSession};
+use crate::table::IntTable;
 
 /// Tag namespace base for producer-owned timers and CPU work. The embedding
 /// process must forward tags in `PRODUCER_TAGS..PRODUCER_TAGS_END`.
@@ -130,8 +132,9 @@ struct Pending {
 struct AccumBatch {
     /// Dense id in first-send order; names the topic's linger timer tag.
     id: u64,
-    /// The interned topic name captured record identities share.
-    topic: Rc<str>,
+    /// The topic's one name: every sealed sub-batch's `TopicPartition` and
+    /// every captured record identity shares it.
+    topic: TopicName,
     /// Key and value bytes of every pending record. A flush freezes it into
     /// the one shared buffer the sealed records are views of: a record
     /// costs no allocation of its own between `send` and the log.
@@ -150,8 +153,6 @@ struct AccumBatch {
 #[derive(Debug)]
 struct ReadyBatch {
     tp: TopicPartition,
-    /// `tp.topic`, interned (see [`AccumBatch::topic`]).
-    topic: Rc<str>,
     /// The sealed, shareable batch. Sealed once at flush time; every send
     /// and retry reuses it with a reference-count bump instead of cloning
     /// the records.
@@ -188,6 +189,14 @@ struct Inflight {
     timer: TimerToken,
 }
 
+/// The metrics of a client with telemetry attached, each looked up in the
+/// registry by its first update and never again.
+struct ProducerMetrics {
+    records_sent: CounterHandle,
+    records_acked: CounterHandle,
+    records_failed: CounterHandle,
+}
+
 /// The embeddable producer state machine.
 pub struct ProducerClient {
     id: ProducerId,
@@ -203,7 +212,8 @@ pub struct ProducerClient {
     accum: BTreeMap<String, AccumBatch>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
     inflight: BTreeMap<TopicPartition, Inflight>,
-    corr_to_tp: HashMap<u64, TopicPartition>,
+    /// The partition each in-flight produce is for, by correlation id.
+    corr_to_tp: IntTable<TopicPartition>,
     buffer_used: usize,
     stats: ProducerStats,
     /// Produce-to-ack latency of every acknowledged record, in seconds.
@@ -229,6 +239,8 @@ pub struct ProducerClient {
     tele: Telemetry,
     /// Scope metrics are recorded under; empty means detached.
     tele_scope: String,
+    /// `None` while telemetry is detached.
+    metrics: Option<ProducerMetrics>,
 }
 
 impl ProducerClient {
@@ -255,7 +267,7 @@ impl ProducerClient {
             accum: BTreeMap::new(),
             ready: BTreeMap::new(),
             inflight: BTreeMap::new(),
-            corr_to_tp: HashMap::new(),
+            corr_to_tp: IntTable::default(),
             buffer_used: 0,
             stats: ProducerStats::default(),
             ack_latency: Histogram::latency_seconds(),
@@ -269,6 +281,7 @@ impl ProducerClient {
             txn_ctl: BTreeMap::new(),
             tele: Telemetry::new(),
             tele_scope: String::new(),
+            metrics: None,
         }
     }
 
@@ -276,8 +289,13 @@ impl ProducerClient {
     /// acked record counts, produce trace events, and transaction
     /// begin/commit instants under `scope`.
     pub fn set_telemetry(&mut self, tele: Telemetry, scope: impl Into<String>) {
-        self.tele = tele;
         self.tele_scope = scope.into();
+        self.metrics = (!self.tele_scope.is_empty()).then(|| ProducerMetrics {
+            records_sent: tele.counter(&self.tele_scope, "records_sent"),
+            records_acked: tele.counter(&self.tele_scope, "records_acked"),
+            records_failed: tele.counter(&self.tele_scope, "records_failed"),
+        });
+        self.tele = tele;
     }
 
     /// Attaches a memory-ledger slot; dynamic usage tracks the buffer fill.
@@ -557,7 +575,7 @@ impl ProducerClient {
         if !self.accum.contains_key(topic) {
             let batch = AccumBatch {
                 id: self.accum.len() as u64,
-                topic: Rc::from(topic),
+                topic: TopicName::from(topic),
                 buf: Vec::new(),
                 pending: Vec::new(),
                 buf_hint: 0,
@@ -599,7 +617,7 @@ impl ProducerClient {
             ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
         }
         if self.capture {
-            self.sent_index.push((entry.topic.clone(), seq, ctx.now()));
+            self.sent_index.push((entry.topic.shared(), seq, ctx.now()));
         }
         entry.pending.push(Pending {
             key_len: key.map(<[u8]>::len),
@@ -683,8 +701,7 @@ impl ProducerClient {
             *counts.entry(run[0]).or_default() += run.len();
         }
         // Second pass: the records, as views of the frame, split by
-        // partition number with each sub-batch's encoded bytes; the topic
-        // name is allocated once per sealed sub-batch below, not per record.
+        // partition number with each sub-batch's encoded bytes.
         let mut split: BTreeMap<u32, (Vec<Record>, usize)> = counts
             .into_iter()
             .map(|(partition, n)| (partition, (Vec::with_capacity(n), 0)))
@@ -712,9 +729,9 @@ impl ProducerClient {
             }
         }
         batch.pending.clear();
-        let interned = batch.topic.clone();
+        let topic = batch.topic.clone();
         for (partition, (records, bytes)) in split {
-            let tp = TopicPartition::new(topic, partition);
+            let tp = TopicPartition::new(&topic, partition);
             let created = records
                 .first()
                 .map(|r| r.timestamp)
@@ -734,7 +751,6 @@ impl ProducerClient {
                 .or_default()
                 .push_back(ReadyBatch {
                     tp,
-                    topic: interned.clone(),
                     batch: sealed,
                     bytes,
                     created,
@@ -791,9 +807,8 @@ impl ProducerClient {
                     txn: batch.txn,
                 },
             );
-            if !self.tele_scope.is_empty() {
-                self.tele
-                    .counter_add(&self.tele_scope, "records_sent", batch.batch.len() as u64);
+            if let Some(metrics) = &self.metrics {
+                metrics.records_sent.add(batch.batch.len() as u64);
                 if self.tele.trace_enabled() {
                     self.tele.trace_instant(
                         ctx.now(),
@@ -822,16 +837,13 @@ impl ProducerClient {
         } else {
             self.stats.failed += batch.batch.len() as u64;
         }
-        if !self.tele_scope.is_empty() {
-            self.tele.counter_add(
-                &self.tele_scope,
-                if delivered {
-                    "records_acked"
-                } else {
-                    "records_failed"
-                },
-                batch.batch.len() as u64,
-            );
+        if let Some(metrics) = &self.metrics {
+            let counter = if delivered {
+                &metrics.records_acked
+            } else {
+                &metrics.records_failed
+            };
+            counter.add(batch.batch.len() as u64);
         }
         if delivered {
             for r in batch.batch.iter() {
@@ -843,7 +855,7 @@ impl ProducerClient {
             self.outcomes
                 .extend(batch.batch.iter().map(|r| ProduceOutcome {
                     seq: r.producer_seq,
-                    topic: batch.topic.clone(),
+                    topic: batch.tp.topic.shared(),
                     created: r.timestamp,
                     completed: now,
                     delivered,
@@ -881,7 +893,7 @@ impl ProducerClient {
             ClientRpc::ProduceResponse { corr, error, .. } => {
                 // A missing entry means a stale response for a timed-out
                 // request: consume the message without acting on it.
-                let tp = self.corr_to_tp.remove(&corr.0)?;
+                let tp = self.corr_to_tp.remove(corr.0)?;
                 let inflight = self.inflight.remove(&tp)?;
                 ctx.cancel_timer(inflight.timer);
                 if error.is_ok() {
@@ -949,7 +961,7 @@ impl ProducerClient {
             }
         } else if o >= off::REQ_TIMEOUT_BASE {
             let corr = o - off::REQ_TIMEOUT_BASE;
-            if let Some(tp) = self.corr_to_tp.remove(&corr) {
+            if let Some(tp) = self.corr_to_tp.remove(corr) {
                 if let Some(inflight) = self.inflight.remove(&tp) {
                     self.retry_or_fail(ctx, inflight.batch);
                 }

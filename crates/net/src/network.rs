@@ -9,7 +9,6 @@
 //! equivalent used for the paper's bandwidth plots).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -44,6 +43,8 @@ pub enum DropCause {
     Unplaced,
 }
 
+const DROP_CAUSES: usize = DropCause::Unplaced as usize + 1;
+
 /// Cumulative traffic counters for one port, mirroring OpenFlow port stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortCounters {
@@ -64,6 +65,8 @@ struct LinkRuntime {
     next_free_ab: SimTime,
     /// Next instant the b→a direction is free.
     next_free_ba: SimTime,
+    /// Counters of the link's two ports: `[port_a on a, port_b on b]`.
+    ports: [PortCounters; 2],
 }
 
 /// One hop of a precomputed path: the link and the traversal direction.
@@ -119,13 +122,18 @@ pub struct Network {
     cfg: NetworkConfig,
     links: Vec<LinkRuntime>,
     node_up: Vec<bool>,
-    /// routes[src][dst] — full hop list, or `None` if unreachable.
-    routes: Vec<Vec<Option<Vec<Hop>>>>,
-    placement: HashMap<ProcessId, NodeId>,
-    counters: HashMap<(NodeId, PortNo), PortCounters>,
+    /// Every route's hops, back to back.
+    hops: Vec<Hop>,
+    /// `routes[src * nodes + dst]` — where in `hops` that route's hop list
+    /// lies (start and end), or `None` if unreachable. Routing a packet
+    /// indexes the list in place.
+    routes: Vec<Option<(usize, usize)>>,
+    /// The host of each process, by `ProcessId::index()`.
+    placement: Vec<Option<NodeId>>,
     node_tx_bytes: Vec<u64>,
     node_rx_bytes: Vec<u64>,
-    drops: HashMap<DropCause, u64>,
+    /// Drop counts, by `DropCause as usize`.
+    drops: [u64; DROP_CAUSES],
     delivered_packets: u64,
 }
 
@@ -143,7 +151,8 @@ impl Network {
             LinkRuntime {
                 up: true,
                 next_free_ab: SimTime::ZERO,
-                next_free_ba: SimTime::ZERO
+                next_free_ba: SimTime::ZERO,
+                ports: [PortCounters::default(); 2],
             };
             topo.link_count()
         ];
@@ -152,12 +161,12 @@ impl Network {
             cfg,
             links,
             node_up: vec![true; n],
+            hops: Vec::new(),
             routes: Vec::new(),
-            placement: HashMap::new(),
-            counters: HashMap::new(),
+            placement: Vec::new(),
             node_tx_bytes: vec![0; n],
             node_rx_bytes: vec![0; n],
-            drops: HashMap::new(),
+            drops: [0; DROP_CAUSES],
             delivered_packets: 0,
         };
         net.recompute_routes();
@@ -193,12 +202,15 @@ impl Network {
             "processes can only be placed on hosts, {} is a switch",
             self.topo.node(node).name
         );
-        self.placement.insert(pid, node);
+        if self.placement.len() <= pid.index() {
+            self.placement.resize(pid.index() + 1, None);
+        }
+        self.placement[pid.index()] = Some(node);
     }
 
     /// The host a process is placed on, if any.
     pub fn placement(&self, pid: ProcessId) -> Option<NodeId> {
-        self.placement.get(&pid).copied()
+        self.placement.get(pid.index()).copied().flatten()
     }
 
     /// Recomputes all-pairs routes over currently-up links using the
@@ -206,14 +218,17 @@ impl Network {
     /// after topology-affecting faults only if re-routing is desired.
     pub fn recompute_routes(&mut self) {
         let n = self.topo.node_count();
-        let mut routes = Vec::with_capacity(n);
+        let mut hops = Vec::new();
+        let mut routes = Vec::with_capacity(n * n);
         for src in 0..n {
-            routes.push(self.dijkstra(NodeId(src as u32)));
+            self.dijkstra(NodeId(src as u32), &mut hops, &mut routes);
         }
+        self.hops = hops;
         self.routes = routes;
     }
 
-    fn dijkstra(&self, src: NodeId) -> Vec<Option<Vec<Hop>>> {
+    /// Appends `src`'s row of routes to `routes`, their hops to `hops`.
+    fn dijkstra(&self, src: NodeId, hops: &mut Vec<Hop>, routes: &mut Vec<Option<(usize, usize)>>) {
         let n = self.topo.node_count();
         // cost = (primary, secondary) per the routing metric.
         let mut dist: Vec<Option<(u128, u128)>> = vec![None; n];
@@ -281,34 +296,29 @@ impl Network {
                 }
             }
         }
-        // Reconstruct paths.
-        let mut out = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)]
-        for dst in 0..n {
-            if dst == src.index() {
-                out.push(Some(Vec::new()));
-                continue;
-            }
-            if dist[dst].is_none() {
-                out.push(None);
-                continue;
-            }
-            let mut hops = Vec::new();
+        // Reconstruct paths: walk back from the destination, then turn
+        // the hops just written around. A node's route to itself is empty.
+        for (dst, reachable) in dist.iter().enumerate() {
+            let start = hops.len();
             let mut cur = dst;
-            while cur != src.index() {
+            while reachable.is_some() && cur != src.index() {
                 let (p, hop) = prev[cur].expect("reachable node has predecessor");
                 hops.push(hop);
                 cur = p.index();
             }
-            hops.reverse();
-            out.push(Some(hops));
+            hops[start..].reverse();
+            routes.push(reachable.map(|_| (start, hops.len())));
         }
-        out
+    }
+
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<(usize, usize)> {
+        self.routes[src.index() * self.topo.node_count() + dst.index()]
     }
 
     /// The current route between two nodes, if any.
     pub fn route_between(&self, src: NodeId, dst: NodeId) -> Option<&[Hop]> {
-        self.routes[src.index()][dst.index()].as_deref()
+        self.route(src, dst)
+            .map(|(start, end)| &self.hops[start..end])
     }
 
     /// Marks a link up or down. Packets crossing a down link are dropped —
@@ -365,12 +375,24 @@ impl Network {
         self.topo.link_mut(link).spec.loss_pct = pct;
     }
 
-    /// Port counters for `(node, port)`; zeros if nothing has flowed.
+    /// Port counters for `(node, port)`; zeros if nothing has flowed. The
+    /// counters live with the links (the packet path indexes them by hop),
+    /// so this resolves the port to its link — to every link wired to it,
+    /// when explicit `src_port`/`dst_port` numbers put several on one port.
     pub fn port_counters(&self, node: NodeId, port: PortNo) -> PortCounters {
-        self.counters
-            .get(&(node, port))
-            .copied()
-            .unwrap_or_default()
+        let mut sum = PortCounters::default();
+        for (lid, l) in self.topo.links() {
+            let ports = &self.links[lid.index()].ports;
+            for (end, c) in [(l.a, l.port_a), (l.b, l.port_b)].into_iter().zip(ports) {
+                if end == (node, port) {
+                    sum.tx_bytes += c.tx_bytes;
+                    sum.rx_bytes += c.rx_bytes;
+                    sum.tx_packets += c.tx_packets;
+                    sum.rx_packets += c.rx_packets;
+                }
+            }
+        }
+        sum
     }
 
     /// Total bytes transmitted by a node across all its ports.
@@ -390,11 +412,11 @@ impl Network {
 
     /// Drop count for a cause.
     pub fn drops(&self, cause: DropCause) -> u64 {
-        self.drops.get(&cause).copied().unwrap_or(0)
+        self.drops[cause as usize]
     }
 
     fn record_drop(&mut self, cause: DropCause) -> Delivery {
-        *self.drops.entry(cause).or_insert(0) += 1;
+        self.drops[cause as usize] += 1;
         Delivery::Drop
     }
 
@@ -417,15 +439,14 @@ impl Network {
         if src == dst {
             return Delivery::After(self.cfg.loopback_delay);
         }
-        let path = match self.routes[src.index()][dst.index()].clone() {
-            Some(p) => p,
-            None => return self.record_drop(DropCause::NoRoute),
+        let Some((start, end)) = self.route(src, dst) else {
+            return self.record_drop(DropCause::NoRoute);
         };
         // Check the whole path first: a down link or node anywhere blackholes
         // the packet (proactive routes are not patched around failures).
-        for hop in &path {
-            let rt = self.links[hop.link.index()];
-            if !rt.up {
+        for at in start..end {
+            let hop = self.hops[at];
+            if !self.links[hop.link.index()].up {
                 return self.record_drop(DropCause::LinkDown);
             }
             let l = self.topo.link(hop.link);
@@ -435,7 +456,8 @@ impl Network {
             }
         }
         // Bernoulli loss per link.
-        for hop in &path {
+        for at in start..end {
+            let hop = self.hops[at];
             let loss = self.topo.link(hop.link).spec.loss_pct;
             if loss > 0.0 && rng.gen::<f64>() * 100.0 < loss {
                 return self.record_drop(DropCause::Loss);
@@ -444,7 +466,8 @@ impl Network {
         // Accumulate delay hop by hop with FIFO queuing per direction.
         let mut cursor = now;
         let mut switch_hops = 0u32;
-        for hop in &path {
+        for at in start..end {
+            let hop = self.hops[at];
             let l = self.topo.link(hop.link);
             let ser = match l.spec.bandwidth_bps {
                 Some(bw) => SimDuration::from_nanos(
@@ -461,18 +484,14 @@ impl Network {
             let depart = (*next_free).max(cursor);
             *next_free = depart + ser;
             cursor = depart + ser + l.spec.latency;
-            // Port accounting.
-            let (tx_node, tx_port, rx_node, rx_port) = if hop.a_to_b {
-                (l.a, l.port_a, l.b, l.port_b)
-            } else {
-                (l.b, l.port_b, l.a, l.port_a)
-            };
-            let c = self.counters.entry((tx_node, tx_port)).or_default();
-            c.tx_bytes += bytes as u64;
-            c.tx_packets += 1;
-            let c = self.counters.entry((rx_node, rx_port)).or_default();
-            c.rx_bytes += bytes as u64;
-            c.rx_packets += 1;
+            // Port accounting: the sending end's port transmits, the
+            // other end's receives.
+            let (tx_node, rx_node) = if hop.a_to_b { (l.a, l.b) } else { (l.b, l.a) };
+            let tx_end = usize::from(!hop.a_to_b);
+            rt.ports[tx_end].tx_bytes += bytes as u64;
+            rt.ports[tx_end].tx_packets += 1;
+            rt.ports[1 - tx_end].rx_bytes += bytes as u64;
+            rt.ports[1 - tx_end].rx_packets += 1;
             self.node_tx_bytes[tx_node.index()] += bytes as u64;
             self.node_rx_bytes[rx_node.index()] += bytes as u64;
             // Intermediate nodes on the path are switches that add
@@ -491,7 +510,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("nodes", &self.topo.node_count())
             .field("links", &self.topo.link_count())
-            .field("placed", &self.placement.len())
+            .field("placed", &self.placement.iter().flatten().count())
             .field("delivered", &self.delivered_packets)
             .finish()
     }
@@ -777,11 +796,91 @@ mod tests {
     fn unplaced_process_drops() {
         let (mut net, p1, _) = two_host_net(LinkSpec::new());
         let mut rng = StdRng::seed_from_u64(0);
+        // Beyond any placed pid.
         assert_eq!(
             net.route_packet(SimTime::ZERO, &mut rng, p1, ProcessId(99), 10),
             Delivery::Drop
         );
         assert_eq!(net.drops(DropCause::Unplaced), 1);
+        // A gap below a placed pid: placing 5 leaves 2..5 unplaced.
+        let h1 = net.topology().lookup("h1").unwrap();
+        net.place(ProcessId(5), h1);
+        assert_eq!(net.placement(ProcessId(5)), Some(h1));
+        assert_eq!(net.placement(ProcessId(3)), None);
+        for (from, to) in [(p1, ProcessId(3)), (ProcessId(3), p1)] {
+            assert_eq!(
+                net.route_packet(SimTime::ZERO, &mut rng, from, to, 10),
+                Delivery::Drop
+            );
+        }
+        assert_eq!(net.drops(DropCause::Unplaced), 3);
+        assert!(format!("{net:?}").contains("placed: 3"), "{net:?}");
+    }
+
+    #[test]
+    fn port_counters_follow_the_link_both_ways_across_two_switches() {
+        // h1 —p1/p1— s1 —p2/p1— s2 —p2/p1— h2, traffic in both directions.
+        let mut topo = Topology::new();
+        topo.add_host("h1").unwrap();
+        topo.add_host("h2").unwrap();
+        topo.add_switch("s1").unwrap();
+        topo.add_switch("s2").unwrap();
+        for (a, b) in [("h1", "s1"), ("s1", "s2"), ("s2", "h2")] {
+            topo.add_link(a, b, LinkSpec::new()).unwrap();
+        }
+        let mut net = Network::new(topo);
+        let node = |net: &Network, n: &str| net.topology().lookup(n).unwrap();
+        let (h1, h2) = (node(&net, "h1"), node(&net, "h2"));
+        let (s1, s2) = (node(&net, "s1"), node(&net, "s2"));
+        net.place(ProcessId(0), h1);
+        net.place(ProcessId(1), h2);
+        let mut rng = StdRng::seed_from_u64(0);
+        for _ in 0..3 {
+            net.route_packet(SimTime::ZERO, &mut rng, ProcessId(0), ProcessId(1), 100)
+                .unwrap_delivery();
+        }
+        net.route_packet(SimTime::ZERO, &mut rng, ProcessId(1), ProcessId(0), 7)
+            .unwrap_delivery();
+        let fwd = |tx: bool| PortCounters {
+            tx_bytes: if tx { 300 } else { 7 },
+            tx_packets: if tx { 3 } else { 1 },
+            rx_bytes: if tx { 7 } else { 300 },
+            rx_packets: if tx { 1 } else { 3 },
+        };
+        // Ports facing h2 transmit the forward traffic; ports facing h1
+        // receive it.
+        assert_eq!(net.port_counters(h1, PortNo(1)), fwd(true));
+        assert_eq!(net.port_counters(s1, PortNo(1)), fwd(false));
+        assert_eq!(net.port_counters(s1, PortNo(2)), fwd(true));
+        assert_eq!(net.port_counters(s2, PortNo(1)), fwd(false));
+        assert_eq!(net.port_counters(s2, PortNo(2)), fwd(true));
+        assert_eq!(net.port_counters(h2, PortNo(1)), fwd(false));
+        // A port nothing is wired to reads zero.
+        assert_eq!(net.port_counters(h1, PortNo(9)), PortCounters::default());
+        assert_eq!(net.node_tx_bytes(s1), 307);
+    }
+
+    #[test]
+    fn links_sharing_an_explicit_port_number_share_its_counters() {
+        let mut topo = Topology::new();
+        topo.add_host("h1").unwrap();
+        topo.add_host("h2").unwrap();
+        topo.add_switch("s1").unwrap();
+        topo.add_link("h1", "s1", LinkSpec::new().dst_port(7))
+            .unwrap();
+        topo.add_link("s1", "h2", LinkSpec::new().src_port(7))
+            .unwrap();
+        let mut net = Network::new(topo);
+        let h1 = net.topology().lookup("h1").unwrap();
+        let h2 = net.topology().lookup("h2").unwrap();
+        let s1 = net.topology().lookup("s1").unwrap();
+        net.place(ProcessId(0), h1);
+        net.place(ProcessId(1), h2);
+        let mut rng = StdRng::seed_from_u64(0);
+        net.route_packet(SimTime::ZERO, &mut rng, ProcessId(0), ProcessId(1), 50)
+            .unwrap_delivery();
+        let pc = net.port_counters(s1, PortNo(7));
+        assert_eq!((pc.rx_bytes, pc.tx_bytes), (50, 50));
     }
 
     #[test]

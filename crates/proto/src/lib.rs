@@ -17,10 +17,10 @@ mod rpc;
 pub use batch::{put_frame_record, read_frame_record, BATCH_FRAME_VERSION};
 pub use hash::{fnv1a, key_group, owner_of_group, partition_for_key};
 pub use record::{
-    shared_batch_copies, Compression, Offset, ProducerId, Record, RecordBatch, TopicPartition,
-    RECORD_OVERHEAD,
+    shared_batch_copies, Compression, Offset, ProducerId, Record, RecordBatch, TopicName,
+    TopicPartition, RECORD_OVERHEAD,
 };
 pub use rpc::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
-    MetadataRecord, PartitionMetadata, RaftRpc, ReplicaRpc, RPC_OVERHEAD,
+    MetadataRecord, MirrorView, PartitionMetadata, RaftRpc, ReplicaRpc, RPC_OVERHEAD,
 };

@@ -1,7 +1,12 @@
 //! Records, offsets, and batches — the data plane vocabulary.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -43,18 +48,134 @@ impl fmt::Display for ProducerId {
     }
 }
 
+/// A topic name, shared: a clone bumps a reference count instead of copying
+/// the string, so the `TopicPartition` every RPC, map key and log line
+/// carries costs no allocation to pass on. It reads as a `str` (`Deref`),
+/// compares and hashes exactly like one (so `Borrow<str>` holds: a map keyed
+/// by names can be asked with a `&str`), and compares with `str`, `&str`
+/// and `String` directly.
+#[derive(Clone)]
+pub struct TopicName(Rc<str>);
+
+impl TopicName {
+    /// The name as a shared `str`: the same allocation, one more owner.
+    pub fn shared(&self) -> Rc<str> {
+        Rc::clone(&self.0)
+    }
+}
+
+impl Deref for TopicName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for TopicName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for TopicName {
+    fn from(name: &str) -> Self {
+        TopicName(Rc::from(name))
+    }
+}
+
+impl From<String> for TopicName {
+    fn from(name: String) -> Self {
+        TopicName(Rc::from(name))
+    }
+}
+
+impl From<&String> for TopicName {
+    fn from(name: &String) -> Self {
+        TopicName(Rc::from(name.as_str()))
+    }
+}
+
+impl From<&TopicName> for TopicName {
+    fn from(name: &TopicName) -> Self {
+        name.clone()
+    }
+}
+
+impl PartialEq for TopicName {
+    fn eq(&self, other: &Self) -> bool {
+        // Clones of one name (the common case) are equal by pointer.
+        Rc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Eq for TopicName {}
+
+impl PartialOrd for TopicName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TopicName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Rc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl Hash for TopicName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq<str> for TopicName {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for TopicName {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for TopicName {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for TopicName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for TopicName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// A `(topic, partition)` pair — the unit of log replication and leadership.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicPartition {
     /// Topic name.
-    pub topic: String,
+    pub topic: TopicName,
     /// Partition index within the topic.
     pub partition: u32,
 }
 
 impl TopicPartition {
-    /// Convenience constructor.
-    pub fn new(topic: impl Into<String>, partition: u32) -> Self {
+    /// Convenience constructor. Pass a [`TopicName`] (or a reference to
+    /// one) you already hold to share it; a `&str` or `String` allocates a
+    /// fresh name.
+    pub fn new(topic: impl Into<TopicName>, partition: u32) -> Self {
         TopicPartition {
             topic: topic.into(),
             partition,
@@ -239,7 +360,9 @@ pub fn shared_batch_copies() -> u64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordBatch {
-    records: Arc<Vec<Record>>,
+    /// `None` is the empty batch: most fetch responses carry no record, and
+    /// saying so costs no allocation.
+    records: Option<Arc<Vec<Record>>>,
     compression: Compression,
 }
 
@@ -255,7 +378,7 @@ impl RecordBatch {
     /// Seals a record list into a shareable batch.
     pub fn from_records(records: Vec<Record>) -> Self {
         RecordBatch {
-            records: Arc::new(records),
+            records: (!records.is_empty()).then(|| Arc::new(records)),
             compression: Compression::None,
         }
     }
@@ -275,22 +398,22 @@ impl RecordBatch {
 
     /// The records, in append order.
     pub fn records(&self) -> &[Record] {
-        &self.records
+        self.records.as_ref().map_or(&[], |r| r.as_slice())
     }
 
     /// Iterates the records in place.
     pub fn iter(&self) -> std::slice::Iter<'_, Record> {
-        self.records.iter()
+        self.records().iter()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records().len()
     }
 
     /// True when the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records.is_none()
     }
 
     /// Total uncompressed size, framing included.
@@ -307,12 +430,12 @@ impl RecordBatch {
 
     /// Record bytes without the batch header.
     pub fn record_bytes(&self) -> usize {
-        self.records.iter().map(Record::encoded_len).sum()
+        self.iter().map(Record::encoded_len).sum()
     }
 
     /// How many handles share this batch's record set (1 = sole owner).
     pub fn share_count(&self) -> usize {
-        Arc::strong_count(&self.records)
+        self.records.as_ref().map_or(1, Arc::strong_count)
     }
 
     /// Takes the records out. Free when this handle is the sole owner (the
@@ -321,7 +444,10 @@ impl RecordBatch {
     /// [`shared_batch_copies`] so hot paths that regress to copying are
     /// caught by tests.
     pub fn into_records(self) -> Vec<Record> {
-        match Arc::try_unwrap(self.records) {
+        let Some(records) = self.records else {
+            return Vec::new();
+        };
+        match Arc::try_unwrap(records) {
             Ok(v) => v,
             Err(shared) => {
                 SHARED_BATCH_COPIES.with(|c| c.set(c.get() + 1));
@@ -349,7 +475,7 @@ impl<'a> IntoIterator for &'a RecordBatch {
     type Item = &'a Record;
     type IntoIter = std::slice::Iter<'a, Record>;
     fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
+        self.iter()
     }
 }
 
@@ -458,5 +584,99 @@ mod tests {
         assert_eq!(zipped.records(), plain.records());
         assert_eq!(Compression::Lz4.compressed_len(0), 0);
         assert_eq!(Compression::None.compressed_len(500), 500);
+    }
+
+    fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// The `Borrow<str>` contract: a name compares, orders and hashes as
+    /// the `str` it holds, whether or not two names share an allocation.
+    #[test]
+    fn topic_name_agrees_with_str() {
+        let names = [
+            "",
+            "a",
+            "ab",
+            "b",
+            "events",
+            "events-2",
+            "Events",
+            "événements",
+        ];
+        for a in names {
+            for b in names {
+                // Separately built: never pointer-equal, even when equal.
+                let (na, nb) = (TopicName::from(a), TopicName::from(b.to_string()));
+                assert_eq!(na == nb, a == b, "{a:?} == {b:?}");
+                assert_eq!(na.cmp(&nb), a.cmp(b), "{a:?} cmp {b:?}");
+                assert_eq!(na.partial_cmp(&nb), a.partial_cmp(b));
+                assert_eq!(hash_of(&na) == hash_of(&nb), hash_of(a) == hash_of(b));
+                // ... and the same through a shared allocation.
+                let shared = na.clone();
+                assert!(shared == na && shared.cmp(&na) == Ordering::Equal);
+                assert_eq!(shared == nb, a == b);
+            }
+            let n = TopicName::from(a);
+            assert_eq!(hash_of(&n), hash_of(a), "{a:?} hashes as its str");
+            let borrowed: &str = n.borrow();
+            assert_eq!(borrowed, a);
+            let owned: String = a.to_string();
+            assert!(n == *a && n == a && n == owned);
+            assert_eq!((n.len(), &*n), (a.len(), a));
+            assert_eq!(
+                (format!("{n}"), format!("{n:?}")),
+                (a.to_string(), format!("{a:?}"))
+            );
+            assert!(Rc::ptr_eq(&n.shared(), &n.clone().shared()));
+        }
+    }
+
+    #[test]
+    fn maps_keyed_by_topic_names_answer_to_str() {
+        use std::collections::{BTreeMap, HashMap};
+        let ordered: BTreeMap<TopicName, u32> = [("out", 1), ("events", 2)]
+            .map(|(t, n)| (t.into(), n))
+            .into();
+        assert_eq!(ordered.get("events"), Some(&2));
+        assert_eq!(ordered.get("event"), None);
+        assert_eq!(
+            ordered.keys().map(|k| &**k).collect::<Vec<_>>(),
+            ["events", "out"]
+        );
+        let hashed: HashMap<TopicName, u32> = [("out", 1), ("events", 2)]
+            .map(|(t, n)| (t.into(), n))
+            .into();
+        assert_eq!(hashed.get("out"), Some(&1));
+        assert!(!hashed.contains_key("Out"));
+        // A partition shares the name it is built from and orders by
+        // (topic, partition) as before.
+        let name = TopicName::from("t");
+        let (a, b) = (TopicPartition::new(&name, 10), TopicPartition::new("t", 2));
+        assert!(Rc::ptr_eq(&a.topic.shared(), &name.shared()));
+        assert!(b < a && a.topic == b.topic && a.topic == "t");
+        assert_eq!(
+            format!("{a} {a:?}"),
+            "t-10 TopicPartition { topic: \"t\", partition: 10 }"
+        );
+        assert!(TopicPartition::new("s", 99) < b && b < TopicPartition::new("t2", 0));
+    }
+
+    #[test]
+    fn empty_batches_cost_nothing_and_equal_each_other() {
+        let empty = RecordBatch::new();
+        let sealed_empty = RecordBatch::from_records(Vec::new());
+        assert_eq!(empty, sealed_empty);
+        assert!(empty.is_empty() && empty.records().is_empty() && empty.iter().next().is_none());
+        assert_eq!(
+            (empty.len(), empty.record_bytes(), empty.share_count()),
+            (0, 0, 1)
+        );
+        assert_eq!(empty.wire_len(), BATCH_OVERHEAD);
+        let before = shared_batch_copies();
+        assert!(empty.clone().into_records().is_empty());
+        assert_eq!(shared_batch_copies(), before, "nothing to copy");
     }
 }

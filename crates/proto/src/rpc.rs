@@ -2,6 +2,7 @@
 //! KRaft metadata quorum.
 
 use std::fmt;
+use std::rc::Rc;
 
 use s2g_sim::Message;
 
@@ -410,6 +411,29 @@ impl Message for ClientRpc {
     }
 }
 
+/// The leader state every replica-fetch reply hands the follower, so that
+/// transactional and idempotence state moves with leadership instead of
+/// dying with the old leader. A leader builds it when the state changes,
+/// not per reply: replies share one immutable value until then, and a
+/// follower handed the very same value again has nothing new to learn.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct MirrorView {
+    /// Ongoing (unresolved) transaction ranges on the leader, as
+    /// `(producer, txn, first_offset, end_offset, producer_epoch)`
+    /// tuples. Followers mirror these so that on promotion the new
+    /// leader can serve read-committed fetches and resolve or fence
+    /// the in-flight transactions itself.
+    pub txn_ongoing: Vec<(u32, u64, Offset, Offset, u32)>,
+    /// Aborted transaction ranges `(first_offset, end_offset)` still
+    /// inside the leader's log, mirrored for read-committed filtering
+    /// after promotion.
+    pub txn_aborted: Vec<(Offset, Offset)>,
+    /// Producer idempotence state `(producer, epoch, last_seq)`,
+    /// mirrored so a promoted follower keeps filtering duplicate
+    /// produce retries exactly where the old leader left off.
+    pub producer_seqs: Vec<(u32, u32, u64)>,
+}
+
 /// Broker ↔ broker replication RPCs (follower-driven fetch, like Kafka).
 #[derive(Debug, Clone)]
 pub enum ReplicaRpc {
@@ -449,21 +473,14 @@ pub enum ReplicaRpc {
         /// When set, the follower must truncate its log to this offset
         /// before appending — the divergence-reconciliation path.
         truncate_to: Option<Offset>,
-        /// Ongoing (unresolved) transaction ranges on the leader, as
-        /// `(producer, txn, first_offset, end_offset, producer_epoch)`
-        /// tuples. Followers mirror these so that on promotion the new
-        /// leader can serve read-committed fetches and resolve or fence
-        /// the in-flight transactions itself — transactional state moves
-        /// with leadership instead of dying with the old leader.
-        txn_ongoing: Vec<(u32, u64, Offset, Offset, u32)>,
-        /// Aborted transaction ranges `(first_offset, end_offset)` still
-        /// inside the leader's log, mirrored for read-committed filtering
-        /// after promotion.
-        txn_aborted: Vec<(Offset, Offset)>,
-        /// Producer idempotence state `(producer, epoch, last_seq)`,
-        /// mirrored so a promoted follower keeps filtering duplicate
-        /// produce retries exactly where the old leader left off.
-        producer_seqs: Vec<(u32, u32, u64)>,
+        /// The leader's transactional and idempotence state, shared by
+        /// every reply until it next changes.
+        mirror: Rc<MirrorView>,
+        /// Whether `mirror.producer_seqs` are part of this reply: the
+        /// stamps ride along only to a fully caught-up follower (then its
+        /// log covers every one of them); otherwise the follower ignores
+        /// them and the wire does not carry them.
+        seqs_ride: bool,
         /// Outcome.
         error: ErrorCode,
     },
@@ -477,18 +494,22 @@ impl Message for ReplicaRpc {
                 ReplicaRpc::FetchResponse {
                     tp,
                     batch,
-                    txn_ongoing,
-                    txn_aborted,
-                    producer_seqs,
+                    mirror,
+                    seqs_ride,
                     ..
                 } => {
+                    let seqs = if *seqs_ride {
+                        mirror.producer_seqs.len()
+                    } else {
+                        0
+                    };
                     tp.topic.len()
                         + 32
                         + batch.len() * 8
                         + batch.wire_len()
-                        + txn_ongoing.len() * 32
-                        + txn_aborted.len() * 16
-                        + producer_seqs.len() * 16
+                        + mirror.txn_ongoing.len() * 32
+                        + mirror.txn_aborted.len() * 16
+                        + seqs * 16
                 }
             }
     }

@@ -173,7 +173,7 @@ fn offsets_to_value(offsets: &[(TopicPartition, Offset)]) -> Value {
             .iter()
             .map(|(tp, off)| {
                 Value::List(vec![
-                    Value::Str(tp.topic.clone()),
+                    Value::Str(tp.topic.to_string()),
                     Value::Int(tp.partition as i64),
                     Value::Int(off.value() as i64),
                 ])

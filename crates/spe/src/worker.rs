@@ -11,14 +11,14 @@
 //! Ocampo et al. reproduction (Fig. 7b) reports as "Spark mean execution
 //! time per one-second slot".
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use s2g_proto::{Offset, ProducerId, Record, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
 use s2g_broker::{ConsumerClient, ConsumerConfig, DataSink, ProducerClient, ProducerConfig};
 use s2g_store::{blob_map, StoreRpc};
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::checkpoint::{
     CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode, CheckpointPayload,
@@ -167,7 +167,8 @@ impl BatchMetric {
 /// Buffers records delivered by the embedded consumer until the next batch.
 #[derive(Default)]
 struct EventBuffer {
-    topic_source: HashMap<String, u8>,
+    /// The source topics; a topic's position is its source index.
+    topics: Vec<String>,
     /// Keep the source index carried in the event encoding instead of
     /// overriding it with the topic index — set on shuffle-topic consumers,
     /// where all inputs arrive over one topic but a downstream join still
@@ -178,7 +179,11 @@ struct EventBuffer {
 
 impl DataSink for EventBuffer {
     fn on_records(&mut self, _now: SimTime, tp: &TopicPartition, records: &[Record]) {
-        let source = self.topic_source.get(&tp.topic).copied().unwrap_or(0);
+        let source = self.topics.iter().position(|t| tp.topic == *t);
+        let source = source.unwrap_or(0) as u8;
+        // Each batch takes the buffer with it; size the new one per delivery
+        // instead of doubling it up record by record.
+        self.events.reserve(records.len());
         for r in records {
             let mut event = match Event::from_bytes(&r.value) {
                 Ok(e) => e,
@@ -210,6 +215,26 @@ mod tags {
 /// How long the worker waits for a durable-backend store response before
 /// re-issuing the RPC (a lossy network can drop either direction).
 const CKPT_IO_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// The metrics a worker updates per batch, each looked up in the registry by
+/// its first update and never again.
+struct WorkerMetrics {
+    records_in: CounterHandle,
+    records_out: CounterHandle,
+    buffer_depth: GaugeHandle,
+    sink_inserts: CounterHandle,
+}
+
+impl WorkerMetrics {
+    fn new(tele: &Telemetry, scope: &str) -> Self {
+        WorkerMetrics {
+            records_in: tele.counter(scope, "records_in"),
+            records_out: tele.counter(scope, "records_out"),
+            buffer_depth: tele.gauge(scope, "buffer_depth"),
+            sink_inserts: tele.counter(scope, "sink_inserts"),
+        }
+    }
+}
 
 /// The stream-processing worker process.
 pub struct SpeWorker {
@@ -251,6 +276,7 @@ pub struct SpeWorker {
     /// Telemetry sink (an unshared default until the orchestrator attaches
     /// the run-wide one).
     tele: Telemetry,
+    tele_metrics: WorkerMetrics,
 }
 
 impl SpeWorker {
@@ -293,10 +319,10 @@ impl SpeWorker {
             )),
             _ => None,
         };
-        let mut buffer = EventBuffer::default();
-        for (i, topic) in sources.iter().enumerate() {
-            buffer.topic_source.insert(topic.clone(), i as u8);
-        }
+        let buffer = EventBuffer {
+            topics: sources.clone(),
+            ..EventBuffer::default()
+        };
         let instance = StageInstanceCfg {
             stage: 0,
             instance: 0,
@@ -305,7 +331,9 @@ impl SpeWorker {
             restore_from: vec![name.clone()],
             old_producers: Vec::new(),
         };
+        let tele = Telemetry::new();
         SpeWorker {
+            tele_metrics: WorkerMetrics::new(&tele, &name),
             name,
             cfg,
             plan,
@@ -328,7 +356,7 @@ impl SpeWorker {
             awaiting_restore: false,
             restarted: false,
             instance,
-            tele: Telemetry::new(),
+            tele,
         }
     }
 
@@ -347,6 +375,7 @@ impl SpeWorker {
         if let Some(c) = self.coordinator.as_mut() {
             c.set_telemetry(tele.clone(), scope);
         }
+        self.tele_metrics = WorkerMetrics::new(&tele, &self.name);
         self.tele = tele;
     }
 
@@ -525,11 +554,11 @@ impl SpeWorker {
             records_in: n_in,
             records_out: n_out,
         });
-        self.tele.counter_add(&self.name, "records_in", n_in as u64);
-        self.tele
-            .counter_add(&self.name, "records_out", n_out as u64);
-        self.tele
-            .gauge_set(&self.name, "buffer_depth", self.buffer.events.len() as f64);
+        self.tele_metrics.records_in.add(n_in as u64);
+        self.tele_metrics.records_out.add(n_out as u64);
+        self.tele_metrics
+            .buffer_depth
+            .set(self.buffer.events.len() as f64);
         self.tele.trace_complete(
             start,
             now.saturating_since(start),
@@ -909,8 +938,7 @@ impl SpeWorker {
                 }
             }
             SpeSink::Store { store, table } => {
-                self.tele
-                    .counter_add(&self.name, "sink_inserts", events.len() as u64);
+                self.tele_metrics.sink_inserts.add(events.len() as u64);
                 self.tele
                     .trace_instant(ctx.now(), &self.name, "sink:insert", "sink");
                 for e in events {

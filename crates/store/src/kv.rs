@@ -33,6 +33,8 @@ enum WalOp {
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
     mem: BTreeMap<String, Bytes>,
+    /// Key plus value bytes of everything in `mem`, kept as it changes.
+    resident: usize,
     wal: Vec<WalOp>,
     puts: u64,
     deletes: u64,
@@ -53,8 +55,23 @@ impl KvStore {
             key: key.clone(),
             value: value.clone(),
         });
-        self.mem.insert(key, value);
+        self.mem_put(key, value);
         self.puts += 1;
+    }
+
+    fn mem_put(&mut self, key: String, value: Bytes) {
+        let key_len = key.len();
+        self.resident += key_len + value.len();
+        if let Some(old) = self.mem.insert(key, value) {
+            // An overwrite: the key was already counted.
+            self.resident -= key_len + old.len();
+        }
+    }
+
+    fn mem_remove(&mut self, key: &str) -> Option<Bytes> {
+        let old = self.mem.remove(key)?;
+        self.resident -= key.len() + old.len();
+        Some(old)
     }
 
     /// Reads a key.
@@ -74,7 +91,7 @@ impl KvStore {
             key: key.to_string(),
         });
         self.deletes += 1;
-        self.mem.remove(key)
+        self.mem_remove(key)
     }
 
     /// Number of live keys.
@@ -104,7 +121,7 @@ impl KvStore {
 
     /// Total bytes resident in the memtable (for the memory model).
     pub fn resident_bytes(&self) -> usize {
-        self.mem.iter().map(|(k, v)| k.len() + v.len()).sum()
+        self.resident
     }
 
     /// `(puts, gets, deletes)` counters.
@@ -139,11 +156,9 @@ impl KvStore {
         let ops = fresh.wal.clone();
         for op in ops {
             match op {
-                WalOp::Put { key, value } => {
-                    fresh.mem.insert(key, value);
-                }
+                WalOp::Put { key, value } => fresh.mem_put(key, value),
                 WalOp::Delete { key } => {
-                    fresh.mem.remove(&key);
+                    fresh.mem_remove(&key);
                 }
             }
         }

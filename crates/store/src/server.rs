@@ -551,7 +551,7 @@ impl StoreServer {
                 bits.existed = self.kv.delete(key).is_some();
             }
             StoreOp::Insert { table, row } => {
-                if self.tables.table_names().iter().all(|t| t != table) {
+                if !self.tables.has_table(table) {
                     let cols: Vec<String> = (0..row.len()).map(|i| format!("c{i}")).collect();
                     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
                     match self.tables.create_table(table, &col_refs) {
@@ -1562,5 +1562,63 @@ mod tests {
         assert!(!s2.is_primary());
         assert_eq!(s2.group_epoch(), s1.group_epoch(), "epoch propagated");
         let _ = client;
+    }
+
+    /// The byte totals the stores keep as they change, against a walk over
+    /// everything they hold (what `resident_bytes` used to do per op).
+    #[test]
+    fn running_byte_totals_match_a_recomputed_walk() {
+        let walk = |s: &StoreServer| -> u64 {
+            let kv: usize = s.kv().entries().map(|(k, v)| k.len() + v.len()).sum();
+            let cells = |rows: &Vec<Vec<String>>| -> usize {
+                rows.iter().flatten().map(String::len).sum::<usize>()
+            };
+            let tables: usize = s.tables().dump().iter().map(|(_, _, r)| cells(r)).sum();
+            (kv + tables) as u64
+        };
+        let ledger = s2g_sim::MemLedger::new(0).into_handle();
+        let slot = ledger.borrow_mut().register("store", 0);
+        let mut server = StoreServer::new(StoreConfig::default());
+        server.set_mem_slot(ledger.clone(), slot);
+        // A seeded mix over few keys and tables, so that overwrites,
+        // deletes of missing keys and inserts into new and existing tables
+        // (one pre-created, with its own arity) all occur many times.
+        server.tables_mut().create_table("t0", &["a", "b"]).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let (mut overwrites, mut misses, mut rejected) = (0, 0, 0);
+        for i in 0..1_000 {
+            let key = format!("key-{}", next(24));
+            let op = match next(4) {
+                0 | 1 => StoreOp::Put {
+                    key,
+                    value: vec![7; next(300) as usize],
+                },
+                2 => StoreOp::Delete { key },
+                _ => StoreOp::Insert {
+                    table: format!("t{}", next(5)),
+                    row: (0..1 + next(3))
+                        .map(|c| "x".repeat((c + next(9)) as usize))
+                        .collect(),
+                },
+            };
+            let had = matches!(&op, StoreOp::Put { key, .. } if server.kv().get(key).is_some());
+            overwrites += u32::from(had);
+            let bits = server.apply_op(&op);
+            misses += u32::from(matches!(op, StoreOp::Delete { .. }) && !bits.existed);
+            rejected += u32::from(!bits.ok);
+            let dynamic = ledger.borrow().components().next().expect("one slot").2;
+            assert_eq!(dynamic, walk(&server), "after op {i}: {op:?}");
+        }
+        assert!(overwrites > 100 && misses > 20 && rejected > 20);
+        assert!(server.tables().table_names().len() == 5 && walk(&server) > 0);
+        // A recovered memtable carries the same total as the one it replays.
+        let recovered = server.kv().simulate_crash_and_recover();
+        assert_eq!(recovered.resident_bytes(), server.kv().resident_bytes());
     }
 }

@@ -65,6 +65,8 @@ struct Table {
 #[derive(Debug, Clone, Default)]
 pub struct TableStore {
     tables: BTreeMap<String, Table>,
+    /// Cell bytes of every row of every table, kept as rows arrive.
+    resident: usize,
     inserts: u64,
     selects: u64,
 }
@@ -110,6 +112,7 @@ impl TableStore {
                 got: row.len(),
             });
         }
+        self.resident += row.iter().map(String::len).sum::<usize>();
         t.rows.push(row);
         self.inserts += 1;
         Ok(())
@@ -191,6 +194,11 @@ impl TableStore {
             .collect()
     }
 
+    /// Whether a table of this name exists.
+    pub fn has_table(&self, name: &str) -> bool {
+        self.tables.contains_key(name)
+    }
+
     /// Names of existing tables.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()
@@ -203,15 +211,7 @@ impl TableStore {
 
     /// Approximate resident bytes (for the memory model).
     pub fn resident_bytes(&self) -> usize {
-        self.tables
-            .values()
-            .map(|t| {
-                t.rows
-                    .iter()
-                    .map(|r| r.iter().map(String::len).sum::<usize>())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.resident
     }
 
     /// `(inserts, selects)` counters.

@@ -43,8 +43,11 @@ use std::rc::Rc;
 use s2g_sim::{SimDuration, SimTime};
 
 pub use json::{parse as parse_json, validate_chrome_trace, ChromeTraceSummary, JsonValue};
-pub use metrics::{summarize, Histogram, Metric, MetricValue, Registry, SummaryStats};
-pub use series::{MetricSeries, RegistryHandle, SeriesHandle, SeriesStore, TelemetrySampler};
+pub use metrics::{
+    summarize, CounterHandle, GaugeHandle, Histogram, HistogramHandle, Metric, MetricValue,
+    Registry, RegistryHandle, SummaryStats,
+};
+pub use series::{MetricSeries, SeriesHandle, SeriesStore, TelemetrySampler};
 pub use trace::{TraceEvent, TracePhase, Tracer, TracerHandle};
 
 /// The shared telemetry handle: one registry, one series store, and one
@@ -111,6 +114,31 @@ impl Telemetry {
         self.registry
             .borrow_mut()
             .observe_in(scope, name, n as f64, Histogram::counts);
+    }
+
+    /// A handle on the `(scope, name)` counter, for a site that updates it
+    /// per message: the lookup is paid on the first update only, which is
+    /// also when the metric registers.
+    pub fn counter(&self, scope: &str, name: &str) -> CounterHandle {
+        CounterHandle::new(&self.registry, scope, name)
+    }
+
+    /// A handle on the `(scope, name)` gauge (see [`Telemetry::counter`]).
+    pub fn gauge(&self, scope: &str, name: &str) -> GaugeHandle {
+        GaugeHandle::new(&self.registry, scope, name)
+    }
+
+    /// A handle on the `(scope, name)` histogram (see
+    /// [`Telemetry::counter`]), created with `buckets` on first use:
+    /// [`Histogram::latency_seconds`], [`Histogram::bytes`] or
+    /// [`Histogram::counts`].
+    pub fn histogram(
+        &self,
+        scope: &str,
+        name: &str,
+        buckets: fn() -> Histogram,
+    ) -> HistogramHandle {
+        HistogramHandle::new(&self.registry, scope, name, buckets)
     }
 
     /// Records a point trace event.

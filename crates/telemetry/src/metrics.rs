@@ -8,7 +8,10 @@
 //! call sites stay one-liners and the registry is cheap enough to leave
 //! always-on.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::rc::Rc;
 
 /// Exact summary statistics over a raw sample set (nearest-rank
 /// percentiles). This is the shared replacement for the ad-hoc
@@ -269,12 +272,34 @@ pub struct Metric {
     pub value: MetricValue,
 }
 
+/// Where each `(scope, name)` sits in a first-use-ordered vector. Nested so
+/// a lookup borrows both strings: the hot path allocates no key.
+#[derive(Debug, Default)]
+pub(crate) struct NameIndex(BTreeMap<String, BTreeMap<String, usize>>);
+
+impl NameIndex {
+    pub(crate) fn get(&self, scope: &str, name: &str) -> Option<usize> {
+        self.0.get(scope)?.get(name).copied()
+    }
+
+    pub(crate) fn insert(&mut self, scope: &str, name: &str, idx: usize) {
+        let names = self.0.entry(scope.to_string()).or_default();
+        names.insert(name.to_string(), idx);
+    }
+}
+
 /// The per-run metrics registry. Metrics are stored in first-update order,
 /// which is deterministic because the whole simulation is.
+///
+/// Two ways in: the string-keyed methods here (one index lookup per update;
+/// for cold sites, reads and tests) and the handles ([`CounterHandle`],
+/// [`GaugeHandle`], [`HistogramHandle`]) a hot site keeps, which look the
+/// metric up once. Both register on the first update, so the order below
+/// does not depend on which one a site uses.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Vec<Metric>,
-    index: BTreeMap<(String, String), usize>,
+    index: NameIndex,
 }
 
 impl Registry {
@@ -284,18 +309,41 @@ impl Registry {
     }
 
     fn slot(&mut self, scope: &str, name: &str, make: impl FnOnce() -> MetricValue) -> usize {
-        let key = (scope.to_string(), name.to_string());
-        if let Some(idx) = self.index.get(&key) {
-            return *idx;
+        if let Some(idx) = self.index.get(scope, name) {
+            return idx;
         }
         let idx = self.metrics.len();
         self.metrics.push(Metric {
-            scope: key.0.clone(),
-            name: key.1.clone(),
+            scope: scope.to_string(),
+            name: name.to_string(),
             value: make(),
         });
-        self.index.insert(key, idx);
+        self.index.insert(scope, name, idx);
         idx
+    }
+
+    fn add_at(&mut self, idx: usize, delta: u64) {
+        let m = &mut self.metrics[idx];
+        match &mut m.value {
+            MetricValue::Counter(c) => *c += delta,
+            other => panic!("{}/{} is not a counter: {other:?}", m.scope, m.name),
+        }
+    }
+
+    fn set_at(&mut self, idx: usize, value: f64) {
+        let m = &mut self.metrics[idx];
+        match &mut m.value {
+            MetricValue::Gauge(g) => *g = value,
+            other => panic!("{}/{} is not a gauge: {other:?}", m.scope, m.name),
+        }
+    }
+
+    fn observe_at(&mut self, idx: usize, value: f64) {
+        let m = &mut self.metrics[idx];
+        match &mut m.value {
+            MetricValue::Histogram(h) => h.observe(value),
+            other => panic!("{}/{} is not a histogram: {other:?}", m.scope, m.name),
+        }
     }
 
     /// Adds `delta` to the `(scope, name)` counter, creating it at zero on
@@ -306,10 +354,7 @@ impl Registry {
     /// Panics if the metric exists with a different kind.
     pub fn counter_add(&mut self, scope: &str, name: &str, delta: u64) {
         let idx = self.slot(scope, name, || MetricValue::Counter(0));
-        match &mut self.metrics[idx].value {
-            MetricValue::Counter(c) => *c += delta,
-            other => panic!("{scope}/{name} is not a counter: {other:?}"),
-        }
+        self.add_at(idx, delta);
     }
 
     /// Sets the `(scope, name)` gauge.
@@ -319,10 +364,7 @@ impl Registry {
     /// Panics if the metric exists with a different kind.
     pub fn gauge_set(&mut self, scope: &str, name: &str, value: f64) {
         let idx = self.slot(scope, name, || MetricValue::Gauge(0.0));
-        match &mut self.metrics[idx].value {
-            MetricValue::Gauge(g) => *g = value,
-            other => panic!("{scope}/{name} is not a gauge: {other:?}"),
-        }
+        self.set_at(idx, value);
     }
 
     /// Records a sample into the `(scope, name)` histogram, creating it
@@ -349,17 +391,12 @@ impl Registry {
         make: impl FnOnce() -> Histogram,
     ) {
         let idx = self.slot(scope, name, || MetricValue::Histogram(make()));
-        match &mut self.metrics[idx].value {
-            MetricValue::Histogram(h) => h.observe(value),
-            other => panic!("{scope}/{name} is not a histogram: {other:?}"),
-        }
+        self.observe_at(idx, value);
     }
 
     /// Looks up a metric; `None` when it was never registered.
     pub fn get(&self, scope: &str, name: &str) -> Option<&Metric> {
-        self.index
-            .get(&(scope.to_string(), name.to_string()))
-            .map(|i| &self.metrics[*i])
+        self.index.get(scope, name).map(|i| &self.metrics[i])
     }
 
     /// The current counter value; `None` for unregistered or non-counter.
@@ -389,6 +426,126 @@ impl Registry {
     /// All metrics in first-update order.
     pub fn metrics(&self) -> &[Metric] {
         &self.metrics
+    }
+}
+
+/// A shared handle to a [`Registry`].
+pub type RegistryHandle = Rc<RefCell<Registry>>;
+
+/// What the three handle kinds share: the metric's identity, its registry,
+/// and where it sits there once the first update has looked that up.
+struct Lazy {
+    registry: RegistryHandle,
+    /// Scope, then name, in one allocation: a component makes a dozen of
+    /// these when it is built.
+    key: String,
+    scope_len: usize,
+    slot: Cell<Option<usize>>,
+}
+
+impl Lazy {
+    fn new(registry: &RegistryHandle, scope: &str, name: &str) -> Self {
+        let mut key = String::with_capacity(scope.len() + name.len());
+        key.push_str(scope);
+        key.push_str(name);
+        Lazy {
+            registry: Rc::clone(registry),
+            key,
+            scope_len: scope.len(),
+            slot: Cell::new(None),
+        }
+    }
+
+    /// The metric's slot, registered with `make` if this is the first
+    /// update through this handle and no other site registered it yet.
+    fn slot(&self, reg: &mut Registry, make: impl FnOnce() -> MetricValue) -> usize {
+        self.slot.get().unwrap_or_else(|| {
+            let (scope, name) = self.key.split_at(self.scope_len);
+            let idx = reg.slot(scope, name, make);
+            self.slot.set(Some(idx));
+            idx
+        })
+    }
+}
+
+impl fmt::Debug for Lazy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (scope, name) = self.key.split_at(self.scope_len);
+        write!(f, "{scope}/{name}")
+    }
+}
+
+/// One counter, held by the site that updates it: the `(scope, name)`
+/// lookup happens on the first [`add`](Self::add) and never again.
+/// Creating a handle registers nothing, so a metric never updated never
+/// appears. Made by [`Telemetry::counter`](crate::Telemetry::counter).
+#[derive(Debug)]
+pub struct CounterHandle(Lazy);
+
+impl CounterHandle {
+    pub(crate) fn new(registry: &RegistryHandle, scope: &str, name: &str) -> Self {
+        CounterHandle(Lazy::new(registry, scope, name))
+    }
+
+    /// Adds `delta`, creating the counter at zero on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the metric exists with a different kind.
+    pub fn add(&self, delta: u64) {
+        let mut reg = self.0.registry.borrow_mut();
+        let idx = self.0.slot(&mut reg, || MetricValue::Counter(0));
+        reg.add_at(idx, delta);
+    }
+}
+
+/// One gauge, held by the site that sets it (see [`CounterHandle`]). Made
+/// by [`Telemetry::gauge`](crate::Telemetry::gauge).
+#[derive(Debug)]
+pub struct GaugeHandle(Lazy);
+
+impl GaugeHandle {
+    pub(crate) fn new(registry: &RegistryHandle, scope: &str, name: &str) -> Self {
+        GaugeHandle(Lazy::new(registry, scope, name))
+    }
+
+    /// Sets the level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the metric exists with a different kind.
+    pub fn set(&self, value: f64) {
+        let mut reg = self.0.registry.borrow_mut();
+        let idx = self.0.slot(&mut reg, || MetricValue::Gauge(0.0));
+        reg.set_at(idx, value);
+    }
+}
+
+/// One histogram, held by the site that feeds it (see [`CounterHandle`]),
+/// with the buckets it is created with on first use. Made by
+/// [`Telemetry::histogram`](crate::Telemetry::histogram).
+#[derive(Debug)]
+pub struct HistogramHandle(Lazy, fn() -> Histogram);
+
+impl HistogramHandle {
+    pub(crate) fn new(
+        registry: &RegistryHandle,
+        scope: &str,
+        name: &str,
+        buckets: fn() -> Histogram,
+    ) -> Self {
+        HistogramHandle(Lazy::new(registry, scope, name), buckets)
+    }
+
+    /// Records one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the metric exists with a different kind.
+    pub fn observe(&self, value: f64) {
+        let mut reg = self.0.registry.borrow_mut();
+        let idx = self.0.slot(&mut reg, || MetricValue::Histogram((self.1)()));
+        reg.observe_at(idx, value);
     }
 }
 
@@ -471,5 +628,76 @@ mod tests {
         let mut r = Registry::new();
         r.gauge_set("a", "x", 1.0);
         r.counter_add("a", "x", 1);
+    }
+
+    fn shared() -> RegistryHandle {
+        Rc::new(RefCell::new(Registry::new()))
+    }
+
+    #[test]
+    fn handle_never_updated_registers_nothing() {
+        let reg = shared();
+        let _c = CounterHandle::new(&reg, "broker-0", "produces");
+        let _g = GaugeHandle::new(&reg, "broker-0", "log_bytes");
+        let _h = HistogramHandle::new(&reg, "broker-0", "batch_bytes", Histogram::bytes);
+        assert!(reg.borrow().metrics().is_empty());
+    }
+
+    #[test]
+    fn handle_and_string_updates_share_one_metric_in_first_update_order() {
+        let reg = shared();
+        // Handles made in one order, first updated in another: the
+        // registration order is the update order.
+        let produces = CounterHandle::new(&reg, "broker-0", "produces");
+        let log_bytes = GaugeHandle::new(&reg, "broker-0", "log_bytes");
+        let batch = HistogramHandle::new(&reg, "broker-0", "batch_records", Histogram::counts);
+        reg.borrow_mut().counter_add("broker-0", "fetches", 1);
+        batch.observe(3.0);
+        reg.borrow_mut().counter_add("broker-0", "produces", 2);
+        produces.add(5);
+        log_bytes.set(9.0);
+        reg.borrow_mut().gauge_set("broker-0", "log_bytes", 11.0);
+        reg.borrow_mut()
+            .observe_in("broker-0", "batch_records", 4.0, Histogram::counts);
+        // A second handle on an existing metric joins it.
+        CounterHandle::new(&reg, "broker-0", "produces").add(1);
+        let reg = reg.borrow();
+        let names: Vec<&str> = reg.metrics().iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["fetches", "batch_records", "produces", "log_bytes"]);
+        assert_eq!(reg.counter("broker-0", "produces"), Some(8));
+        assert_eq!(reg.gauge("broker-0", "log_bytes"), Some(11.0));
+        let h = reg.histogram("broker-0", "batch_records").unwrap();
+        assert_eq!((h.count(), h.sum()), (2, 7.0));
+        assert_eq!(h.bounds(), Histogram::counts().bounds());
+    }
+
+    #[test]
+    fn same_name_under_two_scopes_is_two_metrics() {
+        let reg = shared();
+        CounterHandle::new(&reg, "a", "x").add(1);
+        CounterHandle::new(&reg, "ab", "x").add(2);
+        reg.borrow_mut().counter_add("a", "xy", 4);
+        let reg = reg.borrow();
+        assert_eq!(reg.counter("a", "x"), Some(1));
+        assert_eq!(reg.counter("ab", "x"), Some(2));
+        assert_eq!(reg.counter("a", "xy"), Some(4));
+        assert_eq!(reg.counter("ab", "xy"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "a/x is not a counter")]
+    fn handle_kind_mismatch_panics_like_the_string_api() {
+        let reg = shared();
+        reg.borrow_mut().gauge_set("a", "x", 1.0);
+        CounterHandle::new(&reg, "a", "x").add(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a/x is not a gauge")]
+    fn resolved_handle_still_checks_kind() {
+        let reg = shared();
+        let h = HistogramHandle::new(&reg, "a", "x", Histogram::counts);
+        h.observe(1.0);
+        GaugeHandle::new(&reg, "a", "x").set(1.0);
     }
 }

@@ -8,13 +8,12 @@
 //! which keeps same-seed runs byte-identical with telemetry enabled.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use s2g_sim::{CpuHandle, Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
-use crate::metrics::Registry;
+use crate::metrics::{NameIndex, RegistryHandle};
 
 /// One metric's sampled time series.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +41,7 @@ impl MetricSeries {
 #[derive(Debug, Default)]
 pub struct SeriesStore {
     series: Vec<MetricSeries>,
-    index: BTreeMap<(String, String), usize>,
+    index: NameIndex,
 }
 
 impl SeriesStore {
@@ -54,28 +53,22 @@ impl SeriesStore {
     /// Appends a sample to the `(scope, name)` series, creating it on
     /// first use.
     pub fn record(&mut self, at: SimTime, scope: &str, name: &str, value: f64) {
-        let key = (scope.to_string(), name.to_string());
-        let idx = match self.index.get(&key) {
-            Some(idx) => *idx,
-            None => {
-                let idx = self.series.len();
-                self.series.push(MetricSeries {
-                    scope: key.0.clone(),
-                    name: key.1.clone(),
-                    points: Vec::new(),
-                });
-                self.index.insert(key, idx);
-                idx
-            }
-        };
+        let idx = self.index.get(scope, name).unwrap_or_else(|| {
+            let idx = self.series.len();
+            self.series.push(MetricSeries {
+                scope: scope.to_string(),
+                name: name.to_string(),
+                points: Vec::new(),
+            });
+            self.index.insert(scope, name, idx);
+            idx
+        });
         self.series[idx].points.push((at, value));
     }
 
     /// Looks up one series; `None` when the metric was never sampled.
     pub fn get(&self, scope: &str, name: &str) -> Option<&MetricSeries> {
-        self.index
-            .get(&(scope.to_string(), name.to_string()))
-            .map(|i| &self.series[*i])
+        self.index.get(scope, name).map(|i| &self.series[i])
     }
 
     /// All series in first-sample order.
@@ -103,9 +96,6 @@ impl SeriesStore {
 
 /// A shared handle to a [`SeriesStore`].
 pub type SeriesHandle = Rc<RefCell<SeriesStore>>;
-
-/// A shared handle to a [`Registry`].
-pub type RegistryHandle = Rc<RefCell<Registry>>;
 
 /// The sampling daemon: a simulated process that snapshots the registry
 /// into the series store every `interval`, and derives host CPU occupancy
