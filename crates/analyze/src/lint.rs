@@ -28,6 +28,10 @@
 //!   `observe_*` in the files every simulated RPC runs through
 //!   ([`METRIC_HOT_PATHS`]): each such call looks `(scope, name)` up again,
 //!   per message; those sites hold `s2g_telemetry` handles instead.
+//! * `exec-unhandled` — a `.exec(cost, TAG)` whose tag constant the file
+//!   names nowhere else: no `on_cpu_done` arm can be matching it, so the
+//!   completion event is scheduled, queued and dispatched for nothing;
+//!   `Ctx::charge` books the same CPU time without it.
 //!
 //! A finding is suppressed by an escape comment on the same or preceding
 //! line, which must carry a justification:
@@ -79,14 +83,15 @@ pub struct LintConfig {
     pub rules: BTreeMap<String, RuleConfig>,
 }
 
-/// The six rule names, in catalog order.
-pub const RULE_NAMES: [&str; 6] = [
+/// The seven rule names, in catalog order.
+pub const RULE_NAMES: [&str; 7] = [
     "wall-clock",
     "os-entropy",
     "hash-iteration",
     "unchecked-narrowing",
     "event-queue",
     "metric-by-name",
+    "exec-unhandled",
 ];
 
 /// Where `metric-by-name` applies unless `lint.toml` says otherwise: the
@@ -454,8 +459,91 @@ pub fn lint_source(path: &str, text: &str, cfg: &LintConfig) -> Vec<LintFinding>
         ))
     });
 
+    if let Some(level) = active("exec-unhandled") {
+        for (i, tag) in unhandled_exec_tags(&code, &skip) {
+            let message = format!(
+                "nothing in this file but this call and its definition names `{tag}`, so no \
+                 `on_cpu_done` arm handles the completion; use `Ctx::charge` to book the CPU \
+                 time without scheduling an event"
+            );
+            push("exec-unhandled", level, i, message);
+        }
+    }
+
     findings.sort_by_key(|f| (f.line, f.rule.clone()));
     findings
+}
+
+/// The `.exec(` calls whose tag nobody can be handling, as `(line of the
+/// call, tag constant)`. The tag is the last `SCREAMING_CASE` name of the
+/// call's last argument (`tags::BATCH_DONE`, `PRODUCER_TAGS + off::NOOP_CPU`);
+/// a tag held in a variable is somebody's bookkeeping and is left alone.
+/// It is handled when the file's non-test code names it anywhere outside
+/// `.exec(` calls and its own `const` definition.
+fn unhandled_exec_tags(code: &[String], skip: &[bool]) -> Vec<(usize, String)> {
+    // The non-test code as one text (a call may span lines), with the
+    // offset each line starts at.
+    let mut text = String::new();
+    let mut starts = Vec::with_capacity(code.len());
+    for (line, skipped) in code.iter().zip(skip) {
+        starts.push(text.len());
+        if !skipped {
+            text.push_str(line);
+        }
+        text.push('\n');
+    }
+    let is_const = |w: &&str| {
+        w.chars().any(|c| c.is_ascii_uppercase())
+            && w.chars()
+                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+    };
+    // Every call as (line, tag), and the text without the calls' arguments.
+    let mut calls: Vec<(usize, String)> = Vec::new();
+    let mut rest = String::new();
+    let mut at = 0;
+    while let Some(pos) = text[at..].find(".exec(") {
+        let open = at + pos + ".exec(".len();
+        rest.push_str(&text[at..open]);
+        let (mut depth, mut arg_from, mut tag_arg, mut close) = (1usize, open, "", text.len());
+        for (j, c) in text[open..].char_indices().map(|(j, c)| (open + j, c)) {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 || (depth == 1 && c == ',') {
+                // An argument ends here. The tag is the last one; a
+                // trailing comma leaves an empty one after it.
+                if !text[arg_from..j].trim().is_empty() {
+                    tag_arg = &text[arg_from..j];
+                }
+                arg_from = j + 1;
+            }
+            if depth == 0 {
+                close = j;
+                break;
+            }
+        }
+        let mut words = tag_arg.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        if let Some(tag) = words.rfind(is_const) {
+            let line = starts.partition_point(|start| *start < open) - 1;
+            calls.push((line, tag.to_string()));
+        }
+        at = close;
+    }
+    rest.push_str(&text[at..]);
+    calls.retain(|(_, tag)| {
+        let mut from = 0;
+        while let Some(pos) = find_word(&rest[from..], tag) {
+            let defined = rest[..from + pos].trim_end().ends_with("const");
+            if !defined {
+                return false;
+            }
+            from += pos + tag.len();
+        }
+        true
+    });
+    calls
 }
 
 /// The first `as u8`/`as u16`/`as u32` cast on a line, if any.
@@ -873,6 +961,56 @@ mod tests {
         assert!(lint_source("crates/spe/src/checkpoint.rs", src, &cfg).is_empty());
         let escaped = "// s2g-lint: allow(metric-by-name) — once per reign, not per request\nh.tele.gauge_set(&h.name, &name, 0.0);\n";
         assert!(lint_source("crates/spe/src/worker.rs", escaped, &cfg).is_empty());
+    }
+
+    #[test]
+    fn flags_exec_calls_whose_tag_no_handler_names() {
+        let src = "mod off {\n    pub const NOOP_CPU: u64 = 3;\n    pub const BATCH_DONE: u64 = 4;\n}\n\
+            fn f(ctx: &mut Ctx<'_>) {\n    ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);\n\
+                ctx.exec(\n        self.cfg.per_byte * (bytes as u64),\n        PRODUCER_TAGS + off::NOOP_CPU,\n    );\n\
+                ctx.exec(cost, tags::BATCH_DONE);\n    ctx.exec(cost, tag);\n    ctx.exec(cost, tags::ELSEWHERE);\n}\n\
+            fn on_cpu_done(&mut self, tag: u64) {\n    if tag == tags::BATCH_DONE {}\n}\n\
+            #[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(tag, off::NOOP_CPU); }\n}\n";
+        let f = lint_source("crates/broker/src/producer.rs", src, &cfg_all());
+        let found: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule.as_str())).collect();
+        // Both NOOP_CPU calls (the second by the line it starts on) and the
+        // constant this file does not even define; the handled tag, the
+        // variable tag and the mention inside the test module change nothing.
+        assert_eq!(
+            found,
+            vec![
+                (6, "exec-unhandled"),
+                (7, "exec-unhandled"),
+                (13, "exec-unhandled")
+            ],
+            "{f:?}"
+        );
+        assert!(f[0].message.contains("`NOOP_CPU`"), "{f:?}");
+        assert!(f[0].message.contains("use `Ctx::charge`"), "{f:?}");
+        let escaped = "// s2g-lint: allow(exec-unhandled) — the handler lives in the embedding process\nctx.exec(cost, tags::ELSEWHERE);\n";
+        assert!(lint_source("x.rs", escaped, &cfg_all()).is_empty());
+    }
+
+    /// The rule against every sim-visible source file of this checkout, with
+    /// the real `lint.toml`: the producer's per-record
+    /// `ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU)`
+    /// put back fails here (and in CI's `s2g-lint --deny`).
+    #[test]
+    fn every_exec_in_the_workspace_has_a_handler() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let toml = std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml");
+        let cfg = LintConfig::parse(&toml).expect("lint.toml parses");
+        assert_eq!(cfg.rules["exec-unhandled"].level, Some(LintLevel::Deny));
+        let report = lint(&root, &cfg).expect("the workspace scans");
+        let found: Vec<&LintFinding> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "exec-unhandled")
+            .collect();
+        assert!(found.is_empty(), "{found:#?}");
+        let producer = root.join("crates/broker/src/producer.rs");
+        let text = std::fs::read_to_string(producer).expect("producer.rs");
+        assert!(text.contains(".charge(self.cfg.cpu_per_record)"));
     }
 
     /// The rule against the files it exists for, as they are in this

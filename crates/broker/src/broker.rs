@@ -32,11 +32,11 @@
 //! broker's heartbeat arrives with a bumped incarnation number.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use s2g_proto::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
-    PartitionMetadata, RecordBatch, ReplicaRpc, TopicPartition,
+    PartitionMetadata, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
+    TopicPartition,
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
@@ -54,12 +54,10 @@ use crate::table::IntTable;
 
 /// Timer tags used by the broker.
 mod tags {
-    pub const STARTUP_DONE: u64 = 0;
     pub const REPLICA_TICK: u64 = 1;
     pub const ISR_TICK: u64 = 2;
     pub const HEARTBEAT_TICK: u64 = 3;
     pub const BACKGROUND_TICK: u64 = 4;
-    pub const BACKGROUND_DONE: u64 = 5;
     pub const LOG_FLUSH_TICK: u64 = 6;
     pub const DURABILITY_RETRY: u64 = 7;
     pub const LOG_CLEANUP_TICK: u64 = 8;
@@ -69,29 +67,6 @@ mod tags {
 /// How long the broker waits for a store response to a flush or recovery
 /// RPC before re-issuing it (a lossy network can drop either direction).
 const DURABILITY_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
-
-#[derive(Debug)]
-pub(crate) enum OutMsg {
-    Client(ClientRpc),
-    Replica(ReplicaRpc),
-}
-
-/// The one constructor of a replica-fetch rejection.
-fn replica_fetch_error(corr: CorrelationId, tp: TopicPartition, error: ErrorCode) -> ReplicaRpc {
-    ReplicaRpc::FetchResponse {
-        corr,
-        tp,
-        batch: RecordBatch::new(),
-        epochs: Vec::new(),
-        offsets: Vec::new(),
-        high_watermark: Offset::ZERO,
-        epoch: LeaderEpoch(0),
-        truncate_to: None,
-        mirror: Rc::default(),
-        seqs_ride: false,
-        error,
-    }
-}
 
 /// The broker's label for a blob request: what the blob is.
 #[derive(Debug)]
@@ -187,6 +162,9 @@ pub struct BrokerStats {
     pub replica_fetches: u64,
     /// Records appended (as leader or follower).
     pub records_appended: u64,
+    /// Records a leader sent this broker, as follower, that its log already
+    /// held: the work of a fetch that raced another for the same range.
+    pub replica_records_redundant: u64,
     /// Records discarded by divergence truncation.
     pub records_truncated: u64,
     /// Requests rejected because the broker was fenced.
@@ -296,15 +274,10 @@ pub(crate) struct Host {
     next_corr: u64,
     next_cpu_tag: u64,
     /// Responses waiting out their CPU cost, by the tag of that work.
-    pending_out: IntTable<(ProcessId, OutMsg)>,
+    pending_out: IntTable<(ProcessId, Box<dyn Message>)>,
 }
 
 impl Host {
-    pub(crate) fn next_corr(&mut self) -> CorrelationId {
-        self.next_corr += 1;
-        CorrelationId(self.next_corr)
-    }
-
     pub(crate) fn send_controllers(&self, ctx: &mut Ctx<'_>, rpc: ControllerRpc) {
         for pid in &self.controllers {
             ctx.send(*pid, rpc.clone());
@@ -316,7 +289,7 @@ impl Host {
         ctx: &mut Ctx<'_>,
         cost: SimDuration,
         to: ProcessId,
-        msg: OutMsg,
+        msg: Box<dyn Message>,
     ) {
         let tag = tags::CPU_BASE + self.next_cpu_tag;
         self.next_cpu_tag += 1;
@@ -326,7 +299,7 @@ impl Host {
 
     /// Answers a client request that touched no records.
     fn reply(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, rpc: ClientRpc) {
-        self.respond_after_cpu(ctx, self.cfg.cpu_per_request, to, OutMsg::Client(rpc));
+        self.respond_after_cpu(ctx, self.cfg.cpu_per_request, to, Box::new(rpc));
     }
 
     pub(crate) fn request_cost(&self, records: usize) -> SimDuration {
@@ -735,7 +708,7 @@ impl Broker {
                     next_offset,
                     error,
                 };
-                host.respond_after_cpu(ctx, host.request_cost(n), from, OutMsg::Client(response));
+                host.respond_after_cpu(ctx, host.request_cost(n), from, Box::new(response));
             }
             other => self.handle_coordination(ctx, from, other),
         }
@@ -899,67 +872,103 @@ impl Broker {
         self.flush_logs(ctx);
     }
 
-    fn handle_replica(&mut self, ctx: &mut Ctx<'_>, from_pid: ProcessId, rpc: ReplicaRpc) {
+    fn handle_replica(&mut self, ctx: &mut Ctx<'_>, from_pid: ProcessId, mut rpc: Box<ReplicaRpc>) {
         let fenced = self.is_fenced(ctx.now());
         let host = &mut self.host;
-        match rpc {
-            ReplicaRpc::Fetch {
-                corr,
-                tp,
-                from,
-                log_end,
-                epoch,
-            } => {
+        let cap = host.cfg.replica_fetch_max_records;
+        match &mut *rpc {
+            ReplicaRpc::Fetch { corr, from, parts } => {
+                let (corr, from, parts) = (*corr, *from, std::mem::take(parts));
                 host.stats.replica_fetches += 1;
-                let partition = self.partitions.get_mut(&tp);
-                let (n, response) = match Partition::admit(partition, &tp, fenced, None, 0) {
-                    Ok(mut led) => led.serve_fetch(ctx, host, corr, from, log_end, epoch),
-                    Err(error) => (0, replica_fetch_error(corr, tp, error)),
+                // The cap is the request's: each part is served from what
+                // the parts before it left.
+                let mut left = cap;
+                let mut serve = |part: ReplicaFetchPart| {
+                    let partition = self.partitions.get_mut(&part.tp);
+                    match Partition::admit(partition, &part.tp, fenced, None, 0) {
+                        Ok(mut led) => {
+                            let (end, epoch) = (part.log_end, part.epoch);
+                            let served = led.serve_fetch(ctx, host, from, end, epoch, left);
+                            left -= served.batch.len();
+                            served
+                        }
+                        Err(error) => ReplicaFetchedPart::rejected(part.tp, error),
+                    }
                 };
-                let cost = host.request_cost(n);
-                host.respond_after_cpu(ctx, cost, from_pid, OutMsg::Replica(response));
+                let parts = parts.into_iter().map(&mut serve).collect();
+                let cost = host.request_cost(cap - left);
+                // The reply travels in the request's box.
+                *rpc = ReplicaRpc::FetchResponse { corr, parts };
+                host.respond_after_cpu(ctx, cost, from_pid, rpc);
             }
-            ReplicaRpc::FetchResponse {
-                tp,
-                batch,
-                epochs,
-                offsets,
-                high_watermark,
-                epoch,
-                truncate_to,
-                mirror,
-                seqs_ride,
-                error,
-                ..
-            } => {
-                let Some(p) = self.partitions.get_mut(&tp) else {
-                    return;
-                };
-                if !p.fetch_answered(epoch, error) {
-                    return;
+            ReplicaRpc::FetchResponse { corr, parts } => {
+                let (corr, parts) = (*corr, std::mem::take(parts));
+                let records: usize = parts.iter().map(|part| part.batch.len()).sum();
+                let mut latest = false;
+                for part in parts {
+                    let Some(p) = self.partitions.get_mut(&part.tp) else {
+                        continue;
+                    };
+                    let (apply, was_latest) = p.fetch_answered(corr, part.epoch, part.error);
+                    latest |= was_latest;
+                    if !apply {
+                        continue;
+                    }
+                    if let Some(to) = part.truncate_to {
+                        p.truncate(host, to);
+                    }
+                    let hw = part.high_watermark;
+                    let n = p.replicate(host, part.batch, &part.at, part.epoch, hw);
+                    let txns_changed = p.mirror(&part.mirror, part.seqs_ride);
+                    // Follower-side log changes ride the interval flush; no
+                    // client ack is waiting on them.
+                    host.dirty |= n > 0 || part.truncate_to.is_some() || txns_changed;
                 }
-                let full_batch = batch.len() >= host.cfg.replica_fetch_max_records;
-                if let Some(to) = truncate_to {
-                    p.truncate(host, to);
-                }
-                let n = p.replicate(host, batch, &epochs, &offsets, epoch, high_watermark);
-                let txns_changed = p.mirror(&mirror, seqs_ride);
                 host.update_mem();
-                // Follower-side log changes ride the interval flush; no
-                // client ack is waiting on them.
-                host.dirty |= n > 0 || truncate_to.is_some() || txns_changed;
                 // Catch-up mode: keep fetching immediately while full
-                // batches arrive.
-                if full_batch {
-                    p.fetch_from_leader(ctx, host, &tp, false);
+                // replies arrive — on the strength of the latest request's
+                // reply alone, so ticks during a catch-up start no second
+                // chain fetching the same range.
+                if latest && records >= cap {
+                    let sender = host.peers.iter().find(|(_, pid)| **pid == from_pid);
+                    if let Some((&leader, _)) = sender {
+                        self.fetch_from(ctx, leader, false);
+                    }
                 }
             }
         }
     }
 
-    fn replica_tick(&mut self, ctx: &mut Ctx<'_>) {
+    /// Sends `leader` one fetch with a part for every partition followed
+    /// from it that awaits no reply; the periodic `tick` also asks again
+    /// for those whose fetch has gone an interval unanswered.
+    fn fetch_from(&mut self, ctx: &mut Ctx<'_>, leader: BrokerId, tick: bool) {
+        let host = &mut self.host;
+        let Some(&leader_pid) = host.peers.get(&leader) else {
+            return;
+        };
+        host.next_corr += 1;
+        let corr = CorrelationId(host.next_corr);
+        let give_up_after = tick.then_some(host.cfg.replica_fetch_interval);
+        let mut parts = Vec::new();
         for (tp, p) in self.partitions.iter_mut() {
-            p.fetch_from_leader(ctx, &mut self.host, tp, true);
+            parts.extend(p.fetch_part(tp, leader, corr, ctx.now(), give_up_after));
+        }
+        if !parts.is_empty() {
+            let from = host.id;
+            ctx.send(leader_pid, ReplicaRpc::Fetch { corr, from, parts });
+        }
+    }
+
+    fn replica_tick(&mut self, ctx: &mut Ctx<'_>) {
+        // One fetch per leader, the peers taken in id order: no map of
+        // parts by leader is built per tick.
+        let mut next = BrokerId(0);
+        while let Some((&leader, _)) = self.host.peers.range(next..).next() {
+            if leader != self.host.id {
+                self.fetch_from(ctx, leader, true);
+            }
+            next = BrokerId(leader.0 + 1);
         }
     }
 
@@ -1295,7 +1304,7 @@ impl Process for Broker {
             r.restarted_at = ctx.now();
         }
         let cfg = &self.host.cfg;
-        ctx.exec(cfg.startup_cpu, tags::STARTUP_DONE);
+        ctx.charge(cfg.startup_cpu);
         ctx.set_timer(cfg.replica_fetch_interval, tags::REPLICA_TICK);
         ctx.set_timer(cfg.isr_check_interval, tags::ISR_TICK);
         let hb = ControllerRpc::Heartbeat {
@@ -1340,7 +1349,7 @@ impl Process for Broker {
                     self.host.stats.dropped_recovering += 1;
                     return;
                 }
-                return self.handle_replica(ctx, from, *rpc);
+                return self.handle_replica(ctx, from, rpc);
             }
             Err(m) => m,
         };
@@ -1392,7 +1401,7 @@ impl Process for Broker {
             }
             tags::BACKGROUND_TICK => {
                 if !self.host.cfg.background_cpu.is_zero() {
-                    ctx.exec(self.host.cfg.background_cpu, tags::BACKGROUND_DONE);
+                    ctx.charge(self.host.cfg.background_cpu);
                 }
                 ctx.set_timer(self.host.cfg.background_interval, tags::BACKGROUND_TICK);
             }
@@ -1401,10 +1410,8 @@ impl Process for Broker {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match self.host.pending_out.remove(tag) {
-            Some((to, OutMsg::Client(rpc))) => ctx.send(to, rpc),
-            Some((to, OutMsg::Replica(rpc))) => ctx.send(to, rpc),
-            None => {}
+        if let Some((to, msg)) = self.host.pending_out.remove(tag) {
+            ctx.send_boxed(to, msg);
         }
     }
 }

@@ -32,7 +32,10 @@ pub enum CoordinationMode {
 pub struct BrokerConfig {
     /// Follower replication fetch interval.
     pub replica_fetch_interval: SimDuration,
-    /// Max records returned per replica fetch.
+    /// Max records returned per replica fetch **request**, shared by its
+    /// parts in order (one part per partition followed from that leader):
+    /// Kafka's `replica.fetch.response.max.bytes`, counted in records. A
+    /// reply that reaches it tells the follower to fetch again at once.
     pub replica_fetch_max_records: usize,
     /// A follower lagging longer than this is dropped from the ISR
     /// (Kafka's `replica.lag.time.max.ms`).
@@ -168,7 +171,10 @@ pub struct ProducerConfig {
     /// Total time a record may spend retrying before being reported lost
     /// (Kafka `delivery.timeout.ms`, default 120 s).
     pub delivery_timeout: SimDuration,
-    /// Backoff between retries.
+    /// How long a batch that bounced off a broker (`NotLeader` and the
+    /// like) or timed out waits before it is sent again (Kafka
+    /// `retry.backoff.ms`). It waits at the head of its partition's queue,
+    /// so the batches behind it wait too and other partitions do not.
     pub retry_backoff: SimDuration,
     /// Acknowledgement mode.
     pub acks: AckMode,

@@ -11,7 +11,7 @@
 //! reproduction in Fig. 7a.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use s2g_proto::{ClientRpc, CorrelationId, ErrorCode, Offset, Record, RecordBatch, TopicPartition};
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, TimerToken};
@@ -33,7 +33,6 @@ mod off {
     pub const OFFSET_FETCH_TIMEOUT: u64 = 4;
     pub const GROUP_HEARTBEAT: u64 = 5;
     pub const JOIN_TIMEOUT: u64 = 6;
-    pub const REQ_TIMEOUT_BASE: u64 = 1_000_000;
     pub const CPU_DELIVER_BASE: u64 = 2_000_000_000;
 }
 
@@ -85,7 +84,8 @@ pub struct ConsumerStats {
 #[derive(Debug)]
 struct InflightFetch {
     tp: TopicPartition,
-    timer: TimerToken,
+    /// When the fetch counts as lost; the first poll from then on sees it.
+    deadline: SimTime,
 }
 
 /// The metrics of a client with telemetry attached, each looked up in the
@@ -106,6 +106,10 @@ pub struct ConsumerClient {
     offsets: BTreeMap<TopicPartition, Offset>,
     /// Fetches awaiting their response, by correlation id.
     inflight: IntTable<InflightFetch>,
+    /// The correlation ids of the fetches sent, oldest first. One timeout
+    /// serves them all, so their deadlines are in this order too; an
+    /// answered fetch leaves its id behind until a poll reaches it.
+    sent: VecDeque<u64>,
     fetching: BTreeMap<TopicPartition, bool>,
     /// Batches whose delivery CPU is in flight, by tag. Holding the
     /// refcounted [`RecordBatch`] (not a rebuilt `Vec`) means the payloads
@@ -114,6 +118,9 @@ pub struct ConsumerClient {
     next_corr: u64,
     next_deliver_tag: u64,
     stats: ConsumerStats,
+    /// How long a request may go unanswered. Join, offset-fetch and
+    /// metadata requests arm a timer for it; a fetch's is noticed by the
+    /// first poll at or after it (see `expire_fetches`).
     request_timeout: SimDuration,
     /// Offset-fetch state for group members: fetching is held back until the
     /// committed positions arrive, so the first fetch resumes at the commit
@@ -165,6 +172,7 @@ impl ConsumerClient {
             subscriptions: topics,
             offsets: BTreeMap::new(),
             inflight: IntTable::default(),
+            sent: VecDeque::new(),
             fetching: BTreeMap::new(),
             pending_delivery: IntTable::default(),
             next_corr: 1,
@@ -426,7 +434,27 @@ impl ConsumerClient {
         self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
+    /// Gives up on the fetches whose deadline has passed. No timer is armed
+    /// per fetch: a loss is noticed by the first poll at or after its
+    /// deadline, which is soon enough for a timeout of seconds.
+    fn expire_fetches(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        while let Some(&corr) = self.sent.front() {
+            if self.inflight.get(corr).is_some_and(|f| f.deadline > now) {
+                break;
+            }
+            self.sent.pop_front();
+            // Still in flight means lost; otherwise it was answered.
+            if let Some(fetch) = self.inflight.remove(corr) {
+                self.stats.timeouts += 1;
+                self.fetching.insert(fetch.tp, false);
+                self.request_metadata(ctx);
+            }
+        }
+    }
+
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
+        self.expire_fetches(ctx);
         if self.membership.as_ref().is_some_and(|m| !m.joined) {
             // Not admitted (or bounced by a rebalance): rejoin before
             // fetching anything.
@@ -494,10 +522,6 @@ impl ConsumerClient {
         };
         let corr = self.next_corr();
         let offset = self.position(&tp);
-        let timer = ctx.set_timer(
-            self.request_timeout,
-            CONSUMER_TAGS + off::REQ_TIMEOUT_BASE + corr.0,
-        );
         ctx.send(
             pid,
             ClientRpc::FetchRequest {
@@ -510,7 +534,9 @@ impl ConsumerClient {
         );
         self.stats.fetches += 1;
         self.fetching.insert(tp.clone(), true);
-        self.inflight.insert(corr.0, InflightFetch { tp, timer });
+        let deadline = ctx.now() + self.request_timeout;
+        self.inflight.insert(corr.0, InflightFetch { tp, deadline });
+        self.sent.push_back(corr.0);
     }
 
     /// Takes delivery of the answer to an in-flight fetch of `tp`.
@@ -613,8 +639,7 @@ impl ConsumerClient {
             } => {
                 // A missing entry means a stale response for a timed-out
                 // request: consume the message without acting on it.
-                let inflight = self.inflight.remove(corr.0)?;
-                ctx.cancel_timer(inflight.timer);
+                self.inflight.remove(corr.0)?;
                 self.on_fetched(ctx, tp, batch, high_watermark, next_offset, error);
                 None
             }
@@ -758,13 +783,6 @@ impl ConsumerClient {
                     self.send_join(ctx);
                 }
             }
-        } else if (off::REQ_TIMEOUT_BASE..off::CPU_DELIVER_BASE).contains(&o) {
-            let corr = o - off::REQ_TIMEOUT_BASE;
-            if let Some(inflight) = self.inflight.remove(corr) {
-                self.stats.timeouts += 1;
-                self.fetching.insert(inflight.tp, false);
-                self.request_metadata(ctx);
-            }
         }
         true
     }
@@ -814,8 +832,6 @@ pub struct ConsumerProcess {
 }
 
 const BACKGROUND_TICK: u64 = 1;
-const BACKGROUND_DONE: u64 = 2;
-const STARTUP_DONE: u64 = 3;
 
 impl ConsumerProcess {
     /// Creates a consumer stub with a name suffix for traces.
@@ -850,7 +866,7 @@ impl Process for ConsumerProcess {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.exec(self.client.cfg.startup_cpu, STARTUP_DONE);
+        ctx.charge(self.client.cfg.startup_cpu);
         self.client.start(ctx);
         ctx.set_timer(self.client.cfg.background_interval, BACKGROUND_TICK);
     }
@@ -865,7 +881,7 @@ impl Process for ConsumerProcess {
         }
         if tag == BACKGROUND_TICK {
             if !self.client.cfg.background_cpu.is_zero() {
-                ctx.exec(self.client.cfg.background_cpu, BACKGROUND_DONE);
+                ctx.charge(self.client.cfg.background_cpu);
             }
             ctx.set_timer(self.client.cfg.background_interval, BACKGROUND_TICK);
         }

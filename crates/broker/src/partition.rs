@@ -14,12 +14,13 @@ use std::rc::Rc;
 
 use s2g_proto::{
     BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
-    MirrorView, Offset, PartitionMetadata, Record, RecordBatch, ReplicaRpc, TopicPartition,
+    MirrorView, Offset, PartitionMetadata, Record, RecordBatch, ReplicaFetchPart,
+    ReplicaFetchedPart, TopicPartition,
 };
-use s2g_sim::{Ctx, ProcessId, SimTime};
+use s2g_sim::{Ctx, Message, ProcessId, SimDuration, SimTime};
 use s2g_telemetry::GaugeHandle;
 
-use crate::broker::{Host, OutMsg};
+use crate::broker::Host;
 use crate::config::{BrokerConfig, CoordinationMode};
 use crate::handover::{Handover, PartitionTxns};
 use crate::log::{CleanOutcome, MetaPartitionTxns, PartitionLog};
@@ -47,8 +48,8 @@ pub(crate) fn produce_response(
     tp: TopicPartition,
     base_offset: Offset,
     error: ErrorCode,
-) -> OutMsg {
-    OutMsg::Client(ClientRpc::ProduceResponse {
+) -> Box<dyn Message> {
+    Box::new(ClientRpc::ProduceResponse {
         corr,
         tp,
         base_offset,
@@ -86,7 +87,12 @@ struct LeaderState {
 struct FollowerState {
     leader: Option<BrokerId>,
     epoch: LeaderEpoch,
-    inflight: bool,
+    /// The latest fetch sent for this partition and when, until its reply
+    /// arrives. Only that reply continues a catch-up: one that answers an
+    /// earlier, superseded request is applied and ends there, so a follower
+    /// runs one chain of fetches however many ticks pass while it catches
+    /// up.
+    awaiting: Option<(CorrelationId, SimTime)>,
 }
 
 #[derive(Debug)]
@@ -276,67 +282,69 @@ impl Partition {
             self.role = Some(Role::Follower(FollowerState {
                 leader: m.leader,
                 epoch: m.epoch,
-                inflight: false,
+                awaiting: None,
             }));
         } else {
             self.role = None;
         }
     }
 
-    /// As a follower, asks the leader for records past the local log end.
-    /// `tick` marks the periodic fetch: a follower that cannot reach its
-    /// leader keeps an RPC inflight forever (the response was dropped), so
-    /// each tick allows a new fetch; duplicate responses are idempotent
-    /// because appends start from our log end.
-    pub(crate) fn fetch_from_leader(
+    /// As a follower of `leader`, this partition's part of fetch `corr`,
+    /// which becomes its latest; none while an earlier fetch is awaited.
+    /// The periodic fetch gives up on (`give_up_after`) and supersedes one
+    /// that has gone a whole fetch interval unanswered: a follower whose
+    /// leader is unreachable would otherwise wait forever for a reply that
+    /// was dropped. A superseded reply that does arrive is harmless,
+    /// appends being idempotent. A younger one is a catch-up in progress,
+    /// and asking again would only fetch its range twice.
+    pub(crate) fn fetch_part(
         &mut self,
-        ctx: &mut Ctx<'_>,
-        host: &mut Host,
         tp: &TopicPartition,
-        tick: bool,
-    ) {
+        leader: BrokerId,
+        corr: CorrelationId,
+        now: SimTime,
+        give_up_after: Option<SimDuration>,
+    ) -> Option<ReplicaFetchPart> {
         let Some(Role::Follower(fs)) = &mut self.role else {
-            return;
+            return None;
         };
-        let corr = host.next_corr();
-        fs.inflight &= !tick;
-        let Some(leader) = fs.leader else { return };
-        if fs.inflight || leader == host.id {
-            return;
+        let lost = |sent| give_up_after.is_some_and(|age| now.saturating_since(sent) >= age);
+        if fs.leader != Some(leader) || fs.awaiting.is_some_and(|(_, sent)| !lost(sent)) {
+            return None;
         }
-        let Some(&leader_pid) = host.peers.get(&leader) else {
-            return;
-        };
-        fs.inflight = true;
-        ctx.send(
-            leader_pid,
-            ReplicaRpc::Fetch {
-                corr,
-                tp: tp.clone(),
-                from: host.id,
-                log_end: self.log.log_end(),
-                // The epoch of our log tail, not the announced leader
-                // epoch: that is what lets the leader detect a divergent
-                // suffix appended while we were isolated and tell us to
-                // truncate it.
-                epoch: self.log.last_epoch().unwrap_or(fs.epoch),
-            },
-        );
+        fs.awaiting = Some((corr, now));
+        Some(ReplicaFetchPart {
+            tp: tp.clone(),
+            log_end: self.log.log_end(),
+            // The epoch of our log tail, not the announced leader epoch:
+            // that is what lets the leader detect a divergent suffix
+            // appended while we were isolated and tell us to truncate it.
+            epoch: self.log.last_epoch().unwrap_or(fs.epoch),
+        })
     }
 
-    /// As a follower, takes delivery of a fetch response: the request is no
-    /// longer in flight, and a successful one announces the leader's epoch.
-    /// Returns whether there is anything to apply (`false` for a
-    /// non-follower, or an error: wait for a fresh `LeaderAndIsr`).
-    pub(crate) fn fetch_answered(&mut self, epoch: LeaderEpoch, error: ErrorCode) -> bool {
+    /// As a follower, takes delivery of this partition's part of the reply
+    /// to fetch `corr`; a successful one announces the leader's epoch.
+    /// Returns whether there is anything to apply (not for a non-follower,
+    /// or an error: wait for a fresh `LeaderAndIsr`) and whether this
+    /// answered the latest fetch, which is then no longer awaited.
+    pub(crate) fn fetch_answered(
+        &mut self,
+        corr: CorrelationId,
+        epoch: LeaderEpoch,
+        error: ErrorCode,
+    ) -> (bool, bool) {
         let Some(Role::Follower(fs)) = &mut self.role else {
-            return false;
+            return (false, false);
         };
-        fs.inflight = false;
+        let latest = fs.awaiting.is_some_and(|(awaited, _)| awaited == corr);
+        if latest {
+            fs.awaiting = None;
+        }
         if error.is_ok() {
             fs.epoch = epoch;
         }
-        error.is_ok()
+        (error.is_ok(), latest)
     }
 
     /// Discards the divergent suffix at and past `to`, as the leader
@@ -369,8 +377,7 @@ impl Partition {
         &mut self,
         host: &mut Host,
         batch: RecordBatch,
-        epochs: &[LeaderEpoch],
-        offsets: &[Offset],
+        at: &[(Offset, LeaderEpoch)],
         epoch: LeaderEpoch,
         high_watermark: Offset,
     ) -> u64 {
@@ -383,17 +390,15 @@ impl Partition {
         // The follower is the batch's sole owner (the leader built it for
         // this reply), so this unwraps the Arc in place.
         for (i, rec) in batch.into_records().into_iter().enumerate() {
-            let e = epochs.get(i).copied().unwrap_or(epoch);
-            let off = offsets
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| self.log.log_end());
+            let (off, e) = at.get(i).copied().unwrap_or((self.log.log_end(), epoch));
             let stamp = (rec.producer_epoch, rec.producer_seq);
             self.state.raise_seq(rec.producer.0, stamp);
             let bytes = rec.encoded_len() as u64;
             if self.log.append_at(off, e, rec) {
                 appended += 1;
                 host.retained_bytes += bytes;
+            } else {
+                host.stats.replica_records_redundant += 1;
             }
         }
         host.stats.records_appended += appended;
@@ -615,19 +620,20 @@ impl Led<'_> {
         (batch, hw, next, ErrorCode::None)
     }
 
-    /// Serves a replica fetch from follower `from`, whose log ends at
-    /// `log_end` under tail epoch `epoch`: records its progress (proposing
-    /// an ISR expansion when it caught up), advances the watermark, and
-    /// builds the response.
+    /// Serves one part of a replica fetch from follower `from`, whose log
+    /// ends at `log_end` under tail epoch `epoch`, with at most
+    /// `max_records` (what the request's cap has left): records its
+    /// progress (proposing an ISR expansion when it caught up), advances
+    /// the watermark, and builds the part's answer.
     pub(crate) fn serve_fetch(
         &mut self,
         ctx: &mut Ctx<'_>,
         host: &mut Host,
-        corr: CorrelationId,
         from: BrokerId,
         log_end: Offset,
         epoch: LeaderEpoch,
-    ) -> (usize, ReplicaRpc) {
+        max_records: usize,
+    ) -> ReplicaFetchedPart {
         let now = ctx.now();
         // Divergence reconciliation: a follower on an older epoch may hold
         // a conflicting suffix and must truncate first.
@@ -640,11 +646,8 @@ impl Led<'_> {
                 start = boundary;
             }
         }
-        let entries = self
-            .log
-            .read_entries(start, host.cfg.replica_fetch_max_records, false);
-        let epochs: Vec<LeaderEpoch> = entries.iter().map(|e| e.epoch).collect();
-        let offsets: Vec<Offset> = entries.iter().map(|e| e.offset).collect();
+        let entries = self.log.read_entries(start, max_records, false);
+        let at: Vec<(Offset, LeaderEpoch)> = entries.iter().map(|e| (e.offset, e.epoch)).collect();
         let records: Vec<Record> = entries.iter().map(|e| e.record.clone()).collect();
         let high_watermark = self.log.high_watermark();
         let caught_up = start >= self.log.log_end();
@@ -673,21 +676,17 @@ impl Led<'_> {
         // itself. Producer dedup stamps ride along only when the follower
         // is fully caught up (then every stamp is covered by its log and
         // can never phantom-ack a record the follower does not hold).
-        let n = records.len();
-        let response = ReplicaRpc::FetchResponse {
-            corr,
+        ReplicaFetchedPart {
             tp: self.tp.clone(),
             batch: RecordBatch::from_records(records).with_compression(*self.codec),
-            epochs,
-            offsets,
+            at,
             high_watermark,
             epoch: self.ls.epoch,
             truncate_to,
             mirror: self.state.view(),
             seqs_ride: caught_up,
             error: ErrorCode::None,
-        };
-        (n, response)
+        }
     }
 
     fn alter_isr(&self, ctx: &mut Ctx<'_>, host: &Host, new_isr: Vec<BrokerId>) {

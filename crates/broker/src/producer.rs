@@ -45,7 +45,6 @@ pub const PRODUCER_TAGS_END: u64 = 1 << 41;
 mod off {
     pub const RETRY_PUMP: u64 = 1;
     pub const META_TIMEOUT: u64 = 2;
-    pub const NOOP_CPU: u64 = 3;
     pub const TXN_RETRY: u64 = 4;
     pub const LINGER_BASE: u64 = 1_000;
     pub const REQ_TIMEOUT_BASE: u64 = 1_000_000;
@@ -161,6 +160,9 @@ struct ReadyBatch {
     bytes: usize,
     created: SimTime,
     attempts: u32,
+    /// The instant the batch may next be sent: a retry waits out
+    /// `retry_backoff` at the head of its partition's queue.
+    not_before: SimTime,
     /// The open transaction the batch belongs to, captured at flush time.
     txn: Option<u64>,
 }
@@ -614,7 +616,7 @@ impl ProducerClient {
         }
         self.buffer_used += bytes;
         if !self.cfg.cpu_per_record.is_zero() {
-            ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
+            ctx.charge(self.cfg.cpu_per_record);
         }
         if self.capture {
             self.sent_index.push((entry.topic.shared(), seq, ctx.now()));
@@ -741,10 +743,7 @@ impl ProducerClient {
                 // Compressing the sealed batch costs CPU proportional to
                 // the raw record bytes — the produce-side half of the
                 // compression trade (the wire carries fewer bytes).
-                ctx.exec(
-                    self.cfg.compress_cpu_per_byte * bytes as u64,
-                    PRODUCER_TAGS + off::NOOP_CPU,
-                );
+                ctx.charge(self.cfg.compress_cpu_per_byte * bytes as u64);
             }
             self.ready
                 .entry(tp.clone())
@@ -755,6 +754,7 @@ impl ProducerClient {
                     bytes,
                     created,
                     attempts: 0,
+                    not_before: SimTime::ZERO,
                     txn: self.txn,
                 });
         }
@@ -762,10 +762,15 @@ impl ProducerClient {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        // A partition is served through its head batch alone, so one that
+        // is backing off holds back the batches behind it (the partition's
+        // order is kept) and nobody else's.
+        let now = ctx.now();
+        let due = |q: &VecDeque<ReadyBatch>| q.front().is_some_and(|b| b.not_before <= now);
         let tps: Vec<TopicPartition> = self
             .ready
             .iter()
-            .filter(|(tp, q)| !q.is_empty() && !self.inflight.contains_key(*tp))
+            .filter(|(tp, q)| due(q) && !self.inflight.contains_key(*tp))
             .map(|(tp, _)| tp.clone())
             .collect();
         let mut need_meta = false;
@@ -863,13 +868,15 @@ impl ProducerClient {
         }
     }
 
-    fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, batch: ReadyBatch) {
+    fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, mut batch: ReadyBatch) {
         let now = ctx.now();
         if now.saturating_since(batch.created) > self.cfg.delivery_timeout {
             self.complete_batch(now, batch, false);
             return;
         }
         self.stats.retries += 1;
+        // The timer armed below resends it; no pump before then will.
+        batch.not_before = now + self.cfg.retry_backoff;
         self.ready
             .entry(batch.tp.clone())
             .or_default()
@@ -992,8 +999,6 @@ pub struct ProducerProcess {
 
 const SOURCE_STEP: u64 = 0;
 const BACKGROUND_TICK: u64 = 1;
-const BACKGROUND_DONE: u64 = 2;
-const STARTUP_DONE: u64 = 3;
 
 impl ProducerProcess {
     /// Attaches the run-wide telemetry sink under this process's name.
@@ -1065,7 +1070,7 @@ impl Process for ProducerProcess {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.exec(self.client.cfg.startup_cpu, STARTUP_DONE);
+        ctx.charge(self.client.cfg.startup_cpu);
         self.client.start(ctx);
         ctx.set_timer(SimDuration::ZERO, SOURCE_STEP);
         ctx.set_timer(self.client.cfg.background_interval, BACKGROUND_TICK);
@@ -1083,7 +1088,7 @@ impl Process for ProducerProcess {
             SOURCE_STEP => self.step_source(ctx),
             BACKGROUND_TICK => {
                 if !self.client.cfg.background_cpu.is_zero() {
-                    ctx.exec(self.client.cfg.background_cpu, BACKGROUND_DONE);
+                    ctx.charge(self.client.cfg.background_cpu);
                 }
                 ctx.set_timer(self.client.cfg.background_interval, BACKGROUND_TICK);
             }

@@ -194,6 +194,10 @@ pub struct SpeReport {
     /// The worker's embedded consumer counters; `offset_resets == 0` on a
     /// recovery run means the worker resumed from committed offsets.
     pub consumer_stats: ConsumerStats,
+    /// The worker's embedded producer counters (zeros without a topic
+    /// sink): `retries` is where a produce storm against a stale leader
+    /// shows, which no standalone producer's report does.
+    pub producer_stats: ProducerStats,
     /// Crash/recovery metrics; present when this job was crashed by the
     /// fault plan.
     pub recovery: Option<RecoveryReport>,

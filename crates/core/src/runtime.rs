@@ -14,8 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use s2g_analyze::{ComponentRef, FaultFacts, FaultKind, FaultTarget, ScenarioFacts};
 use s2g_broker::{
     Broker, BrokerRecoveryInfo, BrokerStats, ConsumerClient, ConsumerProcess, ConsumerStats,
-    CoordinationMode, KraftController, ProducerClient, ProducerProcess, TopicSpec, ZkController,
-    BROKER_LOG_CORR_BASE,
+    CoordinationMode, KraftController, ProducerClient, ProducerProcess, ProducerStats, TopicSpec,
+    ZkController, BROKER_LOG_CORR_BASE,
 };
 use s2g_net::{FaultInjector, NetHandle, NetTransport, Network, NodeKind, Topology, TxSampler};
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
@@ -888,6 +888,7 @@ impl Runtime {
                     checkpoints: w.checkpoint_stats(),
                     checkpoint_log: w.checkpoint_persist_log(),
                     consumer_stats: w.consumer().stats(),
+                    producer_stats: w.producer().map(|p| p.stats()).unwrap_or_default(),
                     recovery: crashed_at.map(|crashed_at| RecoveryReport {
                         crashed_at,
                         restarted_at: info.map(|i| i.restarted_at),
@@ -941,7 +942,7 @@ fn build_topology(spec: &Scenario, plan: &ScenarioFacts) -> Topology {
 /// Folds a parallel job's per-`(stage, instance)` reports into one
 /// job-level report: input records are counted at stage 0, output records
 /// at the last stage, batch metrics interleave in time order,
-/// checkpoint/consumer counters add, and the recovery entry follows the
+/// checkpoint/consumer/producer counters add, and the recovery entry follows the
 /// earliest-crashed instance.
 fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeReport {
     let mut metrics: Vec<BatchMetric> = per
@@ -992,6 +993,15 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
         consumer_stats.group_joins += c.group_joins;
         consumer_stats.rebalances += c.rebalances;
     }
+    let mut producer_stats = ProducerStats::default();
+    for (_, r) in per {
+        let p = &r.producer_stats;
+        producer_stats.sent += p.sent;
+        producer_stats.acked += p.acked;
+        producer_stats.failed += p.failed;
+        producer_stats.buffer_rejected += p.buffer_rejected;
+        producer_stats.retries += p.retries;
+    }
     let recovery = per
         .iter()
         .filter_map(|(_, r)| r.recovery)
@@ -1004,6 +1014,7 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
         checkpoints,
         checkpoint_log,
         consumer_stats,
+        producer_stats,
         recovery,
     }
 }

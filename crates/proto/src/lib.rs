@@ -22,5 +22,6 @@ pub use record::{
 };
 pub use rpc::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
-    MetadataRecord, MirrorView, PartitionMetadata, RaftRpc, ReplicaRpc, RPC_OVERHEAD,
+    MetadataRecord, MirrorView, PartitionMetadata, RaftRpc, ReplicaFetchPart, ReplicaFetchedPart,
+    ReplicaRpc, RPC_OVERHEAD,
 };

@@ -434,55 +434,102 @@ pub struct MirrorView {
     pub producer_seqs: Vec<(u32, u32, u64)>,
 }
 
-/// Broker ↔ broker replication RPCs (follower-driven fetch, like Kafka).
+/// One followed partition's part of a replica fetch.
+#[derive(Debug, Clone)]
+pub struct ReplicaFetchPart {
+    /// Partition replicated.
+    pub tp: TopicPartition,
+    /// Follower's current log end offset.
+    pub log_end: Offset,
+    /// Follower's view of the leader epoch.
+    pub epoch: LeaderEpoch,
+}
+
+/// The leader's answer to one [`ReplicaFetchPart`].
+#[derive(Debug, Clone)]
+pub struct ReplicaFetchedPart {
+    /// Partition replicated.
+    pub tp: TopicPartition,
+    /// Records after the follower's log end.
+    pub batch: RecordBatch,
+    /// Log offset and leader epoch of each record in `batch` (aligned by
+    /// index). A compacted leader log has holes, and replication must
+    /// preserve offsets so replicas stay byte-identical — followers append
+    /// at these explicit positions instead of assuming contiguity — and
+    /// the epoch tags the follower's entries for later divergence checks.
+    pub at: Vec<(Offset, LeaderEpoch)>,
+    /// Leader's high watermark.
+    pub high_watermark: Offset,
+    /// Leader epoch (so stale followers learn they diverged).
+    pub epoch: LeaderEpoch,
+    /// When set, the follower must truncate its log to this offset
+    /// before appending — the divergence-reconciliation path.
+    pub truncate_to: Option<Offset>,
+    /// The leader's transactional and idempotence state, shared by
+    /// every reply until it next changes.
+    pub mirror: Rc<MirrorView>,
+    /// Whether `mirror.producer_seqs` are part of this reply: the
+    /// stamps ride along only to a fully caught-up follower (then its
+    /// log covers every one of them); otherwise the follower ignores
+    /// them and the wire does not carry them.
+    pub seqs_ride: bool,
+    /// Outcome: a part whose partition the receiver does not lead carries
+    /// its own error while the request's other parts are served.
+    pub error: ErrorCode,
+}
+
+impl ReplicaFetchedPart {
+    /// The answer to a part the receiver cannot serve.
+    pub fn rejected(tp: TopicPartition, error: ErrorCode) -> Self {
+        ReplicaFetchedPart {
+            tp,
+            batch: RecordBatch::new(),
+            at: Vec::new(),
+            high_watermark: Offset::ZERO,
+            epoch: LeaderEpoch(0),
+            truncate_to: None,
+            mirror: Rc::default(),
+            seqs_ride: false,
+            error,
+        }
+    }
+
+    fn wire_size(&self) -> usize {
+        let seqs = if self.seqs_ride {
+            self.mirror.producer_seqs.len()
+        } else {
+            0
+        };
+        self.tp.topic.len()
+            + 32
+            + self.batch.len() * 8
+            + self.batch.wire_len()
+            + self.mirror.txn_ongoing.len() * 32
+            + self.mirror.txn_aborted.len() * 16
+            + seqs * 16
+    }
+}
+
+/// Broker ↔ broker replication RPCs (follower-driven fetch, like Kafka:
+/// one fetch per leader covers every partition followed from it).
 #[derive(Debug, Clone)]
 pub enum ReplicaRpc {
-    /// Follower asks the leader for records after its log end.
+    /// Follower asks a leader for the records after its log ends.
     Fetch {
         /// Correlation id.
         corr: CorrelationId,
-        /// Partition replicated.
-        tp: TopicPartition,
         /// The requesting follower.
         from: BrokerId,
-        /// Follower's current log end offset.
-        log_end: Offset,
-        /// Follower's view of the leader epoch.
-        epoch: LeaderEpoch,
+        /// One part per partition followed from this leader, in partition
+        /// order.
+        parts: Vec<ReplicaFetchPart>,
     },
     /// Leader's reply to a replica fetch.
     FetchResponse {
         /// Correlation id.
         corr: CorrelationId,
-        /// Partition replicated.
-        tp: TopicPartition,
-        /// Records after the follower's log end.
-        batch: RecordBatch,
-        /// Leader epoch of each record in `batch` (aligned by index), so the
-        /// follower can tag its log entries for later divergence checks.
-        epochs: Vec<LeaderEpoch>,
-        /// Log offset of each record in `batch` (aligned by index). A
-        /// compacted leader log has holes, and replication must preserve
-        /// offsets so replicas stay byte-identical — followers append at
-        /// these explicit positions instead of assuming contiguity.
-        offsets: Vec<Offset>,
-        /// Leader's high watermark.
-        high_watermark: Offset,
-        /// Leader epoch (so stale followers learn they diverged).
-        epoch: LeaderEpoch,
-        /// When set, the follower must truncate its log to this offset
-        /// before appending — the divergence-reconciliation path.
-        truncate_to: Option<Offset>,
-        /// The leader's transactional and idempotence state, shared by
-        /// every reply until it next changes.
-        mirror: Rc<MirrorView>,
-        /// Whether `mirror.producer_seqs` are part of this reply: the
-        /// stamps ride along only to a fully caught-up follower (then its
-        /// log covers every one of them); otherwise the follower ignores
-        /// them and the wire does not carry them.
-        seqs_ride: bool,
-        /// Outcome.
-        error: ErrorCode,
+        /// One part per request part, in request order.
+        parts: Vec<ReplicaFetchedPart>,
     },
 }
 
@@ -490,26 +537,11 @@ impl Message for ReplicaRpc {
     fn wire_size(&self) -> usize {
         RPC_OVERHEAD
             + match self {
-                ReplicaRpc::Fetch { tp, .. } => tp.topic.len() + 24,
-                ReplicaRpc::FetchResponse {
-                    tp,
-                    batch,
-                    mirror,
-                    seqs_ride,
-                    ..
-                } => {
-                    let seqs = if *seqs_ride {
-                        mirror.producer_seqs.len()
-                    } else {
-                        0
-                    };
-                    tp.topic.len()
-                        + 32
-                        + batch.len() * 8
-                        + batch.wire_len()
-                        + mirror.txn_ongoing.len() * 32
-                        + mirror.txn_aborted.len() * 16
-                        + seqs * 16
+                ReplicaRpc::Fetch { parts, .. } => {
+                    parts.iter().map(|p| p.tp.topic.len() + 24).sum::<usize>()
+                }
+                ReplicaRpc::FetchResponse { parts, .. } => {
+                    parts.iter().map(ReplicaFetchedPart::wire_size).sum()
                 }
             }
     }
@@ -816,6 +848,61 @@ mod tests {
             offsets: vec![(TopicPartition::new("topic", 0), Some(Offset(7)))],
         };
         assert!(resp.wire_size() > RPC_OVERHEAD);
+    }
+
+    /// A one-part replica fetch costs what the per-partition message
+    /// did; every further part adds its own size and no second overhead.
+    #[test]
+    fn replica_fetch_sizes_are_one_overhead_plus_the_parts() {
+        let part = |topic: &str| ReplicaFetchPart {
+            tp: TopicPartition::new(topic, 0),
+            log_end: Offset(7),
+            epoch: LeaderEpoch(1),
+        };
+        let fetch = |parts| ReplicaRpc::Fetch {
+            corr: CorrelationId(0),
+            from: BrokerId(1),
+            parts,
+        };
+        assert_eq!(
+            fetch(vec![part("topic")]).wire_size(),
+            RPC_OVERHEAD + 5 + 24
+        );
+        assert_eq!(
+            fetch(vec![part("topic"), part("ab")]).wire_size(),
+            RPC_OVERHEAD + (5 + 24) + (2 + 24)
+        );
+        let served = |topic: &str, records: usize, seqs_ride| {
+            let record = Record::keyless(vec![0u8; 10], SimTime::ZERO);
+            ReplicaFetchedPart {
+                batch: RecordBatch::from_records(vec![record; records]),
+                mirror: Rc::new(MirrorView {
+                    txn_ongoing: vec![(1, 1, Offset(0), Offset(1), 0)],
+                    txn_aborted: vec![(Offset(0), Offset(1))],
+                    producer_seqs: vec![(1, 0, 9); 3],
+                }),
+                seqs_ride,
+                ..ReplicaFetchedPart::rejected(TopicPartition::new(topic, 0), ErrorCode::None)
+            }
+        };
+        let reply = |parts| ReplicaRpc::FetchResponse {
+            corr: CorrelationId(0),
+            parts,
+        };
+        let batch = served("topic", 2, false).batch.wire_len();
+        let one = RPC_OVERHEAD + 5 + 32 + 2 * 8 + batch + 32 + 16;
+        assert_eq!(reply(vec![served("topic", 2, false)]).wire_size(), one);
+        assert_eq!(
+            reply(vec![served("topic", 2, true)]).wire_size(),
+            one + 3 * 16,
+            "dedup stamps are charged only when they ride"
+        );
+        let rejected =
+            ReplicaFetchedPart::rejected(TopicPartition::new("ab", 1), ErrorCode::NotLeader);
+        assert_eq!(
+            reply(vec![served("topic", 2, false), rejected]).wire_size(),
+            one + 2 + 32 + RecordBatch::new().wire_len()
+        );
     }
 
     #[test]

@@ -88,6 +88,12 @@ pub struct SimStats {
     pub messages_dropped: u64,
     /// Timers that fired (cancelled timers excluded).
     pub timers_fired: u64,
+    /// Cancelled-timer tombstones popped: a cancelled timer stays queued
+    /// until its instant and still counts as a processed event.
+    pub timers_cancelled: u64,
+    /// CPU completions handed to `on_cpu_done` ([`Ctx::exec`]; work booked
+    /// with [`Ctx::charge`] has no completion).
+    pub cpu_completions: u64,
     /// Events voided because their target process was killed after they
     /// were scheduled.
     pub events_voided: u64,
@@ -300,6 +306,17 @@ impl<'a> Ctx<'a> {
                 tag,
             },
         );
+    }
+
+    /// Books `cost` of CPU work on this process's host CPU exactly as
+    /// [`exec`](Ctx::exec) does (same core, busy interval and job count)
+    /// but schedules no completion: for work nothing waits on, such as
+    /// start-up, background churn and per-record bookkeeping. Without an
+    /// attached CPU there is nothing to book.
+    pub fn charge(&mut self, cost: SimDuration) {
+        if let Some(cpu) = self.cpu {
+            cpu.borrow_mut().execute(self.core.now, cost);
+        }
     }
 
     /// Appends a trace entry if tracing is enabled.
@@ -595,6 +612,7 @@ impl Sim {
             }
             if cancelled {
                 // Cancelled timer tombstone; un-accounted at cancel time.
+                self.core.stats.timers_cancelled += 1;
                 continue;
             }
             self.core.note_retired(target);
@@ -623,6 +641,7 @@ impl Sim {
                 self.with_process(pid, |proc, ctx| proc.on_timer(ctx, tag));
             }
             EventKind::CpuDone { pid, tag } => {
+                self.core.stats.cpu_completions += 1;
                 self.with_process(pid, |proc, ctx| proc.on_cpu_done(ctx, tag));
             }
         }

@@ -8,8 +8,8 @@
 //! match exactly.
 
 use s2g_sim::{
-    downcast, Ctx, Message, Process, ProcessId, QueueDiag, SchedulerKind, Sim, SimDuration,
-    SimStats, SimTime, TimerToken,
+    downcast, Ctx, HostCpu, Message, Process, ProcessId, QueueDiag, SchedulerKind, Sim,
+    SimDuration, SimStats, SimTime, TimerToken,
 };
 
 #[derive(Debug)]
@@ -217,4 +217,116 @@ fn same_seed_same_scheduler_is_reproducible() {
     let b = run(SchedulerKind::Calendar, 99);
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
+}
+
+/// Every popped event is counted under exactly one kind, so the kinds add
+/// up to `events_processed` — kills, respawns and cancellations included.
+#[test]
+fn processed_events_add_up_by_kind() {
+    for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+        for seed in [3u64, 8] {
+            let (trace, stats, _, _) = run(kind, seed);
+            let starts = trace.iter().filter(|e| e.2.starts_with("start ")).count() as u64;
+            assert!(stats.timers_cancelled > 0 && stats.events_voided > 0 && starts > 12);
+            assert_eq!(
+                stats.events_processed,
+                starts
+                    + stats.messages_delivered
+                    + stats.timers_fired
+                    + stats.timers_cancelled
+                    + stats.cpu_completions
+                    + stats.events_voided,
+                "{kind:?} seed {seed}: {stats:?}"
+            );
+        }
+    }
+}
+
+/// Two processes on one single-core host. The first books a slice of work
+/// every millisecond whose completion it ignores; the second runs slices it
+/// waits for. With `charge` set the first books its work with
+/// [`Ctx::charge`] instead of [`Ctx::exec`].
+struct Churn {
+    charge: bool,
+    waits: bool,
+    left: u32,
+    done: Vec<(SimTime, u64)>,
+}
+
+impl Process for Churn {
+    fn name(&self) -> &str {
+        "churn"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+        let cost = SimDuration::from_micros(300 + 150 * u64::from(self.left % 5));
+        if self.waits {
+            ctx.exec(cost, u64::from(self.left));
+        } else if self.charge {
+            ctx.charge(cost);
+        } else {
+            ctx.exec(cost, 999);
+        }
+        self.left -= 1;
+        if self.left > 0 {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        if self.waits {
+            self.done.push((ctx.now(), tag));
+        }
+    }
+}
+
+/// `charge` books the same work as an `exec` nobody handles: the work that
+/// is waited for completes at the same instants, the host CPU reads the
+/// same, and the run is one event shorter per charge.
+#[test]
+fn charge_books_what_exec_books_without_the_completion() {
+    const SLICES: u32 = 40;
+    type Waited = Vec<(SimTime, u64)>;
+    fn run(kind: SchedulerKind, charge: bool) -> (Waited, u64, SimDuration, SimStats) {
+        let mut sim = Sim::with_scheduler(5, kind);
+        let cpu = HostCpu::shared("h", 1, 1.0);
+        let mut spawn = |waits| {
+            let pid = sim.spawn(Box::new(Churn {
+                charge,
+                waits,
+                left: SLICES,
+                done: Vec::new(),
+            }));
+            sim.attach_cpu(pid, cpu.clone());
+            pid
+        };
+        let (_, waiter) = (spawn(false), spawn(true));
+        sim.run_to_completion();
+        let done = sim.process_ref::<Churn>(waiter).unwrap().done.clone();
+        let cpu = cpu.borrow();
+        (done, cpu.jobs(), cpu.total_busy(), sim.stats())
+    }
+    for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+        let (exec_done, exec_jobs, exec_busy, exec_stats) = run(kind, false);
+        let (done, jobs, busy, stats) = run(kind, true);
+        assert_eq!(exec_done.len(), SLICES as usize);
+        assert!(
+            exec_done
+                .windows(2)
+                .any(|w| w[1].0 - w[0].0 > SimDuration::from_millis(1)),
+            "{kind:?}: the two processes must contend for the core"
+        );
+        assert_eq!(done, exec_done, "{kind:?}: completion instants");
+        assert_eq!((jobs, busy), (exec_jobs, exec_busy), "{kind:?}: host CPU");
+        assert_eq!(jobs, 2 * u64::from(SLICES));
+        assert_eq!(
+            stats.events_processed + u64::from(SLICES),
+            exec_stats.events_processed,
+            "{kind:?}: one event fewer per charge"
+        );
+        assert_eq!(stats.cpu_completions, u64::from(SLICES));
+        assert_eq!(exec_stats.cpu_completions, 2 * u64::from(SLICES));
+    }
 }

@@ -203,11 +203,9 @@ impl DataSink for EventBuffer {
 }
 
 mod tags {
-    pub const STARTUP_DONE: u64 = 0;
     pub const BATCH_TICK: u64 = 1;
     pub const BATCH_DONE: u64 = 2;
     pub const BACKGROUND_TICK: u64 = 3;
-    pub const BACKGROUND_DONE: u64 = 4;
     pub const CHECKPOINT_TICK: u64 = 5;
     pub const CKPT_IO_RETRY: u64 = 6;
 }
@@ -972,7 +970,7 @@ impl Process for SpeWorker {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.exec(self.cfg.startup_cpu, tags::STARTUP_DONE);
+        ctx.charge(self.cfg.startup_cpu);
         if self.cfg.checkpoint.is_some() && self.coordinator.is_none() {
             // Self-contained default: a backend over a private map. It dies
             // with the worker, so orchestrated scenarios attach one over
@@ -1053,7 +1051,7 @@ impl Process for SpeWorker {
             }
             tags::BACKGROUND_TICK => {
                 if !self.cfg.background_cpu.is_zero() {
-                    ctx.exec(self.cfg.background_cpu, tags::BACKGROUND_DONE);
+                    ctx.charge(self.cfg.background_cpu);
                 }
                 ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
             }

@@ -300,9 +300,7 @@ impl Default for StoreConfig {
 }
 
 mod tags {
-    pub const STARTUP_DONE: u64 = 0;
     pub const BACKGROUND_TICK: u64 = 1;
-    pub const BACKGROUND_DONE: u64 = 2;
     pub const GROUP_HB_TICK: u64 = 3;
     pub const SYNC_RETRY: u64 = 4;
     pub const CPU_BASE: u64 = 1 << 50;
@@ -1214,7 +1212,7 @@ impl Process for StoreServer {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.exec(self.cfg.startup_cpu, tags::STARTUP_DONE);
+        ctx.charge(self.cfg.startup_cpu);
         ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
         let recovering = self.group.as_ref().is_some_and(|g| !g.ready);
         if let Some(g) = self.group.as_mut() {
@@ -1301,7 +1299,7 @@ impl Process for StoreServer {
         match tag {
             tags::BACKGROUND_TICK => {
                 if !self.cfg.background_cpu.is_zero() {
-                    ctx.exec(self.cfg.background_cpu, tags::BACKGROUND_DONE);
+                    ctx.charge(self.cfg.background_cpu);
                 }
                 ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
             }
