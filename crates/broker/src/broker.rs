@@ -49,7 +49,9 @@ use crate::groups::GroupCoordinator;
 use crate::handover::PartitionTxns;
 use crate::log::{BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog};
 use crate::metadata::MetadataCache;
-use crate::partition::{produce_response, Partition, PendingProduce};
+use crate::partition::{
+    produce_response, FetchAnswer, FetchWaiter, Partition, PendingProduce, FETCH_MAX_WAIT,
+};
 use crate::table::IntTable;
 
 /// Timer tags used by the broker.
@@ -158,6 +160,13 @@ pub struct BrokerStats {
     pub produces: u64,
     /// Consumer fetch requests handled.
     pub fetches: u64,
+    /// Consumer fetches that found nothing to read and were held on their
+    /// partition.
+    pub fetches_parked: u64,
+    /// Held fetches answered empty at their deadline. Against
+    /// `fetches_parked` this is the share of waits that ended with nothing
+    /// to say: the wasted-work ratio of the fetch path.
+    pub fetches_expired: u64,
     /// Replica fetch requests handled (as leader).
     pub replica_fetches: u64,
     /// Records appended (as leader or follower).
@@ -223,6 +232,8 @@ pub(crate) struct HostMetrics {
     pub(crate) records_appended: CounterHandle,
     pub(crate) log_bytes: GaugeHandle,
     fetches: CounterHandle,
+    pub(crate) fetches_parked: CounterHandle,
+    pub(crate) fetches_expired: CounterHandle,
     records_fetched: CounterHandle,
     txns_committed: CounterHandle,
     txns_aborted: CounterHandle,
@@ -237,6 +248,8 @@ impl HostMetrics {
             records_appended: tele.counter(scope, "records_appended"),
             log_bytes: tele.gauge(scope, "log_bytes"),
             fetches: tele.counter(scope, "fetches"),
+            fetches_parked: tele.counter(scope, "fetches_parked"),
+            fetches_expired: tele.counter(scope, "fetches_expired"),
             records_fetched: tele.counter(scope, "records_fetched"),
             txns_committed: tele.counter(scope, "txns_committed"),
             txns_aborted: tele.counter(scope, "txns_aborted"),
@@ -302,6 +315,34 @@ impl Host {
         self.respond_after_cpu(ctx, self.cfg.cpu_per_request, to, Box::new(rpc));
     }
 
+    /// Answers a client fetch of `tp`, at once or after a wait: the reply's
+    /// half of the request's accounting (the arrival's is the handler's).
+    pub(crate) fn answer_fetch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        to: ProcessId,
+        corr: CorrelationId,
+        tp: &TopicPartition,
+        (batch, high_watermark, next_offset, error): FetchAnswer,
+    ) {
+        let n = batch.len();
+        self.metrics.records_fetched.add(n as u64);
+        if self.tele.trace_enabled() && n > 0 {
+            let name = format!("fetch:{tp}");
+            self.tele
+                .trace_instant(ctx.now(), &self.name, &name, "broker");
+        }
+        let response = ClientRpc::FetchResponse {
+            corr,
+            tp: tp.clone(),
+            batch,
+            high_watermark,
+            next_offset,
+            error,
+        };
+        self.respond_after_cpu(ctx, self.request_cost(n), to, Box::new(response));
+    }
+
     pub(crate) fn request_cost(&self, records: usize) -> SimDuration {
         self.cfg.cpu_per_request + self.cfg.cpu_per_record * records as u64
     }
@@ -313,7 +354,7 @@ impl Host {
     }
 
     /// Counts a client request bounced by [`Partition::admit`].
-    fn count_rejection(&mut self, error: ErrorCode) {
+    pub(crate) fn count_rejection(&mut self, error: ErrorCode) {
         match error {
             ErrorCode::Fenced => self.stats.rejected_fenced += 1,
             ErrorCode::NotLeader => self.stats.rejected_not_leader += 1,
@@ -684,31 +725,26 @@ impl Broker {
                 read_committed,
             } => {
                 host.stats.fetches += 1;
-                let partition = self.partitions.get_mut(&tp);
-                let (batch, high_watermark, next_offset, error) =
-                    match Partition::admit(partition, &tp, fenced, None, 0) {
-                        Ok(led) => led.read(&host.cfg, offset, max_records, read_committed),
-                        Err(error) => {
-                            host.count_rejection(error);
-                            (RecordBatch::new(), Offset::ZERO, offset, error)
-                        }
-                    };
-                let n = batch.len();
                 host.metrics.fetches.add(1);
-                host.metrics.records_fetched.add(n as u64);
-                if host.tele.trace_enabled() && n > 0 {
-                    host.tele
-                        .trace_instant(now, &host.name, &format!("fetch:{tp}"), "broker");
+                let partition = self.partitions.get_mut(&tp);
+                match Partition::admit(partition, &tp, fenced, None, 0) {
+                    Ok(mut led) => {
+                        let waiter = FetchWaiter {
+                            client: from,
+                            corr,
+                            offset,
+                            max_records,
+                            read_committed,
+                            deadline: now + FETCH_MAX_WAIT,
+                        };
+                        led.fetch(ctx, host, waiter);
+                    }
+                    Err(error) => {
+                        host.count_rejection(error);
+                        let answer = (RecordBatch::new(), Offset::ZERO, offset, error);
+                        host.answer_fetch(ctx, from, corr, &tp, answer);
+                    }
                 }
-                let response = ClientRpc::FetchResponse {
-                    corr,
-                    tp,
-                    batch,
-                    high_watermark,
-                    next_offset,
-                    error,
-                };
-                host.respond_after_cpu(ctx, host.request_cost(n), from, Box::new(response));
             }
             other => self.handle_coordination(ctx, from, other),
         }
@@ -848,12 +884,20 @@ impl Broker {
         below_epoch: Option<u32>,
         commit: bool,
     ) {
-        let resolve = |p: &mut Partition| p.resolve_txns(producer, &which, below_epoch, commit);
-        let resolved: u64 = self.partitions.values_mut().map(resolve).sum();
+        let host = &mut self.host;
+        let mut resolved = 0;
+        for (tp, p) in self.partitions.iter_mut() {
+            let here = p.resolve_txns(producer, &which, below_epoch, commit);
+            resolved += here;
+            // The last stable offset moved: held read-committed fetches
+            // may have something to read.
+            if let Some(mut led) = p.led(tp).filter(|_| here > 0) {
+                led.wake_waiters(ctx, host);
+            }
+        }
         if resolved == 0 {
             return;
         }
-        let host = &mut self.host;
         let metrics = &host.metrics;
         let (count, counter, marker) = if commit {
             let count = &mut host.stats.txns_committed;
@@ -1402,6 +1446,14 @@ impl Process for Broker {
             tags::BACKGROUND_TICK => {
                 if !self.host.cfg.background_cpu.is_zero() {
                     ctx.charge(self.host.cfg.background_cpu);
+                }
+                // The held fetches' deadlines ride this tick: no timer is
+                // armed per request.
+                let fenced = self.is_fenced(ctx.now());
+                for (tp, p) in self.partitions.iter_mut() {
+                    if let Some(mut led) = p.led(tp) {
+                        led.expire_waiters(ctx, &mut self.host, fenced);
+                    }
                 }
                 ctx.set_timer(self.host.cfg.background_interval, tags::BACKGROUND_TICK);
             }

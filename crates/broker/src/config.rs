@@ -212,7 +212,14 @@ impl Default for ProducerConfig {
 /// Consumer client tunables (the `consCfg` YAML file).
 #[derive(Debug, Clone)]
 pub struct ConsumerConfig {
-    /// Poll period when the last fetch returned nothing.
+    /// How soon a partition with nothing in flight is tried again: no
+    /// leader known, an error reply, a fetch given up on, the group not
+    /// joined or its offsets not restored, fresh metadata, or an empty
+    /// answer that came back sooner than [`FETCH_MAX_WAIT`]. It is not how
+    /// often records are asked for: a fetch that finds nothing is held by
+    /// the broker, and the next one goes out when its answer arrives.
+    ///
+    /// [`FETCH_MAX_WAIT`]: crate::FETCH_MAX_WAIT
     pub poll_interval: SimDuration,
     /// Max records per fetch.
     pub max_poll_records: usize,

@@ -19,6 +19,7 @@ use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
 use crate::metadata::{draw_corr, MetadataSession};
+use crate::partition::FETCH_MAX_WAIT;
 use crate::table::IntTable;
 
 /// Tag namespace base for consumer-owned timers and CPU work.
@@ -79,19 +80,25 @@ pub struct ConsumerStats {
     /// Rebalances observed: heartbeats or commits bounced with a
     /// rejoin-required error (membership protocol only).
     pub rebalances: u64,
+    /// Fetch replies consumed and dropped: one that answers no fetch in
+    /// flight (given up on, or sent by the incarnation before a respawn),
+    /// and one for a partition this client no longer owns.
+    pub stale_replies: u64,
 }
 
 #[derive(Debug)]
 struct InflightFetch {
     tp: TopicPartition,
-    /// When the fetch counts as lost; the first poll from then on sees it.
-    deadline: SimTime,
+    /// When it was sent; it counts as lost one request timeout later, and
+    /// the poll timer armed for that instant sees it.
+    sent: SimTime,
 }
 
 /// The metrics of a client with telemetry attached, each looked up in the
 /// registry by its first update and never again.
 struct ConsumerMetrics {
     records_consumed: CounterHandle,
+    stale_replies: CounterHandle,
     /// The `lag/<topic>-<part>` gauges, made (and their names formatted) on
     /// a partition's first fetch response.
     lag: BTreeMap<TopicPartition, GaugeHandle>,
@@ -108,9 +115,17 @@ pub struct ConsumerClient {
     inflight: IntTable<InflightFetch>,
     /// The correlation ids of the fetches sent, oldest first. One timeout
     /// serves them all, so their deadlines are in this order too; an
-    /// answered fetch leaves its id behind until a poll reaches it.
+    /// answered fetch leaves its id behind until it reaches the front.
     sent: VecDeque<u64>,
     fetching: BTreeMap<TopicPartition, bool>,
+    /// Something this client should be fetching has nothing in flight (no
+    /// leader known, an error or early empty reply, an expired fetch, not
+    /// joined, offsets not restored, fresh metadata): the poll timer
+    /// retries it one `poll_interval` on. A poll clears it, and sets it
+    /// again for whatever it could not fetch.
+    idle: bool,
+    /// The one poll timer armed, and for when.
+    poll_timer: Option<(TimerToken, SimTime)>,
     /// Batches whose delivery CPU is in flight, by tag. Holding the
     /// refcounted [`RecordBatch`] (not a rebuilt `Vec`) means the payloads
     /// fetched from the broker are never copied on the way to the sink.
@@ -119,8 +134,8 @@ pub struct ConsumerClient {
     next_deliver_tag: u64,
     stats: ConsumerStats,
     /// How long a request may go unanswered. Join, offset-fetch and
-    /// metadata requests arm a timer for it; a fetch's is noticed by the
-    /// first poll at or after it (see `expire_fetches`).
+    /// metadata requests arm a timer for it; the poll timer stands in for
+    /// the fetches' (see `arm_poll`).
     request_timeout: SimDuration,
     /// Offset-fetch state for group members: fetching is held back until the
     /// committed positions arrive, so the first fetch resumes at the commit
@@ -174,6 +189,8 @@ impl ConsumerClient {
             inflight: IntTable::default(),
             sent: VecDeque::new(),
             fetching: BTreeMap::new(),
+            idle: true,
+            poll_timer: None,
             pending_delivery: IntTable::default(),
             next_corr: 1,
             next_deliver_tag: 0,
@@ -197,6 +214,7 @@ impl ConsumerClient {
         self.tele_scope = scope.into();
         self.metrics = (!self.tele_scope.is_empty()).then(|| ConsumerMetrics {
             records_consumed: tele.counter(&self.tele_scope, "records_consumed"),
+            stale_replies: tele.counter(&self.tele_scope, "stale_replies"),
             lag: BTreeMap::new(),
         });
         self.tele = tele;
@@ -210,6 +228,16 @@ impl ConsumerClient {
         assert!(parallelism > 0, "parallelism must be positive");
         assert!(instance < parallelism, "instance out of range");
         self.static_assignment = Some((instance, parallelism));
+    }
+
+    /// Tells a respawned client which incarnation of its process it is (0,
+    /// the default, is the first). Correlation ids then start at
+    /// `incarnation << 32`, so a reply to a request of the crashed
+    /// incarnation (a held fetch is answered up to 600 ms later, and a
+    /// respawn reuses the process id) matches nothing this one sends. Call
+    /// before [`start`](Self::start).
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.next_corr = incarnation << 32 | 1;
     }
 
     /// True when this client fetches `tp` given the partition count of its
@@ -302,6 +330,7 @@ impl ConsumerClient {
     /// and assignment.
     fn mark_rejoin(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.rebalances += 1;
+        self.idle = true;
         if let Some(m) = self.membership.as_mut() {
             m.joined = false;
         }
@@ -370,7 +399,7 @@ impl ConsumerClient {
             );
         }
         self.request_metadata(ctx);
-        ctx.set_timer(self.cfg.poll_interval, CONSUMER_TAGS + off::POLL);
+        self.arm_poll(ctx);
         if self.cfg.group.is_some() && !self.cfg.auto_commit_interval.is_zero() {
             ctx.set_timer(
                 self.cfg.auto_commit_interval,
@@ -430,31 +459,76 @@ impl ConsumerClient {
         draw_corr(&mut self.next_corr)
     }
 
+    fn count_stale_reply(&mut self) {
+        self.stats.stale_replies += 1;
+        if let Some(metrics) = &self.metrics {
+            metrics.stale_replies.add(1);
+        }
+    }
+
     fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
         self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
-    /// Gives up on the fetches whose deadline has passed. No timer is armed
-    /// per fetch: a loss is noticed by the first poll at or after its
-    /// deadline, which is soon enough for a timeout of seconds.
+    /// When the oldest fetch still in flight counts as lost.
+    fn oldest_deadline(&mut self) -> Option<SimTime> {
+        while let Some(&corr) = self.sent.front() {
+            if let Some(fetch) = self.inflight.get(corr) {
+                return Some(fetch.sent + self.request_timeout);
+            }
+            // Answered since: nothing left to watch.
+            self.sent.pop_front();
+        }
+        None
+    }
+
+    /// Arms the poll timer, the only periodic work of the fetch path, for
+    /// the earlier of two instants: one `poll_interval` on while something
+    /// is [`idle`](Self::idle), and the deadline of the oldest fetch in
+    /// flight, so a lost one is given up on in time. No timer is armed per
+    /// fetch, and never a second one: a timer already due soon enough
+    /// stays, a later one is replaced.
+    fn arm_poll(&mut self, ctx: &mut Ctx<'_>) {
+        let at = if self.idle {
+            ctx.now() + self.cfg.poll_interval
+        } else {
+            match self.oldest_deadline() {
+                Some(deadline) => deadline,
+                // Every owned partition is paying for a delivery, which
+                // ends in the next fetch.
+                None => return,
+            }
+        };
+        if self.poll_timer.is_some_and(|(_, armed)| armed <= at) {
+            return;
+        }
+        if let Some((late, _)) = self.poll_timer.take() {
+            ctx.cancel_timer(late);
+        }
+        let timer = ctx.set_timer_at(at, CONSUMER_TAGS + off::POLL);
+        self.poll_timer = Some((timer, at));
+    }
+
+    /// Gives up on the fetches whose deadline has passed.
     fn expire_fetches(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        while let Some(&corr) = self.sent.front() {
-            if self.inflight.get(corr).is_some_and(|f| f.deadline > now) {
-                break;
-            }
-            self.sent.pop_front();
-            // Still in flight means lost; otherwise it was answered.
-            if let Some(fetch) = self.inflight.remove(corr) {
-                self.stats.timeouts += 1;
-                self.fetching.insert(fetch.tp, false);
-                self.request_metadata(ctx);
-            }
+        while self
+            .oldest_deadline()
+            .is_some_and(|deadline| deadline <= now)
+        {
+            let lost = self.sent.pop_front().and_then(|c| self.inflight.remove(c));
+            let fetch = lost.expect("the oldest in flight");
+            self.stats.timeouts += 1;
+            self.fetching.insert(fetch.tp, false);
+            self.request_metadata(ctx);
         }
     }
 
+    /// Fetches every owned partition that has nothing in flight; what
+    /// cannot be fetched yet leaves the client [`idle`](Self::idle).
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
         self.expire_fetches(ctx);
+        self.idle = true;
         if self.membership.as_ref().is_some_and(|m| !m.joined) {
             // Not admitted (or bounced by a rebalance): rejoin before
             // fetching anything.
@@ -477,6 +551,7 @@ impl ConsumerClient {
             self.request_offset_fetch(ctx, tps);
             return;
         }
+        self.idle = false;
         for tp in tps {
             self.fetch_one(ctx, tp);
         }
@@ -502,22 +577,28 @@ impl ConsumerClient {
         ctx.send(to, ClientRpc::OffsetFetch { corr, group, tps });
     }
 
+    /// Sends the next fetch of `tp` unless one is in flight or being
+    /// delivered, or the partition is not this client's. One that should go
+    /// out and cannot leaves the client [`idle`](Self::idle).
     fn fetch_one(&mut self, ctx: &mut Ctx<'_>, tp: TopicPartition) {
         if self.fetching.get(&tp).copied().unwrap_or(false) {
-            return;
-        }
-        if self.cfg.group.is_some() && !self.offsets_restored {
             return;
         }
         let n_parts = self.meta.cache().partition_count(&tp.topic);
         if !self.owns(&tp, n_parts) {
             return;
         }
+        if self.cfg.group.is_some() && !self.offsets_restored {
+            self.idle = true;
+            return;
+        }
         let Some(leader) = self.meta.cache().leader(&tp) else {
+            self.idle = true;
             self.request_metadata(ctx);
             return;
         };
         let Some(&pid) = self.brokers.get(&leader) else {
+            self.idle = true;
             return;
         };
         let corr = self.next_corr();
@@ -534,16 +615,16 @@ impl ConsumerClient {
         );
         self.stats.fetches += 1;
         self.fetching.insert(tp.clone(), true);
-        let deadline = ctx.now() + self.request_timeout;
-        self.inflight.insert(corr.0, InflightFetch { tp, deadline });
+        let sent = ctx.now();
+        self.inflight.insert(corr.0, InflightFetch { tp, sent });
         self.sent.push_back(corr.0);
     }
 
-    /// Takes delivery of the answer to an in-flight fetch of `tp`.
+    /// Takes delivery of the answer to `fetch`.
     fn on_fetched(
         &mut self,
         ctx: &mut Ctx<'_>,
-        tp: TopicPartition,
+        InflightFetch { tp, sent }: InflightFetch,
         batch: RecordBatch,
         high_watermark: Offset,
         next_offset: Offset,
@@ -551,8 +632,8 @@ impl ConsumerClient {
     ) {
         // Only clear the in-flight mark when nothing is pending for
         // this partition; for non-empty batches it stays set until
-        // the delivery CPU completes, or the poll timer would issue
-        // a duplicate fetch at the not-yet-advanced offset.
+        // the delivery CPU completes, or a poll would issue a duplicate
+        // fetch at the not-yet-advanced offset.
         let delivering = error == ErrorCode::None && !batch.is_empty();
         self.fetching.insert(tp.clone(), delivering);
         if let (Some(metrics), ErrorCode::None) = (&mut self.metrics, error) {
@@ -595,12 +676,19 @@ impl ConsumerClient {
                 ctx.exec(cpu, tag);
             }
             ErrorCode::None => {
-                // Empty read: adopt the broker's next offset so a
-                // fully compacted tail hole is skipped rather than
-                // re-polled forever.
-                let pos = self.position(&tp);
-                if next_offset > pos {
-                    self.offsets.insert(tp, next_offset);
+                // Empty read. Adopt the broker's next offset, so a fully
+                // compacted tail hole is skipped, and fetch again at once:
+                // the broker has done the waiting. Unless it has not: an
+                // empty answer that came early and moved nothing is
+                // retried by the poll timer, never at round-trip rate.
+                let moved = next_offset > self.position(&tp);
+                if moved {
+                    self.offsets.insert(tp.clone(), next_offset);
+                }
+                if moved || ctx.now().saturating_since(sent) >= FETCH_MAX_WAIT {
+                    self.fetch_one(ctx, tp);
+                } else {
+                    self.idle = true;
                 }
             }
             ErrorCode::OffsetOutOfRange => {
@@ -609,11 +697,14 @@ impl ConsumerClient {
                 // below retention, the high watermark above it).
                 self.stats.offset_resets += 1;
                 self.offsets.insert(tp, next_offset);
+                self.idle = true;
             }
-            e if e.is_retriable() => {
-                self.request_metadata(ctx);
+            e => {
+                self.idle = true;
+                if e.is_retriable() {
+                    self.request_metadata(ctx);
+                }
             }
-            _ => {}
         }
     }
 
@@ -628,7 +719,15 @@ impl ConsumerClient {
             Ok(r) => r,
             Err(m) => return Some(m),
         };
-        match *rpc {
+        let passed_on = self.handle_rpc(ctx, *rpc);
+        if passed_on.is_none() {
+            self.arm_poll(ctx);
+        }
+        passed_on.map(|rpc| Box::new(rpc) as Box<dyn Message>)
+    }
+
+    fn handle_rpc(&mut self, ctx: &mut Ctx<'_>, rpc: ClientRpc) -> Option<ClientRpc> {
+        match rpc {
             ClientRpc::FetchResponse {
                 corr,
                 tp,
@@ -637,16 +736,35 @@ impl ConsumerClient {
                 next_offset,
                 error,
             } => {
-                // A missing entry means a stale response for a timed-out
-                // request: consume the message without acting on it.
-                self.inflight.remove(corr.0)?;
-                self.on_fetched(ctx, tp, batch, high_watermark, next_offset, error);
+                // Answers nothing in flight (a fetch given up on, or one
+                // the incarnation before a respawn sent), or not the
+                // partition asked for: consumed without acting on it.
+                if self.inflight.get(corr.0).is_none_or(|f| f.tp != tp) {
+                    self.count_stale_reply();
+                    return None;
+                }
+                let fetch = self.inflight.remove(corr.0).expect("looked up above");
+                let n_parts = self.meta.cache().partition_count(&tp.topic);
+                if self.owns(&tp, n_parts) {
+                    self.on_fetched(ctx, fetch, batch, high_watermark, next_offset, error);
+                } else {
+                    // Rebalanced away while the fetch was held: its records
+                    // are the new owner's to deliver.
+                    self.count_stale_reply();
+                    self.fetching.insert(tp, false);
+                }
                 None
             }
             ClientRpc::MetadataResponse { corr, partitions } => {
-                // Not ours — may belong to a co-embedded producer client.
-                let partitions = self.meta.on_response(ctx, corr, partitions).err()?;
-                Some(Box::new(ClientRpc::MetadataResponse { corr, partitions }))
+                match self.meta.on_response(ctx, corr, partitions) {
+                    // Fresh metadata: what had no leader may have one now.
+                    Ok(()) => {
+                        self.idle = true;
+                        None
+                    }
+                    // Not ours — may belong to a co-embedded producer client.
+                    Err(partitions) => Some(ClientRpc::MetadataResponse { corr, partitions }),
+                }
             }
             ClientRpc::OffsetFetchResponse { corr, offsets } => {
                 match self.offset_fetch_inflight {
@@ -739,7 +857,7 @@ impl ConsumerClient {
                 }
                 None
             }
-            other => Some(Box::new(other)),
+            other => Some(other),
         }
     }
 
@@ -751,8 +869,8 @@ impl ConsumerClient {
         }
         let o = tag - CONSUMER_TAGS;
         if o == off::POLL {
+            self.poll_timer = None;
             self.poll(ctx);
-            ctx.set_timer(self.cfg.poll_interval, CONSUMER_TAGS + off::POLL);
         } else if o == off::META_TIMEOUT {
             self.meta.on_timeout();
             self.request_metadata(ctx);
@@ -767,6 +885,7 @@ impl ConsumerClient {
             // endpoint, in case the group coordinator crashed).
             self.offset_fetch_inflight = None;
             self.meta.rotate();
+            self.idle = true;
         } else if o == off::GROUP_HEARTBEAT {
             self.send_group_heartbeat(ctx);
             ctx.set_timer(
@@ -784,6 +903,7 @@ impl ConsumerClient {
                 }
             }
         }
+        self.arm_poll(ctx);
         true
     }
 
@@ -810,6 +930,7 @@ impl ConsumerClient {
         // Pipelining: fetch the next batch for this partition right away.
         self.fetching.insert(tp.clone(), false);
         self.fetch_one(ctx, tp);
+        self.arm_poll(ctx);
         true
     }
 }

@@ -84,6 +84,7 @@ pub use log::{
     PartitionLog, BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,
 };
 pub use metadata::{plan_assignments, plan_assignments_racked, MetadataCache};
+pub use partition::FETCH_MAX_WAIT;
 pub use producer::{
     DataSource, ProduceOutcome, ProducerClient, ProducerProcess, ProducerStats, SentRecord,
     SourceAction, PRODUCER_TAGS, PRODUCER_TAGS_END,

@@ -42,6 +42,29 @@ pub(crate) struct PendingProduce {
     pub(crate) records: usize,
 }
 
+/// How long a client fetch that finds nothing to read is held before it is
+/// answered empty: Kafka's `fetch.max.wait.ms` at its default (with
+/// `fetch.min.bytes` = 1, so one readable record ends the wait). The
+/// deadline is checked by the broker's background tick, so a held fetch
+/// comes back between this and one `background_interval` later.
+pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
+
+/// What a client fetch is answered with: the batch, the high watermark, the
+/// reader's next offset and the error code.
+pub(crate) type FetchAnswer = (RecordBatch, Offset, Offset, ErrorCode);
+
+/// A client fetch held on its partition until a read from `offset` has
+/// something to say or `deadline` passes.
+#[derive(Debug)]
+pub(crate) struct FetchWaiter {
+    pub(crate) client: ProcessId,
+    pub(crate) corr: CorrelationId,
+    pub(crate) offset: Offset,
+    pub(crate) max_records: usize,
+    pub(crate) read_committed: bool,
+    pub(crate) deadline: SimTime,
+}
+
 /// The one constructor of a produce response.
 pub(crate) fn produce_response(
     corr: CorrelationId,
@@ -74,6 +97,9 @@ struct LeaderState {
     /// By broker id.
     followers: IntTable<FollowerProgress>,
     pending: Vec<PendingProduce>,
+    /// Client fetches held until there is something to read, in arrival
+    /// order, which is deadline order too.
+    waiters: Vec<FetchWaiter>,
     /// The ISR's log ends, as [`Led::advance_hw`] last ranked them; kept
     /// for its capacity.
     ends: Vec<Offset>,
@@ -247,17 +273,24 @@ impl Partition {
                     // ISR confirmation/adjustment from the controller.
                     ls.isr = m.isr;
                 }
-                _ => {
+                role => {
                     let mut followers: IntTable<FollowerProgress> = IntTable::default();
                     for b in &m.isr {
                         followers.get_or_default(u64::from(b.0)).caught_up_at = now;
                     }
-                    self.role = Some(Role::Leader(Box::new(LeaderState {
+                    // A sitting leader promoted under a newer epoch still
+                    // leads: the fetches it holds carry no epoch and wait on.
+                    let waiters = match role.take() {
+                        Some(Role::Leader(old)) => old.waiters,
+                        _ => Vec::new(),
+                    };
+                    *role = Some(Role::Leader(Box::new(LeaderState {
                         epoch: m.epoch,
                         followers,
                         isr: m.isr,
                         replicas: m.replicas,
                         pending: Vec::new(),
+                        waiters,
                         ends: Vec::new(),
                         hw_gap: host.tele.gauge(&host.name, &format!("hw_gap/{tp}")),
                         lso_gap: host.tele.gauge(&host.name, &format!("lso_gap/{tp}")),
@@ -275,7 +308,7 @@ impl Partition {
             }
         } else if m.replicas.contains(&host.id) {
             if let Some(mut led) = self.led(tp) {
-                led.fail_pending(ctx, host, ErrorCode::NotLeader);
+                led.end_reign(ctx, host);
                 host.leadership_events.push((now, tp.clone(), false));
                 ctx.trace_with("broker", || format!("{} stepped down from {tp}", host.name));
             }
@@ -285,6 +318,9 @@ impl Partition {
                 awaiting: None,
             }));
         } else {
+            if let Some(mut led) = self.led(tp) {
+                led.end_reign(ctx, host);
+            }
             self.role = None;
         }
     }
@@ -571,33 +607,46 @@ impl Led<'_> {
         self.ls.pending.push(p);
     }
 
-    /// Serves a consumer read from `offset`: the batch, the high watermark,
-    /// the reader's next offset and the error code.
-    pub(crate) fn read(
+    /// What a consumer read from `offset` has to say, or `None` when that is
+    /// nothing: no record, no error, and the reader's position stays.
+    ///
+    /// A reader sees the log up to the high watermark; on a broker with a
+    /// durable log only up to the durable end as well, because what a flush
+    /// still in flight covers is lost with a crash, and a reader that had
+    /// seen it would read it again from the producer's retry.
+    /// Read-committed isolation caps that at the last stable offset:
+    /// nothing of an open transaction leaks out before its marker flips.
+    fn read(
         &self,
-        cfg: &BrokerConfig,
+        host: &Host,
         offset: Offset,
         max_records: usize,
         read_committed: bool,
-    ) -> (RecordBatch, Offset, Offset, ErrorCode) {
+    ) -> Option<FetchAnswer> {
         let hw = self.log.high_watermark();
         let start = self.log.log_start();
         if offset < start {
             // Retention dropped the requested range: reset the reader to
             // the earliest record.
-            return (RecordBatch::new(), hw, start, ErrorCode::OffsetOutOfRange);
+            return Some((RecordBatch::new(), hw, start, ErrorCode::OffsetOutOfRange));
         }
         if offset > hw {
-            return (RecordBatch::new(), hw, hw, ErrorCode::OffsetOutOfRange);
+            return Some((RecordBatch::new(), hw, hw, ErrorCode::OffsetOutOfRange));
         }
-        // Read-committed isolation caps the read at the last stable offset:
-        // nothing of an open transaction leaks out before its marker flips.
+        let end = if host.durable {
+            hw.min(self.durable_end)
+        } else {
+            hw
+        };
         let txns = self.state.txns();
         let visible_end = match txns.lso() {
-            Some(lso) if read_committed => Offset(lso).min(hw),
-            _ => hw,
+            Some(lso) if read_committed => Offset(lso).min(end),
+            _ => end,
         };
-        let max = max_records.min(cfg.fetch_max_records);
+        if visible_end <= offset {
+            return None;
+        }
+        let max = max_records.min(host.cfg.fetch_max_records);
         let mut entries = self.log.read_entries(offset, max, true);
         entries.truncate(entries.partition_point(|e| e.offset < visible_end));
         let last_scanned = entries.last().map(|e| e.offset);
@@ -607,17 +656,76 @@ impl Led<'_> {
             entries.retain(|e| !txns.is_aborted(e.offset.value()));
         }
         // Advance past the last served record — else past the last scanned
-        // one, so an aborted run is skipped — or, on an empty read below
-        // the visible end, over a fully compacted tail hole. A reader
-        // parked at the LSO simply re-polls.
+        // one, so an aborted run is skipped — or, on an empty read, over a
+        // fully compacted tail hole to the visible end.
         let next = entries
             .last()
             .map(|e| e.offset)
             .or(last_scanned)
-            .map_or(offset.max(visible_end), |last| Offset(last.value() + 1));
+            .map_or(visible_end, |last| Offset(last.value() + 1));
         let served = entries.iter().map(|e| e.record.clone()).collect();
         let batch = RecordBatch::from_records(served).with_compression(*self.codec);
-        (batch, hw, next, ErrorCode::None)
+        Some((batch, hw, next, ErrorCode::None))
+    }
+
+    /// Serves a client fetch: answered at once when the read has something
+    /// to say, held on the partition otherwise.
+    pub(crate) fn fetch(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, w: FetchWaiter) {
+        match self.read(host, w.offset, w.max_records, w.read_committed) {
+            Some(answer) => host.answer_fetch(ctx, w.client, w.corr, self.tp, answer),
+            None => {
+                host.stats.fetches_parked += 1;
+                host.metrics.fetches_parked.add(1);
+                self.ls.waiters.push(w);
+            }
+        }
+    }
+
+    /// Reads again for every held fetch, in arrival order, and answers
+    /// those whose read now has something to say. Called wherever the end a
+    /// reader sees can have moved: the watermark, the durable end, the last
+    /// stable offset.
+    pub(crate) fn wake_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
+        if self.ls.waiters.is_empty() {
+            return;
+        }
+        let mut waiters = std::mem::take(&mut self.ls.waiters);
+        waiters.retain(
+            |w| match self.read(host, w.offset, w.max_records, w.read_committed) {
+                Some(answer) => {
+                    host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
+                    false
+                }
+                None => true,
+            },
+        );
+        self.ls.waiters = waiters;
+    }
+
+    /// The background tick's look at the held fetches: on a fenced broker
+    /// all of them are refused, otherwise those past their deadline get the
+    /// empty reply they waited to avoid.
+    pub(crate) fn expire_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, fenced: bool) {
+        if fenced {
+            return self.fail_waiters(ctx, host, ErrorCode::Fenced);
+        }
+        let now = ctx.now();
+        let due = self.ls.waiters.partition_point(|w| w.deadline <= now);
+        let hw = self.log.high_watermark();
+        for w in self.ls.waiters.drain(..due) {
+            host.stats.fetches_expired += 1;
+            host.metrics.fetches_expired.add(1);
+            let answer = (RecordBatch::new(), hw, w.offset, ErrorCode::None);
+            host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
+        }
+    }
+
+    fn fail_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, error: ErrorCode) {
+        for w in std::mem::take(&mut self.ls.waiters) {
+            host.count_rejection(error);
+            let answer = (RecordBatch::new(), Offset::ZERO, w.offset, error);
+            host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
+        }
     }
 
     /// Serves one part of a replica fetch from follower `from`, whose log
@@ -790,13 +898,16 @@ impl Led<'_> {
         let hw_gap = log_end.value().saturating_sub(hw);
         self.ls.hw_gap.set(hw_gap as f64);
         self.ls.lso_gap.set((hw - lso) as f64);
+        self.wake_waiters(ctx, host);
     }
 
-    /// Answers every pending produce with `error` (the reign is over).
-    fn fail_pending(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, error: ErrorCode) {
+    /// The reign is over: every pending produce and every held fetch is
+    /// answered `NotLeader`.
+    fn end_reign(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
         for p in std::mem::take(&mut self.ls.pending) {
-            let msg = produce_response(p.corr, self.tp.clone(), p.base, error);
+            let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::NotLeader);
             host.respond_after_cpu(ctx, host.cfg.cpu_per_request, p.client, msg);
         }
+        self.fail_waiters(ctx, host, ErrorCode::NotLeader);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper snapshots `/proc/stat` and `/proc/meminfo` every 500 ms to
 //! report how much of the underlying server the emulation consumes (Fig. 9).
-//! Here, every emulated host's CPU busy intervals are binned into sampling
+//! Here, every emulated host's CPU busy time is binned into sampling
 //! windows against the modeled server's total core capacity, and a
 //! [`MemSampler`] process polls the shared memory ledger.
 
@@ -74,7 +74,8 @@ impl Default for MemModel {
     }
 }
 
-/// CPU utilization samples derived from host-CPU busy intervals.
+/// CPU utilization samples, from the busy time every host CPU binned as it
+/// booked it (in bins of `window`, [`ServerSpec::sample_interval`]).
 ///
 /// Returns `(window_end, utilization)` pairs where utilization is busy
 /// core-time across all hosts divided by `cores × window`, i.e. the fraction
@@ -89,36 +90,20 @@ pub fn cpu_utilization_series(
     assert!(!window.is_zero(), "sampling window must be positive");
     assert!(cores > 0, "server must have at least one core");
     let w = window.as_nanos();
-    let n_windows = (until.as_nanos() / w) as usize;
-    let mut busy = vec![0u64; n_windows + 1];
+    let mut busy = vec![0u64; (until.as_nanos() / w) as usize];
     for cpu in cpus {
-        let intervals = cpu.borrow_mut().drain_intervals(SimTime::MAX);
-        for (s, e) in intervals {
-            let e = e.min(until);
-            if s >= e {
-                continue;
-            }
-            let mut cursor = s.as_nanos();
-            let end = e.as_nanos();
-            while cursor < end {
-                let idx = (cursor / w) as usize;
-                if idx >= busy.len() {
-                    break;
-                }
-                let win_end = (idx as u64 + 1) * w;
-                let chunk = end.min(win_end) - cursor;
-                busy[idx] += chunk;
-                cursor += chunk;
-            }
+        let cpu = cpu.borrow();
+        assert_eq!(cpu.window(), window, "{} bins another window", cpu.name());
+        for (total, bin) in busy.iter_mut().zip(cpu.busy_bins()) {
+            *total += bin;
         }
     }
     let denom = (w as f64) * cores as f64;
-    (0..n_windows)
-        .map(|i| {
-            let t = SimTime::from_nanos((i as u64 + 1) * w);
-            (t, (busy[i] as f64 / denom).min(1.0))
-        })
-        .collect()
+    let sample = |(i, busy): (usize, u64)| {
+        let t = SimTime::from_nanos((i as u64 + 1) * w);
+        (t, (busy as f64 / denom).min(1.0))
+    };
+    busy.into_iter().enumerate().map(sample).collect()
 }
 
 /// Builds an empirical CDF from samples: `(value, cumulative_fraction)`.
@@ -207,7 +192,7 @@ mod tests {
 
     #[test]
     fn utilization_bins_intervals() {
-        let cpu = HostCpu::shared("h", 2, 1.0);
+        let cpu = HostCpu::shared("h", 2, 1.0, SimDuration::from_millis(500));
         // 1 core busy for the full first second → 50% of a 2-core host,
         // i.e. 12.5% of an 8-core server... use cores=2 denominator here.
         cpu.borrow_mut()
@@ -226,7 +211,7 @@ mod tests {
 
     #[test]
     fn utilization_spans_windows() {
-        let cpu = HostCpu::shared("h", 1, 1.0);
+        let cpu = HostCpu::shared("h", 1, 1.0, SimDuration::from_millis(500));
         // 250 ms of work starting at 400 ms spans two 500 ms windows.
         cpu.borrow_mut()
             .execute(SimTime::from_millis(400), SimDuration::from_millis(250));

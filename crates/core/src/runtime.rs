@@ -131,7 +131,8 @@ impl Runtime {
         let cpus: BTreeMap<String, CpuHandle> = nodes_of(NodeKind::Host)
             .map(|(_, node)| {
                 let speed = spec.host_cpu_pct.get(&node.name).copied().unwrap_or(100.0) / 100.0;
-                let cpu = HostCpu::shared(node.name.clone(), spec.server.cores, speed);
+                let bin = spec.server.sample_interval;
+                let cpu = HostCpu::shared(node.name.clone(), spec.server.cores, speed, bin);
                 (node.name.clone(), cpu)
             })
             .collect();
@@ -463,12 +464,13 @@ impl Runtime {
                 let sink = self.spec.consumers[i].3.build();
                 let sink = MonitoredSink::new(w.monitor.clone(), i as u32, sink);
                 let bootstrap = self.bootstrap_for(&c.host);
-                let client = ConsumerClient::new(
+                let mut client = ConsumerClient::new(
                     c.cfg.clone(),
                     bootstrap,
                     w.brokers.clone(),
                     c.topics.clone(),
                 );
+                client.set_incarnation(slot.incarnation);
                 let mut p = ConsumerProcess::new(i as u32, client, Box::new(sink));
                 p.set_telemetry(w.tele.clone());
                 Box::new(p)
@@ -564,9 +566,7 @@ impl Runtime {
         w.set_telemetry(self.wiring.tele.clone());
         if recover {
             w.mark_restarted();
-            // A bumped epoch keeps the broker's idempotent dedup from taking
-            // the fresh incarnation's first records for retries.
-            w.set_producer_epoch(slot.incarnation as u32);
+            w.set_incarnation(slot.incarnation);
         }
         w
     }
@@ -992,6 +992,7 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
         consumer_stats.resumed_partitions += c.resumed_partitions;
         consumer_stats.group_joins += c.group_joins;
         consumer_stats.rebalances += c.rebalances;
+        consumer_stats.stale_replies += c.stale_replies;
     }
     let mut producer_stats = ProducerStats::default();
     for (_, r) in per {

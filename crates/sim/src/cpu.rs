@@ -9,9 +9,10 @@
 //! (divided by the host's speed factor), and items queue when every core is
 //! busy.
 //!
-//! Busy intervals are recorded so the resource monitor can reconstruct
-//! utilization in 500 ms sampling windows, mirroring the paper's
-//! `/proc/stat` snapshots.
+//! Busy time is summed per sampling window as it is booked, so the resource
+//! monitor reads utilization in 500 ms windows, mirroring the paper's
+//! `/proc/stat` snapshots, and a run keeps one number per window, not one
+//! interval per work item.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,7 +29,7 @@ pub type CpuHandle = Rc<RefCell<HostCpu>>;
 /// ```
 /// use s2g_sim::{HostCpu, SimDuration, SimTime};
 ///
-/// let mut cpu = HostCpu::new("h1", 2, 1.0);
+/// let mut cpu = HostCpu::new("h1", 2, 1.0, SimDuration::from_millis(500));
 /// let now = SimTime::ZERO;
 /// // Two jobs fill both cores; the third queues behind the first to finish.
 /// let d1 = cpu.execute(now, SimDuration::from_millis(10));
@@ -46,8 +47,11 @@ pub struct HostCpu {
     /// Relative speed (1.0 = nominal). The orchestrator lowers this for
     /// hosts capped via the `cpuPercentage` attribute.
     speed: f64,
-    /// Completed/scheduled busy intervals, drained by the resource monitor.
-    busy_intervals: Vec<(SimTime, SimTime)>,
+    /// Width of a busy-time bin: the resource monitor's sampling window.
+    window: SimDuration,
+    /// Busy core-nanoseconds booked in each window since time zero, up to
+    /// the last window any work reached.
+    busy: Vec<u64>,
     /// Total busy core-time ever scheduled.
     total_busy: SimDuration,
     /// Number of work items executed.
@@ -55,13 +59,16 @@ pub struct HostCpu {
 }
 
 impl HostCpu {
-    /// Creates a CPU with `cores` cores and a relative `speed` factor.
+    /// Creates a CPU with `cores` cores and a relative `speed` factor, its
+    /// busy time summed in bins of `window`.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or `speed` is not strictly positive.
-    pub fn new(name: impl Into<String>, cores: usize, speed: f64) -> Self {
+    /// Panics if `cores` or `window` is zero or `speed` is not strictly
+    /// positive.
+    pub fn new(name: impl Into<String>, cores: usize, speed: f64, window: SimDuration) -> Self {
         assert!(cores > 0, "a host needs at least one core");
+        assert!(!window.is_zero(), "sampling window must be positive");
         assert!(
             speed > 0.0 && speed.is_finite(),
             "speed must be positive, got {speed}"
@@ -70,15 +77,21 @@ impl HostCpu {
             name: name.into(),
             cores: vec![SimTime::ZERO; cores],
             speed,
-            busy_intervals: Vec::new(),
+            window,
+            busy: Vec::new(),
             total_busy: SimDuration::ZERO,
             jobs: 0,
         }
     }
 
     /// Creates a shared handle.
-    pub fn shared(name: impl Into<String>, cores: usize, speed: f64) -> CpuHandle {
-        Rc::new(RefCell::new(HostCpu::new(name, cores, speed)))
+    pub fn shared(
+        name: impl Into<String>,
+        cores: usize,
+        speed: f64,
+        window: SimDuration,
+    ) -> CpuHandle {
+        Rc::new(RefCell::new(HostCpu::new(name, cores, speed, window)))
     }
 
     /// The host name this CPU belongs to.
@@ -126,9 +139,18 @@ impl HostCpu {
         let start = self.cores[idx].max(now);
         let done = start + scaled;
         self.cores[idx] = done;
-        if !scaled.is_zero() {
-            self.busy_intervals.push((start, done));
-            self.total_busy += scaled;
+        self.total_busy += scaled;
+        // The item's busy time, split over the windows it spans.
+        let w = self.window.as_nanos();
+        let (mut cursor, end) = (start.as_nanos(), done.as_nanos());
+        while cursor < end {
+            let idx = (cursor / w) as usize;
+            if idx >= self.busy.len() {
+                self.busy.resize(idx + 1, 0);
+            }
+            let chunk = end.min((idx as u64 + 1) * w) - cursor;
+            self.busy[idx] += chunk;
+            cursor += chunk;
         }
         self.jobs += 1;
         done - now
@@ -154,25 +176,16 @@ impl HostCpu {
         self.jobs
     }
 
-    /// Drains busy intervals that end at or before `upto`, returning them for
-    /// utilization binning. Intervals still in progress are kept.
-    pub fn drain_intervals(&mut self, upto: SimTime) -> Vec<(SimTime, SimTime)> {
-        let mut done = Vec::new();
-        let mut keep = Vec::new();
-        for iv in self.busy_intervals.drain(..) {
-            if iv.1 <= upto {
-                done.push(iv);
-            } else {
-                keep.push(iv);
-            }
-        }
-        self.busy_intervals = keep;
-        done
+    /// The width of a busy-time bin.
+    pub fn window(&self) -> SimDuration {
+        self.window
     }
 
-    /// Peeks at all recorded intervals (completed and in-flight).
-    pub fn intervals(&self) -> &[(SimTime, SimTime)] {
-        &self.busy_intervals
+    /// Busy core-nanoseconds per window: entry `i` covers
+    /// `[i × window, (i + 1) × window)`. Windows past the last one any work
+    /// reached are absent, and idle.
+    pub fn busy_bins(&self) -> &[u64] {
+        &self.busy
     }
 }
 
@@ -180,9 +193,11 @@ impl HostCpu {
 mod tests {
     use super::*;
 
+    const WINDOW: SimDuration = SimDuration::from_millis(500);
+
     #[test]
     fn single_core_serializes_work() {
-        let mut cpu = HostCpu::new("h", 1, 1.0);
+        let mut cpu = HostCpu::new("h", 1, 1.0, WINDOW);
         let t0 = SimTime::ZERO;
         assert_eq!(cpu.execute(t0, SimDuration::from_millis(5)).as_millis(), 5);
         assert_eq!(cpu.execute(t0, SimDuration::from_millis(5)).as_millis(), 10);
@@ -193,7 +208,7 @@ mod tests {
 
     #[test]
     fn parallel_cores_run_concurrently() {
-        let mut cpu = HostCpu::new("h", 4, 1.0);
+        let mut cpu = HostCpu::new("h", 4, 1.0, WINDOW);
         let t0 = SimTime::ZERO;
         for _ in 0..4 {
             assert_eq!(
@@ -210,7 +225,7 @@ mod tests {
 
     #[test]
     fn speed_scales_cost() {
-        let mut cpu = HostCpu::new("h", 1, 0.5);
+        let mut cpu = HostCpu::new("h", 1, 0.5, WINDOW);
         let d = cpu.execute(SimTime::ZERO, SimDuration::from_millis(10));
         assert_eq!(d.as_millis(), 20);
         cpu.set_speed(2.0);
@@ -220,7 +235,7 @@ mod tests {
 
     #[test]
     fn later_now_pushes_start() {
-        let mut cpu = HostCpu::new("h", 1, 1.0);
+        let mut cpu = HostCpu::new("h", 1, 1.0, WINDOW);
         cpu.execute(SimTime::ZERO, SimDuration::from_millis(1));
         // CPU free at 1ms; job arriving at 10ms starts immediately.
         let d = cpu.execute(SimTime::from_millis(10), SimDuration::from_millis(2));
@@ -228,29 +243,35 @@ mod tests {
     }
 
     #[test]
-    fn drain_intervals_splits_on_time() {
-        let mut cpu = HostCpu::new("h", 1, 1.0);
-        cpu.execute(SimTime::ZERO, SimDuration::from_millis(5));
-        cpu.execute(SimTime::from_millis(100), SimDuration::from_millis(5));
-        let done = cpu.drain_intervals(SimTime::from_millis(50));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1.as_millis(), 5);
-        assert_eq!(cpu.intervals().len(), 1);
-        let rest = cpu.drain_intervals(SimTime::from_millis(200));
-        assert_eq!(rest.len(), 1);
+    fn busy_time_is_binned_by_window_whatever_the_booking_order() {
+        let ms = SimDuration::from_millis;
+        let book = |items: &[(u64, u64)]| {
+            let mut cpu = HostCpu::new("h", 2, 1.0, WINDOW);
+            for &(at, cost) in items {
+                cpu.execute(SimTime::from_millis(at), ms(cost));
+            }
+            cpu.busy_bins().to_vec()
+        };
+        // 250 ms from 400 ms spans two windows; 1 200 ms from 900 ms on the
+        // other core spans windows 1 to 4 and fills windows 2 and 3.
+        let bins = book(&[(400, 250), (900, 1_200)]);
+        let expect = [100, 150 + 100, 500, 500, 100].map(|busy| ms(busy).as_nanos());
+        assert_eq!(bins, expect);
+        assert_eq!(bins, book(&[(900, 1_200), (400, 250)]));
+        assert_eq!(bins.iter().sum::<u64>(), ms(1_450).as_nanos());
     }
 
     #[test]
     fn zero_cost_work_is_free() {
-        let mut cpu = HostCpu::new("h", 1, 1.0);
+        let mut cpu = HostCpu::new("h", 1, 1.0, WINDOW);
         let d = cpu.execute(SimTime::ZERO, SimDuration::ZERO);
         assert!(d.is_zero());
-        assert!(cpu.intervals().is_empty());
+        assert!(cpu.busy_bins().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
-        let _ = HostCpu::new("h", 0, 1.0);
+        let _ = HostCpu::new("h", 0, 1.0, WINDOW);
     }
 }

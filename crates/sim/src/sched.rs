@@ -831,7 +831,10 @@ mod tests {
     fn cpu_contention_serializes_on_one_core() {
         let mut sim = Sim::new(0);
         let p = sim.spawn(Box::new(Worker { done: vec![] }));
-        sim.attach_cpu(p, HostCpu::shared("h", 1, 1.0));
+        sim.attach_cpu(
+            p,
+            HostCpu::shared("h", 1, 1.0, SimDuration::from_millis(500)),
+        );
         sim.run_to_completion();
         let done = &sim.process_ref::<Worker>(p).unwrap().done;
         assert_eq!(done[0], (SimTime::from_millis(10), 100));

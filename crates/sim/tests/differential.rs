@@ -291,7 +291,7 @@ fn charge_books_what_exec_books_without_the_completion() {
     type Waited = Vec<(SimTime, u64)>;
     fn run(kind: SchedulerKind, charge: bool) -> (Waited, u64, SimDuration, SimStats) {
         let mut sim = Sim::with_scheduler(5, kind);
-        let cpu = HostCpu::shared("h", 1, 1.0);
+        let cpu = HostCpu::shared("h", 1, 1.0, SimDuration::from_millis(500));
         let mut spawn = |waits| {
             let pid = sim.spawn(Box::new(Churn {
                 charge,

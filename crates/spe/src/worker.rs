@@ -421,13 +421,17 @@ impl SpeWorker {
         self.restarted = true;
     }
 
-    /// Sets the sink producer's epoch (Kafka's producer epoch). The
-    /// orchestrator bumps it per respawn so the broker's idempotent dedup
-    /// does not mistake the fresh incarnation's sequence-zero records for
-    /// retries of the crashed one's.
-    pub fn set_producer_epoch(&mut self, epoch: u32) {
+    /// Tells a respawned worker which incarnation of its process it is; the
+    /// orchestrator bumps it per respawn. It becomes the sink producer's
+    /// epoch (Kafka's producer epoch), so the broker's idempotent dedup does
+    /// not mistake the fresh incarnation's sequence-zero records for
+    /// retries of the crashed one's, and the base of the source consumer's
+    /// correlation ids, so a fetch the crashed incarnation left held on a
+    /// broker is not taken for an answer to one of this one's.
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.consumer.set_incarnation(incarnation);
         if let Some(p) = self.producer.as_mut() {
-            p.set_epoch(epoch);
+            p.set_epoch(incarnation as u32);
         }
     }
 

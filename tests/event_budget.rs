@@ -3,13 +3,16 @@
 //!
 //! Wall-clock cost is events times the cost of one, and the count repeats
 //! exactly for a given build, so it can be held in tier-1 where a timing
-//! cannot. Each ceiling is this build's measurement plus 10 %. What the
-//! ceilings guard (`docs/performance.md`, "Where a stateful run's events
-//! go"): a completion event for CPU work nobody waits on, a timer armed
-//! and cancelled per fetch, one replica fetch per partition instead of per
-//! leader, and on the bounce shape two protocol bugs the event count was
-//! the first to show: produces retried at round-trip rate against a stale
-//! leader, and a second catch-up chain started by every replica tick.
+//! cannot. Each ceiling is this build's measurement plus 10 %, and a run
+//! over it is told apart by kind of event. What the ceilings guard
+//! (`docs/performance.md`, "Where a stateful run's events go" and "What a
+//! held fetch saves"): a completion event for CPU work nobody waits on, a
+//! timer armed and cancelled per fetch, one replica fetch per partition
+//! instead of per leader, client fetches that ask again and again whether
+//! anything was appended, and on the bounce shape two protocol bugs the
+//! event count was the first to show: produces retried at round-trip rate
+//! against a stale leader, and a second catch-up chain started by every
+//! replica tick.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -131,14 +134,60 @@ fn run(sc: Scenario, records: u64, total: &RefCell<u64>) -> RunReport {
     report
 }
 
+/// Holds the run's events per offered record under `measured` plus the
+/// slack, and says which kind of event grew when they are not.
 fn assert_events(report: &RunReport, records: u64, measured: f64) {
-    let per_record = report.sim_stats.events_processed as f64 / records as f64;
-    println!("{}: {per_record:.2} events per record", report.name);
+    let s = &report.sim_stats;
+    let per_record = |events: u64| events as f64 / records as f64;
+    let total = per_record(s.events_processed);
+    println!("{}: {total:.2} events per record", report.name);
+    let dispatched = s.messages_delivered + s.timers_fired + s.cpu_completions;
+    let starts = s.events_processed - dispatched - s.timers_cancelled - s.events_voided;
     assert!(
-        per_record <= measured * SLACK,
-        "{}: {per_record:.2} events per offered record, {measured} when recorded: \
-         something schedules events nobody acts on again",
-        report.name
+        total <= measured * SLACK,
+        "{}: {total:.2} events per offered record against a ceiling of {:.2} ({measured} when \
+         recorded): something schedules events nobody acts on again. Per record: {:.4} starts, \
+         {:.3} messages, {:.3} timers fired, {:.3} timers cancelled, {:.3} CPU completions, \
+         {:.4} voided",
+        report.name,
+        measured * SLACK,
+        per_record(starts),
+        per_record(s.messages_delivered),
+        per_record(s.timers_fired),
+        per_record(s.timers_cancelled),
+        per_record(s.cpu_completions),
+        per_record(s.events_voided),
+    );
+}
+
+/// What a consumer with nothing to read costs: its fetches are held by the
+/// broker, so it adds a handful of events per partition and second however
+/// short its `poll_interval`. (Asking every 5 ms whether anything was
+/// appended added about 650.)
+#[test]
+fn an_idle_consumer_waits_instead_of_asking() {
+    let (partitions, secs) = (4, 10);
+    let events = |consumer: bool| {
+        let mut sc = Scenario::new("event-budget-idle");
+        sc.seed(1)
+            .duration(SimTime::from_secs(secs))
+            .topic(TopicSpec::new("events").partitions(partitions));
+        sc.broker("h0");
+        if consumer {
+            let total = Rc::new(RefCell::new(0));
+            sc.consumer_with_sink("hc", fast_consumer(), &["events"], summing(&total, false));
+        }
+        sc.run().expect("runs").report.sim_stats.events_processed
+    };
+    let added = events(true) - events(false);
+    let per_partition_second = added as f64 / (u64::from(partitions) * secs) as f64;
+    println!("an idle consumer adds {per_partition_second:.2} events per partition and second");
+    // Two held fetches a second at three events each (request, the
+    // broker's CPU, reply), and the consumer's own background tick.
+    assert!(
+        per_partition_second <= 8.0,
+        "{added} events over {secs} s and {partitions} partitions: \
+         {per_partition_second:.1} per partition and second"
     );
 }
 
@@ -169,8 +218,9 @@ fn identity_pipeline() {
     sc.consumer_with_sink("hc", fast_consumer(), &["out"], summing(&total, false));
     let report = run(sc, records, &total);
     // 3.18 when the producer scheduled a completion per record and every
-    // fetch a timeout; of the 1.17, 1.0 is the source's own timer.
-    assert_events(&report, records, 1.17);
+    // fetch a timeout, 1.17 when the consumers asked every 5 ms; of the
+    // 1.06, 1.0 is the source's own timer.
+    assert_events(&report, records, 1.06);
 }
 
 /// `replicated-1k`'s shape: 3 brokers, RF 3, `acks=all`, 4 partitions,
@@ -200,8 +250,9 @@ fn replicated_topic() {
     sc.producer("hp", source(records, interval, 1024, true), producer);
     sc.consumer_with_sink("hc", fast_consumer(), &["events"], summing(&total, false));
     let report = run(sc, records, &total);
-    // 5.70 with one replica fetch per partition.
-    assert_events(&report, records, 4.09);
+    // 5.70 with one replica fetch per partition, 4.09 with polled client
+    // fetches.
+    assert_events(&report, records, 3.58);
 }
 
 /// `keyed-eo-bounce`'s shape with one bounce: a parallelism-4 keyed window
@@ -270,8 +321,9 @@ fn keyed_exactly_once_job_under_a_broker_bounce() {
     // by three of the four stage-0 producers before the backoff held).
     sc.faults(FaultPlan::new().crash_restart_broker(0, SimTime::from_millis(4_500), down));
     let report = run(sc, records, &total);
-    // 14.55 before.
-    assert_events(&report, records, 6.02);
+    // 14.55 with the retry storm and the duplicate catch-up chains, 6.02
+    // with polled client fetches.
+    assert_events(&report, records, 1.98);
 
     // A produce that bounces off a stale leader waits out the backoff, so
     // what a producer can retry is bounded by time, not by round trips: at

@@ -226,15 +226,16 @@ fn windowed_parallel_job_matches_sequential_output() {
     };
     let seq = build(1);
     let par = build(4);
-    // Same windows, same per-window counts (order may interleave).
+    // Same windows, same per-window counts (order may interleave). A
+    // window that a late record re-opens fires once more with a partial
+    // count (the engine's watermark is the maximum timestamp seen), so a
+    // window's count is the sum of its results.
     let collect = |r: &RunResult| -> BTreeMap<(String, u64), i64> {
         let mut m = BTreeMap::new();
         for b in sink_bytes(r) {
             let e = Event::from_bytes(&b).expect("decodes");
-            m.insert(
-                (e.key.clone().unwrap_or_default(), e.ts.as_nanos()),
-                e.value.as_int().unwrap_or(-1),
-            );
+            *m.entry((e.key.clone().unwrap_or_default(), e.ts.as_nanos()))
+                .or_default() += e.value.as_int().expect("a count");
         }
         m
     };

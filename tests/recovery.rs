@@ -97,6 +97,28 @@ fn baseline_counts_every_word() {
     assert!(spe.recovery.is_none(), "no crash, no recovery report");
 }
 
+/// The worker is killed while the broker holds its fetch (words are 50 ms
+/// apart, and this is 20 ms after one) and respawned inside that wait,
+/// under the same process id: the next word answers the held fetch, and
+/// the answer reaches a worker that never asked.
+#[test]
+fn an_exactly_once_worker_respawned_inside_a_fetch_wait_drops_the_stale_reply() {
+    let mut sc = build(Some(CheckpointMode::ExactlyOnce), false);
+    sc.faults(FaultPlan::new().crash_restart(
+        "wordcount",
+        SimTime::from_millis(CRASH_AT_MS + 20),
+        SimDuration::from_millis(20),
+    ));
+    let result = sc.run().expect("runs");
+    let spe = &result.report.spe["wordcount"];
+    assert_eq!(spe.consumer_stats.stale_replies, 1, "counted, and dropped");
+    assert_eq!(
+        final_counts(&result),
+        ground_truth(),
+        "every word counted exactly once all the same"
+    );
+}
+
 #[test]
 fn exactly_once_recovery_matches_baseline() {
     let result = build(Some(CheckpointMode::ExactlyOnce), true)
