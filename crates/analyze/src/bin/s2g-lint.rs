@@ -7,7 +7,9 @@
 //! Scans the workspace's non-test, non-vendor Rust sources for
 //! determinism/safety hazards (see `s2g_analyze::lint`). With `--deny`,
 //! exits nonzero when any deny-tier finding survives its escape comments —
-//! the CI `lint-static` job runs exactly that.
+//! the CI `lint-static` job runs exactly that. The report ends with what
+//! each crate weighs (files, code lines, `pub` items); `--json` carries the
+//! same rows.
 
 use s2g_analyze::lint::{lint, LintConfig};
 use std::path::PathBuf;
@@ -58,6 +60,13 @@ fn main() {
     } else {
         for f in &report.findings {
             println!("{f}");
+        }
+        println!(
+            "{:<18}{:>6}{:>12}{:>11}",
+            "crate", "files", "code lines", "pub items"
+        );
+        for (name, (files, code_lines, pub_items)) in &report.crates {
+            println!("{name:<18}{files:>6}{code_lines:>12}{pub_items:>11}");
         }
         println!(
             "s2g-lint: {} file(s) scanned, {} finding(s) ({} deny)",

@@ -270,6 +270,14 @@ pub struct LintReport {
     pub findings: Vec<LintFinding>,
     /// Number of files scanned.
     pub files_scanned: usize,
+    /// What each crate weighs, keyed by its directory (`crates/sim`; `.` is
+    /// the root package): `(files, code lines, pub items)`. A code line has
+    /// something on it once comments are stripped and is outside every
+    /// `#[cfg(test)]` region; a pub item starts with `pub` and one of
+    /// `fn struct enum trait type const mod` (`pub(crate)` is not public, a
+    /// `pub use` names nothing new). A PR that says it removed concepts
+    /// shows it as a difference of these.
+    pub crates: BTreeMap<String, (usize, usize, usize)>,
 }
 
 impl LintReport {
@@ -280,7 +288,18 @@ impl LintReport {
 
     /// Machine-readable JSON.
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"files_scanned\":{},\"findings\":[", self.files_scanned);
+        let mut s = format!("{{\"files_scanned\":{},\"crates\":[", self.files_scanned);
+        for (i, (name, (files, code_lines, pub_items))) in self.crates.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!(
+                "{{\"crate\":{},\"files\":{files},\"code_lines\":{code_lines},\
+                 \"pub_items\":{pub_items}}}",
+                crate::json_str(name),
+            ));
+        }
+        s.push_str("],\"findings\":[");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -323,8 +342,29 @@ pub fn lint(root: &Path, cfg: &LintConfig) -> std::io::Result<LintReport> {
         let text = std::fs::read_to_string(f)?;
         report.files_scanned += 1;
         report.findings.extend(lint_source(&rel, &text, cfg));
+        let krate = rel.split_once("/src/").map_or(".", |(krate, _)| krate);
+        let (code_lines, pub_items) = source_size(&text);
+        let size = report.crates.entry(krate.to_string()).or_default();
+        *size = (size.0 + 1, size.1 + code_lines, size.2 + pub_items);
     }
     Ok(report)
+}
+
+/// What one source text adds to [`LintReport::crates`]: `(code lines, pub
+/// items)`.
+fn source_size(text: &str) -> (usize, usize) {
+    let raw_lines: Vec<&str> = text.lines().collect();
+    let code = strip_comments_and_strings(&raw_lines);
+    let skip = test_block_lines(&raw_lines, &code);
+    let live = code.iter().zip(&skip).filter(|(_, skipped)| !**skipped);
+    let (mut code_lines, mut pub_items) = (0, 0);
+    for line in live.map(|(line, _)| line.trim()).filter(|l| !l.is_empty()) {
+        code_lines += 1;
+        let item = line.strip_prefix("pub ").and_then(|l| l.split(' ').next());
+        let kinds = ["fn", "struct", "enum", "trait", "type", "const", "mod"];
+        pub_items += usize::from(item.is_some_and(|kind| kinds.contains(&kind)));
+    }
+    (code_lines, pub_items)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -904,6 +944,13 @@ mod tests {
         let src =
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let x = SystemTime::now(); }\n}\n";
         assert!(lint_source("x.rs", src, &cfg_all()).is_empty());
+    }
+
+    #[test]
+    fn sizes_count_code_lines_and_pub_items_outside_tests() {
+        let src = "/// Doc.\npub fn a() {} // one\npub(crate) struct B;\n\
+            #[cfg(test)]\nmod tests { pub fn t() {} }\n";
+        assert_eq!(source_size(src), (2, 1));
     }
 
     #[test]

@@ -4,22 +4,18 @@
 //!
 //! ```text
 //! cargo run --release -p s2g-bench --bin figures -- \
-//!     [--fig 5|6|7a|7b|8|9|recovery|compaction|replication|broker-replication|scaling|timeline|throughput|table2|all] \
-//!     [--bench hotpath|simcore] \
-//!     [--quick|--smoke] [--help]
+//!     [--fig <name>|all] [--quick|--smoke] [--help]
 //! ```
 //!
-//! Anything else on the command line (an unknown flag, a flag missing its
-//! value, an unknown figure or bench) is rejected with the usage text and
-//! exit status 2 — a typo must not fall through to the full-scale suite.
+//! `--help` lists the figure names (the `FIGURES` table below). Anything
+//! else on the command line (an unknown flag, a flag missing its
+//! value, an unknown figure, a second `--fig`) is rejected with the usage
+//! text and exit status 2 before anything runs or prints — a typo must not
+//! fall through to the full-scale suite.
 //!
 //! `--quick` runs reduced parameters; `--smoke` runs the minimal CI preset
-//! whose only job is to prove every figure still generates. `--bench
-//! hotpath` runs the record-hot-path micro-benchmark and `--bench simcore`
-//! races the calendar-queue scheduler against the reference heap. Each
-//! writes a `target/figures/BENCH_*.json`, then prints one OK/FAIL line per
-//! floor it is held to (`hotpath_gate`, `simcore_gate`) and exits with
-//! status 1 on a violation, so the same command gates CI and a laptop.
+//! whose only job is to prove every figure still generates. The emulator's
+//! own speed and memory are `benchmark/`'s to measure, not this binary's.
 //!
 //! Sweeps fan their points across a thread pool (see `s2g_bench::executor`)
 //! and merge by input index, so the CSVs are byte-identical at any thread
@@ -33,8 +29,7 @@ use std::path::PathBuf;
 use s2g_bench::experiments::table2_inventory;
 use s2g_bench::{
     broker_recovery_sweep, broker_replication_sweep, compaction_sweep, fig5_sweep, fig6_run,
-    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, hotpath_gate,
-    hotpath_ratio, hotpath_sweep, scaling_sweep, simcore_gate, simcore_sweep,
+    fig7a_sweep, fig7b_sweep, fig8_sweep, fig9_sweep, group_by_component, scaling_sweep,
     store_replication_sweep, throughput_sweep, timeline_sweep, Component, Scale,
 };
 use s2g_broker::CoordinationMode;
@@ -737,128 +732,7 @@ fn throughput(scale: Scale) {
     write_csv("throughput.csv", &csv);
 }
 
-fn bench_hotpath(scale: Scale) {
-    println!("\n#### Bench: record hot path (produce→fetch→operator→fetch) ####");
-    let points = hotpath_sweep(scale, 11);
-    let ratio = hotpath_ratio(&points);
-    let copies: u64 = points.iter().map(|p| p.shared_batch_copies).sum();
-    let mut csv = String::from(
-        "setting,batch_max_bytes,linger_ms,compression,records_per_sec,produce_p99_ms,delivered\n",
-    );
-    let mut json = String::from("{\n  \"bench\": \"hotpath\",\n");
-    json.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    json.push_str(&format!("  \"batched_vs_unbatched_ratio\": {ratio:.3},\n"));
-    json.push_str(&format!("  \"shared_batch_copies\": {copies},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        println!(
-            "  {:<14} | {:>9.1} rec/s | produce p99 {:>10.2} ms | {:>6} delivered",
-            p.setting, p.records_per_sec, p.produce_p99_ms, p.delivered,
-        );
-        csv.push_str(&format!(
-            "{},{},{},{},{:.1},{:.3},{}\n",
-            p.setting,
-            p.batch_max_bytes,
-            p.linger_ms,
-            p.compression,
-            p.records_per_sec,
-            p.produce_p99_ms,
-            p.delivered
-        ));
-        json.push_str(&format!(
-            "    {{\"setting\": \"{}\", \"batch_max_bytes\": {}, \"linger_ms\": {}, \
-             \"compression\": {}, \"records_per_sec\": {:.1}, \"produce_p99_ms\": {:.3}, \
-             \"delivered\": {}}}{}\n",
-            p.setting,
-            p.batch_max_bytes,
-            p.linger_ms,
-            p.compression,
-            p.records_per_sec,
-            p.produce_p99_ms,
-            p.delivered,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    println!(
-        "  batched/unbatched ratio: {ratio:.2}x | shared batch deep copies: {copies} (want 0)"
-    );
-    write_csv("hotpath.csv", &csv);
-    let path = out_dir().join("BENCH_hotpath.json");
-    fs::write(&path, &json).expect("write bench json");
-    println!("  wrote {}", path.display());
-    enforce(&hotpath_gate(&points, scale));
-}
-
-fn bench_simcore(scale: Scale) {
-    println!("\n#### Bench: simulation kernel (calendar queue vs reference heap) ####");
-    let points = simcore_sweep(scale);
-    let churn_ratio = points
-        .iter()
-        .find(|p| p.workload == "timer-churn")
-        .map(|p| p.ratio)
-        .unwrap_or(f64::NAN);
-    let all_match = points.iter().all(|p| p.stats_match);
-    let mut csv = String::from(
-        "workload,events,calendar_events_per_sec,reference_events_per_sec,ratio,stats_match\n",
-    );
-    let mut json = String::from("{\n  \"bench\": \"simcore\",\n");
-    json.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    json.push_str(&format!("  \"timer_churn_ratio\": {churn_ratio:.3},\n"));
-    json.push_str(&format!("  \"all_stats_match\": {all_match},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        println!(
-            "  {:<12} | {:>9} events | calendar {:>12.0} ev/s | reference {:>12.0} ev/s | \
-             {:>5.2}x | stats match: {}",
-            p.workload,
-            p.events,
-            p.calendar_events_per_sec,
-            p.reference_events_per_sec,
-            p.ratio,
-            p.stats_match,
-        );
-        csv.push_str(&format!(
-            "{},{},{:.0},{:.0},{:.3},{}\n",
-            p.workload,
-            p.events,
-            p.calendar_events_per_sec,
-            p.reference_events_per_sec,
-            p.ratio,
-            p.stats_match
-        ));
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"events\": {}, \"calendar_events_per_sec\": {:.0}, \
-             \"reference_events_per_sec\": {:.0}, \"ratio\": {:.3}, \"stats_match\": {}}}{}\n",
-            p.workload,
-            p.events,
-            p.calendar_events_per_sec,
-            p.reference_events_per_sec,
-            p.ratio,
-            p.stats_match,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    write_csv("simcore.csv", &csv);
-    let path = out_dir().join("BENCH_simcore.json");
-    fs::write(&path, &json).expect("write bench json");
-    println!("  wrote {}", path.display());
-    enforce(&simcore_gate(&points, scale));
-}
-
-/// Prints one OK/FAIL line per gate row and exits with status 1 if any
-/// failed: a bench run is its own gate, in CI and locally alike.
-fn enforce(rows: &[(bool, String)]) {
-    for (held, what) in rows {
-        println!("  {}: {what}", if *held { "OK" } else { "FAIL" });
-    }
-    if rows.iter().any(|(held, _)| !held) {
-        std::process::exit(1);
-    }
-}
-
-fn table2() {
+fn table2(_: Scale) {
     println!("\n#### Table II: example applications ####");
     let rows: Vec<Vec<String>> = table2_inventory()
         .into_iter()
@@ -875,87 +749,76 @@ fn table2() {
     println!("  (run each with `cargo run --example <name>`)");
 }
 
-const USAGE: &str = "usage: figures [--fig 5|6|7a|7b|8|9|recovery|compaction|replication|\
-broker-replication|scaling|timeline|throughput|table2|all]
-               [--bench hotpath|simcore] [--quick|--smoke] [--help]";
+/// A `--fig` value and what it runs.
+type Figure = (&'static str, fn(Scale));
+
+/// Every `--fig` value but `all`, in the order `all` runs them. The usage
+/// text and the dispatch are derived from this table.
+const FIGURES: [Figure; 14] = [
+    ("table2", table2),
+    ("5", fig5),
+    ("6", fig6),
+    ("7a", fig7a),
+    ("7b", fig7b),
+    ("8", fig8),
+    ("9", fig9),
+    ("recovery", recovery),
+    ("compaction", compaction),
+    ("replication", replication),
+    ("broker-replication", broker_replication),
+    ("scaling", scaling),
+    ("timeline", timeline),
+    ("throughput", throughput),
+];
 
 /// Prints the usage text and exits: status 0 when asked for (`--help`), 2
 /// with `error` on stderr when the command line is rejected.
 fn usage(error: Option<String>) -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    let text = format!(
+        "usage: figures [--fig {}|all]\n               [--quick|--smoke] [--help]",
+        names.join("|")
+    );
     match error {
         None => {
-            println!("{USAGE}");
+            println!("{text}");
             std::process::exit(0)
         }
         Some(error) => {
-            eprintln!("figures: {error}\n{USAGE}");
+            eprintln!("figures: {error}\n{text}");
             std::process::exit(2)
         }
     }
 }
 
 fn main() {
-    let (mut scale, mut fig, mut bench) = (Scale::Full, None, None);
+    let (mut scale, mut fig) = (Scale::Full, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => scale = Scale::Smoke,
             "--quick" => scale = Scale::Quick,
-            "--fig" | "--bench" => {
+            "--fig" => {
                 let Some(value) = args.next() else {
-                    usage(Some(format!("`{arg}` needs a value")))
+                    usage(Some("`--fig` needs a value".into()))
                 };
-                if arg == "--fig" {
-                    fig = Some(value);
-                } else {
-                    bench = Some(value);
+                if fig.replace(value).is_some() {
+                    usage(Some("`--fig` given more than once".into()));
                 }
             }
             "--help" | "-h" => usage(None),
             other => usage(Some(format!("unknown argument `{other}`"))),
         }
     }
-    if let Some(bench) = bench {
-        println!("stream2gym-rs micro-bench (scale: {scale:?})");
-        match bench.as_str() {
-            "hotpath" => bench_hotpath(scale),
-            "simcore" => bench_simcore(scale),
-            other => usage(Some(format!("unknown bench `{other}`"))),
-        }
-        return;
-    }
+    let selected = match fig.as_deref().unwrap_or("all") {
+        "all" => &FIGURES[..],
+        name => match FIGURES.iter().position(|(known, _)| *known == name) {
+            Some(i) => &FIGURES[i..=i],
+            None => usage(Some(format!("unknown figure `{name}`"))),
+        },
+    };
     println!("stream2gym-rs figure regeneration (scale: {scale:?})");
-    match fig.as_deref().unwrap_or("all") {
-        "5" => fig5(scale),
-        "6" => fig6(scale),
-        "7a" => fig7a(scale),
-        "7b" => fig7b(scale),
-        "8" => fig8(scale),
-        "9" => fig9(scale),
-        "recovery" => recovery(scale),
-        "compaction" => compaction(scale),
-        "replication" => replication(scale),
-        "broker-replication" => broker_replication(scale),
-        "scaling" => scaling(scale),
-        "timeline" => timeline(scale),
-        "throughput" => throughput(scale),
-        "table2" => table2(),
-        "all" => {
-            table2();
-            fig5(scale);
-            fig6(scale);
-            fig7a(scale);
-            fig7b(scale);
-            fig8(scale);
-            fig9(scale);
-            recovery(scale);
-            compaction(scale);
-            replication(scale);
-            broker_replication(scale);
-            scaling(scale);
-            timeline(scale);
-            throughput(scale);
-        }
-        other => usage(Some(format!("unknown figure `{other}`"))),
+    for (_, run) in selected {
+        run(scale);
     }
 }

@@ -819,7 +819,7 @@ impl Scenario {
     /// default; `with_batching(false)` degrades producers to one record per
     /// produce request (batch of 1, zero linger), which pays the full
     /// per-request broker CPU and RPC framing for every record — the
-    /// baseline the `hotpath` micro-bench compares against.
+    /// baseline `s2g_bench::hotpath_sweep` contrasts batching with.
     pub fn with_batching(&mut self, on: bool) -> &mut Self {
         self.batching.disabled = !on;
         self

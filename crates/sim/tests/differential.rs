@@ -211,6 +211,64 @@ fn calendar_matches_reference_on_randomized_fault_sweeps() {
     }
 }
 
+/// With `receivers > 0`, the hub: it sends to every receiver from one
+/// handler, a few rounds in a row; with 0, a receiver. The default transport
+/// delays each message by the same 10 µs, so a round puts `receivers` events
+/// on one instant, ordered by nothing but their sequence numbers: the shape
+/// `Chaos`, with its microsecond-random delays, never builds.
+struct Burst {
+    receivers: u32,
+}
+
+impl Process for Burst {
+    fn name(&self) -> &str {
+        "burst"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if self.receivers > 0 {
+            ctx.set_timer(SimDuration::from_micros(500), 1);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
+        let round = downcast::<Note>(msg).expect("note").ttl;
+        ctx.trace_with("burst", || format!("round={round}"));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, round: u64) {
+        for r in 1..=self.receivers {
+            ctx.send(ProcessId(r), Note { ttl: round });
+        }
+        if round < 5 {
+            ctx.set_timer(SimDuration::from_micros(500), round + 1);
+        }
+    }
+}
+
+#[test]
+fn calendar_matches_reference_on_a_same_instant_burst() {
+    const RECEIVERS: u32 = 200;
+    let run = |kind| {
+        let mut sim = Sim::with_scheduler(7, kind);
+        sim.set_tracing(true);
+        let receivers = RECEIVERS;
+        sim.spawn(Box::new(Burst { receivers }));
+        for _ in 0..RECEIVERS {
+            sim.spawn(Box::new(Burst { receivers: 0 }));
+        }
+        sim.run_to_completion();
+        let served = sim.trace().iter().map(|e| (e.at, e.pid.0, e.text.clone()));
+        (served.collect::<Vec<_>>(), sim.stats(), sim.now())
+    };
+    let (trace, stats, now) = run(SchedulerKind::Calendar);
+    assert_eq!((trace.clone(), stats, now), run(SchedulerKind::Reference));
+    assert_eq!(stats.messages_delivered, 5 * u64::from(RECEIVERS));
+    // Each round really is one instant, and is served in send order.
+    for round in trace.chunks(RECEIVERS as usize) {
+        assert!(round.iter().all(|e| e.0 == round[0].0), "{round:?}");
+        let served: Vec<u32> = round.iter().map(|e| e.1).collect();
+        assert_eq!(served, (1..=RECEIVERS).collect::<Vec<_>>());
+    }
+}
+
 #[test]
 fn same_seed_same_scheduler_is_reproducible() {
     let a = run(SchedulerKind::Calendar, 99);

@@ -395,11 +395,11 @@ fn scaling_throughput_is_monotone_in_parallelism() {
     );
 }
 
-/// Hotpath bench (`--bench hotpath`): batching buys at least the 3x the
-/// acceptance gate demands over the one-record-per-request baseline, at a
-/// far lower produce p99, with the zero-copy data plane intact. These are
-/// the same numbers `figures --bench hotpath` holds itself to
-/// (`hotpath_gate`), so a regression fails here first.
+/// Hot-path contrast (`hotpath_sweep`): batching buys at least 3x over the
+/// one-record-per-request baseline, at a far lower produce p99, with the
+/// zero-copy data plane intact. The throughput is simulated, so it moves
+/// only when the cost model does: the absolute floors sit a fifth or more
+/// under what the sweep reads (3 048 unbatched, 29 611–32 045 batched).
 #[test]
 fn hotpath_batching_beats_unbatched_by_3x() {
     let points = hotpath_sweep(Scale::Smoke, 11);
@@ -421,10 +421,16 @@ fn hotpath_batching_beats_unbatched_by_3x() {
         unbatched.records_per_sec
     );
     for p in &points {
+        let floor = if p.setting == "unbatched" {
+            2_400.0
+        } else {
+            22_000.0
+        };
         assert!(
-            p.records_per_sec.is_finite() && p.records_per_sec > 0.0,
-            "{}: throughput measured",
-            p.setting
+            p.records_per_sec >= floor,
+            "{}: {:.1} simulated records/s, floor {floor}",
+            p.setting,
+            p.records_per_sec
         );
         assert_eq!(p.shared_batch_copies, 0, "{}: zero-copy holds", p.setting);
         if p.setting != "unbatched" {
