@@ -32,6 +32,10 @@
 //!   names nowhere else: no `on_cpu_done` arm can be matching it, so the
 //!   completion event is scheduled, queued and dispatched for nothing;
 //!   `Ctx::charge` books the same CPU time without it.
+//! * `string-trace` — `.trace_with(`/`ctx.trace(` outside `crates/sim/`:
+//!   no scenario switches the kernel's string trace on, so the text is
+//!   formatted for nobody; what a component decides is a typed telemetry
+//!   trace event, a counter, or a report field.
 //!
 //! A finding is suppressed by an escape comment on the same or preceding
 //! line, which must carry a justification:
@@ -83,8 +87,8 @@ pub struct LintConfig {
     pub rules: BTreeMap<String, RuleConfig>,
 }
 
-/// The seven rule names, in catalog order.
-pub const RULE_NAMES: [&str; 7] = [
+/// The eight rule names, in catalog order.
+pub const RULE_NAMES: [&str; 8] = [
     "wall-clock",
     "os-entropy",
     "hash-iteration",
@@ -92,6 +96,7 @@ pub const RULE_NAMES: [&str; 7] = [
     "event-queue",
     "metric-by-name",
     "exec-unhandled",
+    "string-trace",
 ];
 
 /// Where `metric-by-name` applies unless `lint.toml` says otherwise: the
@@ -498,6 +503,18 @@ pub fn lint_source(path: &str, text: &str, cfg: &LintConfig) -> Vec<LintFinding>
              `HistogramHandle` from `Telemetry` instead"
         ))
     });
+
+    // The kernel owns the string trace (its differential test reads it).
+    if !path.contains("crates/sim/") {
+        scan("string-trace", &|line| {
+            let call = first_of(line, &[".trace_with(", "ctx.trace("])?;
+            Some(format!(
+                "`{call}..)` formats text for the kernel's string trace, which no scenario \
+                 can switch on; record a typed event (`Telemetry::trace_instant`), a counter \
+                 or a report field instead"
+            ))
+        });
+    }
 
     if let Some(level) = active("exec-unhandled") {
         for (i, tag) in unhandled_exec_tags(&code, &skip) {
@@ -1008,6 +1025,24 @@ mod tests {
         assert!(lint_source("crates/spe/src/checkpoint.rs", src, &cfg).is_empty());
         let escaped = "// s2g-lint: allow(metric-by-name) — once per reign, not per request\nh.tele.gauge_set(&h.name, &name, 0.0);\n";
         assert!(lint_source("crates/spe/src/worker.rs", escaped, &cfg).is_empty());
+    }
+
+    #[test]
+    fn flags_string_traces_outside_the_kernel() {
+        let src = "fn f(ctx: &mut Ctx<'_>) {\n    ctx.trace_with(\"broker\", || format!(\"{} led\", 1));\n    ctx.trace(\"fault\", \"link down\");\n    self.tele.trace_instant(now, &self.name, \"fault:crash\", \"fault\");\n    let entries = result.sim.trace();\n}\n#[cfg(test)]\nmod tests {\n    fn t(ctx: &mut Ctx<'_>) { ctx.trace(\"t\", \"x\"); }\n}\n";
+        let cfg = cfg_all();
+        let f = lint_source("crates/store/src/server.rs", src, &cfg);
+        let found: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule.as_str())).collect();
+        // The typed event, the reader of the kernel's trace and the test
+        // module change nothing.
+        assert_eq!(
+            found,
+            vec![(2, "string-trace"), (3, "string-trace")],
+            "{f:?}"
+        );
+        assert!(f[0].message.contains("`.trace_with(..)`"), "{f:?}");
+        // The kernel defines the mechanism and its tests use it.
+        assert!(lint_source("crates/sim/src/sched.rs", src, &cfg).is_empty());
     }
 
     #[test]

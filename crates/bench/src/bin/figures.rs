@@ -102,20 +102,8 @@ fn fig6(scale: Scale) {
             "latency (s)",
         )
     );
-    let tx: Vec<(&str, Vec<(f64, f64)>)> = zk
-        .tx_series
-        .iter()
-        .map(|s| {
-            (
-                s.node.as_str(),
-                s.samples
-                    .iter()
-                    .map(|p| (p.at.as_secs_f64(), p.tx_mbps))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let tx_refs: Vec<(&str, &[(f64, f64)])> = tx.iter().map(|(n, v)| (*n, v.as_slice())).collect();
+    let tx = zk.tx_series.iter();
+    let tx_refs: Vec<(&str, &[(f64, f64)])> = tx.map(|(n, v)| (*n, v.as_slice())).collect();
     println!(
         "{}",
         ascii_chart(

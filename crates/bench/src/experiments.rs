@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use s2g_apps::{traffic_monitor, video_analytics, word_count};
 use s2g_broker::{CoordinationMode, ProducerConfig, TopicSpec};
 use s2g_core::{median, DeliveryMatrix, Scenario, SourceSpec};
-use s2g_net::{FaultPlan, LinkSpec, NetworkConfig, TxSeries};
+use s2g_net::{FaultPlan, LinkSpec, NetworkConfig};
 use s2g_proto::AckMode;
 use s2g_sim::{SimDuration, SimTime};
 
@@ -96,6 +96,9 @@ pub fn fig5_sweep(delays_ms: &[u64], scale: Scale, seed: u64) -> Vec<(Component,
     })
 }
 
+/// The hosts whose port throughput Fig. 6d plots.
+const FIG6_WATCHED: [&str; 3] = ["h1", "h2", "h3"];
+
 /// Everything Fig. 6 reports about the partition experiment.
 #[derive(Debug)]
 pub struct Fig6Data {
@@ -106,8 +109,9 @@ pub struct Fig6Data {
     pub latency_a: Vec<(f64, f64)>,
     /// Same for topic B.
     pub latency_b: Vec<(f64, f64)>,
-    /// Fig. 6d: per-host transmit throughput series.
-    pub tx_series: Vec<TxSeries>,
+    /// Fig. 6d: per-host transmit throughput, `(host, (time_s, Mbps))` in
+    /// 1 s windows.
+    pub tx_series: Vec<(&'static str, Vec<(f64, f64)>)>,
     /// Records truncated by the healed leader (the silent loss).
     pub truncated_records: u64,
     /// Messages acked to the producer yet delivered to no one.
@@ -159,7 +163,8 @@ pub fn fig6_run(mode: CoordinationMode, sites: u32, scale: Scale, seed: u64) -> 
         SimTime::from_secs(cut_at),
         SimDuration::from_secs(cut_for),
     ));
-    sc.watch_throughput(&["h1", "h2", "h3"]);
+    sc.watch_throughput(&FIG6_WATCHED)
+        .telemetry_interval(SimDuration::from_secs(1));
     // Fig. 6b/6c are made of record identities: who got which message when.
     sc.capture_records();
     let result = sc.run().expect("valid scenario");
@@ -207,7 +212,12 @@ pub fn fig6_run(mode: CoordinationMode, sites: u32, scale: Scale, seed: u64) -> 
         matrix,
         latency_a,
         latency_b,
-        tx_series: result.report.tx_series.clone(),
+        tx_series: (FIG6_WATCHED.iter())
+            .map(|host| {
+                let series = result.report.series(&format!("host-{host}"), "tx_mbps");
+                (*host, series.expect("a watched host").as_secs())
+            })
+            .collect(),
         truncated_records: result.report.brokers[0].stats.records_truncated,
         lost_messages,
         leader_events,

@@ -1064,12 +1064,6 @@ impl Broker {
             self.host.dirty = true;
         }
         self.flush_logs(ctx);
-        ctx.trace_with("broker", || {
-            format!(
-                "{} cleaned {} records ({} B) from its logs",
-                self.host.name, total.removed_records, total.reclaimed_bytes
-            )
-        });
     }
 
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
@@ -1250,9 +1244,6 @@ impl Broker {
         self.host
             .tele
             .trace_end(ctx.now(), &self.host.name, "recovery:replay", "recovery");
-        ctx.trace_with("broker", || {
-            format!("{} replayed its durable log", self.host.name)
-        });
     }
 
     fn handle_store(&mut self, ctx: &mut Ctx<'_>, rpc: StoreRpc) {

@@ -510,9 +510,6 @@ impl ZkController {
             return;
         }
         self.front.apply(ctx.now(), &records);
-        for r in &records {
-            ctx.trace_with("controller", || format!("{r:?}"));
-        }
         self.front.publish(ctx, &records);
     }
 }

@@ -216,12 +216,6 @@ impl KraftController {
             next_index,
             match_index,
         };
-        ctx.trace_with("kraft", || {
-            format!(
-                "{} became active controller (term {})",
-                self.name, self.term
-            )
-        });
         // Term-start entry: lets the new leader commit prior-term entries
         // (Raft §5.4.2 no-op). We reuse a harmless registration record.
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };

@@ -297,7 +297,6 @@ impl Partition {
                     })));
                     self.state.promote();
                     host.leadership_events.push((now, tp.clone(), true));
-                    ctx.trace_with("broker", || format!("{} became leader of {tp}", host.name));
                 }
             }
             // A fresh leader re-evaluates at once (a recovered log may
@@ -310,7 +309,6 @@ impl Partition {
             if let Some(mut led) = self.led(tp) {
                 led.end_reign(ctx, host);
                 host.leadership_events.push((now, tp.clone(), false));
-                ctx.trace_with("broker", || format!("{} stepped down from {tp}", host.name));
             }
             self.role = Some(Role::Follower(FollowerState {
                 leader: m.leader,

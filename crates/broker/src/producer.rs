@@ -287,6 +287,16 @@ impl ProducerClient {
         }
     }
 
+    /// Tells a respawned client which incarnation of its process it is (0,
+    /// the default, is the first). Correlation ids then start at
+    /// `incarnation << 32` (on the parity given to [`new`](Self::new)), so
+    /// a reply to a request of the crashed incarnation (a respawn reuses
+    /// the process id) matches nothing this one sends. Call before the
+    /// first request.
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.next_corr = incarnation << 32 | (self.next_corr & 1);
+    }
+
     /// Attaches the run-wide telemetry sink. The client records sent /
     /// acked record counts, produce trace events, and transaction
     /// begin/commit instants under `scope`.

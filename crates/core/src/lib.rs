@@ -10,7 +10,8 @@
 //! * [`parse_graphml`] / [`scenario_from_graphml`] — the GraphML front end
 //!   (§III-C, Fig. 4) with [`ComponentConfig`] YAML-style component files.
 //! * [`MonitorCore`] / [`DeliveryMatrix`] — latency and delivery monitoring.
-//! * [`cpu_utilization_series`] / [`MemSampler`] — the §VI-C resource model.
+//! * [`ServerSpec`] / [`MemModel`] — the §VI-C resource model, read back
+//!   through [`RunReport::series`].
 //! * [`ascii_chart`] / [`ascii_matrix`] / [`csv_series`] — visualization.
 //!
 //! # Example: a minimal pipeline, scripted
@@ -63,7 +64,7 @@ pub use report::{
     BrokerRecoveryReport, BrokerReport, ClientRecoveryReport, ConsumerReport, ProducerReport,
     RecoveryReport, RunReport, RunResult, SpeReport, StoreRecoveryReport, StoreReport,
 };
-pub use resources::{cdf, cpu_utilization_series, median, MemModel, MemSampler, ServerSpec};
+pub use resources::{cdf, median, MemModel, ServerSpec};
 pub use s2g_analyze::{AnalysisReport, Diagnostic, Level};
 pub use scenario::{
     instance_name, shuffle_topic, CheckpointSpec, ConsumerSinkSpec, DurableStoreSpec, Scenario,

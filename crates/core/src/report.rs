@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use s2g_broker::{BrokerStats, ConsumerStats, ProduceOutcome, ProducerStats, SentRecord};
-use s2g_net::{NetHandle, TxSeries};
+use s2g_net::NetHandle;
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
 use s2g_sim::{CpuHandle, LedgerHandle, ProcessId, Sim, SimDuration, SimStats, SimTime};
 use s2g_spe::{BatchMetric, CheckpointStats, Event};
@@ -267,18 +267,13 @@ pub struct RunReport {
     /// Per-instance SPE results of parallel jobs, keyed by
     /// `job/stage/instance` (empty when no job is parallel).
     pub spe_instances: BTreeMap<String, SpeReport>,
-    /// Memory samples (500 ms cadence).
-    pub mem_samples: Vec<(SimTime, u64)>,
-    /// Peak memory observed.
-    pub peak_mem_bytes: u64,
-    /// Server CPU utilization per sampling window.
-    pub cpu_series: Vec<(SimTime, f64)>,
-    /// Per-node transmit throughput series (when watched).
-    pub tx_series: Vec<TxSeries>,
-    /// Every metric time series the telemetry sampler collected (empty when
-    /// sampling is disabled via [`Scenario::with_telemetry`]): consumer lag
-    /// per partition, per-instance record counts, broker log/LSO gauges,
-    /// checkpoint counters, store op-log lengths, host CPU occupancy.
+    /// Every time series of the run, as the telemetry sampler collected it
+    /// (empty when sampling is disabled via [`Scenario::with_telemetry`]):
+    /// consumer lag per partition, per-instance record counts, broker
+    /// log/LSO gauges, checkpoint counters, store op-log lengths, and the
+    /// resource model — `server/mem_bytes`, `server/cpu_utilization`,
+    /// `host-<h>/cpu_occupancy`, and `host-<n>/tx_mbps`/`rx_mbps` of the
+    /// nodes named to [`Scenario::watch_throughput`].
     pub metric_series: Vec<MetricSeries>,
     /// Times a shared [`RecordBatch`](s2g_proto::RecordBatch) had to be
     /// deep-copied during the run. The batch-first data plane keeps this at
@@ -289,14 +284,45 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Peak memory as a fraction of the server's memory.
-    pub fn peak_mem_fraction(&self) -> f64 {
-        self.peak_mem_bytes as f64 / self.server.mem_bytes as f64
+    /// The `(scope, name)` time series; `None` when the sampler never saw
+    /// that metric.
+    pub fn series(&self, scope: &str, name: &str) -> Option<&MetricSeries> {
+        (self.metric_series.iter()).find(|s| s.scope == scope && s.name == name)
     }
 
-    /// CPU utilization samples as plain numbers (for CDFs).
+    /// A series of the resource model, which every sampled run has.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsampled run: it has no such series, which is not the
+    /// same as having used no memory or CPU.
+    fn server_series(&self, name: &str) -> impl Iterator<Item = f64> + '_ {
+        let series = self.series("server", name).unwrap_or_else(|| {
+            panic!(
+                "no `server/{name}` series: nothing sampled this run \
+                 (`Scenario::with_telemetry(false)`, or it ended before the \
+                 first `telemetry_interval`)"
+            )
+        });
+        series.points.iter().map(|(_, v)| *v)
+    }
+
+    /// Peak memory observed: the maximum of `server/mem_bytes`. Panics on
+    /// a run with [`Scenario::with_telemetry`] off.
+    pub fn peak_mem_bytes(&self) -> u64 {
+        self.server_series("mem_bytes").fold(0.0, f64::max) as u64
+    }
+
+    /// Peak memory as a fraction of the server's memory.
+    pub fn peak_mem_fraction(&self) -> f64 {
+        self.peak_mem_bytes() as f64 / self.server.mem_bytes as f64
+    }
+
+    /// CPU utilization samples as plain numbers (for CDFs): the
+    /// `server/cpu_utilization` series. Panics as
+    /// [`peak_mem_bytes`](RunReport::peak_mem_bytes) does.
     pub fn cpu_samples(&self) -> Vec<f64> {
-        self.cpu_series.iter().map(|(_, u)| *u).collect()
+        self.server_series("cpu_utilization").collect()
     }
 }
 

@@ -1,12 +1,19 @@
-//! The resource model: server CPU utilization and memory sampling (§VI-C).
+//! The resource model: server CPU utilization, memory and port throughput
+//! (§VI-C, Fig. 6d).
 //!
 //! The paper snapshots `/proc/stat` and `/proc/meminfo` every 500 ms to
-//! report how much of the underlying server the emulation consumes (Fig. 9).
-//! Here, every emulated host's CPU busy time is binned into sampling
-//! windows against the modeled server's total core capacity, and a
-//! [`MemSampler`] process polls the shared memory ledger.
+//! report how much of the underlying server the emulation consumes (Fig. 9),
+//! and polls OpenFlow port counters for per-port throughput. Here these are
+//! sampled gauges of the run's one telemetry sampler, at its
+//! `telemetry_interval`: the memory ledger's total, every host CPU's busy
+//! time in the window that just closed against the modeled server's core
+//! capacity, and the byte-counter deltas of the watched nodes.
 
-use s2g_sim::{CpuHandle, Ctx, LedgerHandle, Message, Process, ProcessId, SimDuration, SimTime};
+use std::collections::BTreeMap;
+
+use s2g_net::{NetHandle, Network, NodeId};
+use s2g_sim::{CpuHandle, LedgerHandle, SimDuration, SimTime};
+use s2g_telemetry::SampledGauge;
 
 /// The modeled underlying server (the paper's testbed machine: an i7-3770
 /// with 8 hardware threads and 16 GB of RAM).
@@ -16,8 +23,6 @@ pub struct ServerSpec {
     pub cores: usize,
     /// Total memory used as the peak-memory denominator.
     pub mem_bytes: u64,
-    /// Sampling interval (500 ms in the paper).
-    pub sample_interval: SimDuration,
 }
 
 impl Default for ServerSpec {
@@ -25,7 +30,6 @@ impl Default for ServerSpec {
         ServerSpec {
             cores: 8,
             mem_bytes: 16 << 30,
-            sample_interval: SimDuration::from_millis(500),
         }
     }
 }
@@ -74,36 +78,79 @@ impl Default for MemModel {
     }
 }
 
-/// CPU utilization samples, from the busy time every host CPU binned as it
-/// booked it (in bins of `window`, [`ServerSpec::sample_interval`]).
-///
-/// Returns `(window_end, utilization)` pairs where utilization is busy
-/// core-time across all hosts divided by `cores × window`, i.e. the fraction
-/// of the whole server in use — directly comparable to the paper's
-/// `/proc/stat` numbers.
-pub fn cpu_utilization_series(
-    cpus: &[CpuHandle],
-    window: SimDuration,
-    until: SimTime,
-    cores: usize,
-) -> Vec<(SimTime, f64)> {
-    assert!(!window.is_zero(), "sampling window must be positive");
+fn gauge(
+    scope: String,
+    name: &'static str,
+    read: impl FnMut(SimTime, SimDuration) -> f64 + 'static,
+) -> SampledGauge {
+    let read = Box::new(read);
+    SampledGauge { scope, name, read }
+}
+
+/// `server/mem_bytes`: the memory ledger's total at the tick.
+pub(crate) fn mem_gauge(ledger: LedgerHandle) -> SampledGauge {
+    gauge("server".into(), "mem_bytes", move |_, _| {
+        ledger.borrow().total() as f64
+    })
+}
+
+/// Busy core-nanoseconds `cpu` booked in the window that closed at `now`.
+/// The tick at `k × window` reads bin `k − 1`, which is final by then: work
+/// starts no earlier than the instant it is booked at.
+fn closed_bin(cpu: &CpuHandle, now: SimTime, window: SimDuration) -> u64 {
+    let cpu = cpu.borrow();
+    assert_eq!(cpu.window(), window, "{} bins another window", cpu.name());
+    let closed = (now.as_nanos() / window.as_nanos()) as usize - 1;
+    cpu.busy_bins().get(closed).copied().unwrap_or(0)
+}
+
+/// `server/cpu_utilization` — busy core-time across all hosts over the
+/// window that just closed, divided by `cores × window`: the fraction of
+/// the whole server in use, directly comparable to the paper's `/proc/stat`
+/// numbers — then `host-<h>/cpu_occupancy`, the same window's busy time of
+/// one host against that host's own cores.
+pub(crate) fn cpu_gauges(cpus: &BTreeMap<String, CpuHandle>, cores: usize) -> Vec<SampledGauge> {
     assert!(cores > 0, "server must have at least one core");
-    let w = window.as_nanos();
-    let mut busy = vec![0u64; (until.as_nanos() / w) as usize];
-    for cpu in cpus {
-        let cpu = cpu.borrow();
-        assert_eq!(cpu.window(), window, "{} bins another window", cpu.name());
-        for (total, bin) in busy.iter_mut().zip(cpu.busy_bins()) {
-            *total += bin;
-        }
-    }
-    let denom = (w as f64) * cores as f64;
-    let sample = |(i, busy): (usize, u64)| {
-        let t = SimTime::from_nanos((i as u64 + 1) * w);
-        (t, (busy as f64 / denom).min(1.0))
+    let all: Vec<CpuHandle> = cpus.values().cloned().collect();
+    let server = gauge("server".into(), "cpu_utilization", move |now, window| {
+        let busy: u64 = all.iter().map(|cpu| closed_bin(cpu, now, window)).sum();
+        let denom = (window.as_nanos() as f64) * cores as f64;
+        (busy as f64 / denom).min(1.0)
+    });
+    let per_host = cpus.iter().map(|(host, cpu)| {
+        let cpu = cpu.clone();
+        let occupancy = move |now, window: SimDuration| {
+            let busy = SimDuration::from_nanos(closed_bin(&cpu, now, window));
+            let capacity = window.as_secs_f64() * cpu.borrow().cores() as f64;
+            (busy.as_secs_f64() / capacity).min(1.0)
+        };
+        gauge(format!("host-{host}"), "cpu_occupancy", occupancy)
+    });
+    std::iter::once(server).chain(per_host).collect()
+}
+
+/// `host-<node>/tx_mbps` and `rx_mbps`: the node's cumulative byte counters
+/// (stream2gym polls OpenFlow port statistics for Fig. 6d), as the delta
+/// over the sampler's window.
+///
+/// # Panics
+///
+/// Panics if the topology has no node called `node`.
+pub(crate) fn throughput_gauges(net: &NetHandle, node: &str) -> [SampledGauge; 2] {
+    let id = (net.borrow().topology().lookup(node))
+        .unwrap_or_else(|| panic!("watch_throughput names unknown node `{node}`"));
+    let mbps = |name, bytes: fn(&Network, NodeId) -> u64| {
+        let (net, mut last) = (net.clone(), 0);
+        gauge(format!("host-{node}"), name, move |_, window| {
+            let total = bytes(&net.borrow(), id);
+            let delta = total - std::mem::replace(&mut last, total);
+            delta as f64 * 8.0 / 1e6 / window.as_secs_f64()
+        })
     };
-    busy.into_iter().enumerate().map(sample).collect()
+    [
+        mbps("tx_mbps", Network::node_tx_bytes),
+        mbps("rx_mbps", Network::node_rx_bytes),
+    ]
 }
 
 /// Builds an empirical CDF from samples: `(value, cumulative_fraction)`.
@@ -131,98 +178,51 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     Some(sorted[sorted.len() / 2])
 }
 
-/// A process that samples the memory ledger at the server's interval.
-pub struct MemSampler {
-    ledger: LedgerHandle,
-    interval: SimDuration,
-    until: SimTime,
-    samples: Vec<(SimTime, u64)>,
-    peak: u64,
-}
-
-impl MemSampler {
-    /// Samples `ledger` every `interval` until `until`.
-    pub fn new(ledger: LedgerHandle, interval: SimDuration, until: SimTime) -> Self {
-        MemSampler {
-            ledger,
-            interval,
-            until,
-            samples: Vec::new(),
-            peak: 0,
-        }
-    }
-
-    /// The sample series.
-    pub fn samples(&self) -> &[(SimTime, u64)] {
-        &self.samples
-    }
-
-    /// The peak total observed.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak
-    }
-}
-
-impl Process for MemSampler {
-    fn name(&self) -> &str {
-        "mem-sampler"
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.interval, 0);
-    }
-
-    fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-        let now = ctx.now();
-        let total = self.ledger.borrow().total();
-        self.peak = self.peak.max(total);
-        self.samples.push((now, total));
-        if now + self.interval <= self.until {
-            ctx.set_timer(self.interval, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2g_sim::{HostCpu, MemLedger, Sim};
+    use rand::{rngs::StdRng, SeedableRng};
+    use s2g_net::{LinkSpec, Topology};
+    use s2g_sim::{HostCpu, MemLedger, ProcessId};
 
-    #[test]
-    fn utilization_bins_intervals() {
-        let cpu = HostCpu::shared("h", 2, 1.0, SimDuration::from_millis(500));
-        // 1 core busy for the full first second → 50% of a 2-core host,
-        // i.e. 12.5% of an 8-core server... use cores=2 denominator here.
-        cpu.borrow_mut()
-            .execute(SimTime::ZERO, SimDuration::from_secs(1));
-        let series = cpu_utilization_series(
-            &[cpu],
-            SimDuration::from_millis(500),
-            SimTime::from_secs(2),
-            2,
-        );
-        assert_eq!(series.len(), 4);
-        assert!((series[0].1 - 0.5).abs() < 1e-9);
-        assert!((series[1].1 - 0.5).abs() < 1e-9);
-        assert!(series[2].1.abs() < 1e-9);
+    const WINDOW: SimDuration = SimDuration::from_millis(500);
+
+    /// The `k`-th tick of a sampler on [`WINDOW`].
+    fn tick(k: u64) -> SimTime {
+        SimTime::from_nanos(k * WINDOW.as_nanos())
+    }
+
+    /// One host of `cores` cores with `cost_ms` of work booked at `at_ms`:
+    /// its `[server/cpu_utilization, host-h/cpu_occupancy]` readings over
+    /// the first `ticks` windows, on a server of `server_cores` cores.
+    fn cpu_readings(
+        (cores, server_cores): (usize, usize),
+        (at_ms, cost_ms): (u64, u64),
+        ticks: u64,
+    ) -> Vec<[f64; 2]> {
+        let cpu = HostCpu::shared("h", cores, 1.0, WINDOW);
+        let cost = SimDuration::from_millis(cost_ms);
+        cpu.borrow_mut().execute(SimTime::from_millis(at_ms), cost);
+        let mut gauges = cpu_gauges(&[("h".to_string(), cpu)].into(), server_cores);
+        assert_eq!(gauges[1].scope, "host-h");
+        (1..=ticks)
+            .map(|k| [0, 1].map(|g| (gauges[g].read)(tick(k), WINDOW)))
+            .collect()
     }
 
     #[test]
-    fn utilization_spans_windows() {
-        let cpu = HostCpu::shared("h", 1, 1.0, SimDuration::from_millis(500));
-        // 250 ms of work starting at 400 ms spans two 500 ms windows.
-        cpu.borrow_mut()
-            .execute(SimTime::from_millis(400), SimDuration::from_millis(250));
-        let series = cpu_utilization_series(
-            &[cpu],
-            SimDuration::from_millis(500),
-            SimTime::from_secs(1),
-            1,
-        );
-        assert!((series[0].1 - 0.2).abs() < 1e-9, "100ms of 500ms window");
-        assert!((series[1].1 - 0.3).abs() < 1e-9, "150ms of 500ms window");
+    fn cpu_gauges_read_the_window_the_core_ran_in() {
+        // 1 core busy for the full first second → 50% of a 2-core host.
+        let (half, idle) = ([0.5; 2], [0.0; 2]);
+        assert_eq!(cpu_readings((2, 2), (0, 1_000), 3), [half, half, idle]);
+        // 250 ms of work starting at 400 ms spans two 500 ms windows: 100 ms
+        // of the first, 150 ms of the second.
+        assert_eq!(cpu_readings((1, 1), (400, 250), 2), [[0.2; 2], [0.3; 2]]);
+        // One core, 1 s of work booked at t = 0: busy through the first two
+        // windows, whenever it was booked (an eighth of an 8-core server).
+        let busy = [0.125, 1.0];
+        let booked_ahead = cpu_readings((1, 8), (0, 1_000), 4);
+        assert_eq!(booked_ahead, [busy, busy, idle, idle]);
     }
 
     #[test]
@@ -237,44 +237,47 @@ mod tests {
     }
 
     #[test]
-    fn mem_sampler_tracks_peak() {
+    fn mem_gauge_reads_the_ledger_total() {
         let ledger = MemLedger::new(1_000).into_handle();
         let slot = ledger.borrow_mut().register("x", 0);
-        let mut sim = Sim::new(0);
-        let sampler = sim.spawn(Box::new(MemSampler::new(
-            ledger.clone(),
-            SimDuration::from_millis(500),
-            SimTime::from_secs(3),
-        )));
-        // Bump memory at 1s via a helper process.
-        struct Bumper {
-            ledger: LedgerHandle,
-            slot: s2g_sim::MemSlot,
+        let mut mem = mem_gauge(ledger.clone());
+        assert_eq!((mem.scope.as_str(), mem.name), ("server", "mem_bytes"));
+        assert_eq!((mem.read)(tick(1), WINDOW), 1_000.0);
+        ledger.borrow_mut().set_dynamic(slot, 5_000);
+        assert_eq!((mem.read)(tick(2), WINDOW), 6_000.0);
+        // Later samples reflect the drop back to 1_100.
+        ledger.borrow_mut().set_dynamic(slot, 100);
+        assert_eq!((mem.read)(tick(3), WINDOW), 1_100.0);
+    }
+
+    #[test]
+    fn throughput_gauges_read_the_window_delta() {
+        let net = Network::new(Topology::star(2, LinkSpec::new()).unwrap()).into_handle();
+        let (sender, sink) = (ProcessId(0), ProcessId(1));
+        for (pid, host) in [(sender, "h1"), (sink, "h2")] {
+            let node = net.borrow().topology().lookup(host).unwrap();
+            net.borrow_mut().place(pid, node);
         }
-        impl Process for Bumper {
-            fn name(&self) -> &str {
-                "bumper"
+        let [mut tx, mut rx] = throughput_gauges(&net, "h1");
+        assert_eq!((tx.scope.as_str(), tx.name), ("host-h1", "tx_mbps"));
+        let mut rng = StdRng::seed_from_u64(0);
+        // 1250 bytes every 10 ms = 1 Mbps, for two windows; none in a third.
+        for (k, packets, mbps) in [(1, 50, 1.0), (2, 50, 1.0), (3, 0, 0.0)] {
+            for _ in 0..packets {
+                let mut net = net.borrow_mut();
+                net.route_packet(tick(k - 1), &mut rng, sender, sink, 1_250);
             }
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::from_secs(1), 0);
-                ctx.set_timer(SimDuration::from_secs(2), 1);
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, tag: u64) {
-                let bytes = if tag == 0 { 5_000 } else { 100 };
-                self.ledger.borrow_mut().set_dynamic(self.slot, bytes);
-            }
+            let (tx, rx) = ((tx.read)(tick(k), WINDOW), (rx.read)(tick(k), WINDOW));
+            assert!((tx - mbps).abs() < 0.1, "window {k}: tx {tx} Mbps");
+            assert_eq!(rx, 0.0, "the sender receives nothing");
         }
-        sim.spawn(Box::new(Bumper {
-            ledger: ledger.clone(),
-            slot,
-        }));
-        sim.run_until(SimTime::from_secs(3));
-        let s = sim.process_ref::<MemSampler>(sampler).unwrap();
-        assert_eq!(s.peak_bytes(), 6_000);
-        assert!(s.samples().len() >= 5);
-        // Final samples reflect the drop back to 1_100.
-        assert_eq!(s.samples().last().unwrap().1, 1_100);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn unknown_node_panics() {
+        let net = Network::new(Topology::star(1, LinkSpec::new()).unwrap()).into_handle();
+        let _ = throughput_gauges(&net, "zz");
     }
 
     #[test]
@@ -282,6 +285,5 @@ mod tests {
         let s = ServerSpec::default();
         assert_eq!(s.cores, 8);
         assert_eq!(s.mem_bytes, 16 << 30);
-        assert_eq!(s.sample_interval.as_millis(), 500);
     }
 }

@@ -17,7 +17,7 @@ use s2g_broker::{
     CoordinationMode, KraftController, ProducerClient, ProducerProcess, ProducerStats, TopicSpec,
     ZkController, BROKER_LOG_CORR_BASE,
 };
-use s2g_net::{FaultInjector, NetHandle, NetTransport, Network, NodeKind, Topology, TxSampler};
+use s2g_net::{FaultInjector, NetHandle, NetTransport, Network, NodeKind, Topology};
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
 use s2g_sim::{
     CpuHandle, HostCpu, LedgerHandle, MemLedger, MemSlot, Process, ProcessId, Sim, SimDuration,
@@ -37,7 +37,7 @@ use crate::report::{
     BrokerRecoveryReport, BrokerReport, ClientRecoveryReport, ConsumerReport, ProducerReport,
     RecoveryReport, RunReport, RunResult, SpeReport, StoreRecoveryReport, StoreReport,
 };
-use crate::resources::{cpu_utilization_series, MemSampler};
+use crate::resources::{cpu_gauges, mem_gauge, throughput_gauges};
 
 /// What the initial spawn and every respawn of a component share: the
 /// run-wide handles and the pid layout its clients are wired to.
@@ -111,8 +111,6 @@ pub(super) struct Runtime {
     /// restart — the instance set whose chains a respawn restores from.
     /// (`plan.jobs[j].stage_par` is the current one; a rescale moves it.)
     prev_stage_par: Vec<Vec<usize>>,
-    mem_sampler: ProcessId,
-    tx_sampler: Option<ProcessId>,
     /// Baseline for the zero-copy regression gate: any delta over the run
     /// means some path deep-copied a shared `RecordBatch`.
     batch_copies_before: u64,
@@ -121,9 +119,8 @@ pub(super) struct Runtime {
 impl Runtime {
     /// Instantiates the network and spawns every process. Seeded runs
     /// depend on the spawn order (controllers, brokers, stores, SPE
-    /// instances, producers, consumers, fault injector, memory sampler,
-    /// throughput sampler, telemetry sampler) and on the memory-ledger
-    /// registration order.
+    /// instances, producers, consumers, fault injector, telemetry sampler)
+    /// and on the memory-ledger registration order.
     pub(super) fn build(spec: Scenario, plan: ScenarioFacts) -> Runtime {
         let batch_copies_before = s2g_proto::shared_batch_copies();
         let topo = build_topology(&spec, &plan);
@@ -131,7 +128,10 @@ impl Runtime {
         let cpus: BTreeMap<String, CpuHandle> = nodes_of(NodeKind::Host)
             .map(|(_, node)| {
                 let speed = spec.host_cpu_pct.get(&node.name).copied().unwrap_or(100.0) / 100.0;
-                let bin = spec.server.sample_interval;
+                // The sampler reads one bin per tick; unsampled, nobody
+                // reads them and one bin holds the whole run.
+                let sampled = spec.telemetry.then_some(spec.telemetry_interval);
+                let bin = sampled.unwrap_or(SimDuration::MAX);
                 let cpu = HostCpu::shared(node.name.clone(), spec.server.cores, speed, bin);
                 (node.name.clone(), cpu)
             })
@@ -141,7 +141,6 @@ impl Runtime {
         let net = Network::with_config(topo, spec.net_cfg).into_handle();
         let mut sim = Sim::new(spec.seed);
         sim.set_transport(Box::new(NetTransport(net.clone())));
-        sim.set_tracing(spec.tracing);
         sim.set_event_limit(spec.event_limit);
         // One shared registry/series/tracer handle every component records
         // into, on its first spawn and on every respawn alike.
@@ -178,8 +177,6 @@ impl Runtime {
             cpus,
             wiring,
             slots: BTreeMap::new(),
-            mem_sampler: ProcessId(0),
-            tx_sampler: None,
             batch_copies_before,
         };
         rt.spawn_controllers();
@@ -333,27 +330,22 @@ impl Runtime {
 
     /// Fault injector (network-level events only; this orchestrator owns
     /// the process table and applies the process-level ones), then the
-    /// samplers. The telemetry sampler comes after every other process so
-    /// toggling it never shifts an existing pid, and with it the
-    /// deterministic event order of a seeded run.
+    /// telemetry sampler with the resource model as its sampled gauges:
+    /// memory, server CPU, per-host CPU, watched ports. It comes after
+    /// every other process so toggling it never shifts an existing pid,
+    /// and with it the deterministic event order of a seeded run.
     fn spawn_observers(&mut self) {
-        let (spec, duration) = (&mut self.spec, self.plan.duration);
+        let spec = &mut self.spec;
         let faults = std::mem::take(&mut spec.faults);
         if faults.has_network_events() {
             (self.sim).spawn(Box::new(FaultInjector::new(self.net.clone(), faults)));
         }
-        let ledger = self.wiring.ledger.clone();
-        let mem_sampler = MemSampler::new(ledger, spec.server.sample_interval, duration);
-        self.mem_sampler = self.sim.spawn(Box::new(mem_sampler));
-        if !spec.watch_tx.is_empty() {
-            let names: Vec<&str> = spec.watch_tx.iter().map(String::as_str).collect();
-            let every = SimDuration::from_secs(1);
-            let sampler = TxSampler::new(self.net.clone(), &names, every, duration);
-            self.tx_sampler = Some(self.sim.spawn(Box::new(sampler)));
-        }
         if spec.telemetry {
-            let cpus = self.cpus.iter().map(|(h, c)| (h.clone(), c.clone()));
-            let sampler = (self.wiring.tele).sampler(spec.telemetry_interval, cpus.collect());
+            let mut gauges = vec![mem_gauge(self.wiring.ledger.clone())];
+            gauges.extend(cpu_gauges(&self.cpus, spec.server.cores));
+            let watched = spec.watch_tx.iter();
+            gauges.extend(watched.flat_map(|node| throughput_gauges(&self.net, node)));
+            let sampler = (self.wiring.tele).sampler(spec.telemetry_interval, gauges);
             self.sim.spawn(Box::new(sampler));
         }
     }
@@ -448,6 +440,7 @@ impl Runtime {
                 let mut client =
                     ProducerClient::new(id, p.cfg.clone(), bootstrap, w.brokers.clone(), 0);
                 client.set_mem_slot(w.ledger.clone(), slot.mem);
+                client.set_incarnation(slot.incarnation);
                 if self.spec.capture_records {
                     client.capture_records();
                 }
@@ -720,20 +713,6 @@ impl Runtime {
         let brokers = self.broker_reports();
         let stores = self.store_reports();
         let (spe, spe_instances) = self.spe_reports();
-        let sampler = (self.sim.process_ref::<MemSampler>(self.mem_sampler)).expect("mem sampler");
-        let (mem_samples, peak_mem_bytes) = (sampler.samples().to_vec(), sampler.peak_bytes());
-        let tx_series = self.tx_sampler.map_or_else(Vec::new, |pid| {
-            let sampler = self.sim.process_ref::<TxSampler>(pid).expect("tx sampler");
-            sampler.series().to_vec()
-        });
-        let server = self.spec.server;
-        let cpu_handles: Vec<CpuHandle> = self.cpus.values().cloned().collect();
-        let cpu_series = cpu_utilization_series(
-            &cpu_handles,
-            server.sample_interval,
-            self.plan.duration,
-            server.cores,
-        );
         // The data plane is designed so no hop ever deep-copies a shared
         // batch (producers retry Arc clones, brokers borrow, followers are
         // sole owners); surface the run's delta so tests and the CI perf
@@ -744,7 +723,7 @@ impl Runtime {
         let report = RunReport {
             name: self.plan.name,
             duration: self.plan.duration,
-            server,
+            server: self.spec.server,
             sim_stats: self.sim.stats(),
             producers,
             consumers,
@@ -752,10 +731,6 @@ impl Runtime {
             stores,
             spe,
             spe_instances,
-            mem_samples,
-            peak_mem_bytes,
-            cpu_series,
-            tx_series,
             metric_series: tele.series().all().to_vec(),
             shared_batch_copies,
         };

@@ -490,7 +490,6 @@ pub struct Scenario {
     log_retention_age: Option<SimDuration>,
     log_retention_bytes: Option<usize>,
     watch_tx: Vec<String>,
-    tracing: bool,
     event_limit: u64,
     telemetry: bool,
     telemetry_interval: SimDuration,
@@ -533,7 +532,6 @@ impl Scenario {
             log_retention_age: None,
             log_retention_bytes: None,
             watch_tx: Vec::new(),
-            tracing: false,
             event_limit: u64::MAX,
             telemetry: true,
             telemetry_interval: SimDuration::from_millis(500),
@@ -956,32 +954,33 @@ impl Scenario {
         self
     }
 
-    /// Samples per-second transmit throughput of the named nodes (Fig. 6d).
+    /// Samples transmit and receive throughput of the named nodes
+    /// (Fig. 6d) as the `host-<node>/tx_mbps` and `rx_mbps` series, one
+    /// window per [`telemetry_interval`](Scenario::telemetry_interval).
     pub fn watch_throughput(&mut self, nodes: &[&str]) -> &mut Self {
         self.watch_tx = nodes.iter().map(|n| n.to_string()).collect();
         self
     }
 
-    /// Enables trace collection.
-    pub fn tracing(&mut self, on: bool) -> &mut Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Turns the always-on metrics registry's periodic sampling on or off.
-    /// On (the default), a sampler process snapshots every registered
-    /// metric — consumer lag, per-instance record counts, broker log
-    /// sizes, checkpoint histograms, host CPU occupancy — into per-metric
-    /// time series every [`telemetry_interval`](Scenario::telemetry_interval),
+    /// Turns the run's one sampler on or off. On (the default), a sampler
+    /// process snapshots every registered metric — consumer lag,
+    /// per-instance record counts, broker log sizes, checkpoint histograms
+    /// — and the resource model (server memory and CPU utilization, host
+    /// CPU occupancy, watched-port throughput) into per-metric time series
+    /// every [`telemetry_interval`](Scenario::telemetry_interval),
     /// surfaced through [`RunReport::metric_series`] and
-    /// [`RunResult::telemetry`]. Sampling is a pure observer (no RNG, no
-    /// messages), so same-seed runs are identical with it on or off.
+    /// [`RunResult::telemetry`]. Off, the run has no series at all, and
+    /// the report's readers of one ([`RunReport::peak_mem_bytes`],
+    /// [`RunReport::cpu_samples`]) panic. Sampling is a pure observer (no
+    /// RNG, no messages), so same-seed runs are identical with it on or
+    /// off.
     pub fn with_telemetry(&mut self, on: bool) -> &mut Self {
         self.telemetry = on;
         self
     }
 
-    /// Sets the metric-sampling cadence (default 500 ms).
+    /// Sets the sampling cadence of every series (default 500 ms, the
+    /// paper's `/proc` snapshot period).
     pub fn telemetry_interval(&mut self, d: SimDuration) -> &mut Self {
         self.telemetry_interval = d;
         self
@@ -1216,9 +1215,7 @@ impl Scenario {
     /// The self-re-arming periods that live on the scenario itself rather
     /// than in a component config the facts carry.
     fn other_periods(&self) -> Vec<(String, &'static str, SimDuration)> {
-        let sampler = "the resource sampler".to_string();
-        let sample_interval = self.server.sample_interval;
-        let mut periods = vec![(sampler, "server.sample_interval", sample_interval)];
+        let mut periods = Vec::new();
         if self.telemetry {
             let sampler = "the telemetry sampler".to_string();
             periods.push((sampler, "telemetry_interval", self.telemetry_interval));

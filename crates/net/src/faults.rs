@@ -6,8 +6,6 @@
 //! applies them to the live [`Network`] at the right instants (§V-B network
 //! partitioning experiment).
 
-use std::fmt;
-
 use s2g_sim::{Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
 use crate::network::NetHandle;
@@ -82,28 +80,6 @@ impl FaultAction {
                 | FaultAction::CrashStore(_)
                 | FaultAction::RestartStore(_)
         )
-    }
-}
-
-impl fmt::Display for FaultAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultAction::LinkDown(a, b) => write!(f, "link {a}<->{b} down"),
-            FaultAction::LinkUp(a, b) => write!(f, "link {a}<->{b} up"),
-            FaultAction::Disconnect(h) => write!(f, "disconnect {h}"),
-            FaultAction::Reconnect(h) => write!(f, "reconnect {h}"),
-            FaultAction::NodeDown(n) => write!(f, "node {n} down"),
-            FaultAction::NodeUp(n) => write!(f, "node {n} up"),
-            FaultAction::SetLoss(a, b, p) => write!(f, "link {a}<->{b} loss={p}%"),
-            FaultAction::SetLatency(a, b, d) => write!(f, "link {a}<->{b} lat={d}"),
-            FaultAction::RecomputeRoutes => write!(f, "recompute routes"),
-            FaultAction::CrashProcess(p) => write!(f, "crash process {p}"),
-            FaultAction::RestartProcess(p) => write!(f, "restart process {p}"),
-            FaultAction::CrashBroker(b) => write!(f, "crash broker b{b}"),
-            FaultAction::RestartBroker(b) => write!(f, "restart broker b{b}"),
-            FaultAction::CrashStore(r) => write!(f, "crash store replica {r}"),
-            FaultAction::RestartStore(r) => write!(f, "restart store replica {r}"),
-        }
     }
 }
 
@@ -380,7 +356,6 @@ impl Process for FaultInjector {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         let now = ctx.now();
         self.apply(now, tag as usize);
-        ctx.trace_with("fault", || format!("{}", self.applied.last().unwrap().1));
     }
 }
 

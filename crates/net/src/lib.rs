@@ -9,8 +9,7 @@
 //!   counters, and administrative link/node state,
 //! * [`NetTransport`] — the [`s2g_sim::Transport`] adapter,
 //! * [`FaultPlan`] / [`FaultInjector`] — scheduled failure injection
-//!   (link failures, host disconnections, crashes, gray loss),
-//! * [`TxSampler`] — periodic throughput sampling for bandwidth plots.
+//!   (link failures, host disconnections, crashes, gray loss).
 //!
 //! # Example
 //!
@@ -31,14 +30,12 @@
 
 mod faults;
 mod network;
-mod stats;
 mod topology;
 
 pub use faults::{FaultAction, FaultInjector, FaultPlan};
 pub use network::{
     DropCause, Hop, NetHandle, NetTransport, Network, NetworkConfig, PortCounters, RoutingAlgo,
 };
-pub use stats::{TxSample, TxSampler, TxSeries};
 pub use topology::{
     Link, LinkId, LinkSpec, Node, NodeId, NodeKind, PortNo, Topology, TopologyError,
 };

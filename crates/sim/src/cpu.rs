@@ -9,10 +9,11 @@
 //! (divided by the host's speed factor), and items queue when every core is
 //! busy.
 //!
-//! Busy time is summed per sampling window as it is booked, so the resource
-//! monitor reads utilization in 500 ms windows, mirroring the paper's
-//! `/proc/stat` snapshots, and a run keeps one number per window, not one
-//! interval per work item.
+//! Busy time is summed per sampling window as it is booked, so the run's
+//! sampler reads the utilization of the window that just closed at each of
+//! its ticks (500 ms by default), mirroring the paper's `/proc/stat`
+//! snapshots, and a run keeps one number per window, not one interval per
+//! work item.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,7 +48,7 @@ pub struct HostCpu {
     /// Relative speed (1.0 = nominal). The orchestrator lowers this for
     /// hosts capped via the `cpuPercentage` attribute.
     speed: f64,
-    /// Width of a busy-time bin: the resource monitor's sampling window.
+    /// Width of a busy-time bin: the sampler's interval.
     window: SimDuration,
     /// Busy core-nanoseconds booked in each window since time zero, up to
     /// the last window any work reached.

@@ -4,8 +4,9 @@
 //! emulation's peak memory usage as components and producer buffers scale.
 //! Our components register themselves with a shared [`MemLedger`] — a base
 //! resident footprint (e.g. a broker JVM) plus a dynamic part they update as
-//! they run (log bytes retained, producer buffer fill). The resource monitor
-//! samples [`MemLedger::total`] every 500 ms and tracks the peak.
+//! they run (log bytes retained, producer buffer fill). The run's sampler
+//! records [`MemLedger::total`] at each tick (every 500 ms by default), and
+//! the report's peak is the maximum of that series.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -425,13 +425,15 @@ impl SpeWorker {
     /// orchestrator bumps it per respawn. It becomes the sink producer's
     /// epoch (Kafka's producer epoch), so the broker's idempotent dedup does
     /// not mistake the fresh incarnation's sequence-zero records for
-    /// retries of the crashed one's, and the base of the source consumer's
-    /// correlation ids, so a fetch the crashed incarnation left held on a
-    /// broker is not taken for an answer to one of this one's.
+    /// retries of the crashed one's, and the base of both clients'
+    /// correlation ids, so a reply to the crashed incarnation (a fetch it
+    /// left held on a broker, a produce acknowledged late) is not taken for
+    /// an answer to one of this one's requests.
     pub fn set_incarnation(&mut self, incarnation: u64) {
         self.consumer.set_incarnation(incarnation);
         if let Some(p) = self.producer.as_mut() {
             p.set_epoch(incarnation as u32);
+            p.set_incarnation(incarnation);
         }
     }
 
@@ -917,13 +919,6 @@ impl SpeWorker {
             }
         }
         coord.seed_prev_offsets(offsets);
-        ctx.trace_with("spe", || {
-            format!(
-                "{} restored {} chain(s) for its key groups",
-                self.name,
-                restored.len()
-            )
-        });
     }
 
     fn emit(&mut self, ctx: &mut Ctx<'_>, events: Vec<Event>) {

@@ -746,12 +746,6 @@ impl StoreServer {
             self.kv = KvStore::new();
             self.tables = TableStore::new();
             self.update_mem();
-            ctx.trace_with("store", || {
-                format!(
-                    "{} deposed by a newer primary; rebuilding from the group",
-                    self.name
-                )
-            });
             self.start_sync(ctx, None);
         }
     }
@@ -1049,9 +1043,6 @@ impl StoreServer {
                 }
                 self.tele
                     .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
-                ctx.trace_with("store", || {
-                    format!("{} resynced {} ops from its group", self.name, sync_ops)
-                });
             }
         }
         if was_claiming {
@@ -1137,11 +1128,6 @@ impl StoreServer {
         g.claim_pending = false;
         g.epoch += 1;
         g.primary = g.index;
-        let name = self.name.clone();
-        let epoch = self.group.as_ref().expect("grouped").epoch;
-        ctx.trace_with("store", || {
-            format!("{name} claimed store-group primary (epoch {epoch})")
-        });
         self.send_heartbeats(ctx);
     }
 

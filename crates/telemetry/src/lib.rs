@@ -47,7 +47,7 @@ pub use metrics::{
     summarize, CounterHandle, GaugeHandle, Histogram, HistogramHandle, Metric, MetricValue,
     Registry, RegistryHandle, SummaryStats,
 };
-pub use series::{MetricSeries, SeriesHandle, SeriesStore, TelemetrySampler};
+pub use series::{MetricSeries, SampledGauge, SeriesHandle, SeriesStore, TelemetrySampler};
 pub use trace::{TraceEvent, TracePhase, Tracer, TracerHandle};
 
 /// The shared telemetry handle: one registry, one series store, and one
@@ -169,7 +169,8 @@ impl Telemetry {
     }
 
     /// Snapshots every registered metric into the series store at `at`
-    /// (what the sampler process does on each tick).
+    /// (what the sampler process does on each tick, after evaluating its
+    /// sampled gauges).
     pub fn snapshot(&self, at: SimTime) {
         let reg = self.registry.borrow();
         let mut series = self.series.borrow_mut();
@@ -193,18 +194,10 @@ impl Telemetry {
         self.tracer.borrow()
     }
 
-    /// Builds the sampler process over this sink; spawn it into the sim.
-    pub fn sampler(
-        &self,
-        interval: SimDuration,
-        cpus: Vec<(String, s2g_sim::CpuHandle)>,
-    ) -> TelemetrySampler {
-        TelemetrySampler::new(
-            Rc::clone(&self.registry),
-            Rc::clone(&self.series),
-            interval,
-            cpus,
-        )
+    /// Builds the sampler process over this sink, evaluating `gauges` on
+    /// every tick; spawn it into the sim. Panics if `interval` is zero.
+    pub fn sampler(&self, interval: SimDuration, gauges: Vec<SampledGauge>) -> TelemetrySampler {
+        TelemetrySampler::new(self.clone(), interval, gauges)
     }
 
     /// The sampled series as tidy CSV (`t_s,scope,metric,value`).

@@ -11,9 +11,10 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use s2g_sim::{CpuHandle, Ctx, Message, Process, ProcessId, SimDuration, SimTime};
+use s2g_sim::{Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
-use crate::metrics::{NameIndex, RegistryHandle};
+use crate::metrics::NameIndex;
+use crate::Telemetry;
 
 /// One metric's sampled time series.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,60 +98,37 @@ impl SeriesStore {
 /// A shared handle to a [`SeriesStore`].
 pub type SeriesHandle = Rc<RefCell<SeriesStore>>;
 
-/// The sampling daemon: a simulated process that snapshots the registry
-/// into the series store every `interval`, and derives host CPU occupancy
-/// from the attached CPU models on the way.
+/// A value the sampler computes on each tick rather than one a process
+/// pushes: memory in use, the CPU share of the window that just closed, a
+/// port's throughput over it. `read(now, window)` is called once per tick
+/// and its result recorded as the `(scope, name)` gauge.
+pub struct SampledGauge {
+    /// Owning scope (`server`, `host-<h>`).
+    pub scope: String,
+    /// Signal name.
+    pub name: &'static str,
+    /// Evaluated at every tick with the tick instant and the sampler's
+    /// interval (the window that just closed is `[now - window, now)`).
+    pub read: Box<dyn FnMut(SimTime, SimDuration) -> f64>,
+}
+
+/// The sampling daemon: a simulated process that every `interval`
+/// evaluates its sampled gauges into the registry, in list order, and then
+/// snapshots the registry into the series store.
 pub struct TelemetrySampler {
-    registry: RegistryHandle,
-    series: SeriesHandle,
+    tele: Telemetry,
     interval: SimDuration,
-    /// `(host, cpu, busy-at-last-tick)`; occupancy over a window is the
-    /// busy-time delta divided by `cores * interval`.
-    cpus: Vec<(String, CpuHandle, SimDuration)>,
+    gauges: Vec<SampledGauge>,
 }
 
 impl TelemetrySampler {
-    /// Creates a sampler over `registry`/`series` ticking every `interval`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn new(
-        registry: RegistryHandle,
-        series: SeriesHandle,
-        interval: SimDuration,
-        cpus: Vec<(String, CpuHandle)>,
-    ) -> Self {
+    /// [`Telemetry::sampler`] is the public constructor.
+    pub(crate) fn new(tele: Telemetry, interval: SimDuration, gauges: Vec<SampledGauge>) -> Self {
         assert!(!interval.is_zero(), "telemetry interval must be positive");
         TelemetrySampler {
-            registry,
-            series,
+            tele,
             interval,
-            cpus: cpus
-                .into_iter()
-                .map(|(h, c)| (h, c, SimDuration::ZERO))
-                .collect(),
-        }
-    }
-
-    fn tick(&mut self, now: SimTime) {
-        // Host CPU occupancy first, so the snapshot below includes it.
-        {
-            let mut reg = self.registry.borrow_mut();
-            for (host, cpu, last) in &mut self.cpus {
-                let cpu = cpu.borrow();
-                let busy = cpu.total_busy();
-                let delta = busy.saturating_sub(*last);
-                *last = busy;
-                let capacity = self.interval.as_secs_f64() * cpu.cores() as f64;
-                let occ = (delta.as_secs_f64() / capacity).min(1.0);
-                reg.gauge_set(&format!("host-{host}"), "cpu_occupancy", occ);
-            }
-        }
-        let reg = self.registry.borrow();
-        let mut series = self.series.borrow_mut();
-        for m in reg.metrics() {
-            series.record(now, &m.scope, &m.name, m.value.sample());
+            gauges,
         }
     }
 }
@@ -167,7 +145,13 @@ impl Process for TelemetrySampler {
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ProcessId, _msg: Box<dyn Message>) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-        self.tick(ctx.now());
+        let now = ctx.now();
+        // Sampled gauges first, so the snapshot includes them.
+        for g in &mut self.gauges {
+            let value = (g.read)(now, self.interval);
+            self.tele.gauge_set(&g.scope, g.name, value);
+        }
+        self.tele.snapshot(now);
         ctx.set_timer(self.interval, 0);
     }
 }

@@ -56,7 +56,7 @@ fn main() {
     println!(
         "simulation processed {} events; peak modeled memory {:.1} GB ({:.0}% of the server)",
         result.report.sim_stats.events_processed,
-        result.report.peak_mem_bytes as f64 / (1u64 << 30) as f64,
+        result.report.peak_mem_bytes() as f64 / (1u64 << 30) as f64,
         result.report.peak_mem_fraction() * 100.0
     );
 }

@@ -10,7 +10,7 @@ use stream2gym::apps::{
 use stream2gym::broker::{
     BrokerConfig, ConsumerConfig, ControllerConfig, ProducerConfig, TopicSpec,
 };
-use stream2gym::core::{Scenario, ServerSpec, SourceSpec, SpeJobSpec, SpeSinkSpec};
+use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
 use stream2gym::net::{FaultAction, FaultPlan, LinkSpec, Topology};
 use stream2gym::proto::AckMode;
 use stream2gym::sim::{SimDuration, SimTime};
@@ -749,15 +749,6 @@ fn s2g027_zero_self_rearming_periods() {
             "telemetry_interval",
             Period::Scenario(|sc| {
                 sc.telemetry_interval(Z);
-            }),
-        ),
-        (
-            "server.sample_interval",
-            Period::Scenario(|sc| {
-                sc.server(ServerSpec {
-                    sample_interval: Z,
-                    ..Default::default()
-                });
             }),
         ),
         (

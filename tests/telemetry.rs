@@ -63,21 +63,31 @@ fn telemetry_toggle_does_not_change_the_run() {
         sc.with_telemetry_trace(trace);
         sc.capture_records();
         let result = sc.run().expect("runs");
-        format!(
+        let behaviour = format!(
             "{:?}|{:?}|{:?}|{:?}",
             result.report.producers,
             result.report.spe,
             result.delivery_matrix(0),
             result.report.brokers,
-        )
+        );
+        (behaviour, result.report)
     };
-    let on = run(true, true);
-    assert_eq!(on, run(true, false), "tracer toggle must not shift the run");
+    let (on, sampled) = run(true, true);
     assert_eq!(
         on,
-        run(false, false),
-        "sampler toggle must not shift the run"
+        run(true, false).0,
+        "tracer toggle must not shift the run"
     );
+    let (off, unsampled) = run(false, false);
+    assert_eq!(on, off, "sampler toggle must not shift the run");
+    // The sampler is the only source of series: off, there are none, and a
+    // reader of one says which knob that was rather than answering zero.
+    assert!(sampled.peak_mem_bytes() > 0);
+    assert!(unsampled.metric_series.is_empty());
+    let refused = std::panic::catch_unwind(|| unsampled.peak_mem_bytes());
+    let refused = refused.expect_err("no memory series to read");
+    let msg = refused.downcast_ref::<String>().expect("a formatted panic");
+    assert!(msg.contains("with_telemetry"), "{msg}");
 }
 
 #[test]
@@ -92,13 +102,15 @@ fn run_report_surfaces_sampled_series() {
             .unwrap_or_else(|| panic!("series `{name}` missing from the report"))
     };
     // One signal per subsystem: broker, SPE worker, checkpoint
-    // coordinator, consumer client, and the host CPU sampler.
+    // coordinator, consumer client, and the sampler's own gauges.
     for name in [
         "records_appended",
         "records_in",
         "checkpoints",
         "lag/",
         "cpu_occupancy",
+        "mem_bytes",
+        "cpu_utilization",
     ] {
         let s = find(name);
         assert!(
