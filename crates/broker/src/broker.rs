@@ -61,14 +61,9 @@ mod tags {
     pub const HEARTBEAT_TICK: u64 = 3;
     pub const BACKGROUND_TICK: u64 = 4;
     pub const LOG_FLUSH_TICK: u64 = 6;
-    pub const DURABILITY_RETRY: u64 = 7;
     pub const LOG_CLEANUP_TICK: u64 = 8;
     pub const CPU_BASE: u64 = 1 << 50;
 }
-
-/// How long the broker waits for a store response to a flush or recovery
-/// RPC before re-issuing it (a lossy network can drop either direction).
-const DURABILITY_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// The broker's label for a blob request: what the blob is.
 #[derive(Debug)]
@@ -129,8 +124,6 @@ struct Durability {
     flush_inflight: bool,
     /// A mutation arrived while a flush was in flight; flush again after.
     flush_again: bool,
-    /// The retry timer is armed.
-    retry_armed: bool,
     /// Dead segment blobs awaiting deletion. The cleaner stages keys here
     /// and they are only deleted once the flush carrying the *cleaned*
     /// manifest is durable — deleting first would let a crash recover a
@@ -529,7 +522,6 @@ impl Broker {
             prefix: format!("brokerlog/b{}", self.host.id.0),
             flush_inflight: false,
             flush_again: false,
-            retry_armed: false,
             pending_deletes: Vec::new(),
             staged: BTreeMap::new(),
             staged_meta: None,
@@ -1066,15 +1058,6 @@ impl Broker {
         self.flush_logs(ctx);
     }
 
-    fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(d) = self.durability.as_mut() {
-            if !d.retry_armed && d.blobs.awaits_reply() {
-                d.retry_armed = true;
-                ctx.set_timer(DURABILITY_RETRY_INTERVAL, tags::DURABILITY_RETRY);
-            }
-        }
-    }
-
     /// Persists every dirty segment plus the meta blob through the attached
     /// backend. Overlapping calls coalesce: a flush requested while one is
     /// in flight runs right after it completes.
@@ -1106,7 +1089,6 @@ impl Broker {
         }
         let key = d.meta_key();
         d.blobs.put(ctx, LogBlob::Meta, key, meta_bytes);
-        self.arm_retry(ctx);
         self.blobs_done(ctx);
     }
 
@@ -1158,7 +1140,6 @@ impl Broker {
             .expect("recovery requires a log backend");
         let key = d.meta_key();
         d.blobs.get(ctx, LogBlob::Meta, key);
-        self.arm_retry(ctx);
         self.blobs_done(ctx);
     }
 
@@ -1177,7 +1158,6 @@ impl Broker {
             }
         }
         d.staged_meta = Some(meta);
-        self.arm_retry(ctx);
         self.maybe_finish_recovery(ctx);
     }
 
@@ -1270,16 +1250,6 @@ impl Broker {
                 }
                 None => return,
             }
-        }
-    }
-
-    /// Re-issues every unanswered blob request (the request or its
-    /// response was lost in the network, or the store endpoint is down).
-    fn retry_durability(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(d) = self.durability.as_mut() {
-            d.retry_armed = false;
-            d.blobs.retry(ctx);
-            self.arm_retry(ctx);
         }
     }
 
@@ -1427,9 +1397,6 @@ impl Process for Broker {
                 self.flush_logs(ctx);
                 ctx.set_timer(self.host.cfg.log_flush_interval, tags::LOG_FLUSH_TICK);
             }
-            tags::DURABILITY_RETRY => {
-                self.retry_durability(ctx);
-            }
             tags::LOG_CLEANUP_TICK => {
                 self.run_log_cleaner(ctx);
                 ctx.set_timer(self.host.cfg.log_cleanup_interval, tags::LOG_CLEANUP_TICK);
@@ -1448,7 +1415,13 @@ impl Process for Broker {
                 }
                 ctx.set_timer(self.host.cfg.background_interval, tags::BACKGROUND_TICK);
             }
-            _ => {}
+            _ => {
+                // No tick of the broker's own: the blob client's retry
+                // timer, armed under its correlation base.
+                if let Some(d) = self.durability.as_mut() {
+                    d.blobs.on_timer(ctx, tag);
+                }
+            }
         }
     }
 

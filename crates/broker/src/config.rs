@@ -89,13 +89,6 @@ pub struct BrokerConfig {
     /// is evicted by the coordinator and its partitions are reassigned to
     /// the surviving members (Kafka's `group.session.timeout.ms`).
     pub group_session_timeout: SimDuration,
-    /// Quorum slack for `acks=all`: the high watermark (and therefore the
-    /// ack) advances once all but this many ISR members have appended.
-    /// Zero (the default) is the strict Kafka semantics — every in-sync
-    /// replica must have the record; `1` tolerates the single slowest ISR
-    /// member, trading a sliver of the durability guarantee for tail
-    /// latency.
-    pub acks_all_slack: u32,
     /// Minimum ISR size for `acks=all` produce (Kafka's
     /// `min.insync.replicas`): when the ISR has shrunk below this, the
     /// leader rejects `acks=all` writes with
@@ -126,7 +119,6 @@ impl Default for BrokerConfig {
             log_retention_age: None,
             log_retention_bytes: None,
             group_session_timeout: SimDuration::from_secs(4),
-            acks_all_slack: 0,
             min_insync_replicas: 1,
         }
     }

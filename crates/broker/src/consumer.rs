@@ -371,11 +371,6 @@ impl ConsumerClient {
             .unwrap_or_default()
     }
 
-    /// The group generation this member last joined at (0 before joining).
-    pub fn group_generation(&self) -> u64 {
-        self.membership.as_ref().map_or(0, |m| m.generation)
-    }
-
     /// Kicks off metadata discovery and the poll loop. Call from `on_start`.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) {
         if self.cfg.group.is_some() && self.cfg.group_membership && self.membership.is_none() {

@@ -150,11 +150,6 @@ impl LogSegment {
         self.bytes
     }
 
-    /// True when the segment has changes not yet handed to the broker's blob client.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// The entries held, in offset order.
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
@@ -914,8 +909,9 @@ impl BrokerLogMeta {
     }
 }
 
-/// Correlation-id base for a broker's blob client over a store group,
-/// disjoint from the checkpoint (`1 << 42`) and client tag namespaces.
+/// Correlation-id base for a broker's blob client over a store group, and
+/// so the tag of that client's retry timer; disjoint from the checkpoint
+/// (`1 << 42`) and client tag namespaces and from the broker's own tags.
 pub const BROKER_LOG_CORR_BASE: u64 = 1 << 43;
 
 #[cfg(test)]

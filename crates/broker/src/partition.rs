@@ -100,9 +100,6 @@ struct LeaderState {
     /// Client fetches held until there is something to read, in arrival
     /// order, which is deadline order too.
     waiters: Vec<FetchWaiter>,
-    /// The ISR's log ends, as [`Led::advance_hw`] last ranked them; kept
-    /// for its capacity.
-    ends: Vec<Offset>,
     /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauges, made once
     /// per reign: every watermark move sets both.
     hw_gap: GaugeHandle,
@@ -291,7 +288,6 @@ impl Partition {
                         replicas: m.replicas,
                         pending: Vec::new(),
                         waiters,
-                        ends: Vec::new(),
                         hw_gap: host.tele.gauge(&host.name, &format!("hw_gap/{tp}")),
                         lso_gap: host.tele.gauge(&host.name, &format!("lso_gap/{tp}")),
                     })));
@@ -841,33 +837,16 @@ impl Led<'_> {
     pub(crate) fn advance_hw(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
         let prev_hw = self.log.high_watermark();
         let log_end = self.log.log_end();
-        // The watermark is the highest offset held by "enough" of the ISR:
-        // all of it with the strict default, all-but-`acks_all_slack`
-        // members when slack tolerates stragglers. Equivalently, the k-th
-        // highest log end where k = |ISR| - slack (at least one — the
-        // leader itself). Never past the leader's own end.
-        let LeaderState {
-            ends,
-            isr,
-            followers,
-            ..
-        } = &mut *self.ls;
-        ends.clear();
-        ends.extend(isr.iter().map(|b| match followers.get(u64::from(b.0)) {
+        // The watermark is the highest offset every ISR member holds: the
+        // minimum log end over the ISR, never past the leader's own.
+        let LeaderState { isr, followers, .. } = &*self.ls;
+        let ends = isr.iter().map(|b| match followers.get(u64::from(b.0)) {
             _ if *b == host.id => log_end,
             Some(progress) => progress.end,
             None => Offset::ZERO,
-        }));
-        if ends.is_empty() {
-            ends.push(log_end);
-        }
-        ends.sort_unstable_by(|a, b| b.cmp(a));
-        let needed = ends
-            .len()
-            .saturating_sub(host.cfg.acks_all_slack as usize)
-            .max(1);
-        self.log
-            .advance_high_watermark(ends[needed - 1].min(log_end));
+        });
+        let isr_end = ends.fold(log_end, Offset::min);
+        self.log.advance_high_watermark(isr_end);
         let hw = self.log.high_watermark();
         // Watermark moves are metadata; the interval flush persists them.
         host.dirty |= hw != prev_hw;

@@ -15,7 +15,6 @@
 //! * per-partition in-flight slots — a blocked partition does not
 //!   head-of-line-block the other topic.
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -71,7 +70,7 @@ pub enum SourceAction {
 }
 
 /// A pluggable data generator for producer stubs (stream2gym's `prodType`).
-pub trait DataSource: Any {
+pub trait DataSource {
     /// Produces the next action. `now` is the current simulated time and
     /// `rng` the run's seeded generator (for stochastic sources).
     fn next(&mut self, now: SimTime, rng: &mut StdRng) -> SourceAction;
@@ -335,11 +334,6 @@ impl ProducerClient {
         self.txn = txn;
     }
 
-    /// The currently open transaction, if any.
-    pub fn current_txn(&self) -> Option<u64> {
-        self.txn
-    }
-
     /// Records of transaction `txn` not yet acknowledged by the broker —
     /// the commit barrier of a transactional sink. Failed records keep the
     /// count positive forever: committing (or durably preparing) a
@@ -349,11 +343,6 @@ impl ProducerClient {
         let sent = self.txn_sent.get(&txn).copied().unwrap_or(0);
         let done = self.txn_done.get(&txn).copied().unwrap_or(0);
         sent.saturating_sub(done)
-    }
-
-    /// True while an EndTxn/TxnRecover marker is awaiting its broker ack.
-    pub fn txn_ctl_pending(&self) -> bool {
-        !self.txn_ctl.is_empty()
     }
 
     /// Sends the commit (or abort) marker for `txn` to every broker; lost
@@ -1036,11 +1025,6 @@ impl ProducerProcess {
     /// Mutable access to the embedded client (post-run harvesting).
     pub fn client_mut(&mut self) -> &mut ProducerClient {
         &mut self.client
-    }
-
-    /// The data source, downcast to its concrete type.
-    pub fn source_as<T: DataSource>(&self) -> Option<&T> {
-        (self.source.as_ref() as &dyn Any).downcast_ref::<T>()
     }
 
     fn step_source(&mut self, ctx: &mut Ctx<'_>) {

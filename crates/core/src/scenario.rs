@@ -804,9 +804,9 @@ impl Scenario {
 
     /// Overrides the ack mode of **every** producer — standalone stubs and
     /// the embedded sink producers of topic-sink SPE jobs. With
-    /// [`AckMode::All`] an append is only acknowledged once the in-sync
-    /// replicas (minus each broker's configured `acks_all_slack`) have it,
-    /// so a leader crash after the ack cannot lose the record.
+    /// [`AckMode::All`] an append is only acknowledged once every in-sync
+    /// replica has it, so a leader crash after the ack cannot lose the
+    /// record.
     pub fn with_acks(&mut self, acks: AckMode) -> &mut Self {
         self.acks_override = Some(acks);
         self

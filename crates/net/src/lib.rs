@@ -33,9 +33,7 @@ mod network;
 mod topology;
 
 pub use faults::{FaultAction, FaultInjector, FaultPlan};
-pub use network::{
-    DropCause, Hop, NetHandle, NetTransport, Network, NetworkConfig, PortCounters, RoutingAlgo,
-};
+pub use network::{DropCause, Hop, NetHandle, NetTransport, Network, NetworkConfig, PortCounters};
 pub use topology::{
     Link, LinkId, LinkSpec, Node, NodeId, NodeKind, PortNo, Topology, TopologyError,
 };

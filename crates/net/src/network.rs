@@ -18,16 +18,6 @@ use s2g_sim::{Delivery, ProcessId, SimDuration, SimTime, Transport};
 
 use crate::topology::{LinkId, NodeId, NodeKind, PortNo, Topology};
 
-/// Routing metric used when computing proactive routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingAlgo {
-    /// Minimize summed link latency (hop count as tiebreak). Default.
-    #[default]
-    ShortestLatency,
-    /// Minimize hop count (latency as tiebreak).
-    MinHop,
-}
-
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCause {
@@ -86,8 +76,6 @@ pub struct NetworkConfig {
     pub switch_forward_delay: SimDuration,
     /// Delay for loopback delivery between co-located processes.
     pub loopback_delay: SimDuration,
-    /// Routing metric.
-    pub routing: RoutingAlgo,
 }
 
 impl Default for NetworkConfig {
@@ -96,7 +84,6 @@ impl Default for NetworkConfig {
             // ~50 µs models an OVS software switch under emulation load.
             switch_forward_delay: SimDuration::from_micros(50),
             loopback_delay: SimDuration::from_micros(20),
-            routing: RoutingAlgo::ShortestLatency,
         }
     }
 }
@@ -108,7 +95,6 @@ impl NetworkConfig {
         NetworkConfig {
             switch_forward_delay: SimDuration::from_nanos(800),
             loopback_delay: SimDuration::from_micros(5),
-            routing: RoutingAlgo::ShortestLatency,
         }
     }
 }
@@ -230,7 +216,7 @@ impl Network {
     /// Appends `src`'s row of routes to `routes`, their hops to `hops`.
     fn dijkstra(&self, src: NodeId, hops: &mut Vec<Hop>, routes: &mut Vec<Option<(usize, usize)>>) {
         let n = self.topo.node_count();
-        // cost = (primary, secondary) per the routing metric.
+        // cost = (summed link latency, hop count): hops break latency ties.
         let mut dist: Vec<Option<(u128, u128)>> = vec![None; n];
         let mut prev: Vec<Option<(NodeId, Hop)>> = vec![None; n];
         let mut visited = vec![false; n];
@@ -281,11 +267,7 @@ impl Network {
             };
             visited[u] = true;
             for &(v, hop, lat) in &adj[u] {
-                let step = match self.cfg.routing {
-                    RoutingAlgo::ShortestLatency => (lat as u128, 1u128),
-                    RoutingAlgo::MinHop => (1u128, lat as u128),
-                };
-                let cand = (du.0 + step.0, du.1 + step.1);
+                let cand = (du.0 + lat as u128, du.1 + 1);
                 let better = match dist[v.index()] {
                     None => true,
                     Some(dv) => cand < dv,
@@ -721,42 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn min_hop_routing_prefers_fewer_hops() {
-        // h1 —(1ms)— s1 —(1ms)— h2   (2 hops, 2ms)
-        // h1 —(10ms)——————————— h2   (1 hop, 10ms)
-        let mut topo = Topology::new();
-        topo.add_host("h1").unwrap();
-        topo.add_host("h2").unwrap();
-        topo.add_switch("s1").unwrap();
-        topo.add_link("h1", "s1", LinkSpec::new().latency_ms(1))
-            .unwrap();
-        topo.add_link("s1", "h2", LinkSpec::new().latency_ms(1))
-            .unwrap();
-        topo.add_link("h1", "h2", LinkSpec::new().latency_ms(10))
-            .unwrap();
-        let h1 = topo.lookup("h1").unwrap();
-        let h2 = topo.lookup("h2").unwrap();
-
-        let lat_net = Network::with_config(
-            topo.clone(),
-            NetworkConfig {
-                routing: RoutingAlgo::ShortestLatency,
-                ..NetworkConfig::default()
-            },
-        );
-        assert_eq!(lat_net.route_between(h1, h2).unwrap().len(), 2);
-
-        let hop_net = Network::with_config(
-            topo,
-            NetworkConfig {
-                routing: RoutingAlgo::MinHop,
-                ..NetworkConfig::default()
-            },
-        );
-        assert_eq!(hop_net.route_between(h1, h2).unwrap().len(), 1);
-    }
-
-    #[test]
     fn recompute_routes_after_failure_heals_path() {
         let mut topo = Topology::new();
         topo.add_host("h1").unwrap();
@@ -772,13 +718,17 @@ mod tests {
             .unwrap();
         topo.add_link("s2", "h2", LinkSpec::new().latency_ms(5))
             .unwrap();
+        topo.add_link("h1", "h2", LinkSpec::new().latency_ms(10))
+            .unwrap();
         let mut net = Network::new(topo);
         let h1 = net.topology().lookup("h1").unwrap();
         let h2 = net.topology().lookup("h2").unwrap();
         net.place(ProcessId(0), h1);
         net.place(ProcessId(1), h2);
         let mut rng = StdRng::seed_from_u64(0);
-        // Fast path via s1 in use.
+        // Fast path via s1 in use: latency decides before hop count, so its
+        // two hops at 2 ms beat the direct link's one at 10 ms.
+        assert_eq!(net.route_between(h1, h2).unwrap().len(), 2);
         let d = net.route_packet(SimTime::ZERO, &mut rng, ProcessId(0), ProcessId(1), 10);
         assert!(matches!(d, Delivery::After(x) if x.as_millis() < 5));
         // Down the fast link: blackhole until routes are recomputed.
@@ -788,6 +738,8 @@ mod tests {
             Delivery::Drop
         );
         net.recompute_routes();
+        // What is left ties at 10 ms: the fewer hops of the direct link win.
+        assert_eq!(net.route_between(h1, h2).unwrap().len(), 1);
         let d = net.route_packet(SimTime::ZERO, &mut rng, ProcessId(0), ProcessId(1), 10);
         assert!(matches!(d, Delivery::After(x) if x.as_millis() >= 10));
     }

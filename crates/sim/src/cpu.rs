@@ -157,16 +157,6 @@ impl HostCpu {
         done - now
     }
 
-    /// The earliest instant at which a new item could start executing.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        self.cores
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(SimTime::ZERO)
-            .max(now)
-    }
-
     /// Total busy core-time scheduled so far.
     pub fn total_busy(&self) -> SimDuration {
         self.total_busy

@@ -527,7 +527,7 @@ impl Ord for HeapEntry {
 /// Cancellation is lazy (a tombstone set consulted at pop), as it always
 /// was — but the historical leak is fixed: `pending_timers` tracks which
 /// tokens are still in flight, cancelling an already-fired token is a no-op
-/// (nothing is inserted into `cancelled`), and popping a timer prunes its
+/// (nothing is inserted into `cancelled`), and popping a timer removes its
 /// token from both maps, so neither grows beyond the live timer count.
 pub(crate) struct ReferenceQueue {
     heap: BinaryHeap<Reverse<HeapEntry>>, // s2g-lint: allow(event-queue) — this is the reference implementation

@@ -67,7 +67,9 @@ use s2g_telemetry::Telemetry;
 use crate::event::{CodecError, Event, Value};
 
 /// Correlation-id base for checkpoint store RPCs, so a worker can tell its
-/// snapshot traffic apart from sink inserts sharing the same store server.
+/// snapshot traffic apart from sink inserts sharing the same store server;
+/// and so the tag of the checkpoint blob client's retry timer, clear of the
+/// worker's own tags and of its embedded clients' ranges.
 pub const CKPT_CORR_BASE: u64 = 1 << 42;
 
 /// Default cap on the delta-chain length before a re-base is forced.
@@ -568,27 +570,26 @@ pub struct DurableBackend {
     /// put is acknowledged: the manifest is the only pointer to the chain,
     /// so it must never point at a blob that is not durable yet (a lost
     /// blob put plus a delivered manifest put would turn the next recovery
-    /// into a cold start even though the previous chain is intact).
+    /// into a cold start even though the previous chain is intact). The
+    /// same order runs the other way for a chain a re-base supersedes: its
+    /// blobs are deleted only once the manifest that points past it is
+    /// durable, so a crash between that manifest and the deletes (which
+    /// are not re-sent) orphans at most one chain per crash and never
+    /// leaves a manifest pointing at a deleted blob.
     staged_manifest: Option<(String, Vec<u8>)>,
     /// A recovery is assembling its blobs.
     recovering: Option<RecoverAssembly>,
     /// The chain `(id, deltas)` that the base being persisted supersedes.
     superseded: Option<(u64, u64)>,
-    /// Whether a superseded chain's blobs are dropped once the manifest
-    /// points past it — the one thing the constructors choose. The shared
-    /// map is a job manager's heap and is collected (keeping every capture
-    /// ever taken raised a checkpoint-heavy run's peak RSS by 14 %); on a
-    /// store each drop is a `Delete` on the wire, which no store-backed run
-    /// sends today, so there superseded chains stay until a change that may
-    /// move figures (`docs/fault-tolerance.md`, "Known difference").
-    prunes: bool,
 }
 
 impl DurableBackend {
     /// Creates a backend over the members of a store group (one member for
     /// an unreplicated store): unanswered RPCs rotate to the next member on
-    /// retry, so checkpoints survive a store crash with no change above
-    /// this backend. `incarnation` is the owning worker's, so a store reply
+    /// the blob client's retry timer (armed in the owning process under
+    /// [`CKPT_CORR_BASE`]; an [`SpeWorker`](crate::SpeWorker) forwards it),
+    /// so checkpoints survive a store crash with no change above this
+    /// backend. `incarnation` is the owning worker's, so a store reply
     /// delayed across a worker bounce can never complete a request of the
     /// respawn.
     ///
@@ -596,20 +597,18 @@ impl DurableBackend {
     ///
     /// Panics if `servers` is empty.
     pub fn new(servers: Vec<ProcessId>, incarnation: u64) -> Self {
-        Self::over(BlobClient::new(servers, CKPT_CORR_BASE, incarnation), false)
+        Self::over(BlobClient::new(servers, CKPT_CORR_BASE, incarnation))
     }
 
     /// Creates a backend over a shared blob map: a job manager's heap,
     /// outside the worker's failure domain when the map outlives the worker
     /// (the orchestrator's does). Instant and free, but gone if the whole
-    /// scenario host were to fail (which the simulation never models). The
-    /// map holds each job's current chain: a chain superseded by a re-base
-    /// is dropped once the manifest points past it (a store keeps it).
+    /// scenario host were to fail (which the simulation never models).
     pub fn shared(map: BlobMap) -> Self {
-        Self::over(BlobClient::shared(map), true)
+        Self::over(BlobClient::shared(map))
     }
 
-    fn over(blobs: BlobClient<CkptBlob>, prunes: bool) -> Self {
+    fn over(blobs: BlobClient<CkptBlob>) -> Self {
         DurableBackend {
             blobs,
             chain: 0,
@@ -617,7 +616,6 @@ impl DurableBackend {
             staged_manifest: None,
             recovering: None,
             superseded: None,
-            prunes,
         }
     }
 
@@ -718,7 +716,7 @@ impl DurableBackend {
                 BlobDone::Put(CkptBlob::Manifest) => {
                     // The manifest points at the new chain: nothing reads
                     // the one it superseded any more.
-                    if let Some((chain, deltas)) = self.superseded.take().filter(|_| self.prunes) {
+                    if let Some((chain, deltas)) = self.superseded.take() {
                         self.blobs.delete(ctx, &Self::base_key(job, chain));
                         for seq in 1..=deltas {
                             self.blobs.delete(ctx, &Self::delta_key(job, chain, seq));
@@ -787,19 +785,6 @@ impl DurableBackend {
             chains: vec![chain],
             bytes: asm.bytes,
         })
-    }
-
-    /// Re-issues whatever store RPCs are still pending (the request — or
-    /// its response — was lost in the network). Returns `true` when
-    /// something was retried.
-    pub fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        self.blobs.retry(ctx)
-    }
-
-    /// True while a persist or recovery is awaiting store responses (never
-    /// on the shared map, which answers as it is asked).
-    pub fn has_pending_io(&self) -> bool {
-        self.blobs.awaits_reply()
     }
 }
 
@@ -1052,18 +1037,6 @@ impl CheckpointCoordinator {
         self.settle(ctx, job);
     }
 
-    /// True while a persist or recovery RPC is awaiting its store response.
-    pub fn has_pending_io(&self) -> bool {
-        self.backend.has_pending_io()
-    }
-
-    /// Re-issues whatever store RPCs are still pending (the response — or
-    /// the request itself — was lost in the network). Returns `true` when
-    /// something was retried.
-    pub fn retry_pending_io(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        self.backend.retry_pending_io(ctx)
-    }
-
     fn finish_persist(&mut self, persisted: PendingPersist, durable_at: SimTime) {
         let PendingPersist {
             payload,
@@ -1262,6 +1235,12 @@ impl CheckpointCoordinator {
         self.settle(ctx, job)
     }
 
+    /// Takes a timer that is none of the worker's own: the backend's blob
+    /// client's retry timer, if anything.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        self.backend.blobs.on_timer(ctx, tag);
+    }
+
     /// Seeds the lagging-commit baseline after a restore, so the first
     /// post-recovery checkpoint commits positions at or after the restored
     /// chain.
@@ -1434,7 +1413,6 @@ mod tests {
             let snap = sample_snapshot();
             coord.accept(ctx, "job", CheckpointPayload::Full(snap.clone()), 5);
             // On the shared map the capture is durable when `accept` returns.
-            assert!(!coord.has_pending_io());
             let (chain, bytes) = recover_job(ctx, &coord_map);
             assert_eq!(chain.map(|c| c.base), Some(snap.clone()));
             assert_eq!(bytes, snap.to_bytes().len() as u64);
@@ -1642,9 +1620,8 @@ mod tests {
         // Equal restored bytes: the two capture blobs read, no manifest.
         let blobs = base2.to_bytes().len() + sample_delta(1).to_bytes().len();
         assert_eq!((on_map.bytes, on_store.bytes), (blobs as u64, blobs as u64));
-        // Equal contents, but for the superseded chain 1: the store still
-        // holds its blobs (nothing sends it a `Delete`), the map dropped
-        // them once the manifest pointed at chain 2.
+        // Equal contents: the manifest and the current chain. Each medium
+        // dropped chain 1 once its manifest pointed at chain 2.
         let server = sim.process_ref::<StoreServer>(store).expect("store");
         let stored: Vec<(String, Vec<u8>)> = (server.kv().entries())
             .map(|(key, value)| (key.clone(), value.to_vec()))
@@ -1652,17 +1629,8 @@ mod tests {
         let mapped: Vec<(String, Vec<u8>)> = (map.borrow().iter())
             .map(|(key, value)| (key.clone(), value.clone()))
             .collect();
-        let (superseded, current): (Vec<_>, Vec<_>) =
-            (stored.into_iter()).partition(|(key, _)| key.starts_with("ckpt/job/1/"));
-        assert_eq!(mapped, current);
-        let keys = |blobs: &[(String, Vec<u8>)]| -> Vec<String> {
-            blobs.iter().map(|(key, _)| key.clone()).collect()
-        };
-        assert_eq!(
-            keys(&superseded),
-            ["ckpt/job/1/1", "ckpt/job/1/2", "ckpt/job/1/base"]
-        );
-        let expected = ["ckpt/job", "ckpt/job/2/1", "ckpt/job/2/base"];
-        assert_eq!(keys(&mapped), expected);
+        assert_eq!(stored, mapped);
+        let keys: Vec<&str> = mapped.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["ckpt/job", "ckpt/job/2/1", "ckpt/job/2/base"]);
     }
 }

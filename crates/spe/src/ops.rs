@@ -210,11 +210,6 @@ impl StatefulMap {
     pub fn key_count(&self) -> usize {
         self.state.len()
     }
-
-    /// The number of keys touched since the last checkpoint capture.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
 }
 
 impl Operator for StatefulMap {

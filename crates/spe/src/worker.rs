@@ -207,12 +207,7 @@ mod tags {
     pub const BATCH_DONE: u64 = 2;
     pub const BACKGROUND_TICK: u64 = 3;
     pub const CHECKPOINT_TICK: u64 = 5;
-    pub const CKPT_IO_RETRY: u64 = 6;
 }
-
-/// How long the worker waits for a durable-backend store response before
-/// re-issuing the RPC (a lossy network can drop either direction).
-const CKPT_IO_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// The metrics a worker updates per batch, each looked up in the registry by
 /// its first update and never again.
@@ -687,9 +682,6 @@ impl SpeWorker {
             .as_mut()
             .expect("capture implies coordinator");
         coord.accept(ctx, &name, payload, sent);
-        if coord.has_pending_io() {
-            ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
-        }
     }
 
     /// Persists a staged capture once its transaction's last staged record
@@ -1006,10 +998,9 @@ impl Process for SpeWorker {
                 None => {
                     // Hold consuming and batching until the backend read
                     // round trips complete — the recovery-latency cost of
-                    // keeping checkpoints on a store. The retry timer
-                    // covers a lost RPC.
+                    // keeping checkpoints on a store. The blob client's
+                    // retry timer covers a lost RPC.
                     self.awaiting_restore = true;
-                    ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
                 }
             }
         } else {
@@ -1018,6 +1009,15 @@ impl Process for SpeWorker {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+        if self.awaiting_restore {
+            // Booting: only the restore's store replies are this
+            // incarnation's. A fetch reply to the one before it would set
+            // the unstarted consumer polling ahead of the restored offsets.
+            if let Ok(rpc) = s2g_sim::downcast::<StoreRpc>(msg) {
+                self.handle_store_rpc(ctx, *rpc);
+            }
+            return;
+        }
         let msg = match self.consumer.handle_message(ctx, msg) {
             None => return,
             Some(m) => m,
@@ -1062,17 +1062,11 @@ impl Process for SpeWorker {
                     ctx.set_timer(interval, tags::CHECKPOINT_TICK);
                 }
             }
-            tags::CKPT_IO_RETRY => {
+            _ => {
                 if let Some(c) = self.coordinator.as_mut() {
-                    // A store RPC (persist or restore) is still unanswered:
-                    // the request or its response was lost. Re-issue it and
-                    // keep the timer armed until an answer lands.
-                    if c.retry_pending_io(ctx) {
-                        ctx.set_timer(CKPT_IO_RETRY_INTERVAL, tags::CKPT_IO_RETRY);
-                    }
+                    c.on_timer(ctx, tag);
                 }
             }
-            _ => {}
         }
     }
 

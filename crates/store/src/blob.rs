@@ -15,27 +15,36 @@
 //!   a [`StoreRpc::GetResult`] only a get; a reply that matches nothing
 //!   pending (stale, superseded by a retry, or someone else's) completes
 //!   nothing and consumes nothing.
-//! * **Retry.** [`BlobClient::retry`] moves to the next member of the store
-//!   group (the silent endpoint may have crashed; non-primary members proxy
-//!   to the primary, so any live one serves) and re-issues everything
-//!   unanswered, in the original order, under fresh ids.
+//! * **Retry.** A client over a store group arms one timer,
+//!   [`BLOB_RETRY_INTERVAL`] long, when it issues a request and none is
+//!   armed. When it fires ([`BlobClient::on_timer`]) the client moves to
+//!   the next member of the group (the silent endpoint may have crashed;
+//!   non-primary members proxy to the primary, so any live one serves),
+//!   re-issues everything unanswered, in the original order, under fresh
+//!   ids, and arms the timer again only if something was. So a client
+//!   retries at most once per interval, and a quiet one holds no timer.
 //! * **Two media.** A store group reached over the emulated network, paying
 //!   its CPU and the path for every blob; or a [`BlobMap`] outside the
 //!   owner's failure domain that answers at once and for free. Either way a
 //!   finished request reaches the owner as the same [`BlobDone`] from
 //!   [`BlobClient::next_done`], so the owner has one completion handler.
 //!
-//! What stays with each owner is policy: when to write, what must be
-//! durable before what, and when to arm the timer that calls `retry`.
+//! What stays with each owner is policy: when to write and what must be
+//! durable before what. Of the retry it only forwards its `on_timer`.
 
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use s2g_sim::{Ctx, ProcessId};
+use s2g_sim::{Ctx, ProcessId, SimDuration};
 
 use crate::server::StoreRpc;
+
+/// How long a client over a store group waits for replies before it
+/// re-issues what is unanswered (a lossy network can drop either direction,
+/// and the endpoint may be down).
+pub const BLOB_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// Blob storage on a shared map. It lives outside the process that writes
 /// it, so it survives that process's crashes: the moral equivalent of the
@@ -90,6 +99,8 @@ pub struct BlobClient<L> {
     pending: BTreeMap<u64, Sent<L>>,
     /// Completions the owner has not taken yet.
     done: VecDeque<BlobDone<L>>,
+    /// The retry timer is armed (only ever over a store group).
+    armed: bool,
 }
 
 impl<L> BlobClient<L> {
@@ -99,10 +110,12 @@ impl<L> BlobClient<L> {
     }
 
     /// Creates a client over the members of a store group (one member for
-    /// an unreplicated store), in member-index order. Correlation ids start
-    /// at `corr_base` (a namespace disjoint from other store users in the
-    /// same process) with the owning process's `incarnation` in the high
-    /// half of the counter.
+    /// an unreplicated store), in member-index order. `corr_base` is the
+    /// number the owner sets aside for this client, disjoint from its other
+    /// store users' and from its own timer tags: correlation ids start
+    /// there, with the owning process's `incarnation` in the high half of
+    /// the counter, and the retry timer is armed under it as its tag, so
+    /// the owner forwards its `on_timer` to [`on_timer`](Self::on_timer).
     ///
     /// # Panics
     ///
@@ -120,6 +133,7 @@ impl<L> BlobClient<L> {
             next: incarnation << 32,
             pending: BTreeMap::new(),
             done: VecDeque::new(),
+            armed: false,
         }
     }
 
@@ -140,6 +154,9 @@ impl<L> BlobClient<L> {
             }),
             Medium::Group { servers, current } => {
                 let server = servers[*current];
+                if !std::mem::replace(&mut self.armed, true) {
+                    ctx.set_timer(BLOB_RETRY_INTERVAL, self.corr_base);
+                }
                 let (corr, key) = (self.fresh_corr(), sent.key.clone());
                 let rpc = match sent.value.clone() {
                     Some(value) => StoreRpc::Put { corr, key, value },
@@ -221,22 +238,21 @@ impl<L> BlobClient<L> {
             || self.done.iter().any(|d| matches!(d, BlobDone::Got(..)))
     }
 
-    /// True while a request is unanswered: what a [`retry`](Self::retry)
-    /// would re-issue, and so whether a retry timer is worth arming.
-    pub fn awaits_reply(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Re-issues every unanswered request (the request or its reply was
-    /// lost, or the endpoint is down): moves to the next group member, then
-    /// re-sends in the original order under fresh correlation ids, so a
-    /// late reply to a superseded id is ignored. Returns whether anything
-    /// was unanswered.
-    pub fn retry(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        if self.pending.is_empty() {
+    /// Takes a timer of the owning process; returns `false` when `tag` is
+    /// not this client's retry timer (the shared map arms none). Otherwise
+    /// every request still unanswered goes to the next group member, in the
+    /// original order under fresh correlation ids, so a late reply to a
+    /// superseded id is ignored; and the timer is armed again only if there
+    /// was one.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> bool {
+        let Medium::Group { servers, current } = &mut self.medium else {
+            return false;
+        };
+        if tag != self.corr_base {
             return false;
         }
-        if let Medium::Group { servers, current } = &mut self.medium {
+        self.armed = false;
+        if !self.pending.is_empty() {
             *current = (*current + 1) % servers.len();
         }
         for sent in std::mem::take(&mut self.pending).into_values() {

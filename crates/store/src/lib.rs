@@ -2,8 +2,8 @@
 //!
 //! The data-store substrates stream2gym pipelines persist into:
 //!
-//! * [`KvStore`] — embedded key-value store with a write-ahead log and
-//!   crash recovery (the RocksDB stand-in),
+//! * [`KvStore`] — embedded key-value store holding the keys that can
+//!   still be read (the RocksDB stand-in),
 //! * [`TableStore`] — minimal relational tables (the MySQL stand-in),
 //! * [`StoreServer`] — a simulated process serving both over [`StoreRpc`],
 //!   the `storeType`/`storeCfg` node from Table I,
@@ -18,7 +18,7 @@ mod kv;
 mod server;
 mod table;
 
-pub use blob::{blob_map, BlobClient, BlobDone, BlobMap};
+pub use blob::{blob_map, BlobClient, BlobDone, BlobMap, BLOB_RETRY_INTERVAL};
 pub use kv::KvStore;
 pub use server::{StateTransfer, StoreConfig, StoreOp, StoreRecoveryInfo, StoreRpc, StoreServer};
 pub use table::{TableError, TableStore};

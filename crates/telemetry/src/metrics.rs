@@ -178,11 +178,6 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Per-bucket counts (excluding overflow).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
     /// inside the owning bucket; `None` when the histogram is empty.
     ///

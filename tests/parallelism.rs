@@ -132,6 +132,22 @@ fn counted_inputs(bytes: &[Vec<u8>]) -> Vec<(String, u64)> {
     v
 }
 
+/// What exactly-once means against the same job's fault-free run.
+fn assert_exactly_once(faulted: &RunResult, baseline: &RunResult, name: &str) {
+    assert_eq!(final_counts(faulted), ground_truth(), "{name}");
+    let (faulted, baseline) = (sink_bytes(faulted), sink_bytes(baseline));
+    assert_eq!(
+        counted_inputs(&faulted),
+        counted_inputs(&baseline),
+        "{name}: every input must be counted exactly once, fault or not"
+    );
+    assert_eq!(
+        per_key_count_sequences(&faulted),
+        per_key_count_sequences(&baseline),
+        "{name}: per-key update order must survive the fault"
+    );
+}
+
 fn ground_truth() -> BTreeMap<String, i64> {
     let mut tally = BTreeMap::new();
     for w in word_stream(WORDS, SEED) {
@@ -265,17 +281,7 @@ fn parallel_txn_sink_instance_crash_is_exactly_once() {
         SimDuration::from_millis(800),
     ));
     let faulted = sc.run().expect("faulted runs");
-    assert_eq!(final_counts(&faulted), ground_truth());
-    assert_eq!(
-        counted_inputs(&sink_bytes(&faulted)),
-        counted_inputs(&sink_bytes(&baseline)),
-        "every input must be counted exactly once, crash or not"
-    );
-    assert_eq!(
-        per_key_count_sequences(&sink_bytes(&faulted)),
-        per_key_count_sequences(&sink_bytes(&baseline)),
-        "per-key update order must survive the crash"
-    );
+    assert_exactly_once(&faulted, &baseline, "wc-par-txn");
     // The crashed instance restored from its chain.
     let rec = faulted.report.spe_instances["wc/1/1"]
         .recovery
@@ -381,17 +387,7 @@ fn parallel_incremental_crash_and_rescale_are_exactly_once() {
         let mut sc = build(name, durable, rescale);
         sc.faults(bounce(target));
         let faulted = sc.run().expect("faulted runs");
-        assert_eq!(final_counts(&faulted), ground_truth(), "{name}");
-        assert_eq!(
-            counted_inputs(&sink_bytes(&faulted)),
-            counted_inputs(&sink_bytes(&baseline)),
-            "{name}: every input must be counted exactly once"
-        );
-        assert_eq!(
-            per_key_count_sequences(&sink_bytes(&faulted)),
-            per_key_count_sequences(&sink_bytes(&baseline)),
-            "{name}: per-key update order must survive the fault"
-        );
+        assert_exactly_once(&faulted, &baseline, name);
         let instance = if rescale.is_some() { "wc/1/0" } else { target };
         let rec = faulted.report.spe_instances[instance]
             .recovery
@@ -403,6 +399,51 @@ fn parallel_incremental_crash_and_rescale_are_exactly_once() {
             rec.delta_chain_len
         );
     }
+}
+
+/// One instance recovers alone, on a store, while its sibling keeps
+/// re-basing. It reads the sibling's chain too (keys may have moved), and
+/// that chain is pruned under it: the read of the blobs the sibling's
+/// manifest named is lost once and repeated after the sibling superseded
+/// and deleted them. The instance owns none of those keys, so it must come
+/// back with every key group it does own and the output of a run without
+/// faults.
+#[test]
+fn lone_instance_recovery_survives_its_siblings_chain_pruned_under_it() {
+    use stream2gym::store::{StoreConfig, BLOB_RETRY_INTERVAL};
+
+    let build = |name: &str| {
+        let mut sc = scenario_with(name, |job| job.parallelism(2));
+        sc.store("h6", StoreConfig::default());
+        // A 44 ms round trip to the store: room to lose exactly one read.
+        sc.host_link("h6", LinkSpec::new().latency_ms(20));
+        let cfg = CheckpointCfg::exactly_once(SimDuration::from_millis(500));
+        sc.with_durable_checkpointing(cfg.incremental(2), "h6");
+        sc.with_transactional_sinks();
+        sc
+    };
+    let baseline = build("wc-sibling-base").run().expect("baseline runs");
+    // `wc/1/0` restarts at 2.6 s, reads its own chain, then `wc/1/1`'s
+    // manifest, and at 2.732 s asks for the blobs that names (a base of
+    // 2.0 s and a delta of 2.5 s). The store is unreachable just then.
+    let mut sc = build("wc-sibling-pruned");
+    let ms = SimTime::from_millis;
+    sc.faults(
+        FaultPlan::new()
+            .crash_restart("wc/1/0", ms(2_400), SimDuration::from_millis(200))
+            .transient_disconnect("h6", ms(2_720), SimDuration::from_millis(30)),
+    );
+    let faulted = sc.run().expect("faulted runs");
+    let rec = faulted.report.spe_instances["wc/1/0"]
+        .recovery
+        .expect("crash recorded");
+    let (restarted, restored) = (rec.restarted_at.unwrap(), rec.restored_at.unwrap());
+    // The read was repeated a retry interval later, after the sibling
+    // re-based at 3.5 s: the restore holds nothing of the sibling's, whose
+    // every capture since 2.5 s is newer than the crash.
+    assert!(restored.saturating_since(restarted) >= BLOB_RETRY_INTERVAL);
+    assert!(rec.snapshot_taken_at.unwrap() < rec.crashed_at);
+    assert_exactly_once(&faulted, &baseline, "wc-sibling-pruned");
 }
 
 /// Parallelism 1 is a point on the axis, not a second program: the classic

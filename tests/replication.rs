@@ -125,6 +125,22 @@ fn transactional_baseline_commits_every_epoch() {
 }
 
 #[test]
+fn a_store_holds_one_chain_per_worker_however_long_the_run() {
+    // Full snapshots: each capture starts a chain that supersedes the one
+    // before, whose blob is deleted once the new manifest is durable. So a
+    // run twice as long (both end between two captures) leaves the same
+    // two keys on every replica: the one worker's manifest and its base.
+    for millis in [15_500, 31_500] {
+        let mut sc = build_txn(3);
+        sc.duration(SimTime::from_millis(millis));
+        let report = sc.run().expect("runs").report;
+        assert!(report.spe["wordcount"].checkpoints.checkpoints >= millis / 1_000 - 2);
+        let keys: Vec<u64> = report.stores.iter().map(|r| r.kv_keys).collect();
+        assert_eq!(keys, [2, 2, 2], "after {millis} ms");
+    }
+}
+
+#[test]
 fn worker_crash_mid_epoch_is_end_to_end_exactly_once() {
     // The staged-but-uncommitted transaction of the crashed epoch must be
     // aborted and replayed; a read-committed consumer sees output
@@ -621,7 +637,10 @@ impl Process for BouncingWorker {
         self.backend.persist(ctx, "job", &payload);
         ctx.set_timer(SimDuration::from_secs(1), 0);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        if tag != 0 {
+            return; // the backends' retry timers: the store acks nothing new
+        }
         self.backend = DurableBackend::new(vec![self.store], 1);
         let payload = CheckpointPayload::Full(sample_snapshot(2));
         self.backend.persist(ctx, "job", &payload);
