@@ -284,8 +284,6 @@ pub struct PartitionLog {
     log_start: Offset,
     /// Total record bytes retained (for the memory model).
     retained_bytes: usize,
-    /// Records discarded by truncation — the observable "silent loss".
-    truncated_records: Vec<Record>,
     /// Cumulative bytes reclaimed by compaction + retention — the replay
     /// cost this log will never pay again.
     reclaimed_bytes: u64,
@@ -299,7 +297,6 @@ impl Default for PartitionLog {
             high_watermark: Offset::ZERO,
             log_start: Offset::ZERO,
             retained_bytes: 0,
-            truncated_records: Vec::new(),
             reclaimed_bytes: 0,
         }
     }
@@ -368,7 +365,6 @@ impl PartitionLog {
             high_watermark: high_watermark.min(end),
             log_start: start,
             retained_bytes,
-            truncated_records: Vec::new(),
             reclaimed_bytes: 0,
         }
     }
@@ -554,9 +550,10 @@ impl PartitionLog {
     }
 
     /// Truncates the log to `to` (exclusive): entries at offsets `>= to` are
-    /// discarded and remembered in [`truncated`](Self::truncated). This is
-    /// the divergence-reconciliation step a rejoining follower performs, and
-    /// the source of silent loss under ZooKeeper-mode coordination.
+    /// discarded, and their count is returned. This is the
+    /// divergence-reconciliation step a rejoining follower performs, and the
+    /// source of silent loss under ZooKeeper-mode coordination (the broker
+    /// counts it in `BrokerStats::records_truncated`).
     pub fn truncate_to(&mut self, to: Offset) -> usize {
         // Never truncate below the log start: retention already dropped
         // everything before it, and regressing the log end past the start
@@ -594,7 +591,6 @@ impl PartitionLog {
         let n = dropped.len();
         for e in dropped {
             self.retained_bytes -= e.record.encoded_len();
-            self.truncated_records.push(e.record);
         }
         if self.high_watermark > self.log_end() {
             self.high_watermark = self.log_end();
@@ -619,11 +615,6 @@ impl PartitionLog {
             }
         }
         Offset::ZERO
-    }
-
-    /// Records discarded by truncation, in truncation order.
-    pub fn truncated(&self) -> &[Record] {
-        &self.truncated_records
     }
 
     /// The end offset for `epoch`: one past the last entry whose epoch is at
@@ -999,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn truncation_discards_and_remembers() {
+    fn truncation_discards_the_tail_and_counts_it() {
         let mut log = PartitionLog::new();
         log.append_batch(LeaderEpoch(0), [rec("a"), rec("b")]);
         log.append_batch(LeaderEpoch(1), [rec("x"), rec("y")]);
@@ -1009,8 +1000,10 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(log.log_end(), Offset(2));
         assert_eq!(log.high_watermark(), Offset(2), "HW clamped to new end");
-        assert_eq!(log.truncated().len(), 2);
-        assert_eq!(log.truncated()[0].value_utf8(), "x");
+        let kept: Vec<String> = (log.read(Offset(0), 10, false).iter())
+            .map(Record::value_utf8)
+            .collect();
+        assert_eq!(kept, ["a", "b"]);
         assert!(log.retained_bytes() < bytes_before);
         // Truncating beyond the end is a no-op.
         assert_eq!(log.truncate_to(Offset(100)), 0);
@@ -1025,9 +1018,10 @@ mod tests {
         assert_eq!(n, 6);
         assert_eq!(log.log_end(), Offset(2));
         assert_eq!(log.segment_count(), 1);
-        assert_eq!(log.truncated().len(), 6);
-        assert_eq!(log.truncated()[0].value_utf8(), "2");
-        assert_eq!(log.truncated()[5].value_utf8(), "7");
+        let kept: Vec<String> = (log.read(Offset(0), 10, false).iter())
+            .map(Record::value_utf8)
+            .collect();
+        assert_eq!(kept, ["0", "1"]);
         // Appends continue at the truncation point.
         assert_eq!(log.append(LeaderEpoch(1), rec("z")), Offset(2));
     }

@@ -418,10 +418,11 @@ impl Runtime {
                 let mut st = StoreServer::new(self.spec.stores[replica.group].1.clone());
                 st.set_name(slot.name.clone());
                 st.set_mem_slot(w.ledger.clone(), slot.mem);
+                st.set_incarnation(slot.incarnation);
                 st.set_telemetry(w.tele.clone());
                 let group = &w.store_groups[replica.group];
                 if group.len() > 1 {
-                    // A respawn rejoins recovering: it pulls the op log
+                    // A respawn rejoins recovering: it fetches the op log
                     // from a ready member before serving again.
                     st.set_group(group.clone(), replica.replica as usize, recover);
                 }

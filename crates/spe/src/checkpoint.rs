@@ -72,9 +72,6 @@ use crate::event::{CodecError, Event, Value};
 /// worker's own tags and of its embedded clients' ranges.
 pub const CKPT_CORR_BASE: u64 = 1 << 42;
 
-/// Default cap on the delta-chain length before a re-base is forced.
-pub const DEFAULT_MAX_DELTA_CHAIN: u32 = 8;
-
 /// When consumer offsets are committed relative to state persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointMode {
@@ -95,11 +92,10 @@ pub struct CheckpointCfg {
     pub interval: SimDuration,
     /// Offset-commit discipline.
     pub mode: CheckpointMode,
-    /// When set, captures after a base snapshot ship only dirty state
-    /// ([`StateDelta`]s); when clear every capture is a full snapshot.
-    pub incremental: bool,
     /// Maximum deltas chained onto one base before the next capture is
-    /// forced to be a full re-base (bounds restore work).
+    /// forced to be a full re-base (bounds restore work). Between re-bases
+    /// captures ship only dirty state ([`StateDelta`]s); 0 makes every
+    /// capture a full snapshot.
     pub max_delta_chain: u32,
 }
 
@@ -109,8 +105,7 @@ impl CheckpointCfg {
         CheckpointCfg {
             interval,
             mode,
-            incremental: false,
-            max_delta_chain: DEFAULT_MAX_DELTA_CHAIN,
+            max_delta_chain: 0,
         }
     }
 
@@ -132,7 +127,6 @@ impl CheckpointCfg {
     /// snapshots — ask for that directly).
     pub fn incremental(mut self, max_delta_chain: u32) -> Self {
         assert!(max_delta_chain > 0, "delta-chain cap must be positive");
-        self.incremental = true;
         self.max_delta_chain = max_delta_chain;
         self
     }
@@ -996,13 +990,10 @@ impl CheckpointCoordinator {
     }
 
     /// Which kind of capture the next [`accept`](Self::accept) should carry:
-    /// full when incremental captures are off, before the first base, and
-    /// whenever the chain hit its cap — delta otherwise.
+    /// full before the first base and whenever the chain hit its cap (a
+    /// zero cap: always) — delta otherwise.
     pub fn capture_kind(&self) -> CaptureKind {
-        if !self.cfg.incremental
-            || !self.has_base
-            || self.chain_len >= self.cfg.max_delta_chain as u64
-        {
+        if !self.has_base || self.chain_len >= self.cfg.max_delta_chain as u64 {
             CaptureKind::Full
         } else {
             CaptureKind::Delta
@@ -1254,7 +1245,7 @@ impl std::fmt::Debug for CheckpointCoordinator {
         f.debug_struct("CheckpointCoordinator")
             .field("mode", &self.cfg.mode)
             .field("interval", &self.cfg.interval)
-            .field("incremental", &self.cfg.incremental)
+            .field("max_delta_chain", &self.cfg.max_delta_chain)
             .field("chain_len", &self.chain_len)
             .field("stats", &self.stats)
             .finish()

@@ -39,7 +39,7 @@ mod worker;
 pub use checkpoint::{
     CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode, CheckpointPayload,
     CheckpointStats, DurableBackend, Recovered, RecoveryInfo, SnapshotChain, StateDelta,
-    StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE, DEFAULT_MAX_DELTA_CHAIN,
+    StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE,
 };
 pub use event::{CodecError, Event, Value};
 pub use ops::{

@@ -6,7 +6,9 @@
 //!   still be read (the RocksDB stand-in),
 //! * [`TableStore`] — minimal relational tables (the MySQL stand-in),
 //! * [`StoreServer`] — a simulated process serving both over [`StoreRpc`],
-//!   the `storeType`/`storeCfg` node from Table I,
+//!   the `storeType`/`storeCfg` node from Table I; grouped, its members
+//!   replicate one operation log, each follower fetching what it lacks
+//!   from the primary,
 //! * [`BlobClient`] — the client the durability tiers (broker log
 //!   segments, SPE checkpoints) keep their blobs through: a store group
 //!   over the network, or a shared [`BlobMap`] that answers at once.

@@ -17,17 +17,25 @@
 //! A standalone store is a single point of failure: crash it and every
 //! checkpoint and broker-log blob is gone, silently voiding the guarantees
 //! built on top. [`StoreServer::set_group`] turns N servers into a
-//! **store group**: one primary quorum-replicates every mutation
-//! (`Put`/`Delete`/`Insert`) to its replicas and acknowledges the client
-//! only once a majority has applied it, so an acknowledged write survives
-//! any minority of store crashes. Members heartbeat each other; when the
-//! primary dies, the lowest-indexed live member catches up to the most
-//! advanced surviving replica and claims the primary role under a bumped
-//! group epoch. A restarted member rejoins in a recovering state, pulls the
-//! full operation log from a ready peer (paying wire cost for every byte),
-//! and only then serves again. Non-primary members proxy client requests to
-//! the primary, so a [`BlobClient`](crate::BlobClient) that rotates
-//! endpoints on timeout reaches the group through any live member.
+//! **store group**: one primary appends every mutation
+//! (`Put`/`Delete`/`Insert`) to the group's operation log and acknowledges
+//! the client only once a majority holds it, so an acknowledged write
+//! survives any minority of store crashes.
+//!
+//! A member learns what it missed one way: it asks. A ready follower keeps
+//! exactly one [`StoreRpc::Fetch`] outstanding at its primary, and the
+//! `after` of each fetch acknowledges everything up to it. The primary
+//! answers at once when it holds ops after `after` (with a full
+//! [`StateTransfer`] when `after` is below its truncated log start), and
+//! otherwise parks the fetch until its next append, so an idle group still
+//! acks a write in one round trip. A restarted member asks every peer and
+//! takes the first answer; a member about to claim the primary role asks
+//! the most advanced live peer; a deposed primary wipes its state and asks
+//! from zero. Members heartbeat each other; when the primary dies, the
+//! lowest-indexed live member catches up and claims the role under a
+//! bumped group epoch. Non-primary members proxy client requests to the
+//! primary, so a [`BlobClient`](crate::BlobClient) that rotates endpoints
+//! on timeout reaches the group through any live member.
 
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
@@ -105,10 +113,9 @@ pub enum StoreRpc {
         /// The value, if present.
         value: Option<Vec<u8>>,
     },
-    /// Remove a key. Sent today only by the broker's log cleaner, for dead
-    /// segment blobs; the checkpoint tier sends none, so on a store a
-    /// superseded chain's blobs stay (`docs/fault-tolerance.md`, "Known
-    /// difference").
+    /// Remove a key. A [`BlobClient`](crate::BlobClient) sends it for blobs
+    /// nothing references any more: the broker's dead log segments and the
+    /// checkpoint chain a re-base superseded.
     Delete {
         /// Request id.
         corr: u64,
@@ -147,25 +154,39 @@ pub enum StoreRpc {
         /// The proxied request.
         rpc: Box<StoreRpc>,
     },
-    /// Primary → replica: apply one op of the group's operation log.
-    Replicate {
-        /// The primary's group epoch (stale primaries are ignored).
-        epoch: u64,
-        /// Index of the primary member sending this.
-        primary: u32,
-        /// Sequence of the op in the group log (1-based).
-        seq: u64,
-        /// The mutation.
-        op: StoreOp,
-    },
-    /// Replica → primary: cumulative acknowledgement of applied ops.
-    ReplicateAck {
-        /// Member index of the acking replica.
+    /// Member → member: asks for the op-log suffix after `after`. Under the
+    /// receiver's own epoch, `after` also acknowledges every op up to it.
+    Fetch {
+        /// Request id, salted with the sender's incarnation.
+        corr: u64,
+        /// Sender's member index.
         from: u32,
-        /// The replica's highest contiguously applied sequence.
-        applied_seq: u64,
-        /// The epoch the replica is following.
+        /// The sender's highest applied sequence.
+        after: u64,
+        /// Sender's group epoch.
         epoch: u64,
+        /// Whether the sender has caught up and serves requests.
+        ready: bool,
+    },
+    /// Op-log suffix transfer answering a [`StoreRpc::Fetch`];
+    /// `entries[i]` carries seq `after + 1 + i`.
+    FetchReply {
+        /// The fetch's request id.
+        corr: u64,
+        /// Responder's group epoch.
+        epoch: u64,
+        /// Responder's view of the primary index.
+        primary: u32,
+        /// The sequence the suffix starts after.
+        after: u64,
+        /// The ops after `after`, in sequence order.
+        entries: Vec<StoreOp>,
+        /// Full-state bootstrap, sent when the fetch's `after` is below the
+        /// responder's log start (truncated by peer-acked op-log cleaning):
+        /// the responder's complete state as of `after`. The receiver
+        /// installs it, adopts `after` as both its applied sequence and its
+        /// log start, and applies `entries` (normally empty) on top.
+        snapshot: Option<StateTransfer>,
     },
     /// Member ↔ member liveness + progress gossip.
     GroupHeartbeat {
@@ -179,33 +200,6 @@ pub enum StoreRpc {
         applied_seq: u64,
         /// Whether the sender has caught up and serves requests.
         ready: bool,
-    },
-    /// A recovering (or claiming) member asks a peer for the op log suffix
-    /// after `from_seq`.
-    SyncRequest {
-        /// Request id.
-        corr: u64,
-        /// The requester's highest applied sequence.
-        from_seq: u64,
-    },
-    /// Op-log suffix transfer; `entries[i]` carries seq `from_seq + 1 + i`.
-    SyncResponse {
-        /// Request id.
-        corr: u64,
-        /// Responder's group epoch.
-        epoch: u64,
-        /// Responder's view of the primary index.
-        primary: u32,
-        /// The sequence the suffix starts after.
-        from_seq: u64,
-        /// The ops after `from_seq`, in sequence order.
-        entries: Vec<StoreOp>,
-        /// Full-state bootstrap, sent when the requester's needed suffix
-        /// was truncated by peer-acked op-log cleaning: the responder's
-        /// complete state as of `from_seq`. The receiver installs it,
-        /// adopts `from_seq` as both its applied sequence and its log
-        /// start, and applies `entries` (normally empty) on top.
-        snapshot: Option<StateTransfer>,
     },
 }
 
@@ -254,11 +248,9 @@ impl Message for StoreRpc {
             }
             StoreRpc::InsertAck { .. } => 9,
             StoreRpc::Forward { rpc, .. } => 8 + rpc.wire_size(),
-            StoreRpc::Replicate { op, .. } => 24 + op.wire_size(),
-            StoreRpc::ReplicateAck { .. } => 20,
+            StoreRpc::Fetch { .. } => 29,
             StoreRpc::GroupHeartbeat { .. } => 29,
-            StoreRpc::SyncRequest { .. } => 16,
-            StoreRpc::SyncResponse {
+            StoreRpc::FetchReply {
                 entries, snapshot, ..
             } => {
                 28 + entries.iter().map(StoreOp::wire_size).sum::<usize>()
@@ -302,17 +294,8 @@ impl Default for StoreConfig {
 mod tags {
     pub const BACKGROUND_TICK: u64 = 1;
     pub const GROUP_HB_TICK: u64 = 3;
-    pub const SYNC_RETRY: u64 = 4;
     pub const CPU_BASE: u64 = 1 << 50;
 }
-
-/// How long a recovering member waits for a sync response before re-asking
-/// its peers (the request or the response was lost).
-const SYNC_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(700);
-
-/// Max op-log entries the primary re-sends to one lagging replica per
-/// heartbeat round (repair for lost `Replicate` messages).
-const REPAIR_BATCH: u64 = 128;
 
 /// Recovery metrics for one restarted store-group member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,12 +310,11 @@ pub struct StoreRecoveryInfo {
     pub sync_bytes: u64,
 }
 
-/// Quorum tracking for one mutation awaiting majority application.
+/// A mutation the primary applied, awaiting a majority that holds it.
 #[derive(Debug)]
 struct PendingWrite {
     client: ProcessId,
     ack: StoreRpc,
-    acked_by: Vec<bool>,
 }
 
 /// Group-membership state of one replicated store member.
@@ -354,15 +336,28 @@ struct GroupState {
     /// Lifetime count of ops this member truncated as primary.
     truncated_ops: u64,
     ready: bool,
+    /// When each member was last heard from; any message counts.
     peer_last_seen: Vec<SimTime>,
+    /// When this member started, or heard a peer again after hearing none
+    /// for two heartbeat intervals. A member cut off learns nothing from
+    /// its peers' silence, so none counts as dead for less than a session
+    /// timeout after this.
+    awake_since: SimTime,
+    /// Each member's progress as it last reported it under this member's
+    /// epoch: the `after` of its fetches, the `applied_seq` of its
+    /// heartbeats, the end of its replies. A restarted member reports less
+    /// than it once held, and that is what it holds.
     peer_seq: Vec<u64>,
+    /// Whether each member's last heartbeat said it serves (assumed until
+    /// one is heard).
     peer_ready: Vec<bool>,
-    /// Replicated ops that arrived ahead of a gap, keyed by seq.
-    ooo: std::collections::BTreeMap<u64, StoreOp>,
     /// Writes awaiting quorum, keyed by seq.
     pending_writes: std::collections::BTreeMap<u64, PendingWrite>,
-    next_sync_corr: u64,
-    sync_inflight: Option<u64>,
+    /// The acting primary's held fetches, one per member: `(corr, after)`,
+    /// answered by the next append.
+    parked: Vec<Option<(u64, u64)>>,
+    /// This member's one outstanding fetch: `(corr, sent_at)`.
+    awaiting: Option<(u64, SimTime)>,
     /// A failover claim is waiting for catch-up from a more advanced peer.
     claim_pending: bool,
     recovery: Option<StoreRecoveryInfo>,
@@ -374,7 +369,86 @@ impl GroupState {
     }
 
     fn peer_alive(&self, i: usize, now: SimTime, timeout: SimDuration) -> bool {
-        i == self.index || now.saturating_since(self.peer_last_seen[i]) <= timeout
+        let seen = self.peer_last_seen[i].max(self.awake_since);
+        i == self.index || now.saturating_since(seen) <= timeout
+    }
+
+    /// True when member `i` was heard from within `window`.
+    fn heard(&self, i: usize, now: SimTime, window: SimDuration) -> bool {
+        i == self.index || now.saturating_since(self.peer_last_seen[i]) <= window
+    }
+
+    /// Takes a message from `pid` as word that it is alive.
+    fn heard_from(&mut self, pid: ProcessId, now: SimTime, interval: SimDuration) {
+        let Some(i) = self.members.iter().position(|p| *p == pid) else {
+            return;
+        };
+        let me = self.index;
+        if !(0..self.members.len()).any(|j| j != me && self.heard(j, now, interval * 2)) {
+            self.awake_since = now;
+        }
+        self.peer_last_seen[i] = now;
+    }
+
+    /// Every other member's process id, in index order.
+    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let me = self.index;
+        (self.members.iter().enumerate())
+            .filter(move |(i, _)| *i != me)
+            .map(|(_, p)| *p)
+    }
+
+    /// Records member `i`'s progress, if reported under this member's epoch.
+    fn note_progress(&mut self, i: usize, epoch: u64, seq: u64) {
+        if epoch == self.epoch {
+            self.peer_seq[i] = seq;
+        }
+    }
+
+    /// True when no fetch is out, or the one out is an interval old.
+    fn fetch_stale(&self, now: SimTime, interval: SimDuration) -> bool {
+        self.awaiting
+            .is_none_or(|(_, at)| now.saturating_since(at) >= interval)
+    }
+
+    /// The claim rule. `None` when this member must not claim the primary
+    /// role now: it is not ready; the primary is alive and serving (one that
+    /// restarted has lost its state and says it is not ready); no ready
+    /// majority is in sight; or a live ready member is ordered before it.
+    /// Otherwise the most advanced live peer it must first catch up from,
+    /// if any is ahead of it.
+    ///
+    /// The majority must hold the log (a restarted member holds nothing
+    /// yet, and an acked write may be on no other) and have been heard from
+    /// within two heartbeat intervals, not within the session timeout: a
+    /// member cut off just now last heard its peers on their own heartbeat
+    /// phases, so one can still look alive after the primary no longer
+    /// does, and a minority member that merely stopped *hearing* the others
+    /// must never crown itself — on heal it would depose the true primary
+    /// and quorum-acked writes with it. What they reported is recent, too.
+    fn claim(&self, now: SimTime, cfg: &StoreConfig) -> Option<Option<usize>> {
+        let alive = |i: usize| self.peer_alive(i, now, cfg.group_session_timeout);
+        let heard = |i: usize| {
+            let recent = self.heard(i, now, cfg.group_heartbeat_interval * 2);
+            recent && (i == self.index || self.peer_ready[i])
+        };
+        let n = self.members.len();
+        let serving = alive(self.primary) && self.peer_ready[self.primary];
+        if !self.ready || self.primary == self.index || serving {
+            return None;
+        }
+        if (0..n).filter(|i| heard(*i)).count() < self.quorum() {
+            return None;
+        }
+        let lowest_live = (0..n).find(|i| *i == self.index || (alive(*i) && self.peer_ready[*i]));
+        if lowest_live != Some(self.index) {
+            return None;
+        }
+        let ahead = (0..n)
+            .filter(|i| *i != self.index && *i != self.primary && alive(*i))
+            .max_by_key(|i| self.peer_seq[*i])
+            .filter(|i| self.peer_seq[*i] > self.applied_seq);
+        Some(ahead)
     }
 }
 
@@ -387,6 +461,8 @@ pub struct StoreServer {
     next_tag: u64,
     mem: Option<(LedgerHandle, MemSlot)>,
     group: Option<GroupState>,
+    /// The next fetch correlation id; the incarnation is its high half.
+    next_corr: u64,
     name: String,
     /// Telemetry sink (an unshared default until the orchestrator attaches
     /// the run-wide one).
@@ -404,6 +480,7 @@ impl StoreServer {
             next_tag: 0,
             mem: None,
             group: None,
+            next_corr: 0,
             name: "store".to_string(),
             tele: Telemetry::new(),
         }
@@ -430,6 +507,14 @@ impl StoreServer {
         }
     }
 
+    /// Salts this member's fetch correlation ids with its incarnation (the
+    /// high half of the counter), so a reply addressed to an earlier
+    /// incarnation of the slot — to a fetch it left in flight or parked at
+    /// the primary — completes nothing here.
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.next_corr = incarnation << 32;
+    }
+
     /// Attaches a memory-ledger slot.
     pub fn set_mem_slot(&mut self, ledger: LedgerHandle, slot: MemSlot) {
         self.mem = Some((ledger, slot));
@@ -438,7 +523,7 @@ impl StoreServer {
     /// Joins this server to a replication group. `members` lists every
     /// member's process id in index order (identical on every member);
     /// `index` is this member's slot. With `recovering` set (the respawn
-    /// path) the member starts unready and pulls the op log from a peer
+    /// path) the member starts unready and fetches the op log from a peer
     /// before serving.
     ///
     /// # Panics
@@ -458,12 +543,12 @@ impl StoreServer {
             truncated_ops: 0,
             ready: !recovering,
             peer_last_seen: vec![SimTime::ZERO; n],
+            awake_since: SimTime::ZERO,
             peer_seq: vec![0; n],
-            peer_ready: vec![false; n],
-            ooo: std::collections::BTreeMap::new(),
+            peer_ready: vec![true; n],
             pending_writes: std::collections::BTreeMap::new(),
-            next_sync_corr: 0,
-            sync_inflight: None,
+            parked: vec![None; n],
+            awaiting: None,
             claim_pending: false,
             recovery: None,
         });
@@ -533,9 +618,8 @@ impl StoreServer {
     }
 
     /// Applies one mutation to the local stores. `Insert` races (a duplicate
-    /// `CreateTable` behind a lost-RPC retry, or a replicated op re-applied
-    /// during repair) are tolerated: an already-existing table is simply
-    /// inserted into instead of panicking.
+    /// `CreateTable` behind a lost-RPC retry) are tolerated: an
+    /// already-existing table is simply inserted into instead of panicking.
     fn apply_op(&mut self, op: &StoreOp) -> StoreRpcOutcomeBits {
         let mut bits = StoreRpcOutcomeBits {
             existed: false,
@@ -554,8 +638,7 @@ impl StoreServer {
                     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
                     match self.tables.create_table(table, &col_refs) {
                         // `AlreadyExists` is not a bug: a duplicate
-                        // `CreateTable` can race a lost-RPC retry (or a
-                        // repair re-send in a replication group); fall
+                        // `CreateTable` can race a lost-RPC retry; fall
                         // through to the insert either way.
                         Ok(()) | Err(TableError::TableExists(_)) => {}
                         Err(_) => {
@@ -603,7 +686,8 @@ impl StoreServer {
     }
 
     /// Primary path for a client mutation: apply locally, append to the
-    /// group log, replicate to peers, and ack once a majority applied.
+    /// group log, answer the fetches parked for this append, and ack once a
+    /// majority holds it.
     fn primary_mutate(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, rpc: StoreRpc) {
         let op = Self::op_of(&rpc).expect("mutation");
         let bits = self.apply_op(&op);
@@ -614,64 +698,35 @@ impl StoreServer {
             return;
         };
         g.applied_seq += 1;
-        let seq = g.applied_seq;
-        g.oplog.push(op.clone());
-        let mut acked_by = vec![false; g.members.len()];
-        acked_by[g.index] = true;
-        let quorum = g.quorum();
-        let epoch = g.epoch;
-        let primary = g.index as u32;
-        let peers: Vec<ProcessId> = g
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != g.index)
-            .map(|(_, p)| *p)
+        g.oplog.push(op);
+        let write = PendingWrite { client: from, ack };
+        g.pending_writes.insert(g.applied_seq, write);
+        // A single-member group holds a majority by itself.
+        self.pump_quorum(ctx);
+        let g = self.group.as_mut().expect("grouped");
+        let parked: Vec<(usize, (u64, u64))> = (g.parked.iter_mut().enumerate())
+            .filter_map(|(i, p)| p.take().map(|p| (i, p)))
             .collect();
-        if acked_by.iter().filter(|b| **b).count() >= quorum {
-            // Single-member group: durable by definition.
-            self.respond_after_cpu(ctx, from, ack);
-        } else {
-            g.pending_writes.insert(
-                seq,
-                PendingWrite {
-                    client: from,
-                    ack,
-                    acked_by,
-                },
-            );
-        }
-        for p in peers {
-            ctx.send(
-                p,
-                StoreRpc::Replicate {
-                    epoch,
-                    primary,
-                    seq,
-                    op: op.clone(),
-                },
-            );
+        for (i, (corr, after)) in parked {
+            self.serve_fetch(ctx, i, corr, after);
         }
     }
 
-    /// Acks every pending write newly covered by a quorum.
+    /// Acks every pending write a majority now holds, the primary's own
+    /// progress counted with every peer's.
     fn pump_quorum(&mut self, ctx: &mut Ctx<'_>) {
         let Some(g) = self.group.as_mut() else { return };
-        let quorum = g.quorum();
-        let ready: Vec<u64> = g
-            .pending_writes
-            .iter()
-            .filter(|(_, w)| w.acked_by.iter().filter(|b| **b).count() >= quorum)
-            .map(|(s, _)| *s)
-            .collect();
-        let mut acks = Vec::new();
-        for s in ready {
-            if let Some(w) = g.pending_writes.remove(&s) {
-                acks.push((w.client, w.ack));
-            }
+        if g.pending_writes.is_empty() {
+            return;
         }
-        for (client, ack) in acks {
-            self.respond_after_cpu(ctx, client, ack);
+        let mut progress = g.peer_seq.clone();
+        progress[g.index] = g.applied_seq;
+        progress.sort_unstable_by(|a, b| b.cmp(a));
+        let held = progress[g.quorum() - 1];
+        let waiting = g.pending_writes.split_off(&(held + 1));
+        let acked = std::mem::replace(&mut g.pending_writes, waiting);
+        for w in acked.into_values() {
+            self.respond_after_cpu(ctx, w.client, w.ack);
         }
     }
 
@@ -710,126 +765,49 @@ impl StoreServer {
         }
     }
 
-    /// Adopts a newer group epoch (and its primary). A member that was
-    /// itself the *acting primary* of an older epoch may hold a divergent,
-    /// never-quorum-acked tail it applied while isolated; counting its
-    /// inflated `applied_seq` toward the new primary's quorums would fake
-    /// durability. Such a member steps down hard: it discards its local
-    /// state and op log, drops its pending writes (their clients retry
-    /// through the group), and rebuilds from a full sync off the new
-    /// regime — after which it is byte-identical to replay of the
-    /// canonical log.
-    fn follow_epoch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, primary: u32) {
-        let deposed = {
-            let Some(g) = self.group.as_mut() else { return };
-            if epoch <= g.epoch {
-                if epoch == g.epoch && g.primary != primary as usize {
-                    g.primary = primary as usize;
-                }
-                return;
-            }
-            let was_acting_primary = g.ready && g.primary == g.index && g.index != primary as usize;
-            g.epoch = epoch;
-            g.primary = primary as usize;
-            g.claim_pending = false;
-            if was_acting_primary {
-                g.ready = false;
-                g.applied_seq = 0;
-                g.oplog.clear();
-                g.log_start = 0;
-                g.ooo.clear();
-                g.pending_writes.clear();
-            }
-            was_acting_primary
+    /// Follows a newer group epoch, or a primary of this epoch learned
+    /// late. Fetches parked at this member or addressed to the old primary
+    /// are dropped, and progress counted under an older epoch acks nothing
+    /// under the new one.
+    ///
+    /// A member that was itself the *acting primary* of an older epoch may
+    /// hold a divergent, never-quorum-acked tail it applied while isolated;
+    /// counting it toward the new primary's quorums would fake durability.
+    /// Such a member steps down hard: it discards its local state and op
+    /// log, drops its pending writes (their clients retry through the
+    /// group), and fetches from zero — after which it is byte-identical to
+    /// replay of the canonical log. Returns whether it was deposed.
+    fn follow_epoch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, primary: u32) -> bool {
+        let Some(g) = self.group.as_mut() else {
+            return false;
         };
+        let primary = primary as usize;
+        if epoch < g.epoch || (epoch == g.epoch && primary == g.primary) {
+            return false;
+        }
+        let deposed = epoch > g.epoch && g.ready && g.primary == g.index && primary != g.index;
+        if epoch > g.epoch {
+            g.epoch = epoch;
+            g.claim_pending = false;
+            g.peer_seq.fill(0);
+        }
+        g.primary = primary;
+        g.parked.fill(None);
+        if g.ready {
+            g.awaiting = None;
+        }
         if deposed {
+            g.ready = false;
+            g.applied_seq = 0;
+            g.oplog.clear();
+            g.log_start = 0;
+            g.pending_writes.clear();
             self.kv = KvStore::new();
             self.tables = TableStore::new();
             self.update_mem();
-            self.start_sync(ctx, None);
+            self.send_fetch(ctx, None);
         }
-    }
-
-    /// Replica path: apply a replicated op in sequence order, buffering
-    /// out-of-order arrivals, and cumulatively ack progress.
-    fn handle_replicate(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        epoch: u64,
-        primary: u32,
-        seq: u64,
-        op: StoreOp,
-    ) {
-        {
-            let Some(g) = self.group.as_ref() else { return };
-            if epoch < g.epoch {
-                return; // stale primary
-            }
-        }
-        self.follow_epoch(ctx, epoch, primary);
-        {
-            let Some(g) = self.group.as_mut() else { return };
-            if !g.ready {
-                return; // rebuilding: the sync brings these ops instead
-            }
-            if g.primary != primary as usize {
-                g.primary = primary as usize;
-            }
-            if seq > g.applied_seq {
-                g.ooo.insert(seq, op);
-            }
-        }
-        // Drain in-order ops.
-        loop {
-            let next = {
-                let g = self.group.as_ref().expect("grouped");
-                let next_seq = g.applied_seq + 1;
-                g.ooo.contains_key(&next_seq).then_some(next_seq)
-            };
-            let Some(next_seq) = next else { break };
-            let op = self
-                .group
-                .as_mut()
-                .expect("grouped")
-                .ooo
-                .remove(&next_seq)
-                .expect("just checked");
-            self.apply_op(&op);
-            let g = self.group.as_mut().expect("grouped");
-            g.applied_seq = next_seq;
-            g.oplog.push(op);
-        }
-        let g = self.group.as_ref().expect("grouped");
-        let (from, applied_seq, epoch) = (g.index as u32, g.applied_seq, g.epoch);
-        let primary_pid = g.members[g.primary];
-        ctx.send(
-            primary_pid,
-            StoreRpc::ReplicateAck {
-                from,
-                applied_seq,
-                epoch,
-            },
-        );
-    }
-
-    fn handle_replicate_ack(&mut self, ctx: &mut Ctx<'_>, from: u32, applied_seq: u64, epoch: u64) {
-        {
-            let Some(g) = self.group.as_mut() else { return };
-            if epoch != g.epoch {
-                return;
-            }
-            let i = from as usize;
-            if i >= g.members.len() {
-                return;
-            }
-            g.peer_seq[i] = g.peer_seq[i].max(applied_seq);
-            for (s, w) in g.pending_writes.iter_mut() {
-                if *s <= applied_seq {
-                    w.acked_by[i] = true;
-                }
-            }
-        }
-        self.pump_quorum(ctx);
+        deposed
     }
 
     fn handle_heartbeat(
@@ -841,158 +819,120 @@ impl StoreServer {
         applied_seq: u64,
         ready: bool,
     ) {
-        let now = ctx.now();
         {
             let Some(g) = self.group.as_mut() else { return };
             let i = from as usize;
             if i >= g.members.len() {
                 return;
             }
-            g.peer_last_seen[i] = now;
-            g.peer_seq[i] = g.peer_seq[i].max(applied_seq);
             g.peer_ready[i] = ready;
         }
         // A newer primary claimed; follow it (a deposed acting primary
         // rebuilds, see `follow_epoch`).
         self.follow_epoch(ctx, epoch, primary);
-        // The heartbeat's applied_seq doubles as a cumulative ack: a lost
-        // ReplicateAck heals here instead of stalling the quorum until the
-        // client re-sends the whole blob.
-        let ack_progress = {
-            let Some(g) = self.group.as_mut() else { return };
-            let i = from as usize;
-            if g.primary == g.index && g.ready {
-                let mut any = false;
-                for (seq, w) in g.pending_writes.iter_mut() {
-                    if *seq <= applied_seq && !w.acked_by[i] {
-                        w.acked_by[i] = true;
-                        any = true;
-                    }
-                }
-                any
-            } else {
-                false
-            }
-        };
-        if ack_progress {
-            self.pump_quorum(ctx);
-        }
-        let mut repair: Vec<(ProcessId, StoreRpc)> = Vec::new();
-        {
-            let Some(g) = self.group.as_mut() else { return };
-            let i = from as usize;
-            // Primary-side repair: re-send the op-log suffix a lagging ready
-            // replica is missing (lost Replicate messages heal here).
-            if g.primary == g.index && g.ready && ready && applied_seq < g.applied_seq {
-                let peer = g.members[i];
-                // Truncated prefix cannot be repaired record-by-record; a
-                // peer that far behind resyncs via the snapshot path when
-                // it asks. (A live ready peer is never behind `log_start` —
-                // truncation only discards what every live member acked.)
-                let start = applied_seq.max(g.log_start);
-                let upto = (start + REPAIR_BATCH).min(g.applied_seq);
-                for seq in (start + 1)..=upto {
-                    repair.push((
-                        peer,
-                        StoreRpc::Replicate {
-                            epoch: g.epoch,
-                            primary: g.index as u32,
-                            seq,
-                            op: g.oplog[(seq - 1 - g.log_start) as usize].clone(),
-                        },
-                    ));
-                }
-            }
-        }
-        for (to, rpc) in repair {
-            ctx.send(to, rpc);
-        }
+        let g = self.group.as_mut().expect("grouped");
+        g.note_progress(from as usize, epoch, applied_seq);
+        self.pump_quorum(ctx);
     }
 
-    fn handle_sync_request(
+    /// Takes a member's fetch. Its `after` is that member's progress. Any
+    /// ready member answers at once from its own log — except that the
+    /// acting primary holds a ready follower's fetch under its own epoch
+    /// when it has nothing after `after`, one per member (a newer fetch
+    /// replaces the older), until its next append.
+    fn handle_fetch(
         &mut self,
         ctx: &mut Ctx<'_>,
-        from: ProcessId,
         corr: u64,
-        from_seq: u64,
+        from: u32,
+        after: u64,
+        epoch: u64,
+        ready: bool,
     ) {
-        let (epoch, primary, log_start, applied) = {
-            let Some(g) = self.group.as_ref() else { return };
-            if !g.ready {
-                return; // cannot seed others while recovering ourselves
-            }
-            (g.epoch, g.primary as u32, g.log_start, g.applied_seq)
-        };
-        if from_seq < log_start {
-            // The suffix the requester needs was truncated away by
-            // peer-acked cleaning: ship a full state snapshot instead. The
-            // receiver adopts our applied sequence wholesale.
+        let Some(g) = self.group.as_mut() else { return };
+        let i = from as usize;
+        if !g.ready || i >= g.members.len() {
+            return; // cannot seed others while recovering ourselves
+        }
+        g.note_progress(i, epoch, after);
+        let park = ready && epoch == g.epoch && g.primary == g.index && after >= g.applied_seq;
+        g.parked[i] = park.then_some((corr, after));
+        if !park {
+            self.serve_fetch(ctx, i, corr, after);
+        }
+        self.pump_quorum(ctx);
+    }
+
+    /// Sends member `to` this member's log after `after`: the suffix, or
+    /// the full state when `after` is below the log start (the suffix it
+    /// needs was truncated away by peer-acked cleaning).
+    fn serve_fetch(&self, ctx: &mut Ctx<'_>, to: usize, corr: u64, after: u64) {
+        let g = self.group.as_ref().expect("grouped");
+        let (after, entries, snapshot) = if after < g.log_start {
+            let kv = self.kv.entries();
             let snapshot = StateTransfer {
-                kv: self
-                    .kv
-                    .entries()
-                    .map(|(k, v)| (k.clone(), v.to_vec()))
-                    .collect(),
+                kv: kv.map(|(k, v)| (k.clone(), v.to_vec())).collect(),
                 tables: self.tables.dump(),
             };
-            ctx.send(
-                from,
-                StoreRpc::SyncResponse {
-                    corr,
-                    epoch,
-                    primary,
-                    from_seq: applied,
-                    entries: Vec::new(),
-                    snapshot: Some(snapshot),
-                },
-            );
-            return;
-        }
-        let g = self.group.as_ref().expect("checked above");
-        let start = from_seq.min(applied);
-        let entries: Vec<StoreOp> = g.oplog[(start - log_start) as usize..].to_vec();
-        ctx.send(
-            from,
-            StoreRpc::SyncResponse {
-                corr,
-                epoch,
-                primary,
-                from_seq: start,
-                entries,
-                snapshot: None,
-            },
-        );
+            (g.applied_seq, Vec::new(), Some(snapshot))
+        } else {
+            let after = after.min(g.applied_seq);
+            let entries = g.oplog[(after - g.log_start) as usize..].to_vec();
+            (after, entries, None)
+        };
+        let (epoch, primary) = (g.epoch, g.primary as u32);
+        let reply = StoreRpc::FetchReply {
+            corr,
+            epoch,
+            primary,
+            after,
+            entries,
+            snapshot,
+        };
+        ctx.send(g.members[to], reply);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_sync_response(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        corr: u64,
-        epoch: u64,
-        primary: u32,
-        from_seq: u64,
-        entries: Vec<StoreOp>,
-        snapshot: Option<StateTransfer>,
-    ) {
+    /// Applies the answer to this member's outstanding fetch, following its
+    /// epoch first, and sends the next fetch at once. A reply to any other
+    /// fetch (superseded, or addressed to an earlier incarnation) and one
+    /// from an older epoch are ignored; ops already applied are skipped.
+    fn handle_fetch_reply(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, reply: StoreRpc) {
+        let StoreRpc::FetchReply {
+            corr,
+            epoch,
+            primary,
+            after,
+            entries,
+            snapshot,
+        } = reply
+        else {
+            return;
+        };
         {
-            let Some(g) = self.group.as_ref() else { return };
-            if g.sync_inflight != Some(corr) {
-                return; // stale or duplicate response
+            let Some(g) = self.group.as_mut() else { return };
+            // A restarted member the group still takes for its primary
+            // waits for another to claim: it holds only what it is sent.
+            let own_primacy = !g.ready && primary as usize == g.index;
+            if g.awaiting.map(|(c, _)| c) != Some(corr) || epoch < g.epoch || own_primacy {
+                return;
             }
+            g.awaiting = None;
         }
-        let mut sync_ops = 0u64;
-        let mut sync_bytes = 0u64;
+        if self.follow_epoch(ctx, epoch, primary) {
+            return; // deposed: the reply answered the state just wiped
+        }
+        let g = self.group.as_mut().expect("grouped");
+        if let Some(i) = g.members.iter().position(|p| *p == from) {
+            let end = after + entries.len() as u64;
+            g.note_progress(i, epoch, end);
+        }
+        let (mut sync_ops, mut sync_bytes) = (0u64, 0u64);
         if let Some(snap) = snapshot {
             // Bootstrap from the full state transfer: install it, adopt the
             // responder's applied sequence, and start an empty log there.
             sync_bytes += snap.wire_size() as u64;
-            sync_ops += (snap.kv.len()
-                + snap
-                    .tables
-                    .iter()
-                    .map(|(_, _, rows)| rows.len())
-                    .sum::<usize>()) as u64;
+            let rows: usize = snap.tables.iter().map(|(_, _, rows)| rows.len()).sum();
+            sync_ops += (snap.kv.len() + rows) as u64;
             self.kv = KvStore::new();
             self.tables = TableStore::new();
             for (k, v) in snap.kv {
@@ -1008,135 +948,119 @@ impl StoreServer {
             self.update_mem();
             let g = self.group.as_mut().expect("grouped");
             g.oplog.clear();
-            g.ooo.clear();
-            g.applied_seq = from_seq;
-            g.log_start = from_seq;
+            g.applied_seq = after;
+            g.log_start = after;
         }
-        for (i, op) in entries.iter().enumerate() {
-            let seq = from_seq + 1 + i as u64;
-            let applied = self.group.as_ref().expect("grouped").applied_seq;
-            if seq != applied + 1 {
-                continue; // already have it (duplicate retry overlap)
+        for (seq, op) in (after + 1..).zip(entries) {
+            if seq != self.applied_seq() + 1 {
+                continue; // already applied
             }
-            self.apply_op(op);
-            let g = self.group.as_mut().expect("grouped");
-            g.applied_seq = seq;
-            g.oplog.push(op.clone());
+            self.apply_op(&op);
             sync_ops += 1;
             sync_bytes += op.wire_size() as u64;
-        }
-        let was_claiming;
-        {
             let g = self.group.as_mut().expect("grouped");
-            g.sync_inflight = None;
-            if epoch > g.epoch {
-                g.epoch = epoch;
-                g.primary = primary as usize;
-            }
-            was_claiming = g.claim_pending;
-            if !g.ready {
-                g.ready = true;
-                if let Some(r) = g.recovery.as_mut() {
-                    r.resynced_at = Some(ctx.now());
-                    r.sync_ops += sync_ops;
-                    r.sync_bytes += sync_bytes;
-                }
-                self.tele
-                    .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
-            }
+            g.applied_seq = seq;
+            g.oplog.push(op);
         }
-        if was_claiming {
+        let g = self.group.as_mut().expect("grouped");
+        if !g.ready {
+            g.ready = true;
+            if let Some(r) = g.recovery.as_mut() {
+                r.resynced_at = Some(ctx.now());
+                r.sync_ops += sync_ops;
+                r.sync_bytes += sync_bytes;
+            }
+            self.tele
+                .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
+        }
+        if self.group.as_ref().is_some_and(|g| g.claim_pending) {
             self.try_claim_primary(ctx);
         }
-    }
-
-    /// Starts (or retries) a sync. A rejoin broadcasts to every peer (any
-    /// ready member's full log will do; the first answer wins); a failover
-    /// catch-up passes the single most-advanced live peer as `targets`, so
-    /// a less-advanced peer's earlier (useless) answer can never consume
-    /// the one response that matters.
-    fn start_sync(&mut self, ctx: &mut Ctx<'_>, targets: Option<Vec<ProcessId>>) {
-        let Some(g) = self.group.as_mut() else { return };
-        g.next_sync_corr += 1;
-        let corr = g.next_sync_corr;
-        g.sync_inflight = Some(corr);
-        let from_seq = g.applied_seq;
-        let peers: Vec<ProcessId> = targets.unwrap_or_else(|| {
-            g.members
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != g.index)
-                .map(|(_, p)| *p)
-                .collect()
-        });
-        for p in peers {
-            ctx.send(p, StoreRpc::SyncRequest { corr, from_seq });
+        let g = self.group.as_ref().expect("grouped");
+        if g.awaiting.is_none() && g.primary != g.index {
+            self.send_fetch(ctx, Some(g.primary));
         }
-        ctx.set_timer(SYNC_RETRY_INTERVAL, tags::SYNC_RETRY);
     }
 
-    /// Claims the primary role if this member is the lowest-indexed live
-    /// candidate and is at least as advanced as every live peer; otherwise
-    /// first pulls the missing suffix from the most advanced live peer.
-    fn try_claim_primary(&mut self, ctx: &mut Ctx<'_>) {
-        let needs_catchup: Option<ProcessId> = {
-            let Some(g) = self.group.as_ref() else { return };
-            if !g.ready {
-                return;
-            }
-            let now = ctx.now();
-            let timeout = self.cfg.group_session_timeout;
-            // The current primary must be dead, and no live ready member may
-            // be ordered before us.
-            if g.primary == g.index || g.peer_alive(g.primary, now, timeout) {
-                return;
-            }
-            // A claim needs a live majority in sight: a partitioned
-            // minority member that merely stopped *hearing* the others must
-            // never crown itself — on heal it would depose the true
-            // primary and quorum-acked writes with it.
-            let alive = (0..g.members.len())
-                .filter(|i| g.peer_alive(*i, now, timeout))
-                .count();
-            if alive < g.quorum() {
-                return;
-            }
-            let lowest_live = (0..g.members.len())
-                .find(|i| *i == g.index || (g.peer_alive(*i, now, timeout) && g.peer_ready[*i]));
-            if lowest_live != Some(g.index) {
-                return;
-            }
-            let ahead = (0..g.members.len())
-                .filter(|i| *i != g.index && *i != g.primary && g.peer_alive(*i, now, timeout))
-                .max_by_key(|i| g.peer_seq[*i])
-                .filter(|i| g.peer_seq[*i] > g.applied_seq);
-            ahead.map(|i| g.members[i])
+    /// Sends this member's one fetch — to member `to`, or to every peer
+    /// when `None` (a rejoin: the first answer wins) — superseding any
+    /// fetch still out.
+    fn send_fetch(&mut self, ctx: &mut Ctx<'_>, to: Option<usize>) {
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        let Some(g) = self.group.as_mut() else { return };
+        g.awaiting = Some((corr, ctx.now()));
+        let fetch = StoreRpc::Fetch {
+            corr,
+            from: g.index as u32,
+            after: g.applied_seq,
+            epoch: g.epoch,
+            ready: g.ready,
         };
-        if let Some(ahead_pid) = needs_catchup {
-            // Catch up from the most advanced live peer first, so an acked
-            // write on a surviving majority is never lost to the failover.
-            // The sync is targeted: only that peer is asked, so no
-            // less-advanced peer can answer first with nothing.
-            let g = self.group.as_mut().expect("grouped");
+        match to {
+            Some(i) => ctx.send(g.members[i], fetch),
+            None => {
+                for p in g.peers() {
+                    ctx.send(p, fetch.clone());
+                }
+            }
+        }
+    }
+
+    /// The heartbeat tick's retry of a lost fetch or reply: a fetch that is
+    /// an interval old (or none at all, as when the primary changed) is
+    /// sent again, to every peer while rejoining and to the primary once
+    /// ready. The primary may merely be holding an old fetch with nothing
+    /// to send — the newer one replaces it — but a fetch lost while the
+    /// group is quiet must not leave its follower detached until the next
+    /// write needs it.
+    fn refetch(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(g) = self.group.as_ref() else { return };
+        if !g.fetch_stale(ctx.now(), self.cfg.group_heartbeat_interval) {
+            return;
+        }
+        if !g.ready {
+            self.send_fetch(ctx, None);
+        } else if g.primary != g.index {
+            self.send_fetch(ctx, Some(g.primary));
+        }
+    }
+
+    /// Claims the primary role under the claim rule ([`GroupState::claim`]),
+    /// after first fetching the missing suffix from the most advanced live
+    /// peer, so an acked write on a surviving majority is never lost to the
+    /// failover. The catch-up asks only that peer, so no less-advanced peer
+    /// can answer first with nothing; it is re-sent once an interval old,
+    /// to the peer chosen afresh (the one asked may have died).
+    fn try_claim_primary(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let interval = self.cfg.group_heartbeat_interval;
+        let Some(g) = self.group.as_mut() else { return };
+        let Some(ahead) = g.claim(now, &self.cfg) else {
+            g.claim_pending = false;
+            return;
+        };
+        if let Some(ahead) = ahead {
+            let asked = g.claim_pending && !g.fetch_stale(now, interval);
             g.claim_pending = true;
-            if g.sync_inflight.is_none() {
-                self.start_sync(ctx, Some(vec![ahead_pid]));
+            if !asked {
+                self.send_fetch(ctx, Some(ahead));
             }
             return;
         }
-        let g = self.group.as_mut().expect("grouped");
         g.claim_pending = false;
+        g.awaiting = None;
         g.epoch += 1;
         g.primary = g.index;
+        g.peer_seq.fill(0);
         self.send_heartbeats(ctx);
     }
 
     /// Primary-side op-log truncation: discards the prefix every *live*
-    /// member has acknowledged applying (their heartbeat/ack sequences are
-    /// cumulative state snapshots of their progress), so long runs stop
-    /// growing the log — and the resync cost of the next rejoin. A member
-    /// that was dead past the truncation point is brought back by a full
-    /// [`StateTransfer`] instead of replay.
+    /// member has reported applying, so long runs stop growing the log — and
+    /// the resync cost of the next rejoin. A member that was dead past the
+    /// truncation point is brought back by a full [`StateTransfer`] instead
+    /// of replay.
     fn truncate_acked_oplog(&mut self, now: SimTime) {
         let timeout = self.cfg.group_session_timeout;
         let Some(g) = self.group.as_mut() else { return };
@@ -1172,14 +1096,7 @@ impl StoreServer {
             applied_seq: g.applied_seq,
             ready: g.ready,
         };
-        let peers: Vec<ProcessId> = g
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != g.index)
-            .map(|(_, p)| *p)
-            .collect();
-        for p in peers {
+        for p in g.peers() {
             ctx.send(p, hb.clone());
         }
     }
@@ -1200,35 +1117,33 @@ impl Process for StoreServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.charge(self.cfg.startup_cpu);
         ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
-        let recovering = self.group.as_ref().is_some_and(|g| !g.ready);
-        if let Some(g) = self.group.as_mut() {
-            // Until real heartbeats land, assume peers were alive "now" so a
-            // fresh start does not immediately declare everyone dead.
-            let now = ctx.now();
-            for t in g.peer_last_seen.iter_mut() {
-                *t = now;
-            }
-            if recovering {
-                g.recovery = Some(StoreRecoveryInfo {
-                    restarted_at: now,
-                    resynced_at: None,
-                    sync_ops: 0,
-                    sync_bytes: 0,
-                });
-                self.tele
-                    .trace_begin(now, &self.name, "recovery:resync", "recovery");
-            }
-            ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_HB_TICK);
+        let Some(g) = self.group.as_mut() else { return };
+        // Until real heartbeats land, assume peers were alive "now" so a
+        // fresh start does not immediately declare everyone dead.
+        let now = ctx.now();
+        g.awake_since = now;
+        if !g.ready {
+            g.recovery = Some(StoreRecoveryInfo {
+                restarted_at: now,
+                resynced_at: None,
+                sync_ops: 0,
+                sync_bytes: 0,
+            });
+            self.tele
+                .trace_begin(now, &self.name, "recovery:resync", "recovery");
         }
-        if recovering {
-            self.start_sync(ctx, None);
-        }
+        ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_HB_TICK);
+        // A follower's first fetch, or a rejoin's to every peer.
+        self.refetch(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
         let Ok(rpc) = downcast::<StoreRpc>(msg) else {
             return;
         };
+        if let Some(g) = self.group.as_mut() {
+            g.heard_from(from, ctx.now(), self.cfg.group_heartbeat_interval);
+        }
         match *rpc {
             StoreRpc::Forward { origin, rpc } => {
                 // Only the acting primary serves proxied requests; anything
@@ -1237,17 +1152,14 @@ impl Process for StoreServer {
                     self.handle_client_rpc(ctx, origin, *rpc);
                 }
             }
-            StoreRpc::Replicate {
-                epoch,
-                primary,
-                seq,
-                op,
-            } => self.handle_replicate(ctx, epoch, primary, seq, op),
-            StoreRpc::ReplicateAck {
+            StoreRpc::Fetch {
+                corr,
                 from: idx,
-                applied_seq,
+                after,
                 epoch,
-            } => self.handle_replicate_ack(ctx, idx, applied_seq, epoch),
+                ready,
+            } => self.handle_fetch(ctx, corr, idx, after, epoch, ready),
+            reply @ StoreRpc::FetchReply { .. } => self.handle_fetch_reply(ctx, from, reply),
             StoreRpc::GroupHeartbeat {
                 from: idx,
                 epoch,
@@ -1255,17 +1167,6 @@ impl Process for StoreServer {
                 applied_seq,
                 ready,
             } => self.handle_heartbeat(ctx, idx, epoch, primary, applied_seq, ready),
-            StoreRpc::SyncRequest { corr, from_seq } => {
-                self.handle_sync_request(ctx, from, corr, from_seq)
-            }
-            StoreRpc::SyncResponse {
-                corr,
-                epoch,
-                primary,
-                from_seq,
-                entries,
-                snapshot,
-            } => self.handle_sync_response(ctx, corr, epoch, primary, from_seq, entries, snapshot),
             client_rpc @ (StoreRpc::Put { .. }
             | StoreRpc::Get { .. }
             | StoreRpc::Delete { .. }
@@ -1293,25 +1194,9 @@ impl Process for StoreServer {
                 self.send_heartbeats(ctx);
                 self.try_claim_primary(ctx);
                 self.truncate_acked_oplog(ctx.now());
+                self.refetch(ctx);
                 self.telemetry_gauges();
                 ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_HB_TICK);
-            }
-            tags::SYNC_RETRY => {
-                let (retry, claiming) = self.group.as_ref().map_or((false, false), |g| {
-                    (g.sync_inflight.is_some(), g.claim_pending)
-                });
-                if retry {
-                    if claiming {
-                        // Re-evaluate the catch-up target: the previously
-                        // chosen peer may itself have died.
-                        if let Some(g) = self.group.as_mut() {
-                            g.sync_inflight = None;
-                        }
-                        self.try_claim_primary(ctx);
-                    } else {
-                        self.start_sync(ctx, None);
-                    }
-                }
             }
             _ => {}
         }
@@ -1601,5 +1486,241 @@ mod tests {
         }
         assert!(overwrites > 100 && misses > 20 && rejected > 20);
         assert!(server.tables().table_names().len() == 5 && walk(&server) > 0);
+    }
+
+    /// Puts `count` values of `size` bytes, keys `w0..`, at `at`, and
+    /// records when each ack arrives.
+    struct Writer {
+        store: ProcessId,
+        at: SimTime,
+        count: u64,
+        size: usize,
+        acked: Vec<SimTime>,
+    }
+
+    impl Writer {
+        fn spawn(
+            sim: &mut Sim,
+            store: ProcessId,
+            at: SimTime,
+            count: u64,
+            size: usize,
+        ) -> ProcessId {
+            let acked = Vec::new();
+            sim.spawn(Box::new(Writer {
+                store,
+                at,
+                count,
+                size,
+                acked,
+            }))
+        }
+    }
+
+    impl Process for Writer {
+        fn name(&self) -> &str {
+            "writer"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_at(self.at, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            for corr in 0..self.count {
+                let (key, value) = (format!("w{corr}"), vec![7; self.size]);
+                ctx.send(self.store, StoreRpc::Put { corr, key, value });
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+            if let Ok(rpc) = downcast::<StoreRpc>(msg) {
+                if let StoreRpc::PutAck { .. } = *rpc {
+                    self.acked.push(ctx.now());
+                }
+            }
+        }
+    }
+
+    /// A group member that never answers.
+    struct Silent;
+
+    impl Process for Silent {
+        fn name(&self) -> &str {
+            "silent"
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+    }
+
+    fn group(sim: &Sim, pid: ProcessId) -> &GroupState {
+        let server = sim.process_ref::<StoreServer>(pid).expect("a store server");
+        server.group.as_ref().expect("grouped")
+    }
+
+    fn at_micros(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// The default transport's one-way delay plus `cpu_per_op`, as the ack
+    /// instants below count them.
+    const HOP_US: u64 = 10;
+    const CPU_US: u64 = 40;
+
+    #[test]
+    fn a_stale_epoch_heartbeat_acks_no_write() {
+        let mut sim = Sim::new(0);
+        let primary = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
+        let members = vec![
+            primary,
+            sim.spawn(Box::new(Silent)),
+            sim.spawn(Box::new(Silent)),
+        ];
+        let server = sim.process_mut::<StoreServer>(primary).unwrap();
+        server.set_group(members.clone(), 0, false);
+        let writer = Writer::spawn(&mut sim, primary, at_micros(2_000), 1, 1);
+        let hb = |from: u32, epoch: u64, primary: u32, applied_seq: u64| {
+            let ready = true;
+            StoreRpc::GroupHeartbeat {
+                from,
+                epoch,
+                primary,
+                applied_seq,
+                ready,
+            }
+        };
+        // Member 1 announces epoch 1 with member 0 still primary, so member
+        // 0 goes on serving under it; then the write waits for a quorum.
+        sim.inject_at(at_micros(1_000), primary, hb(1, 1, 0, 0));
+        // Member 2, still in epoch 0, reports far more than member 0 holds:
+        // progress under another epoch acks nothing.
+        sim.inject_at(at_micros(5_000), primary, hb(2, 0, 2, 99));
+        sim.run_until(at_micros(50_000));
+        assert_eq!(group(&sim, primary).epoch, 1);
+        let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
+        assert!(acked.is_empty(), "acked by a stale epoch: {acked:?}");
+        // The same report under the primary's epoch is a quorum.
+        sim.inject_at(at_micros(60_000), primary, hb(2, 1, 0, 1));
+        sim.run_until(at_micros(100_000));
+        let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
+        assert_eq!(acked, &[at_micros(60_000 + CPU_US + HOP_US)]);
+    }
+
+    #[test]
+    fn a_reply_to_an_earlier_incarnation_completes_nothing() {
+        let mut sim = Sim::new(0);
+        let (a, b) = (sim.spawn(Box::new(Silent)), sim.spawn(Box::new(Silent)));
+        let mut server = StoreServer::new(StoreConfig::default());
+        server.set_incarnation(1);
+        let me = sim.spawn(Box::new(server));
+        let members = vec![a, b, me];
+        (sim.process_mut::<StoreServer>(me).unwrap()).set_group(members, 2, true);
+        let reply = |corr: u64, key: &str| StoreRpc::FetchReply {
+            corr,
+            epoch: 0,
+            primary: 0,
+            after: 0,
+            entries: vec![StoreOp::Put {
+                key: key.into(),
+                value: b"v".to_vec(),
+            }],
+            snapshot: None,
+        };
+        // The id incarnation 0 drew first, delivered to incarnation 1 while
+        // its own first fetch is out.
+        sim.inject_at(at_micros(100), me, reply(0, "stale"));
+        sim.run_until(at_micros(1_000));
+        let s = sim.process_ref::<StoreServer>(me).unwrap();
+        assert_eq!(s.recovery_info().unwrap().resynced_at, None);
+        assert_eq!(s.kv().len(), 0);
+        // The reply to its own fetch completes the rejoin.
+        sim.inject_at(at_micros(2_000), me, reply(1 << 32, "fresh"));
+        sim.run_until(at_micros(3_000));
+        let s = sim.process_ref::<StoreServer>(me).unwrap();
+        assert_eq!(
+            s.recovery_info().unwrap().resynced_at,
+            Some(at_micros(2_000))
+        );
+        assert!(s.kv().get("fresh").is_some() && s.kv().get("stale").is_none());
+    }
+
+    /// Delivers every message after [`HOP_US`], except that it drops the
+    /// first one from `from` to `to` of at least `bytes` bytes.
+    struct DropOnce {
+        from: ProcessId,
+        to: ProcessId,
+        bytes: usize,
+        dropped: bool,
+    }
+
+    impl s2g_sim::Transport for DropOnce {
+        fn route(
+            &mut self,
+            _now: SimTime,
+            _rng: &mut rand::rngs::StdRng,
+            from: ProcessId,
+            to: ProcessId,
+            bytes: usize,
+        ) -> s2g_sim::Delivery {
+            if !self.dropped && (from, to) == (self.from, self.to) && bytes >= self.bytes {
+                self.dropped = true;
+                return s2g_sim::Delivery::Drop;
+            }
+            s2g_sim::Delivery::After(SimDuration::from_micros(HOP_US))
+        }
+    }
+
+    #[test]
+    fn a_lost_fetch_reply_is_recovered_within_two_heartbeat_intervals() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 3);
+        let (from, to) = (pids[0], pids[1]);
+        let bytes = 1_000;
+        let dropped = false;
+        sim.set_transport(Box::new(DropOnce {
+            from,
+            to,
+            bytes,
+            dropped,
+        }));
+        let write = SimTime::from_millis(1_100);
+        let writer = Writer::spawn(&mut sim, pids[0], write, 1, bytes);
+        sim.run_until(write + SimDuration::from_millis(100));
+        assert_eq!(group(&sim, pids[1]).applied_seq, 0, "the reply was lost");
+        assert_eq!(group(&sim, pids[2]).applied_seq, 1);
+        let two_intervals = StoreConfig::default().group_heartbeat_interval * 2;
+        sim.run_until(write + two_intervals);
+        assert_eq!(group(&sim, pids[1]).applied_seq, 1);
+        assert_eq!(sim.process_ref::<Writer>(writer).unwrap().acked.len(), 1);
+    }
+
+    #[test]
+    fn a_ready_follower_keeps_exactly_one_fetch_outstanding() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 3);
+        let burst = SimTime::from_millis(1_000);
+        let writer = Writer::spawn(&mut sim, pids[0], burst, 200, 64);
+        let mut t = burst - SimDuration::from_millis(100);
+        while t < burst + SimDuration::from_millis(500) {
+            sim.run_until(t);
+            for follower in &pids[1..] {
+                assert!(group(&sim, *follower).awaiting.is_some(), "at {t}");
+            }
+            t += SimDuration::from_millis(1);
+        }
+        assert_eq!(sim.process_ref::<Writer>(writer).unwrap().acked.len(), 200);
+        for pid in &pids {
+            assert_eq!(group(&sim, *pid).applied_seq, 200);
+        }
+    }
+
+    #[test]
+    fn a_parked_fetch_acks_a_write_in_one_round_trip() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 3);
+        let write = SimTime::from_millis(1_100);
+        let writer = Writer::spawn(&mut sim, pids[0], write, 1, 64);
+        sim.run_until(SimTime::from_secs(2));
+        // Writer → primary, primary → follower, follower → primary, the
+        // ack's CPU, primary → writer.
+        let expected = write + SimDuration::from_micros(4 * HOP_US + CPU_US);
+        let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
+        assert_eq!(acked, &[expected]);
     }
 }
