@@ -616,10 +616,8 @@ impl Broker {
     pub fn log_fingerprint(&self, tp: &TopicPartition) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        for seg in self.log(tp).map_or(&[][..], PartitionLog::segments) {
-            for e in seg.entries() {
-                let _ = write!(s, "{}:{}:{:?};", e.offset.value(), e.epoch.0, e.record);
-            }
+        for (offset, epoch, record) in self.log(tp).into_iter().flat_map(PartitionLog::entries) {
+            let _ = write!(s, "{}:{}:{:?};", offset.value(), epoch.0, record);
         }
         s
     }
@@ -925,7 +923,7 @@ impl Broker {
                         Ok(mut led) => {
                             let (end, epoch) = (part.log_end, part.epoch);
                             let served = led.serve_fetch(ctx, host, from, end, epoch, left);
-                            left -= served.batch.len();
+                            left -= served.records();
                             served
                         }
                         Err(error) => ReplicaFetchedPart::rejected(part.tp, error),
@@ -939,7 +937,7 @@ impl Broker {
             }
             ReplicaRpc::FetchResponse { corr, parts } => {
                 let (corr, parts) = (*corr, std::mem::take(parts));
-                let records: usize = parts.iter().map(|part| part.batch.len()).sum();
+                let records: usize = parts.iter().map(ReplicaFetchedPart::records).sum();
                 let mut latest = false;
                 for part in parts {
                     let Some(p) = self.partitions.get_mut(&part.tp) else {
@@ -954,7 +952,7 @@ impl Broker {
                         p.truncate(host, to);
                     }
                     let hw = part.high_watermark;
-                    let n = p.replicate(host, part.batch, &part.at, part.epoch, hw);
+                    let n = p.replicate(host, part.runs, part.compression, hw);
                     let txns_changed = p.mirror(&part.mirror, part.seqs_ride);
                     // Follower-side log changes ride the interval flush; no
                     // client ack is waiting on them.

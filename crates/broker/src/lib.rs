@@ -80,8 +80,8 @@ pub use controller::{ClusterState, PartitionState, ZkController};
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
 pub use kraft::KraftController;
 pub use log::{
-    BrokerLogMeta, CleanOutcome, LogEntry, LogSegment, MetaPartitionTxns, MetaTxnEntry,
-    PartitionLog, BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,
+    BrokerLogMeta, CleanOutcome, LogSegment, MetaPartitionTxns, MetaTxnEntry, PartitionLog,
+    BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,
 };
 pub use metadata::{plan_assignments, plan_assignments_racked, MetadataCache};
 pub use partition::FETCH_MAX_WAIT;

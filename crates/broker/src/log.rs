@@ -1,12 +1,23 @@
 //! The replicated partition log, segmented, compactable, and recoverable.
 //!
-//! Each broker holds one [`PartitionLog`] per replica it hosts. Entries are
+//! Each broker holds one [`PartitionLog`] per replica it hosts. Records are
 //! tagged with the leader epoch under which they were appended, which is how
 //! divergence is detected and reconciled after a partition heals: the
 //! rejoining old leader truncates its log to match the new leader, and any
 //! suffix it accepted while isolated is discarded — acknowledged or not.
 //! That truncation is precisely the ZooKeeper-era silent-loss mechanism the
 //! paper reproduces in Fig. 6b.
+//!
+//! # Runs
+//!
+//! A log holds no record of its own. Its unit of storage is the
+//! [`LogRun`]: a base offset, a leader epoch, and a view of the batch the
+//! records were produced in. A leader stores a view of the producer's
+//! sealed batch, a replica fetch reply carries the leader's runs, and the
+//! follower stores those, so one `Record` serves every replica and reader.
+//! A run covers contiguous offsets: a segment roll, a truncation, a
+//! compaction hole or a deduplicated retry splits it into views of the same
+//! batch.
 //!
 //! # Segments and durability
 //!
@@ -25,10 +36,10 @@
 //!
 //! # Compaction and retention
 //!
-//! Every entry carries its explicit offset, so the log tolerates holes:
+//! Every run carries its base offset, so the log tolerates holes:
 //!
 //! * [`PartitionLog::compact`] keeps only the latest record per key among
-//!   committed (below-high-watermark) entries of sealed segments — Kafka's
+//!   committed (below-high-watermark) records of sealed segments — Kafka's
 //!   compacted-topic cleaner. Keyless records and the active segment are
 //!   never touched, offsets never move, and readers see the same per-key
 //!   final state as on the raw log.
@@ -43,21 +54,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
-use s2g_proto::{put_frame_record, read_frame_record, LeaderEpoch, Offset, Record, TopicPartition};
+use s2g_proto::{
+    put_frame_record, read_frame_record, LeaderEpoch, LogRun, Offset, Record, RecordBatch,
+    TopicPartition,
+};
 use s2g_sim::{SimDuration, SimTime};
-
-/// One appended entry: the record, its explicit log offset, and the epoch
-/// it was written under.
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// The entry's log offset. Explicit (not derived from position) so
-    /// compaction can remove neighbors without renumbering survivors.
-    pub offset: Offset,
-    /// Leader epoch at append time.
-    pub epoch: LeaderEpoch,
-    /// The record.
-    pub record: Record,
-}
 
 /// Default record capacity of one log segment before the log rolls.
 pub const DEFAULT_SEGMENT_MAX_RECORDS: usize = 128;
@@ -66,9 +67,9 @@ pub const DEFAULT_SEGMENT_MAX_RECORDS: usize = 128;
 /// layout ([`put_frame_record`]) prefixed per entry with its leader epoch.
 const SEGMENT_CODEC_VERSION: u8 = 3;
 
-/// A run of log entries covering the offset range `[base, end)` — the unit
-/// of persistence and replay. Compaction may leave holes inside the range;
-/// the range itself never shrinks.
+/// The records at offsets in `[base, end)` — the unit of persistence and
+/// replay. Compaction may leave holes inside the range; the range itself
+/// never shrinks.
 #[derive(Debug, Clone)]
 pub struct LogSegment {
     base: u64,
@@ -78,17 +79,16 @@ pub struct LogSegment {
     /// the first record pushed, so a flush encodes the same bytes whatever
     /// truncation or compaction removed in between.
     base_ts: SimTime,
-    /// The one resident copy of each record. Flushing serializes from here
-    /// on demand; only dirty segments (at most `segment_max_records`
-    /// entries each) are ever encoded.
-    entries: Vec<LogEntry>,
+    /// The records, as runs: views of the batches they arrived in, which
+    /// every other replica and reader of them shares. Flushing serializes
+    /// from here on demand; only dirty segments (at most
+    /// `segment_max_records` records each) are ever encoded.
+    runs: Vec<LogRun>,
+    /// Records held: the runs' total length.
+    len: usize,
     bytes: usize,
     dirty: bool,
 }
-
-/// The most entries a segment reserves room for on its first append; a
-/// log configured with larger segments grows them past this by doubling.
-const SEGMENT_RESERVE_MAX: usize = 1024;
 
 impl LogSegment {
     fn new(base: u64) -> Self {
@@ -96,32 +96,40 @@ impl LogSegment {
             base,
             end: base,
             base_ts: SimTime::ZERO,
-            entries: Vec::new(),
+            runs: Vec::new(),
+            len: 0,
             bytes: 0,
             dirty: false,
         }
     }
 
-    /// Appends an entry; `capacity` is the log's segment size, which the
-    /// first append reserves at once (a segment that will hold 128 entries
-    /// would otherwise grow there through six reallocations).
-    fn push(&mut self, offset: u64, epoch: LeaderEpoch, record: Record, capacity: usize) {
-        debug_assert!(offset >= self.end, "appends must advance the offset");
-        if self.entries.is_empty() {
-            self.base_ts = record.timestamp;
-            if self.entries.capacity() == 0 {
-                self.entries
-                    .reserve_exact(capacity.min(SEGMENT_RESERVE_MAX));
-            }
+    /// Appends a non-empty run past the segment's end, returning its record
+    /// bytes.
+    fn push(&mut self, run: LogRun) -> usize {
+        debug_assert!(
+            run.base.value() >= self.end,
+            "appends must advance the offset"
+        );
+        if let (0, Some(first)) = (self.len, run.batch.records().first()) {
+            self.base_ts = first.timestamp;
         }
-        self.bytes += record.encoded_len();
+        let bytes = run.batch.record_bytes();
+        self.bytes += bytes;
+        self.len += run.len();
         self.dirty = true;
-        self.end = offset + 1;
-        self.entries.push(LogEntry {
-            offset: Offset(offset),
-            epoch,
-            record,
-        });
+        self.end = run.end().value();
+        self.runs.push(run);
+        bytes
+    }
+
+    /// Replaces the runs with `runs`, which hold a subset of their records,
+    /// and returns how many records and bytes that removed.
+    fn keep_only(&mut self, runs: Vec<LogRun>) -> (usize, usize) {
+        let len: usize = runs.iter().map(LogRun::len).sum();
+        let bytes: usize = runs.iter().map(|r| r.batch.record_bytes()).sum();
+        let removed = (self.len - len, self.bytes - bytes);
+        (self.runs, self.len, self.bytes, self.dirty) = (runs, len, bytes, true);
+        removed
     }
 
     /// First offset of the segment's range (set at roll time, fixed).
@@ -134,15 +142,15 @@ impl LogSegment {
         Offset(self.end)
     }
 
-    /// Number of entries held (compaction can make this smaller than the
+    /// Number of records held (compaction can make this smaller than the
     /// offset range).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// True when the segment holds no entries.
+    /// True when the segment holds no records.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Record payload bytes held (framing included).
@@ -150,24 +158,18 @@ impl LogSegment {
         self.bytes
     }
 
-    /// The entries held, in offset order.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
+    /// Each record held, with its offset and epoch, in offset order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+        self.runs.iter().flat_map(LogRun::entries)
     }
 
-    /// Index of the first entry at an offset `>= offset`. A segment
-    /// without holes (no compaction, no `append_at` gap: as many entries as
-    /// offsets) holds offset `o` at index `o - base`, no search needed.
-    fn first_at_or_after(&self, offset: u64) -> usize {
-        if self.entries.len() as u64 == self.end - self.base {
-            (offset.saturating_sub(self.base) as usize).min(self.entries.len())
-        } else {
-            self.entries.partition_point(|e| e.offset.value() < offset)
-        }
+    /// Index of the first run that ends past `offset`.
+    fn run_index(&self, offset: u64) -> usize {
+        self.runs.partition_point(|r| r.end().value() <= offset)
     }
 
     /// Serializes the segment for persistence: a versioned header plus
-    /// one frame per entry, encoded from the entries when a flush asks.
+    /// one frame per record, encoded from the runs when a flush asks.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(29 + self.bytes);
         put_u8(&mut out, SEGMENT_CODEC_VERSION);
@@ -178,23 +180,19 @@ impl LogSegment {
         // count and corrupt every replay of it; fail loudly instead.
         put_u32(
             &mut out,
-            u32::try_from(self.entries.len()).expect("segment entry count fits u32"),
+            u32::try_from(self.len).expect("segment entry count fits u32"),
         );
-        for e in &self.entries {
-            put_uvarint(&mut out, e.epoch.0);
-            put_frame_record(
-                &mut out,
-                Offset(self.base),
-                self.base_ts,
-                e.offset,
-                &e.record,
-            );
+        for (offset, epoch, record) in self.entries() {
+            put_uvarint(&mut out, epoch.0);
+            put_frame_record(&mut out, Offset(self.base), self.base_ts, offset, record);
         }
         out
     }
 
-    /// Deserializes a segment written by [`encode`](LogSegment::encode).
-    /// Returns `None` on truncated, malformed, or unknown-version input.
+    /// Deserializes a segment written by [`encode`](LogSegment::encode),
+    /// as runs split wherever the epoch changes or an offset is skipped.
+    /// Returns `None` on truncated, malformed, or unknown-version input,
+    /// offsets out of order or outside the segment's range included.
     pub fn decode(buf: &[u8]) -> Option<LogSegment> {
         // One copy into a shared buffer; every replayed record is a view of
         // it (and keeps it alive) instead of two allocations of its own.
@@ -207,26 +205,64 @@ impl LogSegment {
         let end = cur.u64()?;
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 16));
-        let mut bytes = 0;
-        for _ in 0..count {
+        let mut records = Vec::with_capacity(count.min(1 << 16));
+        // Where each run starts: record index, offset and epoch.
+        let mut starts: Vec<(usize, Offset, LeaderEpoch)> = Vec::new();
+        let mut next = Offset(base);
+        for i in 0..count {
             let epoch = LeaderEpoch(cur.uvarint()?);
             let (offset, record) = read_frame_record(&frame, &mut cur, Offset(base), base_ts)?;
-            bytes += record.encoded_len();
-            entries.push(LogEntry {
-                offset,
-                epoch,
-                record,
-            });
+            if offset < next || offset.value() >= end {
+                return None;
+            }
+            if offset != next || starts.last().is_none_or(|s| s.2 != epoch) {
+                starts.push((i, offset, epoch));
+            }
+            next = offset.next();
+            records.push(record);
         }
+        let batch = RecordBatch::from_records(records);
+        let ends = starts.iter().skip(1).map(|s| s.0).chain([count]);
+        let runs = (starts.iter().zip(ends))
+            .map(|(&(from, base, epoch), to)| LogRun {
+                base,
+                epoch,
+                batch: batch.slice(from..to),
+            })
+            .collect();
         Some(LogSegment {
             base,
             end,
             base_ts,
-            entries,
-            bytes,
+            runs,
+            len: count,
+            bytes: batch.record_bytes(),
             dirty: false,
         })
+    }
+}
+
+/// Emits the parts of `run` whose records `keep` accepts (asked once per
+/// record, in order): each maximal accepted stretch is one view of the
+/// run's records, so nothing is copied, and a rejected record ends a part.
+pub(crate) fn split_run(
+    run: &LogRun,
+    mut keep: impl FnMut(Offset, &Record) -> bool,
+    mut emit: impl FnMut(LogRun),
+) {
+    let mut from = None;
+    for (offset, _, record) in run.entries() {
+        match (keep(offset, record), from) {
+            (true, None) => from = Some(offset),
+            (false, Some(start)) => {
+                emit(run.range(start, offset));
+                from = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(start) = from {
+        emit(run.range(start, run.end()));
     }
 }
 
@@ -258,7 +294,7 @@ impl CleanOutcome {
 }
 
 /// An append-only (except for truncation and cleaning) record log for one
-/// partition.
+/// partition: a list of segments, each a list of runs.
 ///
 /// # Examples
 ///
@@ -273,7 +309,8 @@ impl CleanOutcome {
 /// assert_eq!(log.log_end(), Offset(2));
 /// assert_eq!(log.high_watermark(), Offset(0)); // nothing committed yet
 /// log.advance_high_watermark(Offset(2));
-/// assert_eq!(log.read(Offset(0), 10, true).len(), 2);
+/// let runs = log.read_entries(Offset(0), 10, true);
+/// assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartitionLog {
@@ -423,42 +460,21 @@ impl PartitionLog {
         (offset < self.segments[idx].end).then_some(idx)
     }
 
-    fn entry_at(&self, offset: Offset) -> Option<&LogEntry> {
+    /// Every record held, with its offset and epoch, in offset order.
+    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+        self.segments.iter().flat_map(LogSegment::entries)
+    }
+
+    fn run_at(&self, offset: Offset) -> Option<&LogRun> {
         let o = offset.value();
         let seg = &self.segments[self.seg_index_for(o)?];
-        let at = seg.entries.get(seg.first_at_or_after(o))?;
-        (at.offset == offset).then_some(at)
+        (seg.runs.get(seg.run_index(o))).filter(|r| r.base <= offset)
     }
 
     /// Appends one record under `epoch` at the log end, returning its
     /// offset.
     pub fn append(&mut self, epoch: LeaderEpoch, record: Record) -> Offset {
-        let off = self.log_end();
-        self.append_at(off, epoch, record);
-        off
-    }
-
-    /// Appends one record at an explicit `offset` (the follower-replication
-    /// path: replicas must preserve the leader's offsets even across the
-    /// holes a compacted leader log serves). Entries at or below the
-    /// current log end are ignored — duplicate fetch responses become
-    /// no-ops instead of double-appends.
-    pub fn append_at(&mut self, offset: Offset, epoch: LeaderEpoch, record: Record) -> bool {
-        let o = offset.value();
-        if o < self.log_end().value() {
-            return false;
-        }
-        if self
-            .segments
-            .last()
-            .is_none_or(|s| s.len() >= self.segment_max_records)
-        {
-            self.segments.push(LogSegment::new(o));
-        }
-        let seg = self.segments.last_mut().expect("just ensured");
-        self.retained_bytes += record.encoded_len();
-        seg.push(o, epoch, record, self.segment_max_records);
-        true
+        self.append_batch(epoch, [record])
     }
 
     /// Appends a batch under `epoch`, returning the base offset.
@@ -467,11 +483,66 @@ impl PartitionLog {
         epoch: LeaderEpoch,
         records: impl IntoIterator<Item = Record>,
     ) -> Offset {
+        let batch = RecordBatch::from_records(records.into_iter().collect());
+        self.append_kept(epoch, &batch, |_| true).0
+    }
+
+    /// Appends at the log end, under `epoch`, the records of `batch` that
+    /// `keep` accepts (asked once per record, in order). Each stretch of
+    /// accepted records is stored as a view of `batch`: nothing is copied,
+    /// and the log shares the records with whoever else holds the batch.
+    /// Returns the base offset and how many records were appended.
+    pub(crate) fn append_kept(
+        &mut self,
+        epoch: LeaderEpoch,
+        batch: &RecordBatch,
+        mut keep: impl FnMut(&Record) -> bool,
+    ) -> (Offset, usize) {
         let base = self.log_end();
-        for r in records {
-            self.append(epoch, r);
+        let whole = LogRun {
+            base: Offset::ZERO,
+            epoch,
+            batch: batch.clone(),
+        };
+        let mut appended = 0;
+        split_run(
+            &whole,
+            |_, record| keep(record),
+            |part| {
+                let base = self.log_end();
+                appended += self.append_run(LogRun { base, ..part });
+            },
+        );
+        (base, appended)
+    }
+
+    /// Appends the part of `run` at or past the log end, at the run's own
+    /// offsets: the follower-replication path, where replicas keep the
+    /// leader's offsets even across the holes a compacted leader log
+    /// serves, so a run past the end leaves a hole. The part below the end
+    /// is already held (a duplicate fetch reply) and is skipped; the return
+    /// value counts the records appended. A segment roll splits the run.
+    pub(crate) fn append_run(&mut self, run: LogRun) -> usize {
+        let mut rest = run.range(self.log_end(), run.end());
+        let appended = rest.len();
+        while !rest.is_empty() {
+            let max = self.segment_max_records;
+            if self.segments.last().is_none_or(|s| s.len >= max) {
+                // Sized for as many runs as the segment it follows held
+                // (batches are alike, so one allocation, close to exact),
+                // and for no fewer than a `Vec`'s own first allocation.
+                let mut fresh = LogSegment::new(rest.base.value());
+                let runs = self.segments.last().map_or(0, |s| s.runs.len());
+                fresh.runs.reserve_exact(runs.max(4));
+                self.segments.push(fresh);
+            }
+            let seg = self.segments.last_mut().expect("just ensured");
+            let roll = Offset(rest.base.value() + (max - seg.len) as u64);
+            let head = rest.range(rest.base, roll);
+            rest = rest.range(roll, rest.end());
+            self.retained_bytes += seg.push(head);
         }
-        base
+        appended
     }
 
     /// Advances the high watermark (never moves backwards).
@@ -482,17 +553,25 @@ impl PartitionLog {
         }
     }
 
-    /// Entries at offsets `>= from`, up to `max` of them. When
-    /// `committed_only` is set (consumer fetches), entries at or above the
-    /// high watermark are withheld; replica fetches read the full log.
-    /// Holes left by compaction are skipped — callers must advance by the
-    /// returned entries' offsets, not by their count.
-    pub fn read_entries(&self, from: Offset, max: usize, committed_only: bool) -> Vec<&LogEntry> {
+    /// The runs at offsets `>= from`, cut to hold at most `max` records:
+    /// views of the log's own, no record copied. When `committed_only` is
+    /// set (consumer fetches), records at or above the high watermark are
+    /// withheld; replica fetches read the full log. Holes left by
+    /// compaction fall between runs — callers must advance by the returned
+    /// runs' offsets, not by their length.
+    pub fn read_entries(&self, from: Offset, max: usize, committed_only: bool) -> Vec<LogRun> {
         let end = if committed_only {
             self.high_watermark
         } else {
             self.log_end()
         };
+        self.read_below(from, end, max)
+    }
+
+    /// The runs at offsets in `[from, end)`, cut to hold at most `max`
+    /// records.
+    pub(crate) fn read_below(&self, from: Offset, end: Offset, max: usize) -> Vec<LogRun> {
+        let end = end.min(self.log_end());
         if from >= end || max == 0 {
             return Vec::new();
         }
@@ -506,50 +585,36 @@ impl PartitionLog {
         } else {
             self.segments.partition_point(|s| s.end <= lo).min(last)
         };
-        let mut out = Vec::new();
-        for seg in &self.segments[start_idx..] {
-            if seg.base >= end || out.len() >= max {
-                break;
-            }
-            let first = seg.first_at_or_after(lo);
-            let below_end = if seg.end <= end {
-                seg.entries.len()
-            } else {
-                seg.first_at_or_after(end)
-            };
-            let take = (below_end - first).min(max - out.len());
-            if out.capacity() == 0 {
-                // Sized once: all that is wanted, or all there can be.
-                out.reserve_exact(max.min((end - lo) as usize));
-            }
-            out.extend(&seg.entries[first..first + take]);
-        }
+        let runs = self.segments[start_idx..]
+            .iter()
+            .flat_map(|seg| &seg.runs[seg.run_index(lo)..]);
+        // Each run's part as `(run, from, to)`, until `end` or `max`.
+        let mut left = max;
+        let parts = runs.map_while(move |run| {
+            let from = run.base.value().max(lo);
+            let to = (run.end().value().min(end)).min(from.saturating_add(left as u64));
+            (from < to).then(|| {
+                left -= (to - from) as usize;
+                (run, from, to)
+            })
+        });
+        // Counted first, so the one allocation is exact.
+        let mut out = Vec::with_capacity(parts.clone().count());
+        out.extend(parts.map(|(run, from, to)| run.range(Offset(from), Offset(to))));
         out
     }
 
-    /// Reads up to `max` records starting at `from` (see
-    /// [`read_entries`](Self::read_entries)).
-    pub fn read(&self, from: Offset, max: usize, committed_only: bool) -> Vec<Record> {
-        self.read_entries(from, max, committed_only)
-            .into_iter()
-            .map(|e| e.record.clone())
-            .collect()
-    }
-
-    /// The epoch of the entry at `offset`, if present.
+    /// The epoch of the record at `offset`, if present.
     pub fn epoch_at(&self, offset: Offset) -> Option<LeaderEpoch> {
-        self.entry_at(offset).map(|e| e.epoch)
+        self.run_at(offset).map(|r| r.epoch)
     }
 
-    /// The epoch of the last entry, if any.
+    /// The epoch of the last record, if any.
     pub fn last_epoch(&self) -> Option<LeaderEpoch> {
-        self.segments
-            .iter()
-            .rev()
-            .find_map(|s| s.entries.last().map(|e| e.epoch))
+        (self.segments.iter().rev()).find_map(|s| s.runs.last().map(|r| r.epoch))
     }
 
-    /// Truncates the log to `to` (exclusive): entries at offsets `>= to` are
+    /// Truncates the log to `to` (exclusive): records at offsets `>= to` are
     /// discarded, and their count is returned. This is the
     /// divergence-reconciliation step a rejoining follower performs, and the
     /// source of silent loss under ZooKeeper-mode coordination (the broker
@@ -559,43 +624,39 @@ impl PartitionLog {
         // everything before it, and regressing the log end past the start
         // would leave an inverted `[start, end)` range that later reads and
         // appends mis-handle.
-        let to = to.value().max(self.log_start.value());
-        if to >= self.log_end().value() {
+        let to = to.max(self.log_start);
+        if to >= self.log_end() {
             return 0;
         }
-        let mut dropped: Vec<LogEntry> = Vec::new();
-        let mut keep_until = self.segments.len();
-        for (i, seg) in self.segments.iter_mut().enumerate() {
-            if seg.end <= to {
-                continue;
-            }
-            if seg.base >= to {
-                keep_until = keep_until.min(i);
-                break;
-            }
-            // `to` falls inside this segment: cut its tail.
-            let within = seg.entries.partition_point(|e| e.offset.value() < to);
-            dropped.extend(seg.entries.split_off(within));
-            seg.end = to;
-            seg.bytes = seg.entries.iter().map(|e| e.record.encoded_len()).sum();
-            seg.dirty = true;
-            keep_until = keep_until.min(i + 1);
-            break;
+        // The first segment reaching past `to` keeps what it holds below
+        // `to`; every later one goes whole.
+        let mut cut = self.segments.partition_point(|s| s.end <= to.value());
+        let (mut records, mut bytes) = (0, 0);
+        if let Some(seg) = self.segments.get_mut(cut).filter(|s| s.base < to.value()) {
+            let past = seg.run_index(to.value());
+            let mut runs = std::mem::take(&mut seg.runs);
+            let tail = runs.split_off(past);
+            runs.extend(
+                tail.first()
+                    .map(|r| r.range(r.base, to))
+                    .filter(|r| !r.is_empty()),
+            );
+            (records, bytes) = seg.keep_only(runs);
+            seg.end = to.value();
+            cut += 1;
         }
-        for seg in self.segments.drain(keep_until..) {
-            dropped.extend(seg.entries);
+        for seg in self.segments.drain(cut..) {
+            records += seg.len;
+            bytes += seg.bytes;
         }
         if self.segments.is_empty() {
-            self.segments.push(LogSegment::new(to));
+            self.segments.push(LogSegment::new(to.value()));
         }
-        let n = dropped.len();
-        for e in dropped {
-            self.retained_bytes -= e.record.encoded_len();
-        }
+        self.retained_bytes -= bytes;
         if self.high_watermark > self.log_end() {
             self.high_watermark = self.log_end();
         }
-        n
+        records
     }
 
     /// Finds where this log diverges from a leader whose log ends at
@@ -617,67 +678,60 @@ impl PartitionLog {
         Offset::ZERO
     }
 
-    /// The end offset for `epoch`: one past the last entry whose epoch is at
-    /// most `epoch` (0 if no such entry). Entries are epoch-monotonic, so
-    /// this is the offset a follower stuck at `epoch` must truncate to.
+    /// The end offset for `epoch`: one past the last record whose epoch is
+    /// at most `epoch` (0 if no such record). Records are epoch-monotonic,
+    /// so this is the offset a follower stuck at `epoch` must truncate to.
     pub fn end_offset_for_epoch(&self, epoch: LeaderEpoch) -> Offset {
         for seg in self.segments.iter().rev() {
-            if let Some(e) = seg.entries.iter().rev().find(|e| e.epoch <= epoch) {
-                return Offset(e.offset.value() + 1);
+            if let Some(run) = seg.runs.iter().rev().find(|r| r.epoch <= epoch) {
+                return run.end();
             }
         }
         Offset::ZERO
     }
 
-    /// Keyed compaction: among committed (below-high-watermark) entries of
+    /// Keyed compaction: among committed (below-high-watermark) records of
     /// sealed segments, keeps only the latest record per key. Keyless
-    /// records, uncommitted entries, and the active segment are untouched;
-    /// offsets never move. Sealed segments emptied by the pass are dropped
-    /// and reported so dead backend blobs can be deleted.
+    /// records, uncommitted records, and the active segment are untouched;
+    /// offsets never move, and survivors stay views of their batches.
+    /// Sealed segments emptied by the pass are dropped and reported so dead
+    /// backend blobs can be deleted.
     pub fn compact(&mut self) -> CleanOutcome {
         let mut outcome = CleanOutcome::default();
         if self.segments.len() < 2 {
             return outcome;
         }
-        let hw = self.high_watermark.value();
+        let hw = self.high_watermark;
         // Latest committed offset per key across the whole log (a committed
         // copy in the active segment shadows sealed copies; uncommitted
-        // entries never act as "latest" — they could still be truncated).
-        let mut latest: HashMap<Bytes, u64> = HashMap::new();
-        for seg in &self.segments {
-            for e in &seg.entries {
-                if e.offset.value() >= hw {
-                    break;
-                }
-                if let Some(k) = &e.record.key {
-                    let slot = latest.entry(k.clone()).or_insert(0);
-                    *slot = (*slot).max(e.offset.value());
-                }
+        // records never act as "latest" — they could still be truncated).
+        let mut latest: HashMap<Bytes, Offset> = HashMap::new();
+        for (offset, _, record) in self.entries().take_while(|(o, _, _)| *o < hw) {
+            if let Some(k) = &record.key {
+                let slot = latest.entry(k.clone()).or_default();
+                *slot = (*slot).max(offset);
             }
         }
+        let survives = |offset: Offset, record: &Record| {
+            // Uncommitted records are never cleaned, keyless ones have no
+            // compaction identity.
+            offset >= hw
+                || record
+                    .key
+                    .as_ref()
+                    .is_none_or(|k| latest.get(k) == Some(&offset))
+        };
         let sealed = self.segments.len() - 1;
         let mut removed_bytes = 0usize;
         for seg in &mut self.segments[..sealed] {
-            let before = seg.entries.len();
-            if before == 0 {
-                continue;
+            let mut kept = Vec::with_capacity(seg.runs.len());
+            for run in &seg.runs {
+                split_run(run, survives, |part| kept.push(part));
             }
-            seg.entries.retain(|e| {
-                let o = e.offset.value();
-                if o >= hw {
-                    return true; // uncommitted: never cleaned
-                }
-                match &e.record.key {
-                    None => true, // keyless: no compaction identity
-                    Some(k) => latest.get(k).copied() == Some(o),
-                }
-            });
-            if seg.entries.len() != before {
-                let kept: usize = seg.entries.iter().map(|e| e.record.encoded_len()).sum();
-                removed_bytes += seg.bytes - kept;
-                outcome.removed_records += (before - seg.entries.len()) as u64;
-                seg.bytes = kept;
-                seg.dirty = true;
+            if kept.iter().map(LogRun::len).sum::<usize>() != seg.len {
+                let (records, bytes) = seg.keep_only(kept);
+                outcome.removed_records += records as u64;
+                removed_bytes += bytes;
             }
         }
         // Drop sealed segments the pass emptied entirely.
@@ -685,7 +739,7 @@ impl PartitionLog {
         let last = self.segments.len() - 1;
         let mut i = 0;
         self.segments.retain(|seg| {
-            let keep = i == last || !seg.entries.is_empty();
+            let keep = i == last || !seg.is_empty();
             if !keep {
                 dropped.push(seg.base);
             }
@@ -720,17 +774,15 @@ impl PartitionLog {
             if seg.end > self.high_watermark.value() {
                 break;
             }
-            let expired = max_age.is_some_and(|age| {
-                seg.entries
-                    .last()
-                    .is_some_and(|e| e.record.timestamp + age < now)
-            });
+            let newest = seg.runs.last().and_then(|r| r.batch.records().last());
+            let expired =
+                max_age.is_some_and(|age| newest.is_some_and(|r| r.timestamp + age < now));
             let oversize = max_bytes.is_some_and(|cap| self.retained_bytes > cap);
             if !expired && !oversize && !seg.is_empty() {
                 break;
             }
             let seg = self.segments.remove(0);
-            outcome.removed_records += seg.entries.len() as u64;
+            outcome.removed_records += seg.len as u64;
             outcome.reclaimed_bytes += seg.bytes as u64;
             outcome.dropped_segment_bases.push(seg.base);
             self.retained_bytes -= seg.bytes;
@@ -840,25 +892,30 @@ impl BrokerLogMeta {
     }
 
     /// Deserializes a blob written by [`encode`](BrokerLogMeta::encode).
-    /// Returns `None` on truncated or malformed input.
+    /// Returns `None` on truncated or malformed input. A count is only
+    /// trusted as far as the blob can hold it: each vector reserves at most
+    /// 2¹⁶ items up front, so a corrupt count fails as a short read instead
+    /// of an allocation the size of the count.
     pub fn decode(buf: &[u8]) -> Option<BrokerLogMeta> {
         let mut cur = Cursor::new(buf);
-        let np = cur.u32()? as usize;
-        let mut partitions = Vec::with_capacity(np);
+        let count = |cur: &mut Cursor<'_>| cur.u32().map(|n| n as usize);
+        let reserve = |n: usize| n.min(1 << 16);
+        let np = count(&mut cur)?;
+        let mut partitions = Vec::with_capacity(reserve(np));
         for _ in 0..np {
             let topic = cur.str()?;
             let partition = cur.u32()?;
             let hw = Offset(cur.u64()?);
             let start = Offset(cur.u64()?);
-            let nb = cur.u32()? as usize;
-            let mut bases = Vec::with_capacity(nb);
+            let nb = count(&mut cur)?;
+            let mut bases = Vec::with_capacity(reserve(nb));
             for _ in 0..nb {
                 bases.push(cur.u64()?);
             }
             partitions.push((TopicPartition::new(topic, partition), hw, start, bases));
         }
-        let ng = cur.u32()? as usize;
-        let mut group_offsets = Vec::with_capacity(ng);
+        let ng = count(&mut cur)?;
+        let mut group_offsets = Vec::with_capacity(reserve(ng));
         for _ in 0..ng {
             let group = cur.str()?;
             let topic = cur.str()?;
@@ -867,13 +924,13 @@ impl BrokerLogMeta {
             group_offsets.push((group, TopicPartition::new(topic, partition), off));
         }
         let reclaimed_bytes = cur.u64()?;
-        let nt = cur.u32()? as usize;
-        let mut txns = Vec::with_capacity(nt);
+        let nt = count(&mut cur)?;
+        let mut txns = Vec::with_capacity(reserve(nt));
         for _ in 0..nt {
             let topic = cur.str()?;
             let partition = cur.u32()?;
-            let no = cur.u32()? as usize;
-            let mut ongoing = Vec::with_capacity(no);
+            let no = count(&mut cur)?;
+            let mut ongoing = Vec::with_capacity(reserve(no));
             for _ in 0..no {
                 let producer = cur.u32()?;
                 let txn = cur.u64()?;
@@ -882,8 +939,8 @@ impl BrokerLogMeta {
                 let epoch = cur.u32()?;
                 ongoing.push((producer, txn, first, end, epoch));
             }
-            let na = cur.u32()? as usize;
-            let mut aborted = Vec::with_capacity(na);
+            let na = count(&mut cur)?;
+            let mut aborted = Vec::with_capacity(reserve(na));
             for _ in 0..na {
                 let s = cur.u64()?;
                 let e = cur.u64()?;
@@ -918,12 +975,219 @@ mod tests {
         Record::new(k.to_string(), v.to_string(), SimTime::from_millis(ms))
     }
 
+    /// Up to `max` records from `from`, copied out of their runs.
+    fn read(log: &PartitionLog, from: Offset, max: usize, committed_only: bool) -> Vec<Record> {
+        let runs = log.read_entries(from, max, committed_only);
+        runs.iter().flat_map(|r| r.batch.iter().cloned()).collect()
+    }
+
+    /// The offsets the runs hold, in order.
+    fn offsets(runs: &[LogRun]) -> Vec<u64> {
+        let entries = runs.iter().flat_map(LogRun::entries);
+        entries.map(|(o, _, _)| o.value()).collect()
+    }
+
+    /// Each run as `(base, len, epoch)`, segment by segment.
+    fn shape(log: &PartitionLog) -> Vec<Vec<(u64, usize, u64)>> {
+        let runs = |s: &LogSegment| {
+            s.runs
+                .iter()
+                .map(|r| (r.base.0, r.len(), r.epoch.0))
+                .collect()
+        };
+        log.segments().iter().map(runs).collect()
+    }
+
     #[test]
-    fn log_entry_stays_nine_words() {
-        // Offset, epoch and a 56 B record whose key and value are views of
-        // their batch's buffer: this is what a run retains per record and
-        // replica, so growth here is peak RSS everywhere.
-        assert_eq!(std::mem::size_of::<LogEntry>(), 72);
+    fn log_run_stays_five_words() {
+        // Base offset, epoch and a three-word view of a batch: this is what
+        // a log holds per run and replica, beside the one shared `Record`
+        // per record. (A per-record, per-replica 72 B entry before.)
+        assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
+        assert_eq!(std::mem::size_of::<LogRun>(), 40);
+    }
+
+    /// The runs of every segment share `batch`'s storage.
+    fn all_views_of(log: &PartitionLog, batch: &RecordBatch) -> bool {
+        let mut runs = log.segments().iter().flat_map(|s| &s.runs);
+        runs.all(|r| r.batch.same_storage(batch))
+    }
+
+    fn batch_of(n: u64) -> RecordBatch {
+        (0..n)
+            .map(|i| keyed(&format!("k{i}"), &i.to_string(), i))
+            .collect()
+    }
+
+    #[test]
+    fn a_segment_roll_splits_a_run_at_the_roll_offset() {
+        let mut log = PartitionLog::with_segment_max(4);
+        let batch = batch_of(6);
+        assert_eq!(
+            log.append_kept(LeaderEpoch(1), &batch, |_| true),
+            (Offset(0), 6)
+        );
+        let second = batch_of(3);
+        log.append_kept(LeaderEpoch(2), &second, |_| true);
+        // Rolls sit where they sat with one entry per record: every fourth
+        // record, mid-batch.
+        assert_eq!(
+            shape(&log),
+            [vec![(0, 4, 1)], vec![(4, 2, 1), (6, 2, 2)], vec![(8, 1, 2)]]
+        );
+        let first_runs = log.segments()[..2].iter().flat_map(|s| &s.runs);
+        assert!(first_runs.take(2).all(|r| r.batch.same_storage(&batch)));
+        assert!(log.segments()[2].runs[0].batch.same_storage(&second));
+        // One record in memory however many runs and readers hold it.
+        let read = log.read_entries(Offset(2), 10, false);
+        assert_eq!(read.len(), 4, "runs [2,4) [4,6) [6,8) [8,9)");
+        assert!(std::ptr::eq(
+            &read[0].batch.records()[0],
+            &batch.records()[2]
+        ));
+        assert_eq!(offsets(&read), [2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_truncation_inside_a_run_shortens_it() {
+        let mut log = PartitionLog::new();
+        log.append(LeaderEpoch(1), rec("first"));
+        let batch = batch_of(6);
+        log.append_kept(LeaderEpoch(1), &batch, |_| true);
+        log.append(LeaderEpoch(2), rec("last"));
+        let bytes_before = log.retained_bytes();
+        assert_eq!(log.truncate_to(Offset(5)), 3);
+        assert_eq!(shape(&log), [vec![(0, 1, 1), (1, 4, 1)]]);
+        assert!(log.segments()[0].runs[1].batch.same_storage(&batch));
+        let cut: usize = batch.records()[4..].iter().map(Record::encoded_len).sum();
+        assert_eq!(
+            log.retained_bytes(),
+            bytes_before - cut - rec("last").encoded_len()
+        );
+        assert_eq!(log.append(LeaderEpoch(2), rec("z")), Offset(5));
+        assert_eq!(shape(&log), [vec![(0, 1, 1), (1, 4, 1), (5, 1, 2)]]);
+    }
+
+    #[test]
+    fn a_compaction_hole_splits_a_run_into_views() {
+        let mut log = PartitionLog::with_segment_max(4);
+        // One batch: k0 k1 k0 k2 | k1 (active). k0@0 and k1@1 are shadowed,
+        // so the survivors start past a hole.
+        let keys = ["k0", "k1", "k0", "k2", "k1"];
+        let batch: RecordBatch = keys.iter().map(|k| keyed(k, "v", 1)).collect();
+        log.append_kept(LeaderEpoch(1), &batch, |_| true);
+        log.advance_high_watermark(Offset(5));
+        assert_eq!(log.compact().removed_records, 2);
+        assert_eq!(shape(&log), [vec![(2, 2, 1)], vec![(4, 1, 1)]]);
+        assert!(all_views_of(&log, &batch));
+        // A hole between survivors splits the run in two: k1@1 is shadowed
+        // by k1@3, k3@4 by the active segment's k3@5.
+        let mut log = PartitionLog::with_segment_max(5);
+        let keys = ["k0", "k1", "k2", "k1", "k3"];
+        let batch: RecordBatch = keys.iter().map(|k| keyed(k, "v", 1)).collect();
+        log.append_kept(LeaderEpoch(1), &batch, |_| true);
+        log.append(LeaderEpoch(1), keyed("k3", "v", 2));
+        log.advance_high_watermark(Offset(6));
+        log.compact();
+        assert_eq!(shape(&log), [vec![(0, 1, 1), (2, 2, 1)], vec![(5, 1, 1)]]);
+        assert!(log.segments()[0]
+            .runs
+            .iter()
+            .all(|r| r.batch.same_storage(&batch)));
+    }
+
+    #[test]
+    fn an_aborted_range_splits_a_run_for_a_read_committed_reader() {
+        let mut log = PartitionLog::new();
+        let batch = batch_of(8);
+        log.append_kept(LeaderEpoch(1), &batch, |_| true);
+        let aborted = Offset(3)..Offset(5);
+        let mut served = Vec::new();
+        for run in &log.read_entries(Offset(1), 10, false) {
+            split_run(run, |o, _| !aborted.contains(&o), |part| served.push(part));
+        }
+        let spans: Vec<(u64, usize)> = served.iter().map(|r| (r.base.0, r.len())).collect();
+        assert_eq!(spans, [(1, 2), (5, 3)]);
+        assert!(served.iter().all(|r| r.batch.same_storage(&batch)));
+        // A run wholly inside the range leaves nothing; wholly outside, itself.
+        let mut none = Vec::new();
+        let inner = log.read_entries(Offset(3), 2, false);
+        split_run(&inner[0], |o, _| !aborted.contains(&o), |p| none.push(p));
+        assert!(none.is_empty());
+        let mut all = Vec::new();
+        split_run(&served[1], |_, _| true, |p| all.push(p));
+        assert_eq!(all, [served[1].clone()]);
+    }
+
+    #[test]
+    fn a_partially_deduplicated_retry_is_stored_as_views_at_contiguous_offsets() {
+        let mut log = PartitionLog::new();
+        log.append(LeaderEpoch(1), rec("before"));
+        let retry = batch_of(6);
+        // Records 0, 1 and 4 were appended before: only 2, 3 and 5 are new.
+        let fresh = |r: &Record| !["0", "1", "4"].contains(&&*r.value_utf8());
+        assert_eq!(
+            log.append_kept(LeaderEpoch(2), &retry, fresh),
+            (Offset(1), 3)
+        );
+        assert_eq!(shape(&log), [vec![(0, 1, 1), (1, 2, 2), (3, 1, 2)]]);
+        let runs = &log.segments()[0].runs[1..];
+        assert!(runs.iter().all(|r| r.batch.same_storage(&retry)));
+        let values: Vec<String> = read(&log, Offset(1), 10, false)
+            .iter()
+            .map(Record::value_utf8)
+            .collect();
+        assert_eq!(values, ["2", "3", "5"]);
+        // An all-duplicate retry appends nothing.
+        assert_eq!(
+            log.append_kept(LeaderEpoch(2), &retry, |_| false),
+            (Offset(4), 0)
+        );
+        assert_eq!(log.log_end(), Offset(4));
+    }
+
+    /// `LogSegment::encode` of a fixed append sequence (a roll mid-batch,
+    /// two epochs, a compaction hole) is byte-for-byte what the format
+    /// wrote when the log held one entry per record.
+    #[test]
+    fn segment_encoding_is_unchanged_by_runs() {
+        let keyed = |k: &str, v: &str, ms: u64, seq: u64| {
+            Record::new(k.to_string(), v.to_string(), SimTime::from_millis(ms))
+                .from_producer(s2g_proto::ProducerId(3), seq)
+                .with_producer_epoch(1)
+        };
+        let mut log = PartitionLog::with_segment_max(4);
+        log.append_batch(
+            LeaderEpoch(1),
+            [
+                keyed("a", "a1", 5, 0),
+                keyed("b", "b1", 4, 1),
+                keyed("a", "a2", 6, 2),
+            ],
+        );
+        log.append_batch(
+            LeaderEpoch(2),
+            [
+                keyed("c", "c1", 9, 3),
+                keyed("b", "b2", 7, 4),
+                keyed("a", "a3", 8, 5),
+            ],
+        );
+        log.append(
+            LeaderEpoch(2),
+            Record::keyless("z", SimTime::from_millis(10)),
+        );
+        log.advance_high_watermark(Offset(7));
+        log.compact();
+        let golden = [
+            "0300000000000000000400000000000000404b4c000000000001000000020380a4e803010100000063\
+             020000006331030103",
+            "0304000000000000000700000000000000c0cf6a000000000003000000020000010100000062020000\
+             006232030104020180897a0101000000610200000061330301050202809bee0200010000007a000000",
+        ];
+        let hex = |b: Vec<u8>| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let encoded: Vec<String> = log.segments().iter().map(|s| hex(s.encode())).collect();
+        assert_eq!(encoded, golden.map(|g| g.replace(' ', "")));
     }
 
     #[test]
@@ -943,11 +1207,11 @@ mod tests {
     fn committed_reads_stop_at_high_watermark() {
         let mut log = PartitionLog::new();
         log.append_batch(LeaderEpoch(0), [rec("a"), rec("b"), rec("c")]);
-        assert!(log.read(Offset(0), 10, true).is_empty());
+        assert!(read(&log, Offset(0), 10, true).is_empty());
         log.advance_high_watermark(Offset(2));
-        let committed = log.read(Offset(0), 10, true);
+        let committed = read(&log, Offset(0), 10, true);
         assert_eq!(committed.len(), 2);
-        let all = log.read(Offset(0), 10, false);
+        let all = read(&log, Offset(0), 10, false);
         assert_eq!(all.len(), 3);
     }
 
@@ -956,11 +1220,11 @@ mod tests {
         let mut log = PartitionLog::new();
         log.append_batch(LeaderEpoch(0), (0..10).map(|i| rec(&i.to_string())));
         log.advance_high_watermark(Offset(10));
-        let r = log.read(Offset(4), 3, true);
+        let r = read(&log, Offset(4), 3, true);
         assert_eq!(r.len(), 3);
         assert_eq!(r[0].value_utf8(), "4");
-        assert!(log.read(Offset(10), 5, true).is_empty());
-        assert!(log.read(Offset(99), 5, false).is_empty());
+        assert!(read(&log, Offset(10), 5, true).is_empty());
+        assert!(read(&log, Offset(99), 5, false).is_empty());
     }
 
     #[test]
@@ -972,7 +1236,7 @@ mod tests {
         assert_eq!(log.segments()[1].base_offset(), Offset(4));
         assert_eq!(log.segments()[2].base_offset(), Offset(8));
         log.advance_high_watermark(Offset(10));
-        let r = log.read(Offset(2), 6, true);
+        let r = read(&log, Offset(2), 6, true);
         assert_eq!(r.len(), 6);
         assert_eq!(r[0].value_utf8(), "2");
         assert_eq!(r[5].value_utf8(), "7");
@@ -1000,7 +1264,8 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(log.log_end(), Offset(2));
         assert_eq!(log.high_watermark(), Offset(2), "HW clamped to new end");
-        let kept: Vec<String> = (log.read(Offset(0), 10, false).iter())
+        let kept: Vec<String> = read(&log, Offset(0), 10, false)
+            .iter()
             .map(Record::value_utf8)
             .collect();
         assert_eq!(kept, ["a", "b"]);
@@ -1018,7 +1283,8 @@ mod tests {
         assert_eq!(n, 6);
         assert_eq!(log.log_end(), Offset(2));
         assert_eq!(log.segment_count(), 1);
-        let kept: Vec<String> = (log.read(Offset(0), 10, false).iter())
+        let kept: Vec<String> = read(&log, Offset(0), 10, false)
+            .iter()
             .map(Record::value_utf8)
             .collect();
         assert_eq!(kept, ["0", "1"]);
@@ -1095,20 +1361,21 @@ mod tests {
         assert_eq!(decoded.base_offset(), seg.base_offset());
         assert_eq!(decoded.end_offset(), seg.end_offset());
         assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded.entries[0].offset, Offset(0));
-        assert_eq!(decoded.entries[0].epoch, LeaderEpoch(3));
-        assert_eq!(decoded.entries[0].record.key.as_deref(), Some(&b"k1"[..]));
-        assert_eq!(decoded.entries[0].record.producer_seq, 42);
-        assert_eq!(decoded.entries[1].offset, Offset(1));
-        assert_eq!(decoded.entries[1].record.value_utf8(), "plain");
+        let entries: Vec<_> = decoded.entries().collect();
+        let (first, second) = (entries[0].2, entries[1].2);
+        assert_eq!((entries[0].0, entries[0].1), (Offset(0), LeaderEpoch(3)));
+        assert_eq!(first.key.as_deref(), Some(&b"k1"[..]));
+        assert_eq!(first.producer_seq, 42);
+        assert_eq!((entries[1].0, entries[1].1), (Offset(1), LeaderEpoch(4)));
+        assert_eq!(second.value_utf8(), "plain");
         assert_eq!(decoded.bytes(), seg.bytes());
+        // Replay splits runs by epoch, over one record set.
+        assert_eq!(decoded.runs.len(), 2);
+        assert!(decoded.runs[0].batch.same_storage(&decoded.runs[1].batch));
         // The replayed records are views of one copy of the blob, in blob
         // order; every strict prefix is rejected, never sliced past.
         let blob = seg.encode();
-        let views = [
-            &decoded.entries[0].record.value,
-            &decoded.entries[1].record.value,
-        ];
+        let views = [&first.value, &second.value];
         let gap = views[1].as_ptr() as usize - views[0].as_ptr() as usize;
         assert!((views[0].len()..blob.len()).contains(&gap));
         for cut in 0..blob.len() {
@@ -1150,6 +1417,35 @@ mod tests {
     }
 
     #[test]
+    fn meta_decode_rejects_truncations_and_saturated_counts() {
+        // Four bytes claiming 2^32 - 1 partitions once aborted the process
+        // on a 256 GiB allocation.
+        assert!(BrokerLogMeta::decode(&[0xff; 4]).is_none());
+        let tp = TopicPartition::new("t", 0);
+        let meta = BrokerLogMeta {
+            partitions: vec![(tp.clone(), Offset(7), Offset(3), vec![128])],
+            group_offsets: vec![("g".into(), tp.clone(), Offset(5))],
+            reclaimed_bytes: 4096,
+            txns: vec![(tp, vec![(7, 3, 10, 14, 1)], vec![(2, 5)])],
+        };
+        let blob = meta.encode();
+        for cut in 0..blob.len() {
+            assert!(BrokerLogMeta::decode(&blob[..cut]).is_none(), "cut {cut}");
+        }
+        // Where each count sits: partitions, bases, groups, partitions with
+        // transactions, open transactions, aborted ranges ("t" and "g" are
+        // 5-byte strings).
+        let counts = [0, 29, 41, 75, 88, 124];
+        for at in counts {
+            let field: [u8; 4] = blob[at..at + 4].try_into().expect("in the blob");
+            assert_eq!(u32::from_le_bytes(field), 1, "a count of one at {at}");
+            let mut saturated = blob.clone();
+            saturated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(BrokerLogMeta::decode(&saturated).is_none(), "count at {at}");
+        }
+    }
+
+    #[test]
     fn dirty_tracking_feeds_flushes() {
         let mut log = PartitionLog::with_segment_max(2);
         log.append_batch(LeaderEpoch(0), [rec("a"), rec("b"), rec("c")]);
@@ -1182,7 +1478,7 @@ mod tests {
         assert_eq!(rebuilt.log_end(), log.log_end());
         assert_eq!(rebuilt.high_watermark(), Offset(6));
         assert_eq!(rebuilt.retained_bytes(), log.retained_bytes());
-        let all = rebuilt.read(Offset(0), 100, false);
+        let all = read(&rebuilt, Offset(0), 100, false);
         assert_eq!(all.len(), 7);
         assert_eq!(all[6].value_utf8(), "6");
         // A watermark beyond the recovered end is clamped.
@@ -1210,16 +1506,18 @@ mod tests {
             PartitionLog::from_recovered_segments(segments, Offset(9), Offset::ZERO, &bases, 3);
         assert_eq!(rebuilt.log_end(), Offset(3), "log ends at the gap");
         assert_eq!(rebuilt.high_watermark(), Offset(3), "HW clamped to it");
-        assert_eq!(rebuilt.read(Offset(0), 100, false).len(), 3);
-        assert!(rebuilt.read(Offset(5), 100, false).is_empty());
+        assert_eq!(read(&rebuilt, Offset(0), 100, false).len(), 3);
+        assert!(read(&rebuilt, Offset(5), 100, false).is_empty());
     }
 
-    /// A fresh segment fed `seg`'s entries one by one (same range and
-    /// timestamp base): what the log would hold had it never been cut.
+    /// A fresh segment fed copies of `seg`'s records one by one (same
+    /// range and timestamp base): what the log would hold had it never been
+    /// cut, nor stored views of shared batches.
     fn rebuilt(seg: &LogSegment) -> LogSegment {
         let mut fresh = LogSegment::new(seg.base);
-        for e in seg.entries() {
-            fresh.push(e.offset.value(), e.epoch, e.record.clone(), seg.len());
+        for (base, epoch, record) in seg.entries() {
+            let batch = RecordBatch::from_records(vec![record.clone()]);
+            fresh.push(LogRun { base, epoch, batch });
         }
         fresh.end = seg.end;
         fresh.base_ts = seg.base_ts;
@@ -1238,10 +1536,7 @@ mod tests {
             assert_eq!(back.end_offset(), seg.end_offset());
             assert_eq!(back.bytes(), seg.bytes());
             let triples = |s: &LogSegment| -> Vec<(Offset, LeaderEpoch, Record)> {
-                s.entries()
-                    .iter()
-                    .map(|e| (e.offset, e.epoch, e.record.clone()))
-                    .collect()
+                s.entries().map(|(o, e, r)| (o, e, r.clone())).collect()
             };
             assert_eq!(triples(&back), triples(seg), "{when}: base {}", seg.base);
         }
@@ -1282,7 +1577,8 @@ mod tests {
         // entry; the timestamp base stays pinned.
         let cleaned = log.compact();
         assert_eq!(cleaned.removed_records, 2, "offsets 3 and 4 are shadowed");
-        assert_eq!(log.segments()[0].entries()[0].offset, Offset(5));
+        let first = log.segments()[0].entries().next().map(|(o, _, _)| o);
+        assert_eq!(first, Some(Offset(5)));
         assert_encodings_consistent(&log, "compact");
         let dirty: Vec<u64> = log.take_dirty_segments().iter().map(|d| d.0).collect();
         assert_eq!(dirty, vec![3, 9], "the compacted and the re-cut segment");
@@ -1330,10 +1626,11 @@ mod tests {
         assert!(log.retained_bytes() < before);
         assert_eq!(log.reclaimed_bytes(), out.reclaimed_bytes);
         // Offsets survive: reader sees keyless@3, a3@4, b2@5.
-        let entries = log.read_entries(Offset(0), 10, true);
-        let offs: Vec<u64> = entries.iter().map(|e| e.offset.value()).collect();
-        assert_eq!(offs, vec![3, 4, 5]);
-        assert_eq!(entries[1].record.value_utf8(), "a3");
+        assert_eq!(
+            offsets(&log.read_entries(Offset(0), 10, true)),
+            vec![3, 4, 5]
+        );
+        assert_eq!(read(&log, Offset(0), 10, true)[1].value_utf8(), "a3");
         // A second pass is a no-op.
         assert!(log.compact().is_noop());
     }
@@ -1348,9 +1645,7 @@ mod tests {
         let out = log.compact();
         // Only offset 0 is compactable (sealed, below HW, shadowed).
         assert_eq!(out.removed_records, 1);
-        let all = log.read_entries(Offset(0), 10, false);
-        let offs: Vec<u64> = all.iter().map(|e| e.offset.value()).collect();
-        assert_eq!(offs, vec![1, 2]);
+        assert_eq!(offsets(&log.read_entries(Offset(0), 10, false)), vec![1, 2]);
     }
 
     #[test]
@@ -1378,16 +1673,8 @@ mod tests {
             2,
         );
         assert_eq!(rebuilt.log_end(), log.log_end());
-        let a: Vec<u64> = log
-            .read_entries(Offset(0), 100, false)
-            .iter()
-            .map(|e| e.offset.value())
-            .collect();
-        let b: Vec<u64> = rebuilt
-            .read_entries(Offset(0), 100, false)
-            .iter()
-            .map(|e| e.offset.value())
-            .collect();
+        let a = offsets(&log.read_entries(Offset(0), 100, false));
+        let b = offsets(&rebuilt.read_entries(Offset(0), 100, false));
         assert_eq!(a, b, "recovered compacted log serves identical offsets");
     }
 
@@ -1412,7 +1699,7 @@ mod tests {
         assert_eq!(out.removed_records, 4);
         assert_eq!(log.log_start(), Offset(4));
         assert_eq!(log.log_end(), Offset(6));
-        assert!(log.read(Offset(0), 10, false).len() == 2);
+        assert!(read(&log, Offset(0), 10, false).len() == 2);
         // Appends continue past retention.
         assert_eq!(log.append(LeaderEpoch(0), rec("z")), Offset(6));
     }
@@ -1455,13 +1742,11 @@ mod tests {
         );
         assert_eq!(log.log_start(), Offset(4));
         assert_eq!(log.segment_count(), 1, "only the active segment remains");
-        let at_start = log.read_entries(Offset(4), 10, true);
-        assert_eq!(at_start.len(), 2);
-        assert_eq!(at_start[0].offset, Offset(4));
+        assert_eq!(offsets(&log.read_entries(Offset(4), 10, true)), [4, 5]);
         // Below the start: the log serves what it has (the broker layer
         // turns this into an OffsetOutOfRange reset).
         let below = log.read_entries(Offset(0), 10, true);
-        assert_eq!(below.first().map(|e| e.offset), Some(Offset(4)));
+        assert_eq!(below.first().map(|r| r.base), Some(Offset(4)));
         // At the end: empty, no panic.
         assert!(log.read_entries(Offset(6), 10, true).is_empty());
     }
@@ -1481,7 +1766,7 @@ mod tests {
         assert!(out.dropped_segment_bases.contains(&0), "segment 0 emptied");
         let from_zero = log.read_entries(Offset(0), 10, true);
         assert!(!from_zero.is_empty(), "fetch at 0 skips the dropped prefix");
-        assert!(from_zero[0].offset > Offset(0));
+        assert!(from_zero[0].base > Offset(0));
         // Recovery of the compacted shape keeps serving the same offsets.
         let bases: Vec<u64> = log.segments().iter().map(|s| s.base).collect();
         let segments: Vec<LogSegment> = log
@@ -1496,13 +1781,8 @@ mod tests {
             &bases,
             2,
         );
-        let a: Vec<u64> = from_zero.iter().map(|e| e.offset.value()).collect();
-        let b: Vec<u64> = rebuilt
-            .read_entries(Offset(0), 10, true)
-            .iter()
-            .map(|e| e.offset.value())
-            .collect();
-        assert_eq!(a, b);
+        let b = offsets(&rebuilt.read_entries(Offset(0), 10, true));
+        assert_eq!(offsets(&from_zero), b);
     }
 
     #[test]
@@ -1532,26 +1812,35 @@ mod tests {
         assert_eq!(log.append(LeaderEpoch(1), rec("z")), Offset(4));
     }
 
+    /// A one-record run at `offset`.
+    fn run_of(offset: u64, epoch: u64, record: Record) -> LogRun {
+        LogRun {
+            base: Offset(offset),
+            epoch: LeaderEpoch(epoch),
+            batch: RecordBatch::from_records(vec![record]),
+        }
+    }
+
     #[test]
-    fn replication_append_at_preserves_leader_offsets() {
+    fn replication_append_run_preserves_leader_offsets() {
         // Leader compacted: serves offsets 3, 5, 7. The follower must land
         // them at the same offsets.
         let mut follower = PartitionLog::with_segment_max(4);
-        assert!(follower.append_at(Offset(3), LeaderEpoch(1), rec("x")));
-        assert!(follower.append_at(Offset(5), LeaderEpoch(1), rec("y")));
-        assert!(follower.append_at(Offset(7), LeaderEpoch(2), rec("z")));
+        assert_eq!(follower.append_run(run_of(3, 1, rec("x"))), 1);
+        assert_eq!(follower.append_run(run_of(5, 1, rec("y"))), 1);
+        assert_eq!(follower.append_run(run_of(7, 2, rec("z"))), 1);
         assert_eq!(follower.log_end(), Offset(8));
         assert_eq!(follower.len(), 3);
         assert_eq!(follower.epoch_at(Offset(5)), Some(LeaderEpoch(1)));
         assert_eq!(follower.epoch_at(Offset(4)), None, "hole stays a hole");
         // Duplicate responses are no-ops, not double-appends.
-        assert!(!follower.append_at(Offset(5), LeaderEpoch(1), rec("dup")));
+        assert_eq!(follower.append_run(run_of(5, 1, rec("dup"))), 0);
         assert_eq!(follower.len(), 3);
     }
 
-    /// `read_entries` as it was before its fast paths: bisect for the
-    /// segment, bisect inside it, walk until the end or `max`.
-    fn read_entries_by_bisection(
+    /// `read_entries` by a walk over every record: the reference its
+    /// segment and run bisections must agree with.
+    fn read_entries_by_scan(
         log: &PartitionLog,
         from: Offset,
         max: usize,
@@ -1562,58 +1851,56 @@ mod tests {
         } else {
             log.log_end()
         };
-        let mut out = Vec::new();
-        if from >= end || max == 0 {
-            return out;
-        }
-        let lo = from.value();
-        let segments = log.segments();
-        let start = segments
-            .partition_point(|s| s.end <= lo)
-            .min(segments.len().saturating_sub(1));
-        for seg in &segments[start..] {
-            if seg.base >= end.value() {
-                break;
-            }
-            let within = seg.entries.partition_point(|e| e.offset.value() < lo);
-            for e in &seg.entries[within..] {
-                if e.offset >= end || out.len() >= max {
-                    return out;
-                }
-                out.push(e.offset.value());
-            }
-        }
-        out
+        let held = log.entries().map(|(o, _, _)| o);
+        let wanted = held.filter(|o| (from..end).contains(o)).take(max);
+        wanted.map(Offset::value).collect()
     }
 
-    /// Seeded sweep: logs grown by appends and `append_at` gaps, then cut by
-    /// compaction, retention and truncation, read at random
-    /// `(from, max, committed_only)` after every step. The tail-segment and
-    /// hole-free shortcuts must return exactly what two bisections return.
+    /// Seeded sweep: logs grown by appends and follower runs past gaps,
+    /// then cut by compaction, retention and truncation, read at random
+    /// `(from, max, committed_only)` after every step. Each step changes
+    /// the records held exactly as its operation says, and the tail-segment
+    /// shortcut and the bisections return exactly what a walk over every
+    /// record returns.
     #[test]
-    fn read_entries_matches_the_two_bisection_reference() {
+    fn read_entries_matches_a_scan_of_every_record() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let held = |log: &PartitionLog| -> Vec<(Offset, LeaderEpoch, Record)> {
+            log.entries().map(|(o, e, r)| (o, e, r.clone())).collect()
+        };
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut reads, mut non_empty, mut holey) = (0u32, 0u32, 0u32);
         for case in 0..60 {
             let mut log = PartitionLog::with_segment_max(rng.gen_range(2..9));
             let mut ts = 0u64;
             for step in 0..40 {
+                let (before, hw) = (held(&log), log.high_watermark());
+                let kept = |keep: &dyn Fn(Offset) -> bool| {
+                    let kept = before.iter().filter(|(o, _, _)| keep(*o));
+                    kept.cloned().collect::<Vec<_>>()
+                };
                 match rng.gen_range(0..10) {
-                    // Leader-style appends: contiguous offsets.
+                    // Leader-style appends: a batch at contiguous offsets.
                     0..=4 => {
+                        let mut batch = Vec::new();
                         for _ in 0..rng.gen_range(1..6) {
                             ts += 1_000;
                             let key = format!("k{}", rng.gen_range(0..5));
-                            log.append(LeaderEpoch(step / 10), keyed(&key, "v", ts));
+                            batch.push(keyed(&key, "v", ts));
                         }
+                        let n = batch.len();
+                        log.append_batch(LeaderEpoch(step / 10), batch);
+                        let after = held(&log);
+                        assert!(after.starts_with(&before) && after.len() == before.len() + n);
                     }
                     // Follower-style append past a gap (a compacted leader).
                     5 => {
-                        let at = Offset(log.log_end().value() + rng.gen_range(0..4u64));
+                        let at = log.log_end().value() + rng.gen_range(0..4u64);
                         ts += 1_000;
-                        log.append_at(at, LeaderEpoch(step / 10), keyed("gap", "v", ts));
+                        log.append_run(run_of(at, step / 10, keyed("gap", "v", ts)));
+                        let after = held(&log);
+                        assert!(after.starts_with(&before) && after.len() == before.len() + 1);
                     }
                     6 => {
                         let hw =
@@ -1622,29 +1909,45 @@ mod tests {
                     }
                     7 => {
                         log.compact();
+                        // Only committed keyed records go, the rest in order.
+                        let after = held(&log);
+                        let mut left = after.iter().peekable();
+                        for entry in &before {
+                            if left.next_if(|a| *a == entry).is_none() {
+                                assert!(entry.0 < hw && entry.2.key.is_some(), "case {case}");
+                            }
+                        }
+                        assert!(left.next().is_none(), "case {case}: compaction added");
                     }
                     8 => {
                         let age = SimDuration::from_millis(rng.gen_range(1..20));
                         log.apply_retention(SimTime::from_millis(ts), Some(age), None);
+                        let start = log.log_start();
+                        assert_eq!(held(&log), kept(&|o| o >= start), "case {case}");
                     }
                     _ => {
                         let span = log.log_end().value() - log.log_start().value();
-                        let to = log.log_start().value() + rng.gen_range(0..=span);
-                        log.truncate_to(Offset(to));
+                        let to = Offset(log.log_start().value() + rng.gen_range(0..=span));
+                        let dropped = before.iter().filter(|(o, _, _)| *o >= to).count();
+                        assert_eq!(log.truncate_to(to), dropped, "case {case}");
+                        assert_eq!(held(&log), kept(&|o| o < to), "case {case}");
                     }
                 }
                 let has_hole = |s: &LogSegment| (s.len() as u64) < s.end - s.base;
+                for seg in log.segments() {
+                    let held: usize = seg.runs.iter().map(LogRun::len).sum();
+                    assert_eq!(held, seg.len(), "case {case} step {step}");
+                    assert!(seg.runs.iter().all(|r| !r.is_empty()));
+                    let ordered = seg.runs.windows(2).all(|w| w[0].end() <= w[1].base);
+                    assert!(ordered, "case {case} step {step}: runs out of order");
+                }
                 holey += u32::from(log.segments().iter().any(has_hole));
                 for _ in 0..12 {
                     let from = Offset(rng.gen_range(0..log.log_end().value() + 3));
                     let max = [0usize, 1, 2, 3, 7, 1_000][rng.gen_range(0..6usize)];
                     let committed_only = rng.gen_bool(0.5);
-                    let got: Vec<u64> = log
-                        .read_entries(from, max, committed_only)
-                        .iter()
-                        .map(|e| e.offset.value())
-                        .collect();
-                    let want = read_entries_by_bisection(&log, from, max, committed_only);
+                    let got = offsets(&log.read_entries(from, max, committed_only));
+                    let want = read_entries_by_scan(&log, from, max, committed_only);
                     assert_eq!(
                         got, want,
                         "case {case} step {step}: read({from}, {max}, {committed_only})"

@@ -13,7 +13,7 @@
 use std::rc::Rc;
 
 use s2g_proto::{
-    BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
+    BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
     MirrorView, Offset, PartitionMetadata, Record, RecordBatch, ReplicaFetchPart,
     ReplicaFetchedPart, TopicPartition,
 };
@@ -23,7 +23,7 @@ use s2g_telemetry::GaugeHandle;
 use crate::broker::Host;
 use crate::config::{BrokerConfig, CoordinationMode};
 use crate::handover::{Handover, PartitionTxns};
-use crate::log::{CleanOutcome, MetaPartitionTxns, PartitionLog};
+use crate::log::{split_run, CleanOutcome, MetaPartitionTxns, PartitionLog};
 use crate::table::IntTable;
 
 /// A produce whose acknowledgement waits for replication and/or the
@@ -399,38 +399,35 @@ impl Partition {
         self.flush_end = self.flush_end.min(new_end);
     }
 
-    /// Appends replicated records at the leader's explicit offsets (a
-    /// compacted leader log serves holes, and replicas must preserve
-    /// offsets to stay byte-identical) and adopts its high watermark.
-    /// Returns how many records were new.
+    /// Stores the leader's runs at their own offsets (a compacted leader
+    /// log serves holes, and replicas must preserve offsets to stay
+    /// byte-identical) as the same views of the same batches, and adopts
+    /// its high watermark. Returns how many records were new.
     pub(crate) fn replicate(
         &mut self,
         host: &mut Host,
-        batch: RecordBatch,
-        at: &[(Offset, LeaderEpoch)],
-        epoch: LeaderEpoch,
+        runs: Vec<LogRun>,
+        compression: Compression,
         high_watermark: Offset,
     ) -> u64 {
         // Remember the leader's codec so a promotion keeps serving fetches
         // with the right compression flag.
-        if !batch.is_empty() {
-            self.codec = batch.compression();
+        if !runs.is_empty() {
+            self.codec = compression;
         }
+        let bytes_before = self.log.retained_bytes();
         let mut appended = 0u64;
-        // The follower is the batch's sole owner (the leader built it for
-        // this reply), so this unwraps the Arc in place.
-        for (i, rec) in batch.into_records().into_iter().enumerate() {
-            let (off, e) = at.get(i).copied().unwrap_or((self.log.log_end(), epoch));
-            let stamp = (rec.producer_epoch, rec.producer_seq);
-            self.state.raise_seq(rec.producer.0, stamp);
-            let bytes = rec.encoded_len() as u64;
-            if self.log.append_at(off, e, rec) {
-                appended += 1;
-                host.retained_bytes += bytes;
-            } else {
-                host.stats.replica_records_redundant += 1;
+        for run in runs {
+            for r in &run.batch {
+                self.state
+                    .raise_seq(r.producer.0, (r.producer_epoch, r.producer_seq));
             }
+            let offered = run.len();
+            let new = self.log.append_run(run);
+            host.stats.replica_records_redundant += (offered - new) as u64;
+            appended += new as u64;
         }
+        host.retained_bytes += (self.log.retained_bytes() - bytes_before) as u64;
         host.stats.records_appended += appended;
         let end = self.log.log_end();
         self.log.advance_high_watermark(high_watermark.min(end));
@@ -447,9 +444,9 @@ impl Partition {
     /// Rebuilds the idempotent-producer dedup state from the log (after
     /// truncation or restart replay).
     fn rebuild_seqs(&mut self) {
-        let entries = self.log.segments().iter().flat_map(|s| s.entries());
-        let stamp = |r: &Record| (r.producer.0, (r.producer_epoch, r.producer_seq));
-        self.state.rebuild_seqs(entries.map(|e| stamp(&e.record)));
+        let stamps = (self.log.entries())
+            .map(|(_, _, r)| (r.producer.0, (r.producer_epoch, r.producer_seq)));
+        self.state.rebuild_seqs(stamps);
     }
 
     /// Installs the log a restart replay rebuilt — all of it durable — and
@@ -520,16 +517,34 @@ impl Partition {
     }
 }
 
+/// The records of a client read as one batch: the run's own view when the
+/// read fell inside one run, else a fresh batch of the runs' records. This
+/// is the one place a read copies records (a `Record` clone bumps its
+/// payload's refcount), and the copy lives only as long as the reply.
+fn one_batch(runs: &[LogRun]) -> RecordBatch {
+    match runs {
+        [] => RecordBatch::new(),
+        [run] => run.batch.clone(),
+        runs => {
+            let mut records = Vec::with_capacity(runs.iter().map(LogRun::len).sum());
+            for run in runs {
+                records.extend_from_slice(run.batch.records());
+            }
+            RecordBatch::from_records(records)
+        }
+    }
+}
+
 impl Led<'_> {
     /// Appends the batch's fresh records and returns their base offset and
     /// count.
     ///
     /// Idempotent-producer dedup: a record whose `(producer, seq)` this
     /// partition already appended is a retry whose ack was lost (timeout,
-    /// broker bounce) — it is acknowledged without a second copy. The batch
-    /// is borrowed, not consumed: the producer still holds it for retries,
-    /// so taking ownership here would force a deep copy. Cloning a `Record`
-    /// only bumps the payload refcounts.
+    /// broker bounce) — it is acknowledged without a second copy. The log
+    /// stores views of the producer's own batch, shared with the retry copy
+    /// the producer still holds: a dropped duplicate splits the view, and
+    /// no record is copied.
     ///
     /// A transactional batch (`txn`) stays invisible to read-committed
     /// consumers until its EndTxn marker: its offset range is staged.
@@ -547,35 +562,36 @@ impl Led<'_> {
         host.metrics
             .batch_bytes
             .observe(batch.record_bytes() as f64);
-        let base = self.log.log_end();
-        let (mut n, mut bytes) = (0usize, 0u64);
+        let bytes_before = self.log.retained_bytes();
         let mut staging = None;
-        // One lookup and one write-back per run of records from the same
-        // producer (a batch is normally a single run), with the run's
+        // One lookup and one write-back per stretch of records from the
+        // same producer (a batch is normally a single stretch), with its
         // latest stamp carried in between so a later record still sees an
         // earlier one of its own batch.
-        for run in batch.records().chunk_by(|a, b| a.producer == b.producer) {
-            let producer = run[0].producer.0;
-            let mut last = self.state.seq(producer);
-            for r in run {
-                // Same-or-older (epoch, seq) is a stale retry; a bumped
-                // epoch is a respawned client restarting at seq zero.
-                let stamp = (r.producer_epoch, r.producer_seq);
-                if last.is_some_and(|last| stamp <= last) {
-                    host.stats.duplicates_filtered += 1;
-                    continue;
-                }
-                last = Some(stamp);
-                staging.get_or_insert((r.producer.0, r.producer_epoch));
-                bytes += r.encoded_len() as u64;
-                n += 1;
-                self.log.append(self.ls.epoch, r.clone());
+        let (state, stats) = (&mut *self.state, &mut host.stats);
+        let mut current: Option<(u32, Option<(u32, u64)>)> = None;
+        let fresh = |r: &Record| {
+            let producer = r.producer.0;
+            if let Some((p, Some(last))) = current.take_if(|(p, _)| *p != producer) {
+                state.raise_seq(p, last);
             }
-            if let Some(last) = last {
-                self.state.raise_seq(producer, last);
+            let (_, last) = current.get_or_insert_with(|| (producer, state.seq(producer)));
+            // Same-or-older (epoch, seq) is a stale retry; a bumped epoch
+            // is a respawned client restarting at seq zero.
+            let stamp = (r.producer_epoch, r.producer_seq);
+            if last.is_some_and(|last| stamp <= last) {
+                stats.duplicates_filtered += 1;
+                return false;
             }
+            *last = Some(stamp);
+            staging.get_or_insert((producer, r.producer_epoch));
+            true
+        };
+        let (base, n) = self.log.append_kept(self.ls.epoch, batch, fresh);
+        if let Some((p, Some(last))) = current {
+            state.raise_seq(p, last);
         }
-        host.retained_bytes += bytes;
+        host.retained_bytes += (self.log.retained_bytes() - bytes_before) as u64;
         host.update_mem();
         host.stats.records_appended += n as u64;
         host.metrics.produces.add(1);
@@ -641,24 +657,25 @@ impl Led<'_> {
             return None;
         }
         let max = max_records.min(host.cfg.fetch_max_records);
-        let mut entries = self.log.read_entries(offset, max, true);
-        entries.truncate(entries.partition_point(|e| e.offset < visible_end));
-        let last_scanned = entries.last().map(|e| e.offset);
+        let mut runs = self.log.read_below(offset, visible_end, max);
+        let scanned_end = runs.last().map(LogRun::end);
         // Aborted transactions' records are holes to a read-committed
-        // reader, exactly like compacted entries.
+        // reader, exactly like compacted ones.
         if read_committed && txns.has_aborted() {
-            entries.retain(|e| !txns.is_aborted(e.offset.value()));
+            let mut committed = Vec::with_capacity(runs.len());
+            for run in &runs {
+                let keep = |o: Offset, _: &Record| !txns.is_aborted(o.value());
+                split_run(run, keep, |part| committed.push(part));
+            }
+            runs = committed;
         }
         // Advance past the last served record — else past the last scanned
-        // one, so an aborted run is skipped — or, on an empty read, over a
-        // fully compacted tail hole to the visible end.
-        let next = entries
-            .last()
-            .map(|e| e.offset)
-            .or(last_scanned)
-            .map_or(visible_end, |last| Offset(last.value() + 1));
-        let served = entries.iter().map(|e| e.record.clone()).collect();
-        let batch = RecordBatch::from_records(served).with_compression(*self.codec);
+        // one, so an aborted stretch is skipped — or, on an empty read, over
+        // a fully compacted tail hole to the visible end.
+        let next = (runs.last().map(LogRun::end))
+            .or(scanned_end)
+            .unwrap_or(visible_end);
+        let batch = one_batch(&runs).with_compression(*self.codec);
         Some((batch, hw, next, ErrorCode::None))
     }
 
@@ -748,9 +765,7 @@ impl Led<'_> {
                 start = boundary;
             }
         }
-        let entries = self.log.read_entries(start, max_records, false);
-        let at: Vec<(Offset, LeaderEpoch)> = entries.iter().map(|e| (e.offset, e.epoch)).collect();
-        let records: Vec<Record> = entries.iter().map(|e| e.record.clone()).collect();
+        let runs = self.log.read_entries(start, max_records, false);
         let high_watermark = self.log.high_watermark();
         let caught_up = start >= self.log.log_end();
         // Update follower progress from its claimed log end.
@@ -780,8 +795,8 @@ impl Led<'_> {
         // can never phantom-ack a record the follower does not hold).
         ReplicaFetchedPart {
             tp: self.tp.clone(),
-            batch: RecordBatch::from_records(records).with_compression(*self.codec),
-            at,
+            runs,
+            compression: *self.codec,
             high_watermark,
             epoch: self.ls.epoch,
             truncate_to,

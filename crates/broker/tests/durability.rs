@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use s2g_broker::{
     Broker, BrokerConfig, CollectingSink, ConsumerClient, ConsumerConfig, ConsumerProcess,
-    ControllerConfig, CoordinationMode, ProducerClient, ProducerConfig, ProducerProcess,
-    RateSource, TopicSpec, ZkController,
+    ControllerConfig, CoordinationMode, PartitionLog, ProducerClient, ProducerConfig,
+    ProducerProcess, RateSource, TopicSpec, ZkController,
 };
 use s2g_proto::{BrokerId, Offset, ProducerId, TopicPartition};
 use s2g_sim::{ProcessId, Sim, SimDuration, SimTime};
@@ -81,11 +81,10 @@ fn broker_restart_replays_identical_log() {
     assert!(pre.segment_count() > 1, "log rolled into segments");
     let pre_end = pre.log_end();
     let pre_hw = pre.high_watermark();
-    let pre_values: Vec<String> = pre
-        .read(Offset::ZERO, usize::MAX, false)
-        .iter()
-        .map(|r| r.value_utf8())
-        .collect();
+    let values = |log: &PartitionLog| -> Vec<String> {
+        log.entries().map(|(_, _, r)| r.value_utf8()).collect()
+    };
+    let pre_values = values(pre);
     let pre_stats = dead.stats();
     assert!(pre_stats.log_flushes > 0, "flushes happened pre-crash");
 
@@ -98,11 +97,7 @@ fn broker_restart_replays_identical_log() {
     let log = live.log(&tp).expect("partition log rebuilt");
     assert_eq!(log.log_end(), pre_end, "log end survives the bounce");
     assert_eq!(log.high_watermark(), pre_hw, "high watermark survives");
-    let post_values: Vec<String> = log
-        .read(Offset::ZERO, usize::MAX, false)
-        .iter()
-        .map(|r| r.value_utf8())
-        .collect();
+    let post_values = values(log);
     assert_eq!(post_values, pre_values, "replayed log equals pre-crash log");
 
     let rec = live.recovery_info().expect("recovery recorded");

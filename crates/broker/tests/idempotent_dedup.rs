@@ -141,12 +141,7 @@ fn through_the_broker(batches: Vec<RecordBatch>) -> (Vec<Vec<u8>>, u64) {
     assert_eq!(sim.process_ref::<RawProducer>(producer).unwrap().acked, n);
     let broker = sim.process_ref::<Broker>(broker_pid).unwrap();
     let log = broker.log(&tp).expect("partition log");
-    let payloads = log
-        .segments()
-        .iter()
-        .flat_map(|s| s.entries())
-        .map(|e| e.record.value.to_vec())
-        .collect();
+    let payloads = log.entries().map(|(_, _, r)| r.value.to_vec()).collect();
     (payloads, broker.stats().duplicates_filtered)
 }
 

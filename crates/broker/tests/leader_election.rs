@@ -167,6 +167,31 @@ fn build(seed: u64) -> Cluster {
     }
 }
 
+impl Cluster {
+    /// Restarts broker `victim` empty (no durable backend): the replica
+    /// must rebuild its log purely through follower catch-up from the
+    /// elected leader.
+    fn restart(&mut self, victim: u32) {
+        self.incarnations[victim as usize] += 1;
+        let mut b = Broker::new(
+            BrokerId(victim),
+            self.broker_cfg.clone(),
+            CoordinationMode::Zk,
+            self.controller_pids.clone(),
+            self.brokers_hash.clone(),
+        );
+        b.set_incarnation(self.incarnations[victim as usize]);
+        b.mark_restarted();
+        self.sim
+            .respawn(self.broker_pids[victim as usize], Box::new(b));
+    }
+
+    fn broker(&self, i: u32) -> &Broker {
+        let pid = self.broker_pids[i as usize];
+        self.sim.process_ref::<Broker>(pid).expect("broker live")
+    }
+}
+
 /// Derives the seeded kill/restart schedule: four cycles, alternating
 /// between killing the current leader (forcing an election) and a broker
 /// chosen by the RNG, with RNG-chosen downtimes and gaps. Only one broker
@@ -220,19 +245,7 @@ fn run_schedule(seed: u64) -> (Vec<Cycle>, Vec<u64>, Vec<u64>, Vec<String>) {
         });
 
         cluster.sim.run_until(SimTime::from_millis(at_ms + down_ms));
-        // Restart empty (no durable backend): the replica must rebuild its
-        // log purely through follower catch-up from the elected leader.
-        cluster.incarnations[victim as usize] += 1;
-        let mut b = Broker::new(
-            BrokerId(victim),
-            cluster.broker_cfg.clone(),
-            CoordinationMode::Zk,
-            cluster.controller_pids.clone(),
-            cluster.brokers_hash.clone(),
-        );
-        b.set_incarnation(cluster.incarnations[victim as usize]);
-        b.mark_restarted();
-        cluster.sim.respawn(pid, Box::new(b));
+        cluster.restart(victim);
     }
     cluster.sim.run_until(SimTime::from_secs(RUN_FOR));
 
@@ -258,16 +271,8 @@ fn run_schedule(seed: u64) -> (Vec<Cycle>, Vec<u64>, Vec<u64>, Vec<String>) {
         .iter()
         .map(|(_, _, r)| r.producer_seq)
         .collect();
-    let fingerprints: Vec<String> = cluster
-        .broker_pids
-        .iter()
-        .map(|pid| {
-            cluster
-                .sim
-                .process_ref::<Broker>(*pid)
-                .expect("all brokers live at end")
-                .log_fingerprint(&tp)
-        })
+    let fingerprints: Vec<String> = (0..N_BROKERS)
+        .map(|i| cluster.broker(i).log_fingerprint(&tp))
         .collect();
     (cycles, acked, received, fingerprints)
 }
@@ -329,34 +334,16 @@ fn elections_moved_leadership_during_the_sweep() {
     // Restart the old leader: it must rejoin as follower (the new leader
     // keeps the partition until preferred election, which is delayed far
     // beyond this run).
-    let mut b = Broker::new(
-        BrokerId(first),
-        cluster.broker_cfg.clone(),
-        CoordinationMode::Zk,
-        cluster.controller_pids.clone(),
-        cluster.brokers_hash.clone(),
-    );
-    b.set_incarnation(1);
-    b.mark_restarted();
-    cluster.sim.respawn(pid, Box::new(b));
+    cluster.restart(first);
     cluster.sim.run_until(SimTime::from_secs(20));
-    let b = cluster.sim.process_ref::<Broker>(pid).unwrap();
     assert!(
-        !b.is_leader(&tp),
+        !cluster.broker(first).is_leader(&tp),
         "restarted broker must rejoin as follower"
     );
     // And its rebuilt log matches the current leader's byte for byte.
     let leader = leader_of(&cluster, &tp).unwrap();
-    let leader_fp = cluster
-        .sim
-        .process_ref::<Broker>(cluster.broker_pids[leader as usize])
-        .unwrap()
-        .log_fingerprint(&tp);
-    let follower_fp = cluster
-        .sim
-        .process_ref::<Broker>(pid)
-        .unwrap()
-        .log_fingerprint(&tp);
+    let leader_fp = cluster.broker(leader).log_fingerprint(&tp);
+    let follower_fp = cluster.broker(first).log_fingerprint(&tp);
     assert_eq!(
         leader_fp, follower_fp,
         "restarted follower must converge to the leader's log"
@@ -366,4 +353,52 @@ fn elections_moved_leadership_during_the_sweep() {
 #[test]
 fn schedules_are_deterministic_per_seed() {
     assert_eq!(run_schedule(11), run_schedule(11));
+}
+
+/// A record is held once however many replicas hold it. Through a follower
+/// crash/restart and a leader change, every replica's log is identical,
+/// every follower's records are the leader's own `Record`s in memory (its
+/// runs are views of the leader's batches, not copies), and no shared
+/// batch was deep-copied on the way.
+#[test]
+fn replicas_share_one_copy_of_each_record_through_a_bounce() {
+    let copies_before = s2g_proto::shared_batch_copies();
+    let mut cluster = build(5);
+    let tp = TopicPartition::new("events", 0);
+    cluster.sim.run_until(SimTime::from_secs(8));
+    let first = leader_of(&cluster, &tp).expect("initial leader elected");
+    // A follower goes down and comes back empty...
+    let follower = (first + 1) % N_BROKERS;
+    cluster.sim.kill(cluster.broker_pids[follower as usize]);
+    cluster.sim.run_until(SimTime::from_secs(11));
+    cluster.restart(follower);
+    cluster.sim.run_until(SimTime::from_secs(16));
+    // ... then the leader does, and another broker takes over.
+    cluster.sim.kill(cluster.broker_pids[first as usize]);
+    cluster.sim.run_until(SimTime::from_secs(19));
+    cluster.restart(first);
+    cluster.sim.run_until(SimTime::from_secs(30));
+    let leader = leader_of(&cluster, &tp).expect("a leader after the bounce");
+    assert_ne!(leader, first, "leadership moved");
+
+    let fingerprints: Vec<String> = (0..N_BROKERS)
+        .map(|i| cluster.broker(i).log_fingerprint(&tp))
+        .collect();
+    assert!(
+        fingerprints.windows(2).all(|w| w[0] == w[1]),
+        "replicas diverged"
+    );
+    let log = |i: u32| cluster.broker(i).log(&tp).expect("hosted");
+    let leader_log = log(leader);
+    assert!(leader_log.len() > 300, "{} records", leader_log.len());
+    for i in (0..N_BROKERS).filter(|i| *i != leader) {
+        let mine = log(i).entries().map(|(_, _, r)| r);
+        let theirs = leader_log.entries().map(|(_, _, r)| r);
+        let shared = mine
+            .zip(theirs)
+            .filter(|(a, b)| std::ptr::eq(*a, *b))
+            .count();
+        assert_eq!(shared, leader_log.len(), "broker {i} holds copies");
+    }
+    assert_eq!(s2g_proto::shared_batch_copies(), copies_before);
 }

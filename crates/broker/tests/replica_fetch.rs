@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 
 use s2g_broker::{Broker, BrokerConfig, CoordinationMode};
 use s2g_proto::{
-    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
-    ProducerId, Record, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
+    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
+    Offset, ProducerId, Record, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
     TopicPartition, RPC_OVERHEAD,
 };
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
@@ -160,12 +160,15 @@ fn asked(rpc: &ReplicaRpc) -> (CorrelationId, Vec<(u32, u64)>) {
 /// A leader's answer for `partition`: the records at `offsets`, all of
 /// `epoch`, under a high watermark just past them.
 fn served(partition: u32, offsets: std::ops::Range<u64>, epoch: u64) -> ReplicaFetchedPart {
-    let epoch = LeaderEpoch(epoch);
+    let run = LogRun {
+        base: Offset(offsets.start),
+        epoch: LeaderEpoch(epoch),
+        batch: offsets.clone().map(|o| record(partition, o)).collect(),
+    };
     ReplicaFetchedPart {
-        batch: RecordBatch::from_records(offsets.clone().map(|o| record(partition, o)).collect()),
-        at: offsets.clone().map(|o| (Offset(o), epoch)).collect(),
+        runs: vec![run],
         high_watermark: Offset(offsets.end),
-        epoch,
+        epoch: LeaderEpoch(epoch),
         ..ReplicaFetchedPart::rejected(tp(partition), ErrorCode::None)
     }
 }
@@ -310,8 +313,8 @@ fn parts_are_served_in_order_under_one_cap_and_a_part_not_led_answers_its_own_er
     let shape: Vec<(u32, ErrorCode, Vec<u64>)> = parts
         .iter()
         .map(|p| {
-            assert_eq!(p.batch.len(), p.at.len());
-            let offsets = p.at.iter().map(|(offset, _)| offset.value()).collect();
+            let entries = p.runs.iter().flat_map(LogRun::entries);
+            let offsets = entries.map(|(offset, _, _)| offset.value()).collect();
             (p.tp.partition, p.error, offsets)
         })
         .collect();
@@ -338,7 +341,7 @@ fn parts_are_served_in_order_under_one_cap_and_a_part_not_led_answers_its_own_er
     let (_, ReplicaRpc::FetchResponse { parts, .. }) = &replies[0] else {
         panic!("not a reply: {replies:?}");
     };
-    let shape: Vec<(usize, bool)> = parts.iter().map(|p| (p.batch.len(), p.seqs_ride)).collect();
+    let shape: Vec<(usize, bool)> = parts.iter().map(|p| (p.records(), p.seqs_ride)).collect();
     assert_eq!(shape, [(0, true), (1, false)]);
     let hw = |partition| {
         c.broker(0)

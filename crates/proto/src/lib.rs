@@ -21,7 +21,7 @@ pub use record::{
     TopicPartition, RECORD_OVERHEAD,
 };
 pub use rpc::{
-    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch,
+    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
     MetadataRecord, MirrorView, PartitionMetadata, RaftRpc, ReplicaFetchPart, ReplicaFetchedPart,
     ReplicaRpc, RPC_OVERHEAD,
 };

@@ -342,7 +342,12 @@ pub fn shared_batch_copies() -> u64 {
 /// fetched run to many consumers) bumps an `Arc` instead of duplicating
 /// records, and the payloads inside are [`Bytes`] views of the one buffer
 /// the producer sealed the batch into — so a whole batch travels
-/// producer→broker→consumer→operator as that one allocation.
+/// producer→broker→consumer→operator as that one allocation. A batch may
+/// also be a contiguous part of another ([`slice`](Self::slice)): the
+/// broker log stores and serves its records as such views, so every
+/// replica and reader of a record shares the producer's one copy.
+///
+/// Equality and `Debug` see the records, not how they are stored.
 ///
 /// # Examples
 ///
@@ -357,13 +362,37 @@ pub fn shared_batch_copies() -> u64 {
 /// let retry_copy = batch.clone(); // refcount bump, not a record copy
 /// assert_eq!(batch.share_count(), 2);
 /// assert_eq!(retry_copy.records().len(), 2);
+/// let tail = batch.slice(1..2); // a view of the same records
+/// assert!(tail.same_storage(&batch));
+/// assert_eq!(tail.records()[0].value_utf8(), "b");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Default)]
 pub struct RecordBatch {
     /// `None` is the empty batch: most fetch responses carry no record, and
-    /// saying so costs no allocation.
+    /// saying so costs no allocation. Never `Some` with `len == 0`.
     records: Option<Arc<Vec<Record>>>,
+    /// The view: `records[start..start + len]`. `u32` keeps a batch three
+    /// words, and a sealed batch is far below 2³² records.
+    start: u32,
+    len: u32,
     compression: Compression,
+}
+
+impl PartialEq for RecordBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.compression == other.compression && self.records() == other.records()
+    }
+}
+
+impl Eq for RecordBatch {}
+
+impl fmt::Debug for RecordBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RecordBatch")
+            .field("records", &self.records.as_ref().map(|_| self.records()))
+            .field("compression", &self.compression)
+            .finish()
+    }
 }
 
 /// Per-batch framing overhead, approximating Kafka's batch header.
@@ -376,11 +405,47 @@ impl RecordBatch {
     }
 
     /// Seals a record list into a shareable batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on 2³² records or more.
     pub fn from_records(records: Vec<Record>) -> Self {
         RecordBatch {
+            len: u32::try_from(records.len()).expect("a batch holds fewer than 2^32 records"),
+            start: 0,
             records: (!records.is_empty()).then(|| Arc::new(records)),
             compression: Compression::None,
         }
+    }
+
+    /// The records at `range` of this batch, as a view of the same storage:
+    /// no record is copied, and the view keeps the whole set alive. An empty
+    /// range is the empty batch. The codec is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` is not within `0..len()`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> RecordBatch {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} of a {}-record batch",
+            self.len()
+        );
+        let Some(records) = self.records.as_ref().filter(|_| !range.is_empty()) else {
+            return RecordBatch::new().with_compression(self.compression);
+        };
+        let within = |n: usize| u32::try_from(n).expect("bounded by len, a u32");
+        RecordBatch {
+            records: Some(Arc::clone(records)),
+            start: self.start + within(range.start),
+            len: within(range.len()),
+            compression: self.compression,
+        }
+    }
+
+    /// True when both batches are non-empty views of one record set.
+    pub fn same_storage(&self, other: &RecordBatch) -> bool {
+        matches!((&self.records, &other.records), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// Marks the batch as compressed under `codec` (builder style). The
@@ -398,7 +463,10 @@ impl RecordBatch {
 
     /// The records, in append order.
     pub fn records(&self) -> &[Record] {
-        self.records.as_ref().map_or(&[], |r| r.as_slice())
+        let (start, len) = (self.start as usize, self.len as usize);
+        self.records
+            .as_ref()
+            .map_or(&[], |r| &r[start..start + len])
     }
 
     /// Iterates the records in place.
@@ -408,7 +476,7 @@ impl RecordBatch {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records().len()
+        self.len as usize
     }
 
     /// True when the batch holds no records.
@@ -447,11 +515,16 @@ impl RecordBatch {
         let Some(records) = self.records else {
             return Vec::new();
         };
+        let (start, end) = (self.start as usize, (self.start + self.len) as usize);
         match Arc::try_unwrap(records) {
-            Ok(v) => v,
+            Ok(mut v) => {
+                v.truncate(end);
+                v.drain(..start);
+                v
+            }
             Err(shared) => {
                 SHARED_BATCH_COPIES.with(|c| c.set(c.get() + 1));
-                (*shared).clone()
+                shared[start..end].to_vec()
             }
         }
     }
@@ -560,6 +633,57 @@ mod tests {
         let v = c.into_records();
         assert_eq!(v.len(), 1);
         assert_eq!(shared_batch_copies(), before);
+    }
+
+    #[test]
+    fn slices_are_views_that_compare_by_records() {
+        let recs: Vec<Record> = (0..5)
+            .map(|i| Record::keyless(format!("r{i}"), SimTime::ZERO))
+            .collect();
+        let whole = RecordBatch::from_records(recs.clone()).with_compression(Compression::Lz4);
+        let mid = whole.slice(1..4);
+        assert!(mid.same_storage(&whole) && whole.share_count() == 2);
+        assert!(std::ptr::eq(&mid.records()[0], &whole.records()[1]));
+        assert_eq!((mid.len(), mid.compression()), (3, Compression::Lz4));
+        // A view of a view indexes the same set.
+        let inner = mid.slice(1..3);
+        assert_eq!(inner.records(), &recs[2..4]);
+        assert!(inner.same_storage(&whole));
+        // Equality and `Debug` see the records, not the storage.
+        let fresh =
+            RecordBatch::from_records(recs[1..4].to_vec()).with_compression(Compression::Lz4);
+        assert!(!fresh.same_storage(&mid));
+        assert_eq!(mid, fresh);
+        assert_eq!(format!("{mid:?}"), format!("{fresh:?}"));
+        assert_ne!(mid, whole);
+        // An empty view is the empty batch and holds nothing.
+        let none = whole.slice(2..2);
+        assert!(none.is_empty() && !none.same_storage(&whole));
+        assert_eq!(none, RecordBatch::new().with_compression(Compression::Lz4));
+        assert_eq!(
+            format!("{none:?}"),
+            "RecordBatch { records: None, compression: Lz4 }"
+        );
+        // Taking a view's records copies only what it covers, and only when
+        // the storage is shared.
+        let before = shared_batch_copies();
+        assert_eq!(inner.clone().into_records(), &recs[2..4]);
+        assert_eq!(shared_batch_copies(), before + 1);
+        drop((whole, mid, inner));
+        let sole = RecordBatch::from_records(recs.clone()).slice(1..3);
+        assert_eq!(sole.into_records(), &recs[1..3]);
+        assert_eq!(
+            shared_batch_copies(),
+            before + 1,
+            "a sole owner unwraps in place"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 2..6 of a 5-record batch")]
+    fn a_slice_past_the_end_panics() {
+        let recs = vec![Record::keyless("x", SimTime::ZERO); 5];
+        let _ = RecordBatch::from_records(recs).slice(2..6);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use std::rc::Rc;
 
 use s2g_sim::Message;
 
-use crate::record::{Offset, ProducerId, RecordBatch, TopicPartition};
+use crate::record::{
+    Compression, Offset, ProducerId, Record, RecordBatch, TopicPartition, BATCH_OVERHEAD,
+};
 
 /// Identifies a broker in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -445,19 +447,69 @@ pub struct ReplicaFetchPart {
     pub epoch: LeaderEpoch,
 }
 
+/// A run of a partition log: records at the contiguous offsets
+/// `[base, base + batch.len())`, all appended under `epoch`, held as a view
+/// of the batch they were produced in. A log is a list of runs, a replica
+/// fetch reply carries the leader's, and a follower stores them as they
+/// come, so every replica of a record shares its one copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRun {
+    /// Offset of the first record.
+    pub base: Offset,
+    /// Leader epoch the records were appended under.
+    pub epoch: LeaderEpoch,
+    /// The records.
+    pub batch: RecordBatch,
+}
+
+impl LogRun {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.batch.len()
+    }
+
+    /// True when the run holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.batch.is_empty()
+    }
+
+    /// One past the offset of the last record.
+    pub fn end(&self) -> Offset {
+        Offset(self.base.value() + self.batch.len() as u64)
+    }
+
+    /// The part of the run within `[from, to)`, a view of the same records;
+    /// empty when the two do not overlap.
+    pub fn range(&self, from: Offset, to: Offset) -> LogRun {
+        let lo = from.clamp(self.base, self.end());
+        let hi = to.clamp(lo, self.end());
+        let index = |o: Offset| (o.value() - self.base.value()) as usize;
+        LogRun {
+            base: lo,
+            epoch: self.epoch,
+            batch: self.batch.slice(index(lo)..index(hi)),
+        }
+    }
+
+    /// Each record with its offset and epoch, in offset order.
+    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+        let (base, epoch) = (self.base.value(), self.epoch);
+        (self.batch.iter().enumerate()).map(move |(i, r)| (Offset(base + i as u64), epoch, r))
+    }
+}
+
 /// The leader's answer to one [`ReplicaFetchPart`].
 #[derive(Debug, Clone)]
 pub struct ReplicaFetchedPart {
     /// Partition replicated.
     pub tp: TopicPartition,
-    /// Records after the follower's log end.
-    pub batch: RecordBatch,
-    /// Log offset and leader epoch of each record in `batch` (aligned by
-    /// index). A compacted leader log has holes, and replication must
-    /// preserve offsets so replicas stay byte-identical — followers append
-    /// at these explicit positions instead of assuming contiguity — and
-    /// the epoch tags the follower's entries for later divergence checks.
-    pub at: Vec<(Offset, LeaderEpoch)>,
+    /// The leader's runs after the follower's log end, in offset order.
+    /// Their offsets are explicit (a compacted leader log has holes, and
+    /// replicas must keep the leader's offsets to stay byte-identical) and
+    /// their epochs tag the follower's copy for later divergence checks.
+    pub runs: Vec<LogRun>,
+    /// The codec the leader serves the partition under (its sticky codec).
+    pub compression: Compression,
     /// Leader's high watermark.
     pub high_watermark: Offset,
     /// Leader epoch (so stale followers learn they diverged).
@@ -483,8 +535,8 @@ impl ReplicaFetchedPart {
     pub fn rejected(tp: TopicPartition, error: ErrorCode) -> Self {
         ReplicaFetchedPart {
             tp,
-            batch: RecordBatch::new(),
-            at: Vec::new(),
+            runs: Vec::new(),
+            compression: Compression::None,
             high_watermark: Offset::ZERO,
             epoch: LeaderEpoch(0),
             truncate_to: None,
@@ -494,16 +546,25 @@ impl ReplicaFetchedPart {
         }
     }
 
+    /// Number of records the part carries.
+    pub fn records(&self) -> usize {
+        self.runs.iter().map(LogRun::len).sum()
+    }
+
+    /// The runs travel as one batch: one header, each record's offset, and
+    /// the record bytes after the codec's ratio.
     fn wire_size(&self) -> usize {
         let seqs = if self.seqs_ride {
             self.mirror.producer_seqs.len()
         } else {
             0
         };
+        let record_bytes = self.runs.iter().map(|r| r.batch.record_bytes()).sum();
         self.tp.topic.len()
             + 32
-            + self.batch.len() * 8
-            + self.batch.wire_len()
+            + self.records() * 8
+            + BATCH_OVERHEAD
+            + self.compression.compressed_len(record_bytes)
             + self.mirror.txn_ongoing.len() * 32
             + self.mirror.txn_aborted.len() * 16
             + seqs * 16
@@ -741,7 +802,7 @@ impl Message for RaftRpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
+    use crate::record::RECORD_OVERHEAD;
     use s2g_sim::SimTime;
 
     #[test]
@@ -874,8 +935,15 @@ mod tests {
         );
         let served = |topic: &str, records: usize, seqs_ride| {
             let record = Record::keyless(vec![0u8; 10], SimTime::ZERO);
+            let batch = RecordBatch::from_records(vec![record; records]);
+            // Two runs of one record each: the reply is still one batch.
+            let runs = (0..records).map(|i| LogRun {
+                base: Offset(i as u64),
+                epoch: LeaderEpoch(1),
+                batch: batch.slice(i..i + 1),
+            });
             ReplicaFetchedPart {
-                batch: RecordBatch::from_records(vec![record; records]),
+                runs: runs.collect(),
                 mirror: Rc::new(MirrorView {
                     txn_ongoing: vec![(1, 1, Offset(0), Offset(1), 0)],
                     txn_aborted: vec![(Offset(0), Offset(1))],
@@ -889,7 +957,7 @@ mod tests {
             corr: CorrelationId(0),
             parts,
         };
-        let batch = served("topic", 2, false).batch.wire_len();
+        let batch = BATCH_OVERHEAD + 2 * (RECORD_OVERHEAD + 10);
         let one = RPC_OVERHEAD + 5 + 32 + 2 * 8 + batch + 32 + 16;
         assert_eq!(reply(vec![served("topic", 2, false)]).wire_size(), one);
         assert_eq!(

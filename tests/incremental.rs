@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use stream2gym::broker::{LogSegment, PartitionLog};
-use stream2gym::proto::{LeaderEpoch, Offset, Record};
+use stream2gym::proto::{LeaderEpoch, LogRun, Offset, Record};
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{Event, Plan, Value, WindowAggregate, WindowAssigner, WindowJoin};
 
@@ -119,12 +119,13 @@ type ReaderState = (BTreeMap<Vec<u8>, (u64, Vec<u8>)>, Vec<Vec<u8>>);
 fn reader_visible(log: &PartitionLog) -> ReaderState {
     let mut latest: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
     let mut keyless = Vec::new();
-    for e in log.read_entries(Offset::ZERO, usize::MAX, true) {
-        match &e.record.key {
+    let runs = log.read_entries(Offset::ZERO, usize::MAX, true);
+    for (offset, _, record) in runs.iter().flat_map(LogRun::entries) {
+        match &record.key {
             Some(k) => {
-                latest.insert(k.to_vec(), (e.offset.value(), e.record.value.to_vec()));
+                latest.insert(k.to_vec(), (offset.value(), record.value.to_vec()));
             }
-            None => keyless.push(e.record.value.to_vec()),
+            None => keyless.push(record.value.to_vec()),
         }
     }
     (latest, keyless)
@@ -218,16 +219,12 @@ fn retention_only_drops_whole_committed_prefixes() {
         // Retention never reaches at or past the high watermark, and what
         // remains is exactly the raw log's suffix from the new start.
         assert!(log.log_start() <= log.high_watermark(), "seed {seed}");
-        let kept: Vec<u64> = log
-            .read_entries(Offset::ZERO, usize::MAX, false)
-            .iter()
-            .map(|e| e.offset.value())
-            .collect();
-        let expected: Vec<u64> = raw
-            .read_entries(log.log_start(), usize::MAX, false)
-            .iter()
-            .map(|e| e.offset.value())
-            .collect();
+        let offsets = |runs: Vec<LogRun>| -> Vec<u64> {
+            let entries = runs.iter().flat_map(LogRun::entries);
+            entries.map(|(offset, _, _)| offset.value()).collect()
+        };
+        let kept = offsets(log.read_entries(Offset::ZERO, usize::MAX, false));
+        let expected = offsets(raw.read_entries(log.log_start(), usize::MAX, false));
         assert_eq!(kept, expected, "seed {seed}: retention cut mid-suffix");
         assert_eq!(
             outcome.removed_records as usize + log.len(),

@@ -1,21 +1,23 @@
 //! The memory gate: what a default run still holds when `run()` returns,
 //! and how many times it went to the allocator to get there.
 //!
-//! A run retains one resident copy of each record (its log entry, per
-//! replica, a view of its batch's buffer) and folds everything else, so
-//! live heap per record is flat in the run length; and a record's bytes are
-//! written once into its batch's buffer, so the allocator is called a few
-//! times per record, not a dozen. This test measures both with its own
-//! counting allocator on ROADMAP's baseline pipeline (1 broker, identity SPE
-//! job, folding sink, 64 B payloads) at two sizes.
+//! A run retains one resident copy of each record (the `Record` in its
+//! producer's sealed batch, shared by every replica's log and every fetch
+//! reply, its bytes a view of the batch's buffer) and folds everything
+//! else, so live heap per record is flat in the run length; and a record's
+//! bytes are written once into its batch's buffer, so the allocator is
+//! called a few times per record, not a dozen. This test measures both with
+//! its own counting allocator on ROADMAP's baseline pipeline (1 broker,
+//! identity SPE job, folding sink, 64 B payloads) at two sizes.
 //!
 //! A second shape, the benchmark's `replicated-1k` (3 brokers, RF 3,
 //! `acks=all`, 4 partitions, keyed 1 KiB records, plain consumer), counts
 //! allocator calls where requests, not records, set the cost: a record there
 //! is carried by replica fetches, most of them empty, and what a request
 //! allocates to name its partition, its metrics and its reply shows per
-//! record. One `#[test]` only: the allocator counts the whole process, so
-//! nothing else may run beside it.
+//! record. Its twin at RF 1 shows what two more replicas retain: their runs,
+//! not a copy of each record. One `#[test]` only: the allocator counts the
+//! whole process, so nothing else may run beside it.
 
 // `GlobalAlloc` is an unsafe trait; the workspace denies `unsafe` by default
 // and this test crate is the one place that needs it.
@@ -185,8 +187,9 @@ impl DataSource for KeyedKilobytes {
     }
 }
 
-/// The `replicated-1k` shape at `records` records.
-fn replicated(records: u64) -> (f64, f64) {
+/// The `replicated-1k` shape at `records` records, at replication factor
+/// `rf`.
+fn replicated(records: u64, rf: u32) -> (f64, f64) {
     let interval = SimDuration::from_micros(100);
     let delivered = Rc::new(Cell::new(0u64));
     let before = LIVE.load(Ordering::Relaxed);
@@ -203,7 +206,7 @@ fn replicated(records: u64) -> (f64, f64) {
             },
         );
     }
-    sc.with_replicated_partitions(3)
+    sc.with_replicated_partitions(rf)
         .with_acks(AckMode::All)
         .linger_ms(20);
     let source = SourceSpec::Custom {
@@ -234,19 +237,21 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 307.0, small_allocs, 3.20),
-        (100_000, large, 303.0, large_allocs, 3.17),
+        (50_000, small, 277.0, small_allocs, 3.20),
+        (100_000, large, 273.0, large_allocs, 3.17),
     ] {
-        // Measured 307 / 303 B: two 72 B log entries, the 64 B payload and
-        // its 87 B encoded event in their batch buffers, and the kernel's
-        // fixed queue storage spread over the run. (349 / 342 B when every
-        // host CPU kept a 16 B busy interval per work item for the whole
-        // run; 381 / 374 B with one allocation pair per record, before
-        // batches shared a buffer.)
+        // Measured 277 / 273 B: two 56 B records (one per topic, each held
+        // in its producer's sealed batch and shared by the log's runs), the
+        // 64 B payload and its 87 B encoded event in their batch buffers,
+        // and the kernel's fixed queue storage spread over the run. (307 /
+        // 303 B when each log entry was a 72 B copy of its record; 349 /
+        // 342 B when every host CPU kept a 16 B busy interval per work item
+        // for the whole run; 381 / 374 B with one allocation pair per
+        // record, before batches shared a buffer.)
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
-             recorded: something beside the two log entries holds every record"
+             recorded: something beside the two records holds every record"
         );
         // Measured 3.20 / 3.17 (set-up included, hence the fall): the
         // source's topic `String` and payload `Vec`, the worker's decoded
@@ -268,20 +273,38 @@ fn a_default_run_retains_one_copy_per_record() {
         "retention must be linear in the run length: {small:.0} vs {large:.0} B/record"
     );
 
-    let (_, small_allocs) = replicated(20_000);
-    let (_, large_allocs) = replicated(40_000);
+    let (small, small_allocs) = replicated(20_000, 3);
+    let (large, large_allocs) = replicated(40_000, 3);
+    let (unreplicated, _) = replicated(40_000, 1);
+    println!(
+        "replicated, retained: {small:.0} B/record at 20 k, {large:.0} B/record at 40 k, \
+         {unreplicated:.0} B/record at 40 k and RF 1"
+    );
     println!(
         "replicated, allocator calls: {small_allocs:.2}/record at 20 k, \
          {large_allocs:.2}/record at 40 k"
     );
-    for (records, allocs, measured) in [(20_000, small_allocs, 6.97), (40_000, large_allocs, 6.11)]
-    {
-        // Measured 6.97 / 6.11: here requests set the count, not records
+    for (records, per_record, retained, allocs, measured) in [
+        (20_000, small, 1152.0, small_allocs, 6.48),
+        (40_000, large, 1127.0, large_allocs, 5.62),
+    ] {
+        // Measured 1 152 / 1 127 B: the 1 KiB payload and its key in the
+        // producer's buffer, one 56 B record, and per batch and replica a
+        // 40 B run; the fixed cost of three brokers spread over the run,
+        // hence the fall. (1 302 / 1 277 B when every replica kept a 72 B
+        // copy of each record.)
+        assert!(
+            per_record <= retained * SLACK,
+            "{per_record:.0} B retained per 1 KiB record at {records} records, {retained} \
+             when recorded"
+        );
+        // Measured 6.48 / 5.62: here requests set the count, not records
         // (0.4 replica fetches per record while producing, nine in ten
         // replies empty, and the replica fetches of the 3 s tail, hence the
         // fall), so what one request allocates beside its two messages
-        // shows. (7.33 / 6.40 with polled client fetches; 25.48 / 20.21
-        // when each built metric keys, copied the topic name
+        // shows. (6.97 / 6.11 when a replica fetch reply copied its records
+        // into a batch of its own; 7.33 / 6.40 with polled client fetches;
+        // 25.48 / 20.21 when each built metric keys, copied the topic name
         // three times, boxed an empty batch and collected the leader's
         // dedup and transaction state afresh for every reply.)
         assert!(
@@ -290,4 +313,12 @@ fn a_default_run_retains_one_copy_per_record() {
              when recorded: a request allocates to name what it already holds"
         );
     }
+    // Followers store the leader's runs, views of the records the leader
+    // holds: two more replicas cost their runs, not a copy of each record.
+    // Measured 16 B (156 B when each follower kept a 72 B entry per record).
+    assert!(
+        large - unreplicated <= 24.0,
+        "RF 3 retains {large:.0} B per record, RF 1 {unreplicated:.0} B: a follower copies \
+         records again"
+    );
 }

@@ -130,18 +130,14 @@ fn log_truncation_preserves_prefix() {
                 Record::keyless(format!("v{i}"), SimTime::ZERO),
             );
         }
-        let before: Vec<String> = log
-            .read(Offset::ZERO, n, false)
-            .iter()
-            .map(|r| r.value_utf8())
-            .collect();
+        let values = |log: &PartitionLog| -> Vec<String> {
+            let entries = log.entries().take(n);
+            entries.map(|(_, _, r)| r.value_utf8()).collect()
+        };
+        let before = values(&log);
         log.advance_high_watermark(Offset(hw.min(n as u64)));
         log.truncate_to(Offset(cut));
-        let after: Vec<String> = log
-            .read(Offset::ZERO, n, false)
-            .iter()
-            .map(|r| r.value_utf8())
-            .collect();
+        let after = values(&log);
         let keep = (cut as usize).min(n);
         assert_eq!(&after[..], &before[..keep], "case {case}");
         assert!(log.high_watermark() <= log.log_end(), "case {case}");
