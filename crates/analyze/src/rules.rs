@@ -645,7 +645,8 @@ fn rule_fault_after_end(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
 }
 
 /// S2G022 (warn): a client stub or job attached to a generated
-/// `__shuffle.` topic — internal framing records, not application data.
+/// `__shuffle.` topic — internal framing records, not application data,
+/// purged once the job's reading stage has committed past them.
 fn rule_internal_topic_clients(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     let check = |who: String, topic: &str, out: &mut Vec<Diagnostic>| {
         if topic.starts_with(SHUFFLE_PREFIX) {
@@ -654,7 +655,9 @@ fn rule_internal_topic_clients(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
                 Level::Warn,
                 format!(
                     "{who} attaches to internal shuffle topic `{topic}`; its records are \
-                     keyed intermediate frames owned by the job's stages"
+                     keyed intermediate frames owned by the job's stages, purged once the \
+                     stage reading them has committed past them, so another reader is reset \
+                     out of range past records it never saw"
                 ),
                 &["producer", "consumer", "spe_job"],
                 "read the job's sink topic instead of its shuffle internals",

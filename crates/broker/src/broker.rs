@@ -124,11 +124,11 @@ struct Durability {
     flush_inflight: bool,
     /// A mutation arrived while a flush was in flight; flush again after.
     flush_again: bool,
-    /// Dead segment blobs awaiting deletion. The cleaner stages keys here
-    /// and they are only deleted once the flush carrying the *cleaned*
-    /// manifest is durable — deleting first would let a crash recover a
-    /// stale manifest that still lists the blob, truncating the log at the
-    /// artificial gap.
+    /// Dead segment blobs awaiting deletion. The cleaner and purges stage
+    /// keys here and they are only deleted once the flush carrying the
+    /// *cleaned* manifest is durable — deleting first would let a crash
+    /// recover a stale manifest that still lists the blob, truncating the
+    /// log at the artificial gap.
     pending_deletes: Vec<String>,
     /// Segments staged during recovery, per partition.
     staged: BTreeMap<TopicPartition, Vec<LogSegment>>,
@@ -143,6 +143,15 @@ impl Durability {
 
     fn segment_key(&self, tp: &TopicPartition, base: u64) -> String {
         format!("{}/{}/{}", self.prefix, tp, base)
+    }
+
+    /// Stages the blob of `tp`'s dropped segment at `base`; it is deleted
+    /// only after the flush that persists the manifest without it
+    /// completes, so a crash in between still recovers a manifest whose
+    /// blobs all exist.
+    fn stage_delete(&mut self, tp: &TopicPartition, base: u64) {
+        let key = self.segment_key(tp, base);
+        self.pending_deletes.push(key);
     }
 }
 
@@ -205,9 +214,9 @@ pub struct BrokerStats {
     pub records_compacted: u64,
     /// Record bytes reclaimed by keyed compaction.
     pub compacted_bytes: u64,
-    /// Whole segments dropped by time/size retention.
+    /// Whole segments dropped by time/size retention or by a purge.
     pub segments_retired: u64,
-    /// Record bytes reclaimed by retention.
+    /// Record bytes reclaimed by retention and purges.
     pub retired_bytes: u64,
     /// Transactions committed (markers flipped to visible).
     pub txns_committed: u64,
@@ -368,7 +377,24 @@ fn hosted<'p>(
     partitions.entry(tp).or_insert_with(|| Partition::new(cfg))
 }
 
-/// Bytes compaction/retention reclaimed from the current logs.
+/// Purges `tp` below `bound` ([`Partition::purge`]) and stages the dead
+/// segment blobs as the cleaner does. A free function so call sites can
+/// hold other `Broker` borrows.
+fn purge(
+    p: &mut Partition,
+    host: &mut Host,
+    durability: &mut Option<Durability>,
+    tp: &TopicPartition,
+    bound: Offset,
+) {
+    p.purge(host, bound, |base| {
+        if let Some(d) = durability {
+            d.stage_delete(tp, base);
+        }
+    });
+}
+
+/// Bytes compaction, retention and purges reclaimed from the current logs.
 fn reclaimed_bytes(partitions: &BTreeMap<TopicPartition, Partition>) -> u64 {
     partitions.values().map(|p| p.log().reclaimed_bytes()).sum()
 }
@@ -627,8 +653,8 @@ impl Broker {
         self.host.retained_bytes
     }
 
-    /// Total bytes compaction/retention reclaimed so far (including the
-    /// pre-crash total recovered from the meta blob).
+    /// Total bytes compaction, retention and purges reclaimed so far
+    /// (including the pre-crash total recovered from the meta blob).
     pub fn reclaimed_bytes(&self) -> u64 {
         self.reclaimed_baseline + reclaimed_bytes(&self.partitions)
     }
@@ -735,6 +761,19 @@ impl Broker {
                         host.answer_fetch(ctx, from, corr, &tp, answer);
                     }
                 }
+            }
+            ClientRpc::DeleteRecords { parts } => {
+                ctx.charge(host.cfg.cpu_per_request);
+                // Only the leader purges on request; its followers follow
+                // the log start its replies carry.
+                for (tp, offset) in parts {
+                    let partition = self.partitions.get_mut(&tp);
+                    let leads = Partition::admit(partition, &tp, fenced, None, 0).is_ok();
+                    if let Some(p) = self.partitions.get_mut(&tp).filter(|_| leads) {
+                        purge(p, host, &mut self.durability, &tp, offset);
+                    }
+                }
+                self.flush_logs(ctx);
             }
             other => self.handle_coordination(ctx, from, other),
         }
@@ -953,6 +992,9 @@ impl Broker {
                     }
                     let hw = part.high_watermark;
                     let n = p.replicate(host, part.runs, part.compression, hw);
+                    if let Some(start) = part.log_start {
+                        purge(p, host, &mut self.durability, &part.tp, start);
+                    }
                     let txns_changed = p.mirror(&part.mirror, part.seqs_ride);
                     // Follower-side log changes ride the interval flush; no
                     // client ack is waiting on them.
@@ -1024,17 +1066,17 @@ impl Broker {
         let now = ctx.now();
         let stats = &mut self.host.stats;
         let mut total = CleanOutcome::default();
-        let mut dead_keys: Vec<String> = Vec::new();
         for (tp, p) in self.partitions.iter_mut() {
             let (retained, compacted) = p.clean(now, &self.host.cfg);
             stats.segments_retired += retained.dropped_segment_bases.len() as u64;
             stats.retired_bytes += retained.reclaimed_bytes;
             stats.records_compacted += compacted.removed_records;
             stats.compacted_bytes += compacted.reclaimed_bytes;
-            if let Some(d) = &self.durability {
+            if let Some(d) = &mut self.durability {
                 let dropped = retained.dropped_segment_bases.iter();
-                let dropped = dropped.chain(&compacted.dropped_segment_bases);
-                dead_keys.extend(dropped.map(|base| d.segment_key(tp, *base)));
+                for base in dropped.chain(&compacted.dropped_segment_bases) {
+                    d.stage_delete(tp, *base);
+                }
             }
             total.merge(retained);
             total.merge(compacted);
@@ -1046,13 +1088,7 @@ impl Broker {
         let retained = |p: &Partition| p.log().retained_bytes() as u64;
         self.host.retained_bytes = self.partitions.values().map(retained).sum();
         self.host.update_mem();
-        if let Some(d) = &mut self.durability {
-            // Stage the dead blobs; they are deleted only after the flush
-            // that persists the cleaned manifest completes, so a crash in
-            // between still recovers a manifest whose blobs all exist.
-            d.pending_deletes.extend(dead_keys);
-            self.host.dirty = true;
-        }
+        self.host.dirty |= self.durability.is_some();
         self.flush_logs(ctx);
     }
 

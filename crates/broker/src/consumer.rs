@@ -37,6 +37,11 @@ mod off {
     pub const CPU_DELIVER_BASE: u64 = 2_000_000_000;
 }
 
+/// How many unanswered [`ConsumerClient::commit_and_purge`] commits are
+/// remembered for a purge: bounds what a client keeps while its coordinator
+/// is unreachable.
+const MAX_PENDING_PURGES: usize = 8;
+
 /// Where consumed records go (stream2gym's `consType` stubs implement this).
 pub trait DataSink: Any {
     /// Called once per delivered batch, after the deserialization CPU cost
@@ -142,6 +147,11 @@ pub struct ConsumerClient {
     /// rather than at zero.
     offsets_restored: bool,
     offset_fetch_inflight: Option<(CorrelationId, TimerToken)>,
+    /// Commits sent by [`commit_and_purge`](Self::commit_and_purge) and not
+    /// yet answered, oldest first, with their offsets: an OK acknowledgement
+    /// purges to its own commit's offsets, whether or not a newer commit is
+    /// pending, and forgets the older ones. At most [`MAX_PENDING_PURGES`].
+    pending_purges: VecDeque<(CorrelationId, Vec<(TopicPartition, Offset)>)>,
     /// Static partition assignment `(instance, parallelism)`: only
     /// partitions whose contiguous-range owner is `instance` are fetched.
     /// The SPE's parallel stage instances use this — keyed state cannot
@@ -198,6 +208,7 @@ impl ConsumerClient {
             request_timeout,
             offsets_restored: false,
             offset_fetch_inflight: None,
+            pending_purges: VecDeque::new(),
             static_assignment: None,
             membership: None,
             tele: Telemetry::new(),
@@ -418,11 +429,19 @@ impl ConsumerClient {
     /// Sends the group coordinator an explicit offset commit (the checkpoint
     /// coordinator path). No-op without a configured group.
     pub fn commit_offsets(&mut self, ctx: &mut Ctx<'_>, offsets: Vec<(TopicPartition, Offset)>) {
-        let Some(group) = self.cfg.group.clone() else {
-            return;
-        };
+        self.send_commit(ctx, offsets);
+    }
+
+    /// Sends an offset commit, returning its correlation id; `None` without
+    /// a configured group or without offsets.
+    fn send_commit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        offsets: Vec<(TopicPartition, Offset)>,
+    ) -> Option<CorrelationId> {
+        let group = self.cfg.group.clone()?;
         if offsets.is_empty() {
-            return;
+            return None;
         }
         let corr = self.next_corr();
         self.stats.offset_commits += 1;
@@ -442,6 +461,55 @@ impl ConsumerClient {
                 member,
             },
         );
+        Some(corr)
+    }
+
+    /// Commits `offsets` as [`commit_offsets`](Self::commit_offsets) does
+    /// and, once the coordinator acknowledges the commit, asks the leader of
+    /// each committed partition this client owns to purge the log below its
+    /// committed offset ([`ClientRpc::DeleteRecords`]). Only for a reader
+    /// that is its topic's one reader and never reads below its commits:
+    /// a job stage reading its shuffle topic. Commits need not wait for one
+    /// another's acknowledgement: each acknowledged one purges to its own
+    /// offsets. A commit made while eight are unanswered is not purged
+    /// after; an older one's answer, or a newer one's, is.
+    pub fn commit_and_purge(&mut self, ctx: &mut Ctx<'_>, offsets: Vec<(TopicPartition, Offset)>) {
+        let kept = offsets.clone();
+        if let Some(corr) = self.send_commit(ctx, offsets) {
+            if self.pending_purges.len() < MAX_PENDING_PURGES {
+                self.pending_purges.push_back((corr, kept));
+            }
+        }
+    }
+
+    /// Takes the answer to commit `corr` off the pending purges, with every
+    /// older commit still there (lost, or answered out of order), and on an
+    /// OK answer purges to `corr`'s own offsets.
+    fn on_commit_answered(&mut self, ctx: &mut Ctx<'_>, corr: CorrelationId, ok: bool) {
+        let pending = &mut self.pending_purges;
+        let answered = pending.iter().take_while(|(c, _)| c.0 <= corr.0).count();
+        let last = pending.drain(..answered).next_back();
+        if let Some((_, offsets)) = last.filter(|(c, _)| ok && *c == corr) {
+            self.purge_committed(ctx, offsets);
+        }
+    }
+
+    /// Asks the leader of each owned partition, when known, to purge below
+    /// the offset just committed: one request per leader. Unanswered; a lost
+    /// request is superseded by the next commit's.
+    fn purge_committed(&self, ctx: &mut Ctx<'_>, offsets: Vec<(TopicPartition, Offset)>) {
+        let mut by_leader: BTreeMap<ProcessId, Vec<_>> = BTreeMap::new();
+        for (tp, off) in offsets {
+            let n_parts = self.meta.cache().partition_count(&tp.topic);
+            let broker = self.meta.cache().leader(&tp);
+            let leader = broker.and_then(|b| self.brokers.get(&b).copied());
+            if let Some(pid) = leader.filter(|_| self.owns(&tp, n_parts)) {
+                by_leader.entry(pid).or_default().push((tp, off));
+            }
+        }
+        for (pid, parts) in by_leader {
+            ctx.send(pid, ClientRpc::DeleteRecords { parts });
+        }
     }
 
     /// Commits the current positions of every partition (auto-commit path).
@@ -845,11 +913,13 @@ impl ConsumerClient {
                 None
             }
             // Commits are mostly fire-and-forget, but a generation-fenced
-            // rejection means this member was rebalanced away: rejoin.
-            ClientRpc::OffsetCommitResponse { error, .. } => {
+            // rejection means this member was rebalanced away: rejoin. The
+            // acknowledgement of a commit to purge after starts the purge.
+            ClientRpc::OffsetCommitResponse { corr, error } => {
                 if error.needs_rejoin() && self.membership.is_some() {
                     self.mark_rejoin(ctx);
                 }
+                self.on_commit_answered(ctx, corr, error.is_ok());
                 None
             }
             other => Some(other),

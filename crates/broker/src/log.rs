@@ -45,8 +45,11 @@
 //!   final state as on the raw log.
 //! * [`PartitionLog::apply_retention`] drops whole sealed, fully committed
 //!   segments past a time or size bound, advancing the log start offset.
+//! * [`PartitionLog::purge_to`] advances the log start to a bound its only
+//!   reader has committed past (Kafka's `DeleteRecords`) and drops the
+//!   whole segments below it, through the same head retirement.
 //!
-//! Both report the segments they emptied so the broker can delete the dead
+//! Each reports the segments it emptied so the broker can delete the dead
 //! blobs through its blob client — replay cost after a restart is then
 //! bounded by *live* data, not by history.
 
@@ -317,12 +320,12 @@ pub struct PartitionLog {
     segments: Vec<LogSegment>,
     segment_max_records: usize,
     high_watermark: Offset,
-    /// First retained offset; advanced by segment retention.
+    /// First retained offset; advanced by segment retention and purges.
     log_start: Offset,
     /// Total record bytes retained (for the memory model).
     retained_bytes: usize,
-    /// Cumulative bytes reclaimed by compaction + retention — the replay
-    /// cost this log will never pay again.
+    /// Cumulative bytes reclaimed by compaction, retention and purges — the
+    /// replay cost this log will never pay again.
     reclaimed_bytes: u64,
 }
 
@@ -414,7 +417,7 @@ impl PartitionLog {
             .unwrap_or_default()
     }
 
-    /// First retained offset (advanced by retention).
+    /// First retained offset (advanced by retention and purges).
     pub fn log_start(&self) -> Offset {
         self.log_start
     }
@@ -439,7 +442,7 @@ impl PartitionLog {
         self.retained_bytes
     }
 
-    /// Cumulative bytes reclaimed by compaction and retention.
+    /// Cumulative bytes reclaimed by compaction, retention and purges.
     pub fn reclaimed_bytes(&self) -> u64 {
         self.reclaimed_bytes
     }
@@ -764,32 +767,60 @@ impl PartitionLog {
         max_age: Option<SimDuration>,
         max_bytes: Option<usize>,
     ) -> CleanOutcome {
+        let hw = self.high_watermark.value();
         let mut outcome = CleanOutcome::default();
-        loop {
-            if self.segments.len() < 2 {
-                break;
-            }
-            let seg = &self.segments[0];
+        let retire = |seg: &LogSegment, retained| {
             // Only whole, committed segments are retired.
-            if seg.end > self.high_watermark.value() {
-                break;
+            if seg.end > hw {
+                return false;
             }
             let newest = seg.runs.last().and_then(|r| r.batch.records().last());
             let expired =
                 max_age.is_some_and(|age| newest.is_some_and(|r| r.timestamp + age < now));
-            let oversize = max_bytes.is_some_and(|cap| self.retained_bytes > cap);
-            if !expired && !oversize && !seg.is_empty() {
-                break;
-            }
-            let seg = self.segments.remove(0);
+            let oversize = max_bytes.is_some_and(|cap| retained > cap);
+            expired || oversize || seg.is_empty()
+        };
+        self.retire_head(retire, |seg| {
             outcome.removed_records += seg.len as u64;
             outcome.reclaimed_bytes += seg.bytes as u64;
             outcome.dropped_segment_bases.push(seg.base);
+        });
+        outcome
+    }
+
+    /// Purges the log below `bound` (Kafka's `DeleteRecords`): the log
+    /// start advances to `bound`, clamped to the high watermark, and the
+    /// sealed segments wholly below it are dropped, each shown to `dropped`
+    /// on its way out. Records of a segment the new start cuts stay held
+    /// until the segment goes, but are below the start, so a reader is
+    /// reset past them. Returns whether the start moved: a bound at or
+    /// below it is stale and does nothing.
+    pub fn purge_to(&mut self, bound: Offset, dropped: impl FnMut(&LogSegment)) -> bool {
+        let bound = bound.min(self.high_watermark);
+        if bound <= self.log_start {
+            return false;
+        }
+        self.log_start = bound;
+        self.retire_head(|seg, _| seg.end <= bound.value(), dropped);
+        true
+    }
+
+    /// Drops the oldest segment, the active one never, while `retire`
+    /// accepts it (given the bytes still retained), advancing the log start
+    /// past each and showing it to `dropped`: the one way whole segments
+    /// leave the head of a log.
+    fn retire_head(
+        &mut self,
+        mut retire: impl FnMut(&LogSegment, usize) -> bool,
+        mut dropped: impl FnMut(&LogSegment),
+    ) {
+        while self.segments.len() > 1 && retire(&self.segments[0], self.retained_bytes) {
+            let seg = self.segments.remove(0);
             self.retained_bytes -= seg.bytes;
             self.reclaimed_bytes += seg.bytes as u64;
             self.log_start = self.log_start.max(Offset(seg.end));
+            dropped(&seg);
         }
-        outcome
     }
 
     /// Encodes every dirty segment and clears the dirty marks, returning
@@ -1919,11 +1950,44 @@ mod tests {
                         }
                         assert!(left.next().is_none(), "case {case}: compaction added");
                     }
+                    // Retention or a purge: whole segments go from the head.
+                    // Retention moves the start to the end of the last
+                    // segment it dropped. A purge moves it to its bound,
+                    // clamped to the watermark and never back, and drops
+                    // exactly the sealed segments wholly below it.
                     8 => {
-                        let age = SimDuration::from_millis(rng.gen_range(1..20));
-                        log.apply_retention(SimTime::from_millis(ts), Some(age), None);
                         let start = log.log_start();
-                        assert_eq!(held(&log), kept(&|o| o >= start), "case {case}");
+                        let spans = |log: &PartitionLog| -> Vec<(u64, u64)> {
+                            log.segments().iter().map(|s| (s.base, s.end)).collect()
+                        };
+                        let segs = spans(&log);
+                        let want = if rng.gen_bool(0.5) {
+                            let age = SimDuration::from_millis(rng.gen_range(1..20));
+                            let out =
+                                log.apply_retention(SimTime::from_millis(ts), Some(age), None);
+                            let n = out.dropped_segment_bases.len();
+                            let bases: Vec<u64> = segs[..n].iter().map(|s| s.0).collect();
+                            assert_eq!(out.dropped_segment_bases, bases, "case {case}");
+                            match n {
+                                0 => start,
+                                n => start.max(Offset(segs[n - 1].1)),
+                            }
+                        } else {
+                            let bound = Offset(rng.gen_range(0..=log.log_end().value() + 2));
+                            let moved = log.purge_to(bound, |_| {});
+                            let want = start.max(bound.min(hw));
+                            assert_eq!(moved, want > start, "case {case}");
+                            let n = segs.len() - log.segment_count();
+                            let sealed = &segs[..segs.len() - 1];
+                            let below = sealed.iter().take_while(|s| s.1 <= want.value());
+                            assert_eq!(below.count(), n, "case {case}");
+                            want
+                        };
+                        assert_eq!(log.log_start(), want, "case {case}");
+                        let n = segs.len() - log.segment_count();
+                        assert_eq!(spans(&log), segs[n..], "case {case}");
+                        let first = log.segments()[0].base_offset();
+                        assert_eq!(held(&log), kept(&|o| o >= first), "case {case}");
                     }
                     _ => {
                         let span = log.log_end().value() - log.log_start().value();

@@ -146,6 +146,10 @@ pub(crate) struct Partition {
     /// The log end captured when the in-flight flush was issued; it becomes
     /// `durable_end` when that flush completes.
     flush_end: Offset,
+    /// A purge moved this replica's log start, so as leader it tells its
+    /// followers the start in every replica fetch reply. Not persisted: a
+    /// restarted leader tells them again from its next purge.
+    purged: bool,
 }
 
 /// A partition this broker leads, as [`Partition::admit`] or
@@ -158,6 +162,7 @@ pub(crate) struct Led<'p> {
     state: &'p mut Handover,
     codec: &'p mut Compression,
     durable_end: Offset,
+    purged: bool,
 }
 
 impl Partition {
@@ -170,6 +175,7 @@ impl Partition {
             codec: Compression::default(),
             durable_end: Offset::ZERO,
             flush_end: Offset::ZERO,
+            purged: false,
         }
     }
 
@@ -197,6 +203,7 @@ impl Partition {
             state,
             codec,
             durable_end,
+            purged,
             ..
         } = self
         else {
@@ -209,6 +216,7 @@ impl Partition {
             state,
             codec,
             durable_end: *durable_end,
+            purged: *purged,
         })
     }
 
@@ -481,9 +489,7 @@ impl Partition {
     }
 
     /// One cleaner pass: retention first (whole segments are cheapest),
-    /// then keyed compaction. Aborted ranges wholly below the advanced log
-    /// start reference vanished records; they are dropped so the list (and
-    /// the meta blob) stays bounded by live history.
+    /// then keyed compaction.
     pub(crate) fn clean(
         &mut self,
         now: SimTime,
@@ -497,11 +503,43 @@ impl Partition {
         } else {
             CleanOutcome::default()
         };
+        self.forget_aborted_below_start();
+        (retained, compacted)
+    }
+
+    /// Purges the log below `bound` ([`PartitionLog::purge_to`]): as leader
+    /// when the partition's reader asks, as follower when the leader's
+    /// reply tells its new log start. The broker's retained bytes, ledger
+    /// and retirement counts follow, and aborted ranges below the new start
+    /// are forgotten, as after a cleaner pass. `dead` gets the base of each
+    /// dropped segment, whose blob goes as the cleaner's do.
+    pub(crate) fn purge(&mut self, host: &mut Host, bound: Offset, mut dead: impl FnMut(u64)) {
+        let (stats, mut reclaimed) = (&mut host.stats, 0);
+        let moved = self.log.purge_to(bound, |seg| {
+            stats.segments_retired += 1;
+            reclaimed += seg.bytes() as u64;
+            dead(seg.base_offset().value());
+        });
+        if !moved {
+            return;
+        }
+        self.purged = true;
+        self.forget_aborted_below_start();
+        host.stats.retired_bytes += reclaimed;
+        host.retained_bytes -= reclaimed;
+        host.update_mem();
+        // The manifest must carry the new log start.
+        host.dirty = true;
+    }
+
+    /// Aborted ranges wholly below the log start reference vanished records;
+    /// they are dropped so the list (and the meta blob) stays bounded by
+    /// live history.
+    fn forget_aborted_below_start(&mut self) {
         if self.state.txns().has_aborted() {
             let log_start = self.log.log_start().value();
             self.state.txns_mut().forget_aborted_below(log_start);
         }
-        (retained, compacted)
     }
 
     /// Hands the dirty segments to a flush and remembers the log end that
@@ -800,6 +838,7 @@ impl Led<'_> {
             high_watermark,
             epoch: self.ls.epoch,
             truncate_to,
+            log_start: self.purged.then(|| self.log.log_start()),
             mirror: self.state.view(),
             seqs_ride: caught_up,
             error: ErrorCode::None,

@@ -348,6 +348,17 @@ pub enum ClientRpc {
         /// Outcome.
         error: ErrorCode,
     },
+    /// Purge each partition below its offset (Kafka's `DeleteRecords`): the
+    /// leader advances the log start to the offset, clamped to its high
+    /// watermark, and drops the whole segments below it; its followers
+    /// drop the same ones once a replica fetch reply tells them the new
+    /// start. Sent, one request per leader, by a partition's only reader
+    /// once its commit of those offsets is acknowledged. Unanswered: the
+    /// next commit supersedes a lost request.
+    DeleteRecords {
+        /// The partitions this broker leads, each with its new log start.
+        parts: Vec<(TopicPartition, Offset)>,
+    },
 }
 
 impl Message for ClientRpc {
@@ -409,6 +420,9 @@ impl Message for ClientRpc {
                 }
                 ClientRpc::GroupHeartbeat { group, member, .. } => group.len() + member.len() + 12,
                 ClientRpc::GroupHeartbeatResponse { .. } => 6,
+                ClientRpc::DeleteRecords { parts } => {
+                    parts.iter().map(|(tp, _)| tp.topic.len() + 12).sum()
+                }
             }
     }
 }
@@ -517,6 +531,12 @@ pub struct ReplicaFetchedPart {
     /// When set, the follower must truncate its log to this offset
     /// before appending — the divergence-reconciliation path.
     pub truncate_to: Option<Offset>,
+    /// The leader's log start, once a [`DeleteRecords`] purge has moved
+    /// it: the follower purges its own log to it. `None`, and nothing on
+    /// the wire, for a partition never purged.
+    ///
+    /// [`DeleteRecords`]: ClientRpc::DeleteRecords
+    pub log_start: Option<Offset>,
     /// The leader's transactional and idempotence state, shared by
     /// every reply until it next changes.
     pub mirror: Rc<MirrorView>,
@@ -540,6 +560,7 @@ impl ReplicaFetchedPart {
             high_watermark: Offset::ZERO,
             epoch: LeaderEpoch(0),
             truncate_to: None,
+            log_start: None,
             mirror: Rc::default(),
             seqs_ride: false,
             error,
@@ -560,8 +581,10 @@ impl ReplicaFetchedPart {
             0
         };
         let record_bytes = self.runs.iter().map(|r| r.batch.record_bytes()).sum();
+        let log_start = if self.log_start.is_some() { 8 } else { 0 };
         self.tp.topic.len()
             + 32
+            + log_start
             + self.records() * 8
             + BATCH_OVERHEAD
             + self.compression.compressed_len(record_bytes)
@@ -964,6 +987,15 @@ mod tests {
             reply(vec![served("topic", 2, true)]).wire_size(),
             one + 3 * 16,
             "dedup stamps are charged only when they ride"
+        );
+        let purged = ReplicaFetchedPart {
+            log_start: Some(Offset(1)),
+            ..served("topic", 2, false)
+        };
+        assert_eq!(
+            reply(vec![purged]).wire_size(),
+            one + 8,
+            "a purged log start is charged only when there is one"
         );
         let rejected =
             ReplicaFetchedPart::rejected(TopicPartition::new("ab", 1), ErrorCode::NotLeader);

@@ -749,7 +749,14 @@ impl SpeWorker {
                     p.end_txn(ctx, txn, true);
                 }
             }
-            self.consumer.commit_offsets(ctx, offsets);
+            // A stage past the first is its shuffle topic's one reader, and
+            // no restore of it reads below a durable checkpoint's offsets:
+            // once they are committed, the prefix below them is purged.
+            if self.instance.stage > 0 {
+                self.consumer.commit_and_purge(ctx, offsets);
+            } else {
+                self.consumer.commit_offsets(ctx, offsets);
+            }
         }
     }
 

@@ -575,11 +575,12 @@ fn s2g022_client_on_internal_shuffle_topic() {
         sc
     };
     // `running_count_plan` splits at its key_by, so stage 1's shuffle
-    // topic `__shuffle.jb.1` exists — peeking at it warns.
-    assert_eq!(
-        level_of(&consumer_on("__shuffle.jb.1"), "S2G022"),
-        Some(Level::Warn)
-    );
+    // topic `__shuffle.jb.1` exists — peeking at it warns, and says that
+    // the stage's commits purge what the peeker has not read yet.
+    let report = consumer_on("__shuffle.jb.1").analyze();
+    let d = report.diagnostics.iter().find(|d| d.code == "S2G022");
+    assert_eq!(d.map(|d| d.level), Some(Level::Warn));
+    assert!(d.is_some_and(|d| d.message.contains("purged")), "{d:?}");
     assert_eq!(level_of(&consumer_on("out"), "S2G022"), None);
 }
 

@@ -16,8 +16,11 @@
 //! is carried by replica fetches, most of them empty, and what a request
 //! allocates to name its partition, its metrics and its reply shows per
 //! record. Its twin at RF 1 shows what two more replicas retain: their runs,
-//! not a copy of each record. One `#[test]` only: the allocator counts the
-//! whole process, so nothing else may run beside it.
+//! not a copy of each record. A third shape runs a two-stage job through a
+//! shuffle topic on the same three brokers, which keeps only what its reader
+//! has not committed: its retained bytes stay flat in the run length. One
+//! `#[test]` only: the allocator counts the whole process, so nothing else
+//! may run beside it.
 
 // `GlobalAlloc` is an unsafe trait; the workspace denies `unsafe` by default
 // and this test crate is the one place that needs it.
@@ -30,12 +33,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use stream2gym::broker::{
-    BrokerConfig, ConsumerConfig, DataSink, DataSource, ProducerConfig, SourceAction, TopicSpec,
+    Broker, BrokerConfig, ConsumerConfig, DataSink, DataSource, ProducerConfig, SourceAction,
+    TopicSpec, DEFAULT_SEGMENT_MAX_RECORDS,
 };
-use stream2gym::core::{ConsumerSinkSpec, Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
+use stream2gym::core::{
+    ConsumerSinkSpec, RunResult, Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec,
+};
 use stream2gym::proto::{AckMode, Record, TopicPartition};
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::{Plan, SpeConfig};
+use stream2gym::spe::{CheckpointCfg, Plan, SpeConfig};
 
 /// Live heap bytes of the process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -104,8 +110,15 @@ fn fast_consumer() -> ConsumerConfig {
 
 /// Runs `sc`, whose sink counts into `delivered`, and returns heap bytes
 /// per record still live when `run()` has returned and allocator calls per
-/// record made by `run()`. `before` is the live heap before `sc` was built.
-fn measure(sc: Scenario, before: usize, records: u64, delivered: &Cell<u64>) -> (f64, f64) {
+/// record made by `run()`, after `inspect` had a look at the result.
+/// `before` is the live heap before `sc` was built.
+fn measure(
+    sc: Scenario,
+    before: usize,
+    records: u64,
+    delivered: &Cell<u64>,
+    inspect: impl FnOnce(&RunResult),
+) -> (f64, f64) {
     let calls_before = CALLS.load(Ordering::Relaxed);
     let result = sc.run().expect("runs");
     let calls = CALLS.load(Ordering::Relaxed) - calls_before;
@@ -113,6 +126,7 @@ fn measure(sc: Scenario, before: usize, records: u64, delivered: &Cell<u64>) -> 
     assert_eq!(delivered.get(), records, "every record went end to end");
     assert_eq!(result.total_deliveries() as u64, records);
     assert_eq!(result.report.producers[0].stats.acked, records);
+    inspect(&result);
     drop(result);
     let per_record = |n: usize| n as f64 / records as f64;
     (per_record(retained), per_record(calls))
@@ -162,16 +176,18 @@ fn identity(records: u64) -> (f64, f64) {
         ),
     );
     sc.consumer_with_sink("hc", fast_consumer(), &["out"], counting_sink(&delivered));
-    measure(sc, before, records, &delivered)
+    measure(sc, before, records, &delivered, |_| {})
 }
 
-/// `left` keyed 1 KiB records, one per `interval`, over 1 024 keys.
-struct KeyedKilobytes {
+/// `left` keyed records of `bytes` bytes, one per `interval`, over 1 024
+/// keys.
+struct KeyedRecords {
     left: u64,
     interval: SimDuration,
+    bytes: usize,
 }
 
-impl DataSource for KeyedKilobytes {
+impl DataSource for KeyedRecords {
     fn next(&mut self, _now: SimTime, _rng: &mut StdRng) -> SourceAction {
         if self.left == 0 {
             return SourceAction::Done;
@@ -181,7 +197,7 @@ impl DataSource for KeyedKilobytes {
         SourceAction::Emit {
             topic: "events".into(),
             key: Some(key.to_be_bytes().to_vec()),
-            value: vec![b'x'; 1024],
+            value: vec![b'x'; self.bytes],
             next_after: self.interval,
         }
     }
@@ -209,23 +225,90 @@ fn replicated(records: u64, rf: u32) -> (f64, f64) {
     sc.with_replicated_partitions(rf)
         .with_acks(AckMode::All)
         .linger_ms(20);
-    let source = SourceSpec::Custom {
-        topics: vec!["events".into()],
-        make: Box::new(move || {
-            Box::new(KeyedKilobytes {
-                left: records,
-                interval,
-            })
-        }),
-    };
-    sc.producer("hp", source, ProducerConfig::default());
+    sc.producer(
+        "hp",
+        keyed(records, interval, 1024),
+        ProducerConfig::default(),
+    );
     sc.consumer_with_sink(
         "hc",
         fast_consumer(),
         &["events"],
         counting_sink(&delivered),
     );
-    measure(sc, before, records, &delivered)
+    measure(sc, before, records, &delivered, |_| {})
+}
+
+/// [`KeyedRecords`] into `events`.
+fn keyed(records: u64, interval: SimDuration, bytes: usize) -> SourceSpec {
+    SourceSpec::Custom {
+        topics: vec!["events".into()],
+        make: Box::new(move || {
+            Box::new(KeyedRecords {
+                left: records,
+                interval,
+                bytes,
+            })
+        }),
+    }
+}
+
+/// A two-stage job at `records` keyed 64 B records on 3 brokers at RF 3:
+/// `key_by` and an identity `map`, two instances a stage, the four key
+/// groups a shuffle topic between them, exactly-once checkpoints every
+/// 100 ms. Returns what [`measure`] does and the record bytes every replica
+/// of the shuffle topic still holds.
+fn shuffled(records: u64) -> (f64, f64, u64) {
+    let interval = SimDuration::from_micros(50);
+    let delivered = Rc::new(Cell::new(0u64));
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut sc = Scenario::new("memory-gate-shuffled");
+    sc.seed(1)
+        .duration(SimTime::ZERO + interval * records + SimDuration::from_secs(3))
+        .topic(TopicSpec::new("events").partitions(4))
+        .topic(TopicSpec::new("out"));
+    for h in ["b0", "b1", "b2"] {
+        sc.broker(h);
+    }
+    sc.with_replicated_partitions(3);
+    sc.producer(
+        "hp",
+        keyed(records, interval, 64),
+        ProducerConfig::default(),
+    );
+    let job = SpeJobSpec::new(
+        "shuffled",
+        vec!["events".into()],
+        || {
+            Plan::new()
+                .key_by("by-key", |e| e.key.clone().unwrap_or_default())
+                .map("ident", |e| e)
+        },
+        SpeSinkSpec::Topic("out".into()),
+        SpeConfig {
+            batch_interval: SimDuration::from_millis(10),
+            scheduling_overhead: SimDuration::from_millis(1),
+            cpu_per_record: SimDuration::from_micros(2),
+            startup_cpu: SimDuration::from_millis(100),
+            consumer: fast_consumer(),
+            ..SpeConfig::default()
+        },
+    );
+    sc.spe_job("hs", job.parallelism(2).key_groups(4));
+    sc.with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_millis(100)));
+    sc.consumer_with_sink("hc", fast_consumer(), &["out"], counting_sink(&delivered));
+    let mut shuffle_bytes = 0;
+    let (retained, allocs) = measure(sc, before, records, &delivered, |result| {
+        for pid in &result.broker_pids {
+            let broker = result.sim.process_ref::<Broker>(*pid).expect("live");
+            for partition in 0..4 {
+                let tp = TopicPartition::new("__shuffle.shuffled.1", partition);
+                let log = broker.log(&tp).expect("a replica of every partition");
+                shuffle_bytes += log.retained_bytes() as u64;
+            }
+        }
+    });
+    (retained, allocs, shuffle_bytes)
 }
 
 #[test]
@@ -321,4 +404,49 @@ fn a_default_run_retains_one_copy_per_record() {
         "RF 3 retains {large:.0} B per record, RF 1 {unreplicated:.0} B: a follower copies \
          records again"
     );
+
+    let (small, small_allocs, small_shuffle) = shuffled(20_000);
+    let (large, large_allocs, large_shuffle) = shuffled(40_000);
+    println!(
+        "shuffled, retained: {small:.0} B/record at 20 k, {large:.0} B/record at 40 k; \
+         shuffle topic {small_shuffle} B at 20 k, {large_shuffle} B at 40 k"
+    );
+    println!(
+        "shuffled, allocator calls: {small_allocs:.2}/record at 20 k, \
+         {large_allocs:.2}/record at 40 k"
+    );
+    // A shuffle topic is purged below what its reader committed, on every
+    // replica: what it holds at the end is each replica's open segment, at
+    // most 128 records of about 121 B (11 616 / 23 280 B measured; 7.3 /
+    // 14.5 MB, every record three times, before shuffle topics were
+    // purged).
+    let open_segments = 4 * 3 * DEFAULT_SEGMENT_MAX_RECORDS as u64 * 128;
+    for (records, shuffle) in [(20_000, small_shuffle), (40_000, large_shuffle)] {
+        assert!(
+            shuffle <= open_segments,
+            "the shuffle topic holds {shuffle} B at {records} records, more than an open \
+             segment per partition and replica: a consumed prefix was kept"
+        );
+    }
+    for (records, per_record, retained, allocs, measured) in [
+        (20_000, small, 341.0, small_allocs, 9.76),
+        (40_000, large, 323.0, large_allocs, 9.47),
+    ] {
+        // Measured 341 / 323 B: the two user topics' records as in the
+        // identity case, the shuffle's gone but for its open segments, and
+        // the fixed cost of three brokers and five workers spread over the
+        // run. (500 / 481 B when the shuffle topic kept every record.)
+        assert!(
+            per_record <= retained * SLACK,
+            "{per_record:.0} B retained per 64 B record at {records} records through a \
+             shuffle, {retained} when recorded"
+        );
+        // Measured 9.76 / 9.47: two produce hops and a shuffle, each
+        // record decoded into an event and encoded again per stage.
+        assert!(
+            allocs <= measured * SLACK,
+            "{allocs:.2} allocator calls per record at {records} records through a shuffle, \
+             {measured} when recorded"
+        );
+    }
 }

@@ -14,12 +14,13 @@
 //! * a rescale N→M restart redistributes every key group: the final keyed
 //!   state matches the fault-free run's exactly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use stream2gym::apps::word_count::{running_count_plan, word_stream};
-use stream2gym::broker::{CollectingSink, ConsumerProcess, TopicSpec};
+use stream2gym::broker::{Broker, CollectingSink, ConsumerProcess, TopicSpec};
 use stream2gym::core::{MonitoredSink, RunResult, Scenario, SpeJobSpec, SpeSinkSpec};
 use stream2gym::net::{FaultPlan, LinkSpec};
+use stream2gym::proto::{Offset, TopicPartition};
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, Event, Plan, SpeConfig, Value};
 
@@ -399,6 +400,114 @@ fn parallel_incremental_crash_and_rescale_are_exactly_once() {
             rec.delta_chain_len
         );
     }
+}
+
+/// A keyed stage purges its shuffle input below what it committed after a
+/// durable checkpoint, on every replica of a 3-broker, RF 3 cluster, and a
+/// restore never reads below that. Three faults after purges happened: an
+/// exactly-once keyed instance bounced, the exactly-once job rescaled 4 → 2,
+/// and an at-least-once keyed instance bounced. The exactly-once sinks must
+/// equal the fault-free run's; the at-least-once one may repeat a record
+/// but must count every one.
+#[test]
+fn a_shuffle_purge_keeps_exactly_once_and_loses_nothing() {
+    let at = SimTime::from_millis(2_400);
+    let build = |name: &str, exactly_once: bool, rescale: Option<usize>, until: SimTime| {
+        let mut sc = scenario_with(name, |job| match rescale {
+            Some(m) => job.parallelism(4).rescale_on_restart(m),
+            None => job.parallelism(4),
+        });
+        sc.duration(until);
+        sc.broker("h7").broker("h8").with_replicated_partitions(3);
+        // The keyed instances sit 60 ms from everything else, so a commit is
+        // acknowledged 120 ms after its capture: by then the stage before
+        // has committed its next records and they have arrived, and a purge
+        // to the fetch position, not the commit, would drop them.
+        for i in 0..4 {
+            sc.host_link(&format!("h3-1-{i}"), LinkSpec::new().latency_ms(60));
+        }
+        let interval = SimDuration::from_millis(500);
+        if exactly_once {
+            sc.with_checkpointing(CheckpointCfg::exactly_once(interval).incremental(4));
+            sc.with_transactional_sinks();
+        } else {
+            sc.with_checkpointing(CheckpointCfg::at_least_once(interval).incremental(4));
+        }
+        sc
+    };
+    let end = SimTime::from_secs(30);
+    let baseline = |eo| build("wc-purge-base", eo, None, end).run().expect("runs");
+    let (eo_baseline, alo_baseline) = (baseline(true), baseline(false));
+    for (name, exactly_once, rescale, target) in [
+        ("wc-purge-crash", true, None, "wc/1/1"),
+        ("wc-purge-rescale", true, Some(2), "wc"),
+        ("wc-purge-alo", false, None, "wc/1/1"),
+    ] {
+        // The run up to the fault: every replica of every shuffle partition
+        // that received records has purged a prefix.
+        let before = build(name, exactly_once, rescale, at).run().expect("runs");
+        let mut purged = 0;
+        for pid in &before.broker_pids {
+            let broker = before.sim.process_ref::<Broker>(*pid).expect("live");
+            for partition in 0..16 {
+                let tp = TopicPartition::new("__shuffle.wc.1", partition);
+                let log = broker.log(&tp).expect("every broker holds a replica");
+                if log.log_end() > Offset::ZERO {
+                    assert!(log.log_start() > Offset::ZERO, "{name}: {tp} on {pid:?}");
+                    purged += 1;
+                }
+            }
+        }
+        assert!(purged >= 3 * 4, "{name}: {purged} purged replicas");
+        let mut sc = build(name, exactly_once, rescale, end);
+        sc.faults(FaultPlan::new().crash_restart(target, at, SimDuration::from_millis(800)));
+        let faulted = sc.run().expect("faulted runs");
+        if exactly_once {
+            assert_exactly_once(&faulted, &eo_baseline, name);
+        } else {
+            // A replayed record counts twice, a lost one never: every key's
+            // final count reaches its truth, every input shows up.
+            let truth = ground_truth();
+            let counts = final_counts(&faulted);
+            assert!(
+                truth.iter().all(|(k, n)| counts[k] >= *n),
+                "{name}: {counts:?}"
+            );
+            let seen: BTreeSet<_> = counted_inputs(&sink_bytes(&faulted)).into_iter().collect();
+            let want = counted_inputs(&sink_bytes(&alo_baseline));
+            assert!(
+                want.iter().all(|i| seen.contains(i)),
+                "{name}: an input lost"
+            );
+        }
+    }
+}
+
+/// Commits need not wait for one another's answer: with checkpoints every
+/// 50 ms and the keyed instances 100 ms from the broker, each commit is
+/// answered after the next ones were sent, and each answer still purges
+/// the shuffle topic to its own commit's offsets.
+#[test]
+fn a_shuffle_is_purged_when_commits_outpace_their_answers() {
+    let mut sc = scenario_with("wc-purge-fast", |job| job.parallelism(4));
+    sc.duration(SimTime::from_secs(4));
+    for i in 0..4 {
+        sc.host_link(&format!("h3-1-{i}"), LinkSpec::new().latency_ms(100));
+    }
+    sc.with_checkpointing(CheckpointCfg::at_least_once(SimDuration::from_millis(50)));
+    let result = sc.run().expect("runs");
+    let broker = result.sim.process_ref::<Broker>(result.broker_pids[0]);
+    let broker = broker.expect("live");
+    let mut fed = 0;
+    for partition in 0..16 {
+        let tp = TopicPartition::new("__shuffle.wc.1", partition);
+        let log = broker.log(&tp).expect("one broker holds them all");
+        if log.log_end() > Offset::ZERO {
+            assert!(log.log_start() > Offset::ZERO, "{tp} was never purged");
+            fed += 1;
+        }
+    }
+    assert!(fed >= 4, "{fed} shuffle partitions received records");
 }
 
 /// One instance recovers alone, on a store, while its sibling keeps

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolise and aggregate the samples tools/profile/sampler.so wrote.
 
-    report.py PREFIX [--top N] [--match NAME ...] [--callers LEAF [--depth K]]
+    report.py PREFIX [--top N] [--match NAME ... [--within FRAME]]
+              [--callers LEAF [--depth K]]
 
 PREFIX is the sampler's S2G_PROF_OUT: every PREFIX.<pid>.stacks with its
 PREFIX.<pid>.maps is read, so the samples of several runs of one build
@@ -14,7 +15,9 @@ It prints, over all samples:
   * the N with the largest inclusive share (anywhere on the stack, once per
     sample);
   * for each --match NAME, the inclusive share of the functions whose name
-    contains NAME;
+    contains NAME; with --within FRAME, only of the samples that have a
+    frame containing FRAME on the stack, as a share of all samples and of
+    those;
   * with --callers LEAF, the caller chains (K frames up) of the samples
     whose innermost frame contains LEAF, most frequent first.
 
@@ -101,6 +104,7 @@ def main():
     ap.add_argument("prefix")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--match", action="append", default=[])
+    ap.add_argument("--within")
     ap.add_argument("--callers")
     ap.add_argument("--depth", type=int, default=6)
     args = ap.parse_args()
@@ -153,11 +157,18 @@ def main():
     for name, n in incl_count.most_common(args.top):
         print(f"{100 * n / total:6.2f} %  {name}")
     if args.match:
+        pool = stacks
+        if args.within:
+            pool = [s for s in stacks if any(args.within in f for f in s)]
+            print(f"\n{len(pool)} samples, {100 * len(pool) / total:.2f} %, within {args.within}")
         print("\ninclusive share of names containing")
         for pattern in args.match:
-            n = sum(1 for s in stacks if any(pattern in f for f in s))
-            own = sum(1 for s in stacks if s and pattern in s[0])
-            print(f"{100 * n / total:6.2f} %  (self {100 * own / total:5.2f} %)  {pattern}")
+            n = sum(1 for s in pool if any(pattern in f for f in s))
+            own = sum(1 for s in pool if s and pattern in s[0])
+            line = f"{100 * n / total:6.2f} %  (self {100 * own / total:5.2f} %)"
+            if args.within:
+                line += f"  {100 * n / max(len(pool), 1):6.2f} % of those"
+            print(f"{line}  {pattern}")
     if args.callers:
         chains = collections.Counter(
             " <- ".join(s[1:1 + args.depth]) for s in stacks if s and args.callers in s[0]
