@@ -337,8 +337,6 @@ impl TopicSpec {
 /// Controller tunables.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Coordination mode (ZooKeeper-style vs Raft-style).
-    pub mode: CoordinationMode,
     /// A broker whose heartbeat is older than this has its session expired.
     pub session_timeout: SimDuration,
     /// How often the controller scans sessions.
@@ -352,7 +350,6 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            mode: CoordinationMode::Zk,
             session_timeout: SimDuration::from_secs(6),
             session_check_interval: SimDuration::from_secs(1),
             preferred_election_delay: SimDuration::from_secs(30),
@@ -372,8 +369,6 @@ mod tests {
         let p = ProducerConfig::default();
         assert!(p.delivery_timeout > p.request_timeout);
         assert_eq!(p.buffer_memory, 32 * 1024 * 1024);
-        let c = ControllerConfig::default();
-        assert_eq!(c.mode, CoordinationMode::Zk);
     }
 
     #[test]

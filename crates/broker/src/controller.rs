@@ -3,10 +3,11 @@
 //! [`ClusterState`] is the controller's replicated state machine: partition
 //! assignments plus broker liveness, mutated only by applying
 //! [`MetadataRecord`]s. Pure functions compute the records for each decision
-//! (broker failure, re-registration, ISR change, preferred election), so the
-//! same logic drives both the ZooKeeper-style singleton controller
-//! ([`ZkController`], applies records immediately) and the KRaft quorum
-//! (commits records through Raft first).
+//! (broker failure, ISR change, preferred election, offline recovery).
+//! [`Controller`] makes those decisions for brokers with one set of
+//! handlers, and its commit policy decides when each takes effect: at once
+//! ([`ZkController`]) or once a Raft quorum commits it
+//! ([`KraftController`](crate::KraftController)).
 
 use std::collections::BTreeMap;
 
@@ -35,6 +36,35 @@ pub struct PartitionState {
     pub epoch: LeaderEpoch,
 }
 
+impl PartitionState {
+    /// A change of this partition to `leader`, `isr` and `epoch`.
+    fn change(
+        &self,
+        leader: Option<BrokerId>,
+        isr: Vec<BrokerId>,
+        epoch: LeaderEpoch,
+    ) -> MetadataRecord {
+        MetadataRecord::PartitionChange {
+            tp: self.tp.clone(),
+            leader,
+            isr,
+            epoch,
+        }
+    }
+
+    /// The `LeaderAndIsr` instruction that teaches a replica holder this
+    /// state.
+    fn leader_and_isr(&self) -> ControllerRpc {
+        ControllerRpc::LeaderAndIsr {
+            tp: self.tp.clone(),
+            leader: self.leader,
+            isr: self.isr.clone(),
+            epoch: self.epoch,
+            replicas: self.replicas.clone(),
+        }
+    }
+}
+
 /// The controller's replicated state machine.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterState {
@@ -56,16 +86,7 @@ impl ClusterState {
             s.alive.insert(*b, true);
         }
         for p in plan {
-            s.partitions.insert(
-                p.tp.clone(),
-                PartitionState {
-                    tp: p.tp.clone(),
-                    replicas: p.replicas.clone(),
-                    isr: p.isr.clone(),
-                    leader: p.leader,
-                    epoch: p.epoch,
-                },
-            );
+            s.install_assignment(p);
         }
         s
     }
@@ -155,23 +176,14 @@ impl ClusterState {
                 .iter()
                 .copied()
                 .find(|b| *b != broker && new_isr.contains(b) && self.is_alive(*b));
-            out.push(MetadataRecord::PartitionChange {
-                tp: p.tp.clone(),
-                leader: new_leader,
-                isr: if new_isr.is_empty() {
-                    vec![broker]
-                } else {
-                    new_isr
-                },
-                epoch: p.epoch.next(),
-            });
+            let isr = if new_isr.is_empty() {
+                vec![broker]
+            } else {
+                new_isr
+            };
+            out.push(p.change(new_leader, isr, p.epoch.next()));
         }
         out
-    }
-
-    /// The records to commit when a fenced broker re-registers.
-    pub fn changes_for_broker_registration(&self, broker: BrokerId) -> Vec<MetadataRecord> {
-        vec![MetadataRecord::BrokerRegistered { broker }]
     }
 
     /// Validates and converts a leader's AlterIsr request into records.
@@ -198,12 +210,7 @@ impl ClusterState {
         if !sanitized.contains(&from) || sanitized == p.isr {
             return vec![];
         }
-        vec![MetadataRecord::PartitionChange {
-            tp: tp.clone(),
-            leader: p.leader,
-            isr: sanitized,
-            epoch: p.epoch,
-        }]
+        vec![p.change(p.leader, sanitized, p.epoch)]
     }
 
     /// The records for a preferred-replica election sweep: every partition
@@ -217,12 +224,7 @@ impl ClusterState {
             };
             if p.leader != Some(preferred) && self.is_alive(preferred) && p.isr.contains(&preferred)
             {
-                out.push(MetadataRecord::PartitionChange {
-                    tp: p.tp.clone(),
-                    leader: Some(preferred),
-                    isr: p.isr.clone(),
-                    epoch: p.epoch.next(),
-                });
+                out.push(p.change(Some(preferred), p.isr.clone(), p.epoch.next()));
             }
         }
         out
@@ -242,12 +244,7 @@ impl ClusterState {
                 .copied()
                 .find(|b| p.isr.contains(b) && self.is_alive(*b));
             if let Some(leader) = candidate {
-                out.push(MetadataRecord::PartitionChange {
-                    tp: p.tp.clone(),
-                    leader: Some(leader),
-                    isr: p.isr.clone(),
-                    epoch: p.epoch.next(),
-                });
+                out.push(p.change(Some(leader), p.isr.clone(), p.epoch.next()));
             }
         }
         out
@@ -263,18 +260,7 @@ impl ClusterState {
             let Some(p) = self.partitions.get(tp) else {
                 continue;
             };
-            for b in &p.replicas {
-                out.push((
-                    *b,
-                    ControllerRpc::LeaderAndIsr {
-                        tp: p.tp.clone(),
-                        leader: p.leader,
-                        isr: p.isr.clone(),
-                        epoch: p.epoch,
-                        replicas: p.replicas.clone(),
-                    },
-                ));
-            }
+            out.extend(p.replicas.iter().map(|b| (*b, p.leader_and_isr())));
         }
         out
     }
@@ -285,13 +271,7 @@ impl ClusterState {
         self.partitions
             .values()
             .filter(|p| p.replicas.contains(&broker))
-            .map(|p| ControllerRpc::LeaderAndIsr {
-                tp: p.tp.clone(),
-                leader: p.leader,
-                isr: p.isr.clone(),
-                epoch: p.epoch,
-                replicas: p.replicas.clone(),
-            })
+            .map(PartitionState::leader_and_isr)
             .collect()
     }
 
@@ -300,20 +280,15 @@ impl ClusterState {
     pub fn snapshot_records(&self) -> Vec<MetadataRecord> {
         self.partitions
             .values()
-            .map(|p| MetadataRecord::PartitionChange {
-                tp: p.tp.clone(),
-                leader: p.leader,
-                isr: p.isr.clone(),
-                epoch: p.epoch,
-            })
+            .map(|p| p.change(p.leader, p.isr.clone(), p.epoch))
             .collect()
     }
 }
 
-mod tags {
-    pub const SESSION_CHECK: u64 = 1;
-    pub const PREFERRED_CHECK: u64 = 2;
-}
+/// Timer tags of the broker-facing sweeps; a [`CommitPolicy`] arms its own
+/// timers under other tags.
+const SESSION_CHECK: u64 = 1;
+const PREFERRED_CHECK: u64 = 2;
 
 /// The initial replica placement, with rack/host labels steering it:
 /// followers land on racks not already holding a replica whenever possible,
@@ -329,13 +304,10 @@ pub(crate) fn plan_with_racks(
     plan_assignments_racked(topics, &racked)
 }
 
-/// The broker-facing half of a controller, written once for both
-/// coordination modes: the replicated state machine with its decision log,
-/// broker sessions and incarnations, and the `LeaderAndIsr`-then-
-/// `MetadataUpdate` publish. *When* a decision takes effect — at once
-/// ([`ZkController`]) or after a quorum commits it
-/// ([`KraftController`](crate::KraftController)) — stays with each
-/// controller.
+/// What a [`CommitPolicy`] acts on: the replicated state machine with its
+/// decision log, broker sessions and incarnations, and the
+/// `LeaderAndIsr`-then-`MetadataUpdate` publish.
+#[derive(Debug)]
 pub(crate) struct BrokerFrontEnd {
     pub(crate) state: ClusterState,
     pub(crate) brokers: BTreeMap<BrokerId, ProcessId>,
@@ -451,21 +423,110 @@ impl BrokerFrontEnd {
     }
 }
 
-/// The ZooKeeper-style singleton controller process.
-///
-/// Tracks broker sessions via heartbeats, expires them after the session
-/// timeout, elects replacement leaders from the ISR, pushes `LeaderAndIsr`
-/// and metadata updates to brokers, and periodically runs preferred-replica
-/// election. Decisions apply immediately (no quorum), which together with
-/// broker-side local ISR shrinking reproduces the ZooKeeper-era silent-loss
-/// behavior of Fig. 6b.
-pub struct ZkController {
-    cfg: ControllerConfig,
-    front: BrokerFrontEnd,
-    initial_plan: Vec<PartitionMetadata>,
+/// When a controller's decision takes effect: the one thing the two
+/// coordination modes choose. [`Controller`] serves brokers with one set of
+/// handlers and calls these at the points where the modes differ.
+pub(crate) trait CommitPolicy: Sized + 'static {
+    /// The controller's process name.
+    fn name(&self) -> &str;
+
+    /// Whether the controller serves brokers now.
+    fn serves(&self) -> bool;
+
+    /// Runs at start, after broker sessions start and before the sweeps
+    /// are armed.
+    fn start(c: &mut Controller<Self>, ctx: &mut Ctx<'_>);
+
+    /// Decides `records` (possibly none).
+    fn decide(c: &mut Controller<Self>, ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>);
+
+    /// Ends a handler that decided something.
+    fn flush(_c: &mut Controller<Self>, _ctx: &mut Ctx<'_>) {}
+
+    /// A restarted broker was re-taught its roles.
+    fn broker_returned(_c: &mut Controller<Self>, _ctx: &mut Ctx<'_>) {}
+
+    /// Sees every message first; hands back the ones it does not handle.
+    fn on_message(
+        _c: &mut Controller<Self>,
+        _ctx: &mut Ctx<'_>,
+        msg: Box<dyn Message>,
+    ) -> Option<Box<dyn Message>> {
+        Some(msg)
+    }
+
+    /// A timer the broker-facing sweeps did not arm.
+    fn on_timer(_c: &mut Controller<Self>, _ctx: &mut Ctx<'_>, _tag: u64) {}
 }
 
-impl ZkController {
+/// The cluster controller process, one for both coordination modes.
+///
+/// Tracks broker sessions via heartbeats, expires them after the session
+/// timeout, elects replacement leaders from the ISR, validates `AlterIsr`,
+/// pushes `LeaderAndIsr` and metadata updates to brokers, and periodically
+/// runs preferred-replica election. Its commit policy `P` decides when a
+/// decision takes effect: [`ZkController`] applies it at once,
+/// [`KraftController`](crate::KraftController) after a Raft quorum commits
+/// it. That difference is the paper's Fig. 6 contrast.
+#[derive(Debug)]
+pub struct Controller<P> {
+    pub(crate) cfg: ControllerConfig,
+    pub(crate) front: BrokerFrontEnd,
+    pub(crate) policy: P,
+}
+
+impl<P> Controller<P> {
+    /// The controller's applied view of the cluster.
+    pub fn state(&self) -> &ClusterState {
+        &self.front.state
+    }
+
+    /// Applied decisions with the instant each took effect, in order.
+    pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
+        &self.front.decisions
+    }
+}
+
+/// The ZooKeeper-style commit policy: no quorum, so a decision applies and
+/// is published the moment it is made. Together with broker-side local ISR
+/// shrinking this reproduces the ZooKeeper-era silent loss of Fig. 6b.
+#[derive(Debug)]
+pub struct ApplyAtOnce;
+
+impl CommitPolicy for ApplyAtOnce {
+    fn name(&self) -> &str {
+        "zk-controller"
+    }
+
+    fn serves(&self) -> bool {
+        true
+    }
+
+    /// Tells every broker the initial assignment.
+    fn start(c: &mut ZkController, ctx: &mut Ctx<'_>) {
+        let records = c.front.state.snapshot_records();
+        Self::decide(c, ctx, records);
+    }
+
+    fn decide(c: &mut ZkController, ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>) {
+        if records.is_empty() {
+            return;
+        }
+        c.front.apply(ctx.now(), &records);
+        c.front.publish(ctx, &records);
+    }
+
+    /// Recovers any offline partition the returned broker can serve again.
+    fn broker_returned(c: &mut ZkController, ctx: &mut Ctx<'_>) {
+        let recover = c.front.state.changes_for_offline_recovery();
+        Self::decide(c, ctx, recover);
+    }
+}
+
+/// The ZooKeeper-style singleton controller.
+pub type ZkController = Controller<ApplyAtOnce>;
+
+impl Controller<ApplyAtOnce> {
     /// Creates a controller for a static broker membership and topic list.
     pub fn new(
         cfg: ControllerConfig,
@@ -487,54 +548,36 @@ impl ZkController {
     ) -> Self {
         let ids: Vec<BrokerId> = brokers.keys().copied().collect();
         let plan = plan_with_racks(topics, &brokers, racks);
-        ZkController {
+        Controller {
             cfg,
             front: BrokerFrontEnd::new(ClusterState::from_plan(&plan, &ids), brokers),
-            initial_plan: plan,
+            policy: ApplyAtOnce,
         }
-    }
-
-    /// The controller's current view of the cluster.
-    pub fn state(&self) -> &ClusterState {
-        &self.front.state
-    }
-
-    /// Committed decisions, in order.
-    pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.front.decisions
-    }
-
-    /// Decides `records`: no quorum, so they apply and publish at once.
-    fn commit(&mut self, ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        self.front.apply(ctx.now(), &records);
-        self.front.publish(ctx, &records);
     }
 }
 
-impl Process for ZkController {
+impl<P: CommitPolicy> Process for Controller<P> {
     fn name(&self) -> &str {
-        "zk-controller"
+        self.policy.name()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.front.start_sessions(ctx.now());
-        // Install the initial assignment and tell everyone.
-        let records: Vec<MetadataRecord> = self.front.state.snapshot_records();
-        for p in &self.initial_plan {
-            self.front.state.install_assignment(p);
-        }
-        self.commit(ctx, records);
-        ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
-        ctx.set_timer(self.cfg.preferred_election_delay, tags::PREFERRED_CHECK);
+        P::start(self, ctx);
+        ctx.set_timer(self.cfg.session_check_interval, SESSION_CHECK);
+        ctx.set_timer(self.cfg.preferred_election_delay, PREFERRED_CHECK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+        let Some(msg) = P::on_message(self, ctx, msg) else {
+            return;
+        };
         let Ok(rpc) = downcast::<ControllerRpc>(msg) else {
             return;
         };
+        if !self.policy.serves() {
+            return;
+        }
         match *rpc {
             ControllerRpc::Heartbeat {
                 broker,
@@ -543,14 +586,12 @@ impl Process for ZkController {
                 let (was_dead, bounced) = self.front.heartbeat(ctx.now(), broker, incarnation);
                 if was_dead {
                     // Re-registration: revive it in the replicated state.
-                    let recs = self.front.state.changes_for_broker_registration(broker);
-                    self.commit(ctx, recs);
+                    P::decide(self, ctx, vec![MetadataRecord::BrokerRegistered { broker }]);
+                    P::flush(self, ctx);
                 }
                 if was_dead || bounced {
                     self.front.reteach(ctx, broker);
-                    // Recover any offline partitions it can serve again.
-                    let recover = self.front.state.changes_for_offline_recovery();
-                    self.commit(ctx, recover);
+                    P::broker_returned(self, ctx);
                 }
                 self.front.ack_heartbeat(ctx, broker);
             }
@@ -562,7 +603,8 @@ impl Process for ZkController {
             } => {
                 let state = &self.front.state;
                 let records = state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
-                self.commit(ctx, records);
+                P::decide(self, ctx, records);
+                P::flush(self, ctx);
             }
             _ => {}
         }
@@ -570,33 +612,29 @@ impl Process for ZkController {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         match tag {
-            tags::SESSION_CHECK => {
-                let timeout = self.cfg.session_timeout;
-                for b in self.front.expired_sessions(ctx.now(), timeout) {
-                    let records = self.front.state.changes_for_broker_failure(b);
-                    self.commit(ctx, records);
+            SESSION_CHECK => {
+                if self.policy.serves() {
+                    let timeout = self.cfg.session_timeout;
+                    for b in self.front.expired_sessions(ctx.now(), timeout) {
+                        let records = self.front.state.changes_for_broker_failure(b);
+                        P::decide(self, ctx, records);
+                    }
+                    P::flush(self, ctx);
                 }
-                ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
+                ctx.set_timer(self.cfg.session_check_interval, SESSION_CHECK);
             }
-            tags::PREFERRED_CHECK => {
-                let records = self.front.state.changes_for_preferred_election();
-                self.commit(ctx, records);
-                let recover = self.front.state.changes_for_offline_recovery();
-                self.commit(ctx, recover);
-                ctx.set_timer(self.cfg.preferred_election_delay, tags::PREFERRED_CHECK);
+            PREFERRED_CHECK => {
+                if self.policy.serves() {
+                    let records = self.front.state.changes_for_preferred_election();
+                    P::decide(self, ctx, records);
+                    let recover = self.front.state.changes_for_offline_recovery();
+                    P::decide(self, ctx, recover);
+                    P::flush(self, ctx);
+                }
+                ctx.set_timer(self.cfg.preferred_election_delay, PREFERRED_CHECK);
             }
-            _ => {}
+            _ => P::on_timer(self, ctx, tag),
         }
-    }
-}
-
-impl std::fmt::Debug for ZkController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ZkController")
-            .field("brokers", &self.front.brokers.len())
-            .field("metadata_version", &self.front.metadata_version)
-            .field("decisions", &self.front.decisions.len())
-            .finish()
     }
 }
 

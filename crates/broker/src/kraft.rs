@@ -1,29 +1,27 @@
-//! KRaft-mode controller: a Raft quorum replicating the metadata log.
+//! KRaft-mode commit policy: a Raft quorum replicating the metadata log.
 //!
-//! Each [`KraftController`] is one quorum member. The Raft leader acts as the
-//! *active controller*: it tracks broker sessions, proposes metadata records
-//! (fencing, leader changes, ISR updates, preferred elections) into the
-//! replicated log, and only acts on them once they commit on a majority.
-//! Followers replicate and apply the same records, so any member can take
-//! over. This is the coordination mode under which the paper "was not able
-//! to observe" the silent-loss behavior of Fig. 6b.
+//! Each [`KraftController`] is one quorum member. The Raft leader is the
+//! *active controller*: it serves broker heartbeats and `AlterIsr`, and the
+//! shared [`Controller`] handlers propose each decision (fencing, leader
+//! changes, ISR updates, preferred elections) into the replicated log,
+//! where it takes effect only once it commits on a majority. Followers
+//! replicate and apply the same records, so any member can take over.
+//! This is the coordination mode under which the paper "was not able to
+//! observe" the silent-loss behavior of Fig. 6b.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::Rng;
 
-use s2g_proto::{BrokerId, ControllerRpc, MetadataRecord, RaftRpc};
-use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime};
+use s2g_proto::{BrokerId, MetadataRecord, PartitionMetadata, RaftRpc};
+use s2g_sim::{downcast, Ctx, Message, ProcessId, SimDuration, SimTime};
 
 use crate::config::{ControllerConfig, TopicSpec};
-use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState};
+use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState, CommitPolicy, Controller};
 
-mod tags {
-    pub const ELECTION_CHECK: u64 = 1;
-    pub const LEADER_TICK: u64 = 2;
-    pub const SESSION_CHECK: u64 = 3;
-    pub const PREFERRED_CHECK: u64 = 4;
-}
+/// Timer tags of the Raft member, beside the controller's own sweeps.
+const ELECTION_CHECK: u64 = 3;
+const LEADER_TICK: u64 = 4;
 
 /// How often candidates/followers check their election deadline.
 const ELECTION_CHECK_EVERY: SimDuration = SimDuration::from_millis(100);
@@ -36,11 +34,7 @@ const MAX_ENTRIES_PER_APPEND: usize = 64;
 
 #[derive(Debug)]
 enum RaftRole {
-    Follower {
-        /// Kept for debugging visibility in `{:?}` dumps.
-        #[allow(dead_code)]
-        leader: Option<BrokerId>,
-    },
+    Follower,
     Candidate {
         votes: BTreeSet<BrokerId>,
     },
@@ -50,17 +44,16 @@ enum RaftRole {
     },
 }
 
-/// One member of the KRaft controller quorum.
-pub struct KraftController {
+/// The KRaft commit policy of one quorum member: a decision is proposed
+/// into the Raft log and applied once a majority holds it, and only the
+/// active member (the Raft leader) serves brokers.
+#[derive(Debug)]
+pub struct RaftQuorum {
     me: BrokerId,
     quorum: BTreeMap<BrokerId, ProcessId>,
-    cfg: ControllerConfig,
-    topics: Vec<TopicSpec>,
-    /// Rack/host labels steering the bootstrap replica placement; brokers
-    /// missing from the map count as a rack of their own.
-    racks: BTreeMap<BrokerId, String>,
-
-    // Raft state.
+    /// The initial assignment, installed by this member's first leadership
+    /// over a metadata log that has none; emptied once proposed.
+    plan: Vec<PartitionMetadata>,
     term: u64,
     voted_for: Option<BrokerId>,
     log: Vec<(u64, MetadataRecord)>,
@@ -68,15 +61,13 @@ pub struct KraftController {
     applied: usize,
     role: RaftRole,
     election_deadline: SimTime,
-
-    /// The replicated state machine plus the leader-local soft state
-    /// (sessions, incarnations) the active controller serves brokers from.
-    front: BrokerFrontEnd,
-    bootstrapped: bool,
     name: String,
 }
 
-impl KraftController {
+/// One member of the KRaft controller quorum.
+pub type KraftController = Controller<RaftQuorum>;
+
+impl Controller<RaftQuorum> {
     /// Creates a quorum member.
     ///
     /// `quorum` maps every controller id (including `me`) to its process id;
@@ -108,55 +99,52 @@ impl KraftController {
             quorum.keys().all(|q| !brokers.contains_key(q)),
             "controller ids must not collide with broker ids"
         );
-        let name = format!("kraft-{}", me.0);
-        KraftController {
+        let plan = plan_with_racks(&topics, &brokers, &racks);
+        let policy = RaftQuorum {
             me,
             quorum,
-            cfg,
-            topics,
-            racks,
+            plan,
             term: 0,
             voted_for: None,
             log: Vec::new(),
             commit: 0,
             applied: 0,
-            role: RaftRole::Follower { leader: None },
+            role: RaftRole::Follower,
             election_deadline: SimTime::ZERO,
+            name: format!("kraft-{}", me.0),
+        };
+        Controller {
+            cfg,
             front: BrokerFrontEnd::new(ClusterState::new(), brokers),
-            bootstrapped: false,
-            name,
+            policy,
         }
     }
 
     /// True if this member currently believes it is the Raft leader (the
     /// active controller).
     pub fn is_active(&self) -> bool {
-        matches!(self.role, RaftRole::Leader { .. })
+        self.policy.is_active()
     }
 
     /// The current Raft term.
     pub fn term(&self) -> u64 {
-        self.term
+        self.policy.term
     }
 
     /// Committed log length.
     pub fn committed(&self) -> usize {
-        self.commit
-    }
-
-    /// The applied cluster state.
-    pub fn state(&self) -> &ClusterState {
-        &self.front.state
-    }
-
-    /// Applied decisions with timestamps.
-    pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.front.decisions
+        self.policy.commit
     }
 
     /// The replicated log (term, record) — for consistency assertions.
     pub fn raft_log(&self) -> &[(u64, MetadataRecord)] {
-        &self.log
+        &self.policy.log
+    }
+}
+
+impl RaftQuorum {
+    fn is_active(&self) -> bool {
+        matches!(self.role, RaftRole::Leader { .. })
     }
 
     fn majority(&self) -> usize {
@@ -173,14 +161,14 @@ impl KraftController {
             ctx.now() + ELECTION_TIMEOUT_BASE + SimDuration::from_nanos(jitter);
     }
 
-    fn become_follower(&mut self, ctx: &mut Ctx<'_>, term: u64, leader: Option<BrokerId>) {
+    fn become_follower(&mut self, ctx: &mut Ctx<'_>, term: u64) {
         self.term = term;
-        self.role = RaftRole::Follower { leader };
+        self.role = RaftRole::Follower;
         self.voted_for = None;
         self.reset_election_deadline(ctx);
     }
 
-    fn start_election(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_election(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
         self.term += 1;
         self.voted_for = Some(self.me);
         let mut votes = BTreeSet::new();
@@ -199,11 +187,11 @@ impl KraftController {
             }
         }
         if self.quorum.len() == 1 {
-            self.become_leader(ctx);
+            self.become_leader(front, ctx);
         }
     }
 
-    fn become_leader(&mut self, ctx: &mut Ctx<'_>) {
+    fn become_leader(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
         let mut next_index = BTreeMap::new();
         let mut match_index = BTreeMap::new();
         for &id in self.quorum.keys() {
@@ -220,22 +208,18 @@ impl KraftController {
         // (Raft §5.4.2 no-op). We reuse a harmless registration record.
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };
         self.propose(vec![noop]);
-        if !self.bootstrapped
-            && !self.front.brokers.is_empty()
-            && !self.topics.is_empty()
-            && self.log.iter().all(|(_, r)| !is_partition_change(r))
-        {
+        let assigns = |(_, r): &(u64, _)| matches!(r, MetadataRecord::PartitionChange { .. });
+        if !self.plan.is_empty() && !self.log.iter().any(assigns) {
             // First leadership over an empty metadata log: install the
             // initial topic assignment.
-            let plan = plan_with_racks(&self.topics, &self.front.brokers, &self.racks);
-            let mut records: Vec<MetadataRecord> = self
-                .front
+            let plan = std::mem::take(&mut self.plan);
+            let mut records: Vec<MetadataRecord> = front
                 .brokers
                 .keys()
                 .map(|b| MetadataRecord::BrokerRegistered { broker: *b })
                 .collect();
             for p in &plan {
-                self.front.state.install_assignment(p);
+                front.state.install_assignment(p);
                 records.push(MetadataRecord::PartitionChange {
                     tp: p.tp.clone(),
                     leader: p.leader,
@@ -244,7 +228,6 @@ impl KraftController {
                 });
             }
             self.propose(records);
-            self.bootstrapped = true;
         }
         self.leader_tick(ctx);
     }
@@ -321,7 +304,7 @@ impl KraftController {
         }
     }
 
-    fn apply_committed(&mut self, ctx: &mut Ctx<'_>) {
+    fn apply_committed(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
         if self.applied >= self.commit {
             return;
         }
@@ -330,10 +313,10 @@ impl KraftController {
             .map(|(_, r)| r.clone())
             .collect();
         self.applied = self.commit;
-        self.front.apply(ctx.now(), &batch);
+        front.apply(ctx.now(), &batch);
         // Only the active controller pushes instructions to brokers.
         if self.is_active() {
-            self.front.publish(ctx, &batch);
+            front.publish(ctx, &batch);
         }
     }
 
@@ -376,7 +359,7 @@ impl KraftController {
         (true, self.log.len())
     }
 
-    fn handle_raft(&mut self, ctx: &mut Ctx<'_>, rpc: RaftRpc) {
+    fn handle_raft(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>, rpc: RaftRpc) {
         match rpc {
             RaftRpc::RequestVote {
                 term,
@@ -385,7 +368,7 @@ impl KraftController {
                 last_log_term,
             } => {
                 if term > self.term {
-                    self.become_follower(ctx, term, None);
+                    self.become_follower(ctx, term);
                 }
                 let up_to_date = (last_log_term, last_log_index)
                     >= (self.last_log_term(), self.log.len() as u64);
@@ -413,7 +396,7 @@ impl KraftController {
                 from,
             } => {
                 if term > self.term {
-                    self.become_follower(ctx, term, None);
+                    self.become_follower(ctx, term);
                     return;
                 }
                 if term != self.term {
@@ -428,7 +411,7 @@ impl KraftController {
                     _ => false,
                 };
                 if won {
-                    self.become_leader(ctx);
+                    self.become_leader(front, ctx);
                 }
             }
             RaftRpc::AppendEntries {
@@ -453,14 +436,14 @@ impl KraftController {
                     }
                     return;
                 }
-                self.become_follower(ctx, term, Some(leader));
+                self.become_follower(ctx, term);
                 let (success, match_index) =
                     self.append_entries(prev_log_index as usize, prev_log_term, entries);
                 if success {
                     let new_commit = (leader_commit as usize).min(self.log.len());
                     if new_commit > self.commit {
                         self.commit = new_commit;
-                        self.apply_committed(ctx);
+                        self.apply_committed(front, ctx);
                     }
                 }
                 if let Some(&pid) = self.quorum.get(&leader) {
@@ -482,7 +465,7 @@ impl KraftController {
                 from,
             } => {
                 if term > self.term {
-                    self.become_follower(ctx, term, None);
+                    self.become_follower(ctx, term);
                     return;
                 }
                 let RaftRole::Leader {
@@ -500,125 +483,72 @@ impl KraftController {
                     *ni = (match_index as usize).min(ni.saturating_sub(1));
                 }
                 self.maybe_commit();
-                self.apply_committed(ctx);
+                self.apply_committed(front, ctx);
             }
-        }
-    }
-
-    fn handle_broker(&mut self, ctx: &mut Ctx<'_>, rpc: ControllerRpc) {
-        if !self.is_active() {
-            return; // only the active controller serves brokers
-        }
-        match rpc {
-            ControllerRpc::Heartbeat {
-                broker,
-                incarnation,
-            } => {
-                let (was_dead, bounced) = self.front.heartbeat(ctx.now(), broker, incarnation);
-                if was_dead {
-                    // Re-registration goes through the quorum.
-                    self.propose(vec![MetadataRecord::BrokerRegistered { broker }]);
-                    self.leader_tick(ctx);
-                }
-                if was_dead || bounced {
-                    self.front.reteach(ctx, broker);
-                }
-                self.front.ack_heartbeat(ctx, broker);
-            }
-            ControllerRpc::AlterIsr {
-                tp,
-                from,
-                epoch,
-                new_isr,
-            } => {
-                let state = &self.front.state;
-                let records = state.changes_for_alter_isr(&tp, from, epoch, &new_isr);
-                self.propose(records);
-                self.leader_tick(ctx);
-            }
-            _ => {}
         }
     }
 }
 
-fn is_partition_change(r: &MetadataRecord) -> bool {
-    matches!(r, MetadataRecord::PartitionChange { .. })
-}
-
-impl Process for KraftController {
+impl CommitPolicy for RaftQuorum {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.front.start_sessions(ctx.now());
-        self.reset_election_deadline(ctx);
-        ctx.set_timer(ELECTION_CHECK_EVERY, tags::ELECTION_CHECK);
-        ctx.set_timer(LEADER_TICK_EVERY, tags::LEADER_TICK);
-        ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
-        ctx.set_timer(self.cfg.preferred_election_delay, tags::PREFERRED_CHECK);
+    /// Only the active controller serves brokers.
+    fn serves(&self) -> bool {
+        self.is_active()
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
-        let msg = match downcast::<RaftRpc>(msg) {
-            Ok(rpc) => return self.handle_raft(ctx, *rpc),
-            Err(m) => m,
-        };
-        if let Ok(rpc) = downcast::<ControllerRpc>(msg) {
-            self.handle_broker(ctx, *rpc);
+    /// Draws the first election deadline and arms the election and
+    /// leader-tick timers.
+    fn start(c: &mut KraftController, ctx: &mut Ctx<'_>) {
+        c.policy.reset_election_deadline(ctx);
+        ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
+        ctx.set_timer(LEADER_TICK_EVERY, LEADER_TICK);
+    }
+
+    /// Proposes the records; each applies once a majority holds it.
+    fn decide(c: &mut KraftController, _ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>) {
+        c.policy.propose(records);
+    }
+
+    /// Ships what was proposed to the quorum.
+    fn flush(c: &mut KraftController, ctx: &mut Ctx<'_>) {
+        c.policy.leader_tick(ctx);
+    }
+
+    fn on_message(
+        c: &mut KraftController,
+        ctx: &mut Ctx<'_>,
+        msg: Box<dyn Message>,
+    ) -> Option<Box<dyn Message>> {
+        match downcast::<RaftRpc>(msg) {
+            Ok(rpc) => {
+                c.policy.handle_raft(&mut c.front, ctx, *rpc);
+                None
+            }
+            Err(msg) => Some(msg),
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+    fn on_timer(c: &mut KraftController, ctx: &mut Ctx<'_>, tag: u64) {
+        let raft = &mut c.policy;
         match tag {
-            tags::ELECTION_CHECK => {
-                if !self.is_active() && ctx.now() >= self.election_deadline {
-                    self.start_election(ctx);
+            ELECTION_CHECK => {
+                if !raft.is_active() && ctx.now() >= raft.election_deadline {
+                    raft.start_election(&mut c.front, ctx);
                 }
-                ctx.set_timer(ELECTION_CHECK_EVERY, tags::ELECTION_CHECK);
+                ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
             }
-            tags::LEADER_TICK => {
-                if self.is_active() {
-                    self.leader_tick(ctx);
-                    self.apply_committed(ctx);
+            LEADER_TICK => {
+                if raft.is_active() {
+                    raft.leader_tick(ctx);
+                    raft.apply_committed(&mut c.front, ctx);
                 }
-                ctx.set_timer(LEADER_TICK_EVERY, tags::LEADER_TICK);
-            }
-            tags::SESSION_CHECK => {
-                if self.is_active() {
-                    let timeout = self.cfg.session_timeout;
-                    for b in self.front.expired_sessions(ctx.now(), timeout) {
-                        let records = self.front.state.changes_for_broker_failure(b);
-                        self.propose(records);
-                    }
-                    self.leader_tick(ctx);
-                }
-                ctx.set_timer(self.cfg.session_check_interval, tags::SESSION_CHECK);
-            }
-            tags::PREFERRED_CHECK => {
-                if self.is_active() {
-                    let records = self.front.state.changes_for_preferred_election();
-                    self.propose(records);
-                    let recover = self.front.state.changes_for_offline_recovery();
-                    self.propose(recover);
-                    self.leader_tick(ctx);
-                }
-                ctx.set_timer(self.cfg.preferred_election_delay, tags::PREFERRED_CHECK);
+                ctx.set_timer(LEADER_TICK_EVERY, LEADER_TICK);
             }
             _ => {}
         }
-    }
-}
-
-impl std::fmt::Debug for KraftController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KraftController")
-            .field("me", &self.me)
-            .field("term", &self.term)
-            .field("log_len", &self.log.len())
-            .field("commit", &self.commit)
-            .field("active", &self.is_active())
-            .finish()
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! A from-scratch, protocol-level reproduction of the Apache Kafka behaviors
 //! stream2gym's experiments exercise: partitioned replicated logs with
-//! leader/follower replication and ISR tracking, a ZooKeeper-style singleton
-//! controller and a KRaft-style Raft quorum, preferred-replica election,
+//! leader/follower replication and ISR tracking, one cluster controller
+//! whose commit policy is ZooKeeper-style (a decision applies at once) or
+//! KRaft-style (a Raft quorum commits it first), preferred-replica election,
 //! producer clients with bounded buffers/retries/delivery timeouts, and
 //! consumer clients with CPU-gated fetch loops.
 //!
@@ -76,9 +77,9 @@ pub use consumer::{
     CollectingSink, ConsumerClient, ConsumerProcess, ConsumerStats, DataSink, CONSUMER_TAGS,
     CONSUMER_TAGS_END,
 };
-pub use controller::{ClusterState, PartitionState, ZkController};
+pub use controller::{ApplyAtOnce, ClusterState, Controller, PartitionState, ZkController};
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
-pub use kraft::KraftController;
+pub use kraft::{KraftController, RaftQuorum};
 pub use log::{
     BrokerLogMeta, CleanOutcome, LogSegment, MetaPartitionTxns, MetaTxnEntry, PartitionLog,
     BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,

@@ -78,15 +78,11 @@ fn build(mode: CoordinationMode, acks: AckMode, seed: u64) -> Cluster {
                 .map(|i| (BrokerId(1000 + i), controller_pids[i as usize]))
                 .collect();
             for i in 0..3u32 {
-                let cfg = ControllerConfig {
-                    mode,
-                    ..ControllerConfig::default()
-                };
                 let c = KraftController::new(
                     BrokerId(1000 + i),
                     quorum.clone(),
                     brokers_btree.clone(),
-                    cfg,
+                    ControllerConfig::default(),
                     topics.clone(),
                 );
                 let pid = sim.spawn(Box::new(c));

@@ -565,14 +565,12 @@ impl Scenario {
     /// Selects the coordination mode (ZooKeeper vs KRaft).
     pub fn coordination(&mut self, mode: CoordinationMode) -> &mut Self {
         self.mode = mode;
-        self.controller_cfg.mode = mode;
         self
     }
 
     /// Overrides controller tunables.
     pub fn controller_config(&mut self, cfg: ControllerConfig) -> &mut Self {
         self.controller_cfg = cfg;
-        self.controller_cfg.mode = self.mode;
         self
     }
 

@@ -47,7 +47,7 @@ mod sched;
 mod time;
 
 pub use cpu::{CpuHandle, HostCpu};
-pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken, TraceEntry};
+pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{
     Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimCore, SimStats, Transport,

@@ -10,8 +10,6 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::time::SimTime;
-
 /// Identifies a process registered with the [`Sim`](crate::Sim) scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
@@ -102,7 +100,7 @@ pub fn downcast_ref<T: Message>(msg: &dyn Message) -> Option<&T> {
 /// state mutation happens inside handlers, so a run is fully determined by
 /// the seed and the task description.
 pub trait Process: Any {
-    /// A human-readable name used in traces and panics.
+    /// A human-readable name used in panics and reports.
     fn name(&self) -> &str;
 
     /// Called once when the simulation starts (at the process's start time).
@@ -119,29 +117,6 @@ pub trait Process: Any {
     /// [`Ctx::exec`](crate::Ctx::exec) completes. `tag` is the caller-chosen
     /// discriminator.
     fn on_cpu_done(&mut self, _ctx: &mut crate::Ctx<'_>, _tag: u64) {}
-}
-
-/// A record of one traced event, for debugging and the monitoring subsystem.
-#[derive(Debug, Clone)]
-pub struct TraceEntry {
-    /// When the event happened.
-    pub at: SimTime,
-    /// The process that emitted it.
-    pub pid: ProcessId,
-    /// Free-form category (e.g. `"broker"`, `"producer"`).
-    pub category: &'static str,
-    /// Human-readable description.
-    pub text: String,
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{} {} {}] {}",
-            self.at, self.pid, self.category, self.text
-        )
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! [`Sim`] owns every process, a seeded RNG, and an event queue ordered by
 //! `(time, sequence-number)`, so two runs with the same seed and task
-//! description produce byte-identical traces. The queue is a bucketed
+//! description produce byte-identical runs. The queue is a bucketed
 //! calendar queue by default (see [`crate::queue`]); the original binary
 //! heap survives as [`SchedulerKind::Reference`] for differential testing.
 //! Message transport is pluggable via the [`Transport`] trait: the default
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cpu::CpuHandle;
-use crate::process::{Message, Process, ProcessId, TimerToken, TraceEntry};
+use crate::process::{Message, Process, ProcessId, TimerToken};
 use crate::queue::{EventKind, EventQueue, Popped};
 use crate::time::{SimDuration, SimTime};
 
@@ -150,8 +150,6 @@ pub struct SimCore {
     /// Total live scheduled events; drives the `max_queue_len` high-water
     /// mark, so residue (cancelled/voided entries) is not counted.
     live: usize,
-    trace_enabled: bool,
-    trace: Vec<TraceEntry>,
     stats: SimStats,
     stop_requested: bool,
 }
@@ -211,8 +209,8 @@ impl SimCore {
 
 /// The per-dispatch context handed to process handlers.
 ///
-/// Provides simulated time, the seeded RNG, message sending, timers, traced
-/// logging, and CPU execution on the process's host.
+/// Provides simulated time, the seeded RNG, message sending, timers, and
+/// CPU execution on the process's host.
 pub struct Ctx<'a> {
     core: &'a mut SimCore,
     self_id: ProcessId,
@@ -319,33 +317,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Appends a trace entry if tracing is enabled.
-    ///
-    /// If the text is built with `format!`, prefer [`Ctx::trace_with`] so
-    /// tracing-off runs never pay for the string.
-    pub fn trace(&mut self, category: &'static str, text: impl Into<String>) {
-        self.trace_with(category, || text);
-    }
-
-    /// Appends a trace entry if tracing is enabled, building the text
-    /// lazily — the closure only runs when the trace is actually collected,
-    /// so hot paths stop formatting strings that tracing-off runs discard.
-    pub fn trace_with<S, F>(&mut self, category: &'static str, f: F)
-    where
-        S: Into<String>,
-        F: FnOnce() -> S,
-    {
-        if self.core.trace_enabled {
-            let entry = TraceEntry {
-                at: self.core.now,
-                pid: self.self_id,
-                category,
-                text: f().into(),
-            };
-            self.core.trace.push(entry);
-        }
-    }
-
     /// Requests that the run stop after the current event.
     pub fn request_stop(&mut self) {
         self.core.stop_requested = true;
@@ -414,8 +385,6 @@ impl Sim {
                 transport: Box::new(InstantTransport::default()),
                 accounts: Vec::new(),
                 live: 0,
-                trace_enabled: false,
-                trace: Vec::new(),
                 stats: SimStats::default(),
                 stop_requested: false,
             },
@@ -442,11 +411,6 @@ impl Sim {
     /// Installs a transport (e.g. the emulated network).
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.core.transport = transport;
-    }
-
-    /// Enables or disables trace collection.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.core.trace_enabled = on;
     }
 
     /// Caps the number of events a run may process — a runaway-loop guard.
@@ -544,11 +508,6 @@ impl Sim {
     /// Run statistics so far.
     pub fn stats(&self) -> SimStats {
         self.core.stats
-    }
-
-    /// The collected trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.core.trace
     }
 
     /// Number of registered processes.
@@ -917,26 +876,6 @@ mod tests {
         sim.spawn(Box::new(Spin));
         sim.set_event_limit(1_000);
         sim.run_to_completion();
-    }
-
-    #[test]
-    fn tracing_collects_entries() {
-        struct Tracer;
-        impl Process for Tracer {
-            fn name(&self) -> &str {
-                "tracer"
-            }
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.trace("test", "hello");
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-        }
-        let mut sim = Sim::new(0);
-        sim.set_tracing(true);
-        sim.spawn(Box::new(Tracer));
-        sim.run_to_completion();
-        assert_eq!(sim.trace().len(), 1);
-        assert_eq!(sim.trace()[0].text, "hello");
     }
 
     #[test]

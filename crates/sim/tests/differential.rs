@@ -3,9 +3,12 @@
 //!
 //! A randomized fault-heavy workload (timers at mixed horizons, message
 //! chatter, cancellations, CPU slices, kills and respawns) runs once under
-//! each [`SchedulerKind`]; the full trace (every handler invocation, in
+//! each [`SchedulerKind`]; the full log (every handler invocation, in
 //! order, with its timestamp), the final [`SimStats`], and the clock must
 //! match exactly.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use s2g_sim::{
     downcast, Ctx, HostCpu, Message, Process, ProcessId, QueueDiag, SchedulerKind, Sim,
@@ -20,6 +23,15 @@ impl Message for Note {
     fn wire_size(&self) -> usize {
         32
     }
+}
+
+/// What the processes of one run did, in order: `(time in ns, process,
+/// text)`, shared by every process of the run.
+type Log = Rc<RefCell<Vec<(u64, u32, String)>>>;
+
+fn log(log: &Log, ctx: &Ctx<'_>, text: String) {
+    let entry = (ctx.now().as_nanos(), ctx.self_id().0, text);
+    log.borrow_mut().push(entry);
 }
 
 /// Deterministic splitmix64; the workload must not depend on anything that
@@ -44,16 +56,18 @@ struct Chaos {
     rng: Mix,
     tokens: Vec<TimerToken>,
     fires: u64,
+    log: Log,
 }
 
 impl Chaos {
-    fn new(id: u32, peers: u32, seed: u64) -> Self {
+    fn new(id: u32, peers: u32, seed: u64, log: &Log) -> Self {
         Chaos {
             id,
             peers,
             rng: Mix(seed ^ (u64::from(id) << 32) ^ 0xabcd_ef01),
             tokens: Vec::new(),
             fires: 0,
+            log: log.clone(),
         }
     }
 
@@ -78,7 +92,7 @@ impl Process for Chaos {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace_with("chaos", || format!("start {}", self.id));
+        log(&self.log, ctx, format!("start {}", self.id));
         for tag in 0..3 {
             let d = self.delay();
             let t = ctx.set_timer(d, tag);
@@ -90,7 +104,7 @@ impl Process for Chaos {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
         let note = downcast::<Note>(msg).expect("note");
-        ctx.trace_with("chaos", || format!("msg ttl={} from={from}", note.ttl));
+        log(&self.log, ctx, format!("msg ttl={} from={from}", note.ttl));
         if note.ttl > 0 {
             let to = self.peer();
             ctx.send(to, Note { ttl: note.ttl - 1 });
@@ -99,7 +113,11 @@ impl Process for Chaos {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         self.fires += 1;
-        ctx.trace_with("chaos", || format!("timer tag={tag} fire={}", self.fires));
+        log(
+            &self.log,
+            ctx,
+            format!("timer tag={tag} fire={}", self.fires),
+        );
         match self.rng.below(10) {
             0..=4 => {
                 let d = self.delay();
@@ -130,21 +148,21 @@ impl Process for Chaos {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        ctx.trace_with("chaos", || format!("cpu tag={tag}"));
+        log(&self.log, ctx, format!("cpu tag={tag}"));
         let d = self.delay();
         self.tokens.push(ctx.set_timer(d, tag));
     }
 }
 
 /// Runs the chaos workload under `kind`, returning the full observable
-/// surface: trace, stats, final clock, and queue diagnostics.
+/// surface: log, stats, final clock, and queue diagnostics.
 fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, SimTime, QueueDiag) {
     const PROCS: u32 = 12;
+    let trace = Log::default();
     let mut sim = Sim::with_scheduler(seed, kind);
-    sim.set_tracing(true);
     sim.set_event_limit(2_000_000);
     for i in 0..PROCS {
-        sim.spawn(Box::new(Chaos::new(i, PROCS, seed)));
+        sim.spawn(Box::new(Chaos::new(i, PROCS, seed, &trace)));
     }
     let mut driver = Mix(seed ^ 0x5eed);
     let mut t = SimTime::ZERO;
@@ -156,22 +174,19 @@ fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, Si
         if sim.is_alive(victim) && driver.below(3) != 0 {
             sim.kill(victim).expect("alive");
         } else if !sim.is_alive(victim) {
-            sim.respawn(victim, Box::new(Chaos::new(victim.0, PROCS, seed ^ step)));
+            let chaos = Chaos::new(victim.0, PROCS, seed ^ step, &trace);
+            sim.respawn(victim, Box::new(chaos));
         }
     }
     // Respawn everything and drain the far-future tail.
     for i in 0..PROCS {
         let pid = ProcessId(i);
         if !sim.is_alive(pid) {
-            sim.respawn(pid, Box::new(Chaos::new(i, PROCS, seed ^ 0x77)));
+            sim.respawn(pid, Box::new(Chaos::new(i, PROCS, seed ^ 0x77, &trace)));
         }
     }
     sim.run_until(t + SimDuration::from_secs(3));
-    let trace: Vec<(u64, u32, String)> = sim
-        .trace()
-        .iter()
-        .map(|e| (e.at.as_nanos(), e.pid.0, e.text.clone()))
-        .collect();
+    let trace = trace.take();
     (trace, sim.stats(), sim.now(), sim.queue_diag())
 }
 
@@ -218,6 +233,7 @@ fn calendar_matches_reference_on_randomized_fault_sweeps() {
 /// `Chaos`, with its microsecond-random delays, never builds.
 struct Burst {
     receivers: u32,
+    log: Log,
 }
 
 impl Process for Burst {
@@ -231,7 +247,7 @@ impl Process for Burst {
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
         let round = downcast::<Note>(msg).expect("note").ttl;
-        ctx.trace_with("burst", || format!("round={round}"));
+        log(&self.log, ctx, format!("round={round}"));
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, round: u64) {
         for r in 1..=self.receivers {
@@ -247,16 +263,15 @@ impl Process for Burst {
 fn calendar_matches_reference_on_a_same_instant_burst() {
     const RECEIVERS: u32 = 200;
     let run = |kind| {
+        let log = Log::default();
         let mut sim = Sim::with_scheduler(7, kind);
-        sim.set_tracing(true);
-        let receivers = RECEIVERS;
-        sim.spawn(Box::new(Burst { receivers }));
-        for _ in 0..RECEIVERS {
-            sim.spawn(Box::new(Burst { receivers: 0 }));
+        for receivers in std::iter::once(RECEIVERS).chain([0; RECEIVERS as usize]) {
+            let log = log.clone();
+            sim.spawn(Box::new(Burst { receivers, log }));
         }
         sim.run_to_completion();
-        let served = sim.trace().iter().map(|e| (e.at, e.pid.0, e.text.clone()));
-        (served.collect::<Vec<_>>(), sim.stats(), sim.now())
+        let served = log.take();
+        (served, sim.stats(), sim.now())
     };
     let (trace, stats, now) = run(SchedulerKind::Calendar);
     assert_eq!((trace.clone(), stats, now), run(SchedulerKind::Reference));

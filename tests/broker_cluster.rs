@@ -49,10 +49,10 @@ fn tuned_broker_cfg() -> BrokerConfig {
     }
 }
 
-/// Three brokers, RF=3 at `acks=all`, a parallelism-2 keyed word count
+/// Three brokers, RF=3 at `acks=all`, a keyed word count at `parallelism`
 /// with checkpoint-aligned transactional sinks, and a read-committed
 /// consumer. The word stream spans ~28 s — the whole bounce schedule.
-fn build(name: &str) -> Scenario {
+fn build(name: &str, parallelism: usize) -> Scenario {
     let mut sc = Scenario::new(name);
     sc.seed(SEED)
         .duration(SimTime::from_secs(45))
@@ -96,7 +96,7 @@ fn build(name: &str) -> Scenario {
             SpeSinkSpec::Topic("counts".into()),
             cfg,
         )
-        .parallelism(2),
+        .parallelism(parallelism),
     );
     sc.with_checkpointing(CheckpointCfg::exactly_once(SimDuration::from_secs(1)));
     sc.with_transactional_sinks();
@@ -181,12 +181,12 @@ fn ground_truth() -> BTreeMap<String, i64> {
 /// the final state must match ground truth.
 #[test]
 fn rolling_broker_bounce_stays_exactly_once() {
-    let baseline = build("cluster-bounce-baseline")
+    let baseline = build("cluster-bounce-baseline", 2)
         .run()
         .expect("baseline runs");
     assert_eq!(final_counts(&baseline), ground_truth());
 
-    let mut sc = build("cluster-bounce-chaos");
+    let mut sc = build("cluster-bounce-chaos", 2);
     sc.faults(
         FaultPlan::new()
             .crash_restart_broker(0, SimTime::from_secs(8), SimDuration::from_secs(3))
@@ -231,6 +231,45 @@ fn rolling_broker_bounce_stays_exactly_once() {
         recoveries.iter().any(|r| r.isr_expands > 0),
         "caught-up replicas re-entered the ISR"
     );
+}
+
+/// The two coordination modes differ only in when a controller's decision
+/// takes effect, so a fault-free run at `parallelism` delivers the same
+/// sink multiset under both: each input counted once, and each key's
+/// updates in the same order.
+fn assert_zk_and_kraft_agree(parallelism: usize) {
+    let zk = build("cluster-zk", parallelism)
+        .run()
+        .expect("ZooKeeper run");
+    let mut sc = build("cluster-kraft", parallelism);
+    sc.coordination(CoordinationMode::Kraft);
+    let kraft = sc.run().expect("KRaft run");
+    assert_eq!(final_counts(&zk), ground_truth());
+    assert_eq!(final_counts(&kraft), ground_truth());
+    assert_eq!(
+        counted_inputs(&sink_bytes(&kraft)),
+        counted_inputs(&sink_bytes(&zk))
+    );
+    assert_eq!(
+        per_key_count_sequences(&sink_bytes(&kraft)),
+        per_key_count_sequences(&sink_bytes(&zk)),
+    );
+}
+
+#[test]
+fn zk_and_kraft_deliver_the_same_sink_multiset() {
+    assert_zk_and_kraft_agree(1);
+}
+
+/// The same pair through a keyed shuffle. A producer seals a keyed batch
+/// whose topic has no partition count yet onto partition 0, not onto its
+/// key's partition; under KRaft no broker knows a topic until the quorum
+/// has elected itself, so the first shuffle batch reaches the wrong
+/// instance and a few keys count from 1 twice.
+#[test]
+#[ignore = "open defect: keyed records sealed before the producer's first metadata reply go to partition 0"]
+fn zk_and_kraft_deliver_the_same_sink_multiset_through_a_keyed_shuffle() {
+    assert_zk_and_kraft_agree(2);
 }
 
 // ---------------------------------------------------------------------------
