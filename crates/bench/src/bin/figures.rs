@@ -22,6 +22,8 @@
 //! count; set `S2G_BENCH_THREADS=1` to force the sequential path.
 //!
 //! ASCII renderings go to stdout; CSV data lands under `target/figures/`.
+//! Each figure's wall time goes to stderr (`figure <name>: <s> s`), so
+//! stdout stays byte-comparable across runs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -806,7 +808,10 @@ fn main() {
         },
     };
     println!("stream2gym-rs figure regeneration (scale: {scale:?})");
-    for (_, run) in selected {
+    for (name, run) in selected {
+        // s2g-lint: allow(wall-clock) — times the harness, on stderr, outside every run
+        let started = std::time::Instant::now();
         run(scale);
+        eprintln!("figure {name}: {:.2} s", started.elapsed().as_secs_f64());
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's evaluation experiments, one function per table/figure.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use s2g_apps::{traffic_monitor, video_analytics, word_count};
 use s2g_broker::{CoordinationMode, ProducerConfig, TopicSpec};
@@ -171,23 +171,15 @@ pub fn fig6_run(mode: CoordinationMode, sites: u32, scale: Scale, seed: u64) -> 
 
     let matrix = result.delivery_matrix(0);
     let lost_messages = {
-        let acked: Vec<(&str, u64)> = result.report.producers[0]
-            .outcomes
-            .iter()
-            .filter(|o| o.delivered)
-            .map(|o| (&*o.topic, o.seq))
-            .collect();
+        let producer = &result.report.producers[0];
         let core = result.monitor.borrow();
-        acked
-            .iter()
-            .filter(|(topic, seq)| {
-                !core.deliveries.iter().any(|d| {
-                    d.producer == result.report.producers[0].id
-                        && d.seq == *seq
-                        && *d.topic == **topic
-                        && d.consumer != 0 // remote consumers only
-                })
-            })
+        // Each `(topic, seq)` of producer 0 that reached a remote consumer.
+        let remote: HashSet<(&str, u64)> = (core.deliveries.iter())
+            .filter(|d| d.producer == producer.id && d.consumer != 0)
+            .map(|d| (&*d.topic, d.seq))
+            .collect();
+        (producer.outcomes.iter())
+            .filter(|o| o.delivered && !remote.contains(&(&*o.topic, o.seq)))
             .count()
     };
     // A remote consumer's latency series (consumer on the second site).

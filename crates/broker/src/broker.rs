@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use s2g_proto::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
     PartitionMetadata, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
@@ -1177,7 +1178,7 @@ impl Broker {
         self.blobs_done(ctx);
     }
 
-    fn on_meta_recovered(&mut self, ctx: &mut Ctx<'_>, value: Option<Vec<u8>>) {
+    fn on_meta_recovered(&mut self, ctx: &mut Ctx<'_>, value: Option<Bytes>) {
         let meta = value.as_deref().and_then(BrokerLogMeta::decode);
         let Some(meta) = meta else {
             // Cold start (or unreadable blob): nothing to replay.
@@ -1195,7 +1196,7 @@ impl Broker {
         self.maybe_finish_recovery(ctx);
     }
 
-    fn stage_segment(&mut self, tp: TopicPartition, value: Option<Vec<u8>>) {
+    fn stage_segment(&mut self, tp: TopicPartition, value: Option<Bytes>) {
         let Some(d) = self.durability.as_mut() else {
             return;
         };

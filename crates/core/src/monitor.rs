@@ -302,6 +302,11 @@ impl DeliveryMatrix {
     ) -> Self {
         core.require_capture("a delivery matrix");
         let mut received = vec![vec![false; messages.len()]; consumers.len()];
+        // Each `(topic, seq)`'s first column: one lookup per delivery.
+        let mut column: BTreeMap<(&str, u64), usize> = BTreeMap::new();
+        for (col, (topic, seq, _)) in messages.iter().enumerate() {
+            column.entry((&**topic, *seq)).or_insert(col);
+        }
         for d in &core.deliveries {
             if d.producer != producer {
                 continue;
@@ -309,11 +314,8 @@ impl DeliveryMatrix {
             let Some(row) = consumers.iter().position(|c| *c == d.consumer) else {
                 continue;
             };
-            if let Some(col) = messages
-                .iter()
-                .position(|(t, s, _)| *s == d.seq && **t == *d.topic)
-            {
-                received[row][col] = true;
+            if let Some(col) = column.get(&(&*d.topic, d.seq)) {
+                received[row][*col] = true;
             }
         }
         DeliveryMatrix {

@@ -124,10 +124,22 @@ pub fn csv_series(header_x: &str, series: &[(&str, &[(f64, f64)])]) -> String {
     let mut out = String::new();
     let names: Vec<&str> = series.iter().map(|(n, _)| *n).collect();
     let _ = writeln!(out, "{header_x},{}", names.join(","));
+    // Each series' point indices by x. `px - x` grows with `px`, so the
+    // points within 1e-12 of `x` are one run of this order, found by binary
+    // search; the cell is the run's first point in series order.
+    let by_x: Vec<Vec<usize>> = (series.iter())
+        .map(|(_, pts)| {
+            let mut order: Vec<usize> = (0..pts.len()).collect();
+            order.sort_by(|a, b| pts[*a].0.total_cmp(&pts[*b].0));
+            order
+        })
+        .collect();
     for x in xs {
         let mut row = format!("{x}");
-        for (_, pts) in series {
-            match pts.iter().find(|(px, _)| (px - x).abs() < 1e-12) {
+        for ((_, pts), order) in series.iter().zip(&by_x) {
+            let from = order.partition_point(|i| pts[*i].0 - x <= -1e-12);
+            let near = order[from..].iter().take_while(|i| pts[**i].0 - x < 1e-12);
+            match near.min().map(|i| pts[*i]) {
                 Some((_, y)) => {
                     let _ = write!(row, ",{y}");
                 }
@@ -219,6 +231,15 @@ mod tests {
         assert_eq!(lines[0], "x,a,b");
         assert_eq!(lines[1], "1,10,");
         assert_eq!(lines[2], "2,20,200");
+    }
+
+    #[test]
+    fn csv_cell_is_the_first_point_in_series_order_within_tolerance() {
+        // Unsorted, with a repeated x and an x 1e-13 from another.
+        let a: Vec<(f64, f64)> = vec![(3.0, 30.0), (1.0, 10.0), (3.0, 31.0), (1.0 + 1e-13, 11.0)];
+        let csv = csv_series("x", &[("a", &a)]);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines, ["x,a", "1,10", "1.0000000000001,10", "3,30"]);
     }
 
     #[test]

@@ -1614,10 +1614,10 @@ mod tests {
         // Equal contents: the manifest and the current chain. Each medium
         // dropped chain 1 once its manifest pointed at chain 2.
         let server = sim.process_ref::<StoreServer>(store).expect("store");
-        let stored: Vec<(String, Vec<u8>)> = (server.kv().entries())
-            .map(|(key, value)| (key.clone(), value.to_vec()))
+        let stored: Vec<_> = (server.kv().entries())
+            .map(|(key, value)| (key.clone(), value.clone()))
             .collect();
-        let mapped: Vec<(String, Vec<u8>)> = (map.borrow().iter())
+        let mapped: Vec<_> = (map.borrow().iter())
             .map(|(key, value)| (key.clone(), value.clone()))
             .collect();
         assert_eq!(stored, mapped);

@@ -37,6 +37,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use bytes::Bytes;
 use s2g_sim::{Ctx, ProcessId, SimDuration};
 
 use crate::server::StoreRpc;
@@ -51,7 +52,7 @@ pub const BLOB_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// host's always-synced local disk (broker logs) or a job manager's heap
 /// (checkpoints). A run has one, with each owner's keys under its own
 /// prefix.
-pub type BlobMap = Rc<RefCell<BTreeMap<String, Vec<u8>>>>;
+pub type BlobMap = Rc<RefCell<BTreeMap<String, Bytes>>>;
 
 /// Creates an empty shared blob map.
 pub fn blob_map() -> BlobMap {
@@ -64,7 +65,7 @@ pub enum BlobDone<L> {
     /// The put is durable.
     Put(L),
     /// The get returned the blob, or `None` when the key was never written.
-    Got(L, Option<Vec<u8>>),
+    Got(L, Option<Bytes>),
 }
 
 #[derive(Debug)]
@@ -83,8 +84,8 @@ enum Medium {
 struct Sent<L> {
     label: L,
     key: String,
-    /// The bytes of a put; `None` for a get.
-    value: Option<Vec<u8>>,
+    /// The bytes of a put, shared with every send of it; `None` for a get.
+    value: Option<Bytes>,
 }
 
 /// Puts, gets and deletes blobs for one owner, which labels each request
@@ -169,8 +170,13 @@ impl<L> BlobClient<L> {
     }
 
     /// Begins writing `value` under `key`, overwriting any prior blob.
-    pub fn put(&mut self, ctx: &mut Ctx<'_>, label: L, key: String, value: Vec<u8>) {
-        let value = Some(value);
+    ///
+    /// The blob becomes one buffer here, shared by every send of the put,
+    /// the store's op log and fetch replies, and each replica's map. Its
+    /// spare capacity is dropped first, so that one copy holds no slack.
+    pub fn put(&mut self, ctx: &mut Ctx<'_>, label: L, key: String, mut value: Vec<u8>) {
+        value.shrink_to_fit();
+        let value = Some(Bytes::from(value));
         self.issue(ctx, Sent { label, key, value });
     }
 

@@ -37,6 +37,7 @@
 //! primary, so a [`BlobClient`](crate::BlobClient) that rotates endpoints
 //! on timeout reaches the group through any live member.
 
+use bytes::Bytes;
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
 };
@@ -52,8 +53,9 @@ pub enum StoreOp {
     Put {
         /// Key.
         key: String,
-        /// Value bytes.
-        value: Vec<u8>,
+        /// Value bytes: the client's buffer, shared by every op log, fetch
+        /// reply and map that holds the value.
+        value: Bytes,
     },
     /// Remove a key.
     Delete {
@@ -92,7 +94,7 @@ pub enum StoreRpc {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Vec<u8>,
+        value: Bytes,
     },
     /// Ack for a put.
     PutAck {
@@ -110,8 +112,8 @@ pub enum StoreRpc {
     GetResult {
         /// Request id.
         corr: u64,
-        /// The value, if present.
-        value: Option<Vec<u8>>,
+        /// The value, if present: the stored buffer itself.
+        value: Option<Bytes>,
     },
     /// Remove a key. A [`BlobClient`](crate::BlobClient) sends it for blobs
     /// nothing references any more: the broker's dead log segments and the
@@ -206,8 +208,8 @@ pub enum StoreRpc {
 /// A full-state transfer for group resync below the truncated log start.
 #[derive(Debug, Clone, Default)]
 pub struct StateTransfer {
-    /// Every KV pair.
-    pub kv: Vec<(String, Vec<u8>)>,
+    /// Every KV pair, each value the responder's stored buffer.
+    pub kv: Vec<(String, Bytes)>,
     /// Every table as `(name, columns, rows)`.
     pub tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
 }
@@ -240,7 +242,7 @@ impl Message for StoreRpc {
             StoreRpc::Put { key, value, .. } => key.len() + value.len(),
             StoreRpc::PutAck { .. } => 8,
             StoreRpc::Get { key, .. } => key.len(),
-            StoreRpc::GetResult { value, .. } => 8 + value.as_ref().map_or(0, Vec::len),
+            StoreRpc::GetResult { value, .. } => 8 + value.as_ref().map_or(0, Bytes::len),
             StoreRpc::Delete { key, .. } => key.len(),
             StoreRpc::DeleteAck { .. } => 9,
             StoreRpc::Insert { table, row, .. } => {
@@ -654,44 +656,25 @@ impl StoreServer {
         bits
     }
 
-    /// Builds the client-facing ack for a mutation.
-    fn ack_for(rpc: &StoreRpc, bits: StoreRpcOutcomeBits) -> StoreRpc {
-        match rpc {
-            StoreRpc::Put { corr, .. } => StoreRpc::PutAck { corr: *corr },
-            StoreRpc::Delete { corr, .. } => StoreRpc::DeleteAck {
-                corr: *corr,
+    /// Builds the client-facing ack for request `corr`, which asked for
+    /// `op`.
+    fn ack_for(op: &StoreOp, corr: u64, bits: StoreRpcOutcomeBits) -> StoreRpc {
+        match op {
+            StoreOp::Put { .. } => StoreRpc::PutAck { corr },
+            StoreOp::Delete { .. } => StoreRpc::DeleteAck {
+                corr,
                 existed: bits.existed,
             },
-            StoreRpc::Insert { corr, .. } => StoreRpc::InsertAck {
-                corr: *corr,
-                ok: bits.ok,
-            },
-            _ => unreachable!("ack_for only takes mutations"),
+            StoreOp::Insert { .. } => StoreRpc::InsertAck { corr, ok: bits.ok },
         }
     }
 
-    fn op_of(rpc: &StoreRpc) -> Option<StoreOp> {
-        match rpc {
-            StoreRpc::Put { key, value, .. } => Some(StoreOp::Put {
-                key: key.clone(),
-                value: value.clone(),
-            }),
-            StoreRpc::Delete { key, .. } => Some(StoreOp::Delete { key: key.clone() }),
-            StoreRpc::Insert { table, row, .. } => Some(StoreOp::Insert {
-                table: table.clone(),
-                row: row.clone(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Primary path for a client mutation: apply locally, append to the
-    /// group log, answer the fetches parked for this append, and ack once a
-    /// majority holds it.
-    fn primary_mutate(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, rpc: StoreRpc) {
-        let op = Self::op_of(&rpc).expect("mutation");
+    /// Primary path for a client mutation, request `corr`: apply locally,
+    /// move the op into the group log, answer the fetches parked for this
+    /// append, and ack once a majority holds it.
+    fn primary_mutate(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, corr: u64, op: StoreOp) {
         let bits = self.apply_op(&op);
-        let ack = Self::ack_for(&rpc, bits);
+        let ack = Self::ack_for(&op, corr, bits);
         let Some(g) = self.group.as_mut() else {
             // Standalone: ack immediately (the original single-server path).
             self.respond_after_cpu(ctx, from, ack);
@@ -755,11 +738,17 @@ impl StoreServer {
         }
         match rpc {
             StoreRpc::Get { corr, key } => {
-                let value = self.kv.get_counted(&key).map(|b| b.to_vec());
+                let value = self.kv.get_counted(&key);
                 self.respond_after_cpu(ctx, origin, StoreRpc::GetResult { corr, value });
             }
-            m @ (StoreRpc::Put { .. } | StoreRpc::Delete { .. } | StoreRpc::Insert { .. }) => {
-                self.primary_mutate(ctx, origin, m);
+            StoreRpc::Put { corr, key, value } => {
+                self.primary_mutate(ctx, origin, corr, StoreOp::Put { key, value });
+            }
+            StoreRpc::Delete { corr, key } => {
+                self.primary_mutate(ctx, origin, corr, StoreOp::Delete { key });
+            }
+            StoreRpc::Insert { corr, table, row } => {
+                self.primary_mutate(ctx, origin, corr, StoreOp::Insert { table, row });
             }
             _ => {}
         }
@@ -869,14 +858,17 @@ impl StoreServer {
     fn serve_fetch(&self, ctx: &mut Ctx<'_>, to: usize, corr: u64, after: u64) {
         let g = self.group.as_ref().expect("grouped");
         let (after, entries, snapshot) = if after < g.log_start {
+            // Each value is the map's buffer, shared: the transfer copies
+            // keys, not blobs.
             let kv = self.kv.entries();
             let snapshot = StateTransfer {
-                kv: kv.map(|(k, v)| (k.clone(), v.to_vec())).collect(),
+                kv: kv.map(|(k, v)| (k.clone(), v.clone())).collect(),
                 tables: self.tables.dump(),
             };
             (g.applied_seq, Vec::new(), Some(snapshot))
         } else {
             let after = after.min(g.applied_seq);
+            // Keys are copied; each value is the log's buffer, shared.
             let entries = g.oplog[(after - g.log_start) as usize..].to_vec();
             (after, entries, None)
         };
@@ -1229,7 +1221,7 @@ mod tests {
     struct TestClient {
         store: ProcessId,
         acks: u32,
-        got: Option<Option<Vec<u8>>>,
+        got: Option<Option<Bytes>>,
     }
 
     impl Process for TestClient {
@@ -1242,7 +1234,7 @@ mod tests {
                 StoreRpc::Put {
                     corr: 1,
                     key: "k".into(),
-                    value: b"v".to_vec(),
+                    value: Bytes::from_static(b"v"),
                 },
             );
             ctx.send(
@@ -1289,7 +1281,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let c = sim.process_ref::<TestClient>(client).unwrap();
         assert_eq!(c.acks, 2);
-        assert_eq!(c.got, Some(Some(b"v".to_vec())));
+        assert_eq!(c.got, Some(Some(Bytes::from_static(b"v"))));
         let s = sim.process_ref::<StoreServer>(store).unwrap();
         assert_eq!(s.kv().len(), 1);
         assert_eq!(s.tables().total_rows(), 1);
@@ -1377,7 +1369,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         let c = sim.process_ref::<TestClient>(client).unwrap();
         assert_eq!(c.acks, 2, "quorum acks arrived");
-        assert_eq!(c.got, Some(Some(b"v".to_vec())));
+        assert_eq!(c.got, Some(Some(Bytes::from_static(b"v"))));
         for pid in &pids {
             let s = sim.process_ref::<StoreServer>(*pid).unwrap();
             assert_eq!(s.kv().len(), 1, "replicated to every member");
@@ -1408,7 +1400,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         let c = sim.process_ref::<TestClient>(client).unwrap();
         assert_eq!(c.acks, 2, "proxied writes are acknowledged");
-        assert_eq!(c.got, Some(Some(b"v".to_vec())));
+        assert_eq!(c.got, Some(Some(Bytes::from_static(b"v"))));
     }
 
     #[test]
@@ -1466,7 +1458,7 @@ mod tests {
             let op = match next(4) {
                 0 | 1 => StoreOp::Put {
                     key,
-                    value: vec![7; next(300) as usize],
+                    value: vec![7; next(300) as usize].into(),
                 },
                 2 => StoreOp::Delete { key },
                 _ => StoreOp::Insert {
@@ -1526,7 +1518,7 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
             for corr in 0..self.count {
-                let (key, value) = (format!("w{corr}"), vec![7; self.size]);
+                let (key, value) = (format!("w{corr}"), vec![7; self.size].into());
                 ctx.send(self.store, StoreRpc::Put { corr, key, value });
             }
         }
@@ -1618,7 +1610,7 @@ mod tests {
             after: 0,
             entries: vec![StoreOp::Put {
                 key: key.into(),
-                value: b"v".to_vec(),
+                value: Bytes::from_static(b"v"),
             }],
             snapshot: None,
         };
@@ -1722,5 +1714,84 @@ mod tests {
         let expected = write + SimDuration::from_micros(4 * HOP_US + CPU_US);
         let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
         assert_eq!(acked, &[expected]);
+    }
+
+    /// Puts one blob through a [`BlobClient`](crate::BlobClient) at 2 s,
+    /// reads it back at `get_at`, and keeps the address of what the get
+    /// returned.
+    struct BlobOwner {
+        client: crate::BlobClient<()>,
+        blob: Option<Vec<u8>>,
+        get_at: SimTime,
+        answer_addr: Option<usize>,
+    }
+
+    impl Process for BlobOwner {
+        fn name(&self) -> &str {
+            "blob-owner"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_at(SimTime::from_secs(2), 0);
+            ctx.set_timer_at(self.get_at, 1);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            if self.client.on_timer(ctx, tag) {
+                return;
+            }
+            match self.blob.take() {
+                Some(blob) => self.client.put(ctx, (), "blob".into(), blob),
+                None => self.client.get(ctx, (), "blob".into()),
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+            if let Ok(rpc) = downcast::<StoreRpc>(msg) {
+                self.client.on_reply(*rpc);
+            }
+            while let Some(done) = self.client.next_done() {
+                if let crate::BlobDone::Got((), Some(value)) = done {
+                    self.answer_addr = Some(value.as_ptr() as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_blob_is_one_buffer_on_every_replica_and_in_every_answer() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 3);
+        // Exactly as long as its capacity: the put has no slack to drop, so
+        // the client keeps this very buffer.
+        let blob = vec![7u8; 4_096];
+        let addr = blob.as_ptr() as usize;
+        let get_at = SimTime::from_secs(5);
+        let owner = sim.spawn(Box::new(BlobOwner {
+            client: crate::BlobClient::new(pids.clone(), 1 << 40, 0),
+            blob: Some(blob),
+            get_at,
+            answer_addr: None,
+        }));
+        // Member 2 is down for the put and long enough after it that the
+        // primary truncates the op away: it comes back by a state transfer.
+        sim.run_until(SimTime::from_millis(500));
+        sim.kill(pids[2]);
+        sim.run_until(SimTime::from_secs(3));
+        assert!(group(&sim, pids[0]).log_start >= 1, "the put was truncated");
+        let mut rejoin = StoreServer::new(StoreConfig::default());
+        rejoin.set_incarnation(1);
+        rejoin.set_group(pids.clone(), 2, true);
+        sim.respawn(pids[2], Box::new(rejoin));
+        sim.run_until(get_at + SimDuration::from_secs(1));
+        assert_eq!(
+            group(&sim, pids[2]).log_start,
+            1,
+            "bootstrapped, not replayed"
+        );
+        for pid in &pids {
+            let server = sim.process_ref::<StoreServer>(*pid).unwrap();
+            let held = server.kv().get("blob").expect("replicated");
+            assert_eq!(held.as_ptr() as usize, addr, "{}", server.name);
+        }
+        let got = sim.process_ref::<BlobOwner>(owner).unwrap().answer_addr;
+        assert_eq!(got, Some(addr), "the get answers with the stored buffer");
     }
 }

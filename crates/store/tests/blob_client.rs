@@ -2,6 +2,7 @@
 //! retry timer against a store stand-in that never answers, the round trip
 //! against a real `StoreServer`, and the shared-map medium.
 
+use bytes::Bytes;
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
 use s2g_store::{blob_map, BlobClient, BlobDone, StoreConfig, StoreRpc, StoreServer};
 
@@ -124,7 +125,7 @@ fn a_reply_completes_only_a_pending_request_of_its_kind() {
             // The get's id on a put ack, the put's id on a get result, and
             // an id nobody drew: nothing completes, nothing is consumed.
             c.on_reply(StoreRpc::PutAck { corr: BASE });
-            let value = Some(b"stale".to_vec());
+            let value = Some(Bytes::from_static(b"stale"));
             c.on_reply(StoreRpc::GetResult {
                 corr: BASE + 1,
                 value,
@@ -137,7 +138,7 @@ fn a_reply_completes_only_a_pending_request_of_its_kind() {
             assert!(c.puts_left(), "a completion not yet taken is still left");
             assert_eq!(c.next_done(), Some(BlobDone::Put(2)));
             assert!(!c.puts_left() && c.gets_left());
-            let value = Some(b"blob".to_vec());
+            let value = Some(Bytes::from_static(b"blob"));
             c.on_reply(StoreRpc::GetResult { corr: BASE, value });
             // A second reply to an answered id finds nothing pending.
             c.on_reply(StoreRpc::GetResult {
@@ -149,7 +150,10 @@ fn a_reply_completes_only_a_pending_request_of_its_kind() {
     let pid = Owner::spawn(&mut sim, BlobClient::new(vec![hole], BASE, 0), steps);
     sim.run_until(SimTime::from_secs(5));
     let o = owner(&sim, pid);
-    assert_eq!(o.done, [BlobDone::Got(1, Some(b"blob".to_vec()))]);
+    assert_eq!(
+        o.done,
+        [BlobDone::Got(1, Some(Bytes::from_static(b"blob")))]
+    );
     assert!(!o.client.gets_left() && !o.client.puts_left());
     // The timer the two requests armed found both answered: nothing was
     // re-sent and it was not armed again.
@@ -249,7 +253,7 @@ fn put_get_delete_round_trip_through_a_real_store() {
         o.done,
         [
             BlobDone::Put(1),
-            BlobDone::Got(2, Some(b"blob".to_vec())),
+            BlobDone::Got(2, Some(Bytes::from_static(b"blob"))),
             BlobDone::Got(3, None),
             BlobDone::Got(4, None),
         ]
@@ -282,7 +286,7 @@ fn shared_map_answers_at_once_and_outlives_its_owner() {
         [
             BlobDone::Put(1),
             BlobDone::Put(2),
-            BlobDone::Got(3, Some(b"blob".to_vec())),
+            BlobDone::Got(3, Some(Bytes::from_static(b"blob"))),
             BlobDone::Got(4, None),
         ]
     );
@@ -297,6 +301,6 @@ fn shared_map_answers_at_once_and_outlives_its_owner() {
     let steps: Vec<Step> = vec![Box::new(|c, ctx| c.get(ctx, 9, "k".into()))];
     sim.respawn(pid, Owner::new(BlobClient::shared(map), steps));
     sim.run_until(SimTime::from_secs(5));
-    let got = BlobDone::Got(9, Some(b"blob".to_vec()));
+    let got = BlobDone::Got(9, Some(Bytes::from_static(b"blob")));
     assert_eq!(owner(&sim, pid).done, [got]);
 }

@@ -3,13 +3,14 @@
 //! The build environment is offline (no `serde_json`), and the CI gate
 //! needs to prove that `--fig timeline` writes a structurally valid trace.
 //! This module implements just enough of RFC 8259 to parse a trace file
-//! and check the fields `chrome://tracing` requires.
+//! and check the fields `chrome://tracing` requires, in time linear in the
+//! size of the document.
 
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub(crate) enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -26,7 +27,7 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// The object field `key`, if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Object(m) => m.get(key),
             _ => None,
@@ -34,7 +35,7 @@ impl JsonValue {
     }
 
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
             _ => None,
@@ -42,7 +43,7 @@ impl JsonValue {
     }
 
     /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(n) => Some(*n),
             _ => None,
@@ -50,7 +51,7 @@ impl JsonValue {
     }
 
     /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(v) => Some(v),
             _ => None,
@@ -64,12 +65,11 @@ impl JsonValue {
 ///
 /// Returns a message with the byte offset of the first syntax error, or a
 /// complaint about trailing input.
-pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let bytes = input.as_bytes();
+pub(crate) fn parse(input: &str) -> Result<JsonValue, String> {
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(v)
@@ -90,13 +90,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(b, pos)?)),
+        Some(b'{') => parse_object(s, pos),
+        Some(b'[') => parse_array(s, pos),
+        Some(b'"') => Ok(JsonValue::String(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
@@ -127,7 +128,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("invalid number '{text}' at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -165,17 +167,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Every plain byte up to the next quote or backslash, in one
+                // copy. Both are ASCII, so the run ends on a char boundary
+                // of `s`, which is valid UTF-8 already.
+                let run = b[*pos..].iter().position(|c| matches!(c, b'"' | b'\\'));
+                let end = run.map_or(b.len(), |run| *pos + run);
+                out.push_str(&s[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -184,7 +189,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -197,7 +202,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -207,10 +213,10 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -343,5 +349,12 @@ mod tests {
     fn parses_unicode_escapes() {
         let v = parse(r#""Aé""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn plain_runs_keep_multibyte_text_between_escapes() {
+        let v = parse(r#""a€b\n😀\"ç\\""#).unwrap();
+        assert_eq!(v.as_str(), Some("a€b\n😀\"ç\\"));
+        assert!(parse("\"€").is_err());
     }
 }

@@ -42,7 +42,7 @@ use std::rc::Rc;
 
 use s2g_sim::{SimDuration, SimTime};
 
-pub use json::{parse as parse_json, validate_chrome_trace, ChromeTraceSummary, JsonValue};
+pub use json::{validate_chrome_trace, ChromeTraceSummary};
 pub use metrics::{
     summarize, CounterHandle, GaugeHandle, Histogram, HistogramHandle, Metric, MetricValue,
     Registry, RegistryHandle, SummaryStats,

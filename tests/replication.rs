@@ -470,7 +470,7 @@ impl Process for OrphanBlobHarness {
                     StoreRpc::Put {
                         corr: ORPHAN_CORR,
                         key: "ckpt/job/2/base".into(),
-                        value: sample_snapshot(2).to_bytes(),
+                        value: sample_snapshot(2).to_bytes().into(),
                     },
                 );
             }

@@ -210,6 +210,40 @@ fn empty_series_store_is_well_behaved() {
     assert_eq!(summary.events, 0);
 }
 
+/// Validation is linear in the size of the trace: a 2 MB trace (larger than
+/// `--fig timeline`'s) takes well under a second, where a parser that
+/// re-reads the rest of the document per character would take minutes.
+#[test]
+fn a_large_trace_validates_in_linear_time() {
+    let tele = Telemetry::new();
+    tele.set_trace_enabled(true);
+    let mut spans = 0;
+    while tele.chrome_json().len() < 2 << 20 {
+        for i in 0..1_000u64 {
+            let at = SimTime::from_micros(spans * 10 + i);
+            let scope = format!("job/stage-{}/{}", i % 7, i % 3);
+            let name = format!("batch \"é{i}\" → sink");
+            tele.trace_complete(at, SimDuration::from_micros(5), &scope, &name, "spe");
+            tele.trace_instant(at, &scope, "checkpoint:barrier", "checkpoint");
+        }
+        spans += 1_000;
+    }
+    let json = tele.chrome_json();
+    let started = std::time::Instant::now();
+    let summary = validate_chrome_trace(&json).expect("well-formed trace");
+    let took = started.elapsed();
+    assert_eq!(
+        (summary.spans, summary.instants),
+        (spans as usize, spans as usize)
+    );
+    assert_eq!(summary.processes, 21);
+    assert!(
+        took.as_secs() < 10,
+        "{} B validated in {took:?}",
+        json.len()
+    );
+}
+
 #[test]
 fn histogram_overflow_bucket_keeps_quantiles_sane() {
     let mut h = Histogram::latency_seconds();
