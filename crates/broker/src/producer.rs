@@ -1027,32 +1027,41 @@ impl ProducerProcess {
         &mut self.client
     }
 
+    /// Takes source steps until one has to wait: each next step runs at
+    /// once when it would be the run's next event anyway
+    /// ([`Ctx::run_ahead`]), and through a `SOURCE_STEP` timer otherwise.
     fn step_source(&mut self, ctx: &mut Ctx<'_>) {
         if self.source_done {
             return;
         }
-        let now = ctx.now();
-        let action = {
-            let rng = ctx.rng();
-            // Split borrow: rng and source are independent.
-            self.source.next(now, rng)
-        };
-        match action {
-            SourceAction::Emit {
-                topic,
-                key,
-                value,
-                next_after,
-            } => {
-                self.client.send(ctx, &topic, key, value);
-                ctx.set_timer(next_after, SOURCE_STEP);
-            }
-            SourceAction::Wait(d) => {
-                ctx.set_timer(d, SOURCE_STEP);
-            }
-            SourceAction::Done => {
-                self.source_done = true;
-                self.client.flush_all(ctx);
+        loop {
+            let now = ctx.now();
+            let action = {
+                let rng = ctx.rng();
+                // Split borrow: rng and source are independent.
+                self.source.next(now, rng)
+            };
+            let after = match action {
+                SourceAction::Emit {
+                    topic,
+                    key,
+                    value,
+                    next_after,
+                } => {
+                    self.client.send(ctx, &topic, key, value);
+                    next_after
+                }
+                SourceAction::Wait(d) => d,
+                SourceAction::Done => {
+                    self.source_done = true;
+                    self.client.flush_all(ctx);
+                    return;
+                }
+            };
+            let at = now + after;
+            if !ctx.run_ahead(at) {
+                ctx.set_timer_at(at, SOURCE_STEP);
+                return;
             }
         }
     }

@@ -270,7 +270,12 @@ impl Record {
 
     /// The payload interpreted as UTF-8 (lossy) — convenient in stream jobs.
     pub fn value_utf8(&self) -> String {
-        String::from_utf8_lossy(&self.value).into_owned()
+        // Validating first is much cheaper than the lossy conversion's
+        // chunk walk; only an invalid payload pays for that.
+        match std::str::from_utf8(&self.value) {
+            Ok(text) => text.to_owned(),
+            Err(_) => String::from_utf8_lossy(&self.value).into_owned(),
+        }
     }
 }
 
@@ -600,6 +605,11 @@ mod tests {
     fn value_utf8_lossy() {
         let r = Record::keyless("héllo", SimTime::ZERO);
         assert_eq!(r.value_utf8(), "héllo");
+        let text = "日本語 ✓ 🚀 straße";
+        assert_eq!(Record::keyless(text, SimTime::ZERO).value_utf8(), text);
+        // An invalid byte and a truncated sequence each become one U+FFFD.
+        let r = Record::keyless(vec![b'a', 0xff, b'b', 0xe6, 0x97], SimTime::ZERO);
+        assert_eq!(r.value_utf8(), "a\u{fffd}b\u{fffd}");
     }
 
     #[test]

@@ -57,6 +57,9 @@ pub struct HostCpu {
     total_busy: SimDuration,
     /// Number of work items executed.
     jobs: u64,
+    /// The bin the last booking ended in: a booking wholly inside it is
+    /// added there without a division.
+    hot_bin: Option<usize>,
 }
 
 impl HostCpu {
@@ -82,6 +85,7 @@ impl HostCpu {
             busy: Vec::new(),
             total_busy: SimDuration::ZERO,
             jobs: 0,
+            hot_bin: None,
         }
     }
 
@@ -129,21 +133,40 @@ impl HostCpu {
     /// The item runs on the earliest-free core; its real duration is
     /// `cost / speed`.
     pub fn execute(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
-        let scaled = SimDuration::from_nanos((cost.as_nanos() as f64 / self.speed).round() as u64);
-        // Earliest-free core.
-        let (idx, _) = self
-            .cores
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (**t, *i))
-            .expect("at least one core");
+        // At nominal speed the rounded division is the cost itself (exact
+        // for any cost below 2⁵³ ns), so it is skipped.
+        let scaled = if self.speed == 1.0 {
+            cost
+        } else {
+            SimDuration::from_nanos((cost.as_nanos() as f64 / self.speed).round() as u64)
+        };
+        // Earliest-free core, the lowest index among equals.
+        let mut idx = 0;
+        for (i, free) in self.cores.iter().enumerate().skip(1) {
+            if *free < self.cores[idx] {
+                idx = i;
+            }
+        }
         let start = self.cores[idx].max(now);
         let done = start + scaled;
         self.cores[idx] = done;
         self.total_busy += scaled;
-        // The item's busy time, split over the windows it spans.
+        self.book(start.as_nanos(), done.as_nanos());
+        self.jobs += 1;
+        done - now
+    }
+
+    /// Adds the busy interval `[start, end)` (ns) to the windows it spans.
+    fn book(&mut self, start: u64, end: u64) {
         let w = self.window.as_nanos();
-        let (mut cursor, end) = (start.as_nanos(), done.as_nanos());
+        if let Some(bin) = self.hot_bin {
+            let lo = bin as u64 * w;
+            if lo <= start && end <= lo + w {
+                self.busy[bin] += end - start;
+                return;
+            }
+        }
+        let mut cursor = start;
         while cursor < end {
             let idx = (cursor / w) as usize;
             if idx >= self.busy.len() {
@@ -152,9 +175,8 @@ impl HostCpu {
             let chunk = end.min((idx as u64 + 1) * w) - cursor;
             self.busy[idx] += chunk;
             cursor += chunk;
+            self.hot_bin = Some(idx);
         }
-        self.jobs += 1;
-        done - now
     }
 
     /// Total busy core-time scheduled so far.
@@ -258,6 +280,97 @@ mod tests {
         let d = cpu.execute(SimTime::ZERO, SimDuration::ZERO);
         assert!(d.is_zero());
         assert!(cpu.busy_bins().is_empty());
+    }
+
+    /// The booking `execute` had before its integer path: a rounded float
+    /// division at every speed, `min_by_key` over `(free, index)`, and a
+    /// division per bin.
+    struct ReferenceCpu {
+        cores: Vec<SimTime>,
+        speed: f64,
+        window: SimDuration,
+        busy: Vec<u64>,
+        total_busy: SimDuration,
+        jobs: u64,
+    }
+
+    impl ReferenceCpu {
+        fn execute(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
+            let scaled =
+                SimDuration::from_nanos((cost.as_nanos() as f64 / self.speed).round() as u64);
+            let (idx, _) = self
+                .cores
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, t)| (**t, *i))
+                .expect("at least one core");
+            let start = self.cores[idx].max(now);
+            let done = start + scaled;
+            self.cores[idx] = done;
+            self.total_busy += scaled;
+            let w = self.window.as_nanos();
+            let (mut cursor, end) = (start.as_nanos(), done.as_nanos());
+            while cursor < end {
+                let idx = (cursor / w) as usize;
+                if idx >= self.busy.len() {
+                    self.busy.resize(idx + 1, 0);
+                }
+                let chunk = end.min((idx as u64 + 1) * w) - cursor;
+                self.busy[idx] += chunk;
+                cursor += chunk;
+            }
+            self.jobs += 1;
+            done - now
+        }
+    }
+
+    /// Seeded `(now, cost)` sequences, from zero-cost and in-bin bookings to
+    /// ones spanning several bins and queueing behind busy cores, give the
+    /// reference's delays, bins, busy total and job count.
+    #[test]
+    fn execute_matches_the_reference_booking() {
+        let mut state = 0x0c0f_fee5_u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let window = SimDuration::from_micros(300);
+        for cores in 1..=8 {
+            for speed in [1.0, 0.5] {
+                let mut cpu = HostCpu::new("h", cores, speed, window);
+                let mut reference = ReferenceCpu {
+                    cores: vec![SimTime::ZERO; cores],
+                    speed,
+                    window,
+                    busy: Vec::new(),
+                    total_busy: SimDuration::ZERO,
+                    jobs: 0,
+                };
+                let mut now = 0;
+                for i in 0..2_000 {
+                    let r = draw();
+                    now += r % 60_000;
+                    let cost = match (r >> 20) % 4 {
+                        0 => 0,
+                        1 | 2 => (r >> 24) % 20_000,
+                        _ => (r >> 24) % 900_000,
+                    };
+                    let (at, cost) = (SimTime::from_nanos(now), SimDuration::from_nanos(cost));
+                    let want = reference.execute(at, cost);
+                    assert_eq!(
+                        cpu.execute(at, cost),
+                        want,
+                        "{cores} cores, speed {speed}, booking {i}"
+                    );
+                }
+                assert_eq!(cpu.busy_bins(), reference.busy, "{cores} cores, {speed}");
+                assert_eq!(cpu.total_busy(), reference.total_busy);
+                assert_eq!(cpu.jobs(), reference.jobs);
+            }
+        }
     }
 
     #[test]

@@ -370,10 +370,9 @@ impl CalendarQueue {
         Some(key)
     }
 
-    /// The next event's time without popping (test/diagnostic aid; the run
-    /// loop uses the fused [`pop_at_most`](CalendarQueue::pop_at_most)).
-    #[cfg(test)]
-    fn next_at(&mut self) -> Option<SimTime> {
+    /// The next entry's time, tombstones included, without popping it or
+    /// committing a wheel advance.
+    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
         self.peek_key().map(|(at, _)| SimTime::from_nanos(at))
     }
 
@@ -572,6 +571,11 @@ impl ReferenceQueue {
         Some(owner)
     }
 
+    /// The next entry's time, cancelled ones included, without popping it.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(next)| next.at)
+    }
+
     /// Pops the next event only if its time is at most `limit`.
     pub(crate) fn pop_at_most(&mut self, limit: SimTime) -> Option<Popped> {
         let Reverse(next) = self.heap.peek()?;
@@ -661,6 +665,18 @@ impl EventQueue {
         match self {
             EventQueue::Calendar(q) => q.cancel(token),
             EventQueue::Reference(q) => q.cancel(token),
+        }
+    }
+
+    /// The next entry's time, without popping it: what
+    /// [`Ctx::run_ahead`](crate::Ctx::run_ahead) must be strictly earlier
+    /// than. Cancelled and voided entries count, since they still pop as
+    /// events.
+    #[inline]
+    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
+        match self {
+            EventQueue::Calendar(q) => q.next_at(),
+            EventQueue::Reference(q) => q.next_at(),
         }
     }
 

@@ -120,6 +120,10 @@ pub struct QueueDiag {
     /// tombstones (calendar) or the cancelled-token set (reference). Must
     /// stay bounded by the number of pending timers.
     pub residue: usize,
+    /// Timer steps that ran inline through [`Ctx::run_ahead`] instead of
+    /// through the queue. They count in [`SimStats`] as the timers they
+    /// stand for; this count is kept apart so the stats do not change.
+    pub inline_steps: u64,
 }
 
 /// Per-process scheduler bookkeeping, kept in one struct so the per-event
@@ -152,6 +156,13 @@ pub struct SimCore {
     live: usize,
     stats: SimStats,
     stop_requested: bool,
+    /// The limit of the current [`Sim::run_until`]: nothing past it runs
+    /// before that call returns.
+    run_limit: SimTime,
+    /// Events a run may process before it panics as livelocked.
+    event_limit: u64,
+    /// Timer steps taken through [`Ctx::run_ahead`].
+    inline_steps: u64,
 }
 
 impl SimCore {
@@ -288,6 +299,39 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// Takes this process's next timer step inline, when a timer armed now
+    /// for `at` would be the run's very next event anyway. On `true` the
+    /// kernel has done what that timer's push and pop would have done (one
+    /// sequence number, one processed event, one fired timer) and moved the
+    /// clock to `at`; the caller then does what its `on_timer` would have
+    /// done. On `false` nothing changed, and the caller arms the timer.
+    ///
+    /// The step is next when `at` is not in the past, lies within the
+    /// current [`Sim::run_until`] limit, no stop was requested, the event
+    /// limit has room for one more event, and every queued entry (cancelled
+    /// and voided ones included) is strictly later than `at`: an entry at
+    /// the same instant was scheduled first and keeps its precedence. No
+    /// other process runs between two such steps, so a run that takes them
+    /// is the run that arms every timer.
+    pub fn run_ahead(&mut self, at: SimTime) -> bool {
+        let core = &mut *self.core;
+        let next = at >= core.now
+            && at <= core.run_limit
+            && !core.stop_requested
+            && core.stats.events_processed < core.event_limit
+            && !matches!(core.queue.next_at(), Some(queued) if queued <= at);
+        if next {
+            core.seq += 1;
+            core.note_scheduled(self.self_id);
+            core.note_retired(self.self_id);
+            core.stats.events_processed += 1;
+            core.stats.timers_fired += 1;
+            core.inline_steps += 1;
+            core.now = at;
+        }
+        next
+    }
+
     /// Schedules `cost` of CPU work on this process's host CPU;
     /// `on_cpu_done(tag)` fires when it completes. If the process has no
     /// attached CPU, the work completes after exactly `cost` (no contention).
@@ -363,7 +407,6 @@ struct ProcEntry {
 pub struct Sim {
     core: SimCore,
     processes: Vec<Option<ProcEntry>>,
-    event_limit: u64,
 }
 
 impl Sim {
@@ -387,9 +430,11 @@ impl Sim {
                 live: 0,
                 stats: SimStats::default(),
                 stop_requested: false,
+                run_limit: SimTime::ZERO,
+                event_limit: u64::MAX,
+                inline_steps: 0,
             },
             processes: Vec::new(),
-            event_limit: u64::MAX,
         }
     }
 
@@ -405,6 +450,7 @@ impl Sim {
             live_events: self.core.live,
             queue_len: self.core.queue.len(),
             residue: self.core.queue.residue(),
+            inline_steps: self.core.inline_steps,
         }
     }
 
@@ -415,7 +461,7 @@ impl Sim {
 
     /// Caps the number of events a run may process — a runaway-loop guard.
     pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
+        self.core.event_limit = limit;
     }
 
     /// Registers `proc` and schedules its `on_start` at time zero.
@@ -530,14 +576,16 @@ impl Sim {
 
     /// Runs until the queue drains or `limit` is reached; the clock is left
     /// at `limit` (or the last event time if the queue drained first).
-    /// Returns the number of events processed by this call.
+    /// Returns the number of events processed by this call, steps taken
+    /// through [`Ctx::run_ahead`] included.
     ///
     /// # Panics
     ///
     /// Panics if the configured event limit is exceeded, which almost always
     /// indicates a livelocked protocol.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
-        let mut processed = 0;
+        let before = self.core.stats.events_processed;
+        self.core.run_limit = limit;
         loop {
             if self.core.stop_requested {
                 break;
@@ -555,11 +603,10 @@ impl Sim {
             debug_assert!(at >= self.core.now, "time went backwards");
             self.core.now = at;
             self.core.stats.events_processed += 1;
-            processed += 1;
-            if self.core.stats.events_processed > self.event_limit {
+            if self.core.stats.events_processed > self.core.event_limit {
                 panic!(
                     "event limit {} exceeded at {} — livelocked protocol?",
-                    self.event_limit, self.core.now
+                    self.core.event_limit, self.core.now
                 );
             }
             let target = kind.target();
@@ -580,7 +627,7 @@ impl Sim {
         if self.core.now < limit && !self.core.stop_requested {
             self.core.now = limit;
         }
-        processed
+        self.core.stats.events_processed - before
     }
 
     /// Runs until the event queue is completely drained.
@@ -1085,6 +1132,172 @@ mod tests {
             sim.run_to_completion();
             assert_eq!(sim.stats().max_queue_len, 8, "{kind:?}");
             assert_eq!(sim.stats().events_voided, 8, "{kind:?}");
+        }
+    }
+
+    /// Steps every millisecond until `left` runs out: through
+    /// [`Ctx::run_ahead`] when `inline`, through an armed timer otherwise.
+    /// Records each step's instant, each instant `run_ahead` refused, and how
+    /// many steps had run when a message arrived.
+    struct Stepper {
+        inline: bool,
+        left: u32,
+        stop_at_step: Option<usize>,
+        steps: Vec<SimTime>,
+        refused: Vec<SimTime>,
+        messages_after: Vec<usize>,
+    }
+
+    impl Stepper {
+        fn new(inline: bool, left: u32) -> Self {
+            Stepper {
+                inline,
+                left,
+                stop_at_step: None,
+                steps: Vec::new(),
+                refused: Vec::new(),
+                messages_after: Vec::new(),
+            }
+        }
+    }
+
+    impl Process for Stepper {
+        fn name(&self) -> &str {
+            "stepper"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {
+            self.messages_after.push(self.steps.len());
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            loop {
+                self.steps.push(ctx.now());
+                if self.stop_at_step == Some(self.steps.len()) {
+                    ctx.request_stop();
+                }
+                self.left -= 1;
+                if self.left == 0 {
+                    return;
+                }
+                let at = ctx.now() + SimDuration::from_millis(1);
+                if self.inline && ctx.run_ahead(at) {
+                    continue;
+                }
+                if self.inline {
+                    self.refused.push(at);
+                }
+                ctx.set_timer_at(at, 0);
+                return;
+            }
+        }
+    }
+
+    /// What a stepper run left behind.
+    struct Stepped {
+        steps: Vec<SimTime>,
+        refused: Vec<SimTime>,
+        messages_after: Vec<usize>,
+        stats: SimStats,
+        now: SimTime,
+        diag: QueueDiag,
+    }
+
+    /// Runs `make(inline)` with a message injected at `message_at`, calling
+    /// `run_until` at each of `limits`, both ways on both schedulers; checks
+    /// that the inline run is the armed one and returns the inline run.
+    fn inline_matches_armed(
+        make: impl Fn(bool) -> Stepper,
+        message_at: Option<SimTime>,
+        limits: &[SimTime],
+    ) -> Stepped {
+        let run = |kind, inline| {
+            let mut sim = Sim::with_scheduler(0, kind);
+            let pid = sim.spawn(Box::new(make(inline)));
+            if let Some(at) = message_at {
+                sim.inject_at(at, pid, Note(0));
+            }
+            for &limit in limits {
+                sim.run_until(limit);
+            }
+            let s = sim.process_ref::<Stepper>(pid).unwrap();
+            Stepped {
+                steps: s.steps.clone(),
+                refused: s.refused.clone(),
+                messages_after: s.messages_after.clone(),
+                stats: sim.stats(),
+                now: sim.now(),
+                diag: sim.queue_diag(),
+            }
+        };
+        let mut last = None;
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (armed, inline) = (run(kind, false), run(kind, true));
+            assert_eq!(inline.steps, armed.steps, "{kind:?}");
+            assert_eq!(inline.messages_after, armed.messages_after, "{kind:?}");
+            assert_eq!(inline.stats, armed.stats, "{kind:?}");
+            assert_eq!(inline.now, armed.now, "{kind:?}");
+            assert_eq!(inline.diag.live_events, armed.diag.live_events, "{kind:?}");
+            assert_eq!(armed.diag.inline_steps, 0, "{kind:?}");
+            last = Some(inline);
+        }
+        last.expect("two schedulers ran")
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    #[test]
+    fn run_ahead_yields_to_an_event_queued_at_the_same_instant() {
+        let run = inline_matches_armed(|inline| Stepper::new(inline, 5), Some(ms(3)), &[ms(60)]);
+        assert_eq!(run.steps, [1, 2, 3, 4, 5].map(ms));
+        // The message at 3 ms was queued first, so it runs before that step.
+        assert_eq!(run.messages_after, [2]);
+        assert_eq!(run.refused, [ms(3)]);
+        assert_eq!(run.diag.inline_steps, 3);
+    }
+
+    #[test]
+    fn run_ahead_stops_at_the_run_limit() {
+        let limits = [ms(3), SimTime::from_micros(4_500), ms(60)];
+        let run = inline_matches_armed(|inline| Stepper::new(inline, 8), None, &limits);
+        assert_eq!(run.steps, [1, 2, 3, 4, 5, 6, 7, 8].map(ms));
+        // A step at the limit itself runs; one past it waits for the next call.
+        assert_eq!(run.refused, [ms(4), ms(5)]);
+        assert_eq!(run.diag.inline_steps, 5);
+    }
+
+    #[test]
+    fn run_ahead_refuses_after_a_stop_request() {
+        let stopper = |inline| Stepper {
+            stop_at_step: Some(2),
+            ..Stepper::new(inline, 5)
+        };
+        let run = inline_matches_armed(stopper, None, &[ms(60)]);
+        assert_eq!(run.steps, [ms(1), ms(2)]);
+        assert_eq!(run.refused, [ms(3)]);
+        assert_eq!((run.now, run.diag.live_events), (ms(2), 1));
+    }
+
+    #[test]
+    fn the_event_limit_panics_at_the_same_event_with_run_ahead() {
+        let panic_of = |kind, inline| {
+            let mut sim = Sim::with_scheduler(0, kind);
+            sim.spawn(Box::new(Stepper::new(inline, 1_000)));
+            sim.set_event_limit(50);
+            let run = std::panic::AssertUnwindSafe(|| sim.run_until(ms(2_000)));
+            let payload = std::panic::catch_unwind(run).expect_err("the limit is passed");
+            *payload.downcast::<String>().expect("a formatted message")
+        };
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let message = panic_of(kind, true);
+            assert_eq!(message, panic_of(kind, false), "{kind:?}");
+            assert!(
+                message.starts_with("event limit 50 exceeded at "),
+                "{message}"
+            );
         }
     }
 }

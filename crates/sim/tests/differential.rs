@@ -10,6 +10,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use rand::RngCore;
+
 use s2g_sim::{
     downcast, Ctx, HostCpu, Message, Process, ProcessId, QueueDiag, SchedulerKind, Sim,
     SimDuration, SimStats, SimTime, TimerToken,
@@ -154,15 +156,102 @@ impl Process for Chaos {
     }
 }
 
-/// Runs the chaos workload under `kind`, returning the full observable
-/// surface: log, stats, final clock, and queue diagnostics.
-fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, SimTime, QueueDiag) {
+/// Steps a source incarnation takes before it goes quiet.
+const SOURCE_STEPS: u32 = 2_000;
+
+/// A source-like process: it steps every few microseconds and now and then
+/// pauses for up to 5 ms. Each step draws from the run's RNG, books CPU on
+/// the host it shares with `Chaos` process 0, and now and then sends to a
+/// `Chaos` peer. With `inline` it takes its next step through
+/// [`Ctx::run_ahead`] whenever the kernel allows; otherwise it arms a timer
+/// for every step.
+struct Source {
+    inline: bool,
+    peers: u32,
+    steps: u32,
+    log: Log,
+}
+
+impl Process for Source {
+    fn name(&self) -> &str {
+        "source"
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        log(&self.log, ctx, "start source".into());
+        ctx.set_timer(SimDuration::from_micros(3), 0);
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+        loop {
+            self.steps += 1;
+            let draw = ctx.rng().next_u64();
+            log(&self.log, ctx, format!("step {} {draw:016x}", self.steps));
+            ctx.charge(SimDuration::from_micros(1 + draw % 4));
+            if draw.is_multiple_of(16) {
+                let to = ProcessId((draw >> 32) as u32 % self.peers);
+                ctx.send(to, Note { ttl: 1 });
+            }
+            if self.steps == SOURCE_STEPS {
+                return;
+            }
+            let gap = if (draw >> 8).is_multiple_of(16) {
+                SimDuration::from_micros(100 + (draw >> 12) % 5_000)
+            } else {
+                SimDuration::from_micros(1 + (draw >> 12) % 6)
+            };
+            let at = ctx.now() + gap;
+            if !(self.inline && ctx.run_ahead(at)) {
+                ctx.set_timer_at(at, 0);
+                return;
+            }
+        }
+    }
+}
+
+/// A run's full observable surface: log, stats, final clock, and queue
+/// diagnostics.
+type Outcome = (Vec<(u64, u32, String)>, SimStats, SimTime, QueueDiag);
+
+/// Runs the chaos workload under `kind`.
+fn run(kind: SchedulerKind, seed: u64) -> Outcome {
+    run_with(kind, seed, None)
+}
+
+/// Runs the chaos workload under `kind`; with `source`, a [`Source`]
+/// stepping inline (`Some(true)`) or through timers (`Some(false)`) joins
+/// it as the last process, shares a one-core host with process 0, and is
+/// killed and respawned in the rotation like the others.
+fn run_with(kind: SchedulerKind, seed: u64, source: Option<bool>) -> Outcome {
     const PROCS: u32 = 12;
     let trace = Log::default();
     let mut sim = Sim::with_scheduler(seed, kind);
     sim.set_event_limit(2_000_000);
-    for i in 0..PROCS {
-        sim.spawn(Box::new(Chaos::new(i, PROCS, seed, &trace)));
+    let cpu = HostCpu::shared("h", 1, 1.0, SimDuration::from_millis(500));
+    let fresh = |sim: &mut Sim, pid: ProcessId, chaos_seed: u64| {
+        let proc: Box<dyn Process> = match source {
+            Some(inline) if pid.0 == PROCS => Box::new(Source {
+                inline,
+                peers: PROCS,
+                steps: 0,
+                log: trace.clone(),
+            }),
+            _ => Box::new(Chaos::new(pid.0, PROCS, chaos_seed, &trace)),
+        };
+        if sim.process_count() > pid.index() {
+            sim.respawn(pid, proc);
+        } else {
+            assert_eq!(sim.spawn(proc), pid);
+        }
+        if source.is_some() && (pid.0 == 0 || pid.0 == PROCS) {
+            sim.attach_cpu(pid, cpu.clone());
+        }
+    };
+    let procs = PROCS + u32::from(source.is_some());
+    for i in 0..procs {
+        fresh(&mut sim, ProcessId(i), seed);
     }
     let mut driver = Mix(seed ^ 0x5eed);
     let mut t = SimTime::ZERO;
@@ -170,19 +259,17 @@ fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, Si
         t += SimDuration::from_millis(60);
         sim.run_until(t);
         // Fault schedule: rotate kills and respawns, deterministically.
-        let victim = ProcessId((step % u64::from(PROCS)) as u32);
+        let victim = ProcessId((step % u64::from(procs)) as u32);
         if sim.is_alive(victim) && driver.below(3) != 0 {
             sim.kill(victim).expect("alive");
         } else if !sim.is_alive(victim) {
-            let chaos = Chaos::new(victim.0, PROCS, seed ^ step, &trace);
-            sim.respawn(victim, Box::new(chaos));
+            fresh(&mut sim, victim, seed ^ step);
         }
     }
     // Respawn everything and drain the far-future tail.
-    for i in 0..PROCS {
-        let pid = ProcessId(i);
-        if !sim.is_alive(pid) {
-            sim.respawn(pid, Box::new(Chaos::new(i, PROCS, seed ^ 0x77, &trace)));
+    for i in 0..procs {
+        if !sim.is_alive(ProcessId(i)) {
+            fresh(&mut sim, ProcessId(i), seed ^ 0x77);
         }
     }
     sim.run_until(t + SimDuration::from_secs(3));
@@ -223,6 +310,54 @@ fn calendar_matches_reference_on_randomized_fault_sweeps() {
                 diag.queue_len
             );
         }
+    }
+}
+
+/// A source that takes its steps through `Ctx::run_ahead` cannot be told
+/// from one that arms a timer for every step: the same trace (its RNG draws
+/// included, and the CPU completions of the process it shares a core with),
+/// stats, clock and live events, under the chaos mix, kills and respawns,
+/// over twelve seeds on both schedulers.
+#[test]
+fn run_ahead_matches_arming_every_timer() {
+    for seed in 0..12u64 {
+        let mut inline_runs = Vec::new();
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (trace, stats, now, diag) = run_with(kind, seed, Some(true));
+            let (armed_trace, armed_stats, armed_now, armed_diag) =
+                run_with(kind, seed, Some(false));
+            let at = format!("{kind:?} seed {seed}");
+            assert_eq!(trace.len(), armed_trace.len(), "{at}: trace length");
+            for (i, (c, r)) in trace.iter().zip(&armed_trace).enumerate() {
+                assert_eq!(c, r, "{at}: traces diverge at entry {i}");
+            }
+            assert_eq!(stats, armed_stats, "{at}: stats diverged");
+            assert_eq!(now, armed_now, "{at}: clocks diverged");
+            assert_eq!(diag.live_events, armed_diag.live_events, "{at}");
+            assert_eq!(armed_diag.inline_steps, 0, "{at}");
+            let steps = trace.iter().filter(|e| e.2.starts_with("step ")).count() as u64;
+            assert!(
+                steps >= u64::from(SOURCE_STEPS) && diag.inline_steps * 2 > steps,
+                "{at}: {} of {steps} steps inline",
+                diag.inline_steps
+            );
+            let starts = trace.iter().filter(|e| e.2.starts_with("start ")).count() as u64;
+            assert_eq!(
+                stats.events_processed,
+                starts
+                    + stats.messages_delivered
+                    + stats.timers_fired
+                    + stats.timers_cancelled
+                    + stats.cpu_completions
+                    + stats.events_voided,
+                "{at}: an inline step counts as one fired timer"
+            );
+            inline_runs.push((trace, stats, now));
+        }
+        assert!(
+            inline_runs[0] == inline_runs[1],
+            "seed {seed}: the schedulers diverge"
+        );
     }
 }
 

@@ -88,7 +88,7 @@ pub fn summarize(samples: &[f64]) -> Option<SummaryStats> {
 /// let p50 = h.quantile(0.5).unwrap();
 /// assert!(p50 > 0.0005 && p50 < 0.01, "p50 {p50}");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
@@ -97,6 +97,36 @@ pub struct Histogram {
     count: u64,
     min: f64,
     max: f64,
+    /// The previous sample's bucket, tried first: consecutive samples
+    /// mostly share one. A search shortcut, not part of the value, so
+    /// equality and `Debug` leave it out.
+    hint: usize,
+}
+
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.bounds == other.bounds
+            && self.counts == other.counts
+            && self.overflow == other.overflow
+            && self.sum == other.sum
+            && self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+    }
+}
+
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Histogram")
+            .field("bounds", &self.bounds)
+            .field("counts", &self.counts)
+            .field("overflow", &self.overflow)
+            .field("sum", &self.sum)
+            .field("count", &self.count)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .finish()
+    }
 }
 
 impl Histogram {
@@ -120,6 +150,7 @@ impl Histogram {
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
+            hint: 0,
         }
     }
 
@@ -145,11 +176,27 @@ impl Histogram {
         self.count += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        let idx = self.bounds.partition_point(|b| *b < v);
+        let idx = self.bucket_of(v);
+        self.hint = idx;
         if idx < self.counts.len() {
             self.counts[idx] += 1;
         } else {
             self.overflow += 1;
+        }
+    }
+
+    /// The index of the first bound `>= v` (past the last one for the
+    /// overflow, 0 for NaN), as `partition_point` finds it. The previous
+    /// sample's bucket is the answer when the bound below it is `< v` and
+    /// its own is `>= v`; only otherwise is the search run.
+    fn bucket_of(&self, v: f64) -> usize {
+        let i = self.hint;
+        let above = i == 0 || self.bounds[i - 1] < v;
+        let within = i == self.bounds.len() || v <= self.bounds[i];
+        if above && within {
+            i
+        } else {
+            self.bounds.partition_point(|b| *b < v)
         }
     }
 
@@ -594,6 +641,57 @@ mod tests {
         assert!((est.p50 - exact.p50).abs() / exact.p50 < 0.35);
         assert!((est.p99 - exact.p99).abs() / exact.p99 < 0.35);
         assert!((est.mean - exact.mean).abs() < 1e-9);
+    }
+
+    /// The hinted lookup puts every sample where `partition_point` does:
+    /// exact bounds and their neighbours, ±∞, NaN, negative values and
+    /// overflow, in a seeded order that both keeps and leaves the previous
+    /// sample's bucket.
+    #[test]
+    fn histogram_bucket_hint_matches_partition_point() {
+        let mut h = Histogram::latency_seconds();
+        let bounds = h.bounds.clone();
+        let mut specials = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1.0, 0.0, 1e9];
+        for b in &bounds {
+            let bits = b.to_bits();
+            specials.extend([*b, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+        }
+        let (mut counts, mut overflow) = (vec![0u64; bounds.len()], 0u64);
+        let mut state = 0x5eed_u64;
+        let mut v = 1e-3;
+        for step in 0..50_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut r = state;
+            r = (r ^ (r >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            r = (r ^ (r >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            r ^= r >> 31;
+            v = match r % 4 {
+                0 => specials[(r >> 8) as usize % specials.len()],
+                1 => v, // the previous sample again
+                _ => 10f64.powf(-7.0 + 10.0 * ((r >> 11) as f64 / (1u64 << 53) as f64)),
+            };
+            let want = bounds.partition_point(|b| *b < v);
+            h.observe(v);
+            assert_eq!(h.hint, want, "step {step}: {v}");
+            match counts.get_mut(want) {
+                Some(c) => *c += 1,
+                None => overflow += 1,
+            }
+        }
+        assert_eq!((h.counts, h.overflow), (counts, overflow));
+    }
+
+    #[test]
+    fn histogram_equality_and_debug_ignore_the_bucket_hint() {
+        let (mut a, mut b) = (Histogram::latency_seconds(), Histogram::latency_seconds());
+        a.observe(1e-3);
+        a.observe(2.0);
+        b.observe(2.0);
+        b.observe(1e-3);
+        assert_ne!(a.hint, b.hint);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(!format!("{a:?}").contains("hint"));
     }
 
     #[test]

@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Checks that the profiler in this directory still works end to end:
+#   1. builds sampler.so with gcc, and the partition_failure example with
+#      frame pointers and line tables into a target dir of its own;
+#   2. runs the example under LD_PRELOAD four times (≈ 0.4 s a run, a few
+#      hundred samples at a 4 ms tick);
+#   3. checks that report.py gives `Sim::run_until` a non-zero share.
+#
+#   tools/profile/smoke.sh [WORK_DIR]      (default: target/profile-smoke)
+#
+# Needs gcc, python3 and binutils (addr2line), like the profiler itself.
+set -euo pipefail
+cd "$(dirname "$0")/../.."
+work="${1:-target/profile-smoke}"
+mkdir -p "$work/prof"
+rm -f "$work"/prof/run.*
+
+gcc -O2 -shared -fPIC -o "$work/sampler.so" tools/profile/sampler.c
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=1 \
+  cargo build --release --quiet --example partition_failure --target-dir "$work/fp"
+
+for _ in 1 2 3 4; do
+  S2G_PROF_OUT="$work/prof/run" LD_PRELOAD="$work/sampler.so" \
+    "$work/fp/release/examples/partition_failure" > /dev/null
+done
+
+python3 tools/profile/report.py "$work/prof/run" --top 5 --match Sim::run_until \
+  | tee "$work/report.txt"
+share=$(awk '/^inclusive share of names containing/ { m = 1; next }
+             m && / Sim::run_until$/ { print $1 }' "$work/report.txt")
+if awk -v s="${share:-0}" 'BEGIN { exit !(s > 0) }'; then
+  echo "profile smoke: Sim::run_until in ${share} % of the samples"
+else
+  echo "profile smoke: no sample has Sim::run_until on its stack" >&2
+  exit 1
+fi
