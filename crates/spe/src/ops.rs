@@ -182,12 +182,20 @@ impl Operator for KeyBy {
 /// averages) used by the word-count pipeline's second job.
 pub struct StatefulMap {
     name: String,
-    state: BTreeMap<String, Value>,
-    /// Keys whose state changed since the last checkpoint capture.
-    dirty: BTreeSet<String>,
+    state: BTreeMap<String, KeyState>,
+    /// Keys whose state changed since the last checkpoint capture, each
+    /// listed once: a key is pushed when its flag is first set.
+    dirty: Vec<String>,
     #[allow(clippy::type_complexity)]
     f: Box<dyn FnMut(&mut Value, &Event) -> Vec<Event>>,
     init: Value,
+}
+
+/// One key's running state, and whether it changed since the last
+/// checkpoint capture.
+struct KeyState {
+    value: Value,
+    dirty: bool,
 }
 
 impl StatefulMap {
@@ -200,7 +208,7 @@ impl StatefulMap {
         StatefulMap {
             name: name.into(),
             state: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             f: Box::new(f),
             init,
         }
@@ -219,30 +227,54 @@ impl Operator for StatefulMap {
     fn process(&mut self, _now: SimTime, batch: Vec<Event>) -> Vec<Event> {
         let mut out = Vec::new();
         for e in batch {
-            let key = e.key.clone().unwrap_or_default();
-            self.dirty.insert(key.clone());
-            let slot = self.state.entry(key).or_insert_with(|| self.init.clone());
-            out.extend((self.f)(slot, &e));
+            // Found by the borrowed key: only a new key, or the first
+            // change since a capture, allocates a copy of it.
+            let key = e.key.as_deref().unwrap_or_default();
+            let slot = match self.state.get_mut(key) {
+                Some(slot) => slot,
+                None => self.state.entry(key.to_owned()).or_insert(KeyState {
+                    value: self.init.clone(),
+                    dirty: false,
+                }),
+            };
+            if !slot.dirty {
+                slot.dirty = true;
+                self.dirty.push(key.to_owned());
+            }
+            out.extend((self.f)(&mut slot.value, &e));
         }
         out
     }
 
     fn snapshot_state(&self) -> Option<Value> {
-        Some(Value::Map(self.state.clone()))
+        let state = self
+            .state
+            .iter()
+            .map(|(k, s)| (k.clone(), s.value.clone()))
+            .collect();
+        Some(Value::Map(state))
     }
 
     fn snapshot_delta(&mut self) -> Option<Value> {
         let set: BTreeMap<String, Value> = self
             .dirty
-            .iter()
-            .filter_map(|k| self.state.get(k).map(|v| (k.clone(), v.clone())))
+            .drain(..)
+            .map(|k| {
+                let s = self.state.get_mut(&k).expect("state never drops a key");
+                s.dirty = false;
+                let v = s.value.clone();
+                (k, v)
+            })
             .collect();
-        self.dirty.clear();
         Some(Value::map([("set", Value::Map(set))]))
     }
 
     fn mark_clean(&mut self) {
-        self.dirty.clear();
+        for k in self.dirty.drain(..) {
+            if let Some(s) = self.state.get_mut(&k) {
+                s.dirty = false;
+            }
+        }
     }
 
     fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
@@ -256,7 +288,20 @@ impl Operator for StatefulMap {
             };
             let Some(Value::Map(set)) = set else { continue };
             for (k, v) in set.iter().filter(|(k, _)| keep(k)) {
-                self.state.insert(k.clone(), v.clone());
+                // An overwritten key keeps its flag, as it stays listed.
+                let value = v.clone();
+                match self.state.get_mut(k.as_str()) {
+                    Some(s) => s.value = value,
+                    None => {
+                        self.state.insert(
+                            k.clone(),
+                            KeyState {
+                                value,
+                                dirty: false,
+                            },
+                        );
+                    }
+                }
             }
         }
     }
@@ -279,33 +324,19 @@ pub enum WindowAssigner {
 impl WindowAssigner {
     /// The windows (by start time) containing an event at `ts`.
     pub fn assign(&self, ts: SimTime) -> Vec<SimTime> {
-        match *self {
-            WindowAssigner::Tumbling(width) => {
-                let w = width.as_nanos();
-                vec![SimTime::from_nanos(ts.as_nanos() / w * w)]
-            }
-            WindowAssigner::Sliding { width, slide } => {
-                let (w, s) = (width.as_nanos(), slide.as_nanos());
-                let t = ts.as_nanos();
-                let last_start = t / s * s;
-                let mut starts = Vec::new();
-                let mut start = last_start;
-                loop {
-                    if start + w > t {
-                        starts.push(SimTime::from_nanos(start));
-                    }
-                    if start < s {
-                        break;
-                    }
-                    start -= s;
-                    if start + w <= t {
-                        break;
-                    }
-                }
-                starts.reverse();
-                starts
-            }
-        }
+        self.starts(ts).collect()
+    }
+
+    /// The windows (by start time, ascending) containing an event at `ts`,
+    /// without allocating: one for a tumbling window, and for a sliding
+    /// window every multiple of the slide in `(ts - width, ts]`.
+    pub(crate) fn starts(self, ts: SimTime) -> impl Iterator<Item = SimTime> {
+        let (w, s) = (self.width().as_nanos(), self.slide().as_nanos());
+        let t = ts.as_nanos();
+        // The first start `k * s` whose window `[k * s, k * s + w)` still
+        // holds `t`.
+        let first = if t < w { 0 } else { ((t - w) / s + 1) * s };
+        (first..=t).step_by(s as usize).map(SimTime::from_nanos)
     }
 
     /// The width of the windows produced.
@@ -314,6 +345,28 @@ impl WindowAssigner {
             WindowAssigner::Tumbling(w) => w,
             WindowAssigner::Sliding { width, .. } => width,
         }
+    }
+
+    /// The distance from one window's start to the next.
+    fn slide(self) -> SimDuration {
+        match self {
+            WindowAssigner::Tumbling(w) => w,
+            WindowAssigner::Sliding { slide, .. } => slide,
+        }
+    }
+
+    /// Panics, naming the operator, unless width and slide are positive: a
+    /// zero slide divides by zero at the first event, and a zero width
+    /// assigns no window, so every event would be dropped.
+    fn assert_positive(self, kind: &str, name: &str) {
+        assert!(
+            self.width() > SimDuration::ZERO,
+            "{kind} `{name}`: window width must be positive"
+        );
+        assert!(
+            self.slide() > SimDuration::ZERO,
+            "{kind} `{name}`: window slide must be positive"
+        );
     }
 }
 
@@ -333,32 +386,42 @@ trait WindowEntry: Sized {
 }
 
 /// The event-time window state [`WindowAggregate`] and [`WindowJoin`] share:
-/// open windows by `(start, key)`, the watermark that closes them, and the
-/// change tracking an incremental capture ships.
+/// open windows by start and then key, the watermark that closes them, and
+/// the change tracking an incremental capture ships.
+///
+/// An event finds its window by a borrowed key, one search in a map of the
+/// few open starts and one in that start's keys, and copies the key only
+/// when it opens the window. Walking `open` visits windows in `(start,
+/// key)` order, the order every capture lists them in.
 struct Windows<T> {
-    open: BTreeMap<WindowKey, T>,
+    open: BTreeMap<SimTime, BTreeMap<String, Slot<T>>>,
     watermark: SimTime,
     /// Min watermark over the chains restored so far. The restored operator
     /// is only as advanced as its *least*-advanced chain: the max would
     /// fire windows restored from a slower chain before that chain's
     /// remaining events replay, splitting their aggregates in two.
     restored_watermark: Option<SimTime>,
-    /// Windows touched since the last checkpoint capture.
-    dirty: BTreeSet<WindowKey>,
     /// Windows emitted (and dropped) since the last checkpoint capture.
     removed: BTreeSet<WindowKey>,
 }
 
-fn encode_window_key((start, key): &WindowKey) -> (Value, Value) {
-    (Value::Int(start.as_nanos() as i64), Value::Str(key.clone()))
+/// One open window's state, and whether it was touched since the last
+/// checkpoint capture.
+struct Slot<T> {
+    st: T,
+    dirty: bool,
 }
 
-/// Splits an encoded entry into its window key and what follows it, when
-/// `keep` accepts the group key.
+fn encode_window_key(start: SimTime, key: String) -> (Value, Value) {
+    (Value::Int(start.as_nanos() as i64), Value::Str(key))
+}
+
+/// Splits an encoded entry into its window start, its group key and what
+/// follows them, when `keep` accepts the group key.
 fn decode_kept<'a>(
     entry: &'a Value,
     keep: &dyn Fn(&str) -> bool,
-) -> Option<(WindowKey, &'a [Value])> {
+) -> Option<(SimTime, &'a str, &'a [Value])> {
     let Value::List(parts) = entry else {
         return None;
     };
@@ -370,8 +433,7 @@ fn decode_kept<'a>(
     if !keep(key) {
         return None;
     }
-    let wkey = (SimTime::from_nanos(start as u64), key.clone());
-    Some((wkey, &parts[2..]))
+    Some((SimTime::from_nanos(start as u64), key, &parts[2..]))
 }
 
 impl<T: WindowEntry> Windows<T> {
@@ -380,38 +442,45 @@ impl<T: WindowEntry> Windows<T> {
             open: BTreeMap::new(),
             watermark: SimTime::ZERO,
             restored_watermark: None,
-            dirty: BTreeSet::new(),
             removed: BTreeSet::new(),
         }
     }
 
-    /// The state of window `wkey`, opened by `init` on first touch.
-    fn touch(&mut self, wkey: WindowKey, init: impl FnOnce() -> T) -> &mut T {
-        self.dirty.insert(wkey.clone());
-        self.open.entry(wkey).or_insert_with(init)
+    /// The state of window `(start, key)`, flagged as touched, or `None`
+    /// when it is not open: the caller then [`open`](Windows::open)s it.
+    fn touch(&mut self, start: SimTime, key: &str) -> Option<&mut T> {
+        let slot = self.open.get_mut(&start)?.get_mut(key)?;
+        slot.dirty = true;
+        Some(&mut slot.st)
     }
 
-    /// Closes every window whose end the watermark has passed.
-    fn take_ready(&mut self, width: SimDuration) -> Vec<(WindowKey, T)> {
-        let ready: Vec<WindowKey> = self
-            .open
-            .keys()
-            .filter(|(start, _)| *start + width <= self.watermark)
-            .cloned()
-            .collect();
-        ready
-            .into_iter()
-            .map(|wkey| {
-                let st = self.open.remove(&wkey).expect("key just listed");
-                self.dirty.remove(&wkey);
-                self.removed.insert(wkey.clone());
-                (wkey, st)
-            })
-            .collect()
+    /// Opens window `(start, key)` with `st`, flagged as touched.
+    fn open(&mut self, start: SimTime, key: &str, st: T) -> &mut T {
+        let keys = self.open.entry(start).or_default();
+        &mut keys
+            .entry(key.to_owned())
+            .or_insert(Slot { st, dirty: true })
+            .st
     }
 
-    fn encode_entry(wkey: &WindowKey, st: &T) -> Value {
-        let (start, key) = encode_window_key(wkey);
+    /// Closes every window whose end the watermark has passed, handing
+    /// each to `close` in `(start, key)` order. All windows have one width,
+    /// so those are the starts at the front of `open`.
+    fn take_ready(&mut self, width: SimDuration, mut close: impl FnMut(SimTime, String, T)) {
+        while let Some(first) = self.open.first_entry() {
+            let start = *first.key();
+            if start + width > self.watermark {
+                break;
+            }
+            for (key, slot) in first.remove() {
+                self.removed.insert((start, key.clone()));
+                close(start, key, slot.st);
+            }
+        }
+    }
+
+    fn encode_entry(start: SimTime, key: &str, st: &T) -> Value {
+        let (start, key) = encode_window_key(start, key.to_owned());
         Value::List(st.encode(start, key))
     }
 
@@ -423,7 +492,10 @@ impl<T: WindowEntry> Windows<T> {
         let open = self
             .open
             .iter()
-            .map(|(wkey, st)| Self::encode_entry(wkey, st))
+            .flat_map(|(&start, keys)| {
+                keys.iter()
+                    .map(move |(key, slot)| Self::encode_entry(start, key, &slot.st))
+            })
             .collect();
         Value::map([
             ("watermark", self.watermark_value()),
@@ -431,23 +503,23 @@ impl<T: WindowEntry> Windows<T> {
         ])
     }
 
-    /// Per-window granularity: a dirty window ships its whole state, which
-    /// is still tiny next to the full operator state.
+    /// Per-window granularity: a touched window ships its whole state,
+    /// which is still tiny next to the full operator state.
     fn snapshot_delta(&mut self) -> Value {
-        let set = self
-            .dirty
-            .iter()
-            .filter_map(|wkey| Some(Self::encode_entry(wkey, self.open.get(wkey)?)))
-            .collect();
-        let del = self
-            .removed
-            .iter()
-            .map(|wkey| {
-                let (start, key) = encode_window_key(wkey);
+        let mut set = Vec::new();
+        for (&start, keys) in &mut self.open {
+            for (key, slot) in keys.iter_mut().filter(|(_, slot)| slot.dirty) {
+                set.push(Self::encode_entry(start, key, &slot.st));
+                slot.dirty = false;
+            }
+        }
+        let del = std::mem::take(&mut self.removed)
+            .into_iter()
+            .map(|(start, key)| {
+                let (start, key) = encode_window_key(start, key);
                 Value::List(vec![start, key])
             })
             .collect();
-        self.mark_clean();
         Value::map([
             ("watermark", self.watermark_value()),
             ("set", Value::List(set)),
@@ -456,27 +528,39 @@ impl<T: WindowEntry> Windows<T> {
     }
 
     fn mark_clean(&mut self) {
-        self.dirty.clear();
+        for slot in self.open.values_mut().flat_map(BTreeMap::values_mut) {
+            slot.dirty = false;
+        }
         self.removed.clear();
     }
 
     /// Applies one chain's captures in order. A full state is a change that
     /// sets every window and deletes none, so base and deltas take the same
-    /// path; undecodable entries are skipped.
+    /// path; undecodable entries are skipped, and restored windows are not
+    /// flagged as touched.
     fn restore(&mut self, chain: &[&Value], keep: &dyn Fn(&str) -> bool) {
         for capture in chain {
             if let Some(Value::List(del)) = capture.field("del") {
-                for (wkey, _) in del.iter().filter_map(|d| decode_kept(d, keep)) {
-                    self.open.remove(&wkey);
+                for (start, key, _) in del.iter().filter_map(|d| decode_kept(d, keep)) {
+                    if let Some(keys) = self.open.get_mut(&start) {
+                        keys.remove(key);
+                        if keys.is_empty() {
+                            self.open.remove(&start);
+                        }
+                    }
                 }
             }
             for field in [T::FIELD, "set"] {
                 let Some(Value::List(set)) = capture.field(field) else {
                     continue;
                 };
-                for (wkey, rest) in set.iter().filter_map(|w| decode_kept(w, keep)) {
+                for (start, key, rest) in set.iter().filter_map(|w| decode_kept(w, keep)) {
                     if let Some(st) = T::decode(rest) {
-                        self.open.insert(wkey, st);
+                        let slot = Slot { st, dirty: false };
+                        self.open
+                            .entry(start)
+                            .or_default()
+                            .insert(key.to_owned(), slot);
                     }
                 }
             }
@@ -544,6 +628,11 @@ pub struct WindowAggregate {
 
 impl WindowAggregate {
     /// Creates a window aggregation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the operator, if the assigner's width or slide is
+    /// zero.
     pub fn new(
         name: impl Into<String>,
         assigner: WindowAssigner,
@@ -551,8 +640,10 @@ impl WindowAggregate {
         fold: impl FnMut(Value, &Event) -> Value + 'static,
         finish: impl Fn(Value, u64) -> Value + 'static,
     ) -> Self {
+        let name = name.into();
+        assigner.assert_positive("window aggregate", &name);
         WindowAggregate {
-            name: name.into(),
+            name,
             assigner,
             init,
             fold: Box::new(fold),
@@ -618,17 +709,17 @@ impl WindowAggregate {
 
     fn emit_ready(&mut self) -> Vec<Event> {
         let width = self.assigner.width();
-        let ready = self.windows.take_ready(width);
-        ready
-            .into_iter()
-            .map(|((start, group), st)| Event {
+        let mut out = Vec::new();
+        self.windows.take_ready(width, |start, group, st| {
+            out.push(Event {
                 key: Some(group),
                 value: (self.finish)(st.acc, st.count),
                 ts: start + width,
                 origin: st.min_origin,
                 source: 0,
-            })
-            .collect()
+            });
+        });
+        out
     }
 }
 
@@ -640,13 +731,19 @@ impl Operator for WindowAggregate {
     fn process(&mut self, _now: SimTime, batch: Vec<Event>) -> Vec<Event> {
         for e in batch {
             self.windows.watermark = self.windows.watermark.max(e.ts);
-            let key = e.key.clone().unwrap_or_default();
-            for start in self.assigner.assign(e.ts) {
-                let st = self.windows.touch((start, key.clone()), || WindowState {
-                    acc: self.init.clone(),
-                    count: 0,
-                    min_origin: e.origin,
-                });
+            let key = e.key.as_deref().unwrap_or_default();
+            for start in self.assigner.starts(e.ts) {
+                let st = match self.windows.touch(start, key) {
+                    Some(st) => st,
+                    None => {
+                        let st = WindowState {
+                            acc: self.init.clone(),
+                            count: 0,
+                            min_origin: e.origin,
+                        };
+                        self.windows.open(start, key, st)
+                    }
+                };
                 st.acc = (self.fold)(std::mem::replace(&mut st.acc, Value::Null), &e);
                 st.count += 1;
                 st.min_origin = st.min_origin.min(e.origin);
@@ -711,13 +808,20 @@ pub struct WindowJoin {
 
 impl WindowJoin {
     /// Creates a windowed join.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the operator, if the assigner's width or slide is
+    /// zero.
     pub fn new(
         name: impl Into<String>,
         assigner: WindowAssigner,
         joiner: impl Fn(&Event, &Event) -> Value + 'static,
     ) -> Self {
+        let name = name.into();
+        assigner.assert_positive("window join", &name);
         WindowJoin {
-            name: name.into(),
+            name,
             assigner,
             joiner: Box::new(joiner),
             buffers: Windows::new(),
@@ -727,20 +831,20 @@ impl WindowJoin {
     fn emit_ready(&mut self) -> Vec<Event> {
         let width = self.assigner.width();
         let mut out = Vec::new();
-        for ((start, group), JoinBuffers(lefts, rights)) in self.buffers.take_ready(width) {
-            let end = start + width;
-            for l in &lefts {
-                for r in &rights {
-                    out.push(Event {
-                        key: Some(group.clone()),
-                        value: (self.joiner)(l, r),
-                        ts: end,
-                        origin: l.origin.min(r.origin),
-                        source: 0,
-                    });
+        self.buffers
+            .take_ready(width, |start, group, JoinBuffers(lefts, rights)| {
+                for l in &lefts {
+                    for r in &rights {
+                        out.push(Event {
+                            key: Some(group.clone()),
+                            value: (self.joiner)(l, r),
+                            ts: start + width,
+                            origin: l.origin.min(r.origin),
+                            source: 0,
+                        });
+                    }
                 }
-            }
-        }
+            });
         out
     }
 }
@@ -753,16 +857,24 @@ impl Operator for WindowJoin {
     fn process(&mut self, _now: SimTime, batch: Vec<Event>) -> Vec<Event> {
         for e in batch {
             self.buffers.watermark = self.buffers.watermark.max(e.ts);
-            let key = e.key.clone().unwrap_or_default();
-            for start in self.assigner.assign(e.ts) {
-                let slot = self
-                    .buffers
-                    .touch((start, key.clone()), JoinBuffers::default);
-                if e.source == 0 {
-                    slot.0.push(e.clone());
+            let key = e.key.as_deref().unwrap_or_default();
+            let mut starts = self.assigner.starts(e.ts).peekable();
+            while let Some(start) = starts.next() {
+                let slot = match self.buffers.touch(start, key) {
+                    Some(slot) => slot,
+                    None => self.buffers.open(start, key, JoinBuffers::default()),
+                };
+                let side = if e.source == 0 {
+                    &mut slot.0
                 } else {
-                    slot.1.push(e.clone());
+                    &mut slot.1
+                };
+                // The last window takes the event itself.
+                if starts.peek().is_none() {
+                    side.push(e);
+                    break;
                 }
+                side.push(e.clone());
             }
         }
         self.emit_ready()
@@ -789,6 +901,9 @@ impl Operator for WindowJoin {
         self.buffers.restore(chain, keep);
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -878,6 +993,32 @@ mod tests {
         assert_eq!(starts, vec![SimTime::from_secs(5), SimTime::from_secs(10)]);
         // t=3s belongs to windows starting at 0s only (no negative starts).
         assert_eq!(a.assign(SimTime::from_secs(3)), vec![SimTime::ZERO]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window aggregate `wc`: window width must be positive")]
+    fn a_zero_tumbling_width_is_rejected_where_the_operator_is_built() {
+        WindowAggregate::count("wc", WindowAssigner::Tumbling(SimDuration::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "window aggregate `wc`: window slide must be positive")]
+    fn a_zero_slide_is_rejected_where_the_operator_is_built() {
+        let sliding = WindowAssigner::Sliding {
+            width: SimDuration::from_secs(10),
+            slide: SimDuration::ZERO,
+        };
+        WindowAggregate::count("wc", sliding);
+    }
+
+    #[test]
+    #[should_panic(expected = "window join `j`: window width must be positive")]
+    fn a_zero_sliding_width_is_rejected_where_the_operator_is_built() {
+        let sliding = WindowAssigner::Sliding {
+            width: SimDuration::ZERO,
+            slide: SimDuration::from_secs(5),
+        };
+        WindowJoin::new("j", sliding, |l, _| l.value.clone());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 """Symbolise and aggregate the samples tools/profile/sampler.so wrote.
 
     report.py PREFIX [--top N] [--match NAME ... [--within FRAME]]
-              [--callers LEAF [--depth K]]
+              [--callers LEAF [--depth K]] [--sites]
 
 PREFIX is the sampler's S2G_PROF_OUT: every PREFIX.<pid>.stacks with its
 PREFIX.<pid>.maps is read, so the samples of several runs of one build
@@ -19,7 +19,15 @@ It prints, over all samples:
     frame containing FRAME on the stack, as a share of all samples and of
     those;
   * with --callers LEAF, the caller chains (K frames up) of the samples
-    whose innermost frame contains LEAF, most frequent first.
+    whose innermost frame contains LEAF, most frequent first;
+  * with --sites, the N sites with the largest share, a sample's site being
+    its first frame outside the standard library (alloc::, core:: and std::,
+    implementations of their traits, and the allocator's entry points).
+    Over allocs.so's samples that is the share of allocator calls each site
+    makes.
+
+sampler.so (CPU time) and allocs.so (allocator calls) write the same
+format, so every option reads either.
 
 Needs python3 and binutils only.
 """
@@ -28,6 +36,7 @@ import argparse
 import collections
 import glob
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -99,6 +108,30 @@ def symbolise(by_file):
     return names
 
 
+# What a site is looked for above: the standard library's functions,
+# methods on primitives and slices, and implementations of its traits
+# (`Clone`, `From`, `fmt::Write`, `GlobalAlloc` …) whoever's type they are
+# for, so that a clone or a conversion counts toward the code that asked
+# for it; and the allocator's entry points between them and malloc.
+LIBRARY = ("alloc::", "core::", "std::", "__rust", "__rdl_", "__rg_")
+TRAIT_IMPL = re.compile(r"^<(?:&|mut |dyn )*(?P<self>.+?)(?: as (?P<trait>.+?))?>::")
+
+
+def is_library(name):
+    if name.startswith(LIBRARY) or name.startswith("??"):
+        return True
+    impl = TRAIT_IMPL.match(name)
+    if not impl:
+        return False
+    self_type, trait = impl["self"], impl["trait"] or ""
+    return self_type.startswith(LIBRARY) or "::" not in self_type or trait.startswith(LIBRARY)
+
+
+def site(stack):
+    """The first frame of `stack` outside the standard library."""
+    return next((name for name in stack if not is_library(name)), "(standard library only)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("prefix")
@@ -107,6 +140,7 @@ def main():
     ap.add_argument("--within")
     ap.add_argument("--callers")
     ap.add_argument("--depth", type=int, default=6)
+    ap.add_argument("--sites", action="store_true")
     args = ap.parse_args()
 
     runs = sorted(glob.glob(args.prefix + ".*.stacks"))
@@ -177,6 +211,11 @@ def main():
         print(f"\ncallers of {args.callers}: {hits} samples, {100 * hits / total:.2f} %")
         for chain, n in chains.most_common(args.top):
             print(f"{100 * n / total:6.2f} %  {chain}")
+    if args.sites:
+        sites = collections.Counter(site(s) for s in stacks)
+        print(f"\nsites, first frame outside the standard library (top {args.top})")
+        for name, n in sites.most_common(args.top):
+            print(f"{100 * n / total:6.2f} %  {name}")
 
 
 if __name__ == "__main__":
