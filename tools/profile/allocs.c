@@ -4,8 +4,8 @@
  * change to the program it watches.
  *
  * It wraps malloc, calloc and realloc, forwards each call to glibc's
- * __libc_malloc, __libc_calloc and __libc_realloc, and on every Nth call
- * records the call site and the return addresses found by walking the
+ * __libc_malloc, __libc_calloc and __libc_realloc, and on one call in
+ * EVERY (16) records the call site and the return addresses found by walking the
  * frame pointer chain of the main thread's stack, into a buffer mapped
  * before the first sample (recording neither allocates nor locks). At exit
  * it writes the samples and a copy of /proc/self/maps in sampler.c's
@@ -19,7 +19,8 @@
  * address inside the call instruction, which report.py takes as a program
  * counter. `report.py PREFIX --sites` groups the samples by their first
  * frame outside alloc::, core:: and std::. A share of samples is a share
- * of allocator calls, since every Nth call is sampled whatever its size.
+ * of allocator calls, since one call in EVERY is sampled whatever its
+ * size.
  *
  * The program must keep frame pointers (RUSTFLAGS="-C
  * force-frame-pointers=yes"), as for sampler.c. Off the main thread only
@@ -29,8 +30,7 @@
  *
  * Build: gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o allocs.so allocs.c
  * (stacks.h beside it)
- * Environment: S2G_PROF_OUT (default "s2g-allocs"), S2G_ALLOC_EVERY (sample
- * every Nth call, default 16).
+ * Environment: S2G_PROF_OUT (default "s2g-allocs").
  *
  * x86-64 Linux with glibc only.
  */
@@ -38,6 +38,9 @@
 #include <sys/mman.h>
 
 #include "stacks.h"
+
+/* Sampling period: one allocator call in EVERY is recorded. */
+#define EVERY 16
 
 extern void *__libc_malloc(size_t size);
 extern void *__libc_calloc(size_t n, size_t size);
@@ -49,16 +52,15 @@ static int dropped;
 /* Set once the buffer and stack bounds are known, cleared at exit: the
  * set-up and the dump allocate through these wrappers too. */
 static int ready;
-static unsigned long every = 16;
 static unsigned long calls;
 
-/* Counts one allocator call and, on every Nth, records the stack above
+/* Counts one allocator call and, on one in EVERY, records the stack above
  * `fp`, the frame of the wrapper that was called. Always inlined, so the
  * wrapper keeps its own frame and its return address is the call site. */
 static inline __attribute__((always_inline)) void record(uintptr_t fp) {
     if (!__atomic_load_n(&ready, __ATOMIC_RELAXED))
         return;
-    if (__atomic_fetch_add(&calls, 1, __ATOMIC_RELAXED) % every != 0)
+    if (__atomic_fetch_add(&calls, 1, __ATOMIC_RELAXED) % EVERY != 0)
         return;
     uintptr_t frames[MAX_DEPTH];
     size_t n = 0;
@@ -108,9 +110,6 @@ __attribute__((constructor)) static void start(void) {
         fprintf(stderr, "allocs: no buffer, not sampling\n");
         return;
     }
-    const char *n = getenv("S2G_ALLOC_EVERY");
-    if (n && atol(n) > 0)
-        every = (unsigned long)atol(n);
     find_stack();
     atexit(dump);
     __atomic_store_n(&ready, 1, __ATOMIC_RELAXED);
