@@ -35,9 +35,9 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use s2g_proto::{
-    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
-    PartitionMetadata, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
-    TopicPartition,
+    AckMode, BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode,
+    LeaderEpoch, LogRun, Offset, PartitionMetadata, ReplicaFetchPart, ReplicaFetchedPart,
+    ReplicaRpc, TopicPartition,
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
@@ -326,9 +326,9 @@ impl Host {
         to: ProcessId,
         corr: CorrelationId,
         tp: &TopicPartition,
-        (batch, high_watermark, next_offset, error): FetchAnswer,
+        (runs, compression, high_watermark, next_offset, error): FetchAnswer,
     ) {
-        let n = batch.len();
+        let n = runs.iter().map(LogRun::len).sum();
         self.metrics.records_fetched.add(n as u64);
         if self.tele.trace_enabled() && n > 0 {
             let name = format!("fetch:{tp}");
@@ -338,7 +338,8 @@ impl Host {
         let response = ClientRpc::FetchResponse {
             corr,
             tp: tp.clone(),
-            batch,
+            runs,
+            compression,
             high_watermark,
             next_offset,
             error,
@@ -758,7 +759,7 @@ impl Broker {
                     }
                     Err(error) => {
                         host.count_rejection(error);
-                        let answer = (RecordBatch::new(), Offset::ZERO, offset, error);
+                        let answer = (Vec::new(), Compression::None, Offset::ZERO, offset, error);
                         host.answer_fetch(ctx, from, corr, &tp, answer);
                     }
                 }

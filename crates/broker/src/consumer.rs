@@ -13,13 +13,13 @@
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
-use s2g_proto::{ClientRpc, CorrelationId, ErrorCode, Offset, Record, RecordBatch, TopicPartition};
+use s2g_proto::{ClientRpc, CorrelationId, ErrorCode, LogRun, Offset, Record, TopicPartition};
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, TimerToken};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
 use crate::metadata::{draw_corr, MetadataSession};
-use crate::partition::FETCH_MAX_WAIT;
+use crate::partition::{FetchAnswer, FETCH_MAX_WAIT};
 use crate::table::IntTable;
 
 /// Tag namespace base for consumer-owned timers and CPU work.
@@ -131,10 +131,13 @@ pub struct ConsumerClient {
     idle: bool,
     /// The one poll timer armed, and for when.
     poll_timer: Option<(TimerToken, SimTime)>,
-    /// Batches whose delivery CPU is in flight, by tag. Holding the
-    /// refcounted [`RecordBatch`] (not a rebuilt `Vec`) means the payloads
-    /// fetched from the broker are never copied on the way to the sink.
-    pending_delivery: IntTable<(TopicPartition, RecordBatch, Offset)>,
+    /// Fetched runs whose delivery CPU is in flight, by tag: views of the
+    /// broker log's batches, so the payloads fetched are never copied on
+    /// the way to the sink.
+    pending_delivery: IntTable<(TopicPartition, Vec<LogRun>, Offset)>,
+    /// The records of the delivery in progress, built from its runs to
+    /// hand the sink: kept, so a delivery reuses the last one's room.
+    delivery: Vec<Record>,
     next_corr: u64,
     next_deliver_tag: u64,
     stats: ConsumerStats,
@@ -202,6 +205,7 @@ impl ConsumerClient {
             idle: true,
             poll_timer: None,
             pending_delivery: IntTable::default(),
+            delivery: Vec::new(),
             next_corr: 1,
             next_deliver_tag: 0,
             stats: ConsumerStats::default(),
@@ -688,16 +692,14 @@ impl ConsumerClient {
         &mut self,
         ctx: &mut Ctx<'_>,
         InflightFetch { tp, sent }: InflightFetch,
-        batch: RecordBatch,
-        high_watermark: Offset,
-        next_offset: Offset,
-        error: ErrorCode,
+        (runs, compression, high_watermark, next_offset, error): FetchAnswer,
     ) {
         // Only clear the in-flight mark when nothing is pending for
         // this partition; for non-empty batches it stays set until
         // the delivery CPU completes, or a poll would issue a duplicate
         // fetch at the not-yet-advanced offset.
-        let delivering = error == ErrorCode::None && !batch.is_empty();
+        let n: usize = runs.iter().map(LogRun::len).sum();
+        let delivering = error == ErrorCode::None && n > 0;
         self.fetching.insert(tp.clone(), delivering);
         if let (Some(metrics), ErrorCode::None) = (&mut self.metrics, error) {
             // Consumer lag per partition: broker high watermark
@@ -708,8 +710,8 @@ impl ConsumerClient {
                 .entry(tp.clone())
                 .or_insert_with(|| self.tele.gauge(&self.tele_scope, &format!("lag/{tp}")));
             gauge.set(lag as f64);
-            metrics.records_consumed.add(batch.len() as u64);
-            if self.tele.trace_enabled() && !batch.is_empty() {
+            metrics.records_consumed.add(n as u64);
+            if self.tele.trace_enabled() && n > 0 {
                 self.tele.trace_instant(
                     ctx.now(),
                     &self.tele_scope,
@@ -727,15 +729,15 @@ impl ConsumerClient {
                 // across them.
                 let tag = CONSUMER_TAGS + off::CPU_DELIVER_BASE + self.next_deliver_tag;
                 self.next_deliver_tag += 1;
-                let n = batch.len() as u64;
                 // Consumer-side half of the compression trade:
                 // decompressing the fetched batch costs CPU
                 // proportional to its raw record bytes.
-                let mut cpu = self.cfg.cpu_per_record * n;
-                if !batch.compression().is_none() {
-                    cpu += self.cfg.decompress_cpu_per_byte * batch.record_bytes() as u64;
+                let mut cpu = self.cfg.cpu_per_record * n as u64;
+                if !compression.is_none() {
+                    let bytes = LogRun::record_bytes(&runs) as u64;
+                    cpu += self.cfg.decompress_cpu_per_byte * bytes;
                 }
-                self.pending_delivery.insert(tag, (tp, batch, next_offset));
+                self.pending_delivery.insert(tag, (tp, runs, next_offset));
                 ctx.exec(cpu, tag);
             }
             ErrorCode::None => {
@@ -794,7 +796,8 @@ impl ConsumerClient {
             ClientRpc::FetchResponse {
                 corr,
                 tp,
-                batch,
+                runs,
+                compression,
                 high_watermark,
                 next_offset,
                 error,
@@ -809,7 +812,8 @@ impl ConsumerClient {
                 let fetch = self.inflight.remove(corr.0).expect("looked up above");
                 let n_parts = self.meta.cache().partition_count(&tp.topic);
                 if self.owns(&tp, n_parts) {
-                    self.on_fetched(ctx, fetch, batch, high_watermark, next_offset, error);
+                    let answer = (runs, compression, high_watermark, next_offset, error);
+                    self.on_fetched(ctx, fetch, answer);
                 } else {
                     // Rebalanced away while the fetch was held: its records
                     // are the new owner's to deliver.
@@ -983,15 +987,20 @@ impl ConsumerClient {
         if !(CONSUMER_TAGS..CONSUMER_TAGS_END).contains(&tag) {
             return false;
         }
-        let Some((tp, batch, next_offset)) = self.pending_delivery.remove(tag) else {
+        let Some((tp, runs, next_offset)) = self.pending_delivery.remove(tag) else {
             return true;
         };
         let now = ctx.now();
-        self.stats.records += batch.len() as u64;
         let pos = self.position(&tp);
         self.offsets.insert(tp.clone(), next_offset.max(pos));
-        // The sink iterates the shared batch in place; no per-consumer copy.
-        sink.on_records(now, &tp, batch.records());
+        // The sink gets owned records, built for it here and dropped once
+        // it returns: their bytes are views of the log's batches, and the
+        // runs hold no `Record` of their own.
+        let records = runs.iter().flat_map(|run| run.batch.iter());
+        self.delivery.extend(records.map(|r| r.to_record()));
+        self.stats.records += self.delivery.len() as u64;
+        sink.on_records(now, &tp, &self.delivery);
+        self.delivery.clear();
         // Pipelining: fetch the next batch for this partition right away.
         self.fetching.insert(tp.clone(), false);
         self.fetch_one(ctx, tp);

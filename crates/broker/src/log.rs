@@ -14,7 +14,8 @@
 //! [`LogRun`]: a base offset, a leader epoch, and a view of the batch the
 //! records were produced in. A leader stores a view of the producer's
 //! sealed batch, a replica fetch reply carries the leader's runs, and the
-//! follower stores those, so one `Record` serves every replica and reader.
+//! follower stores those, so one 32 B slot in the producer's batch serves
+//! every replica and reader of a record.
 //! A run covers contiguous offsets: a segment roll, a truncation, a
 //! compaction hole or a deduplicated retry splits it into views of the same
 //! batch.
@@ -55,11 +56,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use bytes::Bytes;
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
 use s2g_proto::{
-    put_frame_record, read_frame_record, LeaderEpoch, LogRun, Offset, Record, RecordBatch,
-    TopicPartition,
+    put_frame_record, read_frame_record, BatchBuilder, LeaderEpoch, LogRun, Offset, Record,
+    RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
 };
 use s2g_sim::{SimDuration, SimTime};
 
@@ -113,8 +113,8 @@ impl LogSegment {
             run.base.value() >= self.end,
             "appends must advance the offset"
         );
-        if let (0, Some(first)) = (self.len, run.batch.records().first()) {
-            self.base_ts = first.timestamp;
+        if let (0, Some(first)) = (self.len, run.batch.first()) {
+            self.base_ts = first.timestamp();
         }
         let bytes = run.batch.record_bytes();
         self.bytes += bytes;
@@ -162,7 +162,7 @@ impl LogSegment {
     }
 
     /// Each record held, with its offset and epoch, in offset order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, RecordRef<'_>)> {
         self.runs.iter().flat_map(LogRun::entries)
     }
 
@@ -195,12 +195,10 @@ impl LogSegment {
     /// Deserializes a segment written by [`encode`](LogSegment::encode),
     /// as runs split wherever the epoch changes or an offset is skipped.
     /// Returns `None` on truncated, malformed, or unknown-version input,
-    /// offsets out of order or outside the segment's range included.
+    /// offsets out of order or outside the segment's range included, and on
+    /// bytes past the last entry.
     pub fn decode(buf: &[u8]) -> Option<LogSegment> {
-        // One copy into a shared buffer; every replayed record is a view of
-        // it (and keeps it alive) instead of two allocations of its own.
-        let frame = Bytes::copy_from_slice(buf);
-        let mut cur = Cursor::new(&frame);
+        let mut cur = Cursor::new(buf);
         if cur.u8()? != SEGMENT_CODEC_VERSION {
             return None;
         }
@@ -208,13 +206,16 @@ impl LogSegment {
         let end = cur.u64()?;
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.u32()? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 16));
+        // The replayed records are one batch: every run is a view of it.
+        // An entry is a frame record and at least one byte of epoch.
+        let fits = count.min(buf.len() / (MIN_FRAME_RECORD + 1));
+        let mut records = BatchBuilder::with_capacity(fits, buf.len());
         // Where each run starts: record index, offset and epoch.
         let mut starts: Vec<(usize, Offset, LeaderEpoch)> = Vec::new();
         let mut next = Offset(base);
         for i in 0..count {
             let epoch = LeaderEpoch(cur.uvarint()?);
-            let (offset, record) = read_frame_record(&frame, &mut cur, Offset(base), base_ts)?;
+            let offset = read_frame_record(&mut cur, Offset(base), base_ts, &mut records)?;
             if offset < next || offset.value() >= end {
                 return None;
             }
@@ -222,9 +223,11 @@ impl LogSegment {
                 starts.push((i, offset, epoch));
             }
             next = offset.next();
-            records.push(record);
         }
-        let batch = RecordBatch::from_records(records);
+        if cur.position() != buf.len() {
+            return None;
+        }
+        let batch = records.finish();
         let ends = starts.iter().skip(1).map(|s| s.0).chain([count]);
         let runs = (starts.iter().zip(ends))
             .map(|(&(from, base, epoch), to)| LogRun {
@@ -250,7 +253,7 @@ impl LogSegment {
 /// run's records, so nothing is copied, and a rejected record ends a part.
 pub(crate) fn split_run(
     run: &LogRun,
-    mut keep: impl FnMut(Offset, &Record) -> bool,
+    mut keep: impl FnMut(Offset, RecordRef<'_>) -> bool,
     mut emit: impl FnMut(LogRun),
 ) {
     let mut from = None;
@@ -464,7 +467,7 @@ impl PartitionLog {
     }
 
     /// Every record held, with its offset and epoch, in offset order.
-    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, RecordRef<'_>)> {
         self.segments.iter().flat_map(LogSegment::entries)
     }
 
@@ -499,7 +502,7 @@ impl PartitionLog {
         &mut self,
         epoch: LeaderEpoch,
         batch: &RecordBatch,
-        mut keep: impl FnMut(&Record) -> bool,
+        mut keep: impl FnMut(RecordRef<'_>) -> bool,
     ) -> (Offset, usize) {
         let base = self.log_end();
         let whole = LogRun {
@@ -708,30 +711,33 @@ impl PartitionLog {
         // Latest committed offset per key across the whole log (a committed
         // copy in the active segment shadows sealed copies; uncommitted
         // records never act as "latest" — they could still be truncated).
-        let mut latest: HashMap<Bytes, Offset> = HashMap::new();
+        let mut latest: HashMap<&[u8], Offset> = HashMap::new();
         for (offset, _, record) in self.entries().take_while(|(o, _, _)| *o < hw) {
-            if let Some(k) = &record.key {
-                let slot = latest.entry(k.clone()).or_default();
+            if let Some(k) = record.key() {
+                let slot = latest.entry(k).or_default();
                 *slot = (*slot).max(offset);
             }
         }
-        let survives = |offset: Offset, record: &Record| {
+        let survives = |offset: Offset, record: RecordRef<'_>| {
             // Uncommitted records are never cleaned, keyless ones have no
             // compaction identity.
-            offset >= hw
-                || record
-                    .key
-                    .as_ref()
-                    .is_none_or(|k| latest.get(k) == Some(&offset))
+            offset >= hw || record.key().is_none_or(|k| latest.get(k) == Some(&offset))
         };
+        // Each sealed segment's survivors, where the pass removes any.
         let sealed = self.segments.len() - 1;
+        let cut: Vec<Option<Vec<LogRun>>> = (self.segments[..sealed].iter())
+            .map(|seg| {
+                let mut kept = Vec::with_capacity(seg.runs.len());
+                for run in &seg.runs {
+                    split_run(run, survives, |part| kept.push(part));
+                }
+                let held: usize = kept.iter().map(LogRun::len).sum();
+                (held != seg.len).then_some(kept)
+            })
+            .collect();
         let mut removed_bytes = 0usize;
-        for seg in &mut self.segments[..sealed] {
-            let mut kept = Vec::with_capacity(seg.runs.len());
-            for run in &seg.runs {
-                split_run(run, survives, |part| kept.push(part));
-            }
-            if kept.iter().map(LogRun::len).sum::<usize>() != seg.len {
+        for (seg, kept) in self.segments.iter_mut().zip(cut) {
+            if let Some(kept) = kept {
                 let (records, bytes) = seg.keep_only(kept);
                 outcome.removed_records += records as u64;
                 removed_bytes += bytes;
@@ -774,9 +780,9 @@ impl PartitionLog {
             if seg.end > hw {
                 return false;
             }
-            let newest = seg.runs.last().and_then(|r| r.batch.records().last());
+            let newest = seg.runs.last().and_then(|r| r.batch.last());
             let expired =
-                max_age.is_some_and(|age| newest.is_some_and(|r| r.timestamp + age < now));
+                max_age.is_some_and(|age| newest.is_some_and(|r| r.timestamp() + age < now));
             let oversize = max_bytes.is_some_and(|cap| retained > cap);
             expired || oversize || seg.is_empty()
         };
@@ -1009,7 +1015,8 @@ mod tests {
     /// Up to `max` records from `from`, copied out of their runs.
     fn read(log: &PartitionLog, from: Offset, max: usize, committed_only: bool) -> Vec<Record> {
         let runs = log.read_entries(from, max, committed_only);
-        runs.iter().flat_map(|r| r.batch.iter().cloned()).collect()
+        let records = runs.iter().flat_map(|r| r.batch.iter());
+        records.map(|r| r.to_record()).collect()
     }
 
     /// The offsets the runs hold, in order.
@@ -1032,7 +1039,7 @@ mod tests {
     #[test]
     fn log_run_stays_five_words() {
         // Base offset, epoch and a three-word view of a batch: this is what
-        // a log holds per run and replica, beside the one shared `Record`
+        // a log holds per run and replica, beside the one shared 32 B slot
         // per record. (A per-record, per-replica 72 B entry before.)
         assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
         assert_eq!(std::mem::size_of::<LogRun>(), 40);
@@ -1072,10 +1079,8 @@ mod tests {
         // One record in memory however many runs and readers hold it.
         let read = log.read_entries(Offset(2), 10, false);
         assert_eq!(read.len(), 4, "runs [2,4) [4,6) [6,8) [8,9)");
-        assert!(std::ptr::eq(
-            &read[0].batch.records()[0],
-            &batch.records()[2]
-        ));
+        let value = |b: &RecordBatch, i| b.get(i).map(|r| r.value().as_ptr());
+        assert_eq!(value(&read[0].batch, 0), value(&batch, 2));
         assert_eq!(offsets(&read), [2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -1090,7 +1095,7 @@ mod tests {
         assert_eq!(log.truncate_to(Offset(5)), 3);
         assert_eq!(shape(&log), [vec![(0, 1, 1), (1, 4, 1)]]);
         assert!(log.segments()[0].runs[1].batch.same_storage(&batch));
-        let cut: usize = batch.records()[4..].iter().map(Record::encoded_len).sum();
+        let cut: usize = batch.iter().skip(4).map(|r| r.encoded_len()).sum();
         assert_eq!(
             log.retained_bytes(),
             bytes_before - cut - rec("last").encoded_len()
@@ -1156,7 +1161,7 @@ mod tests {
         log.append(LeaderEpoch(1), rec("before"));
         let retry = batch_of(6);
         // Records 0, 1 and 4 were appended before: only 2, 3 and 5 are new.
-        let fresh = |r: &Record| !["0", "1", "4"].contains(&&*r.value_utf8());
+        let fresh = |r: RecordRef<'_>| !["0", "1", "4"].contains(&&*r.value_utf8());
         assert_eq!(
             log.append_kept(LeaderEpoch(2), &retry, fresh),
             (Offset(1), 3)
@@ -1395,8 +1400,8 @@ mod tests {
         let entries: Vec<_> = decoded.entries().collect();
         let (first, second) = (entries[0].2, entries[1].2);
         assert_eq!((entries[0].0, entries[0].1), (Offset(0), LeaderEpoch(3)));
-        assert_eq!(first.key.as_deref(), Some(&b"k1"[..]));
-        assert_eq!(first.producer_seq, 42);
+        assert_eq!(first.key(), Some(&b"k1"[..]));
+        assert_eq!(first.producer_seq(), 42);
         assert_eq!((entries[1].0, entries[1].1), (Offset(1), LeaderEpoch(4)));
         assert_eq!(second.value_utf8(), "plain");
         assert_eq!(decoded.bytes(), seg.bytes());
@@ -1406,7 +1411,7 @@ mod tests {
         // The replayed records are views of one copy of the blob, in blob
         // order; every strict prefix is rejected, never sliced past.
         let blob = seg.encode();
-        let views = [&first.value, &second.value];
+        let views = [first.value(), second.value()];
         let gap = views[1].as_ptr() as usize - views[0].as_ptr() as usize;
         assert!((views[0].len()..blob.len()).contains(&gap));
         for cut in 0..blob.len() {
@@ -1420,6 +1425,19 @@ mod tests {
             other_version[0] = v;
             assert!(LogSegment::decode(&other_version).is_none(), "version {v}");
         }
+    }
+
+    #[test]
+    fn bytes_past_the_last_entry_are_rejected() {
+        // A valid segment followed by junk once decoded as the segment
+        // alone.
+        let mut log = PartitionLog::new();
+        log.append_batch(LeaderEpoch(1), [rec("a"), keyed("k", "b", 3)]);
+        let mut blob = log.segments()[0].encode();
+        let back = LogSegment::decode(&blob).expect("a valid segment");
+        assert_eq!(back.encode(), blob);
+        blob.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        assert!(LogSegment::decode(&blob).is_none());
     }
 
     #[test]
@@ -1547,7 +1565,7 @@ mod tests {
     fn rebuilt(seg: &LogSegment) -> LogSegment {
         let mut fresh = LogSegment::new(seg.base);
         for (base, epoch, record) in seg.entries() {
-            let batch = RecordBatch::from_records(vec![record.clone()]);
+            let batch = RecordBatch::from_records(vec![record.to_record()]);
             fresh.push(LogRun { base, epoch, batch });
         }
         fresh.end = seg.end;
@@ -1567,7 +1585,7 @@ mod tests {
             assert_eq!(back.end_offset(), seg.end_offset());
             assert_eq!(back.bytes(), seg.bytes());
             let triples = |s: &LogSegment| -> Vec<(Offset, LeaderEpoch, Record)> {
-                s.entries().map(|(o, e, r)| (o, e, r.clone())).collect()
+                s.entries().map(|(o, e, r)| (o, e, r.to_record())).collect()
             };
             assert_eq!(triples(&back), triples(seg), "{when}: base {}", seg.base);
         }
@@ -1898,7 +1916,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let held = |log: &PartitionLog| -> Vec<(Offset, LeaderEpoch, Record)> {
-            log.entries().map(|(o, e, r)| (o, e, r.clone())).collect()
+            log.entries()
+                .map(|(o, e, r)| (o, e, r.to_record()))
+                .collect()
         };
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut reads, mut non_empty, mut holey) = (0u32, 0u32, 0u32);

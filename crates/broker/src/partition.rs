@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use s2g_proto::{
     BrokerId, ClientRpc, Compression, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
-    MirrorView, Offset, PartitionMetadata, Record, RecordBatch, ReplicaFetchPart,
+    MirrorView, Offset, PartitionMetadata, RecordBatch, RecordRef, ReplicaFetchPart,
     ReplicaFetchedPart, TopicPartition,
 };
 use s2g_sim::{Ctx, Message, ProcessId, SimDuration, SimTime};
@@ -49,9 +49,10 @@ pub(crate) struct PendingProduce {
 /// comes back between this and one `background_interval` later.
 pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
 
-/// What a client fetch is answered with: the batch, the high watermark, the
-/// reader's next offset and the error code.
-pub(crate) type FetchAnswer = (RecordBatch, Offset, Offset, ErrorCode);
+/// What a client fetch is answered with: the runs read and the codec they
+/// are served under, the high watermark, the reader's next offset and the
+/// error code.
+pub(crate) type FetchAnswer = (Vec<LogRun>, Compression, Offset, Offset, ErrorCode);
 
 /// A client fetch held on its partition until a read from `offset` has
 /// something to say or `deadline` passes.
@@ -428,7 +429,7 @@ impl Partition {
         for run in runs {
             for r in &run.batch {
                 self.state
-                    .raise_seq(r.producer.0, (r.producer_epoch, r.producer_seq));
+                    .raise_seq(r.producer().0, (r.producer_epoch(), r.producer_seq()));
             }
             let offered = run.len();
             let new = self.log.append_run(run);
@@ -453,7 +454,7 @@ impl Partition {
     /// truncation or restart replay).
     fn rebuild_seqs(&mut self) {
         let stamps = (self.log.entries())
-            .map(|(_, _, r)| (r.producer.0, (r.producer_epoch, r.producer_seq)));
+            .map(|(_, _, r)| (r.producer().0, (r.producer_epoch(), r.producer_seq())));
         self.state.rebuild_seqs(stamps);
     }
 
@@ -555,24 +556,6 @@ impl Partition {
     }
 }
 
-/// The records of a client read as one batch: the run's own view when the
-/// read fell inside one run, else a fresh batch of the runs' records. This
-/// is the one place a read copies records (a `Record` clone bumps its
-/// payload's refcount), and the copy lives only as long as the reply.
-fn one_batch(runs: &[LogRun]) -> RecordBatch {
-    match runs {
-        [] => RecordBatch::new(),
-        [run] => run.batch.clone(),
-        runs => {
-            let mut records = Vec::with_capacity(runs.iter().map(LogRun::len).sum());
-            for run in runs {
-                records.extend_from_slice(run.batch.records());
-            }
-            RecordBatch::from_records(records)
-        }
-    }
-}
-
 impl Led<'_> {
     /// Appends the batch's fresh records and returns their base offset and
     /// count.
@@ -608,21 +591,21 @@ impl Led<'_> {
         // earlier one of its own batch.
         let (state, stats) = (&mut *self.state, &mut host.stats);
         let mut current: Option<(u32, Option<(u32, u64)>)> = None;
-        let fresh = |r: &Record| {
-            let producer = r.producer.0;
+        let fresh = |r: RecordRef<'_>| {
+            let producer = r.producer().0;
             if let Some((p, Some(last))) = current.take_if(|(p, _)| *p != producer) {
                 state.raise_seq(p, last);
             }
             let (_, last) = current.get_or_insert_with(|| (producer, state.seq(producer)));
             // Same-or-older (epoch, seq) is a stale retry; a bumped epoch
             // is a respawned client restarting at seq zero.
-            let stamp = (r.producer_epoch, r.producer_seq);
+            let stamp = (r.producer_epoch(), r.producer_seq());
             if last.is_some_and(|last| stamp <= last) {
                 stats.duplicates_filtered += 1;
                 return false;
             }
             *last = Some(stamp);
-            staging.get_or_insert((producer, r.producer_epoch));
+            staging.get_or_insert((producer, r.producer_epoch()));
             true
         };
         let (base, n) = self.log.append_kept(self.ls.epoch, batch, fresh);
@@ -676,10 +659,22 @@ impl Led<'_> {
         if offset < start {
             // Retention dropped the requested range: reset the reader to
             // the earliest record.
-            return Some((RecordBatch::new(), hw, start, ErrorCode::OffsetOutOfRange));
+            return Some((
+                Vec::new(),
+                Compression::None,
+                hw,
+                start,
+                ErrorCode::OffsetOutOfRange,
+            ));
         }
         if offset > hw {
-            return Some((RecordBatch::new(), hw, hw, ErrorCode::OffsetOutOfRange));
+            return Some((
+                Vec::new(),
+                Compression::None,
+                hw,
+                hw,
+                ErrorCode::OffsetOutOfRange,
+            ));
         }
         let end = if host.durable {
             hw.min(self.durable_end)
@@ -702,7 +697,7 @@ impl Led<'_> {
         if read_committed && txns.has_aborted() {
             let mut committed = Vec::with_capacity(runs.len());
             for run in &runs {
-                let keep = |o: Offset, _: &Record| !txns.is_aborted(o.value());
+                let keep = |o: Offset, _: RecordRef<'_>| !txns.is_aborted(o.value());
                 split_run(run, keep, |part| committed.push(part));
             }
             runs = committed;
@@ -713,8 +708,7 @@ impl Led<'_> {
         let next = (runs.last().map(LogRun::end))
             .or(scanned_end)
             .unwrap_or(visible_end);
-        let batch = one_batch(&runs).with_compression(*self.codec);
-        Some((batch, hw, next, ErrorCode::None))
+        Some((runs, *self.codec, hw, next, ErrorCode::None))
     }
 
     /// Serves a client fetch: answered at once when the read has something
@@ -764,7 +758,7 @@ impl Led<'_> {
         for w in self.ls.waiters.drain(..due) {
             host.stats.fetches_expired += 1;
             host.metrics.fetches_expired.add(1);
-            let answer = (RecordBatch::new(), hw, w.offset, ErrorCode::None);
+            let answer = (Vec::new(), Compression::None, hw, w.offset, ErrorCode::None);
             host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
         }
     }
@@ -772,7 +766,7 @@ impl Led<'_> {
     fn fail_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, error: ErrorCode) {
         for w in std::mem::take(&mut self.ls.waiters) {
             host.count_rejection(error);
-            let answer = (RecordBatch::new(), Offset::ZERO, w.offset, error);
+            let answer = (Vec::new(), Compression::None, Offset::ZERO, w.offset, error);
             host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
         }
     }

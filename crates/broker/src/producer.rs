@@ -18,11 +18,10 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 
 use s2g_proto::{
-    ClientRpc, CorrelationId, ProducerId, Record, RecordBatch, TopicName, TopicPartition,
+    BatchBuilder, ClientRpc, CorrelationId, ProducerId, RecordBatch, TopicName, TopicPartition,
     RECORD_OVERHEAD,
 };
 use s2g_sim::{
@@ -124,6 +123,13 @@ struct Pending {
     seq: u64,
 }
 
+impl Pending {
+    /// Key and value bytes.
+    fn len(&self) -> usize {
+        self.key_len.unwrap_or(0) + self.value_len
+    }
+}
+
 /// One topic's accumulating batch, created on the topic's first record and
 /// kept for the client's lifetime.
 #[derive(Debug)]
@@ -133,14 +139,11 @@ struct AccumBatch {
     /// The topic's one name: every sealed sub-batch's `TopicPartition` and
     /// every captured record identity shares it.
     topic: TopicName,
-    /// Key and value bytes of every pending record. A flush freezes it into
-    /// the one shared buffer the sealed records are views of: a record
-    /// costs no allocation of its own between `send` and the log.
+    /// Key and value bytes of every pending record. A flush copies each
+    /// partition's share into its sealed batch's frame and clears it, so
+    /// the buffer is allocated once, for the client's lifetime.
     buf: Vec<u8>,
     pending: Vec<Pending>,
-    /// Length of the last frozen buffer: the next one is allocated at that
-    /// size, once, instead of doubling its way up from empty.
-    buf_hint: usize,
     /// Encoded (framing included) size of the pending records.
     bytes: usize,
     linger_timer: Option<TimerToken>,
@@ -579,7 +582,6 @@ impl ProducerClient {
                 topic: TopicName::from(topic),
                 buf: Vec::new(),
                 pending: Vec::new(),
-                buf_hint: 0,
                 bytes: 0,
                 linger_timer: None,
                 rr: 0,
@@ -587,9 +589,6 @@ impl ProducerClient {
             self.accum.insert(topic.to_string(), batch);
         }
         let entry = self.accum.get_mut(topic).expect("inserted above");
-        if entry.buf.capacity() == 0 {
-            entry.buf.reserve_exact(entry.buf_hint);
-        }
         let start = entry.buf.len();
         if let Some(k) = key {
             entry.buf.extend_from_slice(k);
@@ -659,13 +658,6 @@ impl ProducerClient {
             ctx.cancel_timer(t);
         }
         batch.bytes = 0;
-        // Freeze the accumulated bytes into the shared buffer: the `Vec`'s
-        // own allocation, trimmed of growth slack (it stays resident for as
-        // long as any of its records does), not a copy.
-        batch.buf_hint = batch.buf.len();
-        let mut buf = std::mem::take(&mut batch.buf);
-        buf.shrink_to_fit();
-        let frame = Bytes::from(buf);
         // Partition selection. Keyed records route by the stable FNV-1a
         // key hash (`hash(key) % partitions`) — the same helper that
         // assigns key groups, so a keyed record always lands on the
@@ -682,7 +674,7 @@ impl ProducerClient {
         for p in &batch.pending {
             let partition = match (p.key_len, n_parts) {
                 (_, 0) => 0,
-                (Some(n), _) => s2g_proto::partition_for_key(&frame[at..at + n], n_parts_u32),
+                (Some(n), _) => s2g_proto::partition_for_key(&batch.buf[at..at + n], n_parts_u32),
                 (None, _) => *rr_partition.get_or_insert_with(|| {
                     let nth = batch.rr as usize % n_parts;
                     batch.rr += 1;
@@ -690,54 +682,52 @@ impl ProducerClient {
                     parts.nth(nth).expect("nth < partition count").partition
                 }),
             };
-            at += p.key_len.unwrap_or(0) + p.value_len;
+            at += p.len();
             routes.push(partition);
         }
-        // Each partition's share, so its sub-batch is a vector sized once.
-        // One map operation per run of equally routed records: a keyless or
-        // single-partition batch is one run.
+        // Each partition's records and bytes, so its frame and slots are
+        // allocated once, at their exact size. One map operation per run of
+        // equally routed records: a keyless or single-partition batch is
+        // one run.
         let same_route = |a: &u32, b: &u32| a == b;
-        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut sizes: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+        let mut pending = batch.pending.iter();
         for run in routes.chunk_by(same_route) {
-            *counts.entry(run[0]).or_default() += run.len();
+            let (records, bytes) = sizes.entry(run[0]).or_default();
+            *records += run.len();
+            *bytes += pending
+                .by_ref()
+                .take(run.len())
+                .map(Pending::len)
+                .sum::<usize>();
         }
-        // Second pass: the records, as views of the frame, split by
-        // partition number with each sub-batch's encoded bytes.
-        let mut split: BTreeMap<u32, (Vec<Record>, usize)> = counts
-            .into_iter()
-            .map(|(partition, n)| (partition, (Vec::with_capacity(n), 0)))
+        // Second pass: each partition's records, copied out of the
+        // accumulation buffer into its batch.
+        let mut split: BTreeMap<u32, BatchBuilder> = (sizes.into_iter())
+            .map(|(partition, (n, bytes))| (partition, BatchBuilder::with_capacity(n, bytes)))
             .collect();
         let mut pending = batch.pending.iter();
         let mut at = 0;
         for run in routes.chunk_by(same_route) {
-            let (records, bytes) = split.get_mut(&run[0]).expect("counted above");
+            let records = split.get_mut(&run[0]).expect("sized above");
             for p in pending.by_ref().take(run.len()) {
                 let key = p.key_len.map(|n| {
                     at += n;
-                    frame.slice(at - n..at)
+                    &batch.buf[at - n..at]
                 });
                 at += p.value_len;
-                let record = Record {
-                    key,
-                    value: frame.slice(at - p.value_len..at),
-                    timestamp: p.timestamp,
-                    producer: self.id,
-                    producer_epoch: self.epoch,
-                    producer_seq: p.seq,
-                };
-                *bytes += record.encoded_len();
-                records.push(record);
+                let value = &batch.buf[at - p.value_len..at];
+                records.push(key, value, p.timestamp, self.id, self.epoch, p.seq);
             }
         }
         batch.pending.clear();
+        batch.buf.clear();
         let topic = batch.topic.clone();
-        for (partition, (records, bytes)) in split {
+        for (partition, records) in split {
             let tp = TopicPartition::new(&topic, partition);
-            let created = records
-                .first()
-                .map(|r| r.timestamp)
-                .unwrap_or_else(|| ctx.now());
-            let sealed = RecordBatch::from_records(records).with_compression(self.cfg.compression);
+            let sealed = records.finish().with_compression(self.cfg.compression);
+            let created = sealed.first().map_or_else(|| ctx.now(), |r| r.timestamp());
+            let bytes = sealed.record_bytes();
             if !sealed.compression().is_none() && !self.cfg.compress_cpu_per_byte.is_zero() {
                 // Compressing the sealed batch costs CPU proportional to
                 // the raw record bytes — the produce-side half of the
@@ -852,15 +842,15 @@ impl ProducerClient {
         if delivered {
             for r in batch.batch.iter() {
                 self.ack_latency
-                    .observe(now.saturating_since(r.timestamp).as_secs_f64());
+                    .observe(now.saturating_since(r.timestamp()).as_secs_f64());
             }
         }
         if self.capture {
             self.outcomes
                 .extend(batch.batch.iter().map(|r| ProduceOutcome {
-                    seq: r.producer_seq,
+                    seq: r.producer_seq(),
                     topic: batch.tp.topic.shared(),
-                    created: r.timestamp,
+                    created: r.timestamp(),
                     completed: now,
                     delivered,
                 }));

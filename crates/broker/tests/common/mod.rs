@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 
 use s2g_broker::{CollectingSink, ConsumerClient, ConsumerConfig, ConsumerProcess, ConsumerStats};
 use s2g_proto::{
-    BrokerId, ClientRpc, ErrorCode, LeaderEpoch, Offset, PartitionMetadata, Record, RecordBatch,
-    TopicPartition,
+    BrokerId, ClientRpc, Compression, ErrorCode, LeaderEpoch, LogRun, Offset, PartitionMetadata,
+    Record, TopicPartition,
 };
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
 
@@ -69,7 +69,15 @@ impl Process for StubBroker {
                     ClientRpc::FetchResponse {
                         corr,
                         tp: tp.clone(),
-                        batch: RecordBatch::from_records((0..records).map(record).collect()),
+                        runs: (records > 0)
+                            .then(|| LogRun {
+                                base: offset,
+                                epoch: LeaderEpoch(0),
+                                batch: (0..records).map(record).collect(),
+                            })
+                            .into_iter()
+                            .collect(),
+                        compression: Compression::None,
                         high_watermark: Offset(offset.value() + records as u64),
                         next_offset: Offset(offset.value() + records as u64),
                         error,

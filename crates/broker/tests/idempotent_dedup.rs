@@ -89,12 +89,12 @@ fn oracle(batches: &[RecordBatch]) -> (Vec<Vec<u8>>, u64) {
     let mut last: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
     let (mut log, mut dups) = (Vec::new(), 0);
     for r in batches.iter().flatten() {
-        let stamp = (r.producer_epoch, r.producer_seq);
-        if last.get(&r.producer.0).is_some_and(|l| stamp <= *l) {
+        let stamp = (r.producer_epoch(), r.producer_seq());
+        if last.get(&r.producer().0).is_some_and(|l| stamp <= *l) {
             dups += 1;
         } else {
-            last.insert(r.producer.0, stamp);
-            log.push(r.value.to_vec());
+            last.insert(r.producer().0, stamp);
+            log.push(r.value().to_vec());
         }
     }
     (log, dups)
@@ -141,7 +141,7 @@ fn through_the_broker(batches: Vec<RecordBatch>) -> (Vec<Vec<u8>>, u64) {
     assert_eq!(sim.process_ref::<RawProducer>(producer).unwrap().acked, n);
     let broker = sim.process_ref::<Broker>(broker_pid).unwrap();
     let log = broker.log(&tp).expect("partition log");
-    let payloads = log.entries().map(|(_, _, r)| r.value.to_vec()).collect();
+    let payloads = log.entries().map(|(_, _, r)| r.value().to_vec()).collect();
     (payloads, broker.stats().duplicates_filtered)
 }
 
@@ -164,7 +164,7 @@ fn interleaved_producers_with_an_in_batch_duplicate_retried_whole() {
     // Five fresh records the first time; the retry is all duplicates.
     let fresh: Vec<Vec<u8>> = [0usize, 1, 2, 4, 6]
         .iter()
-        .map(|i| first.records()[*i].value.to_vec())
+        .map(|i| first.get(*i).expect("eight records").value().to_vec())
         .collect();
     assert_eq!(log, fresh);
     assert_eq!(dups, 3 + 8);

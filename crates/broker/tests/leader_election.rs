@@ -392,12 +392,9 @@ fn replicas_share_one_copy_of_each_record_through_a_bounce() {
     let leader_log = log(leader);
     assert!(leader_log.len() > 300, "{} records", leader_log.len());
     for i in (0..N_BROKERS).filter(|i| *i != leader) {
-        let mine = log(i).entries().map(|(_, _, r)| r);
-        let theirs = leader_log.entries().map(|(_, _, r)| r);
-        let shared = mine
-            .zip(theirs)
-            .filter(|(a, b)| std::ptr::eq(*a, *b))
-            .count();
+        let mine = log(i).entries().map(|(_, _, r)| r.value().as_ptr());
+        let theirs = leader_log.entries().map(|(_, _, r)| r.value().as_ptr());
+        let shared = mine.zip(theirs).filter(|(a, b)| a == b).count();
         assert_eq!(shared, leader_log.len(), "broker {i} holds copies");
     }
     assert_eq!(s2g_proto::shared_batch_copies(), copies_before);

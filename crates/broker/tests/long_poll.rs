@@ -24,8 +24,8 @@ use s2g_broker::{
     FETCH_MAX_WAIT,
 };
 use s2g_proto::{
-    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, Offset,
-    ProducerId, Record, RecordBatch, ReplicaFetchPart, ReplicaRpc, TopicPartition,
+    AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
+    Offset, ProducerId, Record, RecordBatch, ReplicaFetchPart, ReplicaRpc, TopicPartition,
 };
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
 use s2g_store::{BlobClient, StoreRpc};
@@ -45,6 +45,8 @@ type Fetched = (SimTime, u64, usize, Offset, ErrorCode);
 #[derive(Default)]
 struct Puppet {
     fetched: Vec<Fetched>,
+    /// The runs of each fetch response heard, in order.
+    runs: Vec<Vec<LogRun>>,
     /// The correlation ids of the store puts heard, unanswered.
     puts: Vec<u64>,
 }
@@ -72,14 +74,16 @@ impl Process for Puppet {
         if let Ok(rpc) = downcast::<ClientRpc>(msg) {
             if let ClientRpc::FetchResponse {
                 corr,
-                batch,
+                runs,
                 next_offset,
                 error,
                 ..
             } = *rpc
             {
-                let heard = (ctx.now(), corr.0, batch.len(), next_offset, error);
+                let records = runs.iter().map(LogRun::len).sum();
+                let heard = (ctx.now(), corr.0, records, next_offset, error);
                 self.fetched.push(heard);
+                self.runs.push(runs);
             }
         }
     }
@@ -154,10 +158,15 @@ impl Rig {
     /// One record from producer 7, under leader epoch 1.
     fn produce(&mut self, acks: AckMode, txn: Option<u64>) {
         let record = Record::keyless(vec![b'x'; 16], SimTime::ZERO).from_producer(ProducerId(7), 0);
+        self.produce_batch(RecordBatch::from_records(vec![record]), acks, txn);
+    }
+
+    /// `batch`, under leader epoch 1.
+    fn produce_batch(&mut self, batch: RecordBatch, acks: AckMode, txn: Option<u64>) {
         let rpc = ClientRpc::ProduceRequest {
             corr: CorrelationId(1_000),
             tp: tp(),
-            batch: RecordBatch::from_records(vec![record]),
+            batch,
             acks,
             epoch: LeaderEpoch(1),
             txn,
@@ -214,6 +223,45 @@ fn an_append_wakes_a_held_fetch() {
     let answer = rig.answered_within_a_ms();
     assert_eq!(answer, (1, 1, Offset(1), ErrorCode::None));
     assert_eq!(rig.waits(), (1, 1, 0), "woken, not expired");
+}
+
+#[test]
+fn a_fetch_spanning_runs_shares_their_storage() {
+    let mut rig = Rig::new(CoordinationMode::Zk, false);
+    rig.sim.run_until(ms(1));
+    rig.leader_and_isr(ME, 1, &[ME]);
+    rig.sim.run_until(ms(100));
+    // Three batches of three records: the log holds three runs.
+    let batches: Vec<RecordBatch> = (0..3u64)
+        .map(|b| {
+            let record = |i| {
+                let value = vec![b'a' + (3 * b + i) as u8; 16];
+                Record::keyless(value, SimTime::ZERO).from_producer(ProducerId(7), 3 * b + i)
+            };
+            (0..3).map(record).collect()
+        })
+        .collect();
+    for batch in &batches {
+        rig.produce_batch(batch.clone(), AckMode::Leader, None);
+    }
+    rig.sim.run_until(ms(150));
+    let copies = s2g_proto::shared_batch_copies();
+    rig.fetch(1, false);
+    assert_eq!(
+        rig.answered_within_a_ms(),
+        (1, 9, Offset(9), ErrorCode::None)
+    );
+    let puppet = rig.sim.process_mut::<Puppet>(CTL).expect("a puppet");
+    let runs = puppet.runs.pop().expect("the reply's runs");
+    // One run per produced batch, each a view of that batch: the reply's
+    // records are the producer's bytes, not a copy of them.
+    assert_eq!(runs.len(), 3);
+    for (run, batch) in runs.iter().zip(&batches) {
+        assert!(run.batch.same_storage(batch));
+        let values = |b: &RecordBatch| b.iter().map(|r| r.value().as_ptr()).collect::<Vec<_>>();
+        assert_eq!(values(&run.batch), values(batch));
+    }
+    assert_eq!(s2g_proto::shared_batch_copies(), copies);
 }
 
 #[test]

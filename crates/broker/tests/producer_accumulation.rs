@@ -1,5 +1,6 @@
 //! The producer's accumulation path: records are written into one buffer
-//! per topic and sealed as views of it.
+//! per topic, and a flush copies each partition's share into its sealed
+//! batch.
 //!
 //! Two properties, both checked on what a (fake) broker actually receives:
 //!
@@ -222,15 +223,15 @@ fn sealed_batches_carry_what_was_sent_in_order() {
             let mut prev_seq = None;
             for r in batch.iter() {
                 // In send order within the sub-batch...
-                assert!(prev_seq < Some(r.producer_seq), "seed {seed}: order");
-                prev_seq = Some(r.producer_seq);
+                assert!(prev_seq < Some(r.producer_seq()), "seed {seed}: order");
+                prev_seq = Some(r.producer_seq());
                 // ...and exactly the record that was sent under that seq.
-                let i = usize::try_from(r.producer_seq).unwrap();
+                let i = usize::try_from(r.producer_seq()).unwrap();
                 let (key, value, at) = &out.sent[i];
-                assert_eq!(r.key.as_deref(), key.as_deref(), "seed {seed} seq {i}");
-                assert_eq!(&r.value[..], &value[..], "seed {seed} seq {i}");
-                assert_eq!(r.timestamp, *at, "seed {seed} seq {i}");
-                assert_eq!((r.producer, r.producer_epoch), (PRODUCER, 0));
+                assert_eq!(r.key(), key.as_deref(), "seed {seed} seq {i}");
+                assert_eq!(r.value(), &value[..], "seed {seed} seq {i}");
+                assert_eq!(r.timestamp(), *at, "seed {seed} seq {i}");
+                assert_eq!((r.producer(), r.producer_epoch()), (PRODUCER, 0));
                 assert!(!std::mem::replace(&mut seen[i], true), "seq {i} twice");
                 if let Some(k) = key {
                     assert_eq!(
@@ -287,7 +288,7 @@ fn a_rejected_record_is_rolled_back_out_of_the_buffer() {
     let mut arrived: Vec<(u64, Vec<u8>)> = out
         .produced
         .iter()
-        .flat_map(|(_, b)| b.iter().map(|r| (r.producer_seq, r.value.to_vec())))
+        .flat_map(|(_, b)| b.iter().map(|r| (r.producer_seq(), r.value().to_vec())))
         .collect();
     arrived.sort();
     let expected: Vec<Vec<u8>> = out
@@ -303,7 +304,7 @@ fn a_rejected_record_is_rolled_back_out_of_the_buffer() {
     }
     // The batch that saw the rejections holds records from both sides.
     let straddles = out.produced.iter().any(|(_, b)| {
-        let at = |ms: u64| b.iter().any(|r| r.timestamp == SimTime::from_millis(ms));
+        let at = |ms: u64| b.iter().any(|r| r.timestamp() == SimTime::from_millis(ms));
         at(39) && at(45)
     });
     assert!(

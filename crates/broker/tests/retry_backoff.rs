@@ -55,7 +55,7 @@ impl Process for StubBroker {
             ClientRpc::ProduceRequest {
                 corr, tp, batch, ..
             } => {
-                let first = batch.records()[0].value[0];
+                let first = batch.first().expect("a sealed batch has records").value()[0];
                 self.produced.push((ctx.now(), tp.partition, first));
                 let take = |left: &mut BTreeMap<u32, u32>| {
                     let n = left.entry(tp.partition).or_default();

@@ -13,14 +13,19 @@
 //! [`RecordBatch`] frame stay byte-compatible by construction instead of by
 //! parallel maintenance.
 
-use bytes::Bytes;
 use s2g_sim::SimTime;
 
 use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, Cursor};
-use crate::record::{Compression, Offset, ProducerId, Record, RecordBatch};
+use crate::record::{BatchBuilder, Compression, Offset, ProducerId, RecordBatch, RecordRef};
 
 /// Version byte of the batch frame format.
 pub const BATCH_FRAME_VERSION: u8 = 1;
+
+/// The fewest bytes one record takes in a frame: a byte each for the
+/// offset and timestamp deltas and the key flag, the value's length
+/// prefix, and a byte each for the producer stamps. A decoder reserves for
+/// no more records than its input can hold, whatever count it claims.
+pub const MIN_FRAME_RECORD: usize = 10;
 
 /// Appends one record in the shared frame layout: offset and timestamp
 /// deltas against the frame bases, then key/value and producer identity.
@@ -29,59 +34,56 @@ pub fn put_frame_record(
     base_offset: Offset,
     base_ts: SimTime,
     offset: Offset,
-    r: &Record,
+    r: RecordRef<'_>,
 ) {
     debug_assert!(offset >= base_offset, "frame offsets never precede base");
     put_uvarint(out, offset.value() - base_offset.value());
     put_svarint(
         out,
-        r.timestamp.as_nanos() as i64 - base_ts.as_nanos() as i64,
+        r.timestamp().as_nanos() as i64 - base_ts.as_nanos() as i64,
     );
-    match &r.key {
+    match r.key() {
         Some(k) => {
             put_u8(out, 1);
             put_bytes(out, k);
         }
         None => put_u8(out, 0),
     }
-    put_bytes(out, &r.value);
-    put_uvarint(out, u64::from(r.producer.0));
-    put_uvarint(out, u64::from(r.producer_epoch));
-    put_uvarint(out, r.producer_seq);
+    put_bytes(out, r.value());
+    put_uvarint(out, u64::from(r.producer().0));
+    put_uvarint(out, u64::from(r.producer_epoch()));
+    put_uvarint(out, r.producer_seq());
 }
 
-/// Reads one record written by [`put_frame_record`], returning it with its
-/// absolute offset. `None` on truncated or malformed input. `cur` must read
-/// `frame`: the record's key and value are views of it, not copies, so a
-/// decoded run costs one buffer however many records it holds.
+/// Reads one record written by [`put_frame_record`] into `into`, returning
+/// its absolute offset. `None` on truncated or malformed input. The key and
+/// value are copied once, into the batch's frame.
 pub fn read_frame_record(
-    frame: &Bytes,
     cur: &mut Cursor<'_>,
     base_offset: Offset,
     base_ts: SimTime,
-) -> Option<(Offset, Record)> {
+    into: &mut BatchBuilder,
+) -> Option<Offset> {
     let offset = Offset(base_offset.value().checked_add(cur.uvarint()?)?);
     let ts = (base_ts.as_nanos() as i64).checked_add(cur.svarint()?)?;
     let timestamp = SimTime::from_nanos(u64::try_from(ts).ok()?);
     let key = match cur.u8()? {
         0 => None,
-        _ => Some(cur.bytes_view(frame)?),
+        _ => Some(cur.bytes()?),
     };
-    let value = cur.bytes_view(frame)?;
+    let value = cur.bytes()?;
     let producer = ProducerId(u32::try_from(cur.uvarint()?).ok()?);
     let producer_epoch = u32::try_from(cur.uvarint()?).ok()?;
     let producer_seq = cur.uvarint()?;
-    Some((
-        offset,
-        Record {
-            key,
-            value,
-            timestamp,
-            producer,
-            producer_epoch,
-            producer_seq,
-        },
-    ))
+    into.push(
+        key,
+        value,
+        timestamp,
+        producer,
+        producer_epoch,
+        producer_seq,
+    );
+    Some(offset)
 }
 
 impl RecordBatch {
@@ -89,11 +91,7 @@ impl RecordBatch {
     /// consecutive offsets from it, the producer-side convention before the
     /// broker assigns real ones).
     pub fn encode_frame(&self, base_offset: Offset) -> Vec<u8> {
-        let base_ts = self
-            .records()
-            .first()
-            .map(|r| r.timestamp)
-            .unwrap_or(SimTime::ZERO);
+        let base_ts = self.first().map_or(SimTime::ZERO, |r| r.timestamp());
         let mut out = Vec::with_capacity(32 + self.record_bytes());
         put_u8(&mut out, BATCH_FRAME_VERSION);
         put_u8(
@@ -120,11 +118,10 @@ impl RecordBatch {
 
     /// Decodes a frame written by [`encode_frame`](Self::encode_frame),
     /// returning the batch and its base offset. `None` on truncated,
-    /// malformed, or wrong-version input. The frame is copied once into a
-    /// shared buffer and every record's key and value is a view of it.
+    /// malformed, or wrong-version input, and on bytes past the last
+    /// record. The records' bytes are copied once, into the batch's frame.
     pub fn decode_frame(buf: &[u8]) -> Option<(RecordBatch, Offset)> {
-        let frame = Bytes::copy_from_slice(buf);
-        let mut cur = Cursor::new(&frame);
+        let mut cur = Cursor::new(buf);
         if cur.u8()? != BATCH_FRAME_VERSION {
             return None;
         }
@@ -135,22 +132,23 @@ impl RecordBatch {
         };
         let base_offset = Offset(cur.uvarint()?);
         let base_ts = SimTime::from_nanos(cur.u64()?);
-        let count = cur.uvarint()? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 16));
+        let count = cur.uvarint()?;
+        let fits = usize::try_from(count).map_or(0, |n| n.min(buf.len() / MIN_FRAME_RECORD));
+        let mut records = BatchBuilder::with_capacity(fits, buf.len());
         for _ in 0..count {
-            let (_, r) = read_frame_record(&frame, &mut cur, base_offset, base_ts)?;
-            records.push(r);
+            read_frame_record(&mut cur, base_offset, base_ts, &mut records)?;
         }
-        Some((
-            RecordBatch::from_records(records).with_compression(compression),
-            base_offset,
-        ))
+        if cur.position() != buf.len() {
+            return None;
+        }
+        Some((records.finish().with_compression(compression), base_offset))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
 
     fn rec(i: u64) -> Record {
         Record::new(
@@ -219,13 +217,29 @@ mod tests {
         let mut out = Vec::new();
         let base = Offset(10);
         let base_ts = SimTime::from_millis(5);
-        put_frame_record(&mut out, base, base_ts, Offset(10), &rec(0));
-        put_frame_record(&mut out, base, base_ts, Offset(17), &rec(1)); // hole
-        let frame = Bytes::from(out);
-        let mut cur = Cursor::new(&frame);
-        let (o1, r1) = read_frame_record(&frame, &mut cur, base, base_ts).unwrap();
-        let (o2, r2) = read_frame_record(&frame, &mut cur, base, base_ts).unwrap();
+        let recs = RecordBatch::from_records(vec![rec(0), rec(1)]);
+        let mut at = [Offset(10), Offset(17)].into_iter(); // a hole
+        for r in &recs {
+            put_frame_record(&mut out, base, base_ts, at.next().unwrap(), r);
+        }
+        let mut cur = Cursor::new(&out);
+        let mut back = BatchBuilder::default();
+        let o1 = read_frame_record(&mut cur, base, base_ts, &mut back).unwrap();
+        let o2 = read_frame_record(&mut cur, base, base_ts, &mut back).unwrap();
         assert_eq!((o1, o2), (Offset(10), Offset(17)));
-        assert_eq!((r1, r2), (rec(0), rec(1)));
+        assert_eq!(back.finish(), recs);
+    }
+
+    #[test]
+    fn bytes_past_the_last_record_are_rejected() {
+        // A valid frame followed by junk once decoded as the frame alone.
+        let batch = RecordBatch::from_records(vec![rec(0)]);
+        let mut buf = batch.encode_frame(Offset(5));
+        assert_eq!(RecordBatch::decode_frame(&buf), Some((batch, Offset(5))));
+        buf.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(RecordBatch::decode_frame(&buf), None);
+        let mut empty = RecordBatch::new().encode_frame(Offset::ZERO);
+        empty.push(0);
+        assert_eq!(RecordBatch::decode_frame(&empty), None);
     }
 }

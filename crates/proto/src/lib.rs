@@ -14,11 +14,11 @@ pub mod hash;
 mod record;
 mod rpc;
 
-pub use batch::{put_frame_record, read_frame_record, BATCH_FRAME_VERSION};
+pub use batch::{put_frame_record, read_frame_record, BATCH_FRAME_VERSION, MIN_FRAME_RECORD};
 pub use hash::{fnv1a, key_group, owner_of_group, partition_for_key};
 pub use record::{
-    shared_batch_copies, Compression, Offset, ProducerId, Record, RecordBatch, TopicName,
-    TopicPartition, RECORD_OVERHEAD,
+    shared_batch_copies, BatchBuilder, BatchIter, Compression, Offset, ProducerId, Record,
+    RecordBatch, RecordRef, TopicName, TopicPartition, RECORD_OVERHEAD,
 };
 pub use rpc::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,

@@ -270,12 +270,17 @@ impl Record {
 
     /// The payload interpreted as UTF-8 (lossy) — convenient in stream jobs.
     pub fn value_utf8(&self) -> String {
-        // Validating first is much cheaper than the lossy conversion's
-        // chunk walk; only an invalid payload pays for that.
-        match std::str::from_utf8(&self.value) {
-            Ok(text) => text.to_owned(),
-            Err(_) => String::from_utf8_lossy(&self.value).into_owned(),
-        }
+        utf8_lossy(&self.value)
+    }
+}
+
+/// `bytes` as UTF-8, each invalid sequence replaced by U+FFFD. Validating
+/// first is much cheaper than the lossy conversion's chunk walk; only an
+/// invalid payload pays for that.
+fn utf8_lossy(bytes: &[u8]) -> String {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => text.to_owned(),
+        Err(_) => String::from_utf8_lossy(bytes).into_owned(),
     }
 }
 
@@ -326,31 +331,275 @@ impl fmt::Display for Compression {
 }
 
 thread_local! {
-    /// Deep copies of *shared* batches (see
+    /// Owned copies taken of *shared* batches (see
     /// [`RecordBatch::into_records`]). The data plane is designed so this
-    /// never fires: senders keep an `Arc` clone for retries, receivers
-    /// iterate in place or inherit sole ownership. `tests/batching.rs`
-    /// asserts the count stays zero across monitored runs, so a reintroduced
-    /// per-consumer copy fails CI instead of silently costing memory.
+    /// never fires: senders keep an `Arc` clone for retries, receivers read
+    /// records in place, and a consumer builds the `Record`s it hands a sink
+    /// from a borrowed view. `tests/batching.rs` asserts the count stays zero
+    /// across monitored runs, so a reintroduced per-consumer copy fails CI
+    /// instead of silently costing memory.
     static SHARED_BATCH_COPIES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Cumulative count of deep copies made from shared batches on this thread.
+/// Cumulative count of owned copies taken of shared batches on this thread.
 pub fn shared_batch_copies() -> u64 {
     SHARED_BATCH_COPIES.with(Cell::get)
 }
 
+/// `Slot::key_len` of a keyless record.
+const NO_KEY: u32 = u32::MAX;
+
+/// One record's fixed part in a batch's store: where its bytes end in the
+/// frame (they start where the previous record's end), how many of them
+/// are the key, and the producer stamps. 32 B, where a `Record` is 56.
+#[derive(Debug)]
+struct Slot {
+    /// One past the record's last byte in the frame.
+    end: u32,
+    /// Length of the key, which comes first; [`NO_KEY`] for none.
+    key_len: u32,
+    timestamp: SimTime,
+    producer: ProducerId,
+    producer_epoch: u32,
+    producer_seq: u64,
+}
+
+/// What a sealed batch holds: every record's key and then its value, back
+/// to back in record order in one frame, and a [`Slot`] per record. Never
+/// empty: the empty batch holds no store.
+struct Store {
+    frame: Bytes,
+    slots: Box<[Slot]>,
+}
+
+/// A record of a batch, borrowed in place: its key and value are slices of
+/// the batch's frame. [`to_record`](Self::to_record) builds the owned
+/// [`Record`], whose key and value are views of the same frame.
+#[derive(Clone, Copy)]
+pub struct RecordRef<'a> {
+    frame: &'a Bytes,
+    slot: &'a Slot,
+    /// Where the record's bytes start in the frame.
+    start: u32,
+}
+
+impl<'a> RecordRef<'a> {
+    /// Where the value starts in the frame.
+    fn value_start(&self) -> usize {
+        match self.slot.key_len {
+            NO_KEY => self.start as usize,
+            n => (self.start + n) as usize,
+        }
+    }
+
+    /// The partitioning key, if any.
+    pub fn key(&self) -> Option<&'a [u8]> {
+        let frame: &'a [u8] = self.frame;
+        (self.slot.key_len != NO_KEY).then(|| &frame[self.start as usize..self.value_start()])
+    }
+
+    /// The payload bytes.
+    pub fn value(&self) -> &'a [u8] {
+        let frame: &'a [u8] = self.frame;
+        &frame[self.value_start()..self.slot.end as usize]
+    }
+
+    /// The stamps equality compares beside the bytes.
+    fn stamps(&self) -> (SimTime, ProducerId, u32, u64) {
+        let s = self.slot;
+        (s.timestamp, s.producer, s.producer_epoch, s.producer_seq)
+    }
+
+    /// Producer-side creation timestamp (event time).
+    pub fn timestamp(&self) -> SimTime {
+        self.slot.timestamp
+    }
+
+    /// The producer that created the record.
+    pub fn producer(&self) -> ProducerId {
+        self.slot.producer
+    }
+
+    /// The producer's incarnation.
+    pub fn producer_epoch(&self) -> u32 {
+        self.slot.producer_epoch
+    }
+
+    /// The producer-assigned sequence number.
+    pub fn producer_seq(&self) -> u64 {
+        self.slot.producer_seq
+    }
+
+    /// The record's size on the wire, framing included.
+    pub fn encoded_len(&self) -> usize {
+        RECORD_OVERHEAD + (self.slot.end - self.start) as usize
+    }
+
+    /// The payload interpreted as UTF-8 (lossy), as [`Record::value_utf8`].
+    pub fn value_utf8(&self) -> String {
+        utf8_lossy(self.value())
+    }
+
+    /// The owned record: its key and value are views of the batch's frame,
+    /// so building one copies no payload.
+    pub fn to_record(&self) -> Record {
+        let (start, value_start) = (self.start as usize, self.value_start());
+        Record {
+            key: (self.slot.key_len != NO_KEY).then(|| self.frame.slice(start..value_start)),
+            value: self.frame.slice(value_start..self.slot.end as usize),
+            timestamp: self.slot.timestamp,
+            producer: self.slot.producer,
+            producer_epoch: self.slot.producer_epoch,
+            producer_seq: self.slot.producer_seq,
+        }
+    }
+}
+
+impl PartialEq for RecordRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.stamps() == other.stamps()
+            && self.key() == other.key()
+            && self.value() == other.value()
+    }
+}
+
+impl Eq for RecordRef<'_> {}
+
+impl PartialEq<Record> for RecordRef<'_> {
+    fn eq(&self, r: &Record) -> bool {
+        let stamps = (r.timestamp, r.producer, r.producer_epoch, r.producer_seq);
+        self.stamps() == stamps && self.key() == r.key.as_deref() && self.value() == &r.value[..]
+    }
+}
+
+impl PartialEq<RecordRef<'_>> for Record {
+    fn eq(&self, r: &RecordRef<'_>) -> bool {
+        r == self
+    }
+}
+
+impl fmt::Debug for RecordRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_record(), f)
+    }
+}
+
+/// The records of a batch, borrowed in order.
+#[derive(Clone)]
+pub struct BatchIter<'a> {
+    /// `None` only for the empty batch, whose `slots` are empty too.
+    frame: Option<&'a Bytes>,
+    slots: std::slice::Iter<'a, Slot>,
+    /// Where the next record's bytes start.
+    at: u32,
+}
+
+impl<'a> Iterator for BatchIter<'a> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        let slot = self.slots.next()?;
+        let frame = self.frame.expect("a batch with records has a frame");
+        let start = std::mem::replace(&mut self.at, slot.end);
+        Some(RecordRef { frame, slot, start })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BatchIter<'_> {}
+
+/// Builds a batch record by record into its packed store: each record's
+/// key and value are copied into the frame, its stamps into its slot.
+/// Sized up front (as a producer sealing a partition's records knows it
+/// exactly), the store is two exact allocations.
+#[derive(Debug, Default)]
+pub struct BatchBuilder {
+    frame: Vec<u8>,
+    slots: Vec<Slot>,
+}
+
+impl BatchBuilder {
+    /// A builder with room for `records` records of `bytes` key and value
+    /// bytes in all.
+    pub fn with_capacity(records: usize, bytes: usize) -> Self {
+        BatchBuilder {
+            frame: Vec::with_capacity(bytes),
+            slots: Vec::with_capacity(records),
+        }
+    }
+
+    /// Appends a record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the frame would pass 4 GiB, or a key is 4 GiB − 1 long.
+    pub fn push(
+        &mut self,
+        key: Option<&[u8]>,
+        value: &[u8],
+        timestamp: SimTime,
+        producer: ProducerId,
+        producer_epoch: u32,
+        producer_seq: u64,
+    ) {
+        let key_len = key.map_or(NO_KEY, |k| {
+            self.frame.extend_from_slice(k);
+            u32::try_from(k.len())
+                .ok()
+                .filter(|&n| n != NO_KEY)
+                .expect("a key is shorter than 4 GiB - 1")
+        });
+        self.frame.extend_from_slice(value);
+        self.slots.push(Slot {
+            end: u32::try_from(self.frame.len()).expect("a batch frame holds at most 4 GiB"),
+            key_len,
+            timestamp,
+            producer,
+            producer_epoch,
+            producer_seq,
+        });
+    }
+
+    /// Seals the records into a shareable batch, trimming whatever room
+    /// was reserved and not used.
+    ///
+    /// # Panics
+    ///
+    /// Panics on 2³² records or more.
+    pub fn finish(mut self) -> RecordBatch {
+        let len = u32::try_from(self.slots.len()).expect("a batch holds fewer than 2^32 records");
+        if len == 0 {
+            return RecordBatch::new();
+        }
+        self.frame.shrink_to_fit();
+        RecordBatch {
+            store: Some(Arc::new(Store {
+                frame: Bytes::from(self.frame),
+                slots: self.slots.into_boxed_slice(),
+            })),
+            start: 0,
+            len,
+            compression: Compression::None,
+        }
+    }
+}
+
 /// A batch of records bound for (or fetched from) one partition.
 ///
-/// The record set is reference counted: cloning a batch (a producer keeping
-/// its retry copy next to the in-flight request, a broker handing the same
-/// fetched run to many consumers) bumps an `Arc` instead of duplicating
-/// records, and the payloads inside are [`Bytes`] views of the one buffer
-/// the producer sealed the batch into — so a whole batch travels
-/// producer→broker→consumer→operator as that one allocation. A batch may
-/// also be a contiguous part of another ([`slice`](Self::slice)): the
+/// The records live in one shared store: a frame holding each record's key
+/// and value back to back, and a 32 B slot per record with where its bytes
+/// end and its stamps. Cloning a batch (a producer keeping its retry copy
+/// next to the in-flight request, a broker handing the same fetched run to
+/// many consumers) bumps an `Arc` instead of duplicating records, so a
+/// whole batch travels producer→broker→consumer as that one store. A batch
+/// may also be a contiguous part of another ([`slice`](Self::slice)): the
 /// broker log stores and serves its records as such views, so every
 /// replica and reader of a record shares the producer's one copy.
+/// Records are read in place as [`RecordRef`]s; [`RecordRef::to_record`]
+/// builds an owned [`Record`] where one is needed.
 ///
 /// Equality and `Debug` see the records, not how they are stored.
 ///
@@ -366,17 +615,17 @@ pub fn shared_batch_copies() -> u64 {
 /// ]);
 /// let retry_copy = batch.clone(); // refcount bump, not a record copy
 /// assert_eq!(batch.share_count(), 2);
-/// assert_eq!(retry_copy.records().len(), 2);
+/// assert_eq!(retry_copy.len(), 2);
 /// let tail = batch.slice(1..2); // a view of the same records
 /// assert!(tail.same_storage(&batch));
-/// assert_eq!(tail.records()[0].value_utf8(), "b");
+/// assert_eq!(tail.iter().next().map(|r| r.value()), Some(&b"b"[..]));
 /// ```
 #[derive(Clone, Default)]
 pub struct RecordBatch {
     /// `None` is the empty batch: most fetch responses carry no record, and
     /// saying so costs no allocation. Never `Some` with `len == 0`.
-    records: Option<Arc<Vec<Record>>>,
-    /// The view: `records[start..start + len]`. `u32` keeps a batch three
+    store: Option<Arc<Store>>,
+    /// The view: `slots[start..start + len]`. `u32` keeps a batch three
     /// words, and a sealed batch is far below 2³² records.
     start: u32,
     len: u32,
@@ -385,7 +634,7 @@ pub struct RecordBatch {
 
 impl PartialEq for RecordBatch {
     fn eq(&self, other: &Self) -> bool {
-        self.compression == other.compression && self.records() == other.records()
+        self.compression == other.compression && self.iter().eq(other.iter())
     }
 }
 
@@ -393,8 +642,15 @@ impl Eq for RecordBatch {}
 
 impl fmt::Debug for RecordBatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The records as a list.
+        struct Records<'a>(&'a RecordBatch);
+        impl fmt::Debug for Records<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
         f.debug_struct("RecordBatch")
-            .field("records", &self.records.as_ref().map(|_| self.records()))
+            .field("records", &self.store.as_ref().map(|_| Records(self)))
             .field("compression", &self.compression)
             .finish()
     }
@@ -409,18 +665,23 @@ impl RecordBatch {
         Self::default()
     }
 
-    /// Seals a record list into a shareable batch.
+    /// Seals a record list into a shareable batch: the records' bytes are
+    /// copied into the batch's frame.
     ///
     /// # Panics
     ///
     /// Panics on 2³² records or more.
     pub fn from_records(records: Vec<Record>) -> Self {
-        RecordBatch {
-            len: u32::try_from(records.len()).expect("a batch holds fewer than 2^32 records"),
-            start: 0,
-            records: (!records.is_empty()).then(|| Arc::new(records)),
-            compression: Compression::None,
+        let bytes = records
+            .iter()
+            .map(|r| r.encoded_len() - RECORD_OVERHEAD)
+            .sum();
+        let mut builder = BatchBuilder::with_capacity(records.len(), bytes);
+        for r in &records {
+            let (key, stamps) = (r.key.as_deref(), (r.producer_epoch, r.producer_seq));
+            builder.push(key, &r.value, r.timestamp, r.producer, stamps.0, stamps.1);
         }
+        builder.finish()
     }
 
     /// The records at `range` of this batch, as a view of the same storage:
@@ -436,12 +697,12 @@ impl RecordBatch {
             "slice {range:?} of a {}-record batch",
             self.len()
         );
-        let Some(records) = self.records.as_ref().filter(|_| !range.is_empty()) else {
+        let Some(store) = self.store.as_ref().filter(|_| !range.is_empty()) else {
             return RecordBatch::new().with_compression(self.compression);
         };
         let within = |n: usize| u32::try_from(n).expect("bounded by len, a u32");
         RecordBatch {
-            records: Some(Arc::clone(records)),
+            store: Some(Arc::clone(store)),
             start: self.start + within(range.start),
             len: within(range.len()),
             compression: self.compression,
@@ -450,7 +711,7 @@ impl RecordBatch {
 
     /// True when both batches are non-empty views of one record set.
     pub fn same_storage(&self, other: &RecordBatch) -> bool {
-        matches!((&self.records, &other.records), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        matches!((&self.store, &other.store), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// Marks the batch as compressed under `codec` (builder style). The
@@ -466,17 +727,50 @@ impl RecordBatch {
         self.compression
     }
 
-    /// The records, in append order.
-    pub fn records(&self) -> &[Record] {
-        let (start, len) = (self.start as usize, self.len as usize);
-        self.records
-            .as_ref()
-            .map_or(&[], |r| &r[start..start + len])
+    /// The view's slots and where its first record's bytes start.
+    fn view(&self) -> Option<(&Store, &[Slot], u32)> {
+        let store = self.store.as_deref()?;
+        let (start, end) = (self.start as usize, (self.start + self.len) as usize);
+        let at = start.checked_sub(1).map_or(0, |prev| store.slots[prev].end);
+        Some((store, &store.slots[start..end], at))
     }
 
-    /// Iterates the records in place.
-    pub fn iter(&self) -> std::slice::Iter<'_, Record> {
-        self.records().iter()
+    /// The records, borrowed in append order.
+    pub fn iter(&self) -> BatchIter<'_> {
+        match self.view() {
+            Some((store, slots, at)) => BatchIter {
+                frame: Some(&store.frame),
+                slots: slots.iter(),
+                at,
+            },
+            None => BatchIter {
+                frame: None,
+                slots: [].iter(),
+                at: 0,
+            },
+        }
+    }
+
+    /// The record at `index`, if the batch has that many.
+    pub fn get(&self, index: usize) -> Option<RecordRef<'_>> {
+        let (store, slots, at) = self.view()?;
+        let slot = slots.get(index)?;
+        let start = index.checked_sub(1).map_or(at, |prev| slots[prev].end);
+        Some(RecordRef {
+            frame: &store.frame,
+            slot,
+            start,
+        })
+    }
+
+    /// The first record, if any.
+    pub fn first(&self) -> Option<RecordRef<'_>> {
+        self.get(0)
+    }
+
+    /// The last record, if any.
+    pub fn last(&self) -> Option<RecordRef<'_>> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
     }
 
     /// Number of records.
@@ -486,7 +780,7 @@ impl RecordBatch {
 
     /// True when the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_none()
+        self.store.is_none()
     }
 
     /// Total uncompressed size, framing included.
@@ -501,37 +795,30 @@ impl RecordBatch {
         BATCH_OVERHEAD + self.compression.compressed_len(self.record_bytes())
     }
 
-    /// Record bytes without the batch header.
+    /// Record bytes without the batch header: each record's framing and
+    /// the frame bytes the view spans.
     pub fn record_bytes(&self) -> usize {
-        self.iter().map(Record::encoded_len).sum()
+        self.view().map_or(0, |(_, slots, at)| {
+            let end = slots.last().map_or(at, |s| s.end);
+            RECORD_OVERHEAD * slots.len() + (end - at) as usize
+        })
     }
 
     /// How many handles share this batch's record set (1 = sole owner).
     pub fn share_count(&self) -> usize {
-        self.records.as_ref().map_or(1, Arc::strong_count)
+        self.store.as_ref().map_or(1, Arc::strong_count)
     }
 
-    /// Takes the records out. Free when this handle is the sole owner (the
-    /// usual case: a freshly built batch moved through one channel);
-    /// otherwise falls back to a deep copy and counts it in
-    /// [`shared_batch_copies`] so hot paths that regress to copying are
-    /// caught by tests.
+    /// Builds the owned records. Their bytes are views of the frame either
+    /// way; when other handles share the store, the `Record`s are a second
+    /// copy of what it holds, so that case is counted in
+    /// [`shared_batch_copies`] and hot paths that regress to it are caught
+    /// by tests.
     pub fn into_records(self) -> Vec<Record> {
-        let Some(records) = self.records else {
-            return Vec::new();
-        };
-        let (start, end) = (self.start as usize, (self.start + self.len) as usize);
-        match Arc::try_unwrap(records) {
-            Ok(mut v) => {
-                v.truncate(end);
-                v.drain(..start);
-                v
-            }
-            Err(shared) => {
-                SHARED_BATCH_COPIES.with(|c| c.set(c.get() + 1));
-                shared[start..end].to_vec()
-            }
+        if self.share_count() > 1 {
+            SHARED_BATCH_COPIES.with(|c| c.set(c.get() + 1));
         }
+        self.iter().map(|r| r.to_record()).collect()
     }
 }
 
@@ -550,8 +837,8 @@ impl IntoIterator for RecordBatch {
 }
 
 impl<'a> IntoIterator for &'a RecordBatch {
-    type Item = &'a Record;
-    type IntoIter = std::slice::Iter<'a, Record>;
+    type Item = RecordRef<'a>;
+    type IntoIter = BatchIter<'a>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -571,10 +858,54 @@ mod tests {
     #[test]
     fn record_stays_seven_words() {
         // Two 16-byte `Bytes` views (the key's `Option` is free), the
-        // timestamp, producer id + epoch, and the sequence. Every log entry,
-        // batch slot and consumer buffer holds one of these per record, so
-        // growth here is resident memory per record everywhere.
+        // timestamp, producer id + epoch, and the sequence. A consumer's
+        // delivery buffer holds one per record it hands a sink; no log or
+        // batch holds any.
         assert_eq!(std::mem::size_of::<Record>(), 56);
+    }
+
+    #[test]
+    fn a_stored_record_is_a_32_byte_slot() {
+        // The storage gate: every sealed batch holds one slot per record
+        // for as long as any replica's log holds the record, so growth here
+        // is resident memory per record and topic. A batch view stays three
+        // words.
+        assert!(std::mem::size_of::<Slot>() <= 32);
+        assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
+    }
+
+    #[test]
+    fn a_record_ref_reads_what_its_record_holds() {
+        let keyed = Record::new("key", "value", SimTime::from_millis(3))
+            .from_producer(ProducerId(4), 17)
+            .with_producer_epoch(2);
+        let empty_key = Record::new("", "v", SimTime::ZERO);
+        let keyless = Record::keyless("", SimTime::ZERO);
+        let recs = vec![keyed, empty_key, keyless];
+        let batch = RecordBatch::from_records(recs.clone());
+        for (r, want) in batch.iter().zip(&recs) {
+            assert_eq!(r.key(), want.key.as_deref());
+            assert_eq!(r.value(), &want.value[..]);
+            assert_eq!(
+                (r.timestamp(), r.producer(), r.producer_epoch()),
+                (want.timestamp, want.producer, want.producer_epoch)
+            );
+            assert_eq!(r.producer_seq(), want.producer_seq);
+            assert_eq!(r.encoded_len(), want.encoded_len());
+            assert_eq!(r.value_utf8(), want.value_utf8());
+            assert_eq!(&r.to_record(), want);
+            assert_eq!(r, *want);
+            assert_eq!(*want, r);
+        }
+        assert_eq!(batch.iter().len(), 3);
+        assert_eq!(batch.get(1).map(|r| r.key()), Some(Some(&b""[..])));
+        assert_eq!(batch.last().map(|r| r.key()), Some(None));
+        assert!(batch.get(3).is_none() && RecordBatch::new().first().is_none());
+        // A built record's bytes are views of the frame, not copies.
+        let first = batch.first().expect("three records");
+        let built = first.to_record();
+        assert!(std::ptr::eq(built.value.as_ptr(), first.value().as_ptr()));
+        assert_eq!(format!("{first:?}"), format!("{:?}", recs[0]));
     }
 
     #[test]
@@ -636,8 +967,9 @@ mod tests {
         assert_eq!(b.share_count(), 1);
         let c = b.clone();
         assert_eq!(b.share_count(), 2);
-        assert!(std::ptr::eq(b.records().as_ptr(), c.records().as_ptr()));
-        // Sole-owner unwrap is free and uncounted.
+        let value = |b: &RecordBatch| b.first().map(|r| r.value().as_ptr());
+        assert_eq!(value(&b), value(&c));
+        // A sole owner's records are uncounted.
         drop(b);
         let before = shared_batch_copies();
         let v = c.into_records();
@@ -653,11 +985,16 @@ mod tests {
         let whole = RecordBatch::from_records(recs.clone()).with_compression(Compression::Lz4);
         let mid = whole.slice(1..4);
         assert!(mid.same_storage(&whole) && whole.share_count() == 2);
-        assert!(std::ptr::eq(&mid.records()[0], &whole.records()[1]));
+        let value = |b: &RecordBatch, i| b.get(i).map(|r| r.value().as_ptr());
+        assert_eq!(value(&mid, 0), value(&whole, 1));
         assert_eq!((mid.len(), mid.compression()), (3, Compression::Lz4));
+        assert_eq!(
+            mid.record_bytes(),
+            recs[1..4].iter().map(Record::encoded_len).sum()
+        );
         // A view of a view indexes the same set.
         let inner = mid.slice(1..3);
-        assert_eq!(inner.records(), &recs[2..4]);
+        assert_eq!(inner.iter().collect::<Vec<_>>(), &recs[2..4]);
         assert!(inner.same_storage(&whole));
         // Equality and `Debug` see the records, not the storage.
         let fresh =
@@ -674,8 +1011,8 @@ mod tests {
             format!("{none:?}"),
             "RecordBatch { records: None, compression: Lz4 }"
         );
-        // Taking a view's records copies only what it covers, and only when
-        // the storage is shared.
+        // Taking a view's records builds only what it covers, and counts a
+        // copy only when the storage is shared.
         let before = shared_batch_copies();
         assert_eq!(inner.clone().into_records(), &recs[2..4]);
         assert_eq!(shared_batch_copies(), before + 1);
@@ -685,7 +1022,7 @@ mod tests {
         assert_eq!(
             shared_batch_copies(),
             before + 1,
-            "a sole owner unwraps in place"
+            "a sole owner's records are its only copy"
         );
     }
 
@@ -715,7 +1052,7 @@ mod tests {
         assert!(zipped.wire_len() < plain.wire_len());
         assert_eq!(plain.wire_len(), plain.encoded_len());
         // The records themselves are untouched.
-        assert_eq!(zipped.records(), plain.records());
+        assert!(zipped.iter().eq(plain.iter()));
         assert_eq!(Compression::Lz4.compressed_len(0), 0);
         assert_eq!(Compression::None.compressed_len(500), 500);
     }
@@ -803,7 +1140,7 @@ mod tests {
         let empty = RecordBatch::new();
         let sealed_empty = RecordBatch::from_records(Vec::new());
         assert_eq!(empty, sealed_empty);
-        assert!(empty.is_empty() && empty.records().is_empty() && empty.iter().next().is_none());
+        assert!(empty.is_empty() && empty.iter().next().is_none());
         assert_eq!(
             (empty.len(), empty.record_bytes(), empty.share_count()),
             (0, 0, 1)

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use s2g_sim::Message;
 
 use crate::record::{
-    Compression, Offset, ProducerId, Record, RecordBatch, TopicPartition, BATCH_OVERHEAD,
+    Compression, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition, BATCH_OVERHEAD,
 };
 
 /// Identifies a broker in the cluster.
@@ -185,13 +185,18 @@ pub enum ClientRpc {
         /// Source partition.
         tp: TopicPartition,
         /// Records at and after the requested offset (up to the high
-        /// watermark only — uncommitted records are never served).
-        batch: RecordBatch,
+        /// watermark only — uncommitted records are never served), as the
+        /// log's own runs: views of the batches they were produced in, so
+        /// a reply copies no record however many runs it spans. They
+        /// travel as one batch on the wire.
+        runs: Vec<LogRun>,
+        /// The codec the partition is served under.
+        compression: Compression,
         /// The partition's high watermark.
         high_watermark: Offset,
         /// The offset the consumer should fetch next. On a compacted log
-        /// the served records are not contiguous, so advancing by
-        /// `batch.len()` would re-read across the holes; the broker computes
+        /// the served records are not contiguous, so advancing by their
+        /// count would re-read across the holes; the broker computes
         /// the correct next position instead. On `OffsetOutOfRange` this is
         /// the reset position (the log start below retention, the high
         /// watermark above it).
@@ -370,8 +375,14 @@ impl Message for ClientRpc {
                 }
                 ClientRpc::ProduceResponse { tp, .. } => tp.topic.len() + 16,
                 ClientRpc::FetchRequest { tp, .. } => tp.topic.len() + 20,
-                ClientRpc::FetchResponse { tp, batch, .. } => {
-                    tp.topic.len() + 24 + batch.wire_len()
+                ClientRpc::FetchResponse {
+                    tp,
+                    runs,
+                    compression,
+                    ..
+                } => {
+                    let record_bytes = LogRun::record_bytes(runs);
+                    tp.topic.len() + 24 + BATCH_OVERHEAD + compression.compressed_len(record_bytes)
                 }
                 ClientRpc::MetadataRequest { .. } => 4,
                 ClientRpc::MetadataResponse { partitions, .. } => {
@@ -505,8 +516,13 @@ impl LogRun {
         }
     }
 
+    /// Record bytes of `runs`, framing included.
+    pub fn record_bytes(runs: &[LogRun]) -> usize {
+        runs.iter().map(|r| r.batch.record_bytes()).sum()
+    }
+
     /// Each record with its offset and epoch, in offset order.
-    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, &Record)> {
+    pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, RecordRef<'_>)> {
         let (base, epoch) = (self.base.value(), self.epoch);
         (self.batch.iter().enumerate()).map(move |(i, r)| (Offset(base + i as u64), epoch, r))
     }
@@ -580,7 +596,7 @@ impl ReplicaFetchedPart {
         } else {
             0
         };
-        let record_bytes = self.runs.iter().map(|r| r.batch.record_bytes()).sum();
+        let record_bytes = LogRun::record_bytes(&self.runs);
         let log_start = if self.log_start.is_some() { 8 } else { 0 };
         self.tp.topic.len()
             + 32
@@ -825,7 +841,7 @@ impl Message for RaftRpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RECORD_OVERHEAD;
+    use crate::record::{Record, RECORD_OVERHEAD};
     use s2g_sim::SimTime;
 
     #[test]

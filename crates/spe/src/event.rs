@@ -280,6 +280,8 @@ pub enum CodecError {
     Truncated,
     /// Unknown type tag.
     BadTag(u8),
+    /// Bytes left over after a complete encoding.
+    Trailing,
 }
 
 impl fmt::Display for CodecError {
@@ -287,6 +289,7 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "unexpected end of encoded event"),
             CodecError::BadTag(t) => write!(f, "unknown value tag {t}"),
+            CodecError::Trailing => write!(f, "bytes past the end of the encoded event"),
         }
     }
 }
@@ -399,7 +402,8 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input.
+    /// Returns a [`CodecError`] on truncated or malformed input, and on
+    /// bytes past the end of the event.
     pub fn from_bytes(buf: &[u8]) -> Result<Event, CodecError> {
         let mut pos = 0;
         let magic = *buf.first().ok_or(CodecError::Truncated)?;
@@ -417,6 +421,9 @@ impl Event {
         let ts = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
         let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
         let value = Value::decode_from(buf, &mut pos)?;
+        if pos != buf.len() {
+            return Err(CodecError::Trailing);
+        }
         Ok(Event {
             key,
             value,
@@ -445,7 +452,7 @@ impl Event {
         read_n::<8>(buf, &mut pos).ok()?; // ts
         let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos).ok()?));
         Value::validate_from(buf, &mut pos).ok()?;
-        Some(origin)
+        (pos == buf.len()).then_some(origin)
     }
 }
 
@@ -519,6 +526,17 @@ mod tests {
     }
 
     #[test]
+    fn bytes_past_the_event_are_rejected() {
+        // A valid event followed by junk once decoded as the event alone.
+        let e = Event::new(Value::Int(5), SimTime::from_millis(2)).with_key("k");
+        let mut bytes = e.to_bytes();
+        assert_eq!(Event::from_bytes(&bytes), Ok(e));
+        bytes.extend_from_slice(&[0xde, 0xad]);
+        assert_eq!(Event::from_bytes(&bytes), Err(CodecError::Trailing));
+        assert_eq!(Event::peek_origin(&bytes), None);
+    }
+
+    #[test]
     fn peek_origin_mirrors_from_bytes() {
         let e = Event::new(
             Value::map([
@@ -551,6 +569,11 @@ mod tests {
         bad_magic[0] = 0;
         assert_eq!(Event::peek_origin(&bad_magic), None);
         assert_eq!(Event::peek_origin(b"raw payload"), None);
+        // And on a trailing byte.
+        let mut trailing = e.to_bytes();
+        trailing.push(0);
+        assert_eq!(Event::peek_origin(&trailing), None);
+        assert!(Event::from_bytes(&trailing).is_err());
     }
 
     #[test]

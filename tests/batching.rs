@@ -42,7 +42,7 @@ fn arb_record(rng: &mut StdRng) -> Record {
 
 /// The batch frame codec round-trips arbitrary record sets exactly —
 /// empty, single-record, and max-size batches, compression on and off —
-/// into records that are views of one buffer, and rejects every strict
+/// into records packed in one buffer, and rejects every strict
 /// truncation instead of mis-decoding it.
 #[test]
 fn batch_frame_codec_roundtrip_sweep() {
@@ -66,13 +66,13 @@ fn batch_frame_codec_roundtrip_sweep() {
         let (back, back_base) = RecordBatch::decode_frame(&buf).expect("round trip");
         assert_eq!(back_base, base, "case {case}");
         assert_eq!(back.compression(), compression, "case {case}");
-        assert_eq!(back.records(), &records[..], "case {case}");
+        assert_eq!(back.iter().collect::<Vec<_>>(), records, "case {case}");
 
-        // The decoded keys and values are views of one frame-sized buffer,
-        // laid out in frame order — not an allocation each.
+        // The decoded keys and values sit in one frame-sized buffer, laid
+        // out in frame order — not an allocation each.
         let parts: Vec<&[u8]> = back
             .iter()
-            .flat_map(|r| r.key.as_deref().into_iter().chain([&*r.value]))
+            .flat_map(|r| r.key().into_iter().chain([r.value()]))
             .collect();
         let span_start = parts.first().map_or(0, |p| p.as_ptr() as usize);
         let mut at = span_start;

@@ -121,11 +121,11 @@ fn reader_visible(log: &PartitionLog) -> ReaderState {
     let mut keyless = Vec::new();
     let runs = log.read_entries(Offset::ZERO, usize::MAX, true);
     for (offset, _, record) in runs.iter().flat_map(LogRun::entries) {
-        match &record.key {
+        match record.key() {
             Some(k) => {
-                latest.insert(k.to_vec(), (offset.value(), record.value.to_vec()));
+                latest.insert(k.to_vec(), (offset.value(), record.value().to_vec()));
             }
-            None => keyless.push(record.value.to_vec()),
+            None => keyless.push(record.value().to_vec()),
         }
     }
     (latest, keyless)

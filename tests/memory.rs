@@ -1,12 +1,12 @@
 //! The memory gate: what a default run still holds when `run()` returns,
 //! and how many times it went to the allocator to get there.
 //!
-//! A run retains one resident copy of each record (the `Record` in its
-//! producer's sealed batch, shared by every replica's log and every fetch
-//! reply, its bytes a view of the batch's buffer) and folds everything
-//! else, so live heap per record is flat in the run length; and a record's
-//! bytes are written once into its batch's buffer, so the allocator is
-//! called a few times per record, not a dozen. This test measures both with
+//! A run retains one resident copy of each record (a 32 B slot and the
+//! record's bytes in its producer's sealed batch, shared by every replica's
+//! log and every fetch reply) and folds everything else, so live heap per
+//! record is flat in the run length; and a record's bytes are written into
+//! its topic's reused accumulation buffer and copied once into its batch,
+//! so the allocator is called a few times per record, not a dozen. This test measures both with
 //! its own counting allocator on ROADMAP's baseline pipeline (1 broker,
 //! identity SPE job, folding sink, 64 B payloads) at two sizes.
 //!
@@ -320,25 +320,27 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 277.0, small_allocs, 3.20),
-        (100_000, large, 273.0, large_allocs, 3.17),
+        (50_000, small, 229.0, small_allocs, 3.16),
+        (100_000, large, 225.0, large_allocs, 3.1396),
     ] {
-        // Measured 277 / 273 B: two 56 B records (one per topic, each held
+        // Measured 229 / 225 B: two 32 B slots (one per topic, each held
         // in its producer's sealed batch and shared by the log's runs), the
-        // 64 B payload and its 87 B encoded event in their batch buffers,
-        // and the kernel's fixed queue storage spread over the run. (307 /
-        // 303 B when each log entry was a 72 B copy of its record; 349 /
-        // 342 B when every host CPU kept a 16 B busy interval per work item
-        // for the whole run; 381 / 374 B with one allocation pair per
-        // record, before batches shared a buffer.)
+        // 64 B payload and its 87 B encoded event in their batch frames,
+        // and the kernel's fixed queue storage spread over the run. (277 /
+        // 273 B when a batch held a 56 B `Record` per record; 307 / 303 B
+        // when each log entry was a 72 B copy of its record; 349 / 342 B
+        // when every host CPU kept a 16 B busy interval per work item for
+        // the whole run; 381 / 374 B with one allocation pair per record,
+        // before batches shared a buffer.)
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
-             recorded: something beside the two records holds every record"
+             recorded: something beside the two slots holds every record"
         );
-        // Measured 3.20 / 3.17 (set-up included, hence the fall): the
+        // Measured 3.16 / 3.14 (set-up included, hence the fall): the
         // source's topic `String` and payload `Vec`, the worker's decoded
-        // `Value::Str`, and per-batch work. (3.37 / 3.27 with polled
+        // `Value::Str`, and per-batch work. (3.20 / 3.17 when a flush froze
+        // the accumulation buffer and allocated the next; 3.37 / 3.27 with polled
         // fetches and a busy interval kept per CPU charge; 4.38 / 4.08 when
         // every metric update built its `(scope, name)` key, every RPC copied its topic
         // name and a segment grew to size by doubling; 11.67 / 11.31 when
@@ -368,24 +370,27 @@ fn a_default_run_retains_one_copy_per_record() {
          {large_allocs:.2}/record at 40 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 1152.0, small_allocs, 6.48),
-        (40_000, large, 1127.0, large_allocs, 5.62),
+        (20_000, small, 1133.0, small_allocs, 6.56),
+        (40_000, large, 1107.0, large_allocs, 5.70),
     ] {
-        // Measured 1 152 / 1 127 B: the 1 KiB payload and its key in the
-        // producer's buffer, one 56 B record, and per batch and replica a
-        // 40 B run; the fixed cost of three brokers spread over the run,
-        // hence the fall. (1 302 / 1 277 B when every replica kept a 72 B
-        // copy of each record.)
+        // Measured 1 133 / 1 107 B: the 1 KiB payload and its key in its
+        // batch's frame, one 32 B slot, and per batch and replica a 40 B
+        // run; the fixed cost of three brokers spread over the run, hence
+        // the fall. (1 152 / 1 127 B with a 56 B record per record in its
+        // batch; 1 302 / 1 277 B when every replica kept a 72 B copy of
+        // each record.)
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 1 KiB record at {records} records, {retained} \
              when recorded"
         );
-        // Measured 6.48 / 5.62: here requests set the count, not records
+        // Measured 6.56 / 5.70: here requests set the count, not records
         // (0.4 replica fetches per record while producing, nine in ten
         // replies empty, and the replica fetches of the 3 s tail, hence the
         // fall), so what one request allocates beside its two messages
-        // shows. (6.97 / 6.11 when a replica fetch reply copied its records
+        // shows. (6.48 / 5.62 when a keyed flush's partitions shared one
+        // frame and a batch one record vector, not a frame and slots each;
+        // 6.97 / 6.11 when a replica fetch reply copied its records
         // into a batch of its own; 7.33 / 6.40 with polled client fetches;
         // 25.48 / 20.21 when each built metric keys, copied the topic name
         // three times, boxed an empty batch and collected the leader's
@@ -398,7 +403,8 @@ fn a_default_run_retains_one_copy_per_record() {
     }
     // Followers store the leader's runs, views of the records the leader
     // holds: two more replicas cost their runs, not a copy of each record.
-    // Measured 16 B (156 B when each follower kept a 72 B entry per record).
+    // Measured 17 B (16 B with a 56 B record per record in its batch; 156 B
+    // when each follower kept a 72 B entry per record).
     assert!(
         large - unreplicated <= 24.0,
         "RF 3 retains {large:.0} B per record, RF 1 {unreplicated:.0} B: a follower copies \
@@ -429,20 +435,22 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 341.0, small_allocs, 9.76),
-        (40_000, large, 323.0, large_allocs, 9.47),
+        (20_000, small, 310.0, small_allocs, 9.80),
+        (40_000, large, 285.0, large_allocs, 9.52),
     ] {
-        // Measured 341 / 323 B: the two user topics' records as in the
+        // Measured 310 / 285 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
         // the fixed cost of three brokers and five workers spread over the
-        // run. (500 / 481 B when the shuffle topic kept every record.)
+        // run. (341 / 323 B with a 56 B record per record in its batch;
+        // 500 / 481 B when the shuffle topic kept every record.)
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 64 B record at {records} records through a \
              shuffle, {retained} when recorded"
         );
-        // Measured 9.76 / 9.47: two produce hops and a shuffle, each
-        // record decoded into an event and encoded again per stage.
+        // Measured 9.80 / 9.52: two produce hops and a shuffle, each
+        // record decoded into an event and encoded again per stage. (9.76 /
+        // 9.47 when a keyed flush's partitions shared one frame.)
         assert!(
             allocs <= measured * SLACK,
             "{allocs:.2} allocator calls per record at {records} records through a shuffle, \
