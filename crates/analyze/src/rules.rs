@@ -6,8 +6,9 @@
 //! start but the outcome would mislead (the catalog with rationale per
 //! code lives in `docs/analysis.md`).
 
-use crate::facts::{FaultKind, FaultTarget, ScenarioFacts};
+use crate::facts::{BrokerFacts, FaultKind, FaultTarget, ScenarioFacts};
 use crate::{nearest, AnalysisReport, Diagnostic, Level};
+use s2g_broker::FETCH_MAX_WAIT;
 use s2g_proto::AckMode;
 use s2g_sim::{SimDuration, SimTime};
 use s2g_spe::CheckpointMode;
@@ -484,18 +485,18 @@ fn rule_replicated_without_acks_all(f: &ScenarioFacts, out: &mut Vec<Diagnostic>
 
 /// S2G017 (warn): an unbatched `acks=all` producer whose inter-record
 /// interval is below the replication round trip — every record queues
-/// behind the previous one's follower fetch and latency collapses.
+/// behind the previous one's replication and latency collapses. The
+/// followers' fetches wait at the leader, so the append answers them at
+/// once: the round trip is the produce, the reply to the waiting fetch,
+/// the follower's next fetch (which moves the watermark) and the ack, four
+/// link crossings, plus the leader's CPU for the reply and the ack.
 fn rule_acks_all_unbatched(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     if f.max_replication() < 2 {
         return;
     }
-    let min_fetch = f
-        .brokers
-        .iter()
-        .map(|b| b.cfg.replica_fetch_interval)
-        .min()
-        .unwrap_or(SimDuration::ZERO);
-    let round_trip = min_fetch + f.link_latency * 4;
+    let cpu = |b: &BrokerFacts| (b.cfg.cpu_per_request + b.cfg.cpu_per_record) * 2;
+    let min_cpu = f.brokers.iter().map(cpu).min().unwrap_or(SimDuration::ZERO);
+    let round_trip = min_cpu + f.link_latency * 4;
     for p in &f.producers {
         if p.cfg.acks != AckMode::All || p.cfg.batch_max_records > 1 {
             continue;
@@ -507,12 +508,13 @@ fn rule_acks_all_unbatched(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
                     Level::Warn,
                     format!(
                         "producer `{}` sends a record every {interval} unbatched at acks=all, \
-                         but one produce takes ~{round_trip} (replica fetch + acks round trip); \
-                         the send queue grows without bound",
+                         but one produce takes ~{round_trip} (four link crossings and the \
+                         leader's CPU for the replica reply and the ack); the send queue grows \
+                         without bound",
                         p.name
                     ),
-                    &["with_batching", "with_acks", "replica_fetch_interval"],
-                    format!("re-enable batching, slow the source past {round_trip}, or shorten replica_fetch_interval"),
+                    &["with_batching", "with_acks"],
+                    format!("re-enable batching, or slow the source past {round_trip}"),
                 ));
             }
         }
@@ -681,25 +683,34 @@ fn rule_internal_topic_clients(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// S2G023 (warn): a replica lag bound at or below the fetch interval —
-/// followers are judged out of sync between their own fetches and the
-/// ISR flaps.
+/// S2G023 (warn): a replica lag bound below the silence of a live
+/// follower whose fetch or reply was lost. A follower at the log end waits
+/// at its leader and counts as caught up, so only a lost message leaves it
+/// unseen: until the background tick that finds its fetch two
+/// `FETCH_MAX_WAIT`s old, plus the `replica_fetch_interval` backoff. Below
+/// that, one dropped message ejects it and the ISR flaps.
 fn rule_replica_lag(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     if f.max_replication() < 2 {
         return;
     }
     for b in &f.brokers {
-        if b.cfg.replica_lag_max < b.cfg.replica_fetch_interval * 2 {
+        let silence = FETCH_MAX_WAIT * 2 + b.cfg.background_interval + b.cfg.replica_fetch_interval;
+        if b.cfg.replica_lag_max < silence {
             out.push(Diagnostic::new(
                 "S2G023",
                 Level::Warn,
                 format!(
-                    "broker on `{}` ejects followers lagging {} but they only fetch every \
-                     {}; the ISR flaps on scheduling noise",
+                    "broker on `{}` ejects followers lagging {}, but a follower whose fetch \
+                     or reply is lost is unseen for up to {silence} (two fetch waits, one \
+                     background tick, the {} backoff); one dropped message flaps the ISR",
                     b.host, b.cfg.replica_lag_max, b.cfg.replica_fetch_interval
                 ),
-                &["replica_lag_max", "replica_fetch_interval"],
-                "keep replica_lag_max at several fetch intervals",
+                &[
+                    "replica_lag_max",
+                    "replica_fetch_interval",
+                    "background_interval",
+                ],
+                format!("keep replica_lag_max above {silence}"),
             ));
         }
     }

@@ -51,18 +51,19 @@ use crate::handover::PartitionTxns;
 use crate::log::{BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog};
 use crate::metadata::MetadataCache;
 use crate::partition::{
-    produce_response, FetchAnswer, FetchWaiter, Partition, PendingProduce, FETCH_MAX_WAIT,
+    produce_response, FetchAnswer, FetchWaiter, Led, Partition, PendingProduce, FETCH_MAX_WAIT,
 };
 use crate::table::IntTable;
 
 /// Timer tags used by the broker.
 mod tags {
-    pub const REPLICA_TICK: u64 = 1;
     pub const ISR_TICK: u64 = 2;
     pub const HEARTBEAT_TICK: u64 = 3;
     pub const BACKGROUND_TICK: u64 = 4;
     pub const LOG_FLUSH_TICK: u64 = 6;
     pub const LOG_CLEANUP_TICK: u64 = 8;
+    /// Plus a leader's id: the end of the backoff before asking it again.
+    pub const REPLICA_BACKOFF: u64 = 1 << 32;
     pub const CPU_BASE: u64 = 1 << 50;
 }
 
@@ -172,6 +173,9 @@ pub struct BrokerStats {
     pub fetches_expired: u64,
     /// Replica fetch requests handled (as leader).
     pub replica_fetches: u64,
+    /// Replica fetch replies dropped (as follower) because they answered a
+    /// request of an earlier incarnation of this broker.
+    pub stale_replica_replies: u64,
     /// Records appended (as leader or follower).
     pub records_appended: u64,
     /// Records a leader sent this broker, as follower, that its log already
@@ -287,10 +291,14 @@ pub(crate) struct Host {
     /// Leadership-change log for the Fig. 6d event markers: (time, partition,
     /// became_leader).
     pub(crate) leadership_events: Vec<(SimTime, TopicPartition, bool)>,
+    /// The next replica fetch's correlation id: `incarnation << 32` upward.
     next_corr: u64,
     next_cpu_tag: u64,
     /// Responses waiting out their CPU cost, by the tag of that work.
     pending_out: IntTable<(ProcessId, Box<dyn Message>)>,
+    /// A led partition changed in a way a held replica fetch may be waiting
+    /// for: checked once the handler that made the change is done.
+    pub(crate) news: bool,
 }
 
 impl Host {
@@ -379,6 +387,31 @@ fn hosted<'p>(
     partitions.entry(tp).or_insert_with(|| Partition::new(cfg))
 }
 
+/// The leader view of `tp` a replica fetch is served through: no epoch to
+/// check, no quorum to need ([`Partition::admit`]).
+fn led<'p>(
+    partitions: &'p mut BTreeMap<TopicPartition, Partition>,
+    tp: &'p TopicPartition,
+    fenced: bool,
+) -> Result<Led<'p>, ErrorCode> {
+    Partition::admit(partitions.get_mut(tp), tp, fenced, None, 0)
+}
+
+/// Whether serving `parts` of follower `from`'s fetch would tell it
+/// anything new: a refused part, or one with news ([`Led::has_news`]).
+fn has_news(
+    partitions: &mut BTreeMap<TopicPartition, Partition>,
+    from: BrokerId,
+    parts: &[ReplicaFetchPart],
+    fenced: bool,
+) -> bool {
+    let news = |p: &ReplicaFetchPart| match led(partitions, &p.tp, fenced) {
+        Ok(mut l) => l.has_news(from, p.log_end, p.epoch),
+        Err(_) => true,
+    };
+    parts.iter().any(news)
+}
+
 /// Purges `tp` below `bound` ([`Partition::purge`]) and stages the dead
 /// segment blobs as the cleaner does. A free function so call sites can
 /// hold other `Broker` borrows.
@@ -433,6 +466,15 @@ fn build_meta(
     }
 }
 
+/// A replica fetch held at its leader until one of its parts has something
+/// new to say or `deadline` passes; `rpc` is the request, whose box carries
+/// the reply.
+struct HeldFetch {
+    pid: ProcessId,
+    rpc: Box<ReplicaRpc>,
+    deadline: SimTime,
+}
+
 /// A message broker process (the Kafka-broker stand-in).
 pub struct Broker {
     /// Everything kept per hosted partition, one record each.
@@ -464,6 +506,11 @@ pub struct Broker {
     incarnation: u64,
     /// Restart/replay metrics for the current incarnation.
     recovery: Option<BrokerRecoveryInfo>,
+    /// As leader: the replica fetch held for each follower, at most one.
+    held: BTreeMap<BrokerId, HeldFetch>,
+    /// As follower: the fetch outstanding at each leader, by correlation id
+    /// and send time. Only its reply sends the next fetch.
+    fetching: BTreeMap<BrokerId, (CorrelationId, SimTime)>,
 }
 
 impl Broker {
@@ -506,6 +553,7 @@ impl Broker {
                 next_corr: 0,
                 next_cpu_tag: 0,
                 pending_out: IntTable::default(),
+                news: false,
             },
             group_offsets: BTreeMap::new(),
             groups: GroupCoordinator::new(),
@@ -517,6 +565,8 @@ impl Broker {
             recovering: false,
             incarnation: 0,
             recovery: None,
+            held: BTreeMap::new(),
+            fetching: BTreeMap::new(),
         }
     }
 
@@ -560,9 +610,13 @@ impl Broker {
 
     /// Sets the process incarnation carried in controller heartbeats. The
     /// orchestrator bumps it on every respawn so the controller can detect a
-    /// bounce that happened within the session timeout.
+    /// bounce that happened within the session timeout. Replica fetches'
+    /// correlation ids then start at `incarnation << 32`, so a reply to a
+    /// fetch of the crashed incarnation (a held fetch is answered up to
+    /// 600 ms later, and a respawn reuses the process id) is dropped.
     pub fn set_incarnation(&mut self, incarnation: u64) {
         self.incarnation = incarnation;
+        self.host.next_corr = incarnation << 32;
     }
 
     /// Marks this broker instance as a post-crash respawn, so restart
@@ -921,9 +975,11 @@ impl Broker {
             let here = p.resolve_txns(producer, &which, below_epoch, commit);
             resolved += here;
             // The last stable offset moved: held read-committed fetches
-            // may have something to read.
+            // may have something to read, and held replica fetches a new
+            // transaction state to mirror.
             if let Some(mut led) = p.led(tp).filter(|_| here > 0) {
                 led.wake_waiters(ctx, host);
+                host.news = true;
             }
         }
         if resolved == 0 {
@@ -947,110 +1003,212 @@ impl Broker {
         self.flush_logs(ctx);
     }
 
-    fn handle_replica(&mut self, ctx: &mut Ctx<'_>, from_pid: ProcessId, mut rpc: Box<ReplicaRpc>) {
-        let fenced = self.is_fenced(ctx.now());
-        let host = &mut self.host;
-        let cap = host.cfg.replica_fetch_max_records;
+    fn handle_replica(&mut self, ctx: &mut Ctx<'_>, pid: ProcessId, mut rpc: Box<ReplicaRpc>) {
         match &mut *rpc {
             ReplicaRpc::Fetch { corr, from, parts } => {
-                let (corr, from, parts) = (*corr, *from, std::mem::take(parts));
-                host.stats.replica_fetches += 1;
-                // The cap is the request's: each part is served from what
-                // the parts before it left.
-                let mut left = cap;
-                let mut serve = |part: ReplicaFetchPart| {
-                    let partition = self.partitions.get_mut(&part.tp);
-                    match Partition::admit(partition, &part.tp, fenced, None, 0) {
-                        Ok(mut led) => {
-                            let (end, epoch) = (part.log_end, part.epoch);
-                            let served = led.serve_fetch(ctx, host, from, end, epoch, left);
-                            left -= served.records();
-                            served
-                        }
-                        Err(error) => ReplicaFetchedPart::rejected(part.tp, error),
+                let (from, incarnation) = (*from, corr.0 >> 32);
+                self.host.stats.replica_fetches += 1;
+                // A newer fetch from the same follower replaces its held one
+                // and, from the same incarnation, takes over the parts it
+                // does not name: a follower adds a partition to its
+                // outstanding fetch by naming it alone.
+                if let Some(ReplicaRpc::Fetch {
+                    corr, parts: held, ..
+                }) = self.held.remove(&from).map(|h| *h.rpc)
+                {
+                    let same = corr.0 >> 32 == incarnation;
+                    let unnamed: Vec<_> = (held.into_iter())
+                        .filter(|h| same && parts.iter().all(|p| p.tp != h.tp))
+                        .collect();
+                    parts.extend(unnamed);
+                    parts.sort_by(|a, b| a.tp.cmp(&b.tp));
+                }
+                // What each part claims is recorded once, on arrival.
+                let fenced = self.is_fenced(ctx.now());
+                for p in parts.iter() {
+                    if let Ok(mut l) = led(&mut self.partitions, &p.tp, fenced) {
+                        l.note_progress(ctx, &mut self.host, from, p.log_end, p.epoch);
                     }
-                };
-                let parts = parts.into_iter().map(&mut serve).collect();
-                let cost = host.request_cost(cap - left);
-                // The reply travels in the request's box.
-                *rpc = ReplicaRpc::FetchResponse { corr, parts };
-                host.respond_after_cpu(ctx, cost, from_pid, rpc);
+                }
+                let deadline = ctx.now() + FETCH_MAX_WAIT;
+                self.serve_replica(ctx, HeldFetch { pid, rpc, deadline }, true);
+            }
+            ReplicaRpc::FetchResponse { corr, .. } if corr.0 >> 32 != self.incarnation => {
+                self.host.stats.stale_replica_replies += 1;
             }
             ReplicaRpc::FetchResponse { corr, parts } => {
-                let (corr, parts) = (*corr, std::mem::take(parts));
-                let records: usize = parts.iter().map(ReplicaFetchedPart::records).sum();
-                let mut latest = false;
-                for part in parts {
-                    let Some(p) = self.partitions.get_mut(&part.tp) else {
-                        continue;
-                    };
-                    let (apply, was_latest) = p.fetch_answered(corr, part.epoch, part.error);
-                    latest |= was_latest;
-                    if !apply {
-                        continue;
-                    }
-                    if let Some(to) = part.truncate_to {
-                        p.truncate(host, to);
-                    }
-                    let hw = part.high_watermark;
-                    let n = p.replicate(host, part.runs, part.compression, hw);
-                    if let Some(start) = part.log_start {
-                        purge(p, host, &mut self.durability, &part.tp, start);
-                    }
-                    let txns_changed = p.mirror(&part.mirror, part.seqs_ride);
-                    // Follower-side log changes ride the interval flush; no
-                    // client ack is waiting on them.
-                    host.dirty |= n > 0 || part.truncate_to.is_some() || txns_changed;
+                self.apply_replica_reply(ctx, pid, *corr, std::mem::take(parts));
+            }
+        }
+    }
+
+    /// Serves replica fetch `h` part by part under one record cap, or, when
+    /// no part has anything new and `may_hold`, holds it: a change to one
+    /// of its partitions, the end of a reign or its deadline answers it.
+    fn serve_replica(&mut self, ctx: &mut Ctx<'_>, mut h: HeldFetch, may_hold: bool) {
+        let fenced = self.is_fenced(ctx.now());
+        let (host, partitions) = (&mut self.host, &mut self.partitions);
+        let ReplicaRpc::Fetch { corr, from, parts } = &*h.rpc else {
+            return;
+        };
+        let (corr, from) = (*corr, *from);
+        if may_hold && !has_news(partitions, from, parts, fenced) {
+            self.held.insert(from, h);
+            return;
+        }
+        // The cap is the request's: each part is served from what the parts
+        // before it left.
+        let cap = host.cfg.replica_fetch_max_records;
+        let mut left = cap;
+        let served = (parts.iter())
+            .map(|p| match led(partitions, &p.tp, fenced) {
+                Ok(mut l) => {
+                    let part = l.serve_fetch(from, p.log_end, p.epoch, left);
+                    left -= part.records();
+                    part
                 }
-                host.update_mem();
-                // Catch-up mode: keep fetching immediately while full
-                // replies arrive — on the strength of the latest request's
-                // reply alone, so ticks during a catch-up start no second
-                // chain fetching the same range.
-                if latest && records >= cap {
-                    let sender = host.peers.iter().find(|(_, pid)| **pid == from_pid);
-                    if let Some((&leader, _)) = sender {
-                        self.fetch_from(ctx, leader, false);
-                    }
+                Err(error) => ReplicaFetchedPart::rejected(p.tp.clone(), error),
+            })
+            .collect();
+        let cost = host.request_cost(cap - left);
+        // The reply travels in the request's box.
+        *h.rpc = ReplicaRpc::FetchResponse {
+            corr,
+            parts: served,
+        };
+        host.respond_after_cpu(ctx, cost, h.pid, h.rpc);
+    }
+
+    /// Answers the held replica fetches that have news since a handler
+    /// changed a led partition, or all of them on a fenced broker or at
+    /// `deadline`.
+    fn answer_held(&mut self, ctx: &mut Ctx<'_>, deadline: Option<SimTime>) {
+        if !std::mem::take(&mut self.host.news) && deadline.is_none() {
+            return;
+        }
+        let fenced = self.is_fenced(ctx.now());
+        loop {
+            let (held, partitions) = (&self.held, &mut self.partitions);
+            let mut due = |(f, h): (&BrokerId, &HeldFetch)| match &*h.rpc {
+                _ if fenced || deadline.is_some_and(|d| h.deadline <= d) => true,
+                ReplicaRpc::Fetch { parts, .. } => has_news(partitions, *f, parts, fenced),
+                ReplicaRpc::FetchResponse { .. } => true,
+            };
+            let Some(follower) = held.iter().find(|f| due(*f)).map(|(f, _)| *f) else {
+                return;
+            };
+            let h = self.held.remove(&follower).expect("held");
+            self.serve_replica(ctx, h, false);
+        }
+    }
+
+    /// As follower, applies a reply from the leader at `pid`. The reply to
+    /// the fetch outstanding there sends the next fetch at once, or after
+    /// the `replica_fetch_interval` backoff when a part was refused.
+    fn apply_replica_reply(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        pid: ProcessId,
+        corr: CorrelationId,
+        parts: Vec<ReplicaFetchedPart>,
+    ) {
+        let host = &mut self.host;
+        let Some((&leader, _)) = host.peers.iter().find(|(_, p)| **p == pid) else {
+            return;
+        };
+        let mut refused = false;
+        for part in parts {
+            let Some(p) = self.partitions.get_mut(&part.tp) else {
+                continue;
+            };
+            match p.fetch_answered(leader, part.epoch, part.error) {
+                Some(true) => {}
+                refusal => {
+                    refused |= refusal.is_some();
+                    continue;
                 }
+            }
+            if let Some(to) = part.truncate_to {
+                p.truncate(host, to);
+            }
+            let hw = part.high_watermark;
+            let n = p.replicate(host, part.runs, part.compression, hw);
+            if let Some(start) = part.log_start {
+                purge(p, host, &mut self.durability, &part.tp, start);
+            }
+            let txns_changed = p.mirror(&part.mirror, part.seqs_ride);
+            // Follower-side log changes ride the interval flush; no client
+            // ack is waiting on them.
+            host.dirty |= n > 0 || part.truncate_to.is_some() || txns_changed;
+        }
+        host.update_mem();
+        if self.fetching.get(&leader).is_some_and(|(c, _)| *c == corr) {
+            self.fetching.remove(&leader);
+            if refused {
+                self.back_off(ctx, leader);
+            } else {
+                self.fetch_from(ctx, leader, None);
             }
         }
     }
 
     /// Sends `leader` one fetch with a part for every partition followed
-    /// from it that awaits no reply; the periodic `tick` also asks again
-    /// for those whose fetch has gone an interval unanswered.
-    fn fetch_from(&mut self, ctx: &mut Ctx<'_>, leader: BrokerId, tick: bool) {
+    /// from it (or `only` the one named), in partition order. It becomes the
+    /// fetch outstanding there: the leader merges it into the one it holds,
+    /// the parts it names replacing theirs.
+    fn fetch_from(&mut self, ctx: &mut Ctx<'_>, leader: BrokerId, only: Option<&TopicPartition>) {
         let host = &mut self.host;
         let Some(&leader_pid) = host.peers.get(&leader) else {
             return;
         };
-        host.next_corr += 1;
+        let parts: Vec<_> = (self.partitions.iter())
+            .filter(|(tp, _)| only.is_none_or(|o| o == *tp))
+            .filter_map(|(tp, p)| p.fetch_part(tp, leader))
+            .collect();
+        if parts.is_empty() {
+            self.fetching.remove(&leader);
+            return;
+        }
         let corr = CorrelationId(host.next_corr);
-        let give_up_after = tick.then_some(host.cfg.replica_fetch_interval);
-        let mut parts = Vec::new();
-        for (tp, p) in self.partitions.iter_mut() {
-            parts.extend(p.fetch_part(tp, leader, corr, ctx.now(), give_up_after));
-        }
-        if !parts.is_empty() {
-            let from = host.id;
-            ctx.send(leader_pid, ReplicaRpc::Fetch { corr, from, parts });
-        }
+        host.next_corr += 1;
+        self.fetching.insert(leader, (corr, ctx.now()));
+        let from = host.id;
+        ctx.send(leader_pid, ReplicaRpc::Fetch { corr, from, parts });
     }
 
-    fn replica_tick(&mut self, ctx: &mut Ctx<'_>) {
-        // One fetch per leader, the peers taken in id order: no map of
-        // parts by leader is built per tick.
-        let mut next = BrokerId(0);
-        while let Some((&leader, _)) = self.host.peers.range(next..).next() {
-            if leader != self.host.id {
-                self.fetch_from(ctx, leader, true);
-            }
-            next = BrokerId(leader.0 + 1);
+    /// Asks `leader` again after the `replica_fetch_interval` backoff.
+    fn back_off(&mut self, ctx: &mut Ctx<'_>, leader: BrokerId) {
+        let backoff = self.host.cfg.replica_fetch_interval;
+        ctx.set_timer(backoff, tags::REPLICA_BACKOFF + u64::from(leader.0));
+    }
+
+    /// The background tick's look at the replica fetches: those held here
+    /// past their deadline are answered, and one outstanding at a leader
+    /// for two waits (a held one is answered within one wait and one
+    /// `background_interval`) was lost and is sent again after the backoff.
+    fn expire_replica_fetches(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.answer_held(ctx, Some(now));
+        let lost = |(_, (_, sent)): (&BrokerId, &(CorrelationId, SimTime))| {
+            now.saturating_since(*sent) >= FETCH_MAX_WAIT * 2
+        };
+        while let Some(leader) = self.fetching.iter().find(|f| lost(*f)).map(|(l, _)| *l) {
+            self.fetching.remove(&leader);
+            self.back_off(ctx, leader);
         }
     }
 
     fn isr_tick(&mut self, ctx: &mut Ctx<'_>) {
+        // A follower whose fetch is held here is at the log end.
+        for (follower, h) in &self.held {
+            if let ReplicaRpc::Fetch { parts, .. } = &*h.rpc {
+                for p in parts {
+                    if let Ok(mut l) = led(&mut self.partitions, &p.tp, false) {
+                        l.held_at_log_end(*follower, ctx.now());
+                    }
+                }
+            }
+        }
         for (tp, p) in self.partitions.iter_mut() {
             if let Some(mut led) = p.led(tp) {
                 led.shrink_isr(ctx, &mut self.host);
@@ -1254,6 +1412,10 @@ impl Broker {
         }
         self.host.update_mem();
         self.recovering = false;
+        // Nothing was fetched while replaying: ask every leader now.
+        for leader in self.host.peers.keys().copied().collect::<Vec<_>>() {
+            self.fetch_from(ctx, leader, None);
+        }
         if let Some(r) = self.recovery.as_mut() {
             r.recovered_at = Some(ctx.now());
         }
@@ -1319,13 +1481,20 @@ impl Broker {
                     return;
                 };
                 let m = PartitionMetadata {
-                    tp,
+                    tp: tp.clone(),
                     leader,
                     epoch,
                     isr,
                     replicas,
                 };
-                p.apply_leader_and_isr(ctx, host, m);
+                // A new leader is asked at once: alone, or, when a fetch is
+                // outstanding there, by adding the partition to it.
+                let follow = p.apply_leader_and_isr(ctx, host, m);
+                host.news = true;
+                if let Some(leader) = follow.filter(|_| !self.recovering) {
+                    let only = self.fetching.contains_key(&leader).then_some(&tp);
+                    self.fetch_from(ctx, leader, only);
+                }
             }
             // Requests brokers never receive.
             ControllerRpc::Heartbeat { .. } | ControllerRpc::AlterIsr { .. } => {}
@@ -1346,7 +1515,6 @@ impl Process for Broker {
         }
         let cfg = &self.host.cfg;
         ctx.charge(cfg.startup_cpu);
-        ctx.set_timer(cfg.replica_fetch_interval, tags::REPLICA_TICK);
         ctx.set_timer(cfg.isr_check_interval, tags::ISR_TICK);
         let hb = ControllerRpc::Heartbeat {
             broker: self.host.id,
@@ -1371,42 +1539,28 @@ impl Process for Broker {
             Ok(rpc) => return self.handle_store(ctx, *rpc),
             Err(m) => m,
         };
-        let msg = match downcast::<ClientRpc>(msg) {
-            Ok(rpc) => {
-                if self.recovering {
-                    // Still replaying the durable log: the process is not
-                    // serving yet, exactly like a booting broker with no
-                    // listener. Client timeouts and retries cover the gap.
-                    self.host.stats.dropped_recovering += 1;
-                    return;
+        match downcast::<ClientRpc>(msg) {
+            Ok(rpc) if !self.recovering => self.handle_client(ctx, from, *rpc),
+            Err(msg) => match downcast::<ReplicaRpc>(msg) {
+                Ok(rpc) if !self.recovering => self.handle_replica(ctx, from, rpc),
+                Err(msg) => {
+                    if let Ok(rpc) = downcast::<ControllerRpc>(msg) {
+                        self.handle_controller(ctx, *rpc);
+                    }
                 }
-                return self.handle_client(ctx, from, *rpc);
-            }
-            Err(m) => m,
+                // Still replaying the durable log: the process is not
+                // serving yet, exactly like a booting broker with no
+                // listener. Timeouts and retries cover the gap.
+                Ok(_) => self.host.stats.dropped_recovering += 1,
+            },
+            Ok(_) => self.host.stats.dropped_recovering += 1,
         };
-        let msg = match downcast::<ReplicaRpc>(msg) {
-            Ok(rpc) => {
-                if self.recovering {
-                    self.host.stats.dropped_recovering += 1;
-                    return;
-                }
-                return self.handle_replica(ctx, from, rpc);
-            }
-            Err(m) => m,
-        };
-        if let Ok(rpc) = downcast::<ControllerRpc>(msg) {
-            self.handle_controller(ctx, *rpc);
-        }
+        // The held replica fetches the handler's change has news for.
+        self.answer_held(ctx, None);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         match tag {
-            tags::REPLICA_TICK => {
-                if !self.recovering {
-                    self.replica_tick(ctx);
-                }
-                ctx.set_timer(self.host.cfg.replica_fetch_interval, tags::REPLICA_TICK);
-            }
             tags::ISR_TICK => {
                 if !self.recovering {
                     self.isr_tick(ctx);
@@ -1442,14 +1596,21 @@ impl Process for Broker {
                     ctx.charge(self.host.cfg.background_cpu);
                 }
                 // The held fetches' deadlines ride this tick: no timer is
-                // armed per request.
+                // armed per request. A fenced broker answers them all.
                 let fenced = self.is_fenced(ctx.now());
                 for (tp, p) in self.partitions.iter_mut() {
                     if let Some(mut led) = p.led(tp) {
                         led.expire_waiters(ctx, &mut self.host, fenced);
                     }
                 }
+                self.expire_replica_fetches(ctx);
                 ctx.set_timer(self.host.cfg.background_interval, tags::BACKGROUND_TICK);
+            }
+            t if (tags::REPLICA_BACKOFF..tags::REPLICA_BACKOFF << 1).contains(&t) => {
+                let leader = BrokerId((t - tags::REPLICA_BACKOFF) as u32);
+                if !self.recovering && !self.fetching.contains_key(&leader) {
+                    self.fetch_from(ctx, leader, None);
+                }
             }
             _ => {
                 // No tick of the broker's own: the blob client's retry

@@ -30,12 +30,15 @@ pub enum CoordinationMode {
 /// Per-broker tunables (the `brokerCfg` YAML file).
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
-    /// Follower replication fetch interval.
+    /// How long a follower waits before asking a leader again after an
+    /// error reply or after giving up on a fetch that was lost (Kafka's
+    /// `replica.fetch.backoff.ms`). Otherwise a follower asks as soon as it
+    /// has applied the last reply, and the leader holds a fetch that has
+    /// nothing new for up to [`FETCH_MAX_WAIT`](crate::FETCH_MAX_WAIT).
     pub replica_fetch_interval: SimDuration,
     /// Max records returned per replica fetch **request**, shared by its
     /// parts in order (one part per partition followed from that leader):
-    /// Kafka's `replica.fetch.response.max.bytes`, counted in records. A
-    /// reply that reaches it tells the follower to fetch again at once.
+    /// Kafka's `replica.fetch.response.max.bytes`, counted in records.
     pub replica_fetch_max_records: usize,
     /// A follower lagging longer than this is dropped from the ISR
     /// (Kafka's `replica.lag.time.max.ms`).

@@ -42,11 +42,13 @@ pub(crate) struct PendingProduce {
     pub(crate) records: usize,
 }
 
-/// How long a client fetch that finds nothing to read is held before it is
-/// answered empty: Kafka's `fetch.max.wait.ms` at its default (with
-/// `fetch.min.bytes` = 1, so one readable record ends the wait). The
-/// deadline is checked by the broker's background tick, so a held fetch
-/// comes back between this and one `background_interval` later.
+/// How long a fetch that finds nothing to read is held before it is
+/// answered empty: Kafka's `fetch.max.wait.ms` and
+/// `replica.fetch.wait.max.ms` at their default (with a minimum of one
+/// record, so one readable record ends the wait). It holds client fetches
+/// and replica fetches alike. The deadline is checked by the broker's
+/// background tick, so a held fetch comes back between this and one
+/// `background_interval` later.
 pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
 
 /// What a client fetch is answered with: the runs read and the codec they
@@ -82,12 +84,14 @@ pub(crate) fn produce_response(
 }
 
 /// What a follower's fetches have told its leader: the log end it claimed
-/// last and when it was last fully caught up. A follower never heard from
-/// reads as the default (offset zero, time zero).
-#[derive(Debug, Default, Clone, Copy)]
+/// last and when it was last fully caught up; and what the leader last
+/// sent it: the log start and the transaction state. A follower never heard
+/// from reads as the default (offset zero, time zero, told nothing).
+#[derive(Debug, Default, Clone)]
 struct FollowerProgress {
     end: Offset,
     caught_up_at: SimTime,
+    told: Option<(Option<Offset>, Rc<MirrorView>)>,
 }
 
 #[derive(Debug)]
@@ -111,12 +115,6 @@ struct LeaderState {
 struct FollowerState {
     leader: Option<BrokerId>,
     epoch: LeaderEpoch,
-    /// The latest fetch sent for this partition and when, until its reply
-    /// arrives. Only that reply continues a catch-up: one that answers an
-    /// earlier, superseded request is applied and ends there, so a follower
-    /// runs one chain of fetches however many ticks pass while it catches
-    /// up.
-    awaiting: Option<(CorrelationId, SimTime)>,
 }
 
 #[derive(Debug)]
@@ -259,15 +257,17 @@ impl Partition {
 
     /// Applies a controller instruction: promotion, an ISR update to a
     /// sitting leader, step-down to follower, or loss of the role. An
-    /// instruction older than the highest epoch seen is ignored.
+    /// instruction older than the highest epoch seen is ignored. Returns
+    /// the leader this broker now follows the partition from, when that is
+    /// news: it is asked at once.
     pub(crate) fn apply_leader_and_isr(
         &mut self,
         ctx: &mut Ctx<'_>,
         host: &mut Host,
         m: PartitionMetadata,
-    ) {
+    ) -> Option<BrokerId> {
         if m.epoch < self.known_epoch {
-            return; // stale instruction
+            return None; // stale instruction
         }
         let same_epoch_update = m.epoch == self.known_epoch;
         self.known_epoch = m.epoch;
@@ -315,43 +315,33 @@ impl Partition {
                 led.end_reign(ctx, host);
                 host.leadership_events.push((now, tp.clone(), false));
             }
+            let known = matches!(&self.role, Some(Role::Follower(fs)) if fs.leader == m.leader);
             self.role = Some(Role::Follower(FollowerState {
                 leader: m.leader,
                 epoch: m.epoch,
-                awaiting: None,
             }));
+            return m.leader.filter(|_| !known);
         } else {
             if let Some(mut led) = self.led(tp) {
                 led.end_reign(ctx, host);
             }
             self.role = None;
         }
+        None
     }
 
-    /// As a follower of `leader`, this partition's part of fetch `corr`,
-    /// which becomes its latest; none while an earlier fetch is awaited.
-    /// The periodic fetch gives up on (`give_up_after`) and supersedes one
-    /// that has gone a whole fetch interval unanswered: a follower whose
-    /// leader is unreachable would otherwise wait forever for a reply that
-    /// was dropped. A superseded reply that does arrive is harmless,
-    /// appends being idempotent. A younger one is a catch-up in progress,
-    /// and asking again would only fetch its range twice.
+    /// As a follower of `leader`, this partition's part of a fetch from it.
     pub(crate) fn fetch_part(
-        &mut self,
+        &self,
         tp: &TopicPartition,
         leader: BrokerId,
-        corr: CorrelationId,
-        now: SimTime,
-        give_up_after: Option<SimDuration>,
     ) -> Option<ReplicaFetchPart> {
-        let Some(Role::Follower(fs)) = &mut self.role else {
+        let Some(Role::Follower(fs)) = &self.role else {
             return None;
         };
-        let lost = |sent| give_up_after.is_some_and(|age| now.saturating_since(sent) >= age);
-        if fs.leader != Some(leader) || fs.awaiting.is_some_and(|(_, sent)| !lost(sent)) {
+        if fs.leader != Some(leader) {
             return None;
         }
-        fs.awaiting = Some((corr, now));
         Some(ReplicaFetchPart {
             tp: tp.clone(),
             log_end: self.log.log_end(),
@@ -362,28 +352,27 @@ impl Partition {
         })
     }
 
-    /// As a follower, takes delivery of this partition's part of the reply
-    /// to fetch `corr`; a successful one announces the leader's epoch.
-    /// Returns whether there is anything to apply (not for a non-follower,
-    /// or an error: wait for a fresh `LeaderAndIsr`) and whether this
-    /// answered the latest fetch, which is then no longer awaited.
+    /// As a follower, takes delivery of this partition's part of a reply
+    /// from `leader`; a successful one announces the leader's epoch. Returns
+    /// `None` when the partition is not followed from `leader` (the part is
+    /// ignored), else whether the part is to be applied: `false` is an
+    /// error, after which the follower backs off.
     pub(crate) fn fetch_answered(
         &mut self,
-        corr: CorrelationId,
+        leader: BrokerId,
         epoch: LeaderEpoch,
         error: ErrorCode,
-    ) -> (bool, bool) {
+    ) -> Option<bool> {
         let Some(Role::Follower(fs)) = &mut self.role else {
-            return (false, false);
+            return None;
         };
-        let latest = fs.awaiting.is_some_and(|(awaited, _)| awaited == corr);
-        if latest {
-            fs.awaiting = None;
+        if fs.leader != Some(leader) {
+            return None;
         }
         if error.is_ok() {
             fs.epoch = epoch;
         }
-        (error.is_ok(), latest)
+        Some(error.is_ok())
     }
 
     /// Discards the divergent suffix at and past `to`, as the leader
@@ -524,6 +513,8 @@ impl Partition {
         if !moved {
             return;
         }
+        // The new log start is news to the followers.
+        host.news = true;
         self.purged = true;
         self.forget_aborted_below_start();
         host.stats.retired_bytes += reclaimed;
@@ -615,6 +606,7 @@ impl Led<'_> {
         host.retained_bytes += (self.log.retained_bytes() - bytes_before) as u64;
         host.update_mem();
         host.stats.records_appended += n as u64;
+        host.news |= n > 0;
         host.metrics.produces.add(1);
         host.metrics.records_appended.add(n as u64);
         host.metrics.log_bytes.set(host.retained_bytes as f64);
@@ -771,40 +763,50 @@ impl Led<'_> {
         }
     }
 
-    /// Serves one part of a replica fetch from follower `from`, whose log
-    /// ends at `log_end` under tail epoch `epoch`, with at most
-    /// `max_records` (what the request's cap has left): records its
-    /// progress (proposing an ISR expansion when it caught up), advances
-    /// the watermark, and builds the part's answer.
-    pub(crate) fn serve_fetch(
+    /// Where serving a follower whose log ends at `log_end` under tail
+    /// epoch `epoch` starts, and the truncation it needs first: a follower
+    /// on an older epoch may hold a conflicting suffix.
+    fn fetch_start(&self, log_end: Offset, epoch: LeaderEpoch) -> (Offset, Option<Offset>) {
+        let boundary = (epoch < self.ls.epoch).then(|| self.log.end_offset_for_epoch(epoch));
+        match boundary.filter(|b| *b < log_end) {
+            Some(b) => (b, Some(b)),
+            None => (log_end, None),
+        }
+    }
+
+    /// Whether serving follower `from`'s part would tell it anything new:
+    /// records, a truncation, or a log start or transaction state other than
+    /// it was last sent. A watermark move alone is not.
+    pub(crate) fn has_news(&mut self, from: BrokerId, log_end: Offset, epoch: LeaderEpoch) -> bool {
+        let (start, truncate_to) = self.fetch_start(log_end, epoch);
+        let log_start = self.purged.then(|| self.log.log_start());
+        let view = self.state.view(false);
+        let told = self
+            .ls
+            .followers
+            .get(u64::from(from.0))
+            .and_then(|p| p.told.as_ref());
+        start < self.log.log_end()
+            || truncate_to.is_some()
+            || !told.is_some_and(|(s, v)| *s == log_start && Rc::ptr_eq(v, &view))
+    }
+
+    /// Records the log end follower `from`'s fetch claims (proposing an ISR
+    /// expansion when it caught up) and advances the watermark.
+    pub(crate) fn note_progress(
         &mut self,
         ctx: &mut Ctx<'_>,
         host: &mut Host,
         from: BrokerId,
         log_end: Offset,
         epoch: LeaderEpoch,
-        max_records: usize,
-    ) -> ReplicaFetchedPart {
-        let now = ctx.now();
-        // Divergence reconciliation: a follower on an older epoch may hold
-        // a conflicting suffix and must truncate first.
-        let mut truncate_to = None;
-        let mut start = log_end;
-        if epoch < self.ls.epoch {
-            let boundary = self.log.end_offset_for_epoch(epoch);
-            if boundary < log_end {
-                truncate_to = Some(boundary);
-                start = boundary;
-            }
-        }
-        let runs = self.log.read_entries(start, max_records, false);
-        let high_watermark = self.log.high_watermark();
+    ) {
+        let (start, _) = self.fetch_start(log_end, epoch);
         let caught_up = start >= self.log.log_end();
-        // Update follower progress from its claimed log end.
         let progress = self.ls.followers.get_or_default(u64::from(from.0));
         progress.end = start;
         if caught_up {
-            progress.caught_up_at = now;
+            progress.caught_up_at = ctx.now();
             // Propose ISR expansion for recovered followers. In ZooKeeper
             // mode the leader applies it locally first; in KRaft mode it
             // waits for quorum confirmation.
@@ -819,12 +821,33 @@ impl Led<'_> {
             }
         }
         self.advance_hw(ctx, host);
+    }
+
+    /// The answer to one part of a replica fetch from follower `from`,
+    /// whose log ends at `log_end` under tail epoch `epoch`, with at most
+    /// `max_records` (what the request's cap has left). Its progress was
+    /// noted when the fetch arrived ([`note_progress`](Self::note_progress)).
+    pub(crate) fn serve_fetch(
+        &mut self,
+        from: BrokerId,
+        log_end: Offset,
+        epoch: LeaderEpoch,
+        max_records: usize,
+    ) -> ReplicaFetchedPart {
+        let high_watermark = self.log.high_watermark();
+        let (start, truncate_to) = self.fetch_start(log_end, epoch);
+        let caught_up = start >= self.log.log_end();
+        let runs = self.log.read_entries(start, max_records, false);
+        let log_start = self.purged.then(|| self.log.log_start());
         // Transactional-state handover: every reply mirrors the leader's
         // open/aborted transaction ranges so a promoted follower can keep
         // read-committed isolation and resolve in-flight transactions
         // itself. Producer dedup stamps ride along only when the follower
         // is fully caught up (then every stamp is covered by its log and
         // can never phantom-ack a record the follower does not hold).
+        let mirror = self.state.view(caught_up);
+        let progress = self.ls.followers.get_or_default(u64::from(from.0));
+        progress.told = Some((log_start, Rc::clone(&mirror)));
         ReplicaFetchedPart {
             tp: self.tp.clone(),
             runs,
@@ -832,11 +855,20 @@ impl Led<'_> {
             high_watermark,
             epoch: self.ls.epoch,
             truncate_to,
-            log_start: self.purged.then(|| self.log.log_start()),
-            mirror: self.state.view(),
+            log_start,
+            mirror,
             seqs_ride: caught_up,
             error: ErrorCode::None,
         }
+    }
+
+    /// Follower `from`'s fetch is held here, at the log end: it is caught
+    /// up now.
+    pub(crate) fn held_at_log_end(&mut self, from: BrokerId, now: SimTime) {
+        self.ls
+            .followers
+            .get_or_default(u64::from(from.0))
+            .caught_up_at = now;
     }
 
     fn alter_isr(&self, ctx: &mut Ctx<'_>, host: &Host, new_isr: Vec<BrokerId>) {
@@ -927,7 +959,8 @@ impl Led<'_> {
     }
 
     /// The reign is over: every pending produce and every held fetch is
-    /// answered `NotLeader`.
+    /// answered `NotLeader` (a held replica fetch once the broker has taken
+    /// the role away).
     fn end_reign(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
         for p in std::mem::take(&mut self.ls.pending) {
             let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::NotLeader);

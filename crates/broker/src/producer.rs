@@ -43,9 +43,9 @@ pub const PRODUCER_TAGS_END: u64 = 1 << 41;
 mod off {
     pub const RETRY_PUMP: u64 = 1;
     pub const META_TIMEOUT: u64 = 2;
+    pub const REQ_TIMEOUT: u64 = 3;
     pub const TXN_RETRY: u64 = 4;
     pub const LINGER_BASE: u64 = 1_000;
-    pub const REQ_TIMEOUT_BASE: u64 = 1_000_000;
 }
 
 /// What a data source tells its producer process to do next.
@@ -187,10 +187,12 @@ enum TxnCtl {
     },
 }
 
+/// A produce awaiting its response, given up on at `deadline`.
 #[derive(Debug)]
 struct Inflight {
     batch: ReadyBatch,
-    timer: TimerToken,
+    corr: u64,
+    deadline: SimTime,
 }
 
 /// The metrics of a client with telemetry attached, each looked up in the
@@ -218,6 +220,9 @@ pub struct ProducerClient {
     inflight: BTreeMap<TopicPartition, Inflight>,
     /// The partition each in-flight produce is for, by correlation id.
     corr_to_tp: IntTable<TopicPartition>,
+    /// The one timeout check is armed, at or before the earliest in-flight
+    /// deadline: no timer is armed, nor cancelled, per request.
+    timeout_armed: bool,
     buffer_used: usize,
     stats: ProducerStats,
     /// Produce-to-ack latency of every acknowledged record, in seconds.
@@ -272,6 +277,7 @@ impl ProducerClient {
             ready: BTreeMap::new(),
             inflight: BTreeMap::new(),
             corr_to_tp: IntTable::default(),
+            timeout_armed: false,
             buffer_used: 0,
             stats: ProducerStats::default(),
             ack_latency: Histogram::latency_seconds(),
@@ -781,10 +787,9 @@ impl ProducerClient {
             };
             batch.attempts += 1;
             let corr = self.next_corr();
-            let timer = ctx.set_timer(
-                self.cfg.request_timeout,
-                PRODUCER_TAGS + off::REQ_TIMEOUT_BASE + corr.0,
-            );
+            if !std::mem::replace(&mut self.timeout_armed, true) {
+                ctx.set_timer(self.cfg.request_timeout, PRODUCER_TAGS + off::REQ_TIMEOUT);
+            }
             ctx.send(
                 leader_pid,
                 ClientRpc::ProduceRequest {
@@ -813,7 +818,13 @@ impl ProducerClient {
                 }
             }
             self.corr_to_tp.insert(corr.0, tp.clone());
-            self.inflight.insert(tp, Inflight { batch, timer });
+            let deadline = now + self.cfg.request_timeout;
+            let inflight = Inflight {
+                batch,
+                corr: corr.0,
+                deadline,
+            };
+            self.inflight.insert(tp, inflight);
         }
         if need_meta {
             self.request_metadata(ctx);
@@ -857,6 +868,22 @@ impl ProducerClient {
         }
     }
 
+    /// The timeout check: retries (or fails) every produce past its
+    /// deadline, oldest first, and re-arms at the earliest deadline left.
+    fn expire_requests(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let due = |f: &&Inflight| f.deadline <= now;
+        while let Some(corr) = self.inflight.values().filter(due).map(|f| f.corr).min() {
+            let tp = self.corr_to_tp.remove(corr).expect("in flight");
+            let inflight = self.inflight.remove(&tp).expect("in flight");
+            self.retry_or_fail(ctx, inflight.batch);
+        }
+        if let Some(next) = self.inflight.values().map(|f| f.deadline).min() {
+            self.timeout_armed = true;
+            ctx.set_timer_at(next, PRODUCER_TAGS + off::REQ_TIMEOUT);
+        }
+    }
+
     fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, mut batch: ReadyBatch) {
         let now = ctx.now();
         if now.saturating_since(batch.created) > self.cfg.delivery_timeout {
@@ -891,7 +918,6 @@ impl ProducerClient {
                 // request: consume the message without acting on it.
                 let tp = self.corr_to_tp.remove(corr.0)?;
                 let inflight = self.inflight.remove(&tp)?;
-                ctx.cancel_timer(inflight.timer);
                 if error.is_ok() {
                     let now = ctx.now();
                     self.complete_batch(now, inflight.batch, true);
@@ -947,20 +973,16 @@ impl ProducerClient {
         } else if o == off::META_TIMEOUT {
             self.meta.on_timeout();
             self.request_metadata(ctx);
-        } else if (off::LINGER_BASE..off::REQ_TIMEOUT_BASE).contains(&o) {
+        } else if o == off::REQ_TIMEOUT {
+            self.timeout_armed = false;
+            self.expire_requests(ctx);
+        } else if o >= off::LINGER_BASE {
             let topic_id = o - off::LINGER_BASE;
             let due = self.accum.values_mut().find(|b| b.id == topic_id);
             if let Some(batch) = due {
                 batch.linger_timer = None;
                 let topic = batch.topic.clone();
                 self.flush_topic(ctx, &topic);
-            }
-        } else if o >= off::REQ_TIMEOUT_BASE {
-            let corr = o - off::REQ_TIMEOUT_BASE;
-            if let Some(tp) = self.corr_to_tp.remove(corr) {
-                if let Some(inflight) = self.inflight.remove(&tp) {
-                    self.retry_or_fail(ctx, inflight.batch);
-                }
             }
         }
         true

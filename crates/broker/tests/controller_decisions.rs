@@ -270,19 +270,19 @@ fn kraft_decisions_are_pinned() {
 const ZK: &[&str] = &[
     "0 audit-0 leader 1 isr [1, 2, 0] epoch 0",
     "0 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "4004050000 events-0 leader 0 isr [0, 1] epoch 0",
-    "4004050000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "4528100000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "4528100000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "4254050000 events-0 leader 0 isr [0, 1] epoch 0",
+    "4254050000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "5126322000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5134450000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9254050000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10000000000 fenced 0",
     "10000000000 events-0 leader 1 isr [1, 2] epoch 1",
     "13004050000 registered 0",
-    "13028100000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13028100000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13024986000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13024986000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15000000000 events-0 leader 0 isr [1, 2, 0] epoch 2",
     "21004050000 events-0 leader 0 isr [1, 0] epoch 2",
-    "21028100000 events-0 leader 0 isr [1, 0, 2] epoch 2",
+    "21025312000 events-0 leader 0 isr [1, 0, 2] epoch 2",
     "28254050000 events-0 leader 0 isr [0] epoch 2",
     "30000000000 fenced 1",
     "30000000000 audit-0 leader 2 isr [2, 0] epoch 1",
@@ -296,10 +296,10 @@ const ZK: &[&str] = &[
     "38004050000 registered 0",
     "38004050000 audit-0 leader 0 isr [0] epoch 4",
     "38004050000 events-0 leader 0 isr [0] epoch 4",
-    "38018100000 audit-0 leader 0 isr [0, 1] epoch 4",
-    "38018100000 events-0 leader 0 isr [0, 1] epoch 4",
-    "38018100000 audit-0 leader 0 isr [0, 1, 2] epoch 4",
-    "38018100000 events-0 leader 0 isr [0, 1, 2] epoch 4",
+    "38016200000 audit-0 leader 0 isr [0, 1] epoch 4",
+    "38016200000 audit-0 leader 0 isr [0, 1, 2] epoch 4",
+    "38016200000 events-0 leader 0 isr [0, 1] epoch 4",
+    "38016200000 events-0 leader 0 isr [0, 1, 2] epoch 4",
     "40000000000 audit-0 leader 1 isr [0, 1, 2] epoch 5",
 ];
 
@@ -314,34 +314,35 @@ const KRAFT: &[&str] = &[
     "1616200000 registered 2",
     "1616200000 events-0 leader 0 isr [0, 1, 2] epoch 0",
     "1616200000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "4012150000 events-0 leader 0 isr [0, 1] epoch 0",
-    "4012150000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "4536200000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "4536200000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "4262150000 events-0 leader 0 isr [0, 1] epoch 0",
+    "4262150000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "5134424000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5142548000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9262150000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10008100000 fenced 0",
     "10008100000 events-0 leader 1 isr [1, 2] epoch 1",
     "13012150000 registered 0",
-    "13036200000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13036200000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13033088000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13033088000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15008100000 events-0 leader 0 isr [1, 2, 0] epoch 2",
-    "21012150000 events-0 leader 0 isr [1, 0] epoch 2",
-    "21036200000 events-0 leader 0 isr [1, 0, 2] epoch 2",
+    "21012150000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "21033464000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "28262150000 events-0 leader 0 isr [0] epoch 2",
     "30008100000 fenced 1",
-    "30008100000 audit-0 leader 2 isr [2, 0] epoch 1",
+    "30008100000 audit-0 leader 2 isr [0, 2] epoch 1",
     "30008100000 fenced 2",
     "34008100000 fenced 0",
     "34008100000 events-0 leader none isr [0] epoch 3",
     "36012150000 registered 1",
     "36012150000 registered 2",
-    "36026200000 audit-0 leader 2 isr [2, 0, 1] epoch 1",
+    "36024300000 audit-0 leader 2 isr [0, 2, 1] epoch 1",
     "37262150000 audit-0 leader 2 isr [2, 1] epoch 1",
     "38012150000 registered 0",
-    "38046200000 audit-0 leader 2 isr [2, 1, 0] epoch 1",
+    "38032514000 audit-0 leader 2 isr [2, 1, 0] epoch 1",
     "40008100000 audit-0 leader 1 isr [2, 1, 0] epoch 2",
     "40008100000 events-0 leader 0 isr [0] epoch 4",
-    "40036200000 events-0 leader 0 isr [0, 1] epoch 4",
-    "40036200000 events-0 leader 0 isr [0, 2] epoch 4",
-    "40066200000 events-0 leader 0 isr [0, 2, 1] epoch 4",
+    "40028350000 events-0 leader 0 isr [0, 1] epoch 4",
+    "40028350000 events-0 leader 0 isr [0, 2] epoch 4",
+    "40036470000 events-0 leader 0 isr [0, 1] epoch 4",
+    "40052962875 events-0 leader 0 isr [0, 1, 2] epoch 4",
 ];

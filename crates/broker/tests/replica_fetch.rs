@@ -1,7 +1,8 @@
-//! The replica fetch protocol, request by request: one fetch per leader per
-//! tick with a part per followed partition, parts served and rejected on
-//! their own under one request-wide record cap, and one catch-up chain per
-//! follower however many ticks pass.
+//! The replica fetch protocol, request by request: one fetch outstanding per
+//! leader with a part per followed partition, held at the leader until
+//! there is something to send, parts served and rejected on their own under
+//! one request-wide record cap, and replies reaching only the incarnation
+//! that asked.
 //!
 //! A real [`Broker`] is driven by puppets standing in for its controller,
 //! its clients and its peer brokers: a puppet sends what the test tells it
@@ -10,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use s2g_broker::{Broker, BrokerConfig, CoordinationMode};
+use s2g_broker::{Broker, BrokerConfig, CoordinationMode, FETCH_MAX_WAIT};
 use s2g_proto::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
     Offset, ProducerId, Record, RecordBatch, ReplicaFetchPart, ReplicaFetchedPart, ReplicaRpc,
@@ -157,6 +158,58 @@ fn asked(rpc: &ReplicaRpc) -> (CorrelationId, Vec<(u32, u64)>) {
     (*corr, parts.collect())
 }
 
+/// A fetch from broker 1 with a part `(partition, log end)` per entry of
+/// `ends`, all at epoch 1.
+fn fetch(corr: u64, ends: &[(u32, u64)]) -> ReplicaRpc {
+    ReplicaRpc::Fetch {
+        corr: CorrelationId(corr),
+        from: BrokerId(1),
+        parts: (ends.iter())
+            .map(|&(partition, end)| ReplicaFetchPart {
+                tp: tp(partition),
+                log_end: Offset(end),
+                epoch: LeaderEpoch(1),
+            })
+            .collect(),
+    }
+}
+
+/// A reply as a puppet heard it: when, to which request, and the
+/// `(records, error)` of each part.
+type Reply = (SimTime, u64, Vec<(usize, ErrorCode)>);
+
+/// The replies among what a puppet heard.
+fn replies(heard: Vec<(SimTime, ReplicaRpc)>) -> Vec<Reply> {
+    let reply = |(at, rpc)| match rpc {
+        ReplicaRpc::FetchResponse { corr, parts } => {
+            let parts = parts.iter().map(|p| (p.records(), p.error)).collect();
+            Some((at, corr.0, parts))
+        }
+        ReplicaRpc::Fetch { .. } => None,
+    };
+    heard.into_iter().filter_map(reply).collect()
+}
+
+/// Broker 0 leads partition 0 (and 1 when `two`), and broker 1's first
+/// fetch at the log end has been answered (it learnt the transaction state
+/// from it); a second, `corr` 2, is on its way and arrives at 2 ms.
+fn held_at_log_end(cfg: &BrokerConfig, two: bool) -> Cluster {
+    let mut c = Cluster::new(cfg, &[true, false]);
+    c.sim.run_until(ms(1));
+    let led: &[u32] = if two { &[0, 1] } else { &[0] };
+    for partition in led {
+        c.leader_and_isr(0, *partition, 0, 1);
+    }
+    c.sim.run_until(ms(1) + TRANSIT * 3);
+    let ends: Vec<(u32, u64)> = led.iter().map(|p| (*p, 0)).collect();
+    c.say(pid(1), pid(0), fetch(1, &ends));
+    c.sim.run_until(ms(2) - TRANSIT);
+    assert_eq!(replies(c.heard(1)).len(), 1, "the first fetch is news");
+    c.say(pid(1), pid(0), fetch(2, &ends));
+    c.sim.run_until(ms(2));
+    c
+}
+
 /// A leader's answer for `partition`: the records at `offsets`, all of
 /// `epoch`, under a high watermark just past them.
 fn served(partition: u32, offsets: std::ops::Range<u64>, epoch: u64) -> ReplicaFetchedPart {
@@ -174,7 +227,7 @@ fn served(partition: u32, offsets: std::ops::Range<u64>, epoch: u64) -> ReplicaF
 }
 
 #[test]
-fn one_fetch_per_leader_per_tick_with_parts_in_partition_order() {
+fn a_new_leader_is_asked_at_once_and_a_reply_sends_the_next_fetch_with_every_part() {
     let cfg = BrokerConfig {
         replica_fetch_interval: SimDuration::from_millis(10),
         ..BrokerConfig::default()
@@ -186,92 +239,111 @@ fn one_fetch_per_leader_per_tick_with_parts_in_partition_order() {
     for (partition, leader) in [(0, 1), (1, 2), (2, 1), (3, 2), (4, 0)] {
         c.leader_and_isr(0, partition, leader, 1);
     }
-    // Nobody answers: every tick asks again all the same.
-    c.sim.run_until(ms(35));
+    // Each leader is asked at once: the first role names its partition
+    // alone, and the second is added to that outstanding fetch by a fetch
+    // naming it alone. Nobody answers, and nobody is asked again.
+    c.sim.run_until(ms(900));
     let mut corrs = Vec::new();
+    for (leader, first, second) in [(1, 0, 2), (2, 1, 3)] {
+        let fetches = c.heard(leader);
+        let asks: Vec<(SimTime, Vec<(u32, u64)>)> = fetches
+            .iter()
+            .map(|(at, rpc)| (*at, asked(rpc).1))
+            .collect();
+        let at = ms(1) + TRANSIT * 2;
+        assert_eq!(asks, [(at, vec![(first, 0)]), (at, vec![(second, 0)])]);
+        corrs.extend(fetches.iter().map(|(_, rpc)| asked(rpc).0));
+    }
+    // Unanswered for two waits, a fetch is given up at the next background
+    // tick (1.1 s) and asked again, whole, after the 10 ms backoff.
+    c.sim.run_until(ms(1_200));
     for (leader, follows) in [(1, [(0, 0), (2, 0)]), (2, [(1, 0), (3, 0)])] {
         let fetches = c.heard(leader);
-        let at: Vec<SimTime> = fetches.iter().map(|(at, _)| *at).collect();
-        assert_eq!(at, [10, 20, 30].map(|t| ms(t) + TRANSIT), "one per tick");
-        for (_, rpc) in &fetches {
-            let (corr, parts) = asked(rpc);
-            assert_eq!(parts, follows, "leader {leader}");
-            assert_eq!(rpc.wire_size(), RPC_OVERHEAD + 2 * (1 + 24));
-            corrs.push(corr.0);
-        }
+        assert_eq!(fetches.len(), 1, "leader {leader}");
+        let (corr, parts) = asked(&fetches[0].1);
+        assert_eq!(fetches[0].0, ms(1_110) + TRANSIT);
+        assert_eq!(parts, follows);
+        assert_eq!(fetches[0].1.wire_size(), RPC_OVERHEAD + 2 * (1 + 24));
+        corrs.push(corr);
+        // Its reply, however empty, sends the next fetch at once.
+        let reply = ReplicaRpc::FetchResponse {
+            corr,
+            parts: follows.iter().map(|(p, _)| served(*p, 0..0, 1)).collect(),
+        };
+        c.say(pid(leader), pid(0), reply);
     }
-    corrs.sort_unstable();
+    c.sim.run_until(ms(1_201));
+    for leader in [1, 2] {
+        let next = c.heard(leader);
+        assert_eq!(next.len(), 1, "leader {leader}");
+        corrs.push(asked(&next[0].1).0);
+    }
+    let n = corrs.len();
+    corrs.sort_unstable_by_key(|c| c.0);
     corrs.dedup();
     assert_eq!(
         corrs.len(),
-        6,
+        n,
         "every request has a correlation id of its own"
     );
 }
 
 #[test]
-fn a_superseded_reply_is_applied_but_only_the_latest_continues_the_catch_up() {
+fn a_superseded_reply_is_applied_but_only_the_latest_sends_the_next_fetch() {
     let cfg = BrokerConfig {
         replica_fetch_interval: SimDuration::from_millis(10),
-        replica_fetch_max_records: 4,
         ..BrokerConfig::default()
     };
     let mut c = Cluster::new(&cfg, &[true, false]);
     c.sim.run_until(ms(1));
     c.leader_and_isr(0, 0, 1, 1);
-    // Two ticks, two requests for the same range; the second supersedes
-    // the first.
-    c.sim.run_until(ms(25));
+    c.sim.run_until(ms(2));
+    c.leader_and_isr(0, 1, 1, 1);
+    // The second role adds partition 1 to the fetch outstanding at broker
+    // 1: a fetch naming it alone, which supersedes the first.
+    c.sim.run_until(ms(3));
     let requests = c.heard(1);
-    let [(first, _), (second, _)] = [asked(&requests[0].1), asked(&requests[1].1)];
-    assert_eq!(requests.len(), 2);
-    let reply = |corr, part| ReplicaRpc::FetchResponse {
-        corr,
-        parts: vec![part],
-    };
-    // A full reply to the superseded request: its records are kept, and
-    // that is all.
-    c.say(pid(1), pid(0), reply(first, served(0, 0..4, 1)));
-    c.sim.run_until(ms(27));
+    let [(first, p0), (second, p1)] = [asked(&requests[0].1), asked(&requests[1].1)];
+    assert_eq!((p0, p1), (vec![(0, 0)], vec![(1, 0)]));
+    let reply = |corr, parts| ReplicaRpc::FetchResponse { corr, parts };
+    // A reply to the superseded request: its records are kept, and that
+    // is all.
+    c.say(pid(1), pid(0), reply(first, vec![served(0, 0..4, 1)]));
+    c.sim.run_until(ms(4));
     assert_eq!(c.log_end(0, 0), 4);
-    assert!(c.heard(1).is_empty(), "a superseded reply starts no chain");
+    assert!(c.heard(1).is_empty(), "a superseded reply sends nothing");
     // The same records in reply to the latest request: nothing new to
-    // append, but this one is the chain, and the reply was full.
-    c.say(pid(1), pid(0), reply(second, served(0, 0..4, 1)));
-    c.sim.run_until(ms(28));
+    // append, but this one was awaited, and the next fetch, naming every
+    // partition, goes out at once, full or not.
+    c.say(pid(1), pid(0), reply(second, vec![served(0, 0..4, 1)]));
+    c.sim.run_until(ms(5));
     let stats = c.broker(0).stats();
     assert_eq!(
         (stats.records_appended, stats.replica_records_redundant),
         (4, 4)
     );
-    let chained = c.heard(1);
-    assert_eq!(
-        chained.len(),
-        1,
-        "the latest reply was still awaited, and chains"
+    let next = c.heard(1);
+    assert_eq!(next.len(), 1);
+    let (third, parts) = asked(&next[0].1);
+    assert_eq!(parts, [(0, 4), (1, 0)]);
+    assert!(next[0].0 < ms(5), "at once");
+    // A refused part holds the next fetch back for the backoff.
+    let refused = ReplicaFetchedPart::rejected(tp(1), ErrorCode::NotLeader);
+    c.say(
+        pid(1),
+        pid(0),
+        reply(third, vec![served(0, 4..6, 1), refused]),
     );
-    assert_eq!(asked(&chained[0].1).1, [(0, 4)]);
-    assert!(chained[0].0 < ms(28), "at once, not at the next tick");
-    // The tick at 30 ms leaves the chain's request alone: it is 3 ms old,
-    // a catch-up in progress, and asking again would fetch its range
-    // twice. Unanswered for a whole interval, it is given up on.
-    c.sim.run_until(ms(35));
-    assert!(
-        c.heard(1).is_empty(),
-        "a tick spares a fetch younger than itself"
-    );
-    c.sim.run_until(ms(45));
+    c.sim.run_until(ms(14));
+    assert_eq!(c.log_end(0, 0), 6, "the other part is applied");
+    assert!(c.heard(1).is_empty(), "nothing before the backoff");
+    c.sim.run_until(ms(16));
     let again = c.heard(1);
-    assert_eq!(again.len(), 1);
-    let (fourth, parts) = asked(&again[0].1);
-    assert_eq!((again[0].0, parts), (ms(40) + TRANSIT, vec![(0, 4)]));
-    // A reply that is not full ends the chain until the next tick.
-    c.say(pid(1), pid(0), reply(fourth, served(0, 4..6, 1)));
-    c.sim.run_until(ms(49));
-    assert_eq!(c.log_end(0, 0), 6);
-    assert!(c.heard(1).is_empty());
-    c.sim.run_until(ms(51));
-    assert_eq!(asked(&c.heard(1)[0].1).1, [(0, 6)]);
+    assert_eq!(asked(&again[0].1).1, [(0, 6), (1, 0)]);
+    assert_eq!(
+        again[0].0,
+        ms(5) + TRANSIT + cfg.replica_fetch_interval + TRANSIT
+    );
 }
 
 #[test]
@@ -408,10 +480,10 @@ fn a_follower_far_behind_on_two_partitions_catches_up_without_refetching() {
     for partition in [0, 1] {
         c.leader_and_isr(1, partition, 0, 1);
     }
-    // The tick at 50 ms starts the catch-up; the cap of 1 000 records is
-    // the request's, so it takes six full replies (partition 0's three,
-    // then partition 1's) and a seventh that is not full. That chain is
-    // over well before the second tick.
+    // Each role starts the catch-up at once: the first names partition 0,
+    // the second adds partition 1 by naming it alone. The cap of 1 000
+    // records is the request's, so the six replies are full ones, and the
+    // seventh fetch, at both log ends, is held: nothing is fetched twice.
     c.sim.run_until(ms(99));
     assert_eq!((c.log_end(1, 0), c.log_end(1, 1)), (3_000, 3_000));
     for partition in [0, 1] {
@@ -422,4 +494,155 @@ fn a_follower_far_behind_on_two_partitions_catches_up_without_refetching() {
     let follower = c.broker(1).stats();
     assert_eq!(follower.records_appended, 6_000);
     assert_eq!(follower.replica_records_redundant, 0);
+}
+
+#[test]
+fn an_empty_fetch_is_held_until_the_next_append_and_then_gets_its_records() {
+    let cfg = BrokerConfig::default();
+    let mut c = held_at_log_end(&cfg, false);
+    c.sim.run_until(ms(50));
+    assert!(c.heard(1).is_empty(), "nothing to send: held");
+    c.produce(0, 0, 0..3);
+    c.sim.run_until(ms(51));
+    // The append answers it at once, with that append's records.
+    let cost = cfg.cpu_per_request + cfg.cpu_per_record * 3;
+    let at = ms(50) + TRANSIT + cost + TRANSIT;
+    assert_eq!(replies(c.heard(1)), [(at, 2, vec![(3, ErrorCode::None)])]);
+    assert_eq!(c.broker(0).stats().replica_fetches, 2);
+}
+
+#[test]
+fn an_idle_fetch_is_answered_empty_at_the_first_background_tick_past_its_wait() {
+    let cfg = BrokerConfig::default();
+    let mut c = held_at_log_end(&cfg, false);
+    let arrived = ms(2);
+    c.sim.run_until(arrived + FETCH_MAX_WAIT);
+    assert!(c.heard(1).is_empty(), "held for the whole wait");
+    let latest = arrived + FETCH_MAX_WAIT + cfg.background_interval + cfg.cpu_per_request + TRANSIT;
+    c.sim.run_until(latest);
+    let got = replies(c.heard(1));
+    assert_eq!(got.len(), 1);
+    let (at, corr, parts) = &got[0];
+    assert_eq!((*corr, parts.as_slice()), (2, &[(0, ErrorCode::None)][..]));
+    assert!(
+        *at >= arrived + FETCH_MAX_WAIT && *at <= latest,
+        "answered at {at}"
+    );
+}
+
+#[test]
+fn the_end_of_a_reign_answers_held_fetches_not_leader_at_once() {
+    let cfg = BrokerConfig::default();
+    let mut c = held_at_log_end(&cfg, false);
+    c.sim.run_until(ms(10));
+    // Broker 1 is made leader: broker 0 steps down, and the fetch it holds
+    // is answered at once with the refusal.
+    c.leader_and_isr(0, 0, 1, 2);
+    c.sim.run_until(ms(11));
+    let at = ms(10) + TRANSIT + cfg.cpu_per_request + TRANSIT;
+    assert_eq!(
+        replies(c.heard(1)),
+        [(at, 2, vec![(0, ErrorCode::NotLeader)])]
+    );
+}
+
+#[test]
+fn a_newer_fetch_replaces_the_held_one_and_takes_over_the_parts_it_does_not_name() {
+    let cfg = BrokerConfig::default();
+    let mut c = held_at_log_end(&cfg, true);
+    // A second fetch for both partitions replaces the first; a third,
+    // naming partition 1 alone, replaces that and keeps its partition 0.
+    c.say(pid(1), pid(0), fetch(3, &[(0, 0), (1, 0)]));
+    c.sim.run_until(ms(3));
+    c.say(pid(1), pid(0), fetch(4, &[(1, 0)]));
+    c.sim.run_until(ms(10));
+    assert!(c.heard(1).is_empty(), "replaced fetches are not answered");
+    c.produce(0, 0, 0..2);
+    c.sim.run_until(ms(11));
+    let got = replies(c.heard(1));
+    let parts = vec![(2, ErrorCode::None), (0, ErrorCode::None)];
+    assert_eq!(
+        got.iter()
+            .map(|(_, corr, p)| (*corr, p.clone()))
+            .collect::<Vec<_>>(),
+        [(4, parts)]
+    );
+    assert_eq!(c.broker(0).stats().replica_fetches, 4);
+}
+
+#[test]
+fn a_follower_held_at_the_log_end_past_replica_lag_max_stays_in_the_isr() {
+    let cfg = BrokerConfig {
+        replica_lag_max: SimDuration::from_millis(100),
+        isr_check_interval: SimDuration::from_millis(50),
+        ..BrokerConfig::default()
+    };
+    let mut c = held_at_log_end(&cfg, false);
+    let isr = |c: &Cluster| c.broker(0).isr(&tp(0)).expect("leads");
+    // Silent for four lag bounds, but its fetch is held at the log end.
+    c.sim.run_until(ms(450));
+    assert_eq!(isr(&c), [BrokerId(0), BrokerId(1)]);
+    assert_eq!(c.broker(0).stats().isr_shrinks, 0);
+    // Answered at its deadline (600 ms) and not asked again, the follower
+    // is silent, and out of the ISR past the bound.
+    c.sim.run_until(ms(800));
+    assert_eq!(isr(&c), [BrokerId(0)]);
+    assert_eq!(c.broker(0).stats().isr_shrinks, 1);
+}
+
+#[test]
+fn a_reply_to_an_earlier_incarnation_is_dropped_and_counted() {
+    let mut c = Cluster::new(&BrokerConfig::default(), &[true, false]);
+    // Broker 0 is its process's first respawn.
+    let respawned = c.sim.process_mut::<Broker>(pid(0)).expect("real");
+    respawned.set_incarnation(1);
+    c.sim.run_until(ms(1));
+    c.leader_and_isr(0, 0, 1, 1);
+    c.sim.run_until(ms(2));
+    let fetches = c.heard(1);
+    let reply = |corr, part| ReplicaRpc::FetchResponse {
+        corr,
+        parts: vec![part],
+    };
+    // What the crashed incarnation's first fetch was owed, late: records
+    // and a truncation this incarnation never asked for.
+    let stale = ReplicaFetchedPart {
+        truncate_to: Some(Offset(0)),
+        ..served(0, 0..3, 1)
+    };
+    c.say(pid(1), pid(0), reply(CorrelationId(0), stale));
+    c.sim.run_until(ms(3));
+    assert_eq!(c.log_end(0, 0), 0, "a stale reply is not applied");
+    assert_eq!(c.broker(0).stats().stale_replica_replies, 1);
+    assert!(c.heard(1).is_empty(), "nor does it send a fetch");
+    // Its own fetch's reply is, and sends the next.
+    let (corr, _) = asked(&fetches[0].1);
+    assert_eq!(corr, CorrelationId(1 << 32));
+    c.say(pid(1), pid(0), reply(corr, served(0, 0..3, 1)));
+    c.sim.run_until(ms(4));
+    assert_eq!(c.log_end(0, 0), 3);
+    assert_eq!(asked(&c.heard(1)[0].1).0, CorrelationId((1 << 32) + 1));
+}
+
+#[test]
+fn a_respawned_follower_does_not_take_over_what_its_last_incarnation_left_held() {
+    let cfg = BrokerConfig::default();
+    let mut c = held_at_log_end(&cfg, true);
+    // Broker 1 comes back as its process's first respawn and names
+    // partition 1 alone: the fetch its crashed incarnation left held is
+    // dropped whole, partition 0 with it, since what that incarnation
+    // claimed of its log says nothing of this one's.
+    c.say(pid(1), pid(0), fetch((1 << 32) + 1, &[(1, 0)]));
+    c.sim.run_until(ms(10));
+    c.produce(0, 0, 0..2);
+    c.sim.run_until(ms(20));
+    assert!(c.heard(1).is_empty(), "no part for partition 0 is held");
+    c.produce(0, 1, 0..2);
+    c.sim.run_until(ms(21));
+    let got = replies(c.heard(1));
+    let shape: Vec<(u64, Vec<(usize, ErrorCode)>)> = got
+        .into_iter()
+        .map(|(_, corr, parts)| (corr, parts))
+        .collect();
+    assert_eq!(shape, [((1 << 32) + 1, vec![(2, ErrorCode::None)])]);
 }

@@ -477,15 +477,20 @@ fn s2g017_unbatched_acks_all_queueing_collapse() {
         sc.producer("ph", rate_source("in", interval, 64), Default::default());
         sc
     };
-    // 1 ms between records, ~50 ms replication round trip: collapse.
+    // The followers' fetches wait at the leader, so a produce takes four
+    // 50 us link crossings and 44 us of leader CPU: 100 us between records
+    // collapses, 20 ms (under the 50 ms replica_fetch_interval, which does
+    // not pace a produce) does not.
     assert_eq!(
-        level_of(&cluster(SimDuration::from_millis(1)), "S2G017"),
+        level_of(&cluster(SimDuration::from_micros(100)), "S2G017"),
         Some(Level::Warn)
     );
-    assert_eq!(
-        level_of(&cluster(SimDuration::from_millis(500)), "S2G017"),
-        None
-    );
+    for fine in [20, 500] {
+        assert_eq!(
+            level_of(&cluster(SimDuration::from_millis(fine)), "S2G017"),
+            None
+        );
+    }
 }
 
 #[test]
@@ -600,11 +605,15 @@ fn s2g023_replica_lag_below_fetch_interval() {
         add_producer(&mut sc);
         sc
     };
-    // Default replica_fetch_interval is 50 ms; a 60 ms lag bound flaps.
-    assert_eq!(
-        level_of(&with_lag(SimDuration::from_millis(60)), "S2G023"),
-        Some(Level::Warn)
-    );
+    // A follower whose fetch or reply is lost is unseen for up to two
+    // 500 ms fetch waits, one 100 ms background tick and the 50 ms backoff:
+    // a 60 ms bound flaps, and so does 1 s, twenty times that backoff.
+    for flaps in [60, 1_000] {
+        assert_eq!(
+            level_of(&with_lag(SimDuration::from_millis(flaps)), "S2G023"),
+            Some(Level::Warn)
+        );
+    }
     assert_eq!(
         level_of(&with_lag(SimDuration::from_secs(10)), "S2G023"),
         None
