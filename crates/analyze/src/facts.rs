@@ -190,6 +190,9 @@ pub struct ScenarioFacts {
     pub duration: SimTime,
     /// One-way latency of the default access link (round-trip estimates).
     pub link_latency: SimDuration,
+    /// Some link drops packets: the default link, a host's own, or one of
+    /// the explicit topology's has a loss rate.
+    pub lossy_links: bool,
     /// Controller config (election timing).
     pub controller: ControllerConfig,
     /// Declared topics plus the auto-declared shuffle topics.

@@ -683,34 +683,52 @@ fn rule_internal_topic_clients(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// S2G023 (warn): a replica lag bound below the silence of a live
-/// follower whose fetch or reply was lost. A follower at the log end waits
-/// at its leader and counts as caught up, so only a lost message leaves it
-/// unseen: until the background tick that finds its fetch two
-/// `FETCH_MAX_WAIT`s old, plus the `replica_fetch_interval` backoff. Below
-/// that, one dropped message ejects it and the ISR flaps.
+/// S2G023 (warn): a replica lag bound a live follower can outlast. A
+/// follower at the log end waits at its leader and counts as caught up, so
+/// only a lost fetch or reply leaves it unseen: until the background tick
+/// that finds the fetch past its give-up age
+/// ([`BrokerConfig::replica_fetch_give_up`](s2g_broker::BrokerConfig::replica_fetch_give_up)),
+/// plus the `replica_fetch_interval` backoff. Only a lossy link, a network
+/// fault or a broker crash loses one; without those, the rule keeps Kafka's
+/// own constraint that the lag bound exceed the wait a fetch is held for
+/// (`replica.fetch.wait.max.ms` below `replica.lag.time.max.ms`).
 fn rule_replica_lag(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
     if f.max_replication() < 2 {
         return;
     }
+    let can_lose = f.lossy_links
+        || (f.faults.iter())
+            .any(|e| matches!(e.target, FaultTarget::Broker(_) | FaultTarget::Net(_)));
     for b in &f.brokers {
-        let silence = FETCH_MAX_WAIT * 2 + b.cfg.background_interval + b.cfg.replica_fetch_interval;
-        if b.cfg.replica_lag_max < silence {
+        let cfg = &b.cfg;
+        let (bound, why) = if can_lose {
+            let silence = cfg.replica_fetch_give_up() + cfg.background_interval;
+            let silence = silence + cfg.replica_fetch_interval;
+            let why = format!(
+                "a follower whose fetch or reply is lost (the scenario has lossy links, network \
+                 faults or broker crashes) is unseen for up to {silence}: the give-up age, one \
+                 background tick and the {} backoff",
+                cfg.replica_fetch_interval
+            );
+            (silence, why)
+        } else {
+            let why = format!("a fetch with nothing to read is held for up to {FETCH_MAX_WAIT}");
+            (FETCH_MAX_WAIT, why)
+        };
+        if cfg.replica_lag_max < bound {
             out.push(Diagnostic::new(
                 "S2G023",
                 Level::Warn,
                 format!(
-                    "broker on `{}` ejects followers lagging {}, but a follower whose fetch \
-                     or reply is lost is unseen for up to {silence} (two fetch waits, one \
-                     background tick, the {} backoff); one dropped message flaps the ISR",
-                    b.host, b.cfg.replica_lag_max, b.cfg.replica_fetch_interval
+                    "broker on `{}` ejects followers lagging {}, but {why}; the ISR flaps",
+                    b.host, cfg.replica_lag_max
                 ),
                 &[
                     "replica_lag_max",
                     "replica_fetch_interval",
                     "background_interval",
                 ],
-                format!("keep replica_lag_max above {silence}"),
+                format!("keep replica_lag_max above {bound}"),
             ));
         }
     }

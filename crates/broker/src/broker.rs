@@ -49,7 +49,7 @@ use crate::config::{BrokerConfig, CoordinationMode};
 use crate::groups::GroupCoordinator;
 use crate::handover::PartitionTxns;
 use crate::log::{BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog};
-use crate::metadata::MetadataCache;
+use crate::metadata::{send_in, MetadataCache};
 use crate::partition::{
     produce_response, FetchAnswer, FetchWaiter, Led, Partition, PendingProduce, FETCH_MAX_WAIT,
 };
@@ -475,6 +475,18 @@ struct HeldFetch {
     deadline: SimTime,
 }
 
+/// What replica fetch round trips leave emptied, kept for the next: the box
+/// a reply came in (the next fetch travels in it, as a reply travels in its
+/// request's), a served request's part list (the next fetch's) and an
+/// applied reply's (the next reply's). A broker leads some partitions and
+/// follows others, so each goes round without the allocator.
+#[derive(Default)]
+struct ReplicaSpares {
+    rpc: Option<Box<ReplicaRpc>>,
+    asked: Vec<ReplicaFetchPart>,
+    served: Vec<ReplicaFetchedPart>,
+}
+
 /// A message broker process (the Kafka-broker stand-in).
 pub struct Broker {
     /// Everything kept per hosted partition, one record each.
@@ -511,6 +523,8 @@ pub struct Broker {
     /// As follower: the fetch outstanding at each leader, by correlation id
     /// and send time. Only its reply sends the next fetch.
     fetching: BTreeMap<BrokerId, (CorrelationId, SimTime)>,
+    /// What the last replica fetch round trips left emptied, for the next.
+    spares: ReplicaSpares,
 }
 
 impl Broker {
@@ -567,6 +581,7 @@ impl Broker {
             recovery: None,
             held: BTreeMap::new(),
             fetching: BTreeMap::new(),
+            spares: ReplicaSpares::default(),
         }
     }
 
@@ -1037,7 +1052,9 @@ impl Broker {
                 self.host.stats.stale_replica_replies += 1;
             }
             ReplicaRpc::FetchResponse { corr, parts } => {
-                self.apply_replica_reply(ctx, pid, *corr, std::mem::take(parts));
+                let (corr, parts) = (*corr, std::mem::take(parts));
+                self.spares.rpc = Some(rpc);
+                self.apply_replica_reply(ctx, pid, corr, parts);
             }
         }
     }
@@ -1048,7 +1065,7 @@ impl Broker {
     fn serve_replica(&mut self, ctx: &mut Ctx<'_>, mut h: HeldFetch, may_hold: bool) {
         let fenced = self.is_fenced(ctx.now());
         let (host, partitions) = (&mut self.host, &mut self.partitions);
-        let ReplicaRpc::Fetch { corr, from, parts } = &*h.rpc else {
+        let ReplicaRpc::Fetch { corr, from, parts } = &mut *h.rpc else {
             return;
         };
         let (corr, from) = (*corr, *from);
@@ -1060,16 +1077,18 @@ impl Broker {
         // before it left.
         let cap = host.cfg.replica_fetch_max_records;
         let mut left = cap;
-        let served = (parts.iter())
-            .map(|p| match led(partitions, &p.tp, fenced) {
+        let mut served = std::mem::take(&mut self.spares.served);
+        for p in parts.drain(..) {
+            served.push(match led(partitions, &p.tp, fenced) {
                 Ok(mut l) => {
                     let part = l.serve_fetch(from, p.log_end, p.epoch, left);
                     left -= part.records();
                     part
                 }
-                Err(error) => ReplicaFetchedPart::rejected(p.tp.clone(), error),
-            })
-            .collect();
+                Err(error) => ReplicaFetchedPart::rejected(p.tp, error),
+            });
+        }
+        self.spares.asked = std::mem::take(parts);
         let cost = host.request_cost(cap - left);
         // The reply travels in the request's box.
         *h.rpc = ReplicaRpc::FetchResponse {
@@ -1110,14 +1129,14 @@ impl Broker {
         ctx: &mut Ctx<'_>,
         pid: ProcessId,
         corr: CorrelationId,
-        parts: Vec<ReplicaFetchedPart>,
+        mut parts: Vec<ReplicaFetchedPart>,
     ) {
         let host = &mut self.host;
         let Some((&leader, _)) = host.peers.iter().find(|(_, p)| **p == pid) else {
             return;
         };
         let mut refused = false;
-        for part in parts {
+        for part in parts.drain(..) {
             let Some(p) = self.partitions.get_mut(&part.tp) else {
                 continue;
             };
@@ -1141,6 +1160,7 @@ impl Broker {
             // ack is waiting on them.
             host.dirty |= n > 0 || part.truncate_to.is_some() || txns_changed;
         }
+        self.spares.served = parts;
         host.update_mem();
         if self.fetching.get(&leader).is_some_and(|(c, _)| *c == corr) {
             self.fetching.remove(&leader);
@@ -1161,19 +1181,26 @@ impl Broker {
         let Some(&leader_pid) = host.peers.get(&leader) else {
             return;
         };
-        let parts: Vec<_> = (self.partitions.iter())
-            .filter(|(tp, _)| only.is_none_or(|o| o == *tp))
-            .filter_map(|(tp, p)| p.fetch_part(tp, leader))
-            .collect();
+        let mut parts = std::mem::take(&mut self.spares.asked);
+        parts.extend(
+            (self.partitions.iter())
+                .filter(|(tp, _)| only.is_none_or(|o| o == *tp))
+                .filter_map(|(tp, p)| p.fetch_part(tp, leader)),
+        );
         if parts.is_empty() {
+            self.spares.asked = parts;
             self.fetching.remove(&leader);
             return;
         }
         let corr = CorrelationId(host.next_corr);
         host.next_corr += 1;
         self.fetching.insert(leader, (corr, ctx.now()));
-        let from = host.id;
-        ctx.send(leader_pid, ReplicaRpc::Fetch { corr, from, parts });
+        let fetch = ReplicaRpc::Fetch {
+            corr,
+            from: host.id,
+            parts,
+        };
+        send_in(ctx, leader_pid, &mut self.spares.rpc, fetch);
     }
 
     /// Asks `leader` again after the `replica_fetch_interval` backoff.
@@ -1184,13 +1211,14 @@ impl Broker {
 
     /// The background tick's look at the replica fetches: those held here
     /// past their deadline are answered, and one outstanding at a leader
-    /// for two waits (a held one is answered within one wait and one
-    /// `background_interval`) was lost and is sent again after the backoff.
+    /// past its give-up age ([`BrokerConfig::replica_fetch_give_up`]) was
+    /// lost, or its reply was, and is sent again after the backoff.
     fn expire_replica_fetches(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.answer_held(ctx, Some(now));
+        let give_up = self.host.cfg.replica_fetch_give_up();
         let lost = |(_, (_, sent)): (&BrokerId, &(CorrelationId, SimTime))| {
-            now.saturating_since(*sent) >= FETCH_MAX_WAIT * 2
+            now.saturating_since(*sent) >= give_up
         };
         while let Some(leader) = self.fetching.iter().find(|f| lost(*f)).map(|(l, _)| *l) {
             self.fetching.remove(&leader);

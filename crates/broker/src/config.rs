@@ -7,6 +7,8 @@
 use s2g_proto::{AckMode, Compression};
 use s2g_sim::SimDuration;
 
+use crate::FETCH_MAX_WAIT;
+
 /// How cluster metadata and leader election are coordinated.
 ///
 /// The §V-B partition experiment contrasts the two: the ZooKeeper-era data
@@ -34,7 +36,7 @@ pub struct BrokerConfig {
     /// error reply or after giving up on a fetch that was lost (Kafka's
     /// `replica.fetch.backoff.ms`). Otherwise a follower asks as soon as it
     /// has applied the last reply, and the leader holds a fetch that has
-    /// nothing new for up to [`FETCH_MAX_WAIT`](crate::FETCH_MAX_WAIT).
+    /// nothing new for up to [`FETCH_MAX_WAIT`].
     pub replica_fetch_interval: SimDuration,
     /// Max records returned per replica fetch **request**, shared by its
     /// parts in order (one part per partition followed from that leader):
@@ -128,6 +130,17 @@ impl Default for BrokerConfig {
 }
 
 impl BrokerConfig {
+    /// How long a follower's replica fetch may go unanswered before the
+    /// fetch or its reply is taken for lost, and the fetch sent again after
+    /// the `replica_fetch_interval` backoff: a leader holds a fetch for up
+    /// to [`FETCH_MAX_WAIT`] and answers it at its next background tick
+    /// (this broker's `background_interval` standing in for the leader's),
+    /// and one more wait covers the round trip's link crossings and CPU
+    /// time.
+    pub fn replica_fetch_give_up(&self) -> SimDuration {
+        FETCH_MAX_WAIT * 2 + self.background_interval
+    }
+
     /// True when any cleaning policy (compaction or retention) is enabled.
     pub fn cleaning_enabled(&self) -> bool {
         self.log_compaction

@@ -18,7 +18,7 @@ use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, 
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
-use crate::metadata::{draw_corr, MetadataSession};
+use crate::metadata::{draw_corr, send_in, MetadataSession};
 use crate::partition::{FetchAnswer, FETCH_MAX_WAIT};
 use crate::table::IntTable;
 
@@ -123,6 +123,8 @@ pub struct ConsumerClient {
     /// answered fetch leaves its id behind until it reaches the front.
     sent: VecDeque<u64>,
     fetching: BTreeMap<TopicPartition, bool>,
+    /// The box the last reply came in, for the next fetch to travel in.
+    spare: Option<Box<ClientRpc>>,
     /// Something this client should be fetching has nothing in flight (no
     /// leader known, an error or early empty reply, an expired fetch, not
     /// joined, offsets not restored, fresh metadata): the poll timer
@@ -202,6 +204,7 @@ impl ConsumerClient {
             inflight: IntTable::default(),
             sent: VecDeque::new(),
             fetching: BTreeMap::new(),
+            spare: None,
             idle: true,
             poll_timer: None,
             pending_delivery: IntTable::default(),
@@ -670,16 +673,14 @@ impl ConsumerClient {
         };
         let corr = self.next_corr();
         let offset = self.position(&tp);
-        ctx.send(
-            pid,
-            ClientRpc::FetchRequest {
-                corr,
-                tp: tp.clone(),
-                offset,
-                max_records: self.cfg.max_poll_records,
-                read_committed: self.cfg.read_committed,
-            },
-        );
+        let fetch = ClientRpc::FetchRequest {
+            corr,
+            tp: tp.clone(),
+            offset,
+            max_records: self.cfg.max_poll_records,
+            read_committed: self.cfg.read_committed,
+        };
+        send_in(ctx, pid, &mut self.spare, fetch);
         self.stats.fetches += 1;
         self.fetching.insert(tp.clone(), true);
         let sent = ctx.now();
@@ -780,15 +781,28 @@ impl ConsumerClient {
         ctx: &mut Ctx<'_>,
         msg: Box<dyn Message>,
     ) -> Option<Box<dyn Message>> {
-        let rpc = match downcast::<ClientRpc>(msg) {
+        let mut rpc = match downcast::<ClientRpc>(msg) {
             Ok(r) => r,
             Err(m) => return Some(m),
         };
-        let passed_on = self.handle_rpc(ctx, *rpc);
-        if passed_on.is_none() {
-            self.arm_poll(ctx);
+        // The reply leaves its box (a placeholder in its stead): one this
+        // consumer handles leaves the box to carry its next fetch, and one
+        // it has no part in (a co-embedded producer's) is passed on in it.
+        let placeholder = ClientRpc::MetadataRequest {
+            corr: CorrelationId(0),
+        };
+        let reply = std::mem::replace(&mut *rpc, placeholder);
+        match self.handle_rpc(ctx, reply) {
+            Some(other) => {
+                *rpc = other;
+                Some(rpc)
+            }
+            None => {
+                self.spare = Some(rpc);
+                self.arm_poll(ctx);
+                None
+            }
         }
-        passed_on.map(|rpc| Box::new(rpc) as Box<dyn Message>)
     }
 
     fn handle_rpc(&mut self, ctx: &mut Ctx<'_>, rpc: ClientRpc) -> Option<ClientRpc> {

@@ -193,9 +193,6 @@ pub(crate) struct Handover {
     /// Leading: `seqs` and `txns` in wire form, built by the first reply
     /// after either changed and shared by every reply until the next change.
     view: Option<Rc<MirrorView>>,
-    /// `seqs` changed since `view` was built: only a reply the stamps ride
-    /// on needs it rebuilt.
-    seqs_stale: bool,
     /// Following: dedup stamps mirrored from the leader, merged into `seqs`
     /// on promotion. This carries the in-memory-only knowledge a bare log
     /// replay cannot rebuild (e.g. a producer's highest sequence whose
@@ -218,14 +215,14 @@ impl Handover {
     }
 
     pub(crate) fn raise_seq(&mut self, producer: u32, stamp: (u32, u64)) {
-        self.seqs_stale = true;
+        self.view = None;
         raise(&mut self.seqs, producer, stamp);
     }
 
     /// Replaces the stamps by what `appended` (every `(producer, stamp)`
     /// the log holds) implies.
     pub(crate) fn rebuild_seqs(&mut self, appended: impl Iterator<Item = (u32, (u32, u64))>) {
-        self.seqs_stale = true;
+        self.view = None;
         self.seqs.clear();
         for (producer, stamp) in appended {
             raise(&mut self.seqs, producer, stamp);
@@ -284,14 +281,8 @@ impl Handover {
     }
 
     /// Leading: the state in wire form, rebuilt only if it changed since
-    /// the last call, and for a change to the stamps alone only when they
-    /// are to ride (`with_seqs`): a reply without them shares the view of
-    /// the same transaction state.
-    pub(crate) fn view(&mut self, with_seqs: bool) -> Rc<MirrorView> {
-        if with_seqs && self.seqs_stale {
-            self.view = None;
-        }
-        self.seqs_stale &= self.view.is_some();
+    /// the last call.
+    pub(crate) fn view(&mut self) -> Rc<MirrorView> {
         let (seqs, txns) = (&self.seqs, &self.txns);
         let view = self.view.get_or_insert_with(|| {
             Rc::new(MirrorView {
@@ -361,8 +352,8 @@ mod tests {
     #[test]
     fn view_is_shared_until_the_state_changes() {
         let mut h = leader();
-        let a = h.view(true);
-        assert!(Rc::ptr_eq(&a, &h.view(true)), "no change, no rebuild");
+        let a = h.view();
+        assert!(Rc::ptr_eq(&a, &h.view()), "no change, no rebuild");
         assert_eq!(
             *a,
             MirrorView {
@@ -373,32 +364,28 @@ mod tests {
         );
         // Every kind of write drops it; reads do not.
         let _ = (h.seq(1), h.txns().lso());
-        assert!(Rc::ptr_eq(&a, &h.view(true)));
+        assert!(Rc::ptr_eq(&a, &h.view()));
         h.raise_seq(1, (0, 10));
-        assert!(
-            Rc::ptr_eq(&a, &h.view(false)),
-            "the stamps alone wait for a ride"
-        );
-        let b = h.view(true);
+        let b = h.view();
         assert_eq!(b.producer_seqs, vec![(1, 0, 10)]);
         h.raise_seq(3, (1, 0));
-        let c = h.view(true);
+        let c = h.view();
         assert_eq!(c.producer_seqs.len(), 2);
         h.txns_mut().forget_aborted_below(40);
-        let d = h.view(true);
+        let d = h.view();
         assert!(d.txn_aborted.is_empty());
         // A marker for a producer with nothing open here is not a change.
         assert_eq!(h.resolve_txns(7, |_| true, None, true), 0);
-        assert!(Rc::ptr_eq(&d, &h.view(true)));
+        assert!(Rc::ptr_eq(&d, &h.view()));
         assert_eq!(h.resolve_txns(1, |t| t == 4, None, true), 1);
-        assert!(h.view(true).txn_ongoing.is_empty());
+        assert!(h.view().txn_ongoing.is_empty());
         h.rebuild_seqs([(5, (0, 1)), (5, (0, 0))].into_iter());
-        assert_eq!(h.view(true).producer_seqs, vec![(5, 0, 1)]);
+        assert_eq!(h.view().producer_seqs, vec![(5, 0, 1)]);
     }
 
     #[test]
     fn follower_skips_the_same_view_at_the_same_end_only() {
-        let view = leader().view(true);
+        let view = leader().view();
         let mut f = Handover::default();
         assert!(f.mirror(&view, false, Offset(15)));
         assert_eq!(f.txns().lso(), Some(10));
@@ -416,14 +403,14 @@ mod tests {
         assert_eq!(f.mirrored_seqs.get(&1), Some(&(0, 9)));
         // An equal view in another allocation is applied again (and finds
         // nothing changed), as every reply was before.
-        let twin = leader().view(true);
+        let twin = leader().view();
         assert!(!Rc::ptr_eq(&view, &twin) && *view == *twin);
         assert!(!f.mirror(&twin, true, Offset(35)));
     }
 
     #[test]
     fn local_changes_make_the_follower_apply_the_view_again() {
-        let view = leader().view(true);
+        let view = leader().view();
         let mut f = Handover::default();
         f.mirror(&view, true, Offset(50));
         // A marker reached this broker before the leader's view caught up:
@@ -442,6 +429,6 @@ mod tests {
         f.promote();
         assert_eq!(f.seq(1), Some((0, 9)));
         assert!(f.mirrored_seqs.is_empty());
-        assert_eq!(*f.view(true), *view);
+        assert_eq!(*f.view(), *view);
     }
 }

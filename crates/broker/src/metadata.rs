@@ -6,7 +6,7 @@ use s2g_proto::{
     BrokerId, ClientRpc, CorrelationId, LeaderEpoch, MetadataRecord, PartitionMetadata, TopicName,
     TopicPartition,
 };
-use s2g_sim::{Ctx, ProcessId, SimDuration, TimerToken};
+use s2g_sim::{Ctx, Message, ProcessId, SimDuration, TimerToken};
 
 use crate::config::TopicSpec;
 
@@ -229,6 +229,24 @@ pub(crate) fn draw_corr(next: &mut u64) -> CorrelationId {
     let corr = CorrelationId(*next);
     *next += 2;
     corr
+}
+
+/// Sends `msg` to `to` in `spare`, the box a reply came in, when there is
+/// one: a request travels in its sender's last reply's box, as a reply
+/// travels in its request's.
+pub(crate) fn send_in<M: Message>(
+    ctx: &mut Ctx<'_>,
+    to: ProcessId,
+    spare: &mut Option<Box<M>>,
+    msg: M,
+) {
+    match spare.take() {
+        Some(mut boxed) => {
+            *boxed = msg;
+            ctx.send_boxed(to, boxed);
+        }
+        None => ctx.send(to, msg),
+    }
 }
 
 /// A client's metadata-bootstrap session: its cache, the broker endpoint it

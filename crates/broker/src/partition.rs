@@ -779,16 +779,17 @@ impl Led<'_> {
     /// it was last sent. A watermark move alone is not.
     pub(crate) fn has_news(&mut self, from: BrokerId, log_end: Offset, epoch: LeaderEpoch) -> bool {
         let (start, truncate_to) = self.fetch_start(log_end, epoch);
+        if start < self.log.log_end() || truncate_to.is_some() {
+            return true;
+        }
         let log_start = self.purged.then(|| self.log.log_start());
-        let view = self.state.view(false);
+        let view = self.state.view();
         let told = self
             .ls
             .followers
             .get(u64::from(from.0))
             .and_then(|p| p.told.as_ref());
-        start < self.log.log_end()
-            || truncate_to.is_some()
-            || !told.is_some_and(|(s, v)| *s == log_start && Rc::ptr_eq(v, &view))
+        !told.is_some_and(|(s, v)| *s == log_start && Rc::ptr_eq(v, &view))
     }
 
     /// Records the log end follower `from`'s fetch claims (proposing an ISR
@@ -845,7 +846,7 @@ impl Led<'_> {
         // itself. Producer dedup stamps ride along only when the follower
         // is fully caught up (then every stamp is covered by its log and
         // can never phantom-ack a record the follower does not hold).
-        let mirror = self.state.view(caught_up);
+        let mirror = self.state.view();
         let progress = self.ls.followers.get_or_default(u64::from(from.0));
         progress.told = Some((log_start, Rc::clone(&mirror)));
         ReplicaFetchedPart {

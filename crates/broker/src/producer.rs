@@ -31,7 +31,7 @@ use s2g_sim::{
 use s2g_telemetry::{CounterHandle, Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
-use crate::metadata::{draw_corr, MetadataSession};
+use crate::metadata::{draw_corr, send_in, MetadataSession};
 use crate::table::IntTable;
 
 /// Tag namespace base for producer-owned timers and CPU work. The embedding
@@ -223,6 +223,9 @@ pub struct ProducerClient {
     /// The one timeout check is armed, at or before the earliest in-flight
     /// deadline: no timer is armed, nor cancelled, per request.
     timeout_armed: bool,
+    /// The box the last produce response came in, for the next produce to
+    /// travel in.
+    spare: Option<Box<ClientRpc>>,
     buffer_used: usize,
     stats: ProducerStats,
     /// Produce-to-ack latency of every acknowledged record, in seconds.
@@ -278,6 +281,7 @@ impl ProducerClient {
             inflight: BTreeMap::new(),
             corr_to_tp: IntTable::default(),
             timeout_armed: false,
+            spare: None,
             buffer_used: 0,
             stats: ProducerStats::default(),
             ack_latency: Histogram::latency_seconds(),
@@ -790,22 +794,20 @@ impl ProducerClient {
             if !std::mem::replace(&mut self.timeout_armed, true) {
                 ctx.set_timer(self.cfg.request_timeout, PRODUCER_TAGS + off::REQ_TIMEOUT);
             }
-            ctx.send(
-                leader_pid,
-                ClientRpc::ProduceRequest {
-                    corr,
-                    tp: tp.clone(),
-                    // Arc bump, not a record copy — the retry path keeps
-                    // the same sealed batch alive in `inflight`.
-                    batch: batch.batch.clone(),
-                    acks: self.cfg.acks,
-                    // Stamp the reign this produce is aimed at; a broker on
-                    // a newer epoch bounces it (StaleEpoch, retriable) and
-                    // the metadata refresh re-aims the retry.
-                    epoch: self.meta.cache().epoch(&tp),
-                    txn: batch.txn,
-                },
-            );
+            let produce = ClientRpc::ProduceRequest {
+                corr,
+                tp: tp.clone(),
+                // Arc bump, not a record copy — the retry path keeps the
+                // same sealed batch alive in `inflight`.
+                batch: batch.batch.clone(),
+                acks: self.cfg.acks,
+                // Stamp the reign this produce is aimed at; a broker on a
+                // newer epoch bounces it (StaleEpoch, retriable) and the
+                // metadata refresh re-aims the retry.
+                epoch: self.meta.cache().epoch(&tp),
+                txn: batch.txn,
+            };
+            send_in(ctx, leader_pid, &mut self.spare, produce);
             if let Some(metrics) = &self.metrics {
                 metrics.records_sent.add(batch.batch.len() as u64);
                 if self.tele.trace_enabled() {
@@ -914,6 +916,8 @@ impl ProducerClient {
         };
         match *rpc {
             ClientRpc::ProduceResponse { corr, error, .. } => {
+                // The box carries the next produce.
+                self.spare = Some(rpc);
                 // A missing entry means a stale response for a timed-out
                 // request: consume the message without acting on it.
                 let tp = self.corr_to_tp.remove(corr.0)?;

@@ -272,8 +272,8 @@ const ZK: &[&str] = &[
     "0 events-0 leader 0 isr [0, 1, 2] epoch 0",
     "4254050000 events-0 leader 0 isr [0, 1] epoch 0",
     "4254050000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "5126322000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "5134450000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "5326328000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5326348000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9254050000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10000000000 fenced 0",
     "10000000000 events-0 leader 1 isr [1, 2] epoch 1",
@@ -316,17 +316,17 @@ const KRAFT: &[&str] = &[
     "1616200000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
     "4262150000 events-0 leader 0 isr [0, 1] epoch 0",
     "4262150000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "5134424000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "5142548000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "5334436000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5334444000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9262150000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10008100000 fenced 0",
     "10008100000 events-0 leader 1 isr [1, 2] epoch 1",
     "13012150000 registered 0",
-    "13033088000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13033088000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13033094000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13033094000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15008100000 events-0 leader 0 isr [1, 2, 0] epoch 2",
     "21012150000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "21033464000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "21033446000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "28262150000 events-0 leader 0 isr [0] epoch 2",
     "30008100000 fenced 1",
     "30008100000 audit-0 leader 2 isr [0, 2] epoch 1",

@@ -254,14 +254,16 @@ fn a_new_leader_is_asked_at_once_and_a_reply_sends_the_next_fetch_with_every_par
         assert_eq!(asks, [(at, vec![(first, 0)]), (at, vec![(second, 0)])]);
         corrs.extend(fetches.iter().map(|(_, rpc)| asked(rpc).0));
     }
-    // Unanswered for two waits, a fetch is given up at the next background
-    // tick (1.1 s) and asked again, whole, after the 10 ms backoff.
-    c.sim.run_until(ms(1_200));
+    // Unanswered past its give-up age (two waits and a 100 ms background
+    // interval, 1.1 s), a fetch is given up at the next background tick
+    // (1.2 s) and asked again, whole, after the 10 ms backoff.
+    assert_eq!(cfg.replica_fetch_give_up(), SimDuration::from_millis(1_100));
+    c.sim.run_until(ms(1_300));
     for (leader, follows) in [(1, [(0, 0), (2, 0)]), (2, [(1, 0), (3, 0)])] {
         let fetches = c.heard(leader);
         assert_eq!(fetches.len(), 1, "leader {leader}");
         let (corr, parts) = asked(&fetches[0].1);
-        assert_eq!(fetches[0].0, ms(1_110) + TRANSIT);
+        assert_eq!(fetches[0].0, ms(1_210) + TRANSIT);
         assert_eq!(parts, follows);
         assert_eq!(fetches[0].1.wire_size(), RPC_OVERHEAD + 2 * (1 + 24));
         corrs.push(corr);
@@ -272,7 +274,7 @@ fn a_new_leader_is_asked_at_once_and_a_reply_sends_the_next_fetch_with_every_par
         };
         c.say(pid(leader), pid(0), reply);
     }
-    c.sim.run_until(ms(1_201));
+    c.sim.run_until(ms(1_301));
     for leader in [1, 2] {
         let next = c.heard(leader);
         assert_eq!(next.len(), 1, "leader {leader}");
@@ -528,6 +530,38 @@ fn an_idle_fetch_is_answered_empty_at_the_first_background_tick_past_its_wait() 
         *at >= arrived + FETCH_MAX_WAIT && *at <= latest,
         "answered at {at}"
     );
+}
+
+#[test]
+fn a_fetch_a_leader_may_still_hold_is_not_given_up_under_a_long_background_interval() {
+    let cfg = BrokerConfig {
+        background_interval: SimDuration::from_millis(800),
+        replica_fetch_interval: SimDuration::from_millis(10),
+        ..BrokerConfig::default()
+    };
+    let mut c = Cluster::new(&cfg, &[true, false]);
+    // Broker 0 follows partition 0 from broker 1 and asks it at 500 ms.
+    c.sim.run_until(ms(500));
+    c.leader_and_isr(0, 0, 1, 1);
+    let sent = ms(500) + TRANSIT;
+    // A leader with the same background interval may answer as late as one
+    // wait and one 800 ms tick later. Broker 0's tick at 1.6 s finds the
+    // fetch 1.1 s old: past two waits, but not past its give-up age.
+    let latest = sent + FETCH_MAX_WAIT + cfg.background_interval - SimDuration::from_millis(1);
+    c.sim.run_until(latest);
+    let fetches = c.heard(1);
+    assert_eq!(fetches.len(), 1, "asked again while the leader may hold it");
+    let (corr, _) = asked(&fetches[0].1);
+    let reply = ReplicaRpc::FetchResponse {
+        corr,
+        parts: vec![served(0, 0..0, 1)],
+    };
+    c.say(pid(1), pid(0), reply);
+    // The reply sends the next fetch at once, and nothing else follows.
+    c.sim.run_until(ms(2_500));
+    let next = c.heard(1);
+    let at = latest + TRANSIT * 2;
+    assert_eq!(next.iter().map(|(t, _)| *t).collect::<Vec<_>>(), [at]);
 }
 
 #[test]

@@ -1151,6 +1151,12 @@ impl Scenario {
             name: self.name.clone(),
             duration: self.duration,
             link_latency: self.default_link.latency,
+            lossy_links: (std::iter::once(&self.default_link))
+                .chain(self.host_links.values())
+                .chain(
+                    (self.explicit_topology.iter()).flat_map(|t| t.links().map(|(_, l)| &l.spec)),
+                )
+                .any(|l| l.loss_pct > 0.0),
             controller: self.controller_cfg.clone(),
             topics,
             partition_replication: self.partition_replication,

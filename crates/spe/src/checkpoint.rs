@@ -64,7 +64,7 @@ use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
 use s2g_store::{BlobClient, BlobDone, BlobMap, StoreRpc};
 use s2g_telemetry::Telemetry;
 
-use crate::event::{CodecError, Event, Value};
+use crate::event::{wire, CodecError, Event, Value};
 
 /// Correlation-id base for checkpoint store RPCs, so a worker can tell its
 /// snapshot traffic apart from sink inserts sharing the same store server;
@@ -163,21 +163,6 @@ pub(crate) fn event_from_value(v: &Value) -> Option<Event> {
     })
 }
 
-fn offsets_to_value(offsets: &[(TopicPartition, Offset)]) -> Value {
-    Value::List(
-        offsets
-            .iter()
-            .map(|(tp, off)| {
-                Value::List(vec![
-                    Value::Str(tp.topic.to_string()),
-                    Value::Int(tp.partition as i64),
-                    Value::Int(off.value() as i64),
-                ])
-            })
-            .collect(),
-    )
-}
-
 fn offsets_from_value(v: &Value) -> Option<Vec<(TopicPartition, Offset)>> {
     let Value::List(offs) = v else { return None };
     let mut offsets = Vec::with_capacity(offs.len());
@@ -197,10 +182,6 @@ fn offsets_from_value(v: &Value) -> Option<Vec<(TopicPartition, Offset)>> {
     Some(offsets)
 }
 
-fn buffer_to_value(buffer: &[Event]) -> Value {
-    Value::List(buffer.iter().map(event_to_value).collect())
-}
-
 fn buffer_from_value(v: &Value) -> Option<Vec<Event>> {
     let Value::List(buf) = v else { return None };
     let buffer: Vec<Event> = buf.iter().filter_map(event_from_value).collect();
@@ -211,30 +192,63 @@ fn buffer_from_value(v: &Value) -> Option<Vec<Event>> {
 }
 
 /// Encodes the fields every capture carries — a [`StateDelta`] is these
-/// plus its `seq`.
-fn capture_to_map(
+/// plus its `seq` — as the map [`StateSnapshot::to_value`] decodes to: its
+/// entries in key order, each value written where it lies, no tree built
+/// and nothing copied. An event is the list `[key or null, value, ts,
+/// origin, source]` ([`event_to_value`]), an offset `[topic, partition,
+/// offset]`, a stateless operator's state null.
+fn encode_capture(
     taken_at: SimTime,
+    seq: Option<u64>,
     plan: &[Option<Value>],
-    records_in: u64,
-    records_out: u64,
+    (records_in, records_out): (u64, u64),
     buffer: &[Event],
     offsets: &[(TopicPartition, Offset)],
     txn_seq: u64,
-) -> BTreeMap<String, Value> {
-    let plan = plan.iter().map(|s| s.clone().unwrap_or(Value::Null));
-    let fields = [
-        ("taken_at", Value::Int(taken_at.as_nanos() as i64)),
-        ("records_in", Value::Int(records_in as i64)),
-        ("records_out", Value::Int(records_out as i64)),
-        ("txn", Value::Int(txn_seq as i64)),
-        ("plan", Value::List(plan.collect())),
-        ("buffer", buffer_to_value(buffer)),
-        ("offsets", offsets_to_value(offsets)),
+) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(64);
+    let out = &mut bytes;
+    wire::map(out, 7 + usize::from(seq.is_some()));
+    wire::key(out, "buffer");
+    wire::list(out, buffer.len());
+    for e in buffer {
+        wire::list(out, 5);
+        match &e.key {
+            Some(k) => wire::str(out, k),
+            None => Value::Null.encode_into(out),
+        }
+        e.value.encode_into(out);
+        wire::int(out, e.ts.as_nanos() as i64);
+        wire::int(out, e.origin.as_nanos() as i64);
+        wire::int(out, i64::from(e.source));
+    }
+    wire::key(out, "offsets");
+    wire::list(out, offsets.len());
+    for (tp, offset) in offsets {
+        wire::list(out, 3);
+        wire::str(out, &tp.topic);
+        wire::int(out, i64::from(tp.partition));
+        wire::int(out, offset.value() as i64);
+    }
+    wire::key(out, "plan");
+    wire::list(out, plan.len());
+    for state in plan {
+        state.as_ref().unwrap_or(&Value::Null).encode_into(out);
+    }
+    let ints = [
+        ("records_in", Some(records_in)),
+        ("records_out", Some(records_out)),
+        ("seq", seq),
+        ("taken_at", Some(taken_at.as_nanos())),
+        ("txn", Some(txn_seq)),
     ];
-    fields
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
+    for (k, v) in ints {
+        if let Some(v) = v {
+            wire::key(out, k);
+            wire::int(out, v as i64);
+        }
+    }
+    bytes
 }
 
 /// A consistent capture of one worker, taken at a micro-batch boundary.
@@ -262,17 +276,9 @@ pub struct StateSnapshot {
 }
 
 impl StateSnapshot {
-    /// Encodes the snapshot as a single [`Value`] tree.
+    /// The snapshot as a single [`Value`] tree: what its bytes decode to.
     pub fn to_value(&self) -> Value {
-        Value::Map(capture_to_map(
-            self.taken_at,
-            &self.plan_state,
-            self.records_in,
-            self.records_out,
-            &self.buffer,
-            &self.offsets,
-            self.txn_seq,
-        ))
+        Value::decode(&self.to_bytes()).expect("a capture's own encoding decodes")
     }
 
     /// Decodes a snapshot from its [`Value`] tree; every field is required.
@@ -297,7 +303,15 @@ impl StateSnapshot {
 
     /// Serializes to the compact binary format (the blob a backend stores).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_value().encode()
+        encode_capture(
+            self.taken_at,
+            None,
+            &self.plan_state,
+            (self.records_in, self.records_out),
+            &self.buffer,
+            &self.offsets,
+            self.txn_seq,
+        )
     }
 
     /// Deserializes from [`to_bytes`](StateSnapshot::to_bytes) output.
@@ -338,19 +352,9 @@ pub struct StateDelta {
 }
 
 impl StateDelta {
-    /// Encodes the delta as a single [`Value`] tree.
+    /// The delta as a single [`Value`] tree: what its bytes decode to.
     pub fn to_value(&self) -> Value {
-        let mut map = capture_to_map(
-            self.taken_at,
-            &self.plan_delta,
-            self.records_in,
-            self.records_out,
-            &self.buffer,
-            &self.offsets,
-            self.txn_seq,
-        );
-        map.insert("seq".to_string(), Value::Int(self.seq as i64));
-        Value::Map(map)
+        Value::decode(&self.to_bytes()).expect("a capture's own encoding decodes")
     }
 
     /// Decodes a delta from its [`Value`] tree: a snapshot's fields plus
@@ -372,7 +376,15 @@ impl StateDelta {
 
     /// Serializes to the compact binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_value().encode()
+        encode_capture(
+            self.taken_at,
+            Some(self.seq),
+            &self.plan_delta,
+            (self.records_in, self.records_out),
+            &self.buffer,
+            &self.offsets,
+            self.txn_seq,
+        )
     }
 
     /// Deserializes from [`to_bytes`](StateDelta::to_bytes) output.
@@ -418,6 +430,22 @@ impl CheckpointPayload {
         match self {
             CheckpointPayload::Full(s) => s.txn_seq,
             CheckpointPayload::Delta(d) => d.txn_seq,
+        }
+    }
+
+    /// The blob a backend stores for this capture.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        match self {
+            CheckpointPayload::Full(s) => s.to_bytes(),
+            CheckpointPayload::Delta(d) => d.to_bytes(),
+        }
+    }
+
+    /// Takes the buffered events out, once the blob holds them.
+    pub(crate) fn take_buffer(&mut self) -> Vec<Event> {
+        match self {
+            CheckpointPayload::Full(s) => std::mem::take(&mut s.buffer),
+            CheckpointPayload::Delta(d) => std::mem::take(&mut d.buffer),
         }
     }
 }
@@ -645,19 +673,28 @@ impl DurableBackend {
     /// soon as it asks on the shared map, from a later
     /// [`on_store_rpc`](Self::on_store_rpc) on a store.
     pub fn persist(&mut self, ctx: &mut Ctx<'_>, job: &str, payload: &CheckpointPayload) -> u64 {
-        let (blob_key, blob_bytes) = match payload {
-            CheckpointPayload::Full(snapshot) => {
+        self.persist_blob(ctx, job, payload, payload.to_bytes())
+    }
+
+    /// [`persist`](Self::persist) with the capture already encoded: `blob`
+    /// is `payload.to_bytes()`, taken when the capture was.
+    fn persist_blob(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        job: &str,
+        payload: &CheckpointPayload,
+        blob_bytes: Vec<u8>,
+    ) -> u64 {
+        let blob_key = match payload {
+            CheckpointPayload::Full(_) => {
                 self.superseded = Some((self.chain, self.delta_count));
                 self.chain += 1;
                 self.delta_count = 0;
-                (Self::base_key(job, self.chain), snapshot.to_bytes())
+                Self::base_key(job, self.chain)
             }
             CheckpointPayload::Delta(delta) => {
                 self.delta_count = delta.seq;
-                (
-                    Self::delta_key(job, self.chain, delta.seq),
-                    delta.to_bytes(),
-                )
+                Self::delta_key(job, self.chain, delta.seq)
             }
         };
         let bytes = blob_bytes.len() as u64;
@@ -1015,8 +1052,23 @@ impl CheckpointCoordinator {
         payload: CheckpointPayload,
         producer_sent: u64,
     ) {
+        let blob = payload.to_bytes();
+        self.accept_blob(ctx, job, payload, blob, producer_sent);
+    }
+
+    /// [`accept`](Self::accept) with the capture already encoded: `blob`
+    /// is `payload.to_bytes()`, taken when the capture was, so `payload`
+    /// may have given its buffered events back.
+    pub(crate) fn accept_blob(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        job: &str,
+        payload: CheckpointPayload,
+        blob: Vec<u8>,
+        producer_sent: u64,
+    ) {
         self.capture_requested = false;
-        let bytes = self.backend.persist(ctx, job, &payload);
+        let bytes = self.backend.persist_blob(ctx, job, &payload, blob);
         self.pending_persist = Some(PendingPersist {
             payload,
             producer_sent,
@@ -1336,6 +1388,62 @@ mod tests {
         let back = StateDelta::from_bytes(&delta.to_bytes()).expect("round trip");
         assert_eq!(back, delta);
         assert!(StateDelta::from_bytes(&[9, 9]).is_err());
+    }
+
+    /// A capture's bytes built the long way: its fields as a `Value::Map`
+    /// tree, encoded.
+    fn tree_bytes(s: &StateSnapshot, seq: Option<u64>) -> Vec<u8> {
+        let int = |i: u64| Value::Int(i as i64);
+        let offsets = (s.offsets.iter())
+            .map(|(tp, o)| {
+                let topic = Value::Str(tp.topic.to_string());
+                Value::List(vec![topic, int(u64::from(tp.partition)), int(o.value())])
+            })
+            .collect();
+        let plan = (s.plan_state.iter())
+            .map(|v| v.clone().unwrap_or(Value::Null))
+            .collect();
+        let mut fields = BTreeMap::from([
+            ("taken_at".to_string(), int(s.taken_at.as_nanos())),
+            ("records_in".to_string(), int(s.records_in)),
+            ("records_out".to_string(), int(s.records_out)),
+            ("txn".to_string(), int(s.txn_seq)),
+            ("plan".to_string(), Value::List(plan)),
+            (
+                "buffer".to_string(),
+                Value::List(s.buffer.iter().map(event_to_value).collect()),
+            ),
+            ("offsets".to_string(), Value::List(offsets)),
+        ]);
+        if let Some(seq) = seq {
+            fields.insert("seq".to_string(), int(seq));
+        }
+        Value::Map(fields).encode()
+    }
+
+    #[test]
+    fn a_capture_is_written_as_its_value_tree() {
+        let mut snap = sample_snapshot();
+        let mut unkeyed = Event::new(Value::map([("f", Value::Float(1.5))]), SimTime::ZERO);
+        unkeyed.source = 2;
+        snap.buffer.push(unkeyed);
+        assert_eq!(snap.to_bytes(), tree_bytes(&snap, None));
+        let delta = StateDelta {
+            buffer: snap.buffer.clone(),
+            ..sample_delta(4)
+        };
+        let as_snapshot = StateSnapshot {
+            taken_at: delta.taken_at,
+            plan_state: delta.plan_delta.clone(),
+            records_in: delta.records_in,
+            records_out: delta.records_out,
+            buffer: delta.buffer.clone(),
+            offsets: delta.offsets.clone(),
+            txn_seq: delta.txn_seq,
+        };
+        assert_eq!(delta.to_bytes(), tree_bytes(&as_snapshot, Some(4)));
+        let payload = CheckpointPayload::Delta(delta.clone());
+        assert_eq!(payload.to_bytes(), delta.to_bytes());
     }
 
     #[test]

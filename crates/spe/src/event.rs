@@ -37,6 +37,45 @@ fn len_u32(n: usize) -> u32 {
     u32::try_from(n).expect("length exceeds u32 codec prefix")
 }
 
+/// Writers of the compact format's parts: [`Value::encode_into`] is made
+/// of them, and an encoder that writes a tree's bytes without building the
+/// tree (a checkpoint capture) uses them the same way.
+pub(crate) mod wire {
+    use super::len_u32;
+
+    /// A [`Value::Int`](super::Value::Int).
+    pub(crate) fn int(out: &mut Vec<u8>, i: i64) {
+        out.push(2);
+        out.extend_from_slice(&i.to_le_bytes());
+    }
+
+    /// A [`Value::Str`](super::Value::Str).
+    pub(crate) fn str(out: &mut Vec<u8>, s: &str) {
+        out.push(4);
+        key(out, s);
+    }
+
+    /// The head of a [`Value::List`](super::Value::List) of `len` values,
+    /// which follow.
+    pub(crate) fn list(out: &mut Vec<u8>, len: usize) {
+        out.push(5);
+        out.extend_from_slice(&len_u32(len).to_le_bytes());
+    }
+
+    /// The head of a [`Value::Map`](super::Value::Map) of `len` entries,
+    /// which follow as a [`key`] and a value each, in key order.
+    pub(crate) fn map(out: &mut Vec<u8>, len: usize) {
+        out.push(6);
+        out.extend_from_slice(&len_u32(len).to_le_bytes());
+    }
+
+    /// A map entry's key.
+    pub(crate) fn key(out: &mut Vec<u8>, k: &str) {
+        out.extend_from_slice(&len_u32(k.len()).to_le_bytes());
+        out.extend_from_slice(k.as_bytes());
+    }
+}
+
 impl Value {
     /// Builds a map value from key/value pairs.
     pub fn map<I: IntoIterator<Item = (&'static str, Value)>>(pairs: I) -> Value {
@@ -94,39 +133,29 @@ impl Value {
         Value::decode_from(buf, &mut pos)
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Value::Null => out.push(0),
             Value::Bool(b) => {
                 out.push(1);
                 out.push(u8::from(*b));
             }
-            Value::Int(i) => {
-                out.push(2);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
+            Value::Int(i) => wire::int(out, *i),
             Value::Float(f) => {
                 out.push(3);
                 out.extend_from_slice(&f.to_le_bytes());
             }
-            Value::Str(s) => {
-                out.push(4);
-                out.extend_from_slice(&len_u32(s.len()).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+            Value::Str(s) => wire::str(out, s),
             Value::List(l) => {
-                out.push(5);
-                out.extend_from_slice(&len_u32(l.len()).to_le_bytes());
+                wire::list(out, l.len());
                 for v in l {
                     v.encode_into(out);
                 }
             }
             Value::Map(m) => {
-                out.push(6);
-                out.extend_from_slice(&len_u32(m.len()).to_le_bytes());
+                wire::map(out, m.len());
                 for (k, v) in m {
-                    out.extend_from_slice(&len_u32(k.len()).to_le_bytes());
-                    out.extend_from_slice(k.as_bytes());
+                    wire::key(out, k);
                     v.encode_into(out);
                 }
             }

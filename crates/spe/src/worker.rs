@@ -256,7 +256,7 @@ pub struct SpeWorker {
     /// one, because a durable snapshot is the *prepared* marker — rolling
     /// its transaction forward on recovery is only sound once the whole
     /// staged batch provably reached the broker.
-    staged_capture: Option<(CheckpointPayload, u64)>,
+    staged_capture: Option<(CheckpointPayload, Vec<u8>, u64)>,
     /// A durable-backend restore round trip is in flight; consuming and
     /// batching are held until it completes.
     awaiting_restore: bool,
@@ -608,7 +608,8 @@ impl SpeWorker {
             }
         }
         let txn_seq = self.txn_seq;
-        let payload = match kind {
+        let buffer = std::mem::take(&mut self.buffer.events);
+        let mut payload = match kind {
             CaptureKind::Full => {
                 let (plan_state, records_in, records_out) = self.plan.snapshot_state();
                 // The full snapshot covers every pending change: reset the
@@ -619,7 +620,7 @@ impl SpeWorker {
                     plan_state,
                     records_in,
                     records_out,
-                    buffer: self.buffer.events.clone(),
+                    buffer,
                     offsets: self.consumer.positions(),
                     txn_seq,
                 })
@@ -638,12 +639,18 @@ impl SpeWorker {
                     plan_delta,
                     records_in,
                     records_out,
-                    buffer: self.buffer.events.clone(),
+                    buffer,
                     offsets: self.consumer.positions(),
                     txn_seq,
                 })
             }
         };
+        // Encoded now, the capture holds its buffered events in its blob:
+        // they go back to the buffer for the next batch uncopied, and what
+        // is kept until the persist completes is the blob and the
+        // capture's time, offsets and transaction.
+        let blob = payload.to_bytes();
+        self.buffer.events = payload.take_buffer();
         let producer_sent = self.producer.as_ref().map_or(0, |p| p.stats().sent);
         if txn_mode {
             // Open the next transaction: output emitted after this capture
@@ -667,36 +674,42 @@ impl SpeWorker {
             // offsets — would never be replayed.
             self.tele
                 .trace_instant(ctx.now(), &self.name, "txn:prepare", "txn");
-            self.staged_capture = Some((payload, producer_sent));
+            self.staged_capture = Some((payload, blob, producer_sent));
             return;
         }
-        self.accept_capture(ctx, payload, producer_sent);
+        self.accept_capture(ctx, payload, blob, producer_sent);
         self.pump_commit(ctx);
     }
 
     /// Hands a capture to the coordinator's persist machinery.
-    fn accept_capture(&mut self, ctx: &mut Ctx<'_>, payload: CheckpointPayload, sent: u64) {
+    fn accept_capture(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        payload: CheckpointPayload,
+        blob: Vec<u8>,
+        sent: u64,
+    ) {
         let name = self.name.clone();
         let coord = self
             .coordinator
             .as_mut()
             .expect("capture implies coordinator");
-        coord.accept(ctx, &name, payload, sent);
+        coord.accept_blob(ctx, &name, payload, blob, sent);
     }
 
     /// Persists a staged capture once its transaction's last staged record
     /// is acknowledged (the prepare's first half completing).
     fn try_accept_staged(&mut self, ctx: &mut Ctx<'_>) {
         let ready = match &self.staged_capture {
-            Some((payload, _)) => self
+            Some((payload, ..)) => self
                 .producer
                 .as_ref()
                 .is_none_or(|p| p.txn_outstanding(payload.txn_seq()) == 0),
             None => return,
         };
         if ready {
-            let (payload, sent) = self.staged_capture.take().expect("just checked");
-            self.accept_capture(ctx, payload, sent);
+            let (payload, blob, sent) = self.staged_capture.take().expect("just checked");
+            self.accept_capture(ctx, payload, blob, sent);
         }
     }
 
@@ -924,13 +937,13 @@ impl SpeWorker {
         if events.is_empty() {
             return;
         }
-        match self.sink.clone() {
+        match &self.sink {
             SpeSink::Collect => self.collected.extend(events),
             SpeSink::Topic(topic) => {
                 let producer = self.producer.as_mut().expect("topic sink has a producer");
                 for e in events {
                     let key = e.key.as_deref().map(str::as_bytes);
-                    producer.send_with(ctx, &topic, key, |buf| e.encode_into(buf));
+                    producer.send_with(ctx, topic, key, |buf| e.encode_into(buf));
                 }
             }
             SpeSink::Store { store, table } => {
@@ -949,7 +962,7 @@ impl SpeWorker {
                     self.store_corr += 1;
                     self.store_inserts += 1;
                     ctx.send(
-                        store,
+                        *store,
                         StoreRpc::Insert {
                             corr: self.store_corr,
                             table: table.clone(),

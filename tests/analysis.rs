@@ -591,7 +591,8 @@ fn s2g022_client_on_internal_shuffle_topic() {
 
 #[test]
 fn s2g023_replica_lag_below_fetch_interval() {
-    let with_lag = |lag: SimDuration| {
+    // `lossy`: none, a broker crash, or a lossy default link.
+    let with_lag = |lag: SimDuration, lossy: u8| {
         let cfg = BrokerConfig {
             replica_lag_max: lag,
             ..BrokerConfig::default()
@@ -603,21 +604,33 @@ fn s2g023_replica_lag_below_fetch_interval() {
             .broker_with("bh2", cfg)
             .with_replicated_partitions(2);
         add_producer(&mut sc);
+        match lossy {
+            0 => {}
+            1 => {
+                let down = SimDuration::from_secs(1);
+                sc.faults(FaultPlan::new().crash_restart_broker(1, SimTime::from_secs(5), down));
+            }
+            _ => {
+                sc.default_link(LinkSpec::new().loss_pct(1.0));
+            }
+        }
         sc
     };
-    // A follower whose fetch or reply is lost is unseen for up to two
-    // 500 ms fetch waits, one 100 ms background tick and the 50 ms backoff:
-    // a 60 ms bound flaps, and so does 1 s, twenty times that backoff.
-    for flaps in [60, 1_000] {
-        assert_eq!(
-            level_of(&with_lag(SimDuration::from_millis(flaps)), "S2G023"),
-            Some(Level::Warn)
-        );
+    let level = |lag_ms: u64, lossy: u8| {
+        level_of(&with_lag(SimDuration::from_millis(lag_ms), lossy), "S2G023")
+    };
+    // Nothing can lose a message: a follower at the log end waits at its
+    // leader as caught up, and only a bound under that 500 ms wait warns.
+    assert_eq!(level(60, 0), Some(Level::Warn));
+    assert_eq!(level(1_000, 0), None);
+    // A lost fetch or reply leaves a live follower unseen for up to the
+    // 1.1 s give-up age, one 100 ms background tick and the 50 ms backoff:
+    // under a crash or on a lossy link a 1 s bound flaps, 10 s does not.
+    for lossy in [1, 2] {
+        assert_eq!(level(1_000, lossy), Some(Level::Warn), "{lossy}");
+        assert_eq!(level(10_000, lossy), None, "{lossy}");
     }
-    assert_eq!(
-        level_of(&with_lag(SimDuration::from_secs(10)), "S2G023"),
-        None
-    );
+    assert_eq!(level(10_000, 0), None);
 }
 
 #[test]

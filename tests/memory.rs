@@ -435,8 +435,8 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 310.0, small_allocs, 12.11),
-        (40_000, large, 285.0, large_allocs, 11.80),
+        (20_000, small, 310.0, small_allocs, 9.80),
+        (40_000, large, 285.0, large_allocs, 9.52),
     ] {
         // Measured 310 / 285 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
@@ -448,15 +448,9 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 64 B record at {records} records through a \
              shuffle, {retained} when recorded"
         );
-        // Measured 12.11 / 11.80: two produce hops and a shuffle, each
-        // record decoded into an event and encoded again per stage, and
-        // the cost of each micro-batch and capture spread over the records
-        // in it. (9.76 / 9.47 when a keyed flush's partitions shared one
-        // frame; 9.80 / 9.52 while followers fetched every 50 ms, so each
-        // stage saw its input in 50 ms bursts: 84 micro-batches where
-        // replication at each append makes 404, and captures that found
-        // the buffer empty where they now carry what arrived during the
-        // batch.)
+        // Measured 9.80 / 9.52: two produce hops and a shuffle, each
+        // record decoded into an event and encoded again per stage. (9.76 /
+        // 9.47 when a keyed flush's partitions shared one frame.)
         assert!(
             allocs <= measured * SLACK,
             "{allocs:.2} allocator calls per record at {records} records through a shuffle, \
