@@ -41,6 +41,7 @@ use s2g_proto::{
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
+    Waiters,
 };
 use s2g_store::{BlobClient, BlobDone, StoreRpc};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Histogram, HistogramHandle, Telemetry};
@@ -467,12 +468,13 @@ fn build_meta(
 }
 
 /// A replica fetch held at its leader until one of its parts has something
-/// new to say or `deadline` passes; `rpc` is the request, whose box carries
-/// the reply.
+/// new to say or [`FETCH_MAX_WAIT`] passes: who sent it, its correlation id
+/// and parts, and the box it came in, which carries the reply.
 struct HeldFetch {
     pid: ProcessId,
+    corr: CorrelationId,
+    parts: Vec<ReplicaFetchPart>,
     rpc: Box<ReplicaRpc>,
-    deadline: SimTime,
 }
 
 /// What replica fetch round trips leave emptied, kept for the next: the box
@@ -519,7 +521,7 @@ pub struct Broker {
     /// Restart/replay metrics for the current incarnation.
     recovery: Option<BrokerRecoveryInfo>,
     /// As leader: the replica fetch held for each follower, at most one.
-    held: BTreeMap<BrokerId, HeldFetch>,
+    held: Waiters<BrokerId, HeldFetch>,
     /// As follower: the fetch outstanding at each leader, by correlation id
     /// and send time. Only its reply sends the next fetch.
     fetching: BTreeMap<BrokerId, (CorrelationId, SimTime)>,
@@ -579,7 +581,7 @@ impl Broker {
             recovering: false,
             incarnation: 0,
             recovery: None,
-            held: BTreeMap::new(),
+            held: Waiters::default(),
             fetching: BTreeMap::new(),
             spares: ReplicaSpares::default(),
         }
@@ -822,7 +824,6 @@ impl Broker {
                             offset,
                             max_records,
                             read_committed,
-                            deadline: now + FETCH_MAX_WAIT,
                         };
                         led.fetch(ctx, host, waiter);
                     }
@@ -1021,18 +1022,15 @@ impl Broker {
     fn handle_replica(&mut self, ctx: &mut Ctx<'_>, pid: ProcessId, mut rpc: Box<ReplicaRpc>) {
         match &mut *rpc {
             ReplicaRpc::Fetch { corr, from, parts } => {
-                let (from, incarnation) = (*from, corr.0 >> 32);
+                let (corr, from, mut parts) = (*corr, *from, std::mem::take(parts));
                 self.host.stats.replica_fetches += 1;
                 // A newer fetch from the same follower replaces its held one
                 // and, from the same incarnation, takes over the parts it
                 // does not name: a follower adds a partition to its
                 // outstanding fetch by naming it alone.
-                if let Some(ReplicaRpc::Fetch {
-                    corr, parts: held, ..
-                }) = self.held.remove(&from).map(|h| *h.rpc)
-                {
-                    let same = corr.0 >> 32 == incarnation;
-                    let unnamed: Vec<_> = (held.into_iter())
+                if let Some(held) = self.held.take(&from) {
+                    let same = held.corr.0 >> 32 == corr.0 >> 32;
+                    let unnamed: Vec<_> = (held.parts.into_iter())
                         .filter(|h| same && parts.iter().all(|p| p.tp != h.tp))
                         .collect();
                     parts.extend(unnamed);
@@ -1040,13 +1038,25 @@ impl Broker {
                 }
                 // What each part claims is recorded once, on arrival.
                 let fenced = self.is_fenced(ctx.now());
-                for p in parts.iter() {
+                for p in &parts {
                     if let Ok(mut l) = led(&mut self.partitions, &p.tp, fenced) {
                         l.note_progress(ctx, &mut self.host, from, p.log_end, p.epoch);
                     }
                 }
-                let deadline = ctx.now() + FETCH_MAX_WAIT;
-                self.serve_replica(ctx, HeldFetch { pid, rpc, deadline }, true);
+                // With nothing new to say, it waits: a change to one of its
+                // partitions, the end of a reign or its deadline answers it.
+                let news = has_news(&mut self.partitions, from, &parts, fenced);
+                let h = HeldFetch {
+                    pid,
+                    corr,
+                    parts,
+                    rpc,
+                };
+                if news {
+                    self.serve_replica(ctx, from, h);
+                } else {
+                    self.held.hold(from, h, Some(ctx.now() + FETCH_MAX_WAIT));
+                }
             }
             ReplicaRpc::FetchResponse { corr, .. } if corr.0 >> 32 != self.incarnation => {
                 self.host.stats.stale_replica_replies += 1;
@@ -1059,26 +1069,17 @@ impl Broker {
         }
     }
 
-    /// Serves replica fetch `h` part by part under one record cap, or, when
-    /// no part has anything new and `may_hold`, holds it: a change to one
-    /// of its partitions, the end of a reign or its deadline answers it.
-    fn serve_replica(&mut self, ctx: &mut Ctx<'_>, mut h: HeldFetch, may_hold: bool) {
+    /// Serves follower `from`'s replica fetch `h` part by part under one
+    /// record cap.
+    fn serve_replica(&mut self, ctx: &mut Ctx<'_>, from: BrokerId, mut h: HeldFetch) {
         let fenced = self.is_fenced(ctx.now());
         let (host, partitions) = (&mut self.host, &mut self.partitions);
-        let ReplicaRpc::Fetch { corr, from, parts } = &mut *h.rpc else {
-            return;
-        };
-        let (corr, from) = (*corr, *from);
-        if may_hold && !has_news(partitions, from, parts, fenced) {
-            self.held.insert(from, h);
-            return;
-        }
         // The cap is the request's: each part is served from what the parts
         // before it left.
         let cap = host.cfg.replica_fetch_max_records;
         let mut left = cap;
         let mut served = std::mem::take(&mut self.spares.served);
-        for p in parts.drain(..) {
+        for p in h.parts.drain(..) {
             served.push(match led(partitions, &p.tp, fenced) {
                 Ok(mut l) => {
                     let part = l.serve_fetch(from, p.log_end, p.epoch, left);
@@ -1088,37 +1089,36 @@ impl Broker {
                 Err(error) => ReplicaFetchedPart::rejected(p.tp, error),
             });
         }
-        self.spares.asked = std::mem::take(parts);
+        self.spares.asked = h.parts;
         let cost = host.request_cost(cap - left);
         // The reply travels in the request's box.
         *h.rpc = ReplicaRpc::FetchResponse {
-            corr,
+            corr: h.corr,
             parts: served,
         };
         host.respond_after_cpu(ctx, cost, h.pid, h.rpc);
     }
 
     /// Answers the held replica fetches that have news since a handler
-    /// changed a led partition, or all of them on a fenced broker or at
-    /// `deadline`.
-    fn answer_held(&mut self, ctx: &mut Ctx<'_>, deadline: Option<SimTime>) {
-        if !std::mem::take(&mut self.host.news) && deadline.is_none() {
+    /// changed a led partition (all of them on a fenced broker), and, on
+    /// the background `tick`, those past their deadline.
+    fn answer_held(&mut self, ctx: &mut Ctx<'_>, tick: bool) {
+        if !std::mem::take(&mut self.host.news) && !tick {
             return;
         }
         let fenced = self.is_fenced(ctx.now());
-        loop {
-            let (held, partitions) = (&self.held, &mut self.partitions);
-            let mut due = |(f, h): (&BrokerId, &HeldFetch)| match &*h.rpc {
-                _ if fenced || deadline.is_some_and(|d| h.deadline <= d) => true,
-                ReplicaRpc::Fetch { parts, .. } => has_news(partitions, *f, parts, fenced),
-                ReplicaRpc::FetchResponse { .. } => true,
-            };
-            let Some(follower) = held.iter().find(|f| due(*f)).map(|(f, _)| *f) else {
-                return;
-            };
-            let h = self.held.remove(&follower).expect("held");
-            self.serve_replica(ctx, h, false);
+        let mut held = std::mem::take(&mut self.held);
+        held.wake(|from, h| {
+            if !fenced && !has_news(&mut self.partitions, *from, &h.parts, fenced) {
+                return Some(h);
+            }
+            self.serve_replica(ctx, *from, h);
+            None
+        });
+        if tick {
+            held.expire(ctx.now(), |from, h| self.serve_replica(ctx, *from, h));
         }
+        self.held = held;
     }
 
     /// As follower, applies a reply from the leader at `pid`. The reply to
@@ -1215,7 +1215,7 @@ impl Broker {
     /// lost, or its reply was, and is sent again after the backoff.
     fn expire_replica_fetches(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        self.answer_held(ctx, Some(now));
+        self.answer_held(ctx, true);
         let give_up = self.host.cfg.replica_fetch_give_up();
         let lost = |(_, (_, sent)): (&BrokerId, &(CorrelationId, SimTime))| {
             now.saturating_since(*sent) >= give_up
@@ -1228,12 +1228,10 @@ impl Broker {
 
     fn isr_tick(&mut self, ctx: &mut Ctx<'_>) {
         // A follower whose fetch is held here is at the log end.
-        for (follower, h) in &self.held {
-            if let ReplicaRpc::Fetch { parts, .. } = &*h.rpc {
-                for p in parts {
-                    if let Ok(mut l) = led(&mut self.partitions, &p.tp, false) {
-                        l.held_at_log_end(*follower, ctx.now());
-                    }
+        for (follower, h) in self.held.iter() {
+            for p in &h.parts {
+                if let Ok(mut l) = led(&mut self.partitions, &p.tp, false) {
+                    l.held_at_log_end(*follower, ctx.now());
                 }
             }
         }
@@ -1584,7 +1582,7 @@ impl Process for Broker {
             Ok(_) => self.host.stats.dropped_recovering += 1,
         };
         // The held replica fetches the handler's change has news for.
-        self.answer_held(ctx, None);
+        self.answer_held(ctx, false);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {

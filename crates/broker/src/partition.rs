@@ -17,7 +17,7 @@ use s2g_proto::{
     MirrorView, Offset, PartitionMetadata, RecordBatch, RecordRef, ReplicaFetchPart,
     ReplicaFetchedPart, TopicPartition,
 };
-use s2g_sim::{Ctx, Message, ProcessId, SimDuration, SimTime};
+use s2g_sim::{Ctx, Message, ProcessId, SimDuration, SimTime, Waiters};
 use s2g_telemetry::GaugeHandle;
 
 use crate::broker::Host;
@@ -46,9 +46,10 @@ pub(crate) struct PendingProduce {
 /// answered empty: Kafka's `fetch.max.wait.ms` and
 /// `replica.fetch.wait.max.ms` at their default (with a minimum of one
 /// record, so one readable record ends the wait). It holds client fetches
-/// and replica fetches alike. The deadline is checked by the broker's
-/// background tick, so a held fetch comes back between this and one
-/// `background_interval` later.
+/// and replica fetches alike. The broker's background tick checks the
+/// deadline, through `Waiters::expire` on the queue each fetch is held in,
+/// so a held fetch comes back between this and one `background_interval`
+/// later.
 pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
 
 /// What a client fetch is answered with: the runs read and the codec they
@@ -57,7 +58,7 @@ pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
 pub(crate) type FetchAnswer = (Vec<LogRun>, Compression, Offset, Offset, ErrorCode);
 
 /// A client fetch held on its partition until a read from `offset` has
-/// something to say or `deadline` passes.
+/// something to say or [`FETCH_MAX_WAIT`] passes.
 #[derive(Debug)]
 pub(crate) struct FetchWaiter {
     pub(crate) client: ProcessId,
@@ -65,7 +66,6 @@ pub(crate) struct FetchWaiter {
     pub(crate) offset: Offset,
     pub(crate) max_records: usize,
     pub(crate) read_committed: bool,
-    pub(crate) deadline: SimTime,
 }
 
 /// The one constructor of a produce response.
@@ -101,10 +101,10 @@ struct LeaderState {
     replicas: Vec<BrokerId>,
     /// By broker id.
     followers: IntTable<FollowerProgress>,
-    pending: Vec<PendingProduce>,
-    /// Client fetches held until there is something to read, in arrival
-    /// order, which is deadline order too.
-    waiters: Vec<FetchWaiter>,
+    /// Produces held until they may be acknowledged, by arrival.
+    pending: Waiters<u64, PendingProduce>,
+    /// Client fetches held until there is something to read, by arrival.
+    waiters: Waiters<u64, FetchWaiter>,
     /// The partition's `hw_gap/{tp}` and `lso_gap/{tp}` gauges, made once
     /// per reign: every watermark move sets both.
     hw_gap: GaugeHandle,
@@ -288,14 +288,14 @@ impl Partition {
                     // leads: the fetches it holds carry no epoch and wait on.
                     let waiters = match role.take() {
                         Some(Role::Leader(old)) => old.waiters,
-                        _ => Vec::new(),
+                        _ => Waiters::default(),
                     };
                     *role = Some(Role::Leader(Box::new(LeaderState {
                         epoch: m.epoch,
                         followers,
                         isr: m.isr,
                         replicas: m.replicas,
-                        pending: Vec::new(),
+                        pending: Waiters::default(),
                         waiters,
                         hw_gap: host.tele.gauge(&host.name, &format!("hw_gap/{tp}")),
                         lso_gap: host.tele.gauge(&host.name, &format!("lso_gap/{tp}")),
@@ -627,7 +627,7 @@ impl Led<'_> {
 
     /// Parks a produce until the watermark and the durable end cover it.
     pub(crate) fn pend(&mut self, p: PendingProduce) {
-        self.ls.pending.push(p);
+        self.ls.pending.push(p, None);
     }
 
     /// What a consumer read from `offset` has to say, or `None` when that is
@@ -703,16 +703,23 @@ impl Led<'_> {
         Some((runs, *self.codec, hw, next, ErrorCode::None))
     }
 
+    /// Answers client fetch `w` when a read for it has something to say,
+    /// and hands it back otherwise.
+    fn answer(&self, ctx: &mut Ctx<'_>, host: &mut Host, w: FetchWaiter) -> Option<FetchWaiter> {
+        match self.read(host, w.offset, w.max_records, w.read_committed) {
+            Some(answer) => host.answer_fetch(ctx, w.client, w.corr, self.tp, answer),
+            None => return Some(w),
+        }
+        None
+    }
+
     /// Serves a client fetch: answered at once when the read has something
     /// to say, held on the partition otherwise.
     pub(crate) fn fetch(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, w: FetchWaiter) {
-        match self.read(host, w.offset, w.max_records, w.read_committed) {
-            Some(answer) => host.answer_fetch(ctx, w.client, w.corr, self.tp, answer),
-            None => {
-                host.stats.fetches_parked += 1;
-                host.metrics.fetches_parked.add(1);
-                self.ls.waiters.push(w);
-            }
+        if let Some(w) = self.answer(ctx, host, w) {
+            host.stats.fetches_parked += 1;
+            host.metrics.fetches_parked.add(1);
+            self.ls.waiters.push(w, Some(ctx.now() + FETCH_MAX_WAIT));
         }
     }
 
@@ -721,19 +728,8 @@ impl Led<'_> {
     /// reader sees can have moved: the watermark, the durable end, the last
     /// stable offset.
     pub(crate) fn wake_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
-        if self.ls.waiters.is_empty() {
-            return;
-        }
         let mut waiters = std::mem::take(&mut self.ls.waiters);
-        waiters.retain(
-            |w| match self.read(host, w.offset, w.max_records, w.read_committed) {
-                Some(answer) => {
-                    host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
-                    false
-                }
-                None => true,
-            },
-        );
+        waiters.wake(|_, w| self.answer(ctx, host, w));
         self.ls.waiters = waiters;
     }
 
@@ -744,19 +740,17 @@ impl Led<'_> {
         if fenced {
             return self.fail_waiters(ctx, host, ErrorCode::Fenced);
         }
-        let now = ctx.now();
-        let due = self.ls.waiters.partition_point(|w| w.deadline <= now);
-        let hw = self.log.high_watermark();
-        for w in self.ls.waiters.drain(..due) {
+        let (now, hw, tp) = (ctx.now(), self.log.high_watermark(), self.tp);
+        self.ls.waiters.expire(now, |_, w| {
             host.stats.fetches_expired += 1;
             host.metrics.fetches_expired.add(1);
             let answer = (Vec::new(), Compression::None, hw, w.offset, ErrorCode::None);
-            host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
-        }
+            host.answer_fetch(ctx, w.client, w.corr, tp, answer);
+        });
     }
 
     fn fail_waiters(&mut self, ctx: &mut Ctx<'_>, host: &mut Host, error: ErrorCode) {
-        for w in std::mem::take(&mut self.ls.waiters) {
+        for (_, w) in self.ls.waiters.drain() {
             host.count_rejection(error);
             let answer = (Vec::new(), Compression::None, Offset::ZERO, w.offset, error);
             host.answer_fetch(ctx, w.client, w.corr, self.tp, answer);
@@ -939,13 +933,13 @@ impl Led<'_> {
         // Acknowledge pending produces now covered by the HW and the
         // durable end, in the order they were parked.
         let tp = self.tp;
-        self.ls.pending.retain(|p| {
-            let ready = p.need <= hw && p.need_durable <= durable;
-            if ready {
-                let msg = produce_response(p.corr, tp.clone(), p.base, ErrorCode::None);
-                host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
+        self.ls.pending.wake(|_, p| {
+            if p.need > hw || p.need_durable > durable {
+                return Some(p);
             }
-            !ready
+            let msg = produce_response(p.corr, tp.clone(), p.base, ErrorCode::None);
+            host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
+            None
         });
         // Refresh the watermark-gap gauges: `hw_gap` is the unreplicated
         // suffix (log end minus high watermark) and `lso_gap` is the
@@ -963,7 +957,7 @@ impl Led<'_> {
     /// answered `NotLeader` (a held replica fetch once the broker has taken
     /// the role away).
     fn end_reign(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
-        for p in std::mem::take(&mut self.ls.pending) {
+        for (_, p) in self.ls.pending.drain() {
             let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::NotLeader);
             host.respond_after_cpu(ctx, host.cfg.cpu_per_request, p.client, msg);
         }

@@ -11,7 +11,9 @@
 //! * [`Transport`] — pluggable message routing (the `s2g-net` crate installs
 //!   the emulated network here),
 //! * [`HostCpu`] — a multi-core CPU model so co-located components contend
-//!   for cycles exactly like they do on stream2gym's single server.
+//!   for cycles exactly like they do on stream2gym's single server,
+//! * [`Waiters`] — the one queue a server holds requests in until their
+//!   answer can change.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub(crate) mod queue;
 mod resources;
 mod sched;
 mod time;
+mod waiters;
 
 pub use cpu::{CpuHandle, HostCpu};
 pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
@@ -53,3 +56,4 @@ pub use sched::{
     Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimCore, SimStats, Transport,
 };
 pub use time::{SimDuration, SimTime};
+pub use waiters::Waiters;

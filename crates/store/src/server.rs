@@ -40,6 +40,7 @@
 use bytes::Bytes;
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
+    Waiters,
 };
 use s2g_telemetry::Telemetry;
 
@@ -355,9 +356,10 @@ struct GroupState {
     peer_ready: Vec<bool>,
     /// Writes awaiting quorum, keyed by seq.
     pending_writes: std::collections::BTreeMap<u64, PendingWrite>,
-    /// The acting primary's held fetches, one per member: `(corr, after)`,
-    /// answered by the next append.
-    parked: Vec<Option<(u64, u64)>>,
+    /// The acting primary's held fetches, `(corr, after)` by member index,
+    /// answered by the next append. They have no deadline: a follower
+    /// re-sends its fetch every heartbeat interval.
+    parked: Waiters<usize, (u64, u64)>,
     /// This member's one outstanding fetch: `(corr, sent_at)`.
     awaiting: Option<(u64, SimTime)>,
     /// A failover claim is waiting for catch-up from a more advanced peer.
@@ -549,7 +551,7 @@ impl StoreServer {
             peer_seq: vec![0; n],
             peer_ready: vec![true; n],
             pending_writes: std::collections::BTreeMap::new(),
-            parked: vec![None; n],
+            parked: Waiters::default(),
             awaiting: None,
             claim_pending: false,
             recovery: None,
@@ -687,12 +689,11 @@ impl StoreServer {
         // A single-member group holds a majority by itself.
         self.pump_quorum(ctx);
         let g = self.group.as_mut().expect("grouped");
-        let parked: Vec<(usize, (u64, u64))> = (g.parked.iter_mut().enumerate())
-            .filter_map(|(i, p)| p.take().map(|p| (i, p)))
-            .collect();
-        for (i, (corr, after)) in parked {
+        let mut parked = std::mem::take(&mut g.parked);
+        for (i, (corr, after)) in parked.drain() {
             self.serve_fetch(ctx, i, corr, after);
         }
+        self.group.as_mut().expect("grouped").parked = parked;
     }
 
     /// Acks every pending write a majority now holds, the primary's own
@@ -781,7 +782,7 @@ impl StoreServer {
             g.peer_seq.fill(0);
         }
         g.primary = primary;
-        g.parked.fill(None);
+        g.parked.drain().for_each(drop);
         if g.ready {
             g.awaiting = None;
         }
@@ -845,8 +846,10 @@ impl StoreServer {
         }
         g.note_progress(i, epoch, after);
         let park = ready && epoch == g.epoch && g.primary == g.index && after >= g.applied_seq;
-        g.parked[i] = park.then_some((corr, after));
-        if !park {
+        if park {
+            g.parked.hold(i, (corr, after), None);
+        } else {
+            g.parked.take(&i);
             self.serve_fetch(ctx, i, corr, after);
         }
         self.pump_quorum(ctx);
