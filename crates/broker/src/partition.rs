@@ -285,17 +285,18 @@ impl Partition {
                         followers.get_or_default(u64::from(b.0)).caught_up_at = now;
                     }
                     // A sitting leader promoted under a newer epoch still
-                    // leads: the fetches it holds carry no epoch and wait on.
-                    let waiters = match role.take() {
-                        Some(Role::Leader(old)) => old.waiters,
-                        _ => Waiters::default(),
+                    // leads: the produces and fetches it holds carry no
+                    // epoch and wait on.
+                    let (pending, waiters) = match role.take() {
+                        Some(Role::Leader(old)) => (old.pending, old.waiters),
+                        _ => Default::default(),
                     };
                     *role = Some(Role::Leader(Box::new(LeaderState {
                         epoch: m.epoch,
                         followers,
                         isr: m.isr,
                         replicas: m.replicas,
-                        pending: Waiters::default(),
+                        pending,
                         waiters,
                         hw_gap: host.tele.gauge(&host.name, &format!("hw_gap/{tp}")),
                         lso_gap: host.tele.gauge(&host.name, &format!("lso_gap/{tp}")),

@@ -293,3 +293,31 @@ fn stale_and_same_epoch_leader_and_isr() {
         "the second produce lands after the first record"
     );
 }
+
+#[test]
+fn a_leader_promoted_again_under_a_newer_epoch_acknowledges_the_produces_it_held() {
+    let at = SimTime::from_millis;
+    let script = vec![
+        // Promotion at epoch 3 over ISR {ME, OTHER}.
+        (at(0), leader_and_isr(ME, 3, &[ME, OTHER], &[ME, OTHER])),
+        // acks=all: pending, OTHER never fetches.
+        (at(1_000), produce(1, AckMode::All, 3)),
+        // The same broker leads again, under epoch 4 and alone in the ISR.
+        (at(2_000), leader_and_isr(ME, 4, &[ME], &[ME, OTHER])),
+    ];
+    let cfg = BrokerConfig::default();
+    let (mut sim, driver, broker) = run(CoordinationMode::Zk, cfg, script, at(1_500));
+    assert_eq!(sim.process_ref::<Driver>(driver).unwrap().responses, []);
+    sim.run_until(at(3_000));
+    let b = sim.process_ref::<Broker>(broker).unwrap();
+    assert_eq!(b.leader_epoch(&tp()), Some(LeaderEpoch(4)));
+    let responses = &sim.process_ref::<Driver>(driver).unwrap().responses;
+    let answers: Vec<(u64, Offset, ErrorCode)> =
+        responses.iter().map(|(_, c, o, e)| (*c, *o, *e)).collect();
+    assert_eq!(
+        answers,
+        [(1, Offset(0), ErrorCode::None)],
+        "the held produce is acknowledged under the new reign"
+    );
+    assert!(responses[0].0 >= at(2_000));
+}
