@@ -73,6 +73,10 @@ fn ms(n: u64) -> SimTime {
 
 impl Cluster {
     fn new(cfg: &BrokerConfig, real: &[bool]) -> Cluster {
+        Cluster::in_mode(CoordinationMode::Zk, cfg, real)
+    }
+
+    fn in_mode(mode: CoordinationMode, cfg: &BrokerConfig, real: &[bool]) -> Cluster {
         let mut sim = Sim::new(1);
         assert_eq!(sim.spawn(Box::new(Puppet::default())), CTL);
         let peers: BTreeMap<BrokerId, ProcessId> = (0..real.len() as u32)
@@ -81,7 +85,6 @@ impl Cluster {
         for (i, real) in real.iter().enumerate() {
             let id = BrokerId(i as u32);
             let spawned = if *real {
-                let mode = CoordinationMode::Zk;
                 let broker = Broker::new(id, cfg.clone(), mode, vec![CTL], peers.clone());
                 sim.spawn(Box::new(broker))
             } else {
@@ -679,4 +682,61 @@ fn a_respawned_follower_does_not_take_over_what_its_last_incarnation_left_held()
         .map(|(_, corr, parts)| (corr, parts))
         .collect();
     assert_eq!(shape, [((1 << 32) + 1, vec![(2, ErrorCode::None)])]);
+}
+
+#[test]
+fn a_leader_that_finds_itself_fenced_refuses_each_held_fetch_once_at_its_next_tick() {
+    // A KRaft broker whose heartbeats go unanswered is fenced once its 6 s
+    // session lapsed. Broker 0 leads partitions 0 and 1 over brokers 1 and
+    // 2, and holds a fetch of both from each, sent at 5.75 s.
+    let cfg = BrokerConfig::default();
+    let mut c = Cluster::in_mode(CoordinationMode::Kraft, &cfg, &[true, false, false]);
+    c.sim.run_until(ms(1));
+    let all = vec![BrokerId(0), BrokerId(1), BrokerId(2)];
+    for partition in [0, 1] {
+        let rpc = ControllerRpc::LeaderAndIsr {
+            tp: tp(partition),
+            leader: Some(BrokerId(0)),
+            isr: all.clone(),
+            epoch: LeaderEpoch(1),
+            replicas: all.clone(),
+        };
+        c.say(CTL, pid(0), rpc);
+    }
+    let fetch_from = |follower: u32, corr: u64| ReplicaRpc::Fetch {
+        corr: CorrelationId(corr),
+        from: BrokerId(follower),
+        parts: (0..2)
+            .map(|partition| ReplicaFetchPart {
+                tp: tp(partition),
+                log_end: Offset(0),
+                epoch: LeaderEpoch(1),
+            })
+            .collect(),
+    };
+    // The first fetch of each is news (the transaction state); the
+    // second, at the log end, is held.
+    c.sim.run_until(ms(2));
+    for (follower, corr) in [(1, 1), (2, 1)] {
+        c.say(pid(follower), pid(0), fetch_from(follower, corr));
+    }
+    c.sim.run_until(ms(5_750));
+    for follower in [1, 2] {
+        assert_eq!(replies(c.heard(follower)).len(), 1, "the first is news");
+        c.say(pid(follower), pid(0), fetch_from(follower, 2));
+    }
+    c.sim.run_until(ms(6_100));
+    assert!(c.heard(1).is_empty() && c.heard(2).is_empty(), "both held");
+    // The tick at 6.1 s is the first to find the session lapsed; the
+    // fetches' own deadline is 150 ms further on. Each is refused once,
+    // every part `Fenced`, and nothing follows.
+    c.sim.run_until(ms(7_000));
+    let fenced = vec![(0, ErrorCode::Fenced), (0, ErrorCode::Fenced)];
+    for follower in [1, 2] {
+        let got = replies(c.heard(follower));
+        assert_eq!(got.len(), 1, "one answer to follower {follower}: {got:?}");
+        let (at, corr, parts) = &got[0];
+        assert_eq!((*corr, parts), (2, &fenced));
+        assert!(*at > ms(6_100) && *at < ms(6_250), "answered at {at}");
+    }
 }
