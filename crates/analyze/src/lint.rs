@@ -344,16 +344,26 @@ pub fn lint(root: &Path, cfg: &LintConfig) -> std::io::Result<LintReport> {
     Ok(lint_sources(&sources, cfg))
 }
 
-/// Lints `(path, text)` sources and weighs each crate. A file reached only
-/// through `#[cfg(test)] mod name;` is test code: its findings count, its
-/// size does not.
+/// Lints `(path, text)` sources and weighs each crate. A file declared by
+/// `#[cfg(test)] mod name;` is test code: its findings count, its size
+/// does not.
 fn lint_sources(sources: &[(String, String)], cfg: &LintConfig) -> LintReport {
-    let test_only = test_only_files(sources);
+    let mut test_only = BTreeSet::new();
+    for (path, text) in sources {
+        let dir = match path.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+            _ => path.trim_end_matches(".rs"),
+        };
+        for name in test_modules(text) {
+            test_only.insert(format!("{dir}/{name}.rs"));
+            test_only.insert(format!("{dir}/{name}/mod.rs"));
+        }
+    }
     let mut report = LintReport::default();
     for (rel, text) in sources {
         report.files_scanned += 1;
         report.findings.extend(lint_source(rel, text, cfg));
-        if test_only.contains(rel.as_str()) {
+        if test_only.contains(rel) {
             continue;
         }
         let krate = rel.split_once("/src/").map_or(".", |(krate, _)| krate);
@@ -364,59 +374,26 @@ fn lint_sources(sources: &[(String, String)], cfg: &LintConfig) -> LintReport {
     report
 }
 
-/// The paths among `sources` that only `#[cfg(test)]` reaches: the file of
-/// a `#[cfg(test)] mod name;`, and every file such a file declares in turn.
-fn test_only_files(sources: &[(String, String)]) -> BTreeSet<&str> {
-    let mut test_only = BTreeSet::new();
-    loop {
-        let before = test_only.len();
-        for (path, text) in sources {
-            let in_test = test_only.contains(path.as_str());
-            for (name, cfg_test) in file_modules(text) {
-                let dir = match path.rsplit_once('/') {
-                    Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
-                    _ => path.trim_end_matches(".rs"),
-                };
-                let files = [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")];
-                let declared = sources.iter().filter(|(p, _)| files.contains(p));
-                test_only.extend(
-                    declared
-                        .filter(|_| in_test || cfg_test)
-                        .map(|(p, _)| p.as_str()),
-                );
-            }
-        }
-        if test_only.len() == before {
-            return test_only;
-        }
-    }
-}
-
-/// The modules `text` declares as files of their own (`mod name;`), each
-/// with whether its declaration is `#[cfg(test)]`.
-fn file_modules(text: &str) -> Vec<(String, bool)> {
+/// The modules `text` declares as files of their own under
+/// `#[cfg(test)]` (`mod name;` inside a test region).
+fn test_modules(text: &str) -> Vec<String> {
     let raw_lines: Vec<&str> = text.lines().collect();
     let code = strip_comments_and_strings(&raw_lines);
-    let mut modules = Vec::new();
-    let mut cfg_test = false;
-    for line in code.iter().map(|l| l.trim()).filter(|l| !l.is_empty()) {
-        let item = line.strip_prefix("#[cfg(test)]").map(str::trim_start);
-        cfg_test |= item.is_some();
-        let item = item.unwrap_or(line);
-        // An attribute applies to the item after it.
-        if item.is_empty() || item.starts_with("#[") {
-            continue;
-        }
-        let item = ["pub(crate) ", "pub "]
-            .iter()
-            .find_map(|vis| item.strip_prefix(vis))
-            .unwrap_or(item);
-        if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
-            modules.push((name.trim().to_string(), cfg_test));
-        }
-        cfg_test = false;
-    }
-    modules
+    let skip = test_block_lines(&raw_lines, &code);
+    let decls = code.iter().zip(skip).filter(|(_, test)| *test);
+    let module = |line: &str| {
+        let item = line.trim().trim_start_matches("#[cfg(test)]").trim_start();
+        let item = item
+            .trim_start_matches("pub(crate) ")
+            .trim_start_matches("pub ");
+        Some(
+            item.strip_prefix("mod ")?
+                .strip_suffix(';')?
+                .trim()
+                .to_string(),
+        )
+    };
+    decls.filter_map(|(line, _)| module(line)).collect()
 }
 
 /// What one source text adds to [`LintReport::crates`]: `(code lines, pub
@@ -1023,31 +1000,25 @@ mod tests {
     }
 
     #[test]
-    fn a_file_only_cfg_test_reaches_is_scanned_but_not_weighed() {
+    fn a_file_only_cfg_test_declares_is_scanned_but_not_weighed() {
         let source = |path: &str, text: &str| (path.to_string(), text.to_string());
         let sources = [
-            source("crates/x/src/lib.rs", "pub mod ops;\n"),
+            source(
+                "crates/x/src/lib.rs",
+                "pub mod ops;\n#[cfg(test)]\nmod fixtures;\n",
+            ),
             source(
                 "crates/x/src/ops.rs",
-                "mod live;\n#[cfg(test)]\nmod reference;\n#[cfg(test)] mod inline;\n",
+                "mod live;\n#[cfg(test)]\nmod reference;\n#[cfg(test)] pub(crate) mod inline;\n",
             ),
             source("crates/x/src/ops/live.rs", "pub fn live() {}\n"),
             source(
                 "crates/x/src/ops/reference.rs",
-                "mod deeper;\npub fn r() {\n    let t = SystemTime::now();\n}\n",
+                "pub fn r() {\n    let t = SystemTime::now();\n}\n",
             ),
-            source("crates/x/src/ops/reference/deeper.rs", "pub fn d() {}\n"),
             source("crates/x/src/ops/inline.rs", "pub fn i() {}\n"),
+            source("crates/x/src/fixtures/mod.rs", "pub fn f() {}\n"),
         ];
-        let test_only: Vec<&str> = test_only_files(&sources).into_iter().collect();
-        assert_eq!(
-            test_only,
-            [
-                "crates/x/src/ops/inline.rs",
-                "crates/x/src/ops/reference.rs",
-                "crates/x/src/ops/reference/deeper.rs",
-            ]
-        );
         let report = lint_sources(&sources, &cfg_all());
         assert_eq!(report.files_scanned, 6);
         // lib.rs, ops.rs and live.rs: one line each, and two pub items.

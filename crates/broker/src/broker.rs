@@ -1115,6 +1115,9 @@ impl Broker {
             self.serve_replica(ctx, *from, h);
             None
         });
+        // At a tick, news goes before deadlines: a handler answers the news
+        // it makes itself, so only a timer's change (a cleaner pass over a
+        // purged or transactional log) leaves news for the tick.
         if tick {
             held.expire(ctx.now(), |from, h| self.serve_replica(ctx, *from, h));
         }
