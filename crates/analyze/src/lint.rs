@@ -273,7 +273,8 @@ pub struct LintReport {
     /// What each crate weighs, keyed by its directory (`crates/sim`; `.` is
     /// the root package): `(files, code lines, pub items)`. A code line has
     /// something on it once comments are stripped and is outside every
-    /// `#[cfg(test)]` region; a pub item starts with `pub` and one of
+    /// `#[cfg(test)]` region (a file `#[cfg(test)] mod name;` declares is
+    /// one whole region, and not counted among the files); a pub item starts with `pub` and one of
     /// `fn struct enum trait type const mod` (`pub(crate)` is not public, a
     /// `pub use` names nothing new). A PR that says it removed concepts
     /// shows it as a difference of these.
@@ -380,20 +381,17 @@ fn test_modules(text: &str) -> Vec<String> {
     let raw_lines: Vec<&str> = text.lines().collect();
     let code = strip_comments_and_strings(&raw_lines);
     let skip = test_block_lines(&raw_lines, &code);
-    let decls = code.iter().zip(skip).filter(|(_, test)| *test);
-    let module = |line: &str| {
+    let mut modules = Vec::new();
+    for (line, _) in code.iter().zip(skip).filter(|(_, test)| *test) {
         let item = line.trim().trim_start_matches("#[cfg(test)]").trim_start();
         let item = item
             .trim_start_matches("pub(crate) ")
             .trim_start_matches("pub ");
-        Some(
-            item.strip_prefix("mod ")?
-                .strip_suffix(';')?
-                .trim()
-                .to_string(),
-        )
-    };
-    decls.filter_map(|(line, _)| module(line)).collect()
+        if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            modules.push(name.trim().to_string());
+        }
+    }
+    modules
 }
 
 /// What one source text adds to [`LintReport::crates`]: `(code lines, pub
