@@ -522,9 +522,9 @@ pub struct Broker {
     recovery: Option<BrokerRecoveryInfo>,
     /// As leader: the replica fetch held for each follower, at most one.
     held: Waiters<BrokerId, HeldFetch>,
-    /// As follower: the fetch outstanding at each leader, by correlation id
-    /// and send time. Only its reply sends the next fetch.
-    fetching: BTreeMap<BrokerId, (CorrelationId, SimTime)>,
+    /// As follower: the fetch outstanding at each leader, by correlation
+    /// id, until its give-up age. Only its reply sends the next fetch.
+    fetching: Waiters<BrokerId, CorrelationId>,
     /// What the last replica fetch round trips left emptied, for the next.
     spares: ReplicaSpares,
 }
@@ -582,7 +582,7 @@ impl Broker {
             incarnation: 0,
             recovery: None,
             held: Waiters::default(),
-            fetching: BTreeMap::new(),
+            fetching: Waiters::default(),
             spares: ReplicaSpares::default(),
         }
     }
@@ -1165,8 +1165,8 @@ impl Broker {
         }
         self.spares.served = parts;
         host.update_mem();
-        if self.fetching.get(&leader).is_some_and(|(c, _)| *c == corr) {
-            self.fetching.remove(&leader);
+        if self.fetching.get(&leader) == Some(&corr) {
+            self.fetching.take(&leader);
             if refused {
                 self.back_off(ctx, leader);
             } else {
@@ -1192,12 +1192,13 @@ impl Broker {
         );
         if parts.is_empty() {
             self.spares.asked = parts;
-            self.fetching.remove(&leader);
+            self.fetching.take(&leader);
             return;
         }
         let corr = CorrelationId(host.next_corr);
         host.next_corr += 1;
-        self.fetching.insert(leader, (corr, ctx.now()));
+        let give_up = ctx.now() + host.cfg.replica_fetch_give_up();
+        self.fetching.hold(leader, corr, Some(give_up));
         let fetch = ReplicaRpc::Fetch {
             corr,
             from: host.id,
@@ -1217,16 +1218,10 @@ impl Broker {
     /// past its give-up age ([`BrokerConfig::replica_fetch_give_up`]) was
     /// lost, or its reply was, and is sent again after the backoff.
     fn expire_replica_fetches(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
         self.answer_held(ctx, true);
-        let give_up = self.host.cfg.replica_fetch_give_up();
-        let lost = |(_, (_, sent)): (&BrokerId, &(CorrelationId, SimTime))| {
-            now.saturating_since(*sent) >= give_up
-        };
-        while let Some(leader) = self.fetching.iter().find(|f| lost(*f)).map(|(l, _)| *l) {
-            self.fetching.remove(&leader);
-            self.back_off(ctx, leader);
-        }
+        let mut fetching = std::mem::take(&mut self.fetching);
+        fetching.expire(ctx.now(), |leader, _| self.back_off(ctx, *leader));
+        self.fetching = fetching;
     }
 
     fn isr_tick(&mut self, ctx: &mut Ctx<'_>) {
@@ -1521,7 +1516,7 @@ impl Broker {
                 let follow = p.apply_leader_and_isr(ctx, host, m);
                 host.news = true;
                 if let Some(leader) = follow.filter(|_| !self.recovering) {
-                    let only = self.fetching.contains_key(&leader).then_some(&tp);
+                    let only = self.fetching.get(&leader).is_some().then_some(&tp);
                     self.fetch_from(ctx, leader, only);
                 }
             }
@@ -1637,7 +1632,7 @@ impl Process for Broker {
             }
             t if (tags::REPLICA_BACKOFF..tags::REPLICA_BACKOFF << 1).contains(&t) => {
                 let leader = BrokerId((t - tags::REPLICA_BACKOFF) as u32);
-                if !self.recovering && !self.fetching.contains_key(&leader) {
+                if !self.recovering && self.fetching.get(&leader).is_none() {
                     self.fetch_from(ctx, leader, None);
                 }
             }

@@ -14,7 +14,9 @@ use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use s2g_proto::{ClientRpc, CorrelationId, ErrorCode, LogRun, Offset, Record, TopicPartition};
-use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, TimerToken};
+use s2g_sim::{
+    downcast, Ctx, Message, Process, ProcessId, SimDuration, SimTime, TimerToken, Waiters,
+};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
@@ -94,8 +96,7 @@ pub struct ConsumerStats {
 #[derive(Debug)]
 struct InflightFetch {
     tp: TopicPartition,
-    /// When it was sent; it counts as lost one request timeout later, and
-    /// the poll timer armed for that instant sees it.
+    /// When it was sent.
     sent: SimTime,
 }
 
@@ -116,12 +117,10 @@ pub struct ConsumerClient {
     subscriptions: Vec<String>,
     meta: MetadataSession,
     offsets: BTreeMap<TopicPartition, Offset>,
-    /// Fetches awaiting their response, by correlation id.
-    inflight: IntTable<InflightFetch>,
-    /// The correlation ids of the fetches sent, oldest first. One timeout
-    /// serves them all, so their deadlines are in this order too; an
-    /// answered fetch leaves its id behind until it reaches the front.
-    sent: VecDeque<u64>,
+    /// Fetches awaiting their response, by correlation id: one counts as
+    /// lost one request timeout after it was sent, and the poll timer
+    /// armed for that instant sees it.
+    inflight: Waiters<u64, InflightFetch>,
     fetching: BTreeMap<TopicPartition, bool>,
     /// The box the last reply came in, for the next fetch to travel in.
     spare: Option<Box<ClientRpc>>,
@@ -201,8 +200,7 @@ impl ConsumerClient {
             brokers,
             subscriptions: topics,
             offsets: BTreeMap::new(),
-            inflight: IntTable::default(),
-            sent: VecDeque::new(),
+            inflight: Waiters::default(),
             fetching: BTreeMap::new(),
             spare: None,
             idle: true,
@@ -540,18 +538,6 @@ impl ConsumerClient {
         self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
-    /// When the oldest fetch still in flight counts as lost.
-    fn oldest_deadline(&mut self) -> Option<SimTime> {
-        while let Some(&corr) = self.sent.front() {
-            if let Some(fetch) = self.inflight.get(corr) {
-                return Some(fetch.sent + self.request_timeout);
-            }
-            // Answered since: nothing left to watch.
-            self.sent.pop_front();
-        }
-        None
-    }
-
     /// Arms the poll timer, the only periodic work of the fetch path, for
     /// the earlier of two instants: one `poll_interval` on while something
     /// is [`idle`](Self::idle), and the deadline of the oldest fetch in
@@ -562,7 +548,7 @@ impl ConsumerClient {
         let at = if self.idle {
             ctx.now() + self.cfg.poll_interval
         } else {
-            match self.oldest_deadline() {
+            match self.inflight.next_deadline() {
                 Some(deadline) => deadline,
                 // Every owned partition is paying for a delivery, which
                 // ends in the next fetch.
@@ -581,17 +567,13 @@ impl ConsumerClient {
 
     /// Gives up on the fetches whose deadline has passed.
     fn expire_fetches(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        while self
-            .oldest_deadline()
-            .is_some_and(|deadline| deadline <= now)
-        {
-            let lost = self.sent.pop_front().and_then(|c| self.inflight.remove(c));
-            let fetch = lost.expect("the oldest in flight");
+        let mut inflight = std::mem::take(&mut self.inflight);
+        inflight.expire(ctx.now(), |_, fetch| {
             self.stats.timeouts += 1;
             self.fetching.insert(fetch.tp, false);
             self.request_metadata(ctx);
-        }
+        });
+        self.inflight = inflight;
     }
 
     /// Fetches every owned partition that has nothing in flight; what
@@ -684,8 +666,9 @@ impl ConsumerClient {
         self.stats.fetches += 1;
         self.fetching.insert(tp.clone(), true);
         let sent = ctx.now();
-        self.inflight.insert(corr.0, InflightFetch { tp, sent });
-        self.sent.push_back(corr.0);
+        let deadline = sent + self.request_timeout;
+        self.inflight
+            .hold(corr.0, InflightFetch { tp, sent }, Some(deadline));
     }
 
     /// Takes delivery of the answer to `fetch`.
@@ -819,11 +802,11 @@ impl ConsumerClient {
                 // Answers nothing in flight (a fetch given up on, or one
                 // the incarnation before a respawn sent), or not the
                 // partition asked for: consumed without acting on it.
-                if self.inflight.get(corr.0).is_none_or(|f| f.tp != tp) {
+                if self.inflight.get(&corr.0).is_none_or(|f| f.tp != tp) {
                     self.count_stale_reply();
                     return None;
                 }
-                let fetch = self.inflight.remove(corr.0).expect("looked up above");
+                let fetch = self.inflight.take(&corr.0).expect("looked up above");
                 let n_parts = self.meta.cache().partition_count(&tp.topic);
                 if self.owns(&tp, n_parts) {
                     let answer = (runs, compression, high_watermark, next_offset, error);

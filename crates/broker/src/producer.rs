@@ -26,13 +26,12 @@ use s2g_proto::{
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
-    TimerToken,
+    TimerToken, Waiters,
 };
 use s2g_telemetry::{CounterHandle, Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
 use crate::metadata::{draw_corr, send_in, MetadataSession};
-use crate::table::IntTable;
 
 /// Tag namespace base for producer-owned timers and CPU work. The embedding
 /// process must forward tags in `PRODUCER_TAGS..PRODUCER_TAGS_END`.
@@ -187,14 +186,6 @@ enum TxnCtl {
     },
 }
 
-/// A produce awaiting its response, given up on at `deadline`.
-#[derive(Debug)]
-struct Inflight {
-    batch: ReadyBatch,
-    corr: u64,
-    deadline: SimTime,
-}
-
 /// The metrics of a client with telemetry attached, each looked up in the
 /// registry by its first update and never again.
 struct ProducerMetrics {
@@ -217,9 +208,9 @@ pub struct ProducerClient {
     next_corr: u64,
     accum: BTreeMap<String, AccumBatch>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
-    inflight: BTreeMap<TopicPartition, Inflight>,
-    /// The partition each in-flight produce is for, by correlation id.
-    corr_to_tp: IntTable<TopicPartition>,
+    /// The batch of each produce awaiting its response, by correlation id,
+    /// until its request timeout: at most one per partition.
+    inflight: Waiters<u64, ReadyBatch>,
     /// The one timeout check is armed, at or before the earliest in-flight
     /// deadline: no timer is armed, nor cancelled, per request.
     timeout_armed: bool,
@@ -278,8 +269,7 @@ impl ProducerClient {
             next_corr: corr_parity,
             accum: BTreeMap::new(),
             ready: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            corr_to_tp: IntTable::default(),
+            inflight: Waiters::default(),
             timeout_armed: false,
             spare: None,
             buffer_used: 0,
@@ -769,7 +759,7 @@ impl ProducerClient {
         let tps: Vec<TopicPartition> = self
             .ready
             .iter()
-            .filter(|(tp, q)| due(q) && !self.inflight.contains_key(*tp))
+            .filter(|(tp, q)| due(q) && !self.inflight.iter().any(|(_, b)| b.tp == **tp))
             .map(|(tp, _)| tp.clone())
             .collect();
         let mut need_meta = false;
@@ -819,14 +809,8 @@ impl ProducerClient {
                     );
                 }
             }
-            self.corr_to_tp.insert(corr.0, tp.clone());
             let deadline = now + self.cfg.request_timeout;
-            let inflight = Inflight {
-                batch,
-                corr: corr.0,
-                deadline,
-            };
-            self.inflight.insert(tp, inflight);
+            self.inflight.hold(corr.0, batch, Some(deadline));
         }
         if need_meta {
             self.request_metadata(ctx);
@@ -873,14 +857,10 @@ impl ProducerClient {
     /// The timeout check: retries (or fails) every produce past its
     /// deadline, oldest first, and re-arms at the earliest deadline left.
     fn expire_requests(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let due = |f: &&Inflight| f.deadline <= now;
-        while let Some(corr) = self.inflight.values().filter(due).map(|f| f.corr).min() {
-            let tp = self.corr_to_tp.remove(corr).expect("in flight");
-            let inflight = self.inflight.remove(&tp).expect("in flight");
-            self.retry_or_fail(ctx, inflight.batch);
-        }
-        if let Some(next) = self.inflight.values().map(|f| f.deadline).min() {
+        let mut inflight = std::mem::take(&mut self.inflight);
+        inflight.expire(ctx.now(), |_, batch| self.retry_or_fail(ctx, batch));
+        self.inflight = inflight;
+        if let Some(next) = self.inflight.next_deadline() {
             self.timeout_armed = true;
             ctx.set_timer_at(next, PRODUCER_TAGS + off::REQ_TIMEOUT);
         }
@@ -920,16 +900,15 @@ impl ProducerClient {
                 self.spare = Some(rpc);
                 // A missing entry means a stale response for a timed-out
                 // request: consume the message without acting on it.
-                let tp = self.corr_to_tp.remove(corr.0)?;
-                let inflight = self.inflight.remove(&tp)?;
+                let batch = self.inflight.take(&corr.0)?;
                 if error.is_ok() {
                     let now = ctx.now();
-                    self.complete_batch(now, inflight.batch, true);
+                    self.complete_batch(now, batch, true);
                 } else if error.is_retriable() {
-                    self.retry_or_fail(ctx, inflight.batch);
+                    self.retry_or_fail(ctx, batch);
                 } else {
                     let now = ctx.now();
-                    self.complete_batch(now, inflight.batch, false);
+                    self.complete_batch(now, batch, false);
                 }
                 self.pump(ctx);
                 None

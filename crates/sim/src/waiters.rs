@@ -42,6 +42,12 @@ impl<K: Ord, W> Waiters<K, W> {
         }
     }
 
+    /// The request held under `key`.
+    pub fn get(&self, key: &K) -> Option<&W> {
+        let i = self.entries.binary_search_by(|e| e.0.cmp(key)).ok()?;
+        self.entries[i].1.as_ref()
+    }
+
     /// Takes the request held under `key` out of the queue.
     pub fn take(&mut self, key: &K) -> Option<W> {
         let i = self.entries.binary_search_by(|e| e.0.cmp(key)).ok()?;
@@ -51,6 +57,11 @@ impl<K: Ord, W> Waiters<K, W> {
     /// The held requests, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &W)> {
         (self.entries.iter()).filter_map(|(k, w, _)| Some((k, w.as_ref()?)))
+    }
+
+    /// The earliest deadline of a held request, if any has one.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.entries.iter().filter_map(|e| e.2).min()
     }
 
     /// Offers each held request to `f` in key order: `f` answers it
@@ -110,6 +121,7 @@ mod tests {
             assert_eq!(q.hold(k, w, None), None);
         }
         assert_eq!(held(&q), [(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
+        assert_eq!((q.get(&2), q.get(&5)), (Some(&"b"), None));
         assert_eq!(q.take(&2), Some("b"));
         assert_eq!(q.take(&2), None);
         assert_eq!(held(&q), [(1, "a"), (3, "c"), (4, "d")]);
@@ -158,8 +170,10 @@ mod tests {
         q.expire(SimTime::from_millis(20), |k, w| expired.push((*k, w)));
         assert_eq!(expired, [(3, "due"), (4, "on time")]);
         assert_eq!(held(&q), [(1, "late"), (2, "none")]);
+        assert_eq!(q.next_deadline(), at(30));
         q.expire(SimTime::MAX, |k, w| expired.push((*k, w)));
         assert_eq!(held(&q), [(2, "none")], "no deadline, no expiry");
+        assert_eq!(q.next_deadline(), None);
     }
 
     #[test]
