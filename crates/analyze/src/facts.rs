@@ -244,13 +244,13 @@ pub struct ScenarioFacts {
 impl ScenarioFacts {
     /// Largest effective replication factor across topics (1 when no
     /// topics are declared).
-    pub fn max_replication(&self) -> u32 {
+    pub(crate) fn max_replication(&self) -> u32 {
         self.topics.iter().map(|t| t.replication).max().unwrap_or(1)
     }
 
     /// True when any producer stub or topic-sink job produces with
     /// `acks=all`.
-    pub fn any_acks_all(&self) -> bool {
+    pub(crate) fn any_acks_all(&self) -> bool {
         use s2g_proto::AckMode;
         self.producers.iter().any(|p| p.cfg.acks == AckMode::All)
             || self

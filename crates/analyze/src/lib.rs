@@ -24,7 +24,7 @@ use std::fmt;
 
 pub mod facts;
 pub mod lint;
-pub mod rules;
+pub(crate) mod rules;
 
 pub use facts::{
     BrokerFacts, ComponentRef, ConsumerFacts, FaultFacts, FaultKind, FaultTarget, JobFacts,

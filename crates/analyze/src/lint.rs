@@ -26,7 +26,7 @@
 //!   the `ReferenceQueue` differential oracle.
 //! * `metric-by-name` — a string-keyed `counter_add`/`gauge_set`/
 //!   `observe_*` in the files every simulated RPC runs through
-//!   ([`METRIC_HOT_PATHS`]): each such call looks `(scope, name)` up again,
+//!   (`METRIC_HOT_PATHS`): each such call looks `(scope, name)` up again,
 //!   per message; those sites hold `s2g_telemetry` handles instead.
 //! * `exec-unhandled` — a `.exec(cost, TAG)` whose tag constant the file
 //!   names nowhere else: no `on_cpu_done` arm can be matching it, so the
@@ -84,7 +84,7 @@ pub struct LintConfig {
 }
 
 /// The seven rule names, in catalog order.
-pub const RULE_NAMES: [&str; 7] = [
+pub(crate) const RULE_NAMES: [&str; 7] = [
     "wall-clock",
     "os-entropy",
     "hash-iteration",
@@ -98,7 +98,7 @@ pub const RULE_NAMES: [&str; 7] = [
 /// broker, its partitions and clients, and the SPE worker. Everywhere else
 /// (checkpoints, stores, the runtime) updates are per checkpoint or per
 /// tick, and the string API is the right one.
-pub const METRIC_HOT_PATHS: [&str; 5] = [
+pub(crate) const METRIC_HOT_PATHS: [&str; 5] = [
     "crates/broker/src/broker.rs",
     "crates/broker/src/partition.rs",
     "crates/broker/src/consumer.rs",
@@ -428,7 +428,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Lints one source text. Pure — the self-tests feed fixture snippets
 /// through this directly.
-pub fn lint_source(path: &str, text: &str, cfg: &LintConfig) -> Vec<LintFinding> {
+pub(crate) fn lint_source(path: &str, text: &str, cfg: &LintConfig) -> Vec<LintFinding> {
     let raw_lines: Vec<&str> = text.lines().collect();
     let code = strip_comments_and_strings(&raw_lines);
     let skip = test_block_lines(&raw_lines, &code);

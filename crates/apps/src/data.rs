@@ -146,7 +146,7 @@ const PORTS: &[&str] = &[
 ];
 
 /// AIS-style ship reports: `"<ship_id>|<dest_port>|<speed_knots>"`.
-pub fn ais_reports(n: usize, seed: u64) -> Vec<String> {
+pub(crate) fn ais_reports(n: usize, seed: u64) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -229,7 +229,7 @@ pub fn transactions(n: usize, seed: u64) -> Vec<Transaction> {
 
 /// Per-user packet summaries for the traffic-monitoring reproduction:
 /// `"<user>|<service>|<bytes>"`.
-pub fn packet_summary(user: u32, rng: &mut StdRng) -> String {
+pub(crate) fn packet_summary(user: u32, rng: &mut StdRng) -> String {
     const SERVICES: &[&str] = &["web", "dns", "ftp", "mail", "ssh"];
     let service = SERVICES[rng.gen_range(0..SERVICES.len())];
     let bytes = rng.gen_range(60..1_500);

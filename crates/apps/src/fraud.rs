@@ -16,7 +16,7 @@ use s2g_spe::{Plan, SpeConfig, Value};
 use crate::data::{transactions, Transaction};
 
 /// Trains the fraud model on a fresh synthetic labeled set.
-pub fn train_model(training_size: usize, seed: u64) -> LinearSvm {
+pub(crate) fn train_model(training_size: usize, seed: u64) -> LinearSvm {
     let txs = transactions(training_size, seed);
     let data: Vec<(Vec<f64>, Label)> = txs
         .iter()
@@ -42,7 +42,7 @@ pub fn train_model(training_size: usize, seed: u64) -> LinearSvm {
 
 /// The fraud job: parse transactions, score them with the SVM, keep the
 /// predicted anomalies with their margins.
-pub fn fraud_plan(model: LinearSvm) -> Plan {
+pub(crate) fn fraud_plan(model: LinearSvm) -> Plan {
     Plan::new()
         .map("score", move |mut e| {
             let text = e.value.as_str().unwrap_or("").to_string();

@@ -16,11 +16,11 @@ use s2g_store::StoreConfig;
 use crate::data::ais_reports;
 
 /// Ports of interest for the monitoring query.
-pub const WATCHED_PORTS: &[&str] = &["halifax", "rotterdam"];
+pub(crate) const WATCHED_PORTS: &[&str] = &["halifax", "rotterdam"];
 
 /// The maritime job: parse AIS reports, keep only watched destination
 /// ports, and count ships per port per 30-second window.
-pub fn port_count_plan() -> Plan {
+pub(crate) fn port_count_plan() -> Plan {
     Plan::new()
         .map("parse", |mut e| {
             let text = e.value.as_str().unwrap_or("").to_string();
@@ -135,8 +135,7 @@ mod tests {
         let rows = store.tables().total_rows();
         assert!(rows >= 2, "window counts persisted, got {rows}");
         // Every persisted row names a watched port.
-        let mut tables = store.tables().clone();
-        for row in tables.select("port_counts", None).unwrap() {
+        for row in store.tables().select("port_counts", None).unwrap() {
             assert!(WATCHED_PORTS.contains(&row[0].as_str()), "row {row:?}");
         }
         // The SPE actually filtered: fewer outputs than inputs.

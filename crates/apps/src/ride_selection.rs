@@ -17,7 +17,7 @@ use crate::data::{fares, rides};
 
 /// The ride-selection query: join rides with fares on ride id, group by
 /// pickup area, and compute the mean tip rate per area per window.
-pub fn best_tipping_areas_plan() -> Plan {
+pub(crate) fn best_tipping_areas_plan() -> Plan {
     Plan::new()
         // Parse both inputs into keyed structured events.
         .map("parse", |mut e| {

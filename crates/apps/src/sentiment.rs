@@ -15,7 +15,7 @@ use s2g_spe::{Plan, SpeConfig, Value};
 use crate::data::tweets;
 
 /// The sentiment job: score each tweet's polarity and subjectivity.
-pub fn sentiment_plan() -> Plan {
+pub(crate) fn sentiment_plan() -> Plan {
     let lexicon = SentimentLexicon::new();
     Plan::new().map("score", move |mut e| {
         let text = e.value.as_str().unwrap_or("").to_string();

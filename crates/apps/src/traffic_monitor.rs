@@ -21,11 +21,11 @@ use s2g_spe::{Plan, SpeConfig, Value, WindowAggregate, WindowAssigner};
 use crate::data::packet_summary;
 
 /// Packets per second each user generates (Poisson mean).
-pub const PACKETS_PER_USER_PER_SEC: f64 = 20.0;
+pub(crate) const PACKETS_PER_USER_PER_SEC: f64 = 20.0;
 
 /// A user's traffic generator: Poisson packet summaries to `packets`.
 #[derive(Debug)]
-pub struct UserTraffic {
+pub(crate) struct UserTraffic {
     user: u32,
     mean_interval: SimDuration,
     until: SimTime,
@@ -61,7 +61,7 @@ impl DataSource for UserTraffic {
 
 /// The monitoring job: per-service connection counts and byte totals per
 /// one-second slot.
-pub fn monitoring_plan() -> Plan {
+pub(crate) fn monitoring_plan() -> Plan {
     Plan::new()
         .map("parse", |mut e| {
             let text = e.value.as_str().unwrap_or("").to_string();
@@ -106,7 +106,7 @@ pub fn monitoring_plan() -> Plan {
 /// The SPE configuration calibrated for the scalability sweep: a fixed
 /// scheduling overhead that dominates at low load plus per-record cost that
 /// grows with users, giving the paper's ~1.0→1.7 normalized-runtime curve.
-pub fn spark_config() -> SpeConfig {
+pub(crate) fn spark_config() -> SpeConfig {
     SpeConfig {
         batch_interval: SimDuration::from_secs(1),
         scheduling_overhead: SimDuration::from_millis(380),

@@ -16,10 +16,10 @@ use s2g_net::LinkSpec;
 use s2g_sim::{SimDuration, SimTime};
 
 /// An MNIST frame: 28×28 grayscale pixels plus header.
-pub const FRAME_BYTES: usize = 28 * 28 + 16;
+pub(crate) const FRAME_BYTES: usize = 28 * 28 + 16;
 
 /// Images pre-produced into the topic.
-pub const FRAMES: u64 = 40_000;
+pub(crate) const FRAMES: u64 = 40_000;
 
 /// Builds the Fig. 7a scenario: one host, one broker, one producer,
 /// `consumers` consumers, everything co-located.

@@ -46,7 +46,7 @@ impl Default for ComponentDelays {
 ///
 /// Input: raw `"category|text"` records. Output: one event per document,
 /// keyed by category, value `{words: n, distinct: m}`.
-pub fn count_words_plan() -> Plan {
+pub(crate) fn count_words_plan() -> Plan {
     Plan::new().map("count-words", |mut e| {
         let text = e.value.as_str().unwrap_or("").to_string();
         let (category, body) = text.split_once('|').unwrap_or(("unknown", text.as_str()));
@@ -68,7 +68,7 @@ pub fn count_words_plan() -> Plan {
 /// Input: job 1's per-document counts. Output: one event per input, keyed
 /// by category, value `{avg_words: x, docs: n}` — continuous-query
 /// semantics, so every document yields an end-to-end measurable output.
-pub fn avg_doc_length_plan() -> Plan {
+pub(crate) fn avg_doc_length_plan() -> Plan {
     Plan::new().stateful(
         "avg-doc-length",
         Value::map([("sum", Value::Int(0)), ("n", Value::Int(0))]),

@@ -2,13 +2,13 @@
 //!
 //! Every figure sweep is a map over independent `(config, seed)` points:
 //! each point builds its own `Sim` from scratch, so points share no state
-//! and can run on any thread. [`parallel_map`] fans the points across a
+//! and can run on any thread. `parallel_map` fans the points across a
 //! `std::thread::scope` worker pool and merges results **by input index**,
 //! so the output vector — and therefore every CSV and chart derived from
 //! it — is byte-identical to the sequential runner, regardless of thread
 //! count or completion order.
 //!
-//! The pool size comes from [`sweep_threads`]: the `S2G_BENCH_THREADS`
+//! The pool size comes from `sweep_threads`: the `S2G_BENCH_THREADS`
 //! environment variable when set, otherwise the machine's available
 //! parallelism. `S2G_BENCH_THREADS=1` forces the plain sequential path.
 
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker count for sweep fan-out: `S2G_BENCH_THREADS` if set to a positive
 /// integer, else `std::thread::available_parallelism()`.
-pub fn sweep_threads() -> usize {
+pub(crate) fn sweep_threads() -> usize {
     if let Ok(v) = std::env::var("S2G_BENCH_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -31,7 +31,7 @@ pub fn sweep_threads() -> usize {
 /// input order. Falls back to a plain sequential map when one worker (or
 /// one item) makes fan-out pointless. A panic in any worker is re-raised on
 /// the calling thread once the scope joins.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -40,7 +40,8 @@ where
     parallel_map_with(sweep_threads(), items, f)
 }
 
-/// [`parallel_map`] with an explicit worker count.
+/// `parallel_map` with an explicit worker count: maps `f` over `items` on
+/// `threads` workers, returning results in input order.
 pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

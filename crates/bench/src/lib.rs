@@ -12,7 +12,7 @@
 pub mod executor;
 pub mod experiments;
 
-pub use executor::{parallel_map, parallel_map_with, sweep_threads};
+pub use executor::parallel_map_with;
 
 pub use experiments::{
     broker_recovery_sweep, broker_replication_sweep, compaction_sweep, fig5_sweep, fig6_run,

@@ -58,13 +58,13 @@ use crate::table::IntTable;
 
 /// Timer tags used by the broker.
 mod tags {
-    pub const ISR_TICK: u64 = 2;
-    pub const HEARTBEAT_TICK: u64 = 3;
+    pub(crate) const ISR_TICK: u64 = 2;
+    pub(crate) const HEARTBEAT_TICK: u64 = 3;
     pub const BACKGROUND_TICK: u64 = 4;
-    pub const LOG_FLUSH_TICK: u64 = 6;
-    pub const LOG_CLEANUP_TICK: u64 = 8;
+    pub(crate) const LOG_FLUSH_TICK: u64 = 6;
+    pub(crate) const LOG_CLEANUP_TICK: u64 = 8;
     /// Plus a leader's id: the end of the backoff before asking it again.
-    pub const REPLICA_BACKOFF: u64 = 1 << 32;
+    pub(crate) const REPLICA_BACKOFF: u64 = 1 << 32;
     pub const CPU_BASE: u64 = 1 << 50;
 }
 

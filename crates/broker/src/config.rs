@@ -142,7 +142,7 @@ impl BrokerConfig {
     }
 
     /// True when any cleaning policy (compaction or retention) is enabled.
-    pub fn cleaning_enabled(&self) -> bool {
+    pub(crate) fn cleaning_enabled(&self) -> bool {
         self.log_compaction
             || self.log_retention_age.is_some()
             || self.log_retention_bytes.is_some()

@@ -25,18 +25,18 @@ use crate::partition::{FetchAnswer, FETCH_MAX_WAIT};
 use crate::table::IntTable;
 
 /// Tag namespace base for consumer-owned timers and CPU work.
-pub const CONSUMER_TAGS: u64 = 1 << 41;
+pub(crate) const CONSUMER_TAGS: u64 = 1 << 41;
 /// End of the consumer tag namespace (exclusive).
-pub const CONSUMER_TAGS_END: u64 = (1 << 41) + (1 << 40);
+pub(crate) const CONSUMER_TAGS_END: u64 = (1 << 41) + (1 << 40);
 
 mod off {
-    pub const POLL: u64 = 1;
-    pub const META_TIMEOUT: u64 = 2;
-    pub const AUTO_COMMIT: u64 = 3;
-    pub const OFFSET_FETCH_TIMEOUT: u64 = 4;
-    pub const GROUP_HEARTBEAT: u64 = 5;
-    pub const JOIN_TIMEOUT: u64 = 6;
-    pub const CPU_DELIVER_BASE: u64 = 2_000_000_000;
+    pub(crate) const POLL: u64 = 1;
+    pub(crate) const META_TIMEOUT: u64 = 2;
+    pub(crate) const AUTO_COMMIT: u64 = 3;
+    pub(crate) const OFFSET_FETCH_TIMEOUT: u64 = 4;
+    pub(crate) const GROUP_HEARTBEAT: u64 = 5;
+    pub(crate) const JOIN_TIMEOUT: u64 = 6;
+    pub(crate) const CPU_DELIVER_BASE: u64 = 2_000_000_000;
 }
 
 /// How many unanswered [`ConsumerClient::commit_and_purge`] commits are
@@ -518,7 +518,7 @@ impl ConsumerClient {
     }
 
     /// Commits the current positions of every partition (auto-commit path).
-    pub fn commit_positions(&mut self, ctx: &mut Ctx<'_>) {
+    pub(crate) fn commit_positions(&mut self, ctx: &mut Ctx<'_>) {
         let offsets = self.positions();
         self.commit_offsets(ctx, offsets);
     }

@@ -80,7 +80,7 @@ impl ClusterState {
 
     /// Builds the initial state from an assignment plan, with all brokers
     /// alive.
-    pub fn from_plan(plan: &[PartitionMetadata], brokers: &[BrokerId]) -> Self {
+    pub(crate) fn from_plan(plan: &[PartitionMetadata], brokers: &[BrokerId]) -> Self {
         let mut s = ClusterState::new();
         for b in brokers {
             s.alive.insert(*b, true);
@@ -130,7 +130,7 @@ impl ClusterState {
     }
 
     /// Registers a partition assignment directly (initial plan application).
-    pub fn install_assignment(&mut self, p: &PartitionMetadata) {
+    pub(crate) fn install_assignment(&mut self, p: &PartitionMetadata) {
         self.partitions.insert(
             p.tp.clone(),
             PartitionState {
@@ -164,7 +164,7 @@ impl ClusterState {
     /// just the failed leader goes offline but keeps that leader in the
     /// ISR — it is the only replica with the full log, so it (and only it)
     /// is re-elected when it returns.
-    pub fn changes_for_broker_failure(&self, broker: BrokerId) -> Vec<MetadataRecord> {
+    pub(crate) fn changes_for_broker_failure(&self, broker: BrokerId) -> Vec<MetadataRecord> {
         let mut out = vec![MetadataRecord::BrokerFenced { broker }];
         for p in self.partitions.values() {
             if p.leader != Some(broker) {
@@ -189,7 +189,7 @@ impl ClusterState {
     /// Validates and converts a leader's AlterIsr request into records.
     /// Rejected (empty) if the sender is not the current leader at the
     /// current epoch, or the proposed ISR is invalid.
-    pub fn changes_for_alter_isr(
+    pub(crate) fn changes_for_alter_isr(
         &self,
         tp: &TopicPartition,
         from: BrokerId,
@@ -216,7 +216,7 @@ impl ClusterState {
     /// The records for a preferred-replica election sweep: every partition
     /// whose preferred leader (`replicas[0]`) is alive, in the ISR, and not
     /// currently leading gets its leadership handed back (Fig. 6d event 4).
-    pub fn changes_for_preferred_election(&self) -> Vec<MetadataRecord> {
+    pub(crate) fn changes_for_preferred_election(&self) -> Vec<MetadataRecord> {
         let mut out = Vec::new();
         for p in self.partitions.values() {
             let Some(&preferred) = p.replicas.first() else {
@@ -232,7 +232,7 @@ impl ClusterState {
 
     /// Also re-elect leaders for offline partitions whose ISR regained an
     /// alive member (used after heals).
-    pub fn changes_for_offline_recovery(&self) -> Vec<MetadataRecord> {
+    pub(crate) fn changes_for_offline_recovery(&self) -> Vec<MetadataRecord> {
         let mut out = Vec::new();
         for p in self.partitions.values() {
             if p.leader.is_some() {
@@ -251,7 +251,10 @@ impl ClusterState {
     }
 
     /// The per-broker `LeaderAndIsr` instructions implied by a record batch.
-    pub fn leader_and_isr_for(&self, records: &[MetadataRecord]) -> Vec<(BrokerId, ControllerRpc)> {
+    pub(crate) fn leader_and_isr_for(
+        &self,
+        records: &[MetadataRecord],
+    ) -> Vec<(BrokerId, ControllerRpc)> {
         let mut out = Vec::new();
         for r in records {
             let MetadataRecord::PartitionChange { tp, .. } = r else {
@@ -267,7 +270,7 @@ impl ClusterState {
 
     /// A full-state `LeaderAndIsr` set for one broker (sent on registration
     /// so a healed broker learns its current roles).
-    pub fn leader_and_isr_for_broker(&self, broker: BrokerId) -> Vec<ControllerRpc> {
+    pub(crate) fn leader_and_isr_for_broker(&self, broker: BrokerId) -> Vec<ControllerRpc> {
         self.partitions
             .values()
             .filter(|p| p.replicas.contains(&broker))
@@ -277,7 +280,7 @@ impl ClusterState {
 
     /// All partition-change records describing the current state (for full
     /// metadata pushes).
-    pub fn snapshot_records(&self) -> Vec<MetadataRecord> {
+    pub(crate) fn snapshot_records(&self) -> Vec<MetadataRecord> {
         self.partitions
             .values()
             .map(|p| p.change(p.leader, p.isr.clone(), p.epoch))

@@ -170,7 +170,7 @@ impl GroupCoordinator {
     }
 
     /// Validates an offset commit's `(member, generation)` fence.
-    pub fn check_commit(&mut self, group: &str, member: &str, generation: u64) -> ErrorCode {
+    pub(crate) fn check_commit(&mut self, group: &str, member: &str, generation: u64) -> ErrorCode {
         let current = self
             .groups
             .get(group)
@@ -188,7 +188,7 @@ impl GroupCoordinator {
     /// any were, bumps the affected groups' generations and reassigns the
     /// orphaned partitions to the survivors. Called from the broker's
     /// heartbeat tick.
-    pub fn sweep_sessions(
+    pub(crate) fn sweep_sessions(
         &mut self,
         now: SimTime,
         session_timeout: SimDuration,

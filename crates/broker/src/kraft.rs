@@ -137,7 +137,8 @@ impl Controller<RaftQuorum> {
     }
 
     /// The replicated log (term, record) — for consistency assertions.
-    pub fn raft_log(&self) -> &[(u64, MetadataRecord)] {
+    #[cfg(test)]
+    pub(crate) fn raft_log(&self) -> &[(u64, MetadataRecord)] {
         &self.policy.log
     }
 }

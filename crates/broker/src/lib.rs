@@ -73,21 +73,17 @@ pub use broker::{Broker, BrokerRecoveryInfo, BrokerStats, LogBlob};
 pub use config::{
     BrokerConfig, ConsumerConfig, ControllerConfig, CoordinationMode, ProducerConfig, TopicSpec,
 };
-pub use consumer::{
-    CollectingSink, ConsumerClient, ConsumerProcess, ConsumerStats, DataSink, CONSUMER_TAGS,
-    CONSUMER_TAGS_END,
-};
+pub use consumer::{CollectingSink, ConsumerClient, ConsumerProcess, ConsumerStats, DataSink};
 pub use controller::{ApplyAtOnce, ClusterState, Controller, PartitionState, ZkController};
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
 pub use kraft::{KraftController, RaftQuorum};
 pub use log::{
-    BrokerLogMeta, CleanOutcome, LogSegment, MetaPartitionTxns, MetaTxnEntry, PartitionLog,
-    BROKER_LOG_CORR_BASE, DEFAULT_SEGMENT_MAX_RECORDS,
+    BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog, BROKER_LOG_CORR_BASE,
+    DEFAULT_SEGMENT_MAX_RECORDS,
 };
-pub use metadata::{plan_assignments, plan_assignments_racked, MetadataCache};
 pub use partition::FETCH_MAX_WAIT;
 pub use producer::{
     DataSource, ProduceOutcome, ProducerClient, ProducerProcess, ProducerStats, SentRecord,
-    SourceAction, PRODUCER_TAGS, PRODUCER_TAGS_END,
+    SourceAction, PRODUCER_TAGS,
 };
 pub use sources::{FileLinesSource, PoissonSource, RandomTopicSource, RateSource};

@@ -294,7 +294,7 @@ impl CleanOutcome {
     }
 
     /// True when the pass removed nothing.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.removed_records == 0 && self.dropped_segment_bases.is_empty()
     }
 }
@@ -665,29 +665,10 @@ impl PartitionLog {
         records
     }
 
-    /// Finds where this log diverges from a leader whose log ends at
-    /// `leader_end` with `leader_last_epoch`: the offset this replica should
-    /// truncate to before appending. Compares epochs from the tail down.
-    pub fn divergence_point(
-        &self,
-        leader_end: Offset,
-        leader_epoch_at: impl Fn(Offset) -> Option<LeaderEpoch>,
-    ) -> Offset {
-        let mut candidate = self.log_end().min(leader_end);
-        while candidate > Offset::ZERO {
-            let prev = Offset(candidate.value() - 1);
-            match (self.epoch_at(prev), leader_epoch_at(prev)) {
-                (Some(mine), Some(theirs)) if mine == theirs => return candidate,
-                _ => candidate = prev,
-            }
-        }
-        Offset::ZERO
-    }
-
     /// The end offset for `epoch`: one past the last record whose epoch is
     /// at most `epoch` (0 if no such record). Records are epoch-monotonic,
     /// so this is the offset a follower stuck at `epoch` must truncate to.
-    pub fn end_offset_for_epoch(&self, epoch: LeaderEpoch) -> Offset {
+    pub(crate) fn end_offset_for_epoch(&self, epoch: LeaderEpoch) -> Offset {
         for seg in self.segments.iter().rev() {
             if let Some(run) = seg.runs.iter().rev().find(|r| r.epoch <= epoch) {
                 return run.end();
@@ -801,7 +782,7 @@ impl PartitionLog {
     /// until the segment goes, but are below the start, so a reader is
     /// reset past them. Returns whether the start moved: a bound at or
     /// below it is stale and does nothing.
-    pub fn purge_to(&mut self, bound: Offset, dropped: impl FnMut(&LogSegment)) -> bool {
+    pub(crate) fn purge_to(&mut self, bound: Offset, dropped: impl FnMut(&LogSegment)) -> bool {
         let bound = bound.min(self.high_watermark);
         if bound <= self.log_start {
             return false;
@@ -831,7 +812,7 @@ impl PartitionLog {
 
     /// Encodes every dirty segment and clears the dirty marks, returning
     /// `(base_offset, encoded_bytes)` pairs — the broker's flush feed.
-    pub fn take_dirty_segments(&mut self) -> Vec<(u64, Vec<u8>)> {
+    pub(crate) fn take_dirty_segments(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
         for seg in &mut self.segments {
             if seg.dirty && !seg.is_empty() {
@@ -843,7 +824,7 @@ impl PartitionLog {
     }
 
     /// True when any segment holds un-flushed changes.
-    pub fn has_dirty_segments(&self) -> bool {
+    pub(crate) fn has_dirty_segments(&self) -> bool {
         self.segments.iter().any(|s| s.dirty && !s.is_empty())
     }
 }
@@ -872,11 +853,11 @@ pub struct BrokerLogMeta {
 
 /// One open transaction in the meta blob:
 /// `(producer, txn, first_offset, end_offset, producer_epoch)`.
-pub type MetaTxnEntry = (u32, u64, u64, u64, u32);
+pub(crate) type MetaTxnEntry = (u32, u64, u64, u64, u32);
 
 /// One partition's persisted transaction state: the partition, its open
 /// transactions, and its aborted `[start, end)` offset ranges.
-pub type MetaPartitionTxns = (TopicPartition, Vec<MetaTxnEntry>, Vec<(u64, u64)>);
+pub(crate) type MetaPartitionTxns = (TopicPartition, Vec<MetaTxnEntry>, Vec<(u64, u64)>);
 
 /// Encodes a length header, failing loudly if it does not fit `u32` —
 /// a silent `as u32` truncation here would corrupt every replay.
@@ -1326,41 +1307,6 @@ mod tests {
         assert_eq!(kept, ["0", "1"]);
         // Appends continue at the truncation point.
         assert_eq!(log.append(LeaderEpoch(1), rec("z")), Offset(2));
-    }
-
-    #[test]
-    fn divergence_point_matches_common_prefix() {
-        // Follower: epochs [0,0,1,1]; leader: epochs [0,0,2,2,2].
-        let mut follower = PartitionLog::new();
-        follower.append_batch(LeaderEpoch(0), [rec("a"), rec("b")]);
-        follower.append_batch(LeaderEpoch(1), [rec("x"), rec("y")]);
-        let mut leader = PartitionLog::new();
-        leader.append_batch(LeaderEpoch(0), [rec("a"), rec("b")]);
-        leader.append_batch(LeaderEpoch(2), [rec("p"), rec("q"), rec("r")]);
-        let point = follower.divergence_point(leader.log_end(), |o| leader.epoch_at(o));
-        assert_eq!(point, Offset(2));
-    }
-
-    #[test]
-    fn divergence_point_with_identical_logs_is_end() {
-        let mut a = PartitionLog::new();
-        a.append_batch(LeaderEpoch(0), [rec("a"), rec("b")]);
-        let b = a.clone();
-        let point = a.divergence_point(b.log_end(), |o| b.epoch_at(o));
-        assert_eq!(point, Offset(2));
-    }
-
-    #[test]
-    fn divergence_point_when_follower_is_ahead() {
-        // Follower appended extra records under the old epoch while isolated.
-        let mut follower = PartitionLog::new();
-        follower.append_batch(LeaderEpoch(0), [rec("a"), rec("b"), rec("c"), rec("d")]);
-        let mut leader = PartitionLog::new();
-        leader.append_batch(LeaderEpoch(0), [rec("a"), rec("b")]);
-        leader.append_batch(LeaderEpoch(1), [rec("z")]);
-        let point = follower.divergence_point(leader.log_end(), |o| leader.epoch_at(o));
-        // Common prefix is [a, b]; offset 2 has epoch 0 vs leader epoch 1.
-        assert_eq!(point, Offset(2));
     }
 
     #[test]

@@ -15,32 +15,18 @@ use crate::config::TopicSpec;
 /// The first replica of each partition is its *preferred leader*. For
 /// partition 0 of a topic with a pinned `primary`, that broker leads;
 /// remaining replicas (and further partitions) are assigned round-robin,
-/// like Kafka's default assignment strategy.
+/// like Kafka's default assignment strategy. Each broker carries a rack
+/// (in practice, the emulated host it runs on). Followers are chosen
+/// walking cyclically from the leader, preferring brokers on racks not yet
+/// holding a replica of the partition, so a single rack/host failure takes
+/// out at most one replica whenever the rack count allows it. When racks
+/// are all distinct this degenerates to the plain consecutive round-robin.
 ///
 /// # Panics
 ///
 /// Panics if a topic's replication factor exceeds the broker count or its
 /// pinned primary is not in `brokers`.
-pub fn plan_assignments(topics: &[TopicSpec], brokers: &[BrokerId]) -> Vec<PartitionMetadata> {
-    // Every broker on its own rack: the rack-aware planner then always
-    // prefers the cyclically next broker, i.e. Kafka's plain round-robin.
-    let racked: Vec<(BrokerId, String)> =
-        brokers.iter().map(|b| (*b, format!("b{}", b.0))).collect();
-    plan_assignments_racked(topics, &racked)
-}
-
-/// Rack/host-aware replica placement: like [`plan_assignments`], but each
-/// broker carries a rack (in practice, the emulated host it runs on).
-/// Followers are chosen walking cyclically from the leader, preferring
-/// brokers on racks not yet holding a replica of the partition, so a
-/// single rack/host failure takes out at most one replica whenever the
-/// rack count allows it. When racks are all distinct this degenerates to
-/// the plain consecutive round-robin.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`plan_assignments`].
-pub fn plan_assignments_racked(
+pub(crate) fn plan_assignments_racked(
     topics: &[TopicSpec],
     brokers: &[(BrokerId, String)],
 ) -> Vec<PartitionMetadata> {
@@ -100,10 +86,23 @@ pub fn plan_assignments_racked(
     out
 }
 
+/// [`plan_assignments_racked`] with every broker on its own rack: the
+/// planner then always prefers the cyclically next broker, i.e. Kafka's
+/// plain round-robin.
+#[cfg(test)]
+pub(crate) fn plan_assignments(
+    topics: &[TopicSpec],
+    brokers: &[BrokerId],
+) -> Vec<PartitionMetadata> {
+    let racked: Vec<(BrokerId, String)> =
+        brokers.iter().map(|b| (*b, format!("b{}", b.0))).collect();
+    plan_assignments_racked(topics, &racked)
+}
+
 /// A metadata cache held by brokers and clients, updated from controller
 /// [`MetadataRecord`] pushes or full [`PartitionMetadata`] snapshots.
 #[derive(Debug, Clone, Default)]
-pub struct MetadataCache {
+pub(crate) struct MetadataCache {
     version: u64,
     /// Topic → partition index → metadata. Nested (rather than keyed by
     /// `TopicPartition`) so the per-fetch and per-flush questions — how many
@@ -119,12 +118,13 @@ impl MetadataCache {
     }
 
     /// The version of the last applied update.
-    pub fn version(&self) -> u64 {
+    #[cfg(test)]
+    fn version(&self) -> u64 {
         self.version
     }
 
     /// Installs a full snapshot at `version` (used for metadata responses).
-    pub fn install_snapshot(&mut self, snapshot: Vec<PartitionMetadata>, version: u64) {
+    pub(crate) fn install_snapshot(&mut self, snapshot: Vec<PartitionMetadata>, version: u64) {
         if version < self.version {
             return; // stale snapshot
         }
@@ -184,7 +184,7 @@ impl MetadataCache {
     }
 
     /// All partitions of a topic, in partition order.
-    pub fn partitions_of(&self, topic: &str) -> impl Iterator<Item = &TopicPartition> + '_ {
+    pub(crate) fn partitions_of(&self, topic: &str) -> impl Iterator<Item = &TopicPartition> + '_ {
         self.topics
             .get(topic)
             .into_iter()
@@ -192,13 +192,8 @@ impl MetadataCache {
     }
 
     /// How many partitions of a topic the cache knows.
-    pub fn partition_count(&self, topic: &str) -> usize {
+    pub(crate) fn partition_count(&self, topic: &str) -> usize {
         self.topics.get(topic).map_or(0, BTreeMap::len)
-    }
-
-    /// Whether the cache knows the given topic.
-    pub fn has_topic(&self, topic: &str) -> bool {
-        self.topics.contains_key(topic)
     }
 
     /// A full snapshot for serving metadata responses, in `(topic,
@@ -209,16 +204,6 @@ impl MetadataCache {
             .flat_map(BTreeMap::values)
             .cloned()
             .collect()
-    }
-
-    /// Number of cached partitions.
-    pub fn len(&self) -> usize {
-        self.topics.values().map(BTreeMap::len).sum()
-    }
-
-    /// True when the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.topics.is_empty()
     }
 }
 
@@ -385,7 +370,7 @@ mod tests {
         assert_eq!(ids("zz"), Vec::<u32>::new());
         assert_eq!(cache.partition_count("t"), 12);
         assert_eq!(cache.partition_count("t1"), 0);
-        assert!(cache.has_topic("t2") && !cache.has_topic(""));
+        assert_eq!(cache.partition_count(""), 0);
     }
 
     #[test]
@@ -522,11 +507,10 @@ mod tests {
         cache.install_snapshot(plan.clone(), 5);
         assert_eq!(cache.version(), 5);
         assert_eq!(cache.snapshot(), plan);
-        assert!(cache.has_topic("t"));
-        assert!(!cache.has_topic("zz"));
         assert_eq!(cache.partition_count("t"), 2);
+        assert_eq!(cache.partition_count("zz"), 0);
         // Older snapshot refused.
         cache.install_snapshot(vec![], 3);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.snapshot(), plan);
     }
 }

@@ -37,14 +37,14 @@ use crate::metadata::{draw_corr, send_in, MetadataSession};
 /// process must forward tags in `PRODUCER_TAGS..PRODUCER_TAGS_END`.
 pub const PRODUCER_TAGS: u64 = 1 << 40;
 /// End of the producer tag namespace (exclusive).
-pub const PRODUCER_TAGS_END: u64 = 1 << 41;
+pub(crate) const PRODUCER_TAGS_END: u64 = 1 << 41;
 
 mod off {
-    pub const RETRY_PUMP: u64 = 1;
-    pub const META_TIMEOUT: u64 = 2;
-    pub const REQ_TIMEOUT: u64 = 3;
-    pub const TXN_RETRY: u64 = 4;
-    pub const LINGER_BASE: u64 = 1_000;
+    pub(crate) const RETRY_PUMP: u64 = 1;
+    pub(crate) const META_TIMEOUT: u64 = 2;
+    pub(crate) const REQ_TIMEOUT: u64 = 3;
+    pub(crate) const TXN_RETRY: u64 = 4;
+    pub(crate) const LINGER_BASE: u64 = 1_000;
 }
 
 /// What a data source tells its producer process to do next.

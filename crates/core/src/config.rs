@@ -137,7 +137,7 @@ impl ComponentConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::BadValue`] when present but unparsable.
-    pub fn get_f64(&self, key: &str) -> Result<Option<f64>, ConfigError> {
+    pub(crate) fn get_f64(&self, key: &str) -> Result<Option<f64>, ConfigError> {
         self.get(key)
             .map(|v| {
                 v.parse::<f64>().map_err(|_| ConfigError::BadValue {
@@ -145,25 +145,6 @@ impl ComponentConfig {
                     value: v.to_string(),
                     expected: "a number",
                 })
-            })
-            .transpose()
-    }
-
-    /// The value as a boolean (`true`/`false`/`yes`/`no`/`1`/`0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::BadValue`] when present but unparsable.
-    pub fn get_bool(&self, key: &str) -> Result<Option<bool>, ConfigError> {
-        self.get(key)
-            .map(|v| match v.to_lowercase().as_str() {
-                "true" | "yes" | "1" | "on" => Ok(true),
-                "false" | "no" | "0" | "off" => Ok(false),
-                _ => Err(ConfigError::BadValue {
-                    key: key.to_string(),
-                    value: v.to_string(),
-                    expected: "a boolean",
-                }),
             })
             .transpose()
     }
@@ -261,7 +242,7 @@ mod tests {
         .unwrap();
         assert_eq!(spe.get("app"), Some("word-count.py"));
         assert_eq!(spe.get_bytes("executorMemory").unwrap(), Some(1 << 30));
-        assert_eq!(spe.get_bool("eventLog").unwrap(), Some(true));
+        assert_eq!(spe.get("eventLog"), Some("true"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`parse_graphml`] / [`scenario_from_graphml`] — the GraphML front end
 //!   (§III-C, Fig. 4) with [`ComponentConfig`] YAML-style component files.
 //! * [`MonitorCore`] / [`DeliveryMatrix`] — latency and delivery monitoring.
-//! * [`ServerSpec`] / [`MemModel`] — the §VI-C resource model, read back
+//! * [`ServerSpec`] — the §VI-C resource model, read back
 //!   through [`RunReport::series`].
 //! * [`ascii_chart`] / [`ascii_matrix`] / [`csv_series`] — visualization.
 //!
@@ -59,15 +59,14 @@ mod viz;
 pub use config::{ComponentConfig, ConfigError};
 pub use desc::{scenario_from_graphml, DescError, ResourceBundle};
 pub use graphml::{parse_graphml, GraphmlDoc, GraphmlEdge, GraphmlError, GraphmlNode};
-pub use monitor::{DeliveryMatrix, DeliveryRecord, MonitorCore, MonitorHandle, MonitoredSink};
+pub use monitor::{DeliveryMatrix, DeliveryRecord, MonitorCore, MonitoredSink};
 pub use report::{
     BrokerRecoveryReport, BrokerReport, ClientRecoveryReport, ConsumerReport, ProducerReport,
     RecoveryReport, RunReport, RunResult, SpeReport, StoreRecoveryReport, StoreReport,
 };
-pub use resources::{cdf, median, MemModel, ServerSpec};
+pub use resources::{cdf, median, ServerSpec};
 pub use s2g_analyze::{AnalysisReport, Diagnostic, Level};
 pub use scenario::{
-    instance_name, shuffle_topic, CheckpointSpec, ConsumerSinkSpec, DurableStoreSpec, Scenario,
-    ScenarioError, SourceSpec, SpeJobSpec, SpeSinkSpec, DEFAULT_KEY_GROUPS,
+    ConsumerSinkSpec, Scenario, ScenarioError, SourceSpec, SpeJobSpec, SpeSinkSpec,
 };
 pub use viz::{ascii_chart, ascii_matrix, ascii_table, csv_series};

@@ -51,11 +51,6 @@ impl DeliveryRecord {
     pub fn latency(&self) -> SimDuration {
         self.delivered.saturating_since(self.produced)
     }
-
-    /// Whether [`latency`](Self::latency) clamped a negative interval.
-    pub fn latency_clamped(&self) -> bool {
-        self.produced > self.delivered
-    }
 }
 
 /// Everything the aggregate accessors need about one topic's deliveries,
@@ -92,12 +87,12 @@ pub struct MonitorCore {
 }
 
 /// Shared handle to the monitor.
-pub type MonitorHandle = Rc<RefCell<MonitorCore>>;
+pub(crate) type MonitorHandle = Rc<RefCell<MonitorCore>>;
 
 impl MonitorCore {
     /// Creates a shared monitor. With `capture` it keeps one
     /// [`DeliveryRecord`] per delivery; without, only the folds.
-    pub fn new_handle(capture: bool) -> MonitorHandle {
+    pub(crate) fn new_handle(capture: bool) -> MonitorHandle {
         Rc::new(RefCell::new(MonitorCore {
             capture,
             ..MonitorCore::default()
@@ -155,14 +150,6 @@ impl MonitorCore {
         self.deliveries.iter().filter(move |d| &*d.topic == topic)
     }
 
-    /// Deliveries seen by one consumer. Needs record capture.
-    pub fn for_consumer(&self, consumer: u32) -> impl Iterator<Item = &DeliveryRecord> {
-        self.require_capture("MonitorCore::for_consumer");
-        self.deliveries
-            .iter()
-            .filter(move |d| d.consumer == consumer)
-    }
-
     /// Mean end-to-end latency over a topic, if any deliveries exist.
     pub fn mean_latency(&self, topic: &str) -> Option<SimDuration> {
         let fold = self.fold(topic)?;
@@ -192,21 +179,6 @@ impl MonitorCore {
             .collect();
         v.sort();
         v
-    }
-
-    /// Whether `(producer, seq)` on `topic` reached `consumer`. Needs
-    /// record capture.
-    pub fn was_delivered(
-        &self,
-        consumer: u32,
-        topic: &str,
-        producer: ProducerId,
-        seq: u64,
-    ) -> bool {
-        self.require_capture("MonitorCore::was_delivered");
-        self.deliveries.iter().any(|d| {
-            d.consumer == consumer && &*d.topic == topic && d.producer == producer && d.seq == seq
-        })
     }
 }
 
@@ -326,16 +298,6 @@ impl DeliveryMatrix {
         }
     }
 
-    /// Messages not received by a given consumer row.
-    pub fn losses_for_row(&self, row: usize) -> Vec<&SentRecord> {
-        self.messages
-            .iter()
-            .enumerate()
-            .filter(|(col, _)| !self.received[row][*col])
-            .map(|(_, m)| m)
-            .collect()
-    }
-
     /// Messages missed by every consumer.
     pub fn total_losses(&self) -> Vec<&SentRecord> {
         self.messages
@@ -386,8 +348,12 @@ mod tests {
         assert_eq!(core.deliveries.len(), 2);
         assert_eq!(core.deliveries[0].consumer, 3);
         assert_eq!(core.deliveries[0].latency(), SimDuration::from_millis(400));
-        assert!(core.was_delivered(3, "t", ProducerId(1), 1));
-        assert!(!core.was_delivered(3, "t", ProducerId(1), 2));
+        let seqs: Vec<(ProducerId, u64)> = core
+            .deliveries
+            .iter()
+            .map(|d| (d.producer, d.seq))
+            .collect();
+        assert_eq!(seqs, [(ProducerId(1), 0), (ProducerId(1), 1)]);
         // Forwarded to the inner CollectingSink too.
         let inner: &dyn DataSink = sink.inner();
         let inner = (inner as &dyn std::any::Any)
@@ -470,9 +436,8 @@ mod tests {
         sink.on_records(SimTime::from_millis(700), &tp, &[record(1, 1, 600)]);
         let core = handle.borrow();
         assert_eq!(core.clamped_latencies, 1);
-        assert!(core.deliveries[0].latency_clamped());
         assert_eq!(core.deliveries[0].latency(), SimDuration::ZERO);
-        assert!(!core.deliveries[1].latency_clamped());
+        assert_eq!(core.deliveries[1].latency(), SimDuration::from_millis(100));
     }
 
     #[test]
@@ -497,7 +462,6 @@ mod tests {
         let m = DeliveryMatrix::build(&core, ProducerId(7), messages, &[0, 1]);
         assert_eq!(m.received[0], vec![true, true, false]);
         assert_eq!(m.received[1], vec![true, false, false]);
-        assert_eq!(m.losses_for_row(1).len(), 2);
         assert_eq!(m.total_losses().len(), 1);
         assert!((m.delivery_rate() - 0.5).abs() < 1e-9);
     }

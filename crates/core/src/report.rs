@@ -160,14 +160,6 @@ pub struct StoreRecoveryReport {
 }
 
 impl StoreRecoveryReport {
-    /// Restart-to-rejoined latency: what op-log catch-up costs.
-    pub fn resync_latency(&self) -> Option<SimDuration> {
-        match (self.restarted_at, self.resynced_at) {
-            (Some(a), Some(b)) => Some(b.saturating_since(a)),
-            _ => None,
-        }
-    }
-
     /// Crash-to-rejoined latency: how long the group ran a member short.
     pub fn unavailability(&self) -> Option<SimDuration> {
         self.resynced_at

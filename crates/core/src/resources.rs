@@ -35,11 +35,9 @@ impl Default for ServerSpec {
 }
 
 /// Modeled resident footprints of each component class, used when the
-/// orchestrator registers components with the memory ledger. Values model
-/// JVM-based production components (a Kafka broker or Spark executor idles
-/// at hundreds of MB resident).
-#[derive(Debug, Clone, Copy)]
-pub struct MemModel {
+/// orchestrator registers components with the memory ledger (see
+/// [`MEM_MODEL`]).
+pub(crate) struct MemModel {
     /// OS, emulator, and switch-daemon baseline.
     pub os_base: u64,
     /// Extra baseline per emulated switch.
@@ -62,21 +60,20 @@ pub struct MemModel {
     pub controller: u64,
 }
 
-impl Default for MemModel {
-    fn default() -> Self {
-        MemModel {
-            os_base: 4_200 << 20,
-            per_switch: 50 << 20,
-            broker: 420 << 20,
-            producer_base: 110 << 20,
-            producer_heap_factor: 6.0,
-            consumer: 120 << 20,
-            spe: 700 << 20,
-            store: 300 << 20,
-            controller: 180 << 20,
-        }
-    }
-}
+/// The footprints every run registers. Values model JVM-based production
+/// components (a Kafka broker or Spark executor idles at hundreds of MB
+/// resident).
+pub(crate) const MEM_MODEL: MemModel = MemModel {
+    os_base: 4_200 << 20,
+    per_switch: 50 << 20,
+    broker: 420 << 20,
+    producer_base: 110 << 20,
+    producer_heap_factor: 6.0,
+    consumer: 120 << 20,
+    spe: 700 << 20,
+    store: 300 << 20,
+    controller: 180 << 20,
+};
 
 fn gauge(
     scope: String,

@@ -37,7 +37,7 @@ use crate::report::{
     BrokerRecoveryReport, BrokerReport, ClientRecoveryReport, ConsumerReport, ProducerReport,
     RecoveryReport, RunReport, RunResult, SpeReport, StoreRecoveryReport, StoreReport,
 };
-use crate::resources::{cpu_gauges, mem_gauge, throughput_gauges};
+use crate::resources::{cpu_gauges, mem_gauge, throughput_gauges, MEM_MODEL};
 
 /// What the initial spawn and every respawn of a component share: the
 /// run-wide handles and the pid layout its clients are wired to.
@@ -137,7 +137,7 @@ impl Runtime {
             })
             .collect();
         let n_switches = nodes_of(NodeKind::Switch).count() as u64;
-        let baseline = spec.mem_model.os_base + spec.mem_model.per_switch * n_switches;
+        let baseline = MEM_MODEL.os_base + MEM_MODEL.per_switch * n_switches;
         let net = Network::with_config(topo, spec.net_cfg).into_handle();
         let mut sim = Sim::new(spec.seed);
         sim.set_transport(Box::new(NetTransport(net.clone())));
@@ -258,7 +258,7 @@ impl Runtime {
             debug_assert_eq!(pid, self.wiring.controller_pids[i]);
             let host = self.plan.controller_hosts[i].clone();
             self.place(pid, &host);
-            let base = self.spec.mem_model.controller;
+            let base = MEM_MODEL.controller;
             self.wiring.ledger.borrow_mut().register(mem_label, base);
         }
     }
@@ -267,7 +267,7 @@ impl Runtime {
     /// or at `at` when a rescale grows a stage mid-run (the new instance
     /// recovers its share of the old instances' state).
     fn spawn(&mut self, key: ComponentRef, at: Option<SimTime>) {
-        let (plan, mem) = (&self.plan, &self.spec.mem_model);
+        let (plan, mem) = (&self.plan, &MEM_MODEL);
         let (name, host, mem_base) = match key {
             ComponentRef::Broker(i) => (
                 format!("broker-{i}"),

@@ -28,7 +28,7 @@ use s2g_spe::{CheckpointCfg, Plan, SpeConfig};
 use s2g_store::StoreConfig;
 
 use crate::report::RunResult;
-use crate::resources::{MemModel, ServerSpec};
+use crate::resources::ServerSpec;
 #[cfg(doc)]
 use crate::{BrokerRecoveryReport, MonitorCore, ProducerReport, RunReport};
 
@@ -261,8 +261,6 @@ pub struct SpeJobSpec {
     /// shuffle topics, with instance `i` of a stage statically owning a
     /// contiguous range of its input partitions (and key groups).
     pub parallelism: usize,
-    /// Per-stage parallelism overrides (`stage index → instances`).
-    pub stage_parallelism: BTreeMap<usize, usize>,
     /// Fixed key-group count: keyed state is sliced into this many groups
     /// (`hash(key) % key_groups`), shuffle topics get exactly this many
     /// partitions, and a rescale redistributes whole groups. Must be at
@@ -295,7 +293,6 @@ impl SpeJobSpec {
             sink,
             cfg,
             parallelism: 1,
-            stage_parallelism: BTreeMap::new(),
             key_groups: DEFAULT_KEY_GROUPS,
             rescale_on_restart: None,
             stage_count: std::cell::OnceCell::new(),
@@ -310,18 +307,6 @@ impl SpeJobSpec {
     pub fn parallelism(mut self, n: usize) -> Self {
         assert!(n > 0, "parallelism must be at least 1");
         self.parallelism = n;
-        self
-    }
-
-    /// Overrides one stage's parallelism (stage 0 reads the job's source
-    /// topics; each `KeyBy` boundary starts the next stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn stage_parallelism(mut self, stage: usize, n: usize) -> Self {
-        assert!(n > 0, "stage parallelism must be at least 1");
-        self.stage_parallelism.insert(stage, n);
         self
     }
 
@@ -350,39 +335,29 @@ impl SpeJobSpec {
 
     /// True when this job uses the parallel stage machinery.
     fn is_parallel(&self) -> bool {
-        self.parallelism > 1
-            || self.rescale_on_restart.is_some()
-            || self.stage_parallelism.values().any(|n| *n > 1)
-    }
-
-    /// The effective parallelism of `stage`.
-    fn par_of(&self, stage: usize) -> usize {
-        self.stage_parallelism
-            .get(&stage)
-            .copied()
-            .unwrap_or(self.parallelism)
+        self.parallelism > 1 || self.rescale_on_restart.is_some()
     }
 }
 
 /// Default key-group count for parallel jobs (Flink's `maxParallelism`
 /// scaled down to simulation size).
-pub const DEFAULT_KEY_GROUPS: u32 = 16;
+pub(crate) const DEFAULT_KEY_GROUPS: u32 = 16;
 
 /// The intermediate shuffle topic feeding `stage` of `job` (declared
 /// automatically with `key_groups` partitions).
-pub fn shuffle_topic(job: &str, stage: usize) -> String {
+pub(crate) fn shuffle_topic(job: &str, stage: usize) -> String {
     format!("__shuffle.{job}.{stage}")
 }
 
 /// The process name of one parallel stage instance.
-pub fn instance_name(job: &str, stage: usize, instance: usize) -> String {
+pub(crate) fn instance_name(job: &str, stage: usize, instance: usize) -> String {
     format!("{job}/{stage}/{instance}")
 }
 
 /// Where a durability tier keeps its blobs: scenario-level checkpoints
 /// ([`CheckpointSpec`]) and every broker's log segments and meta blob.
 #[derive(Debug, Clone)]
-pub enum DurableStoreSpec {
+pub(crate) enum DurableStoreSpec {
     /// In the orchestrator's memory, outside every process's failure
     /// domain — a job-manager heap, an always-synced local disk: instant,
     /// free, survives the writer's crashes.
@@ -400,7 +375,7 @@ pub enum DurableStoreSpec {
 /// Scenario-level checkpointing, applied to every SPE job that does not
 /// configure its own schedule.
 #[derive(Debug, Clone)]
-pub struct CheckpointSpec {
+pub(crate) struct CheckpointSpec {
     /// Interval and offset-commit mode.
     pub cfg: CheckpointCfg,
     /// Snapshot storage.
@@ -465,7 +440,6 @@ pub struct Scenario {
     duration: SimTime,
     mode: CoordinationMode,
     server: ServerSpec,
-    mem_model: MemModel,
     net_cfg: NetworkConfig,
     default_link: LinkSpec,
     host_links: BTreeMap<String, LinkSpec>,
@@ -507,7 +481,6 @@ impl Scenario {
             duration: SimTime::from_secs(60),
             mode: CoordinationMode::Zk,
             server: ServerSpec::default(),
-            mem_model: MemModel::default(),
             net_cfg: NetworkConfig::default(),
             default_link: LinkSpec::new(),
             host_links: BTreeMap::new(),
@@ -577,12 +550,6 @@ impl Scenario {
     /// Models the underlying server (cores, memory, sampling).
     pub fn server(&mut self, spec: ServerSpec) -> &mut Self {
         self.server = spec;
-        self
-    }
-
-    /// Overrides the memory model constants.
-    pub fn mem_model(&mut self, model: MemModel) -> &mut Self {
-        self.mem_model = model;
         self
     }
 
@@ -1001,7 +968,7 @@ impl Scenario {
     /// one [`DeliveryRecord`](crate::DeliveryRecord) per delivery in
     /// [`MonitorCore::deliveries`]. Needed by
     /// [`RunResult::delivery_matrix`] and by `MonitorCore::{for_topic,
-    /// for_consumer, latency_series, was_delivered}`, which panic naming
+    /// latency_series}`, which panic naming
     /// this method on a run that did not opt in.
     ///
     /// Off by default: a run then holds one resident copy of each record
@@ -1274,9 +1241,7 @@ fn job_facts(host: &str, job: &SpeJobSpec, cfg: SpeConfig) -> JobFacts {
     } else {
         1
     };
-    let stage_par: Vec<usize> = (0..n_stages)
-        .map(|s| if parallel { job.par_of(s) } else { 1 })
-        .collect();
+    let stage_par = vec![if parallel { job.parallelism } else { 1 }; n_stages];
     let (sink_topic, sink_store_host) = match &job.sink {
         SpeSinkSpec::Topic(t) => (Some(t.clone()), None),
         SpeSinkSpec::StoreOn { host, .. } => (None, Some(host.clone())),

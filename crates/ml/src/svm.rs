@@ -27,7 +27,7 @@ impl Label {
     }
 
     /// From a sign.
-    pub fn from_sign(s: f64) -> Label {
+    pub(crate) fn from_sign(s: f64) -> Label {
         if s >= 0.0 {
             Label::Positive
         } else {
@@ -161,13 +161,9 @@ impl LinearSvm {
     }
 
     /// The weight vector.
-    pub fn weights(&self) -> &[f64] {
+    #[cfg(test)]
+    fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// The bias term.
-    pub fn bias(&self) -> f64 {
-        self.bias
     }
 }
 
@@ -218,7 +214,7 @@ mod tests {
         let a = LinearSvm::train(&data, SvmParams::default());
         let b = LinearSvm::train(&data, SvmParams::default());
         assert_eq!(a.weights(), b.weights());
-        assert_eq!(a.bias(), b.bias());
+        assert_eq!(a.margin(&[0.0, 0.0]), b.margin(&[0.0, 0.0]));
     }
 
     #[test]

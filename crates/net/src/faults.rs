@@ -70,7 +70,7 @@ pub enum FaultAction {
 impl FaultAction {
     /// True for actions that target an application process rather than the
     /// network; these are applied by the scenario orchestrator.
-    pub fn is_process_action(&self) -> bool {
+    pub(crate) fn is_process_action(&self) -> bool {
         matches!(
             self,
             FaultAction::CrashProcess(_)
@@ -178,11 +178,6 @@ impl FaultPlan {
             .at(at + down_for, FaultAction::RestartBroker(broker))
     }
 
-    /// Schedules a broker crash with no restart.
-    pub fn crash_broker(self, broker: u32, at: SimTime) -> Self {
-        self.at(at, FaultAction::CrashBroker(broker))
-    }
-
     /// Schedules a store-replica crash (by flattened replica index) at
     /// `at`, restarted `down_for` later — the store-failover scenario in
     /// one call.
@@ -224,13 +219,6 @@ impl FaultPlan {
     /// The scheduled events, in time order (ties keep insertion order).
     pub fn events(&self) -> &[(SimTime, FaultAction)] {
         &self.events
-    }
-
-    /// The process-level events (crash/restart), in time order. These are
-    /// applied by the scenario orchestrator rather than the network
-    /// injector.
-    pub fn process_events(&self) -> impl Iterator<Item = &(SimTime, FaultAction)> {
-        self.events.iter().filter(|(_, a)| a.is_process_action())
     }
 
     /// True when the plan contains network-level events that need a
@@ -418,7 +406,8 @@ mod tests {
         let plan = FaultPlan::new()
             .crash_restart("job1", SimTime::from_secs(10), SimDuration::from_secs(5))
             .at(SimTime::from_secs(2), FaultAction::Disconnect("h1".into()));
-        assert_eq!(plan.process_events().count(), 2);
+        let process = plan.events().iter().filter(|(_, a)| a.is_process_action());
+        assert_eq!(process.count(), 2);
         assert!(plan.has_network_events());
         let only_process = FaultPlan::new().crash_process("job1", SimTime::from_secs(1));
         assert!(!only_process.has_network_events());

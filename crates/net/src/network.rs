@@ -16,7 +16,7 @@ use rand::Rng;
 
 use s2g_sim::{Delivery, ProcessId, SimDuration, SimTime, Transport};
 
-use crate::topology::{LinkId, NodeId, NodeKind, PortNo, Topology};
+use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,7 +37,7 @@ const DROP_CAUSES: usize = DropCause::Unplaced as usize + 1;
 
 /// Cumulative traffic counters for one port, mirroring OpenFlow port stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortCounters {
+pub(crate) struct PortCounters {
     /// Bytes transmitted out of this port.
     pub tx_bytes: u64,
     /// Bytes received into this port.
@@ -202,7 +202,7 @@ impl Network {
     /// Recomputes all-pairs routes over currently-up links using the
     /// configured metric. Stream2gym programs routes proactively; call this
     /// after topology-affecting faults only if re-routing is desired.
-    pub fn recompute_routes(&mut self) {
+    pub(crate) fn recompute_routes(&mut self) {
         let n = self.topo.node_count();
         let mut hops = Vec::new();
         let mut routes = Vec::with_capacity(n * n);
@@ -305,42 +305,44 @@ impl Network {
 
     /// Marks a link up or down. Packets crossing a down link are dropped —
     /// routes are *not* recomputed automatically (proactive routing).
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
+    pub(crate) fn set_link_up(&mut self, link: LinkId, up: bool) {
         self.links[link.index()].up = up;
     }
 
     /// Whether a link is currently up.
-    pub fn link_up(&self, link: LinkId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn link_up(&self, link: LinkId) -> bool {
         self.links[link.index()].up
     }
 
     /// Marks a node up or down. A down node neither sends, receives, nor
     /// forwards.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
+    pub(crate) fn set_node_up(&mut self, node: NodeId, up: bool) {
         self.node_up[node.index()] = up;
     }
 
     /// Whether a node is currently up.
-    pub fn node_up(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn node_up(&self, node: NodeId) -> bool {
         self.node_up[node.index()]
     }
 
     /// Disconnects a host: all adjacent links go down (the Fig. 6 failure).
-    pub fn disconnect_host(&mut self, node: NodeId) {
+    pub(crate) fn disconnect_host(&mut self, node: NodeId) {
         for l in self.topo.adjacent(node) {
             self.set_link_up(l, false);
         }
     }
 
     /// Reconnects a host: all adjacent links come back up.
-    pub fn reconnect_host(&mut self, node: NodeId) {
+    pub(crate) fn reconnect_host(&mut self, node: NodeId) {
         for l in self.topo.adjacent(node) {
             self.set_link_up(l, true);
         }
     }
 
     /// Retunes a link's one-way latency (dynamic operating conditions).
-    pub fn set_link_latency(&mut self, link: LinkId, lat: SimDuration) {
+    pub(crate) fn set_link_latency(&mut self, link: LinkId, lat: SimDuration) {
         self.topo.link_mut(link).spec.latency = lat;
     }
 
@@ -349,7 +351,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `pct` is outside `0.0..=100.0`.
-    pub fn set_link_loss(&mut self, link: LinkId, pct: f64) {
+    pub(crate) fn set_link_loss(&mut self, link: LinkId, pct: f64) {
         assert!(
             (0.0..=100.0).contains(&pct),
             "loss must be in 0..=100, got {pct}"
@@ -361,7 +363,12 @@ impl Network {
     /// counters live with the links (the packet path indexes them by hop),
     /// so this resolves the port to its link — to every link wired to it,
     /// when explicit `src_port`/`dst_port` numbers put several on one port.
-    pub fn port_counters(&self, node: NodeId, port: PortNo) -> PortCounters {
+    #[cfg(test)]
+    pub(crate) fn port_counters(
+        &self,
+        node: NodeId,
+        port: crate::topology::PortNo,
+    ) -> PortCounters {
         let mut sum = PortCounters::default();
         for (lid, l) in self.topo.links() {
             let ports = &self.links[lid.index()].ports;
@@ -523,7 +530,7 @@ impl Transport for NetTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkSpec;
+    use crate::topology::{LinkSpec, PortNo};
     use rand::SeedableRng;
 
     fn two_host_net(spec: LinkSpec) -> (Network, ProcessId, ProcessId) {

@@ -330,7 +330,7 @@ impl Topology {
     }
 
     /// Mutable link access (used to retune shaping between runs).
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
+    pub(crate) fn link_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.links[id.index()]
     }
 

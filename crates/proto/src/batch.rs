@@ -19,7 +19,7 @@ use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, Cursor}
 use crate::record::{BatchBuilder, Compression, Offset, ProducerId, RecordBatch, RecordRef};
 
 /// Version byte of the batch frame format.
-pub const BATCH_FRAME_VERSION: u8 = 1;
+pub(crate) const BATCH_FRAME_VERSION: u8 = 1;
 
 /// The fewest bytes one record takes in a frame: a byte each for the
 /// offset and timestamp deltas and the key flag, the value's length

@@ -22,7 +22,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends a `u32` length prefix followed by the bytes.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(
         out,
         u32::try_from(b.len()).expect("frame exceeds u32 length prefix"),
@@ -48,7 +48,7 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Appends a zigzag-encoded signed varint (small magnitudes of either sign
 /// stay short).
-pub fn put_svarint(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_svarint(out: &mut Vec<u8>, v: i64) {
     put_uvarint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
@@ -119,7 +119,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a zigzag-encoded signed varint.
-    pub fn svarint(&mut self) -> Option<i64> {
+    pub(crate) fn svarint(&mut self) -> Option<i64> {
         let z = self.uvarint()?;
         Some(((z >> 1) as i64) ^ -((z & 1) as i64))
     }

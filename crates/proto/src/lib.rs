@@ -14,7 +14,7 @@ pub mod hash;
 mod record;
 mod rpc;
 
-pub use batch::{put_frame_record, read_frame_record, BATCH_FRAME_VERSION, MIN_FRAME_RECORD};
+pub use batch::{put_frame_record, read_frame_record, MIN_FRAME_RECORD};
 pub use hash::{fnv1a, key_group, owner_of_group, partition_for_key};
 pub use record::{
     shared_batch_copies, BatchBuilder, BatchIter, Compression, Offset, ProducerId, Record,

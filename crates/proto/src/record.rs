@@ -307,7 +307,7 @@ impl Compression {
     }
 
     /// Simulated on-the-wire size of `n` record bytes under this codec.
-    pub fn compressed_len(self, n: usize) -> usize {
+    pub(crate) fn compressed_len(self, n: usize) -> usize {
         match self {
             Compression::None => n,
             Compression::Lz4 => {
@@ -657,7 +657,7 @@ impl fmt::Debug for RecordBatch {
 }
 
 /// Per-batch framing overhead, approximating Kafka's batch header.
-pub const BATCH_OVERHEAD: usize = 61;
+pub(crate) const BATCH_OVERHEAD: usize = 61;
 
 impl RecordBatch {
     /// An empty batch.
@@ -814,7 +814,7 @@ impl RecordBatch {
     /// copy of what it holds, so that case is counted in
     /// [`shared_batch_copies`] and hot paths that regress to it are caught
     /// by tests.
-    pub fn into_records(self) -> Vec<Record> {
+    pub(crate) fn into_records(self) -> Vec<Record> {
         if self.share_count() > 1 {
             SHARED_BATCH_COPIES.with(|c| c.set(c.get() + 1));
         }

@@ -114,19 +114,6 @@ impl HostCpu {
         self.speed
     }
 
-    /// Adjusts the relative speed factor (used by `cpuPercentage` caps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not strictly positive.
-    pub fn set_speed(&mut self, speed: f64) {
-        assert!(
-            speed > 0.0 && speed.is_finite(),
-            "speed must be positive, got {speed}"
-        );
-        self.speed = speed;
-    }
-
     /// Schedules a work item of `cost` nominal CPU time starting no earlier
     /// than `now`, and returns the delay from `now` until it completes.
     ///
@@ -241,9 +228,6 @@ mod tests {
         let mut cpu = HostCpu::new("h", 1, 0.5, WINDOW);
         let d = cpu.execute(SimTime::ZERO, SimDuration::from_millis(10));
         assert_eq!(d.as_millis(), 20);
-        cpu.set_speed(2.0);
-        let d = cpu.execute(SimTime::from_millis(20), SimDuration::from_millis(10));
-        assert_eq!(d.as_millis(), 5);
     }
 
     #[test]

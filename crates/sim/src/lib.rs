@@ -53,7 +53,7 @@ pub use cpu::{CpuHandle, HostCpu};
 pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{
-    Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimCore, SimStats, Transport,
+    Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimStats, Transport,
 };
 pub use time::{SimDuration, SimTime};
 pub use waiters::Waiters;

@@ -630,6 +630,7 @@ impl EventQueue {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn kind(&self) -> SchedulerKind {
         match self {
             EventQueue::Calendar(_) => SchedulerKind::Calendar,

@@ -74,12 +74,6 @@ impl MemLedger {
         self.slots[slot.0].dynamic = bytes;
     }
 
-    /// Adds to a component's dynamic memory.
-    pub fn add_dynamic(&mut self, slot: MemSlot, bytes: i64) {
-        let d = &mut self.slots[slot.0].dynamic;
-        *d = (*d as i64 + bytes).max(0) as u64;
-    }
-
     /// Total modeled resident bytes: baseline + all bases + all dynamics.
     pub fn total(&self) -> u64 {
         self.baseline + self.slots.iter().map(|s| s.base + s.dynamic).sum::<u64>()
@@ -88,11 +82,6 @@ impl MemLedger {
     /// The fixed baseline.
     pub fn baseline(&self) -> u64 {
         self.baseline
-    }
-
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Per-component `(name, base, dynamic)` view for reports.
@@ -114,11 +103,10 @@ mod tests {
         let b = l.register("b", 300);
         assert_eq!(l.total(), 1_800);
         l.set_dynamic(a, 50);
-        l.add_dynamic(b, 25);
+        l.set_dynamic(b, 25);
         assert_eq!(l.total(), 1_875);
-        l.add_dynamic(b, -100); // clamps at zero
+        l.set_dynamic(b, 0);
         assert_eq!(l.total(), 1_850);
-        assert_eq!(l.component_count(), 2);
     }
 
     #[test]

@@ -143,7 +143,7 @@ struct ProcAccount {
 /// Everything the scheduler owns except the process table; split out so a
 /// dispatched process can borrow it mutably through [`Ctx`] while the
 /// process itself stays borrowed from the table.
-pub struct SimCore {
+pub(crate) struct SimCore {
     now: SimTime,
     seq: u64,
     queue: EventQueue,
@@ -155,7 +155,6 @@ pub struct SimCore {
     /// mark, so residue (cancelled/voided entries) is not counted.
     live: usize,
     stats: SimStats,
-    stop_requested: bool,
     /// The limit of the current [`Sim::run_until`]: nothing past it runs
     /// before that call returns.
     run_limit: SimTime,
@@ -307,17 +306,16 @@ impl<'a> Ctx<'a> {
     /// done. On `false` nothing changed, and the caller arms the timer.
     ///
     /// The step is next when `at` is not in the past, lies within the
-    /// current [`Sim::run_until`] limit, no stop was requested, the event
-    /// limit has room for one more event, and every queued entry (cancelled
-    /// and voided ones included) is strictly later than `at`: an entry at
-    /// the same instant was scheduled first and keeps its precedence. No
+    /// current [`Sim::run_until`] limit, the event limit has room for one
+    /// more event, and every queued entry (cancelled and voided ones
+    /// included) is strictly later than `at`: an entry at the same instant
+    /// was scheduled first and keeps its precedence. No
     /// other process runs between two such steps, so a run that takes them
     /// is the run that arms every timer.
     pub fn run_ahead(&mut self, at: SimTime) -> bool {
         let core = &mut *self.core;
         let next = at >= core.now
             && at <= core.run_limit
-            && !core.stop_requested
             && core.stats.events_processed < core.event_limit
             && !matches!(core.queue.next_at(), Some(queued) if queued <= at);
         if next {
@@ -359,11 +357,6 @@ impl<'a> Ctx<'a> {
         if let Some(cpu) = self.cpu {
             cpu.borrow_mut().execute(self.core.now, cost);
         }
-    }
-
-    /// Requests that the run stop after the current event.
-    pub fn request_stop(&mut self) {
-        self.core.stop_requested = true;
     }
 }
 
@@ -429,7 +422,6 @@ impl Sim {
                 accounts: Vec::new(),
                 live: 0,
                 stats: SimStats::default(),
-                stop_requested: false,
                 run_limit: SimTime::ZERO,
                 event_limit: u64::MAX,
                 inline_steps: 0,
@@ -439,7 +431,8 @@ impl Sim {
     }
 
     /// Which event-queue implementation this scheduler runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
+    #[cfg(test)]
+    fn scheduler_kind(&self) -> SchedulerKind {
         self.core.queue.kind()
     }
 
@@ -587,9 +580,6 @@ impl Sim {
         let before = self.core.stats.events_processed;
         self.core.run_limit = limit;
         loop {
-            if self.core.stop_requested {
-                break;
-            }
             let Some(Popped {
                 at,
                 inc,
@@ -624,7 +614,7 @@ impl Sim {
             self.core.note_retired(target);
             self.dispatch(kind);
         }
-        if self.core.now < limit && !self.core.stop_requested {
+        if self.core.now < limit {
             self.core.now = limit;
         }
         self.core.stats.events_processed - before
@@ -989,31 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn request_stop_halts_run() {
-        struct Stopper {
-            handled: u32,
-        }
-        impl Process for Stopper {
-            fn name(&self) -> &str {
-                "stopper"
-            }
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::from_millis(1), 0);
-                ctx.set_timer(SimDuration::from_millis(2), 1);
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-                self.handled += 1;
-                ctx.request_stop();
-            }
-        }
-        let mut sim = Sim::new(0);
-        let p = sim.spawn(Box::new(Stopper { handled: 0 }));
-        sim.run_to_completion();
-        assert_eq!(sim.process_ref::<Stopper>(p).unwrap().handled, 1);
-    }
-
-    #[test]
     fn default_scheduler_is_calendar() {
         let sim = Sim::new(0);
         assert_eq!(sim.scheduler_kind(), SchedulerKind::Calendar);
@@ -1142,7 +1107,6 @@ mod tests {
     struct Stepper {
         inline: bool,
         left: u32,
-        stop_at_step: Option<usize>,
         steps: Vec<SimTime>,
         refused: Vec<SimTime>,
         messages_after: Vec<usize>,
@@ -1153,7 +1117,6 @@ mod tests {
             Stepper {
                 inline,
                 left,
-                stop_at_step: None,
                 steps: Vec::new(),
                 refused: Vec::new(),
                 messages_after: Vec::new(),
@@ -1174,9 +1137,6 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
             loop {
                 self.steps.push(ctx.now());
-                if self.stop_at_step == Some(self.steps.len()) {
-                    ctx.request_stop();
-                }
                 self.left -= 1;
                 if self.left == 0 {
                     return;
@@ -1267,18 +1227,6 @@ mod tests {
         // A step at the limit itself runs; one past it waits for the next call.
         assert_eq!(run.refused, [ms(4), ms(5)]);
         assert_eq!(run.diag.inline_steps, 5);
-    }
-
-    #[test]
-    fn run_ahead_refuses_after_a_stop_request() {
-        let stopper = |inline| Stepper {
-            stop_at_step: Some(2),
-            ..Stepper::new(inline, 5)
-        };
-        let run = inline_matches_armed(stopper, None, &[ms(60)]);
-        assert_eq!(run.steps, [ms(1), ms(2)]);
-        assert_eq!(run.refused, [ms(3)]);
-        assert_eq!((run.now, run.diag.live_events), (ms(2), 1));
     }
 
     #[test]

@@ -70,7 +70,7 @@ use crate::event::{wire, CodecError, Event, Value};
 /// snapshot traffic apart from sink inserts sharing the same store server;
 /// and so the tag of the checkpoint blob client's retry timer, clear of the
 /// worker's own tags and of its embedded clients' ranges.
-pub const CKPT_CORR_BASE: u64 = 1 << 42;
+pub(crate) const CKPT_CORR_BASE: u64 = 1 << 42;
 
 /// When consumer offsets are committed relative to state persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,13 +276,8 @@ pub struct StateSnapshot {
 }
 
 impl StateSnapshot {
-    /// The snapshot as a single [`Value`] tree: what its bytes decode to.
-    pub fn to_value(&self) -> Value {
-        Value::decode(&self.to_bytes()).expect("a capture's own encoding decodes")
-    }
-
     /// Decodes a snapshot from its [`Value`] tree; every field is required.
-    pub fn from_value(v: &Value) -> Option<StateSnapshot> {
+    pub(crate) fn from_value(v: &Value) -> Option<StateSnapshot> {
         let Value::List(plan) = v.field("plan")? else {
             return None;
         };
@@ -352,14 +347,9 @@ pub struct StateDelta {
 }
 
 impl StateDelta {
-    /// The delta as a single [`Value`] tree: what its bytes decode to.
-    pub fn to_value(&self) -> Value {
-        Value::decode(&self.to_bytes()).expect("a capture's own encoding decodes")
-    }
-
     /// Decodes a delta from its [`Value`] tree: a snapshot's fields plus
     /// `seq`, every one required.
-    pub fn from_value(v: &Value) -> Option<StateDelta> {
+    pub(crate) fn from_value(v: &Value) -> Option<StateDelta> {
         let seq = v.field("seq")?.as_int()? as u64;
         let s = StateSnapshot::from_value(v)?;
         Some(StateDelta {
@@ -470,7 +460,7 @@ impl SnapshotChain {
     }
 
     /// Number of deltas chained onto the base.
-    pub fn chain_len(&self) -> u64 {
+    pub(crate) fn chain_len(&self) -> u64 {
         self.deltas.len() as u64
     }
 
@@ -524,7 +514,7 @@ impl SnapshotChain {
     }
 }
 
-/// A completed recovery, as [`CheckpointCoordinator::start_recovery`] or
+/// A completed recovery, as `CheckpointCoordinator::start_recovery` or
 /// [`StoreRpcOutcome::Recovered`] hands it to the worker.
 #[derive(Debug, Default)]
 pub struct Recovered {
@@ -537,7 +527,7 @@ pub struct Recovered {
 }
 
 /// What a store message meant to checkpointing: the answer of
-/// [`CheckpointCoordinator::on_store_rpc`] and, one level down, of
+/// `CheckpointCoordinator::on_store_rpc` and, one level down, of
 /// [`DurableBackend::on_store_rpc`] (whose recoveries read one chain each).
 #[derive(Debug)]
 pub enum StoreRpcOutcome {
@@ -609,7 +599,7 @@ impl DurableBackend {
     /// Creates a backend over the members of a store group (one member for
     /// an unreplicated store): unanswered RPCs rotate to the next member on
     /// the blob client's retry timer (armed in the owning process under
-    /// [`CKPT_CORR_BASE`]; an [`SpeWorker`](crate::SpeWorker) forwards it),
+    /// `CKPT_CORR_BASE`; an [`SpeWorker`](crate::SpeWorker) forwards it),
     /// so checkpoints survive a store crash with no change above this
     /// backend. `incarnation` is the owning worker's, so a store reply
     /// delayed across a worker bounce can never complete a request of the
@@ -899,7 +889,7 @@ pub struct RecoveryInfo {
 
 /// Which kind of capture the coordinator wants next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureKind {
+pub(crate) enum CaptureKind {
     /// A full base snapshot.
     Full,
     /// An incremental delta chained onto the current base.
@@ -938,7 +928,7 @@ struct Recovering {
 /// alignment, full-vs-delta scheduling, the output barrier, persist
 /// bookkeeping, and the offset-commit discipline of the configured
 /// [`CheckpointMode`].
-pub struct CheckpointCoordinator {
+pub(crate) struct CheckpointCoordinator {
     cfg: CheckpointCfg,
     backend: DurableBackend,
     recover: bool,
@@ -1005,7 +995,7 @@ impl CheckpointCoordinator {
     }
 
     /// Whether the worker must restore before consuming.
-    pub fn wants_recovery(&self) -> bool {
+    pub(crate) fn wants_recovery(&self) -> bool {
         self.recover
     }
 
@@ -1016,20 +1006,20 @@ impl CheckpointCoordinator {
 
     /// Marks that the interval elapsed; the worker calls
     /// [`should_capture`](Self::should_capture) at the next safe point.
-    pub fn request_capture(&mut self) {
+    pub(crate) fn request_capture(&mut self) {
         self.capture_requested = true;
     }
 
     /// True when a capture is due and no prior checkpoint is still in
     /// flight (persist or commit pending applies backpressure).
-    pub fn should_capture(&self) -> bool {
+    pub(crate) fn should_capture(&self) -> bool {
         self.capture_requested && self.pending_persist.is_none() && self.pending_commit.is_none()
     }
 
     /// Which kind of capture the next [`accept`](Self::accept) should carry:
     /// full before the first base and whenever the chain hit its cap (a
     /// zero cap: always) — delta otherwise.
-    pub fn capture_kind(&self) -> CaptureKind {
+    pub(crate) fn capture_kind(&self) -> CaptureKind {
         if !self.has_base || self.chain_len >= self.cfg.max_delta_chain as u64 {
             CaptureKind::Full
         } else {
@@ -1038,14 +1028,13 @@ impl CheckpointCoordinator {
     }
 
     /// The `seq` the next delta capture must carry.
-    pub fn next_delta_seq(&self) -> u64 {
+    pub(crate) fn next_delta_seq(&self) -> u64 {
         self.chain_len + 1
     }
 
-    /// Accepts a capture built by the worker and begins persisting it.
-    /// `producer_sent` is the worker's cumulative count of records handed to
-    /// its sink producer before this capture — the exactly-once barrier.
-    pub fn accept(
+    /// [`accept_blob`](Self::accept_blob), encoding `payload` here.
+    #[cfg(test)]
+    fn accept(
         &mut self,
         ctx: &mut Ctx<'_>,
         job: &str,
@@ -1056,9 +1045,11 @@ impl CheckpointCoordinator {
         self.accept_blob(ctx, job, payload, blob, producer_sent);
     }
 
-    /// [`accept`](Self::accept) with the capture already encoded: `blob`
-    /// is `payload.to_bytes()`, taken when the capture was, so `payload`
-    /// may have given its buffered events back.
+    /// Accepts a capture built by the worker, already encoded, and begins
+    /// persisting it. `blob` is `payload.to_bytes()`, taken when the capture
+    /// was, so `payload` may have given its buffered events back.
+    /// `producer_sent` is the worker's cumulative count of records handed to
+    /// its sink producer before this capture — the exactly-once barrier.
     pub(crate) fn accept_blob(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1156,23 +1147,23 @@ impl CheckpointCoordinator {
 
     /// The sink transaction the pending commit would flip, when one is
     /// waiting (0 means the capture was not transactional).
-    pub fn pending_commit_txn(&self) -> Option<u64> {
+    pub(crate) fn pending_commit_txn(&self) -> Option<u64> {
         self.pending_commit.as_ref().map(|p| p.txn)
     }
 
     /// `(accepted, durable)` instants of every persisted capture so far.
-    pub fn persist_log(&self) -> &[(SimTime, SimTime)] {
+    pub(crate) fn persist_log(&self) -> &[(SimTime, SimTime)] {
         &self.persist_log
     }
 
     /// Counts a sink-transaction commit issued by the worker.
-    pub fn note_txn_commit(&mut self) {
+    pub(crate) fn note_txn_commit(&mut self) {
         self.stats.txn_commits += 1;
     }
 
     /// Returns the offsets to commit once `producer_completed` (records
     /// acked or failed by the sink producer) satisfies the barrier.
-    pub fn take_ready_commit(
+    pub(crate) fn take_ready_commit(
         &mut self,
         producer_completed: u64,
     ) -> Option<Vec<(TopicPartition, Offset)>> {
@@ -1206,7 +1197,7 @@ impl CheckpointCoordinator {
     /// # Panics
     ///
     /// Panics if `names` is empty.
-    pub fn start_recovery(
+    pub(crate) fn start_recovery(
         &mut self,
         ctx: &mut Ctx<'_>,
         job: &str,
@@ -1287,7 +1278,7 @@ impl CheckpointCoordinator {
     /// Seeds the lagging-commit baseline after a restore, so the first
     /// post-recovery checkpoint commits positions at or after the restored
     /// chain.
-    pub fn seed_prev_offsets(&mut self, offsets: Vec<(TopicPartition, Offset)>) {
+    pub(crate) fn seed_prev_offsets(&mut self, offsets: Vec<(TopicPartition, Offset)>) {
         self.prev_offsets = offsets;
     }
 }
@@ -1452,7 +1443,8 @@ mod tests {
         assert!(StateSnapshot::from_value(&Value::Int(4)).is_none());
         // A capture with any field missing is malformed: an error, no panic.
         for missing in ["txn", "offsets"] {
-            for mut capture in [sample_snapshot().to_value(), sample_delta(1).to_value()] {
+            let blobs = [sample_snapshot().to_bytes(), sample_delta(1).to_bytes()];
+            for mut capture in blobs.map(|b| Value::decode(&b).unwrap()) {
                 let Value::Map(fields) = &mut capture else {
                     panic!("captures encode as maps");
                 };

@@ -408,7 +408,7 @@ impl Event {
 
     /// Appends the [`to_bytes`](Event::to_bytes) encoding to `out` — a
     /// sink encodes straight into its producer's batch buffer with it.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(0xE7);
         // Flag byte: bit 0 = key present, bits 1..7 = source index. The
         // source must survive the wire so a windowed join downstream of a

@@ -1,7 +1,7 @@
 //! # s2g-spe — micro-batch stream processing engine
 //!
 //! The Apache Spark (Streaming) stand-in for stream2gym-rs: dynamically
-//! typed [`Event`]s, an operator algebra ([`Map`], [`FlatMap`], [`Filter`],
+//! typed [`Event`]s, an operator algebra ([`Map`], `FlatMap`, `Filter`,
 //! [`KeyBy`], [`StatefulMap`], [`WindowAggregate`], [`WindowJoin`]) composed
 //! into [`Plan`]s, executed by [`SpeWorker`] processes that ingest broker
 //! topics, pay per-batch CPU on their emulated host, and emit to topics,
@@ -37,13 +37,10 @@ mod plan;
 mod worker;
 
 pub use checkpoint::{
-    CaptureKind, CheckpointCfg, CheckpointCoordinator, CheckpointMode, CheckpointPayload,
-    CheckpointStats, DurableBackend, Recovered, RecoveryInfo, SnapshotChain, StateDelta,
-    StateSnapshot, StoreRpcOutcome, CKPT_CORR_BASE,
+    CheckpointCfg, CheckpointMode, CheckpointPayload, CheckpointStats, DurableBackend, Recovered,
+    RecoveryInfo, SnapshotChain, StateDelta, StateSnapshot, StoreRpcOutcome,
 };
 pub use event::{CodecError, Event, Value};
-pub use ops::{
-    Filter, FlatMap, KeyBy, Map, Operator, StatefulMap, WindowAggregate, WindowAssigner, WindowJoin,
-};
+pub use ops::{KeyBy, Map, Operator, StatefulMap, WindowAggregate, WindowAssigner, WindowJoin};
 pub use plan::Plan;
 pub use worker::{BatchMetric, SpeConfig, SpeSink, SpeWorker, StageInstanceCfg};

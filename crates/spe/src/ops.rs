@@ -93,7 +93,7 @@ impl Operator for Map {
 }
 
 /// Stateless 1→N transform.
-pub struct FlatMap {
+pub(crate) struct FlatMap {
     name: String,
     f: Box<dyn FnMut(Event) -> Vec<Event>>,
 }
@@ -118,7 +118,7 @@ impl Operator for FlatMap {
 }
 
 /// Stateless predicate filter.
-pub struct Filter {
+pub(crate) struct Filter {
     name: String,
     f: Box<dyn FnMut(&Event) -> bool>,
 }
@@ -212,11 +212,6 @@ impl StatefulMap {
             f: Box::new(f),
             init,
         }
-    }
-
-    /// The number of keys currently held in state.
-    pub fn key_count(&self) -> usize {
-        self.state.len()
     }
 }
 
@@ -663,28 +658,6 @@ impl WindowAggregate {
         )
     }
 
-    /// Convenience: per-key sum of a float field per window.
-    pub fn sum_field(
-        name: impl Into<String>,
-        assigner: WindowAssigner,
-        field: &'static str,
-    ) -> Self {
-        WindowAggregate::new(
-            name,
-            assigner,
-            Value::Float(0.0),
-            move |acc, e| {
-                let add = e
-                    .value
-                    .field(field)
-                    .and_then(Value::as_float)
-                    .unwrap_or(0.0);
-                Value::Float(acc.as_float().unwrap_or(0.0) + add)
-            },
-            |acc, _| acc,
-        )
-    }
-
     /// Convenience: per-key mean of a float field per window.
     pub fn avg_field(
         name: impl Into<String>,
@@ -965,7 +938,6 @@ mod tests {
         assert_eq!(out[0].value, Value::Int(1));
         assert_eq!(out[1].value, Value::Int(2));
         assert_eq!(out[2].value, Value::Int(1));
-        assert_eq!(op.key_count(), 2);
     }
 
     #[test]
@@ -1100,24 +1072,5 @@ mod tests {
             out[0].value,
             Value::List(vec![Value::Int(1), Value::Int(2)])
         );
-    }
-
-    #[test]
-    fn sum_field_accumulates() {
-        let mut op = WindowAggregate::sum_field(
-            "sum",
-            WindowAssigner::Tumbling(SimDuration::from_secs(1)),
-            "x",
-        );
-        let mk = |x: f64, ms: u64| {
-            Event::new(
-                Value::map([("x", Value::Float(x))]),
-                SimTime::from_millis(ms),
-            )
-            .with_key("k")
-        };
-        op.process(SimTime::ZERO, vec![mk(1.5, 100), mk(2.5, 200)]);
-        let out = op.flush(SimTime::ZERO);
-        assert_eq!(out[0].value, Value::Float(4.0));
     }
 }

@@ -55,12 +55,12 @@ impl Plan {
         self.then(Map::new(name, f))
     }
 
-    /// Appends a [`FlatMap`].
+    /// Appends a `FlatMap`: `f` turns each event into zero or more.
     pub fn flat_map(self, name: &str, f: impl FnMut(Event) -> Vec<Event> + 'static) -> Self {
         self.then(FlatMap::new(name, f))
     }
 
-    /// Appends a [`Filter`].
+    /// Appends a `Filter`: keeps the events `f` accepts.
     pub fn filter(self, name: &str, f: impl FnMut(&Event) -> bool + 'static) -> Self {
         self.then(Filter::new(name, f))
     }
@@ -138,7 +138,7 @@ impl Plan {
     }
 
     /// Operator names, in order.
-    pub fn op_names(&self) -> Vec<&str> {
+    pub(crate) fn op_names(&self) -> Vec<&str> {
         self.ops.iter().map(|o| o.name()).collect()
     }
 
@@ -184,7 +184,7 @@ impl Plan {
 
     /// Overwrites the record counters: after a restore they come from the
     /// restored chains rather than from live processing.
-    pub fn set_record_counts(&mut self, records_in: u64, records_out: u64) {
+    pub(crate) fn set_record_counts(&mut self, records_in: u64, records_out: u64) {
         self.records_in = records_in;
         self.records_out = records_out;
     }

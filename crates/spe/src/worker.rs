@@ -62,7 +62,7 @@ pub struct StageInstanceCfg {
 
 impl StageInstanceCfg {
     /// True when this instance owns `key` under the key-group formula.
-    pub fn owns_key(&self, key: &str) -> bool {
+    pub(crate) fn owns_key(&self, key: &str) -> bool {
         let group = s2g_proto::key_group(key.as_bytes(), self.key_groups);
         s2g_proto::owner_of_group(group, self.parallelism, self.key_groups) == self.instance
     }
@@ -203,10 +203,10 @@ impl DataSink for EventBuffer {
 }
 
 mod tags {
-    pub const BATCH_TICK: u64 = 1;
+    pub(crate) const BATCH_TICK: u64 = 1;
     pub const BATCH_DONE: u64 = 2;
     pub const BACKGROUND_TICK: u64 = 3;
-    pub const CHECKPOINT_TICK: u64 = 5;
+    pub(crate) const CHECKPOINT_TICK: u64 = 5;
 }
 
 /// The metrics a worker updates per batch, each looked up in the registry by
@@ -244,7 +244,6 @@ pub struct SpeWorker {
     empty_streak: u32,
     flushed: bool,
     store_corr: u64,
-    store_inserts: u64,
     mem: Option<(LedgerHandle, MemSlot)>,
     coordinator: Option<CheckpointCoordinator>,
     recovery: Option<RecoveryInfo>,
@@ -340,7 +339,6 @@ impl SpeWorker {
             empty_streak: 0,
             flushed: false,
             store_corr: 0,
-            store_inserts: 0,
             mem: None,
             coordinator: None,
             recovery: None,
@@ -494,11 +492,6 @@ impl SpeWorker {
     /// Results collected locally (only for [`SpeSink::Collect`]).
     pub fn collected(&self) -> &[Event] {
         &self.collected
-    }
-
-    /// Rows sent to the external store so far.
-    pub fn store_inserts(&self) -> u64 {
-        self.store_inserts
     }
 
     /// The job's plan (record counters, operator names).
@@ -960,7 +953,6 @@ impl SpeWorker {
                         other => row.push(other.to_string()),
                     }
                     self.store_corr += 1;
-                    self.store_inserts += 1;
                     ctx.send(
                         *store,
                         StoreRpc::Insert {

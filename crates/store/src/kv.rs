@@ -1,7 +1,7 @@
 //! An embedded key-value store.
 //!
 //! The RocksDB/embedded-state-store stand-in: an ordered map of the keys
-//! that can still be read, plus operation counters. It holds nothing else —
+//! that can still be read. It holds nothing else —
 //! an overwritten value and a deleted key are gone. What survives a crash
 //! is not this type's business: a crashed [`StoreServer`](crate::StoreServer)
 //! is respawned empty and resyncs from its replication group.
@@ -28,9 +28,6 @@ pub struct KvStore {
     mem: BTreeMap<String, Bytes>,
     /// Key plus value bytes of everything in `mem`, kept as it changes.
     resident: usize,
-    puts: u64,
-    deletes: u64,
-    gets: u64,
 }
 
 impl KvStore {
@@ -42,7 +39,6 @@ impl KvStore {
     /// Writes a key, replacing any previous value.
     pub fn put(&mut self, key: impl Into<String>, value: impl Into<Bytes>) {
         let (key, value) = (key.into(), value.into());
-        self.puts += 1;
         let key_len = key.len();
         self.resident += key_len + value.len();
         if let Some(old) = self.mem.insert(key, value) {
@@ -56,15 +52,13 @@ impl KvStore {
         self.mem.get(key)
     }
 
-    /// Reads a key, counting the access (server-side use).
+    /// Reads a key into an owned value (server-side use).
     pub fn get_counted(&mut self, key: &str) -> Option<Bytes> {
-        self.gets += 1;
         self.mem.get(key).cloned()
     }
 
     /// Deletes a key, returning the previous value.
     pub fn delete(&mut self, key: &str) -> Option<Bytes> {
-        self.deletes += 1;
         let old = self.mem.remove(key)?;
         self.resident -= key.len() + old.len();
         Some(old)
@@ -96,13 +90,8 @@ impl KvStore {
     }
 
     /// Total bytes resident in the memtable (for the memory model).
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.resident
-    }
-
-    /// `(puts, gets, deletes)` counters.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (self.puts, self.gets, self.deletes)
     }
 }
 
@@ -120,7 +109,6 @@ mod tests {
         assert_eq!(kv.delete("a").unwrap().as_ref(), b"1");
         assert!(kv.get("a").is_none());
         assert_eq!(kv.len(), 1);
-        assert_eq!(kv.op_counts(), (2, 0, 1));
     }
 
     #[test]

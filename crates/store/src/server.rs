@@ -296,7 +296,7 @@ impl Default for StoreConfig {
 
 mod tags {
     pub const BACKGROUND_TICK: u64 = 1;
-    pub const GROUP_HB_TICK: u64 = 3;
+    pub(crate) const GROUP_HB_TICK: u64 = 3;
     pub const CPU_BASE: u64 = 1 << 50;
 }
 
@@ -603,7 +603,8 @@ impl StoreServer {
     }
 
     /// Mutable table access (e.g. pre-creating schemas before a run).
-    pub fn tables_mut(&mut self) -> &mut TableStore {
+    #[cfg(test)]
+    fn tables_mut(&mut self) -> &mut TableStore {
         &mut self.tables
     }
 
@@ -1480,7 +1481,7 @@ mod tests {
             assert_eq!(dynamic, walk(&server), "after op {i}: {op:?}");
         }
         assert!(overwrites > 100 && misses > 20 && rejected > 20);
-        assert!(server.tables().table_names().len() == 5 && walk(&server) > 0);
+        assert!(server.tables().dump().len() == 5 && walk(&server) > 0);
     }
 
     /// Puts `count` values of `size` bytes, keys `w0..`, at `at`, and

@@ -67,8 +67,6 @@ pub struct TableStore {
     tables: BTreeMap<String, Table>,
     /// Cell bytes of every row of every table, kept as rows arrive.
     resident: usize,
-    inserts: u64,
-    selects: u64,
 }
 
 impl TableStore {
@@ -114,7 +112,6 @@ impl TableStore {
         }
         self.resident += row.iter().map(String::len).sum::<usize>();
         t.rows.push(row);
-        self.inserts += 1;
         Ok(())
     }
 
@@ -131,11 +128,10 @@ impl TableStore {
     ///
     /// Fails on unknown table or column.
     pub fn select(
-        &mut self,
+        &self,
         table: &str,
         filter: Option<(&str, &str)>,
     ) -> Result<Vec<Vec<String>>, TableError> {
-        self.selects += 1;
         let t = self
             .tables
             .get(table)
@@ -154,11 +150,7 @@ impl TableStore {
     /// # Errors
     ///
     /// Fails on unknown table or column.
-    pub fn count(
-        &mut self,
-        table: &str,
-        filter: Option<(&str, &str)>,
-    ) -> Result<usize, TableError> {
+    pub fn count(&self, table: &str, filter: Option<(&str, &str)>) -> Result<usize, TableError> {
         Ok(self.select(table, filter)?.len())
     }
 
@@ -167,12 +159,7 @@ impl TableStore {
     /// # Errors
     ///
     /// Fails on unknown table or column.
-    pub fn group_count(
-        &mut self,
-        table: &str,
-        col: &str,
-    ) -> Result<Vec<(String, usize)>, TableError> {
-        self.selects += 1;
+    pub fn group_count(&self, table: &str, col: &str) -> Result<Vec<(String, usize)>, TableError> {
         let t = self
             .tables
             .get(table)
@@ -187,7 +174,7 @@ impl TableStore {
 
     /// Dumps every table as `(name, columns, rows)` — the table half of a
     /// state-snapshot transfer for group resync.
-    pub fn dump(&self) -> Vec<(String, Vec<String>, Vec<Vec<String>>)> {
+    pub(crate) fn dump(&self) -> Vec<(String, Vec<String>, Vec<Vec<String>>)> {
         self.tables
             .iter()
             .map(|(name, t)| (name.clone(), t.columns.clone(), t.rows.clone()))
@@ -195,13 +182,8 @@ impl TableStore {
     }
 
     /// Whether a table of this name exists.
-    pub fn has_table(&self, name: &str) -> bool {
+    pub(crate) fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    /// Names of existing tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
     }
 
     /// Total rows across all tables.
@@ -210,13 +192,8 @@ impl TableStore {
     }
 
     /// Approximate resident bytes (for the memory model).
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.resident
-    }
-
-    /// `(inserts, selects)` counters.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.inserts, self.selects)
     }
 }
 
@@ -235,14 +212,14 @@ mod tests {
 
     #[test]
     fn insert_and_select_all() {
-        let mut db = sample();
+        let db = sample();
         assert_eq!(db.select("t", None).unwrap().len(), 3);
         assert_eq!(db.total_rows(), 3);
     }
 
     #[test]
     fn filtered_select() {
-        let mut db = sample();
+        let db = sample();
         let rows = db.select("t", Some(("a", "1"))).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r[0] == "1"));
@@ -250,7 +227,7 @@ mod tests {
 
     #[test]
     fn group_count_sorted() {
-        let mut db = sample();
+        let db = sample();
         assert_eq!(
             db.group_count("t", "a").unwrap(),
             vec![("1".into(), 2), ("2".into(), 1)]
@@ -279,14 +256,5 @@ mod tests {
             db.create_table("t", &["a"]),
             Err(TableError::TableExists("t".into()))
         );
-    }
-
-    #[test]
-    fn counters_track_ops() {
-        let mut db = sample();
-        db.count("t", None).unwrap();
-        let (ins, sel) = db.op_counts();
-        assert_eq!(ins, 3);
-        assert_eq!(sel, 1);
     }
 }

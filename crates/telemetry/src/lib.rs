@@ -45,10 +45,10 @@ use s2g_sim::{SimDuration, SimTime};
 pub use json::{validate_chrome_trace, ChromeTraceSummary};
 pub use metrics::{
     summarize, CounterHandle, GaugeHandle, Histogram, HistogramHandle, Metric, MetricValue,
-    Registry, RegistryHandle, SummaryStats,
+    Registry, SummaryStats,
 };
-pub use series::{MetricSeries, SampledGauge, SeriesHandle, SeriesStore, TelemetrySampler};
-pub use trace::{TraceEvent, TracePhase, Tracer, TracerHandle};
+pub use series::{MetricSeries, SampledGauge, SeriesStore, TelemetrySampler};
+pub use trace::{TraceEvent, TracePhase, Tracer};
 
 /// The shared telemetry handle: one registry, one series store, and one
 /// tracer behind cheap `Rc` clones, so every process in a run records into
@@ -56,9 +56,9 @@ pub use trace::{TraceEvent, TracePhase, Tracer, TracerHandle};
 /// (`CpuHandle`, `LedgerHandle`, ...).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    registry: RegistryHandle,
-    series: SeriesHandle,
-    tracer: TracerHandle,
+    registry: metrics::RegistryHandle,
+    series: series::SeriesHandle,
+    tracer: trace::TracerHandle,
 }
 
 impl Telemetry {

@@ -135,7 +135,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
+    pub(crate) fn with_bounds(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -472,7 +472,7 @@ impl Registry {
 }
 
 /// A shared handle to a [`Registry`].
-pub type RegistryHandle = Rc<RefCell<Registry>>;
+pub(crate) type RegistryHandle = Rc<RefCell<Registry>>;
 
 /// What the three handle kinds share: the metric's identity, its registry,
 /// and where it sits there once the first update has looked that up.

@@ -96,7 +96,7 @@ impl SeriesStore {
 }
 
 /// A shared handle to a [`SeriesStore`].
-pub type SeriesHandle = Rc<RefCell<SeriesStore>>;
+pub(crate) type SeriesHandle = Rc<RefCell<SeriesStore>>;
 
 /// A value the sampler computes on each tick rather than one a process
 /// pushes: memory in use, the CPU share of the window that just closed, a

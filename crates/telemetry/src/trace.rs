@@ -65,7 +65,7 @@ pub struct Tracer {
 }
 
 /// A shared handle to a [`Tracer`].
-pub type TracerHandle = Rc<RefCell<Tracer>>;
+pub(crate) type TracerHandle = Rc<RefCell<Tracer>>;
 
 impl Tracer {
     /// Creates a disabled tracer.
@@ -74,7 +74,7 @@ impl Tracer {
     }
 
     /// Turns collection on or off.
-    pub fn set_enabled(&mut self, on: bool) {
+    pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
 
@@ -152,7 +152,7 @@ impl Tracer {
     /// Scopes map to numeric `pid`s (in first-appearance order) and each
     /// gets a `process_name` metadata record, which is how the Chrome
     /// trace viewer labels its rows. Timestamps are microseconds.
-    pub fn to_chrome_json(&self) -> String {
+    pub(crate) fn to_chrome_json(&self) -> String {
         let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
         let mut order: Vec<&str> = Vec::new();
         for e in &self.events {

@@ -17,8 +17,8 @@ fn main() {
         .sim
         .process_ref::<StoreServer>(store_pid)
         .expect("store");
-    let mut tables = store.tables().clone();
-    let groups = tables
+    let groups = store
+        .tables()
         .group_count("port_counts", "c0")
         .expect("table exists");
     let rows: Vec<Vec<String>> = groups
