@@ -910,7 +910,8 @@ impl BrokerLogMeta {
     }
 
     /// Deserializes a blob written by [`encode`](BrokerLogMeta::encode).
-    /// Returns `None` on truncated or malformed input. A count is only
+    /// Returns `None` on truncated or malformed input, and on bytes past
+    /// the last transaction list. A count is only
     /// trusted as far as the blob can hold it: each vector reserves at most
     /// 2¹⁶ items up front, so a corrupt count fails as a short read instead
     /// of an allocation the size of the count.
@@ -965,6 +966,9 @@ impl BrokerLogMeta {
                 aborted.push((s, e));
             }
             txns.push((TopicPartition::new(topic, partition), ongoing, aborted));
+        }
+        if cur.position() != buf.len() {
+            return None;
         }
         Some(BrokerLogMeta {
             partitions,
@@ -1409,6 +1413,9 @@ mod tests {
         let back = BrokerLogMeta::decode(&meta.encode()).expect("round trip");
         assert_eq!(back, meta);
         assert!(BrokerLogMeta::decode(&[0xff]).is_none());
+        let mut trailing = meta.encode();
+        trailing.push(0);
+        assert!(BrokerLogMeta::decode(&trailing).is_none());
     }
 
     #[test]

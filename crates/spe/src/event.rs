@@ -127,10 +127,15 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input.
+    /// Returns a [`CodecError`] on truncated or malformed input, on lists
+    /// and maps nested more than 128 deep, and on bytes past the end of the
+    /// value.
     pub fn decode(buf: &[u8]) -> Result<Value, CodecError> {
         let mut pos = 0;
-        Value::decode_from(buf, &mut pos)
+        let value = Value::decode_from(buf, &mut pos, 0)?;
+        (pos == buf.len())
+            .then_some(value)
+            .ok_or(CodecError::Trailing)
     }
 
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
@@ -165,7 +170,7 @@ impl Value {
     /// Walks one encoded value without building it: the same bytes, tags,
     /// and UTF-8 checks as [`decode_from`](Value::decode_from), but zero
     /// allocation. Succeeds exactly when `decode_from` would.
-    fn validate_from(buf: &[u8], pos: &mut usize) -> Result<(), CodecError> {
+    fn validate_from(buf: &[u8], pos: &mut usize, depth: usize) -> Result<(), CodecError> {
         let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
         match tag {
@@ -181,17 +186,17 @@ impl Value {
             }
             4 => validate_str(buf, pos),
             5 => {
-                let n = read_len(buf, pos)?;
+                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 for _ in 0..n {
-                    Value::validate_from(buf, pos)?;
+                    Value::validate_from(buf, pos, depth)?;
                 }
                 Ok(())
             }
             6 => {
-                let n = read_len(buf, pos)?;
+                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 for _ in 0..n {
                     validate_str(buf, pos)?;
-                    Value::validate_from(buf, pos)?;
+                    Value::validate_from(buf, pos, depth)?;
                 }
                 Ok(())
             }
@@ -199,7 +204,8 @@ impl Value {
         }
     }
 
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
+    /// Decodes one value that sits inside `depth` lists and maps.
+    fn decode_from(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, CodecError> {
         let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
         match tag {
@@ -222,19 +228,19 @@ impl Value {
                 Ok(Value::Str(s))
             }
             5 => {
-                let n = read_len(buf, pos)?;
+                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 let mut l = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    l.push(Value::decode_from(buf, pos)?);
+                    l.push(Value::decode_from(buf, pos, depth)?);
                 }
                 Ok(Value::List(l))
             }
             6 => {
-                let n = read_len(buf, pos)?;
+                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 let mut m = BTreeMap::new();
                 for _ in 0..n {
                     let k = read_str(buf, pos)?;
-                    let v = Value::decode_from(buf, pos)?;
+                    let v = Value::decode_from(buf, pos, depth)?;
                     m.insert(k, v);
                 }
                 Ok(Value::Map(m))
@@ -311,6 +317,8 @@ pub enum CodecError {
     BadTag(u8),
     /// Bytes left over after a complete encoding.
     Trailing,
+    /// Lists and maps nested more than 128 deep.
+    TooDeep,
 }
 
 impl fmt::Display for CodecError {
@@ -319,11 +327,25 @@ impl fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "unexpected end of encoded event"),
             CodecError::BadTag(t) => write!(f, "unknown value tag {t}"),
             CodecError::Trailing => write!(f, "bytes past the end of the encoded event"),
+            CodecError::TooDeep => write!(f, "values nested more than {MAX_DEPTH} deep"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// The deepest nesting of lists and maps a decoder accepts. What the
+/// engine itself encodes nests a few levels deep (a checkpoint capture
+/// holding an operator's buffered events is the deepest); the bound stops
+/// a damaged or hostile blob from recursing the decoder off its stack.
+const MAX_DEPTH: usize = 128;
+
+/// The depth inside one more list or map than `depth`.
+fn nested(depth: usize) -> Result<usize, CodecError> {
+    (depth < MAX_DEPTH)
+        .then_some(depth + 1)
+        .ok_or(CodecError::TooDeep)
+}
 
 fn read_n<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], CodecError> {
     let end = *pos + N;
@@ -431,8 +453,9 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input, and on
-    /// bytes past the end of the event.
+    /// Returns a [`CodecError`] on truncated or malformed input, on lists
+    /// and maps nested more than 128 deep, and on bytes past the end of the
+    /// event.
     pub fn from_bytes(buf: &[u8]) -> Result<Event, CodecError> {
         let mut pos = 0;
         let magic = *buf.first().ok_or(CodecError::Truncated)?;
@@ -449,7 +472,7 @@ impl Event {
         };
         let ts = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
         let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
-        let value = Value::decode_from(buf, &mut pos)?;
+        let value = Value::decode_from(buf, &mut pos, 0)?;
         if pos != buf.len() {
             return Err(CodecError::Trailing);
         }
@@ -480,7 +503,7 @@ impl Event {
         }
         read_n::<8>(buf, &mut pos).ok()?; // ts
         let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos).ok()?));
-        Value::validate_from(buf, &mut pos).ok()?;
+        Value::validate_from(buf, &mut pos, 0).ok()?;
         (pos == buf.len()).then_some(origin)
     }
 }
@@ -618,6 +641,41 @@ mod tests {
         assert_eq!(v.field("s").unwrap().as_str(), Some("x"));
         assert!(v.field("missing").is_none());
         assert!(Value::Null.field("x").is_none());
+    }
+
+    /// `depth` lists, each holding the next, around a `Null`.
+    fn nested_lists(depth: usize) -> Value {
+        (0..depth).fold(Value::Null, |inner, _| Value::List(vec![inner]))
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        // An event header, then a one-element list 20 000 times: about
+        // 100 KB, which recursed once per list before the bound.
+        let mut deep = Event::new(Value::Null, SimTime::ZERO).to_bytes();
+        deep.pop();
+        let lists = [5, 1, 0, 0, 0].repeat(20_000);
+        deep.extend_from_slice(&lists);
+        deep.push(0);
+        assert_eq!(Event::from_bytes(&deep), Err(CodecError::TooDeep));
+        assert_eq!(Event::peek_origin(&deep), None);
+        assert_eq!(Value::decode(&lists), Err(CodecError::TooDeep));
+        // At the bound a value still round-trips, alone and in an event.
+        let deepest = nested_lists(MAX_DEPTH);
+        assert_eq!(Value::decode(&deepest.encode()), Ok(deepest.clone()));
+        let e = Event::new(deepest, SimTime::from_millis(5));
+        assert_eq!(Event::from_bytes(&e.to_bytes()), Ok(e.clone()));
+        assert_eq!(Event::peek_origin(&e.to_bytes()), Some(e.origin));
+        // One more level is refused.
+        let over = nested_lists(MAX_DEPTH + 1).encode();
+        assert_eq!(Value::decode(&over), Err(CodecError::TooDeep));
+    }
+
+    #[test]
+    fn value_decode_rejects_trailing_bytes() {
+        let mut bytes = Value::Int(7).encode();
+        bytes.push(0);
+        assert_eq!(Value::decode(&bytes), Err(CodecError::Trailing));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! `LogSegment::decode` and `BrokerLogMeta::decode`. This test takes real
 //! blobs of each kind out of the store of a keyed job with incremental
 //! checkpoints and a durable broker, checks that each decodes and
-//! re-encodes to itself, and then damages it: cut at every byte, and each
-//! bit of a seeded sample of bytes flipped. Every damaged blob must decode
-//! to an error or a value, never a panic.
+//! re-encodes to itself, and then damages it: cut at every byte, each bit
+//! of a seeded sample of bytes flipped, and junk appended. Every damaged
+//! blob must decode to an error or a value, never a panic, and the blob
+//! with junk appended to an error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -85,14 +86,12 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
 }
 
 /// Runs `decode` on `input`; `Err` with the panic message if it panicked.
-fn survives(decode: Decoder, input: &[u8]) -> Result<(), String> {
-    catch_unwind(AssertUnwindSafe(|| decode(input)))
-        .map(drop)
-        .map_err(|panic| {
-            let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
-            text.or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_default()
-        })
+fn survives(decode: Decoder, input: &[u8]) -> Result<Option<Vec<u8>>, String> {
+    catch_unwind(AssertUnwindSafe(|| decode(input))).map_err(|panic| {
+        let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    })
 }
 
 #[test]
@@ -100,6 +99,7 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
     let blobs = stored_blobs();
     let mut rng = StdRng::seed_from_u64(31);
     let mut panics = Vec::new();
+    let mut accepted = Vec::new();
     let mut swept = 0;
     for (name, decode, reads) in DECODERS {
         // The largest blob of the decoder's kind: the most structure to
@@ -114,9 +114,10 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
         );
         let mut check = |what: String, input: &[u8]| {
             swept += 1;
-            if let Err(message) = survives(decode, input) {
+            survives(decode, input).unwrap_or_else(|message| {
                 panics.push(format!("{name} on {key} {what}: {message}"));
-            }
+                None
+            })
         };
         for len in 0..blob.len() {
             check(format!("cut to {len} B"), &blob[..len]);
@@ -129,7 +130,12 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
                 check(format!("with bit {bit} of byte {at} flipped"), &damaged);
             }
         }
+        let junk = [blob.as_slice(), b"junk"].concat();
+        if check("with junk appended".into(), &junk).is_some() {
+            accepted.push(format!("{name} on {key} with junk appended"));
+        }
     }
     assert!(swept > 1_000, "only {swept} damaged blobs");
     assert!(panics.is_empty(), "{panics:#?}");
+    assert!(accepted.is_empty(), "{accepted:#?}");
 }
