@@ -33,7 +33,7 @@ pub(crate) struct UserTraffic {
 
 impl UserTraffic {
     /// Traffic for `user` until `until`.
-    pub fn new(user: u32, until: SimTime) -> Self {
+    pub(crate) fn new(user: u32, until: SimTime) -> Self {
         UserTraffic {
             user,
             mean_interval: SimDuration::from_secs_f64(1.0 / PACKETS_PER_USER_PER_SEC),

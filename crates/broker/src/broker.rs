@@ -60,12 +60,12 @@ use crate::table::IntTable;
 mod tags {
     pub(crate) const ISR_TICK: u64 = 2;
     pub(crate) const HEARTBEAT_TICK: u64 = 3;
-    pub const BACKGROUND_TICK: u64 = 4;
+    pub(crate) const BACKGROUND_TICK: u64 = 4;
     pub(crate) const LOG_FLUSH_TICK: u64 = 6;
     pub(crate) const LOG_CLEANUP_TICK: u64 = 8;
     /// Plus a leader's id: the end of the backoff before asking it again.
     pub(crate) const REPLICA_BACKOFF: u64 = 1 << 32;
-    pub const CPU_BASE: u64 = 1 << 50;
+    pub(crate) const CPU_BASE: u64 = 1 << 50;
 }
 
 /// The broker's label for a blob request: what the blob is.

@@ -113,7 +113,7 @@ pub(crate) struct MetadataCache {
 
 impl MetadataCache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -137,7 +137,7 @@ impl MetadataCache {
     }
 
     /// Applies a delta of metadata records at `version`.
-    pub fn apply(&mut self, records: &[MetadataRecord], version: u64) {
+    pub(crate) fn apply(&mut self, records: &[MetadataRecord], version: u64) {
         if version <= self.version {
             return; // stale or duplicate delta
         }
@@ -170,12 +170,12 @@ impl MetadataCache {
     }
 
     /// The current leader of a partition, if known.
-    pub fn leader(&self, tp: &TopicPartition) -> Option<BrokerId> {
+    pub(crate) fn leader(&self, tp: &TopicPartition) -> Option<BrokerId> {
         self.get(tp).and_then(|p| p.leader)
     }
 
     /// The cached epoch of a partition.
-    pub fn epoch(&self, tp: &TopicPartition) -> LeaderEpoch {
+    pub(crate) fn epoch(&self, tp: &TopicPartition) -> LeaderEpoch {
         self.get(tp).map(|p| p.epoch).unwrap_or_default()
     }
 
@@ -198,7 +198,7 @@ impl MetadataCache {
 
     /// A full snapshot for serving metadata responses, in `(topic,
     /// partition)` order.
-    pub fn snapshot(&self) -> Vec<PartitionMetadata> {
+    pub(crate) fn snapshot(&self) -> Vec<PartitionMetadata> {
         self.topics
             .values()
             .flat_map(BTreeMap::values)

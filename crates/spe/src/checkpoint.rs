@@ -956,7 +956,7 @@ pub(crate) struct CheckpointCoordinator {
 impl CheckpointCoordinator {
     /// Creates a coordinator. `recover` makes the worker restore the
     /// latest chain before consuming (the respawn path).
-    pub fn new(cfg: CheckpointCfg, backend: DurableBackend, recover: bool) -> Self {
+    pub(crate) fn new(cfg: CheckpointCfg, backend: DurableBackend, recover: bool) -> Self {
         CheckpointCoordinator {
             cfg,
             backend,
@@ -979,18 +979,18 @@ impl CheckpointCoordinator {
     /// worker's name. Each persisted capture then records its duration and
     /// size histograms, a `checkpoints` counter, and a `checkpoint:persist`
     /// trace span.
-    pub fn set_telemetry(&mut self, tele: Telemetry, scope: String) {
+    pub(crate) fn set_telemetry(&mut self, tele: Telemetry, scope: String) {
         self.tele = tele;
         self.tele_scope = scope;
     }
 
     /// The configured interval.
-    pub fn interval(&self) -> SimDuration {
+    pub(crate) fn interval(&self) -> SimDuration {
         self.cfg.interval
     }
 
     /// The configured mode.
-    pub fn mode(&self) -> CheckpointMode {
+    pub(crate) fn mode(&self) -> CheckpointMode {
         self.cfg.mode
     }
 
@@ -1000,7 +1000,7 @@ impl CheckpointCoordinator {
     }
 
     /// Counters.
-    pub fn stats(&self) -> CheckpointStats {
+    pub(crate) fn stats(&self) -> CheckpointStats {
         self.stats
     }
 
@@ -1264,7 +1264,12 @@ impl CheckpointCoordinator {
     /// Routes a store RPC to the backend's pending persist/recover
     /// bookkeeping. Returns the restored chains when a pending recovery
     /// completed.
-    pub fn on_store_rpc(&mut self, ctx: &mut Ctx<'_>, job: &str, rpc: StoreRpc) -> StoreRpcOutcome {
+    pub(crate) fn on_store_rpc(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        job: &str,
+        rpc: StoreRpc,
+    ) -> StoreRpcOutcome {
         self.backend.blobs.on_reply(rpc);
         self.settle(ctx, job)
     }

@@ -100,7 +100,10 @@ pub(crate) struct FlatMap {
 
 impl FlatMap {
     /// Creates a flat-map operator.
-    pub fn new(name: impl Into<String>, f: impl FnMut(Event) -> Vec<Event> + 'static) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        f: impl FnMut(Event) -> Vec<Event> + 'static,
+    ) -> Self {
         FlatMap {
             name: name.into(),
             f: Box::new(f),
@@ -125,7 +128,7 @@ pub(crate) struct Filter {
 
 impl Filter {
     /// Creates a filter operator.
-    pub fn new(name: impl Into<String>, f: impl FnMut(&Event) -> bool + 'static) -> Self {
+    pub(crate) fn new(name: impl Into<String>, f: impl FnMut(&Event) -> bool + 'static) -> Self {
         Filter {
             name: name.into(),
             f: Box::new(f),

@@ -204,8 +204,8 @@ impl DataSink for EventBuffer {
 
 mod tags {
     pub(crate) const BATCH_TICK: u64 = 1;
-    pub const BATCH_DONE: u64 = 2;
-    pub const BACKGROUND_TICK: u64 = 3;
+    pub(crate) const BATCH_DONE: u64 = 2;
+    pub(crate) const BACKGROUND_TICK: u64 = 3;
     pub(crate) const CHECKPOINT_TICK: u64 = 5;
 }
 

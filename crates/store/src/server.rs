@@ -295,9 +295,9 @@ impl Default for StoreConfig {
 }
 
 mod tags {
-    pub const BACKGROUND_TICK: u64 = 1;
+    pub(crate) const BACKGROUND_TICK: u64 = 1;
     pub(crate) const GROUP_HB_TICK: u64 = 3;
-    pub const CPU_BASE: u64 = 1 << 50;
+    pub(crate) const CPU_BASE: u64 = 1 << 50;
 }
 
 /// Recovery metrics for one restarted store-group member.

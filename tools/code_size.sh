@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Checks that no crate grew past its pinned size.
+# Checks that every crate is exactly its pinned size.
 #
 # Usage: tools/code_size.sh [--update]
 #
@@ -7,11 +7,12 @@
 # per crate: the two columns `s2g-lint` prints for it in the table that
 # ends its report (code lines outside comments and `#[cfg(test)]` code,
 # and `pub` items). This script builds `s2g-lint`, scans the workspace,
-# prints one line per crate and exits 1 if any crate has more code lines
-# or more `pub` items than its pin, or is not pinned at all. A crate that
-# shrank passes, with a hint to re-pin it.
+# prints one line per crate and exits 1 if any crate has more or fewer
+# code lines or `pub` items than its pin, is not pinned at all, or is
+# pinned but gone. A shrink fails too, so that what a change removed
+# cannot grow back unnoticed by a later one.
 #
-# A change that grows a crate on purpose declares it by running
+# A change that resizes a crate declares it by running
 # `tools/code_size.sh --update`, which rewrites the file with the sizes it
 # printed, and committing the edit.
 set -euo pipefail
@@ -45,7 +46,6 @@ if [[ -z "$fresh" ]]; then
 fi
 
 status=0
-shrank=false
 while read -r krate lines items; do
     pin=$(awk -v k="$krate" '$1 == k { print $2, $3 }' "$pinned")
     if [[ -z "$pin" ]]; then
@@ -58,16 +58,16 @@ while read -r krate lines items; do
         echo "GREW     $krate: pinned $pin_lines/$pin_items, now $lines/$items (code lines/pub items)"
         status=1
     elif ((lines < pin_lines || items < pin_items)); then
-        echo "shrank   $krate: pinned $pin_lines/$pin_items, now $lines/$items"
-        shrank=true
+        echo "SHRANK   $krate: pinned $pin_lines/$pin_items, now $lines/$items (code lines/pub items)"
+        status=1
     else
         echo "same     $krate $lines/$items"
     fi
 done <<<"$fresh"
 while read -r krate _; do
     if ! awk -v k="$krate" '$1 == k { found = 1 } END { exit !found }' <<<"$fresh"; then
-        echo "gone     $krate"
-        shrank=true
+        echo "GONE     $krate: pinned, but not in the s2g-lint report"
+        status=1
     fi
 done <"$pinned"
 
@@ -76,7 +76,7 @@ if $update; then
     echo "rewrote $pinned"
     exit 0
 fi
-if $shrank && ((status == 0)); then
-    echo "some crates shrank: run tools/code_size.sh --update to pin the smaller sizes"
+if ((status != 0)); then
+    echo "sizes differ from the pins: run tools/code_size.sh --update to pin the new sizes"
 fi
 exit $status
