@@ -1,56 +1,41 @@
 //! Workspace determinism linter.
 //!
 //! ```text
-//! cargo run -p s2g-analyze --bin s2g-lint -- [--deny] [--json] [--config lint.toml] [root]
+//! cargo run -p s2g-analyze --bin s2g-lint -- [--deny] [--json] [root]
 //! ```
 //!
-//! Scans the workspace's non-test, non-vendor Rust sources for
-//! determinism/safety hazards (see `s2g_analyze::lint`). With `--deny`,
-//! exits nonzero when any deny-tier finding survives its escape comments —
-//! the CI `lint-static` job runs exactly that. The report ends with what
-//! each crate weighs (files, code lines, `pub` items); `--json` carries the
-//! same rows.
+//! Scans the workspace's non-test Rust sources under `root` (default `.`)
+//! for the two rules of `s2g_analyze::lint`. With `--deny`, exits 1 when
+//! there is any finding — the CI `lint-static` job runs exactly that. A
+//! root with no `crates/` directory or no source file exits 2. The report
+//! ends with what each crate weighs (files, code lines, `pub` items);
+//! `--json` carries the same rows.
 
-use s2g_analyze::lint::{lint, LintConfig};
+use s2g_analyze::lint::lint;
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: s2g-lint [--deny] [--json] [root]";
 
 fn main() {
     let mut deny = false;
     let mut json = false;
-    let mut config: Option<PathBuf> = None;
-    let mut root = PathBuf::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut root: Option<PathBuf> = None;
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--config" => match args.next() {
-                Some(p) => config = Some(PathBuf::from(p)),
-                None => die("--config needs a path"),
-            },
             "--help" | "-h" => {
-                println!("usage: s2g-lint [--deny] [--json] [--config lint.toml] [root]");
+                println!("{USAGE}");
                 return;
             }
-            flag if flag.starts_with('-') => die(&format!("unknown flag `{flag}`")),
-            path => root = PathBuf::from(path),
+            flag if flag.starts_with('-') => die(&format!("unknown flag `{flag}`\n{USAGE}")),
+            path if root.is_none() => root = Some(PathBuf::from(path)),
+            path => die(&format!("a second root `{path}`\n{USAGE}")),
         }
     }
+    let root = root.unwrap_or_else(|| PathBuf::from("."));
 
-    let config_path = config.unwrap_or_else(|| root.join("lint.toml"));
-    let cfg = if config_path.is_file() {
-        match std::fs::read_to_string(&config_path) {
-            Ok(text) => match LintConfig::parse(&text) {
-                Ok(cfg) => cfg,
-                Err(e) => die(&e),
-            },
-            Err(e) => die(&format!("reading {}: {e}", config_path.display())),
-        }
-    } else {
-        LintConfig::default()
-    };
-
-    let report = match lint(&root, &cfg) {
+    let report = match lint(&root) {
         Ok(r) => r,
         Err(e) => die(&format!("scanning {}: {e}", root.display())),
     };
@@ -69,17 +54,12 @@ fn main() {
             println!("{name:<18}{files:>6}{code_lines:>12}{pub_items:>11}");
         }
         println!(
-            "s2g-lint: {} file(s) scanned, {} finding(s) ({} deny)",
+            "s2g-lint: {} file(s) scanned, {} finding(s)",
             report.files_scanned,
-            report.findings.len(),
-            report
-                .findings
-                .iter()
-                .filter(|f| f.level == s2g_analyze::lint::LintLevel::Deny)
-                .count()
+            report.findings.len()
         );
     }
-    if deny && report.has_deny() {
+    if deny && !report.findings.is_empty() {
         std::process::exit(1);
     }
 }

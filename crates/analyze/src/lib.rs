@@ -13,10 +13,12 @@
 //!   `s2g_core::Scenario::analyze` resolves the plan and calls this; the
 //!   run is then built from the same plan.
 //! * **Determinism source linter** — [`mod@lint`] token-scans workspace
-//!   sources for hazards the type system cannot catch: wall-clock reads,
-//!   OS entropy, `HashMap` iteration in sim-visible crates, unchecked
-//!   `as` narrowing in codec modules. The `s2g-lint` binary wraps it for
-//!   CI (`cargo run -p s2g-analyze --bin s2g-lint -- --deny`).
+//!   sources for misuses of this project's own APIs that clippy cannot
+//!   scope: a metric updated by name on the RPC path, and a CPU completion
+//!   no handler matches. Clippy holds the hazards it can check by type
+//!   (wall-clock reads, hash-order iteration, truncating casts in codec
+//!   files, private event heaps). The `s2g-lint` binary wraps it for CI
+//!   (`cargo run -p s2g-analyze --bin s2g-lint -- --deny`).
 
 #![deny(missing_docs)]
 
@@ -30,7 +32,7 @@ pub use facts::{
     BrokerFacts, ComponentRef, ConsumerFacts, FaultFacts, FaultKind, FaultTarget, JobFacts,
     ProducerFacts, ScenarioFacts, StoreReplicaFacts, TopicFacts,
 };
-pub use lint::{lint, LintConfig, LintFinding, LintLevel, LintReport};
+pub use lint::{lint, LintFinding, LintReport};
 pub use rules::analyze;
 
 /// Severity of a diagnostic.

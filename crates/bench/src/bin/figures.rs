@@ -809,7 +809,10 @@ fn main() {
     };
     println!("stream2gym-rs figure regeneration (scale: {scale:?})");
     for (name, run) in selected {
-        // s2g-lint: allow(wall-clock) — times the harness, on stderr, outside every run
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the harness, on stderr, outside every run"
+        )]
         let started = std::time::Instant::now();
         run(scale);
         eprintln!("figure {name}: {:.2} s", started.elapsed().as_secs_f64());

@@ -54,6 +54,9 @@
 //! blobs through its blob client — replay cost after a restart is then
 //! bounded by *live* data, not by history.
 
+// A truncating `as` here corrupts a persisted segment; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::{BTreeMap, HashMap};
 
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
@@ -600,7 +603,7 @@ impl PartitionLog {
             let from = run.base.value().max(lo);
             let to = (run.end().value().min(end)).min(from.saturating_add(left as u64));
             (from < to).then(|| {
-                left -= (to - from) as usize;
+                left -= usize::try_from(to - from).expect("a part is at most `left` records");
                 (run, from, to)
             })
         });

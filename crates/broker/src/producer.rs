@@ -15,6 +15,9 @@
 //! * per-partition in-flight slots — a blocked partition does not
 //!   head-of-line-block the other topic.
 
+// A truncating `as` here aliases another record's bytes in the shared batch buffer; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 

@@ -7,7 +7,7 @@
 //! every RPC takes twice; one multiplication spreads them as well.
 //! [`IntTable`] offers point operations only. It cannot be iterated, so its
 //! process-dependent bucket order can never reach simulated behaviour (the
-//! `hash-iteration` hazard `s2g-lint` guards against).
+//! hash-iteration hazard `crates/clippy.toml` guards against).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -3,8 +3,7 @@
 //! answers metadata at once, and answers each fetch the way the test's
 //! script says.
 
-// Each test file uses its own part of this.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test file uses its own part of this")]
 
 use std::collections::BTreeMap;
 

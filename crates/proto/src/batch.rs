@@ -13,6 +13,9 @@
 //! [`RecordBatch`] frame stay byte-compatible by construction instead of by
 //! parallel maintenance.
 
+// A truncating `as` here corrupts a batch frame; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use s2g_sim::SimTime;
 
 use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, Cursor};
@@ -151,9 +154,10 @@ mod tests {
     use crate::record::Record;
 
     fn rec(i: u64) -> Record {
+        let n = u8::try_from(i).expect("a small record index");
         Record::new(
             format!("k{i}"),
-            vec![i as u8; 8 + i as usize],
+            vec![n; 8 + usize::from(n)],
             SimTime::from_millis(1_000 + i),
         )
         .from_producer(ProducerId(7), i)

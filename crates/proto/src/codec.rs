@@ -6,6 +6,9 @@
 //! length-prefixed byte strings. This module is the single home for that
 //! dialect so every codec truncates, rejects, and frames identically.
 
+// A truncating `as` here corrupts a wire frame; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 /// Appends a `u8`.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
@@ -35,7 +38,6 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 /// from — take one byte instead of eight.
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
-        // s2g-lint: allow(unchecked-narrowing) — masked to 7 bits, cannot truncate
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {

@@ -1,5 +1,8 @@
 //! Records, offsets, and batches — the data plane vocabulary.
 
+// A truncating `as` here corrupts a wire frame; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::cmp::Ordering;

@@ -19,7 +19,11 @@
 //! `SimStats` on randomized workloads.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap; // s2g-lint: allow(event-queue) — reference scheduler + overflow heap live here
+#[expect(
+    clippy::disallowed_types,
+    reason = "the calendar queue's overflow and the reference scheduler are the sanctioned heaps"
+)]
+use std::collections::BinaryHeap;
 use std::collections::{HashMap, HashSet};
 
 use crate::process::{Message, ProcessId, TimerToken};
@@ -90,7 +94,7 @@ pub(crate) struct Popped {
     pub at: SimTime,
     /// Scheduling sequence number; the dispatcher keys only on `at`, but
     /// the differential tests assert the full `(at, seq)` stream.
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "only the differential tests read it")]
     pub seq: u64,
     pub inc: u32,
     /// The entry is a cancelled timer: it still counts as a processed event
@@ -182,7 +186,11 @@ pub(crate) struct CalendarQueue {
     /// Total un-popped items across all wheel buckets.
     wheel_len: usize,
     /// Far-future events as `(at_ns, seq, slot)`, min-first.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>, // s2g-lint: allow(event-queue) — far-future spillover of the calendar queue itself
+    #[expect(
+        clippy::disallowed_types,
+        reason = "far-future spillover of the calendar queue itself"
+    )]
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
     slab: Vec<Slot>,
     free_head: u32,
     /// Occupied slots (un-popped events, including cancelled tombstones).
@@ -202,7 +210,11 @@ impl CalendarQueue {
             cur_start: 0,
             cursor: 0,
             wheel_len: 0,
-            overflow: BinaryHeap::new(), // s2g-lint: allow(event-queue) — far-future spillover of the calendar queue itself
+            #[expect(
+                clippy::disallowed_types,
+                reason = "far-future spillover of the calendar queue itself"
+            )]
+            overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free_head: NO_SLOT,
             len: 0,
@@ -529,7 +541,11 @@ impl Ord for HeapEntry {
 /// (nothing is inserted into `cancelled`), and popping a timer removes its
 /// token from both maps, so neither grows beyond the live timer count.
 pub(crate) struct ReferenceQueue {
-    heap: BinaryHeap<Reverse<HeapEntry>>, // s2g-lint: allow(event-queue) — this is the reference implementation
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this is the reference implementation"
+    )]
+    heap: BinaryHeap<Reverse<HeapEntry>>,
     cancelled: HashSet<u64>,
     /// Token → owning `(pid, inc)` for every timer still in the heap.
     pending_timers: HashMap<u64, (ProcessId, u32)>,
@@ -539,7 +555,11 @@ pub(crate) struct ReferenceQueue {
 impl ReferenceQueue {
     pub(crate) fn new() -> Self {
         ReferenceQueue {
-            heap: BinaryHeap::new(), // s2g-lint: allow(event-queue) — this is the reference implementation
+            #[expect(
+                clippy::disallowed_types,
+                reason = "this is the reference implementation"
+            )]
+            heap: BinaryHeap::new(),
             cancelled: HashSet::new(),
             pending_timers: HashMap::new(),
             next_timer: 0,
@@ -843,6 +863,10 @@ mod tests {
 
     #[test]
     #[ignore = "manual profiling aid: cargo test --release -p s2g-sim raw_queue -- --ignored --nocapture"]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times the two queues against each other, outside every run"
+    )]
     fn raw_queue_throughput() {
         const LIVE: u64 = 72_000;
         const OPS: u64 = 2_000_000;

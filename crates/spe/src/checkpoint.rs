@@ -56,6 +56,9 @@
 //! applies the base then replays the deltas in sequence; the chain cap
 //! bounds both restore work and the blob count a restore must read back.
 
+// A truncating `as` here corrupts a persisted snapshot; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 
 use s2g_proto::codec::{put_u64, Cursor};
@@ -1346,7 +1349,7 @@ mod tests {
     /// real `Ctx`.
     fn with_ctx(f: impl FnOnce(&mut Ctx<'_>) + 'static) {
         struct Harness {
-            #[allow(clippy::type_complexity)]
+            #[allow(clippy::type_complexity, reason = "one test harness's closure")]
             f: Option<Box<dyn FnOnce(&mut Ctx<'_>)>>,
         }
         impl s2g_sim::Process for Harness {

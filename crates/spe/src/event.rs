@@ -7,6 +7,9 @@
 //! Fig. 5: "end-to-end latency for processing a data unit (i.e., a text
 //! file) throughout the word count pipeline").
 
+// A truncating `as` here corrupts an encoded event; narrow with `try_from`.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -189,7 +189,10 @@ pub struct StatefulMap {
     /// Keys whose state changed since the last checkpoint capture, each
     /// listed once: a key is pushed when its flag is first set.
     dirty: Vec<String>,
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the user's step closure, spelled only here"
+    )]
     f: Box<dyn FnMut(&mut Value, &Event) -> Vec<Event>>,
     init: Value,
 }
@@ -617,9 +620,11 @@ pub struct WindowAggregate {
     name: String,
     assigner: WindowAssigner,
     init: Value,
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the user's fold closure, spelled only here"
+    )]
     fold: Box<dyn FnMut(Value, &Event) -> Value>,
-    #[allow(clippy::type_complexity)]
     finish: Box<dyn Fn(Value, u64) -> Value>,
     windows: Windows<WindowState>,
 }
@@ -777,7 +782,10 @@ impl WindowEntry for JoinBuffers {
 pub struct WindowJoin {
     name: String,
     assigner: WindowAssigner,
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the user's join closure, spelled only here"
+    )]
     joiner: Box<dyn Fn(&Event, &Event) -> Value>,
     buffers: Windows<JoinBuffers>,
 }

@@ -277,7 +277,10 @@ impl SpeWorker {
     ///
     /// `bootstrap` and `brokers` configure the embedded clients exactly like
     /// standalone producer/consumer stubs.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the public constructor mirrors the standalone clients' arguments"
+    )]
     pub fn new(
         name: impl Into<String>,
         cfg: SpeConfig,

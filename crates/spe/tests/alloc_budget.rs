@@ -8,9 +8,10 @@
 //! side by side, checks both keyed operators on a 500-event batch over
 //! 1 024 open keys.
 
-// `GlobalAlloc` is an unsafe trait; the workspace denies `unsafe` by default
-// and this test crate needs it for its allocator.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait, and this test counts allocations"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

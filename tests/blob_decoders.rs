@@ -3,13 +3,15 @@
 //! A run persists checkpoint captures and broker log segments through its
 //! store, and a restore feeds whatever the store hands back through
 //! `StateSnapshot::from_bytes`, `StateDelta::from_bytes`,
-//! `LogSegment::decode` and `BrokerLogMeta::decode`. This test takes real
-//! blobs of each kind out of the store of a keyed job with incremental
-//! checkpoints and a durable broker, checks that each decodes and
-//! re-encodes to itself, and then damages it: cut at every byte, each bit
-//! of a seeded sample of bytes flipped, and junk appended. Every damaged
-//! blob must decode to an error or a value, never a panic, and the blob
-//! with junk appended to an error.
+//! `LogSegment::decode` and `BrokerLogMeta::decode`; a consumer feeds each
+//! record value of those segments through `Event::from_bytes`. This test
+//! takes real blobs of each kind out of the store of a keyed job with
+//! incremental checkpoints and a durable broker, checks that each decodes
+//! and re-encodes to itself, and then damages it: cut at every byte, each
+//! bit of a seeded sample of bytes flipped, and junk appended. Every
+//! damaged blob must decode to an error or a value, never a panic, and the
+//! blob with junk appended to an error. On every damaged event,
+//! `Event::peek_origin` must agree with `Event::from_bytes`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -17,9 +19,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use stream2gym::apps::word_count::recovery_scenario;
-use stream2gym::broker::{BrokerLogMeta, LogSegment};
+use stream2gym::broker::{BrokerLogMeta, LogSegment, PartitionLog};
+use stream2gym::proto::Offset;
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::{CheckpointCfg, StateDelta, StateSnapshot};
+use stream2gym::spe::{CheckpointCfg, Event, StateDelta, StateSnapshot};
 use stream2gym::store::{StoreConfig, StoreServer};
 
 /// A decoder as a restore uses it: the re-encoded value when it accepts
@@ -39,7 +42,12 @@ fn is_delta(key: &str) -> bool {
     key.starts_with("ckpt/") && key.matches('/').count() == 3 && !is_base(key)
 }
 
-const DECODERS: [(&str, Decoder, Reads); 4] = [
+/// A broker log segment: `brokerlog/<broker>/<topic-partition>/<base>`.
+fn is_segment(key: &str) -> bool {
+    key.starts_with("brokerlog/") && !key.ends_with("/meta")
+}
+
+const DECODERS: [(&str, Decoder, Reads); 5] = [
     (
         "StateSnapshot::from_bytes",
         |b| StateSnapshot::from_bytes(b).ok().map(|s| s.to_bytes()),
@@ -53,12 +61,23 @@ const DECODERS: [(&str, Decoder, Reads); 4] = [
     (
         "LogSegment::decode",
         |b| LogSegment::decode(b).map(|s| s.encode()),
-        |key| key.starts_with("brokerlog/") && !key.ends_with("/meta"),
+        is_segment,
     ),
     (
         "BrokerLogMeta::decode",
         |b| BrokerLogMeta::decode(b).map(|m| m.encode()),
         |key| key.starts_with("brokerlog/") && key.ends_with("/meta"),
+    ),
+    (
+        "Event::from_bytes",
+        |b| {
+            let event = Event::from_bytes(b).ok();
+            let origin = event.as_ref().map(|e| e.origin);
+            assert_eq!(Event::peek_origin(b), origin, "peek_origin disagrees");
+            event.map(|e| e.to_bytes())
+        },
+        // An event-encoded record value out of a stored segment.
+        |key| key.starts_with("record/"),
     ),
 ];
 
@@ -66,7 +85,8 @@ const DECODERS: [(&str, Decoder, Reads); 4] = [
 const FLIPPED_BYTES: usize = 48;
 
 /// What the store holds after a keyed word count with incremental
-/// checkpoints and a durable broker, both kept on one store.
+/// checkpoints and a durable broker, both kept on one store, and the
+/// event-encoded record values (magic byte `0xE7`) of its log segments.
 fn stored_blobs() -> Vec<(String, Vec<u8>)> {
     let mut sc = recovery_scenario(120, SimDuration::from_millis(25), SimTime::from_secs(6), 3);
     sc.store("h6", StoreConfig::default());
@@ -79,10 +99,24 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
         .sim
         .process_ref::<StoreServer>(store)
         .expect("the store");
-    let entries = server.kv().entries();
-    entries
+    let mut blobs: Vec<(String, Vec<u8>)> = (server.kv().entries())
         .map(|(key, blob)| (key.clone(), blob.to_vec()))
-        .collect()
+        .collect();
+    let mut events = Vec::new();
+    for (key, blob) in blobs.iter().filter(|(key, _)| is_segment(key)) {
+        let segment = LogSegment::decode(blob).expect("a stored segment decodes");
+        let base = segment.base_offset().value();
+        let log =
+            PartitionLog::from_recovered_segments(vec![segment], Offset(0), Offset(0), &[base], 1);
+        for (offset, _, record) in log.entries() {
+            if record.value().first() == Some(&0xE7) {
+                let name = format!("record/{key}/{}", offset.value());
+                events.push((name, record.value().to_vec()));
+            }
+        }
+    }
+    blobs.extend(events);
+    blobs
 }
 
 /// Runs `decode` on `input`; `Err` with the panic message if it panicked.

@@ -22,9 +22,10 @@
 //! `#[test]` only: the allocator counts the whole process, so nothing else
 //! may run beside it.
 
-// `GlobalAlloc` is an unsafe trait; the workspace denies `unsafe` by default
-// and this test crate is the one place that needs it.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait, and this test counts allocations"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -782,7 +782,7 @@ fn operator_state_rescales_exactly() {
             .collect()
     };
 
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a test table of named constructors")]
     let make_ops: Vec<(&str, Box<dyn Fn() -> Box<dyn Operator>>)> = vec![
         (
             "stateful-map",
