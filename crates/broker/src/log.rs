@@ -14,8 +14,9 @@
 //! [`LogRun`]: a base offset, a leader epoch, and a view of the batch the
 //! records were produced in. A leader stores a view of the producer's
 //! sealed batch, a replica fetch reply carries the leader's runs, and the
-//! follower stores those, so one 32 B slot in the producer's batch serves
-//! every replica and reader of a record.
+//! follower stores those, so one 16 B slot in the producer's batch (and
+//! its share of the batch's stretch header) serves every replica and
+//! reader of a record.
 //! A run covers contiguous offsets: a segment roll, a truncation, a
 //! compaction hole or a deduplicated retry splits it into views of the same
 //! batch.
@@ -61,8 +62,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
 use s2g_proto::{
-    put_frame_record, read_frame_record, BatchBuilder, LeaderEpoch, LogRun, Offset, Record,
-    RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
+    put_frame_record, read_frame_record, BatchBuilder, LeaderEpoch, LogRun, Offset, ProducerId,
+    Record, RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
 };
 use s2g_sim::{SimDuration, SimTime};
 
@@ -472,6 +473,13 @@ impl PartitionLog {
     /// Every record held, with its offset and epoch, in offset order.
     pub fn entries(&self) -> impl Iterator<Item = (Offset, LeaderEpoch, RecordRef<'_>)> {
         self.segments.iter().flat_map(LogSegment::entries)
+    }
+
+    /// Each producer stretch the log holds, clipped to its runs, in offset
+    /// order ([`RecordBatch::producer_stretches`]): the highest stamps of
+    /// its records, one per stretch instead of one per record.
+    pub(crate) fn producer_stretches(&self) -> impl Iterator<Item = (ProducerId, u32, u64)> + '_ {
+        (self.segments.iter().flat_map(|s| &s.runs)).flat_map(|r| r.batch.producer_stretches())
     }
 
     fn run_at(&self, offset: Offset) -> Option<&LogRun> {
@@ -1027,8 +1035,9 @@ mod tests {
     #[test]
     fn log_run_stays_five_words() {
         // Base offset, epoch and a three-word view of a batch: this is what
-        // a log holds per run and replica, beside the one shared 32 B slot
-        // per record. (A per-record, per-replica 72 B entry before.)
+        // a log holds per run and replica, beside the one shared 16 B slot
+        // per record and stretch header per batch. (A per-record,
+        // per-replica 72 B entry before.)
         assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
         assert_eq!(std::mem::size_of::<LogRun>(), 40);
     }

@@ -417,9 +417,9 @@ impl Partition {
         let bytes_before = self.log.retained_bytes();
         let mut appended = 0u64;
         for run in runs {
-            for r in &run.batch {
-                self.state
-                    .raise_seq(r.producer().0, (r.producer_epoch(), r.producer_seq()));
+            // A stretch's last record holds its highest stamp.
+            for (producer, epoch, seq) in run.batch.producer_stretches() {
+                self.state.raise_seq(producer.0, (epoch, seq));
             }
             let offered = run.len();
             let new = self.log.append_run(run);
@@ -443,8 +443,8 @@ impl Partition {
     /// Rebuilds the idempotent-producer dedup state from the log (after
     /// truncation or restart replay).
     fn rebuild_seqs(&mut self) {
-        let stamps = (self.log.entries())
-            .map(|(_, _, r)| (r.producer().0, (r.producer_epoch(), r.producer_seq())));
+        let stamps = (self.log.producer_stretches())
+            .map(|(producer, epoch, seq)| (producer.0, (epoch, seq)));
         self.state.rebuild_seqs(stamps);
     }
 

@@ -354,25 +354,85 @@ const NO_KEY: u32 = u32::MAX;
 
 /// One record's fixed part in a batch's store: where its bytes end in the
 /// frame (they start where the previous record's end), how many of them
-/// are the key, and the producer stamps. 32 B, where a `Record` is 56.
+/// are the key, and how far its timestamp and sequence lie above its
+/// [`Stretch`]'s bases. 16 B, where a `Record` is 56.
 #[derive(Debug)]
 struct Slot {
     /// One past the record's last byte in the frame.
     end: u32,
     /// Length of the key, which comes first; [`NO_KEY`] for none.
     key_len: u32,
-    timestamp: SimTime,
+    /// Nanoseconds above the stretch's `base_ts`.
+    ts_delta: u32,
+    /// Sequence numbers above the stretch's `base_seq`.
+    seq_delta: u32,
+}
+
+/// The stamps a run of a store's records shares: Kafka v2's batch header
+/// (producer id and epoch, base timestamp, base sequence), held once per
+/// run so that a batch mixing producers still fits. A stretch reaches from
+/// its `first` record to the next stretch's; within it the sequence never
+/// falls, so its last record holds its highest `(epoch, seq)`.
+#[derive(Debug)]
+struct Stretch {
+    /// Index of the stretch's first record among the store's slots.
+    first: u32,
     producer: ProducerId,
     producer_epoch: u32,
-    producer_seq: u64,
+    base_ts: SimTime,
+    base_seq: u64,
+}
+
+/// What an empty batch's iterator points at; it never reads it.
+static NO_STRETCH: Stretch = Stretch {
+    first: 0,
+    producer: ProducerId(0),
+    producer_epoch: 0,
+    base_ts: SimTime::ZERO,
+    base_seq: 0,
+};
+
+impl Stretch {
+    fn timestamp(&self, slot: &Slot) -> SimTime {
+        SimTime::from_nanos(self.base_ts.as_nanos() + u64::from(slot.ts_delta))
+    }
+
+    fn seq(&self, slot: &Slot) -> u64 {
+        self.base_seq + u64::from(slot.seq_delta)
+    }
+
+    /// A record's `(ts_delta, seq_delta)` in this stretch; `None` when a
+    /// stamp lies below its base or 2³² or more above it.
+    fn deltas(&self, timestamp: SimTime, seq: u64) -> Option<(u32, u32)> {
+        let ts = timestamp.as_nanos().checked_sub(self.base_ts.as_nanos())?;
+        let seq = seq.checked_sub(self.base_seq)?;
+        Some((u32::try_from(ts).ok()?, u32::try_from(seq).ok()?))
+    }
 }
 
 /// What a sealed batch holds: every record's key and then its value, back
-/// to back in record order in one frame, and a [`Slot`] per record. Never
+/// to back in record order in one frame, a [`Slot`] per record and a
+/// [`Stretch`] per run of records sharing a producer and epoch. Never
 /// empty: the empty batch holds no store.
 struct Store {
     frame: Bytes,
     slots: Box<[Slot]>,
+    /// The first stretch, held inline: a producer's sealed batch has no
+    /// other, so it allocates nothing for its stretches.
+    head: Stretch,
+    /// The stretches after `head`, by `first`; empty for a producer's
+    /// sealed batch.
+    rest: Box<[Stretch]>,
+}
+
+impl Store {
+    /// The stretch holding record `index` of the store, and the
+    /// stretches after it.
+    fn stretch_of(&self, index: u32) -> (&Stretch, &[Stretch]) {
+        let n = self.rest.partition_point(|s| s.first <= index);
+        let stretch = n.checked_sub(1).map_or(&self.head, |i| &self.rest[i]);
+        (stretch, &self.rest[n..])
+    }
 }
 
 /// A record of a batch, borrowed in place: its key and value are slices of
@@ -382,6 +442,7 @@ struct Store {
 pub struct RecordRef<'a> {
     frame: &'a Bytes,
     slot: &'a Slot,
+    stretch: &'a Stretch,
     /// Where the record's bytes start in the frame.
     start: u32,
 }
@@ -409,28 +470,28 @@ impl<'a> RecordRef<'a> {
 
     /// The stamps equality compares beside the bytes.
     fn stamps(&self) -> (SimTime, ProducerId, u32, u64) {
-        let s = self.slot;
-        (s.timestamp, s.producer, s.producer_epoch, s.producer_seq)
+        let (ts, seq) = (self.timestamp(), self.producer_seq());
+        (ts, self.stretch.producer, self.stretch.producer_epoch, seq)
     }
 
     /// Producer-side creation timestamp (event time).
     pub fn timestamp(&self) -> SimTime {
-        self.slot.timestamp
+        self.stretch.timestamp(self.slot)
     }
 
     /// The producer that created the record.
     pub fn producer(&self) -> ProducerId {
-        self.slot.producer
+        self.stretch.producer
     }
 
     /// The producer's incarnation.
     pub fn producer_epoch(&self) -> u32 {
-        self.slot.producer_epoch
+        self.stretch.producer_epoch
     }
 
     /// The producer-assigned sequence number.
     pub fn producer_seq(&self) -> u64 {
-        self.slot.producer_seq
+        self.stretch.seq(self.slot)
     }
 
     /// The record's size on the wire, framing included.
@@ -450,10 +511,10 @@ impl<'a> RecordRef<'a> {
         Record {
             key: (self.slot.key_len != NO_KEY).then(|| self.frame.slice(start..value_start)),
             value: self.frame.slice(value_start..self.slot.end as usize),
-            timestamp: self.slot.timestamp,
-            producer: self.slot.producer,
-            producer_epoch: self.slot.producer_epoch,
-            producer_seq: self.slot.producer_seq,
+            timestamp: self.timestamp(),
+            producer: self.stretch.producer,
+            producer_epoch: self.stretch.producer_epoch,
+            producer_seq: self.producer_seq(),
         }
     }
 }
@@ -495,6 +556,29 @@ pub struct BatchIter<'a> {
     slots: std::slice::Iter<'a, Slot>,
     /// Where the next record's bytes start.
     at: u32,
+    /// The next record's stretch and the stretches after it.
+    stretch: &'a Stretch,
+    rest: &'a [Stretch],
+    /// The next record's index in the store, and the first index of the
+    /// stretch after `stretch` (`u32::MAX` for none).
+    index: u32,
+    bound: u32,
+}
+
+impl<'a> BatchIter<'a> {
+    /// The records of `store` from index `start` on, their bytes from `at`.
+    fn new(store: &'a Store, slots: &'a [Slot], start: u32, at: u32) -> Self {
+        let (stretch, rest) = store.stretch_of(start);
+        BatchIter {
+            frame: Some(&store.frame),
+            slots: slots.iter(),
+            at,
+            stretch,
+            rest,
+            index: start,
+            bound: rest.first().map_or(u32::MAX, |s| s.first),
+        }
+    }
 }
 
 impl<'a> Iterator for BatchIter<'a> {
@@ -503,8 +587,19 @@ impl<'a> Iterator for BatchIter<'a> {
     fn next(&mut self) -> Option<RecordRef<'a>> {
         let slot = self.slots.next()?;
         let frame = self.frame.expect("a batch with records has a frame");
+        if self.index == self.bound {
+            let (next, rest) = (self.rest.split_first()).expect("a stretch starts at the bound");
+            (self.stretch, self.rest) = (next, rest);
+            self.bound = rest.first().map_or(u32::MAX, |s| s.first);
+        }
+        self.index += 1;
         let start = std::mem::replace(&mut self.at, slot.end);
-        Some(RecordRef { frame, slot, start })
+        Some(RecordRef {
+            frame,
+            slot,
+            stretch: self.stretch,
+            start,
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -515,13 +610,17 @@ impl<'a> Iterator for BatchIter<'a> {
 impl ExactSizeIterator for BatchIter<'_> {}
 
 /// Builds a batch record by record into its packed store: each record's
-/// key and value are copied into the frame, its stamps into its slot.
-/// Sized up front (as a producer sealing a partition's records knows it
+/// key and value are copied into the frame, its stamps into its slot as
+/// deltas from its stretch's, and a record that cannot join the open
+/// stretch opens the next. Sized up front (as a producer sealing a partition's records knows it
 /// exactly), the store is two exact allocations.
 #[derive(Debug, Default)]
 pub struct BatchBuilder {
     frame: Vec<u8>,
     slots: Vec<Slot>,
+    /// The first record's stretch, and those opened after it.
+    head: Option<Stretch>,
+    rest: Vec<Stretch>,
 }
 
 impl BatchBuilder {
@@ -531,14 +630,28 @@ impl BatchBuilder {
         BatchBuilder {
             frame: Vec::with_capacity(bytes),
             slots: Vec::with_capacity(records),
+            head: None,
+            rest: Vec::new(),
         }
+    }
+
+    /// The deltas of a record stamped so in the open stretch, or `None`
+    /// when it must open the next: there is none yet, the producer or epoch
+    /// differs, the sequence falls below the previous record's, or a stamp
+    /// is out of a delta's reach.
+    fn join(&self, producer: ProducerId, epoch: u32, ts: SimTime, seq: u64) -> Option<(u32, u32)> {
+        let stretch = self.rest.last().or(self.head.as_ref())?;
+        let prev = stretch.seq(self.slots.last()?);
+        (stretch.producer == producer && stretch.producer_epoch == epoch && seq >= prev)
+            .then(|| stretch.deltas(ts, seq))?
     }
 
     /// Appends a record.
     ///
     /// # Panics
     ///
-    /// Panics when the frame would pass 4 GiB, or a key is 4 GiB − 1 long.
+    /// Panics when the frame would pass 4 GiB, a key is 4 GiB − 1 long, or
+    /// the batch already holds 2³² records.
     pub fn push(
         &mut self,
         key: Option<&[u8]>,
@@ -548,6 +661,25 @@ impl BatchBuilder {
         producer_epoch: u32,
         producer_seq: u64,
     ) {
+        let (ts_delta, seq_delta) =
+            match self.join(producer, producer_epoch, timestamp, producer_seq) {
+                Some(deltas) => deltas,
+                None => {
+                    let first = u32::try_from(self.slots.len());
+                    let stretch = Stretch {
+                        first: first.expect("a batch holds fewer than 2^32 records"),
+                        producer,
+                        producer_epoch,
+                        base_ts: timestamp,
+                        base_seq: producer_seq,
+                    };
+                    match self.head {
+                        None => self.head = Some(stretch),
+                        Some(_) => self.rest.push(stretch),
+                    }
+                    (0, 0)
+                }
+            };
         let key_len = key.map_or(NO_KEY, |k| {
             self.frame.extend_from_slice(k);
             u32::try_from(k.len())
@@ -559,10 +691,8 @@ impl BatchBuilder {
         self.slots.push(Slot {
             end: u32::try_from(self.frame.len()).expect("a batch frame holds at most 4 GiB"),
             key_len,
-            timestamp,
-            producer,
-            producer_epoch,
-            producer_seq,
+            ts_delta,
+            seq_delta,
         });
     }
 
@@ -582,6 +712,8 @@ impl BatchBuilder {
             store: Some(Arc::new(Store {
                 frame: Bytes::from(self.frame),
                 slots: self.slots.into_boxed_slice(),
+                head: self.head.expect("a batch with records has a stretch"),
+                rest: self.rest.into_boxed_slice(),
             })),
             start: 0,
             len,
@@ -593,8 +725,10 @@ impl BatchBuilder {
 /// A batch of records bound for (or fetched from) one partition.
 ///
 /// The records live in one shared store: a frame holding each record's key
-/// and value back to back, and a 32 B slot per record with where its bytes
-/// end and its stamps. Cloning a batch (a producer keeping its retry copy
+/// and value back to back, a 16 B slot per record with where its bytes end
+/// and its stamps as deltas, and a stretch header per run of records from
+/// one producer incarnation with the stamps they share (Kafka v2's batch
+/// header; a producer's sealed batch is one stretch). Cloning a batch (a producer keeping its retry copy
 /// next to the in-flight request, a broker handing the same fetched run to
 /// many consumers) bumps an `Arc` instead of duplicating records, so a
 /// whole batch travels producer→broker→consumer as that one store. A batch
@@ -741,15 +875,15 @@ impl RecordBatch {
     /// The records, borrowed in append order.
     pub fn iter(&self) -> BatchIter<'_> {
         match self.view() {
-            Some((store, slots, at)) => BatchIter {
-                frame: Some(&store.frame),
-                slots: slots.iter(),
-                at,
-            },
+            Some((store, slots, at)) => BatchIter::new(store, slots, self.start, at),
             None => BatchIter {
                 frame: None,
                 slots: [].iter(),
                 at: 0,
+                stretch: &NO_STRETCH,
+                rest: &[],
+                index: 0,
+                bound: u32::MAX,
             },
         }
     }
@@ -759,9 +893,11 @@ impl RecordBatch {
         let (store, slots, at) = self.view()?;
         let slot = slots.get(index)?;
         let start = index.checked_sub(1).map_or(at, |prev| slots[prev].end);
+        let within = u32::try_from(index).expect("bounded by len, a u32");
         Some(RecordRef {
             frame: &store.frame,
             slot,
+            stretch: store.stretch_of(self.start + within).0,
             start,
         })
     }
@@ -804,6 +940,27 @@ impl RecordBatch {
         self.view().map_or(0, |(_, slots, at)| {
             let end = slots.last().map_or(at, |s| s.end);
             RECORD_OVERHEAD * slots.len() + (end - at) as usize
+        })
+    }
+
+    /// Each stretch of the view (a run of records from one producer
+    /// incarnation, see [`BatchBuilder`]) clipped to it, in order, as
+    /// `(producer, producer epoch, sequence of its last record)`. The
+    /// sequence never falls within a stretch, so that is the highest
+    /// `(epoch, seq)` stamp its records in the view hold: a producer's
+    /// sealed batch, or any view of it, is one.
+    pub fn producer_stretches(&self) -> impl Iterator<Item = (ProducerId, u32, u64)> + '_ {
+        let end = self.start + self.len;
+        self.store.as_deref().into_iter().flat_map(move |store| {
+            let (first, rest) = store.stretch_of(self.start);
+            let bounds = rest.iter().map(|s| s.first).chain([u32::MAX]);
+            let stretches = std::iter::once(first).chain(rest).zip(bounds);
+            stretches
+                .take_while(move |(s, _)| s.first < end)
+                .map(move |(s, next)| {
+                    let last = &store.slots[next.min(end) as usize - 1];
+                    (s.producer, s.producer_epoch, s.seq(last))
+                })
         })
     }
 
@@ -868,13 +1025,141 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_record_is_a_32_byte_slot() {
+    fn a_stored_record_is_a_16_byte_slot() {
         // The storage gate: every sealed batch holds one slot per record
         // for as long as any replica's log holds the record, so growth here
-        // is resident memory per record and topic. A batch view stays three
-        // words.
-        assert!(std::mem::size_of::<Slot>() <= 32);
+        // is resident memory per record and topic. The producer stamps are
+        // a stretch header, held inline once per sealed batch. A batch view
+        // stays three words.
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
         assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
+    }
+
+    /// SplitMix64: a seeded stream of `u64`s, so the sweep needs no crate.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn index(&mut self, n: usize) -> usize {
+            usize::try_from(self.below(n as u64)).expect("below a usize")
+        }
+    }
+
+    /// `n` records whose stamps cross every stretch boundary: a producer
+    /// or epoch switch, a sequence or timestamp stepping back, and a jump
+    /// of 2³² − 1 (still a delta), 2³² or 2³³ in either; most records step
+    /// as a producer's do.
+    fn stretchy_records(rng: &mut Mix, n: usize) -> Vec<Record> {
+        let (mut producer, mut epoch) = (0, 0);
+        let (mut ts, mut seq) = (rng.below(1 << 40), rng.below(1 << 40));
+        let jumps = [u64::from(u32::MAX), 1 << 32, 1 << 33];
+        (0..n)
+            .map(|i| {
+                match rng.below(12) {
+                    0 => producer = (producer + 1 + rng.below(2)) % 3,
+                    1 => epoch += 1,
+                    2 => seq -= 1 + rng.below(4),
+                    3 => ts -= 1 + rng.below(1_000),
+                    4 => seq += jumps[rng.index(3)],
+                    5 => ts += jumps[rng.index(3)],
+                    _ => (ts, seq) = (ts + rng.below(1_000), seq + 1),
+                }
+                let value = vec![u8::try_from(i % 256).expect("below 256"); i % 7];
+                let record = match rng.index(3) {
+                    0 => Record::keyless(value, SimTime::from_nanos(ts)),
+                    k => Record::new(vec![b'k'; k - 1], value, SimTime::from_nanos(ts)),
+                };
+                let producer = ProducerId(u32::try_from(producer).expect("below 3"));
+                record
+                    .from_producer(producer, seq)
+                    .with_producer_epoch(epoch)
+            })
+            .collect()
+    }
+
+    /// The highest `(epoch, seq)` per producer among `stamps`.
+    fn highest(
+        stamps: impl Iterator<Item = (ProducerId, u32, u64)>,
+    ) -> std::collections::BTreeMap<ProducerId, (u32, u64)> {
+        let mut out = std::collections::BTreeMap::new();
+        for (producer, epoch, seq) in stamps {
+            let e = out.entry(producer).or_insert((epoch, seq));
+            *e = (*e).max((epoch, seq));
+        }
+        out
+    }
+
+    /// Every view of batches whose records switch producer and epoch, step
+    /// back and jump past a delta's reach reads exactly the records pushed,
+    /// by every accessor and through the frame codec, and its stretches
+    /// hold the highest stamps its records do.
+    #[test]
+    fn stretch_sweep_reads_back_what_was_pushed() {
+        let mut rng = Mix(0x5EED);
+        let mut opened = 0;
+        for _ in 0..40 {
+            let n = 1 + rng.index(24);
+            let recs = stretchy_records(&mut rng, n);
+            let batch = RecordBatch::from_records(recs.clone());
+            opened += batch.store.as_ref().map_or(0, |s| s.rest.len());
+            for a in 0..n {
+                for b in a + 1..=n {
+                    let (view, want) = (batch.slice(a..b), &recs[a..b]);
+                    assert_eq!(view.iter().collect::<Vec<_>>(), want, "{a}..{b}");
+                    let built: Vec<Record> = view.iter().map(|r| r.to_record()).collect();
+                    assert_eq!(built, want);
+                    for (i, r) in want.iter().enumerate() {
+                        let got = view.get(i).expect("within the view");
+                        assert!(got == *r && got.to_record() == *r, "{a}..{b} at {i}");
+                    }
+                    assert!(view.first().is_some_and(|r| r == want[0]));
+                    assert!(view.last().is_some_and(|r| r == want[want.len() - 1]));
+                    let bytes: usize = want.iter().map(Record::encoded_len).sum();
+                    assert_eq!(view.record_bytes(), bytes);
+                    let frame = view.encode_frame(Offset(a as u64));
+                    let (back, base) = RecordBatch::decode_frame(&frame).expect("decodes");
+                    assert_eq!(base, Offset(a as u64));
+                    assert_eq!(back, view);
+                    assert_eq!(back.iter().collect::<Vec<_>>(), want);
+                    let stamps = want
+                        .iter()
+                        .map(|r| (r.producer, r.producer_epoch, r.producer_seq));
+                    assert_eq!(highest(view.producer_stretches()), highest(stamps));
+                    assert!(view.producer_stretches().count() <= view.len());
+                }
+            }
+        }
+        println!("{opened} stretches opened past the first");
+        assert!(opened >= 100, "the sweep crosses stretch boundaries");
+    }
+
+    #[test]
+    fn a_producers_batch_is_one_stretch() {
+        let recs: Vec<Record> = (0..100)
+            .map(|i| {
+                Record::keyless("v", SimTime::from_millis(i))
+                    .from_producer(ProducerId(7), 1_000 + i)
+                    .with_producer_epoch(3)
+            })
+            .collect();
+        let batch = RecordBatch::from_records(recs);
+        assert!(batch.store.as_ref().is_some_and(|s| s.rest.is_empty()));
+        let stretches: Vec<_> = batch.slice(10..20).producer_stretches().collect();
+        assert_eq!(stretches, [(ProducerId(7), 3, 1_019)]);
+        // A restarted producer's records open a second stretch.
+        let mut builder = BatchBuilder::default();
+        for (epoch, seq) in [(3, 5), (3, 6), (4, 0), (4, 1)] {
+            builder.push(None, b"v", SimTime::ZERO, ProducerId(7), epoch, seq);
+        }
+        let both: Vec<_> = builder.finish().producer_stretches().collect();
+        assert_eq!(both, [(ProducerId(7), 3, 6), (ProducerId(7), 4, 1)]);
     }
 
     #[test]

@@ -77,13 +77,34 @@ fn arb_record(rng: &mut StdRng, ts: u64) -> Record {
         (0..len).map(|_| rng.gen_range(0..=255u8)).collect()
     };
     let value = bytes(rng, 24);
+    // Most records are one producer's, its sequence rising with `ts`, so
+    // they share a stretch of their batch. One in eight lies 2³² ns or more
+    // past `ts`, one in eight 2³² or more above its sequence, and the
+    // records after it step back: stretches break both ways.
+    let ts = SimTime::from_millis(ts + jump(rng, 4_295));
+    let (producer, epoch, seq) = match rng.gen_range(0..4) {
+        0 => (
+            rng.gen_range(0..300),
+            rng.gen_range(0..3),
+            rng.gen_range(0..1 << 20),
+        ),
+        _ => (7, 1, ts.as_millis() * 3 + rng.gen_range(0..3u64)),
+    };
     let record = match rng.gen_range(0..3) {
-        0 => Record::keyless(value, SimTime::from_millis(ts)),
-        _ => Record::new(bytes(rng, 8), value, SimTime::from_millis(ts)),
+        0 => Record::keyless(value, ts),
+        _ => Record::new(bytes(rng, 8), value, ts),
     };
     record
-        .from_producer(ProducerId(rng.gen_range(0..300)), rng.gen_range(0..1 << 20))
-        .with_producer_epoch(rng.gen_range(0..3))
+        .from_producer(ProducerId(producer), seq + jump(rng, 1 << 32))
+        .with_producer_epoch(epoch)
+}
+
+/// `at_least` up to twice that, one time in eight; 0 otherwise.
+fn jump(rng: &mut StdRng, at_least: u64) -> u64 {
+    match rng.gen_range(0..8) {
+        0 => rng.gen_range(at_least..=2 * at_least),
+        _ => 0,
+    }
 }
 
 /// Batch frames of 0 to 8 records at seeded base offsets.

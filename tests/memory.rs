@@ -1,9 +1,10 @@
 //! The memory gate: what a default run still holds when `run()` returns,
 //! and how many times it went to the allocator to get there.
 //!
-//! A run retains one resident copy of each record (a 32 B slot and the
-//! record's bytes in its producer's sealed batch, shared by every replica's
-//! log and every fetch reply) and folds everything else, so live heap per
+//! A run retains one resident copy of each record (a 16 B slot and the
+//! record's bytes in its producer's sealed batch, whose one stretch header
+//! holds the producer stamps, shared by every replica's log and every
+//! fetch reply) and folds everything else, so live heap per
 //! record is flat in the run length; and a record's bytes are written into
 //! its topic's reused accumulation buffer and copied once into its batch,
 //! so the allocator is called a few times per record, not a dozen. This test measures both with
@@ -321,14 +322,17 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 229.0, small_allocs, 3.16),
-        (100_000, large, 225.0, large_allocs, 3.1396),
+        (50_000, small, 196.0, small_allocs, 3.16),
+        (100_000, large, 193.0, large_allocs, 3.1396),
     ] {
-        // Measured 229 / 225 B: two 32 B slots (one per topic, each held
-        // in its producer's sealed batch and shared by the log's runs), the
-        // 64 B payload and its 87 B encoded event in their batch frames,
-        // and the kernel's fixed queue storage spread over the run. (277 /
-        // 273 B when a batch held a 56 B `Record` per record; 307 / 303 B
+        // Measured 196 / 193 B: two 16 B slots (one per topic, each held
+        // in its producer's sealed batch beside the batch's one stretch
+        // header and shared by the log's runs), the 64 B payload and its
+        // 87 B encoded event in their batch frames, and the kernel's fixed
+        // queue storage spread over the run. (228 / 224 B measured, 229 /
+        // 225 B recorded, with a 32 B slot that held every record's
+        // producer stamps; 277 / 273 B when a batch held a 56 B `Record`
+        // per record; 307 / 303 B
         // when each log entry was a 72 B copy of its record; 349 / 342 B
         // when every host CPU kept a 16 B busy interval per work item for
         // the whole run; 381 / 374 B with one allocation pair per record,
@@ -371,25 +375,27 @@ fn a_default_run_retains_one_copy_per_record() {
          {large_allocs:.2}/record at 40 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 1133.0, small_allocs, 6.56),
-        (40_000, large, 1107.0, large_allocs, 5.70),
+        (20_000, small, 1097.0, small_allocs, 4.32),
+        (40_000, large, 1083.0, large_allocs, 4.20),
     ] {
-        // Measured 1 133 / 1 107 B: the 1 KiB payload and its key in its
-        // batch's frame, one 32 B slot, and per batch and replica a 40 B
-        // run; the fixed cost of three brokers spread over the run, hence
-        // the fall. (1 152 / 1 127 B with a 56 B record per record in its
-        // batch; 1 302 / 1 277 B when every replica kept a 72 B copy of
-        // each record.)
+        // Measured 1 097 / 1 083 B: the 1 KiB payload and its key in its
+        // batch's frame, one 16 B slot, and per batch its stretch header
+        // and per batch and replica a 40 B run; the fixed cost of three
+        // brokers spread over the run, hence the fall. (1 110 / 1 096 B
+        // measured, 1 133 / 1 107 B recorded, with a 32 B slot; 1 152 /
+        // 1 127 B with a 56 B record per record in its batch; 1 302 /
+        // 1 277 B when every replica kept a 72 B copy of each record.)
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 1 KiB record at {records} records, {retained} \
              when recorded"
         );
-        // Measured 6.56 / 5.70: here requests set the count, not records
+        // Measured 4.32 / 4.20: here requests set the count, not records
         // (0.4 replica fetches per record while producing, nine in ten
         // replies empty, and the replica fetches of the 3 s tail, hence the
         // fall), so what one request allocates beside its two messages
-        // shows. (6.48 / 5.62 when a keyed flush's partitions shared one
+        // shows. (6.56 / 5.70 recorded, and left standing while the
+        // measurement fell to 4.32 / 4.20; 6.48 / 5.62 when a keyed flush's partitions shared one
         // frame and a batch one record vector, not a frame and slots each;
         // 6.97 / 6.11 when a replica fetch reply copied its records
         // into a batch of its own; 7.33 / 6.40 with polled client fetches;
@@ -404,7 +410,8 @@ fn a_default_run_retains_one_copy_per_record() {
     }
     // Followers store the leader's runs, views of the records the leader
     // holds: two more replicas cost their runs, not a copy of each record.
-    // Measured 17 B (16 B with a 56 B record per record in its batch; 156 B
+    // Measured 10 B, with a 16 B slot as with a 32 B one (17 B when last
+    // recorded; 16 B with a 56 B record per record in its batch; 156 B
     // when each follower kept a 72 B entry per record).
     assert!(
         large - unreplicated <= 24.0,
@@ -436,13 +443,14 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 310.0, small_allocs, 9.80),
-        (40_000, large, 285.0, large_allocs, 9.52),
+        (20_000, small, 270.0, small_allocs, 9.80),
+        (40_000, large, 249.0, large_allocs, 9.52),
     ] {
-        // Measured 310 / 285 B: the two user topics' records as in the
+        // Measured 270 / 249 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
         // the fixed cost of three brokers and five workers spread over the
-        // run. (341 / 323 B with a 56 B record per record in its batch;
+        // run. (300 / 279 B measured, 310 / 285 B recorded, with a 32 B
+        // slot; 341 / 323 B with a 56 B record per record in its batch;
         // 500 / 481 B when the shuffle topic kept every record.)
         assert!(
             per_record <= retained * SLACK,
