@@ -5,11 +5,11 @@
 //! ```
 //!
 //! Scans the workspace's non-test Rust sources under `root` (default `.`)
-//! for the two rules of `s2g_analyze::lint`. With `--deny`, exits 1 when
-//! there is any finding — the CI `lint-static` job runs exactly that. A
-//! root with no `crates/` directory or no source file exits 2. The report
-//! ends with what each crate weighs (files, code lines, `pub` items);
-//! `--json` carries the same rows.
+//! for the `exec-unhandled` rule of `s2g_analyze::lint`. With `--deny`,
+//! exits 1 when there is any finding — the CI `lint-static` job runs
+//! exactly that. A root with no `crates/` directory or no source file
+//! exits 2. The report ends with what each crate weighs (files, code
+//! lines, `pub` items); `--json` carries the same rows.
 
 use s2g_analyze::lint::lint;
 use std::path::PathBuf;

@@ -13,9 +13,8 @@
 //!   `s2g_core::Scenario::analyze` resolves the plan and calls this; the
 //!   run is then built from the same plan.
 //! * **Determinism source linter** — [`mod@lint`] token-scans workspace
-//!   sources for misuses of this project's own APIs that clippy cannot
-//!   scope: a metric updated by name on the RPC path, and a CPU completion
-//!   no handler matches. Clippy holds the hazards it can check by type
+//!   sources for the misuse of this project's own APIs that clippy cannot
+//!   scope: a CPU completion no handler matches. Clippy holds the hazards it can check by type
 //!   (wall-clock reads, hash-order iteration, truncating casts in codec
 //!   files, private event heaps). The `s2g-lint` binary wraps it for CI
 //!   (`cargo run -p s2g-analyze --bin s2g-lint -- --deny`).

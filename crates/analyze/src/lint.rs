@@ -4,23 +4,22 @@
 //! reads, hash-order iteration, truncating `as` casts in the codec files
 //! and private event heaps (`crates/clippy.toml`, the root `Cargo.toml`'s
 //! `[workspace.lints.clippy]` and a `#![deny]` at the top of each codec
-//! file). What is left here are the two rules about this project's own
-//! APIs, which clippy cannot scope: a hand-rolled **token scan** (no `syn`,
-//! no dylint; the build environment has no crates.io access) in which
-//! comments and string-literal contents are stripped, `#[cfg(test)]`
-//! blocks are skipped, and the rules match on what remains.
+//! file). What is left here is the one rule about this project's own APIs
+//! that clippy cannot scope, `exec-unhandled`, checked by a hand-rolled
+//! **token scan** (no `syn`, no dylint; the build environment has no
+//! crates.io access) in which comments and string-literal contents are
+//! stripped, `#[cfg(test)]` blocks are skipped, and the rule matches on
+//! what remains.
 //!
-//! * `metric-by-name` — a string-keyed `counter_add`/`gauge_set`/
-//!   `observe_*` in the files every simulated RPC runs through
-//!   (`METRIC_HOT_PATHS`): each such call looks `(scope, name)` up again,
-//!   per message; those sites hold `s2g_telemetry` handles instead.
-//! * `exec-unhandled` — a `.exec(cost, TAG)` in a sim-visible crate
-//!   (`SIM_VISIBLE`) whose tag constant the file names nowhere else: no
-//!   `on_cpu_done` arm can be matching it, so the completion event is
-//!   scheduled, queued and dispatched for nothing; `Ctx::charge` books the
-//!   same CPU time without it.
+//! `exec-unhandled` flags a `.exec(cost, TAG)` in a sim-visible crate
+//! (`SIM_VISIBLE`) whose tag constant the file names nowhere else: no
+//! `on_cpu_done` arm can be matching it, so the completion event is
+//! scheduled, queued and dispatched for nothing; `Ctx::charge` books the
+//! same CPU time without it. Its scope is a constant, and a finding is
+//! fixed, not silenced.
 //!
-//! Both scopes are constants, and a finding is fixed, not silenced.
+//! (Metrics need no rule: `s2g_telemetry` gives a component no way to
+//! update one by name, only the handles it makes when it is built.)
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,18 +31,6 @@ const ROOTS: [&str; 2] = ["crates", "src"];
 /// Path parts that leave a file out of the scan: build output, and test
 /// and example targets, whose code never runs inside a simulation.
 const EXCLUDE: [&str; 3] = ["/target/", "/tests/", "/examples/"];
-
-/// Where `metric-by-name` applies: the broker, its partitions and clients,
-/// and the SPE worker. Everywhere else (checkpoints, stores, the runtime)
-/// updates are per checkpoint or per tick, and the string API is the right
-/// one.
-const METRIC_HOT_PATHS: [&str; 5] = [
-    "crates/broker/src/broker.rs",
-    "crates/broker/src/partition.rs",
-    "crates/broker/src/consumer.rs",
-    "crates/broker/src/producer.rs",
-    "crates/spe/src/worker.rs",
-];
 
 /// Where `exec-unhandled` applies: the crates whose code runs inside a
 /// simulation.
@@ -269,18 +256,6 @@ pub(crate) fn lint_source(path: &str, text: &str) -> Vec<LintFinding> {
     };
 
     let mut findings = Vec::new();
-    if METRIC_HOT_PATHS.contains(&path) {
-        for (i, line) in code.iter().enumerate().filter(|(i, _)| !skip[*i]) {
-            if let Some(call) = metric_update_by_name(line) {
-                let message = format!(
-                    "`{call}` looks the metric up by `(scope, name)` on every call, and this \
-                     file is on the path of every simulated RPC; keep a `CounterHandle`/\
-                     `GaugeHandle`/`HistogramHandle` from `Telemetry` instead"
-                );
-                findings.push(finding("metric-by-name", i, message));
-            }
-        }
-    }
     if SIM_VISIBLE.iter().any(|krate| path.starts_with(krate)) {
         for (i, tag) in unhandled_exec_tags(&code, &skip) {
             let message = format!(
@@ -365,26 +340,6 @@ fn unhandled_exec_tags(code: &[String], skip: &[bool]) -> Vec<(usize, String)> {
         true
     });
     calls
-}
-
-/// The string-keyed telemetry update a line calls, if any: `counter_add`,
-/// `gauge_set`, or any `observe_*` (`observe_latency`, `observe_bytes`,
-/// `observe_count`, `observe_in`). A bare `.observe(` is a handle's or a
-/// `Histogram`'s own method and is fine.
-fn metric_update_by_name(line: &str) -> Option<&str> {
-    for needle in [".counter_add(", ".gauge_set(", ".observe_"] {
-        let Some(pos) = line.find(needle) else {
-            continue;
-        };
-        let name = &line[pos + 1..];
-        let len = name
-            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .unwrap_or(name.len());
-        if name[len..].starts_with('(') {
-            return Some(&name[..len]);
-        }
-    }
-    None
 }
 
 /// Replaces comments and string-literal *contents* with spaces, line by
@@ -513,12 +468,18 @@ fn find_word(line: &str, word: &str) -> Option<usize> {
 mod tests {
     use super::*;
 
-    const HOT_PATH: &str = "crates/broker/src/partition.rs";
+    const SIM_PATH: &str = "crates/broker/src/partition.rs";
 
     #[test]
     fn cfg_test_blocks_are_skipped() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { h.tele.counter_add(&n, \"c\", 1); }\n}\n";
-        assert!(lint_source(HOT_PATH, src).is_empty());
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { ctx.exec(1, NOOP); }\n}\n";
+        assert!(lint_source(SIM_PATH, src).is_empty());
+        let live = src.replace("#[cfg(test)]", "");
+        assert_eq!(
+            lint_source(SIM_PATH, &live).len(),
+            1,
+            "the fixture flags outside a test"
+        );
     }
 
     #[test]
@@ -558,27 +519,8 @@ mod tests {
 
     #[test]
     fn string_literals_and_comments_do_not_match() {
-        let src = "fn f() {\n    let s = \"h.tele.counter_add(&n, c, 1)\";\n    // h.tele.gauge_set(&n, g, 0.0) in prose\n}\n";
-        assert!(lint_source(HOT_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn flags_metric_updates_by_name_on_the_rpc_path_only() {
-        let src = "fn f(h: &Host) {\n    h.tele.counter_add(&h.name, \"produces\", 1);\n    h.tele\n        .gauge_set(&h.name, \"log_bytes\", 2.0);\n    h.tele.observe_count(&h.name, \"batch_records\", 3);\n    h.metrics.produces.add(1);\n    h.metrics.batch_records.observe(3.0);\n    self.ack_latency.observe(0.1);\n    let observe_window = 3;\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &Telemetry) { t.counter_add(\"s\", \"c\", 1); }\n}\n";
-        let f = lint_source(HOT_PATH, src);
-        let found: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule)).collect();
-        assert_eq!(
-            found,
-            vec![
-                (2, "metric-by-name"),
-                (4, "metric-by-name"),
-                (5, "metric-by-name")
-            ],
-            "{f:?}"
-        );
-        assert!(f[2].message.contains("`observe_count`"), "{f:?}");
-        // A cold site keeps the string API.
-        assert!(lint_source("crates/spe/src/checkpoint.rs", src).is_empty());
+        let src = "fn f() {\n    let s = \"ctx.exec(1, NOOP)\";\n    // ctx.exec(1, NOOP) in prose\n    /* ctx.exec(1, NOOP) */\n}\n";
+        assert!(lint_source(SIM_PATH, src).is_empty());
     }
 
     #[test]
@@ -640,21 +582,5 @@ mod tests {
         let producer = root.join("crates/broker/src/producer.rs");
         let text = std::fs::read_to_string(producer).expect("producer.rs");
         assert!(text.contains(".charge(self.cfg.cpu_per_record)"));
-    }
-
-    /// The rule against the files it exists for, as they are in this
-    /// checkout: a string-keyed update put back into any of them fails here
-    /// (and in CI's `s2g-lint --deny`).
-    #[test]
-    fn the_rpc_path_updates_metrics_by_handle() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for path in METRIC_HOT_PATHS {
-            let text = std::fs::read_to_string(root.join(path)).expect(path);
-            let found: Vec<LintFinding> = lint_source(path, &text)
-                .into_iter()
-                .filter(|f| f.rule == "metric-by-name")
-                .collect();
-            assert!(found.is_empty(), "{path}: {found:#?}");
-        }
     }
 }

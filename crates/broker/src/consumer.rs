@@ -100,7 +100,7 @@ struct InflightFetch {
     sent: SimTime,
 }
 
-/// The metrics of a client with telemetry attached, each looked up in the
+/// The metrics a client updates per fetch response, each looked up in the
 /// registry by its first update and never again.
 struct ConsumerMetrics {
     records_consumed: CounterHandle,
@@ -108,6 +108,16 @@ struct ConsumerMetrics {
     /// The `lag/<topic>-<part>` gauges, made (and their names formatted) on
     /// a partition's first fetch response.
     lag: BTreeMap<TopicPartition, GaugeHandle>,
+}
+
+impl ConsumerMetrics {
+    fn new(tele: &Telemetry, scope: &str) -> Self {
+        ConsumerMetrics {
+            records_consumed: tele.counter(scope, "records_consumed"),
+            stale_replies: tele.counter(scope, "stale_replies"),
+            lag: BTreeMap::new(),
+        }
+    }
 }
 
 /// The embeddable consumer state machine.
@@ -164,13 +174,12 @@ pub struct ConsumerClient {
     static_assignment: Option<(u32, u32)>,
     /// Membership-protocol state (when `cfg.group_membership` is on).
     membership: Option<Membership>,
-    /// Telemetry sink; records nothing until a scope is attached.
+    /// Telemetry sink (an unshared default until the owner attaches the
+    /// run-wide one) and the scope its metrics and events are recorded
+    /// under (`consumer-0`, `job/stage/i`, ...).
     tele: Telemetry,
-    /// Scope metrics are recorded under (`consumer-0`, `job/stage/i`, ...);
-    /// empty means telemetry is detached.
     tele_scope: String,
-    /// `None` while telemetry is detached.
-    metrics: Option<ConsumerMetrics>,
+    metrics: ConsumerMetrics,
 }
 
 /// Client-side state of the group-membership protocol.
@@ -194,6 +203,7 @@ impl ConsumerClient {
     ) -> Self {
         let request_timeout = SimDuration::from_secs(2);
         let meta_timeout_tag = CONSUMER_TAGS + off::META_TIMEOUT;
+        let tele = Telemetry::new();
         ConsumerClient {
             cfg,
             meta: MetadataSession::new(bootstrap, &brokers, request_timeout, meta_timeout_tag),
@@ -216,9 +226,9 @@ impl ConsumerClient {
             pending_purges: VecDeque::new(),
             static_assignment: None,
             membership: None,
-            tele: Telemetry::new(),
+            metrics: ConsumerMetrics::new(&tele, ""),
+            tele,
             tele_scope: String::new(),
-            metrics: None,
         }
     }
 
@@ -228,11 +238,7 @@ impl ConsumerClient {
     /// response) under `scope`.
     pub fn set_telemetry(&mut self, tele: Telemetry, scope: impl Into<String>) {
         self.tele_scope = scope.into();
-        self.metrics = (!self.tele_scope.is_empty()).then(|| ConsumerMetrics {
-            records_consumed: tele.counter(&self.tele_scope, "records_consumed"),
-            stale_replies: tele.counter(&self.tele_scope, "stale_replies"),
-            lag: BTreeMap::new(),
-        });
+        self.metrics = ConsumerMetrics::new(&tele, &self.tele_scope);
         self.tele = tele;
     }
 
@@ -529,9 +535,7 @@ impl ConsumerClient {
 
     fn count_stale_reply(&mut self) {
         self.stats.stale_replies += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.stale_replies.add(1);
-        }
+        self.metrics.stale_replies.add(1);
     }
 
     fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
@@ -685,16 +689,15 @@ impl ConsumerClient {
         let n: usize = runs.iter().map(LogRun::len).sum();
         let delivering = error == ErrorCode::None && n > 0;
         self.fetching.insert(tp.clone(), delivering);
-        if let (Some(metrics), ErrorCode::None) = (&mut self.metrics, error) {
+        if error == ErrorCode::None {
             // Consumer lag per partition: broker high watermark
             // minus the position after this response.
             let lag = high_watermark.value().saturating_sub(next_offset.value());
-            let gauge = metrics
-                .lag
-                .entry(tp.clone())
-                .or_insert_with(|| self.tele.gauge(&self.tele_scope, &format!("lag/{tp}")));
+            let gauge = self.metrics.lag.entry(tp.clone());
+            let gauge =
+                gauge.or_insert_with(|| self.tele.gauge(&self.tele_scope, &format!("lag/{tp}")));
             gauge.set(lag as f64);
-            metrics.records_consumed.add(n as u64);
+            self.metrics.records_consumed.add(n as u64);
             if self.tele.trace_enabled() && n > 0 {
                 self.tele.trace_instant(
                     ctx.now(),

@@ -189,12 +189,22 @@ enum TxnCtl {
     },
 }
 
-/// The metrics of a client with telemetry attached, each looked up in the
-/// registry by its first update and never again.
+/// The metrics a client updates per batch, each looked up in the registry
+/// by its first update and never again.
 struct ProducerMetrics {
     records_sent: CounterHandle,
     records_acked: CounterHandle,
     records_failed: CounterHandle,
+}
+
+impl ProducerMetrics {
+    fn new(tele: &Telemetry, scope: &str) -> Self {
+        ProducerMetrics {
+            records_sent: tele.counter(scope, "records_sent"),
+            records_acked: tele.counter(scope, "records_acked"),
+            records_failed: tele.counter(scope, "records_failed"),
+        }
+    }
 }
 
 /// The embeddable producer state machine.
@@ -241,12 +251,12 @@ pub struct ProducerClient {
     txn_done: BTreeMap<u64, u64>,
     /// Outstanding EndTxn/TxnRecover RPCs by correlation id.
     txn_ctl: BTreeMap<u64, TxnCtl>,
-    /// Telemetry sink; records nothing until a scope is attached.
+    /// Telemetry sink (an unshared default until the owner attaches the
+    /// run-wide one) and the scope its metrics and events are recorded
+    /// under.
     tele: Telemetry,
-    /// Scope metrics are recorded under; empty means detached.
     tele_scope: String,
-    /// `None` while telemetry is detached.
-    metrics: Option<ProducerMetrics>,
+    metrics: ProducerMetrics,
 }
 
 impl ProducerClient {
@@ -262,6 +272,7 @@ impl ProducerClient {
         corr_parity: u64,
     ) -> Self {
         let meta_timeout_tag = PRODUCER_TAGS + off::META_TIMEOUT;
+        let tele = Telemetry::new();
         ProducerClient {
             id,
             epoch: 0,
@@ -286,9 +297,9 @@ impl ProducerClient {
             txn_sent: BTreeMap::new(),
             txn_done: BTreeMap::new(),
             txn_ctl: BTreeMap::new(),
-            tele: Telemetry::new(),
+            metrics: ProducerMetrics::new(&tele, ""),
+            tele,
             tele_scope: String::new(),
-            metrics: None,
         }
     }
 
@@ -307,11 +318,7 @@ impl ProducerClient {
     /// begin/commit instants under `scope`.
     pub fn set_telemetry(&mut self, tele: Telemetry, scope: impl Into<String>) {
         self.tele_scope = scope.into();
-        self.metrics = (!self.tele_scope.is_empty()).then(|| ProducerMetrics {
-            records_sent: tele.counter(&self.tele_scope, "records_sent"),
-            records_acked: tele.counter(&self.tele_scope, "records_acked"),
-            records_failed: tele.counter(&self.tele_scope, "records_failed"),
-        });
+        self.metrics = ProducerMetrics::new(&tele, &self.tele_scope);
         self.tele = tele;
     }
 
@@ -354,7 +361,7 @@ impl ProducerClient {
     /// Sends the commit (or abort) marker for `txn` to every broker; lost
     /// markers are re-sent on the retry timer until acknowledged.
     pub fn end_txn(&mut self, ctx: &mut Ctx<'_>, txn: u64, commit: bool) {
-        if !self.tele_scope.is_empty() && self.tele.trace_enabled() {
+        if self.tele.trace_enabled() {
             self.tele.trace_instant(
                 ctx.now(),
                 &self.tele_scope,
@@ -801,16 +808,14 @@ impl ProducerClient {
                 txn: batch.txn,
             };
             send_in(ctx, leader_pid, &mut self.spare, produce);
-            if let Some(metrics) = &self.metrics {
-                metrics.records_sent.add(batch.batch.len() as u64);
-                if self.tele.trace_enabled() {
-                    self.tele.trace_instant(
-                        ctx.now(),
-                        &self.tele_scope,
-                        &format!("produce:{tp}"),
-                        "producer",
-                    );
-                }
+            self.metrics.records_sent.add(batch.batch.len() as u64);
+            if self.tele.trace_enabled() {
+                self.tele.trace_instant(
+                    ctx.now(),
+                    &self.tele_scope,
+                    &format!("produce:{tp}"),
+                    "producer",
+                );
             }
             let deadline = now + self.cfg.request_timeout;
             self.inflight.hold(corr.0, batch, Some(deadline));
@@ -831,14 +836,12 @@ impl ProducerClient {
         } else {
             self.stats.failed += batch.batch.len() as u64;
         }
-        if let Some(metrics) = &self.metrics {
-            let counter = if delivered {
-                &metrics.records_acked
-            } else {
-                &metrics.records_failed
-            };
-            counter.add(batch.batch.len() as u64);
-        }
+        let counter = if delivered {
+            &self.metrics.records_acked
+        } else {
+            &self.metrics.records_failed
+        };
+        counter.add(batch.batch.len() as u64);
         if delivered {
             for r in batch.batch.iter() {
                 self.ack_latency

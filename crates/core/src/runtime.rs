@@ -720,7 +720,8 @@ impl Runtime {
         // gate can assert it stayed zero.
         let shared_batch_copies = s2g_proto::shared_batch_copies() - self.batch_copies_before;
         let tele = self.wiring.tele;
-        tele.counter_add("runtime", "shared_batch_copies", shared_batch_copies);
+        tele.counter("runtime", "shared_batch_copies")
+            .add(shared_batch_copies);
         let report = RunReport {
             name: self.plan.name,
             duration: self.plan.duration,

@@ -65,7 +65,7 @@ use s2g_proto::codec::{put_u64, Cursor};
 use s2g_proto::{Offset, TopicPartition};
 use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
 use s2g_store::{BlobClient, BlobDone, BlobMap, StoreRpc};
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{CounterHandle, Histogram, HistogramHandle, Telemetry};
 
 use crate::event::{wire, CodecError, Event, Value};
 
@@ -950,10 +950,32 @@ pub(crate) struct CheckpointCoordinator {
     /// `(accepted, durable)` instants of every persisted capture, in order
     /// — the checkpoint-latency series the replication figure plots.
     persist_log: Vec<(SimTime, SimTime)>,
-    /// Telemetry sink (an unshared default until attached) and the scope —
-    /// the owning worker's name — its samples are recorded under.
-    tele: Telemetry,
-    tele_scope: String,
+    /// Where persisted captures are recorded (an unshared default until
+    /// attached).
+    tele: CheckpointTelemetry,
+}
+
+/// A coordinator's telemetry: the sink, the scope its samples are recorded
+/// under (the owning worker's name), and the handles it updates once per
+/// persisted capture.
+struct CheckpointTelemetry {
+    sink: Telemetry,
+    scope: String,
+    checkpoints: CounterHandle,
+    duration: HistogramHandle,
+    bytes: HistogramHandle,
+}
+
+impl CheckpointTelemetry {
+    fn new(sink: Telemetry, scope: String) -> Self {
+        CheckpointTelemetry {
+            checkpoints: sink.counter(&scope, "checkpoints"),
+            duration: sink.histogram(&scope, "checkpoint_duration_s", Histogram::latency_seconds),
+            bytes: sink.histogram(&scope, "checkpoint_bytes", Histogram::bytes),
+            sink,
+            scope,
+        }
+    }
 }
 
 impl CheckpointCoordinator {
@@ -973,8 +995,7 @@ impl CheckpointCoordinator {
             recovering: None,
             stats: CheckpointStats::default(),
             persist_log: Vec::new(),
-            tele: Telemetry::new(),
-            tele_scope: String::new(),
+            tele: CheckpointTelemetry::new(Telemetry::new(), String::new()),
         }
     }
 
@@ -983,8 +1004,7 @@ impl CheckpointCoordinator {
     /// size histograms, a `checkpoints` counter, and a `checkpoint:persist`
     /// trace span.
     pub(crate) fn set_telemetry(&mut self, tele: Telemetry, scope: String) {
-        self.tele = tele;
-        self.tele_scope = scope;
+        self.tele = CheckpointTelemetry::new(tele, scope);
     }
 
     /// The configured interval.
@@ -1085,25 +1105,15 @@ impl CheckpointCoordinator {
         self.stats.snapshot_bytes += bytes;
         self.stats.last_snapshot_bytes = bytes;
         self.stats.last_at = payload.taken_at();
-        self.stats.persist_nanos += durable_at.saturating_since(accepted_at).as_nanos();
+        let took = durable_at.saturating_since(accepted_at);
+        self.stats.persist_nanos += took.as_nanos();
         self.persist_log.push((accepted_at, durable_at));
-        if !self.tele_scope.is_empty() {
-            let scope = &self.tele_scope;
-            self.tele.counter_add(scope, "checkpoints", 1);
-            self.tele.observe_latency(
-                scope,
-                "checkpoint_duration_s",
-                durable_at.saturating_since(accepted_at),
-            );
-            self.tele.observe_bytes(scope, "checkpoint_bytes", bytes);
-            self.tele.trace_complete(
-                accepted_at,
-                durable_at.saturating_since(accepted_at),
-                scope,
-                "checkpoint:persist",
-                "checkpoint",
-            );
-        }
+        let (tele, name) = (&self.tele, "checkpoint:persist");
+        tele.checkpoints.add(1);
+        tele.duration.observe(took.as_secs_f64());
+        tele.bytes.observe(bytes as f64);
+        tele.sink
+            .trace_complete(accepted_at, took, &tele.scope, name, "checkpoint");
         match &payload {
             CheckpointPayload::Full(_) => {
                 self.stats.full_checkpoints += 1;

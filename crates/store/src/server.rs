@@ -42,7 +42,7 @@ use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
     Waiters,
 };
-use s2g_telemetry::Telemetry;
+use s2g_telemetry::{GaugeHandle, Telemetry};
 
 use crate::kv::KvStore;
 use crate::table::{TableError, TableStore};
@@ -469,13 +469,16 @@ pub struct StoreServer {
     next_corr: u64,
     name: String,
     /// Telemetry sink (an unshared default until the orchestrator attaches
-    /// the run-wide one).
+    /// the run-wide one), and the op-log gauges made in it under `name`.
     tele: Telemetry,
+    oplog_len_gauge: GaugeHandle,
+    applied_seq_gauge: GaugeHandle,
 }
 
 impl StoreServer {
     /// Creates a store server.
     pub fn new(cfg: StoreConfig) -> Self {
+        let (tele, name) = (Telemetry::new(), "store");
         StoreServer {
             cfg,
             kv: KvStore::new(),
@@ -485,29 +488,33 @@ impl StoreServer {
             mem: None,
             group: None,
             next_corr: 0,
-            name: "store".to_string(),
-            tele: Telemetry::new(),
+            oplog_len_gauge: tele.gauge(name, "oplog_len"),
+            applied_seq_gauge: tele.gauge(name, "applied_seq"),
+            name: name.to_string(),
+            tele,
         }
     }
 
-    /// Names the server (distinguishes group replicas in traces).
+    /// Names the server (distinguishes group replicas in traces and
+    /// metrics).
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
+        self.set_telemetry(self.tele.clone());
     }
 
     /// Attaches the run-wide telemetry sink. The server records its op-log
     /// length and applied sequence as gauges under its own name.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
+        self.oplog_len_gauge = tele.gauge(&self.name, "oplog_len");
+        self.applied_seq_gauge = tele.gauge(&self.name, "applied_seq");
         self.tele = tele;
     }
 
     /// Refreshes the op-log gauges after message/timer handling.
     fn telemetry_gauges(&self) {
         if self.group.is_some() {
-            self.tele
-                .gauge_set(&self.name, "oplog_len", self.oplog_len() as f64);
-            self.tele
-                .gauge_set(&self.name, "applied_seq", self.applied_seq() as f64);
+            self.oplog_len_gauge.set(self.oplog_len() as f64);
+            self.applied_seq_gauge.set(self.applied_seq() as f64);
         }
     }
 
@@ -1342,6 +1349,30 @@ mod tests {
         assert_eq!(c.acks_ok, 2, "both retried inserts succeed");
         let s = sim.process_ref::<StoreServer>(store).unwrap();
         assert_eq!(s.tables().total_rows(), 2);
+    }
+
+    /// The op-log gauges are recorded under the server's name whichever of
+    /// `set_name` and `set_telemetry` runs last.
+    #[test]
+    fn gauges_follow_the_name_set_before_or_after_attaching() {
+        for name_first in [true, false] {
+            let tele = Telemetry::new();
+            let mut s = StoreServer::new(StoreConfig::default());
+            if name_first {
+                s.set_name("store-a");
+                s.set_telemetry(tele.clone());
+            } else {
+                s.set_telemetry(tele.clone());
+                s.set_name("store-a");
+            }
+            s.set_group(vec![ProcessId(0)], 0, false);
+            s.telemetry_gauges();
+            let reg = tele.registry();
+            let scopes: Vec<&str> = reg.metrics().iter().map(|m| m.scope.as_str()).collect();
+            assert_eq!(scopes, ["store-a", "store-a"], "name first: {name_first}");
+            assert_eq!(reg.gauge("store-a", "oplog_len"), Some(0.0));
+            assert_eq!(reg.gauge("store-a", "applied_seq"), Some(0.0));
+        }
     }
 
     /// Spawns an n-member group plus a client writing through member 0.

@@ -4,7 +4,9 @@
 //! needs to prove that `--fig timeline` writes a structurally valid trace.
 //! This module implements just enough of RFC 8259 to parse a trace file
 //! and check the fields `chrome://tracing` requires, in time linear in the
-//! size of the document.
+//! size of the document. It recurses once per array or object, so it
+//! refuses to nest deeper than [`MAX_DEPTH`] rather than overflow the
+//! stack.
 
 use std::collections::BTreeMap;
 
@@ -67,7 +69,7 @@ impl JsonValue {
 /// complaint about trailing input.
 pub(crate) fn parse(input: &str) -> Result<JsonValue, String> {
     let mut pos = 0usize;
-    let v = parse_value(input, &mut pos)?;
+    let v = parse_value(input, &mut pos, 0)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -90,13 +92,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+/// How many arrays and objects a value may sit inside (a trace needs three).
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(s, pos),
-        Some(b'[') => parse_array(s, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nested more than {MAX_DEPTH} deep at byte {pos}"))
+        }
+        Some(b'{') => parse_object(s, pos, depth + 1),
+        Some(b'[') => parse_array(s, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -114,18 +123,35 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonV
     }
 }
 
+/// A number by RFC 8259's grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    *pos += usize::from(b.get(*pos) == Some(&b'-'));
+    let leading_zero = b.get(*pos) == Some(&b'0');
+    let int = digits(pos);
+    let mut ok = int == 1 || (int > 1 && !leading_zero);
+    if b.get(*pos) == Some(&b'.') {
         *pos += 1;
+        ok &= digits(pos) > 0;
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
         *pos += 1;
+        *pos += usize::from(matches!(b.get(*pos), Some(b'+' | b'-')));
+        ok &= digits(pos) > 0;
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+    let text = String::from_utf8_lossy(&b[start..*pos]);
+    match text.parse::<f64>() {
+        Ok(n) if ok => Ok(JsonValue::Number(n)),
+        _ => Err(format!("invalid number '{text}' at byte {start}")),
+    }
 }
 
 fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
@@ -151,14 +177,12 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        // Exactly four hex digits: no sign, no fewer.
+                        let hex = b.get(*pos + 1..*pos + 5);
+                        let hex = hex.filter(|h| h.iter().all(u8::is_ascii_hexdigit));
+                        let hex = hex.ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                        let digit = |d: &u8| char::from(*d).to_digit(16).unwrap_or(0);
+                        let code = hex.iter().fold(0, |code, d| code * 16 + digit(d));
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -179,7 +203,7 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
@@ -189,7 +213,7 @@ fn parse_array(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(s, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -202,7 +226,7 @@ fn parse_array(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
@@ -216,7 +240,7 @@ fn parse_object(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(s, pos)?;
+        let val = parse_value(s, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -324,10 +348,14 @@ mod tests {
 
     #[test]
     fn validates_a_good_trace_and_rejects_a_bad_one() {
-        let good = r#"{"traceEvents":[
-            {"name":"append","cat":"broker","ph":"X","ts":10.5,"dur":2,"pid":1,"tid":1},
-            {"name":"kill","cat":"fault","ph":"i","ts":20,"pid":2,"tid":1,"s":"p"}
-        ]}"#;
+        // One line per event: `s2g-lint`'s scanner reads a string that
+        // spans lines as code, and a `}` of it would end this module.
+        let good = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"append","cat":"broker","ph":"X","ts":10.5,"dur":2,"pid":1,"tid":1},"#,
+            r#"{"name":"kill","cat":"fault","ph":"i","ts":20,"pid":2,"tid":1,"s":"p"}"#,
+            "]}"
+        );
         let s = validate_chrome_trace(good).unwrap();
         assert_eq!(s.events, 2);
         assert_eq!(s.spans, 1);
@@ -343,6 +371,51 @@ mod tests {
             .unwrap_err()
             .contains("dur"));
         assert!(validate_chrome_trace("[]").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_max_depth_with_an_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested more than 128 deep"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200), "}".repeat(200));
+        assert!(parse(&objects).unwrap_err().contains("nested"));
+        // Unclosed, far deeper than any stack would hold one frame each.
+        assert!(validate_chrome_trace(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u04""#,
+            r#""\u04G1""#,
+            r#""\u""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse(r#""\u00e9\u0041""#).unwrap().as_str(), Some("éA"));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "+1", "01", "-01", ".5", "1.", "-", "1e", "1e+", "-.5", "1.e3", "0x1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        let good = [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.25e2", -125.0),
+        ];
+        for (text, want) in good.into_iter().chain([("1E-2", 0.01), ("2e+1", 20.0)]) {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(want), "{text}");
+        }
     }
 
     #[test]

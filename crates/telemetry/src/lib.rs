@@ -5,8 +5,10 @@
 //! capture network- and application-level signals while an experiment
 //! runs. This crate is that monitoring layer for the simulation: every
 //! process pushes counters, gauges, and latency histograms into a shared
-//! [`Registry`]; a [`TelemetrySampler`] process snapshots the registry on
-//! a fixed simulated interval into per-metric [`MetricSeries`]; and a
+//! [`Registry`] through handles ([`Telemetry::counter`],
+//! [`Telemetry::gauge`], [`Telemetry::histogram`]); a [`TelemetrySampler`]
+//! process snapshots the registry on a fixed simulated interval into
+//! per-metric [`MetricSeries`]; and a
 //! [`Tracer`] collects typed spans (record lifecycle, checkpoint barriers,
 //! transactions, faults, recovery phases) that export as Chrome-trace
 //! JSON.
@@ -18,13 +20,18 @@
 //! # Examples
 //!
 //! ```
-//! use s2g_sim::{SimDuration, SimTime};
-//! use s2g_telemetry::Telemetry;
+//! use s2g_sim::SimTime;
+//! use s2g_telemetry::{Histogram, Telemetry};
 //!
 //! let tele = Telemetry::new();
-//! tele.counter_add("broker-0", "produces", 1);
-//! tele.gauge_set("store-0", "oplog_len", 12.0);
-//! tele.observe_latency("job/map/0", "batch_latency_s", SimDuration::from_millis(3));
+//! // A component makes its handles once, when it is built or attached...
+//! let produces = tele.counter("broker-0", "produces");
+//! let oplog_len = tele.gauge("store-0", "oplog_len");
+//! let latency = tele.histogram("job/map/0", "batch_latency_s", Histogram::latency_seconds);
+//! // ...and updates through them per message.
+//! produces.add(1);
+//! oplog_len.set(12.0);
+//! latency.observe(0.003);
 //! tele.snapshot(SimTime::from_millis(500));
 //! let csv = tele.tidy_csv();
 //! assert!(csv.starts_with("t_s,scope,metric,value"));
@@ -82,42 +89,9 @@ impl Telemetry {
         self.tracer.borrow().enabled()
     }
 
-    /// Adds `delta` to a counter (implicit registration).
-    pub fn counter_add(&self, scope: &str, name: &str, delta: u64) {
-        self.registry.borrow_mut().counter_add(scope, name, delta);
-    }
-
-    /// Sets a gauge (implicit registration).
-    pub fn gauge_set(&self, scope: &str, name: &str, value: f64) {
-        self.registry.borrow_mut().gauge_set(scope, name, value);
-    }
-
-    /// Records a latency sample in seconds into a histogram with
-    /// [`Histogram::latency_seconds`] buckets.
-    pub fn observe_latency(&self, scope: &str, name: &str, d: SimDuration) {
-        self.registry
-            .borrow_mut()
-            .observe(scope, name, d.as_secs_f64());
-    }
-
-    /// Records a byte-size sample into a histogram with
-    /// [`Histogram::bytes`] buckets.
-    pub fn observe_bytes(&self, scope: &str, name: &str, bytes: u64) {
-        self.registry
-            .borrow_mut()
-            .observe_in(scope, name, bytes as f64, Histogram::bytes);
-    }
-
-    /// Records a count sample (batch sizes, records per request) into a
-    /// histogram with [`Histogram::counts`] buckets.
-    pub fn observe_count(&self, scope: &str, name: &str, n: u64) {
-        self.registry
-            .borrow_mut()
-            .observe_in(scope, name, n as f64, Histogram::counts);
-    }
-
-    /// A handle on the `(scope, name)` counter, for a site that updates it
-    /// per message: the lookup is paid on the first update only, which is
+    /// A handle on the `(scope, name)` counter. Handles are the only way a
+    /// component updates a metric: it makes them when it is built or
+    /// attached, and the lookup is paid on the first update only, which is
     /// also when the metric registers.
     pub fn counter(&self, scope: &str, name: &str) -> CounterHandle {
         CounterHandle::new(&self.registry, scope, name)
@@ -219,7 +193,7 @@ mod tests {
     fn handle_clones_share_state() {
         let a = Telemetry::new();
         let b = a.clone();
-        b.counter_add("s", "c", 4);
+        b.counter("s", "c").add(4);
         assert_eq!(a.registry().counter("s", "c"), Some(4));
         a.set_trace_enabled(true);
         b.trace_instant(SimTime::ZERO, "s", "e", "test");
@@ -229,9 +203,10 @@ mod tests {
     #[test]
     fn snapshot_then_csv_round_trip() {
         let t = Telemetry::new();
-        t.gauge_set("host-h1", "cpu_occupancy", 0.25);
+        let cpu = t.gauge("host-h1", "cpu_occupancy");
+        cpu.set(0.25);
         t.snapshot(SimTime::from_secs(1));
-        t.gauge_set("host-h1", "cpu_occupancy", 0.5);
+        cpu.set(0.5);
         t.snapshot(SimTime::from_secs(2));
         let s = t.series();
         let series = s.get("host-h1", "cpu_occupancy").unwrap();

@@ -3,10 +3,12 @@
 //! Every instrumented process registers metrics under a `(scope, name)`
 //! pair, where the scope is the process identity (`broker-0`,
 //! `wordcount/split/1`, `store-h2-r1`) and the name is the signal
-//! (`records_in`, `log_bytes`, `checkpoint_duration_s`). Registration is
-//! implicit — the first update creates the metric — so instrumentation
-//! call sites stay one-liners and the registry is cheap enough to leave
-//! always-on.
+//! (`records_in`, `log_bytes`, `checkpoint_duration_s`). A component
+//! updates its metrics through handles ([`CounterHandle`], [`GaugeHandle`],
+//! [`HistogramHandle`]) it makes when it is built or attached. Registration
+//! is implicit — a handle's first update creates the metric — and each
+//! handle looks its metric up once, so the registry is cheap enough to
+//! leave always-on.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -333,11 +335,11 @@ impl NameIndex {
 /// The per-run metrics registry. Metrics are stored in first-update order,
 /// which is deterministic because the whole simulation is.
 ///
-/// Two ways in: the string-keyed methods here (one index lookup per update;
-/// for cold sites, reads and tests) and the handles ([`CounterHandle`],
-/// [`GaugeHandle`], [`HistogramHandle`]) a hot site keeps, which look the
-/// metric up once. Both register on the first update, so the order below
-/// does not depend on which one a site uses.
+/// Components update it through handles only: a run's registry is reached
+/// through [`Telemetry::registry`](crate::Telemetry::registry), which lends
+/// it read-only. The string-keyed [`counter_add`](Self::counter_add) and
+/// [`observe`](Self::observe) serve code that owns a registry of its own,
+/// such as a benchmark timing one lookup per update.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Vec<Metric>,
@@ -399,16 +401,6 @@ impl Registry {
         self.add_at(idx, delta);
     }
 
-    /// Sets the `(scope, name)` gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the metric exists with a different kind.
-    pub fn gauge_set(&mut self, scope: &str, name: &str, value: f64) {
-        let idx = self.slot(scope, name, || MetricValue::Gauge(0.0));
-        self.set_at(idx, value);
-    }
-
     /// Records a sample into the `(scope, name)` histogram, creating it
     /// with [`Histogram::latency_seconds`] buckets on first use.
     ///
@@ -416,23 +408,8 @@ impl Registry {
     ///
     /// Panics if the metric exists with a different kind.
     pub fn observe(&mut self, scope: &str, name: &str, value: f64) {
-        self.observe_in(scope, name, value, Histogram::latency_seconds);
-    }
-
-    /// Records a sample into the `(scope, name)` histogram, creating it
-    /// with caller-chosen buckets on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the metric exists with a different kind.
-    pub fn observe_in(
-        &mut self,
-        scope: &str,
-        name: &str,
-        value: f64,
-        make: impl FnOnce() -> Histogram,
-    ) {
-        let idx = self.slot(scope, name, || MetricValue::Histogram(make()));
+        let make = || MetricValue::Histogram(Histogram::latency_seconds());
+        let idx = self.slot(scope, name, make);
         self.observe_at(idx, value);
     }
 
@@ -696,11 +673,13 @@ mod tests {
 
     #[test]
     fn registry_implicit_registration_and_lookup() {
-        let mut r = Registry::new();
-        r.counter_add("broker-0", "produces", 2);
-        r.counter_add("broker-0", "produces", 3);
-        r.gauge_set("store-0", "oplog_len", 7.0);
-        r.observe("job/s/0", "batch_latency_s", 0.004);
+        let reg = shared();
+        reg.borrow_mut().counter_add("broker-0", "produces", 2);
+        reg.borrow_mut().counter_add("broker-0", "produces", 3);
+        GaugeHandle::new(&reg, "store-0", "oplog_len").set(7.0);
+        reg.borrow_mut()
+            .observe("job/s/0", "batch_latency_s", 0.004);
+        let r = reg.borrow();
         assert_eq!(r.counter("broker-0", "produces"), Some(5));
         assert_eq!(r.gauge("store-0", "oplog_len"), Some(7.0));
         assert_eq!(
@@ -719,7 +698,7 @@ mod tests {
     #[should_panic(expected = "is not a counter")]
     fn registry_kind_mismatch_update_panics() {
         let mut r = Registry::new();
-        r.gauge_set("a", "x", 1.0);
+        r.observe("a", "x", 1.0);
         r.counter_add("a", "x", 1);
     }
 
@@ -749,11 +728,10 @@ mod tests {
         reg.borrow_mut().counter_add("broker-0", "produces", 2);
         produces.add(5);
         log_bytes.set(9.0);
-        reg.borrow_mut().gauge_set("broker-0", "log_bytes", 11.0);
-        reg.borrow_mut()
-            .observe_in("broker-0", "batch_records", 4.0, Histogram::counts);
+        reg.borrow_mut().observe("broker-0", "batch_records", 4.0);
         // A second handle on an existing metric joins it.
         CounterHandle::new(&reg, "broker-0", "produces").add(1);
+        GaugeHandle::new(&reg, "broker-0", "log_bytes").set(11.0);
         let reg = reg.borrow();
         let names: Vec<&str> = reg.metrics().iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["fetches", "batch_records", "produces", "log_bytes"]);
@@ -781,7 +759,7 @@ mod tests {
     #[should_panic(expected = "a/x is not a counter")]
     fn handle_kind_mismatch_panics_like_the_string_api() {
         let reg = shared();
-        reg.borrow_mut().gauge_set("a", "x", 1.0);
+        reg.borrow_mut().observe("a", "x", 1.0);
         CounterHandle::new(&reg, "a", "x").add(1);
     }
 

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use s2g_sim::{Ctx, Message, Process, ProcessId, SimDuration, SimTime};
 
-use crate::metrics::NameIndex;
+use crate::metrics::{GaugeHandle, NameIndex};
 use crate::Telemetry;
 
 /// One metric's sampled time series.
@@ -118,13 +118,18 @@ pub struct SampledGauge {
 pub struct TelemetrySampler {
     tele: Telemetry,
     interval: SimDuration,
-    gauges: Vec<SampledGauge>,
+    /// Each sampled gauge behind the handle its value is recorded through.
+    gauges: Vec<(GaugeHandle, SampledGauge)>,
 }
 
 impl TelemetrySampler {
     /// [`Telemetry::sampler`] is the public constructor.
     pub(crate) fn new(tele: Telemetry, interval: SimDuration, gauges: Vec<SampledGauge>) -> Self {
         assert!(!interval.is_zero(), "telemetry interval must be positive");
+        let gauges = gauges
+            .into_iter()
+            .map(|g| (tele.gauge(&g.scope, g.name), g))
+            .collect();
         TelemetrySampler {
             tele,
             interval,
@@ -147,9 +152,8 @@ impl Process for TelemetrySampler {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         let now = ctx.now();
         // Sampled gauges first, so the snapshot includes them.
-        for g in &mut self.gauges {
-            let value = (g.read)(now, self.interval);
-            self.tele.gauge_set(&g.scope, g.name, value);
+        for (handle, g) in &mut self.gauges {
+            handle.set((g.read)(now, self.interval));
         }
         self.tele.snapshot(now);
         ctx.set_timer(self.interval, 0);

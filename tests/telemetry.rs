@@ -8,7 +8,10 @@ use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
 use stream2gym::net::{FaultPlan, LinkSpec};
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, SpeConfig};
+use stream2gym::store::StoreConfig;
 use stream2gym::telemetry::{validate_chrome_trace, Histogram, Registry, SeriesStore, Telemetry};
+
+use std::time::{Duration, Instant};
 
 /// A checkpointed word-count run with a worker crash and restart mid-run —
 /// the fault-heavy workload the determinism assertions run against.
@@ -185,8 +188,9 @@ fn unregistered_metrics_read_as_none() {
     assert!(reg.get("nowhere", "nothing").is_none());
 
     // A registered metric of one kind never answers for another.
-    let mut reg = Registry::new();
-    reg.counter_add("b", "c", 1);
+    let tele = Telemetry::new();
+    tele.counter("b", "c").add(1);
+    let reg = tele.registry();
     assert_eq!(reg.counter("b", "c"), Some(1));
     assert_eq!(reg.gauge("b", "c"), None);
     assert!(reg.histogram("b", "c").is_none());
@@ -272,4 +276,105 @@ fn histogram_overflow_bucket_keeps_quantiles_sane() {
         Some(1.0e6),
         "the top quantile is attributed to the recorded max"
     );
+}
+
+/// A replicated store and incremental checkpoints persisted through it:
+/// the metrics those components record through handles keep their kind,
+/// their buckets, and the counts the run's report gives.
+#[test]
+fn store_and_checkpoint_metrics_keep_their_kind_and_buckets() {
+    let mut sc = recovery_scenario(100, SimDuration::from_millis(50), SimTime::from_secs(12), 9);
+    sc.store("h6", StoreConfig::default());
+    sc.with_replicated_store(3);
+    let every_second = CheckpointCfg::exactly_once(SimDuration::from_secs(1));
+    sc.with_durable_checkpointing(every_second.incremental(4), "h6");
+    let result = sc.run().expect("runs");
+    let registry = result.telemetry.registry();
+
+    let scopes_of = |name: &str| -> Vec<&str> {
+        let metrics = registry.metrics().iter().filter(|m| m.name == name);
+        metrics.map(|m| m.scope.as_str()).collect()
+    };
+    let members = scopes_of("oplog_len");
+    assert_eq!(members.len(), 3, "one per store member: {members:?}");
+    assert_eq!(scopes_of("applied_seq"), members);
+    for member in &members {
+        assert!(registry.gauge(member, "oplog_len").is_some(), "{member}");
+        assert!(
+            registry.gauge(member, "applied_seq").unwrap() > 0.0,
+            "{member}"
+        );
+    }
+
+    assert!(result.report.spe_instances.is_empty(), "one worker per job");
+    for (worker, spe) in &result.report.spe {
+        let checkpoints = spe.checkpoints.checkpoints;
+        assert!(
+            spe.checkpoints.delta_checkpoints > 0,
+            "{worker}: incremental"
+        );
+        assert_eq!(registry.counter(worker, "checkpoints"), Some(checkpoints));
+        let buckets = [
+            ("checkpoint_duration_s", Histogram::latency_seconds()),
+            ("checkpoint_bytes", Histogram::bytes()),
+        ];
+        for (name, want) in buckets {
+            let h = registry.histogram(worker, name).expect(name);
+            assert_eq!(h.bounds(), want.bounds(), "{worker}/{name}");
+            assert_eq!(h.count(), checkpoints, "{worker}/{name}");
+        }
+    }
+}
+
+/// A trace damaged on the way to a reader is refused or accepted, never a
+/// panic, and quickly: the trace of a real run cut at seeded offsets, and
+/// with seeded ASCII bytes replaced by bytes JSON gives a meaning to.
+#[test]
+fn a_damaged_trace_is_an_answer_not_a_panic() {
+    let trace = fault_heavy(5).run().expect("runs").telemetry.chrome_json();
+    validate_chrome_trace(&trace).expect("the undamaged trace is valid");
+    let mut state = 0xda7a_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut r = state;
+        r = (r ^ (r >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        r = (r ^ (r >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (r ^ (r >> 31)) as usize
+    };
+    let timed = |text: &str| {
+        let started = Instant::now();
+        let answer = validate_chrome_trace(text);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{} B took {took:?}",
+            text.len()
+        );
+        answer
+    };
+
+    for _ in 0..100 {
+        let mut cut = next() % trace.len();
+        while !trace.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        if !trace[cut..].trim().is_empty() {
+            assert!(timed(&trace[..cut]).is_err(), "cut at byte {cut}");
+        }
+    }
+
+    let ascii: Vec<usize> = (0..trace.len())
+        .filter(|i| trace.as_bytes()[*i].is_ascii())
+        .collect();
+    let meaningful = b"{}[]\",:\\0123456789-+.eEutfnl ";
+    let mut refused = 0;
+    for _ in 0..100 {
+        let mut bytes = trace.clone().into_bytes();
+        for _ in 0..=next() % 3 {
+            bytes[ascii[next() % ascii.len()]] = meaningful[next() % meaningful.len()];
+        }
+        let text = String::from_utf8(bytes).expect("an ASCII byte for an ASCII byte");
+        refused += usize::from(timed(&text).is_err());
+    }
+    assert!(refused > 0, "some damage must be refused");
 }
