@@ -1155,7 +1155,7 @@ pub fn timeline_sweep(scale: Scale, seed: u64) -> TimelineData {
         lag,
         throughput,
         markers,
-        tidy_csv: result.telemetry.tidy_csv(),
+        tidy_csv: result.report.tidy_csv(),
         chrome_json: result.telemetry.chrome_json(),
     }
 }

@@ -242,13 +242,13 @@ pub struct ProducerClient {
     mem: Option<(LedgerHandle, MemSlot)>,
     /// The open transaction stamped on produced batches, when transactional.
     txn: Option<u64>,
-    /// Records handed to the buffer per transaction.
-    txn_sent: BTreeMap<u64, u64>,
-    /// Records *acknowledged* per transaction. Failed (delivery-timeout)
-    /// records deliberately do not count: a transaction whose staged batch
-    /// did not fully reach the broker must never look committable — the
-    /// checkpoint stalls instead of committing a hole into the sink.
-    txn_done: BTreeMap<u64, u64>,
+    /// Per transaction not yet ended: `(sent, acked)`, the records handed
+    /// to the buffer and those *acknowledged*. Failed (delivery-timeout)
+    /// records deliberately do not count as acked: a transaction whose
+    /// staged batch did not fully reach the broker must never look
+    /// committable — the checkpoint stalls instead of committing a hole
+    /// into the sink. [`end_txn`](Self::end_txn) drops the entry.
+    txn_counts: BTreeMap<u64, (u64, u64)>,
     /// Outstanding EndTxn/TxnRecover RPCs by correlation id.
     txn_ctl: BTreeMap<u64, TxnCtl>,
     /// Telemetry sink (an unshared default until the owner attaches the
@@ -294,8 +294,7 @@ impl ProducerClient {
             sent_index: Vec::new(),
             mem: None,
             txn: None,
-            txn_sent: BTreeMap::new(),
-            txn_done: BTreeMap::new(),
+            txn_counts: BTreeMap::new(),
             txn_ctl: BTreeMap::new(),
             metrics: ProducerMetrics::new(&tele, ""),
             tele,
@@ -353,14 +352,17 @@ impl ProducerClient {
     /// transaction with records missing from the log would silently break
     /// exactly-once, so the pipeline stalls instead.
     pub fn txn_outstanding(&self, txn: u64) -> u64 {
-        let sent = self.txn_sent.get(&txn).copied().unwrap_or(0);
-        let done = self.txn_done.get(&txn).copied().unwrap_or(0);
-        sent.saturating_sub(done)
+        let (sent, acked) = self.txn_counts.get(&txn).copied().unwrap_or_default();
+        sent.saturating_sub(acked)
     }
 
     /// Sends the commit (or abort) marker for `txn` to every broker; lost
-    /// markers are re-sent on the retry timer until acknowledged.
+    /// markers are re-sent on the retry timer until acknowledged. The
+    /// transaction's record counts are forgotten, so
+    /// [`txn_outstanding`](Self::txn_outstanding) reads 0 for it from here
+    /// on.
     pub fn end_txn(&mut self, ctx: &mut Ctx<'_>, txn: u64, commit: bool) {
+        self.txn_counts.remove(&txn);
         if self.tele.trace_enabled() {
             self.tele.trace_instant(
                 ctx.now(),
@@ -620,7 +622,7 @@ impl ProducerClient {
         self.next_seq += 1;
         self.stats.sent += 1;
         if let Some(t) = self.txn {
-            *self.txn_sent.entry(t).or_insert(0) += 1;
+            self.txn_counts.entry(t).or_default().0 += 1;
         }
         self.buffer_used += bytes;
         if !self.cfg.cpu_per_record.is_zero() {
@@ -828,8 +830,9 @@ impl ProducerClient {
     fn complete_batch(&mut self, now: SimTime, batch: ReadyBatch, delivered: bool) {
         self.buffer_used -= batch.bytes;
         self.update_mem();
-        if let (Some(t), true) = (batch.txn, delivered) {
-            *self.txn_done.entry(t).or_insert(0) += batch.batch.len() as u64;
+        let counts = batch.txn.and_then(|t| self.txn_counts.get_mut(&t));
+        if let (Some((_, acked)), true) = (counts, delivered) {
+            *acked += batch.batch.len() as u64;
         }
         if delivered {
             self.stats.acked += batch.batch.len() as u64;
@@ -1106,5 +1109,117 @@ impl std::fmt::Debug for ProducerProcess {
         f.debug_struct("ProducerProcess")
             .field("client", &self.client)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use s2g_proto::{BrokerId, ErrorCode, LeaderEpoch, Offset, PartitionMetadata};
+    use s2g_sim::Sim;
+
+    const TOPIC: &str = "t";
+    const STEP: u64 = 1;
+
+    /// Answers metadata for one single-partition topic and acknowledges
+    /// every produce and every transaction marker at once.
+    struct AckAll;
+
+    impl Process for AckAll {
+        fn name(&self) -> &str {
+            "broker"
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
+            let reply = match *downcast::<ClientRpc>(msg).expect("clients speak ClientRpc") {
+                ClientRpc::MetadataRequest { corr } => ClientRpc::MetadataResponse {
+                    corr,
+                    partitions: vec![PartitionMetadata {
+                        tp: TopicPartition::new(TOPIC, 0),
+                        leader: Some(BrokerId(0)),
+                        epoch: LeaderEpoch(0),
+                        isr: vec![BrokerId(0)],
+                        replicas: vec![BrokerId(0)],
+                    }],
+                },
+                ClientRpc::ProduceRequest { corr, tp, .. } => ClientRpc::ProduceResponse {
+                    corr,
+                    tp,
+                    base_offset: Offset::ZERO,
+                    error: ErrorCode::None,
+                },
+                ClientRpc::EndTxn { corr, .. } => ClientRpc::EndTxnResponse {
+                    corr,
+                    error: ErrorCode::None,
+                },
+                other => panic!("unexpected rpc {other:?}"),
+            };
+            ctx.send(from, reply);
+        }
+    }
+
+    /// Runs transactions `1..=last` as a transactional sink does: stage
+    /// records, flush, and end the transaction once all are acked; then
+    /// opens `last + 1` and stages records in it.
+    struct Sink {
+        client: ProducerClient,
+        last: u64,
+        txn: u64,
+        staged: bool,
+    }
+
+    impl Process for Sink {
+        fn name(&self) -> &str {
+            "sink"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.client.start(ctx);
+            self.client.set_transactional(Some(self.txn));
+            ctx.set_timer(SimDuration::from_millis(20), STEP);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
+            self.client.handle_message(ctx, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            if self.client.handle_timer(ctx, tag) {
+                return;
+            }
+            ctx.set_timer(SimDuration::from_millis(20), STEP);
+            if !self.staged {
+                for i in 0..3u8 {
+                    self.client.send(ctx, TOPIC, None, vec![i]);
+                }
+                self.client.flush_all(ctx);
+                self.staged = true;
+            } else if self.txn <= self.last && self.client.txn_outstanding(self.txn) == 0 {
+                self.client.end_txn(ctx, self.txn, true);
+                self.txn += 1;
+                self.client.set_transactional(Some(self.txn));
+                self.staged = false;
+            }
+        }
+    }
+
+    #[test]
+    fn an_ended_transaction_leaves_no_counts_behind() {
+        for last in [10, 40] {
+            let mut sim = Sim::new(1);
+            let broker = sim.spawn(Box::new(AckAll));
+            let brokers = [(BrokerId(0), broker)].into();
+            let cfg = ProducerConfig::default();
+            let client = ProducerClient::new(ProducerId(1), cfg, broker, brokers, 0);
+            let sink = sim.spawn(Box::new(Sink {
+                client,
+                last,
+                txn: 1,
+                staged: false,
+            }));
+            sim.run_until(SimTime::from_secs(10));
+            let sink = sim.process_ref::<Sink>(sink).expect("sink");
+            assert_eq!(sink.txn, last + 1, "every transaction ended");
+            assert_eq!(sink.client.stats().acked, 3 * (last + 1));
+            let open: Vec<u64> = sink.client.txn_counts.keys().copied().collect();
+            assert_eq!(open, [last + 1], "only the open transaction is counted");
+            assert_eq!(sink.client.txn_outstanding(last + 1), 0);
+        }
     }
 }

@@ -137,7 +137,7 @@ pub struct StoreReport {
     /// Group op-log entries still retained at the end of the run (bounded
     /// by peer-acked truncation).
     pub oplog_len: u64,
-    /// Ops this replica discarded as primary via peer-acked truncation.
+    /// Ops this replica discarded via peer-acked truncation.
     pub oplog_truncated: u64,
     /// Crash/recovery metrics; present when this replica was crashed by the
     /// fault plan.
@@ -282,6 +282,11 @@ impl RunReport {
         (self.metric_series.iter()).find(|s| s.scope == scope && s.name == name)
     }
 
+    /// Every sampled series as tidy CSV (`t_s,scope,metric,value`).
+    pub fn tidy_csv(&self) -> String {
+        s2g_telemetry::tidy_csv(&self.metric_series)
+    }
+
     /// A series of the resource model, which every sampled run has.
     ///
     /// # Panics
@@ -344,9 +349,10 @@ pub struct RunResult {
     /// Every store replica's process id, by declared host, in member-index
     /// order (equals `store_pids` singletons without replication).
     pub store_group_pids: BTreeMap<String, Vec<ProcessId>>,
-    /// The run-wide telemetry handle: the live metrics registry, the
-    /// sampled time series (`tidy_csv()`), and the causal event trace
-    /// (`chrome_json()` when tracing was enabled).
+    /// The run-wide telemetry handle: the live metrics registry and the
+    /// causal event trace (`chrome_json()` when tracing was enabled). The
+    /// sampled time series moved into [`RunReport::metric_series`]
+    /// (`report.tidy_csv()`).
     pub telemetry: Telemetry,
     /// The measurements.
     pub report: RunReport,

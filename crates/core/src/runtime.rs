@@ -733,7 +733,8 @@ impl Runtime {
             stores,
             spe,
             spe_instances,
-            metric_series: tele.series().all().to_vec(),
+            // The report takes the sampled series: one copy, not two.
+            metric_series: tele.take_series(),
             shared_batch_copies,
         };
         let pids = |n: usize, kind: fn(usize) -> ComponentRef| -> Vec<ProcessId> {
@@ -850,6 +851,7 @@ impl Runtime {
         let (mut by_job, mut by_instance) = (BTreeMap::new(), BTreeMap::new());
         for (j, job) in self.plan.jobs.iter().enumerate() {
             let mut per: Vec<(usize, SpeReport)> = Vec::new();
+            let mut names = Vec::new();
             for (key, slot) in self.slots.range_mut(instances(j)) {
                 let ComponentRef::Instance(_, stage, _) = *key else {
                     unreachable!("the range holds instances only");
@@ -857,11 +859,13 @@ impl Runtime {
                 let crashed_at = slot.crashed_at;
                 let w = component::<SpeWorker>(&mut self.sim, slot);
                 let info = w.recovery_info();
+                // The report takes the worker's vectors: one copy, not two.
+                let (metrics, collected) = w.take_results();
                 let report = SpeReport {
-                    metrics: w.metrics().to_vec(),
+                    mean_busy_runtime: mean_busy_runtime(&metrics),
+                    metrics,
                     record_counts: w.plan().record_counts(),
-                    collected: w.collected().to_vec(),
-                    mean_busy_runtime: w.mean_busy_runtime(),
+                    collected,
                     checkpoints: w.checkpoint_stats(),
                     checkpoint_log: w.checkpoint_persist_log(),
                     consumer_stats: w.consumer().stats(),
@@ -876,13 +880,13 @@ impl Runtime {
                         first_batch_at: info.and_then(|i| i.first_batch_at),
                     }),
                 };
-                if job.parallel {
-                    by_instance.insert(slot.name.clone(), report.clone());
-                }
+                names.push(slot.name.clone());
                 per.push((stage, report));
             }
             let whole = if job.parallel {
-                aggregate_spe_reports(job.n_stages, &per)
+                let whole = aggregate_spe_reports(job.n_stages, &per);
+                by_instance.extend(names.into_iter().zip(per.into_iter().map(|(_, r)| r)));
+                whole
             } else {
                 per.pop().expect("one worker per classic job").1
             };
@@ -916,6 +920,16 @@ fn build_topology(spec: &Scenario, plan: &ScenarioFacts) -> Topology {
     topo
 }
 
+/// The mean runtime of the batches that had input.
+fn mean_busy_runtime(metrics: &[BatchMetric]) -> SimDuration {
+    let busy: Vec<&BatchMetric> = metrics.iter().filter(|m| m.records_in > 0).collect();
+    if busy.is_empty() {
+        return SimDuration::ZERO;
+    }
+    let total: u64 = busy.iter().map(|m| m.runtime().as_nanos()).sum();
+    SimDuration::from_nanos(total / busy.len() as u64)
+}
+
 /// Folds a parallel job's per-`(stage, instance)` reports into one
 /// job-level report: input records are counted at stage 0, output records
 /// at the last stage, batch metrics interleave in time order,
@@ -941,14 +955,7 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
         .iter()
         .flat_map(|(_, r)| r.collected.iter().cloned())
         .collect();
-    let busy: Vec<&BatchMetric> = metrics.iter().filter(|m| m.records_in > 0).collect();
-    let mean_busy_runtime = if busy.is_empty() {
-        SimDuration::ZERO
-    } else {
-        SimDuration::from_nanos(
-            busy.iter().map(|m| m.runtime().as_nanos()).sum::<u64>() / busy.len() as u64,
-        )
-    };
+    let mean_busy_runtime = mean_busy_runtime(&metrics);
     let mut checkpoints = CheckpointStats::default();
     for (_, r) in per {
         checkpoints.absorb(&r.checkpoints);

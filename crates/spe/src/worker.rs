@@ -477,24 +477,14 @@ impl SpeWorker {
         self.producer.as_ref()
     }
 
-    /// Per-batch metrics, in execution order.
-    pub fn metrics(&self) -> &[BatchMetric] {
-        &self.metrics
-    }
-
-    /// Mean batch runtime over batches that had input.
-    pub fn mean_busy_runtime(&self) -> SimDuration {
-        let busy: Vec<&BatchMetric> = self.metrics.iter().filter(|m| m.records_in > 0).collect();
-        if busy.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: u64 = busy.iter().map(|m| m.runtime().as_nanos()).sum();
-        SimDuration::from_nanos(total / busy.len() as u64)
-    }
-
-    /// Results collected locally (only for [`SpeSink::Collect`]).
-    pub fn collected(&self) -> &[Event] {
-        &self.collected
+    /// Moves out the per-batch metrics, in execution order, and the
+    /// results collected locally (only for [`SpeSink::Collect`]), so a
+    /// report can own them without a second copy.
+    pub fn take_results(&mut self) -> (Vec<BatchMetric>, Vec<Event>) {
+        (
+            std::mem::take(&mut self.metrics),
+            std::mem::take(&mut self.collected),
+        )
     }
 
     /// The job's plan (record counters, operator names).

@@ -336,7 +336,7 @@ struct GroupState {
     /// Sequences discarded from the front of `oplog` (0 = nothing
     /// truncated yet).
     log_start: u64,
-    /// Lifetime count of ops this member truncated as primary.
+    /// Lifetime count of ops this member truncated.
     truncated_ops: u64,
     ready: bool,
     /// When each member was last heard from; any message counts.
@@ -583,13 +583,13 @@ impl StoreServer {
         self.group.as_ref().map_or(0, |g| g.applied_seq)
     }
 
-    /// Op-log entries currently retained (0 standalone) — bounded by
-    /// peer-acked truncation instead of growing with run length.
+    /// Op-log entries currently retained (0 standalone) — bounded on every
+    /// member by peer-acked truncation instead of growing with run length.
     pub fn oplog_len(&self) -> usize {
         self.group.as_ref().map_or(0, |g| g.oplog.len())
     }
 
-    /// Ops this member discarded as primary via peer-acked truncation.
+    /// Ops this member discarded via peer-acked truncation.
     pub fn oplog_truncated(&self) -> u64 {
         self.group.as_ref().map_or(0, |g| g.truncated_ops)
     }
@@ -1059,15 +1059,17 @@ impl StoreServer {
         self.send_heartbeats(ctx);
     }
 
-    /// Primary-side op-log truncation: discards the prefix every *live*
-    /// member has reported applying, so long runs stop growing the log — and
-    /// the resync cost of the next rejoin. A member that was dead past the
-    /// truncation point is brought back by a full [`StateTransfer`] instead
-    /// of replay.
+    /// Op-log truncation, run by every ready member on its own log:
+    /// discards the prefix this member and every *live* peer have reported
+    /// applying, so long runs stop growing any member's log — and the
+    /// resync cost of the next rejoin. A member asked for ops below its log
+    /// start (a rejoin, or a peer behind a member that has since claimed
+    /// the primary role) answers with a full [`StateTransfer`] instead of
+    /// replay.
     fn truncate_acked_oplog(&mut self, now: SimTime) {
         let timeout = self.cfg.group_session_timeout;
         let Some(g) = self.group.as_mut() else { return };
-        if g.primary != g.index || !g.ready || g.members.len() < 2 {
+        if !g.ready || g.members.len() < 2 {
             return;
         }
         let mut floor = g.applied_seq;
@@ -1805,12 +1807,15 @@ mod tests {
             get_at,
             answer_addr: None,
         }));
-        // Member 2 is down for the put and long enough after it that the
-        // primary truncates the op away: it comes back by a state transfer.
+        // Member 2 is down for the put and long enough after it that both
+        // live members truncate the op away: it comes back by a state
+        // transfer, whichever answers first.
         sim.run_until(SimTime::from_millis(500));
         sim.kill(pids[2]);
         sim.run_until(SimTime::from_secs(3));
-        assert!(group(&sim, pids[0]).log_start >= 1, "the put was truncated");
+        for pid in &pids[..2] {
+            assert!(group(&sim, *pid).log_start >= 1, "the put was truncated");
+        }
         let mut rejoin = StoreServer::new(StoreConfig::default());
         rejoin.set_incarnation(1);
         rejoin.set_group(pids.clone(), 2, true);

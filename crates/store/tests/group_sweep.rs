@@ -295,10 +295,35 @@ fn run(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-#[test]
-fn a_faulted_store_group_keeps_every_acked_write_and_one_primary_per_epoch() {
-    let failed: Vec<String> = (1..=SEEDS)
+/// Runs seeds `1..=seeds` and fails naming every seed that broke something.
+fn sweep(seeds: u64) {
+    let failed: Vec<String> = (1..=seeds)
         .filter_map(|seed| run(seed).err().map(|e| format!("seed {seed}: {e}")))
         .collect();
     assert!(failed.is_empty(), "{failed:#?}");
+}
+
+#[test]
+fn a_faulted_store_group_keeps_every_acked_write_and_one_primary_per_epoch() {
+    sweep(SEEDS);
+}
+
+/// The long sweep, by hand: `cargo test --release -p s2g-store --test
+/// group_sweep -- --ignored twenty_thousand` (about a minute).
+#[test]
+#[ignore = "long: 20 000 seeds; fails on the two store-fencing seeds below"]
+fn twenty_thousand_seeds() {
+    sweep(20_000);
+}
+
+#[test]
+#[ignore = "open defect (ROADMAP item 1): a store claim does not fence the old primary"]
+fn seed_14005_store_claim_does_not_fence_the_old_primary() {
+    run(14_005).unwrap();
+}
+
+#[test]
+#[ignore = "open defect (ROADMAP item 1): a store claim does not fence the old primary"]
+fn seed_17821_store_claim_does_not_fence_the_old_primary() {
+    run(17_821).unwrap();
 }

@@ -33,7 +33,7 @@
 //! oplog_len.set(12.0);
 //! latency.observe(0.003);
 //! tele.snapshot(SimTime::from_millis(500));
-//! let csv = tele.tidy_csv();
+//! let csv = s2g_telemetry::tidy_csv(tele.series().all());
 //! assert!(csv.starts_with("t_s,scope,metric,value"));
 //! assert!(csv.contains("broker-0,produces,1"));
 //! ```
@@ -54,7 +54,7 @@ pub use metrics::{
     summarize, CounterHandle, GaugeHandle, Histogram, HistogramHandle, Metric, MetricValue,
     Registry, SummaryStats,
 };
-pub use series::{MetricSeries, SampledGauge, SeriesStore, TelemetrySampler};
+pub use series::{tidy_csv, MetricSeries, SampledGauge, SeriesStore, TelemetrySampler};
 pub use trace::{TraceEvent, TracePhase, Tracer};
 
 /// The shared telemetry handle: one registry, one series store, and one
@@ -174,9 +174,10 @@ impl Telemetry {
         TelemetrySampler::new(self.clone(), interval, gauges)
     }
 
-    /// The sampled series as tidy CSV (`t_s,scope,metric,value`).
-    pub fn tidy_csv(&self) -> String {
-        self.series.borrow().to_tidy_csv()
+    /// Moves the sampled series out, in first-sample order, leaving the
+    /// store empty: how a run's report owns them without a second copy.
+    pub fn take_series(&self) -> Vec<MetricSeries> {
+        self.series.take().into_series()
     }
 
     /// The collected trace as Chrome trace-event JSON.

@@ -77,22 +77,27 @@ impl SeriesStore {
         &self.series
     }
 
+    /// The series themselves, in first-sample order.
+    pub(crate) fn into_series(self) -> Vec<MetricSeries> {
+        self.series
+    }
+
     /// Series whose metric name equals `name`, across scopes.
     pub fn by_name<'a>(&'a self, name: &str) -> Vec<&'a MetricSeries> {
         self.series.iter().filter(|s| s.name == name).collect()
     }
+}
 
-    /// Exports every sample as tidy CSV: one `t_s,scope,metric,value` row
-    /// per observation, ordered by series registration then time.
-    pub fn to_tidy_csv(&self) -> String {
-        let mut out = String::from("t_s,scope,metric,value\n");
-        for s in &self.series {
-            for (t, v) in &s.points {
-                let _ = writeln!(out, "{},{},{},{}", t.as_secs_f64(), s.scope, s.name, v);
-            }
+/// Every sample of `series` as tidy CSV: one `t_s,scope,metric,value` row
+/// per observation, ordered by series then time.
+pub fn tidy_csv(series: &[MetricSeries]) -> String {
+    let mut out = String::from("t_s,scope,metric,value\n");
+    for s in series {
+        for (t, v) in &s.points {
+            let _ = writeln!(out, "{},{},{},{}", t.as_secs_f64(), s.scope, s.name, v);
         }
-        out
     }
+    out
 }
 
 /// A shared handle to a [`SeriesStore`].
@@ -170,7 +175,7 @@ mod tests {
         s.record(SimTime::from_millis(500), "broker-0", "produces", 3.0);
         s.record(SimTime::from_secs(1), "broker-0", "produces", 9.0);
         s.record(SimTime::from_secs(1), "job/a/0", "records_in", 40.0);
-        let csv = s.to_tidy_csv();
+        let csv = tidy_csv(s.all());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "t_s,scope,metric,value");
         assert_eq!(lines[1], "0.5,broker-0,produces,3");
@@ -184,7 +189,7 @@ mod tests {
         let s = SeriesStore::new();
         assert!(s.get("x", "y").is_none());
         assert!(s.all().is_empty());
-        assert_eq!(s.to_tidy_csv(), "t_s,scope,metric,value\n");
+        assert_eq!(tidy_csv(s.all()), "t_s,scope,metric,value\n");
     }
 
     #[test]

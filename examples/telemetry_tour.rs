@@ -91,7 +91,7 @@ fn main() {
             );
         }
     }
-    let csv = tele.tidy_csv();
+    let csv = result.report.tidy_csv();
     println!(
         "  tidy CSV export: {} rows, header `{}`",
         csv.lines().count() - 1,

@@ -468,7 +468,7 @@ fn telemetry_runs_reproduce_exactly() {
             result.delivery_matrix(0)
         );
         (
-            result.telemetry.tidy_csv(),
+            result.report.tidy_csv(),
             result.telemetry.chrome_json(),
             behavior,
         )

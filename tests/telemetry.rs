@@ -9,7 +9,9 @@ use stream2gym::net::{FaultPlan, LinkSpec};
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, SpeConfig};
 use stream2gym::store::StoreConfig;
-use stream2gym::telemetry::{validate_chrome_trace, Histogram, Registry, SeriesStore, Telemetry};
+use stream2gym::telemetry::{
+    tidy_csv, validate_chrome_trace, Histogram, Registry, SeriesStore, Telemetry,
+};
 
 use std::time::{Duration, Instant};
 
@@ -37,7 +39,7 @@ fn fault_heavy(seed: u64) -> Scenario {
 fn same_seed_runs_emit_identical_telemetry() {
     let run = |seed: u64| {
         let result = fault_heavy(seed).run().expect("runs");
-        (result.telemetry.tidy_csv(), result.telemetry.chrome_json())
+        (result.report.tidy_csv(), result.telemetry.chrome_json())
     };
     let (csv_a, trace_a) = run(7);
     let (csv_b, trace_b) = run(7);
@@ -202,14 +204,14 @@ fn empty_series_store_is_well_behaved() {
     assert!(store.get("any", "thing").is_none());
     assert!(store.all().is_empty());
     assert_eq!(
-        store.to_tidy_csv().lines().next(),
+        tidy_csv(store.all()).lines().next(),
         Some("t_s,scope,metric,value")
     );
 
     // A fresh handle exports header-only CSV and an empty (but valid)
     // Chrome trace.
     let tele = Telemetry::new();
-    assert_eq!(tele.tidy_csv().lines().count(), 1);
+    assert_eq!(tidy_csv(tele.series().all()).lines().count(), 1);
     let summary = validate_chrome_trace(&tele.chrome_json()).expect("valid empty trace");
     assert_eq!(summary.events, 0);
 }

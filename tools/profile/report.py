@@ -2,7 +2,7 @@
 """Symbolise and aggregate the samples tools/profile/sampler.so wrote.
 
     report.py PREFIX [--top N] [--match NAME ... [--within FRAME]]
-              [--callers LEAF [--depth K]] [--sites]
+              [--callers LEAF [--depth K]] [--sites] [--bytes]
 
 PREFIX is the sampler's S2G_PROF_OUT: every PREFIX.<pid>.stacks with its
 PREFIX.<pid>.maps is read, so the samples of several runs of one build
@@ -26,8 +26,12 @@ It prints, over all samples:
     Over allocs.so's samples that is the share of allocator calls each site
     makes.
 
-sampler.so (CPU time) and allocs.so (allocator calls) write the same
-format, so every option reads either.
+With --bytes, every share is weighted by the bytes each line carries
+("=BYTES" before its addresses) instead of counting lines: over live.so's
+output, the share of the live heap each function or site holds.
+
+sampler.so (CPU time), allocs.so (allocator calls) and live.so (live heap
+bytes) write the same format, so every option reads any of them.
 
 Needs python3 and binutils only.
 """
@@ -141,12 +145,14 @@ def main():
     ap.add_argument("--callers")
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--sites", action="store_true")
+    ap.add_argument("--bytes", action="store_true")
     args = ap.parse_args()
 
     runs = sorted(glob.glob(args.prefix + ".*.stacks"))
     if not runs:
         sys.exit(f"no {args.prefix}.<pid>.stacks files")
     samples = []  # each: [(file, elf address)] innermost first
+    weights = []  # each sample's bytes with --bytes, else 1
     for stacks in runs:
         spans, bias = read_maps(stacks[: -len(".stacks")] + ".maps")
         def locate(addr):
@@ -156,7 +162,12 @@ def main():
             return None, addr
         with open(stacks) as f:
             for line in f:
-                addrs = [int(x, 16) for x in line.split()]
+                words = line.split()
+                weight = int(words.pop(0)[1:]) if words and words[0].startswith("=") else None
+                if args.bytes and weight is None:
+                    sys.exit(f"{stacks}: a line without =BYTES; --bytes reads live.so's output")
+                weights.append(weight if args.bytes else 1)
+                addrs = [int(x, 16) for x in words]
                 # Return addresses point past their call: step back into it.
                 frames = [locate(a if i == 0 else a - 1) for i, a in enumerate(addrs)]
                 samples.append(frames)
@@ -178,41 +189,53 @@ def main():
         return out
 
     stacks = [expand(f) for f in samples]
-    total = len(stacks)
-    self_count = collections.Counter(s[0] for s in stacks if s)
+    weighted = list(zip(weights, stacks))
+    total = max(sum(weights), 1)
+    self_count = collections.Counter()
     incl_count = collections.Counter()
-    for s in stacks:
-        incl_count.update(set(s))
-    print(f"{total} samples from {len(runs)} run(s)")
+    for w, s in weighted:
+        if s:
+            self_count[s[0]] += w
+        for name in set(s):
+            incl_count[name] += w
+    if args.bytes:
+        print(f"{sum(weights)} bytes in {len(stacks)} stacks from {len(runs)} run(s)")
+    else:
+        print(f"{len(stacks)} samples from {len(runs)} run(s)")
     print(f"\nself share (top {args.top})")
     for name, n in self_count.most_common(args.top):
         print(f"{100 * n / total:6.2f} %  {name}")
     print(f"\ninclusive share (top {args.top})")
     for name, n in incl_count.most_common(args.top):
         print(f"{100 * n / total:6.2f} %  {name}")
+    unit = "bytes" if args.bytes else "samples"
     if args.match:
-        pool = stacks
+        pool = weighted
         if args.within:
-            pool = [s for s in stacks if any(args.within in f for f in s)]
-            print(f"\n{len(pool)} samples, {100 * len(pool) / total:.2f} %, within {args.within}")
+            pool = [(w, s) for w, s in weighted if any(args.within in f for f in s)]
+            within = sum(w for w, _ in pool)
+            print(f"\n{within} {unit}, {100 * within / total:.2f} %, within {args.within}")
         print("\ninclusive share of names containing")
         for pattern in args.match:
-            n = sum(1 for s in pool if any(pattern in f for f in s))
-            own = sum(1 for s in pool if s and pattern in s[0])
+            n = sum(w for w, s in pool if any(pattern in f for f in s))
+            own = sum(w for w, s in pool if s and pattern in s[0])
             line = f"{100 * n / total:6.2f} %  (self {100 * own / total:5.2f} %)"
             if args.within:
-                line += f"  {100 * n / max(len(pool), 1):6.2f} % of those"
+                line += f"  {100 * n / max(within, 1):6.2f} % of those"
             print(f"{line}  {pattern}")
     if args.callers:
-        chains = collections.Counter(
-            " <- ".join(s[1:1 + args.depth]) for s in stacks if s and args.callers in s[0]
-        )
+        chains = collections.Counter()
+        for w, s in weighted:
+            if s and args.callers in s[0]:
+                chains[" <- ".join(s[1:1 + args.depth])] += w
         hits = sum(chains.values())
-        print(f"\ncallers of {args.callers}: {hits} samples, {100 * hits / total:.2f} %")
+        print(f"\ncallers of {args.callers}: {hits} {unit}, {100 * hits / total:.2f} %")
         for chain, n in chains.most_common(args.top):
             print(f"{100 * n / total:6.2f} %  {chain}")
     if args.sites:
-        sites = collections.Counter(site(s) for s in stacks)
+        sites = collections.Counter()
+        for w, s in weighted:
+            sites[site(s)] += w
         print(f"\nsites, first frame outside the standard library (top {args.top})")
         for name, n in sites.most_common(args.top):
             print(f"{100 * n / total:6.2f} %  {name}")

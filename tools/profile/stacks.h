@@ -1,7 +1,7 @@
 /*
- * What sampler.c and allocs.c share: the bounds of the main thread's
- * stack, the frame-pointer walk over it, and writing the samples and the
- * process's mappings at exit in the format report.py reads:
+ * What sampler.c, allocs.c and live.c share: the bounds of the main
+ * thread's stack, the frame-pointer walk over it, and writing the samples
+ * and the process's mappings at exit in the format report.py reads:
  *
  *   PREFIX.<pid>.stacks   one sample per line, hex addresses, innermost
  *                         first
@@ -78,12 +78,34 @@ static void write_all(int fd, const char *p, size_t len) {
     }
 }
 
+/* The output prefix: $S2G_PROF_OUT, or `fallback` when it is unset. */
+static const char *out_prefix(const char *fallback) {
+    const char *prefix = getenv("S2G_PROF_OUT");
+    return prefix ? prefix : fallback;
+}
+
+/* Writes a copy of /proc/self/maps to PREFIX.<pid>.maps. */
+static void write_maps(const char *prefix) {
+    char path[4096];
+    snprintf(path, sizeof path, "%s.%d.maps", prefix, (int)getpid());
+    int src = open("/proc/self/maps", O_RDONLY);
+    int dst = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    char chunk[65536];
+    ssize_t r;
+    while (src >= 0 && dst >= 0 && (r = read(src, chunk, sizeof chunk)) > 0)
+        write_all(dst, chunk, (size_t)r);
+    if (src >= 0)
+        close(src);
+    if (dst >= 0)
+        close(dst);
+}
+
 /* Writes the `used` words of samples in `buf` and a copy of
  * /proc/self/maps under $S2G_PROF_OUT, or `fallback` when it is unset. */
-static void write_profile(const char *fallback, const uintptr_t *buf, size_t used) {
-    const char *prefix = getenv("S2G_PROF_OUT");
+static inline void write_profile(const char *fallback, const uintptr_t *buf, size_t used) {
+    const char *prefix = out_prefix(fallback);
     char path[4096];
-    snprintf(path, sizeof path, "%s.%d.stacks", prefix ? prefix : fallback, (int)getpid());
+    snprintf(path, sizeof path, "%s.%d.stacks", prefix, (int)getpid());
     FILE *out = fopen(path, "w");
     if (!out)
         return;
@@ -95,15 +117,5 @@ static void write_profile(const char *fallback, const uintptr_t *buf, size_t use
         at += 1 + n;
     }
     fclose(out);
-    snprintf(path, sizeof path, "%s.%d.maps", prefix ? prefix : fallback, (int)getpid());
-    int src = open("/proc/self/maps", O_RDONLY);
-    int dst = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    char chunk[65536];
-    ssize_t r;
-    while (src >= 0 && dst >= 0 && (r = read(src, chunk, sizeof chunk)) > 0)
-        write_all(dst, chunk, (size_t)r);
-    if (src >= 0)
-        close(src);
-    if (dst >= 0)
-        close(dst);
+    write_maps(prefix);
 }
