@@ -850,8 +850,7 @@ impl Runtime {
     fn spe_reports(&mut self) -> (BTreeMap<String, SpeReport>, BTreeMap<String, SpeReport>) {
         let (mut by_job, mut by_instance) = (BTreeMap::new(), BTreeMap::new());
         for (j, job) in self.plan.jobs.iter().enumerate() {
-            let mut per: Vec<(usize, SpeReport)> = Vec::new();
-            let mut names = Vec::new();
+            let mut per: Vec<(usize, String, SpeReport)> = Vec::new();
             for (key, slot) in self.slots.range_mut(instances(j)) {
                 let ComponentRef::Instance(_, stage, _) = *key else {
                     unreachable!("the range holds instances only");
@@ -880,15 +879,14 @@ impl Runtime {
                         first_batch_at: info.and_then(|i| i.first_batch_at),
                     }),
                 };
-                names.push(slot.name.clone());
-                per.push((stage, report));
+                per.push((stage, slot.name.clone(), report));
             }
             let whole = if job.parallel {
                 let whole = aggregate_spe_reports(job.n_stages, &per);
-                by_instance.extend(names.into_iter().zip(per.into_iter().map(|(_, r)| r)));
+                by_instance.extend(per.into_iter().map(|(_, name, r)| (name, r)));
                 whole
             } else {
-                per.pop().expect("one worker per classic job").1
+                per.pop().expect("one worker per classic job").2
             };
             by_job.insert(job.name.clone(), whole);
         }
@@ -935,38 +933,38 @@ fn mean_busy_runtime(metrics: &[BatchMetric]) -> SimDuration {
 /// at the last stage, batch metrics interleave in time order,
 /// checkpoint/consumer/producer counters add, and the recovery entry follows the
 /// earliest-crashed instance.
-fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeReport {
+fn aggregate_spe_reports(n_stages: usize, per: &[(usize, String, SpeReport)]) -> SpeReport {
     let mut metrics: Vec<BatchMetric> = per
         .iter()
-        .flat_map(|(_, r)| r.metrics.iter().copied())
+        .flat_map(|(_, _, r)| r.metrics.iter().copied())
         .collect();
     metrics.sort_by_key(|m| (m.start, m.end));
     let records_in: u64 = per
         .iter()
-        .filter(|(s, _)| *s == 0)
-        .map(|(_, r)| r.record_counts.0)
+        .filter(|(s, _, _)| *s == 0)
+        .map(|(_, _, r)| r.record_counts.0)
         .sum();
     let records_out: u64 = per
         .iter()
-        .filter(|(s, _)| *s + 1 == n_stages)
-        .map(|(_, r)| r.record_counts.1)
+        .filter(|(s, _, _)| *s + 1 == n_stages)
+        .map(|(_, _, r)| r.record_counts.1)
         .sum();
     let collected: Vec<Event> = per
         .iter()
-        .flat_map(|(_, r)| r.collected.iter().cloned())
+        .flat_map(|(_, _, r)| r.collected.iter().cloned())
         .collect();
     let mean_busy_runtime = mean_busy_runtime(&metrics);
     let mut checkpoints = CheckpointStats::default();
-    for (_, r) in per {
+    for (_, _, r) in per {
         checkpoints.absorb(&r.checkpoints);
     }
     let mut checkpoint_log: Vec<(SimTime, SimTime)> = per
         .iter()
-        .flat_map(|(_, r)| r.checkpoint_log.iter().copied())
+        .flat_map(|(_, _, r)| r.checkpoint_log.iter().copied())
         .collect();
     checkpoint_log.sort();
     let mut consumer_stats = ConsumerStats::default();
-    for (_, r) in per {
+    for (_, _, r) in per {
         let c = &r.consumer_stats;
         consumer_stats.fetches += c.fetches;
         consumer_stats.records += c.records;
@@ -979,7 +977,7 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
         consumer_stats.stale_replies += c.stale_replies;
     }
     let mut producer_stats = ProducerStats::default();
-    for (_, r) in per {
+    for (_, _, r) in per {
         let p = &r.producer_stats;
         producer_stats.sent += p.sent;
         producer_stats.acked += p.acked;
@@ -989,7 +987,7 @@ fn aggregate_spe_reports(n_stages: usize, per: &[(usize, SpeReport)]) -> SpeRepo
     }
     let recovery = per
         .iter()
-        .filter_map(|(_, r)| r.recovery)
+        .filter_map(|(_, _, r)| r.recovery)
         .min_by_key(|r| r.crashed_at);
     SpeReport {
         metrics,

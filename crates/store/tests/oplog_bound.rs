@@ -11,6 +11,8 @@ use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimT
 use s2g_store::{StoreConfig, StoreRpc, StoreServer};
 
 const MEMBERS: usize = 3;
+/// When the first put is sent: after the members' start-up CPU.
+const START: SimDuration = SimDuration::from_secs(1);
 /// One put is sent this long after the one before was acked.
 const STEP: SimDuration = SimDuration::from_millis(10);
 const SAMPLE: SimDuration = SimDuration::from_millis(10);
@@ -44,8 +46,7 @@ impl Process for Writer {
         "writer"
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // After the members' start-up CPU.
-        ctx.set_timer(SimDuration::from_secs(1), 0);
+        ctx.set_timer(START, 0);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         if self.left > 0 {
@@ -67,7 +68,9 @@ impl Process for Writer {
 
 /// Writes `puts` puts, then runs on for `SETTLE`, and returns the most
 /// op-log entries each member held at any sample, and each member's
-/// applied sequence at the end.
+/// applied sequence at the end. Fails if the puts are not all acked by
+/// four `STEP`s a put: the writer never retries, so a lost put or ack
+/// would otherwise keep it waiting for ever.
 fn run(puts: u64) -> (Vec<usize>, Vec<u64>) {
     let mut sim = Sim::new(1);
     let members: Vec<ProcessId> = (0..MEMBERS)
@@ -88,10 +91,18 @@ fn run(puts: u64) -> (Vec<usize>, Vec<u64>) {
     }));
     let mut most = vec![0; MEMBERS];
     let mut now = SimTime::ZERO;
+    let deadline = now + START + STEP * (4 * puts);
     let mut settled = None;
     while settled.is_none_or(|at| now < at) {
-        if settled.is_none() && sim.process_ref::<Writer>(writer).expect("writer").acked == puts {
-            settled = Some(now + SETTLE);
+        if settled.is_none() {
+            let acked = sim.process_ref::<Writer>(writer).expect("writer").acked;
+            if acked == puts {
+                settled = Some(now + SETTLE);
+            }
+            assert!(
+                now < deadline,
+                "{puts} puts: only {acked} acked by {deadline}"
+            );
         }
         now += SAMPLE;
         sim.run_until(now);

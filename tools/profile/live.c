@@ -1,41 +1,50 @@
 /*
- * A live-heap tracker loaded with LD_PRELOAD: it names the code that holds
- * the heap bytes still allocated, which an allocation count cannot, with
- * no change to the program it watches.
+ * An allocator tracker loaded with LD_PRELOAD: it names the code that
+ * calls the allocator and the code that holds the heap bytes still
+ * allocated, which a counting allocator cannot, with no change to the
+ * program it watches.
  *
  * It wraps malloc, calloc, realloc, free, posix_memalign, aligned_alloc
  * and memalign, forwards each to glibc's __libc_* entry points, and keeps
  * every block from allocation to free: its size and the stack that
  * allocated it (the call site and the return addresses found by walking
  * the frame pointer chain of the main thread's stack). A stack is stored
- * once, with the bytes its blocks still hold. Everything lives in memory
- * mapped before the first call, so tracking neither allocates nor recurses.
+ * once, with the calls made from it and the bytes its blocks still hold.
+ * Everything lives in memory mapped before the first call, so tracking
+ * neither allocates nor recurses.
  *
  * At exit it prints the peak and final live bytes to stderr and writes,
  * in sampler.c's format with a weight in front of each line:
  *
- *   $S2G_PROF_OUT.<pid>.stacks   one line per stack holding live bytes:
- *                                "=BYTES", then hex addresses, the
- *                                allocator call first, then its callers
- *   $S2G_PROF_OUT.<pid>.maps     the process's mappings
+ *   $S2G_PROF_OUT.<pid>.stacks        one line per stack holding live
+ *                                     bytes: "bytes=N", then hex
+ *                                     addresses, the allocator call
+ *                                     first, then its callers
+ *   $S2G_PROF_OUT-calls.<pid>.stacks  one line per stack: "calls=N" (the
+ *                                     allocator calls it made), then the
+ *                                     same addresses
  *
- * A program that frees what it holds before it exits leaves little then.
+ * and, beside each, the process's mappings in a .maps file.
+ *
+ * A program that frees what it holds before it exits leaves little live.
  * Its peak is what to look at: run it once, and again with S2G_LIVE_MARK
  * set to the peak the first run printed. The second run also writes the
- * same two files under $S2G_PROF_OUT-mark the first time its live bytes
- * reach the mark. A seeded, deterministic program allocates the same
- * blocks in the same order on every run, so that is its peak; give a
- * mark a little under it when runs differ by a few blocks.
+ * live bytes under $S2G_PROF_OUT-mark the first time they reach the mark.
+ * A seeded, deterministic program allocates the same blocks in the same
+ * order on every run, so that is its peak; give a mark a little under it
+ * when runs differ by a few blocks.
  *
- * `report.py PREFIX --bytes` weighs each line by its bytes, so a share is
- * a share of the live heap; `--sites` groups by the first frame outside
- * the standard library, as for allocs.c.
+ * report.py weighs each line by its count, so a share is a share of the
+ * live heap or of allocator calls; `--sites` groups by the first frame
+ * outside the standard library. Tracking every call about doubles the
+ * wall time of an allocation-heavy program.
  *
  * The program must keep frame pointers (RUSTFLAGS="-C
  * force-frame-pointers=yes"), as for sampler.c. Off the main thread only
  * the call site is recorded. Sizes are the sizes asked for, not what the
- * allocator rounds them up to. A table that fills stops taking new blocks
- * (counted, and reported at exit).
+ * allocator rounds them up to. A call whose stack finds no room is not
+ * counted, and a block that finds none is not tracked (both counted, and
+ * reported at exit).
  *
  * Build: gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o live.so live.c
  * (stacks.h beside it)
@@ -73,12 +82,13 @@ struct stack {
     uint64_t hash;
     uint64_t at; /* word offset of the stack in `frames`, plus one; 0: empty */
     int64_t bytes;
+    uint64_t calls;
 };
 
 static struct block *blocks;
 static struct stack *stacks;
 static uintptr_t *frames;
-static size_t frames_used, blocks_used, untracked;
+static size_t frames_used, blocks_used, uncounted, untracked;
 static size_t live, peak, mark;
 static int marked;
 static int ready;
@@ -125,17 +135,20 @@ static uint32_t intern(const uintptr_t *f, size_t n) {
     return STACKS;
 }
 
-static void dump(const char *prefix) {
+/* Writes PREFIX.<pid>.stacks, one line per stack with a non-zero count
+ * of calls (or, if not `calls`, of live bytes), and PREFIX.<pid>.maps. */
+static void dump(const char *prefix, int calls) {
     char path[4096], line[64 + MAX_DEPTH * 17];
     snprintf(path, sizeof path, "%s.%d.stacks", prefix, (int)getpid());
     int fd = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return;
     for (size_t i = 0; i < STACKS; i++) {
-        if (stacks[i].at == 0 || stacks[i].bytes <= 0)
+        long long count = calls ? (long long)stacks[i].calls : (long long)stacks[i].bytes;
+        if (stacks[i].at == 0 || count <= 0)
             continue;
         const uintptr_t *f = frames + stacks[i].at - 1;
-        int len = snprintf(line, sizeof line, "=%lld", (long long)stacks[i].bytes);
+        int len = snprintf(line, sizeof line, "%s=%lld", calls ? "calls" : "bytes", count);
         for (size_t k = 0; k < f[0]; k++)
             len += snprintf(line + len, sizeof line - (size_t)len, " %lx", (unsigned long)f[1 + k]);
         line[len++] = '\n';
@@ -143,6 +156,13 @@ static void dump(const char *prefix) {
     }
     close(fd);
     write_maps(prefix);
+}
+
+/* Dumps under $S2G_PROF_OUT (or "s2g-live") with `suffix` appended. */
+static void dump_as(const char *suffix, int calls) {
+    char prefix[4096];
+    snprintf(prefix, sizeof prefix, "%s%s", out_prefix("s2g-live"), suffix);
+    dump(prefix, calls);
 }
 
 /* Tracks `ptr`, `size` bytes, allocated under the frame `fp` of the
@@ -159,8 +179,12 @@ static inline __attribute__((always_inline)) void track(void *ptr, size_t size, 
         n = walk_frames(((uintptr_t *)fp)[0], fp + 16, f, n);
     busy = 1;
     take();
-    uint32_t id = blocks_used < BLOCKS / 4 * 3 ? intern(f, n) : STACKS;
-    if (id == STACKS) {
+    uint32_t id = intern(f, n);
+    if (id != STACKS)
+        stacks[id].calls++;
+    else
+        uncounted++;
+    if (id == STACKS || blocks_used >= BLOCKS / 4 * 3) {
         untracked++;
     } else {
         size_t i = block_slot((uintptr_t)ptr);
@@ -175,9 +199,7 @@ static inline __attribute__((always_inline)) void track(void *ptr, size_t size, 
             peak = live;
         if (mark && !marked && live >= mark) {
             marked = 1;
-            char prefix[4096];
-            snprintf(prefix, sizeof prefix, "%s-mark", out_prefix("s2g-live"));
-            dump(prefix);
+            dump_as("-mark", 0);
         }
     }
     give();
@@ -263,12 +285,14 @@ static void at_exit(void) {
     busy = 1;
     take();
     __atomic_store_n(&ready, 0, __ATOMIC_RELAXED);
-    dump(out_prefix("s2g-live"));
+    dump_as("", 0);
+    dump_as("-calls", 1);
     fprintf(stderr, "live: peak %zu B, %zu B at exit in %zu blocks\n", peak, live, blocks_used);
     if (mark && !marked)
         fprintf(stderr, "live: never reached the mark of %zu B\n", mark);
     if (untracked)
-        fprintf(stderr, "live: a table filled, %zu blocks not tracked\n", untracked);
+        fprintf(stderr, "live: a table filled, %zu calls and %zu blocks not tracked\n",
+                uncounted, untracked);
     give();
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Symbolise and aggregate the samples tools/profile/sampler.so wrote.
+"""Symbolise and aggregate what tools/profile/sampler.so or live.so wrote.
 
     report.py PREFIX [--top N] [--match NAME ... [--within FRAME]]
-              [--callers LEAF [--depth K]] [--sites] [--bytes]
+              [--callers LEAF [--depth K]] [--sites]
 
-PREFIX is the sampler's S2G_PROF_OUT: every PREFIX.<pid>.stacks with its
+PREFIX is a run's S2G_PROF_OUT (with -calls or -mark after it for
+live.so's other outputs): every PREFIX.<pid>.stacks with its
 PREFIX.<pid>.maps is read, so the samples of several runs of one build
 aggregate (at a 4 ms tick one run of a second gives ~250 samples; use at
 least eight). Addresses are symbolised with `addr2line -f -C -i`, inlined
@@ -23,15 +24,12 @@ It prints, over all samples:
   * with --sites, the N sites with the largest share, a sample's site being
     its first frame outside the standard library (alloc::, core:: and std::,
     implementations of their traits, and the allocator's entry points).
-    Over allocs.so's samples that is the share of allocator calls each site
-    makes.
 
-With --bytes, every share is weighted by the bytes each line carries
-("=BYTES" before its addresses) instead of counting lines: over live.so's
-output, the share of the live heap each function or site holds.
-
-sampler.so (CPU time), allocs.so (allocator calls) and live.so (live heap
-bytes) write the same format, so every option reads any of them.
+A line that starts with UNIT=N (live.so writes "bytes=N" and "calls=N")
+weighs N of UNIT; any other line is one sample. So over live.so's output a
+share is a share of the live heap or of allocator calls, and over
+sampler.so's a share of CPU time. sampler.so and live.so write the same
+format otherwise, so every option reads either.
 
 Needs python3 and binutils only.
 """
@@ -145,14 +143,14 @@ def main():
     ap.add_argument("--callers")
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--sites", action="store_true")
-    ap.add_argument("--bytes", action="store_true")
     args = ap.parse_args()
 
     runs = sorted(glob.glob(args.prefix + ".*.stacks"))
     if not runs:
         sys.exit(f"no {args.prefix}.<pid>.stacks files")
     samples = []  # each: [(file, elf address)] innermost first
-    weights = []  # each sample's bytes with --bytes, else 1
+    weights = []  # each sample's N of UNIT, or 1
+    units = set()  # UNIT of the weighted lines, "samples" of the others
     for stacks in runs:
         spans, bias = read_maps(stacks[: -len(".stacks")] + ".maps")
         def locate(addr):
@@ -163,14 +161,22 @@ def main():
         with open(stacks) as f:
             for line in f:
                 words = line.split()
-                weight = int(words.pop(0)[1:]) if words and words[0].startswith("=") else None
-                if args.bytes and weight is None:
-                    sys.exit(f"{stacks}: a line without =BYTES; --bytes reads live.so's output")
-                weights.append(weight if args.bytes else 1)
+                unit, _, count = (words[0] if words else "").partition("=")
+                if count:
+                    words.pop(0)
+                    weights.append(int(count))
+                else:
+                    unit = "samples"
+                    weights.append(1)
+                units.add(unit)
                 addrs = [int(x, 16) for x in words]
                 # Return addresses point past their call: step back into it.
                 frames = [locate(a if i == 0 else a - 1) for i, a in enumerate(addrs)]
                 samples.append(frames)
+
+    if len(units) > 1:
+        sys.exit(f"{args.prefix}: lines weigh different things: {', '.join(sorted(units))}")
+    unit = units.pop() if units else "samples"
 
     by_file = collections.defaultdict(set)
     for frames in samples:
@@ -198,17 +204,16 @@ def main():
             self_count[s[0]] += w
         for name in set(s):
             incl_count[name] += w
-    if args.bytes:
-        print(f"{sum(weights)} bytes in {len(stacks)} stacks from {len(runs)} run(s)")
-    else:
+    if unit == "samples":
         print(f"{len(stacks)} samples from {len(runs)} run(s)")
+    else:
+        print(f"{sum(weights)} {unit} in {len(stacks)} stacks from {len(runs)} run(s)")
     print(f"\nself share (top {args.top})")
     for name, n in self_count.most_common(args.top):
         print(f"{100 * n / total:6.2f} %  {name}")
     print(f"\ninclusive share (top {args.top})")
     for name, n in incl_count.most_common(args.top):
         print(f"{100 * n / total:6.2f} %  {name}")
-    unit = "bytes" if args.bytes else "samples"
     if args.match:
         pool = weighted
         if args.within:

@@ -1,19 +1,16 @@
 #!/usr/bin/env bash
 # Checks that the profilers in this directory still work end to end:
-#   1. builds sampler.so and allocs.so with gcc, and the partition_failure
+#   1. builds sampler.so and live.so with gcc, and the partition_failure
 #      example with frame pointers and line tables into a target dir of its
 #      own;
 #   2. runs the example under sampler.so four times (≈ 0.4 s a run, a few
 #      hundred samples at a 4 ms tick), and checks that report.py gives
 #      `Sim::run_until` a non-zero share;
-#   3. runs it once under allocs.so (tens of thousands of samples at the
-#      default one call in 16), and checks that `report.py --sites` gives
-#      the allocation site `Ctx::send` a non-zero share (≈ 1.4 %, about
-#      the 20th site);
-#   4. runs it under live.so twice, the second time with S2G_LIVE_MARK at
-#      the first run's peak, and checks that `report.py --bytes --sites`
-#      over what the second run wrote at the mark gives some site outside
-#      the standard library a non-zero share of the live heap.
+#   3. runs it under live.so twice, the second time with S2G_LIVE_MARK at
+#      the first run's peak, and checks that one of the five largest sites
+#      `report.py --sites` names, over both runs' allocator calls and
+#      over the live heap at the mark, is a function of this workspace (an
+#      `s2g_` crate) with a non-zero share.
 #
 #   tools/profile/smoke.sh [WORK_DIR]      (default: target/profile-smoke)
 #
@@ -22,10 +19,9 @@ set -euo pipefail
 cd "$(dirname "$0")/../.."
 work="${1:-target/profile-smoke}"
 mkdir -p "$work/prof"
-rm -f "$work"/prof/run.* "$work"/prof/allocs.* "$work"/prof/live.* "$work"/prof/live-mark.*
+rm -f "$work"/prof/run.* "$work"/prof/live.* "$work"/prof/live-calls.* "$work"/prof/live-mark.*
 
 gcc -O2 -shared -fPIC -o "$work/sampler.so" tools/profile/sampler.c
-gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o "$work/allocs.so" tools/profile/allocs.c
 gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o "$work/live.so" tools/profile/live.c
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=1 \
   cargo build --release --quiet --example partition_failure --target-dir "$work/fp"
@@ -46,33 +42,28 @@ else
   exit 1
 fi
 
-S2G_PROF_OUT="$work/prof/allocs" LD_PRELOAD="$work/allocs.so" \
-  "$work/fp/release/examples/partition_failure" > /dev/null
-# Every site is listed (the check looks for one site, wherever it ranks);
-# the five largest are shown.
-python3 tools/profile/report.py "$work/prof/allocs" --top 100000 --sites > "$work/allocs.txt"
-awk '/^sites, first frame outside/ { m = 1; print; next } m && n++ < 5' "$work/allocs.txt"
-share=$(awk '/^sites, first frame outside/ { m = 1; next }
-             m && / [^ ]*Ctx::send$/ { print $1 }' "$work/allocs.txt")
-if awk -v s="${share:-0}" 'BEGIN { exit !(s > 0) }'; then
-  echo "profile smoke: Ctx::send makes ${share} % of the sampled allocator calls"
-else
-  echo "profile smoke: no allocation sample has its site in Ctx::send" >&2
-  exit 1
-fi
-
 example="$work/fp/release/examples/partition_failure"
 peak=$(S2G_PROF_OUT="$work/prof/live" LD_PRELOAD="$work/live.so" "$example" 2>&1 >/dev/null \
   | awk '/^live: peak/ { print $3 }')
 S2G_PROF_OUT="$work/prof/live" S2G_LIVE_MARK="${peak:-0}" LD_PRELOAD="$work/live.so" \
   "$example" > /dev/null
-python3 tools/profile/report.py "$work/prof/live-mark" --top 5 --sites --bytes \
-  | tee "$work/live.txt"
-top=$(awk '/^sites, first frame outside/ { m = 1; next }
-           m && !/standard library only/ { print $1; exit }' "$work/live.txt")
-if awk -v s="${top:-0}" 'BEGIN { exit !(s > 0) }'; then
-  echo "profile smoke: at the ${peak} B peak the largest site holds ${top} % of the live heap"
-else
-  echo "profile smoke: no site outside the standard library holds live bytes at the peak" >&2
-  exit 1
-fi
+
+# Fails unless one of the five largest sites in PREFIX's report is a
+# function of this workspace with a non-zero share of WHAT.
+site_check() {
+  local prefix=$1 what=$2 out="$work/$(basename "$1").txt"
+  python3 tools/profile/report.py "$prefix" --top 5 --sites > "$out"
+  sed -n '1p; /^sites, first frame outside/,$p' "$out"
+  local hit
+  hit=$(awk '/^sites, first frame outside/ { m = 1; next }
+             m && / <?s2g_/ && $1 > 0 { share = $1; sub(/^[^%]*%  /, "")
+                                        print $0 " has " share " %"; exit }' "$out")
+  if [ -n "$hit" ]; then
+    echo "profile smoke: ${hit} of ${what}"
+  else
+    echo "profile smoke: no workspace function among the five largest sites of ${what}" >&2
+    exit 1
+  fi
+}
+site_check "$work/prof/live-calls" "the allocator calls"
+site_check "$work/prof/live-mark" "the live heap at the ${peak} B peak"

@@ -1,5 +1,5 @@
 /*
- * What sampler.c, allocs.c and live.c share: the bounds of the main
+ * What sampler.c and live.c share: the bounds of the main
  * thread's stack, the frame-pointer walk over it, and writing the samples
  * and the process's mappings at exit in the format report.py reads:
  *
