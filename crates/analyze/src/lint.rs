@@ -342,61 +342,120 @@ fn unhandled_exec_tags(code: &[String], skip: &[bool]) -> Vec<(usize, String)> {
     calls
 }
 
-/// Replaces comments and string-literal *contents* with spaces, line by
-/// line, tracking block comments across lines. Keeping the quotes
-/// themselves preserves column positions well enough for snippets while
-/// guaranteeing pattern tables (like this linter's own) never self-match.
+/// What the scanner is inside of where a line ends.
+#[derive(Clone, Copy)]
+enum Within {
+    Code,
+    /// A block comment, nested this deep.
+    Comment(usize),
+    /// A string literal: raw with this many `#`s, or not raw.
+    Str(Option<usize>),
+}
+
+/// Drops comments and the *contents* of string, char and byte literals,
+/// line by line, carrying block comments and strings across lines. Keeping
+/// the quotes themselves preserves column positions well enough for
+/// snippets while guaranteeing pattern tables (like this linter's own)
+/// never self-match, and a brace or quote in a literal never counts as
+/// code.
 fn strip_comments_and_strings(lines: &[&str]) -> Vec<String> {
+    let mut within = Within::Code;
     let mut out = Vec::with_capacity(lines.len());
-    let mut in_block_comment = false;
     for line in lines {
         let mut s = String::with_capacity(line.len());
-        let bytes: Vec<char> = line.chars().collect();
+        let chars: Vec<char> = line.chars().collect();
         let mut i = 0;
-        let mut in_string = false;
-        while i < bytes.len() {
-            let c = bytes[i];
-            if in_block_comment {
-                if c == '*' && bytes.get(i + 1) == Some(&'/') {
-                    in_block_comment = false;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-                continue;
-            }
-            if in_string {
-                if c == '\\' {
-                    i += 2;
-                } else {
-                    if c == '"' {
-                        in_string = false;
+        while i < chars.len() {
+            let (c, next) = (chars[i], chars.get(i + 1).copied());
+            match within {
+                Within::Comment(depth) => match (c, next) {
+                    ('*', Some('/')) => {
+                        within = if depth == 1 {
+                            Within::Code
+                        } else {
+                            Within::Comment(depth - 1)
+                        };
+                        i += 2;
+                    }
+                    ('/', Some('*')) => {
+                        within = Within::Comment(depth + 1);
+                        i += 2;
+                    }
+                    _ => i += 1,
+                },
+                Within::Str(None) if c == '\\' => i += 2,
+                Within::Str(hashes) if c == '"' => {
+                    let n = hashes.unwrap_or(0);
+                    let closes = chars[i + 1..].iter().take_while(|h| **h == '#').count() >= n;
+                    if closes {
+                        within = Within::Code;
                         s.push('"');
+                        s.extend(std::iter::repeat_n('#', n));
+                        i += n;
                     }
                     i += 1;
                 }
-                continue;
-            }
-            match c {
-                '/' if bytes.get(i + 1) == Some(&'/') => break, // rest is comment
-                '/' if bytes.get(i + 1) == Some(&'*') => {
-                    in_block_comment = true;
-                    i += 2;
-                }
-                '"' => {
-                    in_string = true;
-                    s.push('"');
-                    i += 1;
-                }
-                c => {
-                    s.push(c);
-                    i += 1;
-                }
+                Within::Str(_) => i += 1,
+                Within::Code => match (c, next) {
+                    ('/', Some('/')) => break, // rest is comment
+                    ('/', Some('*')) => {
+                        within = Within::Comment(1);
+                        i += 2;
+                    }
+                    ('"', _) => {
+                        within = Within::Str(None);
+                        s.push('"');
+                        i += 1;
+                    }
+                    _ => {
+                        if let Some((opening, hashes)) = raw_string_opening(&chars, i) {
+                            within = Within::Str(Some(hashes));
+                            s.extend(&chars[i..i + opening]);
+                            i += opening;
+                        } else if let Some(len) = char_literal_len(&chars[i..]) {
+                            s.push_str("''");
+                            i += len;
+                        } else {
+                            s.push(c);
+                            i += 1;
+                        }
+                    }
+                },
             }
         }
         out.push(s);
     }
     out
+}
+
+/// The length of the raw string opening (`r"`, `br#"`, ...) at `chars[i]`
+/// and its number of `#`s, if one starts there.
+fn raw_string_opening(chars: &[char], i: usize) -> Option<(usize, usize)> {
+    let ident = |c: &char| c.is_alphanumeric() || *c == '_';
+    if i.checked_sub(1).is_some_and(|prev| ident(&chars[prev])) {
+        return None;
+    }
+    let prefix = match chars.get(i..i + 2) {
+        Some(['b', 'r']) => 2,
+        _ if chars[i] == 'r' => 1,
+        _ => return None,
+    };
+    let hashes = chars[i + prefix..]
+        .iter()
+        .take_while(|c| **c == '#')
+        .count();
+    (chars.get(i + prefix + hashes) == Some(&'"')).then_some((prefix + hashes + 1, hashes))
+}
+
+/// The length of the char literal that `chars` starts with (`'x'`,
+/// `'\''`, `'\u{7d}'`), if it starts with one and not with a lifetime or
+/// label (`'a`, `'_`).
+fn char_literal_len(chars: &[char]) -> Option<usize> {
+    match chars {
+        ['\'', '\\', _, rest @ ..] => rest.iter().position(|c| *c == '\'').map(|end| end + 4),
+        ['\'', _, '\'', ..] => Some(3),
+        _ => None,
+    }
 }
 
 /// Marks the lines inside `#[cfg(test)] mod ... { ... }` blocks (and any
@@ -487,6 +546,44 @@ mod tests {
         let src = "/// Doc.\npub fn a() {} // one\npub(crate) struct B;\n\
             #[cfg(test)]\nmod tests { pub fn t() {} }\n";
         assert_eq!(source_size(src), (2, 1));
+    }
+
+    /// A string that spans lines stays a string on the lines after its
+    /// first: the brace in it closes nothing.
+    #[test]
+    fn a_multi_line_string_does_not_end_a_test_region() {
+        let src = "#[cfg(test)]\nmod tests {\n    const S: &str = \"a\n}\n\";\n    \
+            pub fn t() {}\n}\npub fn live() {}\n";
+        assert_eq!(source_size(src), (1, 1));
+    }
+
+    /// A quote in a char or byte literal opens no string.
+    #[test]
+    fn quote_char_and_byte_literals_open_no_string() {
+        for quote in ["'\"'", "b'\"'"] {
+            let src = format!(
+                "fn f(ctx: &mut Ctx<'_>) {{\n    let q = {quote}; ctx.exec(1, NOOP);\n}}\n"
+            );
+            assert_eq!(lint_source(SIM_PATH, &src).len(), 1, "{src}");
+        }
+    }
+
+    /// A brace in a char literal, escaped or not, opens no block.
+    #[test]
+    fn a_brace_char_literal_keeps_a_test_region_balanced() {
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t() -> [char; 3] { ['{', '\\'', '\\u{7b}'] }\n    \
+            pub fn u() {}\n}\npub fn live() {}\n";
+        assert_eq!(source_size(src), (1, 1));
+    }
+
+    /// A raw string ends at its quote and `#`s, not at a quote inside it,
+    /// and may span lines.
+    #[test]
+    fn raw_strings_end_at_their_own_closing() {
+        let src = "#[cfg(test)]\nmod tests {\n    const S: &str = r#\"a \"{\" b\"#;\n    \
+            const T: &[u8] = br\"a\nb\";\n}\npub fn live() {}\n";
+        assert_eq!(source_size(src), (1, 1));
     }
 
     #[test]

@@ -62,8 +62,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
 use s2g_proto::{
-    put_frame_record, read_frame_record, BatchBuilder, LeaderEpoch, LogRun, Offset, ProducerId,
-    Record, RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
+    put_frame_record, read_frame_record, BatchBuilder, Columns, LeaderEpoch, LogRun, Offset,
+    ProducerId, Record, RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
 };
 use s2g_sim::{SimDuration, SimTime};
 
@@ -213,7 +213,7 @@ impl LogSegment {
         // The replayed records are one batch: every run is a view of it.
         // An entry is a frame record and at least one byte of epoch.
         let fits = count.min(buf.len() / (MIN_FRAME_RECORD + 1));
-        let mut records = BatchBuilder::with_capacity(fits, buf.len());
+        let mut records = BatchBuilder::with_capacity(fits, buf.len(), Columns::default());
         // Where each run starts: record index, offset and epoch.
         let mut starts: Vec<(usize, Offset, LeaderEpoch)> = Vec::new();
         let mut next = Offset(base);

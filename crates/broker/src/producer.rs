@@ -24,8 +24,8 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 
 use s2g_proto::{
-    BatchBuilder, ClientRpc, CorrelationId, ProducerId, RecordBatch, TopicName, TopicPartition,
-    RECORD_OVERHEAD,
+    BatchBuilder, ClientRpc, Columns, CorrelationId, ProducerId, RecordBatch, TopicName,
+    TopicPartition, RECORD_OVERHEAD,
 };
 use s2g_sim::{
     downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
@@ -129,6 +129,28 @@ impl Pending {
     /// Key and value bytes.
     fn len(&self) -> usize {
         self.key_len.unwrap_or(0) + self.value_len
+    }
+}
+
+/// What one partition's records of a flush need in their sealed batch.
+#[derive(Debug, Default)]
+struct Share {
+    records: usize,
+    /// Key and value bytes.
+    bytes: usize,
+    /// The row columns: keyed when a record has a key, out of sequence
+    /// when a record's sequence is not one above the one before it.
+    columns: Columns,
+    last_seq: Option<u64>,
+}
+
+impl Share {
+    fn add(&mut self, p: &Pending) {
+        self.records += 1;
+        self.bytes += p.len();
+        self.columns.keyed |= p.key_len.is_some();
+        self.columns.out_of_sequence |= self.last_seq.is_some_and(|s| p.seq != s + 1);
+        self.last_seq = Some(p.seq);
     }
 }
 
@@ -697,26 +719,27 @@ impl ProducerClient {
             at += p.len();
             routes.push(partition);
         }
-        // Each partition's records and bytes, so its frame and slots are
-        // allocated once, at their exact size. One map operation per run of
-        // equally routed records: a keyless or single-partition batch is
-        // one run.
+        // Each partition's records and bytes, and whether some record has a
+        // key or does not follow the one before it in sequence, so its frame
+        // and rows are allocated once, at their exact size and width. One
+        // map operation per run of equally routed records: a keyless or
+        // single-partition batch is one run.
         let same_route = |a: &u32, b: &u32| a == b;
-        let mut sizes: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+        let mut sizes: BTreeMap<u32, Share> = BTreeMap::new();
         let mut pending = batch.pending.iter();
         for run in routes.chunk_by(same_route) {
-            let (records, bytes) = sizes.entry(run[0]).or_default();
-            *records += run.len();
-            *bytes += pending
-                .by_ref()
-                .take(run.len())
-                .map(Pending::len)
-                .sum::<usize>();
+            let share = sizes.entry(run[0]).or_default();
+            for p in pending.by_ref().take(run.len()) {
+                share.add(p);
+            }
         }
         // Second pass: each partition's records, copied out of the
         // accumulation buffer into its batch.
         let mut split: BTreeMap<u32, BatchBuilder> = (sizes.into_iter())
-            .map(|(partition, (n, bytes))| (partition, BatchBuilder::with_capacity(n, bytes)))
+            .map(|(partition, s)| {
+                let builder = BatchBuilder::with_capacity(s.records, s.bytes, s.columns);
+                (partition, builder)
+            })
             .collect();
         let mut pending = batch.pending.iter();
         let mut at = 0;
@@ -1197,6 +1220,34 @@ mod tests {
                 self.staged = false;
             }
         }
+    }
+
+    /// A flush sizes each partition's batch with a key length column only
+    /// for a keyed record and a sequence column only once a sequence does
+    /// not follow the one before it.
+    #[test]
+    fn a_share_asks_for_a_column_only_when_a_record_needs_it() {
+        let pending = |key_len, seq| Pending {
+            key_len,
+            value_len: 3,
+            timestamp: SimTime::ZERO,
+            seq,
+        };
+        let share = |records: &[Pending]| {
+            let mut share = Share::default();
+            records.iter().for_each(|p| share.add(p));
+            (share.records, share.bytes, share.columns)
+        };
+        let columns = |keyed, out_of_sequence| Columns {
+            keyed,
+            out_of_sequence,
+        };
+        let in_order = [pending(None, 5), pending(None, 6), pending(None, 7)];
+        assert_eq!(share(&in_order), (3, 9, columns(false, false)));
+        let keyed = [pending(None, 5), pending(Some(2), 6)];
+        assert_eq!(share(&keyed), (2, 8, columns(true, false)));
+        let skipping = [pending(None, 5), pending(None, 9)];
+        assert_eq!(share(&skipping), (2, 6, columns(false, true)));
     }
 
     #[test]

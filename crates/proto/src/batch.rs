@@ -19,7 +19,9 @@
 use s2g_sim::SimTime;
 
 use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, Cursor};
-use crate::record::{BatchBuilder, Compression, Offset, ProducerId, RecordBatch, RecordRef};
+use crate::record::{
+    BatchBuilder, Columns, Compression, Offset, ProducerId, RecordBatch, RecordRef,
+};
 
 /// Version byte of the batch frame format.
 pub(crate) const BATCH_FRAME_VERSION: u8 = 1;
@@ -137,7 +139,7 @@ impl RecordBatch {
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.uvarint()?;
         let fits = usize::try_from(count).map_or(0, |n| n.min(buf.len() / MIN_FRAME_RECORD));
-        let mut records = BatchBuilder::with_capacity(fits, buf.len());
+        let mut records = BatchBuilder::with_capacity(fits, buf.len(), Columns::default());
         for _ in 0..count {
             read_frame_record(&mut cur, base_offset, base_ts, &mut records)?;
         }

@@ -349,15 +349,64 @@ pub fn shared_batch_copies() -> u64 {
     SHARED_BATCH_COPIES.with(Cell::get)
 }
 
-/// `Slot::key_len` of a keyless record.
+/// `key_len` of a keyless record.
 const NO_KEY: u32 = u32::MAX;
 
-/// One record's fixed part in a batch's store: where its bytes end in the
-/// frame (they start where the previous record's end), how many of them
-/// are the key, and how far its timestamp and sequence lie above its
-/// [`Stretch`]'s bases. 16 B, where a `Record` is 56.
-#[derive(Debug)]
-struct Slot {
+/// The optional columns of a store's rows. Every row holds where its
+/// record's bytes end in the frame (they start where the previous record's
+/// end) and how far its timestamp lies above its [`Stretch`]'s base: 8 B.
+/// A store with a keyed record adds each record's key length, and a store
+/// with a record out of sequence each record's sequence above its
+/// stretch's base. Otherwise a record's sequence is its stretch's base plus
+/// its offset in the stretch, as in Kafka's v2 batch, so a row is 8 to
+/// 16 B where a `Record` is 56.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Columns {
+    /// Some record has a key: every row holds a key length, the key coming
+    /// first in the record's bytes.
+    pub keyed: bool,
+    /// Some record's sequence is not its stretch's base plus its offset in
+    /// the stretch: every row holds its sequence above the base.
+    pub out_of_sequence: bool,
+}
+
+impl Columns {
+    /// Words per row.
+    fn width(self) -> usize {
+        2 + usize::from(self.keyed) + usize::from(self.out_of_sequence)
+    }
+
+    /// `row` packed into the first [`width`](Self::width) words.
+    fn pack(self, row: &Row) -> [u32; 4] {
+        if self.keyed {
+            [row.end, row.ts_delta, row.key_len, row.seq_delta]
+        } else {
+            [row.end, row.ts_delta, row.seq_delta, 0]
+        }
+    }
+
+    /// Row `index` of `rows`, whose record lies in `stretch`.
+    #[inline]
+    fn unpack(self, rows: &[u32], index: u32, stretch: &Stretch) -> Row {
+        let width = self.width();
+        let at = index as usize * width;
+        let words = &rows[at..at + width];
+        Row {
+            end: words[0],
+            key_len: if self.keyed { words[2] } else { NO_KEY },
+            ts_delta: words[1],
+            seq_delta: if self.out_of_sequence {
+                words[width - 1]
+            } else {
+                index - stretch.first
+            },
+        }
+    }
+}
+
+/// One record's fixed part, unpacked from its row.
+#[derive(Debug, Clone, Copy)]
+struct Row {
     /// One past the record's last byte in the frame.
     end: u32,
     /// Length of the key, which comes first; [`NO_KEY`] for none.
@@ -375,7 +424,7 @@ struct Slot {
 /// falls, so its last record holds its highest `(epoch, seq)`.
 #[derive(Debug)]
 struct Stretch {
-    /// Index of the stretch's first record among the store's slots.
+    /// Index of the stretch's first record among the store's rows.
     first: u32,
     producer: ProducerId,
     producer_epoch: u32,
@@ -393,12 +442,12 @@ static NO_STRETCH: Stretch = Stretch {
 };
 
 impl Stretch {
-    fn timestamp(&self, slot: &Slot) -> SimTime {
-        SimTime::from_nanos(self.base_ts.as_nanos() + u64::from(slot.ts_delta))
+    fn timestamp(&self, ts_delta: u32) -> SimTime {
+        SimTime::from_nanos(self.base_ts.as_nanos() + u64::from(ts_delta))
     }
 
-    fn seq(&self, slot: &Slot) -> u64 {
-        self.base_seq + u64::from(slot.seq_delta)
+    fn seq(&self, seq_delta: u32) -> u64 {
+        self.base_seq + u64::from(seq_delta)
     }
 
     /// A record's `(ts_delta, seq_delta)` in this stretch; `None` when a
@@ -411,12 +460,15 @@ impl Stretch {
 }
 
 /// What a sealed batch holds: every record's key and then its value, back
-/// to back in record order in one frame, a [`Slot`] per record and a
-/// [`Stretch`] per run of records sharing a producer and epoch. Never
-/// empty: the empty batch holds no store.
+/// to back in record order in one frame, a row per record in one slice of
+/// words (as wide as its [`Columns`] need) and a [`Stretch`] per run of
+/// records sharing a producer and epoch. Never empty: the empty batch
+/// holds no store.
 struct Store {
     frame: Bytes,
-    slots: Box<[Slot]>,
+    /// A row per record, `columns.width()` words each.
+    rows: Box<[u32]>,
+    columns: Columns,
     /// The first stretch, held inline: a producer's sealed batch has no
     /// other, so it allocates nothing for its stretches.
     head: Stretch,
@@ -426,6 +478,20 @@ struct Store {
 }
 
 impl Store {
+    /// Record `index`'s row, the record lying in `stretch`.
+    fn row(&self, index: u32, stretch: &Stretch) -> Row {
+        self.columns.unpack(&self.rows, index, stretch)
+    }
+
+    /// Where record `index`'s bytes start in the frame: where the
+    /// record before it ends.
+    fn start(&self, index: u32) -> u32 {
+        let width = self.columns.width();
+        index
+            .checked_sub(1)
+            .map_or(0, |prev| self.rows[prev as usize * width])
+    }
+
     /// The stretch holding record `index` of the store, and the
     /// stretches after it.
     fn stretch_of(&self, index: u32) -> (&Stretch, &[Stretch]) {
@@ -441,8 +507,8 @@ impl Store {
 #[derive(Clone, Copy)]
 pub struct RecordRef<'a> {
     frame: &'a Bytes,
-    slot: &'a Slot,
     stretch: &'a Stretch,
+    row: Row,
     /// Where the record's bytes start in the frame.
     start: u32,
 }
@@ -450,7 +516,7 @@ pub struct RecordRef<'a> {
 impl<'a> RecordRef<'a> {
     /// Where the value starts in the frame.
     fn value_start(&self) -> usize {
-        match self.slot.key_len {
+        match self.row.key_len {
             NO_KEY => self.start as usize,
             n => (self.start + n) as usize,
         }
@@ -459,13 +525,13 @@ impl<'a> RecordRef<'a> {
     /// The partitioning key, if any.
     pub fn key(&self) -> Option<&'a [u8]> {
         let frame: &'a [u8] = self.frame;
-        (self.slot.key_len != NO_KEY).then(|| &frame[self.start as usize..self.value_start()])
+        (self.row.key_len != NO_KEY).then(|| &frame[self.start as usize..self.value_start()])
     }
 
     /// The payload bytes.
     pub fn value(&self) -> &'a [u8] {
         let frame: &'a [u8] = self.frame;
-        &frame[self.value_start()..self.slot.end as usize]
+        &frame[self.value_start()..self.row.end as usize]
     }
 
     /// The stamps equality compares beside the bytes.
@@ -476,7 +542,7 @@ impl<'a> RecordRef<'a> {
 
     /// Producer-side creation timestamp (event time).
     pub fn timestamp(&self) -> SimTime {
-        self.stretch.timestamp(self.slot)
+        self.stretch.timestamp(self.row.ts_delta)
     }
 
     /// The producer that created the record.
@@ -491,12 +557,12 @@ impl<'a> RecordRef<'a> {
 
     /// The producer-assigned sequence number.
     pub fn producer_seq(&self) -> u64 {
-        self.stretch.seq(self.slot)
+        self.stretch.seq(self.row.seq_delta)
     }
 
     /// The record's size on the wire, framing included.
     pub fn encoded_len(&self) -> usize {
-        RECORD_OVERHEAD + (self.slot.end - self.start) as usize
+        RECORD_OVERHEAD + (self.row.end - self.start) as usize
     }
 
     /// The payload interpreted as UTF-8 (lossy), as [`Record::value_utf8`].
@@ -509,8 +575,8 @@ impl<'a> RecordRef<'a> {
     pub fn to_record(&self) -> Record {
         let (start, value_start) = (self.start as usize, self.value_start());
         Record {
-            key: (self.slot.key_len != NO_KEY).then(|| self.frame.slice(start..value_start)),
-            value: self.frame.slice(value_start..self.slot.end as usize),
+            key: (self.row.key_len != NO_KEY).then(|| self.frame.slice(start..value_start)),
+            value: self.frame.slice(value_start..self.row.end as usize),
             timestamp: self.timestamp(),
             producer: self.stretch.producer,
             producer_epoch: self.stretch.producer_epoch,
@@ -551,31 +617,32 @@ impl fmt::Debug for RecordRef<'_> {
 /// The records of a batch, borrowed in order.
 #[derive(Clone)]
 pub struct BatchIter<'a> {
-    /// `None` only for the empty batch, whose `slots` are empty too.
-    frame: Option<&'a Bytes>,
-    slots: std::slice::Iter<'a, Slot>,
+    /// `None` only for the empty batch.
+    store: Option<&'a Store>,
+    /// The next record's index in the store, and one past the last.
+    index: u32,
+    end: u32,
     /// Where the next record's bytes start.
     at: u32,
     /// The next record's stretch and the stretches after it.
     stretch: &'a Stretch,
     rest: &'a [Stretch],
-    /// The next record's index in the store, and the first index of the
-    /// stretch after `stretch` (`u32::MAX` for none).
-    index: u32,
+    /// The first index of the stretch after `stretch` (`u32::MAX` for
+    /// none).
     bound: u32,
 }
 
 impl<'a> BatchIter<'a> {
-    /// The records of `store` from index `start` on, their bytes from `at`.
-    fn new(store: &'a Store, slots: &'a [Slot], start: u32, at: u32) -> Self {
+    /// The records of `store` from index `start` to before `end`.
+    fn new(store: &'a Store, start: u32, end: u32) -> Self {
         let (stretch, rest) = store.stretch_of(start);
         BatchIter {
-            frame: Some(&store.frame),
-            slots: slots.iter(),
-            at,
+            store: Some(store),
+            index: start,
+            end,
+            at: store.start(start),
             stretch,
             rest,
-            index: start,
             bound: rest.first().map_or(u32::MAX, |s| s.first),
         }
     }
@@ -584,40 +651,50 @@ impl<'a> BatchIter<'a> {
 impl<'a> Iterator for BatchIter<'a> {
     type Item = RecordRef<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<RecordRef<'a>> {
-        let slot = self.slots.next()?;
-        let frame = self.frame.expect("a batch with records has a frame");
+        let store = self.store.filter(|_| self.index < self.end)?;
         if self.index == self.bound {
             let (next, rest) = (self.rest.split_first()).expect("a stretch starts at the bound");
             (self.stretch, self.rest) = (next, rest);
             self.bound = rest.first().map_or(u32::MAX, |s| s.first);
         }
+        let row = store.row(self.index, self.stretch);
         self.index += 1;
-        let start = std::mem::replace(&mut self.at, slot.end);
         Some(RecordRef {
-            frame,
-            slot,
+            frame: &store.frame,
             stretch: self.stretch,
-            start,
+            row,
+            start: std::mem::replace(&mut self.at, row.end),
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.slots.size_hint()
+        let n = (self.end - self.index) as usize;
+        (n, Some(n))
     }
 }
 
 impl ExactSizeIterator for BatchIter<'_> {}
 
 /// Builds a batch record by record into its packed store: each record's
-/// key and value are copied into the frame, its stamps into its slot as
+/// key and value are copied into the frame, its stamps into its row as
 /// deltas from its stretch's, and a record that cannot join the open
-/// stretch opens the next. Sized up front (as a producer sealing a partition's records knows it
-/// exactly), the store is two exact allocations.
+/// stretch opens the next. Rows are as wide as the records so far need: a
+/// builder told its records' [`Columns`] writes every row at its final
+/// width, and one that is not starts at 8 B and widens its rows in place
+/// the first time a record needs a column. Sized up front (as a producer
+/// sealing a partition's records knows it exactly), the store is two exact
+/// allocations: its frame and its rows.
 #[derive(Debug, Default)]
 pub struct BatchBuilder {
     frame: Vec<u8>,
-    slots: Vec<Slot>,
+    /// A row per record, `columns.width()` words each.
+    rows: Vec<u32>,
+    columns: Columns,
+    /// Records pushed, and the last one's sequence.
+    len: u32,
+    last_seq: u64,
     /// The first record's stretch, and those opened after it.
     head: Option<Stretch>,
     rest: Vec<Stretch>,
@@ -625,25 +702,58 @@ pub struct BatchBuilder {
 
 impl BatchBuilder {
     /// A builder with room for `records` records of `bytes` key and value
-    /// bytes in all.
-    pub fn with_capacity(records: usize, bytes: usize) -> Self {
+    /// bytes in all, its rows holding `columns` (more if a record needs
+    /// them).
+    pub fn with_capacity(records: usize, bytes: usize, columns: Columns) -> Self {
         BatchBuilder {
             frame: Vec::with_capacity(bytes),
-            slots: Vec::with_capacity(records),
+            rows: Vec::with_capacity(records * columns.width()),
+            columns,
+            len: 0,
+            last_seq: 0,
             head: None,
             rest: Vec::new(),
         }
     }
 
-    /// The deltas of a record stamped so in the open stretch, or `None`
-    /// when it must open the next: there is none yet, the producer or epoch
-    /// differs, the sequence falls below the previous record's, or a stamp
-    /// is out of a delta's reach.
-    fn join(&self, producer: ProducerId, epoch: u32, ts: SimTime, seq: u64) -> Option<(u32, u32)> {
-        let stretch = self.rest.last().or(self.head.as_ref())?;
-        let prev = stretch.seq(self.slots.last()?);
-        (stretch.producer == producer && stretch.producer_epoch == epoch && seq >= prev)
-            .then(|| stretch.deltas(ts, seq))?
+    /// The stretch the last record opened or joined.
+    fn open_stretch(&self) -> Option<&Stretch> {
+        self.rest.last().or(self.head.as_ref())
+    }
+
+    /// The deltas of a record stamped so in the open stretch and its
+    /// offset there, or `None` when it must open the next: there is none
+    /// yet, the producer or epoch differs, the sequence falls below the
+    /// previous record's, or a stamp is out of a delta's reach.
+    fn join(&self, producer: ProducerId, epoch: u32, ts: SimTime, seq: u64) -> Option<[u32; 3]> {
+        let stretch = self.open_stretch()?;
+        if stretch.producer != producer || stretch.producer_epoch != epoch || seq < self.last_seq {
+            return None;
+        }
+        let (ts_delta, seq_delta) = stretch.deltas(ts, seq)?;
+        Some([ts_delta, seq_delta, self.len - stretch.first])
+    }
+
+    /// Rewrites the rows at the width `to` needs, in place and last first,
+    /// keeping room for as many records as before: the records so far are
+    /// keyless, or in sequence, wherever `to` adds the column.
+    fn widen(&mut self, to: Columns) {
+        let (from, width) = (self.columns, to.width());
+        let room = self.rows.capacity() / from.width();
+        let records = self.len as usize;
+        self.rows
+            .reserve_exact(room.max(records) * width - self.rows.len());
+        self.rows.resize(records * width, 0);
+        let mut end = self.len;
+        for stretch in self.rest.iter().rev().chain(&self.head) {
+            for index in (stretch.first..end).rev() {
+                let row = to.pack(&from.unpack(&self.rows, index, stretch));
+                let at = index as usize * width;
+                self.rows[at..at + width].copy_from_slice(&row[..width]);
+            }
+            end = stretch.first;
+        }
+        self.columns = to;
     }
 
     /// Appends a record.
@@ -651,7 +761,7 @@ impl BatchBuilder {
     /// # Panics
     ///
     /// Panics when the frame would pass 4 GiB, a key is 4 GiB − 1 long, or
-    /// the batch already holds 2³² records.
+    /// the batch already holds 2³² − 1 records.
     pub fn push(
         &mut self,
         key: Option<&[u8]>,
@@ -661,13 +771,12 @@ impl BatchBuilder {
         producer_epoch: u32,
         producer_seq: u64,
     ) {
-        let (ts_delta, seq_delta) =
+        let [ts_delta, seq_delta, offset] =
             match self.join(producer, producer_epoch, timestamp, producer_seq) {
-                Some(deltas) => deltas,
+                Some(joined) => joined,
                 None => {
-                    let first = u32::try_from(self.slots.len());
                     let stretch = Stretch {
-                        first: first.expect("a batch holds fewer than 2^32 records"),
+                        first: self.len,
                         producer,
                         producer_epoch,
                         base_ts: timestamp,
@@ -677,9 +786,17 @@ impl BatchBuilder {
                         None => self.head = Some(stretch),
                         Some(_) => self.rest.push(stretch),
                     }
-                    (0, 0)
+                    [0; 3]
                 }
             };
+        self.last_seq = producer_seq;
+        let needs = Columns {
+            keyed: self.columns.keyed || key.is_some(),
+            out_of_sequence: self.columns.out_of_sequence || seq_delta != offset,
+        };
+        if needs != self.columns {
+            self.widen(needs);
+        }
         let key_len = key.map_or(NO_KEY, |k| {
             self.frame.extend_from_slice(k);
             u32::try_from(k.len())
@@ -688,35 +805,40 @@ impl BatchBuilder {
                 .expect("a key is shorter than 4 GiB - 1")
         });
         self.frame.extend_from_slice(value);
-        self.slots.push(Slot {
+        let row = Row {
             end: u32::try_from(self.frame.len()).expect("a batch frame holds at most 4 GiB"),
             key_len,
             ts_delta,
             seq_delta,
-        });
+        };
+        let words = self.columns.pack(&row);
+        // One constant-length copy per width: a copy of a length known
+        // only at run time is a call to `memcpy`, and doubled `push`'s cost.
+        match self.columns.width() {
+            2 => self.rows.extend_from_slice(&words[..2]),
+            3 => self.rows.extend_from_slice(&words[..3]),
+            _ => self.rows.extend_from_slice(&words),
+        }
+        self.len = (self.len.checked_add(1)).expect("a batch holds fewer than 2^32 records");
     }
 
     /// Seals the records into a shareable batch, trimming whatever room
     /// was reserved and not used.
-    ///
-    /// # Panics
-    ///
-    /// Panics on 2³² records or more.
     pub fn finish(mut self) -> RecordBatch {
-        let len = u32::try_from(self.slots.len()).expect("a batch holds fewer than 2^32 records");
-        if len == 0 {
+        if self.len == 0 {
             return RecordBatch::new();
         }
         self.frame.shrink_to_fit();
         RecordBatch {
             store: Some(Arc::new(Store {
                 frame: Bytes::from(self.frame),
-                slots: self.slots.into_boxed_slice(),
+                rows: self.rows.into_boxed_slice(),
+                columns: self.columns,
                 head: self.head.expect("a batch with records has a stretch"),
                 rest: self.rest.into_boxed_slice(),
             })),
             start: 0,
-            len,
+            len: self.len,
             compression: Compression::None,
         }
     }
@@ -725,10 +847,12 @@ impl BatchBuilder {
 /// A batch of records bound for (or fetched from) one partition.
 ///
 /// The records live in one shared store: a frame holding each record's key
-/// and value back to back, a 16 B slot per record with where its bytes end
-/// and its stamps as deltas, and a stretch header per run of records from
-/// one producer incarnation with the stamps they share (Kafka v2's batch
-/// header; a producer's sealed batch is one stretch). Cloning a batch (a producer keeping its retry copy
+/// and value back to back, a row per record with where its bytes end and
+/// its stamps as deltas (8 B for a keyless record in sequence, up to 16 B,
+/// see [`Columns`]), and a stretch header per run of records from one
+/// producer incarnation with the stamps they share (Kafka v2's batch
+/// header; a producer's sealed batch is one stretch). Cloning a batch (a
+/// producer keeping its retry copy
 /// next to the in-flight request, a broker handing the same fetched run to
 /// many consumers) bumps an `Arc` instead of duplicating records, so a
 /// whole batch travels producer→broker→consumer as that one store. A batch
@@ -762,7 +886,7 @@ pub struct RecordBatch {
     /// `None` is the empty batch: most fetch responses carry no record, and
     /// saying so costs no allocation. Never `Some` with `len == 0`.
     store: Option<Arc<Store>>,
-    /// The view: `slots[start..start + len]`. `u32` keeps a batch three
+    /// The view: the store's records `start..start + len`. `u32` keeps a batch three
     /// words, and a sealed batch is far below 2³² records.
     start: u32,
     len: u32,
@@ -813,7 +937,8 @@ impl RecordBatch {
             .iter()
             .map(|r| r.encoded_len() - RECORD_OVERHEAD)
             .sum();
-        let mut builder = BatchBuilder::with_capacity(records.len(), bytes);
+        let columns = Columns::default();
+        let mut builder = BatchBuilder::with_capacity(records.len(), bytes, columns);
         for r in &records {
             let (key, stamps) = (r.key.as_deref(), (r.producer_epoch, r.producer_seq));
             builder.push(key, &r.value, r.timestamp, r.producer, stamps.0, stamps.1);
@@ -864,25 +989,17 @@ impl RecordBatch {
         self.compression
     }
 
-    /// The view's slots and where its first record's bytes start.
-    fn view(&self) -> Option<(&Store, &[Slot], u32)> {
-        let store = self.store.as_deref()?;
-        let (start, end) = (self.start as usize, (self.start + self.len) as usize);
-        let at = start.checked_sub(1).map_or(0, |prev| store.slots[prev].end);
-        Some((store, &store.slots[start..end], at))
-    }
-
     /// The records, borrowed in append order.
     pub fn iter(&self) -> BatchIter<'_> {
-        match self.view() {
-            Some((store, slots, at)) => BatchIter::new(store, slots, self.start, at),
+        match self.store.as_deref() {
+            Some(store) => BatchIter::new(store, self.start, self.start + self.len),
             None => BatchIter {
-                frame: None,
-                slots: [].iter(),
+                store: None,
+                index: 0,
+                end: 0,
                 at: 0,
                 stretch: &NO_STRETCH,
                 rest: &[],
-                index: 0,
                 bound: u32::MAX,
             },
         }
@@ -890,15 +1007,15 @@ impl RecordBatch {
 
     /// The record at `index`, if the batch has that many.
     pub fn get(&self, index: usize) -> Option<RecordRef<'_>> {
-        let (store, slots, at) = self.view()?;
-        let slot = slots.get(index)?;
-        let start = index.checked_sub(1).map_or(at, |prev| slots[prev].end);
-        let within = u32::try_from(index).expect("bounded by len, a u32");
+        let store = self.store.as_deref()?;
+        let within = u32::try_from(index).ok().filter(|&i| i < self.len)?;
+        let index = self.start + within;
+        let stretch = store.stretch_of(index).0;
         Some(RecordRef {
             frame: &store.frame,
-            slot,
-            stretch: store.stretch_of(self.start + within).0,
-            start,
+            stretch,
+            row: store.row(index, stretch),
+            start: store.start(index),
         })
     }
 
@@ -937,9 +1054,9 @@ impl RecordBatch {
     /// Record bytes without the batch header: each record's framing and
     /// the frame bytes the view spans.
     pub fn record_bytes(&self) -> usize {
-        self.view().map_or(0, |(_, slots, at)| {
-            let end = slots.last().map_or(at, |s| s.end);
-            RECORD_OVERHEAD * slots.len() + (end - at) as usize
+        self.store.as_deref().map_or(0, |store| {
+            let (at, end) = (store.start(self.start), store.start(self.start + self.len));
+            RECORD_OVERHEAD * self.len() + (end - at) as usize
         })
     }
 
@@ -958,8 +1075,8 @@ impl RecordBatch {
             stretches
                 .take_while(move |(s, _)| s.first < end)
                 .map(move |(s, next)| {
-                    let last = &store.slots[next.min(end) as usize - 1];
-                    (s.producer, s.producer_epoch, s.seq(last))
+                    let last = store.row(next.min(end) - 1, s);
+                    (s.producer, s.producer_epoch, s.seq(last.seq_delta))
                 })
         })
     }
@@ -1024,15 +1141,66 @@ mod tests {
         assert_eq!(std::mem::size_of::<Record>(), 56);
     }
 
+    /// The columns a batch's store holds.
+    fn columns(batch: &RecordBatch) -> Columns {
+        batch
+            .store
+            .as_ref()
+            .map_or(Columns::default(), |s| s.columns)
+    }
+
+    /// Words per record in a batch's store.
+    fn row_words(batch: &RecordBatch) -> usize {
+        batch
+            .store
+            .as_ref()
+            .map_or(0, |s| s.rows.len() / batch.len())
+    }
+
     #[test]
-    fn a_stored_record_is_a_16_byte_slot() {
-        // The storage gate: every sealed batch holds one slot per record
-        // for as long as any replica's log holds the record, so growth here
-        // is resident memory per record and topic. The producer stamps are
-        // a stretch header, held inline once per sealed batch. A batch view
-        // stays three words.
-        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    fn a_stored_record_is_a_row_of_the_columns_its_store_needs() {
+        // The storage gate: every sealed batch holds one row per record for
+        // as long as any replica's log holds the record, so growth here is
+        // resident memory per record and topic. A keyless record in
+        // sequence is two words; a key length and a sequence delta add one
+        // each, to every row of their store. The producer stamps are a
+        // stretch header, held inline once per sealed batch. A batch view
+        // stays three words, and a record seven.
+        let keyless = |seq| Record::keyless("v", SimTime::ZERO).from_producer(ProducerId(1), seq);
+        let keyed = |seq| Record::new("k", "v", SimTime::ZERO).from_producer(ProducerId(1), seq);
+        let wide = Columns {
+            keyed: true,
+            out_of_sequence: true,
+        };
+        for (recs, words) in [
+            (vec![keyless(5), keyless(6), keyless(7)], 2),
+            (vec![keyless(5), keyed(6), keyless(7)], 3),
+            (vec![keyless(5), keyless(7), keyless(8)], 3),
+            (vec![keyed(5), keyless(5), keyless(9)], 4),
+            // A sequence stepping back opens a stretch, in sequence again.
+            (vec![keyless(5), keyless(6), keyless(2), keyless(3)], 2),
+        ] {
+            let batch = RecordBatch::from_records(recs.clone());
+            assert_eq!(row_words(&batch), words, "{recs:?}");
+            assert_eq!(batch.iter().collect::<Vec<_>>(), recs);
+            // A builder told its columns keeps them, however few it needs.
+            let mut told = BatchBuilder::with_capacity(recs.len(), 16, wide);
+            for r in &recs {
+                let stamps = (r.producer, r.producer_epoch, r.producer_seq);
+                told.push(
+                    r.key.as_deref(),
+                    &r.value,
+                    r.timestamp,
+                    stamps.0,
+                    stamps.1,
+                    stamps.2,
+                );
+            }
+            let told = told.finish();
+            assert_eq!((row_words(&told), told), (4, batch));
+        }
         assert_eq!(std::mem::size_of::<RecordBatch>(), 24);
+        assert_eq!(std::mem::size_of::<Record>(), 56);
     }
 
     /// SplitMix64: a seeded stream of `u64`s, so the sweep needs no crate.
@@ -1055,24 +1223,33 @@ mod tests {
     /// `n` records whose stamps cross every stretch boundary: a producer
     /// or epoch switch, a sequence or timestamp stepping back, and a jump
     /// of 2³² − 1 (still a delta), 2³² or 2³³ in either; most records step
-    /// as a producer's do.
-    fn stretchy_records(rng: &mut Mix, n: usize) -> Vec<Record> {
+    /// as a producer's do. Only where `columns` say so do some records have
+    /// a key, and do some step their sequence by more than one within a
+    /// stretch (by 2 to 4, or 2³² − 1).
+    fn stretchy_records(rng: &mut Mix, n: usize, columns: Columns) -> Vec<Record> {
         let (mut producer, mut epoch) = (0, 0);
         let (mut ts, mut seq) = (rng.below(1 << 40), rng.below(1 << 40));
         let jumps = [u64::from(u32::MAX), 1 << 32, 1 << 33];
+        // In sequence, a timestamp step takes the sequence one step too.
+        let (gaps, step) = (
+            usize::from(!columns.out_of_sequence),
+            u64::from(!columns.out_of_sequence),
+        );
         (0..n)
             .map(|i| {
                 match rng.below(12) {
                     0 => producer = (producer + 1 + rng.below(2)) % 3,
                     1 => epoch += 1,
                     2 => seq -= 1 + rng.below(4),
-                    3 => ts -= 1 + rng.below(1_000),
-                    4 => seq += jumps[rng.index(3)],
-                    5 => ts += jumps[rng.index(3)],
+                    3 => (ts, seq) = (ts - 1 - rng.below(1_000), seq + step),
+                    4 => seq += jumps[gaps + rng.index(3 - gaps)],
+                    5 => (ts, seq) = (ts + jumps[rng.index(3)], seq + step),
+                    6 if columns.out_of_sequence => seq += 2 + rng.below(3),
                     _ => (ts, seq) = (ts + rng.below(1_000), seq + 1),
                 }
                 let value = vec![u8::try_from(i % 256).expect("below 256"); i % 7];
-                let record = match rng.index(3) {
+                let keys = if columns.keyed { 3 } else { 1 };
+                let record = match rng.index(keys) {
                     0 => Record::keyless(value, SimTime::from_nanos(ts)),
                     k => Record::new(vec![b'k'; k - 1], value, SimTime::from_nanos(ts)),
                 };
@@ -1096,48 +1273,103 @@ mod tests {
         out
     }
 
+    /// No column `a` holds is missing from `b`.
+    fn within(a: Columns, b: Columns) -> bool {
+        (!a.keyed || b.keyed) && (!a.out_of_sequence || b.out_of_sequence)
+    }
+
     /// Every view of batches whose records switch producer and epoch, step
-    /// back and jump past a delta's reach reads exactly the records pushed,
-    /// by every accessor and through the frame codec, and its stretches
-    /// hold the highest stamps its records do.
+    /// back and jump past a delta's reach, keyed or keyless and in or out
+    /// of sequence, reads exactly the records pushed, by every accessor and
+    /// through the frame codec, and its stretches hold the highest stamps
+    /// its records do; its store is as wide as its records need, or as
+    /// wide as its builder was told.
     #[test]
     fn stretch_sweep_reads_back_what_was_pushed() {
         let mut rng = Mix(0x5EED);
-        let mut opened = 0;
-        for _ in 0..40 {
-            let n = 1 + rng.index(24);
-            let recs = stretchy_records(&mut rng, n);
-            let batch = RecordBatch::from_records(recs.clone());
-            opened += batch.store.as_ref().map_or(0, |s| s.rest.len());
-            for a in 0..n {
-                for b in a + 1..=n {
-                    let (view, want) = (batch.slice(a..b), &recs[a..b]);
-                    assert_eq!(view.iter().collect::<Vec<_>>(), want, "{a}..{b}");
-                    let built: Vec<Record> = view.iter().map(|r| r.to_record()).collect();
-                    assert_eq!(built, want);
-                    for (i, r) in want.iter().enumerate() {
-                        let got = view.get(i).expect("within the view");
-                        assert!(got == *r && got.to_record() == *r, "{a}..{b} at {i}");
-                    }
-                    assert!(view.first().is_some_and(|r| r == want[0]));
-                    assert!(view.last().is_some_and(|r| r == want[want.len() - 1]));
-                    let bytes: usize = want.iter().map(Record::encoded_len).sum();
-                    assert_eq!(view.record_bytes(), bytes);
-                    let frame = view.encode_frame(Offset(a as u64));
-                    let (back, base) = RecordBatch::decode_frame(&frame).expect("decodes");
-                    assert_eq!(base, Offset(a as u64));
-                    assert_eq!(back, view);
-                    assert_eq!(back.iter().collect::<Vec<_>>(), want);
-                    let stamps = want
-                        .iter()
-                        .map(|r| (r.producer, r.producer_epoch, r.producer_seq));
-                    assert_eq!(highest(view.producer_stretches()), highest(stamps));
-                    assert!(view.producer_stretches().count() <= view.len());
+        let (mut opened, mut widths) = (0, [0; 5]);
+        for (keyed, out_of_sequence) in [(false, false), (true, false), (false, true), (true, true)]
+        {
+            let allowed = Columns {
+                keyed,
+                out_of_sequence,
+            };
+            for _ in 0..12 {
+                let n = 1 + rng.index(24);
+                let recs = stretchy_records(&mut rng, n, allowed);
+                let batch = RecordBatch::from_records(recs.clone());
+                opened += batch.store.as_ref().map_or(0, |s| s.rest.len());
+                widths[row_words(&batch)] += 1;
+                assert!(within(columns(&batch), allowed), "{recs:?}");
+                assert_eq!(columns(&batch).keyed, recs.iter().any(|r| r.key.is_some()));
+                let bytes = recs.iter().map(|r| r.encoded_len() - RECORD_OVERHEAD).sum();
+                let mut told = BatchBuilder::with_capacity(n, bytes, allowed);
+                for r in &recs {
+                    let stamps = (r.producer, r.producer_epoch, r.producer_seq);
+                    told.push(
+                        r.key.as_deref(),
+                        &r.value,
+                        r.timestamp,
+                        stamps.0,
+                        stamps.1,
+                        stamps.2,
+                    );
+                }
+                let told = told.finish();
+                assert_eq!((columns(&told), &told), (allowed, &batch));
+                for view in [&batch, &told] {
+                    check_views(view, &recs);
                 }
             }
         }
-        println!("{opened} stretches opened past the first");
+        println!("{opened} stretches opened past the first; batches by row words {widths:?}");
         assert!(opened >= 100, "the sweep crosses stretch boundaries");
+        assert!(
+            widths[2..].iter().all(|&n| n >= 4),
+            "every width: {widths:?}"
+        );
+    }
+
+    /// Every view of `batch` reads back its part of `recs`, which `batch`
+    /// was built from.
+    fn check_views(batch: &RecordBatch, recs: &[Record]) {
+        let n = recs.len();
+        for a in 0..n {
+            for b in a + 1..=n {
+                let (view, want) = (batch.slice(a..b), &recs[a..b]);
+                assert_eq!(view.iter().collect::<Vec<_>>(), want, "{a}..{b}");
+                assert_eq!(view.iter().len(), want.len());
+                let built: Vec<Record> = view.iter().map(|r| r.to_record()).collect();
+                assert_eq!(built, want);
+                for (i, r) in want.iter().enumerate() {
+                    let got = view.get(i).expect("within the view");
+                    assert!(got == *r && got.to_record() == *r, "{a}..{b} at {i}");
+                    assert_eq!(
+                        (got.key(), got.value(), got.timestamp(), got.producer()),
+                        (r.key.as_deref(), &r.value[..], r.timestamp, r.producer)
+                    );
+                    let stamps = (got.producer_epoch(), got.producer_seq());
+                    assert_eq!(stamps, (r.producer_epoch, r.producer_seq));
+                    assert_eq!(got.encoded_len(), r.encoded_len());
+                }
+                assert!(view.get(want.len()).is_none());
+                assert!(view.first().is_some_and(|r| r == want[0]));
+                assert!(view.last().is_some_and(|r| r == want[want.len() - 1]));
+                let bytes: usize = want.iter().map(Record::encoded_len).sum();
+                assert_eq!(view.record_bytes(), bytes);
+                let frame = view.encode_frame(Offset(a as u64));
+                let (back, base) = RecordBatch::decode_frame(&frame).expect("decodes");
+                assert_eq!(base, Offset(a as u64));
+                assert_eq!(back, view);
+                assert_eq!(back.iter().collect::<Vec<_>>(), want);
+                assert!(within(columns(&back), columns(batch)));
+                let stamps = want
+                    .iter()
+                    .map(|r| (r.producer, r.producer_epoch, r.producer_seq));
+                assert_eq!(highest(view.producer_stretches()), highest(stamps));
+                assert!(view.producer_stretches().count() <= view.len());
+            }
+        }
     }
 
     #[test]

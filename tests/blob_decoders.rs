@@ -4,7 +4,9 @@
 //! store, and a restore feeds whatever the store hands back through
 //! `StateSnapshot::from_bytes`, `StateDelta::from_bytes`,
 //! `LogSegment::decode` and `BrokerLogMeta::decode`; a consumer feeds each
-//! record value of those segments through `Event::from_bytes`. This test
+//! record value of those segments through `Event::from_bytes`, whose value
+//! part `Value::decode` reads on its own too (a state snapshot holds
+//! values in the same format). This test
 //! takes real blobs of each kind out of the store of a keyed job with
 //! incremental checkpoints and a durable broker, checks that each decodes
 //! and re-encodes to itself, and then damages it: cut at every byte, each
@@ -22,7 +24,7 @@ use stream2gym::apps::word_count::recovery_scenario;
 use stream2gym::broker::{BrokerLogMeta, LogSegment, PartitionLog};
 use stream2gym::proto::Offset;
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::{CheckpointCfg, Event, StateDelta, StateSnapshot};
+use stream2gym::spe::{CheckpointCfg, Event, StateDelta, StateSnapshot, Value};
 use stream2gym::store::{StoreConfig, StoreServer};
 
 /// A decoder as a restore uses it: the re-encoded value when it accepts
@@ -47,7 +49,7 @@ fn is_segment(key: &str) -> bool {
     key.starts_with("brokerlog/") && !key.ends_with("/meta")
 }
 
-const DECODERS: [(&str, Decoder, Reads); 5] = [
+const DECODERS: [(&str, Decoder, Reads); 6] = [
     (
         "StateSnapshot::from_bytes",
         |b| StateSnapshot::from_bytes(b).ok().map(|s| s.to_bytes()),
@@ -79,14 +81,21 @@ const DECODERS: [(&str, Decoder, Reads); 5] = [
         // An event-encoded record value out of a stored segment.
         |key| key.starts_with("record/"),
     ),
+    (
+        "Value::decode",
+        |b| Value::decode(b).ok().map(|v| v.encode()),
+        // The value part of such an event.
+        |key| key.starts_with("value/"),
+    ),
 ];
 
 /// Bytes of each blob whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 48;
 
 /// What the store holds after a keyed word count with incremental
-/// checkpoints and a durable broker, both kept on one store, and the
-/// event-encoded record values (magic byte `0xE7`) of its log segments.
+/// checkpoints and a durable broker, both kept on one store, the
+/// event-encoded record values (magic byte `0xE7`) of its log segments, and
+/// the encoded `Value` each of those events carries.
 fn stored_blobs() -> Vec<(String, Vec<u8>)> {
     let mut sc = recovery_scenario(120, SimDuration::from_millis(25), SimTime::from_secs(6), 3);
     sc.store("h6", StoreConfig::default());
@@ -110,8 +119,10 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
             PartitionLog::from_recovered_segments(vec![segment], Offset(0), Offset(0), &[base], 1);
         for (offset, _, record) in log.entries() {
             if record.value().first() == Some(&0xE7) {
-                let name = format!("record/{key}/{}", offset.value());
-                events.push((name, record.value().to_vec()));
+                let at = format!("{key}/{}", offset.value());
+                let event = Event::from_bytes(record.value()).expect("a stored event decodes");
+                events.push((format!("value/{at}"), event.value.encode()));
+                events.push((format!("record/{at}"), record.value().to_vec()));
             }
         }
     }

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use stream2gym::broker::{LogSegment, PartitionLog};
 use stream2gym::proto::codec::put_uvarint;
-use stream2gym::proto::{LeaderEpoch, Offset, ProducerId, Record, RecordBatch};
+use stream2gym::proto::{Columns, LeaderEpoch, Offset, ProducerId, Record, RecordBatch};
 use stream2gym::sim::SimTime;
 
 /// What a decoder produced: each record with its offset and epoch (0 for a
@@ -71,16 +71,40 @@ const ROWS: [Row; 2] = [
 /// Bytes of each encoding whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 12;
 
-fn arb_record(rng: &mut StdRng, ts: u64) -> Record {
+/// What the records of one sample may hold, by the row columns of the
+/// batch store they make: one sample in four at each row width.
+const SHAPES: [Columns; 4] = [
+    Columns {
+        keyed: false,
+        out_of_sequence: false,
+    },
+    Columns {
+        keyed: true,
+        out_of_sequence: false,
+    },
+    Columns {
+        keyed: false,
+        out_of_sequence: true,
+    },
+    Columns {
+        keyed: true,
+        out_of_sequence: true,
+    },
+];
+
+/// A record at `ts` ms, keyed two times in three if `shape` is keyed, and
+/// keyless otherwise.
+fn arb_record(rng: &mut StdRng, ts: u64, shape: Columns) -> Record {
     let bytes = |rng: &mut StdRng, max: usize| -> Vec<u8> {
         let len = rng.gen_range(0..max);
         (0..len).map(|_| rng.gen_range(0..=255u8)).collect()
     };
     let value = bytes(rng, 24);
     // Most records are one producer's, its sequence rising with `ts`, so
-    // they share a stretch of their batch. One in eight lies 2³² ns or more
-    // past `ts`, one in eight 2³² or more above its sequence, and the
-    // records after it step back: stretches break both ways.
+    // they share a stretch of their batch: by one a millisecond, or, out of
+    // sequence, by one to five. One in eight lies 2³² ns or more past
+    // `ts`, one in eight 2³² or more above its sequence, and the records
+    // after it step back: stretches break both ways.
     let ts = SimTime::from_millis(ts + jump(rng, 4_295));
     let (producer, epoch, seq) = match rng.gen_range(0..4) {
         0 => (
@@ -88,11 +112,12 @@ fn arb_record(rng: &mut StdRng, ts: u64) -> Record {
             rng.gen_range(0..3),
             rng.gen_range(0..1 << 20),
         ),
-        _ => (7, 1, ts.as_millis() * 3 + rng.gen_range(0..3u64)),
+        _ if shape.out_of_sequence => (7, 1, ts.as_millis() * 3 + rng.gen_range(0..3u64)),
+        _ => (7, 1, ts.as_millis()),
     };
-    let record = match rng.gen_range(0..3) {
-        0 => Record::keyless(value, ts),
-        _ => Record::new(bytes(rng, 8), value, ts),
+    let record = match (shape.keyed, rng.gen_range(0..3)) {
+        (false, _) | (true, 0) => Record::keyless(value, ts),
+        (true, _) => Record::new(bytes(rng, 8), value, ts),
     };
     record
         .from_producer(ProducerId(producer), seq + jump(rng, 1 << 32))
@@ -110,10 +135,11 @@ fn jump(rng: &mut StdRng, at_least: u64) -> u64 {
 /// Batch frames of 0 to 8 records at seeded base offsets.
 fn frames(rng: &mut StdRng) -> Samples {
     (0..24)
-        .map(|_| {
+        .map(|sample| {
             let n = rng.gen_range(0..9);
             let ts = rng.gen_range(0..1_000u64);
-            let records: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i)).collect();
+            let shape = SHAPES[sample % SHAPES.len()];
+            let records: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i, shape)).collect();
             let base = rng.gen_range(0..1u64 << 40);
             let batch = RecordBatch::from_records(records.clone());
             let entries = (records.into_iter().enumerate())
@@ -150,12 +176,12 @@ fn recount_frame(buf: &[u8], count: u64) -> Vec<u8> {
 /// compacted, so that some hold offset holes.
 fn segments(rng: &mut StdRng) -> Samples {
     let mut out = Vec::new();
-    for _ in 0..4 {
+    for shape in SHAPES {
         let mut log = PartitionLog::with_segment_max(rng.gen_range(2..7));
         let mut ts = 0;
         for epoch in 0..6 {
             let n = rng.gen_range(1..5);
-            let batch: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i)).collect();
+            let batch: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i, shape)).collect();
             ts += n;
             log.append_batch(LeaderEpoch(epoch / 2), batch);
         }

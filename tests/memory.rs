@@ -1,8 +1,8 @@
 //! The memory gate: what a default run still holds when `run()` returns,
 //! and how many times it went to the allocator to get there.
 //!
-//! A run retains one resident copy of each record (a 16 B slot and the
-//! record's bytes in its producer's sealed batch, whose one stretch header
+//! A run retains one resident copy of each record (an 8 to 16 B row and
+//! the record's bytes in its producer's sealed batch, whose one stretch header
 //! holds the producer stamps, shared by every replica's log and every
 //! fetch reply) and folds everything else, so live heap per
 //! record is flat in the run length; and a record's bytes are written into
@@ -322,17 +322,19 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 196.0, small_allocs, 3.16),
-        (100_000, large, 193.0, large_allocs, 3.1396),
+        (50_000, small, 180.0, small_allocs, 3.16),
+        (100_000, large, 177.0, large_allocs, 3.1396),
     ] {
-        // Measured 196 / 193 B: two 16 B slots (one per topic, each held
-        // in its producer's sealed batch beside the batch's one stretch
-        // header and shared by the log's runs), the 64 B payload and its
-        // 87 B encoded event in their batch frames, and the kernel's fixed
-        // queue storage spread over the run. (228 / 224 B measured, 229 /
-        // 225 B recorded, with a 32 B slot that held every record's
-        // producer stamps; 277 / 273 B when a batch held a 56 B `Record`
-        // per record; 307 / 303 B
+        // Measured 180 / 177 B: two 8 B rows (one per topic, each held in
+        // its producer's sealed batch beside the batch's one stretch header
+        // and shared by the log's runs; keyless and in sequence, a record
+        // needs neither a key length nor a sequence delta), the 64 B
+        // payload and its 87 B encoded event in their batch frames, and the
+        // kernel's fixed queue storage spread over the run. (196 / 193 B
+        // with a 16 B slot of every column per record; 228 / 224 B
+        // measured, 229 / 225 B recorded, with a 32 B slot that held every
+        // record's producer stamps; 277 / 273 B when a batch held a 56 B
+        // `Record` per record; 307 / 303 B
         // when each log entry was a 72 B copy of its record; 349 / 342 B
         // when every host CPU kept a 16 B busy interval per work item for
         // the whole run; 381 / 374 B with one allocation pair per record,
@@ -340,7 +342,7 @@ fn a_default_run_retains_one_copy_per_record() {
         assert!(
             per_record <= retained * SLACK,
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
-             recorded: something beside the two slots holds every record"
+             recorded: something beside the two rows holds every record"
         );
         // Measured 3.16 / 3.14 (set-up included, hence the fall): the
         // source's topic `String` and payload `Vec`, the worker's decoded
@@ -379,7 +381,9 @@ fn a_default_run_retains_one_copy_per_record() {
         (40_000, large, 1083.0, large_allocs, 4.20),
     ] {
         // Measured 1 097 / 1 083 B: the 1 KiB payload and its key in its
-        // batch's frame, one 16 B slot, and per batch its stretch header
+        // batch's frame, one 16 B row (keyed, and out of sequence: one
+        // producer's sequence spreads over the partitions), and per batch
+        // its stretch header
         // and per batch and replica a 40 B run; the fixed cost of three
         // brokers spread over the run, hence the fall. (1 110 / 1 096 B
         // measured, 1 133 / 1 107 B recorded, with a 32 B slot; 1 152 /

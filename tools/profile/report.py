@@ -2,7 +2,7 @@
 """Symbolise and aggregate what tools/profile/sampler.so or live.so wrote.
 
     report.py PREFIX [--top N] [--match NAME ... [--within FRAME]]
-              [--callers LEAF [--depth K]] [--sites]
+              [--callers NAME [--depth K]] [--sites]
 
 PREFIX is a run's S2G_PROF_OUT (with -calls or -mark after it for
 live.so's other outputs): every PREFIX.<pid>.stacks with its
@@ -19,8 +19,10 @@ It prints, over all samples:
     contains NAME; with --within FRAME, only of the samples that have a
     frame containing FRAME on the stack, as a share of all samples and of
     those;
-  * with --callers LEAF, the caller chains (K frames up) of the samples
-    whose innermost frame contains LEAF, most frequent first;
+  * with --callers NAME, the caller chains (K frames up) of the innermost
+    frame whose name contains NAME, over the samples that have one, most
+    frequent first (over live.so's output the leaf is always an allocator
+    frame, so NAME is usually a frame further up);
   * with --sites, the N sites with the largest share, a sample's site being
     its first frame outside the standard library (alloc::, core:: and std::,
     implementations of their traits, and the allocator's entry points).
@@ -231,8 +233,9 @@ def main():
     if args.callers:
         chains = collections.Counter()
         for w, s in weighted:
-            if s and args.callers in s[0]:
-                chains[" <- ".join(s[1:1 + args.depth])] += w
+            at = next((i for i, name in enumerate(s) if args.callers in name), None)
+            if at is not None:
+                chains[" <- ".join(s[at + 1:at + 1 + args.depth])] += w
         hits = sum(chains.values())
         print(f"\ncallers of {args.callers}: {hits} {unit}, {100 * hits / total:.2f} %")
         for chain, n in chains.most_common(args.top):

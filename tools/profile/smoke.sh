@@ -10,7 +10,9 @@
 #      the first run's peak, and checks that one of the five largest sites
 #      `report.py --sites` names, over both runs' allocator calls and
 #      over the live heap at the mark, is a function of this workspace (an
-#      `s2g_` crate) with a non-zero share.
+#      `s2g_` crate) with a non-zero share, and that `report.py --callers`
+#      gives the live heap's such site a non-zero share too, though it is
+#      never the innermost frame (an allocator's is).
 #
 #   tools/profile/smoke.sh [WORK_DIR]      (default: target/profile-smoke)
 #
@@ -58,6 +60,7 @@ site_check() {
   hit=$(awk '/^sites, first frame outside/ { m = 1; next }
              m && / <?s2g_/ && $1 > 0 { share = $1; sub(/^[^%]*%  /, "")
                                         print $0 " has " share " %"; exit }' "$out")
+  site=${hit% has *}
   if [ -n "$hit" ]; then
     echo "profile smoke: ${hit} of ${what}"
   else
@@ -67,3 +70,15 @@ site_check() {
 }
 site_check "$work/prof/live-calls" "the allocator calls"
 site_check "$work/prof/live-mark" "the live heap at the ${peak} B peak"
+
+# The site just found is a frame above the allocator's on every stack it
+# holds, so --callers must find it there.
+python3 tools/profile/report.py "$work/prof/live-mark" --top 3 --callers "$site" \
+  > "$work/callers.txt"
+callers=$(sed -n 's/^callers of .*: [0-9]* [a-z]*, \([0-9.]*\) %$/\1/p' "$work/callers.txt")
+if awk -v s="${callers:-0}" 'BEGIN { exit !(s > 0) }'; then
+  echo "profile smoke: --callers ${site} finds ${callers} % of the live heap at the mark"
+else
+  echo "profile smoke: --callers ${site} finds none of the live heap at the mark" >&2
+  exit 1
+fi
