@@ -66,12 +66,24 @@ impl DataSink for CollectingSink {
     }
 }
 
+/// What [`ConsumerClient::handle_cpu_done`] made of a CPU-completion tag.
+#[derive(Debug)]
+pub enum CpuDone {
+    /// The tag is not this client's.
+    NotMine,
+    /// This client's tag, with nothing left to deliver.
+    Nothing,
+    /// A partition's delivered runs, in offset order: the client's position
+    /// is past them and its next fetch of the partition is sent.
+    Delivered(TopicPartition, Vec<LogRun>),
+}
+
 /// Consumer counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConsumerStats {
     /// Fetch requests issued.
     pub fetches: u64,
-    /// Records delivered to the sink.
+    /// Records delivered to the owner (a sink, or an SPE worker).
     pub records: u64,
     /// Fetches that timed out.
     pub timeouts: u64,
@@ -144,11 +156,8 @@ pub struct ConsumerClient {
     poll_timer: Option<(TimerToken, SimTime)>,
     /// Fetched runs whose delivery CPU is in flight, by tag: views of the
     /// broker log's batches, so the payloads fetched are never copied on
-    /// the way to the sink.
+    /// the way to the owner.
     pending_delivery: IntTable<(TopicPartition, Vec<LogRun>, Offset)>,
-    /// The records of the delivery in progress, built from its runs to
-    /// hand the sink: kept, so a delivery reuses the last one's room.
-    delivery: Vec<Record>,
     next_corr: u64,
     next_deliver_tag: u64,
     stats: ConsumerStats,
@@ -216,7 +225,6 @@ impl ConsumerClient {
             idle: true,
             poll_timer: None,
             pending_delivery: IntTable::default(),
-            delivery: Vec::new(),
             next_corr: 1,
             next_deliver_tag: 0,
             stats: ConsumerStats::default(),
@@ -976,36 +984,24 @@ impl ConsumerClient {
         true
     }
 
-    /// Handles a CPU-completion tag, delivering the stashed batch to `sink`.
-    /// Returns `true` if the tag belonged to this client.
-    pub fn handle_cpu_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        tag: u64,
-        sink: &mut dyn DataSink,
-    ) -> bool {
+    /// Handles a CPU-completion tag: a delivery whose CPU is paid hands its
+    /// runs, views of the log's batches, to the caller, which decodes them
+    /// when it needs them.
+    pub fn handle_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> CpuDone {
         if !(CONSUMER_TAGS..CONSUMER_TAGS_END).contains(&tag) {
-            return false;
+            return CpuDone::NotMine;
         }
         let Some((tp, runs, next_offset)) = self.pending_delivery.remove(tag) else {
-            return true;
+            return CpuDone::Nothing;
         };
-        let now = ctx.now();
         let pos = self.position(&tp);
         self.offsets.insert(tp.clone(), next_offset.max(pos));
-        // The sink gets owned records, built for it here and dropped once
-        // it returns: their bytes are views of the log's batches, and the
-        // runs hold no `Record` of their own.
-        let records = runs.iter().flat_map(|run| run.batch.iter());
-        self.delivery.extend(records.map(|r| r.to_record()));
-        self.stats.records += self.delivery.len() as u64;
-        sink.on_records(now, &tp, &self.delivery);
-        self.delivery.clear();
+        self.stats.records += runs.iter().map(LogRun::len).sum::<usize>() as u64;
         // Pipelining: fetch the next batch for this partition right away.
         self.fetching.insert(tp.clone(), false);
-        self.fetch_one(ctx, tp);
+        self.fetch_one(ctx, tp.clone());
         self.arm_poll(ctx);
-        true
+        CpuDone::Delivered(tp, runs)
     }
 }
 
@@ -1023,6 +1019,9 @@ impl std::fmt::Debug for ConsumerClient {
 pub struct ConsumerProcess {
     client: ConsumerClient,
     sink: Box<dyn DataSink>,
+    /// The records of the delivery in progress, built from its runs to
+    /// hand the sink: kept, so a delivery reuses the last one's room.
+    delivery: Vec<Record>,
     name: String,
 }
 
@@ -1034,6 +1033,7 @@ impl ConsumerProcess {
         ConsumerProcess {
             client,
             sink,
+            delivery: Vec::new(),
             name: format!("consumer-{idx}"),
         }
     }
@@ -1083,7 +1083,16 @@ impl Process for ConsumerProcess {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        self.client.handle_cpu_done(ctx, tag, self.sink.as_mut());
+        let CpuDone::Delivered(tp, runs) = self.client.handle_cpu_done(ctx, tag) else {
+            return;
+        };
+        // The sink gets owned records, built for it here and dropped once
+        // it returns: their bytes are views of the log's batches, and the
+        // runs hold no `Record` of their own.
+        let records = runs.iter().flat_map(|run| run.batch.iter());
+        self.delivery.extend(records.map(|r| r.to_record()));
+        self.sink.on_records(ctx.now(), &tp, &self.delivery);
+        self.delivery.clear();
     }
 }
 

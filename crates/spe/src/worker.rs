@@ -13,10 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use s2g_proto::{Offset, ProducerId, Record, TopicPartition};
+use s2g_proto::{LogRun, Offset, ProducerId, RecordBatch, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
-use s2g_broker::{ConsumerClient, ConsumerConfig, DataSink, ProducerClient, ProducerConfig};
+use s2g_broker::{ConsumerClient, ConsumerConfig, CpuDone, ProducerClient, ProducerConfig};
 use s2g_store::{blob_map, StoreRpc};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
@@ -164,7 +164,103 @@ impl BatchMetric {
     }
 }
 
-/// Buffers records delivered by the embedded consumer until the next batch.
+/// A delivered run awaiting its batch: a view of the log's batch, which
+/// it keeps alive until it is decoded, and the source index to stamp on
+/// its events (`None` keeps the one in the event encoding).
+struct BufferedRun {
+    batch: RecordBatch,
+    source: Option<u8>,
+}
+
+impl BufferedRun {
+    /// Decodes the run's records into `out`, in offset order.
+    fn decode_into(&self, out: &mut Vec<Event>) {
+        out.extend(self.batch.iter().map(|r| {
+            let mut event = match Event::from_bytes(r.value()) {
+                Ok(e) => e,
+                // Raw payload from a producer stub: wrap as a string event
+                // whose origin is the record's produce time.
+                Err(_) => Event::new(Value::Str(r.value_utf8()), r.timestamp()),
+            };
+            if let Some(source) = self.source {
+                event.source = source;
+            }
+            if let (None, Some(k)) = (&event.key, r.key()) {
+                event.key = Some(String::from_utf8_lossy(k).into_owned());
+            }
+            event
+        }));
+    }
+}
+
+/// Input no batch has run yet, in consumption order: decoded events, then
+/// the delivered runs. Events are what a restore put back, before the
+/// consumer started (`awaiting_restore`), or what a capture decoded, which
+/// is every run then held, so they always come first: a front `Vec<Event>`
+/// says so by its shape, where an enum per entry could also say events
+/// after runs, which never happens.
+#[derive(Default)]
+struct Input {
+    decoded: Vec<Event>,
+    runs: Vec<BufferedRun>,
+}
+
+impl Input {
+    /// Records held.
+    fn len(&self) -> usize {
+        self.decoded.len() + self.runs.iter().map(|r| r.batch.len()).sum::<usize>()
+    }
+
+    /// Takes the first `max` records, or all of them: whole runs, and the
+    /// last one cut by [`RecordBatch::slice`].
+    fn take_front(&mut self, max: usize) -> Input {
+        if self.len() <= max {
+            return std::mem::take(self);
+        }
+        let decoded: Vec<Event> = if self.decoded.len() > max {
+            self.decoded.drain(..max).collect()
+        } else {
+            std::mem::take(&mut self.decoded)
+        };
+        let mut room = max - decoded.len();
+        let mut whole = 0;
+        for run in &self.runs {
+            if run.batch.len() > room {
+                break;
+            }
+            room -= run.batch.len();
+            whole += 1;
+        }
+        let mut runs: Vec<BufferedRun> = self.runs.drain(..whole).collect();
+        if room > 0 {
+            // More than `max` records are held, so a run is left, longer
+            // than `room`.
+            let next = &mut self.runs[0];
+            runs.push(BufferedRun {
+                batch: next.batch.slice(0..room),
+                source: next.source,
+            });
+            next.batch = next.batch.slice(room..next.batch.len());
+        }
+        Input { decoded, runs }
+    }
+
+    /// The records as events: the decoded ones, then the runs decoded now.
+    fn into_events(self) -> Vec<Event> {
+        let mut events = self.decoded;
+        events.reserve(self.runs.iter().map(|r| r.batch.len()).sum());
+        for run in &self.runs {
+            run.decode_into(&mut events);
+        }
+        events
+    }
+}
+
+/// Holds what the embedded consumer delivered until a batch takes it: the
+/// runs as delivered, views of the log's batches, decoded when their batch
+/// runs or a capture encodes them. A buffered run pins its batch's store,
+/// even once a commit let the shuffle log purge below it, until then: at
+/// most one batch interval (and the batch's CPU time).
 #[derive(Default)]
 struct EventBuffer {
     /// The source topics; a topic's position is its source index.
@@ -174,31 +270,19 @@ struct EventBuffer {
     /// where all inputs arrive over one topic but a downstream join still
     /// needs to know which original source each event came from.
     preserve_source: bool,
-    events: Vec<Event>,
+    input: Input,
 }
 
-impl DataSink for EventBuffer {
-    fn on_records(&mut self, _now: SimTime, tp: &TopicPartition, records: &[Record]) {
+impl EventBuffer {
+    /// Buffers the runs delivered for `tp`.
+    fn push(&mut self, tp: &TopicPartition, runs: Vec<LogRun>) {
         let source = self.topics.iter().position(|t| tp.topic == *t);
-        let source = source.unwrap_or(0) as u8;
-        // Each batch takes the buffer with it; size the new one per delivery
-        // instead of doubling it up record by record.
-        self.events.reserve(records.len());
-        for r in records {
-            let mut event = match Event::from_bytes(&r.value) {
-                Ok(e) => e,
-                // Raw payload from a producer stub: wrap as a string event
-                // whose origin is the record's produce time.
-                Err(_) => Event::new(Value::Str(r.value_utf8()), r.timestamp),
-            };
-            if !self.preserve_source {
-                event.source = source;
-            }
-            if let (None, Some(k)) = (&event.key, &r.key) {
-                event.key = Some(String::from_utf8_lossy(k).into_owned());
-            }
-            self.events.push(event);
-        }
+        let source = (!self.preserve_source).then_some(source.unwrap_or(0) as u8);
+        let runs = runs.into_iter().map(|run| BufferedRun {
+            batch: run.batch,
+            source,
+        });
+        self.input.runs.extend(runs);
     }
 }
 
@@ -240,7 +324,9 @@ pub struct SpeWorker {
     buffer: EventBuffer,
     collected: Vec<Event>,
     metrics: Vec<BatchMetric>,
-    inflight: Option<(SimTime, Vec<Event>)>,
+    /// The batch whose CPU time is running: when it started, and its
+    /// input, decoded when the CPU time is paid.
+    inflight: Option<(SimTime, Input)>,
     empty_streak: u32,
     flushed: bool,
     store_corr: u64,
@@ -496,15 +582,9 @@ impl SpeWorker {
         if self.inflight.is_some() {
             return; // previous batch still executing; records keep buffering
         }
-        let events = if self.buffer.events.len() > self.cfg.max_batch_records {
-            self.buffer
-                .events
-                .drain(..self.cfg.max_batch_records)
-                .collect()
-        } else {
-            std::mem::take(&mut self.buffer.events)
-        };
-        if events.is_empty() {
+        let input = self.buffer.input.take_front(self.cfg.max_batch_records);
+        let records = input.len();
+        if records == 0 {
             self.empty_streak += 1;
             if self.cfg.idle_flush_batches > 0
                 && self.empty_streak >= self.cfg.idle_flush_batches
@@ -519,16 +599,17 @@ impl SpeWorker {
         }
         self.empty_streak = 0;
         self.flushed = false;
-        let cost = self.cfg.scheduling_overhead + self.cfg.cpu_per_record * events.len() as u64;
-        self.inflight = Some((ctx.now(), events));
+        let cost = self.cfg.scheduling_overhead + self.cfg.cpu_per_record * records as u64;
+        self.inflight = Some((ctx.now(), input));
         ctx.exec(cost, tags::BATCH_DONE);
     }
 
     fn finish_batch(&mut self, ctx: &mut Ctx<'_>) {
-        let Some((start, events)) = self.inflight.take() else {
+        let Some((start, input)) = self.inflight.take() else {
             return;
         };
         let now = ctx.now();
+        let events = input.into_events();
         let n_in = events.len();
         let out = self.plan.run_batch(now, events);
         let n_out = out.len();
@@ -543,7 +624,7 @@ impl SpeWorker {
         self.tele_metrics.records_out.add(n_out as u64);
         self.tele_metrics
             .buffer_depth
-            .set(self.buffer.events.len() as f64);
+            .set(self.buffer.input.len() as f64);
         self.tele.trace_complete(
             start,
             now.saturating_since(start),
@@ -594,7 +675,9 @@ impl SpeWorker {
             }
         }
         let txn_seq = self.txn_seq;
-        let buffer = std::mem::take(&mut self.buffer.events);
+        // The capture decodes the buffered runs, and the events stay in the
+        // buffer for their batch: a record is decoded once either way.
+        let buffer = std::mem::take(&mut self.buffer.input).into_events();
         let mut payload = match kind {
             CaptureKind::Full => {
                 let (plan_state, records_in, records_out) = self.plan.snapshot_state();
@@ -636,7 +719,7 @@ impl SpeWorker {
         // is kept until the persist completes is the blob and the
         // capture's time, offsets and transaction.
         let blob = payload.to_bytes();
-        self.buffer.events = payload.take_buffer();
+        self.buffer.input.decoded = payload.take_buffer();
         let producer_sent = self.producer.as_ref().map_or(0, |p| p.stats().sent);
         if txn_mode {
             // Open the next transaction: output emitted after this capture
@@ -906,7 +989,7 @@ impl SpeWorker {
                 // exactly even if the final broker commit raced the crash.
                 // The consumer's static assignment restricts fetching to
                 // the partitions this instance owns.
-                self.buffer.events = buffer;
+                self.buffer.input.decoded = buffer;
                 self.consumer.seed_positions(offsets.clone());
             }
             CheckpointMode::AtLeastOnce => {
@@ -1076,11 +1159,10 @@ impl Process for SpeWorker {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if self.consumer.handle_cpu_done(ctx, tag, &mut self.buffer) {
-            return;
-        }
-        if tag == tags::BATCH_DONE {
-            self.finish_batch(ctx);
+        match self.consumer.handle_cpu_done(ctx, tag) {
+            CpuDone::Delivered(tp, runs) => self.buffer.push(&tp, runs),
+            CpuDone::NotMine if tag == tags::BATCH_DONE => self.finish_batch(ctx),
+            CpuDone::NotMine | CpuDone::Nothing => {}
         }
     }
 }
@@ -1092,5 +1174,139 @@ impl std::fmt::Debug for SpeWorker {
             .field("batches", &self.metrics.len())
             .field("plan", &self.plan)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use s2g_proto::{LeaderEpoch, Record};
+
+    use super::*;
+
+    /// Record `i` of a run: an event with a key of its own, a keyless event
+    /// under a record key, a raw UTF-8 payload and a raw invalid one, in
+    /// turn.
+    fn record(i: u64) -> Record {
+        let at = SimTime::from_millis(i);
+        let mut event = Event::new(Value::Int(i as i64), at);
+        event.source = 3;
+        match i % 4 {
+            0 => Record::keyless(event.with_key(format!("own{i}")).to_bytes(), at),
+            1 => Record::new(format!("k{i}").into_bytes(), event.to_bytes(), at),
+            2 => Record::new(
+                format!("k{i}").into_bytes(),
+                format!("raw {i}").into_bytes(),
+                at,
+            ),
+            _ => Record::keyless(vec![0xff, i as u8], at),
+        }
+    }
+
+    /// Runs of the given lengths, at consecutive offsets from zero.
+    fn runs(lengths: &[u64]) -> Vec<LogRun> {
+        let mut next = 0;
+        (lengths.iter())
+            .map(|&n| {
+                let batch = RecordBatch::from_records((next..next + n).map(record).collect());
+                let run = LogRun {
+                    base: Offset(next),
+                    epoch: LeaderEpoch(0),
+                    batch,
+                };
+                next += n;
+                run
+            })
+            .collect()
+    }
+
+    /// What a worker buffered before runs were: every record decoded into
+    /// an event on delivery.
+    fn decoded_on_delivery(runs: &[LogRun], source: Option<u8>) -> Vec<Event> {
+        let records = runs.iter().flat_map(|run| run.batch.iter());
+        (records.map(|r| r.to_record()))
+            .map(|r| {
+                let mut event = match Event::from_bytes(&r.value) {
+                    Ok(e) => e,
+                    Err(_) => Event::new(Value::Str(r.value_utf8()), r.timestamp),
+                };
+                if let Some(source) = source {
+                    event.source = source;
+                }
+                if let (None, Some(k)) = (&event.key, &r.key) {
+                    event.key = Some(String::from_utf8_lossy(k).into_owned());
+                }
+                event
+            })
+            .collect()
+    }
+
+    fn buffer(preserve_source: bool) -> EventBuffer {
+        EventBuffer {
+            topics: vec!["a".into(), "b".into()],
+            preserve_source,
+            input: Input::default(),
+        }
+    }
+
+    #[test]
+    fn runs_cut_by_the_batch_cap_come_out_in_order_once_each() {
+        let delivered = runs(&[5, 3, 9, 1, 6, 7]);
+        let restored: Vec<Event> = (100..103)
+            .map(|i| Event::new(Value::Int(i), SimTime::from_millis(i as u64)))
+            .collect();
+        let mut expected = restored.clone();
+        expected.extend(decoded_on_delivery(&delivered, Some(1)));
+        for max in [1, 2, 4, 7, 9, 31, 34, usize::MAX] {
+            let mut buf = buffer(false);
+            buf.input.decoded = restored.clone();
+            // Two deliveries, as a consumer makes them.
+            let (first, second) = delivered.split_at(2);
+            buf.push(&TopicPartition::new("b", 0), first.to_vec());
+            buf.push(&TopicPartition::new("b", 0), second.to_vec());
+            assert_eq!(buf.input.len(), expected.len());
+            let mut out = Vec::new();
+            while buf.input.len() > 0 {
+                let batch = buf.input.take_front(max);
+                assert_eq!(batch.len(), max.min(expected.len() - out.len()));
+                out.extend(batch.into_events());
+            }
+            assert_eq!(out, expected, "batches of at most {max}");
+        }
+    }
+
+    #[test]
+    fn a_capture_of_buffered_runs_encodes_what_decoding_on_delivery_did() {
+        let delivered = runs(&[4, 11, 2]);
+        for preserve_source in [false, true] {
+            let mut buf = buffer(preserve_source);
+            let restored = vec![Event::new(Value::Str("restored".into()), SimTime::ZERO)];
+            buf.input.decoded = restored.clone();
+            buf.push(&TopicPartition::new("b", 1), delivered.clone());
+            let mut expected = restored.clone();
+            let source = (!preserve_source).then_some(1);
+            expected.extend(decoded_on_delivery(&delivered, source));
+            let snapshot = |buffer| StateSnapshot {
+                taken_at: SimTime::from_secs(1),
+                plan_state: vec![None],
+                records_in: 7,
+                records_out: 5,
+                buffer,
+                offsets: vec![(TopicPartition::new("b", 1), Offset(17))],
+                txn_seq: 2,
+            };
+            // What `try_capture` does with the buffer.
+            let mut payload =
+                CheckpointPayload::Full(snapshot(std::mem::take(&mut buf.input).into_events()));
+            let blob = payload.to_bytes();
+            buf.input.decoded = payload.take_buffer();
+            assert_eq!(blob, snapshot(expected.clone()).to_bytes());
+            // The buffer holds the same input, decoded.
+            buf.push(&TopicPartition::new("a", 0), runs(&[3]));
+            expected.extend(decoded_on_delivery(
+                &runs(&[3]),
+                (!preserve_source).then_some(0),
+            ));
+            assert_eq!(buf.input.take_front(usize::MAX).into_events(), expected);
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! and re-encodes to itself, and then damages it: cut at every byte, each
 //! bit of a seeded sample of bytes flipped, and junk appended. Every
 //! damaged blob must decode to an error or a value, never a panic, and the
-//! blob with junk appended to an error. On every damaged event,
+//! blob with junk appended to an error. The base and delta captures swept
+//! must each hold buffered input. On every damaged event,
 //! `Event::peek_origin` must agree with `Event::from_bytes`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,6 +90,18 @@ const DECODERS: [(&str, Decoder, Reads); 6] = [
     ),
 ];
 
+/// How many events a capture blob holds in its `buffer` (fetched input no
+/// batch had run); `None` for a blob of another kind.
+fn buffered_events(key: &str, blob: &[u8]) -> Option<usize> {
+    if is_base(key) {
+        return Some(StateSnapshot::from_bytes(blob).ok()?.buffer.len());
+    }
+    if is_delta(key) {
+        return Some(StateDelta::from_bytes(blob).ok()?.buffer.len());
+    }
+    None
+}
+
 /// Bytes of each blob whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 48;
 
@@ -157,6 +170,11 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
             Some(blob),
             "{name} round trip of {key}"
         );
+        // A swept capture must carry buffered input, or the sweep leaves
+        // that part of the format undamaged.
+        if let Some(events) = buffered_events(key, blob) {
+            assert!(events > 0, "{name}: {key} buffers no event");
+        }
         let mut check = |what: String, input: &[u8]| {
             swept += 1;
             survives(decode, input).unwrap_or_else(|message| {

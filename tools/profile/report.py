@@ -10,6 +10,9 @@ PREFIX.<pid>.maps is read, so the samples of several runs of one build
 aggregate (at a 4 ms tick one run of a second gives ~250 samples; use at
 least eight). Addresses are symbolised with `addr2line -f -C -i`, inlined
 frames expanded, so a function the compiler inlined still gets its share.
+Symbols are read from each mapped file as it is now, so a run whose
+executable or library was modified after its .stacks file was written
+(a rebuild) is refused: the report exits 1 naming the run and the file.
 
 It prints, over all samples:
   * the N functions with the largest self share (the innermost frame);
@@ -155,6 +158,11 @@ def main():
     units = set()  # UNIT of the weighted lines, "samples" of the others
     for stacks in runs:
         spans, bias = read_maps(stacks[: -len(".stacks")] + ".maps")
+        written = os.path.getmtime(stacks)
+        for path in sorted({path for _, _, path in spans}):
+            if os.path.exists(path) and os.path.getmtime(path) > written:
+                sys.exit(f"{stacks}: {path} was modified after this run, so its "
+                         "addresses would be symbolised against another build")
         def locate(addr):
             for lo, hi, path in spans:
                 if lo <= addr < hi and bias.get(path) is not None:

@@ -6,7 +6,9 @@
 #   2. runs the example under sampler.so four times (≈ 0.4 s a run, a few
 #      hundred samples at a 4 ms tick), and checks that report.py gives
 #      `Sim::run_until` a non-zero share;
-#   3. runs it under live.so twice, the second time with S2G_LIVE_MARK at
+#   3. profiles a copy of the example once, touches the copy as a rebuild
+#      would, and checks that report.py refuses that run and names the copy;
+#   4. runs it under live.so twice, the second time with S2G_LIVE_MARK at
 #      the first run's peak, and checks that one of the five largest sites
 #      `report.py --sites` names, over both runs' allocator calls and
 #      over the live heap at the mark, is a function of this workspace (an
@@ -21,7 +23,8 @@ set -euo pipefail
 cd "$(dirname "$0")/../.."
 work="${1:-target/profile-smoke}"
 mkdir -p "$work/prof"
-rm -f "$work"/prof/run.* "$work"/prof/live.* "$work"/prof/live-calls.* "$work"/prof/live-mark.*
+rm -f "$work"/prof/run.* "$work"/prof/stale.* "$work"/prof/live.* "$work"/prof/live-calls.* \
+  "$work"/prof/live-mark.*
 
 gcc -O2 -shared -fPIC -o "$work/sampler.so" tools/profile/sampler.c
 gcc -O2 -fno-omit-frame-pointer -shared -fPIC -o "$work/live.so" tools/profile/live.c
@@ -41,6 +44,26 @@ if awk -v s="${share:-0}" 'BEGIN { exit !(s > 0) }'; then
   echo "profile smoke: Sim::run_until in ${share} % of the samples"
 else
   echo "profile smoke: no sample has Sim::run_until on its stack" >&2
+  exit 1
+fi
+
+# A binary modified after its run would give every address a wrong name:
+# report.py must refuse such a run. The touch dates the copy a minute ahead,
+# so the check holds on a file system with coarse timestamps too.
+stale="$work/stale/partition_failure"
+mkdir -p "$work/stale"
+cp "$work/fp/release/examples/partition_failure" "$stale"
+S2G_PROF_OUT="$work/prof/stale" LD_PRELOAD="$work/sampler.so" "$stale" > /dev/null
+touch -d '+1 minute' "$stale"
+if python3 tools/profile/report.py "$work/prof/stale" --top 1 > /dev/null 2> "$work/stale.txt"; then
+  echo "profile smoke: report.py symbolised a run against a binary modified after it" >&2
+  exit 1
+fi
+if grep -qF "$stale" "$work/stale.txt"; then
+  echo "profile smoke: report.py refuses a run whose binary changed after it"
+else
+  echo "profile smoke: report.py failed on a stale run without naming ${stale}:" >&2
+  cat "$work/stale.txt" >&2
   exit 1
 fi
 
