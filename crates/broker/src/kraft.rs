@@ -6,15 +6,22 @@
 //! changes, ISR updates, preferred elections) into the replicated log,
 //! where it takes effect only once it commits on a majority. Followers
 //! replicate and apply the same records, so any member can take over.
+//!
+//! The leader is elected with the shared Raft election,
+//! [`s2g_sim::Election`], which the store group elects its primary with
+//! too: the term, one vote per term (kept when the leader of the same term
+//! is heard, cleared only when the term rises), the log-freshness rule over
+//! `(last entry term, log length)` and the randomized deadline. The log is
+//! pushed: the leader sends `AppendEntries` on proposals and on a 300 ms
+//! tick, and tracks each follower's `next_index`/`match_index`.
+//!
 //! This is the coordination mode under which the paper "was not able to
 //! observe" the silent-loss behavior of Fig. 6b.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use rand::Rng;
+use std::collections::BTreeMap;
 
 use s2g_proto::{BrokerId, MetadataRecord, PartitionMetadata, RaftRpc};
-use s2g_sim::{downcast, Ctx, Message, ProcessId, SimDuration, SimTime};
+use s2g_sim::{downcast, Ctx, Election, Message, ProcessId, SimDuration};
 
 use crate::config::{ControllerConfig, TopicSpec};
 use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState, CommitPolicy, Controller};
@@ -32,16 +39,13 @@ const LEADER_TICK_EVERY: SimDuration = SimDuration::from_millis(300);
 /// Max entries shipped per AppendEntries.
 const MAX_ENTRIES_PER_APPEND: usize = 64;
 
+/// What the leader tracks of each follower. A member that is not the
+/// leader follows, or stands for election (its candidacy is the
+/// [`Election`]'s).
 #[derive(Debug)]
-enum RaftRole {
-    Follower,
-    Candidate {
-        votes: BTreeSet<BrokerId>,
-    },
-    Leader {
-        next_index: BTreeMap<BrokerId, usize>,
-        match_index: BTreeMap<BrokerId, usize>,
-    },
+struct Leader {
+    next_index: BTreeMap<BrokerId, usize>,
+    match_index: BTreeMap<BrokerId, usize>,
 }
 
 /// The KRaft commit policy of one quorum member: a decision is proposed
@@ -54,13 +58,11 @@ pub struct RaftQuorum {
     /// The initial assignment, installed by this member's first leadership
     /// over a metadata log that has none; emptied once proposed.
     plan: Vec<PartitionMetadata>,
-    term: u64,
-    voted_for: Option<BrokerId>,
+    election: Election<BrokerId>,
     log: Vec<(u64, MetadataRecord)>,
     commit: usize,
     applied: usize,
-    role: RaftRole,
-    election_deadline: SimTime,
+    leader: Option<Leader>,
     name: String,
 }
 
@@ -104,13 +106,11 @@ impl Controller<RaftQuorum> {
             me,
             quorum,
             plan,
-            term: 0,
-            voted_for: None,
+            election: Election::new(ELECTION_TIMEOUT_BASE, ELECTION_TIMEOUT_BASE),
             log: Vec::new(),
             commit: 0,
             applied: 0,
-            role: RaftRole::Follower,
-            election_deadline: SimTime::ZERO,
+            leader: None,
             name: format!("kraft-{}", me.0),
         };
         Controller {
@@ -128,7 +128,7 @@ impl Controller<RaftQuorum> {
 
     /// The current Raft term.
     pub fn term(&self) -> u64 {
-        self.policy.term
+        self.policy.election.term()
     }
 
     /// Committed log length.
@@ -145,7 +145,7 @@ impl Controller<RaftQuorum> {
 
 impl RaftQuorum {
     fn is_active(&self) -> bool {
-        matches!(self.role, RaftRole::Leader { .. })
+        self.leader.is_some()
     }
 
     fn majority(&self) -> usize {
@@ -156,28 +156,19 @@ impl RaftQuorum {
         self.log.last().map(|(t, _)| *t).unwrap_or(0)
     }
 
-    fn reset_election_deadline(&mut self, ctx: &mut Ctx<'_>) {
-        let jitter = ctx.rng().gen_range(0..=ELECTION_TIMEOUT_BASE.as_nanos());
-        self.election_deadline =
-            ctx.now() + ELECTION_TIMEOUT_BASE + SimDuration::from_nanos(jitter);
-    }
-
+    /// Follows the leader or candidate of `term`, which is not older than
+    /// this member's: the vote is kept unless the term rose.
     fn become_follower(&mut self, ctx: &mut Ctx<'_>, term: u64) {
-        self.term = term;
-        self.role = RaftRole::Follower;
-        self.voted_for = None;
-        self.reset_election_deadline(ctx);
+        self.election.follow(term);
+        self.leader = None;
+        self.election.reset_deadline(ctx);
     }
 
     fn start_election(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        self.term += 1;
-        self.voted_for = Some(self.me);
-        let mut votes = BTreeSet::new();
-        votes.insert(self.me);
-        self.role = RaftRole::Candidate { votes };
-        self.reset_election_deadline(ctx);
+        let term = self.election.stand(self.me);
+        self.election.reset_deadline(ctx);
         let req = RaftRpc::RequestVote {
-            term: self.term,
+            term,
             candidate: self.me,
             last_log_index: self.log.len() as u64,
             last_log_term: self.last_log_term(),
@@ -187,7 +178,8 @@ impl RaftQuorum {
                 ctx.send(pid, req.clone());
             }
         }
-        if self.quorum.len() == 1 {
+        // A quorum of one is won by the member's own vote.
+        if self.election.tally(term, self.me, true, self.majority()) {
             self.become_leader(front, ctx);
         }
     }
@@ -201,10 +193,10 @@ impl RaftQuorum {
                 match_index.insert(id, 0usize);
             }
         }
-        self.role = RaftRole::Leader {
+        self.leader = Some(Leader {
             next_index,
             match_index,
-        };
+        });
         // Term-start entry: lets the new leader commit prior-term entries
         // (Raft §5.4.2 no-op). We reuse a harmless registration record.
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };
@@ -234,10 +226,10 @@ impl RaftQuorum {
     }
 
     fn propose(&mut self, records: Vec<MetadataRecord>) {
-        if !matches!(self.role, RaftRole::Leader { .. }) {
+        if !self.is_active() {
             return;
         }
-        let term = self.term;
+        let term = self.election.term();
         for r in records {
             // Avoid duplicate uncommitted proposals (session checks repeat
             // until the failure records commit).
@@ -252,7 +244,7 @@ impl RaftQuorum {
     }
 
     fn leader_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let RaftRole::Leader { next_index, .. } = &self.role else {
+        let Some(Leader { next_index, .. }) = &self.leader else {
             return;
         };
         let sends: Vec<(ProcessId, RaftRpc)> = self
@@ -273,7 +265,7 @@ impl RaftQuorum {
                 (
                     *pid,
                     RaftRpc::AppendEntries {
-                        term: self.term,
+                        term: self.election.term(),
                         leader: self.me,
                         prev_log_index: prev_log_index as u64,
                         prev_log_term,
@@ -289,12 +281,12 @@ impl RaftQuorum {
     }
 
     fn maybe_commit(&mut self) {
-        let RaftRole::Leader { match_index, .. } = &self.role else {
+        let Some(Leader { match_index, .. }) = &self.leader else {
             return;
         };
         let majority = self.majority();
         for n in (self.commit + 1..=self.log.len()).rev() {
-            if self.log[n - 1].0 != self.term {
+            if self.log[n - 1].0 != self.election.term() {
                 continue; // only commit entries from the current term directly
             }
             let replicas = 1 + match_index.values().filter(|m| **m >= n).count();
@@ -368,23 +360,20 @@ impl RaftQuorum {
                 last_log_index,
                 last_log_term,
             } => {
-                if term > self.term {
+                if term > self.election.term() {
                     self.become_follower(ctx, term);
                 }
-                let up_to_date = (last_log_term, last_log_index)
-                    >= (self.last_log_term(), self.log.len() as u64);
-                let grant = term == self.term
-                    && up_to_date
-                    && (self.voted_for.is_none() || self.voted_for == Some(candidate));
+                let ours = (self.last_log_term(), self.log.len() as u64);
+                let theirs = (last_log_term, last_log_index);
+                let grant = self.election.grant(term, candidate, theirs, ours);
                 if grant {
-                    self.voted_for = Some(candidate);
-                    self.reset_election_deadline(ctx);
+                    self.election.reset_deadline(ctx);
                 }
                 if let Some(&pid) = self.quorum.get(&candidate) {
                     ctx.send(
                         pid,
                         RaftRpc::VoteResponse {
-                            term: self.term,
+                            term: self.election.term(),
                             granted: grant,
                             from: self.me,
                         },
@@ -396,22 +385,11 @@ impl RaftQuorum {
                 granted,
                 from,
             } => {
-                if term > self.term {
+                if term > self.election.term() {
                     self.become_follower(ctx, term);
                     return;
                 }
-                if term != self.term {
-                    return;
-                }
-                let majority = self.majority();
-                let won = match &mut self.role {
-                    RaftRole::Candidate { votes } if granted => {
-                        votes.insert(from);
-                        votes.len() >= majority
-                    }
-                    _ => false,
-                };
-                if won {
+                if self.election.tally(term, from, granted, self.majority()) {
                     self.become_leader(front, ctx);
                 }
             }
@@ -423,12 +401,12 @@ impl RaftQuorum {
                 entries,
                 leader_commit,
             } => {
-                if term < self.term {
+                if term < self.election.term() {
                     if let Some(&pid) = self.quorum.get(&leader) {
                         ctx.send(
                             pid,
                             RaftRpc::AppendResponse {
-                                term: self.term,
+                                term: self.election.term(),
                                 success: false,
                                 match_index: self.log.len() as u64,
                                 from: self.me,
@@ -451,7 +429,7 @@ impl RaftQuorum {
                     ctx.send(
                         pid,
                         RaftRpc::AppendResponse {
-                            term: self.term,
+                            term: self.election.term(),
                             success,
                             match_index: match_index as u64,
                             from: self.me,
@@ -465,14 +443,14 @@ impl RaftQuorum {
                 match_index,
                 from,
             } => {
-                if term > self.term {
+                if term > self.election.term() {
                     self.become_follower(ctx, term);
                     return;
                 }
-                let RaftRole::Leader {
+                let Some(Leader {
                     next_index,
                     match_index: mi,
-                } = &mut self.role
+                }) = &mut self.leader
                 else {
                     return;
                 };
@@ -503,7 +481,7 @@ impl CommitPolicy for RaftQuorum {
     /// Draws the first election deadline and arms the election and
     /// leader-tick timers.
     fn start(c: &mut KraftController, ctx: &mut Ctx<'_>) {
-        c.policy.reset_election_deadline(ctx);
+        c.policy.election.reset_deadline(ctx);
         ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
         ctx.set_timer(LEADER_TICK_EVERY, LEADER_TICK);
     }
@@ -536,7 +514,7 @@ impl CommitPolicy for RaftQuorum {
         let raft = &mut c.policy;
         match tag {
             ELECTION_CHECK => {
-                if !raft.is_active() && ctx.now() >= raft.election_deadline {
+                if !raft.is_active() && ctx.now() >= raft.election.deadline() {
                     raft.start_election(&mut c.front, ctx);
                 }
                 ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
@@ -556,7 +534,8 @@ impl CommitPolicy for RaftQuorum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2g_sim::Sim;
+    use s2g_sim::{Process, Sim, SimTime};
+    use std::collections::BTreeSet;
 
     fn spawn_quorum(sim: &mut Sim, n: u32) -> Vec<ProcessId> {
         // Reserve pids first by spawning placeholders is not possible; instead
@@ -647,5 +626,64 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// A quorum member that only records the vote answers it is sent.
+    #[derive(Default)]
+    struct Ballots(Vec<(u32, bool, u64)>);
+
+    impl Process for Ballots {
+        fn name(&self) -> &str {
+            "ballots"
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
+            if let Ok(rpc) = downcast::<RaftRpc>(msg) {
+                if let RaftRpc::VoteResponse {
+                    term,
+                    granted,
+                    from,
+                } = *rpc
+                {
+                    self.0.push((from.0, granted, term));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn taking_the_leaders_append_keeps_the_vote_of_its_term() {
+        let mut sim = Sim::new(5);
+        let a = sim.spawn(Box::<Ballots>::default());
+        let b = sim.spawn(Box::<Ballots>::default());
+        let me = ProcessId(sim.process_count() as u32);
+        let quorum = BTreeMap::from([
+            (BrokerId(1000), me),
+            (BrokerId(1001), a),
+            (BrokerId(1002), b),
+        ]);
+        let cfg = ControllerConfig::default();
+        let c = KraftController::new(BrokerId(1000), quorum, BTreeMap::new(), cfg, vec![]);
+        assert_eq!(sim.spawn(Box::new(c)), me);
+        let vote = |candidate: u32| RaftRpc::RequestVote {
+            term: 1,
+            candidate: BrokerId(candidate),
+            last_log_index: 0,
+            last_log_term: 0,
+        };
+        let append = RaftRpc::AppendEntries {
+            term: 1,
+            leader: BrokerId(1001),
+            prev_log_index: 0,
+            prev_log_term: 0,
+            entries: vec![],
+            leader_commit: 0,
+        };
+        let at = SimTime::from_millis;
+        sim.inject_at(at(1), me, vote(1001));
+        sim.inject_at(at(2), me, append);
+        sim.inject_at(at(3), me, vote(1002));
+        sim.run_until(at(50));
+        assert_eq!(sim.process_ref::<Ballots>(a).unwrap().0, [(1000, true, 1)]);
+        assert_eq!(sim.process_ref::<Ballots>(b).unwrap().0, [(1000, false, 1)]);
     }
 }

@@ -13,7 +13,9 @@
 //! * [`HostCpu`] — a multi-core CPU model so co-located components contend
 //!   for cycles exactly like they do on stream2gym's single server,
 //! * [`Waiters`] — the one queue a server holds requests in until their
-//!   answer can change.
+//!   answer can change,
+//! * [`Election`] — Raft's leader election (term, one vote per term, log
+//!   freshness, randomized deadline), for every group that elects by vote.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod cpu;
+mod election;
 mod process;
 pub(crate) mod queue;
 mod resources;
@@ -50,6 +53,7 @@ mod time;
 mod waiters;
 
 pub use cpu::{CpuHandle, HostCpu};
+pub use election::Election;
 pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{

@@ -22,25 +22,38 @@
 //! the client only once a majority holds it, so an acknowledged write
 //! survives any minority of store crashes.
 //!
-//! A member learns what it missed one way: it asks. A ready follower keeps
-//! exactly one [`StoreRpc::Fetch`] outstanding at its primary, and the
-//! `after` of each fetch acknowledges everything up to it. The primary
-//! answers at once when it holds ops after `after` (with a full
-//! [`StateTransfer`] when `after` is below its truncated log start), and
-//! otherwise parks the fetch until its next append, so an idle group still
-//! acks a write in one round trip. A restarted member asks every peer and
-//! takes the first answer; a member about to claim the primary role asks
-//! the most advanced live peer; a deposed primary wipes its state and asks
-//! from zero. Members heartbeat each other; when the primary dies, the
-//! lowest-indexed live member catches up and claims the role under a
-//! bumped group epoch. Non-primary members proxy client requests to the
-//! primary, so a [`BlobClient`](crate::BlobClient) that rotates endpoints
-//! on timeout reaches the group through any live member.
+//! The primary is elected by vote, with the Raft election every replicated
+//! group here shares ([`s2g_sim::Election`]). The group epoch is the
+//! election term, and each op-log entry carries the term it was written
+//! in. A member votes once per term, for a candidate whose (last entry
+//! term, applied sequence) is at least its own; a member still recovering
+//! from a restart votes for nobody. Member 0 leads term 0 at boot, so a
+//! group without faults holds no election.
+//!
+//! Followers pull. Each keeps exactly one [`StoreRpc::Fetch`] outstanding
+//! at the primary, naming where its log ends: `after` and the term of that
+//! entry. Under the primary's own term, `after` also acknowledges every op
+//! up to it. The primary answers at once with the ops after `after`, or
+//! with its full [`StateTransfer`] when `after` is below its truncated log
+//! start or the fetcher's tail diverges from its log: the fetcher is wiped
+//! and refetched in one reply. With nothing newer it holds the fetch until
+//! its next append, and answers it empty after `group_heartbeat_interval`,
+//! so its replies are its heartbeats; each carries its truncation floor. A
+//! follower whose replies stop for an election timeout
+//! (`group_session_timeout` plus up to one heartbeat interval, drawn at
+//! random) stands for election, and a primary that no majority has
+//! fetched from for a session timeout steps down. A member that knows no
+//! primary sends its fetch to every peer, and the primary answers it. A
+//! member recovering from a restart is answered by every peer and takes
+//! the freshest state it is sent (see [`StoreServer::set_group`]).
+//! Non-primary members proxy client requests to the primary, so a
+//! [`BlobClient`](crate::BlobClient) that rotates endpoints on timeout
+//! reaches the group through any live member.
 
 use bytes::Bytes;
 use s2g_sim::{
-    downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
-    Waiters,
+    downcast, Ctx, Election, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration,
+    SimTime, Waiters,
 };
 use s2g_telemetry::{GaugeHandle, Telemetry};
 
@@ -158,7 +171,7 @@ pub enum StoreRpc {
         rpc: Box<StoreRpc>,
     },
     /// Member → member: asks for the op-log suffix after `after`. Under the
-    /// receiver's own epoch, `after` also acknowledges every op up to it.
+    /// receiver's own term, `after` also acknowledges every op up to it.
     Fetch {
         /// Request id, salted with the sender's incarnation.
         corr: u64,
@@ -166,7 +179,9 @@ pub enum StoreRpc {
         from: u32,
         /// The sender's highest applied sequence.
         after: u64,
-        /// Sender's group epoch.
+        /// The term of the sender's op at `after`.
+        last_term: u64,
+        /// Sender's group epoch (its election term).
         epoch: u64,
         /// Whether the sender has caught up and serves requests.
         ready: bool,
@@ -176,33 +191,46 @@ pub enum StoreRpc {
     FetchReply {
         /// The fetch's request id.
         corr: u64,
-        /// Responder's group epoch.
+        /// Responder's group epoch (its election term).
         epoch: u64,
-        /// Responder's view of the primary index.
-        primary: u32,
+        /// Whether the responder is the primary of `epoch`.
+        leads: bool,
         /// The sequence the suffix starts after.
         after: u64,
-        /// The ops after `after`, in sequence order.
-        entries: Vec<StoreOp>,
+        /// The ops after `after`, in sequence order, each with the term it
+        /// was written in.
+        entries: Vec<(u64, StoreOp)>,
         /// Full-state bootstrap, sent when the fetch's `after` is below the
-        /// responder's log start (truncated by peer-acked op-log cleaning):
-        /// the responder's complete state as of `after`. The receiver
-        /// installs it, adopts `after` as both its applied sequence and its
-        /// log start, and applies `entries` (normally empty) on top.
+        /// responder's log start (truncated by peer-acked op-log cleaning)
+        /// or the fetcher's log diverges from the responder's there: the
+        /// responder's complete state as of `after`. The receiver installs
+        /// it in place of its own, adopts `after` as both its applied
+        /// sequence and its log start, and applies `entries` (normally
+        /// empty) on top.
         snapshot: Option<StateTransfer>,
+        /// The responder's truncation floor (its log start): the receiver
+        /// truncates its own log to it.
+        floor: u64,
     },
-    /// Member ↔ member liveness + progress gossip.
-    GroupHeartbeat {
-        /// Sender's member index.
+    /// Candidate → member: asks for the member's vote in `term`.
+    Vote {
+        /// The term the candidate stands in.
+        term: u64,
+        /// Candidate's member index.
         from: u32,
-        /// Sender's group epoch.
-        epoch: u64,
-        /// Who the sender believes is primary.
-        primary: u32,
-        /// Sender's highest applied sequence.
-        applied_seq: u64,
-        /// Whether the sender has caught up and serves requests.
-        ready: bool,
+        /// The term of the candidate's last op.
+        last_term: u64,
+        /// The candidate's highest applied sequence.
+        applied: u64,
+    },
+    /// Member → candidate: the answer to a [`StoreRpc::Vote`].
+    VoteReply {
+        /// The member's term.
+        term: u64,
+        /// The member's index.
+        from: u32,
+        /// Whether the member voted for the candidate.
+        granted: bool,
     },
 }
 
@@ -213,12 +241,15 @@ pub struct StateTransfer {
     pub kv: Vec<(String, Bytes)>,
     /// Every table as `(name, columns, rows)`.
     pub tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
+    /// The term of the last op the state holds.
+    pub term: u64,
 }
 
 impl StateTransfer {
     /// Approximate wire size of the transfer.
     pub fn wire_size(&self) -> usize {
-        self.kv
+        8 + self
+            .kv
             .iter()
             .map(|(k, v)| k.len() + v.len() + 8)
             .sum::<usize>()
@@ -251,12 +282,16 @@ impl Message for StoreRpc {
             }
             StoreRpc::InsertAck { .. } => 9,
             StoreRpc::Forward { rpc, .. } => 8 + rpc.wire_size(),
-            StoreRpc::Fetch { .. } => 29,
-            StoreRpc::GroupHeartbeat { .. } => 29,
+            StoreRpc::Fetch { .. } => 37,
+            StoreRpc::Vote { .. } => 36,
+            StoreRpc::VoteReply { .. } => 13,
             StoreRpc::FetchReply {
                 entries, snapshot, ..
             } => {
-                28 + entries.iter().map(StoreOp::wire_size).sum::<usize>()
+                29 + entries
+                    .iter()
+                    .map(|(_, op)| 8 + op.wire_size())
+                    .sum::<usize>()
                     + snapshot.as_ref().map_or(0, StateTransfer::wire_size)
             }
         }
@@ -274,10 +309,16 @@ pub struct StoreConfig {
     pub background_cpu: SimDuration,
     /// Background churn period.
     pub background_interval: SimDuration,
-    /// Heartbeat period between store-group members.
+    /// How long the group's primary holds a follower's fetch with nothing
+    /// to send before it answers it empty: the primary's heartbeat. Also
+    /// how often each member re-sends a fetch left unanswered for this
+    /// long, and the most the election timeout's random part adds.
     pub group_heartbeat_interval: SimDuration,
-    /// A member silent for longer than this is considered dead; the lowest
-    /// surviving member then claims the primary role.
+    /// The election timeout's base. A follower that hears no reply from
+    /// the primary for this long plus a random part of up to one heartbeat
+    /// interval stands for election; a primary that no majority has
+    /// fetched from for this long steps down; and a member silent for this
+    /// long no longer holds back the primary's truncation floor.
     pub group_session_timeout: SimDuration,
 }
 
@@ -296,7 +337,9 @@ impl Default for StoreConfig {
 
 mod tags {
     pub(crate) const BACKGROUND_TICK: u64 = 1;
-    pub(crate) const GROUP_HB_TICK: u64 = 3;
+    pub(crate) const GROUP_TICK: u64 = 3;
+    pub(crate) const HOLD_EXPIRY: u64 = 4;
+    pub(crate) const ELECTION: u64 = 5;
     pub(crate) const CPU_BASE: u64 = 1 << 50;
 }
 
@@ -325,45 +368,41 @@ struct PendingWrite {
 struct GroupState {
     members: Vec<ProcessId>,
     index: usize,
-    epoch: u64,
-    primary: usize,
+    /// The term (the group epoch), this member's vote in it, its candidacy
+    /// and its election deadline.
+    election: Election<usize>,
+    /// The primary of the current term, when this member knows it.
+    primary: Option<usize>,
     applied_seq: u64,
-    /// The retained operation log: `oplog[i]` holds seq `log_start + i + 1`.
-    /// The prefix every live member has acked is truncated away
-    /// (`log_start` advances); members needing older history are brought
-    /// back by a full [`StateTransfer`] instead of replay.
-    oplog: Vec<StoreOp>,
+    /// The retained operation log: `oplog[i]` holds seq `log_start + i + 1`
+    /// and the term it was written in. The primary truncates the prefix
+    /// every live member has acked (`log_start` advances), and followers
+    /// truncate to the primary's floor; members needing older history are
+    /// brought back by a full [`StateTransfer`] instead of replay.
+    oplog: Vec<(u64, StoreOp)>,
     /// Sequences discarded from the front of `oplog` (0 = nothing
     /// truncated yet).
     log_start: u64,
+    /// The term of the op at `log_start` (0 when it is 0).
+    log_start_term: u64,
     /// Lifetime count of ops this member truncated.
     truncated_ops: u64,
     ready: bool,
-    /// When each member was last heard from; any message counts.
+    /// While primary: when each member last fetched from it.
     peer_last_seen: Vec<SimTime>,
-    /// When this member started, or heard a peer again after hearing none
-    /// for two heartbeat intervals. A member cut off learns nothing from
-    /// its peers' silence, so none counts as dead for less than a session
-    /// timeout after this.
-    awake_since: SimTime,
-    /// Each member's progress as it last reported it under this member's
-    /// epoch: the `after` of its fetches, the `applied_seq` of its
-    /// heartbeats, the end of its replies. A restarted member reports less
+    /// While recovering: the peers whose answer this member took.
+    answered: Vec<bool>,
+    /// Each member's progress under this member's term: the `after` of its
+    /// latest fetch that matched this log. A restarted member reports less
     /// than it once held, and that is what it holds.
     peer_seq: Vec<u64>,
-    /// Whether each member's last heartbeat said it serves (assumed until
-    /// one is heard).
-    peer_ready: Vec<bool>,
     /// Writes awaiting quorum, keyed by seq.
     pending_writes: std::collections::BTreeMap<u64, PendingWrite>,
-    /// The acting primary's held fetches, `(corr, after)` by member index,
-    /// answered by the next append. They have no deadline: a follower
-    /// re-sends its fetch every heartbeat interval.
-    parked: Waiters<usize, (u64, u64)>,
+    /// The primary's held fetches, `(corr, after, last_term)` by member
+    /// index, answered by its next append or, empty, at their deadline.
+    parked: Waiters<usize, (u64, u64, u64)>,
     /// This member's one outstanding fetch: `(corr, sent_at)`.
     awaiting: Option<(u64, SimTime)>,
-    /// A failover claim is waiting for catch-up from a more advanced peer.
-    claim_pending: bool,
     recovery: Option<StoreRecoveryInfo>,
 }
 
@@ -372,87 +411,67 @@ impl GroupState {
         self.members.len() / 2 + 1
     }
 
-    fn peer_alive(&self, i: usize, now: SimTime, timeout: SimDuration) -> bool {
-        let seen = self.peer_last_seen[i].max(self.awake_since);
-        i == self.index || now.saturating_since(seen) <= timeout
+    fn leads(&self) -> bool {
+        self.primary == Some(self.index)
     }
 
-    /// True when member `i` was heard from within `window`.
-    fn heard(&self, i: usize, now: SimTime, window: SimDuration) -> bool {
-        i == self.index || now.saturating_since(self.peer_last_seen[i]) <= window
+    /// While primary: itself and the members that fetched from it within
+    /// `timeout`.
+    fn live(&self, now: SimTime, timeout: SimDuration) -> impl Iterator<Item = usize> + '_ {
+        let seen = move |i: &usize| now.saturating_since(self.peer_last_seen[*i]) <= timeout;
+        (0..self.members.len()).filter(move |i| *i == self.index || seen(i))
     }
 
-    /// Takes a message from `pid` as word that it is alive.
-    fn heard_from(&mut self, pid: ProcessId, now: SimTime, interval: SimDuration) {
-        let Some(i) = self.members.iter().position(|p| *p == pid) else {
+    /// The term of the last op this member holds.
+    fn last_term(&self) -> u64 {
+        self.oplog.last().map_or(self.log_start_term, |(t, _)| *t)
+    }
+
+    /// The term of the op at `seq`, when this log holds it or starts there.
+    fn term_at(&self, seq: u64) -> Option<u64> {
+        match seq.checked_sub(self.log_start + 1) {
+            None => (seq == self.log_start).then_some(self.log_start_term),
+            Some(i) => self.oplog.get(i as usize).map(|(t, _)| *t),
+        }
+    }
+
+    /// Drops the op-log prefix up to `floor`, where this log holds it.
+    fn truncate_to(&mut self, floor: u64) {
+        let floor = floor.min(self.applied_seq);
+        if floor <= self.log_start {
             return;
-        };
-        let me = self.index;
-        if !(0..self.members.len()).any(|j| j != me && self.heard(j, now, interval * 2)) {
-            self.awake_since = now;
         }
-        self.peer_last_seen[i] = now;
+        let drop = (floor - self.log_start) as usize;
+        self.log_start_term = self.oplog[drop - 1].0;
+        self.oplog.drain(..drop);
+        self.truncated_ops += drop as u64;
+        self.log_start = floor;
     }
 
-    /// Every other member's process id, in index order.
-    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let me = self.index;
-        (self.members.iter().enumerate())
-            .filter(move |(i, _)| *i != me)
-            .map(|(_, p)| *p)
+    /// Leaves the primary's role: held fetches are dropped (their members
+    /// fetch again) and so are pending writes (their clients retry through
+    /// the group).
+    fn step_down(&mut self, ctx: &mut Ctx<'_>) {
+        if self.leads() {
+            self.pending_writes.clear();
+            self.parked.drain().for_each(drop);
+            self.election.reset_deadline(ctx);
+        }
+        self.primary = None;
     }
 
-    /// Records member `i`'s progress, if reported under this member's epoch.
-    fn note_progress(&mut self, i: usize, epoch: u64, seq: u64) {
-        if epoch == self.epoch {
-            self.peer_seq[i] = seq;
+    /// Follows `term` if it is newer than this member's: it no longer knows
+    /// the primary (a primary steps down), and a ready member sends its
+    /// fetch anew, to every peer.
+    fn follow_newer(&mut self, ctx: &mut Ctx<'_>, term: u64) {
+        if term <= self.election.term() {
+            return;
         }
-    }
-
-    /// True when no fetch is out, or the one out is an interval old.
-    fn fetch_stale(&self, now: SimTime, interval: SimDuration) -> bool {
-        self.awaiting
-            .is_none_or(|(_, at)| now.saturating_since(at) >= interval)
-    }
-
-    /// The claim rule. `None` when this member must not claim the primary
-    /// role now: it is not ready; the primary is alive and serving (one that
-    /// restarted has lost its state and says it is not ready); no ready
-    /// majority is in sight; or a live ready member is ordered before it.
-    /// Otherwise the most advanced live peer it must first catch up from,
-    /// if any is ahead of it.
-    ///
-    /// The majority must hold the log (a restarted member holds nothing
-    /// yet, and an acked write may be on no other) and have been heard from
-    /// within two heartbeat intervals, not within the session timeout: a
-    /// member cut off just now last heard its peers on their own heartbeat
-    /// phases, so one can still look alive after the primary no longer
-    /// does, and a minority member that merely stopped *hearing* the others
-    /// must never crown itself — on heal it would depose the true primary
-    /// and quorum-acked writes with it. What they reported is recent, too.
-    fn claim(&self, now: SimTime, cfg: &StoreConfig) -> Option<Option<usize>> {
-        let alive = |i: usize| self.peer_alive(i, now, cfg.group_session_timeout);
-        let heard = |i: usize| {
-            let recent = self.heard(i, now, cfg.group_heartbeat_interval * 2);
-            recent && (i == self.index || self.peer_ready[i])
-        };
-        let n = self.members.len();
-        let serving = alive(self.primary) && self.peer_ready[self.primary];
-        if !self.ready || self.primary == self.index || serving {
-            return None;
+        self.election.follow(term);
+        self.step_down(ctx);
+        if self.ready {
+            self.awaiting = None;
         }
-        if (0..n).filter(|i| heard(*i)).count() < self.quorum() {
-            return None;
-        }
-        let lowest_live = (0..n).find(|i| *i == self.index || (alive(*i) && self.peer_ready[*i]));
-        if lowest_live != Some(self.index) {
-            return None;
-        }
-        let ahead = (0..n)
-            .filter(|i| *i != self.index && *i != self.primary && alive(*i))
-            .max_by_key(|i| self.peer_seq[*i])
-            .filter(|i| self.peer_seq[*i] > self.applied_seq);
-        Some(ahead)
     }
 }
 
@@ -533,34 +552,37 @@ impl StoreServer {
 
     /// Joins this server to a replication group. `members` lists every
     /// member's process id in index order (identical on every member);
-    /// `index` is this member's slot. With `recovering` set (the respawn
-    /// path) the member starts unready and fetches the op log from a peer
-    /// before serving.
+    /// `index` is this member's slot. Member 0 leads term 0. With
+    /// `recovering` set (the respawn path) the member starts unready and
+    /// knows no primary. It lost its log, and with it its share of the
+    /// majority that holds each acked write, so it asks every peer for the
+    /// op log and serves or votes only once all but a majority less one of
+    /// them have answered: one of those holds every acked write, and the
+    /// member keeps the freshest state it was sent.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn set_group(&mut self, members: Vec<ProcessId>, index: usize, recovering: bool) {
         assert!(index < members.len(), "group index out of range");
-        let n = members.len();
+        let (n, cfg) = (members.len(), &self.cfg);
         self.group = Some(GroupState {
             members,
             index,
-            epoch: 0,
-            primary: 0,
+            election: Election::new(cfg.group_session_timeout, cfg.group_heartbeat_interval),
+            primary: (!recovering).then_some(0),
             applied_seq: 0,
             oplog: Vec::new(),
             log_start: 0,
+            log_start_term: 0,
             truncated_ops: 0,
             ready: !recovering,
             peer_last_seen: vec![SimTime::ZERO; n],
-            awake_since: SimTime::ZERO,
+            answered: vec![false; n],
             peer_seq: vec![0; n],
-            peer_ready: vec![true; n],
             pending_writes: std::collections::BTreeMap::new(),
             parked: Waiters::default(),
             awaiting: None,
-            claim_pending: false,
             recovery: None,
         });
     }
@@ -569,13 +591,13 @@ impl StoreServer {
     pub fn is_primary(&self) -> bool {
         match &self.group {
             None => true,
-            Some(g) => g.ready && g.primary == g.index,
+            Some(g) => g.ready && g.leads(),
         }
     }
 
-    /// The group epoch (0 when standalone).
+    /// The group epoch, its election term (0 when standalone).
     pub fn group_epoch(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.epoch)
+        self.group.as_ref().map_or(0, |g| g.election.term())
     }
 
     /// The highest contiguously applied group-log sequence (0 standalone).
@@ -680,8 +702,8 @@ impl StoreServer {
     }
 
     /// Primary path for a client mutation, request `corr`: apply locally,
-    /// move the op into the group log, answer the fetches parked for this
-    /// append, and ack once a majority holds it.
+    /// move the op into the group log under the current term, answer the
+    /// fetches parked for this append, and ack once a majority holds it.
     fn primary_mutate(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, corr: u64, op: StoreOp) {
         let bits = self.apply_op(&op);
         let ack = Self::ack_for(&op, corr, bits);
@@ -691,17 +713,12 @@ impl StoreServer {
             return;
         };
         g.applied_seq += 1;
-        g.oplog.push(op);
+        g.oplog.push((g.election.term(), op));
         let write = PendingWrite { client: from, ack };
         g.pending_writes.insert(g.applied_seq, write);
         // A single-member group holds a majority by itself.
         self.pump_quorum(ctx);
-        let g = self.group.as_mut().expect("grouped");
-        let mut parked = std::mem::take(&mut g.parked);
-        for (i, (corr, after)) in parked.drain() {
-            self.serve_fetch(ctx, i, corr, after);
-        }
-        self.group.as_mut().expect("grouped").parked = parked;
+        self.answer_holds(ctx, SimTime::MAX);
     }
 
     /// Acks every pending write a majority now holds, the primary's own
@@ -725,24 +742,14 @@ impl StoreServer {
     /// Handles a client-facing RPC (possibly proxied). `origin` is who gets
     /// the answer.
     fn handle_client_rpc(&mut self, ctx: &mut Ctx<'_>, origin: ProcessId, rpc: StoreRpc) {
-        let grouped = self.group.is_some();
-        if grouped && !self.group.as_ref().is_some_and(|g| g.ready) {
-            // Recovering member: not serving. Client retries rotate onward.
-            return;
-        }
-        if grouped && !self.is_primary() {
-            // Proxy to the primary, which answers the origin directly.
-            let primary_pid = {
-                let g = self.group.as_ref().expect("grouped");
-                g.members[g.primary]
-            };
-            ctx.send(
-                primary_pid,
-                StoreRpc::Forward {
-                    origin,
-                    rpc: Box::new(rpc),
-                },
-            );
+        if let Some(g) = self.group.as_ref().filter(|g| !g.leads()) {
+            // Proxy to the primary, which answers the origin directly. A
+            // member that is recovering or knows no primary serves nothing:
+            // client retries rotate onward.
+            if let Some(primary) = g.primary.filter(|_| g.ready) {
+                let rpc = Box::new(rpc);
+                ctx.send(g.members[primary], StoreRpc::Forward { origin, rpc });
+            }
             return;
         }
         match rpc {
@@ -763,172 +770,145 @@ impl StoreServer {
         }
     }
 
-    /// Follows a newer group epoch, or a primary of this epoch learned
-    /// late. Fetches parked at this member or addressed to the old primary
-    /// are dropped, and progress counted under an older epoch acks nothing
-    /// under the new one.
-    ///
-    /// A member that was itself the *acting primary* of an older epoch may
-    /// hold a divergent, never-quorum-acked tail it applied while isolated;
-    /// counting it toward the new primary's quorums would fake durability.
-    /// Such a member steps down hard: it discards its local state and op
-    /// log, drops its pending writes (their clients retry through the
-    /// group), and fetches from zero — after which it is byte-identical to
-    /// replay of the canonical log. Returns whether it was deposed.
-    fn follow_epoch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, primary: u32) -> bool {
-        let Some(g) = self.group.as_mut() else {
-            return false;
+    /// Takes a member's fetch. A fetch under a newer term deposes this
+    /// member first. The primary answers it from its log: it holds a ready
+    /// follower's fetch of its own term that matches its log and has
+    /// nothing after it, one per member (a newer fetch replaces the older),
+    /// until its next append or for a heartbeat interval. A fetch that
+    /// matches its log under its term is that member's progress. Any other
+    /// member answers only a member recovering from a restart, with what
+    /// it holds.
+    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, fetch: StoreRpc) {
+        let StoreRpc::Fetch {
+            corr,
+            from,
+            after,
+            last_term,
+            epoch,
+            ready,
+        } = fetch
+        else {
+            return;
         };
-        let primary = primary as usize;
-        if epoch < g.epoch || (epoch == g.epoch && primary == g.primary) {
-            return false;
-        }
-        let deposed = epoch > g.epoch && g.ready && g.primary == g.index && primary != g.index;
-        if epoch > g.epoch {
-            g.epoch = epoch;
-            g.claim_pending = false;
-            g.peer_seq.fill(0);
-        }
-        g.primary = primary;
-        g.parked.drain().for_each(drop);
-        if g.ready {
-            g.awaiting = None;
-        }
-        if deposed {
-            g.ready = false;
-            g.applied_seq = 0;
-            g.oplog.clear();
-            g.log_start = 0;
-            g.pending_writes.clear();
-            self.kv = KvStore::new();
-            self.tables = TableStore::new();
-            self.update_mem();
-            self.send_fetch(ctx, None);
-        }
-        deposed
-    }
-
-    fn handle_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: u32,
-        epoch: u64,
-        primary: u32,
-        applied_seq: u64,
-        ready: bool,
-    ) {
-        {
-            let Some(g) = self.group.as_mut() else { return };
-            let i = from as usize;
-            if i >= g.members.len() {
-                return;
-            }
-            g.peer_ready[i] = ready;
-        }
-        // A newer primary claimed; follow it (a deposed acting primary
-        // rebuilds, see `follow_epoch`).
-        self.follow_epoch(ctx, epoch, primary);
-        let g = self.group.as_mut().expect("grouped");
-        g.note_progress(from as usize, epoch, applied_seq);
-        self.pump_quorum(ctx);
-    }
-
-    /// Takes a member's fetch. Its `after` is that member's progress. Any
-    /// ready member answers at once from its own log — except that the
-    /// acting primary holds a ready follower's fetch under its own epoch
-    /// when it has nothing after `after`, one per member (a newer fetch
-    /// replaces the older), until its next append.
-    fn handle_fetch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        corr: u64,
-        from: u32,
-        after: u64,
-        epoch: u64,
-        ready: bool,
-    ) {
+        let (now, hold) = (ctx.now(), self.cfg.group_heartbeat_interval);
         let Some(g) = self.group.as_mut() else { return };
         let i = from as usize;
-        if !g.ready || i >= g.members.len() {
-            return; // cannot seed others while recovering ourselves
+        if i >= g.members.len() || i == g.index {
+            return;
         }
-        g.note_progress(i, epoch, after);
-        let park = ready && epoch == g.epoch && g.primary == g.index && after >= g.applied_seq;
-        if park {
-            g.parked.hold(i, (corr, after), None);
+        g.follow_newer(ctx, epoch);
+        if !g.leads() {
+            if !ready {
+                self.serve_fetch(ctx, i, corr, after, last_term);
+            }
+            return;
+        }
+        g.peer_last_seen[i] = now;
+        let current = epoch == g.election.term() && g.term_at(after) == Some(last_term);
+        if current {
+            // The primary truncates the prefix that it and every live
+            // member hold; its replies carry the floor to its followers.
+            g.peer_seq[i] = after;
+            let timeout = self.cfg.group_session_timeout;
+            let live = g.live(now, timeout).filter(|j| *j != g.index);
+            let floor = live.map(|j| g.peer_seq[j]).min();
+            g.truncate_to(floor.unwrap_or(g.applied_seq));
+        }
+        if current && ready && after == g.applied_seq {
+            g.parked.hold(i, (corr, after, last_term), Some(now + hold));
+            ctx.set_timer(hold, tags::HOLD_EXPIRY);
         } else {
             g.parked.take(&i);
-            self.serve_fetch(ctx, i, corr, after);
+            self.serve_fetch(ctx, i, corr, after, last_term);
         }
         self.pump_quorum(ctx);
     }
 
     /// Sends member `to` this member's log after `after`: the suffix, or
-    /// the full state when `after` is below the log start (the suffix it
-    /// needs was truncated away by peer-acked cleaning).
-    fn serve_fetch(&self, ctx: &mut Ctx<'_>, to: usize, corr: u64, after: u64) {
+    /// the full state when this log does not hold the fetcher's op at
+    /// `after` under `last_term` — it was truncated away by peer-acked
+    /// cleaning, or the fetcher's tail diverges from this log.
+    fn serve_fetch(&self, ctx: &mut Ctx<'_>, to: usize, corr: u64, after: u64, last_term: u64) {
         let g = self.group.as_ref().expect("grouped");
-        let (after, entries, snapshot) = if after < g.log_start {
+        let (after, entries, snapshot) = if g.term_at(after) != Some(last_term) {
             // Each value is the map's buffer, shared: the transfer copies
             // keys, not blobs.
             let kv = self.kv.entries();
             let snapshot = StateTransfer {
                 kv: kv.map(|(k, v)| (k.clone(), v.clone())).collect(),
                 tables: self.tables.dump(),
+                term: g.last_term(),
             };
             (g.applied_seq, Vec::new(), Some(snapshot))
         } else {
-            let after = after.min(g.applied_seq);
             // Keys are copied; each value is the log's buffer, shared.
             let entries = g.oplog[(after - g.log_start) as usize..].to_vec();
             (after, entries, None)
         };
-        let (epoch, primary) = (g.epoch, g.primary as u32);
         let reply = StoreRpc::FetchReply {
             corr,
-            epoch,
-            primary,
+            epoch: g.election.term(),
+            leads: g.leads(),
             after,
             entries,
             snapshot,
+            floor: g.log_start,
         };
         ctx.send(g.members[to], reply);
     }
 
-    /// Applies the answer to this member's outstanding fetch, following its
-    /// epoch first, and sends the next fetch at once. A reply to any other
-    /// fetch (superseded, or addressed to an earlier incarnation) and one
-    /// from an older epoch are ignored; ops already applied are skipped.
+    /// Takes a fetch reply. The member follows a newer term, and takes the
+    /// primary of its term from any reply it sends (a candidate concedes),
+    /// which also puts off its election; a ready member ignores a reply of
+    /// an older term. The reply to its outstanding fetch is applied, and
+    /// the member truncates its log to the responder's floor.
+    ///
+    /// A member recovering from a restart lost, with its log, its share of
+    /// the majority that holds each acked write. So it asks every peer, and
+    /// takes an answer's state only if it is fresher than what it holds;
+    /// it serves and votes once enough peers have answered that one of them
+    /// holds every acked write (all but a majority less one), and casts no
+    /// vote in the term it then has: it may have voted in it before.
     fn handle_fetch_reply(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, reply: StoreRpc) {
         let StoreRpc::FetchReply {
             corr,
             epoch,
-            primary,
+            leads,
             after,
             entries,
             snapshot,
+            floor,
         } = reply
         else {
             return;
         };
         {
             let Some(g) = self.group.as_mut() else { return };
-            // A restarted member the group still takes for its primary
-            // waits for another to claim: it holds only what it is sent.
-            let own_primacy = !g.ready && primary as usize == g.index;
-            if g.awaiting.map(|(c, _)| c) != Some(corr) || epoch < g.epoch || own_primacy {
+            let Some(i) = g.members.iter().position(|p| *p == from) else {
                 return;
+            };
+            if g.ready && epoch < g.election.term() {
+                return;
+            }
+            g.follow_newer(ctx, epoch);
+            if leads && epoch == g.election.term() {
+                g.election.follow(epoch);
+                g.primary = Some(i);
+                g.election.hold_off(ctx.now());
+            }
+            if g.awaiting.map(|(c, _)| c) != Some(corr) {
+                return;
+            }
+            if !g.ready {
+                g.answered[i] = true;
             }
             g.awaiting = None;
         }
-        if self.follow_epoch(ctx, epoch, primary) {
-            return; // deposed: the reply answered the state just wiped
-        }
-        let g = self.group.as_mut().expect("grouped");
-        if let Some(i) = g.members.iter().position(|p| *p == from) {
-            let end = after + entries.len() as u64;
-            g.note_progress(i, epoch, end);
-        }
+        let g = self.group.as_ref().expect("grouped");
+        let ours = (g.last_term(), g.applied_seq);
+        // A recovering member takes a state only if it is fresher than the
+        // one an earlier answer gave it.
+        let snapshot = snapshot.filter(|snap| g.ready || (snap.term, after) > ours);
         let (mut sync_ops, mut sync_bytes) = (0u64, 0u64);
         if let Some(snap) = snapshot {
             // Bootstrap from the full state transfer: install it, adopt the
@@ -953,8 +933,9 @@ impl StoreServer {
             g.oplog.clear();
             g.applied_seq = after;
             g.log_start = after;
+            g.log_start_term = snap.term;
         }
-        for (seq, op) in (after + 1..).zip(entries) {
+        for (seq, (term, op)) in (after + 1..).zip(entries) {
             if seq != self.applied_seq() + 1 {
                 continue; // already applied
             }
@@ -963,31 +944,91 @@ impl StoreServer {
             sync_bytes += op.wire_size() as u64;
             let g = self.group.as_mut().expect("grouped");
             g.applied_seq = seq;
-            g.oplog.push(op);
+            g.oplog.push((term, op));
         }
         let g = self.group.as_mut().expect("grouped");
-        if !g.ready {
+        g.truncate_to(floor);
+        if let Some(r) = g.recovery.as_mut().filter(|_| !g.ready) {
+            r.sync_ops += sync_ops;
+            r.sync_bytes += sync_bytes;
+        }
+        let answers = g.answered.iter().filter(|a| **a).count();
+        if !g.ready && answers > g.members.len() - g.quorum() {
             g.ready = true;
+            g.election.abstain(g.index);
+            g.election.reset_deadline(ctx);
             if let Some(r) = g.recovery.as_mut() {
                 r.resynced_at = Some(ctx.now());
-                r.sync_ops += sync_ops;
-                r.sync_bytes += sync_bytes;
             }
             self.tele
                 .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
         }
-        if self.group.as_ref().is_some_and(|g| g.claim_pending) {
-            self.try_claim_primary(ctx);
+    }
+
+    /// Takes a candidate's request for this member's vote. A member still
+    /// recovering from a restart votes for nobody.
+    fn handle_vote(&mut self, ctx: &mut Ctx<'_>, from: u32, term: u64, last_term: u64, at: u64) {
+        let Some(g) = self.group.as_mut() else { return };
+        let i = from as usize;
+        if !g.ready || i >= g.members.len() {
+            return;
         }
-        let g = self.group.as_ref().expect("grouped");
-        if g.awaiting.is_none() && g.primary != g.index {
-            self.send_fetch(ctx, Some(g.primary));
+        g.follow_newer(ctx, term);
+        let ours = (g.last_term(), g.applied_seq);
+        let granted = g.election.grant(term, i, (last_term, at), ours);
+        if granted {
+            g.election.reset_deadline(ctx);
+        }
+        let (term, from) = (g.election.term(), g.index as u32);
+        ctx.send(
+            g.members[i],
+            StoreRpc::VoteReply {
+                term,
+                from,
+                granted,
+            },
+        );
+    }
+
+    /// Counts a member's answer to this member's candidacy. The winner
+    /// leads its term: it counts progress afresh and takes every member as
+    /// live until it has had a session timeout to hear from it.
+    fn handle_vote_reply(&mut self, ctx: &mut Ctx<'_>, from: u32, term: u64, granted: bool) {
+        let Some(g) = self.group.as_mut() else { return };
+        g.follow_newer(ctx, term);
+        let quorum = g.quorum();
+        if g.election.tally(term, from as usize, granted, quorum) {
+            g.primary = Some(g.index);
+            g.awaiting = None;
+            g.peer_seq.fill(0);
+            g.peer_last_seen.fill(ctx.now());
+        }
+    }
+
+    /// Stands for election: the next term, this member's own vote, and a
+    /// request for every peer's.
+    fn stand(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(g) = self.group.as_mut() else { return };
+        let term = g.election.stand(g.index);
+        g.primary = None;
+        g.election.reset_deadline(ctx);
+        let (from, last_term, applied) = (g.index as u32, g.last_term(), g.applied_seq);
+        for p in (g.members.iter()).filter(|p| **p != g.members[g.index]) {
+            ctx.send(
+                *p,
+                StoreRpc::Vote {
+                    term,
+                    from,
+                    last_term,
+                    applied,
+                },
+            );
         }
     }
 
     /// Sends this member's one fetch — to member `to`, or to every peer
-    /// when `None` (a rejoin: the first answer wins) — superseding any
-    /// fetch still out.
+    /// when `None` (it knows no primary: the first answer wins) —
+    /// superseding any fetch still out.
     fn send_fetch(&mut self, ctx: &mut Ctx<'_>, to: Option<usize>) {
         let corr = self.next_corr;
         self.next_corr += 1;
@@ -997,113 +1038,65 @@ impl StoreServer {
             corr,
             from: g.index as u32,
             after: g.applied_seq,
-            epoch: g.epoch,
+            last_term: g.last_term(),
+            epoch: g.election.term(),
             ready: g.ready,
         };
         match to {
             Some(i) => ctx.send(g.members[i], fetch),
             None => {
-                for p in g.peers() {
-                    ctx.send(p, fetch.clone());
+                let ask =
+                    (0..g.members.len()).filter(|i| *i != g.index && (g.ready || !g.answered[*i]));
+                for i in ask {
+                    ctx.send(g.members[i], fetch.clone());
                 }
             }
         }
     }
 
-    /// The heartbeat tick's retry of a lost fetch or reply: a fetch that is
-    /// an interval old (or none at all, as when the primary changed) is
-    /// sent again, to every peer while rejoining and to the primary once
-    /// ready. The primary may merely be holding an old fetch with nothing
-    /// to send — the newer one replaces it — but a fetch lost while the
-    /// group is quiet must not leave its follower detached until the next
-    /// write needs it.
-    fn refetch(&mut self, ctx: &mut Ctx<'_>) {
+    /// Keeps one fetch outstanding on every member but the primary: a new
+    /// one when none is out or the one out is `stale_after` old — a fetch
+    /// or reply was lost, or the primary died.
+    fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) {
         let Some(g) = self.group.as_ref() else { return };
-        if !g.fetch_stale(ctx.now(), self.cfg.group_heartbeat_interval) {
-            return;
-        }
-        if !g.ready {
-            self.send_fetch(ctx, None);
-        } else if g.primary != g.index {
-            self.send_fetch(ctx, Some(g.primary));
+        let stale =
+            (g.awaiting).is_none_or(|(_, at)| ctx.now().saturating_since(at) >= stale_after);
+        if stale && !g.leads() {
+            self.send_fetch(ctx, g.primary.filter(|_| g.ready));
         }
     }
 
-    /// Claims the primary role under the claim rule ([`GroupState::claim`]),
-    /// after first fetching the missing suffix from the most advanced live
-    /// peer, so an acked write on a surviving majority is never lost to the
-    /// failover. The catch-up asks only that peer, so no less-advanced peer
-    /// can answer first with nothing; it is re-sent once an interval old,
-    /// to the peer chosen afresh (the one asked may have died).
-    fn try_claim_primary(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let interval = self.cfg.group_heartbeat_interval;
+    /// The election timer. A ready member that is not the primary stands
+    /// once its election deadline has passed, and the primary steps down
+    /// when no majority has fetched from it for a session timeout. One
+    /// timer is kept armed: at the deadline, which replies may have put off
+    /// by the time it fires, or a session timeout on.
+    fn election_timer(&mut self, ctx: &mut Ctx<'_>) {
+        let (now, timeout) = (ctx.now(), self.cfg.group_session_timeout);
         let Some(g) = self.group.as_mut() else { return };
-        let Some(ahead) = g.claim(now, &self.cfg) else {
-            g.claim_pending = false;
-            return;
-        };
-        if let Some(ahead) = ahead {
-            let asked = g.claim_pending && !g.fetch_stale(now, interval);
-            g.claim_pending = true;
-            if !asked {
-                self.send_fetch(ctx, Some(ahead));
-            }
-            return;
+        if g.leads() && g.live(now, timeout).count() < g.quorum() {
+            g.step_down(ctx);
+        } else if g.ready && !g.leads() && now >= g.election.deadline() {
+            self.stand(ctx);
         }
-        g.claim_pending = false;
-        g.awaiting = None;
-        g.epoch += 1;
-        g.primary = g.index;
-        g.peer_seq.fill(0);
-        self.send_heartbeats(ctx);
+        let g = self.group.as_ref().expect("grouped");
+        let at = match g.ready && !g.leads() {
+            true => g.election.deadline(),
+            false => now + timeout,
+        };
+        ctx.set_timer_at(at, tags::ELECTION);
     }
 
-    /// Op-log truncation, run by every ready member on its own log:
-    /// discards the prefix this member and every *live* peer have reported
-    /// applying, so long runs stop growing any member's log — and the
-    /// resync cost of the next rejoin. A member asked for ops below its log
-    /// start (a rejoin, or a peer behind a member that has since claimed
-    /// the primary role) answers with a full [`StateTransfer`] instead of
-    /// replay.
-    fn truncate_acked_oplog(&mut self, now: SimTime) {
-        let timeout = self.cfg.group_session_timeout;
+    /// Answers every held fetch whose deadline is at or before `upto`, in
+    /// member order: all of them after an append, and at a deadline the
+    /// ones due, empty.
+    fn answer_holds(&mut self, ctx: &mut Ctx<'_>, upto: SimTime) {
         let Some(g) = self.group.as_mut() else { return };
-        if !g.ready || g.members.len() < 2 {
-            return;
-        }
-        let mut floor = g.applied_seq;
-        for i in 0..g.members.len() {
-            if i == g.index {
-                continue;
-            }
-            if g.peer_alive(i, now, timeout) {
-                // A live recovering member reports 0 until its sync lands,
-                // which (correctly) freezes truncation meanwhile.
-                floor = floor.min(g.peer_seq[i]);
-            }
-        }
-        if floor <= g.log_start {
-            return;
-        }
-        let drop = (floor - g.log_start) as usize;
-        g.oplog.drain(..drop);
-        g.truncated_ops += drop as u64;
-        g.log_start = floor;
-    }
-
-    fn send_heartbeats(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(g) = self.group.as_ref() else { return };
-        let hb = StoreRpc::GroupHeartbeat {
-            from: g.index as u32,
-            epoch: g.epoch,
-            primary: g.primary as u32,
-            applied_seq: g.applied_seq,
-            ready: g.ready,
-        };
-        for p in g.peers() {
-            ctx.send(p, hb.clone());
-        }
+        let mut parked = std::mem::take(&mut g.parked);
+        parked.expire(upto, |i, (corr, after, last_term)| {
+            self.serve_fetch(ctx, *i, corr, after, last_term);
+        });
+        self.group.as_mut().expect("grouped").parked = parked;
     }
 }
 
@@ -1123,10 +1116,10 @@ impl Process for StoreServer {
         ctx.charge(self.cfg.startup_cpu);
         ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
         let Some(g) = self.group.as_mut() else { return };
-        // Until real heartbeats land, assume peers were alive "now" so a
-        // fresh start does not immediately declare everyone dead.
         let now = ctx.now();
-        g.awake_since = now;
+        // Until they fetch, every member counts as live: a fresh primary
+        // does not step down at once, nor truncate past a peer.
+        g.peer_last_seen.fill(now);
         if !g.ready {
             g.recovery = Some(StoreRecoveryInfo {
                 restarted_at: now,
@@ -1136,19 +1129,19 @@ impl Process for StoreServer {
             });
             self.tele
                 .trace_begin(now, &self.name, "recovery:resync", "recovery");
+        } else if !g.leads() {
+            g.election.reset_deadline(ctx);
         }
-        ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_HB_TICK);
+        ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_TICK);
+        self.election_timer(ctx);
         // A follower's first fetch, or a rejoin's to every peer.
-        self.refetch(ctx);
+        self.refetch(ctx, SimDuration::MAX);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
         let Ok(rpc) = downcast::<StoreRpc>(msg) else {
             return;
         };
-        if let Some(g) = self.group.as_mut() {
-            g.heard_from(from, ctx.now(), self.cfg.group_heartbeat_interval);
-        }
         match *rpc {
             StoreRpc::Forward { origin, rpc } => {
                 // Only the acting primary serves proxied requests; anything
@@ -1157,21 +1150,19 @@ impl Process for StoreServer {
                     self.handle_client_rpc(ctx, origin, *rpc);
                 }
             }
-            StoreRpc::Fetch {
-                corr,
-                from: idx,
-                after,
-                epoch,
-                ready,
-            } => self.handle_fetch(ctx, corr, idx, after, epoch, ready),
+            fetch @ StoreRpc::Fetch { .. } => self.handle_fetch(ctx, fetch),
             reply @ StoreRpc::FetchReply { .. } => self.handle_fetch_reply(ctx, from, reply),
-            StoreRpc::GroupHeartbeat {
+            StoreRpc::Vote {
+                term,
                 from: idx,
-                epoch,
-                primary,
-                applied_seq,
-                ready,
-            } => self.handle_heartbeat(ctx, idx, epoch, primary, applied_seq, ready),
+                last_term,
+                applied,
+            } => self.handle_vote(ctx, idx, term, last_term, applied),
+            StoreRpc::VoteReply {
+                term,
+                from: idx,
+                granted,
+            } => self.handle_vote_reply(ctx, idx, term, granted),
             client_rpc @ (StoreRpc::Put { .. }
             | StoreRpc::Get { .. }
             | StoreRpc::Delete { .. }
@@ -1184,6 +1175,7 @@ impl Process for StoreServer {
             | StoreRpc::DeleteAck { .. }
             | StoreRpc::InsertAck { .. } => {}
         }
+        self.refetch(ctx, SimDuration::MAX);
         self.telemetry_gauges();
     }
 
@@ -1195,14 +1187,13 @@ impl Process for StoreServer {
                 }
                 ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
             }
-            tags::GROUP_HB_TICK => {
-                self.send_heartbeats(ctx);
-                self.try_claim_primary(ctx);
-                self.truncate_acked_oplog(ctx.now());
-                self.refetch(ctx);
+            tags::GROUP_TICK => {
+                self.refetch(ctx, self.cfg.group_heartbeat_interval);
                 self.telemetry_gauges();
-                ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_HB_TICK);
+                ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_TICK);
             }
+            tags::HOLD_EXPIRY => self.answer_holds(ctx, ctx.now()),
+            tags::ELECTION => self.election_timer(ctx),
             _ => {}
         }
     }
@@ -1441,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn failover_promotes_the_next_member() {
+    fn failover_elects_exactly_one_live_primary_under_a_higher_term() {
         let mut sim = Sim::new(0);
         let pids = spawn_group(&mut sim, 3);
         let client = sim.spawn(Box::new(TestClient {
@@ -1450,16 +1441,39 @@ mod tests {
             got: None,
         }));
         sim.run_until(SimTime::from_secs(5));
-        // Kill the primary; member 1 must claim within the session timeout.
+        assert_eq!(sim.process_ref::<TestClient>(client).unwrap().acks, 2);
+        // Kill the primary: the survivors elect one of themselves, by vote.
         sim.kill(pids[0]);
         sim.run_until(SimTime::from_secs(10));
-        let s1 = sim.process_ref::<StoreServer>(pids[1]).unwrap();
-        assert!(s1.is_primary(), "member 1 claimed after the primary died");
-        assert!(s1.group_epoch() > 0, "claim bumped the group epoch");
-        let s2 = sim.process_ref::<StoreServer>(pids[2]).unwrap();
-        assert!(!s2.is_primary());
-        assert_eq!(s2.group_epoch(), s1.group_epoch(), "epoch propagated");
-        let _ = client;
+        let live: Vec<&StoreServer> = (pids[1..].iter())
+            .map(|pid| sim.process_ref::<StoreServer>(*pid).unwrap())
+            .collect();
+        let primaries = live.iter().filter(|s| s.is_primary()).count();
+        assert_eq!(primaries, 1, "exactly one live primary");
+        assert!(live[0].group_epoch() > 0, "elected under a higher term");
+        assert_eq!(live[0].group_epoch(), live[1].group_epoch(), "one term");
+    }
+
+    #[test]
+    fn a_two_member_group_serves_again_after_its_primary_restarts() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 2);
+        let writer = Writer::spawn(&mut sim, pids[1], SimTime::from_secs(10), 1, 64);
+        sim.run_until(SimTime::from_secs(1));
+        sim.kill(pids[0]);
+        sim.run_until(SimTime::from_secs(3));
+        let mut rejoin = StoreServer::new(StoreConfig::default());
+        rejoin.set_incarnation(1);
+        rejoin.set_group(pids.clone(), 0, true);
+        sim.respawn(pids[0], Box::new(rejoin));
+        sim.run_until(SimTime::from_secs(11));
+        let rejoined = sim.process_ref::<StoreServer>(pids[0]).unwrap();
+        assert!(rejoined.recovery_info().unwrap().resynced_at.is_some());
+        let primaries = (pids.iter())
+            .filter(|pid| sim.process_ref::<StoreServer>(**pid).unwrap().is_primary())
+            .count();
+        assert_eq!(primaries, 1);
+        assert_eq!(acked(&sim, writer).len(), 1, "the put was acked");
     }
 
     /// The byte totals the stores keep as they change, against a walk over
@@ -1592,8 +1606,12 @@ mod tests {
     const HOP_US: u64 = 10;
     const CPU_US: u64 = 40;
 
+    fn acked(sim: &Sim, writer: ProcessId) -> &[SimTime] {
+        &sim.process_ref::<Writer>(writer).expect("a writer").acked
+    }
+
     #[test]
-    fn a_stale_epoch_heartbeat_acks_no_write() {
+    fn progress_under_another_term_acks_no_write() {
         let mut sim = Sim::new(0);
         let primary = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
         let members = vec![
@@ -1603,53 +1621,104 @@ mod tests {
         ];
         let server = sim.process_mut::<StoreServer>(primary).unwrap();
         server.set_group(members.clone(), 0, false);
-        let writer = Writer::spawn(&mut sim, primary, at_micros(2_000), 1, 1);
-        let hb = |from: u32, epoch: u64, primary: u32, applied_seq: u64| {
-            let ready = true;
-            StoreRpc::GroupHeartbeat {
+        let fetch = |epoch: u64, after: u64, last_term: u64| {
+            let (corr, from, ready) = (0, 2, true);
+            StoreRpc::Fetch {
+                corr,
                 from,
+                after,
+                last_term,
                 epoch,
-                primary,
-                applied_seq,
                 ready,
             }
         };
-        // Member 1 announces epoch 1 with member 0 still primary, so member
-        // 0 goes on serving under it; then the write waits for a quorum.
-        sim.inject_at(at_micros(1_000), primary, hb(1, 1, 0, 0));
-        // Member 2, still in epoch 0, reports far more than member 0 holds:
-        // progress under another epoch acks nothing.
-        sim.inject_at(at_micros(5_000), primary, hb(2, 0, 2, 99));
+        // Member 0 leads term 0, where a write (seq 1) waits for a quorum.
+        let first = Writer::spawn(&mut sim, primary, at_micros(1_000), 1, 1);
+        // Member 1 stands in term 1 holding it, and member 0 votes for it:
+        // it no longer leads, so member 2's report of the write under term
+        // 0 acks nothing.
+        let (term, from, last_term, applied) = (1, 1, 0, 1);
+        let vote = StoreRpc::Vote {
+            term,
+            from,
+            last_term,
+            applied,
+        };
+        sim.inject_at(at_micros(2_000), primary, vote);
+        sim.inject_at(at_micros(3_000), primary, fetch(0, 1, 0));
         sim.run_until(at_micros(50_000));
-        assert_eq!(group(&sim, primary).epoch, 1);
-        let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
-        assert!(acked.is_empty(), "acked by a stale epoch: {acked:?}");
-        // The same report under the primary's epoch is a quorum.
-        sim.inject_at(at_micros(60_000), primary, hb(2, 1, 0, 1));
-        sim.run_until(at_micros(100_000));
-        let acked = &sim.process_ref::<Writer>(writer).unwrap().acked;
-        assert_eq!(acked, &[at_micros(60_000 + CPU_US + HOP_US)]);
+        let server = sim.process_ref::<StoreServer>(primary).unwrap();
+        assert_eq!((server.group_epoch(), server.is_primary()), (1, false));
+        assert!(acked(&sim, first).is_empty(), "acked by term 0's progress");
+        // Member 1 never leads, so member 0 stands in term 2 and wins it
+        // with member 2's vote.
+        let mut now = at_micros(50_000);
+        while group(&sim, primary).election.term() < 2 {
+            now += SimDuration::from_millis(10);
+            assert!(now < SimTime::from_secs(5), "member 0 never stood");
+            sim.run_until(now);
+        }
+        let (term, from, granted) = (2, 2, true);
+        let granted = StoreRpc::VoteReply {
+            term,
+            from,
+            granted,
+        };
+        sim.inject_at(now + SimDuration::from_millis(1), primary, granted);
+        let (acked_at, count, size) = (Vec::new(), 1, 1);
+        let at = now + SimDuration::from_millis(2);
+        let second = sim.spawn_at(
+            now,
+            Box::new(Writer {
+                store: primary,
+                at,
+                count,
+                size,
+                acked: acked_at,
+            }),
+        );
+        // Member 2, still in term 1, reports holding the write (seq 2,
+        // written in term 2): progress under another term acks nothing.
+        sim.inject_at(now + SimDuration::from_millis(3), primary, fetch(1, 2, 2));
+        sim.run_until(now + SimDuration::from_millis(50));
+        assert!(sim
+            .process_ref::<StoreServer>(primary)
+            .unwrap()
+            .is_primary());
+        assert!(acked(&sim, second).is_empty(), "acked by term 1's progress");
+        // The same report under the primary's term is a quorum.
+        let report = now + SimDuration::from_millis(60);
+        sim.inject_at(report, primary, fetch(2, 2, 2));
+        sim.run_until(now + SimDuration::from_millis(100));
+        let expected = report + SimDuration::from_micros(CPU_US + HOP_US);
+        assert_eq!(acked(&sim, second), &[expected]);
+        assert!(acked(&sim, first).is_empty(), "a deposed term's write");
     }
 
     #[test]
     fn a_reply_to_an_earlier_incarnation_completes_nothing() {
         let mut sim = Sim::new(0);
-        let (a, b) = (sim.spawn(Box::new(Silent)), sim.spawn(Box::new(Silent)));
+        // Of a pair, one answer completes the rejoin.
+        let a = sim.spawn(Box::new(Silent));
         let mut server = StoreServer::new(StoreConfig::default());
         server.set_incarnation(1);
         let me = sim.spawn(Box::new(server));
-        let members = vec![a, b, me];
-        (sim.process_mut::<StoreServer>(me).unwrap()).set_group(members, 2, true);
+        let members = vec![a, me];
+        (sim.process_mut::<StoreServer>(me).unwrap()).set_group(members, 1, true);
         let reply = |corr: u64, key: &str| StoreRpc::FetchReply {
             corr,
             epoch: 0,
-            primary: 0,
+            leads: false,
             after: 0,
-            entries: vec![StoreOp::Put {
-                key: key.into(),
-                value: Bytes::from_static(b"v"),
-            }],
+            entries: vec![(
+                0,
+                StoreOp::Put {
+                    key: key.into(),
+                    value: Bytes::from_static(b"v"),
+                },
+            )],
             snapshot: None,
+            floor: 0,
         };
         // The id incarnation 0 drew first, delivered to incarnation 1 while
         // its own first fetch is out.

@@ -309,21 +309,22 @@ fn a_faulted_store_group_keeps_every_acked_write_and_one_primary_per_epoch() {
 }
 
 /// The long sweep, by hand: `cargo test --release -p s2g-store --test
-/// group_sweep -- --ignored twenty_thousand` (about a minute).
+/// group_sweep -- --ignored twenty_thousand` (about 90 s).
 #[test]
-#[ignore = "long: 20 000 seeds; fails on the two store-fencing seeds below"]
+#[ignore = "long: 20 000 seeds, about 90 s in release"]
 fn twenty_thousand_seeds() {
     sweep(20_000);
 }
 
+/// A seed on which a new primary that did not fence the old one lost
+/// acked writes: the members ended with different contents.
 #[test]
-#[ignore = "open defect (ROADMAP item 1): a store claim does not fence the old primary"]
 fn seed_14005_store_claim_does_not_fence_the_old_primary() {
     run(14_005).unwrap();
 }
 
+/// As seed 14 005.
 #[test]
-#[ignore = "open defect (ROADMAP item 1): a store claim does not fence the old primary"]
 fn seed_17821_store_claim_does_not_fence_the_old_primary() {
     run(17_821).unwrap();
 }

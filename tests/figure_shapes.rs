@@ -290,8 +290,24 @@ fn compaction_bounds_snapshot_bytes_and_replay() {
 
 #[test]
 fn replication_sweep_trades_latency_for_availability() {
+    replication_sweep_claim(Scale::Smoke);
+}
+
+/// The same claim at `Scale::Quick`, where it does not hold: RF 3's outage
+/// is 2.691 s against 2.666 s standalone. The crash lands just before a
+/// checkpoint's put, which the client retries 0.65 s after the crash and
+/// again 2 s later. The group elects its new primary 1.3 s after the
+/// crash, between the two, so the put lands at the second retry, as the
+/// standalone store's lands once it is back from its 2 s restart.
+#[test]
+#[ignore = "fails: failover does not beat the client's second retry at Quick scale (ROADMAP gap 4)"]
+fn replication_sweep_trades_latency_for_availability_at_quick_scale() {
+    replication_sweep_claim(Scale::Quick);
+}
+
+fn replication_sweep_claim(scale: Scale) {
     use s2g_bench::store_replication_sweep;
-    let points = store_replication_sweep(&[1, 3], Scale::Smoke, 21);
+    let points = store_replication_sweep(&[1, 3], scale, 21);
     assert_eq!(points.len(), 2);
     let standalone = &points[0];
     let replicated = &points[1];
