@@ -24,7 +24,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 
 use s2g_proto::{
-    BatchBuilder, ClientRpc, Columns, CorrelationId, ProducerId, RecordBatch, TopicName,
+    BatchBuilder, ClientRpc, Columns, CorrelationId, ProducerId, RecordBatch, Shape, TopicName,
     TopicPartition, RECORD_OVERHEAD,
 };
 use s2g_sim::{
@@ -138,9 +138,11 @@ struct Share {
     records: usize,
     /// Key and value bytes.
     bytes: usize,
-    /// The row columns: keyed when a record has a key, out of sequence
-    /// when a record's sequence is not one above the one before it.
-    columns: Columns,
+    /// Whether the records share one length, one key length and evenly
+    /// spaced timestamps: the row columns but the sequence.
+    shape: Shape,
+    /// Some record's sequence is not one above the one before it.
+    out_of_sequence: bool,
     last_seq: Option<u64>,
 }
 
@@ -148,9 +150,17 @@ impl Share {
     fn add(&mut self, p: &Pending) {
         self.records += 1;
         self.bytes += p.len();
-        self.columns.keyed |= p.key_len.is_some();
-        self.columns.out_of_sequence |= self.last_seq.is_some_and(|s| p.seq != s + 1);
+        self.shape.add(p.key_len, p.len(), p.timestamp);
+        self.out_of_sequence |= self.last_seq.is_some_and(|s| p.seq != s + 1);
         self.last_seq = Some(p.seq);
+    }
+
+    /// The row columns the records need.
+    fn columns(&self) -> Columns {
+        Columns {
+            sequences: self.out_of_sequence,
+            ..self.shape.columns()
+        }
     }
 }
 
@@ -719,9 +729,10 @@ impl ProducerClient {
             at += p.len();
             routes.push(partition);
         }
-        // Each partition's records and bytes, and whether some record has a
-        // key or does not follow the one before it in sequence, so its frame
-        // and rows are allocated once, at their exact size and width. One
+        // Each partition's records and bytes, and whether some record
+        // breaks the even step of the lengths, key lengths or timestamps or
+        // does not follow the one before it in sequence, so its frame and
+        // rows are allocated once, at their exact size and width. One
         // map operation per run of equally routed records: a keyless or
         // single-partition batch is one run.
         let same_route = |a: &u32, b: &u32| a == b;
@@ -737,7 +748,7 @@ impl ProducerClient {
         // accumulation buffer into its batch.
         let mut split: BTreeMap<u32, BatchBuilder> = (sizes.into_iter())
             .map(|(partition, s)| {
-                let builder = BatchBuilder::with_capacity(s.records, s.bytes, s.columns);
+                let builder = BatchBuilder::with_capacity(s.records, s.bytes, s.columns());
                 (partition, builder)
             })
             .collect();
@@ -1222,32 +1233,70 @@ mod tests {
         }
     }
 
-    /// A flush sizes each partition's batch with a key length column only
-    /// for a keyed record and a sequence column only once a sequence does
-    /// not follow the one before it.
+    /// A flush sizes each partition's batch with a column only once a
+    /// record breaks its even step: a length, a key length or a timestamp
+    /// differing from what the first records set, or a sequence not one
+    /// above the one before it.
     #[test]
     fn a_share_asks_for_a_column_only_when_a_record_needs_it() {
-        let pending = |key_len, seq| Pending {
-            key_len,
-            value_len: 3,
-            timestamp: SimTime::ZERO,
-            seq,
+        let columns = |[ends, timestamps, key_lengths, sequences]: [bool; 4]| Columns {
+            ends,
+            timestamps,
+            key_lengths,
+            sequences,
         };
-        let share = |records: &[Pending]| {
+        // Each record's key length, value length, millisecond and sequence.
+        type Records = &'static [(Option<usize>, usize, u64, u64)];
+        let cases: [(Records, [bool; 4]); 9] = [
+            (&[(None, 3, 0, 5), (None, 3, 0, 6)], [false; 4]),
+            (
+                &[(None, 3, 1, 5), (None, 3, 3, 6), (None, 3, 5, 7)],
+                [false; 4],
+            ),
+            (&[(Some(2), 3, 0, 5), (Some(2), 3, 0, 6)], [false; 4]),
+            (
+                &[(None, 3, 0, 5), (None, 4, 0, 6)],
+                [true, false, false, false],
+            ),
+            (
+                &[(None, 3, 0, 5), (None, 3, 2, 6), (None, 3, 3, 7)],
+                [false, true, false, false],
+            ),
+            (
+                &[(Some(1), 3, 0, 5), (Some(2), 2, 0, 6)],
+                [false, false, true, false],
+            ),
+            (
+                &[(None, 5, 0, 5), (Some(2), 3, 0, 6)],
+                [false, false, true, false],
+            ),
+            (
+                &[(None, 3, 0, 5), (None, 3, 0, 9)],
+                [false, false, false, true],
+            ),
+            (
+                &[(Some(1), 3, 4, 5), (None, 2, 5, 9), (None, 2, 7, 10)],
+                [true; 4],
+            ),
+        ];
+        for (records, want) in cases {
+            let records: Vec<Pending> = (records.iter())
+                .map(|&(key_len, value_len, ms, seq)| Pending {
+                    key_len,
+                    value_len,
+                    timestamp: SimTime::from_millis(ms),
+                    seq,
+                })
+                .collect();
             let mut share = Share::default();
             records.iter().for_each(|p| share.add(p));
-            (share.records, share.bytes, share.columns)
-        };
-        let columns = |keyed, out_of_sequence| Columns {
-            keyed,
-            out_of_sequence,
-        };
-        let in_order = [pending(None, 5), pending(None, 6), pending(None, 7)];
-        assert_eq!(share(&in_order), (3, 9, columns(false, false)));
-        let keyed = [pending(None, 5), pending(Some(2), 6)];
-        assert_eq!(share(&keyed), (2, 8, columns(true, false)));
-        let skipping = [pending(None, 5), pending(None, 9)];
-        assert_eq!(share(&skipping), (2, 6, columns(false, true)));
+            let bytes: usize = records.iter().map(Pending::len).sum();
+            assert_eq!(
+                (share.records, share.bytes, share.columns()),
+                (records.len(), bytes, columns(want)),
+                "{records:?}"
+            );
+        }
     }
 
     #[test]

@@ -71,30 +71,75 @@ const ROWS: [Row; 2] = [
 /// Bytes of each encoding whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 12;
 
-/// What the records of one sample may hold, by the row columns of the
-/// batch store they make: one sample in four at each row width.
-const SHAPES: [Columns; 4] = [
-    Columns {
-        keyed: false,
-        out_of_sequence: false,
-    },
-    Columns {
-        keyed: true,
-        out_of_sequence: false,
-    },
-    Columns {
-        keyed: false,
-        out_of_sequence: true,
-    },
-    Columns {
-        keyed: true,
-        out_of_sequence: true,
-    },
+/// What the records of one sample may break, by the row columns of the
+/// batch store they make: nothing, so that the store holds no row; one
+/// column, broken at one record mid-batch; or several, broken at random.
+const SHAPES: [Columns; 8] = [
+    columns(false, false, false, false),
+    columns(true, false, false, false),
+    columns(false, true, false, false),
+    columns(false, false, true, false),
+    columns(false, false, false, true),
+    columns(true, true, false, false),
+    columns(true, true, true, false),
+    columns(true, true, true, true),
 ];
 
-/// A record at `ts` ms, keyed two times in three if `shape` is keyed, and
-/// keyless otherwise.
-fn arb_record(rng: &mut StdRng, ts: u64, shape: Columns) -> Record {
+const fn columns(ends: bool, timestamps: bool, key_lengths: bool, sequences: bool) -> Columns {
+    Columns {
+        ends,
+        timestamps,
+        key_lengths,
+        sequences,
+    }
+}
+
+/// A record at `ts` ms. In a shape of one column or none it is one
+/// producer's, with a 3 B key and an 8 B value, its sequence its
+/// millisecond, unless `broken`, where it breaks that column: a value one
+/// byte longer, a key one byte shorter, a timestamp falling below the last
+/// record's or lying 2³² ns or more past its millisecond, or a sequence one
+/// too high. In a wider shape it is arbitrary.
+fn arb_record(rng: &mut StdRng, ts: u64, shape: Columns, broken: bool) -> Record {
+    let Columns {
+        ends,
+        timestamps,
+        key_lengths,
+        sequences,
+    } = shape;
+    if [ends, timestamps, key_lengths, sequences]
+        .into_iter()
+        .filter(|&c| c)
+        .count()
+        > 1
+    {
+        return arbitrary_record(rng, ts, shape);
+    }
+    let mut record = Record::new("key", vec![ts as u8; 8], SimTime::from_millis(ts))
+        .from_producer(ProducerId(7), ts)
+        .with_producer_epoch(1);
+    if broken {
+        let at = record.timestamp.as_nanos();
+        if ends {
+            record.value = vec![0; 9].into();
+        } else if key_lengths {
+            record.key = Some("ke".into());
+        } else if timestamps {
+            let ns = match rng.gen_range(0..2) {
+                0 => at.saturating_sub(1_500_000),
+                _ => at + rng.gen_range(1u64 << 32..=1 << 33),
+            };
+            record.timestamp = SimTime::from_nanos(ns);
+        } else if sequences {
+            record.producer_seq += 1;
+        }
+    }
+    record
+}
+
+/// A record at `ts` ms, keyed two times in three if `shape` breaks key
+/// lengths, and keyless otherwise.
+fn arbitrary_record(rng: &mut StdRng, ts: u64, shape: Columns) -> Record {
     let bytes = |rng: &mut StdRng, max: usize| -> Vec<u8> {
         let len = rng.gen_range(0..max);
         (0..len).map(|_| rng.gen_range(0..=255u8)).collect()
@@ -112,10 +157,10 @@ fn arb_record(rng: &mut StdRng, ts: u64, shape: Columns) -> Record {
             rng.gen_range(0..3),
             rng.gen_range(0..1 << 20),
         ),
-        _ if shape.out_of_sequence => (7, 1, ts.as_millis() * 3 + rng.gen_range(0..3u64)),
+        _ if shape.sequences => (7, 1, ts.as_millis() * 3 + rng.gen_range(0..3u64)),
         _ => (7, 1, ts.as_millis()),
     };
-    let record = match (shape.keyed, rng.gen_range(0..3)) {
+    let record = match (shape.key_lengths, rng.gen_range(0..3)) {
         (false, _) | (true, 0) => Record::keyless(value, ts),
         (true, _) => Record::new(bytes(rng, 8), value, ts),
     };
@@ -132,14 +177,18 @@ fn jump(rng: &mut StdRng, at_least: u64) -> u64 {
     }
 }
 
-/// Batch frames of 0 to 8 records at seeded base offsets.
+/// Batch frames of 0 to 8 records at seeded base offsets, broken at a
+/// seeded record past the first.
 fn frames(rng: &mut StdRng) -> Samples {
     (0..24)
         .map(|sample| {
             let n = rng.gen_range(0..9);
             let ts = rng.gen_range(0..1_000u64);
             let shape = SHAPES[sample % SHAPES.len()];
-            let records: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i, shape)).collect();
+            let broken = rng.gen_range(1..9);
+            let records: Vec<Record> = (0..n)
+                .map(|i| arb_record(rng, ts + i, shape, i == broken))
+                .collect();
             let base = rng.gen_range(0..1u64 << 40);
             let batch = RecordBatch::from_records(records.clone());
             let entries = (records.into_iter().enumerate())
@@ -173,15 +222,18 @@ fn recount_frame(buf: &[u8], count: u64) -> Vec<u8> {
 }
 
 /// The segments of logs grown by batches under a few epochs and then
-/// compacted, so that some hold offset holes.
+/// compacted, so that some hold offset holes, each log's records broken at
+/// one seeded record past the first.
 fn segments(rng: &mut StdRng) -> Samples {
     let mut out = Vec::new();
     for shape in SHAPES {
         let mut log = PartitionLog::with_segment_max(rng.gen_range(2..7));
-        let mut ts = 0;
+        let (mut ts, broken) = (0, rng.gen_range(1..12));
         for epoch in 0..6 {
             let n = rng.gen_range(1..5);
-            let batch: Vec<Record> = (0..n).map(|i| arb_record(rng, ts + i, shape)).collect();
+            let batch: Vec<Record> = (0..n)
+                .map(|i| arb_record(rng, ts + i, shape, ts + i == broken))
+                .collect();
             ts += n;
             log.append_batch(LeaderEpoch(epoch / 2), batch);
         }

@@ -1,10 +1,10 @@
 //! The memory gate: what a default run still holds when `run()` returns,
 //! and how many times it went to the allocator to get there.
 //!
-//! A run retains one resident copy of each record (an 8 to 16 B row and
-//! the record's bytes in its producer's sealed batch, whose one stretch header
-//! holds the producer stamps, shared by every replica's log and every
-//! fetch reply) and folds everything else, so live heap per
+//! A run retains one resident copy of each record (a row of 0 to 16 B and
+//! the record's bytes in its producer's sealed batch, whose header holds
+//! what the rows leave out and whose one stretch header holds the producer
+//! stamps, shared by every replica's log and every fetch reply) and folds everything else, so live heap per
 //! record is flat in the run length; and a record's bytes are written into
 //! its topic's reused accumulation buffer and copied once into its batch,
 //! so the allocator is called a few times per record, not a dozen. This test measures both with
@@ -322,15 +322,17 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 180.0, small_allocs, 3.16),
-        (100_000, large, 177.0, large_allocs, 3.1396),
+        (50_000, small, 164.0, small_allocs, 3.16),
+        (100_000, large, 161.0, large_allocs, 3.1396),
     ] {
-        // Measured 180 / 177 B: two 8 B rows (one per topic, each held in
-        // its producer's sealed batch beside the batch's one stretch header
-        // and shared by the log's runs; keyless and in sequence, a record
-        // needs neither a key length nor a sequence delta), the 64 B
-        // payload and its 87 B encoded event in their batch frames, and the
-        // kernel's fixed queue storage spread over the run. (196 / 193 B
+        // Measured 164 / 161 B: no row (on both topics a sealed batch's
+        // records are keyless, of one length, stamped at one instant or
+        // evenly spaced and in sequence, so its header derives every
+        // column), the 64 B payload and its 87 B encoded event in their
+        // batch frames, each batch's headers and the log's runs over it,
+        // and the kernel's fixed queue storage spread over the run. (180 /
+        // 177 B with two 8 B rows, one per topic, of record ends and
+        // timestamps; 196 / 193 B
         // with a 16 B slot of every column per record; 228 / 224 B
         // measured, 229 / 225 B recorded, with a 32 B slot that held every
         // record's producer stamps; 277 / 273 B when a batch held a 56 B
@@ -338,13 +340,13 @@ fn a_default_run_retains_one_copy_per_record() {
         // when each log entry was a 72 B copy of its record; 349 / 342 B
         // when every host CPU kept a 16 B busy interval per work item for
         // the whole run; 381 / 374 B with one allocation pair per record,
-        // before batches shared a buffer.) Held to 8 B above the
-        // measurement, not to `SLACK`: 198 / 195 B would pass the 196 /
-        // 193 B of a 16 B row per record.
+        // before batches shared a buffer.) Held to 3 B above the
+        // measurement, not to `SLACK`: one 4 B column per record on either
+        // topic fails.
         assert!(
-            per_record <= retained + 8.0,
+            per_record <= retained + 3.0,
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
-             recorded: something beside the two rows holds every record"
+             recorded: a row column is held per record again"
         );
         // Measured 3.16 / 3.14 (set-up included, hence the fall): the
         // source's topic `String` and payload `Vec`, the worker's
@@ -380,15 +382,18 @@ fn a_default_run_retains_one_copy_per_record() {
          {large_allocs:.2}/record at 40 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 1097.0, small_allocs, 4.32),
-        (40_000, large, 1083.0, large_allocs, 4.20),
+        (20_000, small, 1091.0, small_allocs, 4.32),
+        (40_000, large, 1077.0, large_allocs, 4.20),
     ] {
-        // Measured 1 097 / 1 083 B: the 1 KiB payload and its key in its
-        // batch's frame, one 16 B row (keyed, and out of sequence: one
-        // producer's sequence spreads over the partitions), and per batch
-        // its stretch header
+        // Measured 1 091 / 1 077 B: the 1 KiB payload and its key in its
+        // batch's frame, one 8 B row (uneven timestamps, and out of
+        // sequence: one producer's sequence spreads over the partitions;
+        // every key and value has one length, which the batch header
+        // holds), and per batch its headers
         // and per batch and replica a 40 B run; the fixed cost of three
-        // brokers spread over the run, hence the fall. (1 110 / 1 096 B
+        // brokers spread over the run, hence the fall. (1 097 / 1 083 B
+        // with a 16 B row of ends, key lengths, timestamps and sequences;
+        // 1 110 / 1 096 B
         // measured, 1 133 / 1 107 B recorded, with a 32 B slot; 1 152 /
         // 1 127 B with a 56 B record per record in its batch; 1 302 /
         // 1 277 B when every replica kept a 72 B copy of each record.)
