@@ -187,7 +187,7 @@ impl Value {
                 read_n::<8>(buf, pos)?;
                 Ok(())
             }
-            4 => validate_str(buf, pos),
+            4 => read_text(buf, pos).map(|_| ()),
             5 => {
                 let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 for _ in 0..n {
@@ -198,7 +198,7 @@ impl Value {
             6 => {
                 let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
                 for _ in 0..n {
-                    validate_str(buf, pos)?;
+                    read_text(buf, pos)?;
                     Value::validate_from(buf, pos, depth)?;
                 }
                 Ok(())
@@ -249,6 +249,18 @@ impl Value {
                 Ok(Value::Map(m))
             }
             t => Err(CodecError::BadTag(t)),
+        }
+    }
+
+    /// Makes this value the string `text`, reusing the buffer of the string
+    /// it holds, if it holds one.
+    pub(crate) fn set_str(&mut self, text: &str) {
+        match self {
+            Value::Str(s) => {
+                s.clear();
+                s.push_str(text);
+            }
+            other => *other = Value::Str(text.to_owned()),
         }
     }
 }
@@ -362,24 +374,17 @@ fn read_len(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
     Ok(u32::from_le_bytes(b) as usize)
 }
 
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
+/// Reads one length-prefixed UTF-8 string, borrowed from `buf`.
+fn read_text<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
     let n = read_len(buf, pos)?;
     let end = *pos + n;
     let slice = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
     *pos = end;
-    String::from_utf8(slice.to_vec()).map_err(|_| CodecError::Truncated)
+    std::str::from_utf8(slice).map_err(|_| CodecError::Truncated)
 }
 
-/// Skips one length-prefixed string, applying the same UTF-8 validation as
-/// [`read_str`] without allocating.
-fn validate_str(buf: &[u8], pos: &mut usize) -> Result<(), CodecError> {
-    let n = read_len(buf, pos)?;
-    let end = *pos + n;
-    let slice = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
-    *pos = end;
-    std::str::from_utf8(slice)
-        .map(|_| ())
-        .map_err(|_| CodecError::Truncated)
+fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
+    read_text(buf, pos).map(str::to_owned)
 }
 
 /// One event flowing through a stream job.
@@ -452,7 +457,10 @@ impl Event {
         self.value.encode_into(out);
     }
 
-    /// Decodes from the compact wire format.
+    /// Decodes from the compact wire format: [`decode_over`] a blank
+    /// event.
+    ///
+    /// [`decode_over`]: Event::decode_over
     ///
     /// # Errors
     ///
@@ -460,32 +468,59 @@ impl Event {
     /// and maps nested more than 128 deep, and on bytes past the end of the
     /// event.
     pub fn from_bytes(buf: &[u8]) -> Result<Event, CodecError> {
-        let mut pos = 0;
+        let mut event = Event::new(Value::Null, SimTime::ZERO);
+        event.decode_over(buf)?;
+        Ok(event)
+    }
+
+    /// Decodes the compact wire format over this event, overwriting every
+    /// field and reusing the strings it holds: its key's, and its value's
+    /// when both it and the encoded value are strings. An SPE batch decodes
+    /// over the events of the batch before, so a record whose shape
+    /// repeats allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`from_bytes`](Event::from_bytes), on the same input; the
+    /// event then holds some of its old fields and some new ones.
+    pub fn decode_over(&mut self, buf: &[u8]) -> Result<(), CodecError> {
         let magic = *buf.first().ok_or(CodecError::Truncated)?;
         if magic != 0xE7 {
             return Err(CodecError::BadTag(magic));
         }
-        pos += 1;
-        let flag = *buf.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        let key = if flag & 1 == 1 {
-            Some(read_str(buf, &mut pos)?)
+        let flag = *buf.get(1).ok_or(CodecError::Truncated)?;
+        let mut pos = 2;
+        if flag & 1 == 1 {
+            self.set_key(Some(read_text(buf, &mut pos)?));
         } else {
-            None
-        };
-        let ts = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
-        let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
-        let value = Value::decode_from(buf, &mut pos, 0)?;
+            self.key = None;
+        }
+        self.ts = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
+        self.origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
+        match &mut self.value {
+            // A string over a string reuses its buffer.
+            value @ Value::Str(_) if buf.get(pos) == Some(&4) => {
+                pos += 1;
+                value.set_str(read_text(buf, &mut pos)?);
+            }
+            value => *value = Value::decode_from(buf, &mut pos, 0)?,
+        }
         if pos != buf.len() {
             return Err(CodecError::Trailing);
         }
-        Ok(Event {
-            key,
-            value,
-            ts,
-            origin,
-            source: flag >> 1,
-        })
+        self.source = flag >> 1;
+        Ok(())
+    }
+
+    /// Sets the key, reusing the buffer of the one held, if any.
+    pub(crate) fn set_key(&mut self, key: Option<&str>) {
+        match (&mut self.key, key) {
+            (Some(held), Some(k)) => {
+                held.clear();
+                held.push_str(k);
+            }
+            (held, k) => *held = k.map(str::to_owned),
+        }
     }
 
     /// Reads just the `origin` timestamp out of an encoded event without
@@ -502,7 +537,7 @@ impl Event {
         let flag = *buf.get(pos)?;
         pos += 1;
         if flag & 1 == 1 {
-            validate_str(buf, &mut pos).ok()?;
+            read_text(buf, &mut pos).ok()?;
         }
         read_n::<8>(buf, &mut pos).ok()?; // ts
         let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos).ok()?));
@@ -550,6 +585,27 @@ mod tests {
             ("b", Value::List(vec![Value::Float(0.5)])),
             ("c", Value::map([("nested", Value::Bool(false))])),
         ]));
+    }
+
+    #[test]
+    fn decoding_over_an_event_reuses_its_strings_and_overwrites_the_rest() {
+        let mut target = Event::new(Value::Str("a longer old value".into()), SimTime::ZERO)
+            .with_key("an old key");
+        target.source = 5;
+        let (key_at, value_at) = (
+            target.key.as_deref().map(str::as_ptr),
+            target.value.as_str().map(str::as_ptr),
+        );
+        let mut e = Event::new(Value::Str("new".into()), SimTime::from_millis(9)).with_key("k");
+        e.source = 2;
+        target.decode_over(&e.to_bytes()).expect("decodes");
+        assert_eq!(target, e);
+        assert_eq!(target.key.as_deref().map(str::as_ptr), key_at);
+        assert_eq!(target.value.as_str().map(str::as_ptr), value_at);
+        // Another shape replaces what it cannot reuse.
+        let other = Event::new(Value::List(vec![Value::Int(1)]), SimTime::from_millis(3));
+        target.decode_over(&other.to_bytes()).expect("decodes");
+        assert_eq!(target, other);
     }
 
     #[test]

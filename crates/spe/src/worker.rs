@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use s2g_proto::{LogRun, Offset, ProducerId, RecordBatch, TopicPartition};
+use s2g_proto::{LogRun, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
 use s2g_broker::{ConsumerClient, ConsumerConfig, CpuDone, ProducerClient, ProducerConfig};
@@ -172,24 +172,22 @@ struct BufferedRun {
     source: Option<u8>,
 }
 
-impl BufferedRun {
-    /// Decodes the run's records into `out`, in offset order.
-    fn decode_into(&self, out: &mut Vec<Event>) {
-        out.extend(self.batch.iter().map(|r| {
-            let mut event = match Event::from_bytes(r.value()) {
-                Ok(e) => e,
-                // Raw payload from a producer stub: wrap as a string event
-                // whose origin is the record's produce time.
-                Err(_) => Event::new(Value::Str(r.value_utf8()), r.timestamp()),
-            };
-            if let Some(source) = self.source {
-                event.source = source;
-            }
-            if let (None, Some(k)) = (&event.key, r.key()) {
-                event.key = Some(String::from_utf8_lossy(k).into_owned());
-            }
-            event
-        }));
+/// Decodes record `r` over `event`, overwriting every field and reusing
+/// its strings: an encoded event as it was encoded, anything else (a raw
+/// payload from a producer stub) as a string event whose origin is the
+/// record's produce time. `source`, if given, is stamped on it, and an
+/// event without a key of its own takes the record's.
+fn decode_record(r: &RecordRef<'_>, source: Option<u8>, event: &mut Event) {
+    if event.decode_over(r.value()).is_err() {
+        event.value.set_str(&String::from_utf8_lossy(r.value()));
+        event.set_key(r.key().map(String::from_utf8_lossy).as_deref());
+        (event.ts, event.origin, event.source) = (r.timestamp(), r.timestamp(), 0);
+    }
+    if let Some(source) = source {
+        event.source = source;
+    }
+    if let (None, Some(k)) = (&event.key, r.key()) {
+        event.key = Some(String::from_utf8_lossy(k).into_owned());
     }
 }
 
@@ -245,14 +243,52 @@ impl Input {
         Input { decoded, runs }
     }
 
-    /// The records as events: the decoded ones, then the runs decoded now.
-    fn into_events(self) -> Vec<Event> {
-        let mut events = self.decoded;
-        events.reserve(self.runs.iter().map(|r| r.batch.len()).sum());
+    /// Leaves `events` holding the records as events, in order: the
+    /// decoded ones, then the runs, decoded now over the events `events`
+    /// held (a batch passes the last batch's, a capture an empty `Vec`).
+    fn decode_over(self, events: &mut Vec<Event>) {
+        let len = self.len();
+        events.truncate(len);
+        events.reserve(len - events.len());
+        let front = self.decoded.len();
+        events.splice(..front.min(events.len()), self.decoded);
+        let mut at = front;
         for run in &self.runs {
-            run.decode_into(&mut events);
+            for r in run.batch.iter() {
+                if at == events.len() {
+                    events.push(Event::new(Value::Null, SimTime::ZERO));
+                }
+                decode_record(&r, run.source, &mut events[at]);
+                at += 1;
+            }
         }
-        events
+    }
+}
+
+/// The events of the last batch a worker emitted, which the next batch
+/// decodes over (Flink's object reuse): a batch whose records repeat the
+/// last one's shapes allocates no event and no string per record. It keeps
+/// no more events than the smaller of the last two batches emitted, so a
+/// spike is not held on to.
+#[derive(Default)]
+struct Spare {
+    events: Vec<Event>,
+    /// How many events the last batch emitted.
+    last_len: usize,
+}
+
+impl Spare {
+    /// Passes a batch's output to `f`, in order, and keeps what the spare
+    /// keeps of it; the rest is dropped as it is passed.
+    fn recycle(&mut self, mut events: Vec<Event>, mut f: impl FnMut(&Event)) {
+        let keep = self.last_len.min(events.len());
+        self.last_len = events.len();
+        events[..keep].iter().for_each(&mut f);
+        events.drain(keep..).for_each(|e| f(&e));
+        if events.capacity() > 2 * events.len() {
+            events.shrink_to_fit();
+        }
+        self.events = events;
     }
 }
 
@@ -322,6 +358,8 @@ pub struct SpeWorker {
     consumer: ConsumerClient,
     producer: Option<ProducerClient>,
     buffer: EventBuffer,
+    /// Empty under [`SpeSink::Collect`], which keeps its events.
+    spare: Spare,
     collected: Vec<Event>,
     metrics: Vec<BatchMetric>,
     /// The batch whose CPU time is running: when it started, and its
@@ -422,6 +460,7 @@ impl SpeWorker {
             consumer,
             producer,
             buffer,
+            spare: Spare::default(),
             collected: Vec::new(),
             metrics: Vec::new(),
             inflight: None,
@@ -609,7 +648,8 @@ impl SpeWorker {
             return;
         };
         let now = ctx.now();
-        let events = input.into_events();
+        let mut events = std::mem::take(&mut self.spare.events);
+        input.decode_over(&mut events);
         let n_in = events.len();
         let out = self.plan.run_batch(now, events);
         let n_out = out.len();
@@ -677,7 +717,8 @@ impl SpeWorker {
         let txn_seq = self.txn_seq;
         // The capture decodes the buffered runs, and the events stay in the
         // buffer for their batch: a record is decoded once either way.
-        let buffer = std::mem::take(&mut self.buffer.input).into_events();
+        let mut buffer = Vec::new();
+        std::mem::take(&mut self.buffer.input).decode_over(&mut buffer);
         let mut payload = match kind {
             CaptureKind::Full => {
                 let (plan_state, records_in, records_out) = self.plan.snapshot_state();
@@ -1002,24 +1043,25 @@ impl SpeWorker {
         coord.seed_prev_offsets(offsets);
     }
 
+    /// Sends a batch's output to the sink and keeps the spare of it.
     fn emit(&mut self, ctx: &mut Ctx<'_>, events: Vec<Event>) {
-        if events.is_empty() {
-            return;
-        }
         match &self.sink {
             SpeSink::Collect => self.collected.extend(events),
             SpeSink::Topic(topic) => {
                 let producer = self.producer.as_mut().expect("topic sink has a producer");
-                for e in events {
+                self.spare.recycle(events, |e| {
                     let key = e.key.as_deref().map(str::as_bytes);
                     producer.send_with(ctx, topic, key, |buf| e.encode_into(buf));
-                }
+                });
             }
             SpeSink::Store { store, table } => {
-                self.tele_metrics.sink_inserts.add(events.len() as u64);
-                self.tele
-                    .trace_instant(ctx.now(), &self.name, "sink:insert", "sink");
-                for e in events {
+                if !events.is_empty() {
+                    self.tele_metrics.sink_inserts.add(events.len() as u64);
+                    self.tele
+                        .trace_instant(ctx.now(), &self.name, "sink:insert", "sink");
+                }
+                let corr = &mut self.store_corr;
+                self.spare.recycle(events, |e| {
                     let mut row: Vec<String> = Vec::new();
                     if let Some(k) = &e.key {
                         row.push(k.clone());
@@ -1028,16 +1070,16 @@ impl SpeWorker {
                         Value::Map(m) => row.extend(m.values().map(|v| v.to_string())),
                         other => row.push(other.to_string()),
                     }
-                    self.store_corr += 1;
+                    *corr += 1;
                     ctx.send(
                         *store,
                         StoreRpc::Insert {
-                            corr: self.store_corr,
+                            corr: *corr,
                             table: table.clone(),
                             row,
                         },
                     );
-                }
+                });
             }
         }
     }
@@ -1240,6 +1282,13 @@ mod tests {
             .collect()
     }
 
+    /// The input as events, decoded over an empty `Vec` as a capture does.
+    fn events_of(input: Input) -> Vec<Event> {
+        let mut events = Vec::new();
+        input.decode_over(&mut events);
+        events
+    }
+
     fn buffer(preserve_source: bool) -> EventBuffer {
         EventBuffer {
             topics: vec!["a".into(), "b".into()],
@@ -1268,7 +1317,7 @@ mod tests {
             while buf.input.len() > 0 {
                 let batch = buf.input.take_front(max);
                 assert_eq!(batch.len(), max.min(expected.len() - out.len()));
-                out.extend(batch.into_events());
+                out.extend(events_of(batch));
             }
             assert_eq!(out, expected, "batches of at most {max}");
         }
@@ -1296,7 +1345,7 @@ mod tests {
             };
             // What `try_capture` does with the buffer.
             let mut payload =
-                CheckpointPayload::Full(snapshot(std::mem::take(&mut buf.input).into_events()));
+                CheckpointPayload::Full(snapshot(events_of(std::mem::take(&mut buf.input))));
             let blob = payload.to_bytes();
             buf.input.decoded = payload.take_buffer();
             assert_eq!(blob, snapshot(expected.clone()).to_bytes());
@@ -1306,7 +1355,87 @@ mod tests {
                 &runs(&[3]),
                 (!preserve_source).then_some(0),
             ));
-            assert_eq!(buf.input.take_front(usize::MAX).into_events(), expected);
+            assert_eq!(events_of(buf.input.take_front(usize::MAX)), expected);
+        }
+    }
+
+    /// Event `i` of a batch whose shapes differ from [`record`]'s: keyed
+    /// events with long strings, `Int` and `List` values, and other source
+    /// indexes, in turn.
+    fn other_shape(i: u64) -> Event {
+        let at = SimTime::from_secs(i);
+        let mut event = match i % 3 {
+            0 => Event::new(
+                Value::Str("a string longer than any record's ".repeat(3)),
+                at,
+            )
+            .with_key(format!("a long spare key {i}")),
+            1 => Event::new(Value::Int(-(i as i64)), at).with_key("k"),
+            _ => Event::new(Value::List(vec![Value::Str("x".into())]), at),
+        };
+        event.source = 5 + (i % 2) as u8;
+        event.origin = SimTime::from_millis(i);
+        event
+    }
+
+    #[test]
+    fn a_batch_decoded_over_the_last_ones_events_is_what_decoding_on_delivery_gives() {
+        let delivered = runs(&[6, 1, 9]);
+        let restored: Vec<Event> = (0..2).map(|i| other_shape(i + 40)).collect();
+        for preserve_source in [false, true] {
+            for front in [Vec::new(), restored.clone()] {
+                let mut expected = front.clone();
+                let source = (!preserve_source).then_some(1);
+                expected.extend(decoded_on_delivery(&delivered, source));
+                // Spares shorter than, as long as and longer than the
+                // batch, of other shapes and of the batch's own shapes
+                // shifted by one.
+                let spares: Vec<Vec<Event>> = vec![
+                    (0..5).map(other_shape).collect(),
+                    (0..expected.len() as u64).map(other_shape).collect(),
+                    (0..40).map(other_shape).collect(),
+                    {
+                        let shifted = runs(&[1, 20]);
+                        let mut events = decoded_on_delivery(&shifted, Some(4));
+                        events.remove(0);
+                        events
+                    },
+                ];
+                for (n, spare) in spares.into_iter().enumerate() {
+                    let mut buf = buffer(preserve_source);
+                    buf.input.decoded = front.clone();
+                    buf.push(&TopicPartition::new("b", 0), delivered.clone());
+                    let mut events = spare;
+                    buf.input.take_front(usize::MAX).decode_over(&mut events);
+                    assert_eq!(
+                        events,
+                        expected,
+                        "spare {n}, preserve_source {preserve_source}, {} restored",
+                        front.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_spike_is_not_kept_for_the_batches_after_it() {
+        let mut spare = Spare::default();
+        for (n, kept) in [(10, 0), (10, 10), (5_000, 10), (10, 10)] {
+            let mut buf = buffer(false);
+            buf.push(&TopicPartition::new("a", 0), runs(&[n]));
+            let mut events = std::mem::take(&mut spare.events);
+            buf.input.take_front(usize::MAX).decode_over(&mut events);
+            assert_eq!(events.len(), n as usize);
+            let mut passed = 0;
+            spare.recycle(events, |_| passed += 1);
+            assert_eq!(passed, n, "every event reaches the sink");
+            assert_eq!(spare.events.len(), kept, "after a batch of {n}");
+            assert!(
+                spare.events.capacity() <= 2 * kept,
+                "a spare of {kept} events holds room for {} after a batch of {n}",
+                spare.events.capacity()
+            );
         }
     }
 }

@@ -14,7 +14,11 @@
 //! damaged blob must decode to an error or a value, never a panic, and the
 //! blob with junk appended to an error. The base and delta captures swept
 //! must each hold buffered input. On every damaged event,
-//! `Event::peek_origin` must agree with `Event::from_bytes`.
+//! `Event::peek_origin` must agree with `Event::from_bytes`, and so must
+//! `Event::decode_over` on targets left dirty by other events (a key and a
+//! string value to reuse, or a list value to replace), as an SPE batch
+//! decodes over the last batch's events; it is swept over such an event
+//! and over the same event without its key.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -50,7 +54,32 @@ fn is_segment(key: &str) -> bool {
     key.starts_with("brokerlog/") && !key.ends_with("/meta")
 }
 
-const DECODERS: [(&str, Decoder, Reads); 6] = [
+/// Events an SPE batch may decode over: a keyed one with a string value,
+/// whose buffers are reused, and one with a list value, which is replaced.
+fn dirty_targets() -> [Event; 2] {
+    let at = SimTime::from_millis(3);
+    let mut keyed = Event::new(Value::Str("an old value, longer than most".into()), at)
+        .with_key("an old key")
+        .with_origin(SimTime::from_millis(1));
+    keyed.source = 9;
+    let list = Event::new(Value::List(vec![Value::Int(1), Value::Null]), at).with_key("k");
+    [keyed, list]
+}
+
+/// `Event::decode_over` on `b` over each of [`dirty_targets`]: it must
+/// agree with `Event::from_bytes`, error for error and event for event.
+fn decode_over_dirty_targets(b: &[u8]) -> Option<Vec<u8>> {
+    // Compared encoded: a flipped bit may decode to a NaN float, which
+    // equals nothing, itself included.
+    let fresh = Event::from_bytes(b).map(|e| e.to_bytes());
+    for mut target in dirty_targets() {
+        let over = target.decode_over(b).map(|()| target.to_bytes());
+        assert_eq!(over, fresh, "decode_over disagrees with from_bytes");
+    }
+    fresh.ok()
+}
+
+const DECODERS: [(&str, Decoder, Reads); 8] = [
     (
         "StateSnapshot::from_bytes",
         |b| StateSnapshot::from_bytes(b).ok().map(|s| s.to_bytes()),
@@ -81,6 +110,16 @@ const DECODERS: [(&str, Decoder, Reads); 6] = [
         },
         // An event-encoded record value out of a stored segment.
         |key| key.starts_with("record/"),
+    ),
+    ("Event::decode_over", decode_over_dirty_targets, |key| {
+        key.starts_with("record/")
+    }),
+    (
+        "Event::decode_over, keyless",
+        decode_over_dirty_targets,
+        // Such an event without its key: over a keyed target, a key left
+        // in place shows.
+        |key| key.starts_with("keyless/"),
     ),
     (
         "Value::decode",
@@ -136,6 +175,8 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
                 let event = Event::from_bytes(record.value()).expect("a stored event decodes");
                 events.push((format!("value/{at}"), event.value.encode()));
                 events.push((format!("record/{at}"), record.value().to_vec()));
+                let keyless = Event { key: None, ..event };
+                events.push((format!("keyless/{at}"), keyless.to_bytes()));
             }
         }
     }

@@ -322,8 +322,8 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 164.0, small_allocs, 3.16),
-        (100_000, large, 161.0, large_allocs, 3.1396),
+        (50_000, small, 164.0, small_allocs, 2.16),
+        (100_000, large, 161.0, large_allocs, 2.13),
     ] {
         // Measured 164 / 161 B: no row (on both topics a sealed batch's
         // records are keyless, of one length, stamped at one instant or
@@ -348,10 +348,14 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
              recorded: a row column is held per record again"
         );
-        // Measured 3.16 / 3.14 (set-up included, hence the fall): the
-        // source's topic `String` and payload `Vec`, the worker's
-        // `Value::Str`, decoded when its batch runs, and per-batch work.
-        // (3.20 / 3.17 when a flush froze the accumulation buffer and
+        // Measured 2.16 / 2.13 (set-up included, hence the fall): the
+        // source's topic `String` and payload `Vec`, and per-batch work;
+        // the worker decodes a batch over the last one's events, so a
+        // record's `Value::Str` reuses one. A worker that allocates a
+        // `String` per decoded record again reads about 3.1 and fails.
+        // (3.14 / 3.12 measured, 3.16 / 3.14 recorded, when each batch
+        // decoded into fresh events; 3.20 / 3.17 when a flush froze the
+        // accumulation buffer and
         // allocated the next; 3.37 / 3.27 with polled
         // fetches and a busy interval kept per CPU charge; 4.38 / 4.08 when
         // every metric update built its `(scope, name)` key, every RPC copied its topic
@@ -455,8 +459,8 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 270.0, small_allocs, 9.80),
-        (40_000, large, 249.0, large_allocs, 9.52),
+        (20_000, small, 270.0, small_allocs, 7.94),
+        (40_000, large, 249.0, large_allocs, 7.64),
     ] {
         // Measured 270 / 249 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
@@ -469,9 +473,12 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 64 B record at {records} records through a \
              shuffle, {retained} when recorded"
         );
-        // Measured 9.80 / 9.52: two produce hops and a shuffle, each
-        // record decoded into an event and encoded again per stage. (9.76 /
-        // 9.47 when a keyed flush's partitions shared one frame.)
+        // Measured 7.94 / 7.64: two produce hops and a shuffle, each
+        // record decoded into an event and encoded again per stage, over
+        // the events of the stage's last batch, whose key and value
+        // strings it reuses. (10.57 / 10.32 measured, 9.80 / 9.52
+        // recorded, when each batch decoded into fresh events; 9.76 / 9.47
+        // when a keyed flush's partitions shared one frame.)
         assert!(
             allocs <= measured * SLACK,
             "{allocs:.2} allocator calls per record at {records} records through a shuffle, \

@@ -32,7 +32,10 @@
  * live bytes under $S2G_PROF_OUT-mark the first time they reach the mark.
  * A seeded, deterministic program allocates the same blocks in the same
  * order on every run, so that is its peak; give a mark a little under it
- * when runs differ by a few blocks.
+ * when runs differ by a few blocks. At the mark it also asks glibc
+ * (mallinfo2) for the heap it holds from the OS and the free bytes in it,
+ * and prints both beside the live bytes at exit: held minus live is what
+ * the heap's layout costs, free chunks between blocks still in use.
  *
  * report.py weighs each line by its count, so a share is a share of the
  * live heap or of allocator calls; `--sites` groups by the first frame
@@ -54,6 +57,7 @@
  */
 #define _GNU_SOURCE
 #include <errno.h>
+#include <malloc.h>
 #include <sys/mman.h>
 
 #include "stacks.h"
@@ -91,6 +95,9 @@ static uintptr_t *frames;
 static size_t frames_used, blocks_used, uncounted, untracked;
 static size_t live, peak, mark;
 static int marked;
+/* At the mark: the live bytes, the heap held from the OS (arenas and
+ * mmapped blocks) and the free bytes in the arenas. */
+static size_t mark_live, mark_held, mark_free;
 static int ready;
 static int lock;
 /* Set while this thread is inside the tracker: what it allocates then
@@ -199,6 +206,10 @@ static inline __attribute__((always_inline)) void track(void *ptr, size_t size, 
             peak = live;
         if (mark && !marked && live >= mark) {
             marked = 1;
+            struct mallinfo2 heap = mallinfo2();
+            mark_live = live;
+            mark_held = heap.arena + heap.hblkhd;
+            mark_free = heap.fordblks;
             dump_as("-mark", 0);
         }
     }
@@ -290,6 +301,9 @@ static void at_exit(void) {
     fprintf(stderr, "live: peak %zu B, %zu B at exit in %zu blocks\n", peak, live, blocks_used);
     if (mark && !marked)
         fprintf(stderr, "live: never reached the mark of %zu B\n", mark);
+    if (marked)
+        fprintf(stderr, "live: at the mark %zu B live, heap %zu B held from the OS, %zu B free in it\n",
+                mark_live, mark_held, mark_free);
     if (untracked)
         fprintf(stderr, "live: a table filled, %zu calls and %zu blocks not tracked\n",
                 uncounted, untracked);

@@ -9,7 +9,9 @@
 #   3. profiles a copy of the example once, touches the copy as a rebuild
 #      would, and checks that report.py refuses that run and names the copy;
 #   4. runs it under live.so twice, the second time with S2G_LIVE_MARK at
-#      the first run's peak, and checks that one of the five largest sites
+#      the first run's peak, checks that the second run prints the heap
+#      glibc held and the free bytes in it at the mark, and that one of the
+#      five largest sites
 #      `report.py --sites` names, over both runs' allocator calls and
 #      over the live heap at the mark, is a function of this workspace (an
 #      `s2g_` crate) with a non-zero share, and that `report.py --callers`
@@ -71,7 +73,16 @@ example="$work/fp/release/examples/partition_failure"
 peak=$(S2G_PROF_OUT="$work/prof/live" LD_PRELOAD="$work/live.so" "$example" 2>&1 >/dev/null \
   | awk '/^live: peak/ { print $3 }')
 S2G_PROF_OUT="$work/prof/live" S2G_LIVE_MARK="${peak:-0}" LD_PRELOAD="$work/live.so" \
-  "$example" > /dev/null
+  "$example" > /dev/null 2> "$work/mark.txt"
+held=$(sed -n 's/^live: at the mark [0-9]* B live, heap \([0-9]*\) B held from the OS, [0-9]* B free in it$/\1/p' \
+  "$work/mark.txt")
+if [ "${held:-0}" -gt 0 ]; then
+  echo "profile smoke: the heap held ${held} B from the OS at the ${peak} B mark"
+else
+  echo "profile smoke: live.so printed no heap held at the mark:" >&2
+  cat "$work/mark.txt" >&2
+  exit 1
+fi
 
 # Fails unless one of the five largest sites in PREFIX's report is a
 # function of this workspace with a non-zero share of WHAT.
