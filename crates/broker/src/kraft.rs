@@ -7,13 +7,22 @@
 //! where it takes effect only once it commits on a majority. Followers
 //! replicate and apply the same records, so any member can take over.
 //!
-//! The leader is elected with the shared Raft election,
-//! [`s2g_sim::Election`], which the store group elects its primary with
-//! too: the term, one vote per term (kept when the leader of the same term
-//! is heard, cleared only when the term rises), the log-freshness rule over
-//! `(last entry term, log length)` and the randomized deadline. The log is
-//! pushed: the leader sends `AppendEntries` on proposals and on a 300 ms
-//! tick, and tracks each follower's `next_index`/`match_index`.
+//! The quorum runs on [`s2g_sim::Quorum`], the replicated log the store
+//! group runs on too: its Raft election (the term, one vote per term, kept
+//! when the leader of the same term is heard, the log-freshness rule over
+//! `(last entry term, log length)` and the randomized deadline), and a log
+//! that followers pull, as Kafka's own KRaft does (KIP-595). Each follower
+//! keeps one [`RaftRpc::Fetch`] outstanding at the leader, naming its log
+//! end and that entry's term. The leader answers with what follows, or
+//! holds a fetch with nothing new until its next proposal or for one hold
+//! interval (300 ms). A fetch that does not match its log is answered with
+//! the whole log: a metadata log is never truncated, and a follower's
+//! applied prefix is committed, so it is a prefix of the leader's. The
+//! leader commits what a majority has fetched once an entry of its own
+//! term is among it, and every reply carries its commit index. One timer
+//! per member stands a follower at its election deadline, re-sends a fetch
+//! left unanswered for two hold intervals, and steps down a leader that no
+//! majority has fetched from for an election timeout.
 //!
 //! This is the coordination mode under which the paper "was not able to
 //! observe" the silent-loss behavior of Fig. 6b.
@@ -21,32 +30,22 @@
 use std::collections::BTreeMap;
 
 use s2g_proto::{BrokerId, MetadataRecord, PartitionMetadata, RaftRpc};
-use s2g_sim::{downcast, Ctx, Election, Message, ProcessId, SimDuration};
+use s2g_sim::{downcast, Ctx, Fetch, Intake, Message, ProcessId, Quorum, SimDuration};
 
 use crate::config::{ControllerConfig, TopicSpec};
 use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState, CommitPolicy, Controller};
 
 /// Timer tags of the Raft member, beside the controller's own sweeps.
-const ELECTION_CHECK: u64 = 3;
-const LEADER_TICK: u64 = 4;
+const ELECTION: u64 = 3;
+const HOLD_EXPIRY: u64 = 4;
 
-/// How often candidates/followers check their election deadline.
-const ELECTION_CHECK_EVERY: SimDuration = SimDuration::from_millis(100);
 /// Base election timeout; actual deadline adds a random 0..base.
 const ELECTION_TIMEOUT_BASE: SimDuration = SimDuration::from_millis(1_500);
-/// Leader append/heartbeat period.
-const LEADER_TICK_EVERY: SimDuration = SimDuration::from_millis(300);
-/// Max entries shipped per AppendEntries.
-const MAX_ENTRIES_PER_APPEND: usize = 64;
-
-/// What the leader tracks of each follower. A member that is not the
-/// leader follows, or stands for election (its candidacy is the
-/// [`Election`]'s).
-#[derive(Debug)]
-struct Leader {
-    next_index: BTreeMap<BrokerId, usize>,
-    match_index: BTreeMap<BrokerId, usize>,
-}
+/// How long the leader holds a fetch with nothing new: its heartbeat.
+const HOLD: SimDuration = SimDuration::from_millis(300);
+/// How long a follower waits for the answer to a fetch before it sends
+/// another: two hold intervals.
+const RESEND: SimDuration = SimDuration::from_millis(600);
 
 /// The KRaft commit policy of one quorum member: a decision is proposed
 /// into the Raft log and applied once a majority holds it, and only the
@@ -54,15 +53,17 @@ struct Leader {
 #[derive(Debug)]
 pub struct RaftQuorum {
     me: BrokerId,
-    quorum: BTreeMap<BrokerId, ProcessId>,
+    /// Every member's id and process, in member-index order; this member
+    /// is `index`.
+    members: Vec<(BrokerId, ProcessId)>,
+    index: usize,
     /// The initial assignment, installed by this member's first leadership
     /// over a metadata log that has none; emptied once proposed.
     plan: Vec<PartitionMetadata>,
-    election: Election<BrokerId>,
-    log: Vec<(u64, MetadataRecord)>,
-    commit: usize,
-    applied: usize,
-    leader: Option<Leader>,
+    q: Quorum<MetadataRecord>,
+    commit: u64,
+    applied: u64,
+    next_corr: u64,
     name: String,
 }
 
@@ -96,21 +97,23 @@ impl Controller<RaftQuorum> {
         topics: Vec<TopicSpec>,
         racks: BTreeMap<BrokerId, String>,
     ) -> Self {
-        assert!(quorum.contains_key(&me), "quorum must include this member");
         assert!(
             quorum.keys().all(|q| !brokers.contains_key(q)),
             "controller ids must not collide with broker ids"
         );
-        let plan = plan_with_racks(&topics, &brokers, &racks);
+        let members: Vec<(BrokerId, ProcessId)> = quorum.into_iter().collect();
+        let index = members.binary_search_by_key(&me, |(id, _)| *id);
+        let index = index.expect("quorum must include this member");
+        let (n, timeout) = (members.len(), ELECTION_TIMEOUT_BASE);
         let policy = RaftQuorum {
             me,
-            quorum,
-            plan,
-            election: Election::new(ELECTION_TIMEOUT_BASE, ELECTION_TIMEOUT_BASE),
-            log: Vec::new(),
+            members,
+            index,
+            plan: plan_with_racks(&topics, &brokers, &racks),
+            q: Quorum::new(n, index, None, true, timeout, timeout, HOLD),
             commit: 0,
             applied: 0,
-            leader: None,
+            next_corr: 0,
             name: format!("kraft-{}", me.0),
         };
         Controller {
@@ -123,86 +126,66 @@ impl Controller<RaftQuorum> {
     /// True if this member currently believes it is the Raft leader (the
     /// active controller).
     pub fn is_active(&self) -> bool {
-        self.policy.is_active()
+        self.policy.q.leads()
     }
 
     /// The current Raft term.
-    pub fn term(&self) -> u64 {
-        self.policy.election.term()
+    #[cfg(test)]
+    pub(crate) fn term(&self) -> u64 {
+        self.policy.q.term()
     }
 
     /// Committed log length.
-    pub fn committed(&self) -> usize {
-        self.policy.commit
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> usize {
+        self.policy.commit as usize
     }
 
     /// The replicated log (term, record) — for consistency assertions.
     #[cfg(test)]
     pub(crate) fn raft_log(&self) -> &[(u64, MetadataRecord)] {
-        &self.policy.log
+        self.policy.q.entries()
     }
 }
 
 impl RaftQuorum {
-    fn is_active(&self) -> bool {
-        self.leader.is_some()
+    /// The member index of quorum member `id`.
+    fn index_of(&self, id: BrokerId) -> Option<usize> {
+        self.members.binary_search_by_key(&id, |(id, _)| *id).ok()
     }
 
-    fn majority(&self) -> usize {
-        self.quorum.len() / 2 + 1
+    /// Sends `rpc` to every member whose index `to` accepts.
+    fn send(&self, ctx: &mut Ctx<'_>, to: impl Fn(usize) -> bool, rpc: &RaftRpc) {
+        for (i, &(_, pid)) in self.members.iter().enumerate() {
+            if to(i) {
+                ctx.send(pid, rpc.clone());
+            }
+        }
     }
 
-    fn last_log_term(&self) -> u64 {
-        self.log.last().map(|(t, _)| *t).unwrap_or(0)
-    }
-
-    /// Follows the leader or candidate of `term`, which is not older than
-    /// this member's: the vote is kept unless the term rose.
-    fn become_follower(&mut self, ctx: &mut Ctx<'_>, term: u64) {
-        self.election.follow(term);
-        self.leader = None;
-        self.election.reset_deadline(ctx);
-    }
-
-    fn start_election(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        let term = self.election.stand(self.me);
-        self.election.reset_deadline(ctx);
+    /// Asks every peer for its vote in the term this member stood in; a
+    /// quorum of one is won by the member's own.
+    fn stand(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
+        let term = self.q.term();
         let req = RaftRpc::RequestVote {
             term,
             candidate: self.me,
-            last_log_index: self.log.len() as u64,
-            last_log_term: self.last_log_term(),
+            last_log_index: self.q.log_end(),
+            last_log_term: self.q.last_term(),
         };
-        for (&id, &pid) in self.quorum.clone().iter() {
-            if id != self.me {
-                ctx.send(pid, req.clone());
-            }
-        }
-        // A quorum of one is won by the member's own vote.
-        if self.election.tally(term, self.me, true, self.majority()) {
+        self.send(ctx, |i| i != self.index, &req);
+        if self.q.tally(ctx, term, self.index, true) {
             self.become_leader(front, ctx);
         }
     }
 
     fn become_leader(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        let mut next_index = BTreeMap::new();
-        let mut match_index = BTreeMap::new();
-        for &id in self.quorum.keys() {
-            if id != self.me {
-                next_index.insert(id, self.log.len());
-                match_index.insert(id, 0usize);
-            }
-        }
-        self.leader = Some(Leader {
-            next_index,
-            match_index,
-        });
         // Term-start entry: lets the new leader commit prior-term entries
         // (Raft §5.4.2 no-op). We reuse a harmless registration record.
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };
         self.propose(vec![noop]);
         let assigns = |(_, r): &(u64, _)| matches!(r, MetadataRecord::PartitionChange { .. });
-        if !self.plan.is_empty() && !self.log.iter().any(assigns) {
+        if !self.plan.is_empty() && !self.q.entries().iter().any(assigns) {
             // First leadership over an empty metadata log: install the
             // initial topic assignment.
             let plan = std::mem::take(&mut self.plan);
@@ -222,134 +205,85 @@ impl RaftQuorum {
             }
             self.propose(records);
         }
-        self.leader_tick(ctx);
+        self.replicate(front, ctx);
     }
 
     fn propose(&mut self, records: Vec<MetadataRecord>) {
-        if !self.is_active() {
+        if !self.q.leads() {
             return;
         }
-        let term = self.election.term();
+        let term = self.q.term();
         for r in records {
             // Avoid duplicate uncommitted proposals (session checks repeat
             // until the failure records commit).
-            let pending = self.log[self.commit..]
-                .iter()
-                .any(|(_, existing)| *existing == r);
-            if !pending {
-                self.log.push((term, r));
+            let uncommitted = &self.q.entries()[self.commit as usize..];
+            if !uncommitted.iter().any(|(_, existing)| *existing == r) {
+                self.q.push(term, r);
             }
-        }
-        self.maybe_commit();
-    }
-
-    fn leader_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(Leader { next_index, .. }) = &self.leader else {
-            return;
-        };
-        let sends: Vec<(ProcessId, RaftRpc)> = self
-            .quorum
-            .iter()
-            .filter(|(id, _)| **id != self.me)
-            .map(|(id, pid)| {
-                let ni = next_index.get(id).copied().unwrap_or(self.log.len());
-                let prev_log_index = ni;
-                let prev_log_term = if ni == 0 { 0 } else { self.log[ni - 1].0 };
-                let entries: Vec<(u64, MetadataRecord)> = self
-                    .log
-                    .iter()
-                    .skip(ni)
-                    .take(MAX_ENTRIES_PER_APPEND)
-                    .cloned()
-                    .collect();
-                (
-                    *pid,
-                    RaftRpc::AppendEntries {
-                        term: self.election.term(),
-                        leader: self.me,
-                        prev_log_index: prev_log_index as u64,
-                        prev_log_term,
-                        entries,
-                        leader_commit: self.commit as u64,
-                    },
-                )
-            })
-            .collect();
-        for (pid, rpc) in sends {
-            ctx.send(pid, rpc);
         }
     }
 
-    fn maybe_commit(&mut self) {
-        let Some(Leader { match_index, .. }) = &self.leader else {
-            return;
-        };
-        let majority = self.majority();
-        for n in (self.commit + 1..=self.log.len()).rev() {
-            if self.log[n - 1].0 != self.election.term() {
-                continue; // only commit entries from the current term directly
-            }
-            let replicas = 1 + match_index.values().filter(|m| **m >= n).count();
-            if replicas >= majority {
-                self.commit = n;
-                break;
-            }
+    /// Answers the held fetches the log has grown past, then commits and
+    /// applies what a majority holds (alone, a member is one).
+    fn replicate(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
+        let (now, me, commit, members) = (ctx.now(), self.me, self.commit, &self.members);
+        let answer = |q: &_, i: usize, fetch| serve(q, me, commit, ctx, members[i].1, fetch);
+        self.q.answer_held(now, answer);
+        self.advance(front, ctx);
+    }
+
+    /// While leading: commits what a majority holds, then applies it.
+    fn advance(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
+        if let Some(held) = self.q.majority_held() {
+            self.commit = self.commit.max(held);
         }
+        self.apply_committed(front, ctx);
     }
 
     fn apply_committed(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
         if self.applied >= self.commit {
             return;
         }
-        let batch: Vec<MetadataRecord> = self.log[self.applied..self.commit]
+        let batch: Vec<MetadataRecord> = self.q.entries()
+            [self.applied as usize..self.commit as usize]
             .iter()
             .map(|(_, r)| r.clone())
             .collect();
         self.applied = self.commit;
         front.apply(ctx.now(), &batch);
         // Only the active controller pushes instructions to brokers.
-        if self.is_active() {
+        if self.q.leads() {
             front.publish(ctx, &batch);
         }
     }
 
-    /// Reconciles the local log with a leader's `entries`, which follow its
-    /// entry `prev` (of term `prev_log_term`): drops a conflicting suffix,
-    /// then appends what is new. Returns whether the logs were consistent
-    /// at `prev`, and the index up to which they now match.
-    fn append_entries(
-        &mut self,
-        prev: usize,
-        prev_log_term: u64,
-        entries: Vec<(u64, MetadataRecord)>,
-    ) -> (bool, usize) {
-        let consistent =
-            prev <= self.log.len() && (prev == 0 || self.log[prev - 1].0 == prev_log_term);
-        if !consistent {
-            return (false, self.log.len().min(prev));
+    /// Keeps one fetch outstanding on every member but the leader: a new
+    /// one when none is out or the one out is `stale_after` old. It goes
+    /// to the leader, or to every peer when the member knows none.
+    fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) {
+        if self.q.fetch_due_at(stale_after) > ctx.now() {
+            return;
         }
-        let mut insert_at = prev;
-        for (i, e) in entries.iter().enumerate() {
-            let idx = prev + i;
-            if idx < self.log.len() {
-                if self.log[idx].0 != e.0 {
-                    self.log.truncate(idx);
-                    insert_at = idx;
-                    break;
-                }
-                insert_at = idx + 1;
-            } else {
-                insert_at = idx;
-                break;
-            }
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        let (fetch, to) = self.q.fetch(ctx.now(), corr);
+        let rpc = RaftRpc::Fetch {
+            from: self.me,
+            fetch,
+        };
+        self.send(ctx, |i| to.map_or(i != self.index, |to| to == i), &rpc);
+    }
+
+    /// The one timer: it stands a follower at its election deadline,
+    /// re-sends a fetch left unanswered for [`RESEND`], and steps down a
+    /// leader that no majority has fetched from for an election timeout.
+    fn on_election_timer(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
+        let (stood, next) = self.q.tick(ctx);
+        if stood {
+            self.stand(front, ctx);
         }
-        for (i, e) in entries.into_iter().enumerate() {
-            let idx = prev + i;
-            if idx >= insert_at.min(self.log.len()) && idx >= self.log.len() {
-                self.log.push(e);
-            }
-        }
-        (true, self.log.len())
+        self.refetch(ctx, RESEND);
+        ctx.set_timer_at(next.min(self.q.fetch_due_at(RESEND)), ELECTION);
     }
 
     fn handle_raft(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>, rpc: RaftRpc) {
@@ -360,112 +294,98 @@ impl RaftQuorum {
                 last_log_index,
                 last_log_term,
             } => {
-                if term > self.election.term() {
-                    self.become_follower(ctx, term);
-                }
-                let ours = (self.last_log_term(), self.log.len() as u64);
-                let theirs = (last_log_term, last_log_index);
-                let grant = self.election.grant(term, candidate, theirs, ours);
-                if grant {
-                    self.election.reset_deadline(ctx);
-                }
-                if let Some(&pid) = self.quorum.get(&candidate) {
-                    ctx.send(
-                        pid,
-                        RaftRpc::VoteResponse {
-                            term: self.election.term(),
-                            granted: grant,
-                            from: self.me,
-                        },
-                    );
-                }
+                let Some(i) = self.index_of(candidate) else {
+                    return;
+                };
+                let granted = self.q.vote(ctx, term, i, (last_log_term, last_log_index));
+                let (term, from) = (self.q.term(), self.me);
+                let reply = RaftRpc::VoteResponse {
+                    term,
+                    granted,
+                    from,
+                };
+                ctx.send(self.members[i].1, reply);
             }
             RaftRpc::VoteResponse {
                 term,
                 granted,
                 from,
             } => {
-                if term > self.election.term() {
-                    self.become_follower(ctx, term);
-                    return;
-                }
-                if self.election.tally(term, from, granted, self.majority()) {
+                let Some(i) = self.index_of(from) else { return };
+                if self.q.tally(ctx, term, i, granted) {
                     self.become_leader(front, ctx);
                 }
             }
-            RaftRpc::AppendEntries {
-                term,
-                leader,
-                prev_log_index,
-                prev_log_term,
-                entries,
-                leader_commit,
-            } => {
-                if term < self.election.term() {
-                    if let Some(&pid) = self.quorum.get(&leader) {
-                        ctx.send(
-                            pid,
-                            RaftRpc::AppendResponse {
-                                term: self.election.term(),
-                                success: false,
-                                match_index: self.log.len() as u64,
-                                from: self.me,
-                            },
-                        );
-                    }
-                    return;
-                }
-                self.become_follower(ctx, term);
-                let (success, match_index) =
-                    self.append_entries(prev_log_index as usize, prev_log_term, entries);
-                if success {
-                    let new_commit = (leader_commit as usize).min(self.log.len());
-                    if new_commit > self.commit {
-                        self.commit = new_commit;
-                        self.apply_committed(front, ctx);
-                    }
-                }
-                if let Some(&pid) = self.quorum.get(&leader) {
-                    ctx.send(
-                        pid,
-                        RaftRpc::AppendResponse {
-                            term: self.election.term(),
-                            success,
-                            match_index: match_index as u64,
-                            from: self.me,
-                        },
-                    );
-                }
-            }
-            RaftRpc::AppendResponse {
-                term,
-                success,
-                match_index,
-                from,
-            } => {
-                if term > self.election.term() {
-                    self.become_follower(ctx, term);
-                    return;
-                }
-                let Some(Leader {
-                    next_index,
-                    match_index: mi,
-                }) = &mut self.leader
-                else {
+            RaftRpc::Fetch { from, fetch } => {
+                let Some(i) = self.index_of(from).filter(|i| *i != self.index) else {
                     return;
                 };
-                if success {
-                    mi.insert(from, match_index as usize);
-                    next_index.insert(from, match_index as usize);
-                } else {
-                    let ni = next_index.entry(from).or_insert(0);
-                    *ni = (match_index as usize).min(ni.saturating_sub(1));
+                let intake = self.q.take_fetch(ctx, i, fetch);
+                if intake == Intake::Pass {
+                    return;
                 }
-                self.maybe_commit();
+                self.advance(front, ctx);
+                let to = self.members[i].1;
+                match intake {
+                    Intake::Held => {
+                        ctx.set_timer(HOLD, HOLD_EXPIRY);
+                    }
+                    _ => serve(&self.q, self.me, self.commit, ctx, to, fetch),
+                }
+            }
+            RaftRpc::FetchReply {
+                corr,
+                term,
+                leader,
+                after,
+                entries,
+                commit,
+            } => {
+                let Some(i) = self.index_of(leader) else {
+                    return;
+                };
+                if !self.q.take_reply(ctx, corr, term, Some(i)) {
+                    return;
+                }
+                if after < self.q.log_end() {
+                    // The leader sent its whole log: this member's tail
+                    // diverged from it (a deposed leader's uncommitted
+                    // proposals), and goes.
+                    self.q.restart(0, 0);
+                }
+                for (term, record) in entries {
+                    self.q.push(term, record);
+                }
+                self.commit = self.commit.max(commit.min(self.q.log_end()));
                 self.apply_committed(front, ctx);
             }
         }
     }
+}
+
+/// Sends `to` the log after `fetch`'s end, or the whole log when the fetch
+/// does not match it, with the commit index.
+fn serve(
+    q: &Quorum<MetadataRecord>,
+    me: BrokerId,
+    commit: u64,
+    ctx: &mut Ctx<'_>,
+    to: ProcessId,
+    fetch: Fetch,
+) {
+    let (after, entries) = match q.suffix(&fetch) {
+        Some(entries) => (fetch.after, entries),
+        None => (0, q.entries()),
+    };
+    let reply = RaftRpc::FetchReply {
+        corr: fetch.corr,
+        term: q.term(),
+        leader: me,
+        after,
+        entries: entries.to_vec(),
+        commit,
+    };
+    ctx.send(to, reply);
 }
 
 impl CommitPolicy for RaftQuorum {
@@ -475,15 +395,14 @@ impl CommitPolicy for RaftQuorum {
 
     /// Only the active controller serves brokers.
     fn serves(&self) -> bool {
-        self.is_active()
+        self.q.leads()
     }
 
-    /// Draws the first election deadline and arms the election and
-    /// leader-tick timers.
+    /// Draws the first election deadline, sends the first fetch and arms
+    /// the timer.
     fn start(c: &mut KraftController, ctx: &mut Ctx<'_>) {
-        c.policy.election.reset_deadline(ctx);
-        ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
-        ctx.set_timer(LEADER_TICK_EVERY, LEADER_TICK);
+        c.policy.q.start(ctx);
+        c.policy.on_election_timer(&mut c.front, ctx);
     }
 
     /// Proposes the records; each applies once a majority holds it.
@@ -491,9 +410,9 @@ impl CommitPolicy for RaftQuorum {
         c.policy.propose(records);
     }
 
-    /// Ships what was proposed to the quorum.
+    /// Ships what was proposed to the followers whose fetches it holds.
     fn flush(c: &mut KraftController, ctx: &mut Ctx<'_>) {
-        c.policy.leader_tick(ctx);
+        c.policy.replicate(&mut c.front, ctx);
     }
 
     fn on_message(
@@ -504,6 +423,7 @@ impl CommitPolicy for RaftQuorum {
         match downcast::<RaftRpc>(msg) {
             Ok(rpc) => {
                 c.policy.handle_raft(&mut c.front, ctx, *rpc);
+                c.policy.refetch(ctx, SimDuration::MAX);
                 None
             }
             Err(msg) => Some(msg),
@@ -511,21 +431,9 @@ impl CommitPolicy for RaftQuorum {
     }
 
     fn on_timer(c: &mut KraftController, ctx: &mut Ctx<'_>, tag: u64) {
-        let raft = &mut c.policy;
         match tag {
-            ELECTION_CHECK => {
-                if !raft.is_active() && ctx.now() >= raft.election.deadline() {
-                    raft.start_election(&mut c.front, ctx);
-                }
-                ctx.set_timer(ELECTION_CHECK_EVERY, ELECTION_CHECK);
-            }
-            LEADER_TICK => {
-                if raft.is_active() {
-                    raft.leader_tick(ctx);
-                    raft.apply_committed(&mut c.front, ctx);
-                }
-                ctx.set_timer(LEADER_TICK_EVERY, LEADER_TICK);
-            }
+            ELECTION => c.policy.on_election_timer(&mut c.front, ctx),
+            HOLD_EXPIRY => c.policy.replicate(&mut c.front, ctx),
             _ => {}
         }
     }
@@ -534,6 +442,7 @@ impl CommitPolicy for RaftQuorum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s2g_proto::ControllerRpc;
     use s2g_sim::{Process, Sim, SimTime};
     use std::collections::BTreeSet;
 
@@ -651,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn taking_the_leaders_append_keeps_the_vote_of_its_term() {
+    fn taking_the_leaders_fetch_reply_keeps_the_vote_of_its_term() {
         let mut sim = Sim::new(5);
         let a = sim.spawn(Box::<Ballots>::default());
         let b = sim.spawn(Box::<Ballots>::default());
@@ -670,20 +579,198 @@ mod tests {
             last_log_index: 0,
             last_log_term: 0,
         };
-        let append = RaftRpc::AppendEntries {
+        // Member 1001 won term 1 and answers the fetch member 1000 sent
+        // every peer on voting for it (its first fetch in term 1).
+        let reply = RaftRpc::FetchReply {
+            corr: 1,
             term: 1,
             leader: BrokerId(1001),
-            prev_log_index: 0,
-            prev_log_term: 0,
+            after: 0,
             entries: vec![],
-            leader_commit: 0,
+            commit: 0,
         };
         let at = SimTime::from_millis;
         sim.inject_at(at(1), me, vote(1001));
-        sim.inject_at(at(2), me, append);
+        sim.inject_at(at(2), me, reply);
         sim.inject_at(at(3), me, vote(1002));
         sim.run_until(at(50));
         assert_eq!(sim.process_ref::<Ballots>(a).unwrap().0, [(1000, true, 1)]);
         assert_eq!(sim.process_ref::<Ballots>(b).unwrap().0, [(1000, false, 1)]);
+    }
+
+    #[test]
+    fn a_follower_applies_only_what_the_leader_has_committed() {
+        let mut sim = Sim::new(5);
+        let a = sim.spawn(Box::<Ballots>::default());
+        let b = sim.spawn(Box::<Ballots>::default());
+        let me = ProcessId(sim.process_count() as u32);
+        let quorum = BTreeMap::from([
+            (BrokerId(1000), me),
+            (BrokerId(1001), a),
+            (BrokerId(1002), b),
+        ]);
+        let cfg = ControllerConfig::default();
+        let c = KraftController::new(BrokerId(1000), quorum, BTreeMap::new(), cfg, vec![]);
+        assert_eq!(sim.spawn(Box::new(c)), me);
+        let registered = |broker| MetadataRecord::BrokerRegistered {
+            broker: BrokerId(broker),
+        };
+        // Member 1001 leads term 1. Its answer to the member's first fetch
+        // (sent in term 0, and dropped for the newer term) makes it the
+        // leader; it answers the next two with two entries, then with the
+        // commit of the first.
+        let reply = |corr, after, entries, commit| RaftRpc::FetchReply {
+            corr,
+            term: 1,
+            leader: BrokerId(1001),
+            after,
+            entries,
+            commit,
+        };
+        let entries = vec![(1, registered(5)), (1, registered(6))];
+        sim.inject_at(SimTime::from_millis(1), me, reply(0, 0, vec![], 0));
+        sim.inject_at(SimTime::from_millis(2), me, reply(1, 0, entries, 0));
+        sim.run_until(SimTime::from_millis(3));
+        let follower = member(&sim, me);
+        assert_eq!((follower.raft_log().len(), follower.committed()), (2, 0));
+        assert!(follower.decisions().is_empty(), "nothing committed yet");
+        sim.inject_at(SimTime::from_millis(4), me, reply(2, 2, vec![], 1));
+        sim.run_until(SimTime::from_millis(5));
+        let applied: Vec<_> = member(&sim, me)
+            .decisions()
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(applied, [registered(5)]);
+    }
+
+    /// Delivers every message after 10 µs, except every one to or from
+    /// `cut.0` before `cut.1`, and the first one from `drop.0` to `drop.1`
+    /// of at least `drop.2` bytes, whose send time it records in `lost`.
+    #[derive(Default)]
+    struct Faults {
+        cut: Option<(ProcessId, SimTime)>,
+        drop: Option<(ProcessId, ProcessId, usize)>,
+        lost: std::rc::Rc<std::cell::Cell<Option<SimTime>>>,
+    }
+
+    impl s2g_sim::Transport for Faults {
+        fn route(
+            &mut self,
+            now: SimTime,
+            _rng: &mut rand::rngs::StdRng,
+            from: ProcessId,
+            to: ProcessId,
+            bytes: usize,
+        ) -> s2g_sim::Delivery {
+            let cut = self
+                .cut
+                .is_some_and(|(p, heal)| now < heal && (from == p || to == p));
+            let drop = (self.drop).is_some_and(|(a, b, min)| (from, to) == (a, b) && bytes >= min);
+            if drop {
+                self.drop = None;
+                self.lost.set(Some(now));
+            }
+            match cut || drop {
+                true => s2g_sim::Delivery::Drop,
+                false => s2g_sim::Delivery::After(SimDuration::from_micros(10)),
+            }
+        }
+    }
+
+    fn member(sim: &Sim, pid: ProcessId) -> &KraftController {
+        sim.process_ref::<KraftController>(pid)
+            .expect("a quorum member")
+    }
+
+    fn active(sim: &Sim, pids: &[ProcessId]) -> ProcessId {
+        let mut active = pids.iter().filter(|p| member(sim, **p).is_active());
+        let leader = *active.next().expect("an active member");
+        assert!(active.next().is_none(), "one active member");
+        leader
+    }
+
+    #[test]
+    fn a_deposed_leader_drops_its_uncommitted_tail_and_takes_the_new_leaders_log() {
+        let mut sim = Sim::new(9);
+        sim.set_transport(Box::<Faults>::default());
+        let pids = spawn_quorum(&mut sim, 3);
+        sim.run_until(SimTime::from_secs(4));
+        let old = active(&sim, &pids);
+        let old_term = member(&sim, old).term();
+        // Cut off from its quorum, the leader proposes a registration that
+        // no other member hears of.
+        let heal = SimTime::from_secs(8);
+        let cut = Some((old, heal));
+        sim.set_transport(Box::new(Faults {
+            cut,
+            ..Faults::default()
+        }));
+        let stray = BrokerId(7);
+        let heartbeat = ControllerRpc::Heartbeat {
+            broker: stray,
+            incarnation: 0,
+        };
+        sim.inject_at(SimTime::from_millis(4_010), old, heartbeat);
+        sim.run_until(heal);
+        let registers_stray =
+            |r: &MetadataRecord| *r == MetadataRecord::BrokerRegistered { broker: stray };
+        let tail = member(&sim, old).raft_log()[member(&sim, old).committed()..].to_vec();
+        assert!(
+            tail.iter()
+                .any(|(t, r)| *t == old_term && registers_stray(r)),
+            "{tail:?}"
+        );
+        let new = active(&sim, &pids);
+        assert!(new != old && member(&sim, new).term() > old_term);
+        sim.run_until(heal + SimDuration::from_secs(4));
+        let (old, new) = (member(&sim, old), member(&sim, new));
+        assert!(new.is_active() && !old.is_active());
+        assert_eq!(old.raft_log(), new.raft_log());
+        assert!(!old.raft_log().iter().any(|(_, r)| registers_stray(r)));
+        assert_eq!(old.committed(), new.committed());
+        let records = |c: &KraftController| -> Vec<MetadataRecord> {
+            c.decisions().iter().map(|(_, r)| r.clone()).collect()
+        };
+        assert_eq!(records(old), records(new), "the same records, in order");
+    }
+
+    #[test]
+    fn a_follower_whose_fetch_reply_is_lost_catches_up_within_two_hold_intervals() {
+        let mut sim = Sim::new(9);
+        sim.set_transport(Box::<Faults>::default());
+        let pids = spawn_quorum(&mut sim, 3);
+        sim.run_until(SimTime::from_secs(4));
+        let leader = active(&sim, &pids);
+        let follower = *pids.iter().find(|p| **p != leader).unwrap();
+        // The first reply to `follower` that carries an entry is lost.
+        let empty = RaftRpc::FetchReply {
+            corr: 0,
+            term: 0,
+            leader: BrokerId(0),
+            after: 0,
+            entries: vec![],
+            commit: 0,
+        };
+        let faults = Faults {
+            drop: Some((leader, follower, empty.wire_size() + 1)),
+            ..Faults::default()
+        };
+        let lost = std::rc::Rc::clone(&faults.lost);
+        sim.set_transport(Box::new(faults));
+        let heartbeat = ControllerRpc::Heartbeat {
+            broker: BrokerId(7),
+            incarnation: 0,
+        };
+        sim.inject_at(SimTime::from_millis(4_500), leader, heartbeat);
+        sim.run_until(SimTime::from_millis(4_501));
+        let lost = lost.get().expect("the reply was lost");
+        let log_len = |pid| member(&sim, pid).raft_log().len();
+        assert!(log_len(follower) < log_len(leader), "the follower lacks it");
+        sim.run_until(lost + HOLD + HOLD);
+        assert_eq!(
+            member(&sim, follower).raft_log(),
+            member(&sim, leader).raft_log()
+        );
     }
 }

@@ -306,43 +306,45 @@ const ZK: &[&str] = &[
 /// Under KRaft a decision applies once the quorum commits it. The 30 s
 /// sweep decides broker 2's failure against a state that has not applied
 /// broker 1's yet, so `audit` stays with the fenced broker 2 until it
-/// returns; offline `events` waits for the 40 s preferred sweep.
+/// returns; offline `events` waits for the 40 s preferred sweep. The
+/// followers pull the log: a decision made while their fetches are in
+/// flight (broker 2's registration at 36 s, the second `AlterIsr` at 40 s)
+/// commits one round trip after the one before it.
 const KRAFT: &[&str] = &[
-    "1616200000 registered 1002",
-    "1616200000 registered 0",
-    "1616200000 registered 1",
-    "1616200000 registered 2",
-    "1616200000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "1616200000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "1595600328 registered 1002",
+    "1595600328 registered 0",
+    "1595600328 registered 1",
+    "1595600328 registered 2",
+    "1595600328 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "1595600328 audit-0 leader 1 isr [1, 2, 0] epoch 0",
     "4262150000 events-0 leader 0 isr [0, 1] epoch 0",
-    "4262150000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "5334436000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "5334444000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "4270250000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "5334430000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5342530000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9262150000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10008100000 fenced 0",
     "10008100000 events-0 leader 1 isr [1, 2] epoch 1",
     "13012150000 registered 0",
-    "13033094000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13033094000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13033086000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13041186000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15008100000 events-0 leader 0 isr [1, 2, 0] epoch 2",
-    "21012150000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "21033446000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "21012150000 events-0 leader 0 isr [1, 0] epoch 2",
+    "21033412000 events-0 leader 0 isr [1, 0, 2] epoch 2",
     "28262150000 events-0 leader 0 isr [0] epoch 2",
     "30008100000 fenced 1",
-    "30008100000 audit-0 leader 2 isr [0, 2] epoch 1",
+    "30008100000 audit-0 leader 2 isr [2, 0] epoch 1",
     "30008100000 fenced 2",
     "34008100000 fenced 0",
     "34008100000 events-0 leader none isr [0] epoch 3",
     "36012150000 registered 1",
-    "36012150000 registered 2",
-    "36024300000 audit-0 leader 2 isr [0, 2, 1] epoch 1",
-    "37262150000 audit-0 leader 2 isr [2, 1] epoch 1",
+    "36020250000 registered 2",
+    "36028350000 audit-0 leader 2 isr [2, 0, 1] epoch 1",
+    "37268850000 audit-0 leader 2 isr [2, 1] epoch 1",
     "38012150000 registered 0",
     "38032514000 audit-0 leader 2 isr [2, 1, 0] epoch 1",
     "40008100000 audit-0 leader 1 isr [2, 1, 0] epoch 2",
     "40008100000 events-0 leader 0 isr [0] epoch 4",
     "40028350000 events-0 leader 0 isr [0, 1] epoch 4",
-    "40028350000 events-0 leader 0 isr [0, 2] epoch 4",
-    "40036470000 events-0 leader 0 isr [0, 1] epoch 4",
-    "40052962875 events-0 leader 0 isr [0, 1, 2] epoch 4",
+    "40036450000 events-0 leader 0 isr [0, 2] epoch 4",
+    "40052962875 events-0 leader 0 isr [0, 2, 1] epoch 4",
 ];

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use s2g_sim::Message;
+use s2g_sim::{Fetch, Message};
 
 use crate::record::{
     Compression, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition, BATCH_OVERHEAD,
@@ -793,31 +793,32 @@ pub enum RaftRpc {
         /// The voter.
         from: BrokerId,
     },
-    /// Leader replicates metadata log entries.
-    AppendEntries {
+    /// Follower → leader: asks for the metadata log after the follower's
+    /// end. Every member that does not lead keeps one outstanding.
+    Fetch {
+        /// The follower.
+        from: BrokerId,
+        /// Where the follower's log ends, under its current term.
+        fetch: Fetch,
+    },
+    /// Leader → follower: the answer to a [`RaftRpc::Fetch`], at once when
+    /// the leader holds entries the follower lacks, else at its next
+    /// proposal or after one hold interval.
+    FetchReply {
+        /// The fetch's request id.
+        corr: u64,
         /// Leader's term.
         term: u64,
         /// The leader.
         leader: BrokerId,
-        /// Index of the entry preceding `entries`.
-        prev_log_index: u64,
-        /// Term of that entry.
-        prev_log_term: u64,
-        /// New entries as `(term, record)` pairs.
+        /// Index of the entry `entries` follow: the fetch's, or 0 when the
+        /// follower's log diverges from the leader's and `entries` is the
+        /// leader's whole log.
+        after: u64,
+        /// The entries after `after` as `(term, record)` pairs.
         entries: Vec<(u64, MetadataRecord)>,
         /// Leader's commit index.
-        leader_commit: u64,
-    },
-    /// Append reply.
-    AppendResponse {
-        /// Follower's current term.
-        term: u64,
-        /// Whether the entries were appended.
-        success: bool,
-        /// Follower's resulting log end index (for match tracking).
-        match_index: u64,
-        /// The follower.
-        from: BrokerId,
+        commit: u64,
     },
 }
 
@@ -827,13 +828,13 @@ impl Message for RaftRpc {
             + match self {
                 RaftRpc::RequestVote { .. } => 28,
                 RaftRpc::VoteResponse { .. } => 16,
-                RaftRpc::AppendEntries { entries, .. } => {
-                    32 + entries
+                RaftRpc::Fetch { .. } => 36,
+                RaftRpc::FetchReply { entries, .. } => {
+                    36 + entries
                         .iter()
                         .map(|(_, r)| 8 + r.encoded_len())
                         .sum::<usize>()
                 }
-                RaftRpc::AppendResponse { .. } => 24,
             }
     }
 }
@@ -897,29 +898,24 @@ mod tests {
     }
 
     #[test]
-    fn raft_append_size_scales_with_entries() {
-        let empty = RaftRpc::AppendEntries {
+    fn raft_fetch_reply_size_scales_with_entries() {
+        let reply = |entries| RaftRpc::FetchReply {
+            corr: 0,
             term: 1,
             leader: BrokerId(0),
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![],
-            leader_commit: 0,
+            after: 0,
+            entries,
+            commit: 0,
         };
-        let one = RaftRpc::AppendEntries {
-            term: 1,
-            leader: BrokerId(0),
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![(
-                1,
-                MetadataRecord::BrokerFenced {
-                    broker: BrokerId(3),
-                },
-            )],
-            leader_commit: 0,
+        let fenced = MetadataRecord::BrokerFenced {
+            broker: BrokerId(3),
         };
-        assert!(one.wire_size() > empty.wire_size());
+        let (empty, one) = (reply(vec![]), reply(vec![(1, fenced.clone())]));
+        assert_eq!(
+            one.wire_size() - empty.wire_size(),
+            8 + fenced.encoded_len()
+        );
+        assert!(empty.wire_size() > RPC_OVERHEAD);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   for cycles exactly like they do on stream2gym's single server,
 //! * [`Waiters`] — the one queue a server holds requests in until their
 //!   answer can change,
-//! * [`Election`] — Raft's leader election (term, one vote per term, log
-//!   freshness, randomized deadline), for every group that elects by vote.
+//! * [`Quorum`] — one replicated log that followers pull, with Raft's
+//!   leader election (term, one vote per term, log freshness, randomized
+//!   deadline), for every group that elects by vote.
 //!
 //! # Example
 //!
@@ -44,17 +45,17 @@
 #![warn(missing_docs)]
 
 mod cpu;
-mod election;
 mod process;
 pub(crate) mod queue;
+mod quorum;
 mod resources;
 mod sched;
 mod time;
 mod waiters;
 
 pub use cpu::{CpuHandle, HostCpu};
-pub use election::Election;
 pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
+pub use quorum::{Fetch, Intake, Quorum};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{
     Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimStats, Transport,

@@ -22,13 +22,15 @@
 //! the client only once a majority holds it, so an acknowledged write
 //! survives any minority of store crashes.
 //!
-//! The primary is elected by vote, with the Raft election every replicated
-//! group here shares ([`s2g_sim::Election`]). The group epoch is the
-//! election term, and each op-log entry carries the term it was written
-//! in. A member votes once per term, for a candidate whose (last entry
-//! term, applied sequence) is at least its own; a member still recovering
-//! from a restart votes for nobody. Member 0 leads term 0 at boot, so a
-//! group without faults holds no election.
+//! The group runs on [`s2g_sim::Quorum`], the replicated log the KRaft
+//! quorum runs on too: its election and its pulled op log. The primary is
+//! elected by vote; the group epoch is the election term, and each op-log
+//! entry carries the term it was written in. A member votes once per term,
+//! for a candidate whose (last entry term, applied sequence) is at least
+//! its own; a member still recovering from a restart votes for nobody.
+//! Member 0 leads term 0 at boot, so a group without faults holds no
+//! election. What only the store does stays here: the state transfer, the
+//! recovering member's rule and the client acks.
 //!
 //! Followers pull. Each keeps exactly one [`StoreRpc::Fetch`] outstanding
 //! at the primary, naming where its log ends: `after` and the term of that
@@ -50,10 +52,12 @@
 //! [`BlobClient`](crate::BlobClient) that rotates endpoints on timeout
 //! reaches the group through any live member.
 
+use std::collections::{BTreeMap, HashMap};
+
 use bytes::Bytes;
 use s2g_sim::{
-    downcast, Ctx, Election, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration,
-    SimTime, Waiters,
+    downcast, Ctx, Fetch, Intake, LedgerHandle, MemSlot, Message, Process, ProcessId, Quorum,
+    SimDuration, SimTime,
 };
 use s2g_telemetry::{GaugeHandle, Telemetry};
 
@@ -87,7 +91,7 @@ pub enum StoreOp {
 
 impl StoreOp {
     /// Approximate wire size of the op when replicated or synced.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         1 + match self {
             StoreOp::Put { key, value } => key.len() + value.len(),
             StoreOp::Delete { key } => key.len(),
@@ -170,21 +174,16 @@ pub enum StoreRpc {
         /// The proxied request.
         rpc: Box<StoreRpc>,
     },
-    /// Member → member: asks for the op-log suffix after `after`. Under the
-    /// receiver's own term, `after` also acknowledges every op up to it.
+    /// Member → member: asks for the op-log suffix after the sender's
+    /// highest applied sequence (`fetch.after`, an op of `fetch.last_term`).
+    /// Under the receiver's own term (`fetch.term`, the sender's group
+    /// epoch), it also acknowledges every op up to it. Its request id is
+    /// salted with the sender's incarnation.
     Fetch {
-        /// Request id, salted with the sender's incarnation.
-        corr: u64,
         /// Sender's member index.
         from: u32,
-        /// The sender's highest applied sequence.
-        after: u64,
-        /// The term of the sender's op at `after`.
-        last_term: u64,
-        /// Sender's group epoch (its election term).
-        epoch: u64,
-        /// Whether the sender has caught up and serves requests.
-        ready: bool,
+        /// Where the sender's log ends.
+        fetch: Fetch,
     },
     /// Op-log suffix transfer answering a [`StoreRpc::Fetch`];
     /// `entries[i]` carries seq `after + 1 + i`.
@@ -247,7 +246,7 @@ pub struct StateTransfer {
 
 impl StateTransfer {
     /// Approximate wire size of the transfer.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         8 + self
             .kv
             .iter()
@@ -368,121 +367,147 @@ struct PendingWrite {
 struct GroupState {
     members: Vec<ProcessId>,
     index: usize,
-    /// The term (the group epoch), this member's vote in it, its candidacy
-    /// and its election deadline.
-    election: Election<usize>,
-    /// The primary of the current term, when this member knows it.
-    primary: Option<usize>,
-    applied_seq: u64,
-    /// The retained operation log: `oplog[i]` holds seq `log_start + i + 1`
-    /// and the term it was written in. The primary truncates the prefix
-    /// every live member has acked (`log_start` advances), and followers
-    /// truncate to the primary's floor; members needing older history are
-    /// brought back by a full [`StateTransfer`] instead of replay.
-    oplog: Vec<(u64, StoreOp)>,
-    /// Sequences discarded from the front of `oplog` (0 = nothing
-    /// truncated yet).
-    log_start: u64,
-    /// The term of the op at `log_start` (0 when it is 0).
-    log_start_term: u64,
-    /// Lifetime count of ops this member truncated.
-    truncated_ops: u64,
-    ready: bool,
-    /// While primary: when each member last fetched from it.
-    peer_last_seen: Vec<SimTime>,
+    /// The election and the op log: op `seq` is log index `seq`, and the
+    /// group epoch is the term. The primary truncates the prefix every live
+    /// member holds, and followers truncate to the primary's floor; a
+    /// member needing older history is brought back by a full
+    /// [`StateTransfer`] instead of replay.
+    q: Quorum<StoreOp>,
     /// While recovering: the peers whose answer this member took.
     answered: Vec<bool>,
-    /// Each member's progress under this member's term: the `after` of its
-    /// latest fetch that matched this log. A restarted member reports less
-    /// than it once held, and that is what it holds.
-    peer_seq: Vec<u64>,
-    /// Writes awaiting quorum, keyed by seq.
-    pending_writes: std::collections::BTreeMap<u64, PendingWrite>,
-    /// The primary's held fetches, `(corr, after, last_term)` by member
-    /// index, answered by its next append or, empty, at their deadline.
-    parked: Waiters<usize, (u64, u64, u64)>,
-    /// This member's one outstanding fetch: `(corr, sent_at)`.
-    awaiting: Option<(u64, SimTime)>,
+    /// While primary: writes awaiting quorum, keyed by seq.
+    pending_writes: BTreeMap<u64, PendingWrite>,
     recovery: Option<StoreRecoveryInfo>,
 }
 
 impl GroupState {
-    fn quorum(&self) -> usize {
-        self.members.len() / 2 + 1
+    /// Answers, in member order, the held fetches the log has grown past
+    /// and then those whose deadline has come.
+    fn answer_held(&mut self, ctx: &mut Ctx<'_>, db: &Stores) {
+        let members = &self.members;
+        (self.q).answer_held(ctx.now(), |q, i, f| serve(db, q, ctx, members[i], f));
     }
 
-    fn leads(&self) -> bool {
-        self.primary == Some(self.index)
-    }
-
-    /// While primary: itself and the members that fetched from it within
-    /// `timeout`.
-    fn live(&self, now: SimTime, timeout: SimDuration) -> impl Iterator<Item = usize> + '_ {
-        let seen = move |i: &usize| now.saturating_since(self.peer_last_seen[*i]) <= timeout;
-        (0..self.members.len()).filter(move |i| *i == self.index || seen(i))
-    }
-
-    /// The term of the last op this member holds.
-    fn last_term(&self) -> u64 {
-        self.oplog.last().map_or(self.log_start_term, |(t, _)| *t)
-    }
-
-    /// The term of the op at `seq`, when this log holds it or starts there.
-    fn term_at(&self, seq: u64) -> Option<u64> {
-        match seq.checked_sub(self.log_start + 1) {
-            None => (seq == self.log_start).then_some(self.log_start_term),
-            Some(i) => self.oplog.get(i as usize).map(|(t, _)| *t),
-        }
-    }
-
-    /// Drops the op-log prefix up to `floor`, where this log holds it.
-    fn truncate_to(&mut self, floor: u64) {
-        let floor = floor.min(self.applied_seq);
-        if floor <= self.log_start {
+    /// Acks every pending write a majority now holds, the primary's own
+    /// progress counted with every peer's.
+    fn ack_held(&mut self, ctx: &mut Ctx<'_>, outbox: &mut Outbox) {
+        if self.pending_writes.is_empty() {
             return;
         }
-        let drop = (floor - self.log_start) as usize;
-        self.log_start_term = self.oplog[drop - 1].0;
-        self.oplog.drain(..drop);
-        self.truncated_ops += drop as u64;
-        self.log_start = floor;
-    }
-
-    /// Leaves the primary's role: held fetches are dropped (their members
-    /// fetch again) and so are pending writes (their clients retry through
-    /// the group).
-    fn step_down(&mut self, ctx: &mut Ctx<'_>) {
-        if self.leads() {
-            self.pending_writes.clear();
-            self.parked.drain().for_each(drop);
-            self.election.reset_deadline(ctx);
-        }
-        self.primary = None;
-    }
-
-    /// Follows `term` if it is newer than this member's: it no longer knows
-    /// the primary (a primary steps down), and a ready member sends its
-    /// fetch anew, to every peer.
-    fn follow_newer(&mut self, ctx: &mut Ctx<'_>, term: u64) {
-        if term <= self.election.term() {
+        let Some(held) = self.q.majority_held() else {
             return;
+        };
+        let waiting = self.pending_writes.split_off(&(held + 1));
+        let acked = std::mem::replace(&mut self.pending_writes, waiting);
+        for w in acked.into_values() {
+            outbox.send_after_cpu(ctx, w.client, w.ack);
         }
-        self.election.follow(term);
-        self.step_down(ctx);
-        if self.ready {
-            self.awaiting = None;
+    }
+}
+
+/// The KV and table stores, and the ledger slot their bytes go to.
+struct Stores {
+    kv: KvStore,
+    tables: TableStore,
+    mem: Option<(LedgerHandle, MemSlot)>,
+}
+
+impl Stores {
+    fn update_mem(&self) {
+        if let Some((ledger, slot)) = &self.mem {
+            let bytes = (self.kv.resident_bytes() + self.tables.resident_bytes()) as u64;
+            ledger.borrow_mut().set_dynamic(*slot, bytes);
         }
+    }
+
+    /// Applies one mutation. `Insert` races (a duplicate `CreateTable`
+    /// behind a lost-RPC retry) are tolerated: an already-existing table is
+    /// simply inserted into instead of panicking.
+    fn apply(&mut self, op: &StoreOp) -> StoreRpcOutcomeBits {
+        let mut bits = StoreRpcOutcomeBits {
+            existed: false,
+            ok: true,
+        };
+        match op {
+            StoreOp::Put { key, value } => {
+                self.kv.put(key.clone(), value.clone());
+            }
+            StoreOp::Delete { key } => {
+                bits.existed = self.kv.delete(key).is_some();
+            }
+            StoreOp::Insert { table, row } => {
+                if !self.tables.has_table(table) {
+                    let cols: Vec<String> = (0..row.len()).map(|i| format!("c{i}")).collect();
+                    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+                    match self.tables.create_table(table, &col_refs) {
+                        // `AlreadyExists` is not a bug: a duplicate
+                        // `CreateTable` can race a lost-RPC retry; fall
+                        // through to the insert either way.
+                        Ok(()) | Err(TableError::TableExists(_)) => {}
+                        Err(_) => {
+                            bits.ok = false;
+                            return bits;
+                        }
+                    }
+                }
+                bits.ok = self.tables.insert(table, row.clone()).is_ok();
+            }
+        }
+        self.update_mem();
+        bits
+    }
+
+    /// Everything held, as of an op of `term`. Each value is the map's
+    /// buffer, shared: the transfer copies keys, not blobs.
+    fn snapshot(&self, term: u64) -> StateTransfer {
+        StateTransfer {
+            kv: (self.kv.entries())
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+            tables: self.tables.dump(),
+            term,
+        }
+    }
+
+    /// Replaces everything held with `snap`.
+    fn install(&mut self, snap: StateTransfer) {
+        self.kv = KvStore::new();
+        self.tables = TableStore::new();
+        for (k, v) in snap.kv {
+            self.kv.put(k, v);
+        }
+        for (name, cols, rows) in snap.tables {
+            let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let _ = self.tables.create_table(&name, &col_refs);
+            for row in rows {
+                let _ = self.tables.insert(&name, row);
+            }
+        }
+        self.update_mem();
+    }
+}
+
+/// Replies sent once the CPU work of their request is done.
+struct Outbox {
+    cpu_per_op: SimDuration,
+    pending: HashMap<u64, (ProcessId, StoreRpc)>,
+    next_tag: u64,
+}
+
+impl Outbox {
+    fn send_after_cpu(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, rpc: StoreRpc) {
+        let tag = tags::CPU_BASE + self.next_tag;
+        self.next_tag += 1;
+        self.pending.insert(tag, (to, rpc));
+        ctx.exec(self.cpu_per_op, tag);
     }
 }
 
 /// The store server process.
 pub struct StoreServer {
     cfg: StoreConfig,
-    kv: KvStore,
-    tables: TableStore,
-    pending: std::collections::HashMap<u64, (ProcessId, StoreRpc)>,
-    next_tag: u64,
-    mem: Option<(LedgerHandle, MemSlot)>,
+    db: Stores,
+    outbox: Outbox,
     group: Option<GroupState>,
     /// The next fetch correlation id; the incarnation is its high half.
     next_corr: u64,
@@ -499,12 +524,17 @@ impl StoreServer {
     pub fn new(cfg: StoreConfig) -> Self {
         let (tele, name) = (Telemetry::new(), "store");
         StoreServer {
+            db: Stores {
+                kv: KvStore::new(),
+                tables: TableStore::new(),
+                mem: None,
+            },
+            outbox: Outbox {
+                cpu_per_op: cfg.cpu_per_op,
+                pending: HashMap::new(),
+                next_tag: 0,
+            },
             cfg,
-            kv: KvStore::new(),
-            tables: TableStore::new(),
-            pending: std::collections::HashMap::new(),
-            next_tag: 0,
-            mem: None,
             group: None,
             next_corr: 0,
             oplog_len_gauge: tele.gauge(name, "oplog_len"),
@@ -547,7 +577,7 @@ impl StoreServer {
 
     /// Attaches a memory-ledger slot.
     pub fn set_mem_slot(&mut self, ledger: LedgerHandle, slot: MemSlot) {
-        self.mem = Some((ledger, slot));
+        self.db.mem = Some((ledger, slot));
     }
 
     /// Joins this server to a replication group. `members` lists every
@@ -564,25 +594,15 @@ impl StoreServer {
     ///
     /// Panics if `index` is out of range.
     pub fn set_group(&mut self, members: Vec<ProcessId>, index: usize, recovering: bool) {
-        assert!(index < members.len(), "group index out of range");
         let (n, cfg) = (members.len(), &self.cfg);
+        let (timeout, beat) = (cfg.group_session_timeout, cfg.group_heartbeat_interval);
+        let leader = (!recovering).then_some(0);
         self.group = Some(GroupState {
             members,
             index,
-            election: Election::new(cfg.group_session_timeout, cfg.group_heartbeat_interval),
-            primary: (!recovering).then_some(0),
-            applied_seq: 0,
-            oplog: Vec::new(),
-            log_start: 0,
-            log_start_term: 0,
-            truncated_ops: 0,
-            ready: !recovering,
-            peer_last_seen: vec![SimTime::ZERO; n],
+            q: Quorum::new(n, index, leader, !recovering, timeout, beat, beat),
             answered: vec![false; n],
-            peer_seq: vec![0; n],
-            pending_writes: std::collections::BTreeMap::new(),
-            parked: Waiters::default(),
-            awaiting: None,
+            pending_writes: BTreeMap::new(),
             recovery: None,
         });
     }
@@ -591,29 +611,29 @@ impl StoreServer {
     pub fn is_primary(&self) -> bool {
         match &self.group {
             None => true,
-            Some(g) => g.ready && g.leads(),
+            Some(g) => g.q.ready() && g.q.leads(),
         }
     }
 
     /// The group epoch, its election term (0 when standalone).
     pub fn group_epoch(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.election.term())
+        self.group.as_ref().map_or(0, |g| g.q.term())
     }
 
     /// The highest contiguously applied group-log sequence (0 standalone).
     pub fn applied_seq(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.applied_seq)
+        self.group.as_ref().map_or(0, |g| g.q.log_end())
     }
 
     /// Op-log entries currently retained (0 standalone) — bounded on every
     /// member by peer-acked truncation instead of growing with run length.
     pub fn oplog_len(&self) -> usize {
-        self.group.as_ref().map_or(0, |g| g.oplog.len())
+        self.group.as_ref().map_or(0, |g| g.q.entries().len())
     }
 
     /// Ops this member discarded via peer-acked truncation.
     pub fn oplog_truncated(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.truncated_ops)
+        self.group.as_ref().map_or(0, |g| g.q.truncated())
     }
 
     /// Recovery details when this member incarnation rejoined its group.
@@ -623,69 +643,18 @@ impl StoreServer {
 
     /// The KV store (post-run inspection).
     pub fn kv(&self) -> &KvStore {
-        &self.kv
+        &self.db.kv
     }
 
     /// The table store (post-run inspection).
     pub fn tables(&self) -> &TableStore {
-        &self.tables
+        &self.db.tables
     }
 
     /// Mutable table access (e.g. pre-creating schemas before a run).
     #[cfg(test)]
     fn tables_mut(&mut self) -> &mut TableStore {
-        &mut self.tables
-    }
-
-    fn update_mem(&mut self) {
-        if let Some((ledger, slot)) = &self.mem {
-            let bytes = (self.kv.resident_bytes() + self.tables.resident_bytes()) as u64;
-            ledger.borrow_mut().set_dynamic(*slot, bytes);
-        }
-    }
-
-    fn respond_after_cpu(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, rpc: StoreRpc) {
-        let tag = tags::CPU_BASE + self.next_tag;
-        self.next_tag += 1;
-        self.pending.insert(tag, (to, rpc));
-        ctx.exec(self.cfg.cpu_per_op, tag);
-    }
-
-    /// Applies one mutation to the local stores. `Insert` races (a duplicate
-    /// `CreateTable` behind a lost-RPC retry) are tolerated: an
-    /// already-existing table is simply inserted into instead of panicking.
-    fn apply_op(&mut self, op: &StoreOp) -> StoreRpcOutcomeBits {
-        let mut bits = StoreRpcOutcomeBits {
-            existed: false,
-            ok: true,
-        };
-        match op {
-            StoreOp::Put { key, value } => {
-                self.kv.put(key.clone(), value.clone());
-            }
-            StoreOp::Delete { key } => {
-                bits.existed = self.kv.delete(key).is_some();
-            }
-            StoreOp::Insert { table, row } => {
-                if !self.tables.has_table(table) {
-                    let cols: Vec<String> = (0..row.len()).map(|i| format!("c{i}")).collect();
-                    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    match self.tables.create_table(table, &col_refs) {
-                        // `AlreadyExists` is not a bug: a duplicate
-                        // `CreateTable` can race a lost-RPC retry; fall
-                        // through to the insert either way.
-                        Ok(()) | Err(TableError::TableExists(_)) => {}
-                        Err(_) => {
-                            bits.ok = false;
-                            return bits;
-                        }
-                    }
-                }
-                bits.ok = self.tables.insert(table, row.clone()).is_ok();
-            }
-        }
-        self.update_mem();
-        bits
+        &mut self.db.tables
     }
 
     /// Builds the client-facing ack for request `corr`, which asked for
@@ -705,48 +674,29 @@ impl StoreServer {
     /// move the op into the group log under the current term, answer the
     /// fetches parked for this append, and ack once a majority holds it.
     fn primary_mutate(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, corr: u64, op: StoreOp) {
-        let bits = self.apply_op(&op);
+        let bits = self.db.apply(&op);
         let ack = Self::ack_for(&op, corr, bits);
         let Some(g) = self.group.as_mut() else {
             // Standalone: ack immediately (the original single-server path).
-            self.respond_after_cpu(ctx, from, ack);
+            self.outbox.send_after_cpu(ctx, from, ack);
             return;
         };
-        g.applied_seq += 1;
-        g.oplog.push((g.election.term(), op));
+        g.q.push(g.q.term(), op);
         let write = PendingWrite { client: from, ack };
-        g.pending_writes.insert(g.applied_seq, write);
+        g.pending_writes.insert(g.q.log_end(), write);
         // A single-member group holds a majority by itself.
-        self.pump_quorum(ctx);
-        self.answer_holds(ctx, SimTime::MAX);
-    }
-
-    /// Acks every pending write a majority now holds, the primary's own
-    /// progress counted with every peer's.
-    fn pump_quorum(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(g) = self.group.as_mut() else { return };
-        if g.pending_writes.is_empty() {
-            return;
-        }
-        let mut progress = g.peer_seq.clone();
-        progress[g.index] = g.applied_seq;
-        progress.sort_unstable_by(|a, b| b.cmp(a));
-        let held = progress[g.quorum() - 1];
-        let waiting = g.pending_writes.split_off(&(held + 1));
-        let acked = std::mem::replace(&mut g.pending_writes, waiting);
-        for w in acked.into_values() {
-            self.respond_after_cpu(ctx, w.client, w.ack);
-        }
+        g.ack_held(ctx, &mut self.outbox);
+        g.answer_held(ctx, &self.db);
     }
 
     /// Handles a client-facing RPC (possibly proxied). `origin` is who gets
     /// the answer.
     fn handle_client_rpc(&mut self, ctx: &mut Ctx<'_>, origin: ProcessId, rpc: StoreRpc) {
-        if let Some(g) = self.group.as_ref().filter(|g| !g.leads()) {
+        if let Some(g) = self.group.as_ref().filter(|g| !g.q.leads()) {
             // Proxy to the primary, which answers the origin directly. A
             // member that is recovering or knows no primary serves nothing:
             // client retries rotate onward.
-            if let Some(primary) = g.primary.filter(|_| g.ready) {
+            if let Some(primary) = g.q.leader().filter(|_| g.q.ready()) {
                 let rpc = Box::new(rpc);
                 ctx.send(g.members[primary], StoreRpc::Forward { origin, rpc });
             }
@@ -754,8 +704,8 @@ impl StoreServer {
         }
         match rpc {
             StoreRpc::Get { corr, key } => {
-                let value = self.kv.get_counted(&key);
-                self.respond_after_cpu(ctx, origin, StoreRpc::GetResult { corr, value });
+                let value = self.db.kv.get_counted(&key);
+                (self.outbox).send_after_cpu(ctx, origin, StoreRpc::GetResult { corr, value });
             }
             StoreRpc::Put { corr, key, value } => {
                 self.primary_mutate(ctx, origin, corr, StoreOp::Put { key, value });
@@ -770,91 +720,38 @@ impl StoreServer {
         }
     }
 
-    /// Takes a member's fetch. A fetch under a newer term deposes this
-    /// member first. The primary answers it from its log: it holds a ready
-    /// follower's fetch of its own term that matches its log and has
-    /// nothing after it, one per member (a newer fetch replaces the older),
-    /// until its next append or for a heartbeat interval. A fetch that
-    /// matches its log under its term is that member's progress. Any other
-    /// member answers only a member recovering from a restart, with what
-    /// it holds.
-    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, fetch: StoreRpc) {
-        let StoreRpc::Fetch {
-            corr,
-            from,
-            after,
-            last_term,
-            epoch,
-            ready,
-        } = fetch
-        else {
-            return;
-        };
-        let (now, hold) = (ctx.now(), self.cfg.group_heartbeat_interval);
+    /// Takes member `from`'s fetch, sent under `epoch`. A newer term
+    /// deposes this member first. The primary holds a ready member's fetch
+    /// that matches its log and has nothing after it until its next append
+    /// or for a heartbeat interval, and answers any other at once; a fetch
+    /// that matches its log under its term is that member's progress, and
+    /// the primary then truncates the prefix that it and every live member
+    /// hold (its replies carry the floor to its followers). Any other
+    /// member answers only a member recovering from a restart, with what it
+    /// holds.
+    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, from: u32, fetch: Fetch) {
         let Some(g) = self.group.as_mut() else { return };
         let i = from as usize;
         if i >= g.members.len() || i == g.index {
             return;
         }
-        g.follow_newer(ctx, epoch);
-        if !g.leads() {
-            if !ready {
-                self.serve_fetch(ctx, i, corr, after, last_term);
+        let intake = g.q.take_fetch(ctx, i, fetch);
+        if intake == Intake::Pass {
+            if !fetch.ready {
+                serve(&self.db, &g.q, ctx, g.members[i], fetch);
             }
             return;
         }
-        g.peer_last_seen[i] = now;
-        let current = epoch == g.election.term() && g.term_at(after) == Some(last_term);
-        if current {
-            // The primary truncates the prefix that it and every live
-            // member hold; its replies carry the floor to its followers.
-            g.peer_seq[i] = after;
-            let timeout = self.cfg.group_session_timeout;
-            let live = g.live(now, timeout).filter(|j| *j != g.index);
-            let floor = live.map(|j| g.peer_seq[j]).min();
-            g.truncate_to(floor.unwrap_or(g.applied_seq));
+        if matches!(intake, Intake::Held | Intake::Answer { current: true }) {
+            g.q.compact(ctx.now());
         }
-        if current && ready && after == g.applied_seq {
-            g.parked.hold(i, (corr, after, last_term), Some(now + hold));
-            ctx.set_timer(hold, tags::HOLD_EXPIRY);
-        } else {
-            g.parked.take(&i);
-            self.serve_fetch(ctx, i, corr, after, last_term);
+        match intake {
+            Intake::Held => {
+                ctx.set_timer(self.cfg.group_heartbeat_interval, tags::HOLD_EXPIRY);
+            }
+            _ => serve(&self.db, &g.q, ctx, g.members[i], fetch),
         }
-        self.pump_quorum(ctx);
-    }
-
-    /// Sends member `to` this member's log after `after`: the suffix, or
-    /// the full state when this log does not hold the fetcher's op at
-    /// `after` under `last_term` — it was truncated away by peer-acked
-    /// cleaning, or the fetcher's tail diverges from this log.
-    fn serve_fetch(&self, ctx: &mut Ctx<'_>, to: usize, corr: u64, after: u64, last_term: u64) {
-        let g = self.group.as_ref().expect("grouped");
-        let (after, entries, snapshot) = if g.term_at(after) != Some(last_term) {
-            // Each value is the map's buffer, shared: the transfer copies
-            // keys, not blobs.
-            let kv = self.kv.entries();
-            let snapshot = StateTransfer {
-                kv: kv.map(|(k, v)| (k.clone(), v.clone())).collect(),
-                tables: self.tables.dump(),
-                term: g.last_term(),
-            };
-            (g.applied_seq, Vec::new(), Some(snapshot))
-        } else {
-            // Keys are copied; each value is the log's buffer, shared.
-            let entries = g.oplog[(after - g.log_start) as usize..].to_vec();
-            (after, entries, None)
-        };
-        let reply = StoreRpc::FetchReply {
-            corr,
-            epoch: g.election.term(),
-            leads: g.leads(),
-            after,
-            entries,
-            snapshot,
-            floor: g.log_start,
-        };
-        ctx.send(g.members[to], reply);
+        g.ack_held(ctx, &mut self.outbox);
     }
 
     /// Takes a fetch reply. The member follows a newer term, and takes the
@@ -882,33 +779,19 @@ impl StoreServer {
         else {
             return;
         };
-        {
-            let Some(g) = self.group.as_mut() else { return };
-            let Some(i) = g.members.iter().position(|p| *p == from) else {
-                return;
-            };
-            if g.ready && epoch < g.election.term() {
-                return;
-            }
-            g.follow_newer(ctx, epoch);
-            if leads && epoch == g.election.term() {
-                g.election.follow(epoch);
-                g.primary = Some(i);
-                g.election.hold_off(ctx.now());
-            }
-            if g.awaiting.map(|(c, _)| c) != Some(corr) {
-                return;
-            }
-            if !g.ready {
-                g.answered[i] = true;
-            }
-            g.awaiting = None;
+        let Some(g) = self.group.as_mut() else { return };
+        let Some(i) = g.members.iter().position(|p| *p == from) else {
+            return;
+        };
+        if !g.q.take_reply(ctx, corr, epoch, leads.then_some(i)) {
+            return;
         }
-        let g = self.group.as_ref().expect("grouped");
-        let ours = (g.last_term(), g.applied_seq);
+        let ready = g.q.ready();
+        g.answered[i] |= !ready;
         // A recovering member takes a state only if it is fresher than the
         // one an earlier answer gave it.
-        let snapshot = snapshot.filter(|snap| g.ready || (snap.term, after) > ours);
+        let ours = (g.q.last_term(), g.q.log_end());
+        let snapshot = snapshot.filter(|snap| ready || (snap.term, after) > ours);
         let (mut sync_ops, mut sync_bytes) = (0u64, 0u64);
         if let Some(snap) = snapshot {
             // Bootstrap from the full state transfer: install it, adopt the
@@ -916,47 +799,29 @@ impl StoreServer {
             sync_bytes += snap.wire_size() as u64;
             let rows: usize = snap.tables.iter().map(|(_, _, rows)| rows.len()).sum();
             sync_ops += (snap.kv.len() + rows) as u64;
-            self.kv = KvStore::new();
-            self.tables = TableStore::new();
-            for (k, v) in snap.kv {
-                self.kv.put(k, v);
-            }
-            for (name, cols, rows) in snap.tables {
-                let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                let _ = self.tables.create_table(&name, &col_refs);
-                for row in rows {
-                    let _ = self.tables.insert(&name, row);
-                }
-            }
-            self.update_mem();
-            let g = self.group.as_mut().expect("grouped");
-            g.oplog.clear();
-            g.applied_seq = after;
-            g.log_start = after;
-            g.log_start_term = snap.term;
+            g.q.restart(after, snap.term);
+            self.db.install(snap);
         }
         for (seq, (term, op)) in (after + 1..).zip(entries) {
-            if seq != self.applied_seq() + 1 {
+            if seq != g.q.log_end() + 1 {
                 continue; // already applied
             }
-            self.apply_op(&op);
+            self.db.apply(&op);
             sync_ops += 1;
             sync_bytes += op.wire_size() as u64;
-            let g = self.group.as_mut().expect("grouped");
-            g.applied_seq = seq;
-            g.oplog.push((term, op));
+            g.q.push(term, op);
         }
-        let g = self.group.as_mut().expect("grouped");
-        g.truncate_to(floor);
-        if let Some(r) = g.recovery.as_mut().filter(|_| !g.ready) {
+        g.q.truncate_to(floor);
+        if ready {
+            return;
+        }
+        if let Some(r) = g.recovery.as_mut() {
             r.sync_ops += sync_ops;
             r.sync_bytes += sync_bytes;
         }
-        let answers = g.answered.iter().filter(|a| **a).count();
-        if !g.ready && answers > g.members.len() - g.quorum() {
-            g.ready = true;
-            g.election.abstain(g.index);
-            g.election.reset_deadline(ctx);
+        let (n, answers) = (g.answered.len(), g.answered.iter().filter(|a| **a).count());
+        if answers > n - (n / 2 + 1) {
+            g.q.set_ready(ctx);
             if let Some(r) = g.recovery.as_mut() {
                 r.resynced_at = Some(ctx.now());
             }
@@ -970,134 +835,88 @@ impl StoreServer {
     fn handle_vote(&mut self, ctx: &mut Ctx<'_>, from: u32, term: u64, last_term: u64, at: u64) {
         let Some(g) = self.group.as_mut() else { return };
         let i = from as usize;
-        if !g.ready || i >= g.members.len() {
+        if !g.q.ready() || i >= g.members.len() {
             return;
         }
-        g.follow_newer(ctx, term);
-        let ours = (g.last_term(), g.applied_seq);
-        let granted = g.election.grant(term, i, (last_term, at), ours);
-        if granted {
-            g.election.reset_deadline(ctx);
-        }
-        let (term, from) = (g.election.term(), g.index as u32);
-        ctx.send(
-            g.members[i],
-            StoreRpc::VoteReply {
-                term,
-                from,
-                granted,
-            },
-        );
+        let granted = g.q.vote(ctx, term, i, (last_term, at));
+        let (term, from) = (g.q.term(), g.index as u32);
+        let reply = StoreRpc::VoteReply {
+            term,
+            from,
+            granted,
+        };
+        ctx.send(g.members[i], reply);
     }
 
-    /// Counts a member's answer to this member's candidacy. The winner
-    /// leads its term: it counts progress afresh and takes every member as
-    /// live until it has had a session timeout to hear from it.
-    fn handle_vote_reply(&mut self, ctx: &mut Ctx<'_>, from: u32, term: u64, granted: bool) {
+    /// The election timer: the primary steps down when no majority has
+    /// fetched from it for a session timeout, and a ready member that is
+    /// not the primary stands once its election deadline has passed,
+    /// asking every peer for its vote. One timer is kept armed: at the
+    /// deadline, which replies may have put off by the time it fires, or a
+    /// session timeout on.
+    fn election_timer(&mut self, ctx: &mut Ctx<'_>) {
         let Some(g) = self.group.as_mut() else { return };
-        g.follow_newer(ctx, term);
-        let quorum = g.quorum();
-        if g.election.tally(term, from as usize, granted, quorum) {
-            g.primary = Some(g.index);
-            g.awaiting = None;
-            g.peer_seq.fill(0);
-            g.peer_last_seen.fill(ctx.now());
-        }
-    }
-
-    /// Stands for election: the next term, this member's own vote, and a
-    /// request for every peer's.
-    fn stand(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(g) = self.group.as_mut() else { return };
-        let term = g.election.stand(g.index);
-        g.primary = None;
-        g.election.reset_deadline(ctx);
-        let (from, last_term, applied) = (g.index as u32, g.last_term(), g.applied_seq);
-        for p in (g.members.iter()).filter(|p| **p != g.members[g.index]) {
-            ctx.send(
-                *p,
-                StoreRpc::Vote {
+        let (stood, next) = g.q.tick(ctx);
+        if stood {
+            let (term, from) = (g.q.term(), g.index as u32);
+            let (last_term, applied) = (g.q.last_term(), g.q.log_end());
+            for (_, &pid) in g.members.iter().enumerate().filter(|(j, _)| *j != g.index) {
+                let vote = StoreRpc::Vote {
                     term,
                     from,
                     last_term,
                     applied,
-                },
-            );
-        }
-    }
-
-    /// Sends this member's one fetch — to member `to`, or to every peer
-    /// when `None` (it knows no primary: the first answer wins) —
-    /// superseding any fetch still out.
-    fn send_fetch(&mut self, ctx: &mut Ctx<'_>, to: Option<usize>) {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let Some(g) = self.group.as_mut() else { return };
-        g.awaiting = Some((corr, ctx.now()));
-        let fetch = StoreRpc::Fetch {
-            corr,
-            from: g.index as u32,
-            after: g.applied_seq,
-            last_term: g.last_term(),
-            epoch: g.election.term(),
-            ready: g.ready,
-        };
-        match to {
-            Some(i) => ctx.send(g.members[i], fetch),
-            None => {
-                let ask =
-                    (0..g.members.len()).filter(|i| *i != g.index && (g.ready || !g.answered[*i]));
-                for i in ask {
-                    ctx.send(g.members[i], fetch.clone());
-                }
+                };
+                ctx.send(pid, vote);
             }
         }
+        ctx.set_timer_at(next, tags::ELECTION);
     }
 
     /// Keeps one fetch outstanding on every member but the primary: a new
     /// one when none is out or the one out is `stale_after` old — a fetch
-    /// or reply was lost, or the primary died.
+    /// or reply was lost, or the primary died. It goes to the primary, or
+    /// to every peer when the member knows none (the first answer wins) or
+    /// is recovering (to each peer that has not answered yet).
     fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) {
-        let Some(g) = self.group.as_ref() else { return };
-        let stale =
-            (g.awaiting).is_none_or(|(_, at)| ctx.now().saturating_since(at) >= stale_after);
-        if stale && !g.leads() {
-            self.send_fetch(ctx, g.primary.filter(|_| g.ready));
-        }
-    }
-
-    /// The election timer. A ready member that is not the primary stands
-    /// once its election deadline has passed, and the primary steps down
-    /// when no majority has fetched from it for a session timeout. One
-    /// timer is kept armed: at the deadline, which replies may have put off
-    /// by the time it fires, or a session timeout on.
-    fn election_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let (now, timeout) = (ctx.now(), self.cfg.group_session_timeout);
         let Some(g) = self.group.as_mut() else { return };
-        if g.leads() && g.live(now, timeout).count() < g.quorum() {
-            g.step_down(ctx);
-        } else if g.ready && !g.leads() && now >= g.election.deadline() {
-            self.stand(ctx);
+        if g.q.fetch_due_at(stale_after) > ctx.now() {
+            return;
         }
-        let g = self.group.as_ref().expect("grouped");
-        let at = match g.ready && !g.leads() {
-            true => g.election.deadline(),
-            false => now + timeout,
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        let (fetch, to) = g.q.fetch(ctx.now(), corr);
+        let from = g.index as u32;
+        let ask = |j: usize| match to {
+            Some(to) => j == to,
+            None => j != g.index && (fetch.ready || !g.answered[j]),
         };
-        ctx.set_timer_at(at, tags::ELECTION);
+        for (_, &pid) in g.members.iter().enumerate().filter(|(j, _)| ask(*j)) {
+            ctx.send(pid, StoreRpc::Fetch { from, fetch });
+        }
     }
+}
 
-    /// Answers every held fetch whose deadline is at or before `upto`, in
-    /// member order: all of them after an append, and at a deadline the
-    /// ones due, empty.
-    fn answer_holds(&mut self, ctx: &mut Ctx<'_>, upto: SimTime) {
-        let Some(g) = self.group.as_mut() else { return };
-        let mut parked = std::mem::take(&mut g.parked);
-        parked.expire(upto, |i, (corr, after, last_term)| {
-            self.serve_fetch(ctx, *i, corr, after, last_term);
-        });
-        self.group.as_mut().expect("grouped").parked = parked;
-    }
+/// Sends member `to` the log after `fetch`'s end: the suffix, or the full
+/// state when this log does not hold the fetcher's last op under its term —
+/// it was truncated away by peer-acked cleaning, or the fetcher's tail
+/// diverges from this log.
+fn serve(db: &Stores, q: &Quorum<StoreOp>, ctx: &mut Ctx<'_>, to: ProcessId, fetch: Fetch) {
+    let (after, entries, snapshot) = match q.suffix(&fetch) {
+        // Keys are copied; each value is the log's buffer, shared.
+        Some(entries) => (fetch.after, entries.to_vec(), None),
+        None => (q.log_end(), Vec::new(), Some(db.snapshot(q.last_term()))),
+    };
+    let reply = StoreRpc::FetchReply {
+        corr: fetch.corr,
+        epoch: q.term(),
+        leads: q.leads(),
+        after,
+        entries,
+        snapshot,
+        floor: q.log_start(),
+    };
+    ctx.send(to, reply);
 }
 
 /// Per-op outcome bits threaded into client acks.
@@ -1116,11 +935,9 @@ impl Process for StoreServer {
         ctx.charge(self.cfg.startup_cpu);
         ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
         let Some(g) = self.group.as_mut() else { return };
-        let now = ctx.now();
-        // Until they fetch, every member counts as live: a fresh primary
-        // does not step down at once, nor truncate past a peer.
-        g.peer_last_seen.fill(now);
-        if !g.ready {
+        g.q.start(ctx);
+        if !g.q.ready() {
+            let now = ctx.now();
             g.recovery = Some(StoreRecoveryInfo {
                 restarted_at: now,
                 resynced_at: None,
@@ -1129,8 +946,6 @@ impl Process for StoreServer {
             });
             self.tele
                 .trace_begin(now, &self.name, "recovery:resync", "recovery");
-        } else if !g.leads() {
-            g.election.reset_deadline(ctx);
         }
         ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_TICK);
         self.election_timer(ctx);
@@ -1150,7 +965,7 @@ impl Process for StoreServer {
                     self.handle_client_rpc(ctx, origin, *rpc);
                 }
             }
-            fetch @ StoreRpc::Fetch { .. } => self.handle_fetch(ctx, fetch),
+            StoreRpc::Fetch { from: idx, fetch } => self.handle_fetch(ctx, idx, fetch),
             reply @ StoreRpc::FetchReply { .. } => self.handle_fetch_reply(ctx, from, reply),
             StoreRpc::Vote {
                 term,
@@ -1162,7 +977,14 @@ impl Process for StoreServer {
                 term,
                 from: idx,
                 granted,
-            } => self.handle_vote_reply(ctx, idx, term, granted),
+            } => {
+                if let Some(g) = self.group.as_mut() {
+                    // A new primary's writes start afresh.
+                    if g.q.tally(ctx, term, idx as usize, granted) {
+                        g.pending_writes.clear();
+                    }
+                }
+            }
             client_rpc @ (StoreRpc::Put { .. }
             | StoreRpc::Get { .. }
             | StoreRpc::Delete { .. }
@@ -1192,7 +1014,11 @@ impl Process for StoreServer {
                 self.telemetry_gauges();
                 ctx.set_timer(self.cfg.group_heartbeat_interval, tags::GROUP_TICK);
             }
-            tags::HOLD_EXPIRY => self.answer_holds(ctx, ctx.now()),
+            tags::HOLD_EXPIRY => {
+                if let Some(g) = self.group.as_mut() {
+                    g.answer_held(ctx, &self.db);
+                }
+            }
             tags::ELECTION => self.election_timer(ctx),
             _ => {}
         }
@@ -1200,7 +1026,7 @@ impl Process for StoreServer {
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if tag >= tags::CPU_BASE {
-            if let Some((to, rpc)) = self.pending.remove(&tag) {
+            if let Some((to, rpc)) = self.outbox.pending.remove(&tag) {
                 ctx.send(to, rpc);
             }
         }
@@ -1210,8 +1036,8 @@ impl Process for StoreServer {
 impl std::fmt::Debug for StoreServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreServer")
-            .field("kv_keys", &self.kv.len())
-            .field("table_rows", &self.tables.total_rows())
+            .field("kv_keys", &self.db.kv.len())
+            .field("table_rows", &self.db.tables.total_rows())
             .field("primary", &self.is_primary())
             .finish()
     }
@@ -1521,7 +1347,7 @@ mod tests {
             };
             let had = matches!(&op, StoreOp::Put { key, .. } if server.kv().get(key).is_some());
             overwrites += u32::from(had);
-            let bits = server.apply_op(&op);
+            let bits = server.db.apply(&op);
             misses += u32::from(matches!(op, StoreOp::Delete { .. }) && !bits.existed);
             rejected += u32::from(!bits.ok);
             let dynamic = ledger.borrow().components().next().expect("one slot").2;
@@ -1592,9 +1418,9 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
     }
 
-    fn group(sim: &Sim, pid: ProcessId) -> &GroupState {
+    fn quorum(sim: &Sim, pid: ProcessId) -> &Quorum<StoreOp> {
         let server = sim.process_ref::<StoreServer>(pid).expect("a store server");
-        server.group.as_ref().expect("grouped")
+        &server.group.as_ref().expect("a group member").q
     }
 
     fn at_micros(us: u64) -> SimTime {
@@ -1621,16 +1447,16 @@ mod tests {
         ];
         let server = sim.process_mut::<StoreServer>(primary).unwrap();
         server.set_group(members.clone(), 0, false);
-        let fetch = |epoch: u64, after: u64, last_term: u64| {
+        let fetch = |term: u64, after: u64, last_term: u64| {
             let (corr, from, ready) = (0, 2, true);
-            StoreRpc::Fetch {
+            let fetch = Fetch {
                 corr,
-                from,
                 after,
                 last_term,
-                epoch,
+                term,
                 ready,
-            }
+            };
+            StoreRpc::Fetch { from, fetch }
         };
         // Member 0 leads term 0, where a write (seq 1) waits for a quorum.
         let first = Writer::spawn(&mut sim, primary, at_micros(1_000), 1, 1);
@@ -1653,7 +1479,7 @@ mod tests {
         // Member 1 never leads, so member 0 stands in term 2 and wins it
         // with member 2's vote.
         let mut now = at_micros(50_000);
-        while group(&sim, primary).election.term() < 2 {
+        while quorum(&sim, primary).term() < 2 {
             now += SimDuration::from_millis(10);
             assert!(now < SimTime::from_secs(5), "member 0 never stood");
             sim.run_until(now);
@@ -1780,11 +1606,11 @@ mod tests {
         let write = SimTime::from_millis(1_100);
         let writer = Writer::spawn(&mut sim, pids[0], write, 1, bytes);
         sim.run_until(write + SimDuration::from_millis(100));
-        assert_eq!(group(&sim, pids[1]).applied_seq, 0, "the reply was lost");
-        assert_eq!(group(&sim, pids[2]).applied_seq, 1);
+        assert_eq!(quorum(&sim, pids[1]).log_end(), 0, "the reply was lost");
+        assert_eq!(quorum(&sim, pids[2]).log_end(), 1);
         let two_intervals = StoreConfig::default().group_heartbeat_interval * 2;
         sim.run_until(write + two_intervals);
-        assert_eq!(group(&sim, pids[1]).applied_seq, 1);
+        assert_eq!(quorum(&sim, pids[1]).log_end(), 1);
         assert_eq!(sim.process_ref::<Writer>(writer).unwrap().acked.len(), 1);
     }
 
@@ -1798,13 +1624,14 @@ mod tests {
         while t < burst + SimDuration::from_millis(500) {
             sim.run_until(t);
             for follower in &pids[1..] {
-                assert!(group(&sim, *follower).awaiting.is_some(), "at {t}");
+                let due = quorum(&sim, *follower).fetch_due_at(SimDuration::MAX);
+                assert_eq!(due, SimTime::MAX, "a fetch is out at {t}");
             }
             t += SimDuration::from_millis(1);
         }
         assert_eq!(sim.process_ref::<Writer>(writer).unwrap().acked.len(), 200);
         for pid in &pids {
-            assert_eq!(group(&sim, *pid).applied_seq, 200);
+            assert_eq!(quorum(&sim, *pid).log_end(), 200);
         }
     }
 
@@ -1883,7 +1710,7 @@ mod tests {
         sim.kill(pids[2]);
         sim.run_until(SimTime::from_secs(3));
         for pid in &pids[..2] {
-            assert!(group(&sim, *pid).log_start >= 1, "the put was truncated");
+            assert!(quorum(&sim, *pid).log_start() >= 1, "the put was truncated");
         }
         let mut rejoin = StoreServer::new(StoreConfig::default());
         rejoin.set_incarnation(1);
@@ -1891,7 +1718,7 @@ mod tests {
         sim.respawn(pids[2], Box::new(rejoin));
         sim.run_until(get_at + SimDuration::from_secs(1));
         assert_eq!(
-            group(&sim, pids[2]).log_start,
+            quorum(&sim, pids[2]).log_start(),
             1,
             "bootstrapped, not replayed"
         );
