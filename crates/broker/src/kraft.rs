@@ -615,10 +615,9 @@ mod tests {
         let registered = |broker| MetadataRecord::BrokerRegistered {
             broker: BrokerId(broker),
         };
-        // Member 1001 leads term 1. Its answer to the member's first fetch
-        // (sent in term 0, and dropped for the newer term) makes it the
-        // leader; it answers the next two with two entries, then with the
-        // commit of the first.
+        // Member 1001 leads term 1. It answers the member's first fetch
+        // (sent in term 0) with two entries, which makes it the leader,
+        // then the next with the commit of the first.
         let reply = |corr, after, entries, commit| RaftRpc::FetchReply {
             corr,
             term: 1,
@@ -628,13 +627,12 @@ mod tests {
             commit,
         };
         let entries = vec![(1, registered(5)), (1, registered(6))];
-        sim.inject_at(SimTime::from_millis(1), me, reply(0, 0, vec![], 0));
-        sim.inject_at(SimTime::from_millis(2), me, reply(1, 0, entries, 0));
+        sim.inject_at(SimTime::from_millis(2), me, reply(0, 0, entries, 0));
         sim.run_until(SimTime::from_millis(3));
         let follower = member(&sim, me);
         assert_eq!((follower.raft_log().len(), follower.committed()), (2, 0));
         assert!(follower.decisions().is_empty(), "nothing committed yet");
-        sim.inject_at(SimTime::from_millis(4), me, reply(2, 2, vec![], 1));
+        sim.inject_at(SimTime::from_millis(4), me, reply(1, 2, vec![], 1));
         sim.run_until(SimTime::from_millis(5));
         let applied: Vec<_> = member(&sim, me)
             .decisions()

@@ -17,8 +17,8 @@ mod rpc;
 pub use batch::{put_frame_record, read_frame_record, MIN_FRAME_RECORD};
 pub use hash::{fnv1a, key_group, owner_of_group, partition_for_key};
 pub use record::{
-    shared_batch_copies, BatchBuilder, BatchIter, Columns, Compression, Offset, ProducerId, Record,
-    RecordBatch, RecordRef, Shape, TopicName, TopicPartition, RECORD_OVERHEAD,
+    shared_batch_copies, utf8_lossy, BatchBuilder, BatchIter, Columns, Compression, Offset,
+    ProducerId, Record, RecordBatch, RecordRef, Shape, TopicName, TopicPartition, RECORD_OVERHEAD,
 };
 pub use rpc::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,

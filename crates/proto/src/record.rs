@@ -3,7 +3,7 @@
 // A truncating `as` here corrupts a wire frame; narrow with `try_from`.
 #![deny(clippy::cast_possible_truncation)]
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
@@ -273,17 +273,17 @@ impl Record {
 
     /// The payload interpreted as UTF-8 (lossy) — convenient in stream jobs.
     pub fn value_utf8(&self) -> String {
-        utf8_lossy(&self.value)
+        utf8_lossy(&self.value).into_owned()
     }
 }
 
 /// `bytes` as UTF-8, each invalid sequence replaced by U+FFFD. Validating
 /// first is much cheaper than the lossy conversion's chunk walk; only an
 /// invalid payload pays for that.
-fn utf8_lossy(bytes: &[u8]) -> String {
+pub fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
     match std::str::from_utf8(bytes) {
-        Ok(text) => text.to_owned(),
-        Err(_) => String::from_utf8_lossy(bytes).into_owned(),
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
     }
 }
 
@@ -691,7 +691,7 @@ impl<'a> RecordRef<'a> {
 
     /// The payload interpreted as UTF-8 (lossy), as [`Record::value_utf8`].
     pub fn value_utf8(&self) -> String {
-        utf8_lossy(self.value())
+        utf8_lossy(self.value()).into_owned()
     }
 
     /// The owned record: its key and value are views of the batch's frame,

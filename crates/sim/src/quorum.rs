@@ -397,7 +397,9 @@ impl<E> Quorum<E> {
     /// member ignores an answer of an older term and follows a newer one;
     /// it takes the leader of its term from the answer, which puts off its
     /// election without a draw. Returns whether the answer is to its
-    /// outstanding fetch, which it completes.
+    /// outstanding fetch, which it completes, whatever the answer's term:
+    /// winning a term drops the outstanding fetch, so the log it was asked
+    /// after has not moved since.
     pub fn take_reply(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -408,6 +410,7 @@ impl<E> Quorum<E> {
         if self.ready && term < self.term {
             return false;
         }
+        let outstanding = self.awaiting.is_some_and(|(c, _)| c == corr);
         self.follow_newer(ctx, term);
         if let Some(leader) = leader.filter(|_| term == self.term) {
             // A candidate concedes; the deadline is put off as far as it
@@ -415,11 +418,10 @@ impl<E> Quorum<E> {
             (self.votes, self.leader) = (None, Some(leader));
             self.deadline = ctx.now() + self.drawn;
         }
-        if self.awaiting.map(|(c, _)| c) != Some(corr) {
-            return false;
+        if outstanding {
+            self.awaiting = None;
         }
-        self.awaiting = None;
-        true
+        outstanding
     }
 
     /// Decides `candidate`'s request for this member's vote in `term`, the
@@ -579,6 +581,20 @@ mod tests {
             stand(&mut q, ctx);
             q.take_reply(ctx, 0, 3, Some(1));
             assert!(!q.tally(ctx, 3, 2, true), "following ends the candidacy");
+        });
+    }
+
+    #[test]
+    fn an_answer_of_a_newer_term_still_completes_the_outstanding_fetch() {
+        with_ctx(|ctx| {
+            let mut q = member(Some(1));
+            q.fetch(ctx.now(), 7);
+            assert!(!q.take_reply(ctx, 6, 2, Some(2)), "not the fetch out");
+            q.fetch(ctx.now(), 8);
+            // Member 2 leads term 3 and answers the fetch sent in term 2.
+            assert!(q.take_reply(ctx, 8, 3, Some(2)));
+            assert_eq!((q.term(), q.leader()), (3, Some(2)));
+            assert!(!q.take_reply(ctx, 8, 3, Some(2)), "completed once");
         });
     }
 

@@ -334,6 +334,9 @@ pub enum CodecError {
     Trailing,
     /// Lists and maps nested more than 128 deep.
     TooDeep,
+    /// An event header's varint longer than 10 bytes, past `u64`, or not
+    /// minimal.
+    BadVarint,
 }
 
 impl fmt::Display for CodecError {
@@ -343,6 +346,7 @@ impl fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown value tag {t}"),
             CodecError::Trailing => write!(f, "bytes past the end of the encoded event"),
             CodecError::TooDeep => write!(f, "values nested more than {MAX_DEPTH} deep"),
+            CodecError::BadVarint => write!(f, "malformed varint in the event header"),
         }
     }
 }
@@ -377,10 +381,74 @@ fn read_len(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
 /// Reads one length-prefixed UTF-8 string, borrowed from `buf`.
 fn read_text<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
     let n = read_len(buf, pos)?;
-    let end = *pos + n;
-    let slice = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
-    *pos = end;
+    read_utf8(buf, pos, n)
+}
+
+/// Reads `n` bytes of UTF-8, borrowed from `buf`.
+fn read_utf8<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a str, CodecError> {
+    let slice = (buf.get(*pos..).and_then(|rest| rest.get(..n))).ok_or(CodecError::Truncated)?;
+    *pos += n;
     std::str::from_utf8(slice).map_err(|_| CodecError::Truncated)
+}
+
+/// Reads an event's key: a varint length, then that many bytes of UTF-8.
+fn read_key<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
+    let n = usize::try_from(read_varint(buf, pos)?).map_err(|_| CodecError::Truncated)?;
+    read_utf8(buf, pos, n)
+}
+
+/// Reads an event's `ts` and `origin`, in nanoseconds: a varint, then the
+/// zigzag varint of their wrapping difference.
+fn read_times(buf: &[u8], pos: &mut usize) -> Result<(u64, u64), CodecError> {
+    let ts = read_varint(buf, pos)?;
+    let delta = read_varint(buf, pos)?;
+    Ok((ts, ts.wrapping_sub(unzigzag(delta))))
+}
+
+/// Appends `v` as a minimal LEB128 varint: seven bits a byte, low group
+/// first, the top bit set on every byte but the last.
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v.to_le_bytes()[0] | 0x80);
+        v >>= 7;
+    }
+    out.push(v.to_le_bytes()[0]);
+}
+
+/// Reads a varint [`write_varint`] wrote. Anything it could not have
+/// written is a [`CodecError::BadVarint`]: more than 10 bytes, bits past
+/// `u64`, or a last byte of zero after the first (a non-minimal encoding),
+/// so every accepted event re-encodes to its input.
+fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = *buf.get(*pos).ok_or(CodecError::Truncated)?;
+        *pos += 1;
+        let group = u64::from(byte & 0x7f);
+        if shift == 63 && group > 1 {
+            return Err(CodecError::BadVarint);
+        }
+        v |= group << shift;
+        if byte & 0x80 == 0 {
+            return if byte == 0 && shift > 0 {
+                Err(CodecError::BadVarint)
+            } else {
+                Ok(v)
+            };
+        }
+    }
+    Err(CodecError::BadVarint)
+}
+
+/// `d` read as a signed number, mapped so that small magnitudes of either
+/// sign are small: 0, −1, 1, −2, … become 0, 1, 2, 3, …
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ (d >> 63).wrapping_neg()
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
@@ -428,8 +496,20 @@ impl Event {
         self
     }
 
-    /// Encodes to the compact wire format (magic byte `0xE7` first, so raw
-    /// payloads are distinguishable from encoded events).
+    /// Encodes to the compact wire format:
+    ///
+    /// | bytes | field |
+    /// |---|---|
+    /// | 1 | magic `0xE7`, so raw payloads are distinguishable from events |
+    /// | 1 | flag: bit 0 = key present, bits 1..7 = `source` |
+    /// | 1–10 + n | if keyed, the key's length n as a varint, then its bytes |
+    /// | 1–10 | `ts` in nanoseconds, a varint |
+    /// | 1–10 | `ts − origin` (wrapping), a zigzag varint: 1 B when equal |
+    /// | rest | the value, in [`Value::encode`]'s format |
+    ///
+    /// A varint is LEB128: seven bits a byte, low group first, the top bit
+    /// set on every byte but the last, and minimal (no trailing zero
+    /// group), so an event has one encoding.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         self.encode_into(&mut out);
@@ -444,16 +524,14 @@ impl Event {
         // source must survive the wire so a windowed join downstream of a
         // keyed shuffle still knows which input each event came from.
         let flag = u8::from(self.key.is_some()) | (self.source << 1);
-        match &self.key {
-            Some(k) => {
-                out.push(flag);
-                out.extend_from_slice(&len_u32(k.len()).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-            }
-            None => out.push(flag),
+        out.push(flag);
+        if let Some(k) = &self.key {
+            write_varint(out, k.len() as u64);
+            out.extend_from_slice(k.as_bytes());
         }
-        out.extend_from_slice(&self.ts.as_nanos().to_le_bytes());
-        out.extend_from_slice(&self.origin.as_nanos().to_le_bytes());
+        let ts = self.ts.as_nanos();
+        write_varint(out, ts);
+        write_varint(out, zigzag(ts.wrapping_sub(self.origin.as_nanos())));
         self.value.encode_into(out);
     }
 
@@ -491,12 +569,12 @@ impl Event {
         let flag = *buf.get(1).ok_or(CodecError::Truncated)?;
         let mut pos = 2;
         if flag & 1 == 1 {
-            self.set_key(Some(read_text(buf, &mut pos)?));
+            self.set_key(Some(read_key(buf, &mut pos)?));
         } else {
             self.key = None;
         }
-        self.ts = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
-        self.origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos)?));
+        let (ts, origin) = read_times(buf, &mut pos)?;
+        (self.ts, self.origin) = (SimTime::from_nanos(ts), SimTime::from_nanos(origin));
         match &mut self.value {
             // A string over a string reuses its buffer.
             value @ Value::Str(_) if buf.get(pos) == Some(&4) => {
@@ -537,12 +615,11 @@ impl Event {
         let flag = *buf.get(pos)?;
         pos += 1;
         if flag & 1 == 1 {
-            read_text(buf, &mut pos).ok()?;
+            read_key(buf, &mut pos).ok()?;
         }
-        read_n::<8>(buf, &mut pos).ok()?; // ts
-        let origin = SimTime::from_nanos(u64::from_le_bytes(read_n::<8>(buf, &mut pos).ok()?));
+        let (_, origin) = read_times(buf, &mut pos).ok()?;
         Value::validate_from(buf, &mut pos, 0).ok()?;
-        (pos == buf.len()).then_some(origin)
+        (pos == buf.len()).then_some(SimTime::from_nanos(origin))
     }
 }
 
@@ -685,6 +762,92 @@ mod tests {
         trailing.push(0);
         assert_eq!(Event::peek_origin(&trailing), None);
         assert!(Event::from_bytes(&trailing).is_err());
+    }
+
+    /// Decodes `bytes` with every decoder, checks that they agree, and
+    /// returns what `from_bytes` returned.
+    fn decode_all(bytes: &[u8]) -> Result<Event, CodecError> {
+        let fresh = Event::from_bytes(bytes);
+        let origin = fresh.as_ref().ok().map(|e| e.origin);
+        assert_eq!(Event::peek_origin(bytes), origin, "peek on {bytes:x?}");
+        let mut over = Event::new(Value::Str("old".into()), SimTime::from_millis(1)).with_key("k");
+        let res = over.decode_over(bytes).map(|()| over);
+        assert_eq!(res, fresh, "decode_over on {bytes:x?}");
+        fresh
+    }
+
+    #[test]
+    fn header_times_round_trip_across_varint_widths() {
+        // 2^28 - 1 is the largest `ts` of 4 varint bytes.
+        for (ts, ts_bytes) in [(0, 1), ((1 << 28) - 1, 4), (1 << 28, 5), (u64::MAX, 10)] {
+            for key in [None, Some("k1")] {
+                let mut e = Event::new(Value::Null, SimTime::from_nanos(ts));
+                e.key = key.map(str::to_owned);
+                let bytes = e.to_bytes();
+                let key_bytes = key.map_or(0, |k| 1 + k.len());
+                // Magic, flag, key, ts, a 1 B delta and the `Null` tag.
+                assert_eq!(bytes.len(), 2 + key_bytes + ts_bytes + 1 + 1, "ts {ts}");
+                assert_eq!(decode_all(&bytes), Ok(e));
+            }
+        }
+        // An origin after `ts`, and `ts - origin` wrapping either way.
+        let at = |ns| SimTime::from_nanos(ns);
+        for (ts, origin) in [(5, 9), (0, u64::MAX), (u64::MAX, 0), (1 << 40, 3)] {
+            let e = Event::new(Value::Int(1), at(ts)).with_origin(at(origin));
+            assert_eq!(decode_all(&e.to_bytes()), Ok(e));
+        }
+        // `ts - origin` wraps to -1 there: one byte.
+        let e = Event::new(Value::Null, at(u64::MAX)).with_origin(at(0));
+        assert_eq!(e.to_bytes().len(), 2 + 10 + 1 + 1);
+    }
+
+    #[test]
+    fn every_accepted_header_re_encodes_to_itself() {
+        let events = [
+            Event::new(Value::Int(7), SimTime::from_nanos(300)),
+            Event::new(Value::Str("v".into()), SimTime::from_millis(20))
+                .with_key("key")
+                .with_origin(SimTime::from_millis(19)),
+        ];
+        for e in events {
+            let bytes = e.to_bytes();
+            // Every byte of the header, and the value's tag, set to each of
+            // a varint's edge values.
+            let header = bytes.len() - e.value.encode().len() + 1;
+            for at in 1..header {
+                for b in [0x00, 0x01, 0x02, 0x7f, 0x80, 0x81, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[at] = b;
+                    if let Ok(back) = decode_all(&damaged) {
+                        assert_eq!(back.to_bytes(), damaged, "byte {at} = {b:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_rejected_by_every_decoder() {
+        let long = [[0x80; 9].as_slice(), &[0x81, 0x01]].concat();
+        let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
+        let non_minimal = vec![0x85, 0x00];
+        for bad in [long, overflow, non_minimal] {
+            // In a key's length, a `ts` and an origin's delta, in turn.
+            let headers = [
+                [&[0xE7, 1][..], &bad, b"k", &[1, 0]].concat(),
+                [&[0xE7, 0][..], &bad, &[0]].concat(),
+                [&[0xE7, 0][..], &[1], &bad].concat(),
+            ];
+            for mut bytes in headers {
+                bytes.push(0); // A `Null` value.
+                assert_eq!(decode_all(&bytes), Err(CodecError::BadVarint), "{bytes:x?}");
+            }
+        }
+        // The longest well-formed varints are accepted.
+        let max = [[0xff; 9].as_slice(), &[0x01]].concat();
+        let bytes = [&[0xE7, 0][..], &max, &[0, 0]].concat();
+        let ts = decode_all(&bytes).map(|e| e.ts);
+        assert_eq!(ts, Ok(SimTime::from_nanos(u64::MAX)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use s2g_proto::{LogRun, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition};
+use s2g_proto::{utf8_lossy, LogRun, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
 use s2g_broker::{ConsumerClient, ConsumerConfig, CpuDone, ProducerClient, ProducerConfig};
@@ -179,15 +179,15 @@ struct BufferedRun {
 /// event without a key of its own takes the record's.
 fn decode_record(r: &RecordRef<'_>, source: Option<u8>, event: &mut Event) {
     if event.decode_over(r.value()).is_err() {
-        event.value.set_str(&String::from_utf8_lossy(r.value()));
-        event.set_key(r.key().map(String::from_utf8_lossy).as_deref());
+        event.value.set_str(&utf8_lossy(r.value()));
+        event.set_key(r.key().map(utf8_lossy).as_deref());
         (event.ts, event.origin, event.source) = (r.timestamp(), r.timestamp(), 0);
     }
     if let Some(source) = source {
         event.source = source;
     }
     if let (None, Some(k)) = (&event.key, r.key()) {
-        event.key = Some(String::from_utf8_lossy(k).into_owned());
+        event.key = Some(utf8_lossy(k).into_owned());
     }
 }
 

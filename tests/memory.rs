@@ -322,21 +322,21 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 164.0, small_allocs, 2.16),
-        (100_000, large, 161.0, large_allocs, 2.13),
+        (50_000, small, 154.0, small_allocs, 2.16),
+        (100_000, large, 151.0, large_allocs, 2.13),
     ] {
-        // Measured 164 / 161 B: no row (on both topics a sealed batch's
+        // Measured 154 / 151 B: no row (on both topics a sealed batch's
         // records are keyless, of one length, stamped at one instant or
         // evenly spaced and in sequence, so its header derives every
-        // column), the 64 B payload and its 87 B encoded event in their
+        // column), the 64 B payload and its 77 B encoded event in their
         // batch frames, each batch's headers and the log's runs over it,
-        // and the kernel's fixed queue storage spread over the run. (180 /
-        // 177 B with two 8 B rows, one per topic, of record ends and
-        // timestamps; 196 / 193 B
-        // with a 16 B slot of every column per record; 228 / 224 B
-        // measured, 229 / 225 B recorded, with a 32 B slot that held every
-        // record's producer stamps; 277 / 273 B when a batch held a 56 B
-        // `Record` per record; 307 / 303 B
+        // and the kernel's fixed queue storage spread over the run. (164 /
+        // 161 B while an event held its two times in 16 fixed bytes, an
+        // 87 B event; 180 / 177 B with two 8 B rows, one per topic, of
+        // record ends and timestamps; 196 / 193 B with a 16 B slot of every
+        // column per record; 228 / 224 B measured, 229 / 225 B recorded,
+        // with a 32 B slot that held every record's producer stamps; 277 /
+        // 273 B when a batch held a 56 B `Record` per record; 307 / 303 B
         // when each log entry was a 72 B copy of its record; 349 / 342 B
         // when every host CPU kept a 16 B busy interval per work item for
         // the whole run; 381 / 374 B with one allocation pair per record,
@@ -447,9 +447,9 @@ fn a_default_run_retains_one_copy_per_record() {
     );
     // A shuffle topic is purged below what its reader committed, on every
     // replica: what it holds at the end is each replica's open segment, at
-    // most 128 records of about 121 B (11 616 / 23 280 B measured; 7.3 /
-    // 14.5 MB, every record three times, before shuffle topics were
-    // purged).
+    // most 128 records of about 108 B (10 356 / 20 676 B measured; 11 616 /
+    // 23 280 B with fixed-width event headers; 7.3 / 14.5 MB, every record
+    // three times, before shuffle topics were purged).
     let open_segments = 4 * 3 * DEFAULT_SEGMENT_MAX_RECORDS as u64 * 128;
     for (records, shuffle) in [(20_000, small_shuffle), (40_000, large_shuffle)] {
         assert!(
@@ -459,13 +459,14 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 253.0, small_allocs, 7.94),
-        (40_000, large, 233.0, large_allocs, 7.64),
+        (20_000, small, 239.0, small_allocs, 7.94),
+        (40_000, large, 219.0, large_allocs, 7.64),
     ] {
-        // Measured 253 / 233 B: the two user topics' records as in the
+        // Measured 239 / 219 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
         // the fixed cost of three brokers and five workers spread over the
-        // run. (270 / 249 B recorded, 264 / 244 B measured, while a column
+        // run. (253 / 233 B with fixed-width event headers; 270 / 249 B
+        // recorded, 264 / 244 B measured, while a column
         // that steps evenly over a batch was still stored per record;
         // 300 / 279 B measured, 310 / 285 B recorded, with a 32 B slot;
         // 341 / 323 B with a 56 B record per record in its batch;
