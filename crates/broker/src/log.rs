@@ -130,8 +130,10 @@ impl LogSegment {
     }
 
     /// Replaces the runs with `runs`, which hold a subset of their records,
-    /// and returns how many records and bytes that removed.
-    fn keep_only(&mut self, runs: Vec<LogRun>) -> (usize, usize) {
+    /// held in a vector of exactly their count, and returns how many records
+    /// and bytes that removed.
+    fn keep_only(&mut self, mut runs: Vec<LogRun>) -> (usize, usize) {
+        runs.shrink_to_fit();
         let len: usize = runs.iter().map(LogRun::len).sum();
         let bytes: usize = runs.iter().map(|r| r.batch.record_bytes()).sum();
         let removed = (self.len - len, self.bytes - bytes);
@@ -233,13 +235,14 @@ impl LogSegment {
         }
         let batch = records.finish();
         let ends = starts.iter().skip(1).map(|s| s.0).chain([count]);
-        let runs = (starts.iter().zip(ends))
-            .map(|(&(from, base, epoch), to)| LogRun {
+        let mut runs = Vec::with_capacity(starts.len());
+        runs.extend(
+            (starts.iter().zip(ends)).map(|(&(from, base, epoch), to)| LogRun {
                 base,
                 epoch,
                 batch: batch.slice(from..to),
-            })
-            .collect();
+            }),
+        );
         Some(LogSegment {
             base,
             end,
@@ -545,12 +548,14 @@ impl PartitionLog {
         while !rest.is_empty() {
             let max = self.segment_max_records;
             if self.segments.last().is_none_or(|s| s.len >= max) {
-                // Sized for as many runs as the segment it follows held
-                // (batches are alike, so one allocation, close to exact),
-                // and for no fewer than a `Vec`'s own first allocation.
+                // The sealed segment keeps its runs, moved, in a vector of
+                // exactly their count; the new active one reuses the grown
+                // vector.
                 let mut fresh = LogSegment::new(rest.base.value());
-                let runs = self.segments.last().map_or(0, |s| s.runs.len());
-                fresh.runs.reserve_exact(runs.max(4));
+                if let Some(sealed) = self.segments.last_mut() {
+                    let exact = sealed.runs.drain(..).collect();
+                    fresh.runs = std::mem::replace(&mut sealed.runs, exact);
+                }
                 self.segments.push(fresh);
             }
             let seg = self.segments.last_mut().expect("just ensured");
@@ -1079,6 +1084,58 @@ mod tests {
         let value = |b: &RecordBatch, i| b.get(i).map(|r| r.value().as_ptr());
         assert_eq!(value(&read[0].batch, 0), value(&batch, 2));
         assert_eq!(offsets(&read), [2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// Every segment but the active one holds its runs in a vector of
+    /// exactly their count: after rolls, compaction, truncation and
+    /// recovery.
+    #[test]
+    fn sealed_segments_hold_exactly_their_runs() {
+        fn assert_exact(log: &PartitionLog, after: &str) {
+            let segments = log.segments();
+            for (i, seg) in segments[..segments.len() - 1].iter().enumerate() {
+                let (held, room) = (seg.runs.len(), seg.runs.capacity());
+                assert_eq!(
+                    room, held,
+                    "after {after}: sealed segment {i} has {room} slots"
+                );
+            }
+        }
+        let mut log = PartitionLog::with_segment_max(16);
+        // Batches of 1 to 40 records, each epoch its own run: sealed
+        // segments of one run to a dozen. Every other record is keyless,
+        // so compaction keeps it.
+        for (i, n) in [1u64, 2, 5, 40, 3, 1, 1, 7, 20, 2]
+            .repeat(4)
+            .into_iter()
+            .enumerate()
+        {
+            let record = |j| match j % 2 {
+                0 => rec("v"),
+                _ => keyed(&format!("k{}", j % 3), "v", j),
+            };
+            let batch: RecordBatch = (0..n).map(record).collect();
+            log.append_kept(LeaderEpoch(i as u64), &batch, |_| true);
+        }
+        assert!(log.segments().len() > 10);
+        assert_exact(&log, "rolls");
+        // Replayed segments are split into runs by epoch, some into one.
+        let bases: Vec<u64> = log.segments().iter().map(|s| s.base).collect();
+        let segments = (log.segments().iter())
+            .map(|s| LogSegment::decode(&s.encode()).expect("decodes"))
+            .collect();
+        let recovered =
+            PartitionLog::from_recovered_segments(segments, Offset(0), Offset(0), &bases, 16);
+        assert_exact(&recovered, "recovery");
+        log.advance_high_watermark(log.log_end());
+        assert!(log.compact().removed_records > 0);
+        assert_exact(&log, "compaction");
+        let middle = log.segments()[log.segments().len() / 2]
+            .base_offset()
+            .value()
+            + 3;
+        assert!(log.truncate_to(Offset(middle)) > 0);
+        assert_exact(&log, "truncation");
     }
 
     #[test]

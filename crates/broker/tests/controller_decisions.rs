@@ -25,9 +25,10 @@
 
 use std::collections::BTreeMap;
 
+use rand::rngs::StdRng;
 use s2g_broker::{
-    Broker, BrokerConfig, ControllerConfig, CoordinationMode, KraftController, ProducerClient,
-    ProducerConfig, ProducerProcess, RandomTopicSource, TopicSpec, ZkController,
+    Broker, BrokerConfig, ControllerConfig, CoordinationMode, DataSource, KraftController,
+    ProducerClient, ProducerConfig, ProducerProcess, SourceAction, TopicSpec, ZkController,
 };
 use s2g_net::{FaultInjector, FaultPlan, LinkSpec, NetTransport, Network, Topology};
 use s2g_proto::{AckMode, BrokerId, MetadataRecord, ProducerId};
@@ -131,9 +132,10 @@ fn build(mode: CoordinationMode) -> Cluster {
         ..ProducerConfig::default()
     };
     let client = ProducerClient::new(ProducerId(0), pcfg, broker_pids[1], brokers.clone(), 0);
-    let topic_names = vec!["events".to_string(), "audit".to_string()];
-    let source = RandomTopicSource::new(topic_names, 26, 64, SimTime::from_secs(RUN_FOR));
-    let producer_pid = sim.spawn(Box::new(ProducerProcess::new(client, Box::new(source))));
+    let producer_pid = sim.spawn(Box::new(ProducerProcess::new(
+        client,
+        Box::new(AlternatingTopics(0)),
+    )));
 
     let plan = FaultPlan::new().transient_disconnect(
         "h3",
@@ -164,6 +166,27 @@ fn build(mode: CoordinationMode) -> Cluster {
         broker_pids,
         brokers,
         incarnations: vec![0; N_BROKERS as usize],
+    }
+}
+
+/// One 64 B record every 19.69 ms (26 kbps) until `RUN_FOR`, to `events`
+/// and `audit` in turn. It draws nothing from the run's RNG, so how often a
+/// controller draws from it moves no other decision.
+struct AlternatingTopics(u64);
+
+impl DataSource for AlternatingTopics {
+    fn next(&mut self, now: SimTime, _rng: &mut StdRng) -> SourceAction {
+        if now >= SimTime::from_secs(RUN_FOR) {
+            return SourceAction::Done;
+        }
+        let topic = ["events", "audit"][(self.0 % 2) as usize].to_string();
+        self.0 += 1;
+        SourceAction::Emit {
+            topic,
+            key: None,
+            value: vec![0xa5; 64],
+            next_after: SimDuration::from_nanos(64 * 8 * 1_000_000 / 26),
+        }
     }
 }
 
@@ -272,20 +295,20 @@ const ZK: &[&str] = &[
     "0 events-0 leader 0 isr [0, 1, 2] epoch 0",
     "4254050000 events-0 leader 0 isr [0, 1] epoch 0",
     "4254050000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "5326328000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "5326348000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "5326338000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5326338000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9254050000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10000000000 fenced 0",
     "10000000000 events-0 leader 1 isr [1, 2] epoch 1",
     "13004050000 registered 0",
-    "13024986000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13024986000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13024982000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13024982000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15000000000 events-0 leader 0 isr [1, 2, 0] epoch 2",
-    "21004050000 events-0 leader 0 isr [1, 0] epoch 2",
-    "21025312000 events-0 leader 0 isr [1, 0, 2] epoch 2",
+    "21004050000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "21025338000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "28254050000 events-0 leader 0 isr [0] epoch 2",
     "30000000000 fenced 1",
-    "30000000000 audit-0 leader 2 isr [2, 0] epoch 1",
+    "30000000000 audit-0 leader 2 isr [0, 2] epoch 1",
     "30000000000 fenced 2",
     "30000000000 audit-0 leader 0 isr [0] epoch 2",
     "34000000000 fenced 0",
@@ -319,32 +342,32 @@ const KRAFT: &[&str] = &[
     "1595600328 audit-0 leader 1 isr [1, 2, 0] epoch 0",
     "4262150000 events-0 leader 0 isr [0, 1] epoch 0",
     "4270250000 audit-0 leader 1 isr [1, 0] epoch 0",
-    "5334430000 events-0 leader 0 isr [0, 1, 2] epoch 0",
-    "5342530000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
+    "5334438000 events-0 leader 0 isr [0, 1, 2] epoch 0",
+    "5342538000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "9262150000 audit-0 leader 1 isr [1, 2] epoch 0",
     "10008100000 fenced 0",
     "10008100000 events-0 leader 1 isr [1, 2] epoch 1",
     "13012150000 registered 0",
-    "13033086000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
-    "13041186000 events-0 leader 1 isr [1, 2, 0] epoch 1",
+    "13033082000 audit-0 leader 1 isr [1, 2, 0] epoch 0",
+    "13041182000 events-0 leader 1 isr [1, 2, 0] epoch 1",
     "15008100000 events-0 leader 0 isr [1, 2, 0] epoch 2",
-    "21012150000 events-0 leader 0 isr [1, 0] epoch 2",
-    "21033412000 events-0 leader 0 isr [1, 0, 2] epoch 2",
+    "21012150000 audit-0 leader 1 isr [1, 0] epoch 0",
+    "21033436000 audit-0 leader 1 isr [1, 0, 2] epoch 0",
     "28262150000 events-0 leader 0 isr [0] epoch 2",
     "30008100000 fenced 1",
-    "30008100000 audit-0 leader 2 isr [2, 0] epoch 1",
+    "30008100000 audit-0 leader 2 isr [0, 2] epoch 1",
     "30008100000 fenced 2",
     "34008100000 fenced 0",
     "34008100000 events-0 leader none isr [0] epoch 3",
     "36012150000 registered 1",
     "36020250000 registered 2",
-    "36028350000 audit-0 leader 2 isr [2, 0, 1] epoch 1",
+    "36028350000 audit-0 leader 2 isr [0, 2, 1] epoch 1",
     "37268850000 audit-0 leader 2 isr [2, 1] epoch 1",
     "38012150000 registered 0",
-    "38032514000 audit-0 leader 2 isr [2, 1, 0] epoch 1",
+    "38032508000 audit-0 leader 2 isr [2, 1, 0] epoch 1",
     "40008100000 audit-0 leader 1 isr [2, 1, 0] epoch 2",
     "40008100000 events-0 leader 0 isr [0] epoch 4",
     "40028350000 events-0 leader 0 isr [0, 1] epoch 4",
     "40036450000 events-0 leader 0 isr [0, 2] epoch 4",
-    "40052962875 events-0 leader 0 isr [0, 2, 1] epoch 4",
+    "40056415182 events-0 leader 0 isr [0, 2, 1] epoch 4",
 ];

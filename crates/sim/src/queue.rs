@@ -169,14 +169,21 @@ const NO_SLOT: u32 = u32::MAX;
 /// * Only the *current* bucket is sorted by `(at, seq)`: future buckets are
 ///   filed append-only (O(1) push, no memmove) and sorted exactly once when
 ///   the wheel advances into them. The popped prefix of the current bucket
-///   is retained (cursor index) and cleared when the bucket is exhausted;
+///   is retained (cursor index) until the bucket is exhausted and pooled;
 ///   pushes landing in the current bucket insert in sorted position at or
 ///   after the cursor, so mid-bucket pushes stay ordered.
 /// * Overflow items migrate into the wheel only when their bucket comes
 ///   inside the horizon, each exactly once, by plain append — the
 ///   activation sort establishes their order.
+///
+/// Storage is sized to what is pending, not to each bucket's largest
+/// burst: an empty bucket holds no allocation. A drained bucket's vector
+/// goes to `pool`, and a bucket that receives its first item takes one
+/// from there.
 pub(crate) struct CalendarQueue {
     wheel: Vec<Vec<BucketItem>>,
+    /// Emptied bucket vectors, capacity kept, for the next bucket filled.
+    pool: Vec<Vec<BucketItem>>,
     /// Index of the bucket `cur_start` maps into.
     cur_bucket: usize,
     /// Start (inclusive) of the current bucket's time window, in ns.
@@ -206,6 +213,7 @@ impl CalendarQueue {
     pub(crate) fn new() -> Self {
         CalendarQueue {
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            pool: Vec::new(),
             cur_bucket: 0,
             cur_start: 0,
             cursor: 0,
@@ -251,6 +259,17 @@ impl CalendarQueue {
         self.len += 1;
     }
 
+    /// Wheel bucket `b`, handed a pooled vector if it holds none.
+    fn bucket(&mut self, b: usize) -> &mut Vec<BucketItem> {
+        let bucket = &mut self.wheel[b];
+        if bucket.capacity() == 0 {
+            if let Some(pooled) = self.pool.pop() {
+                *bucket = pooled;
+            }
+        }
+        bucket
+    }
+
     /// Files the slot's key into its wheel bucket or the overflow heap.
     fn file(&mut self, at: u64, seq: u64, slot: u32) {
         debug_assert!(
@@ -263,16 +282,16 @@ impl CalendarQueue {
         if eff < self.cur_start.saturating_add(HORIZON_NS) {
             let b = ((eff >> WIDTH_BITS) as usize) & (WHEEL_BUCKETS - 1);
             let item = BucketItem { at, seq, slot };
-            let bucket = &mut self.wheel[b];
-            if b == self.cur_bucket {
+            let cursor = self.cursor;
+            let current = b == self.cur_bucket;
+            let bucket = self.bucket(b);
+            if current {
                 // Only the bucket being consumed must stay sorted (past the
                 // cursor); future buckets are filed append-only and sorted
                 // once on activation.
                 match bucket.last() {
                     Some(last) if last.key() > item.key() => {
-                        let pos = bucket
-                            .partition_point(|x| x.key() < item.key())
-                            .max(self.cursor);
+                        let pos = bucket.partition_point(|x| x.key() < item.key()).max(cursor);
                         bucket.insert(pos, item);
                     }
                     _ => bucket.push(item),
@@ -420,8 +439,13 @@ impl CalendarQueue {
                 self.wheel_len -= 1;
                 return Some(self.take(item));
             }
-            // Current bucket exhausted: clear its popped prefix and advance.
-            self.wheel[self.cur_bucket].clear();
+            // Current bucket exhausted: its vector, popped prefix cleared,
+            // goes to the pool, and the ring advances.
+            let mut drained = std::mem::take(&mut self.wheel[self.cur_bucket]);
+            if drained.capacity() > 0 {
+                drained.clear();
+                self.pool.push(drained);
+            }
             self.cursor = 0;
             if self.wheel_len > 0 {
                 // Single-step advance. The window entering the horizon maps
@@ -491,7 +515,7 @@ impl CalendarQueue {
             }
             self.overflow.pop();
             let b = ((at >> WIDTH_BITS) as usize) & (WHEEL_BUCKETS - 1);
-            self.wheel[b].push(BucketItem { at, seq, slot });
+            self.bucket(b).push(BucketItem { at, seq, slot });
             self.wheel_len += 1;
         }
     }
@@ -842,6 +866,53 @@ mod tests {
             "slab grew to {} despite pooling",
             q.slab.len()
         );
+    }
+
+    /// A burst into a different bucket on each of 128 bursts, half of them
+    /// a wheel revolution or more ahead (through the overflow heap): the
+    /// wheel and its pool keep room for the buckets filled at once, not for
+    /// every bucket's largest burst.
+    #[test]
+    fn calendar_buckets_hold_only_what_is_pending() {
+        const BURST: u64 = 64;
+        let mut q = CalendarQueue::new();
+        let mut rng = Mix(11);
+        let (mut now, mut seq) = (0u64, 0u64);
+        for round in 0..128u64 {
+            // 37 is odd, so every round's bucket is another.
+            let target = (round * 37) as usize % WHEEL_BUCKETS;
+            let here = ((now >> WIDTH_BITS) as usize) & (WHEEL_BUCKETS - 1);
+            let ahead = match (target + WHEEL_BUCKETS - here) % WHEEL_BUCKETS {
+                0 => WHEEL_BUCKETS,
+                n => n,
+            } + (round % 2) as usize * WHEEL_BUCKETS;
+            let at = ((now >> WIDTH_BITS) + ahead as u64) << WIDTH_BITS;
+            for i in 0..1 + rng.below(BURST) {
+                q.push(
+                    SimTime::from_nanos(at + i),
+                    seq,
+                    0,
+                    EventKind::Start(pid(0)),
+                );
+                seq += 1;
+            }
+            let mut last = (now, 0);
+            while let Some(p) = q.pop() {
+                assert!(
+                    (p.at.as_nanos(), p.seq) >= last,
+                    "round {round}: out of order"
+                );
+                last = (p.at.as_nanos(), p.seq);
+            }
+            now = last.0;
+            // Two buckets are ever non-empty at once: the one just drained
+            // (released at the next pop) and the one being filled.
+            let held: usize = (q.wheel.iter().chain(&q.pool)).map(Vec::capacity).sum();
+            assert!(
+                held <= 2 * BURST as usize,
+                "round {round}: {held} bucket slots for at most {BURST} pending"
+            );
+        }
     }
 
     #[test]

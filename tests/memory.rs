@@ -322,15 +322,18 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 154.0, small_allocs, 2.16),
-        (100_000, large, 151.0, large_allocs, 2.13),
+        (50_000, small, 150.0, small_allocs, 2.13),
+        (100_000, large, 147.0, large_allocs, 2.11),
     ] {
-        // Measured 154 / 151 B: no row (on both topics a sealed batch's
+        // Measured 150 / 147 B: no row (on both topics a sealed batch's
         // records are keyless, of one length, stamped at one instant or
         // evenly spaced and in sequence, so its header derives every
         // column), the 64 B payload and its 77 B encoded event in their
-        // batch frames, each batch's headers and the log's runs over it,
-        // and the kernel's fixed queue storage spread over the run. (164 /
+        // batch frames, each batch's headers and the log's runs over it
+        // (a sealed segment holds exactly its runs), and the kernel's
+        // queue storage for what is pending spread over the run. (154 /
+        // 151 B while a sealed segment kept at least 4 run slots of 40 B
+        // and each wheel bucket kept room for its largest burst; 164 /
         // 161 B while an event held its two times in 16 fixed bytes, an
         // 87 B event; 180 / 177 B with two 8 B rows, one per topic, of
         // record ends and timestamps; 196 / 193 B with a 16 B slot of every
@@ -348,12 +351,13 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
              recorded: a row column is held per record again"
         );
-        // Measured 2.16 / 2.13 (set-up included, hence the fall): the
+        // Measured 2.13 / 2.11 (set-up included, hence the fall): the
         // source's topic `String` and payload `Vec`, and per-batch work;
         // the worker decodes a batch over the last one's events, so a
         // record's `Value::Str` reuses one. A worker that allocates a
         // `String` per decoded record again reads about 3.1 and fails.
-        // (3.14 / 3.12 measured, 3.16 / 3.14 recorded, when each batch
+        // (2.16 / 2.13 while every wheel bucket grew a vector of its own;
+        // 3.14 / 3.12 measured, 3.16 / 3.14 recorded, when each batch
         // decoded into fresh events; 3.20 / 3.17 when a flush froze the
         // accumulation buffer and
         // allocated the next; 3.37 / 3.27 with polled
@@ -386,16 +390,19 @@ fn a_default_run_retains_one_copy_per_record() {
          {large_allocs:.2}/record at 40 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 1091.0, small_allocs, 4.32),
-        (40_000, large, 1077.0, large_allocs, 4.20),
+        (20_000, small, 1068.0, small_allocs, 4.12),
+        (40_000, large, 1062.0, large_allocs, 4.08),
     ] {
-        // Measured 1 091 / 1 077 B: the 1 KiB payload and its key in its
+        // Measured 1 068 / 1 062 B: the 1 KiB payload and its key in its
         // batch's frame, one 8 B row (uneven timestamps, and out of
         // sequence: one producer's sequence spreads over the partitions;
         // every key and value has one length, which the batch header
         // holds), and per batch its headers
         // and per batch and replica a 40 B run; the fixed cost of three
-        // brokers spread over the run, hence the fall. (1 097 / 1 083 B
+        // brokers spread over the run, hence the fall. (1 090 / 1 076 B
+        // measured, 1 091 / 1 077 B recorded, while a sealed segment kept
+        // at least 4 run slots and a wheel bucket its largest burst;
+        // 1 097 / 1 083 B
         // with a 16 B row of ends, key lengths, timestamps and sequences;
         // 1 110 / 1 096 B
         // measured, 1 133 / 1 107 B recorded, with a 32 B slot; 1 152 /
@@ -406,11 +413,12 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 1 KiB record at {records} records, {retained} \
              when recorded"
         );
-        // Measured 4.32 / 4.20: here requests set the count, not records
+        // Measured 4.12 / 4.08: here requests set the count, not records
         // (0.4 replica fetches per record while producing, nine in ten
         // replies empty, and the replica fetches of the 3 s tail, hence the
         // fall), so what one request allocates beside its two messages
-        // shows. (6.56 / 5.70 recorded, and left standing while the
+        // shows. (4.32 / 4.20 while every wheel bucket grew a vector of
+        // its own; 6.56 / 5.70 recorded, and left standing while the
         // measurement fell to 4.32 / 4.20; 6.48 / 5.62 when a keyed flush's partitions shared one
         // frame and a batch one record vector, not a frame and slots each;
         // 6.97 / 6.11 when a replica fetch reply copied its records
@@ -426,7 +434,8 @@ fn a_default_run_retains_one_copy_per_record() {
     }
     // Followers store the leader's runs, views of the records the leader
     // holds: two more replicas cost their runs, not a copy of each record.
-    // Measured 10 B, with a 16 B slot as with a 32 B one (17 B when last
+    // Measured 8 B (9 B while a sealed segment kept at least 4 run slots;
+    // 10 B with a 16 B slot as with a 32 B one; 17 B when last
     // recorded; 16 B with a 56 B record per record in its batch; 156 B
     // when each follower kept a 72 B entry per record).
     assert!(
@@ -459,13 +468,15 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 239.0, small_allocs, 7.94),
-        (40_000, large, 219.0, large_allocs, 7.64),
+        (20_000, small, 211.0, small_allocs, 7.70),
+        (40_000, large, 201.0, large_allocs, 7.50),
     ] {
-        // Measured 239 / 219 B: the two user topics' records as in the
+        // Measured 211 / 201 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
         // the fixed cost of three brokers and five workers spread over the
-        // run. (253 / 233 B with fixed-width event headers; 270 / 249 B
+        // run. (239 / 219 B while a sealed segment kept at least 4 run
+        // slots and each wheel bucket kept room for its largest burst;
+        // 253 / 233 B with fixed-width event headers; 270 / 249 B
         // recorded, 264 / 244 B measured, while a column
         // that steps evenly over a batch was still stored per record;
         // 300 / 279 B measured, 310 / 285 B recorded, with a 32 B slot;
@@ -476,10 +487,11 @@ fn a_default_run_retains_one_copy_per_record() {
             "{per_record:.0} B retained per 64 B record at {records} records through a \
              shuffle, {retained} when recorded"
         );
-        // Measured 7.94 / 7.64: two produce hops and a shuffle, each
+        // Measured 7.70 / 7.50: two produce hops and a shuffle, each
         // record decoded into an event and encoded again per stage, over
         // the events of the stage's last batch, whose key and value
-        // strings it reuses. (10.57 / 10.32 measured, 9.80 / 9.52
+        // strings it reuses. (7.94 / 7.64 while every wheel bucket grew a
+        // vector of its own; 10.57 / 10.32 measured, 9.80 / 9.52
         // recorded, when each batch decoded into fresh events; 9.76 / 9.47
         // when a keyed flush's partitions shared one frame.)
         assert!(
