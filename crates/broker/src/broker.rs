@@ -40,8 +40,8 @@ use s2g_proto::{
     ReplicaRpc, TopicPartition,
 };
 use s2g_sim::{
-    downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime,
-    Waiters,
+    corr_incarnation, downcast, Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId,
+    SimDuration, SimTime, Waiters,
 };
 use s2g_store::{BlobClient, BlobDone, StoreRpc};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Histogram, HistogramHandle, Telemetry};
@@ -54,7 +54,6 @@ use crate::metadata::{send_in, MetadataCache};
 use crate::partition::{
     produce_response, FetchAnswer, FetchWaiter, Led, Partition, PendingProduce, FETCH_MAX_WAIT,
 };
-use crate::table::IntTable;
 
 /// Timer tags used by the broker.
 mod tags {
@@ -65,7 +64,6 @@ mod tags {
     pub(crate) const LOG_CLEANUP_TICK: u64 = 8;
     /// Plus a leader's id: the end of the backoff before asking it again.
     pub(crate) const REPLICA_BACKOFF: u64 = 1 << 32;
-    pub(crate) const CPU_BASE: u64 = 1 << 50;
 }
 
 /// The broker's label for a blob request: what the blob is.
@@ -292,11 +290,6 @@ pub(crate) struct Host {
     /// Leadership-change log for the Fig. 6d event markers: (time, partition,
     /// became_leader).
     pub(crate) leadership_events: Vec<(SimTime, TopicPartition, bool)>,
-    /// The next replica fetch's correlation id: `incarnation << 32` upward.
-    next_corr: u64,
-    next_cpu_tag: u64,
-    /// Responses waiting out their CPU cost, by the tag of that work.
-    pending_out: IntTable<(ProcessId, Box<dyn Message>)>,
     /// A led partition changed in a way a held replica fetch may be waiting
     /// for: checked once the handler that made the change is done.
     pub(crate) news: bool,
@@ -309,22 +302,9 @@ impl Host {
         }
     }
 
-    pub(crate) fn respond_after_cpu(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        cost: SimDuration,
-        to: ProcessId,
-        msg: Box<dyn Message>,
-    ) {
-        let tag = tags::CPU_BASE + self.next_cpu_tag;
-        self.next_cpu_tag += 1;
-        self.pending_out.insert(tag, (to, msg));
-        ctx.exec(cost, tag);
-    }
-
     /// Answers a client request that touched no records.
     fn reply(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, rpc: ClientRpc) {
-        self.respond_after_cpu(ctx, self.cfg.cpu_per_request, to, Box::new(rpc));
+        ctx.send_after_cpu(self.cfg.cpu_per_request, to, rpc);
     }
 
     /// Answers a client fetch of `tp`, at once or after a wait: the reply's
@@ -353,7 +333,7 @@ impl Host {
             next_offset,
             error,
         };
-        self.respond_after_cpu(ctx, self.request_cost(n), to, Box::new(response));
+        ctx.send_after_cpu(self.request_cost(n), to, response);
     }
 
     pub(crate) fn request_cost(&self, records: usize) -> SimDuration {
@@ -514,10 +494,6 @@ pub struct Broker {
     recover: bool,
     /// Replay is in flight; client/replica requests are dropped meanwhile.
     recovering: bool,
-    /// Process incarnation, bumped by the orchestrator on every respawn and
-    /// carried in heartbeats so the controller re-teaches roles to a broker
-    /// that bounced within its session timeout.
-    incarnation: u64,
     /// Restart/replay metrics for the current incarnation.
     recovery: Option<BrokerRecoveryInfo>,
     /// As leader: the replica fetch held for each follower, at most one.
@@ -566,9 +542,6 @@ impl Broker {
                 durable: false,
                 dirty: false,
                 leadership_events: Vec::new(),
-                next_corr: 0,
-                next_cpu_tag: 0,
-                pending_out: IntTable::default(),
                 news: false,
             },
             group_offsets: BTreeMap::new(),
@@ -579,7 +552,6 @@ impl Broker {
             durability: None,
             recover: false,
             recovering: false,
-            incarnation: 0,
             recovery: None,
             held: Waiters::default(),
             fetching: Waiters::default(),
@@ -606,11 +578,11 @@ impl Broker {
     /// and the meta blob are flushed through it, and produce
     /// acknowledgements wait for the covering flush (instant on
     /// [`BlobClient::shared`], a store round trip on a store group, whose
-    /// correlation base is [`BROKER_LOG_CORR_BASE`]). With `recover` set
+    /// retry timer's tag is [`BROKER_LOG_RETRY_TAG`]). With `recover` set
     /// the broker replays the persisted manifest before serving — the
     /// respawn path.
     ///
-    /// [`BROKER_LOG_CORR_BASE`]: crate::BROKER_LOG_CORR_BASE
+    /// [`BROKER_LOG_RETRY_TAG`]: crate::BROKER_LOG_RETRY_TAG
     pub fn set_durability(&mut self, blobs: BlobClient<LogBlob>, recover: bool) {
         self.durability = Some(Durability {
             blobs,
@@ -623,23 +595,6 @@ impl Broker {
         });
         self.host.durable = true;
         self.recover = recover;
-    }
-
-    /// Sets the process incarnation carried in controller heartbeats. The
-    /// orchestrator bumps it on every respawn so the controller can detect a
-    /// bounce that happened within the session timeout. Replica fetches'
-    /// correlation ids then start at `incarnation << 32`, so a reply to a
-    /// fetch of the crashed incarnation (a held fetch is answered up to
-    /// 600 ms later, and a respawn reuses the process id) is dropped.
-    pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.incarnation = incarnation;
-        self.host.next_corr = incarnation << 32;
-    }
-
-    /// Marks this broker instance as a post-crash respawn, so restart
-    /// metrics are reported even when no log backend is attached.
-    pub fn mark_restarted(&mut self) {
-        self.recovery = Some(BrokerRecoveryInfo::new(SimTime::ZERO));
     }
 
     /// Restart/replay metrics when this incarnation was respawned.
@@ -771,7 +726,7 @@ impl Broker {
                         host.count_rejection(error);
                         let cost = host.cfg.cpu_per_request;
                         let msg = produce_response(corr, tp, Offset::ZERO, error);
-                        return host.respond_after_cpu(ctx, cost, from, msg);
+                        return ctx.send_boxed_after_cpu(cost, from, msg);
                     }
                 };
                 let (base, n) = led.append(now, host, &batch, txn);
@@ -788,7 +743,7 @@ impl Broker {
                     // acks=1, no durable log: acknowledge immediately; the
                     // HW may advance later via replication.
                     let msg = produce_response(corr, tp.clone(), base, ErrorCode::None);
-                    host.respond_after_cpu(ctx, host.request_cost(n), from, msg);
+                    ctx.send_boxed_after_cpu(host.request_cost(n), from, msg);
                     led.advance_hw(ctx, host);
                 } else {
                     led.pend(PendingProduce {
@@ -1029,7 +984,7 @@ impl Broker {
                 // does not name: a follower adds a partition to its
                 // outstanding fetch by naming it alone.
                 if let Some(held) = self.held.take(&from) {
-                    let same = held.corr.0 >> 32 == corr.0 >> 32;
+                    let same = corr_incarnation(held.corr.0) == corr_incarnation(corr.0);
                     let unnamed: Vec<_> = (held.parts.into_iter())
                         .filter(|h| same && parts.iter().all(|p| p.tp != h.tp))
                         .collect();
@@ -1058,7 +1013,9 @@ impl Broker {
                     self.held.hold(from, h, Some(ctx.now() + FETCH_MAX_WAIT));
                 }
             }
-            ReplicaRpc::FetchResponse { corr, .. } if corr.0 >> 32 != self.incarnation => {
+            ReplicaRpc::FetchResponse { corr, .. }
+                if corr_incarnation(corr.0) != ctx.incarnation() =>
+            {
                 self.host.stats.stale_replica_replies += 1;
             }
             ReplicaRpc::FetchResponse { corr, parts } => {
@@ -1096,7 +1053,7 @@ impl Broker {
             corr: h.corr,
             parts: served,
         };
-        host.respond_after_cpu(ctx, cost, h.pid, h.rpc);
+        ctx.send_boxed_after_cpu(cost, h.pid, h.rpc);
     }
 
     /// Answers the held replica fetches that have news since a handler
@@ -1195,8 +1152,7 @@ impl Broker {
             self.fetching.take(&leader);
             return;
         }
-        let corr = CorrelationId(host.next_corr);
-        host.next_corr += 1;
+        let corr = CorrelationId(ctx.next_corr());
         let give_up = ctx.now() + host.cfg.replica_fetch_give_up();
         self.fetching.hold(leader, corr, Some(give_up));
         let fetch = ReplicaRpc::Fetch {
@@ -1533,16 +1489,17 @@ impl Process for Broker {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.last_hb_ack = ctx.now();
-        if let Some(r) = self.recovery.as_mut() {
-            // A respawn without a log backend still records restart time.
-            r.restarted_at = ctx.now();
+        if ctx.incarnation() > 0 && self.durability.is_none() {
+            // A respawn without a log backend still records restart time;
+            // with one, its replay does.
+            self.recovery = Some(BrokerRecoveryInfo::new(ctx.now()));
         }
         let cfg = &self.host.cfg;
         ctx.charge(cfg.startup_cpu);
         ctx.set_timer(cfg.isr_check_interval, tags::ISR_TICK);
         let hb = ControllerRpc::Heartbeat {
             broker: self.host.id,
-            incarnation: self.incarnation,
+            incarnation: u64::from(ctx.incarnation()),
         };
         self.host.send_controllers(ctx, hb);
         ctx.set_timer(cfg.heartbeat_interval, tags::HEARTBEAT_TICK);
@@ -1594,7 +1551,7 @@ impl Process for Broker {
             tags::HEARTBEAT_TICK => {
                 let hb = ControllerRpc::Heartbeat {
                     broker: self.host.id,
-                    incarnation: self.incarnation,
+                    incarnation: u64::from(ctx.incarnation()),
                 };
                 self.host.send_controllers(ctx, hb);
                 // Consumer-group session sweep rides the broker heartbeat:
@@ -1643,12 +1600,6 @@ impl Process for Broker {
                     d.blobs.on_timer(ctx, tag);
                 }
             }
-        }
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if let Some((to, msg)) = self.host.pending_out.remove(tag) {
-            ctx.send_boxed(to, msg);
         }
     }
 }

@@ -20,7 +20,7 @@ use s2g_sim::{
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
-use crate::metadata::{draw_corr, send_in, MetadataSession};
+use crate::metadata::{send_in, MetadataSession};
 use crate::partition::{FetchAnswer, FETCH_MAX_WAIT};
 use crate::table::IntTable;
 
@@ -158,7 +158,6 @@ pub struct ConsumerClient {
     /// broker log's batches, so the payloads fetched are never copied on
     /// the way to the owner.
     pending_delivery: IntTable<(TopicPartition, Vec<LogRun>, Offset)>,
-    next_corr: u64,
     next_deliver_tag: u64,
     stats: ConsumerStats,
     /// How long a request may go unanswered. Join, offset-fetch and
@@ -225,7 +224,6 @@ impl ConsumerClient {
             idle: true,
             poll_timer: None,
             pending_delivery: IntTable::default(),
-            next_corr: 1,
             next_deliver_tag: 0,
             stats: ConsumerStats::default(),
             request_timeout,
@@ -258,16 +256,6 @@ impl ConsumerClient {
         assert!(parallelism > 0, "parallelism must be positive");
         assert!(instance < parallelism, "instance out of range");
         self.static_assignment = Some((instance, parallelism));
-    }
-
-    /// Tells a respawned client which incarnation of its process it is (0,
-    /// the default, is the first). Correlation ids then start at
-    /// `incarnation << 32`, so a reply to a request of the crashed
-    /// incarnation (a held fetch is answered up to 600 ms later, and a
-    /// respawn reuses the process id) matches nothing this one sends. Call
-    /// before [`start`](Self::start).
-    pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.next_corr = incarnation << 32 | 1;
     }
 
     /// True when this client fetches `tp` given the partition count of its
@@ -311,7 +299,7 @@ impl ConsumerClient {
         {
             return;
         }
-        let corr = self.next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         let timer = ctx.set_timer(self.request_timeout, CONSUMER_TAGS + off::JOIN_TIMEOUT);
         let coordinator = self.coordinator();
         let m = self.membership.as_mut().expect("checked above");
@@ -334,7 +322,7 @@ impl ConsumerClient {
             return;
         };
         let coordinator = self.coordinator();
-        let corr = self.next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         let Some(m) = self.membership.as_mut() else {
             return;
         };
@@ -423,7 +411,7 @@ impl ConsumerClient {
                 CONSUMER_TAGS + off::GROUP_HEARTBEAT,
             );
         }
-        self.request_metadata(ctx);
+        self.meta.request(ctx);
         self.arm_poll(ctx);
         if self.cfg.group.is_some() && !self.cfg.auto_commit_interval.is_zero() {
             ctx.set_timer(
@@ -462,7 +450,7 @@ impl ConsumerClient {
         if offsets.is_empty() {
             return None;
         }
-        let corr = self.next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         self.stats.offset_commits += 1;
         // Membership-protocol commits go to the coordinator stamped with
         // the (member, generation) fence; plain grouped commits keep the
@@ -537,17 +525,9 @@ impl ConsumerClient {
         self.commit_offsets(ctx, offsets);
     }
 
-    fn next_corr(&mut self) -> CorrelationId {
-        draw_corr(&mut self.next_corr)
-    }
-
     fn count_stale_reply(&mut self) {
         self.stats.stale_replies += 1;
         self.metrics.stale_replies.add(1);
-    }
-
-    fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
-        self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
     /// Arms the poll timer, the only periodic work of the fetch path, for
@@ -583,7 +563,7 @@ impl ConsumerClient {
         inflight.expire(ctx.now(), |_, fetch| {
             self.stats.timeouts += 1;
             self.fetching.insert(fetch.tp, false);
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
         });
         self.inflight = inflight;
     }
@@ -606,7 +586,7 @@ impl ConsumerClient {
             tps.extend(parts.filter(|tp| self.owns(tp, n)).cloned());
         }
         if tps.is_empty() {
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
             return;
         }
         if self.cfg.group.is_some() && !self.offsets_restored {
@@ -625,7 +605,7 @@ impl ConsumerClient {
         if self.offset_fetch_inflight.is_some() {
             return;
         }
-        let corr = self.next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         let timer = ctx.set_timer(
             self.request_timeout,
             CONSUMER_TAGS + off::OFFSET_FETCH_TIMEOUT,
@@ -658,14 +638,14 @@ impl ConsumerClient {
         }
         let Some(leader) = self.meta.cache().leader(&tp) else {
             self.idle = true;
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
             return;
         };
         let Some(&pid) = self.brokers.get(&leader) else {
             self.idle = true;
             return;
         };
-        let corr = self.next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         let offset = self.position(&tp);
         let fetch = ClientRpc::FetchRequest {
             corr,
@@ -762,7 +742,7 @@ impl ConsumerClient {
             e => {
                 self.idle = true;
                 if e.is_retriable() {
-                    self.request_metadata(ctx);
+                    self.meta.request(ctx);
                 }
             }
         }
@@ -950,7 +930,7 @@ impl ConsumerClient {
             self.poll(ctx);
         } else if o == off::META_TIMEOUT {
             self.meta.on_timeout();
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
         } else if o == off::AUTO_COMMIT {
             self.commit_positions(ctx);
             ctx.set_timer(

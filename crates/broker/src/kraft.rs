@@ -63,7 +63,6 @@ pub struct RaftQuorum {
     q: Quorum<MetadataRecord>,
     commit: u64,
     applied: u64,
-    next_corr: u64,
     name: String,
 }
 
@@ -113,7 +112,6 @@ impl Controller<RaftQuorum> {
             q: Quorum::new(n, index, None, true, timeout, timeout, HOLD),
             commit: 0,
             applied: 0,
-            next_corr: 0,
             name: format!("kraft-{}", me.0),
         };
         Controller {
@@ -264,9 +262,7 @@ impl RaftQuorum {
         if self.q.fetch_due_at(stale_after) > ctx.now() {
             return;
         }
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let (fetch, to) = self.q.fetch(ctx.now(), corr);
+        let (fetch, to) = self.q.fetch(ctx);
         let rpc = RaftRpc::Fetch {
             from: self.me,
             fetch,
@@ -640,6 +636,50 @@ mod tests {
             .map(|(_, r)| r.clone())
             .collect();
         assert_eq!(applied, [registered(5)]);
+    }
+
+    #[test]
+    fn an_answer_to_the_previous_incarnations_fetch_is_ignored() {
+        let mut sim = Sim::new(5);
+        let a = sim.spawn(Box::<Ballots>::default());
+        let b = sim.spawn(Box::<Ballots>::default());
+        let me = ProcessId(sim.process_count() as u32);
+        let quorum = BTreeMap::from([
+            (BrokerId(1000), me),
+            (BrokerId(1001), a),
+            (BrokerId(1002), b),
+        ]);
+        let controller = || {
+            let (quorum, cfg) = (quorum.clone(), ControllerConfig::default());
+            KraftController::new(BrokerId(1000), quorum, BTreeMap::new(), cfg, vec![])
+        };
+        assert_eq!(sim.spawn(Box::new(controller())), me);
+        // The first incarnation sends its first fetch and crashes; the
+        // respawn, its log empty, sends its own first fetch.
+        sim.run_until(SimTime::from_millis(1));
+        sim.kill(me).expect("alive");
+        sim.respawn(me, Box::new(controller()));
+        sim.run_until(SimTime::from_millis(2));
+        // Member 1001, leading term 1, answers the crashed incarnation's
+        // fetch late: entries after a log of two, and a commit of three.
+        let stale = RaftRpc::FetchReply {
+            corr: 0,
+            term: 1,
+            leader: BrokerId(1001),
+            after: 2,
+            entries: vec![(
+                1,
+                MetadataRecord::BrokerRegistered {
+                    broker: BrokerId(7),
+                },
+            )],
+            commit: 3,
+        };
+        sim.inject_at(SimTime::from_millis(3), me, stale);
+        sim.run_until(SimTime::from_millis(4));
+        let respawn = member(&sim, me);
+        assert_eq!((respawn.raft_log().len(), respawn.committed()), (0, 0));
+        assert!(respawn.decisions().is_empty());
     }
 
     /// Delivers every message after 10 µs, except every one to or from

@@ -80,7 +80,7 @@ pub use controller::{ApplyAtOnce, ClusterState, Controller, PartitionState, ZkCo
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
 pub use kraft::{KraftController, RaftQuorum};
 pub use log::{
-    BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog, BROKER_LOG_CORR_BASE,
+    BrokerLogMeta, CleanOutcome, LogSegment, PartitionLog, BROKER_LOG_RETRY_TAG,
     DEFAULT_SEGMENT_MAX_RECORDS,
 };
 pub use partition::FETCH_MAX_WAIT;

@@ -995,10 +995,9 @@ impl BrokerLogMeta {
     }
 }
 
-/// Correlation-id base for a broker's blob client over a store group, and
-/// so the tag of that client's retry timer; disjoint from the checkpoint
-/// (`1 << 42`) and client tag namespaces and from the broker's own tags.
-pub const BROKER_LOG_CORR_BASE: u64 = 1 << 43;
+/// The tag of the retry timer of a broker's blob client over a store
+/// group, disjoint from the broker's own timer tags.
+pub const BROKER_LOG_RETRY_TAG: u64 = 1 << 43;
 
 #[cfg(test)]
 mod tests {

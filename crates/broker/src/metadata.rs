@@ -207,15 +207,6 @@ impl MetadataCache {
     }
 }
 
-/// Draws the next correlation id from a client's counter. Ids advance by
-/// two: a producer and a consumer client sharing one process start on
-/// opposite parities, so their ids never collide.
-pub(crate) fn draw_corr(next: &mut u64) -> CorrelationId {
-    let corr = CorrelationId(*next);
-    *next += 2;
-    corr
-}
-
 /// Sends `msg` to `to` in `spare`, the box a reply came in, when there is
 /// one: a request travels in its sender's last reply's box, as a reply
 /// travels in its request's.
@@ -284,13 +275,12 @@ impl MetadataSession {
         &self.candidates
     }
 
-    /// Requests a refresh unless one is in flight; `next_corr` is only
-    /// drawn from when a request goes out.
-    pub(crate) fn request(&mut self, ctx: &mut Ctx<'_>, next_corr: impl FnOnce() -> CorrelationId) {
+    /// Requests a refresh unless one is in flight.
+    pub(crate) fn request(&mut self, ctx: &mut Ctx<'_>) {
         if self.inflight.is_some() {
             return;
         }
-        let corr = next_corr();
+        let corr = CorrelationId(ctx.next_corr());
         let timer = ctx.set_timer(self.timeout, self.timeout_tag);
         self.inflight = Some((corr, timer));
         ctx.send(self.bootstrap, ClientRpc::MetadataRequest { corr });

@@ -939,7 +939,7 @@ impl Led<'_> {
                 return Some(p);
             }
             let msg = produce_response(p.corr, tp.clone(), p.base, ErrorCode::None);
-            host.respond_after_cpu(ctx, host.request_cost(p.records), p.client, msg);
+            ctx.send_boxed_after_cpu(host.request_cost(p.records), p.client, msg);
             None
         });
         // Refresh the watermark-gap gauges: `hw_gap` is the unreplicated
@@ -960,7 +960,7 @@ impl Led<'_> {
     fn end_reign(&mut self, ctx: &mut Ctx<'_>, host: &mut Host) {
         for (_, p) in self.ls.pending.drain() {
             let msg = produce_response(p.corr, self.tp.clone(), p.base, ErrorCode::NotLeader);
-            host.respond_after_cpu(ctx, host.cfg.cpu_per_request, p.client, msg);
+            ctx.send_boxed_after_cpu(host.cfg.cpu_per_request, p.client, msg);
         }
         self.fail_waiters(ctx, host, ErrorCode::NotLeader);
     }

@@ -34,7 +34,7 @@ use s2g_sim::{
 use s2g_telemetry::{CounterHandle, Histogram, Telemetry};
 
 use crate::config::ProducerConfig;
-use crate::metadata::{draw_corr, send_in, MetadataSession};
+use crate::metadata::{send_in, MetadataSession};
 
 /// Tag namespace base for producer-owned timers and CPU work. The embedding
 /// process must forward tags in `PRODUCER_TAGS..PRODUCER_TAGS_END`.
@@ -242,15 +242,14 @@ impl ProducerMetrics {
 /// The embeddable producer state machine.
 pub struct ProducerClient {
     id: ProducerId,
-    /// This client incarnation's epoch: bumped by the orchestrator when a
-    /// crashed embedding process restarts, so broker-side idempotent dedup
+    /// This client incarnation's epoch: set by an embedding process that
+    /// restarts under a new one, so broker-side idempotent dedup
     /// distinguishes a fresh sequence-zero stream from a stale retry.
     epoch: u32,
     cfg: ProducerConfig,
     brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
     meta: MetadataSession,
     next_seq: u64,
-    next_corr: u64,
     accum: BTreeMap<String, AccumBatch>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
     /// The batch of each produce awaiting its response, by correlation id,
@@ -293,15 +292,18 @@ pub struct ProducerClient {
 
 impl ProducerClient {
     /// Creates a client. `bootstrap` is the broker used for metadata;
-    /// `brokers` maps broker ids to process ids. `corr_parity` (0 or 1)
-    /// disambiguates correlation ids when a producer and consumer client
-    /// share one process.
+    /// `brokers` maps broker ids to process ids. Its correlation ids are
+    /// its process's ([`Ctx::next_corr`]), so a reply to a request of a
+    /// crashed incarnation, or of another client in the process, matches
+    /// nothing it sends. `_corr_parity` is ignored: it kept a producer's
+    /// and a consumer's ids apart in one process before the process drew
+    /// them, and stays until the benchmark, which passes it, stops.
     pub fn new(
         id: ProducerId,
         cfg: ProducerConfig,
         bootstrap: ProcessId,
         brokers: BTreeMap<s2g_proto::BrokerId, ProcessId>,
-        corr_parity: u64,
+        _corr_parity: u64,
     ) -> Self {
         let meta_timeout_tag = PRODUCER_TAGS + off::META_TIMEOUT;
         let tele = Telemetry::new();
@@ -312,7 +314,6 @@ impl ProducerClient {
             cfg,
             brokers,
             next_seq: 0,
-            next_corr: corr_parity,
             accum: BTreeMap::new(),
             ready: BTreeMap::new(),
             inflight: Waiters::default(),
@@ -332,16 +333,6 @@ impl ProducerClient {
             tele,
             tele_scope: String::new(),
         }
-    }
-
-    /// Tells a respawned client which incarnation of its process it is (0,
-    /// the default, is the first). Correlation ids then start at
-    /// `incarnation << 32` (on the parity given to [`new`](Self::new)), so
-    /// a reply to a request of the crashed incarnation (a respawn reuses
-    /// the process id) matches nothing this one sends. Call before the
-    /// first request.
-    pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.next_corr = incarnation << 32 | (self.next_corr & 1);
     }
 
     /// Attaches the run-wide telemetry sink. The client records sent /
@@ -409,7 +400,7 @@ impl ProducerClient {
         }
         let brokers = self.broker_endpoints();
         for broker in brokers {
-            let corr = self.next_corr();
+            let corr = CorrelationId(ctx.next_corr());
             self.txn_ctl.insert(
                 corr.0,
                 TxnCtl::End {
@@ -449,7 +440,7 @@ impl ProducerClient {
         let brokers = self.broker_endpoints();
         let epoch = self.epoch;
         for broker in brokers {
-            let corr = self.next_corr();
+            let corr = CorrelationId(ctx.next_corr());
             self.txn_ctl.insert(
                 corr.0,
                 TxnCtl::Recover {
@@ -488,7 +479,7 @@ impl ProducerClient {
         }
         let pending: Vec<TxnCtl> = std::mem::take(&mut self.txn_ctl).into_values().collect();
         for ctl in pending {
-            let corr = self.next_corr();
+            let corr = CorrelationId(ctx.next_corr());
             self.txn_ctl.insert(corr.0, ctl);
             match ctl {
                 TxnCtl::End {
@@ -573,11 +564,7 @@ impl ProducerClient {
 
     /// Kicks off metadata discovery. Call from `on_start`.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.request_metadata(ctx);
-    }
-
-    fn next_corr(&mut self) -> CorrelationId {
-        draw_corr(&mut self.next_corr)
+        self.meta.request(ctx);
     }
 
     fn update_mem(&mut self) {
@@ -586,10 +573,6 @@ impl ProducerClient {
                 .borrow_mut()
                 .set_dynamic(*slot, self.buffer_used as u64);
         }
-    }
-
-    fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
-        self.meta.request(ctx, || draw_corr(&mut self.next_corr));
     }
 
     /// Queues one record for `topic`. Returns `false` (and counts a buffer
@@ -826,7 +809,7 @@ impl ProducerClient {
                 None => continue,
             };
             batch.attempts += 1;
-            let corr = self.next_corr();
+            let corr = CorrelationId(ctx.next_corr());
             if !std::mem::replace(&mut self.timeout_armed, true) {
                 ctx.set_timer(self.cfg.request_timeout, PRODUCER_TAGS + off::REQ_TIMEOUT);
             }
@@ -857,7 +840,7 @@ impl ProducerClient {
             self.inflight.hold(corr.0, batch, Some(deadline));
         }
         if need_meta {
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
         }
     }
 
@@ -922,7 +905,7 @@ impl ProducerClient {
             .entry(batch.tp.clone())
             .or_default()
             .push_front(batch);
-        self.request_metadata(ctx);
+        self.meta.request(ctx);
         ctx.set_timer(self.cfg.retry_backoff, PRODUCER_TAGS + off::RETRY_PUMP);
     }
 
@@ -998,7 +981,7 @@ impl ProducerClient {
             self.retry_txn_ctl(ctx);
         } else if o == off::META_TIMEOUT {
             self.meta.on_timeout();
-            self.request_metadata(ctx);
+            self.meta.request(ctx);
         } else if o == off::REQ_TIMEOUT {
             self.timeout_armed = false;
             self.expire_requests(ctx);

@@ -124,19 +124,18 @@ pub fn cluster(
         held: 0,
     }));
     assert_eq!(broker, BROKER);
-    let consumer = sim.spawn(Box::new(consumer(poll_interval, 0)));
+    let consumer = sim.spawn(Box::new(consumer(poll_interval)));
     (sim, consumer)
 }
 
-/// Incarnation `incarnation` of the consumer [`cluster`] spawns.
-pub fn consumer(poll_interval: SimDuration, incarnation: u64) -> ConsumerProcess {
+/// The consumer [`cluster`] spawns, also for a respawn into its slot.
+pub fn consumer(poll_interval: SimDuration) -> ConsumerProcess {
     let brokers: BTreeMap<BrokerId, ProcessId> = [(BrokerId(0), BROKER)].into();
     let cfg = ConsumerConfig {
         poll_interval,
         ..ConsumerConfig::default()
     };
-    let mut client = ConsumerClient::new(cfg, BROKER, brokers, vec![TOPIC.into()]);
-    client.set_incarnation(incarnation);
+    let client = ConsumerClient::new(cfg, BROKER, brokers, vec![TOPIC.into()]);
     ConsumerProcess::new(0, client, Box::new(CollectingSink::default()))
 }
 

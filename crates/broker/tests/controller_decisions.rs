@@ -43,7 +43,6 @@ struct Cluster {
     controller_pids: Vec<ProcessId>,
     broker_pids: Vec<ProcessId>,
     brokers: BTreeMap<BrokerId, ProcessId>,
-    incarnations: Vec<u64>,
 }
 
 fn broker_cfg() -> BrokerConfig {
@@ -165,7 +164,6 @@ fn build(mode: CoordinationMode) -> Cluster {
         controller_pids,
         broker_pids,
         brokers,
-        incarnations: vec![0; N_BROKERS as usize],
     }
 }
 
@@ -199,21 +197,18 @@ impl Cluster {
         }
     }
 
-    /// Restarts each victim empty, under a bumped incarnation.
+    /// Restarts each victim empty, as its next incarnation.
     fn restart(&mut self, at_ms: u64, victims: &[u32]) {
         self.sim.run_until(SimTime::from_millis(at_ms));
         for v in victims {
             let i = *v as usize;
-            self.incarnations[i] += 1;
-            let mut b = Broker::new(
+            let b = Broker::new(
                 BrokerId(*v),
                 broker_cfg(),
                 self.mode,
                 self.controller_pids.clone(),
                 self.brokers.clone(),
             );
-            b.set_incarnation(self.incarnations[i]);
-            b.mark_restarted();
             self.sim.respawn(self.broker_pids[i], Box::new(b));
         }
     }

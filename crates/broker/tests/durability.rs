@@ -27,7 +27,7 @@ fn broker_cfg() -> BrokerConfig {
     }
 }
 
-fn make_broker(store: &BlobMap, recover: bool, incarnation: u64) -> Broker {
+fn make_broker(store: &BlobMap, recover: bool) -> Broker {
     let mut b = Broker::new(
         BrokerId(0),
         broker_cfg(),
@@ -36,7 +36,6 @@ fn make_broker(store: &BlobMap, recover: bool, incarnation: u64) -> Broker {
         peer_map(),
     );
     b.set_durability(BlobClient::shared(store.clone()), recover);
-    b.set_incarnation(incarnation);
     b
 }
 
@@ -50,7 +49,7 @@ fn spawn_cluster(sim: &mut Sim, topics: &[TopicSpec]) -> BlobMap {
         topics,
     )));
     assert_eq!(ctl, CONTROLLER_PID);
-    let b = sim.spawn(Box::new(make_broker(&store, false, 0)));
+    let b = sim.spawn(Box::new(make_broker(&store, false)));
     assert_eq!(b, BROKER_PID);
     store
 }
@@ -89,7 +88,7 @@ fn broker_restart_replays_identical_log() {
     assert!(pre_stats.log_flushes > 0, "flushes happened pre-crash");
 
     // Respawn with recovery from the same backend.
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true, 1)));
+    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true)));
     sim.run_until(SimTime::from_secs(8));
 
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
@@ -149,7 +148,7 @@ fn group_offsets_survive_broker_bounce() {
     assert!(committed_before > Offset::ZERO);
 
     sim.run_until(SimTime::from_millis(2_500));
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true, 1)));
+    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true)));
     sim.run_until(SimTime::from_secs(10));
 
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
@@ -189,7 +188,7 @@ fn restart_without_recovery_starts_empty() {
     sim.run_until(SimTime::from_secs(3));
     sim.kill(BROKER_PID).expect("alive");
     // Respawn WITHOUT recovery: the log backend is ignored on boot.
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, false, 1)));
+    sim.respawn(BROKER_PID, Box::new(make_broker(&store, false)));
     sim.run_until(SimTime::from_millis(3_100));
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
     let tp = TopicPartition::new("events", 0);

@@ -48,7 +48,6 @@ struct Cluster {
     producer_pid: ProcessId,
     consumer_pid: ProcessId,
     broker_cfg: BrokerConfig,
-    incarnations: Vec<u64>,
 }
 
 /// One kill/restart cycle of the schedule: which broker died, when, and
@@ -163,7 +162,6 @@ fn build(seed: u64) -> Cluster {
         producer_pid,
         consumer_pid,
         broker_cfg,
-        incarnations: vec![0; N_BROKERS as usize],
     }
 }
 
@@ -172,16 +170,13 @@ impl Cluster {
     /// must rebuild its log purely through follower catch-up from the
     /// elected leader.
     fn restart(&mut self, victim: u32) {
-        self.incarnations[victim as usize] += 1;
-        let mut b = Broker::new(
+        let b = Broker::new(
             BrokerId(victim),
             self.broker_cfg.clone(),
             CoordinationMode::Zk,
             self.controller_pids.clone(),
             self.brokers_hash.clone(),
         );
-        b.set_incarnation(self.incarnations[victim as usize]);
-        b.mark_restarted();
         self.sim
             .respawn(self.broker_pids[victim as usize], Box::new(b));
     }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use common::{cluster, stats, stub, Answer, TRANSIT};
 use s2g_broker::{
     Broker, BrokerConfig, CollectingSink, ConsumerClient, ConsumerConfig, ConsumerProcess,
-    ControllerConfig, CoordinationMode, TopicSpec, ZkController, BROKER_LOG_CORR_BASE,
+    ControllerConfig, CoordinationMode, TopicSpec, ZkController, BROKER_LOG_RETRY_TAG,
     FETCH_MAX_WAIT,
 };
 use s2g_proto::{
@@ -116,7 +116,7 @@ impl Rig {
             (0..3).map(|i| (BrokerId(i), ProcessId(i + 1))).collect();
         let mut broker = Broker::new(ME, BrokerConfig::default(), mode, vec![CTL], peers);
         if durable {
-            let blobs = BlobClient::new(vec![STORE], BROKER_LOG_CORR_BASE, 0);
+            let blobs = BlobClient::new(vec![STORE], BROKER_LOG_RETRY_TAG);
             broker.set_durability(blobs, false);
         }
         assert_eq!(sim.spawn(Box::new(broker)), BROKER);
@@ -544,7 +544,7 @@ fn a_reply_to_the_incarnation_before_a_respawn_completes_nothing() {
     sim.kill(pid).expect("alive");
     sim.run_until(ms(400));
     // Without a group the respawn starts over, with a fresh sink.
-    sim.respawn(pid, Box::new(common::consumer(poll_interval, 1)));
+    sim.respawn(pid, Box::new(common::consumer(poll_interval)));
     sim.run_until(ms(800));
     assert_eq!(read(&sim), (10, Offset(10), 0));
     assert_eq!(stub(&sim).held, 2, "its second fetch is held as well");

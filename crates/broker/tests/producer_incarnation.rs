@@ -1,9 +1,9 @@
-//! `ProducerClient::set_incarnation`: a respawn reuses the process id and a
-//! fresh client numbers its requests from the start again, so a produce
-//! acknowledged late — addressed to the crashed incarnation — would pass
-//! for the acknowledgement of the respawn's own first produce, did the
-//! incarnation not set the two apart. (The consumer's side of the same
-//! case is in `long_poll.rs`.)
+//! A respawn reuses the process id and a fresh client draws its first
+//! correlation id again, so a produce acknowledged late — addressed to the
+//! crashed incarnation — would pass for the acknowledgement of the
+//! respawn's own first produce, did the kernel's ids not set the two
+//! incarnations apart. (The consumer's side of the same case is in
+//! `long_poll.rs`.)
 
 use std::collections::BTreeMap;
 
@@ -46,12 +46,11 @@ impl Process for MuteBroker {
     }
 }
 
-/// A producer of one record, as incarnation `incarnation` of its process.
-fn producer(incarnation: u64) -> ProducerProcess {
+/// A producer of one record.
+fn producer() -> ProducerProcess {
     let brokers: BTreeMap<BrokerId, ProcessId> = [(BrokerId(0), BROKER)].into();
     let cfg = ProducerConfig::default();
-    let mut client = ProducerClient::new(ProducerId(1), cfg, BROKER, brokers, 0);
-    client.set_incarnation(incarnation);
+    let client = ProducerClient::new(ProducerId(1), cfg, BROKER, brokers, 0);
     let source = RateSource::new("t", 1, SimDuration::from_millis(10));
     ProducerProcess::new(client, Box::new(source))
 }
@@ -61,10 +60,10 @@ fn an_ack_to_the_incarnation_before_a_respawn_completes_nothing() {
     let ms = SimTime::from_millis;
     let mut sim = Sim::new(1);
     assert_eq!(sim.spawn(Box::new(MuteBroker::default())), BROKER);
-    let pid = sim.spawn(Box::new(producer(0)));
+    let pid = sim.spawn(Box::new(producer()));
     sim.run_until(ms(100));
     sim.kill(pid).expect("alive");
-    sim.respawn(pid, Box::new(producer(1)));
+    sim.respawn(pid, Box::new(producer()));
     sim.run_until(ms(200));
     // Each incarnation's one produce is waiting for its acknowledgement;
     // the broker gets round to them in the order they came.

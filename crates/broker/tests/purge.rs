@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use s2g_broker::{
     Broker, BrokerConfig, BrokerLogMeta, ControllerConfig, CoordinationMode, ProducerClient,
-    ProducerConfig, ProducerProcess, RateSource, TopicSpec, ZkController, BROKER_LOG_CORR_BASE,
+    ProducerConfig, ProducerProcess, RateSource, TopicSpec, ZkController, BROKER_LOG_RETRY_TAG,
 };
 use s2g_proto::{AckMode, BrokerId, ClientRpc, Offset, ProducerId, TopicPartition};
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
@@ -95,7 +95,6 @@ struct Cluster {
     brokers: BTreeMap<BrokerId, ProcessId>,
     cfg: BrokerConfig,
     recorder: Option<ProcessId>,
-    incarnations: Vec<u64>,
 }
 
 impl Cluster {
@@ -129,7 +128,6 @@ impl Cluster {
             brokers,
             cfg,
             recorder,
-            incarnations: vec![0; N_BROKERS as usize],
         };
         for i in 0..N_BROKERS {
             let b = cluster.broker_process(i);
@@ -172,7 +170,7 @@ impl Cluster {
         self.brokers.clone()
     }
 
-    /// Incarnation `incarnations[i]` of broker `i`, empty.
+    /// Broker `i`, empty.
     fn broker_process(&self, i: u32) -> Broker {
         let mut b = Broker::new(
             BrokerId(i),
@@ -181,18 +179,15 @@ impl Cluster {
             vec![CONTROLLER],
             self.peers(),
         );
-        let incarnation = self.incarnations[i as usize];
-        b.set_incarnation(incarnation);
         if let Some(store) = self.recorder {
-            let blobs = BlobClient::new(vec![store], BROKER_LOG_CORR_BASE, incarnation);
+            let blobs = BlobClient::new(vec![store], BROKER_LOG_RETRY_TAG);
             b.set_durability(blobs, false);
         }
         b
     }
 
-    /// Respawns broker `i` empty, under its next incarnation.
+    /// Respawns broker `i` empty, as its next incarnation.
     fn restart(&mut self, i: u32) {
-        self.incarnations[i as usize] += 1;
         let b = self.broker_process(i);
         self.sim.respawn(self.pid(i), Box::new(b));
     }

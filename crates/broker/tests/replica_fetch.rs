@@ -631,8 +631,11 @@ fn a_follower_held_at_the_log_end_past_replica_lag_max_stays_in_the_isr() {
 fn a_reply_to_an_earlier_incarnation_is_dropped_and_counted() {
     let mut c = Cluster::new(&BrokerConfig::default(), &[true, false]);
     // Broker 0 is its process's first respawn.
-    let respawned = c.sim.process_mut::<Broker>(pid(0)).expect("real");
-    respawned.set_incarnation(1);
+    c.sim.kill(pid(0)).expect("real");
+    let peers = (0..2).map(|i| (BrokerId(i), pid(i))).collect();
+    let (cfg, mode) = (BrokerConfig::default(), CoordinationMode::Zk);
+    let broker = Broker::new(BrokerId(0), cfg, mode, vec![CTL], peers);
+    c.sim.respawn(pid(0), Box::new(broker));
     c.sim.run_until(ms(1));
     c.leader_and_isr(0, 0, 1, 1);
     c.sim.run_until(ms(2));

@@ -15,7 +15,7 @@ use s2g_analyze::{ComponentRef, FaultFacts, FaultKind, FaultTarget, ScenarioFact
 use s2g_broker::{
     Broker, BrokerRecoveryInfo, BrokerStats, ConsumerClient, ConsumerProcess, ConsumerStats,
     CoordinationMode, KraftController, ProducerClient, ProducerProcess, ProducerStats, TopicSpec,
-    ZkController, BROKER_LOG_CORR_BASE,
+    ZkController, BROKER_LOG_RETRY_TAG,
 };
 use s2g_net::{FaultInjector, NetHandle, NetTransport, Network, NodeKind, Topology};
 use s2g_proto::{BrokerId, ProducerId, TopicPartition};
@@ -67,8 +67,6 @@ struct Slot {
     host: String,
     pid: ProcessId,
     mem: MemSlot,
-    /// Respawn count; 0 is the initial spawn.
-    incarnation: u64,
     crashed_at: Option<SimTime>,
     restarted_at: Option<SimTime>,
     /// The killed process's remains, kept until a restart so the report
@@ -302,7 +300,6 @@ impl Runtime {
             host,
             pid: ProcessId(0),
             mem: (self.wiring.ledger.borrow_mut()).register(mem_label, mem_base),
-            incarnation: u64::from(at.is_some()),
             crashed_at: None,
             restarted_at: None,
             corpse: None,
@@ -368,19 +365,16 @@ impl Runtime {
     /// What the component in `slot` keeps a durability tier's blobs
     /// through, built by the tier's constructor for the medium `tier`
     /// names: `shared` over the run's blob map, or `group` over the store
-    /// group's members under the slot's incarnation.
+    /// group's members.
     fn blob_store<T>(
         &self,
         tier: &DurableStoreSpec,
-        slot: &Slot,
         shared: impl FnOnce(BlobMap) -> T,
-        group: impl FnOnce(Vec<ProcessId>, u64) -> T,
+        group: impl FnOnce(Vec<ProcessId>) -> T,
     ) -> T {
         match tier {
             DurableStoreSpec::InMemory => shared(self.wiring.blobs.clone()),
-            DurableStoreSpec::StoreOn { host } => {
-                group(self.store_group_on(host).to_vec(), slot.incarnation)
-            }
+            DurableStoreSpec::StoreOn { host } => group(self.store_group_on(host).to_vec()),
         }
     }
 
@@ -398,18 +392,13 @@ impl Runtime {
                     w.brokers.clone(),
                 );
                 b.set_mem_slot(w.ledger.clone(), slot.mem);
-                b.set_incarnation(slot.incarnation);
                 b.set_telemetry(w.tele.clone());
-                match &self.spec.broker_durability {
-                    Some(tier) => {
-                        let group = |g, inc| BlobClient::new(g, BROKER_LOG_CORR_BASE, inc);
-                        let store = self.blob_store(tier, slot, BlobClient::shared, group);
-                        b.set_durability(store, recover);
-                    }
-                    // Without a durable log the broker restarts empty (the
-                    // data-loss contrast); still record restart metrics.
-                    None if recover => b.mark_restarted(),
-                    None => {}
+                // A respawn replays its durable log; without one it
+                // restarts empty (the data-loss contrast).
+                if let Some(tier) = &self.spec.broker_durability {
+                    let group = |g| BlobClient::new(g, BROKER_LOG_RETRY_TAG);
+                    let store = self.blob_store(tier, BlobClient::shared, group);
+                    b.set_durability(store, recover);
                 }
                 Box::new(b)
             }
@@ -418,7 +407,6 @@ impl Runtime {
                 let mut st = StoreServer::new(self.spec.stores[replica.group].1.clone());
                 st.set_name(slot.name.clone());
                 st.set_mem_slot(w.ledger.clone(), slot.mem);
-                st.set_incarnation(slot.incarnation);
                 st.set_telemetry(w.tele.clone());
                 let group = &w.store_groups[replica.group];
                 if group.len() > 1 {
@@ -441,7 +429,6 @@ impl Runtime {
                 let mut client =
                     ProducerClient::new(id, p.cfg.clone(), bootstrap, w.brokers.clone(), 0);
                 client.set_mem_slot(w.ledger.clone(), slot.mem);
-                client.set_incarnation(slot.incarnation);
                 if self.spec.capture_records {
                     client.capture_records();
                 }
@@ -458,13 +445,12 @@ impl Runtime {
                 let sink = self.spec.consumers[i].3.build();
                 let sink = MonitoredSink::new(w.monitor.clone(), i as u32, sink);
                 let bootstrap = self.bootstrap_for(&c.host);
-                let mut client = ConsumerClient::new(
+                let client = ConsumerClient::new(
                     c.cfg.clone(),
                     bootstrap,
                     w.brokers.clone(),
                     c.topics.clone(),
                 );
-                client.set_incarnation(slot.incarnation);
                 let mut p = ConsumerProcess::new(i as u32, client, Box::new(sink));
                 p.set_telemetry(w.tele.clone());
                 Box::new(p)
@@ -553,14 +539,13 @@ impl Runtime {
             // checkpointing keeps its captures in memory.
             let tier = self.spec.checkpointing.as_ref().map(|c| &c.backend);
             let tier = tier.unwrap_or(&DurableStoreSpec::InMemory);
-            let backend = self.blob_store(tier, slot, DurableBackend::shared, DurableBackend::new);
+            let backend = self.blob_store(tier, DurableBackend::shared, DurableBackend::new);
             w.attach_checkpointing(backend, recover);
         }
         // After the checkpointing attach so the coordinator is covered too.
         w.set_telemetry(self.wiring.tele.clone());
         if recover {
             w.mark_restarted();
-            w.set_incarnation(slot.incarnation);
         }
         w
     }
@@ -640,7 +625,6 @@ impl Runtime {
         if self.sim.is_alive(slot.pid) {
             return;
         }
-        slot.incarnation += 1;
         slot.restarted_at = Some(at);
         slot.corpse = None;
         let slot = &self.slots[&key];

@@ -58,7 +58,8 @@ pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToke
 pub use quorum::{Fetch, Intake, Quorum};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{
-    Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimStats, Transport,
+    corr_incarnation, Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimStats,
+    Transport,
 };
 pub use time::{SimDuration, SimTime};
 pub use waiters::Waiters;

@@ -58,6 +58,16 @@ pub(crate) enum EventKind {
         /// Caller-chosen tag passed to `on_cpu_done`.
         tag: u64,
     },
+    /// A CPU slice finished and its message leaves: it is routed now, and
+    /// voided with its sender.
+    Depart {
+        /// Sender, the process whose CPU did the work.
+        from: ProcessId,
+        /// Receiver.
+        to: ProcessId,
+        /// Payload.
+        msg: Box<dyn Message>,
+    },
 }
 
 impl EventKind {
@@ -68,6 +78,7 @@ impl EventKind {
             EventKind::Deliver { to, .. } => *to,
             EventKind::Timer { pid, .. } => *pid,
             EventKind::CpuDone { pid, .. } => *pid,
+            EventKind::Depart { from, .. } => *from,
         }
     }
 }

@@ -324,11 +324,13 @@ impl<E> Quorum<E> {
         }
     }
 
-    /// Starts this member's one outstanding fetch as `corr`, superseding any
-    /// still out. Returns it and whom to send it: the leader, or every peer
-    /// (`None`) when it knows none or is not ready.
-    pub fn fetch(&mut self, now: SimTime, corr: u64) -> (Fetch, Option<usize>) {
-        self.awaiting = Some((corr, now));
+    /// Starts this member's one outstanding fetch under a fresh correlation
+    /// id ([`Ctx::next_corr`]), superseding any still out. Returns it and
+    /// whom to send it: the leader, or every peer (`None`) when it knows
+    /// none or is not ready.
+    pub fn fetch(&mut self, ctx: &mut Ctx<'_>) -> (Fetch, Option<usize>) {
+        let corr = ctx.next_corr();
+        self.awaiting = Some((corr, ctx.now()));
         let fetch = Fetch {
             corr,
             after: self.log_end(),
@@ -588,13 +590,16 @@ mod tests {
     fn an_answer_of_a_newer_term_still_completes_the_outstanding_fetch() {
         with_ctx(|ctx| {
             let mut q = member(Some(1));
-            q.fetch(ctx.now(), 7);
-            assert!(!q.take_reply(ctx, 6, 2, Some(2)), "not the fetch out");
-            q.fetch(ctx.now(), 8);
+            let first = q.fetch(ctx).0.corr;
+            assert!(
+                !q.take_reply(ctx, first + 1, 2, Some(2)),
+                "not the fetch out"
+            );
+            let corr = q.fetch(ctx).0.corr;
             // Member 2 leads term 3 and answers the fetch sent in term 2.
-            assert!(q.take_reply(ctx, 8, 3, Some(2)));
+            assert!(q.take_reply(ctx, corr, 3, Some(2)));
             assert_eq!((q.term(), q.leader()), (3, Some(2)));
-            assert!(!q.take_reply(ctx, 8, 3, Some(2)), "completed once");
+            assert!(!q.take_reply(ctx, corr, 3, Some(2)), "completed once");
         });
     }
 

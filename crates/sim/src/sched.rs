@@ -91,8 +91,9 @@ pub struct SimStats {
     /// Cancelled-timer tombstones popped: a cancelled timer stays queued
     /// until its instant and still counts as a processed event.
     pub timers_cancelled: u64,
-    /// CPU completions handed to `on_cpu_done` ([`Ctx::exec`]; work booked
-    /// with [`Ctx::charge`] has no completion).
+    /// CPU completions handed to `on_cpu_done` ([`Ctx::exec`]) or sending
+    /// their message ([`Ctx::send_after_cpu`]); work booked with
+    /// [`Ctx::charge`] has no completion.
     pub cpu_completions: u64,
     /// Events voided because their target process was killed after they
     /// were scheduled.
@@ -134,10 +135,13 @@ struct ProcAccount {
     /// Incarnation counter, bumped on kill and respawn. An event scheduled
     /// for an older incarnation of its target is voided — a crashed process
     /// never receives its old incarnation's timers, CPU completions, or
-    /// in-flight messages.
+    /// in-flight messages. A live process has been bumped twice per
+    /// respawn, so `inc / 2` is [`Ctx::incarnation`].
     inc: u32,
     /// Count of live (still-dispatching) scheduled events.
     pending: u32,
+    /// Correlation ids drawn by this incarnation ([`Ctx::next_corr`]).
+    corrs: u32,
 }
 
 /// Everything the scheduler owns except the process table; split out so a
@@ -214,7 +218,28 @@ impl SimCore {
         account.inc += 1;
         self.live -= account.pending as usize;
         account.pending = 0;
+        account.corrs = 0;
     }
+
+    /// Routes `msg` from `from` to `to` through the transport, now.
+    fn send(&mut self, from: ProcessId, to: ProcessId, msg: Box<dyn Message>) {
+        let bytes = msg.wire_size();
+        match (self.transport).route(self.now, &mut self.rng, from, to, bytes) {
+            Delivery::After(d) => {
+                let at = self.now + d;
+                self.push(at, EventKind::Deliver { from, to, msg });
+            }
+            Delivery::Drop => {
+                self.stats.messages_dropped += 1;
+            }
+        }
+    }
+}
+
+/// The incarnation of the process that drew correlation id `corr` through
+/// [`Ctx::next_corr`].
+pub fn corr_incarnation(corr: u64) -> u32 {
+    (corr >> 32) as u32
 }
 
 /// The per-dispatch context handed to process handlers.
@@ -250,21 +275,25 @@ impl<'a> Ctx<'a> {
 
     /// Sends an already-boxed message to `to`.
     pub fn send_boxed(&mut self, to: ProcessId, msg: Box<dyn Message>) {
-        let bytes = msg.wire_size();
-        let from = self.self_id;
-        let outcome = self
-            .core
-            .transport
-            .route(self.core.now, &mut self.core.rng, from, to, bytes);
-        match outcome {
-            Delivery::After(d) => {
-                let at = self.core.now + d;
-                self.core.push(at, EventKind::Deliver { from, to, msg });
-            }
-            Delivery::Drop => {
-                self.core.stats.messages_dropped += 1;
-            }
-        }
+        self.core.send(self.self_id, to, msg);
+    }
+
+    /// Which incarnation of its process this is: 0 from its spawn, one more
+    /// for each [`Sim::respawn`] into its slot.
+    pub fn incarnation(&self) -> u32 {
+        self.core.incarnation_of(self.self_id) / 2
+    }
+
+    /// A correlation id no other incarnation of this process draws, and
+    /// this one draws once: `incarnation << 32 | n` for its `n`th draw
+    /// (see [`corr_incarnation`]). A respawn reuses the process id, so a
+    /// reply to a request of the crashed incarnation, answered late, is
+    /// told from one to the respawn's own by its id alone.
+    pub fn next_corr(&mut self) -> u64 {
+        let account = &mut self.core.accounts[self.self_id.index()];
+        let n = account.corrs;
+        account.corrs += 1;
+        u64::from(account.inc / 2) << 32 | u64::from(n)
     }
 
     /// Schedules `on_timer(tag)` to fire after `after`.
@@ -334,11 +363,7 @@ impl<'a> Ctx<'a> {
     /// `on_cpu_done(tag)` fires when it completes. If the process has no
     /// attached CPU, the work completes after exactly `cost` (no contention).
     pub fn exec(&mut self, cost: SimDuration, tag: u64) {
-        let done_after = match self.cpu {
-            Some(cpu) => cpu.borrow_mut().execute(self.core.now, cost),
-            None => cost,
-        };
-        let at = self.core.now + done_after;
+        let at = self.core.now + self.book(cost);
         self.core.push(
             at,
             EventKind::CpuDone {
@@ -346,6 +371,36 @@ impl<'a> Ctx<'a> {
                 tag,
             },
         );
+    }
+
+    /// Sends `msg` to `to` once `cost` of CPU work on this process's host
+    /// CPU is done: the work is booked as [`exec`](Ctx::exec) books it and
+    /// completes at the same instant and in the same order, and the message
+    /// then leaves as an `on_cpu_done` that sent it would send it. It is
+    /// voided if this process dies first, and its completion counts in
+    /// [`SimStats::cpu_completions`].
+    pub fn send_after_cpu<M: Message>(&mut self, cost: SimDuration, to: ProcessId, msg: M) {
+        self.send_boxed_after_cpu(cost, to, Box::new(msg));
+    }
+
+    /// [`send_after_cpu`](Ctx::send_after_cpu) for an already-boxed message.
+    pub fn send_boxed_after_cpu(
+        &mut self,
+        cost: SimDuration,
+        to: ProcessId,
+        msg: Box<dyn Message>,
+    ) {
+        let at = self.core.now + self.book(cost);
+        let from = self.self_id;
+        self.core.push(at, EventKind::Depart { from, to, msg });
+    }
+
+    /// Books `cost` on the host CPU; returns when the work completes.
+    fn book(&mut self, cost: SimDuration) -> SimDuration {
+        match self.cpu {
+            Some(cpu) => cpu.borrow_mut().execute(self.core.now, cost),
+            None => cost,
+        }
     }
 
     /// Books `cost` of CPU work on this process's host CPU exactly as
@@ -487,14 +542,16 @@ impl Sim {
     }
 
     /// Respawns a process into a previously [`kill`](Sim::kill)ed slot and
-    /// schedules its `on_start` at the current simulated time. The
-    /// incarnation is bumped again so messages addressed to the dead period
-    /// (sent between kill and respawn) are also voided.
+    /// schedules its `on_start` at the current simulated time. Messages
+    /// addressed to the dead period (sent between kill and respawn) are
+    /// voided too.
     ///
-    /// The incarnation counter is sim-internal; application protocols that
-    /// need restart detection carry their own incarnation numbers (e.g.
-    /// brokers stamp one into controller heartbeats so their roles are
-    /// re-taught after a bounce faster than the session timeout).
+    /// The respawn is the slot's next incarnation ([`Ctx::incarnation`]),
+    /// and draws correlation ids no earlier one drew ([`Ctx::next_corr`]):
+    /// a protocol tells a late reply to a crashed incarnation's request by
+    /// its id, and a broker stamps its incarnation into controller
+    /// heartbeats so its roles are re-taught after a bounce faster than the
+    /// session timeout.
     ///
     /// # Panics
     ///
@@ -639,6 +696,10 @@ impl Sim {
             EventKind::CpuDone { pid, tag } => {
                 self.core.stats.cpu_completions += 1;
                 self.with_process(pid, |proc, ctx| proc.on_cpu_done(ctx, tag));
+            }
+            EventKind::Depart { from, to, msg } => {
+                self.core.stats.cpu_completions += 1;
+                self.core.send(from, to, msg);
             }
         }
     }
@@ -1097,6 +1158,143 @@ mod tests {
             sim.run_to_completion();
             assert_eq!(sim.stats().max_queue_len, 8, "{kind:?}");
             assert_eq!(sim.stats().events_voided, 8, "{kind:?}");
+        }
+    }
+
+    /// Records its incarnation and draws three correlation ids at start.
+    #[derive(Default)]
+    struct Drawer {
+        incarnation: u32,
+        ids: Vec<u64>,
+    }
+
+    impl Process for Drawer {
+        fn name(&self) -> &str {
+            "drawer"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.incarnation = ctx.incarnation();
+            self.ids = (0..3).map(|_| ctx.next_corr()).collect();
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+    }
+
+    #[test]
+    fn two_incarnations_of_a_process_draw_disjoint_ids() {
+        let mut sim = Sim::new(0);
+        let p = sim.spawn(Box::new(Drawer::default()));
+        sim.run_until(SimTime::from_millis(1));
+        let dead = sim.kill(p).expect("alive");
+        let first = (dead.as_ref() as &dyn Any)
+            .downcast_ref::<Drawer>()
+            .unwrap();
+        assert_eq!(first.incarnation, 0);
+        sim.respawn(p, Box::new(Drawer::default()));
+        sim.run_until(SimTime::from_millis(2));
+        let second = sim.process_ref::<Drawer>(p).unwrap();
+        assert_eq!(second.incarnation, 1);
+        assert!(first.ids.iter().all(|id| !second.ids.contains(id)));
+        for (ids, inc) in [(&first.ids, 0), (&second.ids, 1)] {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+            assert!(ids.iter().all(|id| corr_incarnation(*id) == inc));
+        }
+    }
+
+    /// Sends `Note(base + i)` after `costs[i]` µs of CPU at start: through
+    /// [`Ctx::send_after_cpu`], or through `exec` and an `on_cpu_done` that
+    /// sends. Between them it sends `Note(base + 100 + i)` at once.
+    struct Replier {
+        to: ProcessId,
+        base: u64,
+        costs: Vec<u64>,
+        kernel: bool,
+    }
+
+    impl Process for Replier {
+        fn name(&self) -> &str {
+            "replier"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, micros) in self.costs.iter().enumerate() {
+                let cost = SimDuration::from_micros(*micros);
+                let note = self.base + i as u64;
+                if self.kernel {
+                    ctx.send_after_cpu(cost, self.to, Note(note));
+                } else {
+                    ctx.exec(cost, note);
+                }
+                ctx.send(self.to, Note(note + 100));
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+        fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            ctx.send(self.to, Note(tag));
+        }
+    }
+
+    /// What `Replier`s on a two-core host delivered, and the run's stats.
+    fn replies(
+        kind: SchedulerKind,
+        kernel: bool,
+        kill_at: Option<SimTime>,
+    ) -> (Vec<(SimTime, u64)>, SimStats) {
+        let mut sim = Sim::with_scheduler(0, kind);
+        let to = sim.spawn(Box::new(Echo::new(false)));
+        let cpu = HostCpu::shared("h", 2, 1.0, SimDuration::from_millis(500));
+        let costs = [vec![30, 10, 10, 20], vec![10, 20, 5]];
+        let pids: Vec<_> = (costs.into_iter().zip([0, 1_000]))
+            .map(|(costs, base)| {
+                let replier = Replier {
+                    to,
+                    base,
+                    costs,
+                    kernel,
+                };
+                sim.spawn(Box::new(replier))
+            })
+            .collect();
+        for pid in &pids {
+            sim.attach_cpu(*pid, cpu.clone());
+        }
+        if let Some(at) = kill_at {
+            sim.run_until(at);
+            sim.kill(pids[0]).expect("alive");
+        }
+        sim.run_to_completion();
+        let received = sim.process_ref::<Echo>(to).unwrap().received.clone();
+        (received, sim.stats())
+    }
+
+    #[test]
+    fn a_reply_sent_after_cpu_arrives_as_an_exec_then_send_delivers_it() {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (received, stats) = replies(kind, true, None);
+            assert_eq!(
+                (received.clone(), stats),
+                replies(kind, false, None),
+                "{kind:?}"
+            );
+            assert_eq!(received.len(), 14, "{kind:?}");
+            assert_eq!(stats.cpu_completions, 7, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_reply_of_a_process_killed_before_its_cpu_work_ends_is_voided() {
+        let at = SimTime::from_micros(5);
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (received, stats) = replies(kind, true, Some(at));
+            assert_eq!(
+                (received.clone(), stats),
+                replies(kind, false, Some(at)),
+                "{kind:?}"
+            );
+            // The victim's four replies are voided; its immediate notes and
+            // the other replier's seven messages arrive.
+            assert_eq!(received.len(), 10, "{kind:?}");
+            assert!(received.iter().all(|(_, v)| *v >= 100), "{received:?}");
+            assert_eq!(stats.events_voided, 4, "{kind:?}");
+            assert_eq!(stats.cpu_completions, 3, "{kind:?}");
         }
     }
 

@@ -69,11 +69,9 @@ use s2g_telemetry::{CounterHandle, Histogram, HistogramHandle, Telemetry};
 
 use crate::event::{wire, CodecError, Event, Value};
 
-/// Correlation-id base for checkpoint store RPCs, so a worker can tell its
-/// snapshot traffic apart from sink inserts sharing the same store server;
-/// and so the tag of the checkpoint blob client's retry timer, clear of the
+/// The tag of the checkpoint blob client's retry timer, clear of the
 /// worker's own tags and of its embedded clients' ranges.
-pub(crate) const CKPT_CORR_BASE: u64 = 1 << 42;
+pub(crate) const CKPT_RETRY_TAG: u64 = 1 << 42;
 
 /// When consumer offsets are committed relative to state persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -602,17 +600,15 @@ impl DurableBackend {
     /// Creates a backend over the members of a store group (one member for
     /// an unreplicated store): unanswered RPCs rotate to the next member on
     /// the blob client's retry timer (armed in the owning process under
-    /// `CKPT_CORR_BASE`; an [`SpeWorker`](crate::SpeWorker) forwards it),
+    /// `CKPT_RETRY_TAG`; an [`SpeWorker`](crate::SpeWorker) forwards it),
     /// so checkpoints survive a store crash with no change above this
-    /// backend. `incarnation` is the owning worker's, so a store reply
-    /// delayed across a worker bounce can never complete a request of the
-    /// respawn.
+    /// backend.
     ///
     /// # Panics
     ///
     /// Panics if `servers` is empty.
-    pub fn new(servers: Vec<ProcessId>, incarnation: u64) -> Self {
-        Self::over(BlobClient::new(servers, CKPT_CORR_BASE, incarnation))
+    pub fn new(servers: Vec<ProcessId>) -> Self {
+        Self::over(BlobClient::new(servers, CKPT_RETRY_TAG))
     }
 
     /// Creates a backend over a shared blob map: a job manager's heap,
@@ -1701,8 +1697,8 @@ mod tests {
                 DurableBackend::shared(map.clone()),
             ),
             (
-                DurableBackend::new(vec![store], 0),
-                DurableBackend::new(vec![store], 1),
+                DurableBackend::new(vec![store]),
+                DurableBackend::new(vec![store]),
             ),
         ];
         let drivers = media.map(|(backend, fresh)| {

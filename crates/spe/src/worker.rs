@@ -367,7 +367,6 @@ pub struct SpeWorker {
     inflight: Option<(SimTime, Input)>,
     empty_streak: u32,
     flushed: bool,
-    store_corr: u64,
     mem: Option<(LedgerHandle, MemSlot)>,
     coordinator: Option<CheckpointCoordinator>,
     recovery: Option<RecoveryInfo>,
@@ -466,7 +465,6 @@ impl SpeWorker {
             inflight: None,
             empty_streak: 0,
             flushed: false,
-            store_corr: 0,
             mem: None,
             coordinator: None,
             recovery: None,
@@ -540,22 +538,6 @@ impl SpeWorker {
     /// first-batch times are reported even without checkpointing.
     pub fn mark_restarted(&mut self) {
         self.restarted = true;
-    }
-
-    /// Tells a respawned worker which incarnation of its process it is; the
-    /// orchestrator bumps it per respawn. It becomes the sink producer's
-    /// epoch (Kafka's producer epoch), so the broker's idempotent dedup does
-    /// not mistake the fresh incarnation's sequence-zero records for
-    /// retries of the crashed one's, and the base of both clients'
-    /// correlation ids, so a reply to the crashed incarnation (a fetch it
-    /// left held on a broker, a produce acknowledged late) is not taken for
-    /// an answer to one of this one's requests.
-    pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.consumer.set_incarnation(incarnation);
-        if let Some(p) = self.producer.as_mut() {
-            p.set_epoch(incarnation as u32);
-            p.set_incarnation(incarnation);
-        }
     }
 
     /// Checkpoint counters (zero when checkpointing is disabled).
@@ -1060,7 +1042,6 @@ impl SpeWorker {
                     self.tele
                         .trace_instant(ctx.now(), &self.name, "sink:insert", "sink");
                 }
-                let corr = &mut self.store_corr;
                 self.spare.recycle(events, |e| {
                     let mut row: Vec<String> = Vec::new();
                     if let Some(k) = &e.key {
@@ -1070,11 +1051,11 @@ impl SpeWorker {
                         Value::Map(m) => row.extend(m.values().map(|v| v.to_string())),
                         other => row.push(other.to_string()),
                     }
-                    *corr += 1;
+                    let corr = ctx.next_corr();
                     ctx.send(
                         *store,
                         StoreRpc::Insert {
-                            corr: *corr,
+                            corr,
                             table: table.clone(),
                             row,
                         },
@@ -1092,6 +1073,13 @@ impl Process for SpeWorker {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.charge(self.cfg.startup_cpu);
+        if let Some(p) = self.producer.as_mut() {
+            // The sink producer's epoch (Kafka's producer epoch) is the
+            // incarnation, so the broker's idempotent dedup does not
+            // mistake a respawn's sequence-zero records for retries of the
+            // crashed incarnation's.
+            p.set_epoch(ctx.incarnation());
+        }
         if self.cfg.checkpoint.is_some() && self.coordinator.is_none() {
             // Self-contained default: a backend over a private map. It dies
             // with the worker, so orchestrated scenarios attach one over

@@ -7,9 +7,9 @@
 //! implementation of its own. Everything that makes that I/O *reliable* is
 //! the same for both and lives here, once:
 //!
-//! * **Correlation ids** come from a private namespace (`corr_base`) salted
-//!   with the owning process's incarnation, so a reply delayed across a
-//!   crash/restart can never carry an id the respawn also draws.
+//! * **Correlation ids** are the owning process's ([`Ctx::next_corr`]), so
+//!   a reply delayed across a crash/restart can never carry an id the
+//!   respawn also draws, nor one the owner's other clients drew.
 //! * **Tracking.** A request is kept, with the label its owner gave it,
 //!   until it is answered. A [`StoreRpc::PutAck`] completes only a put and
 //!   a [`StoreRpc::GetResult`] only a get; a reply that matches nothing
@@ -93,8 +93,8 @@ struct Sent<L> {
 #[derive(Debug)]
 pub struct BlobClient<L> {
     medium: Medium,
-    corr_base: u64,
-    next: u64,
+    /// The tag the retry timer is armed under.
+    timer_tag: u64,
     /// Requests sent and not yet answered, by correlation id (ordered so
     /// retry re-issues them deterministically).
     pending: BTreeMap<u64, Sent<L>>,
@@ -107,41 +107,32 @@ pub struct BlobClient<L> {
 impl<L> BlobClient<L> {
     /// Creates a client over a shared map: instant and free.
     pub fn shared(map: BlobMap) -> Self {
-        Self::over(Medium::Shared(map), 0, 0)
+        Self::over(Medium::Shared(map), 0)
     }
 
     /// Creates a client over the members of a store group (one member for
-    /// an unreplicated store), in member-index order. `corr_base` is the
-    /// number the owner sets aside for this client, disjoint from its other
-    /// store users' and from its own timer tags: correlation ids start
-    /// there, with the owning process's `incarnation` in the high half of
-    /// the counter, and the retry timer is armed under it as its tag, so
-    /// the owner forwards its `on_timer` to [`on_timer`](Self::on_timer).
+    /// an unreplicated store), in member-index order. Its retry timer is
+    /// armed under `timer_tag`, a tag the owner sets aside, disjoint from
+    /// its own timer tags; the owner forwards its `on_timer` to
+    /// [`on_timer`](Self::on_timer).
     ///
     /// # Panics
     ///
     /// Panics if `servers` is empty.
-    pub fn new(servers: Vec<ProcessId>, corr_base: u64, incarnation: u64) -> Self {
+    pub fn new(servers: Vec<ProcessId>, timer_tag: u64) -> Self {
         assert!(!servers.is_empty(), "a blob client needs an endpoint");
         let current = 0;
-        Self::over(Medium::Group { servers, current }, corr_base, incarnation)
+        Self::over(Medium::Group { servers, current }, timer_tag)
     }
 
-    fn over(medium: Medium, corr_base: u64, incarnation: u64) -> Self {
+    fn over(medium: Medium, timer_tag: u64) -> Self {
         BlobClient {
             medium,
-            corr_base,
-            next: incarnation << 32,
+            timer_tag,
             pending: BTreeMap::new(),
             done: VecDeque::new(),
             armed: false,
         }
-    }
-
-    fn fresh_corr(&mut self) -> u64 {
-        let corr = self.corr_base + self.next;
-        self.next += 1;
-        corr
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>, sent: Sent<L>) {
@@ -156,9 +147,9 @@ impl<L> BlobClient<L> {
             Medium::Group { servers, current } => {
                 let server = servers[*current];
                 if !std::mem::replace(&mut self.armed, true) {
-                    ctx.set_timer(BLOB_RETRY_INTERVAL, self.corr_base);
+                    ctx.set_timer(BLOB_RETRY_INTERVAL, self.timer_tag);
                 }
-                let (corr, key) = (self.fresh_corr(), sent.key.clone());
+                let (corr, key) = (ctx.next_corr(), sent.key.clone());
                 let rpc = match sent.value.clone() {
                     Some(value) => StoreRpc::Put { corr, key, value },
                     None => StoreRpc::Get { corr, key },
@@ -196,7 +187,7 @@ impl<L> BlobClient<L> {
             }
             Medium::Group { servers, current } => {
                 let (server, key) = (servers[*current], key.to_string());
-                let corr = self.fresh_corr();
+                let corr = ctx.next_corr();
                 ctx.send(server, StoreRpc::Delete { corr, key });
             }
         }
@@ -254,7 +245,7 @@ impl<L> BlobClient<L> {
         let Medium::Group { servers, current } = &mut self.medium else {
             return false;
         };
-        if tag != self.corr_base {
+        if tag != self.timer_tag {
             return false;
         }
         self.armed = false;

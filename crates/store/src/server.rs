@@ -52,7 +52,7 @@
 //! [`BlobClient`](crate::BlobClient) that rotates endpoints on timeout
 //! reaches the group through any live member.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use s2g_sim::{
@@ -177,8 +177,8 @@ pub enum StoreRpc {
     /// Member → member: asks for the op-log suffix after the sender's
     /// highest applied sequence (`fetch.after`, an op of `fetch.last_term`).
     /// Under the receiver's own term (`fetch.term`, the sender's group
-    /// epoch), it also acknowledges every op up to it. Its request id is
-    /// salted with the sender's incarnation.
+    /// epoch), it also acknowledges every op up to it. Its request id
+    /// carries the sender's incarnation ([`Ctx::next_corr`]).
     Fetch {
         /// Sender's member index.
         from: u32,
@@ -339,7 +339,6 @@ mod tags {
     pub(crate) const GROUP_TICK: u64 = 3;
     pub(crate) const HOLD_EXPIRY: u64 = 4;
     pub(crate) const ELECTION: u64 = 5;
-    pub(crate) const CPU_BASE: u64 = 1 << 50;
 }
 
 /// Recovery metrics for one restarted store-group member.
@@ -390,7 +389,7 @@ impl GroupState {
 
     /// Acks every pending write a majority now holds, the primary's own
     /// progress counted with every peer's.
-    fn ack_held(&mut self, ctx: &mut Ctx<'_>, outbox: &mut Outbox) {
+    fn ack_held(&mut self, ctx: &mut Ctx<'_>, cpu_per_op: SimDuration) {
         if self.pending_writes.is_empty() {
             return;
         }
@@ -400,7 +399,7 @@ impl GroupState {
         let waiting = self.pending_writes.split_off(&(held + 1));
         let acked = std::mem::replace(&mut self.pending_writes, waiting);
         for w in acked.into_values() {
-            outbox.send_after_cpu(ctx, w.client, w.ack);
+            ctx.send_after_cpu(cpu_per_op, w.client, w.ack);
         }
     }
 }
@@ -487,30 +486,11 @@ impl Stores {
     }
 }
 
-/// Replies sent once the CPU work of their request is done.
-struct Outbox {
-    cpu_per_op: SimDuration,
-    pending: HashMap<u64, (ProcessId, StoreRpc)>,
-    next_tag: u64,
-}
-
-impl Outbox {
-    fn send_after_cpu(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, rpc: StoreRpc) {
-        let tag = tags::CPU_BASE + self.next_tag;
-        self.next_tag += 1;
-        self.pending.insert(tag, (to, rpc));
-        ctx.exec(self.cpu_per_op, tag);
-    }
-}
-
 /// The store server process.
 pub struct StoreServer {
     cfg: StoreConfig,
     db: Stores,
-    outbox: Outbox,
     group: Option<GroupState>,
-    /// The next fetch correlation id; the incarnation is its high half.
-    next_corr: u64,
     name: String,
     /// Telemetry sink (an unshared default until the orchestrator attaches
     /// the run-wide one), and the op-log gauges made in it under `name`.
@@ -529,14 +509,8 @@ impl StoreServer {
                 tables: TableStore::new(),
                 mem: None,
             },
-            outbox: Outbox {
-                cpu_per_op: cfg.cpu_per_op,
-                pending: HashMap::new(),
-                next_tag: 0,
-            },
             cfg,
             group: None,
-            next_corr: 0,
             oplog_len_gauge: tele.gauge(name, "oplog_len"),
             applied_seq_gauge: tele.gauge(name, "applied_seq"),
             name: name.to_string(),
@@ -565,14 +539,6 @@ impl StoreServer {
             self.oplog_len_gauge.set(self.oplog_len() as f64);
             self.applied_seq_gauge.set(self.applied_seq() as f64);
         }
-    }
-
-    /// Salts this member's fetch correlation ids with its incarnation (the
-    /// high half of the counter), so a reply addressed to an earlier
-    /// incarnation of the slot — to a fetch it left in flight or parked at
-    /// the primary — completes nothing here.
-    pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.next_corr = incarnation << 32;
     }
 
     /// Attaches a memory-ledger slot.
@@ -678,14 +644,14 @@ impl StoreServer {
         let ack = Self::ack_for(&op, corr, bits);
         let Some(g) = self.group.as_mut() else {
             // Standalone: ack immediately (the original single-server path).
-            self.outbox.send_after_cpu(ctx, from, ack);
+            ctx.send_after_cpu(self.cfg.cpu_per_op, from, ack);
             return;
         };
         g.q.push(g.q.term(), op);
         let write = PendingWrite { client: from, ack };
         g.pending_writes.insert(g.q.log_end(), write);
         // A single-member group holds a majority by itself.
-        g.ack_held(ctx, &mut self.outbox);
+        g.ack_held(ctx, self.cfg.cpu_per_op);
         g.answer_held(ctx, &self.db);
     }
 
@@ -705,7 +671,8 @@ impl StoreServer {
         match rpc {
             StoreRpc::Get { corr, key } => {
                 let value = self.db.kv.get_counted(&key);
-                (self.outbox).send_after_cpu(ctx, origin, StoreRpc::GetResult { corr, value });
+                let reply = StoreRpc::GetResult { corr, value };
+                ctx.send_after_cpu(self.cfg.cpu_per_op, origin, reply);
             }
             StoreRpc::Put { corr, key, value } => {
                 self.primary_mutate(ctx, origin, corr, StoreOp::Put { key, value });
@@ -751,7 +718,7 @@ impl StoreServer {
             }
             _ => serve(&self.db, &g.q, ctx, g.members[i], fetch),
         }
-        g.ack_held(ctx, &mut self.outbox);
+        g.ack_held(ctx, self.cfg.cpu_per_op);
     }
 
     /// Takes a fetch reply. The member follows a newer term, and takes the
@@ -883,9 +850,7 @@ impl StoreServer {
         if g.q.fetch_due_at(stale_after) > ctx.now() {
             return;
         }
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let (fetch, to) = g.q.fetch(ctx.now(), corr);
+        let (fetch, to) = g.q.fetch(ctx);
         let from = g.index as u32;
         let ask = |j: usize| match to {
             Some(to) => j == to,
@@ -1021,14 +986,6 @@ impl Process for StoreServer {
             }
             tags::ELECTION => self.election_timer(ctx),
             _ => {}
-        }
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag >= tags::CPU_BASE {
-            if let Some((to, rpc)) = self.outbox.pending.remove(&tag) {
-                ctx.send(to, rpc);
-            }
         }
     }
 }
@@ -1289,7 +1246,6 @@ mod tests {
         sim.kill(pids[0]);
         sim.run_until(SimTime::from_secs(3));
         let mut rejoin = StoreServer::new(StoreConfig::default());
-        rejoin.set_incarnation(1);
         rejoin.set_group(pids.clone(), 0, true);
         sim.respawn(pids[0], Box::new(rejoin));
         sim.run_until(SimTime::from_secs(11));
@@ -1524,13 +1480,13 @@ mod tests {
     #[test]
     fn a_reply_to_an_earlier_incarnation_completes_nothing() {
         let mut sim = Sim::new(0);
-        // Of a pair, one answer completes the rejoin.
+        // Of a pair, one answer completes the rejoin of the first respawn.
         let a = sim.spawn(Box::new(Silent));
+        let me = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
+        sim.kill(me).expect("alive");
         let mut server = StoreServer::new(StoreConfig::default());
-        server.set_incarnation(1);
-        let me = sim.spawn(Box::new(server));
-        let members = vec![a, me];
-        (sim.process_mut::<StoreServer>(me).unwrap()).set_group(members, 1, true);
+        server.set_group(vec![a, me], 1, true);
+        sim.respawn(me, Box::new(server));
         let reply = |corr: u64, key: &str| StoreRpc::FetchReply {
             corr,
             epoch: 0,
@@ -1698,7 +1654,7 @@ mod tests {
         let addr = blob.as_ptr() as usize;
         let get_at = SimTime::from_secs(5);
         let owner = sim.spawn(Box::new(BlobOwner {
-            client: crate::BlobClient::new(pids.clone(), 1 << 40, 0),
+            client: crate::BlobClient::new(pids.clone(), 1 << 40),
             blob: Some(blob),
             get_at,
             answer_addr: None,
@@ -1713,7 +1669,6 @@ mod tests {
             assert!(quorum(&sim, *pid).log_start() >= 1, "the put was truncated");
         }
         let mut rejoin = StoreServer::new(StoreConfig::default());
-        rejoin.set_incarnation(1);
         rejoin.set_group(pids.clone(), 2, true);
         sim.respawn(pids[2], Box::new(rejoin));
         sim.run_until(get_at + SimDuration::from_secs(1));

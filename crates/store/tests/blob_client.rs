@@ -6,7 +6,8 @@ use bytes::Bytes;
 use s2g_sim::{downcast, Ctx, Message, Process, ProcessId, Sim, SimDuration, SimTime};
 use s2g_store::{blob_map, BlobClient, BlobDone, StoreConfig, StoreRpc, StoreServer};
 
-const BASE: u64 = 1 << 40;
+/// The client's retry-timer tag, clear of the owner's step tags.
+const RETRY: u64 = 1 << 40;
 
 type Step = Box<dyn FnMut(&mut BlobClient<u32>, &mut Ctx<'_>)>;
 
@@ -106,8 +107,8 @@ fn idle() -> Step {
     Box::new(|_, _| {})
 }
 
-/// One get (id `BASE`) and one put (id `BASE + 1`) to a store that never
-/// answers.
+/// One get (id 0, the owner's first) and one put (id 1) to a store that
+/// never answers.
 fn issue_get_and_put() -> Step {
     Box::new(|c, ctx| {
         c.get(ctx, 1, "k".into());
@@ -124,30 +125,27 @@ fn a_reply_completes_only_a_pending_request_of_its_kind() {
         Box::new(|c, _| {
             // The get's id on a put ack, the put's id on a get result, and
             // an id nobody drew: nothing completes, nothing is consumed.
-            c.on_reply(StoreRpc::PutAck { corr: BASE });
+            c.on_reply(StoreRpc::PutAck { corr: 0 });
             let value = Some(Bytes::from_static(b"stale"));
-            c.on_reply(StoreRpc::GetResult {
-                corr: BASE + 1,
-                value,
-            });
-            c.on_reply(StoreRpc::PutAck { corr: BASE + 99 });
+            c.on_reply(StoreRpc::GetResult { corr: 1, value });
+            c.on_reply(StoreRpc::PutAck { corr: 99 });
             assert_eq!(c.next_done(), None);
             assert!(c.gets_left() && c.puts_left());
             // The right kinds complete them, in reply order.
-            c.on_reply(StoreRpc::PutAck { corr: BASE + 1 });
+            c.on_reply(StoreRpc::PutAck { corr: 1 });
             assert!(c.puts_left(), "a completion not yet taken is still left");
             assert_eq!(c.next_done(), Some(BlobDone::Put(2)));
             assert!(!c.puts_left() && c.gets_left());
             let value = Some(Bytes::from_static(b"blob"));
-            c.on_reply(StoreRpc::GetResult { corr: BASE, value });
+            c.on_reply(StoreRpc::GetResult { corr: 0, value });
             // A second reply to an answered id finds nothing pending.
             c.on_reply(StoreRpc::GetResult {
-                corr: BASE,
+                corr: 0,
                 value: None,
             });
         }),
     ];
-    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![hole], BASE, 0), steps);
+    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![hole], RETRY), steps);
     sim.run_until(SimTime::from_secs(5));
     let o = owner(&sim, pid);
     assert_eq!(
@@ -180,13 +178,13 @@ fn retry_rotates_and_reissues_in_order_under_fresh_ids() {
         Box::new(|c, _| {
             // A reply to a superseded (pre-retry) id is ignored; the id the
             // retry drew completes the request, which is then not re-sent.
-            c.on_reply(StoreRpc::PutAck { corr: BASE });
+            c.on_reply(StoreRpc::PutAck { corr: 0 });
             assert_eq!(c.next_done(), None);
-            c.on_reply(StoreRpc::PutAck { corr: BASE + 4 });
+            c.on_reply(StoreRpc::PutAck { corr: 4 });
             assert_eq!(c.next_done(), Some(BlobDone::Put(1)));
         }),
     ];
-    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![a, b], BASE, 0), steps);
+    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![a, b], RETRY), steps);
     sim.run_until(SimTime::from_secs(6));
     assert_eq!(owner(&sim, pid).retry_fired_at, secs(&[3, 5]));
     let (put, get, delete) = ("put", "get", "delete");
@@ -194,34 +192,34 @@ fn retry_rotates_and_reissues_in_order_under_fresh_ids() {
     assert_eq!(
         seen(&sim, a),
         [
-            (BASE, put, key("a")),
-            (BASE + 1, get, key("b")),
+            (0, put, key("a")),
+            (1, get, key("b")),
             // Deletes draw an id but are not tracked: never re-issued.
-            (BASE + 2, delete, key("dead")),
-            (BASE + 3, put, key("c")),
+            (2, delete, key("dead")),
+            (3, put, key("c")),
             // Second firing: back to member 0, without the answered put.
-            (BASE + 7, get, key("b")),
-            (BASE + 8, put, key("c")),
+            (7, get, key("b")),
+            (8, put, key("c")),
         ]
     );
     assert_eq!(
         seen(&sim, b),
-        [
-            (BASE + 4, put, key("a")),
-            (BASE + 5, get, key("b")),
-            (BASE + 6, put, key("c")),
-        ],
+        [(4, put, key("a")), (5, get, key("b")), (6, put, key("c")),],
         "the first firing moves to member 1"
     );
 
     // A one-member client has nowhere to rotate to: same endpoint, fresh
-    // ids; and its incarnation is the high half of the id counter.
+    // ids; and they are its process's, the incarnation their high half.
     let mut sim = Sim::new(1);
     let only = sim.spawn(Box::new(Blackhole::default()));
-    let steps: Vec<Step> = vec![issue_get_and_put()];
-    Owner::spawn(&mut sim, BlobClient::new(vec![only], BASE, 2), steps);
+    let client = || BlobClient::new(vec![only], RETRY);
+    let pid = Owner::spawn(&mut sim, client(), Vec::new());
+    for steps in [Vec::new(), vec![issue_get_and_put()]] {
+        sim.kill(pid).expect("alive");
+        sim.respawn(pid, Owner::new(client(), steps));
+    }
     sim.run_until(SimTime::from_secs(4));
-    let first = BASE + (2 << 32);
+    let first = 2 << 32;
     assert_eq!(
         seen(&sim, only),
         [
@@ -246,7 +244,7 @@ fn put_get_delete_round_trip_through_a_real_store() {
         Box::new(|c, ctx| c.delete(ctx, "k")),
         Box::new(|c, ctx| c.get(ctx, 4, "k".into())),
     ];
-    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![store], BASE, 0), steps);
+    let pid = Owner::spawn(&mut sim, BlobClient::new(vec![store], RETRY), steps);
     sim.run_until(SimTime::from_secs(10));
     let o = owner(&sim, pid);
     assert_eq!(

@@ -30,7 +30,7 @@ const WRITES_UNTIL: SimTime = SimTime::from_secs(16);
 const SETTLED: SimTime = SimTime::from_secs(22);
 const SAMPLE: SimDuration = SimDuration::from_millis(10);
 const HOP: SimDuration = SimDuration::from_micros(200);
-const CORR_BASE: u64 = 1 << 40;
+const RETRY_TAG: u64 = 1 << 40;
 const STEP_TAG: u64 = 1;
 
 /// Each member's access link: one that is down carries nothing, a lossy
@@ -156,10 +156,9 @@ fn schedule(rng: &mut StdRng) -> Vec<(SimTime, Fault)> {
     plan
 }
 
-fn member(i: usize, members: &[ProcessId], recovering: bool, incarnation: u64) -> StoreServer {
+fn member(i: usize, members: &[ProcessId], recovering: bool) -> StoreServer {
     let mut server = StoreServer::new(StoreConfig::default());
     server.set_name(format!("store-{i}"));
-    server.set_incarnation(incarnation);
     server.set_group(members.to_vec(), i, recovering);
     server
 }
@@ -176,7 +175,7 @@ fn run(seed: u64) -> Result<(), String> {
     for (i, pid) in members.iter().enumerate() {
         links.borrow_mut().member_of.insert(*pid, i);
         let server = sim.process_mut::<StoreServer>(*pid).expect("a member");
-        *server = member(i, &members, false, 0);
+        *server = member(i, &members, false);
     }
     let ops: Vec<Op> = (0..2_000u64)
         .map(|value| {
@@ -188,14 +187,13 @@ fn run(seed: u64) -> Result<(), String> {
         })
         .collect();
     let puppet = sim.spawn(Box::new(Puppet {
-        client: BlobClient::new(members.clone(), CORR_BASE, 0),
+        client: BlobClient::new(members.clone(), RETRY_TAG),
         acked: vec![false; ops.len()],
         ops,
         issued: 0,
         step: SimDuration::from_millis(rng.gen_range(5..40u64)),
     }));
     let mut plan = schedule(&mut rng).into_iter().peekable();
-    let mut incarnation = [0u64; MEMBERS];
     let mut last_epoch: [Option<u64>; MEMBERS] = [Some(0); MEMBERS];
     let mut primary_of: HashMap<u64, usize> = HashMap::new();
     let mut now = SimTime::ZERO;
@@ -209,8 +207,7 @@ fn run(seed: u64) -> Result<(), String> {
                     last_epoch[i] = None;
                 }
                 Fault::Restart(i) => {
-                    incarnation[i] += 1;
-                    let server = member(i, &members, true, incarnation[i]);
+                    let server = member(i, &members, true);
                     sim.respawn(members[i], Box::new(server));
                 }
                 Fault::LinkDown(i) => links.borrow_mut().down[i] = true,

@@ -476,7 +476,7 @@ impl Process for OrphanBlobHarness {
             // Orphan blob durable; now recover through a fresh backend,
             // exactly like a respawned worker would.
             self.stage = 2;
-            let mut rb = DurableBackend::new(vec![self.store], 1);
+            let mut rb = DurableBackend::new(vec![self.store]);
             rb.recover(ctx, "job");
             self.recover_backend = Some(rb);
             return;
@@ -514,7 +514,7 @@ fn store_failure_between_blob_and_manifest_falls_back_to_previous_chain() {
     let store = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
     let harness = sim.spawn(Box::new(OrphanBlobHarness {
         store,
-        backend: DurableBackend::new(vec![store], 0),
+        backend: DurableBackend::new(vec![store]),
         recover_backend: None,
         stage: 0,
         restored: None,
@@ -597,7 +597,7 @@ fn manifest_put_waits_for_the_blob_ack() {
         ack_blobs: false,
     }));
     sim.spawn(Box::new(PersistDriver {
-        backend: DurableBackend::new(vec![store], 0),
+        backend: DurableBackend::new(vec![store]),
     }));
     sim.run_until(SimTime::from_secs(5));
     let st = sim.process_ref::<BlackholeBlobStore>(store).expect("store");
@@ -614,7 +614,7 @@ fn manifest_put_waits_for_the_blob_ack() {
         ack_blobs: true,
     }));
     sim.spawn(Box::new(PersistDriver {
-        backend: DurableBackend::new(vec![store], 0),
+        backend: DurableBackend::new(vec![store]),
     }));
     sim.run_until(SimTime::from_secs(5));
     let st = sim.process_ref::<BlackholeBlobStore>(store).expect("store");
@@ -649,12 +649,18 @@ impl Process for DelayedAckStore {
     }
 }
 
-/// A worker that persists, bounces one second later, and persists again
-/// as its respawn — each incarnation's backend built the way the
-/// orchestrator builds it, from the slot's incarnation number.
+/// A worker that persists at start: the test bounces it one second later,
+/// and its respawn persists again, each incarnation through a backend
+/// built the way the orchestrator builds it.
 struct BouncingWorker {
-    store: ProcessId,
     backend: DurableBackend,
+}
+
+impl BouncingWorker {
+    fn new(store: ProcessId) -> Self {
+        let backend = DurableBackend::new(vec![store]);
+        BouncingWorker { backend }
+    }
 }
 
 impl Process for BouncingWorker {
@@ -662,16 +668,10 @@ impl Process for BouncingWorker {
         "bouncing-worker"
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let payload = CheckpointPayload::Full(sample_snapshot(1));
-        self.backend.persist(ctx, "job", &payload);
-        ctx.set_timer(SimDuration::from_secs(1), 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag != 0 {
-            return; // the backends' retry timers: the store acks nothing new
-        }
-        self.backend = DurableBackend::new(vec![self.store], 1);
-        let payload = CheckpointPayload::Full(sample_snapshot(2));
+        // The store acks nothing new, so the backend's retry timer only
+        // re-sends what the store already holds.
+        let snapshot = sample_snapshot(i64::from(ctx.incarnation()) + 1);
+        let payload = CheckpointPayload::Full(snapshot);
         self.backend.persist(ctx, "job", &payload);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
@@ -689,10 +689,10 @@ fn stale_put_ack_across_a_worker_bounce_completes_nothing() {
     // manifest pointing at a blob the store never acknowledged.
     let mut sim = Sim::new(3);
     let store = sim.spawn(Box::new(DelayedAckStore { puts: Vec::new() }));
-    sim.spawn(Box::new(BouncingWorker {
-        store,
-        backend: DurableBackend::new(vec![store], 0),
-    }));
+    let worker = sim.spawn(Box::new(BouncingWorker::new(store)));
+    sim.run_until(SimTime::from_secs(1));
+    sim.kill(worker).expect("alive");
+    sim.respawn(worker, Box::new(BouncingWorker::new(store)));
     sim.run_until(SimTime::from_secs(5));
     let st = sim.process_ref::<DelayedAckStore>(store).expect("store");
     let keys: Vec<&str> = st.puts.iter().map(|(_, key)| key.as_str()).collect();
