@@ -1,29 +1,24 @@
-//! Workspace determinism linter.
+//! Workspace size reporter.
 //!
 //! ```text
-//! cargo run -p s2g-analyze --bin s2g-lint -- [--deny] [--json] [root]
+//! cargo run -p s2g-analyze --bin s2g-lint -- [root]
 //! ```
 //!
-//! Scans the workspace's non-test Rust sources under `root` (default `.`)
-//! for the `exec-unhandled` rule of `s2g_analyze::lint`. With `--deny`,
-//! exits 1 when there is any finding — the CI `lint-static` job runs
-//! exactly that. A root with no `crates/` directory or no source file
-//! exits 2. The report ends with what each crate weighs (files, code
-//! lines, `pub` items); `--json` carries the same rows.
+//! Weighs the workspace's non-test Rust sources under `root` (default `.`)
+//! with `s2g_analyze::size` and prints one row per crate (files, code
+//! lines, `pub` items), then a summary line; `tools/code_size.sh` holds
+//! each crate to the sizes pinned in `tools/code_size.txt`. A root with no
+//! `crates/` directory or no source file exits 2.
 
-use s2g_analyze::lint::lint;
+use s2g_analyze::size::weigh;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: s2g-lint [--deny] [--json] [root]";
+const USAGE: &str = "usage: s2g-lint [root]";
 
 fn main() {
-    let mut deny = false;
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--deny" => deny = true,
-            "--json" => json = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -35,33 +30,18 @@ fn main() {
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
 
-    let report = match lint(&root) {
+    let report = match weigh(&root) {
         Ok(r) => r,
         Err(e) => die(&format!("scanning {}: {e}", root.display())),
     };
-
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
-        println!(
-            "{:<18}{:>6}{:>12}{:>11}",
-            "crate", "files", "code lines", "pub items"
-        );
-        for (name, (files, code_lines, pub_items)) in &report.crates {
-            println!("{name:<18}{files:>6}{code_lines:>12}{pub_items:>11}");
-        }
-        println!(
-            "s2g-lint: {} file(s) scanned, {} finding(s)",
-            report.files_scanned,
-            report.findings.len()
-        );
+    println!(
+        "{:<18}{:>6}{:>12}{:>11}",
+        "crate", "files", "code lines", "pub items"
+    );
+    for (name, (files, code_lines, pub_items)) in &report.crates {
+        println!("{name:<18}{files:>6}{code_lines:>12}{pub_items:>11}");
     }
-    if deny && !report.findings.is_empty() {
-        std::process::exit(1);
-    }
+    println!("s2g-lint: {} file(s) scanned", report.files_scanned);
 }
 
 fn die(msg: &str) -> ! {

@@ -12,26 +12,25 @@
 //!   producer whose unbatched interval collapses into queueing, ...).
 //!   `s2g_core::Scenario::analyze` resolves the plan and calls this; the
 //!   run is then built from the same plan.
-//! * **Determinism source linter** — [`mod@lint`] token-scans workspace
-//!   sources for the misuse of this project's own APIs that clippy cannot
-//!   scope: a CPU completion no handler matches. Clippy holds the hazards it can check by type
+//! * **Workspace size reporter** — [`mod@size`] token-scans workspace
+//!   sources and weighs each crate (files, code lines, `pub` items). The
+//!   `s2g-lint` binary prints the table, and `tools/code_size.sh` holds
+//!   every crate to its pinned size. The determinism hazards are clippy's
 //!   (wall-clock reads, hash-order iteration, truncating casts in codec
-//!   files, private event heaps). The `s2g-lint` binary wraps it for CI
-//!   (`cargo run -p s2g-analyze --bin s2g-lint -- --deny`).
+//!   files, private event heaps).
 
 #![deny(missing_docs)]
 
 use std::fmt;
 
 pub mod facts;
-pub mod lint;
 pub(crate) mod rules;
+pub mod size;
 
 pub use facts::{
     BrokerFacts, ComponentRef, ConsumerFacts, FaultFacts, FaultKind, FaultTarget, JobFacts,
     ProducerFacts, ScenarioFacts, StoreReplicaFacts, TopicFacts,
 };
-pub use lint::{lint, LintFinding, LintReport};
 pub use rules::analyze;
 
 /// Severity of a diagnostic.

@@ -25,11 +25,12 @@
 //! watermarks, consumer-group offsets, segment manifest) through it;
 //! produce acknowledgements are withheld until the covering flush
 //! is durable, so an acknowledged record can never be lost to a broker
-//! crash. A broker respawned with `recover = true` replays the manifest —
-//! meta first, then every live segment — before serving again; client and
-//! replica requests arriving during replay are dropped (the process is
-//! "booting"), and the controller re-teaches roles when the restarted
-//! broker's heartbeat arrives with a bumped incarnation number.
+//! crash. A durable broker that is a respawn (`Ctx::incarnation` above 0)
+//! replays the manifest — meta first, then every live segment — before
+//! serving again; client and replica requests arriving during replay are
+//! dropped (the process is "booting"), and the controller re-teaches
+//! roles when the restarted broker's heartbeat arrives with a bumped
+//! incarnation number.
 
 use std::collections::BTreeMap;
 
@@ -490,8 +491,6 @@ pub struct Broker {
     reclaimed_baseline: u64,
     /// Durable-log driver, when a backend is attached.
     durability: Option<Durability>,
-    /// The respawned broker must replay its persisted log before serving.
-    recover: bool,
     /// Replay is in flight; client/replica requests are dropped meanwhile.
     recovering: bool,
     /// Restart/replay metrics for the current incarnation.
@@ -550,7 +549,6 @@ impl Broker {
             last_hb_ack: SimTime::ZERO,
             reclaimed_baseline: 0,
             durability: None,
-            recover: false,
             recovering: false,
             recovery: None,
             held: Waiters::default(),
@@ -578,12 +576,11 @@ impl Broker {
     /// and the meta blob are flushed through it, and produce
     /// acknowledgements wait for the covering flush (instant on
     /// [`BlobClient::shared`], a store round trip on a store group, whose
-    /// retry timer's tag is [`BROKER_LOG_RETRY_TAG`]). With `recover` set
-    /// the broker replays the persisted manifest before serving — the
-    /// respawn path.
+    /// retry timer's tag is [`BROKER_LOG_RETRY_TAG`]). A respawned broker
+    /// replays the persisted manifest before serving.
     ///
     /// [`BROKER_LOG_RETRY_TAG`]: crate::BROKER_LOG_RETRY_TAG
-    pub fn set_durability(&mut self, blobs: BlobClient<LogBlob>, recover: bool) {
+    pub fn set_durability(&mut self, blobs: BlobClient<LogBlob>) {
         self.durability = Some(Durability {
             blobs,
             prefix: format!("brokerlog/b{}", self.host.id.0),
@@ -594,7 +591,6 @@ impl Broker {
             staged_meta: None,
         });
         self.host.durable = true;
-        self.recover = recover;
     }
 
     /// Restart/replay metrics when this incarnation was respawned.
@@ -1506,7 +1502,7 @@ impl Process for Broker {
         ctx.set_timer(cfg.background_interval, tags::BACKGROUND_TICK);
         if self.durability.is_some() {
             ctx.set_timer(cfg.log_flush_interval, tags::LOG_FLUSH_TICK);
-            if self.recover {
+            if ctx.incarnation() > 0 {
                 self.begin_recovery(ctx);
             }
         }

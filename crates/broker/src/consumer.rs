@@ -20,11 +20,10 @@ use s2g_sim::{
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 use crate::config::ConsumerConfig;
-use crate::metadata::{send_in, MetadataSession};
+use crate::metadata::{in_box, send_in, MetadataSession};
 use crate::partition::{FetchAnswer, FETCH_MAX_WAIT};
-use crate::table::IntTable;
 
-/// Tag namespace base for consumer-owned timers and CPU work.
+/// Tag namespace base for consumer-owned timers.
 pub(crate) const CONSUMER_TAGS: u64 = 1 << 41;
 /// End of the consumer tag namespace (exclusive).
 pub(crate) const CONSUMER_TAGS_END: u64 = (1 << 41) + (1 << 40);
@@ -36,7 +35,6 @@ mod off {
     pub(crate) const OFFSET_FETCH_TIMEOUT: u64 = 4;
     pub(crate) const GROUP_HEARTBEAT: u64 = 5;
     pub(crate) const JOIN_TIMEOUT: u64 = 6;
-    pub(crate) const CPU_DELIVER_BASE: u64 = 2_000_000_000;
 }
 
 /// How many unanswered [`ConsumerClient::commit_and_purge`] commits are
@@ -66,17 +64,18 @@ impl DataSink for CollectingSink {
     }
 }
 
-/// What [`ConsumerClient::handle_cpu_done`] made of a CPU-completion tag.
+/// A fetched batch whose delivery CPU is paid: the message a client sends
+/// itself after that CPU, which its owner hands back to it. Its runs are
+/// views of the broker log's batches, so the payloads fetched are never
+/// copied on the way to the owner.
 #[derive(Debug)]
-pub enum CpuDone {
-    /// The tag is not this client's.
-    NotMine,
-    /// This client's tag, with nothing left to deliver.
-    Nothing,
-    /// A partition's delivered runs, in offset order: the client's position
-    /// is past them and its next fetch of the partition is sent.
-    Delivered(TopicPartition, Vec<LogRun>),
+struct Delivery {
+    tp: TopicPartition,
+    runs: Vec<LogRun>,
+    next_offset: Offset,
 }
+
+impl Message for Delivery {}
 
 /// Consumer counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,11 +153,8 @@ pub struct ConsumerClient {
     idle: bool,
     /// The one poll timer armed, and for when.
     poll_timer: Option<(TimerToken, SimTime)>,
-    /// Fetched runs whose delivery CPU is in flight, by tag: views of the
-    /// broker log's batches, so the payloads fetched are never copied on
-    /// the way to the owner.
-    pending_delivery: IntTable<(TopicPartition, Vec<LogRun>, Offset)>,
-    next_deliver_tag: u64,
+    /// The box the last delivery came in, for the next one to travel in.
+    spare_delivery: Option<Box<Delivery>>,
     stats: ConsumerStats,
     /// How long a request may go unanswered. Join, offset-fetch and
     /// metadata requests arm a timer for it; the poll timer stands in for
@@ -223,8 +219,7 @@ impl ConsumerClient {
             spare: None,
             idle: true,
             poll_timer: None,
-            pending_delivery: IntTable::default(),
-            next_deliver_tag: 0,
+            spare_delivery: None,
             stats: ConsumerStats::default(),
             request_timeout,
             offsets_restored: false,
@@ -702,8 +697,6 @@ impl ConsumerClient {
                 // advances to the broker-computed next offset, which
                 // skips compaction holes instead of re-reading
                 // across them.
-                let tag = CONSUMER_TAGS + off::CPU_DELIVER_BASE + self.next_deliver_tag;
-                self.next_deliver_tag += 1;
                 // Consumer-side half of the compression trade:
                 // decompressing the fetched batch costs CPU
                 // proportional to its raw record bytes.
@@ -712,8 +705,13 @@ impl ConsumerClient {
                     let bytes = LogRun::record_bytes(&runs) as u64;
                     cpu += self.cfg.decompress_cpu_per_byte * bytes;
                 }
-                self.pending_delivery.insert(tag, (tp, runs, next_offset));
-                ctx.exec(cpu, tag);
+                let delivery = Delivery {
+                    tp,
+                    runs,
+                    next_offset,
+                };
+                let boxed = in_box(&mut self.spare_delivery, delivery);
+                ctx.send_boxed_after_cpu(cpu, ctx.self_id(), boxed);
             }
             ErrorCode::None => {
                 // Empty read. Adopt the broker's next offset, so a fully
@@ -748,16 +746,27 @@ impl ConsumerClient {
         }
     }
 
-    /// Handles an incoming message, delivering through `sink`. Returns the
-    /// message back when it is not addressed to this client.
+    /// Handles an incoming message: a reply, or a delivery this client
+    /// sent its own process once the delivery CPU was paid. A delivery
+    /// moves the position past its runs and sends the partition's next
+    /// fetch, then hands the runs, in offset order, to `deliver`, which
+    /// decodes them when it needs them. Returns the message back when it is
+    /// not addressed to this client.
     pub fn handle_message(
         &mut self,
         ctx: &mut Ctx<'_>,
         msg: Box<dyn Message>,
+        deliver: impl FnOnce(&TopicPartition, Vec<LogRun>),
     ) -> Option<Box<dyn Message>> {
         let mut rpc = match downcast::<ClientRpc>(msg) {
             Ok(r) => r,
-            Err(m) => return Some(m),
+            Err(m) => match downcast::<Delivery>(m) {
+                Ok(delivery) => {
+                    self.on_delivered(ctx, delivery, deliver);
+                    return None;
+                }
+                Err(m) => return Some(m),
+            },
         };
         // The reply leaves its box (a placeholder in its stead): one this
         // consumer handles leaves the box to carry its next fetch, and one
@@ -964,24 +973,27 @@ impl ConsumerClient {
         true
     }
 
-    /// Handles a CPU-completion tag: a delivery whose CPU is paid hands its
-    /// runs, views of the log's batches, to the caller, which decodes them
-    /// when it needs them.
-    pub fn handle_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> CpuDone {
-        if !(CONSUMER_TAGS..CONSUMER_TAGS_END).contains(&tag) {
-            return CpuDone::NotMine;
-        }
-        let Some((tp, runs, next_offset)) = self.pending_delivery.remove(tag) else {
-            return CpuDone::Nothing;
-        };
-        let pos = self.position(&tp);
-        self.offsets.insert(tp.clone(), next_offset.max(pos));
+    /// Takes a delivery whose CPU is paid (see
+    /// [`handle_message`](Self::handle_message)), keeping its box for the
+    /// next one.
+    fn on_delivered(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        mut delivery: Box<Delivery>,
+        deliver: impl FnOnce(&TopicPartition, Vec<LogRun>),
+    ) {
+        let runs = std::mem::take(&mut delivery.runs);
+        let tp = &delivery.tp;
+        let pos = self.position(tp);
+        self.offsets
+            .insert(tp.clone(), delivery.next_offset.max(pos));
         self.stats.records += runs.iter().map(LogRun::len).sum::<usize>() as u64;
         // Pipelining: fetch the next batch for this partition right away.
         self.fetching.insert(tp.clone(), false);
         self.fetch_one(ctx, tp.clone());
         self.arm_poll(ctx);
-        CpuDone::Delivered(tp, runs)
+        deliver(tp, runs);
+        self.spare_delivery = Some(delivery);
     }
 }
 
@@ -1047,7 +1059,16 @@ impl Process for ConsumerProcess {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
-        self.client.handle_message(ctx, msg);
+        let (now, sink, delivery) = (ctx.now(), &mut self.sink, &mut self.delivery);
+        self.client.handle_message(ctx, msg, |tp, runs| {
+            // The sink gets owned records, built for it here and dropped
+            // once it returns: their bytes are views of the log's batches,
+            // and the runs hold no `Record` of their own.
+            let records = runs.iter().flat_map(|run| run.batch.iter());
+            delivery.extend(records.map(|r| r.to_record()));
+            sink.on_records(now, tp, delivery);
+            delivery.clear();
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
@@ -1060,19 +1081,6 @@ impl Process for ConsumerProcess {
             }
             ctx.set_timer(self.client.cfg.background_interval, BACKGROUND_TICK);
         }
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let CpuDone::Delivered(tp, runs) = self.client.handle_cpu_done(ctx, tag) else {
-            return;
-        };
-        // The sink gets owned records, built for it here and dropped once
-        // it returns: their bytes are views of the log's batches, and the
-        // runs hold no `Record` of their own.
-        let records = runs.iter().flat_map(|run| run.batch.iter());
-        self.delivery.extend(records.map(|r| r.to_record()));
-        self.sink.on_records(ctx.now(), &tp, &self.delivery);
-        self.delivery.clear();
     }
 }
 

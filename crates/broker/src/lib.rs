@@ -73,9 +73,7 @@ pub use broker::{Broker, BrokerRecoveryInfo, BrokerStats, LogBlob};
 pub use config::{
     BrokerConfig, ConsumerConfig, ControllerConfig, CoordinationMode, ProducerConfig, TopicSpec,
 };
-pub use consumer::{
-    CollectingSink, ConsumerClient, ConsumerProcess, ConsumerStats, CpuDone, DataSink,
-};
+pub use consumer::{CollectingSink, ConsumerClient, ConsumerProcess, ConsumerStats, DataSink};
 pub use controller::{ApplyAtOnce, ClusterState, Controller, PartitionState, ZkController};
 pub use groups::{GroupCoordinator, GroupCoordinatorStats};
 pub use kraft::{KraftController, RaftQuorum};

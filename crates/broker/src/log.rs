@@ -674,6 +674,7 @@ impl PartitionLog {
         if self.segments.is_empty() {
             self.segments.push(LogSegment::new(to.value()));
         }
+        self.fit_segments();
         self.retained_bytes -= bytes;
         if self.high_watermark > self.log_end() {
             self.high_watermark = self.log_end();
@@ -752,6 +753,7 @@ impl PartitionLog {
             i += 1;
             keep
         });
+        self.fit_segments();
         outcome.dropped_segment_bases = dropped;
         outcome.reclaimed_bytes = removed_bytes as u64;
         self.retained_bytes -= removed_bytes;
@@ -808,21 +810,36 @@ impl PartitionLog {
         true
     }
 
-    /// Drops the oldest segment, the active one never, while `retire`
-    /// accepts it (given the bytes still retained), advancing the log start
-    /// past each and showing it to `dropped`: the one way whole segments
-    /// leave the head of a log.
+    /// Drops the oldest segments, the active one never, while `retire`
+    /// accepts the next (given the bytes still retained), advancing the log
+    /// start past each and showing it to `dropped`: the one way whole
+    /// segments leave the head of a log. The retired prefix leaves in one
+    /// step.
     fn retire_head(
         &mut self,
         mut retire: impl FnMut(&LogSegment, usize) -> bool,
         mut dropped: impl FnMut(&LogSegment),
     ) {
-        while self.segments.len() > 1 && retire(&self.segments[0], self.retained_bytes) {
-            let seg = self.segments.remove(0);
+        let (mut n, mut retained) = (0, self.retained_bytes);
+        while n + 1 < self.segments.len() && retire(&self.segments[n], retained) {
+            retained -= self.segments[n].bytes;
+            n += 1;
+        }
+        for seg in self.segments.drain(..n) {
             self.retained_bytes -= seg.bytes;
             self.reclaimed_bytes += seg.bytes as u64;
             self.log_start = self.log_start.max(Offset(seg.end));
             dropped(&seg);
+        }
+        self.fit_segments();
+    }
+
+    /// Gives back the segment slots past twice the segments held, so a log
+    /// whose head was dropped does not keep its longest length's room.
+    fn fit_segments(&mut self) {
+        let room = 2 * self.segments.len();
+        if self.segments.capacity() > room {
+            self.segments.shrink_to(room);
         }
     }
 
@@ -1331,6 +1348,29 @@ mod tests {
         assert_eq!(r[5].value_utf8(), "7");
         assert_eq!(log.epoch_at(Offset(9)), Some(LeaderEpoch(0)));
         assert_eq!(log.len(), 10);
+    }
+
+    #[test]
+    fn purging_most_of_a_long_log_gives_back_its_segment_slots() {
+        let mut log = PartitionLog::with_segment_max(2);
+        log.append_batch(LeaderEpoch(0), (0..2_000).map(|i| rec(&i.to_string())));
+        log.advance_high_watermark(Offset(2_000));
+        assert_eq!(log.segment_count(), 1_000);
+        assert!(log.segments.capacity() >= 1_000);
+        let mut dropped = Vec::new();
+        assert!(log.purge_to(Offset(1_990), |seg| dropped.push(seg.base_offset())));
+        assert_eq!(dropped, (0..995).map(|i| Offset(2 * i)).collect::<Vec<_>>());
+        assert_eq!(log.segment_count(), 5);
+        assert_eq!(log.log_start(), Offset(1_990));
+        assert!(
+            log.segments.capacity() <= 10,
+            "{} slots",
+            log.segments.capacity()
+        );
+        // What is left reads as before.
+        let r = read(&log, Offset(1_990), 20, true);
+        assert_eq!(r.len(), 10);
+        assert_eq!(r[0].value_utf8(), "1990");
     }
 
     #[test]

@@ -216,12 +216,18 @@ pub(crate) fn send_in<M: Message>(
     spare: &mut Option<Box<M>>,
     msg: M,
 ) {
+    let boxed = in_box(spare, msg);
+    ctx.send_boxed(to, boxed);
+}
+
+/// `msg` in `spare` when there is a box there, in a new one otherwise.
+pub(crate) fn in_box<M>(spare: &mut Option<Box<M>>, msg: M) -> Box<M> {
     match spare.take() {
         Some(mut boxed) => {
             *boxed = msg;
-            ctx.send_boxed(to, boxed);
+            boxed
         }
-        None => ctx.send(to, msg),
+        None => Box::new(msg),
     }
 }
 

@@ -1,10 +1,9 @@
-//! The table behind every integer-keyed correlation map of the crate:
-//! in-flight requests by correlation id, CPU-delayed work by tag, follower
-//! progress by broker id.
+//! The table a partition leader keeps its followers' progress in, by
+//! broker id.
 //!
 //! These keys are small integers the crate itself issues, so the default
 //! SipHash (keyed against adversarial input) is pure overhead on a path
-//! every RPC takes twice; one multiplication spreads them as well.
+//! every replica fetch takes; one multiplication spreads them as well.
 //! [`IntTable`] offers point operations only. It cannot be iterated, so its
 //! process-dependent bucket order can never reach simulated behaviour (the
 //! hash-iteration hazard `crates/clippy.toml` guards against).
@@ -32,7 +31,8 @@ impl Hasher for MulHasher {
     }
 }
 
-/// A map from `u64` keys to `V`: insert, look up, remove. No iteration.
+/// A map from `u64` keys to `V`: look up, or insert a default. No
+/// iteration.
 pub(crate) struct IntTable<V>(HashMap<u64, V, BuildHasherDefault<MulHasher>>);
 
 impl<V> Default for IntTable<V> {
@@ -42,16 +42,8 @@ impl<V> Default for IntTable<V> {
 }
 
 impl<V> IntTable<V> {
-    pub(crate) fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        self.0.insert(key, value)
-    }
-
     pub(crate) fn get(&self, key: u64) -> Option<&V> {
         self.0.get(&key)
-    }
-
-    pub(crate) fn remove(&mut self, key: u64) -> Option<V> {
-        self.0.remove(&key)
     }
 
     /// The value under `key`, inserted as the default first when absent.
@@ -76,27 +68,17 @@ mod tests {
     #[test]
     fn point_operations_on_the_key_shapes_the_crate_issues() {
         let mut t: IntTable<u64> = IntTable::default();
-        // Correlation ids (one parity, step 2), CPU tags (a high base plus
-        // a counter), broker ids (tiny).
-        let keys = (0..500u64)
-            .map(|i| 2 * i + 1)
-            .chain((0..500).map(|i| (1 << 50) + i))
-            .chain([0, 2, 4]);
+        // Broker ids (tiny) and, for spread, a high base plus a counter.
+        let keys = (0..500u64).chain((0..500).map(|i| (1 << 50) + i));
         for k in keys.clone() {
-            assert_eq!(t.insert(k, k ^ 7), None, "key {k} is fresh");
+            assert_eq!(t.get(k), None, "key {k} is fresh");
+            *t.get_or_default(k) += k ^ 7;
         }
-        for k in keys.clone() {
+        for k in keys {
             assert_eq!(t.get(k), Some(&(k ^ 7)));
         }
-        assert_eq!(t.insert(3, 0), Some(3 ^ 7));
-        assert_eq!(t.get(6), None);
-        for k in keys {
-            assert!(t.remove(k).is_some());
-            assert_eq!(t.remove(k), None);
-        }
         *t.get_or_default(9) += 5;
-        *t.get_or_default(9) += 5;
-        assert_eq!(t.get(9), Some(&10));
-        assert_eq!(format!("{t:?}"), "IntTable(1 entries)");
+        assert_eq!(t.get(9), Some(&((9 ^ 7) + 5)));
+        assert_eq!(format!("{t:?}"), "IntTable(1000 entries)");
     }
 }

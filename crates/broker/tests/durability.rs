@@ -27,7 +27,9 @@ fn broker_cfg() -> BrokerConfig {
     }
 }
 
-fn make_broker(store: &BlobMap, recover: bool) -> Broker {
+/// A broker whose log is durable in `store`, when there is one: respawned
+/// through `Sim` into its slot, it replays that log before serving.
+fn make_broker(store: Option<&BlobMap>) -> Broker {
     let mut b = Broker::new(
         BrokerId(0),
         broker_cfg(),
@@ -35,7 +37,9 @@ fn make_broker(store: &BlobMap, recover: bool) -> Broker {
         vec![CONTROLLER_PID],
         peer_map(),
     );
-    b.set_durability(BlobClient::shared(store.clone()), recover);
+    if let Some(store) = store {
+        b.set_durability(BlobClient::shared(store.clone()));
+    }
     b
 }
 
@@ -49,7 +53,7 @@ fn spawn_cluster(sim: &mut Sim, topics: &[TopicSpec]) -> BlobMap {
         topics,
     )));
     assert_eq!(ctl, CONTROLLER_PID);
-    let b = sim.spawn(Box::new(make_broker(&store, false)));
+    let b = sim.spawn(Box::new(make_broker(Some(&store))));
     assert_eq!(b, BROKER_PID);
     store
 }
@@ -88,7 +92,7 @@ fn broker_restart_replays_identical_log() {
     assert!(pre_stats.log_flushes > 0, "flushes happened pre-crash");
 
     // Respawn with recovery from the same backend.
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true)));
+    sim.respawn(BROKER_PID, Box::new(make_broker(Some(&store))));
     sim.run_until(SimTime::from_secs(8));
 
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
@@ -148,7 +152,7 @@ fn group_offsets_survive_broker_bounce() {
     assert!(committed_before > Offset::ZERO);
 
     sim.run_until(SimTime::from_millis(2_500));
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, true)));
+    sim.respawn(BROKER_PID, Box::new(make_broker(Some(&store))));
     sim.run_until(SimTime::from_secs(10));
 
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
@@ -187,8 +191,9 @@ fn restart_without_recovery_starts_empty() {
     sim.spawn(Box::new(ProducerProcess::new(producer, Box::new(source))));
     sim.run_until(SimTime::from_secs(3));
     sim.kill(BROKER_PID).expect("alive");
-    // Respawn WITHOUT recovery: the log backend is ignored on boot.
-    sim.respawn(BROKER_PID, Box::new(make_broker(&store, false)));
+    // Respawn WITHOUT a log backend: the durable log is never read.
+    assert!(!store.borrow().is_empty(), "the log was flushed");
+    sim.respawn(BROKER_PID, Box::new(make_broker(None)));
     sim.run_until(SimTime::from_millis(3_100));
     let live = sim.process_ref::<Broker>(BROKER_PID).expect("respawned");
     let tp = TopicPartition::new("events", 0);
@@ -197,5 +202,6 @@ fn restart_without_recovery_starts_empty() {
         end < Offset(50),
         "without replay the log restarts (mostly) empty, got {end}"
     );
-    assert!(live.recovery_info().is_none());
+    let restart = live.recovery_info().expect("a respawn records its restart");
+    assert_eq!(restart.replayed_records, 0, "nothing replayed");
 }

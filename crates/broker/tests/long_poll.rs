@@ -117,7 +117,7 @@ impl Rig {
         let mut broker = Broker::new(ME, BrokerConfig::default(), mode, vec![CTL], peers);
         if durable {
             let blobs = BlobClient::new(vec![STORE], BROKER_LOG_RETRY_TAG);
-            broker.set_durability(blobs, false);
+            broker.set_durability(blobs);
         }
         assert_eq!(sim.spawn(Box::new(broker)), BROKER);
         sim.spawn(Box::new(Puppet::default()));

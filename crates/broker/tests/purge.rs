@@ -181,7 +181,7 @@ impl Cluster {
         );
         if let Some(store) = self.recorder {
             let blobs = BlobClient::new(vec![store], BROKER_LOG_RETRY_TAG);
-            b.set_durability(blobs, false);
+            b.set_durability(blobs);
         }
         b
     }

@@ -398,7 +398,7 @@ impl Runtime {
                 if let Some(tier) = &self.spec.broker_durability {
                     let group = |g| BlobClient::new(g, BROKER_LOG_RETRY_TAG);
                     let store = self.blob_store(tier, BlobClient::shared, group);
-                    b.set_durability(store, recover);
+                    b.set_durability(store);
                 }
                 Box::new(b)
             }

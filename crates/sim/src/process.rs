@@ -96,7 +96,9 @@ pub fn downcast_ref<T: Message>(msg: &dyn Message) -> Option<&T> {
 /// A deterministic, event-driven application component.
 ///
 /// Handlers receive a [`Ctx`](crate::Ctx) which exposes the current simulated
-/// time, the seeded RNG, message sending, timers, and CPU execution. All
+/// time, the seeded RNG, message sending, timers, and CPU execution; work
+/// that waits on the CPU resumes in `on_message`, as a message the process
+/// sent itself ([`Ctx::send_after_cpu`](crate::Ctx::send_after_cpu)). All
 /// state mutation happens inside handlers, so a run is fully determined by
 /// the seed and the task description.
 pub trait Process: Any {
@@ -112,11 +114,6 @@ pub trait Process: Any {
     /// Called when a timer set via [`Ctx::set_timer`](crate::Ctx::set_timer)
     /// fires. `tag` is the caller-chosen discriminator.
     fn on_timer(&mut self, _ctx: &mut crate::Ctx<'_>, _tag: u64) {}
-
-    /// Called when a CPU work item scheduled via
-    /// [`Ctx::exec`](crate::Ctx::exec) completes. `tag` is the caller-chosen
-    /// discriminator.
-    fn on_cpu_done(&mut self, _ctx: &mut crate::Ctx<'_>, _tag: u64) {}
 }
 
 #[cfg(test)]

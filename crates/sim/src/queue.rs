@@ -51,14 +51,8 @@ pub(crate) enum EventKind {
         /// Caller-chosen tag passed to `on_timer`.
         tag: u64,
     },
-    /// A CPU slice finished.
-    CpuDone {
-        /// Owning process.
-        pid: ProcessId,
-        /// Caller-chosen tag passed to `on_cpu_done`.
-        tag: u64,
-    },
-    /// A CPU slice finished and its message leaves: it is routed now, and
+    /// A CPU slice finished and its message leaves: it is routed now, or
+    /// handed to its sender at once when the sender is its addressee, and
     /// voided with its sender.
     Depart {
         /// Sender, the process whose CPU did the work.
@@ -77,7 +71,6 @@ impl EventKind {
             EventKind::Start(pid) => *pid,
             EventKind::Deliver { to, .. } => *to,
             EventKind::Timer { pid, .. } => *pid,
-            EventKind::CpuDone { pid, .. } => *pid,
             EventKind::Depart { from, .. } => *from,
         }
     }

@@ -82,7 +82,8 @@ impl Transport for InstantTransport {
 pub struct SimStats {
     /// Events popped from the queue.
     pub events_processed: u64,
-    /// Messages handed to `on_message`.
+    /// Messages handed to `on_message`, except those a process sends itself
+    /// after CPU (counted in [`cpu_completions`](SimStats::cpu_completions)).
     pub messages_delivered: u64,
     /// Messages the transport dropped.
     pub messages_dropped: u64,
@@ -91,9 +92,10 @@ pub struct SimStats {
     /// Cancelled-timer tombstones popped: a cancelled timer stays queued
     /// until its instant and still counts as a processed event.
     pub timers_cancelled: u64,
-    /// CPU completions handed to `on_cpu_done` ([`Ctx::exec`]) or sending
-    /// their message ([`Ctx::send_after_cpu`]); work booked with
-    /// [`Ctx::charge`] has no completion.
+    /// CPU completions: messages sent through [`Ctx::send_after_cpu`]
+    /// leaving when their work ends, those to the sender itself handed to
+    /// its `on_message` then; work booked with [`Ctx::charge`] has no
+    /// completion.
     pub cpu_completions: u64,
     /// Events voided because their target process was killed after they
     /// were scheduled.
@@ -359,26 +361,15 @@ impl<'a> Ctx<'a> {
         next
     }
 
-    /// Schedules `cost` of CPU work on this process's host CPU;
-    /// `on_cpu_done(tag)` fires when it completes. If the process has no
-    /// attached CPU, the work completes after exactly `cost` (no contention).
-    pub fn exec(&mut self, cost: SimDuration, tag: u64) {
-        let at = self.core.now + self.book(cost);
-        self.core.push(
-            at,
-            EventKind::CpuDone {
-                pid: self.self_id,
-                tag,
-            },
-        );
-    }
-
     /// Sends `msg` to `to` once `cost` of CPU work on this process's host
-    /// CPU is done: the work is booked as [`exec`](Ctx::exec) books it and
-    /// completes at the same instant and in the same order, and the message
-    /// then leaves as an `on_cpu_done` that sent it would send it. It is
-    /// voided if this process dies first, and its completion counts in
-    /// [`SimStats::cpu_completions`].
+    /// CPU is done; without an attached CPU the work takes exactly `cost`
+    /// (no contention). Bookings complete in the order the host CPU
+    /// finishes them, and the message then leaves through the transport,
+    /// or, sent to this process itself, is handed to its `on_message` at
+    /// that instant: the one way a process resumes work that waited on its
+    /// CPU. It is voided if this process dies first, and its completion
+    /// counts in [`SimStats::cpu_completions`] (a message to itself counts
+    /// there only, not in `messages_delivered`).
     pub fn send_after_cpu<M: Message>(&mut self, cost: SimDuration, to: ProcessId, msg: M) {
         self.send_boxed_after_cpu(cost, to, Box::new(msg));
     }
@@ -404,10 +395,10 @@ impl<'a> Ctx<'a> {
     }
 
     /// Books `cost` of CPU work on this process's host CPU exactly as
-    /// [`exec`](Ctx::exec) does (same core, busy interval and job count)
-    /// but schedules no completion: for work nothing waits on, such as
-    /// start-up, background churn and per-record bookkeeping. Without an
-    /// attached CPU there is nothing to book.
+    /// [`send_after_cpu`](Ctx::send_after_cpu) does (same core, busy
+    /// interval and job count) but schedules no completion: for work
+    /// nothing waits on, such as start-up, background churn and per-record
+    /// bookkeeping. Without an attached CPU there is nothing to book.
     pub fn charge(&mut self, cost: SimDuration) {
         if let Some(cpu) = self.cpu {
             cpu.borrow_mut().execute(self.core.now, cost);
@@ -574,8 +565,8 @@ impl Sim {
         self.processes.get(pid.index()).is_some_and(Option::is_some)
     }
 
-    /// Attaches a host CPU to a process; subsequent [`Ctx::exec`] calls
-    /// contend on it.
+    /// Attaches a host CPU to a process; the work it books from then on
+    /// ([`Ctx::send_after_cpu`], [`Ctx::charge`]) contends on it.
     pub fn attach_cpu(&mut self, pid: ProcessId, cpu: CpuHandle) {
         let entry = self.processes[pid.index()]
             .as_mut()
@@ -693,13 +684,13 @@ impl Sim {
                 self.core.stats.timers_fired += 1;
                 self.with_process(pid, |proc, ctx| proc.on_timer(ctx, tag));
             }
-            EventKind::CpuDone { pid, tag } => {
-                self.core.stats.cpu_completions += 1;
-                self.with_process(pid, |proc, ctx| proc.on_cpu_done(ctx, tag));
-            }
             EventKind::Depart { from, to, msg } => {
                 self.core.stats.cpu_completions += 1;
-                self.core.send(from, to, msg);
+                if from == to {
+                    self.with_process(to, |proc, ctx| proc.on_message(ctx, from, msg));
+                } else {
+                    self.core.send(from, to, msg);
+                }
             }
         }
     }
@@ -866,6 +857,8 @@ mod tests {
         assert_eq!(sim.stats().timers_fired, 2);
     }
 
+    /// Books two 10 ms slices at start, each ending in a `Note` it sends
+    /// itself, and records when each arrives.
     struct Worker {
         done: Vec<(SimTime, u64)>,
     }
@@ -875,12 +868,13 @@ mod tests {
             "worker"
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.exec(SimDuration::from_millis(10), 100);
-            ctx.exec(SimDuration::from_millis(10), 101);
+            let me = ctx.self_id();
+            ctx.send_after_cpu(SimDuration::from_millis(10), me, Note(100));
+            ctx.send_after_cpu(SimDuration::from_millis(10), me, Note(101));
         }
-        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-        fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-            self.done.push((ctx.now(), tag));
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
+            let note = crate::process::downcast::<Note>(msg).expect("note");
+            self.done.push((ctx.now(), note.0));
         }
     }
 
@@ -1200,14 +1194,14 @@ mod tests {
         }
     }
 
-    /// Sends `Note(base + i)` after `costs[i]` µs of CPU at start: through
-    /// [`Ctx::send_after_cpu`], or through `exec` and an `on_cpu_done` that
-    /// sends. Between them it sends `Note(base + 100 + i)` at once.
+    /// Sends `Note(base + i)` after `costs[i]` µs of CPU at start: to its
+    /// peer directly, or to itself, forwarding the note to its peer when it
+    /// arrives. Between them it sends `Note(base + 100 + i)` at once.
     struct Replier {
         to: ProcessId,
         base: u64,
         costs: Vec<u64>,
-        kernel: bool,
+        direct: bool,
     }
 
     impl Process for Replier {
@@ -1215,27 +1209,24 @@ mod tests {
             "replier"
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let me = ctx.self_id();
             for (i, micros) in self.costs.iter().enumerate() {
                 let cost = SimDuration::from_micros(*micros);
                 let note = self.base + i as u64;
-                if self.kernel {
-                    ctx.send_after_cpu(cost, self.to, Note(note));
-                } else {
-                    ctx.exec(cost, note);
-                }
+                let to = if self.direct { self.to } else { me };
+                ctx.send_after_cpu(cost, to, Note(note));
                 ctx.send(self.to, Note(note + 100));
             }
         }
-        fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
-        fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-            ctx.send(self.to, Note(tag));
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
+            ctx.send_boxed(self.to, msg);
         }
     }
 
     /// What `Replier`s on a two-core host delivered, and the run's stats.
     fn replies(
         kind: SchedulerKind,
-        kernel: bool,
+        direct: bool,
         kill_at: Option<SimTime>,
     ) -> (Vec<(SimTime, u64)>, SimStats) {
         let mut sim = Sim::with_scheduler(0, kind);
@@ -1248,7 +1239,7 @@ mod tests {
                     to,
                     base,
                     costs,
-                    kernel,
+                    direct,
                 };
                 sim.spawn(Box::new(replier))
             })
@@ -1266,7 +1257,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reply_sent_after_cpu_arrives_as_an_exec_then_send_delivers_it() {
+    fn a_reply_sent_after_cpu_arrives_as_a_forwarded_message_to_itself_does() {
         for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
             let (received, stats) = replies(kind, true, None);
             assert_eq!(
@@ -1295,6 +1286,99 @@ mod tests {
             assert!(received.iter().all(|(_, v)| *v >= 100), "{received:?}");
             assert_eq!(stats.events_voided, 4, "{kind:?}");
             assert_eq!(stats.cpu_completions, 3, "{kind:?}");
+        }
+    }
+
+    /// Books `Note(i)` to itself after `COSTS[i]` µs of CPU at start, and
+    /// records when each arrives.
+    #[derive(Default)]
+    struct SelfBooker {
+        received: Vec<(SimTime, u64)>,
+    }
+
+    impl SelfBooker {
+        const COSTS: [u64; 5] = [30, 10, 10, 20, 5];
+    }
+
+    impl Process for SelfBooker {
+        fn name(&self) -> &str {
+            "self-booker"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let me = ctx.self_id();
+            for (i, micros) in Self::COSTS.iter().enumerate() {
+                ctx.send_after_cpu(SimDuration::from_micros(*micros), me, Note(i as u64));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
+            assert_eq!(from, ctx.self_id());
+            let note = crate::process::downcast::<Note>(msg).expect("note");
+            self.received.push((ctx.now(), note.0));
+        }
+    }
+
+    /// A `SelfBooker` alone on a two-core host, killed at `kill_at` if
+    /// given: what it received (its corpse's, when killed) and the stats.
+    fn self_booked(
+        kind: SchedulerKind,
+        kill_at: Option<SimTime>,
+    ) -> (Vec<(SimTime, u64)>, SimStats) {
+        let mut sim = Sim::with_scheduler(0, kind);
+        let pid = sim.spawn(Box::new(SelfBooker::default()));
+        sim.attach_cpu(
+            pid,
+            HostCpu::shared("h", 2, 1.0, SimDuration::from_millis(500)),
+        );
+        let received = match kill_at {
+            Some(at) => {
+                sim.run_until(at);
+                let corpse = sim.kill(pid).expect("alive");
+                let booker = (corpse.as_ref() as &dyn Any).downcast_ref::<SelfBooker>();
+                booker.expect("a self-booker").received.clone()
+            }
+            None => Vec::new(),
+        };
+        sim.run_to_completion();
+        let received = match sim.process_ref::<SelfBooker>(pid) {
+            Some(booker) => booker.received.clone(),
+            None => received,
+        };
+        (received, sim.stats())
+    }
+
+    #[test]
+    fn a_message_to_itself_after_cpu_arrives_when_its_booking_completes() {
+        let us = SimTime::from_micros;
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (received, stats) = self_booked(kind, None);
+            // Two cores, earliest free first: 30 on core 0; 10, 10 and 20
+            // on core 1; 5 on core 0 once its 30 is done.
+            let want = [
+                (us(10), 1),
+                (us(20), 2),
+                (us(30), 0),
+                (us(35), 4),
+                (us(40), 3),
+            ];
+            assert_eq!(received, want, "{kind:?}");
+            assert_eq!(stats.cpu_completions, 5, "{kind:?}");
+            assert_eq!(stats.messages_delivered, 0, "{kind:?}");
+            assert_eq!(
+                stats.events_processed, 6,
+                "{kind:?}: a start and five completions"
+            );
+        }
+    }
+
+    #[test]
+    fn a_message_to_itself_after_cpu_is_voided_when_its_process_dies_first() {
+        let at = SimTime::from_micros(15);
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
+            let (received, stats) = self_booked(kind, Some(at));
+            assert_eq!(received, [(SimTime::from_micros(10), 1)], "{kind:?}");
+            assert_eq!(stats.cpu_completions, 1, "{kind:?}");
+            assert_eq!(stats.events_voided, 4, "{kind:?}");
+            assert_eq!(stats.messages_delivered, 0, "{kind:?}");
         }
     }
 

@@ -27,6 +27,12 @@ impl Message for Note {
     }
 }
 
+/// The end of a slice of CPU work: the message a process sends itself
+/// when the slice is done.
+#[derive(Debug)]
+struct Slice(u64);
+impl Message for Slice {}
+
 /// What the processes of one run did, in order: `(time in ns, process,
 /// text)`, shared by every process of the run.
 type Log = Rc<RefCell<Vec<(u64, u32, String)>>>;
@@ -105,7 +111,15 @@ impl Process for Chaos {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
-        let note = downcast::<Note>(msg).expect("note");
+        let note = match downcast::<Slice>(msg) {
+            Ok(slice) => {
+                log(&self.log, ctx, format!("cpu tag={}", slice.0));
+                let d = self.delay();
+                self.tokens.push(ctx.set_timer(d, slice.0));
+                return;
+            }
+            Err(msg) => downcast::<Note>(msg).expect("note"),
+        };
         log(&self.log, ctx, format!("msg ttl={} from={from}", note.ttl));
         if note.ttl > 0 {
             let to = self.peer();
@@ -144,15 +158,11 @@ impl Process for Chaos {
                 self.tokens.push(ctx.set_timer(d, tag));
             }
             _ => {
-                ctx.exec(SimDuration::from_micros(1 + self.rng.below(500)), tag);
+                let cost = SimDuration::from_micros(1 + self.rng.below(500));
+                let me = ctx.self_id();
+                ctx.send_after_cpu(cost, me, Slice(tag));
             }
         }
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        log(&self.log, ctx, format!("cpu tag={tag}"));
-        let d = self.delay();
-        self.tokens.push(ctx.set_timer(d, tag));
     }
 }
 
@@ -452,8 +462,9 @@ fn processed_events_add_up_by_kind() {
 
 /// Two processes on one single-core host. The first books a slice of work
 /// every millisecond whose completion it ignores; the second runs slices it
-/// waits for. With `charge` set the first books its work with
-/// [`Ctx::charge`] instead of [`Ctx::exec`].
+/// waits for. Each slice ends in a [`Slice`] its process sends itself, but
+/// with `charge` set the first books its work with [`Ctx::charge`], which
+/// sends nothing.
 struct Churn {
     charge: bool,
     waits: bool,
@@ -468,33 +479,34 @@ impl Process for Churn {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(SimDuration::from_millis(1), 0);
     }
-    fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, _: Box<dyn Message>) {}
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
+        let slice = downcast::<Slice>(msg).expect("a slice");
+        if self.waits {
+            self.done.push((ctx.now(), slice.0));
+        }
+    }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         let cost = SimDuration::from_micros(300 + 150 * u64::from(self.left % 5));
+        let me = ctx.self_id();
         if self.waits {
-            ctx.exec(cost, u64::from(self.left));
+            ctx.send_after_cpu(cost, me, Slice(u64::from(self.left)));
         } else if self.charge {
             ctx.charge(cost);
         } else {
-            ctx.exec(cost, 999);
+            ctx.send_after_cpu(cost, me, Slice(999));
         }
         self.left -= 1;
         if self.left > 0 {
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
     }
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if self.waits {
-            self.done.push((ctx.now(), tag));
-        }
-    }
 }
 
-/// `charge` books the same work as an `exec` nobody handles: the work that
-/// is waited for completes at the same instants, the host CPU reads the
-/// same, and the run is one event shorter per charge.
+/// `charge` books the same work as a message sent after CPU that nothing
+/// waits for: the work that is waited for completes at the same instants,
+/// the host CPU reads the same, and the run is one event shorter per charge.
 #[test]
-fn charge_books_what_exec_books_without_the_completion() {
+fn charge_books_what_send_after_cpu_books_without_the_completion() {
     const SLICES: u32 = 40;
     type Waited = Vec<(SimTime, u64)>;
     fn run(kind: SchedulerKind, charge: bool) -> (Waited, u64, SimDuration, SimStats) {
@@ -517,24 +529,24 @@ fn charge_books_what_exec_books_without_the_completion() {
         (done, cpu.jobs(), cpu.total_busy(), sim.stats())
     }
     for kind in [SchedulerKind::Calendar, SchedulerKind::Reference] {
-        let (exec_done, exec_jobs, exec_busy, exec_stats) = run(kind, false);
+        let (sent_done, sent_jobs, sent_busy, sent_stats) = run(kind, false);
         let (done, jobs, busy, stats) = run(kind, true);
-        assert_eq!(exec_done.len(), SLICES as usize);
+        assert_eq!(sent_done.len(), SLICES as usize);
         assert!(
-            exec_done
+            sent_done
                 .windows(2)
                 .any(|w| w[1].0 - w[0].0 > SimDuration::from_millis(1)),
             "{kind:?}: the two processes must contend for the core"
         );
-        assert_eq!(done, exec_done, "{kind:?}: completion instants");
-        assert_eq!((jobs, busy), (exec_jobs, exec_busy), "{kind:?}: host CPU");
+        assert_eq!(done, sent_done, "{kind:?}: completion instants");
+        assert_eq!((jobs, busy), (sent_jobs, sent_busy), "{kind:?}: host CPU");
         assert_eq!(jobs, 2 * u64::from(SLICES));
         assert_eq!(
             stats.events_processed + u64::from(SLICES),
-            exec_stats.events_processed,
+            sent_stats.events_processed,
             "{kind:?}: one event fewer per charge"
         );
         assert_eq!(stats.cpu_completions, u64::from(SLICES));
-        assert_eq!(exec_stats.cpu_completions, 2 * u64::from(SLICES));
+        assert_eq!(sent_stats.cpu_completions, 2 * u64::from(SLICES));
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use s2g_proto::{utf8_lossy, LogRun, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition};
 use s2g_sim::{Ctx, LedgerHandle, MemSlot, Message, Process, ProcessId, SimDuration, SimTime};
 
-use s2g_broker::{ConsumerClient, ConsumerConfig, CpuDone, ProducerClient, ProducerConfig};
+use s2g_broker::{ConsumerClient, ConsumerConfig, ProducerClient, ProducerConfig};
 use s2g_store::{blob_map, StoreRpc};
 use s2g_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
@@ -322,9 +322,15 @@ impl EventBuffer {
     }
 }
 
+/// The end of a batch's CPU: the message a worker sends itself when the
+/// batch it started has run.
+#[derive(Debug)]
+struct BatchDone;
+
+impl Message for BatchDone {}
+
 mod tags {
     pub(crate) const BATCH_TICK: u64 = 1;
-    pub(crate) const BATCH_DONE: u64 = 2;
     pub(crate) const BACKGROUND_TICK: u64 = 3;
     pub(crate) const CHECKPOINT_TICK: u64 = 5;
 }
@@ -622,7 +628,7 @@ impl SpeWorker {
         self.flushed = false;
         let cost = self.cfg.scheduling_overhead + self.cfg.cpu_per_record * records as u64;
         self.inflight = Some((ctx.now(), input));
-        ctx.exec(cost, tags::BATCH_DONE);
+        ctx.send_after_cpu(cost, ctx.self_id(), BatchDone);
     }
 
     fn finish_batch(&mut self, ctx: &mut Ctx<'_>) {
@@ -1136,9 +1142,17 @@ impl Process for SpeWorker {
             }
             return;
         }
-        let msg = match self.consumer.handle_message(ctx, msg) {
+        let buffer = &mut self.buffer;
+        let msg = match self
+            .consumer
+            .handle_message(ctx, msg, |tp, runs| buffer.push(tp, runs))
+        {
             None => return,
             Some(m) => m,
+        };
+        let msg = match s2g_sim::downcast::<BatchDone>(msg) {
+            Ok(_) => return self.finish_batch(ctx),
+            Err(m) => m,
         };
         let msg = match s2g_sim::downcast::<StoreRpc>(msg) {
             Ok(rpc) => return self.handle_store_rpc(ctx, *rpc),
@@ -1185,14 +1199,6 @@ impl Process for SpeWorker {
                     c.on_timer(ctx, tag);
                 }
             }
-        }
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match self.consumer.handle_cpu_done(ctx, tag) {
-            CpuDone::Delivered(tp, runs) => self.buffer.push(&tp, runs),
-            CpuDone::NotMine if tag == tags::BATCH_DONE => self.finish_batch(ctx),
-            CpuDone::NotMine | CpuDone::Nothing => {}
         }
     }
 }

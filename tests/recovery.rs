@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use stream2gym::apps::word_count::{recovery_scenario, word_stream};
 use stream2gym::broker::{CollectingSink, ConsumerProcess};
 use stream2gym::core::{MonitoredSink, RunResult, Scenario};
-use stream2gym::net::FaultPlan;
+use stream2gym::net::{FaultAction, FaultPlan};
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, CheckpointMode, Event};
 
@@ -97,18 +97,31 @@ fn baseline_counts_every_word() {
     assert!(spe.recovery.is_none(), "no crash, no recovery report");
 }
 
-/// The worker is killed while the broker holds its fetch (words are 50 ms
-/// apart, and this is 20 ms after one) and respawned inside that wait,
-/// under the same process id: the next word answers the held fetch, and
-/// the answer reaches a worker that never asked.
+/// The worker is killed at 120 ms, while the broker holds its second fetch
+/// (its fifth correlation id; words are 50 ms apart), and respawned 20 ms
+/// later under the same process id. The next word answers the held fetch
+/// over the worker's link, slowed from 2 to 100 ms for that moment, so the
+/// answer lands after the respawn has drawn five ids too and holds a fetch
+/// of the same partition under its fifth. Only the incarnation in the ids
+/// tells the two apart: a kernel whose ids ignore it hands the old answer
+/// to the new fetch, and a word is counted twice.
 #[test]
 fn an_exactly_once_worker_respawned_inside_a_fetch_wait_drops_the_stale_reply() {
     let mut sc = build(Some(CheckpointMode::ExactlyOnce), false);
-    sc.faults(FaultPlan::new().crash_restart(
-        "wordcount",
-        SimTime::from_millis(CRASH_AT_MS + 20),
-        SimDuration::from_millis(20),
-    ));
+    let worker_link = |ms| {
+        let latency = SimDuration::from_millis(ms);
+        FaultAction::SetLatency("h3".into(), "s1".into(), latency)
+    };
+    sc.faults(
+        FaultPlan::new()
+            .crash_restart(
+                "wordcount",
+                SimTime::from_millis(120),
+                SimDuration::from_millis(20),
+            )
+            .at(SimTime::from_millis(150), worker_link(100))
+            .at(SimTime::from_millis(170), worker_link(2)),
+    );
     let result = sc.run().expect("runs");
     let spe = &result.report.spe["wordcount"];
     assert_eq!(spe.consumer_stats.stale_replies, 1, "counted, and dropped");
