@@ -8,29 +8,31 @@
 //! replicate and apply the same records, so any member can take over.
 //!
 //! The quorum runs on [`s2g_sim::Quorum`], the replicated log the store
-//! group runs on too: its Raft election (the term, one vote per term, kept
-//! when the leader of the same term is heard, the log-freshness rule over
-//! `(last entry term, log length)` and the randomized deadline), and a log
-//! that followers pull, as Kafka's own KRaft does (KIP-595). Each follower
-//! keeps one [`RaftRpc::Fetch`] outstanding at the leader, naming its log
-//! end and that entry's term. The leader answers with what follows, or
-//! holds a fetch with nothing new until its next proposal or for one hold
-//! interval (300 ms). A fetch that does not match its log is answered with
-//! the whole log: a metadata log is never truncated, and a follower's
-//! applied prefix is committed, so it is a prefix of the leader's. The
+//! group runs on too, and speaks its protocol, [`QuorumRpc`]: its Raft
+//! election (the term, one vote per term, kept when the leader of the same
+//! term is heard, the log-freshness rule over `(last entry term, log
+//! length)` and the randomized deadline), and a log that followers pull, as
+//! Kafka's own KRaft does (KIP-595). Each follower keeps one fetch
+//! outstanding at the leader, naming its log end and that entry's term. The
+//! leader answers with what follows, or holds a fetch with nothing new
+//! until its next proposal or for one hold interval (300 ms). What is KRaft's
+//! own stays here: a fetch that does not match the leader's log is answered
+//! with the whole log (a metadata log is never truncated, and a follower's
+//! applied prefix is committed, so it is a prefix of the leader's); the
 //! leader commits what a majority has fetched once an entry of its own
-//! term is among it, and every reply carries its commit index. One timer
-//! per member stands a follower at its election deadline, re-sends a fetch
-//! left unanswered for two hold intervals, and steps down a leader that no
-//! majority has fetched from for an election timeout.
+//! term is among it, every answer carries its commit index, and a member
+//! applies a record once it commits. One timer per member stands a
+//! follower at its election deadline, re-sends a fetch left unanswered for
+//! two hold intervals, and steps down a leader that no majority has fetched
+//! from for an election timeout.
 //!
 //! This is the coordination mode under which the paper "was not able to
 //! observe" the silent-loss behavior of Fig. 6b.
 
 use std::collections::BTreeMap;
 
-use s2g_proto::{BrokerId, MetadataRecord, PartitionMetadata, RaftRpc};
-use s2g_sim::{downcast, Ctx, Fetch, Intake, Message, ProcessId, Quorum, SimDuration};
+use s2g_proto::{BrokerId, MetadataRecord, PartitionMetadata};
+use s2g_sim::{downcast, Ctx, Message, Owner, ProcessId, Quorum, QuorumRpc, SimDuration, Taken};
 
 use crate::config::{ControllerConfig, TopicSpec};
 use crate::controller::{plan_with_racks, BrokerFrontEnd, ClusterState, CommitPolicy, Controller};
@@ -53,17 +55,26 @@ const RESEND: SimDuration = SimDuration::from_millis(600);
 #[derive(Debug)]
 pub struct RaftQuorum {
     me: BrokerId,
-    /// Every member's id and process, in member-index order; this member
-    /// is `index`.
-    members: Vec<(BrokerId, ProcessId)>,
-    index: usize,
     /// The initial assignment, installed by this member's first leadership
     /// over a metadata log that has none; emptied once proposed.
     plan: Vec<PartitionMetadata>,
     q: Quorum<MetadataRecord>,
+    log: Committed,
+    name: String,
+}
+
+/// How far a member's metadata log is committed, and how far applied.
+#[derive(Debug, Default)]
+struct Committed {
     commit: u64,
     applied: u64,
-    name: String,
+}
+
+/// What the metadata log means to its quorum: records that apply to the
+/// controller's view once they commit.
+struct Metadata<'a> {
+    log: &'a mut Committed,
+    front: &'a mut BrokerFrontEnd,
 }
 
 /// One member of the KRaft controller quorum.
@@ -100,18 +111,15 @@ impl Controller<RaftQuorum> {
             quorum.keys().all(|q| !brokers.contains_key(q)),
             "controller ids must not collide with broker ids"
         );
-        let members: Vec<(BrokerId, ProcessId)> = quorum.into_iter().collect();
-        let index = members.binary_search_by_key(&me, |(id, _)| *id);
+        let index = quorum.keys().position(|id| *id == me);
         let index = index.expect("quorum must include this member");
-        let (n, timeout) = (members.len(), ELECTION_TIMEOUT_BASE);
+        let members = quorum.into_values().collect();
+        let timeout = ELECTION_TIMEOUT_BASE;
         let policy = RaftQuorum {
             me,
-            members,
-            index,
             plan: plan_with_racks(&topics, &brokers, &racks),
-            q: Quorum::new(n, index, None, true, timeout, timeout, HOLD),
-            commit: 0,
-            applied: 0,
+            q: Quorum::new(members, index, None, timeout, timeout, HOLD, HOLD_EXPIRY),
+            log: Committed::default(),
             name: format!("kraft-{}", me.0),
         };
         Controller {
@@ -136,7 +144,7 @@ impl Controller<RaftQuorum> {
     /// Committed log length.
     #[cfg(test)]
     pub(crate) fn committed(&self) -> usize {
-        self.policy.commit as usize
+        self.policy.log.commit as usize
     }
 
     /// The replicated log (term, record) — for consistency assertions.
@@ -147,34 +155,13 @@ impl Controller<RaftQuorum> {
 }
 
 impl RaftQuorum {
-    /// The member index of quorum member `id`.
-    fn index_of(&self, id: BrokerId) -> Option<usize> {
-        self.members.binary_search_by_key(&id, |(id, _)| *id).ok()
-    }
-
-    /// Sends `rpc` to every member whose index `to` accepts.
-    fn send(&self, ctx: &mut Ctx<'_>, to: impl Fn(usize) -> bool, rpc: &RaftRpc) {
-        for (i, &(_, pid)) in self.members.iter().enumerate() {
-            if to(i) {
-                ctx.send(pid, rpc.clone());
-            }
-        }
-    }
-
-    /// Asks every peer for its vote in the term this member stood in; a
-    /// quorum of one is won by the member's own.
-    fn stand(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        let term = self.q.term();
-        let req = RaftRpc::RequestVote {
-            term,
-            candidate: self.me,
-            last_log_index: self.q.log_end(),
-            last_log_term: self.q.last_term(),
-        };
-        self.send(ctx, |i| i != self.index, &req);
-        if self.q.tally(ctx, term, self.index, true) {
-            self.become_leader(front, ctx);
-        }
+    /// The member's quorum, and what its log means beside `front`.
+    fn split<'a>(
+        &'a mut self,
+        front: &'a mut BrokerFrontEnd,
+    ) -> (&'a mut Quorum<MetadataRecord>, Metadata<'a>) {
+        let log = &mut self.log;
+        (&mut self.q, Metadata { log, front })
     }
 
     fn become_leader(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
@@ -214,7 +201,7 @@ impl RaftQuorum {
         for r in records {
             // Avoid duplicate uncommitted proposals (session checks repeat
             // until the failure records commit).
-            let uncommitted = &self.q.entries()[self.commit as usize..];
+            let uncommitted = &self.q.entries()[self.log.commit as usize..];
             if !uncommitted.iter().any(|(_, existing)| *existing == r) {
                 self.q.push(term, r);
             }
@@ -224,164 +211,66 @@ impl RaftQuorum {
     /// Answers the held fetches the log has grown past, then commits and
     /// applies what a majority holds (alone, a member is one).
     fn replicate(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        let (now, me, commit, members) = (ctx.now(), self.me, self.commit, &self.members);
-        let answer = |q: &_, i: usize, fetch| serve(q, me, commit, ctx, members[i].1, fetch);
-        self.q.answer_held(now, answer);
-        self.advance(front, ctx);
-    }
-
-    /// While leading: commits what a majority holds, then applies it.
-    fn advance(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        if let Some(held) = self.q.majority_held() {
-            self.commit = self.commit.max(held);
-        }
-        self.apply_committed(front, ctx);
-    }
-
-    fn apply_committed(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        if self.applied >= self.commit {
-            return;
-        }
-        let batch: Vec<MetadataRecord> = self.q.entries()
-            [self.applied as usize..self.commit as usize]
-            .iter()
-            .map(|(_, r)| r.clone())
-            .collect();
-        self.applied = self.commit;
-        front.apply(ctx.now(), &batch);
-        // Only the active controller pushes instructions to brokers.
-        if self.q.leads() {
-            front.publish(ctx, &batch);
-        }
-    }
-
-    /// Keeps one fetch outstanding on every member but the leader: a new
-    /// one when none is out or the one out is `stale_after` old. It goes
-    /// to the leader, or to every peer when the member knows none.
-    fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) {
-        if self.q.fetch_due_at(stale_after) > ctx.now() {
-            return;
-        }
-        let (fetch, to) = self.q.fetch(ctx);
-        let rpc = RaftRpc::Fetch {
-            from: self.me,
-            fetch,
-        };
-        self.send(ctx, |i| to.map_or(i != self.index, |to| to == i), &rpc);
+        let (q, mut meta) = self.split(front);
+        q.answer_held(ctx, &meta);
+        meta.advance(q, ctx);
     }
 
     /// The one timer: it stands a follower at its election deadline,
     /// re-sends a fetch left unanswered for [`RESEND`], and steps down a
     /// leader that no majority has fetched from for an election timeout.
     fn on_election_timer(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>) {
-        let (stood, next) = self.q.tick(ctx);
-        if stood {
-            self.stand(front, ctx);
+        let (won, next) = self.q.tick(ctx);
+        if won {
+            self.become_leader(front, ctx);
         }
-        self.refetch(ctx, RESEND);
-        ctx.set_timer_at(next.min(self.q.fetch_due_at(RESEND)), ELECTION);
+        let due = self.q.refetch(ctx, RESEND);
+        ctx.set_timer_at(next.min(due), ELECTION);
+    }
+}
+
+impl Metadata<'_> {
+    /// While leading: commits what a majority holds, then applies it.
+    fn advance(&mut self, q: &Quorum<MetadataRecord>, ctx: &mut Ctx<'_>) {
+        if let Some(held) = q.majority_held() {
+            self.log.commit = self.log.commit.max(held);
+        }
+        self.apply(q, ctx);
     }
 
-    fn handle_raft(&mut self, front: &mut BrokerFrontEnd, ctx: &mut Ctx<'_>, rpc: RaftRpc) {
-        match rpc {
-            RaftRpc::RequestVote {
-                term,
-                candidate,
-                last_log_index,
-                last_log_term,
-            } => {
-                let Some(i) = self.index_of(candidate) else {
-                    return;
-                };
-                let granted = self.q.vote(ctx, term, i, (last_log_term, last_log_index));
-                let (term, from) = (self.q.term(), self.me);
-                let reply = RaftRpc::VoteResponse {
-                    term,
-                    granted,
-                    from,
-                };
-                ctx.send(self.members[i].1, reply);
-            }
-            RaftRpc::VoteResponse {
-                term,
-                granted,
-                from,
-            } => {
-                let Some(i) = self.index_of(from) else { return };
-                if self.q.tally(ctx, term, i, granted) {
-                    self.become_leader(front, ctx);
-                }
-            }
-            RaftRpc::Fetch { from, fetch } => {
-                let Some(i) = self.index_of(from).filter(|i| *i != self.index) else {
-                    return;
-                };
-                let intake = self.q.take_fetch(ctx, i, fetch);
-                if intake == Intake::Pass {
-                    return;
-                }
-                self.advance(front, ctx);
-                let to = self.members[i].1;
-                match intake {
-                    Intake::Held => {
-                        ctx.set_timer(HOLD, HOLD_EXPIRY);
-                    }
-                    _ => serve(&self.q, self.me, self.commit, ctx, to, fetch),
-                }
-            }
-            RaftRpc::FetchReply {
-                corr,
-                term,
-                leader,
-                after,
-                entries,
-                commit,
-            } => {
-                let Some(i) = self.index_of(leader) else {
-                    return;
-                };
-                if !self.q.take_reply(ctx, corr, term, Some(i)) {
-                    return;
-                }
-                if after < self.q.log_end() {
-                    // The leader sent its whole log: this member's tail
-                    // diverged from it (a deposed leader's uncommitted
-                    // proposals), and goes.
-                    self.q.restart(0, 0);
-                }
-                for (term, record) in entries {
-                    self.q.push(term, record);
-                }
-                self.commit = self.commit.max(commit.min(self.q.log_end()));
-                self.apply_committed(front, ctx);
-            }
+    fn apply(&mut self, q: &Quorum<MetadataRecord>, ctx: &mut Ctx<'_>) {
+        let Committed { commit, applied } = *self.log;
+        if applied >= commit {
+            return;
+        }
+        let batch: Vec<MetadataRecord> = q.entries()[applied as usize..commit as usize]
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        self.log.applied = commit;
+        self.front.apply(ctx.now(), &batch);
+        // Only the active controller pushes instructions to brokers.
+        if q.leads() {
+            self.front.publish(ctx, &batch);
         }
     }
 }
 
-/// Sends `to` the log after `fetch`'s end, or the whole log when the fetch
-/// does not match it, with the commit index.
-fn serve(
-    q: &Quorum<MetadataRecord>,
-    me: BrokerId,
-    commit: u64,
-    ctx: &mut Ctx<'_>,
-    to: ProcessId,
-    fetch: Fetch,
-) {
-    let (after, entries) = match q.suffix(&fetch) {
-        Some(entries) => (fetch.after, entries),
-        None => (0, q.entries()),
-    };
-    let reply = RaftRpc::FetchReply {
-        corr: fetch.corr,
-        term: q.term(),
-        leader: me,
-        after,
-        entries: entries.to_vec(),
-        commit,
-    };
-    ctx.send(to, reply);
+impl Owner<MetadataRecord> for Metadata<'_> {
+    /// The whole log: a metadata log is never truncated.
+    fn fallback(&self, _q: &Quorum<MetadataRecord>) -> (u64, ()) {
+        (0, ())
+    }
+
+    fn commit(&self) -> u64 {
+        self.log.commit
+    }
+
+    /// A fetch may commit more: what commits is applied before the fetch is
+    /// answered.
+    fn took_fetch(&mut self, ctx: &mut Ctx<'_>, q: &mut Quorum<MetadataRecord>, _current: bool) {
+        self.advance(q, ctx);
+    }
 }
 
 impl CommitPolicy for RaftQuorum {
@@ -397,7 +286,7 @@ impl CommitPolicy for RaftQuorum {
     /// Draws the first election deadline, sends the first fetch and arms
     /// the timer.
     fn start(c: &mut KraftController, ctx: &mut Ctx<'_>) {
-        c.policy.q.start(ctx);
+        c.policy.q.start(ctx, false);
         c.policy.on_election_timer(&mut c.front, ctx);
     }
 
@@ -411,19 +300,29 @@ impl CommitPolicy for RaftQuorum {
         c.policy.replicate(&mut c.front, ctx);
     }
 
+    /// Takes the quorum's messages: a member that wins its term starts it,
+    /// and one that takes an answer commits what the leader has and
+    /// applies it. Every member but the leader then keeps a fetch out.
     fn on_message(
         c: &mut KraftController,
         ctx: &mut Ctx<'_>,
         msg: Box<dyn Message>,
     ) -> Option<Box<dyn Message>> {
-        match downcast::<RaftRpc>(msg) {
-            Ok(rpc) => {
-                c.policy.handle_raft(&mut c.front, ctx, *rpc);
-                c.policy.refetch(ctx, SimDuration::MAX);
-                None
+        let rpc = match downcast::<QuorumRpc<MetadataRecord>>(msg) {
+            Ok(rpc) => rpc,
+            Err(msg) => return Some(msg),
+        };
+        let (q, mut meta) = c.policy.split(&mut c.front);
+        match q.on_rpc(ctx, *rpc, &mut meta) {
+            Taken::Nothing => {}
+            Taken::Won => c.policy.become_leader(&mut c.front, ctx),
+            Taken::Answer { commit, .. } => {
+                meta.log.commit = meta.log.commit.max(commit.min(q.log_end()));
+                meta.apply(q, ctx);
             }
-            Err(msg) => Some(msg),
         }
+        c.policy.q.refetch(ctx, SimDuration::MAX);
+        None
     }
 
     fn on_timer(c: &mut KraftController, ctx: &mut Ctx<'_>, tag: u64) {
@@ -533,7 +432,10 @@ mod tests {
         assert_eq!(run(42), run(42));
     }
 
-    /// A quorum member that only records the vote answers it is sent.
+    type Rpc = QuorumRpc<MetadataRecord>;
+
+    /// A quorum member that only records the vote answers it is sent, each
+    /// by its voter's controller id (members 1000, 1001, ...).
     #[derive(Default)]
     struct Ballots(Vec<(u32, bool, u64)>);
 
@@ -542,14 +444,14 @@ mod tests {
             "ballots"
         }
         fn on_message(&mut self, _: &mut Ctx<'_>, _: ProcessId, msg: Box<dyn Message>) {
-            if let Ok(rpc) = downcast::<RaftRpc>(msg) {
-                if let RaftRpc::VoteResponse {
+            if let Ok(rpc) = downcast::<Rpc>(msg) {
+                if let Rpc::VoteReply {
                     term,
                     granted,
                     from,
                 } = *rpc
                 {
-                    self.0.push((from.0, granted, term));
+                    self.0.push((1000 + from, granted, term));
                 }
             }
         }
@@ -569,22 +471,15 @@ mod tests {
         let cfg = ControllerConfig::default();
         let c = KraftController::new(BrokerId(1000), quorum, BTreeMap::new(), cfg, vec![]);
         assert_eq!(sim.spawn(Box::new(c)), me);
-        let vote = |candidate: u32| RaftRpc::RequestVote {
+        let vote = |candidate: u32| Rpc::Vote {
             term: 1,
-            candidate: BrokerId(candidate),
-            last_log_index: 0,
-            last_log_term: 0,
+            from: candidate - 1000,
+            end: 0,
+            last_term: 0,
         };
         // Member 1001 won term 1 and answers the fetch member 1000 sent
         // every peer on voting for it (its first fetch in term 1).
-        let reply = RaftRpc::FetchReply {
-            corr: 1,
-            term: 1,
-            leader: BrokerId(1001),
-            after: 0,
-            entries: vec![],
-            commit: 0,
-        };
+        let reply = leader_1001(1, 1, 0, vec![], 0);
         let at = SimTime::from_millis;
         sim.inject_at(at(1), me, vote(1001));
         sim.inject_at(at(2), me, reply);
@@ -614,14 +509,7 @@ mod tests {
         // Member 1001 leads term 1. It answers the member's first fetch
         // (sent in term 0) with two entries, which makes it the leader,
         // then the next with the commit of the first.
-        let reply = |corr, after, entries, commit| RaftRpc::FetchReply {
-            corr,
-            term: 1,
-            leader: BrokerId(1001),
-            after,
-            entries,
-            commit,
-        };
+        let reply = |corr, after, entries, commit| leader_1001(corr, 1, after, entries, commit);
         let entries = vec![(1, registered(5)), (1, registered(6))];
         sim.inject_at(SimTime::from_millis(2), me, reply(0, 0, entries, 0));
         sim.run_until(SimTime::from_millis(3));
@@ -662,19 +550,10 @@ mod tests {
         sim.run_until(SimTime::from_millis(2));
         // Member 1001, leading term 1, answers the crashed incarnation's
         // fetch late: entries after a log of two, and a commit of three.
-        let stale = RaftRpc::FetchReply {
-            corr: 0,
-            term: 1,
-            leader: BrokerId(1001),
-            after: 2,
-            entries: vec![(
-                1,
-                MetadataRecord::BrokerRegistered {
-                    broker: BrokerId(7),
-                },
-            )],
-            commit: 3,
+        let registered = MetadataRecord::BrokerRegistered {
+            broker: BrokerId(7),
         };
+        let stale = leader_1001(0, 1, 2, vec![(1, registered)], 3);
         sim.inject_at(SimTime::from_millis(3), me, stale);
         sim.run_until(SimTime::from_millis(4));
         let respawn = member(&sim, me);
@@ -714,6 +593,28 @@ mod tests {
                 false => s2g_sim::Delivery::After(SimDuration::from_micros(10)),
             }
         }
+    }
+
+    /// Member 1001's answer to fetch `corr` as the leader of `term`: the
+    /// entries after `after`, and its commit index.
+    fn leader_1001(
+        corr: u64,
+        term: u64,
+        after: u64,
+        entries: Vec<(u64, MetadataRecord)>,
+        commit: u64,
+    ) -> Rpc {
+        Rpc::Answer(s2g_sim::Answer {
+            from: 1,
+            corr,
+            term,
+            leads: true,
+            after,
+            entries,
+            state: None,
+            floor: 0,
+            commit,
+        })
     }
 
     fn member(sim: &Sim, pid: ProcessId) -> &KraftController {
@@ -782,14 +683,7 @@ mod tests {
         let leader = active(&sim, &pids);
         let follower = *pids.iter().find(|p| **p != leader).unwrap();
         // The first reply to `follower` that carries an entry is lost.
-        let empty = RaftRpc::FetchReply {
-            corr: 0,
-            term: 0,
-            leader: BrokerId(0),
-            after: 0,
-            entries: vec![],
-            commit: 0,
-        };
+        let empty = leader_1001(0, 0, 0, vec![], 0);
         let faults = Faults {
             drop: Some((leader, follower, empty.wire_size() + 1)),
             ..Faults::default()
@@ -810,5 +704,97 @@ mod tests {
             member(&sim, follower).raft_log(),
             member(&sim, leader).raft_log()
         );
+    }
+
+    /// Drops each message with probability `.0`, else delivers it after
+    /// 200 µs.
+    struct Lossy(f64);
+
+    impl s2g_sim::Transport for Lossy {
+        fn route(
+            &mut self,
+            _now: SimTime,
+            rng: &mut rand::rngs::StdRng,
+            _from: ProcessId,
+            _to: ProcessId,
+            _bytes: usize,
+        ) -> s2g_sim::Delivery {
+            use rand::Rng;
+            match rng.gen_bool(self.0) {
+                true => s2g_sim::Delivery::Drop,
+                false => s2g_sim::Delivery::After(SimDuration::from_micros(200)),
+            }
+        }
+    }
+
+    /// Runs five members for 30 s over a link that drops 30 % of what it
+    /// carries, while a new broker registers every 100 ms (a proposal at
+    /// whichever member is active). Sampled every 10 ms, no term has two
+    /// leaders; at the end, committed prefixes agree, every member has
+    /// applied exactly its committed prefix, and a registration committed.
+    /// Returns the members' final terms.
+    fn lossy_run(seed: u64) -> Result<Vec<u64>, String> {
+        let mut sim = Sim::new(seed);
+        sim.set_transport(Box::new(Lossy(0.3)));
+        let pids = spawn_quorum(&mut sim, 5);
+        let step = SimDuration::from_millis(10);
+        let (mut now, mut broker) = (SimTime::ZERO, 0);
+        let mut leader_of: BTreeMap<u64, ProcessId> = BTreeMap::new();
+        while now < SimTime::from_secs(30) {
+            now += step;
+            if now.as_nanos() % 100_000_000 == 0 {
+                broker += 1;
+                for pid in &pids {
+                    let incarnation = 0;
+                    let heartbeat = ControllerRpc::Heartbeat {
+                        broker: BrokerId(broker),
+                        incarnation,
+                    };
+                    sim.inject_at(now, *pid, heartbeat);
+                }
+            }
+            sim.run_until(now);
+            for pid in pids.iter().filter(|p| member(&sim, **p).is_active()) {
+                let term = member(&sim, *pid).term();
+                let first = *leader_of.entry(term).or_insert(*pid);
+                if first != *pid {
+                    return Err(format!("{first:?} and {pid:?} both lead term {term}"));
+                }
+            }
+        }
+        let committed = |c: &KraftController| c.raft_log()[..c.committed()].to_vec();
+        for a in &pids {
+            let c = member(&sim, *a);
+            let applied: Vec<_> = c.decisions().iter().map(|(_, r)| r.clone()).collect();
+            let log: Vec<_> = committed(c).into_iter().map(|(_, r)| r).collect();
+            if applied != log {
+                return Err(format!("{a:?} applied {applied:?}, committed {log:?}"));
+            }
+            for b in &pids {
+                let (a, b) = (committed(c), committed(member(&sim, *b)));
+                let n = a.len().min(b.len());
+                if a[..n] != b[..n] {
+                    return Err("committed prefixes diverge".into());
+                }
+            }
+        }
+        let registered = |(_, r): &(u64, MetadataRecord)| matches!(r, MetadataRecord::BrokerRegistered { broker } if broker.0 < 1000);
+        if !pids
+            .iter()
+            .any(|p| committed(member(&sim, *p)).iter().any(registered))
+        {
+            return Err("no registration committed".into());
+        }
+        Ok(pids.iter().map(|p| member(&sim, *p).term()).collect())
+    }
+
+    #[test]
+    fn a_quorum_over_a_lossy_link_keeps_one_leader_per_term_and_agrees() {
+        let mut terms = Vec::new();
+        for seed in 1..=8 {
+            terms.extend(lossy_run(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}")));
+        }
+        let mean = terms.iter().sum::<u64>() as f64 / terms.len() as f64;
+        println!("mean final term over 8 seeds: {mean:.1}");
     }
 }

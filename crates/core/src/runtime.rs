@@ -412,7 +412,7 @@ impl Runtime {
                 if group.len() > 1 {
                     // A respawn rejoins recovering: it fetches the op log
                     // from a ready member before serving again.
-                    st.set_group(group.clone(), replica.replica as usize, recover);
+                    st.set_group(group.clone(), replica.replica as usize);
                 }
                 Box::new(st)
             }

@@ -22,6 +22,6 @@ pub use record::{
 };
 pub use rpc::{
     AckMode, BrokerId, ClientRpc, ControllerRpc, CorrelationId, ErrorCode, LeaderEpoch, LogRun,
-    MetadataRecord, MirrorView, PartitionMetadata, RaftRpc, ReplicaFetchPart, ReplicaFetchedPart,
+    MetadataRecord, MirrorView, PartitionMetadata, ReplicaFetchPart, ReplicaFetchedPart,
     ReplicaRpc, RPC_OVERHEAD,
 };

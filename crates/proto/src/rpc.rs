@@ -4,7 +4,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use s2g_sim::{Fetch, Message};
+use s2g_sim::{Entry, Message};
 
 use crate::record::{
     Compression, Offset, ProducerId, RecordBatch, RecordRef, TopicPartition, BATCH_OVERHEAD,
@@ -770,72 +770,17 @@ impl Message for ControllerRpc {
     }
 }
 
-/// Raft RPCs for the KRaft metadata quorum.
-#[derive(Debug, Clone)]
-pub enum RaftRpc {
-    /// Candidate solicits a vote.
-    RequestVote {
-        /// Candidate's term.
-        term: u64,
-        /// The candidate.
-        candidate: BrokerId,
-        /// Index of the candidate's last log entry.
-        last_log_index: u64,
-        /// Term of the candidate's last log entry.
-        last_log_term: u64,
-    },
-    /// Vote reply.
-    VoteResponse {
-        /// Voter's current term.
-        term: u64,
-        /// Whether the vote was granted.
-        granted: bool,
-        /// The voter.
-        from: BrokerId,
-    },
-    /// Follower → leader: asks for the metadata log after the follower's
-    /// end. Every member that does not lead keeps one outstanding.
-    Fetch {
-        /// The follower.
-        from: BrokerId,
-        /// Where the follower's log ends, under its current term.
-        fetch: Fetch,
-    },
-    /// Leader → follower: the answer to a [`RaftRpc::Fetch`], at once when
-    /// the leader holds entries the follower lacks, else at its next
-    /// proposal or after one hold interval.
-    FetchReply {
-        /// The fetch's request id.
-        corr: u64,
-        /// Leader's term.
-        term: u64,
-        /// The leader.
-        leader: BrokerId,
-        /// Index of the entry `entries` follow: the fetch's, or 0 when the
-        /// follower's log diverges from the leader's and `entries` is the
-        /// leader's whole log.
-        after: u64,
-        /// The entries after `after` as `(term, record)` pairs.
-        entries: Vec<(u64, MetadataRecord)>,
-        /// Leader's commit index.
-        commit: u64,
-    },
-}
-
-impl Message for RaftRpc {
+/// A metadata record in the KRaft quorum's log ([`s2g_sim::QuorumRpc`]): a
+/// mismatched fetch is answered with the whole log, so no state answers it.
+impl Entry for MetadataRecord {
+    type State = ();
+    /// [`RPC_OVERHEAD`] plus 28, 16, 36 and 36.
+    const HEADERS: [usize; 4] = [66, 54, 74, 74];
     fn wire_size(&self) -> usize {
-        RPC_OVERHEAD
-            + match self {
-                RaftRpc::RequestVote { .. } => 28,
-                RaftRpc::VoteResponse { .. } => 16,
-                RaftRpc::Fetch { .. } => 36,
-                RaftRpc::FetchReply { entries, .. } => {
-                    36 + entries
-                        .iter()
-                        .map(|(_, r)| 8 + r.encoded_len())
-                        .sum::<usize>()
-                }
-            }
+        8 + self.encoded_len()
+    }
+    fn state_size(_: &()) -> usize {
+        0
     }
 }
 
@@ -899,13 +844,18 @@ mod tests {
 
     #[test]
     fn raft_fetch_reply_size_scales_with_entries() {
-        let reply = |entries| RaftRpc::FetchReply {
-            corr: 0,
-            term: 1,
-            leader: BrokerId(0),
-            after: 0,
-            entries,
-            commit: 0,
+        let reply = |entries| {
+            s2g_sim::QuorumRpc::Answer(s2g_sim::Answer {
+                from: 0,
+                corr: 0,
+                term: 1,
+                leads: true,
+                after: 0,
+                entries,
+                state: None,
+                floor: 0,
+                commit: 0,
+            })
         };
         let fenced = MetadataRecord::BrokerFenced {
             broker: BrokerId(3),

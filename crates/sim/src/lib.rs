@@ -55,7 +55,7 @@ mod waiters;
 
 pub use cpu::{CpuHandle, HostCpu};
 pub use process::{downcast, downcast_ref, Message, Process, ProcessId, TimerToken};
-pub use quorum::{Fetch, Intake, Quorum};
+pub use quorum::{Answer, Entry, Fetch, Owner, Quorum, QuorumRpc, Taken};
 pub use resources::{LedgerHandle, MemLedger, MemSlot};
 pub use sched::{
     corr_incarnation, Ctx, Delivery, InstantTransport, QueueDiag, SchedulerKind, Sim, SimStats,

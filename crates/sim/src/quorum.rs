@@ -1,5 +1,5 @@
 //! One replicated group: Raft's election and a log that followers pull,
-//! for every group that elects by vote.
+//! for every group that elects by vote, and the messages that drive it.
 //!
 //! A member's [`Quorum`] keeps its term, the one vote it may cast in that
 //! term, the votes its own candidacy has won and its randomized election
@@ -20,15 +20,21 @@
 //! stands, and a leader that no majority has fetched from for a timeout
 //! steps down; one timer serves both.
 //!
-//! The owner keeps its own messages and what only it does: it builds the
-//! requests and answers from what the quorum hands it, and decides what an
-//! entry means and what to answer a member whose log diverges.
+//! The quorum speaks its own protocol, [`QuorumRpc`]: it asks every peer
+//! for its vote when it stands, grants or refuses a vote and replies,
+//! counts the replies, keeps its one fetch out (re-sending it when the
+//! owner says it is stale), holds or answers each fetch it takes, and takes
+//! the answers to its own. Its owner says what an entry weighs on the wire
+//! ([`Entry`]), what answers a fetch that does not match the log and what
+//! an arriving entry means ([`Owner`]); it arms the timers, appends, and
+//! acts on what taking a message did ([`Taken`]).
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use rand::Rng;
 
-use crate::{Ctx, SimDuration, SimTime, Waiters};
+use crate::{Ctx, Message, ProcessId, SimDuration, SimTime, Waiters};
 
 /// A follower's fetch: where its log ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,29 +52,148 @@ pub struct Fetch {
     pub ready: bool,
 }
 
-/// What the leader does with a member's fetch ([`Quorum::take_fetch`]).
+/// A log entry, as the group's messages carry it.
+pub trait Entry: Clone + fmt::Debug + 'static {
+    /// What answers a fetch that does not match the log, with the entries
+    /// after the index it holds the log up to.
+    type State: fmt::Debug + 'static;
+    /// The bytes of a vote request, a vote reply, a fetch and an answer,
+    /// in that order, without the entries and the state an answer carries.
+    const HEADERS: [usize; 4];
+    /// The bytes of this entry in an answer, its term included.
+    fn wire_size(&self) -> usize;
+    /// The bytes of `state` in an answer.
+    fn state_size(state: &Self::State) -> usize;
+}
+
+/// The group's messages, each naming its sender's member index.
+#[derive(Debug)]
+pub enum QuorumRpc<E: Entry> {
+    /// A candidate asks for a vote in the term it stands in.
+    Vote {
+        /// The candidate.
+        from: u32,
+        /// The term it stands in.
+        term: u64,
+        /// The term of its last entry.
+        last_term: u64,
+        /// The index of its last entry.
+        end: u64,
+    },
+    /// A member's answer to a [`QuorumRpc::Vote`].
+    VoteReply {
+        /// The member.
+        from: u32,
+        /// Its term.
+        term: u64,
+        /// Whether it voted for the candidate.
+        granted: bool,
+    },
+    /// A member's fetch: where its log ends.
+    Fetch {
+        /// The member.
+        from: u32,
+        /// Where its log ends, under its term.
+        fetch: Fetch,
+    },
+    /// The answer to a [`QuorumRpc::Fetch`].
+    Answer(Answer<E>),
+}
+
+/// The answer to a fetch: the entries after an index of the answerer's
+/// log, and, when the fetch did not match that log, its owner's state as
+/// of that index.
+#[derive(Debug)]
+pub struct Answer<E: Entry> {
+    /// The member answering.
+    pub from: u32,
+    /// The fetch's request id.
+    pub corr: u64,
+    /// The answerer's term.
+    pub term: u64,
+    /// Whether the answerer leads that term.
+    pub leads: bool,
+    /// The index `entries` follow: the fetch's, or the one `state` holds
+    /// the log up to.
+    pub after: u64,
+    /// The entries after `after`, each with its term.
+    pub entries: Vec<(u64, E)>,
+    /// When the fetch did not match the answerer's log: the term of the
+    /// entry at `after`, and the owner's state as of it.
+    pub state: Option<(u64, E::State)>,
+    /// The answerer's log start: the receiver truncates its log to it.
+    pub floor: u64,
+    /// The answerer's commit index, as its owner counts it.
+    pub commit: u64,
+}
+
+impl<E: Entry> Message for QuorumRpc<E> {
+    fn wire_size(&self) -> usize {
+        match self {
+            QuorumRpc::Vote { .. } => E::HEADERS[0],
+            QuorumRpc::VoteReply { .. } => E::HEADERS[1],
+            QuorumRpc::Fetch { .. } => E::HEADERS[2],
+            QuorumRpc::Answer(a) => {
+                let entries = a.entries.iter().map(|(_, e)| e.wire_size()).sum::<usize>();
+                E::HEADERS[3] + entries + a.state.as_ref().map_or(0, |(_, s)| E::state_size(s))
+            }
+        }
+    }
+}
+
+/// What a member's owner does that the protocol does not. Every method but
+/// [`fallback`](Owner::fallback) does nothing by default.
+pub trait Owner<E: Entry> {
+    /// The owner's state as of an index `q`'s log holds, which answers,
+    /// with the entries after that index, a fetch that does not match the
+    /// log.
+    fn fallback(&self, q: &Quorum<E>) -> (u64, E::State);
+
+    /// The commit index each answer carries (0 for an owner that applies
+    /// what it takes on receipt).
+    fn commit(&self) -> u64 {
+        0
+    }
+
+    /// While leading: `q` took a member's fetch, counted as that member's
+    /// progress when `current`, and holds or answers it next.
+    fn took_fetch(&mut self, _ctx: &mut Ctx<'_>, _q: &mut Quorum<E>, _current: bool) {}
+
+    /// Replaces what the owner holds with an answer's state; `q`'s log now
+    /// starts, empty, at the index the state holds it up to.
+    fn install(&mut self, _q: &Quorum<E>, _state: E::State) {}
+
+    /// Takes an entry an answer brought, before `q`'s log holds it.
+    fn receive(&mut self, _q: &Quorum<E>, _entry: &E) {}
+}
+
+/// What taking a message did that the owner acts on
+/// ([`Quorum::on_rpc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Intake {
-    /// The member taking it does not lead.
-    Pass,
-    /// Held until the log grows or the hold interval passes: the owner arms
-    /// a timer for [`Quorum::answer_held`].
-    Held,
-    /// To be answered now. `current` when it matched the leader's log under
-    /// the leader's term, and so counted as the member's progress.
+pub enum Taken {
+    /// Nothing.
+    Nothing,
+    /// This member won its term: it leads.
+    Won,
+    /// An answer to this member's fetch: its state is installed and its
+    /// entries are in the log.
     Answer {
-        /// Whether the fetch counted as progress.
-        current: bool,
+        /// The answerer's commit index.
+        commit: u64,
+        /// Whether this member became ready by it.
+        ready: bool,
     },
 }
 
-/// One member's view of a replicated group: its election and its log.
+/// One member of a replicated group: its election, its log and its side
+/// of the group's protocol.
 ///
-/// Members are indices `0..n`, the same on every member; the owner maps
-/// them to process ids. Entry `i` of the log (1-based) is at index `i`;
-/// index 0, the empty log, has term 0.
+/// Members are indices `0..n`, the same on every member, each with its
+/// process id. Entry `i` of the log (1-based) is at index `i`; index 0, the
+/// empty log, has term 0.
 #[derive(Debug)]
 pub struct Quorum<E> {
+    members: Vec<ProcessId>,
     me: usize,
     term: u64,
     voted_for: Option<usize>,
@@ -78,6 +203,8 @@ pub struct Quorum<E> {
     /// False while the member rebuilds state it lost: it neither stands nor
     /// votes, and fetches from every peer.
     ready: bool,
+    /// While not ready: the peers whose answer this member took.
+    answered: Vec<bool>,
     /// When this member stands unless it hears from a leader first, and
     /// the election timeout last drawn: `timeout` plus up to `jitter`.
     deadline: SimTime,
@@ -85,6 +212,8 @@ pub struct Quorum<E> {
     timeout: SimDuration,
     jitter: SimDuration,
     hold: SimDuration,
+    /// The owner's timer tag for the end of a hold.
+    hold_tag: u64,
     /// The retained log: `log[i]` is index `log_start + i + 1`.
     log: Vec<(u64, E)>,
     log_start: u64,
@@ -106,39 +235,43 @@ pub struct Quorum<E> {
     awaiting: Option<(u64, SimTime)>,
 }
 
-impl<E> Quorum<E> {
-    /// Member `me` of a group of `n`, in term 0 with `leader` (if it knows
-    /// one), no vote cast and an empty log. Its election timeout is
-    /// `timeout` plus up to `jitter`; a leader holds a fetch for up to
-    /// `hold` and steps down when no majority has fetched from it for
-    /// `timeout`. A member that is not `ready` neither stands nor votes
-    /// until [`set_ready`](Self::set_ready).
+impl<E: Entry> Quorum<E> {
+    /// Member `me` of the group whose members' process ids are `members`,
+    /// in term 0 with `leader` (if it knows one), no vote cast and an empty
+    /// log. Its election timeout is `timeout` plus up to `jitter`; a leader
+    /// holds a fetch for up to `hold`, arming the owner's timer `hold_tag`
+    /// for [`answer_held`](Self::answer_held), and steps down when no
+    /// majority has fetched from it for `timeout`.
     ///
     /// # Panics
     ///
     /// Panics if `me` is not a member.
     pub fn new(
-        n: usize,
+        members: Vec<ProcessId>,
         me: usize,
         leader: Option<usize>,
-        ready: bool,
         timeout: SimDuration,
         jitter: SimDuration,
         hold: SimDuration,
+        hold_tag: u64,
     ) -> Self {
+        let n = members.len();
         assert!(me < n, "member index out of range");
         Quorum {
+            members,
             me,
             term: 0,
             voted_for: None,
             votes: None,
             leader,
-            ready,
+            ready: true,
+            answered: vec![false; n],
             deadline: SimTime::ZERO,
             drawn: timeout,
             timeout,
             jitter,
             hold,
+            hold_tag,
             log: Vec::new(),
             log_start: 0,
             log_start_term: 0,
@@ -156,9 +289,10 @@ impl<E> Quorum<E> {
         self.term
     }
 
-    /// The leader of the current term, when this member knows it.
-    pub fn leader(&self) -> Option<usize> {
-        self.leader
+    /// The process of the current term's leader, when this member knows
+    /// it.
+    pub fn leader(&self) -> Option<ProcessId> {
+        self.leader.map(|i| self.members[i])
     }
 
     /// Whether this member leads the current term.
@@ -169,6 +303,11 @@ impl<E> Quorum<E> {
     /// Whether this member stands, votes and serves.
     pub fn ready(&self) -> bool {
         self.ready
+    }
+
+    /// When this member's outstanding fetch was sent, while one is out.
+    pub fn awaiting(&self) -> Option<SimTime> {
+        self.awaiting.map(|(_, sent)| sent)
     }
 
     /// The index of the last entry.
@@ -210,16 +349,15 @@ impl<E> Quorum<E> {
     }
 
     /// Empties the log and starts it at `at`, an entry of `term`: the owner
-    /// installed a state that holds everything up to `at`, or took a log
-    /// that replaces this one.
-    pub fn restart(&mut self, at: u64, term: u64) {
+    /// installed a state that holds everything up to `at`.
+    fn restart(&mut self, at: u64, term: u64) {
         self.log.clear();
         self.log_start = at;
         self.log_start_term = term;
     }
 
     /// Drops the prefix up to `floor`, where this log holds it.
-    pub fn truncate_to(&mut self, floor: u64) {
+    fn truncate_to(&mut self, floor: u64) {
         let floor = floor.min(self.log_end());
         if floor <= self.log_start {
             return;
@@ -242,7 +380,7 @@ impl<E> Quorum<E> {
     /// The entries after `fetch`'s end, or `None` when this log does not
     /// hold its last entry under its term: it was truncated away, or the
     /// fetcher's log diverges from this one there.
-    pub fn suffix(&self, fetch: &Fetch) -> Option<&[(u64, E)]> {
+    fn suffix(&self, fetch: &Fetch) -> Option<&[(u64, E)]> {
         let matches = self.term_at(fetch.after) == Some(fetch.last_term);
         matches.then(|| &self.log[(fetch.after - self.log_start) as usize..])
     }
@@ -264,29 +402,36 @@ impl<E> Quorum<E> {
     }
 
     fn majority(&self) -> usize {
-        self.progress.len() / 2 + 1
+        self.members.len() / 2 + 1
     }
 
     /// Itself and the members that fetched from it within the timeout.
     fn live(&self, now: SimTime) -> impl Iterator<Item = usize> + '_ {
         let seen = move |i: &usize| now.saturating_since(self.last_fetch[*i]) <= self.timeout;
-        (0..self.progress.len()).filter(move |i| *i == self.me || seen(i))
+        (0..self.members.len()).filter(move |i| *i == self.me || seen(i))
     }
 
     /// Starts the member: until they fetch, every member counts as live (a
     /// fresh leader does not step down at once, nor truncate past a
-    /// member), and a ready follower draws its election deadline.
-    pub fn start(&mut self, ctx: &mut Ctx<'_>) {
+    /// member), and a ready follower draws its election deadline. A member
+    /// that `rejoins` lost its state: it starts not ready and knows no
+    /// leader, and becomes ready once all but a majority less one of its
+    /// peers have answered it. One of those holds every entry a majority
+    /// held; it keeps the freshest state it is sent, and casts no vote in
+    /// the term it then has (its vote goes to itself, unless it has voted
+    /// since): it may have voted in it before it lost its state.
+    pub fn start(&mut self, ctx: &mut Ctx<'_>, rejoins: bool) {
+        if rejoins {
+            (self.ready, self.leader) = (false, None);
+        }
         self.last_fetch.fill(ctx.now());
         if self.ready && !self.leads() {
             self.reset_deadline(ctx);
         }
     }
 
-    /// Marks a member that rebuilt its state ready. It casts no vote in the
-    /// term it has (its vote goes to itself, unless it has voted since): it
-    /// may have voted in it before it lost its state.
-    pub fn set_ready(&mut self, ctx: &mut Ctx<'_>) {
+    /// Marks a member that rebuilt its state ready.
+    fn set_ready(&mut self, ctx: &mut Ctx<'_>) {
         self.ready = true;
         self.voted_for.get_or_insert(self.me);
         self.reset_deadline(ctx);
@@ -324,27 +469,10 @@ impl<E> Quorum<E> {
         }
     }
 
-    /// Starts this member's one outstanding fetch under a fresh correlation
-    /// id ([`Ctx::next_corr`]), superseding any still out. Returns it and
-    /// whom to send it: the leader, or every peer (`None`) when it knows
-    /// none or is not ready.
-    pub fn fetch(&mut self, ctx: &mut Ctx<'_>) -> (Fetch, Option<usize>) {
-        let corr = ctx.next_corr();
-        self.awaiting = Some((corr, ctx.now()));
-        let fetch = Fetch {
-            corr,
-            after: self.log_end(),
-            last_term: self.last_term(),
-            term: self.term,
-            ready: self.ready,
-        };
-        (fetch, self.leader.filter(|_| self.ready))
-    }
-
     /// When a member that does not lead should send its next fetch: now if
     /// none is out, else once the one out is `stale_after` old (a fetch or
     /// its answer was lost, or the leader is gone). Never while leading.
-    pub fn fetch_due_at(&self, stale_after: SimDuration) -> SimTime {
+    fn fetch_due_at(&self, stale_after: SimDuration) -> SimTime {
         match self.awaiting {
             _ if self.leads() => SimTime::MAX,
             None => SimTime::ZERO,
@@ -352,35 +480,163 @@ impl<E> Quorum<E> {
         }
     }
 
+    /// Keeps one fetch outstanding while this member does not lead: sends
+    /// a new one, under a fresh correlation id ([`Ctx::next_corr`]), when
+    /// none is out or the one out is `stale_after` old. It goes to the
+    /// leader, or to every peer when this member knows none, or while it is
+    /// not ready to every peer whose answer it has not taken. Returns when
+    /// the next one is due.
+    pub fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) -> SimTime {
+        if self.fetch_due_at(stale_after) <= ctx.now() {
+            let corr = ctx.next_corr();
+            self.awaiting = Some((corr, ctx.now()));
+            let fetch = Fetch {
+                corr,
+                after: self.log_end(),
+                last_term: self.last_term(),
+                term: self.term,
+                ready: self.ready,
+            };
+            let (from, to) = (self.me as u32, self.leader.filter(|_| self.ready));
+            for j in 0..self.members.len() {
+                let ask = match to {
+                    Some(to) => j == to,
+                    None => j != self.me && (fetch.ready || !self.answered[j]),
+                };
+                if ask {
+                    ctx.send(self.members[j], QuorumRpc::<E>::Fetch { from, fetch });
+                }
+            }
+        }
+        self.fetch_due_at(stale_after)
+    }
+
+    /// Takes one of the group's messages. One that names no other member
+    /// is dropped. A vote request is granted or refused and replied to (a
+    /// member that is not ready ignores it), a vote reply is counted, a
+    /// fetch is held or answered, and an answer to this member's fetch is
+    /// taken: its state (through [`Owner::install`]) and its entries
+    /// (through [`Owner::receive`]).
+    pub fn on_rpc(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        rpc: QuorumRpc<E>,
+        owner: &mut impl Owner<E>,
+    ) -> Taken {
+        let (QuorumRpc::Vote { from, .. }
+        | QuorumRpc::VoteReply { from, .. }
+        | QuorumRpc::Fetch { from, .. }
+        | QuorumRpc::Answer(Answer { from, .. })) = rpc;
+        let from = from as usize;
+        if from >= self.members.len() || from == self.me {
+            return Taken::Nothing;
+        }
+        match rpc {
+            QuorumRpc::Vote {
+                term,
+                last_term,
+                end,
+                ..
+            } => {
+                if self.ready {
+                    let granted = self.vote(ctx, term, from, (last_term, end));
+                    let (term, me) = (self.term, self.me as u32);
+                    let reply = QuorumRpc::<E>::VoteReply {
+                        from: me,
+                        term,
+                        granted,
+                    };
+                    ctx.send(self.members[from], reply);
+                }
+            }
+            QuorumRpc::VoteReply { term, granted, .. } => {
+                if self.tally(ctx, term, from, granted) {
+                    return Taken::Won;
+                }
+            }
+            QuorumRpc::Fetch { fetch, .. } => self.take_fetch(ctx, from, fetch, owner),
+            QuorumRpc::Answer(answer) => return self.take_answer(ctx, from, answer, owner),
+        }
+        Taken::Nothing
+    }
+
     /// Takes member `from`'s fetch. A newer term deposes this member
     /// first. The leader holds a ready member's fetch of its own term that
     /// matches its log and has nothing after it, one per member (a newer
-    /// fetch replaces the older); it answers every other one at once.
-    pub fn take_fetch(&mut self, ctx: &mut Ctx<'_>, from: usize, fetch: Fetch) -> Intake {
+    /// fetch replaces the older), until the log grows or the hold ends; it
+    /// answers every other one at once, once the owner has acted on it. A
+    /// member that does not lead answers only a member that is not ready,
+    /// with what it holds.
+    fn take_fetch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: usize,
+        fetch: Fetch,
+        owner: &mut impl Owner<E>,
+    ) {
         self.follow_newer(ctx, fetch.term);
         if !self.leads() {
-            return Intake::Pass;
+            if !fetch.ready {
+                self.answer(ctx, &*owner, from, fetch);
+            }
+            return;
         }
         let now = ctx.now();
         self.last_fetch[from] = now;
-        let matches = self.term_at(fetch.after) == Some(fetch.last_term);
-        let current = fetch.term == self.term && matches;
+        let current = fetch.term == self.term && self.suffix(&fetch).is_some();
         if current {
             self.progress[from] = fetch.after;
         }
-        if current && fetch.ready && fetch.after == self.log_end() {
-            self.held.hold(from, fetch, Some(now + self.hold));
-            Intake::Held
+        let hold = current && fetch.ready && fetch.after == self.log_end();
+        match hold {
+            true => self.held.hold(from, fetch, Some(now + self.hold)),
+            false => self.held.take(&from),
+        };
+        owner.took_fetch(ctx, self, current);
+        if hold {
+            ctx.set_timer(self.hold, self.hold_tag);
         } else {
-            self.held.take(&from);
-            Intake::Answer { current }
+            self.answer(ctx, &*owner, from, fetch);
         }
     }
 
-    /// Answers, through `answer`, every held fetch the log has grown past
-    /// and then every one whose deadline is at or before `now`, each in
-    /// member order.
-    pub fn answer_held(&mut self, now: SimTime, mut answer: impl FnMut(&Self, usize, Fetch)) {
+    /// Sends member `to` the log after `fetch`'s end: the entries after
+    /// it, or, when this log does not hold its last entry under its term,
+    /// the owner's state and the entries after it.
+    fn answer(&self, ctx: &mut Ctx<'_>, owner: &impl Owner<E>, to: usize, fetch: Fetch) {
+        let (after, entries, state) = match self.suffix(&fetch) {
+            Some(entries) => (fetch.after, entries, None),
+            None => {
+                let (at, state) = owner.fallback(self);
+                let term = self.term_at(at).expect("a fallback the log holds");
+                let entries = &self.log[(at - self.log_start) as usize..];
+                (at, entries, Some((term, state)))
+            }
+        };
+        let answer = QuorumRpc::Answer(Answer {
+            from: self.me as u32,
+            corr: fetch.corr,
+            term: self.term,
+            leads: self.leads(),
+            after,
+            entries: entries.to_vec(),
+            state,
+            floor: self.log_start,
+            commit: owner.commit(),
+        });
+        ctx.send(self.members[to], answer);
+    }
+
+    /// Answers every held fetch the log has grown past and then every one
+    /// whose hold has ended, each in member order.
+    pub fn answer_held(&mut self, ctx: &mut Ctx<'_>, owner: &impl Owner<E>) {
+        self.wake_held(ctx.now(), |q, i, fetch| q.answer(ctx, owner, i, fetch));
+    }
+
+    /// Hands `answer` every held fetch the log has grown past and then
+    /// every one whose deadline is at or before `now`, each in member
+    /// order.
+    fn wake_held(&mut self, now: SimTime, mut answer: impl FnMut(&Self, usize, Fetch)) {
         let mut held = std::mem::take(&mut self.held);
         let end = self.log_end();
         held.wake(|i, fetch| {
@@ -394,36 +650,64 @@ impl<E> Quorum<E> {
         self.held = held;
     }
 
-    /// Takes an answer to fetch `corr`, of `term`, sent by the `leader` of
-    /// that term (`None` from a member that does not lead it). A ready
-    /// member ignores an answer of an older term and follows a newer one;
-    /// it takes the leader of its term from the answer, which puts off its
-    /// election without a draw. Returns whether the answer is to its
-    /// outstanding fetch, which it completes, whatever the answer's term:
-    /// winning a term drops the outstanding fetch, so the log it was asked
-    /// after has not moved since.
-    pub fn take_reply(
+    /// Takes member `from`'s answer. A ready member ignores an answer of an
+    /// older term and follows a newer one; it takes the leader of its term
+    /// from the answer, which puts off its election without a draw. An
+    /// answer to its outstanding fetch completes it, whatever the answer's
+    /// term (winning a term drops the outstanding fetch, so the log it was
+    /// asked after has not moved since), and is taken: its state, when this
+    /// member takes it (a member that is not ready takes only a state
+    /// fresher than what it holds), then the entries it does not hold yet,
+    /// then its floor. A member that is not ready becomes ready once all
+    /// but a majority less one of its peers have answered it.
+    fn take_answer(
         &mut self,
         ctx: &mut Ctx<'_>,
-        corr: u64,
-        term: u64,
-        leader: Option<usize>,
-    ) -> bool {
-        if self.ready && term < self.term {
-            return false;
+        from: usize,
+        a: Answer<E>,
+        owner: &mut impl Owner<E>,
+    ) -> Taken {
+        let ready = self.ready;
+        if ready && a.term < self.term {
+            return Taken::Nothing;
         }
-        let outstanding = self.awaiting.is_some_and(|(c, _)| c == corr);
-        self.follow_newer(ctx, term);
-        if let Some(leader) = leader.filter(|_| term == self.term) {
+        let outstanding = self.awaiting.is_some_and(|(c, _)| c == a.corr);
+        self.follow_newer(ctx, a.term);
+        if a.leads && a.term == self.term {
             // A candidate concedes; the deadline is put off as far as it
             // was drawn, without a draw per answer.
-            (self.votes, self.leader) = (None, Some(leader));
+            (self.votes, self.leader) = (None, Some(from));
             self.deadline = ctx.now() + self.drawn;
         }
-        if outstanding {
-            self.awaiting = None;
+        if !outstanding {
+            return Taken::Nothing;
         }
-        outstanding
+        self.awaiting = None;
+        self.answered[from] |= !ready;
+        let ours = (self.last_term(), self.log_end());
+        let fresher = |(term, _): &(u64, _)| ready || (*term, a.after) > ours;
+        if let Some((term, state)) = a.state.filter(fresher) {
+            self.restart(a.after, term);
+            owner.install(self, state);
+        }
+        for (at, (term, entry)) in (a.after + 1..).zip(a.entries) {
+            // One at or below the log end is held already.
+            if at == self.log_end() + 1 {
+                owner.receive(self, &entry);
+                self.push(term, entry);
+            }
+        }
+        self.truncate_to(a.floor);
+        let answers = self.answered.iter().filter(|a| **a).count();
+        let now_ready = !ready && answers > self.members.len() - self.majority();
+        if now_ready {
+            self.set_ready(ctx);
+        }
+        let commit = a.commit;
+        Taken::Answer {
+            commit,
+            ready: now_ready,
+        }
     }
 
     /// Decides `candidate`'s request for this member's vote in `term`, the
@@ -432,13 +716,7 @@ impl<E> Quorum<E> {
     /// current term, to a candidate whose log is at least as fresh, and to
     /// one candidate per term; a granted vote puts off this member's own
     /// election.
-    pub fn vote(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        term: u64,
-        candidate: usize,
-        end: (u64, u64),
-    ) -> bool {
+    fn vote(&mut self, ctx: &mut Ctx<'_>, term: u64, candidate: usize, end: (u64, u64)) -> bool {
         self.follow_newer(ctx, term);
         let fresh = end >= (self.last_term(), self.log_end());
         let free = self.voted_for.is_none_or(|v| v == candidate);
@@ -454,7 +732,7 @@ impl<E> Quorum<E> {
     /// once the votes reach a majority: it wins the term, leads it, counts
     /// progress afresh and takes every member as live until it has had a
     /// timeout to hear from it.
-    pub fn tally(&mut self, ctx: &mut Ctx<'_>, term: u64, from: usize, granted: bool) -> bool {
+    fn tally(&mut self, ctx: &mut Ctx<'_>, term: u64, from: usize, granted: bool) -> bool {
         self.follow_newer(ctx, term);
         let majority = self.majority();
         let Some(votes) = self.votes.as_mut().filter(|_| term == self.term) else {
@@ -476,11 +754,11 @@ impl<E> Quorum<E> {
 
     /// The election timer. The leader steps down when no majority has
     /// fetched from it for a timeout; a ready member that does not lead
-    /// stands once its deadline has passed: the next term, its own vote
-    /// and a new deadline. Returns whether it stood (the owner then asks
-    /// every peer for its vote, and counts its own) and when the timer
-    /// fires next: at the deadline for a ready follower (which answers may
-    /// have put off by then), else a timeout on.
+    /// stands once its deadline has passed: the next term, its own vote, a
+    /// new deadline and a vote request to every peer. Returns whether it
+    /// won by its own vote (a group of one) and when the timer fires next:
+    /// at the deadline for a ready follower (which answers may have put
+    /// off by then), else a timeout on.
     pub fn tick(&mut self, ctx: &mut Ctx<'_>) -> (bool, SimTime) {
         let now = ctx.now();
         let mut stood = false;
@@ -492,12 +770,29 @@ impl<E> Quorum<E> {
             self.votes = Some(BTreeSet::from([self.me]));
             self.leader = None;
             self.reset_deadline(ctx);
+            let (from, term) = (self.me as u32, self.term);
+            let (last_term, end) = (self.last_term(), self.log_end());
+            for (_, &pid) in self
+                .members
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != self.me)
+            {
+                let vote = QuorumRpc::<E>::Vote {
+                    from,
+                    term,
+                    last_term,
+                    end,
+                };
+                ctx.send(pid, vote);
+            }
             stood = true;
         }
-        match self.ready && !self.leads() {
-            true => (stood, self.deadline),
-            false => (stood, now + self.timeout),
-        }
+        let next = match self.ready && !self.leads() {
+            true => self.deadline,
+            false => now + self.timeout,
+        };
+        (stood && self.tally(ctx, self.term, self.me, true), next)
     }
 }
 
@@ -527,15 +822,37 @@ mod tests {
         SimDuration::from_millis(ms)
     }
 
-    /// Member 0 of three, knowing `leader`.
+    impl Entry for char {
+        type State = ();
+        const HEADERS: [usize; 4] = [1; 4];
+        fn wire_size(&self) -> usize {
+            1
+        }
+        fn state_size(_: &()) -> usize {
+            0
+        }
+    }
+
+    /// Member 0 of three, knowing `leader`. Every member is the one process
+    /// [`with_ctx`] runs, which drops what it is sent.
     fn member(leader: Option<usize>) -> Quorum<char> {
-        Quorum::new(3, 0, leader, true, ms(1_000), ms(100), ms(100))
+        Quorum::new(
+            vec![ProcessId(0); 3],
+            0,
+            leader,
+            ms(1_000),
+            ms(100),
+            ms(100),
+            9,
+        )
     }
 
     /// Stands `q` for election now.
     fn stand(q: &mut Quorum<char>, ctx: &mut Ctx<'_>) {
+        let term = q.term();
         q.deadline = ctx.now();
-        assert!(q.tick(ctx).0, "stood");
+        q.tick(ctx);
+        assert_eq!(q.term(), term + 1, "stood");
     }
 
     #[test]
@@ -545,7 +862,7 @@ mod tests {
             assert!(q.vote(ctx, 1, 1, (0, 0)));
             assert!(q.vote(ctx, 1, 1, (0, 0)), "the same candidate again");
             // Hearing term 1's leader keeps the vote.
-            q.take_reply(ctx, 0, 1, Some(1));
+            hear(&mut q, ctx, 0, 1, Some(1));
             assert!(!q.vote(ctx, 1, 2, (0, 0)));
             // A newer term frees it.
             assert!(q.vote(ctx, 2, 2, (0, 0)));
@@ -579,35 +896,75 @@ mod tests {
             assert!(!q.tally(ctx, 1, 1, true), "already won");
             // Deposed by term 2's leader, it stands in term 3; hearing that
             // term's leader ends the candidacy.
-            q.take_reply(ctx, 0, 2, Some(2));
+            hear(&mut q, ctx, 0, 2, Some(2));
             stand(&mut q, ctx);
-            q.take_reply(ctx, 0, 3, Some(1));
+            hear(&mut q, ctx, 0, 3, Some(1));
             assert!(!q.tally(ctx, 3, 2, true), "following ends the candidacy");
         });
+    }
+
+    /// Hears an answer to fetch `corr` of `term` from the `leader` of that
+    /// term (from member 1, leading nothing, when `None`): true when it was
+    /// to the fetch out.
+    fn hear(
+        q: &mut Quorum<char>,
+        ctx: &mut Ctx<'_>,
+        corr: u64,
+        term: u64,
+        leader: Option<usize>,
+    ) -> bool {
+        let answer = Answer {
+            from: leader.unwrap_or(1) as u32,
+            corr,
+            term,
+            leads: leader.is_some(),
+            after: q.log_end(),
+            entries: vec![],
+            state: None,
+            floor: 0,
+            commit: 0,
+        };
+        let taken = q.on_rpc(ctx, QuorumRpc::Answer(answer), &mut Probe::default());
+        taken != Taken::Nothing
+    }
+
+    /// Sends `q`'s fetch anew, superseding any out, and returns its id.
+    fn fetch_anew(q: &mut Quorum<char>, ctx: &mut Ctx<'_>) -> u64 {
+        q.awaiting = None;
+        q.refetch(ctx, SimDuration::MAX);
+        q.awaiting.expect("a fetch out").0
+    }
+
+    /// Takes member `i`'s fetch; true when `q` holds it.
+    fn held(q: &mut Quorum<char>, ctx: &mut Ctx<'_>, i: usize, f: Fetch) -> bool {
+        q.take_fetch(ctx, i, f, &mut Probe::default());
+        q.held.get(&i).is_some()
     }
 
     #[test]
     fn an_answer_of_a_newer_term_still_completes_the_outstanding_fetch() {
         with_ctx(|ctx| {
             let mut q = member(Some(1));
-            let first = q.fetch(ctx).0.corr;
+            let first = fetch_anew(&mut q, ctx);
             assert!(
-                !q.take_reply(ctx, first + 1, 2, Some(2)),
+                !hear(&mut q, ctx, first + 1, 2, Some(2)),
                 "not the fetch out"
             );
-            let corr = q.fetch(ctx).0.corr;
+            let corr = fetch_anew(&mut q, ctx);
             // Member 2 leads term 3 and answers the fetch sent in term 2.
-            assert!(q.take_reply(ctx, corr, 3, Some(2)));
-            assert_eq!((q.term(), q.leader()), (3, Some(2)));
-            assert!(!q.take_reply(ctx, corr, 3, Some(2)), "completed once");
+            assert!(hear(&mut q, ctx, corr, 3, Some(2)));
+            assert_eq!((q.term(), q.leader), (3, Some(2)));
+            assert!(!hear(&mut q, ctx, corr, 3, Some(2)), "completed once");
         });
     }
 
     #[test]
     fn a_member_made_ready_casts_no_vote_in_its_term_but_keeps_one_cast() {
         with_ctx(|ctx| {
-            let mut q: Quorum<char> = Quorum::new(3, 0, None, false, ms(1), ms(1), ms(1));
-            q.take_reply(ctx, 0, 4, None);
+            let mut q: Quorum<char> =
+                Quorum::new(vec![ProcessId(0); 3], 0, None, ms(1), ms(1), ms(1), 9);
+            q.start(ctx, true);
+            hear(&mut q, ctx, 0, 4, None);
             q.set_ready(ctx);
             assert!(!q.vote(ctx, 4, 1, (0, 0)));
             assert!(q.vote(ctx, 5, 1, (0, 0)));
@@ -635,23 +992,21 @@ mod tests {
             q.push(1, 'a');
             q.push(1, 'b');
             // Member 0 wins term 2 over a log of term 1.
-            q.take_reply(ctx, 0, 1, None);
+            hear(&mut q, ctx, 0, 1, None);
             stand(&mut q, ctx);
             assert!(q.tally(ctx, 2, 1, true) && q.leads());
             // A majority holds both term-1 entries: not committed by count.
-            let intake = q.take_fetch(ctx, 1, fetch(0, 2, 1, 2));
-            assert_eq!(intake, Intake::Held);
+            assert!(held(&mut q, ctx, 1, fetch(0, 2, 1, 2)));
             assert_eq!(q.majority_held(), None);
             q.push(2, 'c');
             assert_eq!(q.majority_held(), None, "only the leader holds 'c'");
             // The first term-2 entry a majority holds commits all three.
-            let intake = q.take_fetch(ctx, 1, fetch(1, 3, 2, 2));
-            assert_eq!(intake, Intake::Held);
+            assert!(held(&mut q, ctx, 1, fetch(1, 3, 2, 2)));
             assert_eq!(q.majority_held(), Some(3));
             // A fetch of another term is no progress.
             q.push(2, 'd');
-            let intake = q.take_fetch(ctx, 2, fetch(2, 4, 2, 1));
-            assert_eq!(intake, Intake::Answer { current: false });
+            assert!(!held(&mut q, ctx, 2, fetch(2, 4, 2, 1)));
+            assert_eq!(q.progress[2], 0);
             assert_eq!(q.majority_held(), Some(3));
         });
     }
@@ -690,24 +1045,24 @@ mod tests {
     fn a_held_fetch_is_answered_by_an_append_or_empty_at_its_deadline() {
         with_ctx(|ctx| {
             let mut q = member(Some(0));
-            q.start(ctx);
+            q.start(ctx, false);
             let now = ctx.now();
             let answered = |q: &mut Quorum<char>, at: SimTime| {
                 let mut out = Vec::new();
-                q.answer_held(at, |q, i, f| {
+                q.wake_held(at, |q, i, f| {
                     out.push((i, f.corr, q.suffix(&f).unwrap().to_vec()))
                 });
                 out
             };
             for i in [2, 1] {
-                assert_eq!(q.take_fetch(ctx, i, fetch(i as u64, 0, 0, 0)), Intake::Held);
+                assert!(held(&mut q, ctx, i, fetch(i as u64, 0, 0, 0)));
             }
             assert_eq!(answered(&mut q, now), []);
             q.push(0, 'x');
             let both = [(1, 1, vec![(0, 'x')]), (2, 2, vec![(0, 'x')])];
             assert_eq!(answered(&mut q, now), both, "in member order");
             assert_eq!(answered(&mut q, now + ms(100)), [], "answered once");
-            assert_eq!(q.take_fetch(ctx, 1, fetch(3, 1, 0, 0)), Intake::Held);
+            assert!(held(&mut q, ctx, 1, fetch(3, 1, 0, 0)));
             assert_eq!(answered(&mut q, now + ms(99)), []);
             assert_eq!(answered(&mut q, now + ms(100)), [(1, 3, vec![])]);
             // A member that is not ready is answered at once.
@@ -715,8 +1070,94 @@ mod tests {
                 ready: false,
                 ..fetch(4, 1, 0, 0)
             };
-            let intake = q.take_fetch(ctx, 2, unready);
-            assert_eq!(intake, Intake::Answer { current: true });
+            assert!(!held(&mut q, ctx, 2, unready));
+            assert_eq!(q.progress[2], 1, "counted as progress");
+        });
+    }
+
+    /// Answers a fetch that does not match with the empty state at the log
+    /// start, and counts every call it gets.
+    #[derive(Debug, Default)]
+    struct Probe(usize);
+
+    impl Owner<char> for Probe {
+        fn fallback(&self, q: &Quorum<char>) -> (u64, ()) {
+            (q.log_start(), ())
+        }
+        fn took_fetch(&mut self, _: &mut Ctx<'_>, _: &mut Quorum<char>, _: bool) {
+            self.0 += 1;
+        }
+        fn install(&mut self, _: &Quorum<char>, _: ()) {
+            self.0 += 1;
+        }
+        fn receive(&mut self, _: &Quorum<char>, _: &char) {
+            self.0 += 1;
+        }
+    }
+
+    /// Member 0 of three standing in term 1 with a fetch out, which the
+    /// message `rpc(from)` of any kind changes when `from` is a peer: it
+    /// drops the message from an index out of range or its own, with no
+    /// panic and no change to the member or a call to its owner.
+    fn dropped(rpc: impl Fn(u32) -> QuorumRpc<char> + 'static) {
+        with_ctx(move |ctx| {
+            let mut q = member(None);
+            q.start(ctx, false);
+            q.refetch(ctx, SimDuration::MAX);
+            stand(&mut q, ctx);
+            let before = format!("{q:?}");
+            let mut owner = Probe::default();
+            for from in [0, 3, u32::MAX] {
+                assert_eq!(q.on_rpc(ctx, rpc(from), &mut owner), Taken::Nothing);
+                assert_eq!(format!("{q:?}"), before, "from {from}");
+            }
+            assert_eq!(owner.0, 0);
+            q.on_rpc(ctx, rpc(1), &mut owner);
+            assert_ne!(format!("{q:?}"), before, "from a peer");
+        });
+    }
+
+    #[test]
+    fn a_vote_naming_no_peer_is_dropped() {
+        dropped(|from| QuorumRpc::Vote {
+            from,
+            term: 5,
+            last_term: 0,
+            end: 0,
+        });
+    }
+
+    #[test]
+    fn a_vote_reply_naming_no_peer_is_dropped() {
+        dropped(|from| QuorumRpc::VoteReply {
+            from,
+            term: 1,
+            granted: true,
+        });
+    }
+
+    #[test]
+    fn a_fetch_naming_no_peer_is_dropped() {
+        dropped(|from| QuorumRpc::Fetch {
+            from,
+            fetch: fetch(0, 0, 0, 5),
+        });
+    }
+
+    #[test]
+    fn an_answer_naming_no_peer_is_dropped() {
+        dropped(|from| {
+            QuorumRpc::Answer(Answer {
+                from,
+                corr: 0,
+                term: 5,
+                leads: true,
+                after: 0,
+                entries: vec![(5, 'x')],
+                state: None,
+                floor: 0,
+                commit: 0,
+            })
         });
     }
 }

@@ -23,32 +23,35 @@
 //! survives any minority of store crashes.
 //!
 //! The group runs on [`s2g_sim::Quorum`], the replicated log the KRaft
-//! quorum runs on too: its election and its pulled op log. The primary is
-//! elected by vote; the group epoch is the election term, and each op-log
-//! entry carries the term it was written in. A member votes once per term,
-//! for a candidate whose (last entry term, applied sequence) is at least
-//! its own; a member still recovering from a restart votes for nobody.
-//! Member 0 leads term 0 at boot, so a group without faults holds no
-//! election. What only the store does stays here: the state transfer, the
-//! recovering member's rule and the client acks.
+//! quorum runs on too, and speaks its protocol, [`QuorumRpc`]: its election
+//! and its pulled op log. The primary is elected by vote; the group epoch
+//! is the election term, and each op-log entry carries the term it was
+//! written in. A member votes once per term, for a candidate whose (last
+//! entry term, applied sequence) is at least its own; a member still
+//! recovering from a restart votes for nobody. Member 0 leads term 0 at
+//! boot, so a group without faults holds no election.
 //!
-//! Followers pull. Each keeps exactly one [`StoreRpc::Fetch`] outstanding
-//! at the primary, naming where its log ends: `after` and the term of that
-//! entry. Under the primary's own term, `after` also acknowledges every op
-//! up to it. The primary answers at once with the ops after `after`, or
-//! with its full [`StateTransfer`] when `after` is below its truncated log
-//! start or the fetcher's tail diverges from its log: the fetcher is wiped
-//! and refetched in one reply. With nothing newer it holds the fetch until
-//! its next append, and answers it empty after `group_heartbeat_interval`,
-//! so its replies are its heartbeats; each carries its truncation floor. A
-//! follower whose replies stop for an election timeout
-//! (`group_session_timeout` plus up to one heartbeat interval, drawn at
-//! random) stands for election, and a primary that no majority has
-//! fetched from for a session timeout steps down. A member that knows no
-//! primary sends its fetch to every peer, and the primary answers it. A
-//! member recovering from a restart is answered by every peer and takes
-//! the freshest state it is sent (see [`StoreServer::set_group`]).
-//! Non-primary members proxy client requests to the primary, so a
+//! Followers pull. Each keeps exactly one fetch outstanding at the primary,
+//! naming where its log ends: `after` and the term of that entry. Under the
+//! primary's own term, `after` also acknowledges every op up to it. The
+//! primary answers at once with the ops after `after`, or holds a fetch
+//! with nothing newer until its next append, and answers it empty after
+//! `group_heartbeat_interval`, so its replies are its heartbeats; each
+//! carries its truncation floor. A follower whose replies stop for an
+//! election timeout (`group_session_timeout` plus up to one heartbeat
+//! interval, drawn at random) stands for election, and a primary that no
+//! majority has fetched from for a session timeout steps down. A member
+//! that knows no primary sends its fetch to every peer, and the primary
+//! answers it. A member recovering from a restart is answered by every
+//! peer and takes the freshest state it is sent (see
+//! [`StoreServer::set_group`]).
+//!
+//! What only the store does stays here: an op applies to the stores as it
+//! arrives; a fetch below the primary's truncated log start, or whose tail
+//! diverges from its log, is answered with its full [`StateTransfer`], so
+//! the fetcher is wiped and refetched in one reply; the primary truncates
+//! what every live member holds; and the client acks. Non-primary members
+//! proxy client requests to the primary, so a
 //! [`BlobClient`](crate::BlobClient) that rotates endpoints on timeout
 //! reaches the group through any live member.
 
@@ -56,8 +59,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use s2g_sim::{
-    downcast, Ctx, Fetch, Intake, LedgerHandle, MemSlot, Message, Process, ProcessId, Quorum,
-    SimDuration, SimTime,
+    downcast, Ctx, Entry, LedgerHandle, MemSlot, Message, Owner, Process, ProcessId, Quorum,
+    QuorumRpc, SimDuration, SimTime, Taken,
 };
 use s2g_telemetry::{GaugeHandle, Telemetry};
 
@@ -90,8 +93,8 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
-    /// Approximate wire size of the op when replicated or synced.
-    pub(crate) fn wire_size(&self) -> usize {
+    /// Approximate size of the op when replicated or synced.
+    fn bytes(&self) -> usize {
         1 + match self {
             StoreOp::Put { key, value } => key.len() + value.len(),
             StoreOp::Delete { key } => key.len(),
@@ -174,63 +177,6 @@ pub enum StoreRpc {
         /// The proxied request.
         rpc: Box<StoreRpc>,
     },
-    /// Member → member: asks for the op-log suffix after the sender's
-    /// highest applied sequence (`fetch.after`, an op of `fetch.last_term`).
-    /// Under the receiver's own term (`fetch.term`, the sender's group
-    /// epoch), it also acknowledges every op up to it. Its request id
-    /// carries the sender's incarnation ([`Ctx::next_corr`]).
-    Fetch {
-        /// Sender's member index.
-        from: u32,
-        /// Where the sender's log ends.
-        fetch: Fetch,
-    },
-    /// Op-log suffix transfer answering a [`StoreRpc::Fetch`];
-    /// `entries[i]` carries seq `after + 1 + i`.
-    FetchReply {
-        /// The fetch's request id.
-        corr: u64,
-        /// Responder's group epoch (its election term).
-        epoch: u64,
-        /// Whether the responder is the primary of `epoch`.
-        leads: bool,
-        /// The sequence the suffix starts after.
-        after: u64,
-        /// The ops after `after`, in sequence order, each with the term it
-        /// was written in.
-        entries: Vec<(u64, StoreOp)>,
-        /// Full-state bootstrap, sent when the fetch's `after` is below the
-        /// responder's log start (truncated by peer-acked op-log cleaning)
-        /// or the fetcher's log diverges from the responder's there: the
-        /// responder's complete state as of `after`. The receiver installs
-        /// it in place of its own, adopts `after` as both its applied
-        /// sequence and its log start, and applies `entries` (normally
-        /// empty) on top.
-        snapshot: Option<StateTransfer>,
-        /// The responder's truncation floor (its log start): the receiver
-        /// truncates its own log to it.
-        floor: u64,
-    },
-    /// Candidate → member: asks for the member's vote in `term`.
-    Vote {
-        /// The term the candidate stands in.
-        term: u64,
-        /// Candidate's member index.
-        from: u32,
-        /// The term of the candidate's last op.
-        last_term: u64,
-        /// The candidate's highest applied sequence.
-        applied: u64,
-    },
-    /// Member → candidate: the answer to a [`StoreRpc::Vote`].
-    VoteReply {
-        /// The member's term.
-        term: u64,
-        /// The member's index.
-        from: u32,
-        /// Whether the member voted for the candidate.
-        granted: bool,
-    },
 }
 
 /// A full-state transfer for group resync below the truncated log start.
@@ -240,13 +186,12 @@ pub struct StateTransfer {
     pub kv: Vec<(String, Bytes)>,
     /// Every table as `(name, columns, rows)`.
     pub tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
-    /// The term of the last op the state holds.
-    pub term: u64,
 }
 
 impl StateTransfer {
-    /// Approximate wire size of the transfer.
-    pub(crate) fn wire_size(&self) -> usize {
+    /// Approximate wire size of the transfer, with the term of the last op
+    /// it holds, which its answer carries beside it.
+    fn wire_size(&self) -> usize {
         8 + self
             .kv
             .iter()
@@ -281,19 +226,20 @@ impl Message for StoreRpc {
             }
             StoreRpc::InsertAck { .. } => 9,
             StoreRpc::Forward { rpc, .. } => 8 + rpc.wire_size(),
-            StoreRpc::Fetch { .. } => 37,
-            StoreRpc::Vote { .. } => 36,
-            StoreRpc::VoteReply { .. } => 13,
-            StoreRpc::FetchReply {
-                entries, snapshot, ..
-            } => {
-                29 + entries
-                    .iter()
-                    .map(|(_, op)| 8 + op.wire_size())
-                    .sum::<usize>()
-                    + snapshot.as_ref().map_or(0, StateTransfer::wire_size)
-            }
         }
+    }
+}
+
+/// An op in the group's log: a fetch that does not match the log is
+/// answered with a [`StateTransfer`].
+impl Entry for StoreOp {
+    type State = StateTransfer;
+    const HEADERS: [usize; 4] = [38 + 36, 38 + 13, 38 + 37, 38 + 29];
+    fn wire_size(&self) -> usize {
+        8 + self.bytes()
+    }
+    fn state_size(state: &StateTransfer) -> usize {
+        state.wire_size()
     }
 }
 
@@ -364,29 +310,17 @@ struct PendingWrite {
 /// Group-membership state of one replicated store member.
 #[derive(Debug)]
 struct GroupState {
-    members: Vec<ProcessId>,
-    index: usize,
-    /// The election and the op log: op `seq` is log index `seq`, and the
-    /// group epoch is the term. The primary truncates the prefix every live
-    /// member holds, and followers truncate to the primary's floor; a
-    /// member needing older history is brought back by a full
-    /// [`StateTransfer`] instead of replay.
+    /// The election, the op log and the group's protocol: op `seq` is log
+    /// index `seq`, and the group epoch is the term. The primary truncates
+    /// the prefix every live member holds, and followers truncate to the
+    /// primary's floor; a member needing older history is brought back by
+    /// a full [`StateTransfer`] instead of replay.
     q: Quorum<StoreOp>,
-    /// While recovering: the peers whose answer this member took.
-    answered: Vec<bool>,
     /// While primary: writes awaiting quorum, keyed by seq.
     pending_writes: BTreeMap<u64, PendingWrite>,
-    recovery: Option<StoreRecoveryInfo>,
 }
 
 impl GroupState {
-    /// Answers, in member order, the held fetches the log has grown past
-    /// and then those whose deadline has come.
-    fn answer_held(&mut self, ctx: &mut Ctx<'_>, db: &Stores) {
-        let members = &self.members;
-        (self.q).answer_held(ctx.now(), |q, i, f| serve(db, q, ctx, members[i], f));
-    }
-
     /// Acks every pending write a majority now holds, the primary's own
     /// progress counted with every peer's.
     fn ack_held(&mut self, ctx: &mut Ctx<'_>, cpu_per_op: SimDuration) {
@@ -404,14 +338,52 @@ impl GroupState {
     }
 }
 
-/// The KV and table stores, and the ledger slot their bytes go to.
+/// What the op log means to the group: ops that apply to the stores as
+/// they arrive.
+impl Owner<StoreOp> for Stores {
+    /// Everything held, as of the log end.
+    fn fallback(&self, q: &Quorum<StoreOp>) -> (u64, StateTransfer) {
+        (q.log_end(), self.snapshot())
+    }
+
+    /// A fetch that counts as progress lets the primary truncate the prefix
+    /// that it and every live member hold; its answers carry the floor.
+    fn took_fetch(&mut self, ctx: &mut Ctx<'_>, q: &mut Quorum<StoreOp>, current: bool) {
+        if current {
+            q.compact(ctx.now());
+        }
+    }
+
+    fn install(&mut self, q: &Quorum<StoreOp>, snap: StateTransfer) {
+        let rows: usize = snap.tables.iter().map(|(_, _, rows)| rows.len()).sum();
+        self.synced(q, snap.kv.len() + rows, snap.wire_size());
+        self.install(snap);
+    }
+
+    fn receive(&mut self, q: &Quorum<StoreOp>, op: &StoreOp) {
+        self.apply(op);
+        self.synced(q, 1, op.bytes());
+    }
+}
+
+/// The KV and table stores, the ledger slot their bytes go to, and, in a
+/// member that rejoined its group, what it pulled into them.
 struct Stores {
     kv: KvStore,
     tables: TableStore,
     mem: Option<(LedgerHandle, MemSlot)>,
+    recovery: Option<StoreRecoveryInfo>,
 }
 
 impl Stores {
+    /// Counts `ops` and `bytes` pulled while rejoining.
+    fn synced(&mut self, q: &Quorum<StoreOp>, ops: usize, bytes: usize) {
+        if let Some(r) = self.recovery.as_mut().filter(|_| !q.ready()) {
+            r.sync_ops += ops as u64;
+            r.sync_bytes += bytes as u64;
+        }
+    }
+
     fn update_mem(&self) {
         if let Some((ledger, slot)) = &self.mem {
             let bytes = (self.kv.resident_bytes() + self.tables.resident_bytes()) as u64;
@@ -456,15 +428,14 @@ impl Stores {
         bits
     }
 
-    /// Everything held, as of an op of `term`. Each value is the map's
-    /// buffer, shared: the transfer copies keys, not blobs.
-    fn snapshot(&self, term: u64) -> StateTransfer {
+    /// Everything held. Each value is the map's buffer, shared: the
+    /// transfer copies keys, not blobs.
+    fn snapshot(&self) -> StateTransfer {
         StateTransfer {
             kv: (self.kv.entries())
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
             tables: self.tables.dump(),
-            term,
         }
     }
 
@@ -508,6 +479,7 @@ impl StoreServer {
                 kv: KvStore::new(),
                 tables: TableStore::new(),
                 mem: None,
+                recovery: None,
             },
             cfg,
             group: None,
@@ -548,28 +520,24 @@ impl StoreServer {
 
     /// Joins this server to a replication group. `members` lists every
     /// member's process id in index order (identical on every member);
-    /// `index` is this member's slot. Member 0 leads term 0. With
-    /// `recovering` set (the respawn path) the member starts unready and
-    /// knows no primary. It lost its log, and with it its share of the
-    /// majority that holds each acked write, so it asks every peer for the
-    /// op log and serves or votes only once all but a majority less one of
-    /// them have answered: one of those holds every acked write, and the
-    /// member keeps the freshest state it was sent.
+    /// `index` is this member's slot. Member 0 leads term 0. A respawned
+    /// member (`Ctx::incarnation` above 0) starts unready and knows no
+    /// primary. It lost its log, and with it its share of the majority
+    /// that holds each acked write, so it asks every peer for the op log
+    /// and serves or votes only once all but a majority less one of them
+    /// have answered: one of those holds every acked write, and the member
+    /// keeps the freshest state it was sent.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn set_group(&mut self, members: Vec<ProcessId>, index: usize, recovering: bool) {
-        let (n, cfg) = (members.len(), &self.cfg);
+    pub fn set_group(&mut self, members: Vec<ProcessId>, index: usize) {
+        let cfg = &self.cfg;
         let (timeout, beat) = (cfg.group_session_timeout, cfg.group_heartbeat_interval);
-        let leader = (!recovering).then_some(0);
+        let hold = tags::HOLD_EXPIRY;
         self.group = Some(GroupState {
-            members,
-            index,
-            q: Quorum::new(n, index, leader, !recovering, timeout, beat, beat),
-            answered: vec![false; n],
+            q: Quorum::new(members, index, Some(0), timeout, beat, beat, hold),
             pending_writes: BTreeMap::new(),
-            recovery: None,
         });
     }
 
@@ -604,7 +572,7 @@ impl StoreServer {
 
     /// Recovery details when this member incarnation rejoined its group.
     pub fn recovery_info(&self) -> Option<StoreRecoveryInfo> {
-        self.group.as_ref().and_then(|g| g.recovery)
+        self.db.recovery
     }
 
     /// The KV store (post-run inspection).
@@ -652,7 +620,7 @@ impl StoreServer {
         g.pending_writes.insert(g.q.log_end(), write);
         // A single-member group holds a majority by itself.
         g.ack_held(ctx, self.cfg.cpu_per_op);
-        g.answer_held(ctx, &self.db);
+        g.q.answer_held(ctx, &self.db);
     }
 
     /// Handles a client-facing RPC (possibly proxied). `origin` is who gets
@@ -664,7 +632,7 @@ impl StoreServer {
             // client retries rotate onward.
             if let Some(primary) = g.q.leader().filter(|_| g.q.ready()) {
                 let rpc = Box::new(rpc);
-                ctx.send(g.members[primary], StoreRpc::Forward { origin, rpc });
+                ctx.send(primary, StoreRpc::Forward { origin, rpc });
             }
             return;
         }
@@ -687,132 +655,23 @@ impl StoreServer {
         }
     }
 
-    /// Takes member `from`'s fetch, sent under `epoch`. A newer term
-    /// deposes this member first. The primary holds a ready member's fetch
-    /// that matches its log and has nothing after it until its next append
-    /// or for a heartbeat interval, and answers any other at once; a fetch
-    /// that matches its log under its term is that member's progress, and
-    /// the primary then truncates the prefix that it and every live member
-    /// hold (its replies carry the floor to its followers). Any other
-    /// member answers only a member recovering from a restart, with what it
-    /// holds.
-    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, from: u32, fetch: Fetch) {
+    /// Takes one of the group's messages. A new primary's writes start
+    /// afresh; a rejoining member that becomes ready by an answer has
+    /// resynced; and a fetch may let the primary ack writes.
+    fn on_group_rpc(&mut self, ctx: &mut Ctx<'_>, rpc: QuorumRpc<StoreOp>) {
         let Some(g) = self.group.as_mut() else { return };
-        let i = from as usize;
-        if i >= g.members.len() || i == g.index {
-            return;
-        }
-        let intake = g.q.take_fetch(ctx, i, fetch);
-        if intake == Intake::Pass {
-            if !fetch.ready {
-                serve(&self.db, &g.q, ctx, g.members[i], fetch);
+        match g.q.on_rpc(ctx, rpc, &mut self.db) {
+            Taken::Won => g.pending_writes.clear(),
+            Taken::Answer { ready: true, .. } => {
+                if let Some(r) = self.db.recovery.as_mut() {
+                    r.resynced_at = Some(ctx.now());
+                }
+                self.tele
+                    .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
             }
-            return;
-        }
-        if matches!(intake, Intake::Held | Intake::Answer { current: true }) {
-            g.q.compact(ctx.now());
-        }
-        match intake {
-            Intake::Held => {
-                ctx.set_timer(self.cfg.group_heartbeat_interval, tags::HOLD_EXPIRY);
-            }
-            _ => serve(&self.db, &g.q, ctx, g.members[i], fetch),
+            Taken::Answer { .. } | Taken::Nothing => {}
         }
         g.ack_held(ctx, self.cfg.cpu_per_op);
-    }
-
-    /// Takes a fetch reply. The member follows a newer term, and takes the
-    /// primary of its term from any reply it sends (a candidate concedes),
-    /// which also puts off its election; a ready member ignores a reply of
-    /// an older term. The reply to its outstanding fetch is applied, and
-    /// the member truncates its log to the responder's floor.
-    ///
-    /// A member recovering from a restart lost, with its log, its share of
-    /// the majority that holds each acked write. So it asks every peer, and
-    /// takes an answer's state only if it is fresher than what it holds;
-    /// it serves and votes once enough peers have answered that one of them
-    /// holds every acked write (all but a majority less one), and casts no
-    /// vote in the term it then has: it may have voted in it before.
-    fn handle_fetch_reply(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, reply: StoreRpc) {
-        let StoreRpc::FetchReply {
-            corr,
-            epoch,
-            leads,
-            after,
-            entries,
-            snapshot,
-            floor,
-        } = reply
-        else {
-            return;
-        };
-        let Some(g) = self.group.as_mut() else { return };
-        let Some(i) = g.members.iter().position(|p| *p == from) else {
-            return;
-        };
-        if !g.q.take_reply(ctx, corr, epoch, leads.then_some(i)) {
-            return;
-        }
-        let ready = g.q.ready();
-        g.answered[i] |= !ready;
-        // A recovering member takes a state only if it is fresher than the
-        // one an earlier answer gave it.
-        let ours = (g.q.last_term(), g.q.log_end());
-        let snapshot = snapshot.filter(|snap| ready || (snap.term, after) > ours);
-        let (mut sync_ops, mut sync_bytes) = (0u64, 0u64);
-        if let Some(snap) = snapshot {
-            // Bootstrap from the full state transfer: install it, adopt the
-            // responder's applied sequence, and start an empty log there.
-            sync_bytes += snap.wire_size() as u64;
-            let rows: usize = snap.tables.iter().map(|(_, _, rows)| rows.len()).sum();
-            sync_ops += (snap.kv.len() + rows) as u64;
-            g.q.restart(after, snap.term);
-            self.db.install(snap);
-        }
-        for (seq, (term, op)) in (after + 1..).zip(entries) {
-            if seq != g.q.log_end() + 1 {
-                continue; // already applied
-            }
-            self.db.apply(&op);
-            sync_ops += 1;
-            sync_bytes += op.wire_size() as u64;
-            g.q.push(term, op);
-        }
-        g.q.truncate_to(floor);
-        if ready {
-            return;
-        }
-        if let Some(r) = g.recovery.as_mut() {
-            r.sync_ops += sync_ops;
-            r.sync_bytes += sync_bytes;
-        }
-        let (n, answers) = (g.answered.len(), g.answered.iter().filter(|a| **a).count());
-        if answers > n - (n / 2 + 1) {
-            g.q.set_ready(ctx);
-            if let Some(r) = g.recovery.as_mut() {
-                r.resynced_at = Some(ctx.now());
-            }
-            self.tele
-                .trace_end(ctx.now(), &self.name, "recovery:resync", "recovery");
-        }
-    }
-
-    /// Takes a candidate's request for this member's vote. A member still
-    /// recovering from a restart votes for nobody.
-    fn handle_vote(&mut self, ctx: &mut Ctx<'_>, from: u32, term: u64, last_term: u64, at: u64) {
-        let Some(g) = self.group.as_mut() else { return };
-        let i = from as usize;
-        if !g.q.ready() || i >= g.members.len() {
-            return;
-        }
-        let granted = g.q.vote(ctx, term, i, (last_term, at));
-        let (term, from) = (g.q.term(), g.index as u32);
-        let reply = StoreRpc::VoteReply {
-            term,
-            from,
-            granted,
-        };
-        ctx.send(g.members[i], reply);
     }
 
     /// The election timer: the primary steps down when no majority has
@@ -823,65 +682,21 @@ impl StoreServer {
     /// session timeout on.
     fn election_timer(&mut self, ctx: &mut Ctx<'_>) {
         let Some(g) = self.group.as_mut() else { return };
-        let (stood, next) = g.q.tick(ctx);
-        if stood {
-            let (term, from) = (g.q.term(), g.index as u32);
-            let (last_term, applied) = (g.q.last_term(), g.q.log_end());
-            for (_, &pid) in g.members.iter().enumerate().filter(|(j, _)| *j != g.index) {
-                let vote = StoreRpc::Vote {
-                    term,
-                    from,
-                    last_term,
-                    applied,
-                };
-                ctx.send(pid, vote);
-            }
+        let (won, next) = g.q.tick(ctx);
+        if won {
+            g.pending_writes.clear();
         }
         ctx.set_timer_at(next, tags::ELECTION);
     }
 
     /// Keeps one fetch outstanding on every member but the primary: a new
     /// one when none is out or the one out is `stale_after` old — a fetch
-    /// or reply was lost, or the primary died. It goes to the primary, or
-    /// to every peer when the member knows none (the first answer wins) or
-    /// is recovering (to each peer that has not answered yet).
+    /// or reply was lost, or the primary died.
     fn refetch(&mut self, ctx: &mut Ctx<'_>, stale_after: SimDuration) {
-        let Some(g) = self.group.as_mut() else { return };
-        if g.q.fetch_due_at(stale_after) > ctx.now() {
-            return;
-        }
-        let (fetch, to) = g.q.fetch(ctx);
-        let from = g.index as u32;
-        let ask = |j: usize| match to {
-            Some(to) => j == to,
-            None => j != g.index && (fetch.ready || !g.answered[j]),
-        };
-        for (_, &pid) in g.members.iter().enumerate().filter(|(j, _)| ask(*j)) {
-            ctx.send(pid, StoreRpc::Fetch { from, fetch });
+        if let Some(g) = self.group.as_mut() {
+            g.q.refetch(ctx, stale_after);
         }
     }
-}
-
-/// Sends member `to` the log after `fetch`'s end: the suffix, or the full
-/// state when this log does not hold the fetcher's last op under its term —
-/// it was truncated away by peer-acked cleaning, or the fetcher's tail
-/// diverges from this log.
-fn serve(db: &Stores, q: &Quorum<StoreOp>, ctx: &mut Ctx<'_>, to: ProcessId, fetch: Fetch) {
-    let (after, entries, snapshot) = match q.suffix(&fetch) {
-        // Keys are copied; each value is the log's buffer, shared.
-        Some(entries) => (fetch.after, entries.to_vec(), None),
-        None => (q.log_end(), Vec::new(), Some(db.snapshot(q.last_term()))),
-    };
-    let reply = StoreRpc::FetchReply {
-        corr: fetch.corr,
-        epoch: q.term(),
-        leads: q.leads(),
-        after,
-        entries,
-        snapshot,
-        floor: q.log_start(),
-    };
-    ctx.send(to, reply);
 }
 
 /// Per-op outcome bits threaded into client acks.
@@ -900,10 +715,10 @@ impl Process for StoreServer {
         ctx.charge(self.cfg.startup_cpu);
         ctx.set_timer(self.cfg.background_interval, tags::BACKGROUND_TICK);
         let Some(g) = self.group.as_mut() else { return };
-        g.q.start(ctx);
+        g.q.start(ctx, ctx.incarnation() > 0);
         if !g.q.ready() {
             let now = ctx.now();
-            g.recovery = Some(StoreRecoveryInfo {
+            self.db.recovery = Some(StoreRecoveryInfo {
                 restarted_at: now,
                 resynced_at: None,
                 sync_ops: 0,
@@ -919,8 +734,16 @@ impl Process for StoreServer {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
-        let Ok(rpc) = downcast::<StoreRpc>(msg) else {
-            return;
+        let rpc = match downcast::<StoreRpc>(msg) {
+            Ok(rpc) => rpc,
+            Err(msg) => {
+                if let Ok(rpc) = downcast::<QuorumRpc<StoreOp>>(msg) {
+                    self.on_group_rpc(ctx, *rpc);
+                    self.refetch(ctx, SimDuration::MAX);
+                    self.telemetry_gauges();
+                }
+                return;
+            }
         };
         match *rpc {
             StoreRpc::Forward { origin, rpc } => {
@@ -928,26 +751,6 @@ impl Process for StoreServer {
                 // else drops them (the client's retry rotates onward).
                 if self.is_primary() && self.group.is_some() {
                     self.handle_client_rpc(ctx, origin, *rpc);
-                }
-            }
-            StoreRpc::Fetch { from: idx, fetch } => self.handle_fetch(ctx, idx, fetch),
-            reply @ StoreRpc::FetchReply { .. } => self.handle_fetch_reply(ctx, from, reply),
-            StoreRpc::Vote {
-                term,
-                from: idx,
-                last_term,
-                applied,
-            } => self.handle_vote(ctx, idx, term, last_term, applied),
-            StoreRpc::VoteReply {
-                term,
-                from: idx,
-                granted,
-            } => {
-                if let Some(g) = self.group.as_mut() {
-                    // A new primary's writes start afresh.
-                    if g.q.tally(ctx, term, idx as usize, granted) {
-                        g.pending_writes.clear();
-                    }
                 }
             }
             client_rpc @ (StoreRpc::Put { .. }
@@ -981,7 +784,7 @@ impl Process for StoreServer {
             }
             tags::HOLD_EXPIRY => {
                 if let Some(g) = self.group.as_mut() {
-                    g.answer_held(ctx, &self.db);
+                    g.q.answer_held(ctx, &self.db);
                 }
             }
             tags::ELECTION => self.election_timer(ctx),
@@ -1141,7 +944,7 @@ mod tests {
                 s.set_telemetry(tele.clone());
                 s.set_name("store-a");
             }
-            s.set_group(vec![ProcessId(0)], 0, false);
+            s.set_group(vec![ProcessId(0)], 0);
             s.telemetry_gauges();
             let reg = tele.registry();
             let scopes: Vec<&str> = reg.metrics().iter().map(|m| m.scope.as_str()).collect();
@@ -1163,7 +966,7 @@ mod tests {
         for (i, pid) in pids.iter().enumerate() {
             sim.process_mut::<StoreServer>(*pid)
                 .unwrap()
-                .set_group(pids.clone(), i, false);
+                .set_group(pids.clone(), i);
         }
         pids
     }
@@ -1246,7 +1049,7 @@ mod tests {
         sim.kill(pids[0]);
         sim.run_until(SimTime::from_secs(3));
         let mut rejoin = StoreServer::new(StoreConfig::default());
-        rejoin.set_group(pids.clone(), 0, true);
+        rejoin.set_group(pids.clone(), 0);
         sim.respawn(pids[0], Box::new(rejoin));
         sim.run_until(SimTime::from_secs(11));
         let rejoined = sim.process_ref::<StoreServer>(pids[0]).unwrap();
@@ -1402,29 +1205,29 @@ mod tests {
             sim.spawn(Box::new(Silent)),
         ];
         let server = sim.process_mut::<StoreServer>(primary).unwrap();
-        server.set_group(members.clone(), 0, false);
+        server.set_group(members.clone(), 0);
         let fetch = |term: u64, after: u64, last_term: u64| {
             let (corr, from, ready) = (0, 2, true);
-            let fetch = Fetch {
+            let fetch = s2g_sim::Fetch {
                 corr,
                 after,
                 last_term,
                 term,
                 ready,
             };
-            StoreRpc::Fetch { from, fetch }
+            QuorumRpc::<StoreOp>::Fetch { from, fetch }
         };
         // Member 0 leads term 0, where a write (seq 1) waits for a quorum.
         let first = Writer::spawn(&mut sim, primary, at_micros(1_000), 1, 1);
         // Member 1 stands in term 1 holding it, and member 0 votes for it:
         // it no longer leads, so member 2's report of the write under term
         // 0 acks nothing.
-        let (term, from, last_term, applied) = (1, 1, 0, 1);
-        let vote = StoreRpc::Vote {
+        let (term, from, last_term, end) = (1, 1, 0, 1);
+        let vote = QuorumRpc::<StoreOp>::Vote {
             term,
             from,
             last_term,
-            applied,
+            end,
         };
         sim.inject_at(at_micros(2_000), primary, vote);
         sim.inject_at(at_micros(3_000), primary, fetch(0, 1, 0));
@@ -1441,7 +1244,7 @@ mod tests {
             sim.run_until(now);
         }
         let (term, from, granted) = (2, 2, true);
-        let granted = StoreRpc::VoteReply {
+        let granted = QuorumRpc::<StoreOp>::VoteReply {
             term,
             from,
             granted,
@@ -1485,22 +1288,26 @@ mod tests {
         let me = sim.spawn(Box::new(StoreServer::new(StoreConfig::default())));
         sim.kill(me).expect("alive");
         let mut server = StoreServer::new(StoreConfig::default());
-        server.set_group(vec![a, me], 1, true);
+        server.set_group(vec![a, me], 1);
         sim.respawn(me, Box::new(server));
-        let reply = |corr: u64, key: &str| StoreRpc::FetchReply {
-            corr,
-            epoch: 0,
-            leads: false,
-            after: 0,
-            entries: vec![(
-                0,
-                StoreOp::Put {
-                    key: key.into(),
-                    value: Bytes::from_static(b"v"),
-                },
-            )],
-            snapshot: None,
-            floor: 0,
+        let reply = |corr: u64, key: &str| {
+            QuorumRpc::Answer(s2g_sim::Answer {
+                from: 0,
+                corr,
+                term: 0,
+                leads: false,
+                after: 0,
+                entries: vec![(
+                    0,
+                    StoreOp::Put {
+                        key: key.into(),
+                        value: Bytes::from_static(b"v"),
+                    },
+                )],
+                state: None,
+                floor: 0,
+                commit: 0,
+            })
         };
         // The id incarnation 0 drew first, delivered to incarnation 1 while
         // its own first fetch is out.
@@ -1580,8 +1387,8 @@ mod tests {
         while t < burst + SimDuration::from_millis(500) {
             sim.run_until(t);
             for follower in &pids[1..] {
-                let due = quorum(&sim, *follower).fetch_due_at(SimDuration::MAX);
-                assert_eq!(due, SimTime::MAX, "a fetch is out at {t}");
+                let out = quorum(&sim, *follower).awaiting();
+                assert!(out.is_some(), "a fetch is out at {t}");
             }
             t += SimDuration::from_millis(1);
         }
@@ -1669,7 +1476,7 @@ mod tests {
             assert!(quorum(&sim, *pid).log_start() >= 1, "the put was truncated");
         }
         let mut rejoin = StoreServer::new(StoreConfig::default());
-        rejoin.set_group(pids.clone(), 2, true);
+        rejoin.set_group(pids.clone(), 2);
         sim.respawn(pids[2], Box::new(rejoin));
         sim.run_until(get_at + SimDuration::from_secs(1));
         assert_eq!(

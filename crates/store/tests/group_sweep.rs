@@ -156,10 +156,11 @@ fn schedule(rng: &mut StdRng) -> Vec<(SimTime, Fault)> {
     plan
 }
 
-fn member(i: usize, members: &[ProcessId], recovering: bool) -> StoreServer {
+/// Member `i`; a respawn into its slot rejoins the group.
+fn member(i: usize, members: &[ProcessId]) -> StoreServer {
     let mut server = StoreServer::new(StoreConfig::default());
     server.set_name(format!("store-{i}"));
-    server.set_group(members.to_vec(), i, recovering);
+    server.set_group(members.to_vec(), i);
     server
 }
 
@@ -175,7 +176,7 @@ fn run(seed: u64) -> Result<(), String> {
     for (i, pid) in members.iter().enumerate() {
         links.borrow_mut().member_of.insert(*pid, i);
         let server = sim.process_mut::<StoreServer>(*pid).expect("a member");
-        *server = member(i, &members, false);
+        *server = member(i, &members);
     }
     let ops: Vec<Op> = (0..2_000u64)
         .map(|value| {
@@ -207,7 +208,7 @@ fn run(seed: u64) -> Result<(), String> {
                     last_epoch[i] = None;
                 }
                 Fault::Restart(i) => {
-                    let server = member(i, &members, true);
+                    let server = member(i, &members);
                     sim.respawn(members[i], Box::new(server));
                 }
                 Fault::LinkDown(i) => links.borrow_mut().down[i] = true,

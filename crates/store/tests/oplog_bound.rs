@@ -82,7 +82,7 @@ fn run(puts: u64) -> (Vec<usize>, Vec<u64>) {
         .collect();
     for (i, pid) in members.iter().enumerate() {
         let server = sim.process_mut::<StoreServer>(*pid).expect("a member");
-        server.set_group(members.clone(), i, false);
+        server.set_group(members.clone(), i);
     }
     let writer = sim.spawn(Box::new(Writer {
         store: members[0],
