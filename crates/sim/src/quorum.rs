@@ -430,9 +430,10 @@ impl<E: Entry> Quorum<E> {
         }
     }
 
-    /// Marks a member that rebuilt its state ready.
+    /// Marks a member that rebuilt its state ready. Its next fetch goes to
+    /// the leader at once.
     fn set_ready(&mut self, ctx: &mut Ctx<'_>) {
-        self.ready = true;
+        (self.ready, self.awaiting) = (true, None);
         self.voted_for.get_or_insert(self.me);
         self.reset_deadline(ctx);
     }
@@ -653,13 +654,15 @@ impl<E: Entry> Quorum<E> {
     /// Takes member `from`'s answer. A ready member ignores an answer of an
     /// older term and follows a newer one; it takes the leader of its term
     /// from the answer, which puts off its election without a draw. An
-    /// answer to its outstanding fetch completes it, whatever the answer's
-    /// term (winning a term drops the outstanding fetch, so the log it was
-    /// asked after has not moved since), and is taken: its state, when this
-    /// member takes it (a member that is not ready takes only a state
-    /// fresher than what it holds), then the entries it does not hold yet,
-    /// then its floor. A member that is not ready becomes ready once all
-    /// but a majority less one of its peers have answered it.
+    /// answer to its outstanding fetch is taken, whatever the answer's term
+    /// (winning a term drops the outstanding fetch, so the log it was asked
+    /// after has not moved since): its state, when this member takes it (a
+    /// member that is not ready takes only a state fresher than what it
+    /// holds), then the entries it does not hold yet, then its floor. The
+    /// answer completes a ready member's fetch. A member that is not ready
+    /// takes one answer from each peer it asked, and keeps its fetch out
+    /// until it is stale; it becomes ready once all but a majority less one
+    /// of its peers have answered it.
     fn take_answer(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -671,7 +674,9 @@ impl<E: Entry> Quorum<E> {
         if ready && a.term < self.term {
             return Taken::Nothing;
         }
-        let outstanding = self.awaiting.is_some_and(|(c, _)| c == a.corr);
+        // A member that is not ready takes each peer's answer once.
+        let fresh = ready || !self.answered[from];
+        let outstanding = fresh && self.awaiting.is_some_and(|(c, _)| c == a.corr);
         self.follow_newer(ctx, a.term);
         if a.leads && a.term == self.term {
             // A candidate concedes; the deadline is put off as far as it
@@ -682,8 +687,10 @@ impl<E: Entry> Quorum<E> {
         if !outstanding {
             return Taken::Nothing;
         }
-        self.awaiting = None;
-        self.answered[from] |= !ready;
+        match ready {
+            true => self.awaiting = None,
+            false => self.answered[from] = true,
+        }
         let ours = (self.last_term(), self.log_end());
         let fresher = |(term, _): &(u64, _)| ready || (*term, a.after) > ours;
         if let Some((term, state)) = a.state.filter(fresher) {

@@ -1061,6 +1061,25 @@ mod tests {
         assert_eq!(acked(&sim, writer).len(), 1, "the put was acked");
     }
 
+    /// A respawned member sends its rejoin fetch to both peers at once, and
+    /// both answer it in the same instant: it takes both answers, so it is
+    /// ready one round trip after it starts.
+    #[test]
+    fn a_rejoining_member_takes_every_peers_answer_to_its_fetch() {
+        let mut sim = Sim::new(0);
+        let pids = spawn_group(&mut sim, 3);
+        sim.run_until(SimTime::from_secs(1));
+        sim.kill(pids[2]);
+        sim.run_until(SimTime::from_secs(3));
+        let mut rejoin = StoreServer::new(StoreConfig::default());
+        rejoin.set_group(pids.clone(), 2);
+        sim.respawn(pids[2], Box::new(rejoin));
+        sim.run_until(SimTime::from_secs(4));
+        let rejoined = sim.process_ref::<StoreServer>(pids[2]).unwrap();
+        let ready = rejoined.recovery_info().unwrap().resynced_at;
+        assert_eq!(ready, Some(at_micros(3_000_000 + 2 * HOP_US)));
+    }
+
     /// The byte totals the stores keep as they change, against a walk over
     /// everything they hold (what `resident_bytes` used to do per op).
     #[test]
