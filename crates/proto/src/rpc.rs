@@ -774,8 +774,12 @@ impl Message for ControllerRpc {
 /// mismatched fetch is answered with the whole log, so no state answers it.
 impl Entry for MetadataRecord {
     type State = ();
-    /// [`RPC_OVERHEAD`] plus 28, 16, 36 and 36.
-    const HEADERS: [usize; 4] = [66, 54, 74, 74];
+    const HEADERS: [usize; 4] = [
+        RPC_OVERHEAD + 28,
+        RPC_OVERHEAD + 16,
+        RPC_OVERHEAD + 36,
+        RPC_OVERHEAD + 36,
+    ];
     fn wire_size(&self) -> usize {
         8 + self.encoded_len()
     }
