@@ -337,6 +337,10 @@ pub enum CodecError {
     /// An event header's varint longer than 10 bytes, past `u64`, or not
     /// minimal.
     BadVarint,
+    /// An event encoded otherwise than the encoder writes it: a reserved
+    /// flag bit set, a source byte of 0, an origin delta of 0, or a
+    /// top-level string written with its tag and length.
+    NonCanonical,
 }
 
 impl fmt::Display for CodecError {
@@ -347,6 +351,7 @@ impl fmt::Display for CodecError {
             CodecError::Trailing => write!(f, "bytes past the end of the encoded event"),
             CodecError::TooDeep => write!(f, "values nested more than {MAX_DEPTH} deep"),
             CodecError::BadVarint => write!(f, "malformed varint in the event header"),
+            CodecError::NonCanonical => write!(f, "event header not in its one encoding"),
         }
     }
 }
@@ -397,12 +402,86 @@ fn read_key<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
     read_utf8(buf, pos, n)
 }
 
-/// Reads an event's `ts` and `origin`, in nanoseconds: a varint, then the
-/// zigzag varint of their wrapping difference.
-fn read_times(buf: &[u8], pos: &mut usize) -> Result<(u64, u64), CodecError> {
-    let ts = read_varint(buf, pos)?;
-    let delta = read_varint(buf, pos)?;
-    Ok((ts, ts.wrapping_sub(unzigzag(delta))))
+/// The event header's flag bits.
+mod flag {
+    /// A key follows.
+    pub(super) const KEYED: u8 = 1;
+    /// The value is a string that runs to the end of the record, with no
+    /// tag and no length.
+    pub(super) const STR_TAIL: u8 = 1 << 1;
+    /// `origin == ts`: no delta follows.
+    pub(super) const SAME_ORIGIN: u8 = 1 << 2;
+    /// A nonzero source byte follows.
+    pub(super) const SOURCE: u8 = 1 << 3;
+    /// Bits that must be 0. They also keep text from reading as an
+    /// event: after a UTF-8 lead byte of `0xE7` comes a continuation
+    /// byte, `0x80` or more.
+    pub(super) const RESERVED: u8 = 0xF0;
+}
+
+/// An encoded event's header, read the same way by every decoder.
+struct Header<'a> {
+    key: Option<&'a str>,
+    ts: u64,
+    origin: u64,
+    source: u8,
+    /// The value is a string: the rest of the record.
+    str_tail: bool,
+    /// Where the value starts.
+    value_at: usize,
+}
+
+impl<'a> Header<'a> {
+    /// Reads the header of `buf`, and rejects a top-level value that is a
+    /// tagged string, which the encoder always writes as a string tail.
+    fn read(buf: &'a [u8]) -> Result<Self, CodecError> {
+        let magic = *buf.first().ok_or(CodecError::Truncated)?;
+        if magic != 0xE7 {
+            return Err(CodecError::BadTag(magic));
+        }
+        let flags = *buf.get(1).ok_or(CodecError::Truncated)?;
+        if flags & flag::RESERVED != 0 {
+            return Err(CodecError::NonCanonical);
+        }
+        let mut pos = 2;
+        let mut source = 0;
+        if flags & flag::SOURCE != 0 {
+            source = *buf.get(pos).ok_or(CodecError::Truncated)?;
+            pos += 1;
+            if source == 0 {
+                return Err(CodecError::NonCanonical);
+            }
+        }
+        let key = match flags & flag::KEYED {
+            0 => None,
+            _ => Some(read_key(buf, &mut pos)?),
+        };
+        let ts = read_varint(buf, &mut pos)?;
+        let mut origin = ts;
+        if flags & flag::SAME_ORIGIN == 0 {
+            match read_varint(buf, &mut pos)? {
+                0 => return Err(CodecError::NonCanonical),
+                delta => origin = ts.wrapping_sub(unzigzag(delta)),
+            }
+        }
+        let str_tail = flags & flag::STR_TAIL != 0;
+        if !str_tail && buf.get(pos) == Some(&4) {
+            return Err(CodecError::NonCanonical);
+        }
+        Ok(Header {
+            key,
+            ts,
+            origin,
+            source,
+            str_tail,
+            value_at: pos,
+        })
+    }
+
+    /// The string tail of `buf`, which must be UTF-8.
+    fn text(&self, buf: &'a [u8]) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(&buf[self.value_at..]).map_err(|_| CodecError::Truncated)
+    }
 }
 
 /// Appends `v` as a minimal LEB128 varint: seven bits a byte, low group
@@ -501,15 +580,18 @@ impl Event {
     /// | bytes | field |
     /// |---|---|
     /// | 1 | magic `0xE7`, so raw payloads are distinguishable from events |
-    /// | 1 | flag: bit 0 = key present, bits 1..7 = `source` |
-    /// | 1–10 + n | if keyed, the key's length n as a varint, then its bytes |
+    /// | 1 | flag: bit 0 = keyed, bit 1 = string tail, bit 2 = `origin == ts`, bit 3 = source byte; bits 4–7 are 0 |
+    /// | 0 or 1 | if bit 3, `source`, 1–255 (no byte is source 0) |
+    /// | 0 or 1–10 + n | if keyed, the key's length n as a varint, then its bytes |
     /// | 1–10 | `ts` in nanoseconds, a varint |
-    /// | 1–10 | `ts − origin` (wrapping), a zigzag varint: 1 B when equal |
-    /// | rest | the value, in [`Value::encode`]'s format |
+    /// | 0 or 1–10 | unless bit 2, `ts − origin` (wrapping, nonzero), a zigzag varint |
+    /// | rest | if bit 1, a string value's UTF-8 bytes, to the end of the record; else the value, in [`Value::encode`]'s format and not a string |
     ///
     /// A varint is LEB128: seven bits a byte, low group first, the top bit
     /// set on every byte but the last, and minimal (no trailing zero
-    /// group), so an event has one encoding.
+    /// group). The record frame holds the record's length, so a string
+    /// value needs neither tag nor length. An event has one encoding: the
+    /// decoders reject any other as [`CodecError::NonCanonical`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         self.encode_into(&mut out);
@@ -519,20 +601,31 @@ impl Event {
     /// Appends the [`to_bytes`](Event::to_bytes) encoding to `out` — a
     /// sink encodes straight into its producer's batch buffer with it.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(0xE7);
-        // Flag byte: bit 0 = key present, bits 1..7 = source index. The
-        // source must survive the wire so a windowed join downstream of a
+        let (ts, origin) = (self.ts.as_nanos(), self.origin.as_nanos());
+        let text = self.value.as_str();
+        let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+        let flags = bit(self.key.is_some(), flag::KEYED)
+            | bit(text.is_some(), flag::STR_TAIL)
+            | bit(ts == origin, flag::SAME_ORIGIN)
+            | bit(self.source != 0, flag::SOURCE);
+        out.extend_from_slice(&[0xE7, flags]);
+        // The source survives the wire so a windowed join downstream of a
         // keyed shuffle still knows which input each event came from.
-        let flag = u8::from(self.key.is_some()) | (self.source << 1);
-        out.push(flag);
+        if self.source != 0 {
+            out.push(self.source);
+        }
         if let Some(k) = &self.key {
             write_varint(out, k.len() as u64);
             out.extend_from_slice(k.as_bytes());
         }
-        let ts = self.ts.as_nanos();
         write_varint(out, ts);
-        write_varint(out, zigzag(ts.wrapping_sub(self.origin.as_nanos())));
-        self.value.encode_into(out);
+        if ts != origin {
+            write_varint(out, zigzag(ts.wrapping_sub(origin)));
+        }
+        match text {
+            Some(s) => out.extend_from_slice(s.as_bytes()),
+            None => self.value.encode_into(out),
+        }
     }
 
     /// Decodes from the compact wire format: [`decode_over`] a blank
@@ -560,33 +653,23 @@ impl Event {
     /// # Errors
     ///
     /// Those of [`from_bytes`](Event::from_bytes), on the same input; the
-    /// event then holds some of its old fields and some new ones.
+    /// event is then unchanged.
     pub fn decode_over(&mut self, buf: &[u8]) -> Result<(), CodecError> {
-        let magic = *buf.first().ok_or(CodecError::Truncated)?;
-        if magic != 0xE7 {
-            return Err(CodecError::BadTag(magic));
-        }
-        let flag = *buf.get(1).ok_or(CodecError::Truncated)?;
-        let mut pos = 2;
-        if flag & 1 == 1 {
-            self.set_key(Some(read_key(buf, &mut pos)?));
-        } else {
-            self.key = None;
-        }
-        let (ts, origin) = read_times(buf, &mut pos)?;
-        (self.ts, self.origin) = (SimTime::from_nanos(ts), SimTime::from_nanos(origin));
-        match &mut self.value {
+        let h = Header::read(buf)?;
+        if h.str_tail {
             // A string over a string reuses its buffer.
-            value @ Value::Str(_) if buf.get(pos) == Some(&4) => {
-                pos += 1;
-                value.set_str(read_text(buf, &mut pos)?);
+            self.value.set_str(h.text(buf)?);
+        } else {
+            let mut pos = h.value_at;
+            let value = Value::decode_from(buf, &mut pos, 0)?;
+            if pos != buf.len() {
+                return Err(CodecError::Trailing);
             }
-            value => *value = Value::decode_from(buf, &mut pos, 0)?,
+            self.value = value;
         }
-        if pos != buf.len() {
-            return Err(CodecError::Trailing);
-        }
-        self.source = flag >> 1;
+        self.set_key(h.key);
+        (self.ts, self.origin) = (SimTime::from_nanos(h.ts), SimTime::from_nanos(h.origin));
+        self.source = h.source;
         Ok(())
     }
 
@@ -607,19 +690,15 @@ impl Event {
     /// (magic, key and string UTF-8, value tags), so it returns `Some`
     /// exactly when `from_bytes` would return `Ok`.
     pub fn peek_origin(buf: &[u8]) -> Option<SimTime> {
-        let mut pos = 0;
-        if *buf.first()? != 0xE7 {
-            return None;
+        let h = Header::read(buf).ok()?;
+        if h.str_tail {
+            h.text(buf).ok()?;
+        } else {
+            let mut pos = h.value_at;
+            Value::validate_from(buf, &mut pos, 0).ok()?;
+            (pos == buf.len()).then_some(())?;
         }
-        pos += 1;
-        let flag = *buf.get(pos)?;
-        pos += 1;
-        if flag & 1 == 1 {
-            read_key(buf, &mut pos).ok()?;
-        }
-        let (_, origin) = read_times(buf, &mut pos).ok()?;
-        Value::validate_from(buf, &mut pos, 0).ok()?;
-        (pos == buf.len()).then_some(SimTime::from_nanos(origin))
+        Some(SimTime::from_nanos(h.origin))
     }
 }
 
@@ -695,13 +774,25 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let e = Event::new(Value::Str("abcdef".into()), SimTime::ZERO);
+        // A cut inside the header fails. A string value runs to the end of
+        // the record, so a cut inside it is that string's prefix: a string
+        // at a char boundary, an error elsewhere.
+        let text = "ab\u{e9}\u{20ac}";
+        let mut e = Event::new(Value::Str(text.into()), SimTime::from_millis(300))
+            .with_key("k")
+            .with_origin(SimTime::from_millis(299));
+        e.source = 7;
         let bytes = e.to_bytes();
+        let header = bytes.len() - text.len();
         for cut in 0..bytes.len() {
-            assert!(
-                Event::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
+            let got = decode_all(&bytes[..cut]);
+            match cut.checked_sub(header) {
+                Some(at) if text.is_char_boundary(at) => {
+                    let value = Value::Str(text[..at].into());
+                    assert_eq!(got, Ok(Event { value, ..e.clone() }), "cut at {cut}");
+                }
+                _ => assert!(got.is_err(), "cut at {cut} must fail"),
+            }
         }
     }
 
@@ -785,8 +876,10 @@ mod tests {
                 e.key = key.map(str::to_owned);
                 let bytes = e.to_bytes();
                 let key_bytes = key.map_or(0, |k| 1 + k.len());
-                // Magic, flag, key, ts, a 1 B delta and the `Null` tag.
-                assert_eq!(bytes.len(), 2 + key_bytes + ts_bytes + 1 + 1, "ts {ts}");
+                // Magic, flag, key, ts and the `Null` tag: `origin == ts`
+                // is a flag bit, not a byte.
+                assert_eq!(bytes.len(), 2 + key_bytes + ts_bytes + 1, "ts {ts}");
+                assert_eq!(bytes[2 + key_bytes + ts_bytes], 0, "the value after ts");
                 assert_eq!(decode_all(&bytes), Ok(e));
             }
         }
@@ -796,26 +889,106 @@ mod tests {
             let e = Event::new(Value::Int(1), at(ts)).with_origin(at(origin));
             assert_eq!(decode_all(&e.to_bytes()), Ok(e));
         }
-        // `ts - origin` wraps to -1 there: one byte.
+        // `ts - origin` wraps to -1 there: one byte, after the ts.
         let e = Event::new(Value::Null, at(u64::MAX)).with_origin(at(0));
-        assert_eq!(e.to_bytes().len(), 2 + 10 + 1 + 1);
+        let bytes = e.to_bytes();
+        assert_eq!(bytes.len(), 2 + 10 + 1 + 1);
+        assert_eq!(bytes[12], zigzag(u64::MAX.wrapping_sub(0)).to_le_bytes()[0]);
+    }
+
+    #[test]
+    fn a_string_event_spends_flag_bits_not_bytes() {
+        // From 2^28 ns to 2^35 ns (0.27 s to 34 s) a `ts` is 5 varint
+        // bytes: magic, flag, ts and the string's 64 B.
+        let text = "x".repeat(64);
+        for ts in [1 << 28, (1 << 35) - 1] {
+            let e = Event::new(Value::Str(text.clone()), SimTime::from_nanos(ts));
+            assert_eq!(e.to_bytes().len(), 71, "ts {ts}");
+            let keyed = e.with_key("abcde");
+            assert_eq!(keyed.to_bytes().len(), 77, "ts {ts}");
+            assert_eq!(decode_all(&keyed.to_bytes()), Ok(keyed));
+        }
+    }
+
+    #[test]
+    fn every_source_round_trips() {
+        let plain = Event::new(Value::Int(1), SimTime::from_millis(4)).with_key("k");
+        for source in 0..=u8::MAX {
+            let e = Event {
+                source,
+                ..plain.clone()
+            };
+            let bytes = e.to_bytes();
+            // Source 0 is no byte at all.
+            let extra = usize::from(source != 0);
+            assert_eq!(bytes.len(), plain.to_bytes().len() + extra, "{source}");
+            assert_eq!(decode_all(&bytes), Ok(e), "source {source}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_headers_are_rejected_by_every_decoder() {
+        // Each beside its one accepted form: a `Null` at ts 0, then
+        // source 1, then origin 0 at ts 1, then the string "x".
+        let cases: [(&[u8], &[u8]); 4] = [
+            (&[0xE7, 0x14, 0, 0], &[0xE7, 0x04, 0, 0]),
+            (&[0xE7, 0x0C, 0, 0, 0], &[0xE7, 0x0C, 1, 0, 0]),
+            (&[0xE7, 0x00, 1, 0, 0], &[0xE7, 0x00, 1, 2, 0]),
+            (
+                &[0xE7, 0x04, 0, 4, 1, 0, 0, 0, b'x'],
+                &[0xE7, 0x06, 0, b'x'],
+            ),
+        ];
+        for (bad, good) in cases {
+            assert_eq!(decode_all(bad), Err(CodecError::NonCanonical), "{bad:x?}");
+            let e = decode_all(good).expect("the canonical form decodes");
+            assert_eq!(e.to_bytes(), good);
+        }
+        // Every reserved bit, alone and beside each other bit.
+        for reserved in 4..8 {
+            for other in 0..4 {
+                let flags = (1 << reserved) | (1 << other);
+                let bytes = [0xE7, flags, 1, 1, 0, 2, 0];
+                assert_eq!(decode_all(&bytes), Err(CodecError::NonCanonical));
+            }
+        }
+    }
+
+    #[test]
+    fn text_that_starts_with_the_magic_byte_is_no_event() {
+        // U+7000–U+7FFF lead with 0xE7, then a continuation byte: a flag
+        // with reserved bits set.
+        for c in '\u{7000}'..='\u{7fff}' {
+            for text in [c.to_string(), format!("{c}\u{1}\0\0 plain text")] {
+                assert_eq!(text.as_bytes()[0], 0xE7);
+                let got = decode_all(text.as_bytes());
+                assert_eq!(got, Err(CodecError::NonCanonical), "{text:?}");
+            }
+        }
     }
 
     #[test]
     fn every_accepted_header_re_encodes_to_itself() {
+        let mut sourced = Event::new(Value::Str("a tail".into()), SimTime::from_millis(20))
+            .with_key("key")
+            .with_origin(SimTime::from_millis(19));
+        sourced.source = 200;
         let events = [
             Event::new(Value::Int(7), SimTime::from_nanos(300)),
             Event::new(Value::Str("v".into()), SimTime::from_millis(20))
                 .with_key("key")
                 .with_origin(SimTime::from_millis(19)),
+            sourced,
         ];
         for e in events {
             let bytes = e.to_bytes();
-            // Every byte of the header, and the value's tag, set to each of
-            // a varint's edge values.
-            let header = bytes.len() - e.value.encode().len() + 1;
+            // Every byte of the header, and the value's first byte (its
+            // tag, or a string tail's first byte), set to each of a
+            // varint's edge values and to each flag bit.
+            let value = e.value.as_str().map_or(e.value.encode().len(), str::len);
+            let header = bytes.len() - value + 1;
             for at in 1..header {
-                for b in [0x00, 0x01, 0x02, 0x7f, 0x80, 0x81, 0xff] {
+                for b in [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x7f, 0x80, 0x81, 0xff] {
                     let mut damaged = bytes.clone();
                     damaged[at] = b;
                     if let Ok(back) = decode_all(&damaged) {
@@ -832,22 +1005,27 @@ mod tests {
         let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
         let non_minimal = vec![0x85, 0x00];
         for bad in [long, overflow, non_minimal] {
-            // In a key's length, a `ts` and an origin's delta, in turn.
+            // In a key's length after a source byte, a `ts`, and an
+            // origin's delta, in turn.
             let headers = [
-                [&[0xE7, 1][..], &bad, b"k", &[1, 0]].concat(),
-                [&[0xE7, 0][..], &bad, &[0]].concat(),
-                [&[0xE7, 0][..], &[1], &bad].concat(),
+                [&[0xE7, 0x0D, 3][..], &bad, b"k", &[1]].concat(),
+                [&[0xE7, 0x04][..], &bad].concat(),
+                [&[0xE7, 0x00][..], &[1], &bad].concat(),
             ];
             for mut bytes in headers {
                 bytes.push(0); // A `Null` value.
                 assert_eq!(decode_all(&bytes), Err(CodecError::BadVarint), "{bytes:x?}");
             }
         }
-        // The longest well-formed varints are accepted.
+        // The longest well-formed varints are accepted: a `ts`, and a
+        // delta after it.
         let max = [[0xff; 9].as_slice(), &[0x01]].concat();
-        let bytes = [&[0xE7, 0][..], &max, &[0, 0]].concat();
+        let bytes = [&[0xE7, 0x04][..], &max, &[0]].concat();
         let ts = decode_all(&bytes).map(|e| e.ts);
         assert_eq!(ts, Ok(SimTime::from_nanos(u64::MAX)));
+        let bytes = [&[0xE7, 0x00, 0][..], &max, &[0]].concat();
+        let origin = decode_all(&bytes).map(|e| e.origin);
+        assert_eq!(origin, Ok(SimTime::from_nanos(1 << 63)));
     }
 
     #[test]

@@ -313,7 +313,8 @@ impl EventBuffer {
     /// Buffers the runs delivered for `tp`.
     fn push(&mut self, tp: &TopicPartition, runs: Vec<LogRun>) {
         let source = self.topics.iter().position(|t| tp.topic == *t);
-        let source = (!self.preserve_source).then_some(source.unwrap_or(0) as u8);
+        let source = (!self.preserve_source)
+            .then(|| u8::try_from(source.unwrap_or(0)).expect("at most 256 job inputs (S2G028)"));
         let runs = runs.into_iter().map(|run| BufferedRun {
             batch: run.batch,
             source,
@@ -1409,6 +1410,21 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_raw_payload_that_starts_with_the_magic_byte_is_a_string() {
+        // U+7000 and U+7FFF lead with 0xE7, an event's magic byte.
+        for text in ["\u{7000}", "\u{7fff} raw text", "\u{7123}\u{1}\0\0"] {
+            let at = SimTime::from_millis(8);
+            let batch =
+                RecordBatch::from_records(vec![Record::keyless(text.as_bytes().to_vec(), at)]);
+            let mut event = other_shape(3);
+            decode_record(&batch.iter().next().expect("a record"), Some(1), &mut event);
+            let mut raw = Event::new(Value::Str(text.into()), at);
+            raw.source = 1;
+            assert_eq!(event, raw);
         }
     }
 

@@ -18,7 +18,11 @@
 //! `Event::decode_over` on targets left dirty by other events (a key and a
 //! string value to reuse, or a list value to replace), as an SPE batch
 //! decodes over the last batch's events; it is swept over such an event
-//! and over the same event without its key.
+//! and over the same event without its key. A target `decode_over`
+//! rejects must be left unchanged. A second test rewrites every stored
+//! event into each form the encoder never writes (a reserved flag bit, a
+//! source byte of 0, an origin delta of 0, a string value with its tag and
+//! length), which every decoder must reject as `CodecError::NonCanonical`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -29,7 +33,7 @@ use stream2gym::apps::word_count::recovery_scenario;
 use stream2gym::broker::{BrokerLogMeta, LogSegment, PartitionLog};
 use stream2gym::proto::Offset;
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::{CheckpointCfg, Event, StateDelta, StateSnapshot, Value};
+use stream2gym::spe::{CheckpointCfg, CodecError, Event, StateDelta, StateSnapshot, Value};
 use stream2gym::store::{StoreConfig, StoreServer};
 
 /// A decoder as a restore uses it: the re-encoded value when it accepts
@@ -72,9 +76,12 @@ fn decode_over_dirty_targets(b: &[u8]) -> Option<Vec<u8>> {
     // Compared encoded: a flipped bit may decode to a NaN float, which
     // equals nothing, itself included.
     let fresh = Event::from_bytes(b).map(|e| e.to_bytes());
-    for mut target in dirty_targets() {
+    for (mut target, before) in dirty_targets().into_iter().zip(dirty_targets()) {
         let over = target.decode_over(b).map(|()| target.to_bytes());
         assert_eq!(over, fresh, "decode_over disagrees with from_bytes");
+        if over.is_err() {
+            assert_eq!(target, before, "a rejected event changed its target");
+        }
     }
     fresh.ok()
 }
@@ -182,6 +189,77 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
     }
     blobs.extend(events);
     blobs
+}
+
+/// The forms of the encoded event `bytes`, which decodes to `e`, that
+/// the encoder never writes, each named: a reserved flag bit set, a source
+/// byte of 0, an origin delta of 0 (when `origin == ts`), and a string
+/// value with its tag and length (when the value is a string).
+fn non_canonical(bytes: &[u8], e: &Event) -> Vec<(&'static str, Vec<u8>)> {
+    const STR_TAIL: u8 = 1 << 1;
+    const SAME_ORIGIN: u8 = 1 << 2;
+    const SOURCE: u8 = 1 << 3;
+    let flags = bytes[1];
+    let text = e.value.as_str();
+    let value_at = bytes.len() - text.map_or_else(|| e.value.encode().len(), str::len);
+    let with_flags = |flags: u8, parts: &[&[u8]]| [&[0xE7, flags][..], &parts.concat()].concat();
+    let mut out = vec![("a reserved bit", with_flags(flags | 0x40, &[&bytes[2..]]))];
+    out.push(match e.source {
+        0 => ("source 0", with_flags(flags | SOURCE, &[&[0], &bytes[2..]])),
+        _ => ("source 0", with_flags(flags, &[&[0], &bytes[3..]])),
+    });
+    if e.origin == e.ts {
+        let (head, value) = (&bytes[2..value_at], &bytes[value_at..]);
+        out.push((
+            "delta 0",
+            with_flags(flags & !SAME_ORIGIN, &[head, &[0], value]),
+        ));
+    }
+    if text.is_some() {
+        let head = &bytes[2..value_at];
+        let tagged = e.value.encode();
+        out.push((
+            "a tagged string",
+            with_flags(flags & !STR_TAIL, &[head, &tagged]),
+        ));
+    }
+    out
+}
+
+#[test]
+fn every_non_canonical_form_of_a_stored_event_is_rejected_by_every_decoder() {
+    let mut seen = std::collections::BTreeMap::new();
+    for (key, blob) in stored_blobs()
+        .iter()
+        .filter(|(key, _)| key.starts_with("record/"))
+    {
+        let stored = Event::from_bytes(blob).expect("a stored event decodes");
+        // The job's events hold no string, so each also as one that does.
+        let text = Value::Str(stored.value.to_string());
+        let as_text = Event {
+            value: text,
+            ..stored.clone()
+        };
+        for e in [stored, as_text] {
+            for (what, bad) in non_canonical(&e.to_bytes(), &e) {
+                *seen.entry(what).or_insert(0) += 1;
+                assert_eq!(
+                    Event::from_bytes(&bad),
+                    Err(CodecError::NonCanonical),
+                    "{what} in {key}"
+                );
+                assert_eq!(Event::peek_origin(&bad), None, "{what} in {key}");
+                assert_eq!(decode_over_dirty_targets(&bad), None, "{what} in {key}");
+            }
+        }
+    }
+    let forms = ["a reserved bit", "source 0", "delta 0", "a tagged string"];
+    for what in forms {
+        assert!(
+            seen.get(what).is_some_and(|n| *n > 0),
+            "no stored event has {what}: {seen:?}"
+        );
+    }
 }
 
 /// Runs `decode` on `input`; `Err` with the panic message if it panicked.

@@ -322,17 +322,19 @@ fn a_default_run_retains_one_copy_per_record() {
         "allocator calls: {small_allocs:.2}/record at 50 k, {large_allocs:.2}/record at 100 k"
     );
     for (records, per_record, retained, allocs, measured) in [
-        (50_000, small, 150.0, small_allocs, 2.13),
-        (100_000, large, 147.0, large_allocs, 2.11),
+        (50_000, small, 144.0, small_allocs, 2.13),
+        (100_000, large, 141.0, large_allocs, 2.11),
     ] {
-        // Measured 150 / 147 B: no row (on both topics a sealed batch's
+        // Measured 144 / 141 B: no row (on both topics a sealed batch's
         // records are keyless, of one length, stamped at one instant or
         // evenly spaced and in sequence, so its header derives every
-        // column), the 64 B payload and its 77 B encoded event in their
+        // column), the 64 B payload and its 71 B encoded event in their
         // batch frames, each batch's headers and the log's runs over it
         // (a sealed segment holds exactly its runs), and the kernel's
-        // queue storage for what is pending spread over the run. (154 /
-        // 151 B while a sealed segment kept at least 4 run slots of 40 B
+        // queue storage for what is pending spread over the run. (150 /
+        // 147 B while an event spent a byte on an origin equal to its
+        // `ts` and 5 B on its string value's tag and length, a 77 B event;
+        // 154 / 151 B while a sealed segment kept at least 4 run slots of 40 B
         // and each wheel bucket kept room for its largest burst; 164 /
         // 161 B while an event held its two times in 16 fixed bytes, an
         // 87 B event; 180 / 177 B with two 8 B rows, one per topic, of
@@ -345,7 +347,8 @@ fn a_default_run_retains_one_copy_per_record() {
         // the whole run; 381 / 374 B with one allocation pair per record,
         // before batches shared a buffer.) Held to 3 B above the
         // measurement, not to `SLACK`: one 4 B column per record on either
-        // topic fails.
+        // topic fails, and so does an event that carries its string's
+        // length again (5 B more).
         assert!(
             per_record <= retained + 3.0,
             "{per_record:.0} B retained per 64 B record at {records} records, {retained} when \
@@ -456,7 +459,8 @@ fn a_default_run_retains_one_copy_per_record() {
     );
     // A shuffle topic is purged below what its reader committed, on every
     // replica: what it holds at the end is each replica's open segment, at
-    // most 128 records of about 108 B (10 356 / 20 676 B measured; 11 616 /
+    // most 128 records of about 102 B (9 780 / 19 524 B measured; 10 356 /
+    // 20 676 B while an event's string carried its tag and length; 11 616 /
     // 23 280 B with fixed-width event headers; 7.3 / 14.5 MB, every record
     // three times, before shuffle topics were purged).
     let open_segments = 4 * 3 * DEFAULT_SEGMENT_MAX_RECORDS as u64 * 128;
@@ -468,13 +472,14 @@ fn a_default_run_retains_one_copy_per_record() {
         );
     }
     for (records, per_record, retained, allocs, measured) in [
-        (20_000, small, 211.0, small_allocs, 7.70),
-        (40_000, large, 201.0, large_allocs, 7.50),
+        (20_000, small, 204.0, small_allocs, 7.70),
+        (40_000, large, 194.0, large_allocs, 7.50),
     ] {
-        // Measured 211 / 201 B: the two user topics' records as in the
+        // Measured 204 / 194 B: the two user topics' records as in the
         // identity case, the shuffle's gone but for its open segments, and
         // the fixed cost of three brokers and five workers spread over the
-        // run. (239 / 219 B while a sealed segment kept at least 4 run
+        // run. (211 / 201 B while an event's string carried its tag and
+        // length; 239 / 219 B while a sealed segment kept at least 4 run
         // slots and each wheel bucket kept room for its largest burst;
         // 253 / 233 B with fixed-width event headers; 270 / 249 B
         // recorded, 264 / 244 B measured, while a column
