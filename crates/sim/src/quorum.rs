@@ -966,6 +966,37 @@ mod tests {
     }
 
     #[test]
+    fn a_ready_member_ignores_an_answer_of_an_older_term() {
+        with_ctx(|ctx| {
+            let mut q = member(Some(1));
+            q.push(1, 'a');
+            hear(&mut q, ctx, 0, 2, Some(1));
+            let corr = fetch_anew(&mut q, ctx);
+            let (log, awaiting) = (q.entries().to_vec(), q.awaiting);
+            // Term 1's leader answers the fetch out: an entry to append, a
+            // floor to truncate to and a commit.
+            let stale = Answer {
+                from: 2,
+                corr,
+                term: 1,
+                leads: true,
+                after: q.log_end(),
+                entries: vec![(1, 'b')],
+                state: Some((1, ())),
+                floor: 1,
+                commit: 2,
+            };
+            let mut owner = Probe::default();
+            let taken = q.on_rpc(ctx, QuorumRpc::Answer(stale), &mut owner);
+            assert_eq!(taken, Taken::Nothing, "no commit taken");
+            assert_eq!((q.entries(), q.log_start()), (&log[..], 0));
+            assert_eq!(q.awaiting, awaiting, "the fetch is still out");
+            assert_eq!((q.term(), q.leader), (2, Some(1)));
+            assert_eq!(owner.0, 0, "nothing installed or received");
+        });
+    }
+
+    #[test]
     fn a_member_made_ready_casts_no_vote_in_its_term_but_keeps_one_cast() {
         with_ctx(|ctx| {
             let mut q: Quorum<char> =
