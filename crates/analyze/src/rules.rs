@@ -44,6 +44,7 @@ pub fn analyze(facts: &ScenarioFacts) -> AnalysisReport {
     rule_restart_without_crash(facts, &mut out);
     rule_host_overrides(facts, &mut out);
     rule_zero_periods(facts, &mut out);
+    rule_job_inputs(facts, &mut out);
     AnalysisReport::new(out)
 }
 
@@ -907,6 +908,26 @@ fn rule_zero_periods(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
                 ("producer.request_timeout", j.cfg.producer.request_timeout),
             ],
         );
+    }
+}
+
+/// S2G028 (deny): a job reads more than 256 input topics. An event
+/// carries the index of the input it came from in one byte, so a 257th
+/// input would read as another.
+fn rule_job_inputs(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
+    for j in f.jobs.iter().filter(|j| j.sources.len() > 256) {
+        out.push(Diagnostic::new(
+            "S2G028",
+            Level::Deny,
+            format!(
+                "SPE job `{}` reads {} input topics, more than the 256 an event's source \
+                 index tells apart",
+                j.name,
+                j.sources.len()
+            ),
+            &["sources"],
+            "split the job, or merge inputs into fewer topics upstream",
+        ));
     }
 }
 

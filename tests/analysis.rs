@@ -869,6 +869,33 @@ fn s2g027_zero_self_rearming_periods() {
 }
 
 #[test]
+fn s2g028_a_job_of_more_inputs_than_a_source_byte_tells_apart() {
+    let reading = |inputs: usize| {
+        let mut sc = base("t");
+        let topics: Vec<String> = (0..inputs).map(|i| format!("in-{i}")).collect();
+        for t in &topics {
+            sc.topic(TopicSpec::new(t));
+        }
+        sc.spe_job(
+            "jh",
+            SpeJobSpec::new(
+                "j",
+                topics,
+                running_count_plan,
+                SpeSinkSpec::Topic("out".into()),
+                SpeConfig::default(),
+            ),
+        );
+        sc
+    };
+    let sc = reading(257);
+    assert_eq!(level_of(&sc, "S2G028"), Some(Level::Deny));
+    let refused = sc.run().expect_err("run() must refuse");
+    assert!(refused.has("S2G028"), "{refused}");
+    assert_eq!(level_of(&reading(256), "S2G028"), None);
+}
+
+#[test]
 fn report_collects_every_violation_not_just_the_first() {
     let mut sc = Scenario::new("t");
     sc.duration(SimTime::from_secs(10))
