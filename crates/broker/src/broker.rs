@@ -1314,7 +1314,7 @@ impl Broker {
     }
 
     fn on_meta_recovered(&mut self, ctx: &mut Ctx<'_>, value: Option<Bytes>) {
-        let meta = value.as_deref().and_then(BrokerLogMeta::decode);
+        let meta = value.as_deref().and_then(|b| BrokerLogMeta::decode(b).ok());
         let Some(meta) = meta else {
             // Cold start (or unreadable blob): nothing to replay.
             self.finish_recovery(ctx);
@@ -1339,7 +1339,7 @@ impl Broker {
             if let Some(r) = self.recovery.as_mut() {
                 r.replayed_bytes += bytes.len() as u64;
             }
-            if let Some(seg) = LogSegment::decode(&bytes) {
+            if let Ok(seg) = LogSegment::decode(&bytes) {
                 d.staged.entry(tp).or_default().push(seg);
             }
         }

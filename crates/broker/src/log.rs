@@ -60,7 +60,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use s2g_proto::codec::{put_str, put_u32, put_u64, put_u8, put_uvarint, Cursor};
+use s2g_proto::codec::{
+    put_count, put_str, put_u32, put_u64, put_u8, put_uvarint, CodecError, Cursor,
+};
 use s2g_proto::{
     put_frame_record, read_frame_record, BatchBuilder, Columns, LeaderEpoch, LogRun, Offset,
     ProducerId, Record, RecordBatch, RecordRef, TopicPartition, MIN_FRAME_RECORD,
@@ -200,13 +202,17 @@ impl LogSegment {
 
     /// Deserializes a segment written by [`encode`](LogSegment::encode),
     /// as runs split wherever the epoch changes or an offset is skipped.
-    /// Returns `None` on truncated, malformed, or unknown-version input,
-    /// offsets out of order or outside the segment's range included, and on
-    /// bytes past the last entry.
-    pub fn decode(buf: &[u8]) -> Option<LogSegment> {
+    ///
+    /// # Errors
+    ///
+    /// Those of [`read_frame_record`], and a [`CodecError`] on truncated
+    /// or unknown-version input, on offsets out of order or outside the
+    /// segment's range, and on bytes past the last entry.
+    pub fn decode(buf: &[u8]) -> Result<LogSegment, CodecError> {
         let mut cur = Cursor::new(buf);
-        if cur.u8()? != SEGMENT_CODEC_VERSION {
-            return None;
+        match cur.u8()? {
+            SEGMENT_CODEC_VERSION => {}
+            v => return Err(CodecError::BadTag(v)),
         }
         let base = cur.u64()?;
         let end = cur.u64()?;
@@ -223,16 +229,14 @@ impl LogSegment {
             let epoch = LeaderEpoch(cur.uvarint()?);
             let offset = read_frame_record(&mut cur, Offset(base), base_ts, &mut records)?;
             if offset < next || offset.value() >= end {
-                return None;
+                return Err(CodecError::NonCanonical);
             }
             if offset != next || starts.last().is_none_or(|s| s.2 != epoch) {
                 starts.push((i, offset, epoch));
             }
             next = offset.next();
         }
-        if cur.position() != buf.len() {
-            return None;
-        }
+        cur.finish()?;
         let batch = records.finish();
         let ends = starts.iter().skip(1).map(|s| s.0).chain([count]);
         let mut runs = Vec::with_capacity(starts.len());
@@ -243,7 +247,7 @@ impl LogSegment {
                 batch: batch.slice(from..to),
             }),
         );
-        Some(LogSegment {
+        Ok(LogSegment {
             base,
             end,
             base_ts,
@@ -892,28 +896,22 @@ pub(crate) type MetaTxnEntry = (u32, u64, u64, u64, u32);
 /// transactions, and its aborted `[start, end)` offset ranges.
 pub(crate) type MetaPartitionTxns = (TopicPartition, Vec<MetaTxnEntry>, Vec<(u64, u64)>);
 
-/// Encodes a length header, failing loudly if it does not fit `u32` —
-/// a silent `as u32` truncation here would corrupt every replay.
-fn put_len(out: &mut Vec<u8>, len: usize) {
-    put_u32(out, u32::try_from(len).expect("collection length fits u32"));
-}
-
 impl BrokerLogMeta {
     /// Serializes the meta blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_len(&mut out, self.partitions.len());
+        put_count(&mut out, self.partitions.len());
         for (tp, hw, start, bases) in &self.partitions {
             put_str(&mut out, &tp.topic);
             put_u32(&mut out, tp.partition);
             put_u64(&mut out, hw.value());
             put_u64(&mut out, start.value());
-            put_len(&mut out, bases.len());
+            put_count(&mut out, bases.len());
             for b in bases {
                 put_u64(&mut out, *b);
             }
         }
-        put_len(&mut out, self.group_offsets.len());
+        put_count(&mut out, self.group_offsets.len());
         for (group, tp, off) in &self.group_offsets {
             put_str(&mut out, group);
             put_str(&mut out, &tp.topic);
@@ -921,11 +919,11 @@ impl BrokerLogMeta {
             put_u64(&mut out, off.value());
         }
         put_u64(&mut out, self.reclaimed_bytes);
-        put_len(&mut out, self.txns.len());
+        put_count(&mut out, self.txns.len());
         for (tp, ongoing, aborted) in &self.txns {
             put_str(&mut out, &tp.topic);
             put_u32(&mut out, tp.partition);
-            put_len(&mut out, ongoing.len());
+            put_count(&mut out, ongoing.len());
             for (producer, txn, first, end, epoch) in ongoing {
                 put_u32(&mut out, *producer);
                 put_u64(&mut out, *txn);
@@ -933,7 +931,7 @@ impl BrokerLogMeta {
                 put_u64(&mut out, *end);
                 put_u32(&mut out, *epoch);
             }
-            put_len(&mut out, aborted.len());
+            put_count(&mut out, aborted.len());
             for (s, e) in aborted {
                 put_u64(&mut out, *s);
                 put_u64(&mut out, *e);
@@ -943,67 +941,31 @@ impl BrokerLogMeta {
     }
 
     /// Deserializes a blob written by [`encode`](BrokerLogMeta::encode).
-    /// Returns `None` on truncated or malformed input, and on bytes past
-    /// the last transaction list. A count is only
-    /// trusted as far as the blob can hold it: each vector reserves at most
-    /// 2¹⁶ items up front, so a corrupt count fails as a short read instead
-    /// of an allocation the size of the count.
-    pub fn decode(buf: &[u8]) -> Option<BrokerLogMeta> {
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] on truncated or malformed input, and on bytes past
+    /// the last transaction list.
+    pub fn decode(buf: &[u8]) -> Result<BrokerLogMeta, CodecError> {
         let mut cur = Cursor::new(buf);
-        let count = |cur: &mut Cursor<'_>| cur.u32().map(|n| n as usize);
-        let reserve = |n: usize| n.min(1 << 16);
-        let np = count(&mut cur)?;
-        let mut partitions = Vec::with_capacity(reserve(np));
-        for _ in 0..np {
-            let topic = cur.str()?;
-            let partition = cur.u32()?;
-            let hw = Offset(cur.u64()?);
-            let start = Offset(cur.u64()?);
-            let nb = count(&mut cur)?;
-            let mut bases = Vec::with_capacity(reserve(nb));
-            for _ in 0..nb {
-                bases.push(cur.u64()?);
-            }
-            partitions.push((TopicPartition::new(topic, partition), hw, start, bases));
-        }
-        let ng = count(&mut cur)?;
-        let mut group_offsets = Vec::with_capacity(reserve(ng));
-        for _ in 0..ng {
-            let group = cur.str()?;
-            let topic = cur.str()?;
-            let partition = cur.u32()?;
-            let off = Offset(cur.u64()?);
-            group_offsets.push((group, TopicPartition::new(topic, partition), off));
-        }
+        let tp = |cur: &mut Cursor<'_>| -> Result<TopicPartition, CodecError> {
+            Ok(TopicPartition::new(cur.str()?.to_owned(), cur.u32()?))
+        };
+        let partitions = cur.list(|cur| {
+            let (tp, hw, start) = (tp(cur)?, Offset(cur.u64()?), Offset(cur.u64()?));
+            Ok((tp, hw, start, cur.list(Cursor::u64)?))
+        })?;
+        let group_offsets =
+            cur.list(|cur| Ok((cur.str()?.to_owned(), tp(cur)?, Offset(cur.u64()?))))?;
         let reclaimed_bytes = cur.u64()?;
-        let nt = count(&mut cur)?;
-        let mut txns = Vec::with_capacity(reserve(nt));
-        for _ in 0..nt {
-            let topic = cur.str()?;
-            let partition = cur.u32()?;
-            let no = count(&mut cur)?;
-            let mut ongoing = Vec::with_capacity(reserve(no));
-            for _ in 0..no {
-                let producer = cur.u32()?;
-                let txn = cur.u64()?;
-                let first = cur.u64()?;
-                let end = cur.u64()?;
-                let epoch = cur.u32()?;
-                ongoing.push((producer, txn, first, end, epoch));
-            }
-            let na = count(&mut cur)?;
-            let mut aborted = Vec::with_capacity(reserve(na));
-            for _ in 0..na {
-                let s = cur.u64()?;
-                let e = cur.u64()?;
-                aborted.push((s, e));
-            }
-            txns.push((TopicPartition::new(topic, partition), ongoing, aborted));
-        }
-        if cur.position() != buf.len() {
-            return None;
-        }
-        Some(BrokerLogMeta {
+        let txns = cur.list(|cur| {
+            let tp = tp(cur)?;
+            let ongoing =
+                cur.list(|cur| Ok((cur.u32()?, cur.u64()?, cur.u64()?, cur.u64()?, cur.u32()?)))?;
+            Ok((tp, ongoing, cur.list(|cur| Ok((cur.u64()?, cur.u64()?)))?))
+        })?;
+        cur.finish()?;
+        Ok(BrokerLogMeta {
             partitions,
             group_offsets,
             reclaimed_bytes,
@@ -1473,15 +1435,16 @@ mod tests {
         let gap = views[1].as_ptr() as usize - views[0].as_ptr() as usize;
         assert!((views[0].len()..blob.len()).contains(&gap));
         for cut in 0..blob.len() {
-            assert!(LogSegment::decode(&blob[..cut]).is_none(), "cut {cut}");
+            assert!(LogSegment::decode(&blob[..cut]).is_err(), "cut {cut}");
         }
         // Garbage is rejected, not mis-decoded.
-        assert!(LogSegment::decode(&[1, 2, 3]).is_none());
+        assert!(LogSegment::decode(&[1, 2, 3]).is_err());
         // So is any version but the current one, the retired v2 included.
         let mut other_version = seg.encode();
         for v in [0, 2, SEGMENT_CODEC_VERSION + 1] {
             other_version[0] = v;
-            assert!(LogSegment::decode(&other_version).is_none(), "version {v}");
+            let got = LogSegment::decode(&other_version).map(|s| s.len());
+            assert_eq!(got, Err(CodecError::BadTag(v)), "version {v}");
         }
     }
 
@@ -1495,7 +1458,33 @@ mod tests {
         let back = LogSegment::decode(&blob).expect("a valid segment");
         assert_eq!(back.encode(), blob);
         blob.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-        assert!(LogSegment::decode(&blob).is_none());
+        let got = LogSegment::decode(&blob).map(|s| s.len());
+        assert_eq!(got, Err(CodecError::Trailing));
+    }
+
+    #[test]
+    fn segments_the_encoder_never_writes_are_rejected() {
+        let mut log = PartitionLog::new();
+        log.append_batch(LeaderEpoch(1), [keyed("k", "v", 3), rec("plain")]);
+        let blob = log.segments()[0].encode();
+        // The header is 29 B; then the first entry's epoch, offset delta,
+        // timestamp delta and key flag.
+        assert_eq!(blob[29..33], [1, 0, 0, 1]);
+        let mut flag_2 = blob.clone();
+        flag_2[32] = 2;
+        let got = LogSegment::decode(&flag_2).map(|s| s.len());
+        assert_eq!(got, Err(CodecError::BadTag(2)), "key flag 2");
+        // Epoch 1 written in two bytes, `81 00`.
+        let long_epoch = [&blob[..29], &[0x81, 0x00], &blob[30..]].concat();
+        let got = LogSegment::decode(&long_epoch).map(|s| s.len());
+        assert_eq!(got, Err(CodecError::BadVarint), "epoch varint 81 00");
+        // The second record's offset written at the first's.
+        let mut repeated = blob;
+        let second = 33 + 4 + 1 + 4 + 1 + 3;
+        assert_eq!(repeated[second..second + 2], [1, 1], "epoch 1, delta 1");
+        repeated[second + 1] = 0;
+        let got = LogSegment::decode(&repeated).map(|s| s.len());
+        assert_eq!(got, Err(CodecError::NonCanonical), "a repeated offset");
     }
 
     #[test]
@@ -1520,17 +1509,17 @@ mod tests {
         };
         let back = BrokerLogMeta::decode(&meta.encode()).expect("round trip");
         assert_eq!(back, meta);
-        assert!(BrokerLogMeta::decode(&[0xff]).is_none());
+        assert!(BrokerLogMeta::decode(&[0xff]).is_err());
         let mut trailing = meta.encode();
         trailing.push(0);
-        assert!(BrokerLogMeta::decode(&trailing).is_none());
+        assert_eq!(BrokerLogMeta::decode(&trailing), Err(CodecError::Trailing));
     }
 
     #[test]
     fn meta_decode_rejects_truncations_and_saturated_counts() {
         // Four bytes claiming 2^32 - 1 partitions once aborted the process
         // on a 256 GiB allocation.
-        assert!(BrokerLogMeta::decode(&[0xff; 4]).is_none());
+        assert!(BrokerLogMeta::decode(&[0xff; 4]).is_err());
         let tp = TopicPartition::new("t", 0);
         let meta = BrokerLogMeta {
             partitions: vec![(tp.clone(), Offset(7), Offset(3), vec![128])],
@@ -1540,7 +1529,7 @@ mod tests {
         };
         let blob = meta.encode();
         for cut in 0..blob.len() {
-            assert!(BrokerLogMeta::decode(&blob[..cut]).is_none(), "cut {cut}");
+            assert!(BrokerLogMeta::decode(&blob[..cut]).is_err(), "cut {cut}");
         }
         // Where each count sits: partitions, bases, groups, partitions with
         // transactions, open transactions, aborted ranges ("t" and "g" are
@@ -1551,7 +1540,7 @@ mod tests {
             assert_eq!(u32::from_le_bytes(field), 1, "a count of one at {at}");
             let mut saturated = blob.clone();
             saturated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(BrokerLogMeta::decode(&saturated).is_none(), "count at {at}");
+            assert!(BrokerLogMeta::decode(&saturated).is_err(), "count at {at}");
         }
     }
 

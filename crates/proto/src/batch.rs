@@ -18,7 +18,7 @@
 
 use s2g_sim::SimTime;
 
-use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, Cursor};
+use crate::codec::{put_bytes, put_svarint, put_u64, put_u8, put_uvarint, CodecError, Cursor};
 use crate::record::{
     BatchBuilder, Columns, Compression, Offset, ProducerId, RecordBatch, RecordRef,
 };
@@ -61,34 +61,38 @@ pub fn put_frame_record(
 }
 
 /// Reads one record written by [`put_frame_record`] into `into`, returning
-/// its absolute offset. `None` on truncated or malformed input. The key and
-/// value are copied once, into the batch's frame.
+/// its absolute offset. The key and value are copied once, into the
+/// batch's frame.
+///
+/// # Errors
+///
+/// Those of the [`Cursor`], and [`CodecError::NonCanonical`] for an
+/// offset or timestamp past its type or a producer field past `u32`.
 pub fn read_frame_record(
     cur: &mut Cursor<'_>,
     base_offset: Offset,
     base_ts: SimTime,
     into: &mut BatchBuilder,
-) -> Option<Offset> {
-    let offset = Offset(base_offset.value().checked_add(cur.uvarint()?)?);
-    let ts = (base_ts.as_nanos() as i64).checked_add(cur.svarint()?)?;
-    let timestamp = SimTime::from_nanos(u64::try_from(ts).ok()?);
-    let key = match cur.u8()? {
-        0 => None,
-        _ => Some(cur.bytes()?),
-    };
+) -> Result<Offset, CodecError> {
+    let past = |_| CodecError::NonCanonical;
+    let offset = base_offset.value().checked_add(cur.uvarint()?);
+    let offset = offset.ok_or(CodecError::NonCanonical)?;
+    let ts = (base_ts.as_nanos() as i64).checked_add(cur.svarint()?);
+    let ts = u64::try_from(ts.ok_or(CodecError::NonCanonical)?).map_err(past)?;
+    let key = cur.flag()?.then(|| cur.bytes()).transpose()?;
     let value = cur.bytes()?;
-    let producer = ProducerId(u32::try_from(cur.uvarint()?).ok()?);
-    let producer_epoch = u32::try_from(cur.uvarint()?).ok()?;
+    let producer = u32::try_from(cur.uvarint()?).map_err(past)?;
+    let producer_epoch = u32::try_from(cur.uvarint()?).map_err(past)?;
     let producer_seq = cur.uvarint()?;
     into.push(
         key,
         value,
-        timestamp,
-        producer,
+        SimTime::from_nanos(ts),
+        ProducerId(producer),
         producer_epoch,
         producer_seq,
     );
-    Some(offset)
+    Ok(Offset(offset))
 }
 
 impl RecordBatch {
@@ -122,31 +126,44 @@ impl RecordBatch {
     }
 
     /// Decodes a frame written by [`encode_frame`](Self::encode_frame),
-    /// returning the batch and its base offset. `None` on truncated,
-    /// malformed, or wrong-version input, and on bytes past the last
-    /// record. The records' bytes are copied once, into the batch's frame.
-    pub fn decode_frame(buf: &[u8]) -> Option<(RecordBatch, Offset)> {
+    /// returning the batch and its base offset. The records' bytes are
+    /// copied once, into the batch's frame.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`read_frame_record`], and a [`CodecError`] on truncated
+    /// or wrong-version input, on bytes past the last record, and on any
+    /// frame the encoder would not write: a record off the consecutive
+    /// offsets from the base, or a timestamp base other than the first
+    /// record's (0 for no record).
+    pub fn decode_frame(buf: &[u8]) -> Result<(RecordBatch, Offset), CodecError> {
         let mut cur = Cursor::new(buf);
-        if cur.u8()? != BATCH_FRAME_VERSION {
-            return None;
+        match cur.u8()? {
+            BATCH_FRAME_VERSION => {}
+            v => return Err(CodecError::BadTag(v)),
         }
-        let compression = match cur.u8()? {
-            0 => Compression::None,
-            1 => Compression::Lz4,
-            _ => return None,
+        let compression = if cur.flag()? {
+            Compression::Lz4
+        } else {
+            Compression::None
         };
         let base_offset = Offset(cur.uvarint()?);
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.uvarint()?;
         let fits = usize::try_from(count).map_or(0, |n| n.min(buf.len() / MIN_FRAME_RECORD));
         let mut records = BatchBuilder::with_capacity(fits, buf.len(), Columns::default());
-        for _ in 0..count {
-            read_frame_record(&mut cur, base_offset, base_ts, &mut records)?;
+        for i in 0..count {
+            let offset = read_frame_record(&mut cur, base_offset, base_ts, &mut records)?;
+            if Some(offset.value()) != base_offset.value().checked_add(i) {
+                return Err(CodecError::NonCanonical);
+            }
         }
-        if cur.position() != buf.len() {
-            return None;
+        cur.finish()?;
+        let batch = records.finish().with_compression(compression);
+        if batch.first().map_or(SimTime::ZERO, |r| r.timestamp()) != base_ts {
+            return Err(CodecError::NonCanonical);
         }
-        Some((records.finish().with_compression(compression), base_offset))
+        Ok((batch, base_offset))
     }
 }
 
@@ -209,13 +226,47 @@ mod tests {
     fn truncated_and_malformed_frames_are_rejected() {
         let batch = RecordBatch::from_records((0..3).map(rec).collect());
         let buf = batch.encode_frame(Offset::ZERO);
-        assert!(RecordBatch::decode_frame(&buf[..buf.len() - 2]).is_none());
+        assert!(RecordBatch::decode_frame(&buf[..buf.len() - 2]).is_err());
         let mut wrong_version = buf.clone();
         wrong_version[0] = 99;
-        assert!(RecordBatch::decode_frame(&wrong_version).is_none());
+        let got = RecordBatch::decode_frame(&wrong_version);
+        assert_eq!(got, Err(CodecError::BadTag(99)));
         let mut wrong_codec = buf;
         wrong_codec[1] = 9;
-        assert!(RecordBatch::decode_frame(&wrong_codec).is_none());
+        let got = RecordBatch::decode_frame(&wrong_codec);
+        assert_eq!(got, Err(CodecError::BadTag(9)));
+    }
+
+    #[test]
+    fn frames_the_encoder_never_writes_are_rejected() {
+        let batch = RecordBatch::from_records((0..2).map(rec).collect());
+        let buf = batch.encode_frame(Offset(0));
+        // Version, codec, base offset 0, the 8 B timestamp base and the
+        // count: the first record follows at 12.
+        let first = 12;
+        let edits: [(usize, u8, CodecError); 3] = [
+            // The first record's key flag.
+            (first + 2, 2, CodecError::BadTag(2)),
+            // Its offset delta: 1, where the first record is at the base.
+            (first, 1, CodecError::NonCanonical),
+            // Its timestamp delta: +1 ns, off the timestamp base.
+            (first + 1, 2, CodecError::NonCanonical),
+        ];
+        for (at, byte, err) in edits {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            assert_eq!(
+                RecordBatch::decode_frame(&bad),
+                Err(err),
+                "byte {at} = {byte}"
+            );
+        }
+        // A non-minimal count.
+        let mut long_count = buf[..first - 1].to_vec();
+        long_count.extend_from_slice(&[0x82, 0x00]);
+        long_count.extend_from_slice(&buf[first..]);
+        let got = RecordBatch::decode_frame(&long_count);
+        assert_eq!(got, Err(CodecError::BadVarint));
     }
 
     #[test]
@@ -241,11 +292,12 @@ mod tests {
         // A valid frame followed by junk once decoded as the frame alone.
         let batch = RecordBatch::from_records(vec![rec(0)]);
         let mut buf = batch.encode_frame(Offset(5));
-        assert_eq!(RecordBatch::decode_frame(&buf), Some((batch, Offset(5))));
+        assert_eq!(RecordBatch::decode_frame(&buf), Ok((batch, Offset(5))));
         buf.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-        assert_eq!(RecordBatch::decode_frame(&buf), None);
+        let trailing = Err(CodecError::Trailing);
+        assert_eq!(RecordBatch::decode_frame(&buf), trailing);
         let mut empty = RecordBatch::new().encode_frame(Offset::ZERO);
         empty.push(0);
-        assert_eq!(RecordBatch::decode_frame(&empty), None);
+        assert_eq!(RecordBatch::decode_frame(&empty), trailing);
     }
 }

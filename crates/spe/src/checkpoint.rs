@@ -61,13 +61,13 @@
 
 use std::collections::BTreeMap;
 
-use s2g_proto::codec::{put_u64, Cursor};
+use s2g_proto::codec::{put_str, put_u64, CodecError, Cursor};
 use s2g_proto::{Offset, TopicPartition};
 use s2g_sim::{Ctx, ProcessId, SimDuration, SimTime};
 use s2g_store::{BlobClient, BlobDone, BlobMap, StoreRpc};
 use s2g_telemetry::{CounterHandle, Histogram, HistogramHandle, Telemetry};
 
-use crate::event::{wire, CodecError, Event, Value};
+use crate::event::{wire, Event, Value};
 
 /// The tag of the checkpoint blob client's retry timer, clear of the
 /// worker's own tags and of its embedded clients' ranges.
@@ -210,7 +210,7 @@ fn encode_capture(
     let mut bytes = Vec::with_capacity(64);
     let out = &mut bytes;
     wire::map(out, 7 + usize::from(seq.is_some()));
-    wire::key(out, "buffer");
+    put_str(out, "buffer");
     wire::list(out, buffer.len());
     for e in buffer {
         wire::list(out, 5);
@@ -223,7 +223,7 @@ fn encode_capture(
         wire::int(out, e.origin.as_nanos() as i64);
         wire::int(out, i64::from(e.source));
     }
-    wire::key(out, "offsets");
+    put_str(out, "offsets");
     wire::list(out, offsets.len());
     for (tp, offset) in offsets {
         wire::list(out, 3);
@@ -231,7 +231,7 @@ fn encode_capture(
         wire::int(out, i64::from(tp.partition));
         wire::int(out, offset.value() as i64);
     }
-    wire::key(out, "plan");
+    put_str(out, "plan");
     wire::list(out, plan.len());
     for state in plan {
         state.as_ref().unwrap_or(&Value::Null).encode_into(out);
@@ -245,11 +245,21 @@ fn encode_capture(
     ];
     for (k, v) in ints {
         if let Some(v) = v {
-            wire::key(out, k);
+            put_str(out, k);
             wire::int(out, v as i64);
         }
     }
     bytes
+}
+
+/// Decodes a capture's value tree, which must be a map of `fields`
+/// entries: [`encode_capture`] writes no other.
+fn capture_tree(buf: &[u8], fields: usize) -> Result<Value, CodecError> {
+    let v = Value::decode(buf)?;
+    match &v {
+        Value::Map(m) if m.len() == fields => Ok(v),
+        _ => Err(CodecError::NonCanonical),
+    }
 }
 
 /// A consistent capture of one worker, taken at a micro-batch boundary.
@@ -314,10 +324,12 @@ impl StateSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input.
+    /// Returns a [`CodecError`] on truncated or malformed input, and on a
+    /// capture with a field missing, of the wrong type, or extra (a
+    /// delta's `seq`).
     pub fn from_bytes(buf: &[u8]) -> Result<StateSnapshot, CodecError> {
-        let v = Value::decode(buf)?;
-        StateSnapshot::from_value(&v).ok_or(CodecError::Truncated)
+        let v = capture_tree(buf, 7)?;
+        StateSnapshot::from_value(&v).ok_or(CodecError::NonCanonical)
     }
 }
 
@@ -382,14 +394,15 @@ impl StateDelta {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input.
+    /// Returns a [`CodecError`] on truncated or malformed input, and on a
+    /// capture with a field missing, of the wrong type, or extra.
     pub fn from_bytes(buf: &[u8]) -> Result<StateDelta, CodecError> {
-        let v = Value::decode(buf)?;
-        StateDelta::from_value(&v).ok_or(CodecError::Truncated)
+        let v = capture_tree(buf, 8)?;
+        StateDelta::from_value(&v).ok_or(CodecError::NonCanonical)
     }
 }
 
-/// One capture handed to [`DurableBackend::persist`]: a full base snapshot
+/// One capture handed to [`DurableBackend::persist_blob`]: a full base snapshot
 /// or a delta chained onto the current base.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointPayload {
@@ -649,25 +662,23 @@ impl DurableBackend {
         out
     }
 
-    fn parse_manifest(buf: &[u8]) -> Option<(u64, u64)> {
+    /// Reads a manifest [`manifest_bytes`](Self::manifest_bytes) wrote:
+    /// the chain and its delta count.
+    fn parse_manifest(buf: &[u8]) -> Result<(u64, u64), CodecError> {
         let mut cur = Cursor::new(buf);
         let chain = cur.u64()?;
         let count = cur.u64()?;
-        Some((chain, count))
+        cur.finish()?;
+        Ok((chain, count))
     }
 
     /// Begins persisting `payload` as the next capture of `job` and returns
-    /// its encoded size. The capture is durable once the completion handler
+    /// its encoded size. `blob_bytes` is `payload.to_bytes()`, taken when
+    /// the capture was. The capture is durable once the completion handler
     /// reports [`StoreRpcOutcome::PersistCompleted`]: to the coordinator as
     /// soon as it asks on the shared map, from a later
     /// [`on_store_rpc`](Self::on_store_rpc) on a store.
-    pub fn persist(&mut self, ctx: &mut Ctx<'_>, job: &str, payload: &CheckpointPayload) -> u64 {
-        self.persist_blob(ctx, job, payload, payload.to_bytes())
-    }
-
-    /// [`persist`](Self::persist) with the capture already encoded: `blob`
-    /// is `payload.to_bytes()`, taken when the capture was.
-    fn persist_blob(
+    pub fn persist_blob(
         &mut self,
         ctx: &mut Ctx<'_>,
         job: &str,
@@ -752,7 +763,8 @@ impl DurableBackend {
             let blob = value.as_deref();
             match label {
                 CkptBlob::Manifest => {
-                    let Some((chain, count)) = blob.and_then(Self::parse_manifest) else {
+                    let Some((chain, count)) = blob.and_then(|b| Self::parse_manifest(b).ok())
+                    else {
                         // Cold start: nothing persisted yet.
                         return self.finish_recovery();
                     };
@@ -1468,6 +1480,32 @@ mod tests {
                 assert!(StateDelta::from_bytes(&bytes).is_err(), "{missing}");
             }
         }
+        // A field the capture does not have: a delta read as a snapshot,
+        // or a snapshot with an extra field read as a delta.
+        let delta = sample_delta(1).to_bytes();
+        let got = StateSnapshot::from_bytes(&delta);
+        assert_eq!(got, Err(CodecError::NonCanonical));
+        let mut extra = Value::decode(&sample_snapshot().to_bytes()).expect("a capture");
+        let Value::Map(fields) = &mut extra else {
+            panic!("captures encode as maps");
+        };
+        fields.insert("extra".into(), Value::Null);
+        let got = StateDelta::from_bytes(&extra.encode());
+        assert_eq!(got, Err(CodecError::NonCanonical));
+    }
+
+    #[test]
+    fn a_manifest_reads_only_as_written() {
+        let manifest = DurableBackend::manifest_bytes(3, 2);
+        assert_eq!(DurableBackend::parse_manifest(&manifest), Ok((3, 2)));
+        // One trailing byte.
+        let trailing = [manifest.as_slice(), &[0]].concat();
+        let got = DurableBackend::parse_manifest(&trailing);
+        assert_eq!(got, Err(CodecError::Trailing));
+        for cut in 0..manifest.len() {
+            let got = DurableBackend::parse_manifest(&manifest[..cut]);
+            assert_eq!(got, Err(CodecError::Truncated), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1649,7 +1687,8 @@ mod tests {
                     StoreRpcOutcome::PersistCompleted => {}
                 }
                 if let Some(payload) = self.todo.pop_front() {
-                    self.backend.persist(ctx, "job", &payload);
+                    self.backend
+                        .persist_blob(ctx, "job", &payload, payload.to_bytes());
                 } else {
                     self.backend = self.fresh.take().expect("one recovery");
                     self.backend.recover(ctx, "job");

@@ -13,6 +13,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use s2g_proto::codec::{
+    put_str, put_svarint, put_u64, put_u8, put_uvarint, put_vbytes, utf8, CodecError, Cursor,
+};
 use s2g_sim::SimTime;
 
 /// A dynamically typed value, the unit of data in stream jobs.
@@ -34,48 +37,36 @@ pub enum Value {
     Map(BTreeMap<String, Value>),
 }
 
-/// A `u32` codec length prefix; panics loudly if the payload could not be
-/// round-tripped instead of silently truncating it.
-fn len_u32(n: usize) -> u32 {
-    u32::try_from(n).expect("length exceeds u32 codec prefix")
-}
-
 /// Writers of the compact format's parts: [`Value::encode_into`] is made
 /// of them, and an encoder that writes a tree's bytes without building the
 /// tree (a checkpoint capture) uses them the same way.
 pub(crate) mod wire {
-    use super::len_u32;
+    use s2g_proto::codec::{put_count, put_str, put_u64, put_u8};
 
     /// A [`Value::Int`](super::Value::Int).
     pub(crate) fn int(out: &mut Vec<u8>, i: i64) {
-        out.push(2);
-        out.extend_from_slice(&i.to_le_bytes());
+        put_u8(out, 2);
+        put_u64(out, i as u64);
     }
 
     /// A [`Value::Str`](super::Value::Str).
     pub(crate) fn str(out: &mut Vec<u8>, s: &str) {
-        out.push(4);
-        key(out, s);
+        put_u8(out, 4);
+        put_str(out, s);
     }
 
     /// The head of a [`Value::List`](super::Value::List) of `len` values,
     /// which follow.
     pub(crate) fn list(out: &mut Vec<u8>, len: usize) {
-        out.push(5);
-        out.extend_from_slice(&len_u32(len).to_le_bytes());
+        put_u8(out, 5);
+        put_count(out, len);
     }
 
     /// The head of a [`Value::Map`](super::Value::Map) of `len` entries,
-    /// which follow as a [`key`] and a value each, in key order.
+    /// which follow as a key ([`put_str`]) and a value each, in key order.
     pub(crate) fn map(out: &mut Vec<u8>, len: usize) {
-        out.push(6);
-        out.extend_from_slice(&len_u32(len).to_le_bytes());
-    }
-
-    /// A map entry's key.
-    pub(crate) fn key(out: &mut Vec<u8>, k: &str) {
-        out.extend_from_slice(&len_u32(k.len()).to_le_bytes());
-        out.extend_from_slice(k.as_bytes());
+        put_u8(out, 6);
+        put_count(out, len);
     }
 }
 
@@ -127,31 +118,34 @@ impl Value {
     }
 
     /// Decodes a value previously produced by [`encode`](Value::encode).
+    /// A `Bool` byte is 0 or 1, and a map's keys are strictly ascending,
+    /// as the encoder writes them, so an accepted value re-encodes to its
+    /// input.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or malformed input, on lists
-    /// and maps nested more than 128 deep, and on bytes past the end of the
-    /// value.
+    /// Returns a [`CodecError`] on truncated or malformed input, on a
+    /// `Bool` byte other than 0 or 1, on map keys out of order or repeated,
+    /// on lists and maps nested more than 128 deep, and on bytes past the
+    /// end of the value.
     pub fn decode(buf: &[u8]) -> Result<Value, CodecError> {
-        let mut pos = 0;
-        let value = Value::decode_from(buf, &mut pos, 0)?;
-        (pos == buf.len())
-            .then_some(value)
-            .ok_or(CodecError::Trailing)
+        let mut cur = Cursor::new(buf);
+        let value = Value::walk(&mut cur, 0, true)?;
+        cur.finish()?;
+        Ok(value)
     }
 
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push(0),
+            Value::Null => put_u8(out, 0),
             Value::Bool(b) => {
-                out.push(1);
-                out.push(u8::from(*b));
+                put_u8(out, 1);
+                put_u8(out, u8::from(*b));
             }
             Value::Int(i) => wire::int(out, *i),
             Value::Float(f) => {
-                out.push(3);
-                out.extend_from_slice(&f.to_le_bytes());
+                put_u8(out, 3);
+                put_u64(out, f.to_bits());
             }
             Value::Str(s) => wire::str(out, s),
             Value::List(l) => {
@@ -163,93 +157,61 @@ impl Value {
             Value::Map(m) => {
                 wire::map(out, m.len());
                 for (k, v) in m {
-                    wire::key(out, k);
+                    put_str(out, k);
                     v.encode_into(out);
                 }
             }
         }
     }
 
-    /// Walks one encoded value without building it: the same bytes, tags,
-    /// and UTF-8 checks as [`decode_from`](Value::decode_from), but zero
-    /// allocation. Succeeds exactly when `decode_from` would.
-    fn validate_from(buf: &[u8], pos: &mut usize, depth: usize) -> Result<(), CodecError> {
-        let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        match tag {
-            0 => Ok(()),
-            1 => {
-                buf.get(*pos).ok_or(CodecError::Truncated)?;
-                *pos += 1;
-                Ok(())
-            }
-            2 | 3 => {
-                read_n::<8>(buf, pos)?;
-                Ok(())
-            }
-            4 => read_text(buf, pos).map(|_| ()),
-            5 => {
-                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
-                for _ in 0..n {
-                    Value::validate_from(buf, pos, depth)?;
-                }
-                Ok(())
-            }
-            6 => {
-                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
-                for _ in 0..n {
-                    read_text(buf, pos)?;
-                    Value::validate_from(buf, pos, depth)?;
-                }
-                Ok(())
-            }
-            t => Err(CodecError::BadTag(t)),
-        }
-    }
-
-    /// Decodes one value that sits inside `depth` lists and maps.
-    fn decode_from(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, CodecError> {
-        let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        match tag {
-            0 => Ok(Value::Null),
-            1 => {
-                let b = *buf.get(*pos).ok_or(CodecError::Truncated)?;
-                *pos += 1;
-                Ok(Value::Bool(b != 0))
-            }
-            2 => {
-                let bytes = read_n::<8>(buf, pos)?;
-                Ok(Value::Int(i64::from_le_bytes(bytes)))
-            }
-            3 => {
-                let bytes = read_n::<8>(buf, pos)?;
-                Ok(Value::Float(f64::from_le_bytes(bytes)))
-            }
+    /// Reads one value that sits inside `depth` lists and maps. It builds
+    /// the value when `build`; otherwise it only checks it, the same bytes
+    /// and the same rules, and allocates nothing (a string, list or map is
+    /// returned empty).
+    fn walk(cur: &mut Cursor<'_>, depth: usize, build: bool) -> Result<Value, CodecError> {
+        Ok(match cur.u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(cur.flag()?),
+            2 => Value::Int(cur.u64()? as i64),
+            3 => Value::Float(f64::from_bits(cur.u64()?)),
             4 => {
-                let s = read_str(buf, pos)?;
-                Ok(Value::Str(s))
+                let s = cur.str()?;
+                Value::Str(if build { s.to_owned() } else { String::new() })
             }
             5 => {
-                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
-                let mut l = Vec::with_capacity(n.min(1 << 16));
+                let (n, depth) = (cur.u32()?, nested(depth)?);
+                let mut l = Vec::with_capacity(if build { n.min(1 << 16) as usize } else { 0 });
                 for _ in 0..n {
-                    l.push(Value::decode_from(buf, pos, depth)?);
+                    let v = Value::walk(cur, depth, build)?;
+                    if build {
+                        l.push(v);
+                    } else {
+                        owns_nothing(v);
+                    }
                 }
-                Ok(Value::List(l))
+                Value::List(l)
             }
             6 => {
-                let (n, depth) = (read_len(buf, pos)?, nested(depth)?);
+                let (n, depth) = (cur.u32()?, nested(depth)?);
                 let mut m = BTreeMap::new();
+                let mut last: Option<&str> = None;
                 for _ in 0..n {
-                    let k = read_str(buf, pos)?;
-                    let v = Value::decode_from(buf, pos, depth)?;
-                    m.insert(k, v);
+                    let k = cur.str()?;
+                    if last.is_some_and(|last| last >= k) {
+                        return Err(CodecError::NonCanonical);
+                    }
+                    last = Some(k);
+                    let v = Value::walk(cur, depth, build)?;
+                    if build {
+                        m.insert(k.to_owned(), v);
+                    } else {
+                        owns_nothing(v);
+                    }
                 }
-                Ok(Value::Map(m))
+                Value::Map(m)
             }
-            t => Err(CodecError::BadTag(t)),
-        }
+            t => return Err(CodecError::BadTag(t)),
+        })
     }
 
     /// Makes this value the string `text`, reusing the buffer of the string
@@ -323,41 +285,6 @@ impl From<bool> for Value {
     }
 }
 
-/// A decoding failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// Ran out of bytes mid-value.
-    Truncated,
-    /// Unknown type tag.
-    BadTag(u8),
-    /// Bytes left over after a complete encoding.
-    Trailing,
-    /// Lists and maps nested more than 128 deep.
-    TooDeep,
-    /// An event header's varint longer than 10 bytes, past `u64`, or not
-    /// minimal.
-    BadVarint,
-    /// An event encoded otherwise than the encoder writes it: a reserved
-    /// flag bit set, a source byte of 0, an origin delta of 0, or a
-    /// top-level string written with its tag and length.
-    NonCanonical,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "unexpected end of encoded event"),
-            CodecError::BadTag(t) => write!(f, "unknown value tag {t}"),
-            CodecError::Trailing => write!(f, "bytes past the end of the encoded event"),
-            CodecError::TooDeep => write!(f, "values nested more than {MAX_DEPTH} deep"),
-            CodecError::BadVarint => write!(f, "malformed varint in the event header"),
-            CodecError::NonCanonical => write!(f, "event header not in its one encoding"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
 /// The deepest nesting of lists and maps a decoder accepts. What the
 /// engine itself encodes nests a few levels deep (a checkpoint capture
 /// holding an operator's buffered events is the deepest); the bound stops
@@ -371,35 +298,11 @@ fn nested(depth: usize) -> Result<usize, CodecError> {
         .ok_or(CodecError::TooDeep)
 }
 
-fn read_n<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], CodecError> {
-    let end = *pos + N;
-    let slice = buf.get(*pos..end).ok_or(CodecError::Truncated)?;
-    *pos = end;
-    Ok(slice.try_into().expect("length checked"))
-}
-
-fn read_len(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    let b = read_n::<4>(buf, pos)?;
-    Ok(u32::from_le_bytes(b) as usize)
-}
-
-/// Reads one length-prefixed UTF-8 string, borrowed from `buf`.
-fn read_text<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
-    let n = read_len(buf, pos)?;
-    read_utf8(buf, pos, n)
-}
-
-/// Reads `n` bytes of UTF-8, borrowed from `buf`.
-fn read_utf8<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a str, CodecError> {
-    let slice = (buf.get(*pos..).and_then(|rest| rest.get(..n))).ok_or(CodecError::Truncated)?;
-    *pos += n;
-    std::str::from_utf8(slice).map_err(|_| CodecError::Truncated)
-}
-
-/// Reads an event's key: a varint length, then that many bytes of UTF-8.
-fn read_key<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
-    let n = usize::try_from(read_varint(buf, pos)?).map_err(|_| CodecError::Truncated)?;
-    read_utf8(buf, pos, n)
+/// Drops a value that a walk which only checks returned without running
+/// its drop: such a value is empty, so it owns no memory and nothing
+/// leaks, and the check saves a call per value.
+fn owns_nothing(v: Value) {
+    let _ = std::mem::ManuallyDrop::new(v);
 }
 
 /// The event header's flag bits.
@@ -425,47 +328,45 @@ struct Header<'a> {
     ts: u64,
     origin: u64,
     source: u8,
-    /// The value is a string: the rest of the record.
+    /// The value is a string: the rest of the record, with no tag and no
+    /// length.
     str_tail: bool,
-    /// Where the value starts.
-    value_at: usize,
 }
 
 impl<'a> Header<'a> {
-    /// Reads the header of `buf`, and rejects a top-level value that is a
-    /// tagged string, which the encoder always writes as a string tail.
-    fn read(buf: &'a [u8]) -> Result<Self, CodecError> {
-        let magic = *buf.first().ok_or(CodecError::Truncated)?;
-        if magic != 0xE7 {
-            return Err(CodecError::BadTag(magic));
+    /// Reads the header at the start of `cur`, leaving `cur` at the value,
+    /// and rejects a top-level value that is a tagged string, which the
+    /// encoder always writes as a string tail.
+    fn read(cur: &mut Cursor<'a>) -> Result<Self, CodecError> {
+        match cur.u8()? {
+            0xE7 => {}
+            magic => return Err(CodecError::BadTag(magic)),
         }
-        let flags = *buf.get(1).ok_or(CodecError::Truncated)?;
+        let flags = cur.u8()?;
         if flags & flag::RESERVED != 0 {
             return Err(CodecError::NonCanonical);
         }
-        let mut pos = 2;
-        let mut source = 0;
-        if flags & flag::SOURCE != 0 {
-            source = *buf.get(pos).ok_or(CodecError::Truncated)?;
-            pos += 1;
-            if source == 0 {
-                return Err(CodecError::NonCanonical);
-            }
-        }
+        let source = match flags & flag::SOURCE {
+            0 => 0,
+            _ => match cur.u8()? {
+                0 => return Err(CodecError::NonCanonical),
+                source => source,
+            },
+        };
         let key = match flags & flag::KEYED {
             0 => None,
-            _ => Some(read_key(buf, &mut pos)?),
+            _ => Some(utf8(cur.vbytes()?)?),
         };
-        let ts = read_varint(buf, &mut pos)?;
-        let mut origin = ts;
-        if flags & flag::SAME_ORIGIN == 0 {
-            match read_varint(buf, &mut pos)? {
+        let ts = cur.uvarint()?;
+        let origin = match flags & flag::SAME_ORIGIN {
+            0 => match cur.svarint()? {
                 0 => return Err(CodecError::NonCanonical),
-                delta => origin = ts.wrapping_sub(unzigzag(delta)),
-            }
-        }
+                delta => ts.wrapping_sub(delta as u64),
+            },
+            _ => ts,
+        };
         let str_tail = flags & flag::STR_TAIL != 0;
-        if !str_tail && buf.get(pos) == Some(&4) {
+        if !str_tail && cur.rest().first() == Some(&4) {
             return Err(CodecError::NonCanonical);
         }
         Ok(Header {
@@ -474,64 +375,8 @@ impl<'a> Header<'a> {
             origin,
             source,
             str_tail,
-            value_at: pos,
         })
     }
-
-    /// The string tail of `buf`, which must be UTF-8.
-    fn text(&self, buf: &'a [u8]) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(&buf[self.value_at..]).map_err(|_| CodecError::Truncated)
-    }
-}
-
-/// Appends `v` as a minimal LEB128 varint: seven bits a byte, low group
-/// first, the top bit set on every byte but the last.
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v.to_le_bytes()[0] | 0x80);
-        v >>= 7;
-    }
-    out.push(v.to_le_bytes()[0]);
-}
-
-/// Reads a varint [`write_varint`] wrote. Anything it could not have
-/// written is a [`CodecError::BadVarint`]: more than 10 bytes, bits past
-/// `u64`, or a last byte of zero after the first (a non-minimal encoding),
-/// so every accepted event re-encodes to its input.
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut v = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        let group = u64::from(byte & 0x7f);
-        if shift == 63 && group > 1 {
-            return Err(CodecError::BadVarint);
-        }
-        v |= group << shift;
-        if byte & 0x80 == 0 {
-            return if byte == 0 && shift > 0 {
-                Err(CodecError::BadVarint)
-            } else {
-                Ok(v)
-            };
-        }
-    }
-    Err(CodecError::BadVarint)
-}
-
-/// `d` read as a signed number, mapped so that small magnitudes of either
-/// sign are small: 0, −1, 1, −2, … become 0, 1, 2, 3, …
-fn zigzag(d: u64) -> u64 {
-    (d << 1) ^ (d >> 63).wrapping_neg()
-}
-
-/// The inverse of [`zigzag`].
-fn unzigzag(z: u64) -> u64 {
-    (z >> 1) ^ (z & 1).wrapping_neg()
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
-    read_text(buf, pos).map(str::to_owned)
 }
 
 /// One event flowing through a stream job.
@@ -587,11 +432,13 @@ impl Event {
     /// | 0 or 1–10 | unless bit 2, `ts − origin` (wrapping, nonzero), a zigzag varint |
     /// | rest | if bit 1, a string value's UTF-8 bytes, to the end of the record; else the value, in [`Value::encode`]'s format and not a string |
     ///
-    /// A varint is LEB128: seven bits a byte, low group first, the top bit
-    /// set on every byte but the last, and minimal (no trailing zero
-    /// group). The record frame holds the record's length, so a string
-    /// value needs neither tag nor length. An event has one encoding: the
-    /// decoders reject any other as [`CodecError::NonCanonical`].
+    /// The varints are [`s2g_proto::codec`]'s, read by its one strict
+    /// cursor: LEB128, seven bits a byte, low group first, the top bit set
+    /// on every byte but the last, and minimal (no trailing zero group);
+    /// any other form is a [`CodecError::BadVarint`]. The record frame
+    /// holds the record's length, so a string value needs neither tag nor
+    /// length. An event has one encoding: the decoders reject any other,
+    /// a header as [`CodecError::NonCanonical`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         self.encode_into(&mut out);
@@ -615,12 +462,11 @@ impl Event {
             out.push(self.source);
         }
         if let Some(k) = &self.key {
-            write_varint(out, k.len() as u64);
-            out.extend_from_slice(k.as_bytes());
+            put_vbytes(out, k.as_bytes());
         }
-        write_varint(out, ts);
+        put_uvarint(out, ts);
         if ts != origin {
-            write_varint(out, zigzag(ts.wrapping_sub(origin)));
+            put_svarint(out, ts.wrapping_sub(origin) as i64);
         }
         match text {
             Some(s) => out.extend_from_slice(s.as_bytes()),
@@ -655,16 +501,14 @@ impl Event {
     /// Those of [`from_bytes`](Event::from_bytes), on the same input; the
     /// event is then unchanged.
     pub fn decode_over(&mut self, buf: &[u8]) -> Result<(), CodecError> {
-        let h = Header::read(buf)?;
+        let mut cur = Cursor::new(buf);
+        let h = Header::read(&mut cur)?;
         if h.str_tail {
             // A string over a string reuses its buffer.
-            self.value.set_str(h.text(buf)?);
+            self.value.set_str(utf8(cur.rest())?);
         } else {
-            let mut pos = h.value_at;
-            let value = Value::decode_from(buf, &mut pos, 0)?;
-            if pos != buf.len() {
-                return Err(CodecError::Trailing);
-            }
+            let value = Value::walk(&mut cur, 0, true)?;
+            cur.finish()?;
             self.value = value;
         }
         self.set_key(h.key);
@@ -685,18 +529,19 @@ impl Event {
     }
 
     /// Reads just the `origin` timestamp out of an encoded event without
-    /// allocating anything — the monitor's per-record hot path. Performs
-    /// the full validating walk [`from_bytes`](Event::from_bytes) does
-    /// (magic, key and string UTF-8, value tags), so it returns `Some`
-    /// exactly when `from_bytes` would return `Ok`.
+    /// allocating anything — the monitor's per-record hot path. It is the
+    /// walk [`from_bytes`](Event::from_bytes) does (magic, header, key and
+    /// string UTF-8, value tags and order), checking the value without
+    /// building it, so it returns `Some` exactly when `from_bytes` would
+    /// return `Ok`.
     pub fn peek_origin(buf: &[u8]) -> Option<SimTime> {
-        let h = Header::read(buf).ok()?;
+        let mut cur = Cursor::new(buf);
+        let h = Header::read(&mut cur).ok()?;
         if h.str_tail {
-            h.text(buf).ok()?;
+            utf8(cur.rest()).ok()?;
         } else {
-            let mut pos = h.value_at;
-            Value::validate_from(buf, &mut pos, 0).ok()?;
-            (pos == buf.len()).then_some(())?;
+            owns_nothing(Value::walk(&mut cur, 0, false).ok()?);
+            cur.finish().ok()?;
         }
         Some(SimTime::from_nanos(h.origin))
     }
@@ -893,7 +738,7 @@ mod tests {
         let e = Event::new(Value::Null, at(u64::MAX)).with_origin(at(0));
         let bytes = e.to_bytes();
         assert_eq!(bytes.len(), 2 + 10 + 1 + 1);
-        assert_eq!(bytes[12], zigzag(u64::MAX.wrapping_sub(0)).to_le_bytes()[0]);
+        assert_eq!(bytes[12], 1, "-1, zigzagged");
     }
 
     #[test]
@@ -1069,6 +914,39 @@ mod tests {
         // One more level is refused.
         let over = nested_lists(MAX_DEPTH + 1).encode();
         assert_eq!(Value::decode(&over), Err(CodecError::TooDeep));
+    }
+
+    #[test]
+    fn values_the_encoder_never_writes_are_rejected_by_every_decoder() {
+        // A `Bool` byte of 2, alone and as an event's value.
+        assert_eq!(Value::decode(&[1, 2]), Err(CodecError::BadTag(2)));
+        assert_eq!(
+            decode_all(&[0xE7, 0x04, 0, 1, 2]),
+            Err(CodecError::BadTag(2))
+        );
+        // A two-entry map of nulls, by its keys.
+        let map = |keys: [&str; 2]| {
+            let mut out = vec![6, 2, 0, 0, 0];
+            for k in keys {
+                put_str(&mut out, k);
+                put_u8(&mut out, 0);
+            }
+            out
+        };
+        let sorted = Value::map([("a", Value::Null), ("b", Value::Null)]);
+        assert_eq!(Value::decode(&map(["a", "b"])), Ok(sorted));
+        for keys in [["b", "a"], ["a", "a"]] {
+            assert_eq!(Value::decode(&map(keys)), Err(CodecError::NonCanonical));
+            let event = [&[0xE7, 0x04, 0][..], &map(keys)].concat();
+            assert_eq!(
+                decode_all(&event),
+                Err(CodecError::NonCanonical),
+                "{keys:?}"
+            );
+        }
+        // Keys compare as bytes, as a `BTreeMap<String, _>` orders them.
+        assert_eq!(Value::decode(&map(["Z", "a"])).map(|_| ()), Ok(()));
+        assert!(Value::decode(&map(["a", "Z"])).is_err());
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub use checkpoint::{
     CheckpointCfg, CheckpointMode, CheckpointPayload, CheckpointStats, DurableBackend, Recovered,
     RecoveryInfo, SnapshotChain, StateDelta, StateSnapshot, StoreRpcOutcome,
 };
-pub use event::{CodecError, Event, Value};
+pub use event::{Event, Value};
 pub use ops::{KeyBy, Map, Operator, StatefulMap, WindowAggregate, WindowAssigner, WindowJoin};
 pub use plan::Plan;
+pub use s2g_proto::codec::CodecError;
 pub use worker::{BatchMetric, SpeConfig, SpeSink, SpeWorker, StageInstanceCfg};

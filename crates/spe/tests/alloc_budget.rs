@@ -6,7 +6,10 @@
 //!
 //! A counting global allocator, counting per thread so the tests may run
 //! side by side, checks both keyed operators on a 500-event batch over
-//! 1 024 open keys.
+//! 1 024 open keys. It also checks that `Event::peek_origin`, which the
+//! monitor runs on every delivered record, allocates nothing on events
+//! whose values are maps and nested lists: it walks the value that
+//! `Event::from_bytes` builds, without building it.
 
 #![allow(
     unsafe_code,
@@ -108,5 +111,40 @@ fn a_stateful_map_batch_over_open_keys_allocates_nothing_per_event() {
         calls <= 1,
         "{calls} allocator calls for {BATCH} events over open, changed keys: an update \
          allocates again"
+    );
+}
+
+#[test]
+fn peeking_the_origin_of_a_map_or_a_nested_list_allocates_nothing() {
+    let at = SimTime::from_millis(7);
+    let nested = Value::List(vec![
+        Value::List(vec![Value::Str("deep".into()), Value::Float(0.5)]),
+        Value::Null,
+        Value::Bool(true),
+    ]);
+    let map = Value::map([
+        ("a", Value::Int(1)),
+        ("b", nested.clone()),
+        ("c", Value::map([("s", Value::Str("text".into()))])),
+    ]);
+    let events: Vec<Vec<u8>> = [map, nested]
+        .into_iter()
+        .map(|v| {
+            Event::new(v, at)
+                .with_key("k")
+                .with_origin(SimTime::from_millis(3))
+                .to_bytes()
+        })
+        .collect();
+    let before = CALLS.with(Cell::get);
+    for bytes in &events {
+        assert_eq!(Event::peek_origin(bytes), Some(SimTime::from_millis(3)));
+    }
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(
+        calls,
+        0,
+        "{calls} allocator calls peeking {} events",
+        events.len()
     );
 }

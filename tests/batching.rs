@@ -96,7 +96,7 @@ fn batch_frame_codec_roundtrip_sweep() {
         };
         for cut in cuts {
             assert!(
-                RecordBatch::decode_frame(&buf[..cut]).is_none(),
+                RecordBatch::decode_frame(&buf[..cut]).is_err(),
                 "case {case}: truncation at {cut}/{} must not decode",
                 buf.len()
             );

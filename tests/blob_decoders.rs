@@ -1,4 +1,5 @@
-//! The blob decoders reject every damaged blob without panicking.
+//! The blob decoders reject every damaged blob without panicking, and
+//! accept only what their encoders write.
 //!
 //! A run persists checkpoint captures and broker log segments through its
 //! store, and a restore feeds whatever the store hands back through
@@ -11,8 +12,10 @@
 //! incremental checkpoints and a durable broker, checks that each decodes
 //! and re-encodes to itself, and then damages it: cut at every byte, each
 //! bit of a seeded sample of bytes flipped, and junk appended. Every
-//! damaged blob must decode to an error or a value, never a panic, and the
-//! blob with junk appended to an error. The base and delta captures swept
+//! damaged blob must decode to an error or a value, never a panic; the
+//! blob with junk appended to an error; and a damaged blob that decodes
+//! must re-encode to itself, byte for byte (a `Bool` byte of 2 read as
+//! `true` would not). The base and delta captures swept
 //! must each hold buffered input. On every damaged event,
 //! `Event::peek_origin` must agree with `Event::from_bytes`, and so must
 //! `Event::decode_over` on targets left dirty by other events (a key and a
@@ -22,7 +25,8 @@
 //! rejects must be left unchanged. A second test rewrites every stored
 //! event into each form the encoder never writes (a reserved flag bit, a
 //! source byte of 0, an origin delta of 0, a string value with its tag and
-//! length), which every decoder must reject as `CodecError::NonCanonical`.
+//! length, and a map value whose keys are out of order or repeated), which
+//! every decoder must reject as `CodecError::NonCanonical`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -31,6 +35,7 @@ use rand::{Rng, SeedableRng};
 
 use stream2gym::apps::word_count::recovery_scenario;
 use stream2gym::broker::{BrokerLogMeta, LogSegment, PartitionLog};
+use stream2gym::proto::codec::put_str;
 use stream2gym::proto::Offset;
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, CodecError, Event, StateDelta, StateSnapshot, Value};
@@ -99,12 +104,12 @@ const DECODERS: [(&str, Decoder, Reads); 8] = [
     ),
     (
         "LogSegment::decode",
-        |b| LogSegment::decode(b).map(|s| s.encode()),
+        |b| LogSegment::decode(b).ok().map(|s| s.encode()),
         is_segment,
     ),
     (
         "BrokerLogMeta::decode",
-        |b| BrokerLogMeta::decode(b).map(|m| m.encode()),
+        |b| BrokerLogMeta::decode(b).ok().map(|m| m.encode()),
         |key| key.starts_with("brokerlog/") && key.ends_with("/meta"),
     ),
     (
@@ -147,6 +152,14 @@ fn buffered_events(key: &str, blob: &[u8]) -> Option<usize> {
     }
     None
 }
+
+/// Inputs no encoder writes, swept through every decoder beside its
+/// damaged blobs: an event whose value is a `Bool` byte of 2, and that
+/// value alone. The stored events hold no `Bool` for a flip to make one.
+const NEVER_WRITTEN: [(&str, &[u8]); 2] = [
+    ("the event e7 04 00 01 02", &[0xE7, 0x04, 0, 1, 2]),
+    ("the value 01 02", &[1, 2]),
+];
 
 /// Bytes of each blob whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 48;
@@ -191,10 +204,29 @@ fn stored_blobs() -> Vec<(String, Vec<u8>)> {
     blobs
 }
 
+/// A two-entry map whose keys are out of order, and one whose key is
+/// repeated, each entry holding the encoded value `value`.
+fn unordered_maps(value: &[u8]) -> [(&'static str, Vec<u8>); 2] {
+    [
+        ("keys out of order", ["b", "a"]),
+        ("a repeated key", ["a", "a"]),
+    ]
+    .map(|(what, keys)| {
+        let mut map = vec![6, 2, 0, 0, 0];
+        for k in keys {
+            put_str(&mut map, k);
+            map.extend_from_slice(value);
+        }
+        (what, map)
+    })
+}
+
 /// The forms of the encoded event `bytes`, which decodes to `e`, that
 /// the encoder never writes, each named: a reserved flag bit set, a source
-/// byte of 0, an origin delta of 0 (when `origin == ts`), and a string
-/// value with its tag and length (when the value is a string).
+/// byte of 0, an origin delta of 0 (when `origin == ts`), a string value
+/// with its tag and length (when the value is a string), and a map value
+/// of two entries, each the event's value, whose keys are out of order or
+/// repeated.
 fn non_canonical(bytes: &[u8], e: &Event) -> Vec<(&'static str, Vec<u8>)> {
     const STR_TAIL: u8 = 1 << 1;
     const SAME_ORIGIN: u8 = 1 << 2;
@@ -222,6 +254,11 @@ fn non_canonical(bytes: &[u8], e: &Event) -> Vec<(&'static str, Vec<u8>)> {
             "a tagged string",
             with_flags(flags & !STR_TAIL, &[head, &tagged]),
         ));
+    }
+    for (what, map) in unordered_maps(&e.value.encode()) {
+        assert_eq!(Value::decode(&map), Err(CodecError::NonCanonical), "{what}");
+        let head = &bytes[2..value_at];
+        out.push((what, with_flags(flags & !STR_TAIL, &[head, &map])));
     }
     out
 }
@@ -253,7 +290,14 @@ fn every_non_canonical_form_of_a_stored_event_is_rejected_by_every_decoder() {
             }
         }
     }
-    let forms = ["a reserved bit", "source 0", "delta 0", "a tagged string"];
+    let forms = [
+        "a reserved bit",
+        "source 0",
+        "delta 0",
+        "a tagged string",
+        "keys out of order",
+        "a repeated key",
+    ];
     for what in forms {
         assert!(
             seen.get(what).is_some_and(|n| *n > 0),
@@ -277,6 +321,7 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
     let mut rng = StdRng::seed_from_u64(31);
     let mut panics = Vec::new();
     let mut accepted = Vec::new();
+    let mut other_bytes = Vec::new();
     let mut swept = 0;
     for (name, decode, reads) in DECODERS {
         // The largest blob of the decoder's kind: the most structure to
@@ -296,10 +341,14 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
         }
         let mut check = |what: String, input: &[u8]| {
             swept += 1;
-            survives(decode, input).unwrap_or_else(|message| {
+            let got = survives(decode, input).unwrap_or_else(|message| {
                 panics.push(format!("{name} on {key} {what}: {message}"));
                 None
-            })
+            });
+            if got.as_ref().is_some_and(|again| again != input) {
+                other_bytes.push(format!("{name} on {key} {what}: {input:02x?}"));
+            }
+            got
         };
         for len in 0..blob.len() {
             check(format!("cut to {len} B"), &blob[..len]);
@@ -312,6 +361,9 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
                 check(format!("with bit {bit} of byte {at} flipped"), &damaged);
             }
         }
+        for (what, input) in NEVER_WRITTEN {
+            check(what.into(), input);
+        }
         let junk = [blob.as_slice(), b"junk"].concat();
         if check("with junk appended".into(), &junk).is_some() {
             accepted.push(format!("{name} on {key} with junk appended"));
@@ -320,4 +372,8 @@ fn every_truncated_or_bit_flipped_blob_decodes_to_an_error_or_a_value() {
     assert!(swept > 1_000, "only {swept} damaged blobs");
     assert!(panics.is_empty(), "{panics:#?}");
     assert!(accepted.is_empty(), "{accepted:#?}");
+    assert!(
+        other_bytes.is_empty(),
+        "decoded to other bytes: {other_bytes:#?}"
+    );
 }

@@ -1,72 +1,99 @@
-//! One mutation sweep over the record decoders, one table row each.
+//! One mutation sweep over the record and meta decoders, one row each.
 //!
 //! Each row builds seeded valid encodings and checks that every one decodes
-//! back to the records it was built from. Then it damages each encoding:
+//! back to what it was built from and re-encodes to itself. Then it
+//! damages each encoding:
 //!
 //! - a cut at every byte;
-//! - junk appended after the last record;
-//! - the record count raised by one, and saturated;
+//! - junk appended after the end;
+//! - the leading count (records, or the meta blob's partitions) raised by
+//!   one, and saturated;
 //! - each bit of a seeded sample of bytes flipped.
 //!
 //! A cut, junk or a wrong count must be rejected. A flipped bit may land in
 //! a payload and still decode, so it must only not panic, and whatever
-//! decodes must encode and decode again to the same records. Seeded over
-//! the workspace's own `StdRng`, with no test-only dependency: a failure
-//! reproduces exactly.
+//! decodes must re-encode to its input, byte for byte: a decoder accepts
+//! only what its encoder writes (a key flag of 2 or a varint written long
+//! is rejected, not read as the 1 or the short form it stands for).
+//! Seeded over the workspace's own `StdRng`, with no test-only dependency:
+//! a failure reproduces exactly.
+
+use std::fmt::Debug;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use stream2gym::broker::{LogSegment, PartitionLog};
-use stream2gym::proto::codec::put_uvarint;
-use stream2gym::proto::{Columns, LeaderEpoch, Offset, ProducerId, Record, RecordBatch};
+use stream2gym::broker::{BrokerLogMeta, LogSegment, PartitionLog};
+use stream2gym::proto::codec::{put_uvarint, CodecError};
+use stream2gym::proto::{
+    Columns, LeaderEpoch, Offset, ProducerId, Record, RecordBatch, TopicPartition,
+};
 use stream2gym::sim::SimTime;
 
-/// What a decoder produced: each record with its offset and epoch (0 for a
-/// batch frame, which carries none).
+/// What a record decoder produced: each record with its offset and epoch
+/// (0 for a batch frame, which carries none).
 type Entries = Vec<(u64, u64, Record)>;
 
-/// Valid encodings, each with the entries it holds.
-type Samples = Vec<(Vec<u8>, Entries)>;
+/// Valid encodings, each with what it decodes to.
+type Samples<T = Entries> = Vec<(Vec<u8>, T)>;
 
-/// One decoder under test.
-struct Row {
+/// One decoder under test, decoding to `T`.
+struct Row<T> {
     name: &'static str,
-    /// Seeded valid encodings.
-    samples: fn(&mut StdRng) -> Samples,
-    /// The decoded entries, `None` when the input is rejected.
-    decode: fn(&[u8]) -> Option<Entries>,
+    /// Seeded valid encodings, each with what it decodes to.
+    samples: fn(&mut StdRng) -> Samples<T>,
+    decode: fn(&[u8]) -> Result<T, CodecError>,
     /// Re-encodes what `decode` accepted.
     reencode: fn(&[u8]) -> Vec<u8>,
-    /// The encoding with its record count replaced by `count`.
+    /// The leading count of what an encoding decodes to.
+    count: fn(&T) -> usize,
+    /// The encoding with its leading count replaced by `count`.
     recount: fn(&[u8], u64) -> Vec<u8>,
 }
 
-const ROWS: [Row; 2] = [
-    Row {
-        name: "RecordBatch::decode_frame",
-        samples: frames,
-        decode: decode_frame,
-        reencode: |buf| {
-            let (batch, base) = RecordBatch::decode_frame(buf).expect("accepted before");
-            batch.encode_frame(base)
-        },
-        recount: recount_frame,
+const FRAMES: Row<Entries> = Row {
+    name: "RecordBatch::decode_frame",
+    samples: frames,
+    decode: decode_frame,
+    reencode: |buf| {
+        let (batch, base) = RecordBatch::decode_frame(buf).expect("accepted before");
+        batch.encode_frame(base)
     },
-    Row {
-        name: "LogSegment::decode",
-        samples: segments,
-        decode: decode_segment,
-        reencode: |buf| LogSegment::decode(buf).expect("accepted before").encode(),
-        recount: |buf, count| {
-            // Version, base, end and timestamp base come first.
-            let mut out = buf.to_vec();
-            let count = u32::try_from(count).unwrap_or(u32::MAX);
-            out[25..29].copy_from_slice(&count.to_le_bytes());
-            out
-        },
+    count: Vec::len,
+    recount: recount_frame,
+};
+
+const SEGMENTS: Row<Entries> = Row {
+    name: "LogSegment::decode",
+    samples: segments,
+    decode: decode_segment,
+    reencode: |buf| LogSegment::decode(buf).expect("accepted before").encode(),
+    count: Vec::len,
+    // Version, base, end and timestamp base come first.
+    recount: |buf, count| recount_u32(buf, 25, count),
+};
+
+const METAS: Row<BrokerLogMeta> = Row {
+    name: "BrokerLogMeta::decode",
+    samples: metas,
+    decode: BrokerLogMeta::decode,
+    reencode: |buf| {
+        BrokerLogMeta::decode(buf)
+            .expect("accepted before")
+            .encode()
     },
-];
+    count: |meta| meta.partitions.len(),
+    // The partition count comes first.
+    recount: |buf, count| recount_u32(buf, 0, count),
+};
+
+/// `buf` with the `u32` count at `at` replaced by `count`, saturated.
+fn recount_u32(buf: &[u8], at: usize, count: u64) -> Vec<u8> {
+    let mut out = buf.to_vec();
+    let count = u32::try_from(count).unwrap_or(u32::MAX);
+    out[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    out
+}
 
 /// Bytes of each encoding whose eight bits are flipped one at a time.
 const FLIPPED_BYTES: usize = 12;
@@ -199,14 +226,12 @@ fn frames(rng: &mut StdRng) -> Samples {
         .collect()
 }
 
-fn decode_frame(buf: &[u8]) -> Option<Entries> {
+fn decode_frame(buf: &[u8]) -> Result<Entries, CodecError> {
     let (batch, base) = RecordBatch::decode_frame(buf)?;
     let records = batch.iter().enumerate();
-    Some(
-        records
-            .map(|(i, r)| (base.value() + i as u64, 0, r.to_record()))
-            .collect(),
-    )
+    Ok(records
+        .map(|(i, r)| (base.value() + i as u64, 0, r.to_record()))
+        .collect())
 }
 
 /// Where a frame's record count starts: past the version and codec bytes,
@@ -256,7 +281,7 @@ fn segments(rng: &mut StdRng) -> Samples {
     out
 }
 
-fn decode_segment(buf: &[u8]) -> Option<Entries> {
+fn decode_segment(buf: &[u8]) -> Result<Entries, CodecError> {
     let seg = LogSegment::decode(buf)?;
     let base = seg.base_offset().value();
     let log =
@@ -264,57 +289,92 @@ fn decode_segment(buf: &[u8]) -> Option<Entries> {
     let entries = log
         .entries()
         .map(|(o, e, r)| (o.value(), e.0, r.to_record()));
-    Some(entries.collect())
+    Ok(entries.collect())
+}
+
+/// Meta blobs of 1 to 4 partitions with short topic names, few segment
+/// bases, groups and transactions: framing (counts, lengths and names) is a
+/// good share of each blob.
+fn metas(rng: &mut StdRng) -> Samples<BrokerLogMeta> {
+    let tp = |rng: &mut StdRng| {
+        let topic = ["t", "ab", "rides"][rng.gen_range(0..3usize)];
+        TopicPartition::new(topic, rng.gen_range(0..4))
+    };
+    (0..24)
+        .map(|_| {
+            let partitions = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    let bases = (0..rng.gen_range(0..3)).map(|i| i * 128).collect();
+                    let hw = rng.gen_range(0..1_000);
+                    (tp(rng), Offset(hw), Offset(hw / 2), bases)
+                })
+                .collect();
+            let group_offsets = (0..rng.gen_range(0..3))
+                .map(|g| (format!("g{g}"), tp(rng), Offset(rng.gen_range(0..1_000))))
+                .collect();
+            let txns = (0..rng.gen_range(0..2))
+                .map(|_| (tp(rng), vec![(7, 3, 10, 14, 1)], vec![(2, 5)]))
+                .collect();
+            let meta = BrokerLogMeta {
+                partitions,
+                group_offsets,
+                reclaimed_bytes: rng.gen_range(0..1 << 20),
+                txns,
+            };
+            (meta.encode(), meta)
+        })
+        .collect()
+}
+
+/// Runs the sweep of the module doc over one row.
+fn sweep<T: PartialEq + Debug>(rng: &mut StdRng, row: Row<T>) {
+    let name = row.name;
+    let (mut samples, mut flips_rejected, mut flips) = (0, 0, 0);
+    for (buf, built) in (row.samples)(rng) {
+        samples += 1;
+        let count = (row.count)(&built) as u64;
+        assert_eq!((row.decode)(&buf), Ok(built), "{name}: round trip");
+        assert_eq!((row.reencode)(&buf), buf, "{name}: re-encoding");
+        for cut in 0..buf.len() {
+            assert!((row.decode)(&buf[..cut]).is_err(), "{name}: cut at {cut}");
+        }
+        let mut junk = buf.clone();
+        junk.extend_from_slice(&[0, 0xff]);
+        assert!((row.decode)(&junk).is_err(), "{name}: trailing bytes");
+        for count in [count + 1, u64::MAX] {
+            let recounted = (row.recount)(&buf, count);
+            assert!((row.decode)(&recounted).is_err(), "{name}: count {count}");
+        }
+        for _ in 0..FLIPPED_BYTES.min(buf.len()) {
+            let at = rng.gen_range(0..buf.len());
+            for bit in 0..8 {
+                let mut flipped = buf.clone();
+                flipped[at] ^= 1 << bit;
+                flips += 1;
+                if (row.decode)(&flipped).is_err() {
+                    flips_rejected += 1;
+                    continue;
+                }
+                assert_eq!(
+                    (row.reencode)(&flipped),
+                    flipped,
+                    "{name}: bit {bit} of byte {at} decodes, to an encoding of other bytes"
+                );
+            }
+        }
+    }
+    assert!(samples >= 20, "{name}: only {samples} samples");
+    // Not vacuous: framing bytes are a good share of a small encoding.
+    assert!(
+        flips_rejected * 5 > flips,
+        "{name}: {flips_rejected} of {flips} flips rejected"
+    );
 }
 
 #[test]
 fn every_damaged_encoding_is_rejected_or_decodes_consistently() {
     let mut rng = StdRng::seed_from_u64(0xDEC0DE);
-    for row in ROWS {
-        let name = row.name;
-        let (mut samples, mut flips_rejected, mut flips) = (0, 0, 0);
-        for (buf, entries) in (row.samples)(&mut rng) {
-            samples += 1;
-            assert_eq!(
-                (row.decode)(&buf).as_ref(),
-                Some(&entries),
-                "{name}: round trip"
-            );
-            assert_eq!((row.reencode)(&buf), buf, "{name}: re-encoding");
-            for cut in 0..buf.len() {
-                assert!((row.decode)(&buf[..cut]).is_none(), "{name}: cut at {cut}");
-            }
-            let mut junk = buf.clone();
-            junk.extend_from_slice(&[0, 0xff]);
-            assert!((row.decode)(&junk).is_none(), "{name}: trailing bytes");
-            for count in [entries.len() as u64 + 1, u64::MAX] {
-                let recounted = (row.recount)(&buf, count);
-                assert!((row.decode)(&recounted).is_none(), "{name}: count {count}");
-            }
-            for _ in 0..FLIPPED_BYTES.min(buf.len()) {
-                let at = rng.gen_range(0..buf.len());
-                for bit in 0..8 {
-                    let mut flipped = buf.clone();
-                    flipped[at] ^= 1 << bit;
-                    flips += 1;
-                    let Some(decoded) = (row.decode)(&flipped) else {
-                        flips_rejected += 1;
-                        continue;
-                    };
-                    let again = (row.reencode)(&flipped);
-                    assert_eq!(
-                        (row.decode)(&again),
-                        Some(decoded),
-                        "{name}: bit {bit} of byte {at} decodes inconsistently"
-                    );
-                }
-            }
-        }
-        assert!(samples >= 20, "{name}: only {samples} samples");
-        // Not vacuous: framing bytes are a good share of a small encoding.
-        assert!(
-            flips_rejected * 5 > flips,
-            "{name}: {flips_rejected} of {flips} flips rejected"
-        );
-    }
+    sweep(&mut rng, FRAMES);
+    sweep(&mut rng, SEGMENTS);
+    sweep(&mut rng, METAS);
 }

@@ -465,7 +465,8 @@ impl Process for OrphanBlobHarness {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let payload = CheckpointPayload::Full(sample_snapshot(1));
-        self.backend.persist(ctx, "job", &payload);
+        self.backend
+            .persist_blob(ctx, "job", &payload, payload.to_bytes());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
@@ -577,7 +578,8 @@ impl Process for PersistDriver {
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let payload = CheckpointPayload::Full(sample_snapshot(1));
-        self.backend.persist(ctx, "job", &payload);
+        self.backend
+            .persist_blob(ctx, "job", &payload, payload.to_bytes());
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
         if let Ok(rpc) = downcast::<StoreRpc>(msg) {
@@ -672,7 +674,8 @@ impl Process for BouncingWorker {
         // re-sends what the store already holds.
         let snapshot = sample_snapshot(i64::from(ctx.incarnation()) + 1);
         let payload = CheckpointPayload::Full(snapshot);
-        self.backend.persist(ctx, "job", &payload);
+        self.backend
+            .persist_blob(ctx, "job", &payload, payload.to_bytes());
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
         if let Ok(rpc) = downcast::<StoreRpc>(msg) {

@@ -16,11 +16,17 @@
 #      over the live heap at the mark, is a function of this workspace (an
 #      `s2g_` crate) with a non-zero share, and that `report.py --callers`
 #      gives the live heap's such site a non-zero share too, though it is
-#      never the innermost frame (an allocator's is).
+#      never the innermost frame (an allocator's is);
+#   5. runs coverage.sh once, on the example alone (built with
+#      `-C instrument-coverage` into a target dir of its own), and checks
+#      that coverage.py finds `Sim::run_until` entered and lists
+#      `ReferenceQueue::new` (the differential test's reference queue,
+#      which no run builds) as never entered.
 #
 #   tools/profile/smoke.sh [WORK_DIR]      (default: target/profile-smoke)
 #
-# Needs gcc, python3 and binutils (addr2line), like the profiler itself.
+# Needs gcc, python3 and binutils (addr2line, c++filt), like the profilers
+# themselves.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 work="${1:-target/profile-smoke}"
@@ -114,5 +120,20 @@ if awk -v s="${callers:-0}" 'BEGIN { exit !(s > 0) }'; then
   echo "profile smoke: --callers ${site} finds ${callers} % of the live heap at the mark"
 else
   echo "profile smoke: --callers ${site} finds none of the live heap at the mark" >&2
+  exit 1
+fi
+
+tools/profile/coverage.sh --example partition_failure "$work/coverage" \
+  --match Sim::run_until > "$work/coverage-run.txt"
+head -1 "$work/coverage-run.txt"
+if ! grep -q '^  entered  s2g_sim::sched::Sim::run_until$' "$work/coverage-run.txt"; then
+  echo "profile smoke: coverage.py does not find Sim::run_until entered" >&2
+  cat "$work/coverage-run.txt" >&2
+  exit 1
+fi
+if grep -q '^  s2g_sim::queue::ReferenceQueue::new$' "$work/coverage/coverage.txt"; then
+  echo "profile smoke: coverage.py finds Sim::run_until entered, ReferenceQueue::new never"
+else
+  echo "profile smoke: coverage.py does not list ReferenceQueue::new as never entered" >&2
   exit 1
 fi
