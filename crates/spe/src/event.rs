@@ -130,7 +130,7 @@ impl Value {
     /// end of the value.
     pub fn decode(buf: &[u8]) -> Result<Value, CodecError> {
         let mut cur = Cursor::new(buf);
-        let value = Value::walk(&mut cur, 0, true)?;
+        let value = Value::walk::<true>(&mut cur, 0)?;
         cur.finish()?;
         Ok(value)
     }
@@ -165,10 +165,10 @@ impl Value {
     }
 
     /// Reads one value that sits inside `depth` lists and maps. It builds
-    /// the value when `build`; otherwise it only checks it, the same bytes
+    /// the value when `BUILD`; otherwise it only checks it, the same bytes
     /// and the same rules, and allocates nothing (a string, list or map is
     /// returned empty).
-    fn walk(cur: &mut Cursor<'_>, depth: usize, build: bool) -> Result<Value, CodecError> {
+    fn walk<const BUILD: bool>(cur: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
         Ok(match cur.u8()? {
             0 => Value::Null,
             1 => Value::Bool(cur.flag()?),
@@ -176,14 +176,14 @@ impl Value {
             3 => Value::Float(f64::from_bits(cur.u64()?)),
             4 => {
                 let s = cur.str()?;
-                Value::Str(if build { s.to_owned() } else { String::new() })
+                Value::Str(if BUILD { s.to_owned() } else { String::new() })
             }
             5 => {
                 let (n, depth) = (cur.u32()?, nested(depth)?);
-                let mut l = Vec::with_capacity(if build { n.min(1 << 16) as usize } else { 0 });
+                let mut l = Vec::with_capacity(if BUILD { n.min(1 << 16) as usize } else { 0 });
                 for _ in 0..n {
-                    let v = Value::walk(cur, depth, build)?;
-                    if build {
+                    let v = Value::walk::<BUILD>(cur, depth)?;
+                    if BUILD {
                         l.push(v);
                     } else {
                         owns_nothing(v);
@@ -201,8 +201,8 @@ impl Value {
                         return Err(CodecError::NonCanonical);
                     }
                     last = Some(k);
-                    let v = Value::walk(cur, depth, build)?;
-                    if build {
+                    let v = Value::walk::<BUILD>(cur, depth)?;
+                    if BUILD {
                         m.insert(k.to_owned(), v);
                     } else {
                         owns_nothing(v);
@@ -507,7 +507,7 @@ impl Event {
             // A string over a string reuses its buffer.
             self.value.set_str(utf8(cur.rest())?);
         } else {
-            let value = Value::walk(&mut cur, 0, true)?;
+            let value = Value::walk::<true>(&mut cur, 0)?;
             cur.finish()?;
             self.value = value;
         }
@@ -540,7 +540,7 @@ impl Event {
         if h.str_tail {
             utf8(cur.rest()).ok()?;
         } else {
-            owns_nothing(Value::walk(&mut cur, 0, false).ok()?);
+            owns_nothing(Value::walk::<false>(&mut cur, 0).ok()?);
             cur.finish().ok()?;
         }
         Some(SimTime::from_nanos(h.origin))
